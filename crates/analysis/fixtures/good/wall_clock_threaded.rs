@@ -1,4 +1,4 @@
-// virtual-path: crates/core/src/threaded.rs
+// virtual-path: crates/core/src/engine/rank.rs
 // GOOD: the threaded backend is the sanctioned home of wall-clock reads.
 
 use std::time::Instant;

@@ -37,13 +37,10 @@ use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient};
 use sasgd_comm::sparse::{sparse_allreduce_tree, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::CommError;
-use sasgd_core::algorithms::GammaP;
-use sasgd_core::engine::rank::{
-    run_event_rank, run_sasgd_rank, EventOp, EventRankSpec, SasgdRankSpec,
-};
-use sasgd_core::schedule::SyncPolicy;
+use sasgd_core::algorithms::{Algorithm, GammaP};
+use sasgd_core::engine::rank::run_rank;
 use sasgd_core::trainer::TrainConfig;
-use sasgd_data::{make_shards, Dataset, ShardStrategy};
+use sasgd_data::Dataset;
 use sasgd_nn::models::tiny_mlp;
 use sasgd_tensor::SeedRng;
 
@@ -698,36 +695,18 @@ fn engine_fixture() -> (Dataset, Dataset) {
     (train, Dataset::new(tx, tlabels, &[2], 2))
 }
 
-fn sc_engine_sasgd() -> ModelScenario {
-    let p = 2usize;
+/// One engine rank of `algo` over the model transport on the tiny
+/// fixture: the production rank loop, batch orders and all.
+fn engine_scenario(name: &'static str, algo: Algorithm) -> ModelScenario {
     scenario(
-        "engine_sasgd_rank",
-        p,
-        Arc::new(move |mut t: ModelTransport| {
-            let rank = t.rank();
+        name,
+        algo.learners(),
+        Arc::new(move |t: ModelTransport| {
             let (train, test) = engine_fixture();
-            let shards = make_shards(&train, p, ShardStrategy::Contiguous);
             let cfg = TrainConfig::new(1, 2, 0.05, 7);
-            let steps_per_epoch = shards
-                .iter()
-                .map(|s| s.len() / cfg.batch_size)
-                .min()
-                .ok_or("no shards")?;
-            let mut rng = SeedRng::new(42);
-            let model = tiny_mlp(2, 3, 2, &mut rng);
-            let spec = SasgdRankSpec {
-                train_set: &train,
-                test_set: &test,
-                cfg: &cfg,
-                p,
-                t: 1,
-                gamma_p: GammaP::OverP,
-                compression: None,
-                label: format!("model-sasgd-r{rank}"),
-                steps_per_epoch,
-            };
+            let model = || tiny_mlp(2, 3, 2, &mut SeedRng::new(42));
             let hist =
-                run_sasgd_rank(&mut t, model, &shards[rank], &spec).map_err(|e| e.to_string())?;
+                run_rank(t, &model, &train, &test, &algo, &cfg).map_err(|e| e.to_string())?;
             hist.final_params
                 .ok_or_else(|| "no final params".to_string())
         }),
@@ -737,43 +716,14 @@ fn sc_engine_sasgd() -> ModelScenario {
     )
 }
 
+fn sc_engine_sasgd() -> ModelScenario {
+    engine_scenario("engine_sasgd_rank", Algorithm::sasgd(2, 1, GammaP::OverP))
+}
+
 fn sc_engine_dasgd() -> ModelScenario {
-    let p = 2usize;
-    scenario(
+    engine_scenario(
         "engine_dasgd_delayed_average",
-        p,
-        Arc::new(move |mut t: ModelTransport| {
-            let rank = t.rank();
-            let (train, test) = engine_fixture();
-            let shards = make_shards(&train, p, ShardStrategy::Contiguous);
-            let cfg = TrainConfig::new(1, 2, 0.05, 7);
-            let epoch_block = shards
-                .iter()
-                .map(|s| s.len() / cfg.batch_size)
-                .min()
-                .ok_or("no shards")?;
-            let mut rng = SeedRng::new(42);
-            let model = tiny_mlp(2, 3, 2, &mut rng);
-            let spec = EventRankSpec {
-                train_set: &train,
-                test_set: &test,
-                cfg: &cfg,
-                p,
-                label: format!("model-dasgd-r{rank}"),
-                op: EventOp::DelayedAverage,
-                policy: SyncPolicy::fixed(1),
-                epoch_block,
-                collective_tau: 1,
-                history_interval: 1,
-            };
-            let hist = run_event_rank(&mut t, model, None, &shards[rank], &spec)
-                .map_err(|e| e.to_string())?;
-            hist.final_params
-                .ok_or_else(|| "no final params".to_string())
-        }),
-        0,
-        true,
-        true,
+        Algorithm::DelayedAvg { p: 2, t: 1 },
     )
 }
 

@@ -76,13 +76,13 @@ const UNSAFE_ALLOWED_FILES: &[&str] = &[
 /// Wall-clock reads are the threaded backend's business (plus everything
 /// under `bench`, which measures real time by definition).
 const WALL_CLOCK_ALLOWED: &[&str] = &[
-    "crates/core/src/threaded.rs",
-    "crates/core/src/engine/threaded.rs",
-    // The per-rank loop the threaded backend and the multi-process
-    // launcher share: its compute/comm stopwatches are the threaded
-    // backend's measurements, factored out with the loop itself. The
-    // simulated backend never calls it.
+    // The one threaded rank loop (shared by the in-process harness, the
+    // multi-process launcher and the model checker) and the exchanges it
+    // drives: the compute/comm stopwatches and the fault-tolerant
+    // exchange's recovery latency are the threaded backend's
+    // measurements. The simulated backend never calls either.
     "crates/core/src/engine/rank.rs",
+    "crates/core/src/engine/exchange.rs",
     // Deadline-based failure detection is wall-clock by nature: recv
     // deadlines are real elapsed time, never part of the simulated clock.
     "crates/comm/src/world.rs",
@@ -106,7 +106,6 @@ const WALL_CLOCK_ALLOWED: &[&str] = &[
 /// schedule-exploration harness itself (it hosts rank threads).
 const SPAWN_ALLOWED: &[&str] = &[
     "crates/comm/",
-    "crates/core/src/threaded.rs",
     "crates/core/src/engine/threaded.rs",
     "crates/analysis/",
 ];
@@ -283,7 +282,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
                     "wall-clock",
                     t.line,
                     format!(
-                        "{} outside core::threaded/bench breaks the Simulated backend's \
+                        "{} outside the threaded rank loop/bench breaks the Simulated backend's \
                          virtual-clock purity",
                         t.text
                     ),
@@ -306,7 +305,7 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
                 push(
                     "raw-spawn",
                     t.line,
-                    "std::thread::spawn outside comm/core::threaded: threads must go through \
+                    "std::thread::spawn outside comm/the threaded harness: threads must go through \
                      the comm substrate so the race checker can see them"
                         .to_string(),
                     &mut out,
@@ -1003,11 +1002,16 @@ mod tests {
             lints_of("crates/core/src/engine/simulated.rs", src),
             vec!["wall-clock"]
         );
-        assert!(lints_of("crates/core/src/threaded.rs", src).is_empty());
         assert!(lints_of("crates/bench/src/kernels.rs", src).is_empty());
-        // The transport impls and the shared per-rank loop carry recv
-        // deadlines / comm stopwatches — sanctioned alongside world.rs.
+        // The transport impls, the one rank loop and its exchanges carry
+        // recv deadlines / comm stopwatches — sanctioned alongside
+        // world.rs. The harness that spawns the loop reads no clock.
         assert!(lints_of("crates/core/src/engine/rank.rs", src).is_empty());
+        assert!(lints_of("crates/core/src/engine/exchange.rs", src).is_empty());
+        assert_eq!(
+            lints_of("crates/core/src/engine/threaded.rs", src),
+            vec!["wall-clock"]
+        );
         assert!(lints_of("crates/comm/src/socket.rs", src).is_empty());
         assert!(lints_of("crates/comm/src/mock.rs", src).is_empty());
         // The model transport's live mode mirrors the mock's real recv
@@ -1022,6 +1026,12 @@ mod tests {
         assert_eq!(lints_of("crates/nn/src/model.rs", src), vec!["raw-spawn"]);
         assert!(lints_of("crates/comm/src/ps.rs", src).is_empty());
         assert!(lints_of("crates/analysis/src/schedule.rs", src).is_empty());
+        // One thread host in core: the harness, not the loop it spawns.
+        assert!(lints_of("crates/core/src/engine/threaded.rs", src).is_empty());
+        assert_eq!(
+            lints_of("crates/core/src/engine/rank.rs", src),
+            vec!["raw-spawn"]
+        );
     }
 
     #[test]
@@ -1183,7 +1193,7 @@ mod tests {
         let src = "use std::time::Instant;\n\
                    fn stopwatch() -> f64 { Instant::now().elapsed().as_secs_f64() }\n\
                    pub fn step() { let _ = stopwatch(); }\n";
-        assert!(call_taint_single("crates/core/src/threaded.rs", src).is_empty());
+        assert!(call_taint_single("crates/core/src/engine/rank.rs", src).is_empty());
         // An allowed call site is suppressed.
         let allowed = "use std::time::Instant;\n\
                        fn seed() -> u64 { Instant::now().elapsed().subsec_nanos() as u64 }\n\

@@ -321,7 +321,7 @@ fn run_schedule(p: usize, sched: &Schedule, scenario: RankFn, watchdog: Duration
         // Detached threads: on deadlock they stay blocked and are leaked —
         // the cycle report is the product, and the process moves on.
         // lint:allow(raw-spawn): the race checker is the one sanctioned
-        // thread host outside comm/core::threaded (see SPAWN_ALLOWED).
+        // thread host outside comm/the threaded harness (see SPAWN_ALLOWED).
         std::thread::spawn(move || {
             if start_units > 0 {
                 std::thread::sleep(UNIT * start_units);
@@ -536,7 +536,7 @@ pub fn scenario_hierarchical(
     let mut deadlock_reports = Vec::new();
     for sched in schedules {
         let delays = Arc::new(sched.delays.clone());
-        let mut bundles = grouped(groups, per_group);
+        let (mut bundles, _) = grouped(groups, per_group);
         for b in bundles.iter_mut() {
             b.global.set_delays(Arc::clone(&delays));
             b.local.set_delays(Arc::clone(&delays));

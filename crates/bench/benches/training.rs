@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sasgd_bench::scale::{cifar_workload, Scale};
 use sasgd_core::epoch_time::{epoch_time, Aggregation, Workload};
-use sasgd_core::{run_threaded_sasgd, Compression, GammaP, TrainConfig};
+use sasgd_core::{Algorithm, Backend, Compression, Executor, GammaP, TrainConfig};
 use sasgd_simnet::{CostModel, JitterModel};
 use sasgd_tensor::SeedRng;
 
@@ -21,7 +21,8 @@ fn bench_threaded_epoch(c: &mut Criterion) {
                 let mut cfg = TrainConfig::new(1, w.batch, w.gamma_hi, 42);
                 cfg.jitter = JitterModel::none();
                 cfg.eval_cap = 64;
-                run_threaded_sasgd(&*w.factory, &w.train, &w.test, &cfg, p, t, GammaP::OverP)
+                let algo = Algorithm::sasgd(p, t, GammaP::OverP);
+                Executor::new(Backend::Threaded).run(&*w.factory, &w.train, &w.test, &algo, &cfg)
             })
         });
     }

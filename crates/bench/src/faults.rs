@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use sasgd_core::algorithms::GammaP;
 use sasgd_core::report::ascii_table;
-use sasgd_core::{run_threaded_sasgd_ft, FaultConfig, FaultPlan, History, TrainConfig};
+use sasgd_core::{Algorithm, Backend, Executor, FaultConfig, FaultPlan, History, TrainConfig};
 use sasgd_simnet::{CostModel, JitterModel};
 
 use crate::figures::Artifact;
@@ -67,16 +67,16 @@ pub struct FaultRow {
 }
 
 fn run(w: &crate::scale::ConvergenceWorkload, cfg: &TrainConfig, faults: &FaultConfig) -> History {
-    run_threaded_sasgd_ft(
-        &*w.factory,
-        &w.train,
-        &w.test,
-        cfg,
-        P,
-        T,
-        GammaP::OverP,
-        faults,
-    )
+    Executor::new(Backend::Threaded)
+        .try_run_ft(
+            &*w.factory,
+            &w.train,
+            &w.test,
+            &Algorithm::sasgd(P, T, GammaP::OverP),
+            cfg,
+            faults,
+        )
+        .unwrap_or_else(|e| panic!("fault-tolerant SASGD(p={P},T={T}) could not degrade: {e}"))
 }
 
 fn summarize(

@@ -3,10 +3,10 @@
 //! The transport refactor's end-to-end proof: the parent spawns `p` copies
 //! of the `repro` binary (hidden `_rank` subcommand), each child joins a
 //! loopback TCP mesh via [`SocketTransport`] and runs the *same* per-rank
-//! loop ([`run_sasgd_rank`]) the threaded backend drives over in-process
+//! loop ([`run_rank`]) the threaded backend drives over in-process
 //! channels. Rank 0's child writes its `final_params` to a file; the
-//! parent replays the identical workload in-process with
-//! [`run_threaded_sasgd`] and compares the two parameter vectors **bitwise**.
+//! parent replays the identical workload in-process through the threaded
+//! [`Executor`] and compares the two parameter vectors **bitwise**.
 //!
 //! Rendezvous is race-free: the parent discovers `p` free loopback ports by
 //! binding (then dropping) port-0 listeners and passes the concrete port
@@ -28,9 +28,9 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use sasgd_comm::{loopback_addrs, SocketTransport};
-use sasgd_core::{run_sasgd_rank, run_threaded_sasgd, GammaP, SasgdRankSpec, TrainConfig};
+use sasgd_core::{run_rank, Algorithm, Backend, Executor, GammaP, TrainConfig};
 use sasgd_data::cifar_like::{generate, CifarLikeConfig};
-use sasgd_data::{make_shards, Dataset};
+use sasgd_data::Dataset;
 use sasgd_nn::{models, Model};
 use sasgd_tensor::SeedRng;
 
@@ -45,6 +45,11 @@ const RENDEZVOUS: Duration = Duration::from_secs(30);
 /// Hard wall-clock bound on the whole multi-process run (spawn →
 /// last exit). Generous: the workload itself finishes in seconds.
 const TIMEOUT: Duration = Duration::from_secs(180);
+
+/// The algorithm every rank (and the in-process reference) runs.
+fn algorithm(p: usize) -> Algorithm {
+    Algorithm::sasgd(p, AGG_T, GammaP::OverP)
+}
 
 /// The fixed verification workload, identical in the parent's in-process
 /// reference run and every child (children regenerate it from the seeds —
@@ -113,30 +118,13 @@ fn rank_run(args: &[String]) -> Result<(), String> {
     for (a, &p) in addrs.iter_mut().zip(&ports) {
         a.set_port(p);
     }
-    let mut comm = SocketTransport::connect(rank, &addrs, RENDEZVOUS)
+    let comm = SocketTransport::connect(rank, &addrs, RENDEZVOUS)
         .map_err(|e| format!("rank {rank} rendezvous failed: {e}"))?;
 
     // Regenerate the fixed workload; every child derives the identical
     // shards and lockstep step count the in-process backend would.
     let (train, test, cfg) = workload();
-    let shards = make_shards(&train, size, cfg.shard_strategy);
-    let steps_per_epoch = shards
-        .iter()
-        .map(|s| s.len() / cfg.batch_size)
-        .min()
-        .expect("at least one shard");
-    let spec = SasgdRankSpec {
-        train_set: &train,
-        test_set: &test,
-        cfg: &cfg,
-        p: size,
-        t: AGG_T,
-        gamma_p: GammaP::OverP,
-        compression: None,
-        label: format!("SASGD-socket(p={size},T={AGG_T})"),
-        steps_per_epoch,
-    };
-    let history = run_sasgd_rank(&mut comm, model(), &shards[rank], &spec)
+    let history = run_rank(comm, &model, &train, &test, &algorithm(size), &cfg)
         .map_err(|e| format!("rank {rank} wire failure: {e}"))?;
 
     if rank == 0 {
@@ -333,15 +321,8 @@ pub fn run_launch(exe: &Path, scratch: &Path) -> LaunchOutcome {
 
     // In-process reference on the identical workload.
     let (train, test, cfg) = workload();
-    let reference = run_threaded_sasgd(
-        &|| model(),
-        &train,
-        &test,
-        &cfg,
-        WORLD,
-        AGG_T,
-        GammaP::OverP,
-    );
+    let reference =
+        Executor::new(Backend::Threaded).run(&|| model(), &train, &test, &algorithm(WORLD), &cfg);
     let ref_params = reference
         .final_params
         .expect("in-process threaded run always records final_params");

@@ -7,9 +7,11 @@
 //! [`hierarchical_allreduce`] composes the crate's collectives into the
 //! classic local-reduce → leader-allreduce → local-broadcast pattern.
 
+use std::sync::Arc;
+
 use crate::collectives::{allreduce_tree, broadcast, reduce_tree};
 use crate::transport::Transport;
-use crate::world::{CommError, CommWorld, Communicator};
+use crate::world::{CommError, CommWorld, Communicator, Traffic};
 
 /// The communicator bundle one learner thread receives. Generic over the
 /// [`Transport`] carrying each scope (defaulting to the in-process
@@ -35,18 +37,22 @@ impl<T: Transport> GroupedComm<T> {
 
 /// Build the communicator bundles for `groups × per_group` learners.
 /// Bundle `i` belongs to global rank `i`, group `i / per_group`, local
-/// rank `i % per_group`.
-pub fn grouped(groups: usize, per_group: usize) -> Vec<GroupedComm> {
+/// rank `i % per_group`. Also returns the traffic counters of every world
+/// behind the bundles (global, leaders, one per group), so a caller can
+/// account the run's whole wire volume.
+pub fn grouped(groups: usize, per_group: usize) -> (Vec<GroupedComm>, Vec<Arc<Traffic>>) {
     assert!(groups >= 1 && per_group >= 1, "need at least one learner");
     let mut global_world = CommWorld::new(groups * per_group);
     let global = global_world.communicators();
     let mut leader_world = CommWorld::new(groups);
+    let mut traffic = vec![global_world.traffic(), leader_world.traffic()];
     let mut leaders: Vec<Option<Communicator>> =
         leader_world.communicators().into_iter().map(Some).collect();
     let mut out = Vec::with_capacity(groups * per_group);
     let mut global_iter = global.into_iter();
     for (g, leader_slot) in leaders.iter_mut().enumerate() {
         let mut local_world = CommWorld::new(per_group);
+        traffic.push(local_world.traffic());
         let locals = local_world.communicators();
         for (lr, local) in locals.into_iter().enumerate() {
             out.push(GroupedComm {
@@ -57,7 +63,7 @@ pub fn grouped(groups: usize, per_group: usize) -> Vec<GroupedComm> {
             });
         }
     }
-    out
+    (out, traffic)
 }
 
 /// Hierarchical sum-allreduce: reduce within each group to its leader,
@@ -81,7 +87,7 @@ mod tests {
     use std::thread;
 
     fn run_hierarchical(groups: usize, per_group: usize, m: usize) -> Vec<Vec<f32>> {
-        let bundles = grouped(groups, per_group);
+        let (bundles, _) = grouped(groups, per_group);
         let p = groups * per_group;
         let mut out: Vec<Option<Vec<f32>>> = (0..p).map(|_| None).collect();
         thread::scope(|s| {
@@ -120,8 +126,9 @@ mod tests {
 
     #[test]
     fn bundles_have_correct_scopes() {
-        let bundles = grouped(3, 2);
+        let (bundles, traffic) = grouped(3, 2);
         assert_eq!(bundles.len(), 6);
+        assert_eq!(traffic.len(), 2 + 3, "global, leaders, one per group");
         for (i, b) in bundles.iter().enumerate() {
             assert_eq!(b.global.rank(), i);
             assert_eq!(b.group, i / 2);
@@ -138,6 +145,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one learner")]
     fn zero_groups_rejected() {
-        grouped(0, 2);
+        let _ = grouped(0, 2);
     }
 }

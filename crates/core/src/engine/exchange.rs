@@ -1,0 +1,735 @@
+//! Per-algorithm exchanges: what one rank's aggregation step puts on the
+//! wire.
+//!
+//! The rank loop ([`super::rank::run_rank`]) is the same for every
+//! algorithm; an [`Exchange`] is the only place they differ. Each exchange
+//! owns its endpoint(s) and mirrors its simulated strategy's arithmetic
+//! in the wire collective's reduction order, so `final_params` are bitwise
+//! the simulated backend's wherever DESIGN.md §4b claims it. The wire call
+//! order (`broadcast`, `next_op`, tags) of each exchange is frozen: the
+//! multi-process launcher and the model checker replay it.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+use sasgd_comm::collectives::{allreduce_tree, broadcast};
+use sasgd_comm::ft::{ft_allreduce, FtError, Membership};
+use sasgd_comm::hierarchy::GroupedComm;
+use sasgd_comm::ps::{PsClient, PsError};
+use sasgd_comm::sparse::{
+    q8_allreduce_tree, sparse_allreduce_tree, sparse_allreduce_tree_v2, SparseLevelProfile,
+    SparseTreeOpts, SparseVec,
+};
+use sasgd_comm::transport::Transport;
+use sasgd_nn::Model;
+
+use super::{delta_sq_norm, FaultConfig};
+use crate::algorithms::{Algorithm, GammaP};
+use crate::compress::{Compression, KState};
+use crate::history::{History, MembershipEvent, RetirementEvent};
+use crate::trainer::Learner;
+
+/// Parameter-server fetch deadline. Generous — a healthy in-process server
+/// answers in microseconds; the deadline only converts a dead or wedged
+/// shard from an eternal hang into a typed failure.
+const PS_PULL_DEADLINE: Duration = Duration::from_secs(5);
+/// Bounded retries for a timed-out pull (each attempt backs off twice as
+/// long as the previous one, starting at [`PS_PULL_BACKOFF`]).
+const PS_PULL_RETRIES: usize = 3;
+/// Initial retry backoff for a timed-out pull.
+const PS_PULL_BACKOFF: Duration = Duration::from_millis(20);
+
+/// A failed wire operation, rendered; the rank loop adds the rank and
+/// round to make it an [`EngineError::WireFailure`](super::EngineError).
+pub(crate) struct WireError(pub(crate) String);
+
+impl<E: std::error::Error> From<E> for WireError {
+    fn from(e: E) -> Self {
+        WireError(e.to_string())
+    }
+}
+
+/// What the rank loop tells an exchange about the round it is asking for.
+pub(crate) struct Round<'a> {
+    /// Global sync round, 1-based.
+    pub(crate) number: u64,
+    /// The γ in force for the steps this round aggregates.
+    pub(crate) gamma: f32,
+    /// Where compression telemetry, membership changes and retirements go.
+    pub(crate) history: &'a mut History,
+}
+
+/// What a round tells the rank loop.
+#[derive(Default)]
+pub(crate) struct Outcome {
+    /// End-of-round scalar the sync policy adapts on (Local SGD's
+    /// average-displacement norm); `None` never adapts.
+    pub(crate) signal: Option<f32>,
+    /// Measured `(τ, effective rate)` of this rank's update, for the
+    /// exchanges against shared state; `None` for collectives, whose
+    /// staleness is fixed by construction.
+    pub(crate) staleness: Option<(u64, f32)>,
+    /// This rank left the run gracefully (its retirement is already in the
+    /// history): stop stepping, return what it has.
+    pub(crate) retired: bool,
+}
+
+/// The aggregation step of one rank. Defaults describe a learner that
+/// never communicates (sequential SGD); each algorithm overrides only
+/// where it differs. Exchanges that consume `learner.gs` clear it.
+pub(crate) trait Exchange {
+    /// Called at every step boundary with the 1-based global step about to
+    /// run; `false` stops this rank before it (a scripted crash).
+    fn step_boundary(&mut self, _gstep: u64) -> bool {
+        true
+    }
+
+    /// Apply one minibatch gradient locally: accumulate into `gs` and take
+    /// the step `x ← x − γ·g`.
+    fn apply_local(&mut self, l: &mut Learner, g: &[f32], gamma: f32) {
+        l.apply_local(g, gamma);
+    }
+
+    /// One aggregation round.
+    fn round(&mut self, _l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
+        Ok(Outcome::default())
+    }
+
+    /// Epoch-boundary communication (one-shot averaging's gather).
+    fn epoch_end(&mut self, _l: &mut Learner) -> Result<(), WireError> {
+        Ok(())
+    }
+
+    /// The model evaluated for epoch records.
+    fn eval_model<'a>(&'a mut self, l: &'a mut Learner) -> &'a mut Model {
+        &mut l.model
+    }
+
+    /// Final parameters reported in [`History`].
+    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
+        l.model.param_vector()
+    }
+
+    /// Learners still contributing, when that can differ from `p`.
+    fn survivors(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// Sequential SGD: no peers, no exchange.
+struct Solo;
+
+impl Exchange for Solo {}
+
+/// Broadcast rank 0's parameters (Algorithm 1) and keep them as the
+/// shared pre-interval vector `x`.
+fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<Vec<f32>, WireError> {
+    let mut x = l.model.param_vector();
+    broadcast(comm, 0, &mut x)?;
+    l.model.write_params(&x);
+    Ok(x)
+}
+
+/// The global step `x ← x − γp·Σg`; the replica restarts from the common
+/// `x`.
+fn global_step(x: &mut [f32], gp: f32, total: &[f32], model: &mut Model) {
+    for (xi, &g) in x.iter_mut().zip(total) {
+        *xi -= gp * g;
+    }
+    model.write_params(x);
+}
+
+/// Error-feedback compression state of one rank.
+struct Codec {
+    comp: Compression,
+    residual: Vec<f32>,
+    kstate: KState,
+}
+
+impl Codec {
+    fn new(comp: Compression, model: &Model) -> Self {
+        let blocks = match comp {
+            Compression::Sparse { .. } => model.param_blocks(),
+            _ => Vec::new(),
+        };
+        Codec {
+            comp,
+            residual: vec![0.0; model.param_len()],
+            kstate: KState::new(&comp, blocks),
+        }
+    }
+
+    /// Compress `gs + residual`, allreduce over the scheme's wire form —
+    /// plain sparse tree for [`Compression::TopK`], exact 8-bit leaf frames
+    /// for [`Compression::Uniform8Bit`] (dense tree for the all-zero
+    /// gradient, which has no q8 scale), the instrumented v2 sparse tree
+    /// for [`Compression::Sparse`] — and return the dense total. Records
+    /// `(round, rank, k_eff, residual_norm)` plus per-level wire stats and
+    /// folds any union-bound spill back into the residual.
+    fn allreduce<T: Transport>(
+        &mut self,
+        comm: &mut T,
+        gs: &[f32],
+        round: Round<'_>,
+    ) -> Result<Vec<f32>, WireError> {
+        let input: Vec<f32> = gs.iter().zip(&self.residual).map(|(a, b)| a + b).collect();
+        let c = self.comp.compress_with(&input, &mut self.kstate);
+        self.residual = c.residual;
+        // lint:allow(float-cast): telemetry narrowing — the norm is a
+        // monitoring signal, not part of the update arithmetic.
+        let norm = c.residual_norm as f32;
+        let history = round.history;
+        history.push_sparsity(round.number, comm.rank(), c.k_eff, norm);
+        Ok(match self.comp {
+            Compression::TopK { .. } => {
+                let mut sv = SparseVec::from_dense(&c.dense);
+                sparse_allreduce_tree(comm, &mut sv)?;
+                sv.to_dense()
+            }
+            Compression::Uniform8Bit => {
+                let mut buf = c.dense;
+                match c.q8_scale {
+                    Some(scale) => q8_allreduce_tree(comm, &mut buf, scale)?,
+                    None => allreduce_tree(comm, &mut buf)?,
+                }
+                buf
+            }
+            Compression::Sparse { union_bound, .. } => {
+                let mut sv = SparseVec::from_dense(&c.dense);
+                let opts = SparseTreeOpts {
+                    union_bound: union_bound.then_some(c.k_budget),
+                    q8_scale: c.q8_scale,
+                };
+                let mut profile = SparseLevelProfile::default();
+                let spill = sparse_allreduce_tree_v2(comm, &mut sv, opts, &mut profile)?;
+                history.sparse_levels.merge(&profile);
+                for (&i, &v) in spill.idx.iter().zip(&spill.val) {
+                    self.residual[i as usize] += v;
+                }
+                sv.to_dense()
+            }
+        })
+    }
+}
+
+/// SASGD: tree allreduce of the accumulated gradients (optionally
+/// compressed with error feedback), then the global step.
+struct GradTree<T> {
+    comm: T,
+    gamma_p: GammaP,
+    codec: Option<Codec>,
+    x: Vec<f32>,
+}
+
+impl<T: Transport> Exchange for GradTree<T> {
+    fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
+        let gp = self.gamma_p.resolve(round.gamma, self.comm.size());
+        match self.codec.as_mut() {
+            Some(codec) => {
+                let total = codec.allreduce(&mut self.comm, &l.gs, round)?;
+                global_step(&mut self.x, gp, &total, &mut l.model);
+            }
+            None => {
+                allreduce_tree(&mut self.comm, &mut l.gs)?;
+                global_step(&mut self.x, gp, &l.gs, &mut l.model);
+            }
+        }
+        l.gs.fill(0.0);
+        Ok(Outcome::default())
+    }
+}
+
+/// SASGD under the fault-tolerance layer: [`ft_allreduce`] over a shrinking
+/// [`Membership`], `γp` rescaled to the survivor count, and the scripted
+/// faults of a [`FaultConfig`] fired at step boundaries (never inside a
+/// collective), so a degraded run replays bitwise. With an empty plan the
+/// trajectory is bitwise [`GradTree`]'s — same combine order. A rank that
+/// survivors evicted, or a non-coordinator whose wire failed, retires with
+/// a [`RetirementEvent`]; nothing can degrade around rank 0, the recovery
+/// coordinator, so its failure is the one error.
+struct FtTree<'a, T> {
+    comm: T,
+    gamma_p: GammaP,
+    faults: &'a FaultConfig,
+    membership: Membership,
+    x: Vec<f32>,
+}
+
+impl<T: Transport> Exchange for FtTree<'_, T> {
+    fn step_boundary(&mut self, gstep: u64) -> bool {
+        let (rank, plan) = (self.comm.rank(), &self.faults.plan);
+        if plan.crash_step(rank).is_some_and(|s| gstep >= s) {
+            // Crash: stop participating. Dropping the endpoint when the
+            // rank returns is what survivors detect.
+            return false;
+        }
+        if let Some(stall) = plan.stall_at(rank, gstep) {
+            std::thread::sleep(stall);
+        }
+        true
+    }
+
+    fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
+        let rank = self.comm.rank();
+        let started = Instant::now();
+        let deadline = self.faults.deadline;
+        let lost = match ft_allreduce(&mut self.comm, &mut self.membership, &mut l.gs, deadline) {
+            Ok(outcome) => outcome,
+            Err(e) if rank != 0 || matches!(e, FtError::Evicted { .. }) => {
+                round.history.retirements.push(RetirementEvent {
+                    rank,
+                    round: round.number,
+                    reason: e.to_string(),
+                });
+                return Ok(Outcome {
+                    retired: true,
+                    ..Outcome::default()
+                });
+            }
+            Err(e) => return Err(e.into()),
+        };
+        // = p on a clean round, so the fault-free trajectory is GradTree's.
+        let gp = self.gamma_p.resolve(round.gamma, self.membership.len());
+        global_step(&mut self.x, gp, &l.gs, &mut l.model);
+        l.gs.fill(0.0);
+        if rank == 0 && !lost.lost.is_empty() {
+            round.history.membership.push(MembershipEvent {
+                round: round.number,
+                epoch: lost.epoch,
+                lost: lost.lost,
+                survivors: self.membership.len(),
+                gamma_p: gp,
+                recovery_seconds: started.elapsed().as_secs_f64(),
+            });
+        }
+        Ok(Outcome::default())
+    }
+
+    fn survivors(&self) -> Option<usize> {
+        Some(self.membership.len())
+    }
+}
+
+/// Hierarchical SASGD: every round a group-local allreduce and group step;
+/// every `t_global` rounds the group copies are averaged through the
+/// leader communicator and broadcast back down. Level 2 averages via
+/// tree-reduce + scale while the simulated strategy accumulates in rank
+/// order, so cross-backend equality is bitwise only at `groups = 1`.
+struct HierTree<T: Transport> {
+    bundle: GroupedComm<T>,
+    t_global: usize,
+    gamma_p: GammaP,
+    local_rounds: usize,
+    x: Vec<f32>,
+}
+
+impl<T: Transport> Exchange for HierTree<T> {
+    fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
+        let gp = self.gamma_p.resolve(round.gamma, self.bundle.local.size());
+        allreduce_tree(&mut self.bundle.local, &mut l.gs)?;
+        for (xi, &g) in self.x.iter_mut().zip(&l.gs) {
+            *xi -= gp * g;
+        }
+        l.gs.fill(0.0);
+        self.local_rounds += 1;
+        if self.local_rounds == self.t_global {
+            if let Some(leaders) = self.bundle.leaders.as_mut() {
+                allreduce_tree(leaders, &mut self.x)?;
+                let inv = 1.0 / leaders.size() as f32;
+                self.x.iter_mut().for_each(|v| *v *= inv);
+            }
+            broadcast(&mut self.bundle.local, 0, &mut self.x)?;
+            self.local_rounds = 0;
+        }
+        l.model.write_params(&self.x);
+        Ok(Outcome::default())
+    }
+}
+
+/// Tree allreduce of the parameters scaled by `1/p`.
+fn average_params<T: Transport>(comm: &mut T, mut buf: Vec<f32>) -> Result<Vec<f32>, WireError> {
+    allreduce_tree(comm, &mut buf)?;
+    let inv = 1.0 / comm.size() as f32;
+    buf.iter_mut().for_each(|v| *v *= inv);
+    Ok(buf)
+}
+
+/// Local SGD: parameter average every round; the squared displacement of
+/// the average is the plateau signal adaptive `T` schedules read.
+struct ParamAvg<T> {
+    comm: T,
+    prev_avg: Vec<f32>,
+}
+
+impl<T: Transport> Exchange for ParamAvg<T> {
+    fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
+        let avg = average_params(&mut self.comm, l.model.param_vector())?;
+        l.model.write_params(&avg);
+        let signal = Some(delta_sq_norm(&avg, &self.prev_avg));
+        self.prev_avg = avg;
+        Ok(Outcome {
+            signal,
+            ..Outcome::default()
+        })
+    }
+}
+
+/// DaSGD: the round-`k` average of the *pre-application* parameters lands
+/// at round `k+1`, re-based onto the local progress made since its
+/// snapshot, so the allreduce overlaps the next round's compute.
+struct DelayedAvg<T> {
+    comm: T,
+    snap: Vec<f32>,
+    pending: Option<Vec<f32>>,
+}
+
+impl<T> DelayedAvg<T> {
+    /// The pending average re-based onto `cur`.
+    fn rebased(&mut self, cur: &[f32]) -> Option<Vec<f32>> {
+        let prev = self.pending.take()?;
+        let rebase = |((&pv, &c), &s0): ((&f32, &f32), &f32)| pv + (c - s0);
+        Some(prev.iter().zip(cur).zip(&self.snap).map(rebase).collect())
+    }
+}
+
+impl<T: Transport> Exchange for DelayedAvg<T> {
+    fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
+        let cur = l.model.param_vector();
+        let avg = average_params(&mut self.comm, cur.clone())?;
+        self.snap = match self.rebased(&cur) {
+            Some(applied) => {
+                l.model.write_params(&applied);
+                applied
+            }
+            None => cur,
+        };
+        self.pending = Some(avg);
+        Ok(Outcome::default())
+    }
+
+    /// A pending average that never landed is flushed into the final
+    /// parameters, exactly like the simulated strategy.
+    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
+        let cur = l.model.param_vector();
+        self.rebased(&cur).unwrap_or(cur)
+    }
+}
+
+/// One-shot model averaging: at every epoch end the independent learners'
+/// parameters are gathered to rank 0 in rank order (the simulated
+/// strategy's accumulation order) into a spare replica, evaluated instead.
+struct EpochGather<T> {
+    comm: T,
+    /// Rank 0 only.
+    avg_model: Option<Model>,
+}
+
+impl<T: Transport> Exchange for EpochGather<T> {
+    fn epoch_end(&mut self, l: &mut Learner) -> Result<(), WireError> {
+        let p = self.comm.size();
+        let gather_tag = (self.comm.next_op() << 4) | 2;
+        let Some(avg_model) = self.avg_model.as_mut() else {
+            self.comm.send(0, gather_tag, l.model.param_vector())?;
+            return Ok(());
+        };
+        let mut avg = vec![0.0f32; l.model.param_len()];
+        let mut add = |v: &[f32]| {
+            for (a, &b) in avg.iter_mut().zip(v) {
+                *a += b / p as f32;
+            }
+        };
+        add(&l.model.param_vector());
+        for r in 1..p {
+            add(&self.comm.recv(r, gather_tag)?);
+        }
+        avg_model.write_params(&avg);
+        Ok(())
+    }
+
+    fn eval_model<'a>(&'a mut self, l: &'a mut Learner) -> &'a mut Model {
+        self.avg_model.as_mut().unwrap_or(&mut l.model)
+    }
+
+    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
+        self.avg_model.as_ref().unwrap_or(&l.model).param_vector()
+    }
+}
+
+/// One learner's view of a parameter server: the client plus the clock of
+/// updates the server has absorbed, shared by every learner. τ for an
+/// update is how many updates (from any learner, this one included —
+/// `fetch_add` returns the pre-increment count) landed since this
+/// learner's last pull: the real interleaving, not a model of it.
+struct PsLink<'a> {
+    client: PsClient,
+    clock: &'a AtomicU64,
+    seen: u64,
+    /// Scale each update's rate by `1/(1+τ)`.
+    staleness_aware: bool,
+}
+
+impl<'a> PsLink<'a> {
+    /// Start learner `l` from the server's parameters.
+    fn open(
+        client: PsClient,
+        clock: &'a AtomicU64,
+        staleness_aware: bool,
+        l: &mut Learner,
+    ) -> Result<Self, PsError> {
+        let mut link = PsLink {
+            client,
+            clock,
+            seen: 0,
+            staleness_aware,
+        };
+        l.model.write_params(&link.pull()?);
+        Ok(link)
+    }
+
+    /// Deadline-bounded fetch: a dead shard surfaces as a typed error
+    /// naming the shard, not an eternal hang.
+    fn pull(&mut self) -> Result<Vec<f32>, PsError> {
+        let x = self
+            .client
+            .pull_timeout(PS_PULL_DEADLINE, PS_PULL_RETRIES, PS_PULL_BACKOFF)?;
+        self.seen = self.clock.load(Ordering::SeqCst);
+        Ok(x)
+    }
+
+    /// Claim the next update slot: its measured staleness and the `rate`
+    /// to apply for it.
+    fn claim(&self, rate: f32) -> (u64, f32) {
+        let tau = self.clock.fetch_add(1, Ordering::SeqCst) - self.seen;
+        if self.staleness_aware {
+            (tau, rate / (1.0 + tau as f32)) // lint:allow(float-cast)
+        } else {
+            (tau, rate)
+        }
+    }
+}
+
+/// Downpour: push the accumulated gradient (the server applies `−γ·g`
+/// whenever it lands relative to the other learners), pull fresh
+/// parameters.
+struct PsPushPull<'a>(PsLink<'a>);
+
+impl Exchange for PsPushPull<'_> {
+    fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
+        let staleness = self.0.claim(round.gamma);
+        self.0.client.try_push_gradient(staleness.1, &l.gs)?;
+        l.gs.fill(0.0);
+        l.model.write_params(&self.0.pull()?);
+        Ok(Outcome {
+            staleness: Some(staleness),
+            ..Outcome::default()
+        })
+    }
+}
+
+/// EAMSGD: momentum-SGD local steps; each round pulls the center `x̃`,
+/// retreats toward it by the moving rate, and pushes the elastic
+/// difference (the server adds it to `x̃`).
+struct PsElastic<'a> {
+    link: PsLink<'a>,
+    alpha: f32,
+    momentum: f32,
+    velocity: Vec<f32>,
+}
+
+impl Exchange for PsElastic<'_> {
+    /// One momentum-SGD step — same arithmetic as the simulated strategy.
+    fn apply_local(&mut self, l: &mut Learner, g: &[f32], gamma: f32) {
+        let mut params = l.model.param_vector();
+        for ((vi, pi), &gi) in self.velocity.iter_mut().zip(params.iter_mut()).zip(g) {
+            *vi = self.momentum * *vi - gamma * gi;
+            *pi += *vi;
+        }
+        l.model.write_params(&params);
+    }
+
+    fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
+        let staleness = self.link.claim(self.alpha);
+        let center = self.link.pull()?;
+        let mut params = l.model.param_vector();
+        let mut diff = vec![0.0f32; params.len()];
+        for ((pi, &ci), di) in params.iter_mut().zip(&center).zip(diff.iter_mut()) {
+            *di = staleness.1 * (*pi - ci);
+            *pi -= *di;
+        }
+        l.model.write_params(&params);
+        self.link.client.try_add(&diff)?;
+        Ok(Outcome {
+            staleness: Some(staleness),
+            ..Outcome::default()
+        })
+    }
+}
+
+/// What a rank reaches its peers through; the threaded harness builds one
+/// per rank.
+pub(crate) enum Endpoint<'a, T: Transport> {
+    /// One flat world of `size()` learners — under the fault-tolerance
+    /// layer when a [`FaultConfig`] rides along.
+    Flat(T, Option<&'a FaultConfig>),
+    /// The three scopes of hierarchical SASGD.
+    Grouped(GroupedComm<T>),
+    /// A parameter server, plus the clock of updates it has absorbed.
+    Server(PsClient, &'a AtomicU64),
+}
+
+/// Build `algo`'s exchange over `endpoint` and align learner `l` with its
+/// peers (the `x0` broadcast of Algorithm 1, a server's initial pull; the
+/// averaging algorithms start from the factory's identical replicas, like
+/// their simulated strategies). `None`: the algorithm has no exchange
+/// over this kind of endpoint.
+pub(crate) fn connect<'a, T: Transport + 'a>(
+    algo: &Algorithm,
+    endpoint: Endpoint<'a, T>,
+    l: &mut Learner,
+    factory: &dyn Fn() -> Model,
+) -> Result<Option<Box<dyn Exchange + 'a>>, WireError> {
+    Ok(Some(match (*algo, endpoint) {
+        (Algorithm::Sequential, Endpoint::Flat(..)) => Box::new(Solo),
+        (
+            Algorithm::Sasgd {
+                gamma_p,
+                compression: None,
+                ..
+            },
+            Endpoint::Flat(mut comm, Some(faults)),
+        ) => {
+            assert!(
+                !faults.deadline.is_zero(),
+                "failure-detection deadline must be nonzero"
+            );
+            Box::new(FtTree {
+                x: broadcast_x0(&mut comm, l)?,
+                membership: Membership::new(comm.size()),
+                comm,
+                gamma_p,
+                faults,
+            })
+        }
+        (
+            Algorithm::Sasgd {
+                gamma_p,
+                compression,
+                ..
+            },
+            Endpoint::Flat(mut comm, None),
+        ) => Box::new(GradTree {
+            x: broadcast_x0(&mut comm, l)?,
+            codec: compression.map(|comp| Codec::new(comp, &l.model)),
+            comm,
+            gamma_p,
+        }),
+        (
+            Algorithm::HierarchicalSasgd {
+                t_global, gamma_p, ..
+            },
+            Endpoint::Grouped(mut bundle),
+        ) => Box::new(HierTree {
+            x: broadcast_x0(&mut bundle.global, l)?,
+            bundle,
+            t_global,
+            gamma_p,
+            local_rounds: 0,
+        }),
+        (Algorithm::LocalSgd { .. }, Endpoint::Flat(comm, None)) => Box::new(ParamAvg {
+            comm,
+            prev_avg: l.model.param_vector(),
+        }),
+        (Algorithm::DelayedAvg { .. }, Endpoint::Flat(comm, None)) => Box::new(DelayedAvg {
+            comm,
+            snap: l.model.param_vector(),
+            pending: None,
+        }),
+        (Algorithm::ModelAverageOnce { .. }, Endpoint::Flat(comm, None)) => Box::new(EpochGather {
+            avg_model: (comm.rank() == 0).then(factory),
+            comm,
+        }),
+        (
+            Algorithm::Downpour {
+                staleness_gamma, ..
+            },
+            Endpoint::Server(client, clock),
+        ) => Box::new(PsPushPull(PsLink::open(client, clock, staleness_gamma, l)?)),
+        (
+            Algorithm::Eamsgd {
+                p,
+                moving_rate,
+                momentum,
+                staleness_gamma,
+                ..
+            },
+            Endpoint::Server(client, clock),
+        ) => {
+            let alpha = moving_rate.unwrap_or(0.9 / p as f32);
+            assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
+            assert!(alpha > 0.0 && alpha <= 1.0, "moving rate out of range");
+            Box::new(PsElastic {
+                link: PsLink::open(client, clock, staleness_gamma, l)?,
+                alpha,
+                momentum,
+                velocity: vec![0.0; l.model.param_len()],
+            })
+        }
+        _ => return Ok(None),
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trainer::TrainConfig;
+    use sasgd_comm::ps::{PsConfig, PsServer};
+    use sasgd_comm::Communicator;
+    use sasgd_nn::models;
+    use sasgd_tensor::SeedRng;
+
+    #[test]
+    fn ps_exchanges_on_a_dead_server_are_typed_errors_not_panics() {
+        let cfg = TrainConfig::new(1, 8, 0.05, 1);
+        let model = || models::tiny_cnn(2, &mut SeedRng::new(3));
+        let clock = AtomicU64::new(0);
+        let server = |client| Endpoint::<Communicator>::Server(client, &clock);
+        for algo in [
+            Algorithm::Downpour {
+                p: 1,
+                t: 1,
+                staleness_gamma: false,
+            },
+            Algorithm::Eamsgd {
+                p: 1,
+                t: 1,
+                moving_rate: None,
+                momentum: 0.9,
+                staleness_gamma: false,
+            },
+        ] {
+            let ps = PsServer::spawn(model().param_vector(), PsConfig { shards: 2 });
+            let mut l = Learner::new(0, model(), &cfg);
+            let mut exchange = connect(&algo, server(ps.client()), &mut l, &model)
+                .ok()
+                .flatten()
+                .expect("a live server connects");
+            let late = ps.client();
+            ps.shutdown();
+            assert!(
+                connect(&algo, server(late), &mut l, &model).is_err(),
+                "initial pull from a dead shard"
+            );
+            let mut history = History::new("dead-ps", 1, 1);
+            let round = Round {
+                number: 1,
+                gamma: 0.05,
+                history: &mut history,
+            };
+            let err = exchange
+                .round(&mut l, round)
+                .err()
+                .expect("a round against a dead shard must fail, not panic");
+            assert!(err.0.contains("hung up"), "names the cause: {}", err.0);
+        }
+    }
+}

@@ -13,9 +13,13 @@
 //!   `sasgd-simnet` cost model with deterministic virtual clocks,
 //!   reproducing the pre-engine per-algorithm implementations
 //!   element-for-element (pinned by `tests/engine_golden.rs`).
-//! * [`threaded`] — the real-parallelism backend. Runs strategies over OS
-//!   threads with the `sasgd-comm` collectives and parameter server,
-//!   measuring wall-clock time and actual wire traffic.
+//! * the threaded backend — one OS thread per learner, measuring
+//!   wall-clock time and actual wire traffic. [`rank::run_rank`] is the one
+//!   per-rank loop (two step walks: lockstep epochs, event-driven blocks);
+//!   an `exchange` per algorithm is the only place algorithms differ on
+//!   the wire (`sasgd-comm` collectives, or the parameter server); the
+//!   `threaded` harness builds the world, spawns the ranks and merges
+//!   their histories.
 //! * [`Executor`] — the public entry point selecting a [`Backend`].
 //!
 //! The simulated aggregation arithmetic deliberately mirrors the wire
@@ -24,7 +28,9 @@
 //! backends.
 
 use std::collections::VecDeque;
+use std::time::Duration;
 
+use sasgd_comm::fault::FaultPlan;
 use sasgd_data::{make_shards, Dataset, Shard};
 use sasgd_nn::Model;
 
@@ -34,14 +40,10 @@ use crate::history::{History, SparsitySample, StalenessStats, WireStats};
 use crate::schedule::SyncPolicy;
 use crate::trainer::{Learner, TrainConfig};
 
+mod exchange;
 pub mod rank;
 pub mod simulated;
-pub mod threaded;
-
-pub use threaded::{
-    run_threaded_averaging, run_threaded_eamsgd, run_threaded_sequential,
-    try_run_threaded_averaging,
-};
+mod threaded;
 
 /// How a strategy's learners advance relative to each other. Every
 /// strategy declares a *default* cadence; [`TrainConfig::cadence`] can
@@ -297,6 +299,13 @@ pub(crate) fn tree_reduce(mut bufs: Vec<Vec<f32>>) -> Vec<f32> {
     bufs.swap_remove(0)
 }
 
+/// Whole minibatches in the smallest shard: what bulk-synchronous epochs
+/// truncate to, and the block size of never-syncing event-driven rounds.
+pub(crate) fn min_whole_batches(shards: &[Shard], batch: usize) -> usize {
+    let whole = shards.iter().map(|s| s.len() / batch).min();
+    whole.expect("at least one shard")
+}
+
 /// Squared L2 distance between two parameter vectors, folded sequentially
 /// in f32 — the Local-SGD plateau signal, computed identically on both
 /// backends so adaptive-T decisions replay exactly.
@@ -315,6 +324,27 @@ pub(crate) fn event_gamma_epoch(steps_done: u64, batch: usize, p: usize, n: usiz
     (steps_done * batch as u64 * p as u64) as f64 / n as f64
 }
 
+/// Fault-injection configuration for [`Executor::try_run_ft`].
+#[derive(Clone, Debug)]
+pub struct FaultConfig {
+    /// The deterministic fault plan (crashes, stalls, message drops).
+    pub plan: FaultPlan,
+    /// Failure-detection deadline: how long a learner waits on a peer
+    /// before treating it as lost. Trades detection latency against
+    /// false-positive evictions of stragglers.
+    pub deadline: Duration,
+}
+
+impl Default for FaultConfig {
+    /// No injected faults, half-second detection deadline.
+    fn default() -> Self {
+        FaultConfig {
+            plan: FaultPlan::none(),
+            deadline: Duration::from_millis(500),
+        }
+    }
+}
+
 /// Typed error from [`Executor::try_run`] — either a configuration
 /// problem caught before any learner state exists, or a wire failure a
 /// threaded run could not degrade around.
@@ -322,13 +352,23 @@ pub(crate) fn event_gamma_epoch(steps_done: u64, batch: usize, p: usize, n: usiz
 pub enum EngineError {
     /// The requested cadence/backend combination has no execution path —
     /// e.g. forcing a parameter-server strategy to lockstep on the
-    /// threaded backend, where no bulk-synchronous PS runner exists. The
+    /// threaded backend, where no bulk-synchronous PS exchange exists. The
     /// simulated backend executes every strategy under either cadence, so
     /// only explicit [`TrainConfig::cadence`] overrides on the threaded
     /// backend can produce this.
     UnsupportedCadence {
         /// Label of the offending strategy.
         label: String,
+    },
+    /// The algorithm has no exchange for what was asked of it: a fault plan
+    /// needs the fault-tolerant gradient tree (uncompressed SASGD on the
+    /// threaded backend only), and [`rank::run_rank`] over one flat
+    /// transport cannot host grouped or parameter-server endpoints.
+    UnsupportedExchange {
+        /// Label of the offending algorithm.
+        label: String,
+        /// What the caller asked the algorithm to run over.
+        wanted: &'static str,
     },
     /// A communication operation failed in a way the run cannot survive
     /// (e.g. the recovery coordinator's own collective failed). Ranks that
@@ -354,6 +394,9 @@ impl std::fmt::Display for EngineError {
                 "no execution path for strategy `{label}` at the requested cadence \
                  on the selected backend"
             ),
+            EngineError::UnsupportedExchange { label, wanted } => {
+                write!(f, "algorithm `{label}` has no exchange over {wanted}")
+            }
             EngineError::WireFailure {
                 rank,
                 round,
@@ -491,14 +534,62 @@ impl Executor {
         algo: &crate::algorithms::Algorithm,
         cfg: &TrainConfig,
     ) -> Result<History, EngineError> {
-        let mut strategy = strategy_for(algo);
-        let cadence = cfg.cadence.unwrap_or_else(|| strategy.cadence());
+        self.execute(factory, train_set, test_set, algo, cfg, None)
+    }
+
+    /// [`Executor::try_run`] under the fault-tolerance layer: scripted
+    /// crash/stall/drop injection from `faults.plan`, deadline failure
+    /// detection, and graceful degradation onto the survivors (the
+    /// binomial tree is rebuilt over `p' < p` ranks and `γp` rescales).
+    /// With [`FaultPlan::none`] the run is bitwise [`Executor::try_run`]'s;
+    /// with faults it is bitwise reproducible for the same plan.
+    /// Membership changes land in [`History::membership`]; learners that
+    /// left mid-run (evicted, or cut off by a survivable wire failure) in
+    /// [`History::retirements`]. The one unsurvivable case — a wire
+    /// failure under the recovery coordinator, rank 0 — is
+    /// [`EngineError::WireFailure`]; anything but uncompressed SASGD on
+    /// the threaded backend is [`EngineError::UnsupportedExchange`].
+    pub fn try_run_ft(
+        &self,
+        factory: &(dyn Fn() -> Model + Sync),
+        train_set: &Dataset,
+        test_set: &Dataset,
+        algo: &crate::algorithms::Algorithm,
+        cfg: &TrainConfig,
+        faults: &FaultConfig,
+    ) -> Result<History, EngineError> {
+        self.execute(factory, train_set, test_set, algo, cfg, Some(faults))
+    }
+
+    fn execute(
+        &self,
+        factory: &(dyn Fn() -> Model + Sync),
+        train_set: &Dataset,
+        test_set: &Dataset,
+        algo: &crate::algorithms::Algorithm,
+        cfg: &TrainConfig,
+        faults: Option<&FaultConfig>,
+    ) -> Result<History, EngineError> {
+        let has_ft_exchange = self.backend == Backend::Threaded
+            && matches!(
+                algo,
+                crate::algorithms::Algorithm::Sasgd {
+                    compression: None,
+                    ..
+                }
+            );
+        if faults.is_some() && !has_ft_exchange {
+            return Err(EngineError::UnsupportedExchange {
+                label: algo.label(),
+                wanted: "the fault-tolerant threaded backend",
+            });
+        }
         Ok(match self.backend {
             Backend::Simulated => {
                 let mut f = || factory();
-                simulated::run(&mut *strategy, &mut f, train_set, test_set, cfg, cadence)
+                simulated::run_auto(&mut *strategy_for(algo), &mut f, train_set, test_set, cfg)
             }
-            Backend::Threaded => threaded::run(factory, train_set, test_set, algo, cfg, cadence)?,
+            Backend::Threaded => threaded::run(factory, train_set, test_set, algo, cfg, faults)?,
         })
     }
 }

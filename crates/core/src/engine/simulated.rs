@@ -30,7 +30,8 @@ use sasgd_nn::Model;
 use sasgd_simnet::{RankQueue, VirtualTime};
 
 use super::{
-    event_gamma_epoch, AggregationStrategy, BatchStream, Cadence, CommDecision, CommScope, RoundCtx,
+    event_gamma_epoch, min_whole_batches, AggregationStrategy, BatchStream, Cadence, CommDecision,
+    CommScope, RoundCtx,
 };
 use crate::history::{History, StalenessStats};
 use crate::trainer::{EvalSets, Learner, TrainConfig};
@@ -91,11 +92,7 @@ fn run_lockstep(
     let steps_cap = if s.lockstep_truncates() {
         // Bulk-synchrony needs aligned step counts: truncate every
         // learner's epoch to the smallest shard's whole-minibatch count.
-        let cap = shards
-            .iter()
-            .map(|sh| sh.len() / cfg.batch_size)
-            .min()
-            .expect("at least one shard");
+        let cap = min_whole_batches(&shards, cfg.batch_size);
         assert!(
             cap > 0,
             "shards too small: {} samples over {p} learners at batch {}",
@@ -312,12 +309,7 @@ fn run_event_collective(
     let shards = s.shards(train_set, cfg);
     // Never-syncing strategies (sequential SGD, one-shot averaging) run
     // epoch-sized rounds: the smallest shard's whole-minibatch count.
-    let epoch_block = shards
-        .iter()
-        .map(|sh| sh.len() / cfg.batch_size)
-        .min()
-        .expect("at least one shard")
-        .max(1);
+    let epoch_block = min_whole_batches(&shards, cfg.batch_size).max(1);
     let mut streams: Vec<BatchStream> = shards
         .into_iter()
         .map(|sh| BatchStream::new(sh.indices().to_vec(), cfg.batch_size))

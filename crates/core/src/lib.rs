@@ -12,9 +12,10 @@
 //! * [`trainer`] — the event-driven distributed trainer: real gradient
 //!   math on model replicas, virtual-time accounting from the
 //!   `sasgd-simnet` cost model, per-epoch accuracy histories;
-//! * [`threaded`] — SASGD over real OS threads using `sasgd-comm`
-//!   collectives (bitwise-equal to the simulated run; used for wall-clock
-//!   benches);
+//! * [`engine`] — the unified execution engine: every algorithm on the
+//!   simulated backend and on real OS threads over `sasgd-comm` (one rank
+//!   loop, [`run_rank`]; bitwise-equal to the simulated run for the
+//!   collectives; used for wall-clock benches);
 //! * [`epoch_time`] — the analytic epoch-time model behind Figs 1/4/5/6;
 //! * [`theory`] — Section II/III mathematics: the Lian et al. ASGD bound
 //!   (Eq. 1–2), Theorem 1's optimal-learning-rate cubic and guarantee gap,
@@ -32,14 +33,12 @@ pub mod report;
 pub mod schedule;
 pub mod sweep;
 pub mod theory;
-pub mod threaded;
 pub mod trainer;
 
 pub use algorithms::{Algorithm, GammaP};
 pub use compress::{Compression, KSchedule, KState};
-pub use engine::rank::{run_sasgd_ft_rank, run_sasgd_rank, SasgdRankSpec};
-pub use engine::threaded::{run_threaded_averaging, run_threaded_eamsgd, run_threaded_sequential};
-pub use engine::{Backend, Cadence, EngineError, Executor};
+pub use engine::rank::run_rank;
+pub use engine::{Backend, Cadence, EngineError, Executor, FaultConfig};
 pub use history::{
     EpochRecord, History, MembershipEvent, RetirementEvent, SparsitySample, StalenessSample,
     StalenessStats, WireStats, MAX_SPARSITY_SAMPLES,
@@ -57,9 +56,4 @@ pub use sasgd_data::ShardStrategy;
 pub use sasgd_tensor::parallel;
 pub use schedule::{LrSchedule, SyncPolicy, TSchedule};
 pub use sweep::{run_sweep, SweepGrid, SweepResult};
-pub use threaded::{
-    run_threaded_downpour, run_threaded_hierarchical_sasgd, run_threaded_sasgd,
-    run_threaded_sasgd_ft, try_run_threaded_hierarchical_sasgd, try_run_threaded_sasgd,
-    try_run_threaded_sasgd_ft, FaultConfig,
-};
 pub use trainer::{train, TrainConfig};

@@ -308,6 +308,20 @@ impl Learner {
         (self.model.grad_vector(), out.loss)
     }
 
+    /// Accumulate `g` into `gs` and apply the local step `x ← x − γ·g`.
+    pub(crate) fn apply_local(&mut self, g: &[f32], gamma: f32) {
+        for (a, &b) in self.gs.iter_mut().zip(g) {
+            *a += b;
+        }
+        if gamma != 0.0 {
+            let mut params = self.model.param_vector();
+            for (p, &gv) in params.iter_mut().zip(g) {
+                *p -= gamma * gv;
+            }
+            self.model.write_params(&params);
+        }
+    }
+
     /// Process one minibatch: forward, backward, accumulate into `gs`,
     /// apply the local step `x ← x − γ·g`, and advance the clock by
     /// `step_seconds × speed × jitter`. Returns the minibatch loss.
@@ -320,16 +334,7 @@ impl Learner {
         jitter: f64,
     ) -> f32 {
         let (g, loss) = self.compute_gradient(data, idx);
-        for (a, &b) in self.gs.iter_mut().zip(&g) {
-            *a += b;
-        }
-        if gamma != 0.0 {
-            let mut params = self.model.param_vector();
-            for (p, &gv) in params.iter_mut().zip(&g) {
-                *p -= gamma * gv;
-            }
-            self.model.write_params(&params);
-        }
+        self.apply_local(&g, gamma);
         let dt = step_seconds * self.speed * jitter;
         self.clock += dt;
         self.compute_s += dt;

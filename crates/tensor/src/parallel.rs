@@ -15,7 +15,7 @@
 //!
 //! ## Composing learner and intra-op threads
 //!
-//! With `p` real learner threads (see `sasgd-core::threaded`) each kernel
+//! With `p` real learner threads (see `sasgd-core::engine`) each kernel
 //! call still fans out over the global pool, so the machine runs up to
 //! `p × k` threads when `configure_threads(k)` was requested. Oversubscribing
 //! is safe (determinism never depends on the thread count); for throughput

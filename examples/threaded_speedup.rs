@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::report::ascii_table;
-use sasgd::core::{run_threaded_sasgd, TrainConfig};
+use sasgd::core::{Algorithm, Backend, Executor, TrainConfig};
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::nn::models;
 use sasgd::simnet::JitterModel;
@@ -34,7 +34,8 @@ fn main() {
         cfg.jitter = JitterModel::none();
         cfg.eval_cap = 256;
         let t0 = Instant::now();
-        let h = run_threaded_sasgd(&factory, &train_set, &test_set, &cfg, p, t, GammaP::OverP);
+        let algo = Algorithm::sasgd(p, t, GammaP::OverP);
+        let h = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
         let wall = t0.elapsed().as_secs_f64();
         if p == 1 {
             seq_time = Some(wall);

@@ -4,7 +4,8 @@
 
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
-    run_threaded_sasgd, train, Algorithm, Backend, Cadence, Executor, TSchedule, TrainConfig,
+    train, Algorithm, Backend, Cadence, Compression, EngineError, Executor, History, KSchedule,
+    TSchedule, TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::nn::models;
@@ -22,20 +23,24 @@ fn threaded_equals_simulated_sasgd_bitwise() {
     // Same seeds, same batch orders, same binomial-tree reduction order:
     // the two backends must produce identical accuracy trajectories.
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
-    for (p, t) in [(2usize, 1usize), (4, 2), (3, 5)] {
+    for (p, t) in [(1usize, 1usize), (2, 1), (4, 2), (3, 5)] {
         let cfg = quiet_cfg(3, 0.05, 21);
         let factory = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let h_thread =
-            run_threaded_sasgd(&factory, &train_set, &test_set, &cfg, p, t, GammaP::OverP);
-        let mut f = || models::tiny_cnn(3, &mut SeedRng::new(5));
         let algo = Algorithm::Sasgd {
             p,
             t,
             gamma_p: GammaP::OverP,
             compression: None,
         };
+        let h_thread =
+            Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
+        let mut f = || models::tiny_cnn(3, &mut SeedRng::new(5));
         let h_sim = train(&mut f, &train_set, &test_set, &algo, &cfg);
         assert_eq!(h_thread.records.len(), h_sim.records.len());
+        assert_eq!(
+            h_thread.sync_rounds, h_sim.sync_rounds,
+            "p={p} T={t}: lockstep round count"
+        );
         for (a, b) in h_thread.records.iter().zip(&h_sim.records) {
             assert_eq!(
                 a.train_loss, b.train_loss,
@@ -74,21 +79,7 @@ fn assert_backends_agree(algo: &Algorithm, cfg: &TrainConfig, model_seed: u64) {
     let factory = move || models::tiny_cnn(3, &mut SeedRng::new(model_seed));
     let sim = Executor::new(Backend::Simulated).run(&factory, &train_set, &test_set, algo, cfg);
     let thr = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, algo, cfg);
-    let ps = sim.final_params.expect("simulated final params");
-    let pt = thr.final_params.expect("threaded final params");
-    assert_eq!(ps.len(), pt.len());
-    let diverged = ps
-        .iter()
-        .zip(&pt)
-        .filter(|(a, b)| a.to_bits() != b.to_bits())
-        .count();
-    assert_eq!(
-        diverged,
-        0,
-        "{}: {diverged}/{} final parameters diverged between backends",
-        sim.label,
-        ps.len()
-    );
+    assert_bitwise(&sim.label, &sim, &thr);
 }
 
 #[test]
@@ -321,4 +312,317 @@ fn gamma_p_policies_change_trajectories() {
         over_p.records[0].train_loss, same.records[0].train_loss,
         "γp = γ vs γ/p must differ with 4 learners"
     );
+}
+
+// ---- The algorithm × cadence × p matrix ---------------------------------
+// Every way to run an algorithm on threads goes through `Executor`; this
+// table is the one statement of what each cell promises.
+
+fn sasgd_with(p: usize, compression: Option<Compression>) -> Algorithm {
+    Algorithm::Sasgd {
+        p,
+        t: 2,
+        gamma_p: GammaP::OverP,
+        compression,
+    }
+}
+
+fn sparse(k: KSchedule, q8: bool, union_bound: bool) -> Option<Compression> {
+    Some(Compression::Sparse { k, q8, union_bound })
+}
+
+fn hierarchical(groups: usize, per_group: usize, t_local: usize) -> Algorithm {
+    Algorithm::HierarchicalSasgd {
+        groups,
+        per_group,
+        t_local,
+        t_global: 2,
+        gamma_p: GammaP::OverP,
+    }
+}
+
+/// One algorithm family, instantiated per `p`; whether lockstep on threads
+/// is part of its contract (else `UnsupportedCadence`); and whether its
+/// `final_params` stay bitwise the simulated backend's beyond `p = 1`
+/// (else the trajectory is schedule-dependent, or the backends reduce in
+/// different orders, and only the bookkeeping is compared).
+type Family = (fn(usize) -> Algorithm, bool, bool);
+
+const FAMILIES: [Family; 14] = [
+    (|_| Algorithm::Sequential, true, true),
+    (|p| sasgd_with(p, None), true, true),
+    (
+        |p| sasgd_with(p, Some(Compression::TopK { ratio: 0.25 })),
+        true,
+        true,
+    ),
+    (
+        |p| sasgd_with(p, Some(Compression::Uniform8Bit)),
+        true,
+        true,
+    ),
+    (
+        |p| sasgd_with(p, sparse(KSchedule::norm_adaptive(0.1), false, false)),
+        true,
+        true,
+    ),
+    (
+        |p| sasgd_with(p, sparse(KSchedule::layer_wise(0.1), false, false)),
+        true,
+        true,
+    ),
+    (
+        |p| sasgd_with(p, sparse(KSchedule::fixed(0.1), true, true)),
+        true,
+        true,
+    ),
+    // One group: level 2 is the identity on both backends.
+    (|p| hierarchical(1, p, 2), true, true),
+    // Several groups: threads tree-reduce the group copies, the simulator
+    // accumulates them in rank order.
+    (|p| hierarchical(p, 2, 1), true, false),
+    (|p| Algorithm::ModelAverageOnce { p }, true, true),
+    (
+        |p| Algorithm::LocalSgd {
+            p,
+            schedule: TSchedule::Fixed { t: 2 },
+        },
+        false,
+        true,
+    ),
+    (|p| Algorithm::DelayedAvg { p, t: 2 }, false, true),
+    (
+        |p| Algorithm::Downpour {
+            p,
+            t: 2,
+            staleness_gamma: false,
+        },
+        false,
+        false,
+    ),
+    (
+        |p| Algorithm::Eamsgd {
+            p,
+            t: 2,
+            moving_rate: Some(0.5),
+            momentum: 0.9,
+            staleness_gamma: false,
+        },
+        false,
+        false,
+    ),
+];
+
+fn assert_bitwise(cell: &str, sim: &History, thr: &History) {
+    let ps = sim.final_params.as_ref().expect("simulated final params");
+    let pt = thr.final_params.as_ref().expect("threaded final params");
+    assert_eq!(ps.len(), pt.len(), "{cell}");
+    let diverged = ps
+        .iter()
+        .zip(pt)
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .count();
+    assert_eq!(diverged, 0, "{cell}: {diverged}/{} diverged", ps.len());
+    // Compressed runs log the same per-round sparsity telemetry.
+    let series = |h: &History| -> Vec<(u64, usize, usize, u32)> {
+        let bits =
+            |s: &sasgd::core::SparsitySample| (s.round, s.rank, s.k_eff, s.residual_norm.to_bits());
+        h.sparsity_series.iter().map(bits).collect()
+    };
+    assert_eq!(series(sim), series(thr), "{cell}: sparsity series");
+}
+
+#[test]
+fn every_algorithm_cadence_and_p_keeps_its_promise() {
+    // 100 samples at batch 8: every shard has a ragged tail, which the
+    // bulk-synchronous walks drop and the independent ones keep.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(100, 24, 3));
+    let factory = || models::tiny_cnn(3, &mut SeedRng::new(5));
+    for (make, lockstep, bitwise_beyond_p1) in FAMILIES {
+        for cadence in [Cadence::Lockstep, Cadence::EventDriven] {
+            for p in [1usize, 2, 4] {
+                let algo = make(p);
+                let cell = format!("{} {cadence:?}", algo.label());
+                let mut cfg = quiet_cfg(2, 0.05, 37);
+                cfg.cadence = Some(cadence);
+                let thr = Executor::new(Backend::Threaded)
+                    .try_run(&factory, &train_set, &test_set, &algo, &cfg);
+                if cadence == Cadence::Lockstep && !lockstep {
+                    assert!(
+                        matches!(thr, Err(EngineError::UnsupportedCadence { .. })),
+                        "{cell}: expected UnsupportedCadence, got {:?}",
+                        thr.map(|h| h.label)
+                    );
+                    continue;
+                }
+                let thr = thr.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                let sim = Executor::new(Backend::Simulated)
+                    .run(&factory, &train_set, &test_set, &algo, &cfg);
+                assert_eq!(thr.p, algo.learners(), "{cell}");
+                assert!(!thr.records.is_empty(), "{cell}: rank 0 recorded");
+                let wire = thr.wire.unwrap_or_else(|| panic!("{cell}: wire accounted"));
+                let server = matches!(algo, Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. });
+                assert_eq!(
+                    wire.elements > 0,
+                    server || algo.learners() > 1,
+                    "{cell}: traffic iff there is a server or a peer"
+                );
+                let bitwise = p == 1 || bitwise_beyond_p1;
+                if bitwise {
+                    assert_bitwise(&cell, &sim, &thr);
+                }
+                if bitwise || lockstep {
+                    // Deterministic round structure, whatever the floats.
+                    assert_eq!(sim.sync_rounds, thr.sync_rounds, "{cell}: rounds");
+                }
+                let sparse = matches!(
+                    algo,
+                    Algorithm::Sasgd {
+                        compression: Some(Compression::Sparse { .. }),
+                        ..
+                    }
+                );
+                if sparse && p > 1 {
+                    assert!(
+                        thr.sparse_levels.levels.iter().any(|l| l.messages > 0),
+                        "{cell}: per-level wire stats recorded"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn hierarchical_single_group_equals_flat_and_wire_is_accounted() {
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 2));
+    let cfg = quiet_cfg(3, 0.05, 11);
+    let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
+    let run = |algo: &Algorithm, cadence| {
+        let mut cfg = cfg.clone();
+        cfg.cadence = Some(cadence);
+        Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, algo, &cfg)
+    };
+    for cadence in [Cadence::Lockstep, Cadence::EventDriven] {
+        // With one group the leader exchange is a no-op, so the run equals
+        // flat SASGD at T = t_local.
+        let hier = hierarchical(1, 3, 2);
+        let flat = Algorithm::sasgd(3, 2, GammaP::OverP);
+        assert_eq!(
+            run(&hier, cadence).final_params,
+            run(&flat, cadence).final_params,
+            "{cadence:?}"
+        );
+        // Three worlds carry the traffic (global, leaders, per-group);
+        // all of it is counted, identically on a paired run.
+        let grouped = hierarchical(2, 2, 2);
+        let (a, b) = (run(&grouped, cadence), run(&grouped, cadence));
+        let (wa, wb) = (a.wire.expect("wire"), b.wire.expect("wire"));
+        assert!(wa.elements > 0 && wa.messages > 0, "{cadence:?}");
+        assert_eq!(
+            (wa.elements, wa.messages),
+            (wb.elements, wb.messages),
+            "{cadence:?}: paired runs move the same traffic"
+        );
+        assert_eq!(a.final_params, b.final_params, "{cadence:?}");
+    }
+}
+
+#[test]
+fn compressed_wire_volumes_match_their_models() {
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 2));
+    let cfg = quiet_cfg(1, 0.05, 42);
+    let factory = || models::tiny_cnn(2, &mut SeedRng::new(7));
+    let p = 2usize;
+    let m = factory().param_vector().len() as u64;
+    // 96 samples over 2 shards, batch 8 → 6 steps/epoch; T=2 over one
+    // epoch → 3 sync rounds.
+    let syncs = 3u64;
+    let bcast = (p as u64 - 1) * m; // initial parameter broadcast
+    let wire_of = |compression| {
+        let algo = sasgd_with(p, compression);
+        let h = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
+        assert_eq!(h.sync_rounds, syncs);
+        h.wire.expect("wire").elements
+    };
+    // Dense traffic is exactly modeled: reduce + broadcast move 2(p−1)·m
+    // elements per round.
+    let dense = wire_of(None);
+    assert_eq!(dense, bcast + syncs * 2 * (p as u64 - 1) * m);
+
+    let in_bracket = |comp: Compression, elements: u64| {
+        let (lo, hi) = comp.round_wire_bounds(m as usize, p);
+        assert!(
+            (bcast + syncs * lo..=bcast + syncs * hi).contains(&elements),
+            "{comp:?} wire {elements} outside [{}, {}]",
+            bcast + syncs * lo,
+            bcast + syncs * hi
+        );
+    };
+    let topk = Compression::TopK { ratio: 0.1 };
+    let s = wire_of(Some(topk));
+    assert!(s < dense / 2, "TopK-10% wire {s} vs dense {dense}");
+    in_bracket(topk, s);
+
+    // Uniform8Bit traffic is exactly modeled (packed leaf frames, dense
+    // f32 internal partials and broadcast).
+    let q8 = Compression::Uniform8Bit;
+    let (qlo, qhi) = q8.round_wire_bounds(m as usize, p);
+    assert_eq!(qlo, qhi, "Uniform8Bit bracket is tight");
+    assert_eq!(wire_of(Some(q8)), bcast + syncs * qlo);
+
+    // The composed sparse scheme stays inside its bracket too, and under
+    // the plain sparse wire.
+    let comp = Compression::Sparse {
+        k: KSchedule::fixed(0.1),
+        q8: true,
+        union_bound: true,
+    };
+    let c = wire_of(Some(comp));
+    in_bracket(comp, c);
+    assert!(c < s, "q8 leaves beat f32 sparse frames");
+}
+
+#[test]
+fn threaded_runs_still_learn() {
+    // Real threads against a real server (or grouped worlds): genuinely
+    // asynchronous beyond p = 1, so the check is accuracy, not bits.
+    let cases: [(Algorithm, usize, f32, f32); 4] = [
+        (Algorithm::sasgd(4, 2, GammaP::OverP), 120, 0.05, 0.5),
+        (
+            Algorithm::Downpour {
+                p: 2,
+                t: 2,
+                staleness_gamma: false,
+            },
+            120,
+            0.04,
+            0.45,
+        ),
+        (
+            Algorithm::Eamsgd {
+                p: 2,
+                t: 2,
+                moving_rate: None,
+                momentum: 0.9,
+                staleness_gamma: false,
+            },
+            100,
+            0.02,
+            0.45,
+        ),
+        (hierarchical(2, 2, 2), 160, 0.05, 0.5),
+    ];
+    for (algo, n, gamma, floor) in cases {
+        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(n, 40, 3));
+        let cfg = quiet_cfg(6, gamma, 42);
+        let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
+        let h = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
+        assert!(
+            h.final_test_acc() > floor,
+            "{}: acc {:.2}",
+            h.label,
+            h.final_test_acc()
+        );
+    }
 }

@@ -4,12 +4,11 @@
 use sasgd::comm::ps::{PsConfig, PsServer};
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
-    run_threaded_sasgd, run_threaded_sasgd_ft, train, Algorithm, FaultConfig, FaultPlan,
-    TrainConfig,
+    train, Algorithm, Backend, Executor, FaultConfig, FaultPlan, History, TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
-use sasgd::nn::models;
+use sasgd::nn::{models, Model};
 use sasgd::simnet::JitterModel;
 use sasgd::tensor::SeedRng;
 use std::thread;
@@ -146,6 +145,29 @@ fn minibatch_larger_than_shard_still_runs() {
     assert_eq!(h.records.len(), 2);
 }
 
+/// SASGD(`p`, `t`, γ/p) on the threaded backend under the
+/// fault-tolerance layer.
+fn run_sasgd_ft(
+    f: &(dyn Fn() -> Model + Sync),
+    train_set: &Dataset,
+    test_set: &Dataset,
+    cfg: &TrainConfig,
+    p: usize,
+    t: usize,
+    faults: &FaultConfig,
+) -> History {
+    Executor::new(Backend::Threaded)
+        .try_run_ft(
+            f,
+            train_set,
+            test_set,
+            &Algorithm::sasgd(p, t, GammaP::OverP),
+            cfg,
+            faults,
+        )
+        .expect("the run degrades onto its survivors")
+}
+
 /// Failure-detection deadline for the FT tests. Short enough that the
 /// dead-rank detection rounds (which wait out leveled
 /// `deadline × (level+1)` windows) stay cheap in test time, but with
@@ -163,15 +185,20 @@ fn ft_runner_with_empty_plan_matches_plain_threaded_bitwise() {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
     let cfg = TrainConfig::new(3, 8, 0.05, 11);
     let f = || models::tiny_cnn(3, &mut SeedRng::new(5));
-    let plain = run_threaded_sasgd(&f, &train_set, &test_set, &cfg, 4, 2, GammaP::OverP);
-    let ft = run_threaded_sasgd_ft(
+    let plain = Executor::new(Backend::Threaded).run(
+        &f,
+        &train_set,
+        &test_set,
+        &Algorithm::sasgd(4, 2, GammaP::OverP),
+        &cfg,
+    );
+    let ft = run_sasgd_ft(
         &f,
         &train_set,
         &test_set,
         &cfg,
         4,
         2,
-        GammaP::OverP,
         &FaultConfig::default(),
     );
     assert_eq!(
@@ -196,14 +223,13 @@ fn crash_one_of_eight_mid_epoch_completes_on_survivors() {
     let f = || models::tiny_cnn(3, &mut SeedRng::new(9));
     let plan = FaultPlan::seeded(0xFA17, 8, 1, 3);
     let crashed = plan.events[0].rank;
-    let h = run_threaded_sasgd_ft(
+    let h = run_sasgd_ft(
         &f,
         &train_set,
         &test_set,
         &cfg,
         8,
         2,
-        GammaP::OverP,
         &FaultConfig {
             plan,
             deadline: FT_DEADLINE,
@@ -231,14 +257,13 @@ fn evicted_straggler_retires_with_typed_event() {
     let cfg = TrainConfig::new(2, 8, 0.05, 23);
     let f = || models::tiny_cnn(2, &mut SeedRng::new(5));
     let plan = FaultPlan::none().with_stall(3, 2, 4 * FT_DEADLINE.as_millis() as u64);
-    let h = run_threaded_sasgd_ft(
+    let h = run_sasgd_ft(
         &f,
         &train_set,
         &test_set,
         &cfg,
         4,
         2,
-        GammaP::OverP,
         &FaultConfig {
             plan,
             deadline: FT_DEADLINE,
@@ -267,18 +292,7 @@ fn seeded_fault_plans_replay_bitwise() {
         plan: FaultPlan::seeded(0xD1E, 8, 2, 4),
         deadline: FT_DEADLINE,
     };
-    let run = || {
-        run_threaded_sasgd_ft(
-            &f,
-            &train_set,
-            &test_set,
-            &cfg,
-            8,
-            2,
-            GammaP::OverP,
-            &faults,
-        )
-    };
+    let run = || run_sasgd_ft(&f, &train_set, &test_set, &cfg, 8, 2, &faults);
     let (a, b) = (run(), run());
     assert!(a.final_params.is_some());
     assert_eq!(a.final_params, b.final_params, "degraded run not bitwise");
@@ -303,14 +317,13 @@ fn degraded_sasgd_still_beats_one_shot_averaging() {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(256, 64, 2));
     let cfg = TrainConfig::new(6, 8, 0.05, 19);
     let f = || models::tiny_cnn(2, &mut SeedRng::new(7));
-    let degraded = run_threaded_sasgd_ft(
+    let degraded = run_sasgd_ft(
         &f,
         &train_set,
         &test_set,
         &cfg,
         8,
         2,
-        GammaP::OverP,
         &FaultConfig {
             plan: FaultPlan::seeded(0xFA17, 8, 1, 3),
             deadline: FT_DEADLINE,
