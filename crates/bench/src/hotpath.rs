@@ -24,8 +24,15 @@
 //! baseline every speedup is quoted against), `parallel` (same kernels,
 //! banded over a pool of `max(2, cores)` threads), `simd` (the packed
 //! register-blocked tolerance-mode kernels, 1 thread) and
-//! `simd_parallel` (packed + row-band parallelism). Each cell reports
-//! GFLOP/s; the pool is *explicitly* sized to at least 2 threads for the
+//! `simd_parallel` (packed + row-band parallelism). The reference `nt`
+//! cells go through [`linalg::gemm_nt_ws`], the dispatcher training calls
+//! (transpose + axpy kernel at these row counts); the dot kernel it
+//! replaced stays in the sweep as the `nt_dot` oracle row. `A` is filled
+//! at the density stated per shape, since the reference kernels skip its
+//! exact zeros, and each shape reports `nt_over_nn` — serial dispatcher-NT
+//! GFLOP/s over serial NN GFLOP/s, a same-process ratio CI gates on. Each
+//! cell reports *nominal* GFLOP/s (`2·m·k·n` over time, skipped zeros
+//! included); the pool is *explicitly* sized to at least 2 threads for the
 //! parallel legs and the [`parallel::par_regions_taken`] counter is
 //! recorded, so the artifact proves intra-op threads actually engaged
 //! instead of silently serializing on 1-core CI. Tile plans chosen by the
@@ -52,20 +59,27 @@ const REPS: usize = 3;
 const ALLOC_STEPS: u64 = 2;
 
 /// Model-representative GEMM shapes for the roofline sweep:
-/// `(name, m, k, n)` as logical `A: [m,k] · B: [k,n]`.
-const ROOFLINE_SHAPES: &[(&str, usize, usize, usize)] = &[
-    // Tall-skinny im2col product (CNN conv2 at batch 32, width/2).
-    ("conv_im2col", 2048, 288, 64),
-    // NLC fully connected block at batch 128.
-    ("nlc_linear", 128, 512, 512),
+/// `(name, m, k, n, a_density)` as logical `A: [m,k] · B: [k,n]`, with
+/// `a_density` the share of `A` that is non-zero.
+const ROOFLINE_SHAPES: &[(&str, usize, usize, usize, f32)] = &[
+    // Tall-skinny im2col product (CNN conv2 at batch 32, width/2); its
+    // patches are post-ReLU/dropout activations plus zero padding.
+    ("conv_im2col", 2048, 288, 64, 0.45),
+    // NLC fully connected block at batch 128 (tanh activations: dense).
+    ("nlc_linear", 128, 512, 512, 1.0),
     // Balanced reference point.
-    ("square256", 256, 256, 256),
+    ("square256", 256, 256, 256, 1.0),
 ];
+
+/// Kernel rows per shape: the three layouts, plus the dot-product NT
+/// kernel as an oracle row (reference legs only — it has no packed twin).
+const ROOFLINE_KERNELS: [&str; 4] = ["nn", "nt", "nt_dot", "tn"];
 
 /// One roofline row: a kernel at a shape, with one `(leg, ms, GFLOP/s)`
 /// cell per feature leg this build could run.
 pub struct RooflineRow {
-    /// GEMM kernel: `nn`, `nt`, or `tn`.
+    /// GEMM kernel: `nn`, `nt` (the training dispatcher), `nt_dot` (the
+    /// dot-kernel oracle), or `tn`.
     pub kernel: &'static str,
     /// Shape label from the fixed `ROOFLINE_SHAPES` sweep.
     pub shape: &'static str,
@@ -75,6 +89,8 @@ pub struct RooflineRow {
     pub k: usize,
     /// Output columns.
     pub n: usize,
+    /// Share of `A` that is non-zero.
+    pub a_density: f32,
     /// `(leg name, best-of-REPS ms, GFLOP/s)` per leg, in sweep order.
     pub legs: Vec<(&'static str, f64, f64)>,
 }
@@ -91,6 +107,37 @@ pub struct Roofline {
     /// Tile plans the deterministic autotuner chose during the packed
     /// legs (empty without the `simd` feature).
     pub tiles: Vec<sasgd_tensor::tune::ObservedPlan>,
+}
+
+impl RooflineRow {
+    /// `(ms, GFLOP/s)` of the named leg, if this row ran it.
+    fn leg(&self, name: &str) -> Option<(f64, f64)> {
+        self.legs
+            .iter()
+            .find(|(l, _, _)| *l == name)
+            .map(|&(_, ms, gflops)| (ms, gflops))
+    }
+}
+
+impl Roofline {
+    /// `(shape, nt_over_nn)` per swept shape: serial GFLOP/s of the `nt`
+    /// row (the dispatcher training calls) over the `nn` row's. Both rows
+    /// share `A`, so near 1.0 means forward GEMMs run at the backward
+    /// kernel's speed.
+    pub fn nt_over_nn(&self) -> Vec<(&'static str, f64)> {
+        let nn_serial = |shape| {
+            let nn = self
+                .rows
+                .iter()
+                .find(|r| r.kernel == "nn" && r.shape == shape)?;
+            Some(nn.leg("serial")?.1)
+        };
+        self.rows
+            .iter()
+            .filter(|r| r.kernel == "nt")
+            .filter_map(|nt| Some((nt.shape, nt.leg("serial")?.1 / nn_serial(nt.shape)?)))
+            .collect()
+    }
 }
 
 /// Transpose a row-major `rows`×`cols` matrix (operand prep, unmeasured).
@@ -129,15 +176,23 @@ pub fn run_roofline() -> Roofline {
     let mut rng = SeedRng::new(0xF00F);
     let mut ws = Workspace::new();
     let mut rows = Vec::new();
-    for &(shape, m, k, n) in ROOFLINE_SHAPES {
-        let a = rng.normal_tensor(&[m, k], 1.0).into_vec();
+    for &(shape, m, k, n, a_density) in ROOFLINE_SHAPES {
+        let mut a = rng.normal_tensor(&[m, k], 1.0).into_vec();
+        for v in &mut a {
+            if !rng.bernoulli(a_density) {
+                *v = 0.0;
+            }
+        }
         let b = rng.normal_tensor(&[k, n], 1.0).into_vec();
         let bt = transpose(&b, k, n); // physical [n, k] for the NT kernel
         let at = transpose(&a, m, k); // physical [k, m] for the TN kernel
         let mut out = vec![0.0f32; m * n];
-        for kernel in ["nn", "nt", "tn"] {
+        for kernel in ROOFLINE_KERNELS {
             let mut cells = Vec::new();
             for &(leg, packed, threads) in &legs {
+                if packed && kernel == "nt_dot" {
+                    continue;
+                }
                 parallel::configure_threads(threads);
                 let mut best = f64::INFINITY;
                 for _ in 0..REPS {
@@ -147,7 +202,10 @@ pub fn run_roofline() -> Roofline {
                         ("nn", true) => {
                             linalg::matmul_packed_into_ws(&mut out, &a, &b, m, k, n, &mut ws)
                         }
-                        ("nt", false) => linalg::matmul_nt_into_auto(&mut out, &a, &bt, m, k, n),
+                        ("nt", false) => linalg::gemm_nt_ws(&mut out, &a, &bt, m, k, n, &mut ws),
+                        ("nt_dot", false) => {
+                            linalg::matmul_nt_into_auto(&mut out, &a, &bt, m, k, n)
+                        }
                         ("nt", true) => {
                             linalg::matmul_nt_packed_into_ws(&mut out, &a, &bt, m, k, n, &mut ws)
                         }
@@ -168,6 +226,7 @@ pub fn run_roofline() -> Roofline {
                 m,
                 k,
                 n,
+                a_density,
                 legs: cells,
             });
         }
@@ -497,11 +556,7 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline) -> String {
     }
     s.push_str("  ],\n  \"roofline\": [\n");
     for (i, r) in roof.rows.iter().enumerate() {
-        let serial_ms = r
-            .legs
-            .iter()
-            .find(|(l, _, _)| *l == "serial")
-            .map_or(f64::NAN, |&(_, ms, _)| ms);
+        let serial_ms = r.leg("serial").map_or(f64::NAN, |(ms, _)| ms);
         let best_ms = r
             .legs
             .iter()
@@ -516,17 +571,25 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline) -> String {
         }
         s.push_str(&format!(
             "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"best_over_serial\": {:.3}, \"legs\": {{{legjson}}}}}{}\n",
+             \"a_density\": {:.2}, \"best_over_serial\": {:.3}, \"legs\": {{{legjson}}}}}{}\n",
             r.kernel,
             r.shape,
             r.m,
             r.k,
             r.n,
+            r.a_density,
             serial_ms / best_ms,
             if i + 1 < roof.rows.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n  \"tiles\": [\n");
+    s.push_str("  ],\n  \"nt_over_nn\": {");
+    for (i, (shape, ratio)) in roof.nt_over_nn().iter().enumerate() {
+        s.push_str(&format!(
+            "{}\"{shape}\": {ratio:.3}",
+            if i > 0 { ", " } else { "" }
+        ));
+    }
+    s.push_str("},\n  \"tiles\": [\n");
     for (i, t) in roof.tiles.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"class\": [{}, {}, {}], \"mr\": {}, \"nr\": {}, \"kc\": {}, \"nc\": {}, \
@@ -588,36 +651,49 @@ pub fn hotpath() -> Artifact {
     ));
 
     report.push_str("\nRoofline: GFLOP/s per kernel x shape x feature leg\n");
-    report.push_str("(serial = PR 3 scalar baseline; parallel legs force >= 2 pool threads)\n\n");
+    report.push_str(
+        "(serial = PR 3 scalar baseline; parallel legs force >= 2 pool threads; nt = the \
+         gemm_nt_ws dispatcher, nt_dot = the dot-kernel oracle; nominal GF/s, A zeros skipped)\n\n",
+    );
     let leg_names: Vec<&str> = roof
         .rows
         .first()
         .map(|r| r.legs.iter().map(|&(l, _, _)| l).collect())
         .unwrap_or_default();
-    report.push_str(&format!("{:<8} {:<12} {:<16}", "kernel", "shape", "m*k*n"));
+    report.push_str(&format!(
+        "{:<8} {:<12} {:<16} {:>7}",
+        "kernel", "shape", "m*k*n", "A dens"
+    ));
     for l in &leg_names {
         report.push_str(&format!(" {l:>14}"));
     }
     report.push_str(&format!(" {:>12}\n", "best/serial"));
     for r in &roof.rows {
         report.push_str(&format!(
-            "{:<8} {:<12} {:<16}",
+            "{:<8} {:<12} {:<16} {:>7.2}",
             r.kernel,
             r.shape,
-            format!("{}x{}x{}", r.m, r.k, r.n)
+            format!("{}x{}x{}", r.m, r.k, r.n),
+            r.a_density
         ));
-        let serial_ms = r
-            .legs
-            .iter()
-            .find(|(l, _, _)| *l == "serial")
-            .map_or(f64::NAN, |&(_, ms, _)| ms);
+        let serial_ms = r.leg("serial").map_or(f64::NAN, |(ms, _)| ms);
         let mut best_ms = f64::INFINITY;
-        for &(_, ms, gflops) in &r.legs {
-            report.push_str(&format!(" {gflops:>14.3}"));
-            best_ms = best_ms.min(ms);
+        for l in &leg_names {
+            match r.leg(l) {
+                Some((ms, gflops)) => {
+                    report.push_str(&format!(" {gflops:>14.3}"));
+                    best_ms = best_ms.min(ms);
+                }
+                None => report.push_str(&format!(" {:>14}", "-")),
+            }
         }
         report.push_str(&format!(" {:>11.2}x\n", serial_ms / best_ms));
     }
+    report.push_str("\nnt_over_nn (serial dispatcher-NT GF/s / NN GF/s, same A):");
+    for (shape, ratio) in roof.nt_over_nn() {
+        report.push_str(&format!("  {shape} {ratio:.2}"));
+    }
+    report.push('\n');
     report.push_str(&format!(
         "\nparallel_path_taken = {} region(s) fanned out over the pool\n",
         roof.parallel_path_taken
@@ -688,14 +764,26 @@ mod tests {
             loss_bitwise_equal: true,
         }];
         let roof = Roofline {
-            rows: vec![RooflineRow {
-                kernel: "nn",
-                shape: "square256",
-                m: 256,
-                k: 256,
-                n: 256,
-                legs: vec![("serial", 4.0, 8.4), ("parallel", 2.0, 16.8)],
-            }],
+            rows: vec![
+                RooflineRow {
+                    kernel: "nn",
+                    shape: "square256",
+                    m: 256,
+                    k: 256,
+                    n: 256,
+                    a_density: 1.0,
+                    legs: vec![("serial", 4.0, 8.4), ("parallel", 2.0, 16.8)],
+                },
+                RooflineRow {
+                    kernel: "nt",
+                    shape: "square256",
+                    m: 256,
+                    k: 256,
+                    n: 256,
+                    a_density: 1.0,
+                    legs: vec![("serial", 5.0, 6.3)],
+                },
+            ],
             parallel_path_taken: 3,
             tiles: vec![sasgd_tensor::tune::ObservedPlan {
                 class: (8, 8, 8),
@@ -711,6 +799,8 @@ mod tests {
         assert!(j.contains("\"parallel_path_taken\": 3"));
         assert!(j.contains("\"roofline\""));
         assert!(j.contains("\"best_over_serial\": 2.000"));
+        assert!(j.contains("\"a_density\": 1.00"));
+        assert!(j.contains("\"nt_over_nn\": {\"square256\": 0.750}"));
         assert!(j.contains("\"tiles\""));
         assert!(j.contains("\"mr\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -720,19 +810,29 @@ mod tests {
     #[test]
     fn roofline_sweeps_every_leg_this_build_carries() {
         let roof = run_roofline();
-        // 3 kernels x 3 shapes, identical leg lists.
-        assert_eq!(roof.rows.len(), ROOFLINE_SHAPES.len() * 3);
-        let want_legs = 1
-            + usize::from(parallel::parallel_enabled())
-            + usize::from(cfg!(feature = "simd"))
-            + usize::from(cfg!(feature = "simd") && parallel::parallel_enabled());
+        // 4 kernel rows x 3 shapes; the dot-kernel oracle row carries the
+        // reference legs only, every other row all of them.
+        assert_eq!(
+            roof.rows.len(),
+            ROOFLINE_SHAPES.len() * ROOFLINE_KERNELS.len()
+        );
+        let ref_legs = 1 + usize::from(parallel::parallel_enabled());
         for r in &roof.rows {
+            let want_legs = if r.kernel == "nt_dot" || cfg!(not(feature = "simd")) {
+                ref_legs
+            } else {
+                2 * ref_legs
+            };
             assert_eq!(r.legs.len(), want_legs, "{}/{}", r.kernel, r.shape);
             assert_eq!(r.legs[0].0, "serial");
             for &(leg, ms, gflops) in &r.legs {
                 assert!(ms > 0.0 && gflops > 0.0, "{leg} cell not measured");
             }
         }
+        // One finite same-process ratio per shape for the CI gate.
+        let ratios = roof.nt_over_nn();
+        assert_eq!(ratios.len(), ROOFLINE_SHAPES.len());
+        assert!(ratios.iter().all(|&(_, r)| r.is_finite() && r > 0.0));
         // Any parallel-capable build must prove its pool engaged.
         if parallel::parallel_enabled() {
             assert!(roof.parallel_path_taken > 0, "pool never engaged");

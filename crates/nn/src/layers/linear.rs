@@ -251,6 +251,28 @@ mod tests {
     }
 
     #[test]
+    fn batched_input_gradient_is_bitwise_matmul_nt() {
+        // 20 rows (the NLC projection's batch-1 shape) is past the NT row
+        // cutover, so dX runs transpose + axpy kernel; it must still be the
+        // dot kernel's bits, zeros in G (a ReLU/max-pool upstream) included.
+        let mut rng = SeedRng::new(8);
+        let mut l = Linear::new(7, 5, &mut rng);
+        let x = rng.normal_tensor(&[20, 7], 1.0);
+        let mut g = rng.normal_tensor(&[20, 5], 1.0);
+        for v in g.as_mut_slice().iter_mut().step_by(3) {
+            *v = 0.0;
+        }
+        let mut ctx = Ctx::train(SeedRng::new(0));
+        l.forward(x, &mut ctx);
+        let dx = l.backward(g.clone(), &mut ctx);
+        let want = linalg::matmul_nt(&g, &l.weight);
+        assert_eq!(dx.dims(), want.dims());
+        for (a, b) in dx.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
     fn grads_accumulate_until_zeroed() {
         let mut rng = SeedRng::new(5);
         let mut l = Linear::new(2, 2, &mut rng);

@@ -415,6 +415,38 @@ mod tests {
     }
 
     #[test]
+    fn batched_input_gradient_is_bitwise_matmul_nt() {
+        // One 20-step sequence unfolds to 19 rows (Table II's shape), past
+        // the NT row cutover: d(unfolded) runs transpose + axpy kernel and
+        // must still fold back from the dot kernel's bits. G is mostly
+        // zeros, as after the temporal max-pool.
+        let mut rng = SeedRng::new(6);
+        let (din, nkern, window, len) = (3, 4, 2, 20);
+        let mut c = TemporalConv1d::new(din, nkern, window, &mut rng);
+        let x = rng.normal_tensor(&[1, len, din], 1.0);
+        let olen = len + 1 - window;
+        let mut g = rng.normal_tensor(&[olen, nkern], 1.0);
+        for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
+            if i % 2 == 0 {
+                *v = 0.0;
+            }
+        }
+        let mut ctx = Ctx::train(SeedRng::new(0));
+        c.forward(x, &mut ctx);
+        let dx = c.backward(g.clone().reshape(&[1, olen, nkern]), &mut ctx);
+        let dunf = linalg::matmul_nt(&g, &c.weight);
+        let mut want = vec![0.0f32; len * din];
+        for t in 0..olen {
+            for k in 0..window * din {
+                want[t * din + k] += dunf.as_slice()[t * window * din + k];
+            }
+        }
+        for (a, b) in dx.as_slice().iter().zip(&want) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
     fn temporal_pool_and_global_max() {
         let x = Tensor::from_vec(
             vec![

@@ -285,10 +285,13 @@ fn forward_asserts(input: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv2dS
 /// `input`: `[n, ci, h, w]`; `weight`: `[co, ci*kh*kw]` (pre-flattened);
 /// `bias`: `[co]`. Returns `[n, co, oh, ow]`. The whole minibatch is
 /// lowered into one stacked patch matrix and multiplied in a single
-/// `cols · weightᵀ` GEMM; each output element is still
-/// `dot(patch, weight[co]) + bias[co]` with the reference accumulation
-/// order, so results are bitwise identical to [`conv2d_forward_ref`] —
-/// in default mode. Under the opt-in packed tolerance mode
+/// `cols · weightᵀ` GEMM. `linalg::gemm_nt_ws` runs it as
+/// `cols · (weightᵀ)` on the zero-skipping axpy kernel (the patches of a
+/// post-ReLU/dropout input, and all zero padding, are exact zeros it never
+/// multiplies); each output element is still the ascending-index fold of
+/// `patch[l] · weight[co][l]` plus `bias[co]`, so for finite inputs results
+/// are bitwise identical to the per-column `dot` of [`conv2d_forward_ref`]
+/// — in default mode. Under the opt-in packed tolerance mode
 /// (`linalg::set_packed_gemm`) the big GEMM may diverge within the
 /// documented relative-error bound.
 // hot-path: all scratch comes from the Workspace arena
@@ -315,9 +318,9 @@ pub fn conv2d_forward_ws(
     let mut cols = ws.take_f32_uninit(nrows * plen);
     im2col_batch_into(input.as_slice(), n, ci, h, w, spec, &mut cols);
 
-    // One GEMM for the minibatch: tmp[row, c] = dot(cols[row], weight[c]).
-    // Dispatched: reference kernel by default, packed tolerance-mode
-    // kernel when `linalg::set_packed_gemm` opted in.
+    // One GEMM for the minibatch: tmp[row, c] = Σ_l cols[row, l]·weight[c, l].
+    // Dispatched: transpose + axpy reference kernel by default, packed
+    // tolerance-mode kernel when `linalg::set_packed_gemm` opted in.
     let mut tmp = ws.take_f32_uninit(nrows * co);
     linalg::gemm_nt_ws(&mut tmp, &cols, weight.as_slice(), nrows, plen, co, ws);
 
@@ -681,12 +684,24 @@ mod tests {
             pad: 1,
         };
         let mut r = SeedRng::new(12);
-        let input = r.normal_tensor(&[3, 3, 7, 7], 1.0);
+        let dense = r.normal_tensor(&[3, 3, 7, 7], 1.0);
+        // Shaped like what conv2-4 see: ReLU then dropout zero most of the
+        // entries (here ~3/4) — exact zeros the batched GEMM skips and the
+        // per-image dot does not.
+        let mut sparse = dense.clone();
+        for v in sparse.as_mut_slice() {
+            if *v < 0.0 || r.bernoulli(0.5) {
+                *v = 0.0;
+            }
+        }
         let weight = r.normal_tensor(&[5, spec.patch_len()], 0.3);
         let bias = vec![0.1, -0.2, 0.3, 0.0, 0.7];
-        let fast = conv2d_forward(&input, &weight, &bias, &spec);
-        let reference = conv2d_forward_ref(&input, &weight, &bias, &spec);
-        assert_eq!(fast.as_slice(), reference.as_slice());
+        for input in [dense, sparse] {
+            let fast = conv2d_forward(&input, &weight, &bias, &spec);
+            let reference = conv2d_forward_ref(&input, &weight, &bias, &spec);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&reference));
+        }
     }
 
     #[test]

@@ -27,6 +27,33 @@
 //! output slice, so hot-path callers can feed buffers from a
 //! [`Workspace`] instead of allocating per call.
 //!
+//! ## NT through the axpy kernel
+//!
+//! `A · Bᵀ` has two reference kernels that give the same bits. The dot
+//! kernel (`nt_rows`, behind [`matmul_nt_into`] / [`matmul_nt`]) reads a
+//! row of `A` against eight rows of `B`: contiguous operands, but eight
+//! strided streams and no zero-skip, about 8–9 GF/s on every shape. The
+//! axpy kernel (`mm_rows_blocked`, behind [`matmul_into`]) streams rows of
+//! a row-major right operand across an output panel, which the compiler
+//! vectorizes, and skips exact-zero entries of `A` — 12–22 GF/s on the
+//! shapes training runs. So the layers' NT seam, [`gemm_nt_ws`],
+//! transposes `B` into a [`Workspace`] buffer (`n·k` moves against
+//! `2·m·n·k` flops) and runs the axpy kernel whenever the call has at
+//! least [`NT_VIA_NN_ROWS`] output rows: conv forward, linear and temporal
+//! backward-dx at batch > 1 or on a sequence. GEMV-like calls (batch-1
+//! linears) stay on the dot kernel, where a transpose would cost several
+//! times the product.
+//!
+//! Per output element both kernels fold `a[i,l]·b[j,l]` in ascending `l`
+//! from `+0.0` with an unfused multiply and add. A skipped term is
+//! `±0 · b = ±0` for finite `b`, and adding `±0` never changes an
+//! accumulator that started at `+0.0` (it cannot reach `-0.0`: `x + (-x)`
+//! rounds to `+0.0`). Hence **for finite inputs the two are bit-identical**
+//! — `engine_golden` and every cross-backend test run unchanged through
+//! the switch. The one divergence is the caveat NN and TN always carried:
+//! an exact-zero `a` against a non-finite `b` is NaN in the dot kernel and
+//! skipped (contributes nothing) in the axpy kernel.
+//!
 //! ## Two kernel families: bitwise oracle vs packed tolerance mode
 //!
 //! The kernels above — [`matmul_into_auto`] and friends, built on
@@ -34,7 +61,12 @@
 //! **reference family**: per-element fold order is frozen (ascending inner
 //! index, zero-skip `if av == 0.0 { continue; }` in the axpy-style
 //! kernels), so serial, blocked, and banded-parallel runs are bitwise
-//! identical and the engine-golden checksums stay stable. The **packed
+//! identical and the engine-golden checksums stay stable. The zero-skip is
+//! also why this family stays the default: on the ~1/8-dense `G` the conv
+//! backward pass feeds the NN and TN kernels it does a fraction of the
+//! multiply-adds, and the packed family below, which cannot skip, is 2–5x
+//! slower there — more than it wins back on the forward NT products
+//! (DESIGN.md §4h has the table). The **packed
 //! family** ([`pack`] / [`microkernel`](crate::microkernel) /
 //! [`tune`](crate::tune), reached through the [`gemm_nn_ws`]-style
 //! dispatchers) reassociates the reduction into `KC`-deep block sums and
@@ -82,6 +114,20 @@ const NC: usize = 256;
 
 /// Width of the fixed vector panel in the inner kernels.
 const VW: usize = 8;
+
+/// Output rows at or above which [`gemm_nt_ws`] transposes `B` and runs the
+/// axpy-form NN kernel instead of the dot kernel. The transpose costs `n·k`
+/// moves however few rows share it, so GEMV-like calls lose and a handful
+/// of rows win: at `k,n = 1000,400` (the NLC temporal weight) 4 rows go
+/// 0.38 → 0.48 ms, 8 rows break even, 16 rows 1.56 → 0.78 ms and 19 rows
+/// 1.43 → 0.87 ms, while a batch-1 `1000×1000` linear would pay a 1.0 ms
+/// transpose for a 0.24 ms dot. A measured break-even with margin, not a
+/// setting: either side of it gives the same bits.
+pub const NT_VIA_NN_ROWS: usize = 16;
+
+/// Tile edge of [`transpose_into`]: a 32×32 `f32` tile touches 32 cache
+/// lines on the strided side, well inside L1.
+const TB: usize = 32;
 
 /// Output rows at or above this count use the parallel path in `_auto`
 /// kernels. Pool-aware: scales with the live thread count
@@ -159,8 +205,13 @@ pub fn gemm_nn_ws(
     matmul_into_auto(out, a, b, m, k, n);
 }
 
-/// Dispatched `out = A · Bᵀ` (`A: [m,k]`, `B: [n,k]`); see [`gemm_nn_ws`].
-// hot-path: dispatched GEMM (NT) — no allocation allowed
+/// Dispatched `out = A · Bᵀ` (`A: [m,k]`, `B: [n,k]`); see [`gemm_nn_ws`]
+/// for the packed opt-in. On the reference family, [`NT_VIA_NN_ROWS`] or
+/// more output rows are computed as `A · (Bᵀ)` — `B` transposed into a
+/// [`Workspace`] buffer, then [`matmul_into_auto`] — and fewer rows by the
+/// dot kernel [`matmul_nt_into_auto`]. For finite inputs the two are
+/// bitwise identical (module docs, *NT through the axpy kernel*).
+// hot-path: dispatched GEMM (NT) — the Bᵀ scratch comes from the Workspace
 pub fn gemm_nt_ws(
     out: &mut [f32],
     a: &[f32],
@@ -175,7 +226,14 @@ pub fn gemm_nt_ws(
         return matmul_nt_packed_into_ws(out, a, b, m, k, n, ws);
     }
     REF_TAKEN.fetch_add(1, Ordering::Relaxed);
-    matmul_nt_into_auto(out, a, b, m, k, n);
+    if m < NT_VIA_NN_ROWS {
+        return matmul_nt_into_auto(out, a, b, m, k, n);
+    }
+    assert_eq!(b.len(), n * k, "gemm_nt_ws rhs size");
+    let mut bt = ws.take_f32_uninit(n * k);
+    transpose_into(&mut bt, b, n, k);
+    matmul_into_auto(out, a, &bt, m, k, n);
+    ws.give_f32(bt);
 }
 
 /// Dispatched `out = Aᵀ · B` (`A: [k,m]`, `B: [k,n]`); see [`gemm_nn_ws`].
@@ -273,6 +331,24 @@ pub fn matmul_tn_packed_into_ws(
         n,
         ws,
     );
+}
+
+/// `dst = srcᵀ` for row-major `src: [rows, cols]` (so `dst: [cols, rows]`),
+/// walked in `TB`×`TB` tiles. Pure data movement; writes every element.
+fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
+    debug_assert_eq!(dst.len(), rows * cols);
+    debug_assert_eq!(src.len(), rows * cols);
+    for r0 in (0..rows).step_by(TB) {
+        let r1 = (r0 + TB).min(rows);
+        for c0 in (0..cols).step_by(TB) {
+            for c in c0..(c0 + TB).min(cols) {
+                let drow = &mut dst[c * rows + r0..c * rows + r1];
+                for (d, r) in drow.iter_mut().zip(r0..r1) {
+                    *d = src[r * cols + c];
+                }
+            }
+        }
+    }
 }
 
 /// `orow += av * brow` over an 8-wide panel walk with a scalar tail.
@@ -591,7 +667,10 @@ fn use_par(rows: usize) -> bool {
 // hot-path: innermost reduction — no allocation allowed
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    // An explicit fold from +0.0: `Iterator::sum` starts `f32` sums at
+    // -0.0 on current toolchains, which would make an all-(-0.0) (or empty)
+    // dot differ in sign from the +0.0-seeded panel accumulators.
+    a.iter().zip(b).fold(0.0f32, |s, (x, y)| s + x * y)
 }
 
 /// `y[j] += sum_i m[i][j]` — column sums accumulated into `y` (bias grads).
@@ -813,5 +892,80 @@ mod tests {
     fn dot_basic() {
         assert_eq!(dot(&[1., 2., 3.], &[4., 5., 6.]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn dot_folds_from_positive_zero() {
+        // `Iterator::sum` seeds f32 sums with -0.0, so a dot whose every
+        // product is -0.0 (or an empty one) used to come back -0.0 while
+        // the +0.0-seeded panel accumulators of the same row said +0.0.
+        assert_eq!(dot(&[], &[]).to_bits(), 0);
+        assert_eq!(dot(&[0.0; 5], &[-1.0; 5]).to_bits(), 0);
+        // n = 12: columns 0..8 take the panel, 8..12 the `dot` tail.
+        let (m, k, n) = (16, 5, 12);
+        let c = matmul_nt(&Tensor::zeros(&[m, k]), &Tensor::full(&[n, k], -1.0));
+        for (i, v) in c.as_slice().iter().enumerate() {
+            assert_eq!(v.to_bits(), 0, "column {} is not +0.0", i % n);
+        }
+    }
+
+    #[test]
+    fn transpose_into_handles_ragged_tiles() {
+        for &(rows, cols) in &[(1usize, 1usize), (1, 70), (70, 1), (33, 65), (64, 32)] {
+            let src: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+            let mut dst = vec![f32::NAN; rows * cols];
+            transpose_into(&mut dst, &src, rows, cols);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(dst[c * rows + r], src[r * cols + c], "{rows}x{cols}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nt_dispatch_keeps_gemv_rows_on_the_dot_kernel() {
+        // The transposed copy is the only thing `gemm_nt_ws` parks in an
+        // empty workspace, so `pooled()` tells which kernel ran.
+        let (k, n) = (37, 11);
+        let mut r = SeedRng::new(21);
+        let b = r.normal_tensor(&[n, k], 1.0);
+        for (m, via_nn) in [
+            (1, false),
+            (NT_VIA_NN_ROWS - 1, false),
+            (NT_VIA_NN_ROWS, true),
+            (3 * NT_VIA_NN_ROWS, true),
+        ] {
+            let a = r.normal_tensor(&[m, k], 1.0);
+            let mut ws = Workspace::new();
+            let mut got = vec![f32::NAN; m * n];
+            gemm_nt_ws(&mut got, a.as_slice(), b.as_slice(), m, k, n, &mut ws);
+            assert_eq!(ws.pooled(), usize::from(via_nn), "m = {m}");
+            assert_eq!(got, matmul_nt(&a, &b).as_slice(), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn nt_dispatch_diverges_only_on_zero_times_non_finite() {
+        // The one stated divergence: an exact-zero `a` against a
+        // non-finite `b` is NaN in the dot kernel and skipped by the axpy
+        // kernel — the caveat NN and TN have always carried.
+        let (k, n) = (4, 3);
+        let mut b = vec![1.0f32; n * k];
+        b[k + 2] = f32::INFINITY; // B[1, 2]
+        let mut ws = Workspace::new();
+        for (m, skipped) in [(NT_VIA_NN_ROWS - 1, false), (NT_VIA_NN_ROWS, true)] {
+            let mut a = vec![1.0f32; m * k];
+            a[2] = 0.0; // A[0, 2] meets B[1, 2]
+            let mut out = vec![0.0f32; m * n];
+            gemm_nt_ws(&mut out, &a, &b, m, k, n, &mut ws);
+            assert_eq!(out[0], 3.0, "finite column, m = {m}");
+            assert_eq!(out[n + 1], f32::INFINITY, "1·inf row, m = {m}");
+            if skipped {
+                assert_eq!(out[1], 3.0, "0·inf skipped, m = {m}");
+            } else {
+                assert!(out[1].is_nan(), "0·inf = NaN in the dot kernel, m = {m}");
+            }
+        }
     }
 }

@@ -14,6 +14,31 @@ fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
     SeedRng::new(seed).normal_tensor(dims, 1.0)
 }
 
+/// A `[m, k]` left operand shaped like a post-ReLU/dropout activation:
+/// entries survive with probability `density`, the rest are exact zeros of
+/// both signs, and one whole row is zero.
+fn sparse_operand(m: usize, k: usize, density: f32, seed: u64) -> Vec<f32> {
+    let mut r = SeedRng::new(seed);
+    let zero_row = r.below(m);
+    (0..m * k)
+        .map(|i| {
+            let v = r.normal();
+            if i / k != zero_row && r.bernoulli(density) {
+                v
+            } else if i % 3 == 0 {
+                -0.0
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// Bit patterns, so `-0.0` and `+0.0` compare unequal.
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -54,6 +79,22 @@ proptest! {
         let auto = linalg::matmul_nt_auto(&a, &b);
         prop_assert_eq!(s.as_slice(), p.as_slice());
         prop_assert_eq!(s.as_slice(), auto.as_slice());
+    }
+
+    #[test]
+    fn nt_dispatch_is_bitwise_dot_kernel(
+        mi in 0usize..4, k in 1usize..70, n in 1usize..40, di in 0usize..3, seed in 0u64..1000
+    ) {
+        // Below the row cutover `gemm_nt_ws` is the dot kernel; at and above
+        // it, transpose + zero-skipping axpy kernel. Same bits either way.
+        let m = [1, linalg::NT_VIA_NN_ROWS - 1, linalg::NT_VIA_NN_ROWS, 150][mi];
+        let a = sparse_operand(m, k, [1.0, 0.45, 0.05][di], seed);
+        let b = rand_tensor(&[n, k], seed + 1);
+        let mut want = vec![f32::NAN; m * n];
+        linalg::matmul_nt_into(&mut want, &a, b.as_slice(), m, k, n);
+        let mut got = vec![f32::NAN; m * n];
+        linalg::gemm_nt_ws(&mut got, &a, b.as_slice(), m, k, n, &mut Workspace::new());
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -359,10 +400,31 @@ fn kernels_are_bitwise_invariant_to_thread_count() {
     let weight = rand_tensor(&[6, spec.patch_len()], 100);
     let bias = vec![0.1f32; 6];
     let pool = Pool2dSpec::square(2);
+    // An NT product tall enough to band at every pool size below.
+    let (m, k, n) = (150, 37, 11);
+    let nt_a = sparse_operand(m, k, 0.45, 101);
+    let nt_b = rand_tensor(&[n, k], 102);
+    let mut nt_serial = vec![f32::NAN; m * n];
+    linalg::matmul_nt_into(&mut nt_serial, &nt_a, nt_b.as_slice(), m, k, n);
 
     let mut runs = Vec::new();
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         parallel::configure_threads(threads);
+        let mut nt = vec![f32::NAN; m * n];
+        linalg::gemm_nt_ws(
+            &mut nt,
+            &nt_a,
+            nt_b.as_slice(),
+            m,
+            k,
+            n,
+            &mut Workspace::new(),
+        );
+        assert_eq!(
+            bits(&nt),
+            bits(&nt_serial),
+            "NT dispatch at {threads} thread(s)"
+        );
         let fwd = conv2d_forward(&input, &weight, &bias, &spec);
         let grad = Tensor::full(fwd.dims(), 0.5);
         let back = conv2d_backward(&input, &weight, &grad, &spec);
@@ -379,5 +441,8 @@ fn kernels_are_bitwise_invariant_to_thread_count() {
         ));
     }
     parallel::configure_threads(0);
-    assert_eq!(runs[0], runs[1], "kernel outputs changed with thread count");
+    assert!(
+        runs.windows(2).all(|w| w[0] == w[1]),
+        "kernel outputs changed with thread count"
+    );
 }
