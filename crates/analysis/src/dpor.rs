@@ -18,13 +18,14 @@
 //! ([`explore_random`]): no completeness claim, same invariant checks.
 //!
 //! The scenario corpus ([`model_scenarios`]) covers the shipped
-//! collectives, the hierarchy bundle, the transport-level parameter
-//! server, fault-tolerant allreduce (fault-free and one-dead), the
-//! event-driven engine ranks (SASGD and DaSGD's delayed average), and a
-//! Downpour-style pull-retry loop. [`model_self_checks`] runs the
-//! implanted bugs — arrival-order reduce, PS lost update, recv cycle —
-//! and proves each is caught by happens-before machinery (with a
-//! replayable witness), not by fingerprint luck.
+//! collectives, the hierarchy bundle, the parameter server (adds and
+//! pulls, the snapshot pull across two shards, the pull-retry ladder),
+//! fault-tolerant allreduce (fault-free and one-dead), and the engine
+//! ranks (SASGD, DaSGD's delayed average, Downpour against its shard).
+//! [`model_self_checks`] runs the implanted bugs — arrival-order reduce,
+//! PS lost update, recv cycle — and proves each is caught by
+//! happens-before machinery (with a replayable witness), not by
+//! fingerprint luck.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -33,7 +34,7 @@ use std::time::Duration;
 use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, reduce_tree};
 use sasgd_comm::ft::{ft_allreduce, Membership};
 use sasgd_comm::hierarchy::{hierarchical_allreduce, GroupedComm};
-use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient};
+use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::{sparse_allreduce_tree, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::CommError;
@@ -570,6 +571,12 @@ fn sc_hierarchical() -> ModelScenario {
     )
 }
 
+/// Serve this rank's shard of `layout` from zeros; the rank's result is
+/// the segment the learners left behind.
+fn shard_body(mut t: ModelTransport, layout: &PsLayout) -> Result<Vec<f32>, String> {
+    serve_shard(&mut t, layout, &vec![0.0; layout.dim]).map_err(|e| e.to_string())
+}
+
 /// 2 learners + 1 shard over a 3-rank world. Learners assert their own
 /// add is visible in their subsequent pull (per-src FIFO + causality);
 /// the shard's final segment is the bitwise-checked result. The wildcard
@@ -592,8 +599,7 @@ fn sc_ps(snapshot: bool) -> ModelScenario {
         Arc::new(move |t: ModelTransport| {
             let rank = t.rank();
             if rank == 2 {
-                let mut t = t;
-                return wire(serve_shard(&mut t, &layout, vec![0.0; 2]));
+                return shard_body(t, &layout);
             }
             // Snapshot variant: learner 0 runs a second add+pull round, so
             // pull monotonicity is checked against a *moving* shard state.
@@ -621,8 +627,46 @@ fn sc_ps(snapshot: bool) -> ModelScenario {
                 }
                 prev = pulled;
             }
-            client.finish().map_err(|e| e.to_string())?;
             Ok(vec![])
+        }),
+        0,
+        false,
+        true,
+    )
+}
+
+/// One writer, one `pull_snapshot` reader, two one-element shards
+/// (`dim == shards`, the layout where an add is as short as a control
+/// word). The writer's add reaches the shards at independent times, so a
+/// plain pull can be torn; every cut `pull_snapshot` *returns* must be
+/// uniform across the shards. The scheduler may starve the writer's add at
+/// one shard for as long as the reader keeps asking, so running out of
+/// retries is a legal outcome — returning a torn cut is not.
+fn sc_ps_snapshot_two_shards() -> ModelScenario {
+    let layout = PsLayout {
+        p: 2,
+        shards: 2,
+        dim: 2,
+    };
+    scenario(
+        "ps_snapshot_two_shards",
+        4,
+        Arc::new(move |t: ModelTransport| {
+            let rank = t.rank();
+            if rank >= layout.p {
+                return shard_body(t, &layout);
+            }
+            let mut client = PsTransportClient::new(t, layout);
+            if rank == 0 {
+                client.add(&[1.0, 1.0]).map_err(|e| e.to_string())?;
+                return Ok(vec![]);
+            }
+            match client.pull_snapshot(Duration::from_millis(50), 1) {
+                Ok(x) if x[0].to_bits() == x[1].to_bits() => Ok(vec![]),
+                Ok(x) => Err(format!("torn snapshot returned: {x:?}")),
+                Err(PsTransportError::SnapshotContention { .. }) => Ok(vec![]),
+                Err(e) => Err(e.to_string()),
+            }
         }),
         0,
         false,
@@ -696,11 +740,12 @@ fn engine_fixture() -> (Dataset, Dataset) {
 }
 
 /// One engine rank of `algo` over the model transport on the tiny
-/// fixture: the production rank loop, batch orders and all.
-fn engine_scenario(name: &'static str, algo: Algorithm) -> ModelScenario {
+/// fixture: the production rank loop, batch orders and all, in a world of
+/// the algorithm's learners plus `shards` parameter-server ranks.
+fn engine_scenario(name: &'static str, algo: Algorithm, shards: usize) -> ModelScenario {
     scenario(
         name,
-        algo.learners(),
+        algo.learners() + shards,
         Arc::new(move |t: ModelTransport| {
             let (train, test) = engine_fixture();
             let cfg = TrainConfig::new(1, 2, 0.05, 7);
@@ -717,62 +762,60 @@ fn engine_scenario(name: &'static str, algo: Algorithm) -> ModelScenario {
 }
 
 fn sc_engine_sasgd() -> ModelScenario {
-    engine_scenario("engine_sasgd_rank", Algorithm::sasgd(2, 1, GammaP::OverP))
+    engine_scenario(
+        "engine_sasgd_rank",
+        Algorithm::sasgd(2, 1, GammaP::OverP),
+        0,
+    )
 }
 
 fn sc_engine_dasgd() -> ModelScenario {
     engine_scenario(
         "engine_dasgd_delayed_average",
         Algorithm::DelayedAvg { p: 2, t: 1 },
+        0,
     )
 }
 
-/// Downpour-style pull with retry/backoff: the learner re-requests after
-/// a deadline miss (the model's timeout budget bounds how many misses an
-/// interleaving may inject — mirroring `PS_PULL_RETRIES`); the shard
-/// serves requests until the learner's DONE. Every interleaving must end
-/// with the learner holding the reply.
+/// Downpour at p = 1 against its one shard, `run_rank` on both ranks: the
+/// learner's claims, pushes and retry-laddered pulls interleave with the
+/// shard's serve loop every way the wire allows, and both ranks' final
+/// parameters must not notice.
+fn sc_engine_downpour() -> ModelScenario {
+    let algo = Algorithm::Downpour {
+        p: 1,
+        t: 1,
+        staleness_gamma: false,
+    };
+    engine_scenario("engine_downpour_rank", algo, 1)
+}
+
+/// The production pull-retry ladder ([`PsTransportClient::pull_retry`])
+/// against the production shard: the learner re-requests after a deadline
+/// miss, and the model's timeout budget bounds how many misses an
+/// interleaving may inject. Two misses per interleaving and two retries:
+/// the third attempt must be served (exactly the ladder's worst case), a
+/// late reply to an abandoned attempt must never satisfy a later one, and
+/// every interleaving ends with the learner holding the parameters.
 fn sc_downpour_retry() -> ModelScenario {
-    const REQ: u64 = 7;
-    const REP: u64 = 8;
-    const DONE: u64 = 9;
+    let layout = PsLayout {
+        p: 1,
+        shards: 1,
+        dim: 1,
+    };
     scenario(
         "downpour_pull_retry",
         2,
-        Arc::new(|mut t: ModelTransport| {
-            if t.rank() == 0 {
-                let mut got = None;
-                for _attempt in 0..3 {
-                    wire(t.send(1, REQ, vec![1.0]))?;
-                    match t.recv_deadline(1, REP, Duration::from_millis(20)) {
-                        Ok(v) => {
-                            got = Some(v);
-                            break;
-                        }
-                        Err(CommError::Timeout { .. }) => continue,
-                        Err(e) => return Err(e.to_string()),
-                    }
-                }
-                wire(t.send(1, DONE, vec![f32::from_bits(u32::MAX)]))?;
-                got.ok_or_else(|| "pull retries exhausted".to_string())
-            } else {
-                let cands = [(0usize, REQ), (0, DONE)];
-                loop {
-                    let (_, v) = wire(t.recv_any(&cands))?;
-                    if v.first().map(|f| f.to_bits()) == Some(u32::MAX) {
-                        return Ok(vec![]);
-                    }
-                    // A reply to a stale retried request may find the
-                    // learner already gone — best-effort, like the real PS.
-                    match t.send(0, REP, vec![42.0]) {
-                        Ok(()) | Err(CommError::PeerGone { .. }) => {}
-                        Err(e) => return Err(e.to_string()),
-                    }
-                }
+        Arc::new(move |t: ModelTransport| {
+            if t.rank() == 1 {
+                return shard_body(t, &layout);
             }
+            let mut client = PsTransportClient::new(t, layout);
+            client.add(&[42.0]).map_err(|e| e.to_string())?;
+            client
+                .pull_retry(Duration::from_millis(20), 2, Duration::ZERO)
+                .map_err(|e| e.to_string())
         }),
-        // Two deadline misses per interleaving: the third attempt must be
-        // served (exactly the retry ladder's worst case).
         2,
         true,
         true,
@@ -792,10 +835,12 @@ pub fn model_scenarios() -> Vec<ModelScenario> {
         sc_hierarchical(),
         sc_ps(false),
         sc_ps(true),
+        sc_ps_snapshot_two_shards(),
         sc_ft_fault_free(3),
         sc_ft_one_dead(3),
         sc_engine_sasgd(),
         sc_engine_dasgd(),
+        sc_engine_downpour(),
         sc_downpour_retry(),
     ]
 }
@@ -998,6 +1043,16 @@ mod tests {
         assert!(check.cycle_caught, "{check:?}");
         assert!(check.cycle_report.contains("wait-for cycle"), "{check:?}");
         assert!(check.ok(), "{check:?}");
+    }
+
+    #[test]
+    fn engine_downpour_rank_is_bitwise_across_interleavings() {
+        let res = explore_exhaustive(&sc_engine_downpour());
+        assert!(res.ok(), "{res:?}");
+        // The learner's async push races its shard's serve loop, so there
+        // is more than one trace — and one result.
+        assert!(res.explored > 1, "{res:?}");
+        assert_eq!(res.distinct_results, 1, "{res:?}");
     }
 
     #[test]

@@ -133,8 +133,15 @@ const COMM_RESULT_FNS: &[&str] = &[
     "allreduce_ring",
     "sparse_allreduce_tree",
     "ft_allreduce",
+    // The parameter server: the shard loop, and every fallible call of its
+    // client.
     "serve_shard",
+    "add",
+    "push_gradient",
+    "pull",
+    "pull_retry",
     "pull_snapshot",
+    "claim",
 ];
 
 fn in_scope(path: &str, prefixes: &[&str]) -> bool {
@@ -454,8 +461,8 @@ fn cfg_test_line_ranges(toks: &[Tok]) -> Vec<(u32, u32)> {
 
 /// Calls in the postfix receiver chain left of the `.` at `dot`, as
 /// `(name, top-level arg count)` pairs: `t.recv(src, tag).unwrap()` yields
-/// `[("recv", 2)]`, `client.pull_snapshot()?.expect(..)` yields
-/// `[("pull_snapshot", 0)]`. Field accesses and the receiver variable
+/// `[("recv", 2)]`, `client.pull(deadline)?.expect(..)` yields
+/// `[("pull", 1)]`. Field accesses and the receiver variable
 /// contribute no names (they are not calls). The arg count is syntactic —
 /// top-level commas plus one — which is exactly enough to tell a Transport
 /// `send(dst, tag, data)` from an mpsc `send(value)`.
@@ -1024,7 +1031,7 @@ mod tests {
     fn raw_spawn_scoping() {
         let src = "std::thread::spawn(|| {});\n";
         assert_eq!(lints_of("crates/nn/src/model.rs", src), vec!["raw-spawn"]);
-        assert!(lints_of("crates/comm/src/ps.rs", src).is_empty());
+        assert!(lints_of("crates/comm/src/ps_transport.rs", src).is_empty());
         assert!(lints_of("crates/analysis/src/schedule.rs", src).is_empty());
         // One thread host in core: the harness, not the loop it spawns.
         assert!(lints_of("crates/core/src/engine/threaded.rs", src).is_empty());
@@ -1143,7 +1150,29 @@ mod tests {
     fn comm_unwrap_walks_the_postfix_chain() {
         // The comm call sits behind a `?`-link and a field access.
         let src = "fn f(s: &S) { let v = s.world.recv_any(&c).unwrap(); }\n";
-        assert_eq!(lints_of("crates/comm/src/ps.rs", src), vec!["comm-unwrap"]);
+        assert_eq!(
+            lints_of("crates/comm/src/ps_transport.rs", src),
+            vec!["comm-unwrap"]
+        );
+    }
+
+    #[test]
+    fn comm_unwrap_covers_the_parameter_server_client() {
+        for call in [
+            "add(&delta)",
+            "push_gradient(gamma, &gs)",
+            "pull(deadline)",
+            "pull_retry(deadline, 3, backoff)",
+            "pull_snapshot(deadline, 8)",
+            "claim(deadline)",
+        ] {
+            let src = format!("fn f(l: &mut Link) {{ let x = l.client.{call}.unwrap(); }}\n");
+            assert_eq!(
+                lints_of("crates/core/src/engine/exchange.rs", &src),
+                vec!["comm-unwrap"],
+                "{call}"
+            );
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::time::Duration;
 use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, reduce_tree};
 use sasgd_comm::ft::{ft_allreduce, Membership};
 use sasgd_comm::hierarchy::{grouped, hierarchical_allreduce};
-use sasgd_comm::ps::{PsConfig, PsServer};
+use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient};
 use sasgd_comm::sparse::{sparse_allreduce_tree, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::{CommWorld, Communicator, DelaySchedule};
@@ -592,137 +592,165 @@ pub fn scenario_hierarchical(
     }
 }
 
-/// PS push/pull under concurrent clients: lost-update and shard-state
-/// consistency detection.
+/// One rank of a PS scenario world — pushers `0..p`, one reader at rank
+/// `p`, then the shards: its result vector (a shard's is its final
+/// segment), or the consistency violation it observed.
+fn ps_rank(
+    mut comm: Communicator,
+    layout: PsLayout,
+    pushes: usize,
+    snapshot: bool,
+) -> Result<Vec<f32>, String> {
+    let (rank, reader) = (comm.rank(), layout.p - 1);
+    if rank > reader {
+        return serve_shard(&mut comm, &layout, &vec![0.0; layout.dim]).map_err(|e| e.to_string());
+    }
+    let mut client = PsTransportClient::new(comm, layout);
+    if rank < reader {
+        // Constant deltas of `rank + 1`: exactly representable, sums stay
+        // exact in f32. The world's delay schedule spaces the sends.
+        for _ in 0..pushes {
+            let delta = vec![(rank + 1) as f32; layout.dim];
+            client.add(&delta).map_err(|e| e.to_string())?;
+        }
+        return Ok(Vec::new());
+    }
+    // A shard applies whole adds serially, so a mid-flight pull must see
+    // every shard *segment* uniform; a snapshot is a consistent cut, so it
+    // must be uniform across the whole vector.
+    let uniform = |x: &[f32]| x.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
+    let cuts: Vec<(usize, usize)> = if snapshot {
+        vec![(0, layout.dim)]
+    } else {
+        (0..layout.shards).map(|k| layout.segment(k)).collect()
+    };
+    for _ in 0..6 {
+        let x = if snapshot {
+            client.pull_snapshot(WATCHDOG, 400)
+        } else {
+            client.pull(WATCHDOG)
+        }
+        .map_err(|e| format!("reader pull failed: {e}"))?;
+        for &(lo, hi) in &cuts {
+            if !uniform(&x[lo..hi]) {
+                return Err(format!("torn read in [{lo}, {hi}): {:?}", &x[lo..hi]));
+            }
+        }
+        std::thread::sleep(UNIT);
+    }
+    Ok(Vec::new())
+}
+
+/// The parameter server under concurrent clients, over a delayed
+/// [`CommWorld`] whose last `shards` ranks serve: lost-update and
+/// read-consistency detection.
 ///
-/// Every client `r` pushes `pushes` deltas of the constant vector
-/// `r + 1` (exactly representable; sums stay exact in f32), with
-/// schedule-injected sleeps between pushes. A concurrent reader pulls
-/// mid-flight and checks each *shard segment* is uniform — a shard applies
-/// whole `Add` messages serially, so a torn segment means a lost or
-/// partial update. After all pushers join, the final pull must equal the
-/// exact expected sum (any miss is a lost update).
+/// Every pusher `r` adds `pushes` constant vectors of `r + 1` while a
+/// reader pulls mid-flight. Plain pulls (`snapshot = false`) must observe
+/// uniform shard segments — anything else is a lost or partial update.
+/// Snapshot pulls must be uniform across shard boundaries: a torn
+/// cross-shard cut (EXPERIMENTS.md's documented `pull` caveat) is the
+/// violation. Once every client is done, the shards' final segments must
+/// equal the exact expected sum (any miss is a lost update).
+fn explore_ps(
+    name: String,
+    p: usize,
+    shards: usize,
+    pushes: usize,
+    schedules: &[Schedule],
+    snapshot: bool,
+) -> ScenarioResult {
+    let layout = PsLayout {
+        p: p + 1,
+        shards,
+        dim: 24,
+    };
+    let ranks = layout.p + shards;
+    let expected: f32 = (1..=p).map(|r| (r * pushes) as f32).sum();
+    let mut lost = 0usize;
+    let mut deadlocks = 0usize;
+    let mut reports = Vec::new();
+    let mut seen: Vec<u64> = Vec::new();
+    for sched in schedules {
+        let mut world = CommWorld::new(ranks);
+        world.set_delays(Arc::new(sched.delays.clone()));
+        let (tx, rx) = mpsc::channel();
+        for (rank, comm) in world.communicators().into_iter().enumerate() {
+            let tx = tx.clone();
+            let start_units = sched.start.get(rank).copied().unwrap_or(0);
+            // lint:allow(raw-spawn): race-checker thread host.
+            std::thread::spawn(move || {
+                std::thread::sleep(UNIT * start_units);
+                let _ = tx.send((rank, ps_rank(comm, layout, pushes, snapshot)));
+            });
+        }
+        drop(tx);
+        let mut final_params = vec![0.0f32; layout.dim];
+        let mut violations = Vec::new();
+        let mut finished = 0usize;
+        while let Ok((rank, out)) = rx.recv_timeout(WATCHDOG) {
+            finished += 1;
+            match out {
+                Ok(segment) if rank >= layout.p => {
+                    let (lo, hi) = layout.segment(rank - layout.p);
+                    final_params[lo..hi].copy_from_slice(&segment);
+                }
+                Ok(_) => {}
+                Err(report) => violations.push(report),
+            }
+        }
+        if finished < ranks {
+            deadlocks += 1;
+            continue;
+        }
+        if violations.is_empty() && final_params.iter().any(|&v| v != expected) {
+            violations.push(format!(
+                "lost update: expected uniform {expected}, got {:?}",
+                &final_params[..4]
+            ));
+        }
+        lost += violations.len();
+        reports.extend(violations);
+        let checksum = fnv1a_f32(&final_params);
+        if !seen.contains(&checksum) {
+            seen.push(checksum);
+        }
+    }
+    reports.truncate(4);
+    ScenarioResult {
+        name,
+        p,
+        schedules: schedules.len(),
+        // Sums of identical commuting adds: final state must be invariant.
+        distinct_results: seen.len(),
+        deadlocks,
+        deadlock_reports: reports,
+        lost_updates: lost,
+        fingerprint: seen.first().map_or(0, |&s| fingerprint_of(&[s])),
+    }
+}
+
+/// PS push/pull under concurrent clients (see [`explore_ps`]).
 pub fn scenario_ps(
     p: usize,
     shards: usize,
     pushes: usize,
     schedules: &[Schedule],
 ) -> ScenarioResult {
-    let m = 24usize;
-    let mut lost = 0usize;
-    let mut deadlocks = 0usize;
-    let mut deadlock_reports = Vec::new();
-    let mut seen: Vec<Vec<u64>> = Vec::new();
-    let expected: f32 = (1..=p).map(|r| (r * pushes) as f32).sum();
-    for sched in schedules {
-        let ps = PsServer::spawn(vec![0.0; m], PsConfig { shards });
-        let bounds: Vec<(usize, usize)> = {
-            // Mirror PsServer's shard split (base + extras-first).
-            let base = m / shards;
-            let extra = m % shards;
-            let mut v = Vec::with_capacity(shards);
-            let mut start = 0usize;
-            for k in 0..shards {
-                let len = base + usize::from(k < extra);
-                v.push((start, start + len));
-                start += len;
-            }
-            v
-        };
-        let (tx, rx) = mpsc::channel::<Result<(), String>>();
-        for r in 0..p {
-            let c = ps.client();
-            let tx = tx.clone();
-            let start_units = sched.start.get(r).copied().unwrap_or(0);
-            let gaps: Vec<u32> = sched.delays.send.get(r).cloned().unwrap_or_default();
-            // lint:allow(raw-spawn): race-checker thread host.
-            std::thread::spawn(move || {
-                if start_units > 0 {
-                    std::thread::sleep(UNIT * start_units);
-                }
-                for k in 0..pushes {
-                    if !gaps.is_empty() {
-                        let u = gaps[k % gaps.len()];
-                        if u > 0 {
-                            std::thread::sleep(UNIT * u);
-                        }
-                    }
-                    c.add(&vec![(r + 1) as f32; m]);
-                }
-                let _ = tx.send(Ok(()));
-            });
-        }
-        // Concurrent reader: mid-flight pulls must observe uniform shards.
-        let reader = ps.client();
-        let reader_bounds = bounds.clone();
-        let rtx = tx.clone();
-        // lint:allow(raw-spawn): race-checker thread host.
-        std::thread::spawn(move || {
-            for _ in 0..6 {
-                let x = reader.pull();
-                for &(lo, hi) in &reader_bounds {
-                    if hi > lo {
-                        let v0 = x[lo];
-                        if x[lo..hi].iter().any(|&v| v.to_bits() != v0.to_bits()) {
-                            let _ = rtx.send(Err(format!(
-                                "torn shard segment [{lo}, {hi}): {:?}",
-                                &x[lo..hi]
-                            )));
-                            return;
-                        }
-                    }
-                }
-                std::thread::sleep(UNIT);
-            }
-            let _ = rtx.send(Ok(()));
-        });
-        drop(tx);
-        let mut dead = false;
-        for _ in 0..p + 1 {
-            match rx.recv_timeout(WATCHDOG) {
-                Ok(Ok(())) => {}
-                Ok(Err(report)) => {
-                    lost += 1;
-                    if deadlock_reports.len() < 4 {
-                        deadlock_reports.push(report);
-                    }
-                }
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            deadlocks += 1;
-            continue;
-        }
-        let x = ps.client().pull();
-        if x.iter().any(|&v| v != expected) {
-            lost += 1;
-            if deadlock_reports.len() < 4 {
-                deadlock_reports.push(format!(
-                    "lost update: expected uniform {expected}, got {:?}",
-                    &x[..4.min(x.len())]
-                ));
-            }
-        }
-        let final_params = ps.shutdown();
-        if !seen.contains(&vec![fnv1a_f32(&final_params)]) {
-            seen.push(vec![fnv1a_f32(&final_params)]);
-        }
-    }
-    ScenarioResult {
-        name: format!("ps_push_pull_s{shards}"),
-        p,
-        schedules: schedules.len(),
-        // Sums of identical commuting adds: final state must be invariant.
-        distinct_results: seen.len(),
-        deadlocks,
-        deadlock_reports,
-        lost_updates: lost,
-        fingerprint: seen.first().map_or(0, |s| fingerprint_of(s)),
-    }
+    let name = format!("ps_push_pull_s{shards}");
+    explore_ps(name, p, shards, pushes, schedules, false)
+}
+
+/// Stamp-consistent snapshot pulls under concurrent cross-shard pushes
+/// (see [`explore_ps`]).
+pub fn scenario_ps_snapshot(
+    p: usize,
+    shards: usize,
+    pushes: usize,
+    schedules: &[Schedule],
+) -> ScenarioResult {
+    let name = format!("ps_snapshot_s{shards}");
+    explore_ps(name, p, shards, pushes, schedules, true)
 }
 
 /// Failure-detection deadline for the fault-free fault-tolerant scenario.
@@ -802,134 +830,6 @@ pub fn scenario_ft_one_dead(p: usize, dead: usize, schedules: &[Schedule]) -> Sc
     );
     r.name = format!("ft_allreduce_dead_rank{dead}");
     r
-}
-
-/// Epoch-versioned snapshot under concurrent cross-shard pushes: every
-/// client pushes constant full-vector deltas, so *any* transaction-
-/// consistent cut is uniform across the whole vector — not merely within
-/// each shard segment, which is all plain `pull` guarantees. A torn
-/// cross-shard snapshot (EXPERIMENTS.md's documented `pull` caveat) shows
-/// up as a non-uniform vector and is counted as a violation.
-pub fn scenario_ps_snapshot(
-    p: usize,
-    shards: usize,
-    pushes: usize,
-    schedules: &[Schedule],
-) -> ScenarioResult {
-    let m = 24usize;
-    let mut lost = 0usize;
-    let mut deadlocks = 0usize;
-    let mut deadlock_reports = Vec::new();
-    let mut seen: Vec<Vec<u64>> = Vec::new();
-    let expected: f32 = (1..=p).map(|r| (r * pushes) as f32).sum();
-    for sched in schedules {
-        let ps = PsServer::spawn(vec![0.0; m], PsConfig { shards });
-        let (tx, rx) = mpsc::channel::<Result<(), String>>();
-        for r in 0..p {
-            let c = ps.client();
-            let tx = tx.clone();
-            let start_units = sched.start.get(r).copied().unwrap_or(0);
-            let gaps: Vec<u32> = sched.delays.send.get(r).cloned().unwrap_or_default();
-            // lint:allow(raw-spawn): race-checker thread host.
-            std::thread::spawn(move || {
-                if start_units > 0 {
-                    std::thread::sleep(UNIT * start_units);
-                }
-                for k in 0..pushes {
-                    if !gaps.is_empty() {
-                        let u = gaps[k % gaps.len()];
-                        if u > 0 {
-                            std::thread::sleep(UNIT * u);
-                        }
-                    }
-                    c.add(&vec![(r + 1) as f32; m]);
-                }
-                let _ = tx.send(Ok(()));
-            });
-        }
-        // Concurrent snapshot reader: every mid-flight snapshot must be a
-        // consistent cut, i.e. uniform across shard boundaries.
-        let reader = ps.client();
-        let rtx = tx.clone();
-        // lint:allow(raw-spawn): race-checker thread host.
-        std::thread::spawn(move || {
-            for _ in 0..6 {
-                match reader.pull_snapshot(400) {
-                    Ok(x) => {
-                        let v0 = x[0];
-                        if x.iter().any(|&v| v.to_bits() != v0.to_bits()) {
-                            let _ = rtx.send(Err(format!(
-                                "torn cross-shard snapshot: {:?}",
-                                &x[..8.min(x.len())]
-                            )));
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = rtx.send(Err(format!("snapshot failed: {e}")));
-                        return;
-                    }
-                }
-                std::thread::sleep(UNIT);
-            }
-            let _ = rtx.send(Ok(()));
-        });
-        drop(tx);
-        let mut dead = false;
-        for _ in 0..p + 1 {
-            match rx.recv_timeout(WATCHDOG) {
-                Ok(Ok(())) => {}
-                Ok(Err(report)) => {
-                    lost += 1;
-                    if deadlock_reports.len() < 4 {
-                        deadlock_reports.push(report);
-                    }
-                }
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            deadlocks += 1;
-            continue;
-        }
-        // Quiescent snapshot must equal the exact commutative sum.
-        match ps.client().pull_snapshot(400) {
-            Ok(x) => {
-                if x.iter().any(|&v| v != expected) {
-                    lost += 1;
-                    if deadlock_reports.len() < 4 {
-                        deadlock_reports.push(format!(
-                            "lost update in snapshot: expected uniform {expected}, got {:?}",
-                            &x[..4.min(x.len())]
-                        ));
-                    }
-                }
-            }
-            Err(e) => {
-                lost += 1;
-                if deadlock_reports.len() < 4 {
-                    deadlock_reports.push(format!("quiescent snapshot failed: {e}"));
-                }
-            }
-        }
-        let final_params = ps.shutdown();
-        if !seen.contains(&vec![fnv1a_f32(&final_params)]) {
-            seen.push(vec![fnv1a_f32(&final_params)]);
-        }
-    }
-    ScenarioResult {
-        name: format!("ps_snapshot_s{shards}"),
-        p,
-        schedules: schedules.len(),
-        distinct_results: seen.len(),
-        deadlocks,
-        deadlock_reports,
-        lost_updates: lost,
-        fingerprint: seen.first().map_or(0, |s| fingerprint_of(s)),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sasgd_comm::collectives::allreduce_tree;
-use sasgd_comm::ps::{PsConfig, PsServer};
+use sasgd_comm::ps_transport::{run_world, PsLayout};
 use sasgd_comm::world::CommWorld;
 use std::thread;
+use std::time::Duration;
 
 /// Every learner contributes one gradient and ends with fresh parameters.
 fn aggregate_allreduce(p: usize, m: usize) {
@@ -23,17 +24,12 @@ fn aggregate_allreduce(p: usize, m: usize) {
 }
 
 fn aggregate_ps(p: usize, m: usize, shards: usize) {
-    let ps = PsServer::spawn(vec![0.0f32; m], PsConfig { shards });
-    thread::scope(|s| {
-        for _ in 0..p {
-            let client = ps.client();
-            s.spawn(move || {
-                client.push_gradient(0.1, &vec![1.0f32; m]);
-                let _params = client.pull();
-            });
-        }
+    let layout = PsLayout { p, shards, dim: m };
+    let world = CommWorld::new(p + shards).communicators();
+    run_world(world, layout, &vec![0.0f32; m], |mut client| {
+        client.push_gradient(0.1, &vec![1.0f32; m]).expect("push");
+        let _params = client.pull(Duration::from_secs(30)).expect("pull");
     });
-    ps.shutdown();
 }
 
 fn bench_aggregation(c: &mut Criterion) {

@@ -19,13 +19,11 @@
 //!   (the `O(m log p)` pattern the paper's cost analysis assumes), a
 //!   bandwidth-optimal ring allreduce for the ablation bench, and a
 //!   barrier;
-//! * [`ps`] — a (sharded) parameter server with asynchronous `push` and
-//!   round-trip `pull`, as used by Downpour and EAMSGD, plus an
-//!   epoch-versioned consistent snapshot pull and deadline-bounded
-//!   fetches;
-//! * [`ps_transport`] — the same sharded-PS protocol expressed purely in
-//!   [`Transport`] operations, so shards can live in
-//!   other processes;
+//! * [`ps_transport`] — the (sharded) parameter server Downpour and EAMSGD
+//!   aggregate through, expressed purely in [`Transport`] operations:
+//!   shards are ranks of the learners' world, with asynchronous adds,
+//!   deadline-bounded pulls under a retry ladder, a stamp-consistent
+//!   snapshot pull, and the update clock staleness is measured against;
 //! * [`fault`] — deterministic crash/stall/drop fault plans for the
 //!   threaded backend;
 //! * [`ft`] — membership epochs and a self-healing allreduce that
@@ -63,7 +61,6 @@ pub mod ft;
 pub mod hierarchy;
 pub mod mock;
 pub mod protocol;
-pub mod ps;
 pub mod ps_transport;
 pub mod socket;
 pub mod sparse;
@@ -75,7 +72,6 @@ pub use ft::{ft_allreduce, FtError, FtOutcome, Membership};
 pub use hierarchy::{grouped, hierarchical_allreduce, GroupedComm};
 pub use mock::{mock_world, MockTransport};
 pub use protocol::Frame;
-pub use ps::{PsClient, PsConfig, PsError, PsServer};
 pub use ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 pub use socket::{loopback_addrs, SocketTransport};
 pub use sparse::{sparse_allreduce_tree, sparse_reduce_tree, SparseVec};

@@ -3,7 +3,7 @@
 //! Everything above the point-to-point layer — the collectives in
 //! [`crate::collectives`] and [`crate::sparse`], the fault-tolerant
 //! allreduce in [`crate::ft`], the hierarchy bundles in
-//! [`crate::hierarchy`], the transport-backed parameter server in
+//! [`crate::hierarchy`], the parameter server in
 //! [`crate::ps_transport`], and the threaded engine backend in
 //! `sasgd-core` — is written against this trait, not against a concrete
 //! endpoint type. A rank endpoint is opaque: it knows its own rank, the

@@ -9,13 +9,12 @@
 //! order (`broadcast`, `next_op`, tags) of each exchange is frozen: the
 //! multi-process launcher and the model checker replay it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use sasgd_comm::collectives::{allreduce_tree, broadcast};
 use sasgd_comm::ft::{ft_allreduce, FtError, Membership};
 use sasgd_comm::hierarchy::GroupedComm;
-use sasgd_comm::ps::{PsClient, PsError};
+use sasgd_comm::ps_transport::{PsLayout, PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::{
     q8_allreduce_tree, sparse_allreduce_tree, sparse_allreduce_tree_v2, SparseLevelProfile,
     SparseTreeOpts, SparseVec,
@@ -29,9 +28,9 @@ use crate::compress::{Compression, KState};
 use crate::history::{History, MembershipEvent, RetirementEvent};
 use crate::trainer::Learner;
 
-/// Parameter-server fetch deadline. Generous — a healthy in-process server
-/// answers in microseconds; the deadline only converts a dead or wedged
-/// shard from an eternal hang into a typed failure.
+/// Parameter-server round-trip deadline. Generous — a healthy in-process
+/// server answers in microseconds; the deadline only converts a dead or
+/// wedged shard from an eternal hang into a typed failure.
 const PS_PULL_DEADLINE: Duration = Duration::from_secs(5);
 /// Bounded retries for a timed-out pull (each attempt backs off twice as
 /// long as the previous one, starting at [`PS_PULL_BACKOFF`]).
@@ -455,68 +454,69 @@ impl<T: Transport> Exchange for EpochGather<T> {
     }
 }
 
-/// One learner's view of a parameter server: the client plus the clock of
-/// updates the server has absorbed, shared by every learner. τ for an
-/// update is how many updates (from any learner, this one included —
-/// `fetch_add` returns the pre-increment count) landed since this
-/// learner's last pull: the real interleaving, not a model of it.
-struct PsLink<'a> {
-    client: PsClient,
-    clock: &'a AtomicU64,
-    seen: u64,
+/// One learner's link to the parameter server whose shards are the ranks
+/// after the learners in `comm`'s world.
+struct PsLink<T: Transport> {
+    client: PsTransportClient<T>,
     /// Scale each update's rate by `1/(1+τ)`.
     staleness_aware: bool,
 }
 
-impl<'a> PsLink<'a> {
-    /// Start learner `l` from the server's parameters.
+impl<T: Transport> PsLink<T> {
+    /// Start learner `l` from the server's parameters. `None`: the world
+    /// has no rank left over to be a shard.
     fn open(
-        client: PsClient,
-        clock: &'a AtomicU64,
+        comm: T,
+        algo: &Algorithm,
         staleness_aware: bool,
         l: &mut Learner,
-    ) -> Result<Self, PsError> {
+    ) -> Result<Option<Self>, PsTransportError> {
+        let p = algo.learners();
+        let Some(shards) = comm.size().checked_sub(p).filter(|&s| s > 0) else {
+            return Ok(None);
+        };
+        let layout = PsLayout {
+            p,
+            shards,
+            dim: l.model.param_len(),
+        };
         let mut link = PsLink {
-            client,
-            clock,
-            seen: 0,
+            client: PsTransportClient::new(comm, layout),
             staleness_aware,
         };
         l.model.write_params(&link.pull()?);
-        Ok(link)
+        Ok(Some(link))
     }
 
-    /// Deadline-bounded fetch: a dead shard surfaces as a typed error
-    /// naming the shard, not an eternal hang.
-    fn pull(&mut self) -> Result<Vec<f32>, PsError> {
-        let x = self
-            .client
-            .pull_timeout(PS_PULL_DEADLINE, PS_PULL_RETRIES, PS_PULL_BACKOFF)?;
-        self.seen = self.clock.load(Ordering::SeqCst);
-        Ok(x)
+    /// Deadline-bounded fetch under the retry ladder: a dead shard
+    /// surfaces as a typed error naming the shard, not an eternal hang.
+    fn pull(&mut self) -> Result<Vec<f32>, PsTransportError> {
+        self.client
+            .pull_retry(PS_PULL_DEADLINE, PS_PULL_RETRIES, PS_PULL_BACKOFF)
     }
 
-    /// Claim the next update slot: its measured staleness and the `rate`
-    /// to apply for it.
-    fn claim(&self, rate: f32) -> (u64, f32) {
-        let tau = self.clock.fetch_add(1, Ordering::SeqCst) - self.seen;
-        if self.staleness_aware {
+    /// Claim the next update slot on the server's clock: its measured
+    /// staleness — the real interleaving, not a model of it — and the
+    /// `rate` to apply for it.
+    fn claim(&mut self, rate: f32) -> Result<(u64, f32), PsTransportError> {
+        let tau = self.client.claim(PS_PULL_DEADLINE)?;
+        Ok(if self.staleness_aware {
             (tau, rate / (1.0 + tau as f32)) // lint:allow(float-cast)
         } else {
             (tau, rate)
-        }
+        })
     }
 }
 
 /// Downpour: push the accumulated gradient (the server applies `−γ·g`
 /// whenever it lands relative to the other learners), pull fresh
 /// parameters.
-struct PsPushPull<'a>(PsLink<'a>);
+struct PsPushPull<T: Transport>(PsLink<T>);
 
-impl Exchange for PsPushPull<'_> {
+impl<T: Transport> Exchange for PsPushPull<T> {
     fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
-        let staleness = self.0.claim(round.gamma);
-        self.0.client.try_push_gradient(staleness.1, &l.gs)?;
+        let staleness = self.0.claim(round.gamma)?;
+        self.0.client.push_gradient(staleness.1, &l.gs)?;
         l.gs.fill(0.0);
         l.model.write_params(&self.0.pull()?);
         Ok(Outcome {
@@ -529,14 +529,14 @@ impl Exchange for PsPushPull<'_> {
 /// EAMSGD: momentum-SGD local steps; each round pulls the center `x̃`,
 /// retreats toward it by the moving rate, and pushes the elastic
 /// difference (the server adds it to `x̃`).
-struct PsElastic<'a> {
-    link: PsLink<'a>,
+struct PsElastic<T: Transport> {
+    link: PsLink<T>,
     alpha: f32,
     momentum: f32,
     velocity: Vec<f32>,
 }
 
-impl Exchange for PsElastic<'_> {
+impl<T: Transport> Exchange for PsElastic<T> {
     /// One momentum-SGD step — same arithmetic as the simulated strategy.
     fn apply_local(&mut self, l: &mut Learner, g: &[f32], gamma: f32) {
         let mut params = l.model.param_vector();
@@ -548,7 +548,7 @@ impl Exchange for PsElastic<'_> {
     }
 
     fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
-        let staleness = self.link.claim(self.alpha);
+        let staleness = self.link.claim(self.alpha)?;
         let center = self.link.pull()?;
         let mut params = l.model.param_vector();
         let mut diff = vec![0.0f32; params.len()];
@@ -557,7 +557,7 @@ impl Exchange for PsElastic<'_> {
             *pi -= *di;
         }
         l.model.write_params(&params);
-        self.link.client.try_add(&diff)?;
+        self.link.client.add(&diff)?;
         Ok(Outcome {
             staleness: Some(staleness),
             ..Outcome::default()
@@ -568,17 +568,16 @@ impl Exchange for PsElastic<'_> {
 /// What a rank reaches its peers through; the threaded harness builds one
 /// per rank.
 pub(crate) enum Endpoint<'a, T: Transport> {
-    /// One flat world of `size()` learners — under the fault-tolerance
-    /// layer when a [`FaultConfig`] rides along.
+    /// One flat world — `size()` learners, or the learners followed by
+    /// their parameter-server shards — under the fault-tolerance layer
+    /// when a [`FaultConfig`] rides along.
     Flat(T, Option<&'a FaultConfig>),
     /// The three scopes of hierarchical SASGD.
     Grouped(GroupedComm<T>),
-    /// A parameter server, plus the clock of updates it has absorbed.
-    Server(PsClient, &'a AtomicU64),
 }
 
 /// Build `algo`'s exchange over `endpoint` and align learner `l` with its
-/// peers (the `x0` broadcast of Algorithm 1, a server's initial pull; the
+/// peers (the `x0` broadcast of Algorithm 1, the server's initial pull; the
 /// averaging algorithms start from the factory's identical replicas, like
 /// their simulated strategies). `None`: the algorithm has no exchange
 /// over this kind of endpoint.
@@ -652,8 +651,11 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             Algorithm::Downpour {
                 staleness_gamma, ..
             },
-            Endpoint::Server(client, clock),
-        ) => Box::new(PsPushPull(PsLink::open(client, clock, staleness_gamma, l)?)),
+            Endpoint::Flat(comm, None),
+        ) => match PsLink::open(comm, algo, staleness_gamma, l)? {
+            Some(link) => Box::new(PsPushPull(link)),
+            None => return Ok(None),
+        },
         (
             Algorithm::Eamsgd {
                 p,
@@ -662,13 +664,16 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
                 staleness_gamma,
                 ..
             },
-            Endpoint::Server(client, clock),
+            Endpoint::Flat(comm, None),
         ) => {
             let alpha = moving_rate.unwrap_or(0.9 / p as f32);
             assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
             assert!(alpha > 0.0 && alpha <= 1.0, "moving rate out of range");
+            let Some(link) = PsLink::open(comm, algo, staleness_gamma, l)? else {
+                return Ok(None);
+            };
             Box::new(PsElastic {
-                link: PsLink::open(client, clock, staleness_gamma, l)?,
+                link,
                 alpha,
                 momentum,
                 velocity: vec![0.0; l.model.param_len()],
@@ -682,17 +687,23 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
 mod tests {
     use super::*;
     use crate::trainer::TrainConfig;
-    use sasgd_comm::ps::{PsConfig, PsServer};
-    use sasgd_comm::Communicator;
+    use sasgd_comm::ps_transport::serve_shard;
+    use sasgd_comm::{CommWorld, Communicator};
     use sasgd_nn::models;
     use sasgd_tensor::SeedRng;
+    use std::sync::mpsc;
 
     #[test]
     fn ps_exchanges_on_a_dead_server_are_typed_errors_not_panics() {
         let cfg = TrainConfig::new(1, 8, 0.05, 1);
         let model = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let clock = AtomicU64::new(0);
-        let server = |client| Endpoint::<Communicator>::Server(client, &clock);
+        let x0 = model().param_vector();
+        let layout = PsLayout {
+            p: 1,
+            shards: 2,
+            dim: x0.len(),
+        };
+        let flat = |comm| Endpoint::<Communicator>::Flat(comm, None);
         for algo in [
             Algorithm::Downpour {
                 p: 1,
@@ -707,18 +718,37 @@ mod tests {
                 staleness_gamma: false,
             },
         ] {
-            let ps = PsServer::spawn(model().param_vector(), PsConfig { shards: 2 });
             let mut l = Learner::new(0, model(), &cfg);
-            let mut exchange = connect(&algo, server(ps.client()), &mut l, &model)
-                .ok()
-                .flatten()
-                .expect("a live server connects");
-            let late = ps.client();
-            ps.shutdown();
+            let mut nobody_home = CommWorld::new(3).communicators();
+            nobody_home.truncate(1);
+            let late = nobody_home.pop().expect("learner endpoint");
             assert!(
-                connect(&algo, server(late), &mut l, &model).is_err(),
+                connect(&algo, flat(late), &mut l, &model).is_err(),
                 "initial pull from a dead shard"
             );
+
+            // Shards that serve until the test hangs up on them: the idle
+            // deadline only bounds how soon they notice.
+            let mut world = CommWorld::new(3).communicators().into_iter();
+            let learner = world.next().expect("learner endpoint");
+            let mut exchange = std::thread::scope(|scope| {
+                let mut alive = Vec::new();
+                for mut shard in world {
+                    let x0 = &x0;
+                    let (keep, kept) = mpsc::channel::<()>();
+                    alive.push(keep);
+                    shard.set_default_deadline(Some(Duration::from_millis(10)));
+                    scope.spawn(move || {
+                        while matches!(kept.try_recv(), Err(mpsc::TryRecvError::Empty)) {
+                            let _idle = serve_shard(&mut shard, &layout, x0);
+                        }
+                    });
+                }
+                connect(&algo, flat(learner), &mut l, &model)
+                    .ok()
+                    .flatten()
+                    .expect("a live server connects")
+            });
             let mut history = History::new("dead-ps", 1, 1);
             let round = Round {
                 number: 1,
@@ -729,7 +759,7 @@ mod tests {
                 .round(&mut l, round)
                 .err()
                 .expect("a round against a dead shard must fail, not panic");
-            assert!(err.0.contains("hung up"), "names the cause: {}", err.0);
+            assert!(err.0.contains("shard rank 1 is gone"), "{}", err.0);
         }
     }
 }

@@ -362,8 +362,10 @@ pub enum EngineError {
     },
     /// The algorithm has no exchange for what was asked of it: a fault plan
     /// needs the fault-tolerant gradient tree (uncompressed SASGD on the
-    /// threaded backend only), and [`rank::run_rank`] over one flat
-    /// transport cannot host grouped or parameter-server endpoints.
+    /// threaded backend only), [`rank::run_rank`] over one flat transport
+    /// cannot host hierarchical SASGD's grouped endpoints, and a
+    /// parameter-server algorithm needs a world with shard ranks after its
+    /// learners (and no other algorithm has a use for extra ranks).
     UnsupportedExchange {
         /// Label of the offending algorithm.
         label: String,

@@ -20,10 +20,13 @@
 //! [`run_rank`] is the loop over any [`Transport`]: the threaded harness
 //! drives it over in-process endpoints, the multi-process launcher over
 //! sockets, the model checker over its controlled transport — same code,
-//! same wire call order. Wire failures are typed, never panics.
+//! same wire call order. Wire failures are typed, never panics. In a
+//! parameter-server world the ranks after the learners run no loop at all:
+//! each serves its shard of the parameters until the learners are done.
 
 use std::time::Instant;
 
+use sasgd_comm::ps_transport::{serve_shard, PsLayout};
 use sasgd_comm::transport::Transport;
 use sasgd_data::{Dataset, Shard};
 use sasgd_nn::Model;
@@ -39,12 +42,17 @@ use crate::history::{History, StalenessStats};
 use crate::schedule::SyncPolicy;
 use crate::trainer::{EvalSets, Learner, TrainConfig};
 
-/// One rank of `algo` over `comm`, a flat world of `comm.size()` learners.
+/// One rank of `algo` over `comm`, a flat world of `algo.learners()`
+/// learners — followed, for the parameter-server algorithms (Downpour,
+/// EAMSGD), by at least one shard rank: every rank past the learners serves
+/// its slice of `factory().param_vector()` and returns a record-less
+/// [`History`] whose `final_params` is that slice as the learners left it.
 /// `factory` must produce identically initialized models on every rank.
 /// Returns this rank's [`History`]; only rank 0's carries epoch records.
-/// Hierarchical SASGD and the parameter-server algorithms need endpoints
-/// one flat transport cannot provide ([`EngineError::UnsupportedExchange`]);
-/// [`Executor`](super::Executor) runs those.
+/// Hierarchical SASGD needs endpoints one flat transport cannot provide,
+/// and a parameter-server algorithm needs its shard ranks
+/// ([`EngineError::UnsupportedExchange`] otherwise);
+/// [`Executor`](super::Executor) builds either world.
 pub fn run_rank<T: Transport>(
     comm: T,
     factory: &dyn Fn() -> Model,
@@ -242,13 +250,6 @@ pub(crate) fn drive<T: Transport>(
 ) -> Result<History, EngineError> {
     let strategy = strategy_for(algo);
     let p = strategy.p();
-    let n = train_set.len();
-    let shards = strategy.shards(train_set, cfg);
-    let mut policy = strategy.sync_policy();
-    let mut walk = match cadence {
-        Cadence::Lockstep => epoch_walk(&shards, rank, cfg, &*strategy),
-        Cadence::EventDriven => block_walk(&shards, rank, cfg, &*strategy, n),
-    };
     let failed = |round: u64| {
         move |e: WireError| EngineError::WireFailure {
             rank,
@@ -257,6 +258,37 @@ pub(crate) fn drive<T: Transport>(
         }
     };
 
+    let label = threaded_label(&strategy.label());
+    let mut history = History::new(label, p, strategy.history_interval());
+    let endpoint = match endpoint {
+        Endpoint::Flat(mut comm, _) if rank >= p => {
+            if strategy.comm_scope() != CommScope::Individual {
+                return Err(EngineError::UnsupportedExchange {
+                    label: algo.label(),
+                    wanted: "a world with more ranks than learners",
+                });
+            }
+            // A parameter-server shard: no loop, no learner.
+            let x0 = factory().param_vector();
+            let layout = PsLayout {
+                p,
+                shards: comm.size() - p,
+                dim: x0.len(),
+            };
+            let segment = serve_shard(&mut comm, &layout, &x0).map_err(|e| failed(0)(e.into()))?;
+            history.final_params = Some(segment);
+            return Ok(history);
+        }
+        endpoint => endpoint,
+    };
+
+    let n = train_set.len();
+    let shards = strategy.shards(train_set, cfg);
+    let mut policy = strategy.sync_policy();
+    let mut walk = match cadence {
+        Cadence::Lockstep => epoch_walk(&shards, rank, cfg, &*strategy),
+        Cadence::EventDriven => block_walk(&shards, rank, cfg, &*strategy, n),
+    };
     let mut learner = Learner::new(rank, factory(), cfg);
     let mut exchange = connect(algo, endpoint, &mut learner, factory)
         .map_err(failed(0))?
@@ -265,8 +297,6 @@ pub(crate) fn drive<T: Transport>(
             wanted: "the endpoint it was given",
         })?;
     let evals = (rank == 0).then(|| EvalSets::prepare(train_set, test_set, cfg.eval_cap));
-    let label = threaded_label(&strategy.label());
-    let mut history = History::new(label, p, strategy.history_interval());
     let (mut compute_s, mut comm_s) = (0.0f64, 0.0f64);
     let (mut gstep, mut syncs, mut epochs) = (0u64, 0u64, 0u64);
     let mut staleness_obs: Vec<u64> = Vec::new();

@@ -1,18 +1,16 @@
 //! The threaded harness: build the world an algorithm runs over, spawn one
 //! OS thread per rank on the rank loop, merge what they return.
 //!
-//! Three kinds of world cover every algorithm: one flat in-process world
-//! (the collectives — optionally with a scripted wire-fault schedule),
-//! the grouped worlds of hierarchical SASGD, and a parameter server.
-//! Unlike the simulated backend's analytic wire accounting,
+//! Two kinds of world cover every algorithm: one flat in-process world
+//! (the collectives — optionally with a scripted wire-fault schedule — and
+//! the parameter-server algorithms, whose shards are the ranks after the
+//! learners) and the grouped worlds of hierarchical SASGD. Unlike the simulated backend's analytic wire accounting,
 //! [`History::wire`] here is read from the substrate's traffic counters —
 //! compressed gradients travel in the sparse wire format, so the counters
 //! record genuinely fewer elements, not a model of fewer elements.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sasgd_comm::ps::{PsConfig, PsServer};
 use sasgd_comm::world::{CommWorld, Communicator, Traffic};
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
@@ -24,7 +22,7 @@ use crate::algorithms::Algorithm;
 use crate::history::{History, WireStats, MAX_SPARSITY_SAMPLES};
 use crate::trainer::TrainConfig;
 
-/// Join learner threads (handles in rank order).
+/// Join rank threads (handles in rank order).
 ///
 /// # Panics
 /// Panics after joining everything, naming each failed rank and its panic
@@ -48,7 +46,7 @@ fn join_learners<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T
     }
     assert!(
         failed.is_empty(),
-        "learner thread(s) panicked — {}",
+        "rank thread(s) panicked — {}",
         failed.join("; ")
     );
     ok
@@ -59,10 +57,13 @@ fn join_learners<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T
 /// when the first casualty's endpoint disappears mid-collective);
 /// otherwise rank 0's history, with every rank's sparsity telemetry and
 /// retirement account folded in and `wire` read from the traffic counters
-/// once the world is quiet.
+/// once the world is quiet. Ranks that exchange `individually` (with a
+/// parameter server, each at its own pace) ran their own rounds, so the
+/// run's round count is the sum; collective rounds are everyone's at once.
 fn spawn_ranks<E: Send>(
     endpoints: Vec<E>,
     body: impl Fn(usize, E) -> Result<History, EngineError> + Sync,
+    individually: bool,
     wire: impl FnOnce() -> WireStats,
 ) -> Result<History, EngineError> {
     let results = std::thread::scope(|scope| {
@@ -83,6 +84,9 @@ fn spawn_ranks<E: Send>(
         history.sparsity_series.extend(peer.sparsity_series);
         history.sparse_levels.merge(&peer.sparse_levels);
         history.retirements.extend(peer.retirements);
+        if individually {
+            history.sync_rounds += peer.sync_rounds;
+        }
     }
     history.sparsity_series.sort_by_key(|s| (s.round, s.rank));
     history.sparsity_series.truncate(MAX_SPARSITY_SAMPLES);
@@ -126,39 +130,17 @@ pub(crate) fn run(
         } => {
             let (bundles, traffic) = sasgd_comm::hierarchy::grouped(groups, per_group);
             let endpoints = bundles.into_iter().map(Endpoint::Grouped).collect();
-            spawn_ranks(endpoints, rank_loop, || sent(&traffic))
+            spawn_ranks(endpoints, rank_loop, false, || sent(&traffic))
         }
-        Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. } => {
-            let x0 = factory().param_vector();
-            let m = x0.len() as u64;
-            // Downpour shards its server across as many threads as it has
+        _ => {
+            // Downpour shards its server across as many ranks as it has
             // learners; EAMSGD's center variable is one shard.
             let shards = match algo {
                 Algorithm::Downpour { .. } => p,
-                _ => 1,
+                Algorithm::Eamsgd { .. } => 1,
+                _ => 0,
             };
-            let ps = PsServer::spawn(x0, PsConfig { shards });
-            let traffic = ps.traffic();
-            let clock = AtomicU64::new(0);
-            let endpoints = (0..p)
-                .map(|_| Endpoint::Server(ps.client(), &clock))
-                .collect();
-            let result = spawn_ranks(endpoints, rank_loop, || {
-                let elements =
-                    traffic.pushed.load(Ordering::Relaxed) + traffic.pulled.load(Ordering::Relaxed);
-                WireStats {
-                    elements,
-                    messages: elements / m,
-                }
-            });
-            ps.shutdown();
-            let mut history = result?;
-            // Every learner's exchanges, not just rank 0's.
-            history.sync_rounds = clock.load(Ordering::SeqCst);
-            Ok(history)
-        }
-        _ => {
-            let mut world = CommWorld::new(p);
+            let mut world = CommWorld::new(p + shards);
             if let Some(schedule) = faults.and_then(|f| f.plan.wire_faults(p)) {
                 world.set_faults(Arc::new(schedule));
             }
@@ -168,7 +150,7 @@ pub(crate) fn run(
                 .into_iter()
                 .map(|comm| Endpoint::Flat(comm, faults))
                 .collect();
-            spawn_ranks(endpoints, rank_loop, || sent(&traffic))
+            spawn_ranks(endpoints, rank_loop, shards > 0, || sent(&traffic))
         }
     }
 }

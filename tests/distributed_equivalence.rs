@@ -2,15 +2,19 @@
 //! backend and the sequential baseline must agree where the algorithms
 //! coincide mathematically.
 
+use sasgd::comm::SocketTransport;
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
-    train, Algorithm, Backend, Cadence, Compression, EngineError, Executor, History, KSchedule,
-    TSchedule, TrainConfig,
+    run_rank, train, Algorithm, Backend, Cadence, Compression, EngineError, Executor, History,
+    KSchedule, TSchedule, TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
-use sasgd::nn::models;
+use sasgd::data::Dataset;
+use sasgd::nn::{models, Model};
 use sasgd::simnet::JitterModel;
 use sasgd::tensor::SeedRng;
+use std::net::TcpListener;
+use std::time::Duration;
 
 fn quiet_cfg(epochs: usize, gamma: f32, seed: u64) -> TrainConfig {
     let mut cfg = TrainConfig::new(epochs, 8, gamma, seed);
@@ -73,13 +77,52 @@ fn threaded_equals_simulated_sasgd_bitwise() {
 }
 
 /// Run `algo` on both engine backends and assert bitwise-equal final
-/// parameters.
+/// parameters — and, for a single learner against a parameter server, on
+/// the same rank loop over loopback TCP as well.
 fn assert_backends_agree(algo: &Algorithm, cfg: &TrainConfig, model_seed: u64) {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 3));
     let factory = move || models::tiny_cnn(3, &mut SeedRng::new(model_seed));
     let sim = Executor::new(Backend::Simulated).run(&factory, &train_set, &test_set, algo, cfg);
     let thr = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, algo, cfg);
     assert_bitwise(&sim.label, &sim, &thr);
+    if matches!(algo, Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. }) {
+        let tcp = learner_and_shard_over_sockets(&factory, &train_set, &test_set, algo, cfg);
+        assert_bitwise(&format!("{} over TCP", sim.label), &sim, &tcp);
+        assert_bitwise(&format!("{} TCP vs in-process", sim.label), &thr, &tcp);
+        assert_eq!(sim.sync_rounds, tcp.sync_rounds, "{}: rounds", sim.label);
+    }
+}
+
+/// `algo`'s one learner and one parameter-server shard as the two ranks of
+/// a loopback TCP mesh, `run_rank` on both; the learner's history.
+fn learner_and_shard_over_sockets(
+    factory: &(dyn Fn() -> Model + Sync),
+    train_set: &Dataset,
+    test_set: &Dataset,
+    algo: &Algorithm,
+    cfg: &TrainConfig,
+) -> History {
+    assert_eq!(algo.learners(), 1);
+    let listeners = [(); 2].map(|()| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"));
+    let addrs = listeners
+        .each_ref()
+        .map(|l| l.local_addr().expect("local addr"));
+    std::thread::scope(|scope| {
+        let mut ranks = Vec::new();
+        for (rank, listener) in listeners.into_iter().enumerate() {
+            ranks.push(scope.spawn(move || {
+                let rendezvous = Duration::from_secs(30);
+                let comm = SocketTransport::with_listener(rank, listener, &addrs, rendezvous)
+                    .expect("rendezvous");
+                run_rank(comm, factory, train_set, test_set, algo, cfg).expect("rank runs")
+            }));
+        }
+        let mut ranks = ranks.into_iter().map(|h| h.join().expect("rank thread"));
+        let learner = ranks.next().expect("rank 0");
+        let shard = ranks.next().expect("rank 1");
+        assert!(shard.records.is_empty(), "a shard keeps no epoch records");
+        learner
+    })
 }
 
 #[test]

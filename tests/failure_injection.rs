@@ -1,7 +1,8 @@
 //! Failure-injection and robustness tests: extreme jitter, degenerate
 //! datasets, hammered parameter servers.
 
-use sasgd::comm::ps::{PsConfig, PsServer};
+use sasgd::comm::ps_transport::{run_world, PsLayout};
+use sasgd::comm::world::CommWorld;
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
     train, Algorithm, Backend, Executor, FaultConfig, FaultPlan, History, TrainConfig,
@@ -11,7 +12,6 @@ use sasgd::data::Dataset;
 use sasgd::nn::{models, Model};
 use sasgd::simnet::JitterModel;
 use sasgd::tensor::SeedRng;
-use std::thread;
 use std::time::Duration;
 
 #[test]
@@ -107,18 +107,17 @@ fn ps_survives_hammering_and_preserves_sums() {
     // so the final state is exact regardless of interleaving or sharding.
     for shards in [1usize, 3, 8] {
         let m = 257; // deliberately not divisible by the shard counts
-        let ps = PsServer::spawn(vec![0.0f32; m], PsConfig { shards });
-        thread::scope(|s| {
-            for _ in 0..16 {
-                let c = ps.client();
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        c.add(&vec![1.0; m]);
-                    }
-                });
+        let layout = PsLayout {
+            p: 16,
+            shards,
+            dim: m,
+        };
+        let world = CommWorld::new(16 + shards).communicators();
+        let (_, end) = run_world(world, layout, &vec![0.0f32; m], |mut c| {
+            for _ in 0..50 {
+                c.add(&vec![1.0; m]).expect("add");
             }
         });
-        let end = ps.shutdown();
         assert!(end.iter().all(|&v| v == 800.0), "shards={shards}");
     }
 }

@@ -3,13 +3,13 @@
 //! measurements on the thread substrate.
 
 use sasgd::comm::collectives::allreduce_tree;
-use sasgd::comm::ps::{PsConfig, PsServer};
+use sasgd::comm::ps_transport::{run_world, PsLayout};
 use sasgd::comm::world::CommWorld;
 use sasgd::core::epoch_time::{epoch_time, speedup_over_sequential, Aggregation, Workload};
 use sasgd::core::theory::{self, ProblemConstants};
 use sasgd::simnet::{CostModel, JitterModel};
-use std::sync::atomic::Ordering;
 use std::thread;
+use std::time::Duration;
 
 #[test]
 fn claim_communication_complexity_measured_on_real_substrate() {
@@ -32,21 +32,22 @@ fn claim_communication_complexity_measured_on_real_substrate() {
         });
         assert_eq!(traffic.elements_sent(), (2 * (p - 1) * m) as u64);
 
-        // Parameter server: p learners push + pull ⇒ 2·p·m elements.
-        let ps = PsServer::spawn(vec![0.0f32; m], PsConfig { shards: 2 });
-        let t = ps.traffic();
-        thread::scope(|s| {
-            for _ in 0..p {
-                let c = ps.client();
-                s.spawn(move || {
-                    c.push_gradient(0.1, &vec![1.0f32; m]);
-                    let _ = c.pull();
-                });
-            }
+        // Parameter server: p learners push + pull ⇒ 2·p·m elements of
+        // payload, plus k = 14 control words per (learner, shard) pair —
+        // 3 on the add (opcode, update id), 2 on the pull request (opcode,
+        // reply tag), 8 on its reply (update clock, shard stamp), 1 goodbye.
+        let shards = 2usize;
+        let mut world = CommWorld::new(p + shards);
+        let traffic = world.traffic();
+        let layout = PsLayout { p, shards, dim: m };
+        run_world(world.communicators(), layout, &vec![0.0f32; m], |mut c| {
+            c.push_gradient(0.1, &vec![1.0f32; m]).expect("push");
+            let _ = c.pull(Duration::from_secs(30)).expect("pull");
         });
-        let ps_total = t.pushed.load(Ordering::Relaxed) + t.pulled.load(Ordering::Relaxed);
-        assert_eq!(ps_total, (2 * p * m) as u64);
-        ps.shutdown();
+        assert_eq!(
+            traffic.elements_sent(),
+            (2 * p * m + 14 * p * shards) as u64
+        );
     }
 }
 
