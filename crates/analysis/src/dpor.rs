@@ -35,7 +35,7 @@ use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, reduce_tree};
 use sasgd_comm::ft::{ft_allreduce, Membership};
 use sasgd_comm::hierarchy::{hierarchical_allreduce, GroupedComm};
 use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
-use sasgd_comm::sparse::{sparse_allreduce_tree, SparseVec};
+use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::CommError;
 use sasgd_core::algorithms::{Algorithm, GammaP};
@@ -497,7 +497,14 @@ fn sc_sparse(p: usize) -> ModelScenario {
                 .map(|(j, x)| if (rank + j).is_multiple_of(2) { x } else { 0.0 })
                 .collect();
             let mut sv = SparseVec::from_dense(&dense);
-            wire(sparse_allreduce_tree(&mut t, &mut sv))?;
+            let mut profile = SparseLevelProfile::default();
+            let opts = SparseTreeOpts::default();
+            wire(sparse_allreduce_tree_v2(
+                &mut t,
+                &mut sv,
+                opts,
+                &mut profile,
+            ))?;
             Ok(sv.to_dense())
         }),
         0,

@@ -131,8 +131,12 @@ const COMM_RESULT_FNS: &[&str] = &[
     "reduce_tree",
     "allreduce_tree",
     "allreduce_ring",
-    "sparse_allreduce_tree",
+    "sparse_allreduce_tree_v2",
+    "q8_allreduce_tree",
     "ft_allreduce",
+    // The sparse/8-bit frame decoders: a peer's buffer can be malformed.
+    "decode",
+    "dense8_decode",
     // The parameter server: the shard loop, and every fallible call of its
     // client.
     "serve_shard",
@@ -1157,16 +1161,21 @@ mod tests {
     }
 
     #[test]
-    fn comm_unwrap_covers_the_parameter_server_client() {
+    fn comm_unwrap_covers_the_ps_client_the_compressed_trees_and_the_frame_decoders() {
         for call in [
-            "add(&delta)",
-            "push_gradient(gamma, &gs)",
-            "pull(deadline)",
-            "pull_retry(deadline, 3, backoff)",
-            "pull_snapshot(deadline, 8)",
-            "claim(deadline)",
+            "l.client.add(&delta)",
+            "l.client.push_gradient(gamma, &gs)",
+            "l.client.pull(deadline)",
+            "l.client.pull_retry(deadline, 3, backoff)",
+            "l.client.pull_snapshot(deadline, 8)",
+            "l.client.claim(deadline)",
+            "sparse_allreduce_tree_v2(comm, &mut sv, opts, &mut profile)",
+            "q8_allreduce_tree(comm, &mut buf, scale)",
+            "SparseVec::decode(&buf)",
+            "SparseVec8::decode(&buf)",
+            "dense8_decode(&buf, m)",
         ] {
-            let src = format!("fn f(l: &mut Link) {{ let x = l.client.{call}.unwrap(); }}\n");
+            let src = format!("fn f(l: &mut Link) {{ let x = {call}.unwrap(); }}\n");
             assert_eq!(
                 lints_of("crates/core/src/engine/exchange.rs", &src),
                 vec!["comm-unwrap"],

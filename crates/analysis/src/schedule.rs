@@ -41,7 +41,7 @@ use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, reduce_tree};
 use sasgd_comm::ft::{ft_allreduce, Membership};
 use sasgd_comm::hierarchy::{grouped, hierarchical_allreduce};
 use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient};
-use sasgd_comm::sparse::{sparse_allreduce_tree, SparseVec};
+use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::{CommWorld, Communicator, DelaySchedule};
 
@@ -484,7 +484,9 @@ pub fn scenario_sparse_allreduce(p: usize, schedules: &[Schedule]) -> ScenarioRe
                 })
                 .collect();
             let mut sv = SparseVec::from_dense(&dense);
-            sparse_allreduce_tree(comm, &mut sv).expect("sparse allreduce");
+            let mut profile = SparseLevelProfile::default();
+            sparse_allreduce_tree_v2(comm, &mut sv, SparseTreeOpts::default(), &mut profile)
+                .expect("sparse allreduce");
             sv.to_dense()
         }),
     )

@@ -57,8 +57,8 @@ fn bench_compression(c: &mut Criterion) {
     let m = 506_378usize;
     let grad = SeedRng::new(3).normal_tensor(&[m], 1.0).into_vec();
     for (name, scheme) in [
-        ("top_10pct", Compression::TopK { ratio: 0.10 }),
-        ("top_1pct", Compression::TopK { ratio: 0.01 }),
+        ("top_10pct", Compression::topk(0.10)),
+        ("top_1pct", Compression::topk(0.01)),
         ("uniform_8bit", Compression::Uniform8Bit),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(name), &scheme, |b, s| {

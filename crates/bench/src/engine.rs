@@ -37,7 +37,7 @@ pub fn run_matrix(scale: Scale, epochs: Option<usize>) -> Vec<EngineRow> {
     let algos: Vec<Algorithm> = vec![
         Algorithm::Sequential,
         Algorithm::sasgd(p, t, GammaP::OverP),
-        Algorithm::sasgd_compressed(p, t, GammaP::OverP, Compression::TopK { ratio: 0.1 }),
+        Algorithm::sasgd_compressed(p, t, GammaP::OverP, Compression::topk(0.1)),
         Algorithm::HierarchicalSasgd {
             groups: 2,
             per_group: 2,

@@ -115,8 +115,8 @@ pub fn compression(scale: Scale, epochs: Option<usize>) -> Artifact {
     let mut csv = String::from("scheme,final_test_acc,paper_scale_agg_ms\n");
     let schemes: Vec<(&str, Option<Compression>)> = vec![
         ("dense", None),
-        ("top-10%", Some(Compression::TopK { ratio: 0.10 })),
-        ("top-1%", Some(Compression::TopK { ratio: 0.01 })),
+        ("top-10%", Some(Compression::topk(0.10))),
+        ("top-1%", Some(Compression::topk(0.01))),
         ("8-bit", Some(Compression::Uniform8Bit)),
     ];
     for (name, comp) in schemes {

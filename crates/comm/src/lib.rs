@@ -74,6 +74,6 @@ pub use mock::{mock_world, MockTransport};
 pub use protocol::Frame;
 pub use ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 pub use socket::{loopback_addrs, SocketTransport};
-pub use sparse::{sparse_allreduce_tree, sparse_reduce_tree, SparseVec};
+pub use sparse::{sparse_allreduce_tree_v2, SparseVec};
 pub use transport::{InProcTransport, Transport};
 pub use world::{CommError, CommWorld, Communicator, DelaySchedule, FaultSchedule};

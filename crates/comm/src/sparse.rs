@@ -28,12 +28,16 @@
 //! reconstruction is bitwise identical to the sender's dense form and
 //! the tree reduce stays a plain f32 sum.
 //!
-//! [`sparse_allreduce_tree_v2`] layers two things on the v1 collective:
-//! a per-level wire profile ([`SparseLevelProfile`], measuring how the
-//! index union grows with tree depth) and an optional union bound that
-//! re-TopKs each merged partial, folding the trimmed mass back to the
-//! caller as a sparse *spill* for its error-feedback residual — nothing
-//! is silently lost. [`tree_combine_bounded`] is the in-memory mirror of
+//! [`sparse_allreduce_tree_v2`] is the one sparse tree (the `_v2` is
+//! historical; the benchmark adapter compiles against the name): reduce
+//! to rank 0 in the dense tree's combine order, broadcast the encoded
+//! result. It records a per-level wire profile ([`SparseLevelProfile`],
+//! measuring how the index union grows with tree depth) and, with a union
+//! bound, re-TopKs each merged partial, folding the trimmed mass back to
+//! the caller as a sparse *spill* for its error-feedback residual —
+//! nothing is silently lost.
+//! With default [`SparseTreeOpts`] the spill is empty and the sums are
+//! the dense tree's. [`tree_combine_bounded`] is the in-memory mirror of
 //! the same combine-and-trim order for the simulated backend.
 //!
 //! [`q8_allreduce_tree`] gives dense 8-bit quantization a real wire form:
@@ -41,6 +45,13 @@
 //! (`2 + ⌈m/4⌉` elements), merged partials and the result broadcast stay
 //! dense f32 — bitwise identical to the dense tree over the same
 //! quantized inputs.
+//!
+//! Frames arrive from peers, over [`crate::socket::SocketTransport`] from
+//! another process: every decoder validates its buffer once (header and
+//! payload lengths, strictly increasing in-range indices, a usable scale)
+//! and the trees check the dense length against the receiver's own, so a
+//! bad frame is a [`CommError::Malformed`] that leaves the receiver's
+//! partial untouched, never a panic or an out-of-bounds index.
 
 use crate::collectives::broadcast;
 use crate::transport::Transport;
@@ -70,6 +81,24 @@ fn trim_mag(v: f32) -> f32 {
     } else {
         v.abs()
     }
+}
+
+/// Why `idx` cannot be the index lane of a `len`-element sparse vector,
+/// if it cannot: [`SparseVec::add_assign`] merges on strictly increasing
+/// indices and [`SparseVec::to_dense`] indexes by them unchecked.
+fn index_fault(idx: &[u32], len: u32) -> Option<&'static str> {
+    if idx.windows(2).any(|w| w[0] >= w[1]) {
+        Some("indices not strictly increasing")
+    } else if idx.last().is_some_and(|&i| i >= len) {
+        Some("index beyond the dense length")
+    } else {
+        None
+    }
+}
+
+/// A quantization step a sender can have produced: finite and positive.
+fn scale_fault(scale: f32) -> Option<&'static str> {
+    (!(scale.is_finite() && scale > 0.0)).then_some("scale not finite and positive")
 }
 
 /// A sparse view of an `m`-element `f32` vector: sorted indices plus
@@ -102,6 +131,15 @@ impl SparseVec {
             len: dense.len() as u32,
             idx,
             val,
+        }
+    }
+
+    /// The all-zero vector of dense length `len`.
+    pub fn empty(len: u32) -> Self {
+        SparseVec {
+            len,
+            idx: Vec::new(),
+            val: Vec::new(),
         }
     }
 
@@ -168,72 +206,35 @@ impl SparseVec {
         out
     }
 
-    /// Decode an [`encode`](SparseVec::encode)d message.
-    ///
-    /// # Panics
-    /// Panics if the buffer is malformed.
-    pub fn decode(buf: &[f32]) -> Self {
-        assert!(buf.len() >= 2, "sparse message too short");
-        let len = buf[0].to_bits();
-        let nnz = buf[1].to_bits() as usize;
-        assert_eq!(buf.len(), 2 + 2 * nnz, "sparse message length mismatch");
-        let idx: Vec<u32> = buf[2..2 + nnz].iter().map(|v| v.to_bits()).collect();
-        let val = buf[2 + nnz..].to_vec();
-        SparseVec { len, idx, val }
+    /// Decode and validate an [`encode`](SparseVec::encode)d message.
+    pub fn decode(buf: &[f32]) -> Result<Self, CommError> {
+        let bad = |reason| CommError::Malformed {
+            frame: "sparse",
+            reason,
+        };
+        let [len, nnz, body @ ..] = buf else {
+            return Err(bad("shorter than its header"));
+        };
+        let (len, nnz) = (len.to_bits(), nnz.to_bits());
+        if body.len() as u64 != 2 * u64::from(nnz) {
+            return Err(bad("nnz disagrees with the payload length"));
+        }
+        let (idx, val) = body.split_at(body.len() / 2);
+        let idx: Vec<u32> = idx.iter().map(|v| v.to_bits()).collect();
+        match index_fault(&idx, len) {
+            Some(reason) => Err(bad(reason)),
+            None => Ok(SparseVec {
+                len,
+                idx,
+                val: val.to_vec(),
+            }),
+        }
     }
 }
 
 /// Tag space mirroring `collectives::tag` (kept private there).
 fn tag(op: u64, phase: u64) -> u64 {
     (op << 4) | phase
-}
-
-/// Binomial-tree sum-reduce of sparse vectors to `root`, in the exact
-/// combine order of [`crate::collectives::reduce_tree`]. On non-root ranks `sv`
-/// is left as the partial this rank forwarded.
-pub fn sparse_reduce_tree<T: Transport>(
-    comm: &mut T,
-    root: usize,
-    sv: &mut SparseVec,
-) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    let vrank = (comm.rank() + p - root) % p;
-    let mut bit = 1usize;
-    while bit < p {
-        if vrank & bit != 0 {
-            let parent_v = vrank & !bit;
-            let parent = (parent_v + root) % p;
-            comm.send(parent, tag(op, 1), sv.encode())?;
-            return Ok(());
-        }
-        let child_v = vrank | bit;
-        if child_v < p {
-            let child = (child_v + root) % p;
-            let part = SparseVec::decode(&comm.recv(child, tag(op, 1))?);
-            sv.add_assign(&part);
-        }
-        bit <<= 1;
-    }
-    Ok(())
-}
-
-/// Sparse allreduce (sum): sparse reduce to rank 0 plus broadcast of the
-/// encoded result. Every rank returns with the full sparse sum; wire
-/// traffic is `O(nnz)` per hop.
-pub fn sparse_allreduce_tree<T: Transport>(
-    comm: &mut T,
-    sv: &mut SparseVec,
-) -> Result<(), CommError> {
-    sparse_reduce_tree(comm, 0, sv)?;
-    let mut enc = sv.encode();
-    broadcast(comm, 0, &mut enc)?;
-    *sv = SparseVec::decode(&enc);
-    Ok(())
 }
 
 /// A sparse vector with 8-bit quantized values: the composed
@@ -272,32 +273,6 @@ impl SparseVec8 {
                 );
                 // lint:allow(float-cast): |q| ≤ 127 by the grid property.
                 q as i8
-            })
-            .collect();
-        SparseVec8 {
-            len: sv.len,
-            scale,
-            idx: sv.idx.clone(),
-            q,
-        }
-    }
-
-    /// Quantize an arbitrary sparse vector onto a fresh 8-bit grid
-    /// (scale = maxabs/127, clamped away from zero). Lossy: round-trip
-    /// error per entry is at most `scale/2`. NaN values map to `q = 0`.
-    pub fn quantize(sv: &SparseVec) -> Self {
-        let maxabs = sv.val.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-        let scale = (maxabs / 127.0).max(f32::MIN_POSITIVE);
-        let q = sv
-            .val
-            .iter()
-            .map(|&v| {
-                if v.is_nan() {
-                    0i8
-                } else {
-                    // lint:allow(float-cast): clamped to [-127, 127].
-                    (v / scale).round().clamp(-127.0, 127.0) as i8
-                }
             })
             .collect();
         SparseVec8 {
@@ -354,30 +329,32 @@ impl SparseVec8 {
         out
     }
 
-    /// Decode an [`encode`](SparseVec8::encode)d message.
-    ///
-    /// # Panics
-    /// Panics if the buffer is malformed.
-    pub fn decode(buf: &[f32]) -> Self {
-        assert!(buf.len() >= 3, "sparse8 message too short");
-        let len = buf[0].to_bits();
-        let nnz = buf[1].to_bits() as usize;
-        let scale = buf[2];
-        assert_eq!(
-            buf.len(),
-            sparse8_frame_elements(nnz),
-            "sparse8 message length mismatch"
-        );
-        let idx: Vec<u32> = buf[3..3 + nnz].iter().map(|v| v.to_bits()).collect();
-        let mut q = Vec::with_capacity(nnz);
-        for packed in &buf[3 + nnz..] {
-            for b in packed.to_bits().to_le_bytes() {
-                if q.len() < nnz {
-                    q.push(b as i8);
-                }
-            }
+    /// Decode and validate an [`encode`](SparseVec8::encode)d message.
+    pub fn decode(buf: &[f32]) -> Result<Self, CommError> {
+        let bad = |reason| CommError::Malformed {
+            frame: "sparse8",
+            reason,
+        };
+        let [len, nnz, scale, body @ ..] = buf else {
+            return Err(bad("shorter than its header"));
+        };
+        let (len, nnz, scale) = (len.to_bits(), u64::from(nnz.to_bits()), *scale);
+        if body.len() as u64 != nnz + nnz.div_ceil(4) {
+            return Err(bad("nnz disagrees with the payload length"));
         }
-        SparseVec8 { len, scale, idx, q }
+        // nnz ≤ body.len() by the check above, so it fits a usize.
+        let (idx, packed) = body.split_at(nnz as usize);
+        let idx: Vec<u32> = idx.iter().map(|v| v.to_bits()).collect();
+        if let Some(reason) = scale_fault(scale).or_else(|| index_fault(&idx, len)) {
+            return Err(bad(reason));
+        }
+        let q = packed
+            .iter()
+            .flat_map(|w| w.to_bits().to_le_bytes())
+            .map(|b| b as i8)
+            .take(idx.len())
+            .collect();
+        Ok(SparseVec8 { len, scale, idx, q })
     }
 }
 
@@ -439,8 +416,8 @@ impl SparseLevelProfile {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SparseTreeOpts {
     /// Re-TopK every merged partial down to this many entries, folding
-    /// the trimmed mass into the spill. `None` = unbounded (v1
-    /// behavior).
+    /// the trimmed mass into the spill. `None` = unbounded: partials
+    /// grow toward the index union and nothing spills.
     pub union_bound: Option<usize>,
     /// When set, leaf-level sends (a rank's own un-merged contribution,
     /// which the compressor placed exactly on this `q·scale` grid) ship
@@ -468,11 +445,7 @@ fn broadcast_level(p: usize) -> usize {
 fn trim_to_bound(sv: &mut SparseVec, bound: usize) -> SparseVec {
     let nnz = sv.idx.len();
     if nnz <= bound {
-        return SparseVec {
-            len: sv.len,
-            idx: Vec::new(),
-            val: Vec::new(),
-        };
+        return SparseVec::empty(sv.len);
     }
     let mut order: Vec<usize> = (0..nnz).collect();
     order.sort_by(|&a, &b| {
@@ -507,11 +480,32 @@ fn trim_to_bound(sv: &mut SparseVec, bound: usize) -> SparseVec {
     rest
 }
 
-/// Reduce phase of [`sparse_allreduce_tree_v2`] (root 0): v1's combine
-/// order plus per-level profiling, optional q8 leaf frames, and optional
-/// union-bound trimming after every merge (trimmed mass accumulates in
-/// `spill`).
-fn sparse_reduce_tree_v2<T: Transport>(
+/// Decode a frame received for a reduction over `len`-element vectors:
+/// a [`SparseVec8`] leaf frame when `q8`, a plain [`SparseVec`] otherwise.
+/// A sender that disagrees on the dense length is malformed too —
+/// [`SparseVec::add_assign`] would otherwise hit its assert.
+fn decode_part(buf: &[f32], q8: bool, len: u32) -> Result<SparseVec, CommError> {
+    let part = if q8 {
+        SparseVec8::decode(buf)?.to_sparse()
+    } else {
+        SparseVec::decode(buf)?
+    };
+    if part.len != len {
+        return Err(CommError::Malformed {
+            frame: "sparse",
+            reason: "dense length differs from the receiver's",
+        });
+    }
+    Ok(part)
+}
+
+/// Reduce phase of [`sparse_allreduce_tree_v2`] (root 0): the combine
+/// order of [`crate::collectives::reduce_tree`] (accumulated self `+=`
+/// incoming child, children in ascending bit order) plus per-level
+/// profiling, optional q8 leaf frames, and optional union-bound trimming
+/// after every merge (trimmed mass accumulates in `spill`). On non-root
+/// ranks `sv` is left as the partial this rank forwarded.
+fn reduce_to_root<T: Transport>(
     comm: &mut T,
     sv: &mut SparseVec,
     opts: SparseTreeOpts,
@@ -527,10 +521,11 @@ fn sparse_reduce_tree_v2<T: Transport>(
     let rank = comm.rank();
     let mut bit = 1usize;
     while bit < p {
+        let q8_leaf = bit == 1 && opts.q8_scale.is_some();
         if rank & bit != 0 {
             let parent = rank & !bit;
-            let enc = match (bit, opts.q8_scale) {
-                (1, Some(scale)) => SparseVec8::from_scaled(sv, scale).encode(),
+            let enc = match opts.q8_scale {
+                Some(scale) if q8_leaf => SparseVec8::from_scaled(sv, scale).encode(),
                 _ => sv.encode(),
             };
             profile.record(level_of(bit), 1, sv.nnz() as u64, enc.len() as u64);
@@ -539,11 +534,7 @@ fn sparse_reduce_tree_v2<T: Transport>(
         }
         let child = rank | bit;
         if child < p {
-            let buf = comm.recv(child, tag(op, 1))?;
-            let part = match (bit, opts.q8_scale) {
-                (1, Some(_)) => SparseVec8::decode(&buf).to_sparse(),
-                _ => SparseVec::decode(&buf),
-            };
+            let part = decode_part(&comm.recv(child, tag(op, 1))?, q8_leaf, sv.len)?;
             sv.add_assign(&part);
             if let Some(bound) = opts.union_bound {
                 let trimmed = trim_to_bound(sv, bound);
@@ -555,18 +546,22 @@ fn sparse_reduce_tree_v2<T: Transport>(
     Ok(())
 }
 
-/// Sparse allreduce v2: v1's reduce-to-0-plus-broadcast with per-level
-/// wire profiling, optional [`SparseVec8`] leaf frames, and an optional
-/// union bound. Returns this rank's *spill* — the mass its trims removed
-/// from partial sums — which the caller must fold into its
-/// error-feedback residual so nothing is lost. With default
-/// [`SparseTreeOpts`] the result is bitwise identical to
-/// [`sparse_allreduce_tree`] and the spill is empty.
+/// Sparse allreduce (sum): sparse reduce to rank 0 plus broadcast of the
+/// encoded result, `O(nnz)` wire elements per hop, with per-level wire
+/// profiling, optional [`SparseVec8`] leaf frames, and an optional union
+/// bound. Every rank returns with the full sparse sum in `sv` and its
+/// *spill* — the mass its trims removed from partial sums — which the
+/// caller must fold into its error-feedback residual so nothing is lost.
+/// With default [`SparseTreeOpts`] the spill is empty and the sums are
+/// bitwise the dense tree's over the densified inputs.
 ///
 /// Reduce sends are profiled at the sender; the result broadcast
 /// (`p − 1` messages of the root frame) is profiled analytically on
 /// rank 0, so merging all ranks' profiles counts every message exactly
 /// once.
+///
+/// A frame that fails validation is a [`CommError::Malformed`]; `sv` then
+/// still holds what this rank had accumulated before the bad frame.
 pub fn sparse_allreduce_tree_v2<T: Transport>(
     comm: &mut T,
     sv: &mut SparseVec,
@@ -574,12 +569,8 @@ pub fn sparse_allreduce_tree_v2<T: Transport>(
     profile: &mut SparseLevelProfile,
 ) -> Result<SparseVec, CommError> {
     let p = comm.size();
-    let mut spill = SparseVec {
-        len: sv.len,
-        idx: Vec::new(),
-        val: Vec::new(),
-    };
-    sparse_reduce_tree_v2(comm, sv, opts, profile, &mut spill)?;
+    let mut spill = SparseVec::empty(sv.len);
+    reduce_to_root(comm, sv, opts, profile, &mut spill)?;
     let mut enc = sv.encode();
     if comm.rank() == 0 && p > 1 {
         let msgs = (p - 1) as u64;
@@ -591,56 +582,44 @@ pub fn sparse_allreduce_tree_v2<T: Transport>(
         );
     }
     broadcast(comm, 0, &mut enc)?;
-    *sv = SparseVec::decode(&enc);
+    *sv = decode_part(&enc, false, sv.len)?;
     Ok(spill)
 }
 
 /// In-memory mirror of [`sparse_allreduce_tree_v2`] over all `p`
-/// contributions at once: identical combine order (ascending bit levels,
-/// receiver `r` absorbs `r | bit`), identical per-receiver trimming
-/// (`bounds[r]` is rank r's union bound), and the exact
-/// [`SparseLevelProfile`] the wire run's merged per-rank profiles would
-/// record. Returns `(total, per-rank spills, profile)`.
+/// contributions at once, `opts[r]` being what rank `r` would pass the
+/// wire collective: identical combine order (ascending bit levels,
+/// receiver `r` absorbs `r | bit`), identical per-receiver trimming, and
+/// the exact [`SparseLevelProfile`] the wire run's merged per-rank
+/// profiles would record. Returns `(total, per-rank spills, profile)`.
 ///
 /// The simulated backend aggregates through this so compressed runs stay
 /// bitwise identical to the threaded backend and its modeled wire
 /// accounting matches the measured traffic counters element-for-element.
 pub fn tree_combine_bounded(
     mut svs: Vec<SparseVec>,
-    q8_leaves: bool,
-    bounds: &[Option<usize>],
+    opts: &[SparseTreeOpts],
 ) -> (SparseVec, Vec<SparseVec>, SparseLevelProfile) {
     let p = svs.len();
     assert!(p > 0, "no contributions");
-    assert_eq!(bounds.len(), p, "one bound per rank");
+    assert_eq!(opts.len(), p, "one set of tree options per rank");
     let mut profile = SparseLevelProfile::default();
-    let mut spills: Vec<SparseVec> = svs
-        .iter()
-        .map(|s| SparseVec {
-            len: s.len,
-            idx: Vec::new(),
-            val: Vec::new(),
-        })
-        .collect();
+    let mut spills: Vec<SparseVec> = svs.iter().map(|s| SparseVec::empty(s.len)).collect();
     let mut bit = 1usize;
     while bit < p {
         let mut r = 0usize;
         while r + bit < p {
             let s = r + bit;
-            let frame = if bit == 1 && q8_leaves {
+            let frame = if bit == 1 && opts[s].q8_scale.is_some() {
                 sparse8_frame_elements(svs[s].nnz())
             } else {
                 sparse_frame_elements(svs[s].nnz())
             };
             profile.record(level_of(bit), 1, svs[s].nnz() as u64, frame as u64);
-            let empty = SparseVec {
-                len: svs[s].len,
-                idx: Vec::new(),
-                val: Vec::new(),
-            };
-            let part = std::mem::replace(&mut svs[s], empty);
+            // The sender's slot is never read again.
+            let part = std::mem::replace(&mut svs[s], SparseVec::empty(0));
             svs[r].add_assign(&part);
-            if let Some(bound) = bounds[r] {
+            if let Some(bound) = opts[r].union_bound {
                 let trimmed = trim_to_bound(&mut svs[r], bound);
                 spills[r].add_assign(&trimmed);
             }
@@ -684,30 +663,32 @@ fn dense8_encode(v: &[f32], scale: f32) -> Vec<f32> {
     out
 }
 
-/// Decode a [`dense8_encode`]d frame back to the dense `q·scale` vector
-/// (`q = 0` reconstructing canonical `+0.0`).
-///
-/// # Panics
-/// Panics if the buffer is malformed.
-fn dense8_decode(buf: &[f32]) -> Vec<f32> {
-    assert!(buf.len() >= 2, "dense8 message too short");
-    let m = buf[0].to_bits() as usize;
-    let scale = buf[1];
-    assert_eq!(
-        buf.len(),
-        dense8_frame_elements(m),
-        "dense8 message length mismatch"
-    );
-    let mut out = Vec::with_capacity(m);
-    for packed in &buf[2..] {
-        for b in packed.to_bits().to_le_bytes() {
-            if out.len() < m {
-                let q = b as i8;
-                out.push(if q == 0 { 0.0 } else { f32::from(q) * scale });
-            }
-        }
+/// Decode and validate a [`dense8_encode`]d frame for a receiver holding
+/// `m` elements, back to the dense `q·scale` vector (`q = 0`
+/// reconstructing canonical `+0.0`).
+fn dense8_decode(buf: &[f32], m: usize) -> Result<Vec<f32>, CommError> {
+    let bad = |reason| CommError::Malformed {
+        frame: "dense8",
+        reason,
+    };
+    let [len, scale, body @ ..] = buf else {
+        return Err(bad("shorter than its header"));
+    };
+    if len.to_bits() as usize != m {
+        return Err(bad("dense length differs from the receiver's"));
     }
-    out
+    if body.len() != m.div_ceil(4) {
+        return Err(bad("length disagrees with the payload length"));
+    }
+    if let Some(reason) = scale_fault(*scale) {
+        return Err(bad(reason));
+    }
+    let dequantize = |b: u8| match b as i8 {
+        0 => 0.0,
+        q => f32::from(q) * scale,
+    };
+    let bytes = body.iter().flat_map(|w| w.to_bits().to_le_bytes());
+    Ok(bytes.map(dequantize).take(m).collect())
 }
 
 /// Dense allreduce for 8-bit-quantized vectors: leaf-level sends (a
@@ -720,6 +701,10 @@ fn dense8_decode(buf: &[f32]) -> Vec<f32> {
 /// [`crate::collectives::allreduce_tree`] over the same (quantized)
 /// inputs — the 8-bit frame is a transport optimization, not an extra
 /// lossy step.
+///
+/// A leaf frame that fails validation, or a partial of the wrong length,
+/// is a [`CommError::Malformed`]; `v` then still holds what this rank had
+/// accumulated before it.
 pub fn q8_allreduce_tree<T: Transport>(
     comm: &mut T,
     v: &mut Vec<f32>,
@@ -747,7 +732,16 @@ pub fn q8_allreduce_tree<T: Transport>(
         let child = rank | bit;
         if child < p {
             let buf = comm.recv(child, tag(op, 1))?;
-            let part = if bit == 1 { dense8_decode(&buf) } else { buf };
+            let part = if bit == 1 {
+                dense8_decode(&buf, v.len())?
+            } else if buf.len() == v.len() {
+                buf
+            } else {
+                return Err(CommError::Malformed {
+                    frame: "dense partial",
+                    reason: "length differs from the receiver's",
+                });
+            };
             for (a, b) in v.iter_mut().zip(&part) {
                 *a += b;
             }
@@ -783,12 +777,20 @@ mod tests {
         out.into_iter().map(|o| o.expect("result")).collect()
     }
 
+    /// The unbounded f32 tree: no profile kept, and the spill must be empty.
+    fn plain_allreduce(c: &mut Communicator, sv: &mut SparseVec) {
+        let mut profile = SparseLevelProfile::default();
+        let spill = sparse_allreduce_tree_v2(c, sv, SparseTreeOpts::default(), &mut profile)
+            .expect("sparse allreduce");
+        assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let v = vec![0.0f32, -1.5, 0.0, 3.25, 0.0, 1e-30];
         let sv = SparseVec::from_dense(&v);
         assert_eq!(sv.nnz(), 3);
-        let back = SparseVec::decode(&sv.encode());
+        let back = SparseVec::decode(&sv.encode()).expect("own encoding");
         assert_eq!(back, sv);
         assert_eq!(back.to_dense(), v);
     }
@@ -835,7 +837,7 @@ mod tests {
             });
             let sparse = run_world(p, |c| {
                 let mut sv = SparseVec::from_dense(&input(c.rank()));
-                sparse_allreduce_tree(c, &mut sv).expect("sparse allreduce");
+                plain_allreduce(c, &mut sv);
                 sv.to_dense()
             });
             for (d, s) in dense.iter().zip(&sparse) {
@@ -880,7 +882,7 @@ mod tests {
                             v[j * 97 % m] = c.rank() as f32 + 1.0;
                         }
                         let mut sv = SparseVec::from_dense(&v);
-                        sparse_allreduce_tree(&mut c, &mut sv).expect("sparse allreduce");
+                        plain_allreduce(&mut c, &mut sv);
                     });
                 }
             });
@@ -917,32 +919,12 @@ mod tests {
         let q8 = SparseVec8::from_scaled(&sv, 0.03125);
         let enc = q8.encode();
         assert_eq!(enc.len(), sparse8_frame_elements(sv.nnz()));
-        let back = SparseVec8::decode(&enc);
+        let back = SparseVec8::decode(&enc).expect("own encoding");
         assert_eq!(back, q8);
         let rec = back.to_sparse();
         assert_eq!(rec.idx, sv.idx);
         for (a, b) in rec.val.iter().zip(&sv.val) {
             assert_eq!(a.to_bits(), b.to_bits(), "grid values survive the wire");
-        }
-    }
-
-    #[test]
-    fn sparse8_quantize_obeys_half_step_bound() {
-        // Off-grid values: a fresh quantization grid loses at most half a
-        // step per kept coordinate.
-        let mut v = vec![0.0f32; 64];
-        for (j, slot) in v.iter_mut().enumerate().skip(1) {
-            *slot = (j as f32 * 0.377).sin() * 2.5;
-        }
-        let sv = SparseVec::from_dense(&v);
-        let q8 = SparseVec8::quantize(&sv);
-        let rec = q8.to_sparse();
-        for ((&orig, &r), &i) in sv.val.iter().zip(&rec.val).zip(&sv.idx) {
-            assert!(
-                (orig - r).abs() <= q8.scale / 2.0 + 1e-6,
-                "coord {i}: {orig} -> {r}, step {}",
-                q8.scale
-            );
         }
     }
 
@@ -960,43 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_with_default_opts_matches_v1_bitwise_with_empty_spill() {
-        for p in [1usize, 2, 3, 4, 7, 8] {
-            let m = 17;
-            let input = |r: usize| -> Vec<f32> {
-                (0..m)
-                    .map(|j| {
-                        if (j + r).is_multiple_of(3) {
-                            (r as f32 + 1.0) * 0.1 + j as f32
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            };
-            let v1 = run_world(p, |c| {
-                let mut sv = SparseVec::from_dense(&input(c.rank()));
-                sparse_allreduce_tree(c, &mut sv).expect("v1");
-                sv.to_dense()
-            });
-            let v2 = run_world(p, |c| {
-                let mut sv = SparseVec::from_dense(&input(c.rank()));
-                let mut profile = SparseLevelProfile::default();
-                let spill =
-                    sparse_allreduce_tree_v2(c, &mut sv, SparseTreeOpts::default(), &mut profile)
-                        .expect("v2");
-                assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
-                sv.to_dense()
-            });
-            for (a, b) in v1.iter().zip(&v2) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "p={p}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn v2_wire_matches_in_memory_mirror_bitwise() {
         // q8 leaf frames + union bound, p across tree shapes: the wire
         // run and tree_combine_bounded must agree on the total, every
@@ -1006,23 +951,22 @@ mod tests {
             let scale = 0.03125f32;
             let bound = 6usize;
             let inputs: Vec<SparseVec> = (0..p).map(|r| grid_vector(m, scale, r + 1)).collect();
+            let opts = SparseTreeOpts {
+                union_bound: Some(bound),
+                q8_scale: Some(scale),
+            };
             let wire: Vec<(Vec<f32>, Vec<f32>, SparseLevelProfile)> = {
                 let inputs = &inputs;
                 run_world(p, move |c| {
                     let mut sv = inputs[c.rank()].clone();
                     let mut profile = SparseLevelProfile::default();
-                    let opts = SparseTreeOpts {
-                        union_bound: Some(bound),
-                        q8_scale: Some(scale),
-                    };
                     let spill = sparse_allreduce_tree_v2(c, &mut sv, opts, &mut profile)
-                        .expect("v2 bounded");
+                        .expect("bounded allreduce");
                     (sv.to_dense(), spill.to_dense(), profile)
                 })
             };
-            let bounds = vec![Some(bound); p];
             let (total, spills, mirror_profile) =
-                tree_combine_bounded(inputs.clone(), true, &bounds);
+                tree_combine_bounded(inputs.clone(), &vec![opts; p]);
             let total_dense = total.to_dense();
             let mut merged = SparseLevelProfile::default();
             for (r, (wire_total, wire_spill, profile)) in wire.iter().enumerate() {
@@ -1036,6 +980,14 @@ mod tests {
                 }
             }
             assert_eq!(merged, mirror_profile, "p={p}");
+        }
+    }
+
+    /// f32 frames, merged partials re-TopK'd to `bound` entries.
+    fn bounded(bound: usize) -> SparseTreeOpts {
+        SparseTreeOpts {
+            union_bound: Some(bound),
+            q8_scale: None,
         }
     }
 
@@ -1059,8 +1011,7 @@ mod tests {
             .flat_map(|sv| sv.val.iter())
             .map(|&v| f64::from(v))
             .sum();
-        let bounds = vec![Some(5usize); p];
-        let (total, spills, _) = tree_combine_bounded(inputs, false, &bounds);
+        let (total, spills, _) = tree_combine_bounded(inputs, &vec![bounded(5); p]);
         assert!(total.nnz() <= 5, "delivered vector respects the bound");
         let delivered: f64 = total.val.iter().map(|&v| f64::from(v)).sum();
         let spilled: f64 = spills
@@ -1089,15 +1040,16 @@ mod tests {
             SparseVec::from_dense(&v)
         };
         let svs: Vec<SparseVec> = (0..p).map(inputs).collect();
-        let (_, _, unbounded) = tree_combine_bounded(svs.clone(), false, &vec![None; p]);
+        let (_, _, unbounded) =
+            tree_combine_bounded(svs.clone(), &vec![SparseTreeOpts::default(); p]);
         let leaf = &unbounded.levels[0];
         let deepest = &unbounded.levels[2];
         assert!(
             deepest.nnz * leaf.messages > 2 * leaf.nnz * deepest.messages,
             "unbounded per-message nnz must grow with depth: {unbounded:?}"
         );
-        let (total, spills, bounded) = tree_combine_bounded(svs, false, &vec![Some(per_rank); p]);
-        for (level, s) in bounded.levels.iter().enumerate() {
+        let (total, spills, flat) = tree_combine_bounded(svs, &vec![bounded(per_rank); p]);
+        for (level, s) in flat.levels.iter().enumerate() {
             assert!(
                 s.nnz <= s.messages * per_rank as u64,
                 "level {level} exceeds the union bound: {s:?}"
@@ -1108,6 +1060,131 @@ mod tests {
             spills.iter().map(SparseVec::nnz).sum::<usize>() > 0,
             "trimmed mass lands in the spills"
         );
+    }
+
+    #[test]
+    fn malformed_frames_are_typed_errors_and_leave_the_partial_untouched() {
+        use crate::mock::mock_world;
+
+        /// The decoder a frame reaches: rank 0 receiving rank 1's reduce
+        /// frame (f32 sparse, 8-bit sparse, 8-bit dense), or rank 1
+        /// receiving rank 0's result broadcast.
+        #[derive(Clone, Copy, Debug)]
+        enum Lane {
+            Sparse,
+            Sparse8,
+            Dense8,
+            Result,
+        }
+        use Lane::{Dense8, Result, Sparse, Sparse8};
+
+        // The receiver's own contribution: m = 8, on the 0.25 grid.
+        let own_dense = [0.0f32, 0.5, 0.0, 0.0, -0.25, 0.0, 0.0, 1.0];
+        let own = SparseVec::from_dense(&own_dense);
+        let opts = |q8_scale| SparseTreeOpts {
+            union_bound: None,
+            q8_scale,
+        };
+        // Feed `frame` to the lane's decoder through the real collective;
+        // a rejected frame must leave the receiver's buffer as it was.
+        let run = |lane: Lane, frame: Vec<f32>| {
+            let mut world = mock_world(2).into_iter();
+            let mut r0 = world.next().expect("rank 0");
+            let mut r1 = world.next().expect("rank 1");
+            let mut profile = SparseLevelProfile::default();
+            let (mut sv, mut v) = (own.clone(), own_dense.to_vec());
+            let out = if let Result = lane {
+                let (_reduce, bcast) = (r0.next_op(), r0.next_op());
+                r0.send(1, tag(bcast, 0), frame).expect("send");
+                sparse_allreduce_tree_v2(&mut r1, &mut sv, opts(None), &mut profile).map(drop)
+            } else {
+                let reduce = r1.next_op();
+                r1.send(0, tag(reduce, 1), frame).expect("send");
+                match lane {
+                    Dense8 => q8_allreduce_tree(&mut r0, &mut v, 0.25),
+                    Sparse8 => {
+                        sparse_allreduce_tree_v2(&mut r0, &mut sv, opts(Some(0.25)), &mut profile)
+                            .map(drop)
+                    }
+                    _ => sparse_allreduce_tree_v2(&mut r0, &mut sv, opts(None), &mut profile)
+                        .map(drop),
+                }
+            };
+            if out.is_err() {
+                assert_eq!(sv, own, "{lane:?}: sparse partial untouched");
+                assert_eq!(v, own_dense, "{lane:?}: dense partial untouched");
+            }
+            out
+        };
+
+        let u = f32::from_bits;
+        let good = |lane| match lane {
+            Sparse | Result => own.encode(),
+            Sparse8 => SparseVec8::from_scaled(&own, 0.25).encode(),
+            Dense8 => dense8_encode(&own_dense, 0.25),
+        };
+        let set = |lane, at: usize, word: f32| {
+            let mut frame = good(lane);
+            frame[at] = word;
+            frame
+        };
+        // `good(lane)` with its index lane (own's is [1, 4, 7]) replaced.
+        let with_idx = |lane, idx: [u32; 3]| {
+            let mut frame = good(lane);
+            let at = if let Sparse8 = lane { 3 } else { 2 };
+            for (slot, i) in frame[at..at + 3].iter_mut().zip(idx) {
+                *slot = u(i);
+            }
+            frame
+        };
+        let mut corpus: Vec<(&str, Lane, Vec<f32>)> = Vec::new();
+        for lane in [Sparse, Sparse8, Dense8, Result] {
+            assert_eq!(run(lane, good(lane)), Ok(()), "{lane:?}: the control frame");
+            let whole = good(lane);
+            corpus.push(("empty", lane, Vec::new()));
+            corpus.push(("one element", lane, vec![u(8)]));
+            corpus.push(("truncated", lane, whole[..whole.len() - 1].to_vec()));
+            corpus.push(("one word too long", lane, [whole, vec![0.0]].concat()));
+            corpus.push(("len != receiver's", lane, set(lane, 0, u(9))));
+        }
+        for lane in [Sparse, Sparse8, Result] {
+            corpus.push(("nnz > payload", lane, set(lane, 1, u(4))));
+            corpus.push(("nnz < payload", lane, set(lane, 1, u(2))));
+            corpus.push(("nnz = u32::MAX", lane, set(lane, 1, u(u32::MAX))));
+            corpus.push(("index >= len", lane, with_idx(lane, [1, 4, 8])));
+            corpus.push(("unsorted indices", lane, with_idx(lane, [4, 1, 7])));
+            corpus.push(("duplicate indices", lane, with_idx(lane, [1, 1, 7])));
+        }
+        for (lane, at) in [(Sparse8, 2), (Dense8, 1)] {
+            for scale in [f32::NAN, f32::INFINITY, 0.0, -0.25] {
+                corpus.push(("unusable scale", lane, set(lane, at, scale)));
+            }
+        }
+        for (what, lane, frame) in corpus {
+            let out = run(lane, frame);
+            assert!(
+                matches!(out, Err(CommError::Malformed { .. })),
+                "{lane:?} / {what}: {out:?}"
+            );
+        }
+
+        // A merged (dense f32) partial of the wrong length, which only a
+        // rank with a grandchild receives: rank 0 of three.
+        let mut world = mock_world(3).into_iter();
+        let mut r0 = world.next().expect("rank 0");
+        for mut peer in world {
+            let reduce = peer.next_op();
+            let frame = match peer.rank() {
+                1 => good(Dense8),
+                _ => vec![0.0; 7],
+            };
+            peer.send(0, tag(reduce, 1), frame).expect("send");
+        }
+        let mut v = own_dense.to_vec();
+        let out = q8_allreduce_tree(&mut r0, &mut v, 0.25);
+        assert!(matches!(out, Err(CommError::Malformed { .. })), "{out:?}");
+        let after_leaf: Vec<f32> = own_dense.iter().map(|x| x + x).collect();
+        assert_eq!(v, after_leaf, "keeps what it had accumulated");
     }
 
     /// A dense vector on rank `r`'s own `q·scale` grid.
@@ -1128,7 +1205,7 @@ mod tests {
             let v = grid_dense(m, 0.0625, 2);
             let enc = dense8_encode(&v, 0.0625);
             assert_eq!(enc.len(), dense8_frame_elements(m));
-            assert_eq!(dense8_decode(&enc), v, "m={m}");
+            assert_eq!(dense8_decode(&enc, m).expect("own encoding"), v, "m={m}");
         }
     }
 

@@ -62,6 +62,16 @@ pub enum CommError {
     /// copy world settings at split time, so the call could never reach
     /// them — formerly it was silently ignored.
     WorldSplit,
+    /// A received buffer is not a valid frame of the kind the collective
+    /// expected at that point. Frames come from peers — over a socket,
+    /// from another process — so this is an error, not a panic; the
+    /// receiver's own partial result is left as it was.
+    Malformed {
+        /// Frame kind that failed validation (`"sparse"`, `"sparse8"`, …).
+        frame: &'static str,
+        /// What was wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -77,6 +87,9 @@ impl fmt::Display for CommError {
             CommError::NoCandidates => f.write_str("recv_any with empty candidate list"),
             CommError::WorldSplit => {
                 f.write_str("world configuration changed after endpoints were handed out")
+            }
+            CommError::Malformed { frame, reason } => {
+                write!(f, "malformed {frame} frame: {reason}")
             }
         }
     }

@@ -19,6 +19,7 @@
 //! staleness). The price is a fixed one-round staleness, reported through
 //! [`AggregationStrategy::collective_tau`].
 
+use sasgd_comm::sparse::SparseLevelProfile;
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
@@ -119,7 +120,7 @@ impl AggregationStrategy for DaSgdStrategy {
         l.gs.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32) {
+    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32, _history: &mut History) {
         // Launch this round's allreduce over the *pre-application*
         // parameters, in binomial-tree order with reciprocal scaling —
         // the exact float sequence of the threaded DelayedAverage op.
@@ -174,7 +175,7 @@ impl AggregationStrategy for DaSgdStrategy {
         }
     }
 
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
+    fn wire(&self, syncs: u64, _sparse_levels: &SparseLevelProfile) -> Option<WireStats> {
         // One dense tree allreduce per round: 2(p−1) messages of m
         // elements. No initial broadcast (replicas start identical).
         let p1 = (self.p - 1) as u64;

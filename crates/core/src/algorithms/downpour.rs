@@ -85,7 +85,7 @@ impl AggregationStrategy for DownpourStrategy {
         }
     }
 
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {
+    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, _history: &mut History) {
         // Lockstep Downpour: the same push/pull math, executed as a
         // bulk-synchronous round in rank order (τ = 0 by construction).
         let t_max = learners.iter().map(|l| l.clock).fold(0.0, f64::max);

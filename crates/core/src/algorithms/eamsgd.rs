@@ -122,7 +122,7 @@ impl AggregationStrategy for EamsgdStrategy {
         }
     }
 
-    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32) {
+    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32, _history: &mut History) {
         // Lockstep EAMSGD: the same elastic exchange, executed as a
         // bulk-synchronous round in rank order (τ = 0 by construction).
         let t_max = learners.iter().map(|l| l.clock).fold(0.0, f64::max);

@@ -100,7 +100,7 @@ impl AggregationStrategy for HierarchicalStrategy {
         cfg.cost.broadcast(m, self.p())
     }
 
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {
+    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, _history: &mut History) {
         let gp = self.gamma_p.resolve(gamma_now, self.per_group);
         level1(
             learners,

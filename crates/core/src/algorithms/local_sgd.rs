@@ -15,6 +15,7 @@
 //! stabilizes. Since `T` only grows, the adaptive run never aggregates
 //! more often than `Fixed { t: t0 }` over the same number of steps.
 
+use sasgd_comm::sparse::SparseLevelProfile;
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
@@ -123,7 +124,7 @@ impl AggregationStrategy for LocalSgdStrategy {
         l.gs.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32) {
+    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32, _history: &mut History) {
         // Barrier: averaging waits for the slowest learner, like SASGD's
         // aggregation.
         let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
@@ -149,7 +150,7 @@ impl AggregationStrategy for LocalSgdStrategy {
         self.last_signal.take()
     }
 
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
+    fn wire(&self, syncs: u64, _sparse_levels: &SparseLevelProfile) -> Option<WireStats> {
         // One dense tree allreduce per averaging round: 2(p−1) messages of
         // m elements each. No initial broadcast (replicas start identical).
         let p1 = (self.p - 1) as u64;

@@ -195,9 +195,6 @@ impl Algorithm {
                 p, t, compression, ..
             } => match compression {
                 None => format!("SASGD(p={p},T={t})"),
-                Some(Compression::TopK { ratio }) => {
-                    format!("SASGD-top{:.0}%(p={p},T={t})", ratio * 100.0)
-                }
                 Some(Compression::Uniform8Bit) => format!("SASGD-8bit(p={p},T={t})"),
                 Some(Compression::Sparse { k, q8, union_bound }) => {
                     let mut tag = k.tag();
@@ -287,9 +284,8 @@ mod tests {
             .label(),
             "Downpour-s\u{3b3}(p=2,T=1)"
         );
-        let comp =
-            Algorithm::sasgd_compressed(4, 8, GammaP::OverP, Compression::TopK { ratio: 0.1 });
-        assert_eq!(comp.label(), "SASGD-top10%(p=4,T=8)");
+        let comp = Algorithm::sasgd_compressed(4, 8, GammaP::OverP, Compression::topk(0.1));
+        assert_eq!(comp.label(), "SASGD-k10.0%(p=4,T=8)");
         assert_eq!(comp.learners(), 4);
         assert_eq!(comp.interval(), 8);
         let h = Algorithm::HierarchicalSasgd {

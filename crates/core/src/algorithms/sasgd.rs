@@ -12,19 +12,21 @@
 //! communication (wait) time, matching how the paper measures "time spent
 //! in communication" from a learner's perspective.
 //!
-//! With `compression`, each learner's accumulated gradient is compressed
-//! (with error feedback) before the allreduce; the aggregation cost is
-//! priced by the compressor's wire size, and on the threaded backend TopK
-//! payloads actually travel sparse.
+//! With `compression`, each learner's accumulated gradient goes through
+//! its own [`ErrorFeedback`] codec before the allreduce and the payloads
+//! are combined through the in-memory mirrors of the wire collectives —
+//! the same codec and the same combine order as the threaded backend's
+//! `GradTree`, so compressed runs are bitwise identical across backends.
+//! The aggregation cost is priced by the compressor's wire size.
 
-use sasgd_comm::sparse::{tree_combine_bounded, SparseLevelProfile, SparseVec};
+use sasgd_comm::sparse::{tree_combine_bounded, SparseLevelProfile};
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
 use crate::algorithms::GammaP;
-use crate::compress::{Compression, KState};
-use crate::engine::{simulated, AggregationStrategy};
-use crate::history::{History, SparsitySample, StalenessStats, WireStats, MAX_SPARSITY_SAMPLES};
+use crate::compress::{Compression, ErrorFeedback, Payload};
+use crate::engine::{simulated, tree_reduce, AggregationStrategy};
+use crate::history::{History, StalenessStats, WireStats};
 use crate::trainer::{Learner, TrainConfig};
 
 /// Algorithm 1 with optional compressed aggregation.
@@ -35,15 +37,8 @@ pub(crate) struct SasgdStrategy {
     compression: Option<Compression>,
     /// The shared (pre-interval) parameter vector `x`.
     x: Vec<f32>,
-    /// Error-feedback residuals, one per learner, carried across intervals.
-    residuals: Vec<Vec<f32>>,
-    /// Per-learner k-schedule state (compressed runs only).
-    kstates: Vec<KState>,
-    /// Per-sync compression telemetry, drained into [`History`].
-    samples: Vec<SparsitySample>,
-    /// Accumulated per-tree-level wire profile (sparse aggregation only) —
-    /// the exact element counts the threaded backend's counters measure.
-    profile: SparseLevelProfile,
+    /// Error-feedback state, one per learner (compressed runs only).
+    codecs: Vec<ErrorFeedback>,
     /// Sync rounds completed.
     rounds: u64,
     /// Cost of one (possibly compressed) allreduce.
@@ -67,27 +62,10 @@ impl SasgdStrategy {
             gamma_p,
             compression,
             x: Vec::new(),
-            residuals: Vec::new(),
-            kstates: Vec::new(),
-            samples: Vec::new(),
-            profile: SparseLevelProfile::default(),
+            codecs: Vec::new(),
             rounds: 0,
             ar_seconds: 0.0,
             m: 0,
-        }
-    }
-
-    /// Record one learner's compression outcome for the sparsity series.
-    fn push_sample(&mut self, rank: usize, k_eff: usize, residual_norm: f64) {
-        if self.samples.len() < MAX_SPARSITY_SAMPLES {
-            self.samples.push(SparsitySample {
-                round: self.rounds,
-                rank,
-                k_eff,
-                // lint:allow(float-cast): telemetry narrowing — the norm is
-                // accumulated in f64 for order-stability, reported in f32.
-                residual_norm: residual_norm as f32,
-            });
         }
     }
 }
@@ -114,96 +92,68 @@ impl AggregationStrategy for SasgdStrategy {
         self.x = x0.to_vec();
         self.ar_seconds = match self.compression {
             Some(c) => {
+                // The layer-wise schedule needs the model's parameter-block
+                // map; one throwaway replica yields the layout.
+                let blocks = factory().param_blocks();
+                self.codecs = (0..self.p)
+                    .map(|_| ErrorFeedback::new(c, self.m, blocks.clone()))
+                    .collect();
                 cfg.cost
                     .allreduce_tree_elements(c.wire_elements(self.m), self.p)
                     .seconds
             }
             None => cfg.cost.allreduce_tree(self.m, self.p).seconds,
         };
-        if let Some(c) = self.compression {
-            self.residuals = (0..self.p).map(|_| vec![0.0f32; self.m]).collect();
-            // The layer-wise schedule needs the model's parameter-block
-            // map; one throwaway replica yields the layout.
-            let blocks = if matches!(c, Compression::Sparse { .. }) {
-                factory().param_blocks()
-            } else {
-                Vec::new()
-            };
-            self.kstates = (0..self.p)
-                .map(|_| KState::new(&c, blocks.clone()))
-                .collect();
-        }
         cfg.cost.broadcast(self.m, self.p)
     }
 
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {
+    /// One global aggregation: gather every learner's payload, combine in
+    /// the wire collective's order (so the threaded backend reproduces
+    /// these parameters bit for bit), global step, then the barrier —
+    /// each learner waits for the slowest and pays the allreduce.
+    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History) {
         let gp = self.gamma_p.resolve(gamma_now, self.p);
         self.rounds += 1; // 1-based, matching the threaded backend's rounds
-        match self.compression {
-            Some(
-                comp @ Compression::Sparse {
-                    q8, union_bound, ..
-                },
-            ) => {
-                // Sparse aggregation: compress per learner, combine in the
-                // wire collective's order via the in-memory mirror, fold
-                // trim spills back into the rank-local residuals.
-                let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-                let p = learners.len();
-                let mut svs = Vec::with_capacity(p);
-                let mut bounds = Vec::with_capacity(p);
-                for (r, l) in learners.iter().enumerate() {
-                    let input: Vec<f32> =
-                        l.gs.iter()
-                            .zip(self.residuals[r].iter())
-                            .map(|(a, b)| a + b)
-                            .collect();
-                    let c = comp.compress_with(&input, &mut self.kstates[r]);
-                    self.residuals[r] = c.residual;
-                    self.push_sample(r, c.k_eff, c.residual_norm);
-                    bounds.push(if union_bound { Some(c.k_budget) } else { None });
-                    svs.push(SparseVec::from_dense(&c.dense));
-                }
-                let (total, spills, profile) = tree_combine_bounded(svs, q8, &bounds);
-                self.profile.merge(&profile);
-                for (res, spill) in self.residuals.iter_mut().zip(&spills) {
-                    for (&i, &v) in spill.idx.iter().zip(&spill.val) {
-                        res[i as usize] += v;
-                    }
-                }
-                let g = total.to_dense();
-                for (xi, &gv) in self.x.iter_mut().zip(&g) {
-                    *xi -= gp * gv;
-                }
-                for l in learners.iter_mut() {
-                    let wait = t_max - l.clock;
-                    l.charge_comm(wait + self.ar_seconds);
-                    l.model.write_params(&self.x);
-                    l.gs.iter_mut().for_each(|g| *g = 0.0);
-                }
-            }
-            _ => {
-                let outcomes = aggregate(
-                    learners,
-                    &mut self.x,
-                    gp,
-                    self.ar_seconds,
-                    self.compression,
-                    &mut self.residuals,
-                );
-                for (r, (k_eff, residual_norm)) in outcomes.into_iter().enumerate() {
-                    self.push_sample(r, k_eff, residual_norm);
+        let mut dense = Vec::new();
+        let (mut sparse, mut opts) = (Vec::new(), Vec::new());
+        for (r, l) in learners.iter().enumerate() {
+            let Some(codec) = self.codecs.get_mut(r) else {
+                // Uncompressed run: the payload is `gs` itself.
+                dense.push(l.gs.clone());
+                continue;
+            };
+            let enc = codec.encode(&l.gs);
+            // lint:allow(float-cast): telemetry narrowing — the norm is
+            // accumulated in f64 for order-stability, reported in f32.
+            history.push_sparsity(self.rounds, r, enc.k_eff, enc.residual_norm as f32);
+            match enc.payload {
+                Payload::Dense8(v, _) => dense.push(v),
+                Payload::Sparse(sv, o) => {
+                    sparse.push(sv);
+                    opts.push(o);
                 }
             }
         }
-    }
-
-    fn sparsity_series(&mut self) -> Vec<SparsitySample> {
-        std::mem::take(&mut self.samples)
-    }
-
-    fn sparse_levels(&self) -> SparseLevelProfile {
-        self.profile.clone()
+        let total = if sparse.is_empty() {
+            tree_reduce(dense)
+        } else {
+            let (total, spills, profile) = tree_combine_bounded(sparse, &opts);
+            history.sparse_levels.merge(&profile);
+            for (codec, spill) in self.codecs.iter_mut().zip(&spills) {
+                codec.absorb(spill);
+            }
+            total.to_dense()
+        };
+        for (xi, &g) in self.x.iter_mut().zip(&total) {
+            *xi -= gp * g;
+        }
+        let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
+        for l in learners.iter_mut() {
+            let wait = t_max - l.clock;
+            l.charge_comm(wait + self.ar_seconds);
+            l.model.write_params(&self.x);
+            l.gs.iter_mut().for_each(|g| *g = 0.0);
+        }
     }
 
     fn staleness(&self, syncs: u64) -> Option<StalenessStats> {
@@ -216,87 +166,30 @@ impl AggregationStrategy for SasgdStrategy {
         })
     }
 
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
-        // The analytic counterpart of the threaded backend's counters:
-        // one broadcast of x0 ((p−1)·m elements over p−1 messages) plus,
-        // per aggregation, a tree allreduce. Dense, Uniform8Bit, and
-        // Sparse are *exact* (dense and Uniform8Bit from the closed-form
-        // round cost, Sparse from the accumulated per-level profile);
-        // TopK keeps the documented full-k estimate.
+    fn wire(&self, syncs: u64, sparse_levels: &SparseLevelProfile) -> Option<WireStats> {
+        // The counterpart of the threaded backend's counters, exact in
+        // every arm: one broadcast of x0 ((p−1)·m elements over p−1
+        // messages) plus, per aggregation, a tree allreduce — closed-form
+        // for dense and Uniform8Bit, the accumulated per-level profile
+        // for Sparse.
         let p1 = (self.p - 1) as u64;
         let bcast = p1 * self.m as u64;
-        match self.compression {
-            None => Some(WireStats {
-                elements: bcast + 2 * p1 * self.m as u64 * syncs,
-                messages: p1 + 2 * p1 * syncs,
-            }),
-            Some(c @ Compression::Uniform8Bit) => {
-                let (round, _) = c.round_wire_bounds(self.m, self.p);
-                Some(WireStats {
-                    elements: bcast + round * syncs,
-                    messages: p1 + 2 * p1 * syncs,
-                })
-            }
-            Some(Compression::Sparse { .. }) => Some(WireStats {
-                elements: bcast + self.profile.total_elements(),
-                messages: p1 + self.profile.total_messages(),
-            }),
-            Some(c @ Compression::TopK { .. }) => {
-                let per_ar = c.wire_elements(self.m);
-                Some(WireStats {
-                    // lint:allow(float-cast): wire accounting — element
-                    // counts are integers well below 2^53, so the f64
-                    // round-trip is exact.
-                    elements: bcast + 2 * p1 * (per_ar * syncs as f64) as u64,
-                    messages: p1 + 2 * p1 * syncs,
-                })
-            }
-        }
+        let (elements, messages) = match self.compression {
+            None => (2 * p1 * self.m as u64 * syncs, 2 * p1 * syncs),
+            Some(c @ Compression::Uniform8Bit) => (
+                c.round_wire_bounds(self.m, self.p).0 * syncs,
+                2 * p1 * syncs,
+            ),
+            Some(Compression::Sparse { .. }) => (
+                sparse_levels.total_elements(),
+                sparse_levels.total_messages(),
+            ),
+        };
+        Some(WireStats {
+            elements: bcast + elements,
+            messages: p1 + messages,
+        })
     }
-}
-
-/// One global aggregation: barrier (wait for the slowest learner),
-/// allreduce of the (optionally compressed) accumulated gradients, global
-/// step, redistribution. Returns each learner's `(k_eff, residual_norm)`
-/// compression outcome (empty when uncompressed).
-pub(crate) fn aggregate(
-    learners: &mut [Learner],
-    x: &mut [f32],
-    gamma_p: f32,
-    allreduce_seconds: f64,
-    compression: Option<Compression>,
-    residuals: &mut [Vec<f32>],
-) -> Vec<(usize, f64)> {
-    let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-    let mut outcomes = Vec::new();
-    // Sum gs across learners in binomial-tree order — the exact reduction
-    // order of sasgd-comm's allreduce, so the threaded backend reproduces
-    // these parameters bit for bit.
-    let bufs: Vec<Vec<f32>> = match compression {
-        None => learners.iter().map(|l| l.gs.clone()).collect(),
-        Some(comp) => learners
-            .iter()
-            .zip(residuals.iter_mut())
-            .map(|(l, res)| {
-                let input: Vec<f32> = l.gs.iter().zip(res.iter()).map(|(a, b)| a + b).collect();
-                let c = comp.compress(&input);
-                *res = c.residual;
-                outcomes.push((c.k_eff, c.residual_norm));
-                c.dense
-            })
-            .collect(),
-    };
-    let total = crate::engine::tree_reduce(bufs);
-    for (xi, &g) in x.iter_mut().zip(&total) {
-        *xi -= gamma_p * g;
-    }
-    for l in learners.iter_mut() {
-        let wait = t_max - l.clock;
-        l.charge_comm(wait + allreduce_seconds);
-        l.model.write_params(x);
-        l.gs.iter_mut().for_each(|g| *g = 0.0);
-    }
-    outcomes
 }
 
 /// Run SASGD on the simulated backend. `T = 1` is classic bulk-synchronous
@@ -439,7 +332,7 @@ mod tests {
             2,
             2,
             GammaP::OverP,
-            Some(Compression::TopK { ratio: 0.1 }),
+            Some(Compression::topk(0.1)),
         );
         let (d, s) = (dense.wire.expect("wire"), sparse.wire.expect("wire"));
         assert!(

@@ -3,17 +3,22 @@
 //!
 //! Every scheme carries **error feedback** (the part of the gradient a
 //! round drops is folded into the next round's accumulator, so nothing is
-//! permanently lost):
+//! permanently lost). [`ErrorFeedback`] is that round, once: one rank's
+//! residual and schedule state, `encode` turning an accumulated gradient
+//! into the payload the allreduce carries, `absorb` taking back what the
+//! sparse tree trimmed. Both backends hold it — the threaded exchange puts
+//! the payload on the wire collectives, the simulated strategy combines
+//! `p` payloads through their in-memory mirrors — so the bitwise
+//! simulated == threaded guarantee rests on one copy of the sequence.
 //!
-//! * [`Compression::TopK`] — keep the `k = ratio·m` largest-magnitude
-//!   coordinates at a fixed ratio (the static scheme from PR 2);
 //! * [`Compression::Uniform8Bit`] — linear quantization of every value to
 //!   8 bits with a per-vector scale;
-//! * [`Compression::Sparse`] — adaptive sparsification v2: a
-//!   [`KSchedule`] chooses this round's k (fixed, norm-adaptive à la
-//!   Deng et al., or allocated layer-wise by per-block gradient norm),
-//!   optionally composed with 8-bit value quantization (`q8`) and a
-//!   union-growth bound in the sparse tree reduce (`union_bound`).
+//! * [`Compression::Sparse`] — sparsification: a [`KSchedule`] chooses
+//!   this round's k (fixed — [`Compression::topk`] is the plain spelling —
+//!   norm-adaptive à la Deng et al., or allocated layer-wise by per-block
+//!   gradient norm), optionally composed with 8-bit value quantization
+//!   (`q8`) and a union-growth bound in the sparse tree reduce
+//!   (`union_bound`).
 //!
 //! **NaN policy** (bugfix): a NaN coordinate's magnitude is treated as
 //! +∞, so selection always keeps it and the poison surfaces downstream
@@ -37,7 +42,9 @@
 //! engine's wire-accounting test reconciles it against the threaded
 //! backend's traffic counters.
 
-use sasgd_comm::sparse::{dense8_frame_elements, sparse8_frame_elements, sparse_frame_elements};
+use sasgd_comm::sparse::{
+    dense8_frame_elements, sparse8_frame_elements, sparse_frame_elements, SparseTreeOpts, SparseVec,
+};
 
 /// Selection magnitude: NaN maps to +∞ so it is always kept (see the
 /// module-level NaN policy). Identical to `v.abs()` for non-NaN input.
@@ -173,6 +180,16 @@ fn apportion(weights: &[f64], caps: &[usize], k_total: usize) -> Vec<usize> {
         }
     }
     ks
+}
+
+/// Elements of the frame a learner's own `nnz` kept coordinates travel
+/// in: the composed 8-bit codec when `q8`, the f32 sparse frame otherwise.
+fn leaf_frame_elements(q8: bool, nnz: usize) -> usize {
+    if q8 {
+        sparse8_frame_elements(nnz)
+    } else {
+        sparse_frame_elements(nnz)
+    }
 }
 
 /// Messages a binomial-tree reduce to one root sends at each level:
@@ -337,8 +354,8 @@ fn ratio_to_k(ratio: f64, m: usize) -> usize {
 }
 
 /// Per-learner mutable schedule state: the current ratio of a
-/// [`KSchedule`], the model's parameter-block map for layer-wise
-/// allocation, and the last round's outcome for instrumentation.
+/// [`KSchedule`] and the model's parameter-block map for layer-wise
+/// allocation.
 ///
 /// Each learner owns one `KState` for the whole run; both backends drive
 /// it with the same inputs in the same order, so the schedule itself is
@@ -348,10 +365,6 @@ pub struct KState {
     schedule: KSchedule,
     ratio_now: f64,
     blocks: Vec<(usize, usize)>,
-    /// Nonzero coordinates actually transmitted last round.
-    pub last_k: usize,
-    /// `‖residual‖₂` after the last round.
-    pub last_residual_norm: f64,
 }
 
 impl KState {
@@ -360,23 +373,19 @@ impl KState {
     ///
     /// # Panics
     /// Panics on invalid [`Compression::Sparse`] schedule parameters (see
-    /// [`KSchedule::validate`]); the legacy schemes validate their own
-    /// ratio at compression time.
+    /// [`KSchedule::validate`]).
     pub fn new(c: &Compression, blocks: Vec<(usize, usize)>) -> Self {
         let schedule = match *c {
             Compression::Sparse { k, .. } => {
                 k.validate();
                 k
             }
-            Compression::TopK { ratio } => KSchedule::Fixed { ratio },
             Compression::Uniform8Bit => KSchedule::Fixed { ratio: 1.0 },
         };
         KState {
             schedule,
             ratio_now: schedule.base_ratio(),
             blocks,
-            last_k: 0,
-            last_residual_norm: 0.0,
         }
     }
 
@@ -391,7 +400,7 @@ impl KState {
 /// ```
 /// use sasgd_core::Compression;
 /// let g = [0.1f32, -5.0, 0.2, 3.0];
-/// let c = Compression::TopK { ratio: 0.5 }.compress(&g);
+/// let c = Compression::topk(0.5).compress(&g);
 /// // The two largest-magnitude coordinates survive; the rest feed the
 /// // error-feedback residual.
 /// assert_eq!(c.dense, vec![0.0, -5.0, 0.0, 3.0]);
@@ -399,17 +408,11 @@ impl KState {
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Compression {
-    /// Keep the largest `ratio·m` coordinates (0 < ratio ≤ 1); the rest
-    /// stay in the sender's residual.
-    TopK {
-        /// Fraction of coordinates kept.
-        ratio: f64,
-    },
     /// 8-bit linear quantization of every coordinate.
     Uniform8Bit,
-    /// Adaptive sparsification: a [`KSchedule`] picks each round's k,
-    /// optionally composed with 8-bit value quantization and a
-    /// union-growth bound in the sparse tree.
+    /// Sparsification: a [`KSchedule`] picks each round's k (the rest
+    /// stay in the sender's residual), optionally composed with 8-bit
+    /// value quantization and a union-growth bound in the sparse tree.
     Sparse {
         /// Per-round k policy.
         k: KSchedule,
@@ -443,6 +446,16 @@ pub struct Compressed {
 }
 
 impl Compression {
+    /// Plain top-k: keep the largest `ratio·m` coordinates
+    /// (0 < ratio ≤ 1) every round, f32 values, unbounded tree.
+    pub fn topk(ratio: f64) -> Self {
+        Compression::Sparse {
+            k: KSchedule::fixed(ratio),
+            q8: false,
+            union_bound: false,
+        }
+    }
+
     /// Compress `g` statelessly: adaptive schedules run from their
     /// starting ratio with no block map. Prefer
     /// [`Compression::compress_with`] inside a run.
@@ -460,16 +473,6 @@ impl Compression {
     /// Panics if a ratio is outside `(0, 1]`.
     pub fn compress_with(&self, g: &[f32], state: &mut KState) -> Compressed {
         match *self {
-            Compression::TopK { ratio } => {
-                assert!(ratio > 0.0 && ratio <= 1.0, "top-k ratio must be in (0,1]");
-                let m = g.len();
-                let k = ratio_to_k(ratio, m);
-                let mut c = sparse_compress(g, &[(0, m)], &[k], k, false);
-                c.k_budget = k;
-                state.last_k = c.k_eff;
-                state.last_residual_norm = c.residual_norm;
-                c
-            }
             Compression::Uniform8Bit => {
                 let m = g.len();
                 let maxabs = g.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
@@ -492,8 +495,6 @@ impl Compression {
                     residual.push(v - rec);
                 }
                 let residual_norm = l2_norm(&residual);
-                state.last_k = m;
-                state.last_residual_norm = residual_norm;
                 Compressed {
                     dense,
                     residual,
@@ -521,7 +522,7 @@ impl Compression {
                 } else {
                     (vec![(0, m)], vec![k_total])
                 };
-                let mut c = sparse_compress(g, &blocks, &ks, k_total, q8);
+                let c = sparse_compress(g, &blocks, &ks, k_total, q8);
                 if let KSchedule::NormAdaptive {
                     ratio_min,
                     ratio_max,
@@ -537,30 +538,21 @@ impl Compression {
                         state.ratio_now = next.clamp(ratio_min, ratio_max);
                     }
                 }
-                c.k_budget = k_total;
-                state.last_k = c.k_eff;
-                state.last_residual_norm = c.residual_norm;
                 c
             }
         }
     }
 
     /// `f32` elements of one *leaf* wire frame for an `m`-parameter
-    /// gradient (for the α–β cost model): top-k ships a
+    /// gradient (for the α–β cost model): sparse ships a
     /// `[len, nnz, idx…, val…]` frame (`2 + 2k`); 8-bit ships a packed
     /// `[len, scale, q…]` frame (`2 + ⌈m/4⌉`); the composed sparse codec
     /// ships `[len, nnz, scale, idx…, q…]` (`3 + k + ⌈k/4⌉`).
     pub fn wire_elements(&self, m: usize) -> f64 {
         match *self {
-            Compression::TopK { ratio } => sparse_frame_elements(ratio_to_k(ratio, m)) as f64,
             Compression::Uniform8Bit => dense8_frame_elements(m) as f64,
             Compression::Sparse { k, q8, .. } => {
-                let kk = ratio_to_k(k.base_ratio(), m);
-                if q8 {
-                    sparse8_frame_elements(kk) as f64
-                } else {
-                    sparse_frame_elements(kk) as f64
-                }
+                leaf_frame_elements(q8, ratio_to_k(k.base_ratio(), m)) as f64
             }
         }
     }
@@ -597,56 +589,116 @@ impl Compression {
                 }
                 (total, total)
             }
-            Compression::TopK { ratio } => {
-                let k = ratio_to_k(ratio, m);
-                sparse_round_bounds(&levels, bcast_msgs, m, p, k, k, false, false)
-            }
             Compression::Sparse { k, q8, union_bound } => {
+                // Leaf frames at the leaf codec size, internal/broadcast
+                // frames at the f32 sparse size, nnz growing with subtree
+                // size unless bounded.
                 let (kmin, kmax) = k.k_bounds(m);
-                sparse_round_bounds(&levels, bcast_msgs, m, p, kmin, kmax, q8, union_bound)
+                let leaf = |nnz: usize| leaf_frame_elements(q8, nnz) as u64;
+                let inner = |nnz: usize| sparse_frame_elements(nnz) as u64;
+                let cap = |subtree: usize| {
+                    if union_bound {
+                        kmax
+                    } else {
+                        (subtree * kmax).min(m)
+                    }
+                };
+                let mut min = bcast_msgs * inner(kmin);
+                let mut max = bcast_msgs * inner(cap(p));
+                for &(bit, n) in &levels {
+                    let (lo, hi) = if bit == 1 {
+                        (leaf(kmin), leaf(kmax))
+                    } else {
+                        (inner(kmin), inner(cap(bit)))
+                    };
+                    min += n * lo;
+                    max += n * hi;
+                }
+                (min, max)
             }
         }
     }
 }
 
-/// Shared sparse-round bracket: leaf frames at the leaf codec size,
-/// internal/broadcast frames at the f32 sparse size, nnz growing with
-/// subtree size unless bounded.
-#[allow(clippy::too_many_arguments)]
-fn sparse_round_bounds(
-    levels: &[(usize, u64)],
-    bcast_msgs: u64,
-    m: usize,
-    p: usize,
-    kmin: usize,
-    kmax: usize,
-    q8: bool,
-    bounded: bool,
-) -> (u64, u64) {
-    let leaf = |nnz: usize| -> u64 {
-        if q8 {
-            sparse8_frame_elements(nnz) as u64
-        } else {
-            sparse_frame_elements(nnz) as u64
+/// What one rank contributes to a compressed allreduce: the form the
+/// collective carries, not yet on any wire.
+pub enum Payload {
+    /// The kept coordinates and the options they travel the sparse tree
+    /// under (this rank's union bound; its 8-bit grid, when the kept
+    /// values sit on one).
+    Sparse(SparseVec, SparseTreeOpts),
+    /// Every coordinate, on this rank's 8-bit grid `q·scale`. No scale:
+    /// the gradient was all zeros and travels as plain dense f32.
+    Dense8(Vec<f32>, Option<f32>),
+}
+
+/// Outcome of one [`ErrorFeedback::encode`].
+pub struct Encoded {
+    /// What goes on the allreduce.
+    pub payload: Payload,
+    /// Nonzero coordinates in the payload.
+    pub k_eff: usize,
+    /// `‖residual‖₂` left behind by this round's compression.
+    pub residual_norm: f64,
+}
+
+/// One rank's error-feedback compression state: the scheme, the residual
+/// it has not transmitted yet, and its k schedule. The only place the
+/// round `input = gs + residual → compress → residual = what was dropped`
+/// is written; whoever aggregates the payloads (wire collective or
+/// in-memory mirror) hands trimmed mass back through
+/// [`absorb`](ErrorFeedback::absorb).
+pub struct ErrorFeedback {
+    comp: Compression,
+    residual: Vec<f32>,
+    kstate: KState,
+}
+
+impl ErrorFeedback {
+    /// Fresh state (zero residual) for an `m`-parameter model whose
+    /// per-layer parameter block map is `blocks` (`Model::param_blocks`).
+    ///
+    /// # Panics
+    /// Panics on invalid schedule parameters (see [`KState::new`]).
+    pub fn new(comp: Compression, m: usize, blocks: Vec<(usize, usize)>) -> Self {
+        ErrorFeedback {
+            comp,
+            residual: vec![0.0; m],
+            kstate: KState::new(&comp, blocks),
         }
-    };
-    let inner = |nnz: usize| sparse_frame_elements(nnz) as u64;
-    let mut min = 0u64;
-    let mut max = 0u64;
-    for &(bit, n) in levels {
-        let (lo, hi) = if bit == 1 {
-            (leaf(kmin), leaf(kmax))
-        } else {
-            let cap = if bounded { kmax } else { (bit * kmax).min(m) };
-            (inner(kmin), inner(cap))
-        };
-        min += n * lo;
-        max += n * hi;
     }
-    let bcap = if bounded { kmax } else { (p * kmax).min(m) };
-    min += bcast_msgs * inner(kmin);
-    max += bcast_msgs * inner(bcap);
-    (min, max)
+
+    /// Compress `gs + residual` into this round's payload; what the
+    /// payload does not carry becomes the new residual.
+    pub fn encode(&mut self, gs: &[f32]) -> Encoded {
+        let input: Vec<f32> = gs.iter().zip(&self.residual).map(|(a, b)| a + b).collect();
+        let c = self.comp.compress_with(&input, &mut self.kstate);
+        self.residual = c.residual;
+        let payload = match self.comp {
+            Compression::Uniform8Bit => Payload::Dense8(c.dense, c.q8_scale),
+            Compression::Sparse { union_bound, .. } => Payload::Sparse(
+                SparseVec::from_dense(&c.dense),
+                SparseTreeOpts {
+                    union_bound: union_bound.then_some(c.k_budget),
+                    q8_scale: c.q8_scale,
+                },
+            ),
+        };
+        Encoded {
+            payload,
+            k_eff: c.k_eff,
+            residual_norm: c.residual_norm,
+        }
+    }
+
+    /// Fold back the mass the sparse tree trimmed from partial sums this
+    /// rank merged (`spill` of `sparse_allreduce_tree_v2` /
+    /// `tree_combine_bounded`), so it is retransmitted, not lost.
+    pub fn absorb(&mut self, spill: &SparseVec) {
+        for (&i, &v) in spill.idx.iter().zip(&spill.val) {
+            self.residual[i as usize] += v;
+        }
+    }
 }
 
 /// Core sparse compression: per-block top-k selection, optional 8-bit
@@ -664,8 +716,7 @@ fn sparse_compress(
     let mut residual = vec![0.0f32; m];
     if k_total >= m && blocks.len() == 1 && !q8 {
         // Lossless identity: preserve the input bit-for-bit (including
-        // signed zeros) with an all-zero residual, as ratio-1.0 TopK
-        // always has.
+        // signed zeros) with an all-zero residual.
         d.copy_from_slice(g);
         let k_eff = g.iter().filter(|&&v| v != 0.0).count();
         return Compressed {
@@ -726,7 +777,7 @@ mod tests {
     #[test]
     fn topk_keeps_exactly_k_and_preserves_total() {
         let g = vec![0.1, -5.0, 0.2, 3.0, -0.05, 0.0, 1.0, -0.3];
-        let c = Compression::TopK { ratio: 0.25 }.compress(&g);
+        let c = Compression::topk(0.25).compress(&g);
         let kept = c.dense.iter().filter(|&&v| v != 0.0).count();
         assert_eq!(kept, 2);
         assert_eq!(c.k_eff, 2);
@@ -741,7 +792,7 @@ mod tests {
     #[test]
     fn topk_full_ratio_is_lossless() {
         let g = vec![1.0, -2.0, 3.0];
-        let c = Compression::TopK { ratio: 1.0 }.compress(&g);
+        let c = Compression::topk(1.0).compress(&g);
         assert_eq!(c.dense, g);
         assert!(c.residual.iter().all(|&r| r == 0.0));
     }
@@ -749,7 +800,7 @@ mod tests {
     #[test]
     fn topk_handles_ties_without_over_keeping() {
         let g = vec![2.0, -2.0, 2.0, 2.0];
-        let c = Compression::TopK { ratio: 0.5 }.compress(&g);
+        let c = Compression::topk(0.5).compress(&g);
         let kept = c.dense.iter().filter(|&&v| v != 0.0).count();
         assert_eq!(kept, 2, "exactly k survive even with ties");
     }
@@ -760,7 +811,7 @@ mod tests {
         // the tie pass must not promote zeros. Everything real is kept,
         // the residual is exactly zero.
         let g = vec![0.0f32, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0];
-        let c = Compression::TopK { ratio: 0.5 }.compress(&g);
+        let c = Compression::topk(0.5).compress(&g);
         assert_eq!(c.dense, g);
         assert_eq!(c.k_eff, 2);
         assert!(c.residual.iter().all(|&r| r == 0.0));
@@ -772,7 +823,7 @@ mod tests {
         // pairs to Equal, so one NaN made the kept set arbitrary. Policy:
         // NaN magnitude is +∞ — always kept, poison surfaces downstream.
         let g = vec![1.0f32, f32::NAN, 3.0, 2.0];
-        let c = Compression::TopK { ratio: 0.5 }.compress(&g);
+        let c = Compression::topk(0.5).compress(&g);
         assert!(c.dense[1].is_nan(), "NaN coordinate must be kept");
         assert_eq!(c.dense[2], 3.0, "largest finite coordinate rides along");
         assert_eq!(c.dense[0], 0.0);
@@ -823,24 +874,6 @@ mod tests {
         let g = vec![0.0f32; 8];
         let c = Compression::Uniform8Bit.compress(&g);
         assert_eq!(c.dense, g);
-    }
-
-    #[test]
-    fn sparse_fixed_matches_topk_bitwise() {
-        let mut rng = SeedRng::new(7);
-        let g: Vec<f32> = (0..257).map(|_| rng.normal()).collect();
-        let a = Compression::TopK { ratio: 0.25 }.compress(&g);
-        let b = Compression::Sparse {
-            k: KSchedule::fixed(0.25),
-            q8: false,
-            union_bound: false,
-        }
-        .compress(&g);
-        for i in 0..g.len() {
-            assert_eq!(a.dense[i].to_bits(), b.dense[i].to_bits());
-            assert_eq!(a.residual[i].to_bits(), b.residual[i].to_bits());
-        }
-        assert_eq!(a.k_eff, b.k_eff);
     }
 
     #[test]
@@ -986,7 +1019,7 @@ mod tests {
     #[test]
     fn wire_elements_shrink() {
         let m = 506_378;
-        assert!(Compression::TopK { ratio: 0.01 }.wire_elements(m) < m as f64 * 0.03);
+        assert!(Compression::topk(0.01).wire_elements(m) < m as f64 * 0.03);
         let packed = 2.0 + (m as f64 / 4.0).ceil();
         assert!((Compression::Uniform8Bit.wire_elements(m) - packed).abs() < 1e-9);
         let composed = Compression::Sparse {
@@ -1048,17 +1081,16 @@ mod tests {
         // gradient, the cumulative transmitted vector approaches
         // rounds × gradient.
         let g = vec![1.0f32, 0.2, 0.05, -0.6];
-        let comp = Compression::TopK { ratio: 0.25 };
-        let mut residual = vec![0.0f32; 4];
+        let mut codec = ErrorFeedback::new(Compression::topk(0.25), 4, Vec::new());
         let mut transmitted = [0.0f32; 4];
         let rounds = 40;
         for _ in 0..rounds {
-            let input: Vec<f32> = g.iter().zip(&residual).map(|(a, b)| a + b).collect();
-            let c = comp.compress(&input);
-            for (t, &d) in transmitted.iter_mut().zip(&c.dense) {
+            let Payload::Sparse(sv, _) = codec.encode(&g).payload else {
+                panic!("top-k ships sparse");
+            };
+            for (t, d) in transmitted.iter_mut().zip(sv.to_dense()) {
                 *t += d;
             }
-            residual = c.residual;
         }
         for (i, (&t, &gi)) in transmitted.iter().zip(&g).enumerate() {
             let expect = gi * rounds as f32;
@@ -1070,9 +1102,108 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "top-k ratio")]
+    fn error_feedback_conserves_mass_and_is_the_same_on_the_wire_and_in_memory() {
+        use sasgd_comm::sparse::{sparse_allreduce_tree_v2, tree_combine_bounded};
+        use sasgd_comm::sparse::{SparseLevelProfile, SparseVec};
+        use sasgd_comm::world::CommWorld;
+
+        // Dyadic gradients (multiples of 1/8, |g| < 64) keep every sum in
+        // the test exact in f32, so conservation can be asserted to the
+        // bit; the union bound makes the tree spill, which is the part of
+        // the round a codec does not see until `absorb`.
+        let (p, m, rounds) = (4usize, 96usize, 6usize);
+        let comp = Compression::Sparse {
+            k: KSchedule::layer_wise(0.125),
+            q8: false,
+            union_bound: true,
+        };
+        let blocks = vec![(0, 32), (32, 96)];
+        let mut rng = SeedRng::new(11);
+        let mut grad = || -> Vec<f32> {
+            (0..m)
+                .map(|_| (rng.below(1001) as f32 - 500.0) / 8.0)
+                .collect()
+        };
+        let grads: Vec<Vec<Vec<f32>>> = (0..rounds)
+            .map(|_| (0..p).map(|_| grad()).collect())
+            .collect();
+        let codecs = || -> Vec<ErrorFeedback> {
+            (0..p)
+                .map(|_| ErrorFeedback::new(comp, m, blocks.clone()))
+                .collect()
+        };
+        let sparse = |enc: Encoded| match enc.payload {
+            Payload::Sparse(sv, opts) => (sv, opts),
+            Payload::Dense8(..) => panic!("a sparse scheme ships sparse"),
+        };
+
+        // p codecs combined in memory, as the simulated backend does.
+        let mut sim = codecs();
+        let mut transmitted = vec![0.0f32; m];
+        let mut spilled = 0usize;
+        for round in &grads {
+            let (svs, opts): (Vec<SparseVec>, Vec<_>) = sim
+                .iter_mut()
+                .zip(round)
+                .map(|(codec, g)| sparse(codec.encode(g)))
+                .unzip();
+            let (total, spills, _) = tree_combine_bounded(svs, &opts);
+            for (codec, spill) in sim.iter_mut().zip(&spills) {
+                spilled += spill.nnz();
+                codec.absorb(spill);
+            }
+            for (t, d) in transmitted.iter_mut().zip(total.to_dense()) {
+                *t += d;
+            }
+        }
+        assert!(spilled > 0, "the union bound must actually trim");
+        // Σ transmitted + Σ residuals == Σ inputs, per coordinate.
+        for j in 0..m {
+            let input: f32 = grads.iter().flatten().map(|g| g[j]).sum();
+            let owed: f32 = sim.iter().map(|codec| codec.residual[j]).sum();
+            assert_eq!(transmitted[j] + owed, input, "coordinate {j}");
+        }
+
+        // The same p codecs, each on its own rank of a real wire tree.
+        let mut world = CommWorld::new(p);
+        let wire: Vec<ErrorFeedback> = std::thread::scope(|scope| {
+            let handles: Vec<_> = world
+                .communicators()
+                .into_iter()
+                .zip(codecs())
+                .map(|(mut comm, mut codec)| {
+                    let grads = &grads;
+                    scope.spawn(move || {
+                        let mut profile = SparseLevelProfile::default();
+                        for round in grads {
+                            let (mut sv, opts) = sparse(codec.encode(&round[comm.rank()]));
+                            let spill =
+                                sparse_allreduce_tree_v2(&mut comm, &mut sv, opts, &mut profile)
+                                    .expect("allreduce");
+                            codec.absorb(&spill);
+                        }
+                        codec
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank thread"))
+                .collect()
+        });
+        for (r, (a, b)) in sim.iter().zip(&wire).enumerate() {
+            let bits = |codec: &ErrorFeedback| -> Vec<u32> {
+                codec.residual.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b), "rank {r} residual");
+            assert_eq!(a.kstate.ratio().to_bits(), b.kstate.ratio().to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ratio must be in (0,1]")]
     fn bad_ratio_rejected() {
-        Compression::TopK { ratio: 0.0 }.compress(&[1.0]);
+        Compression::topk(0.0).compress(&[1.0]);
     }
 
     #[test]

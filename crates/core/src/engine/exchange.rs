@@ -15,16 +15,13 @@ use sasgd_comm::collectives::{allreduce_tree, broadcast};
 use sasgd_comm::ft::{ft_allreduce, FtError, Membership};
 use sasgd_comm::hierarchy::GroupedComm;
 use sasgd_comm::ps_transport::{PsLayout, PsTransportClient, PsTransportError};
-use sasgd_comm::sparse::{
-    q8_allreduce_tree, sparse_allreduce_tree, sparse_allreduce_tree_v2, SparseLevelProfile,
-    SparseTreeOpts, SparseVec,
-};
+use sasgd_comm::sparse::{q8_allreduce_tree, sparse_allreduce_tree_v2};
 use sasgd_comm::transport::Transport;
 use sasgd_nn::Model;
 
 use super::{delta_sq_norm, FaultConfig};
 use crate::algorithms::{Algorithm, GammaP};
-use crate::compress::{Compression, KState};
+use crate::compress::{ErrorFeedback, Payload};
 use crate::history::{History, MembershipEvent, RetirementEvent};
 use crate::trainer::Learner;
 
@@ -138,77 +135,37 @@ fn global_step(x: &mut [f32], gp: f32, total: &[f32], model: &mut Model) {
     model.write_params(x);
 }
 
-/// Error-feedback compression state of one rank.
-struct Codec {
-    comp: Compression,
-    residual: Vec<f32>,
-    kstate: KState,
-}
-
-impl Codec {
-    fn new(comp: Compression, model: &Model) -> Self {
-        let blocks = match comp {
-            Compression::Sparse { .. } => model.param_blocks(),
-            _ => Vec::new(),
-        };
-        Codec {
-            comp,
-            residual: vec![0.0; model.param_len()],
-            kstate: KState::new(&comp, blocks),
+/// Allreduce `gs` through `codec`: its payload travels in the payload's
+/// own wire form — the sparse tree, exact 8-bit leaf frames, or (an
+/// all-zero gradient has no 8-bit grid) the dense tree — and the tree's
+/// spill goes back into the codec. Records `(round, rank, k_eff,
+/// residual_norm)` and the per-level wire stats; returns the dense total.
+fn compressed_allreduce<T: Transport>(
+    codec: &mut ErrorFeedback,
+    comm: &mut T,
+    gs: &[f32],
+    round: Round<'_>,
+) -> Result<Vec<f32>, WireError> {
+    let enc = codec.encode(gs);
+    // lint:allow(float-cast): telemetry narrowing — the norm is a
+    // monitoring signal, not part of the update arithmetic.
+    let norm = enc.residual_norm as f32;
+    let history = round.history;
+    history.push_sparsity(round.number, comm.rank(), enc.k_eff, norm);
+    Ok(match enc.payload {
+        Payload::Sparse(mut sv, opts) => {
+            let levels = &mut history.sparse_levels;
+            codec.absorb(&sparse_allreduce_tree_v2(comm, &mut sv, opts, levels)?);
+            sv.to_dense()
         }
-    }
-
-    /// Compress `gs + residual`, allreduce over the scheme's wire form —
-    /// plain sparse tree for [`Compression::TopK`], exact 8-bit leaf frames
-    /// for [`Compression::Uniform8Bit`] (dense tree for the all-zero
-    /// gradient, which has no q8 scale), the instrumented v2 sparse tree
-    /// for [`Compression::Sparse`] — and return the dense total. Records
-    /// `(round, rank, k_eff, residual_norm)` plus per-level wire stats and
-    /// folds any union-bound spill back into the residual.
-    fn allreduce<T: Transport>(
-        &mut self,
-        comm: &mut T,
-        gs: &[f32],
-        round: Round<'_>,
-    ) -> Result<Vec<f32>, WireError> {
-        let input: Vec<f32> = gs.iter().zip(&self.residual).map(|(a, b)| a + b).collect();
-        let c = self.comp.compress_with(&input, &mut self.kstate);
-        self.residual = c.residual;
-        // lint:allow(float-cast): telemetry narrowing — the norm is a
-        // monitoring signal, not part of the update arithmetic.
-        let norm = c.residual_norm as f32;
-        let history = round.history;
-        history.push_sparsity(round.number, comm.rank(), c.k_eff, norm);
-        Ok(match self.comp {
-            Compression::TopK { .. } => {
-                let mut sv = SparseVec::from_dense(&c.dense);
-                sparse_allreduce_tree(comm, &mut sv)?;
-                sv.to_dense()
+        Payload::Dense8(mut buf, scale) => {
+            match scale {
+                Some(scale) => q8_allreduce_tree(comm, &mut buf, scale)?,
+                None => allreduce_tree(comm, &mut buf)?,
             }
-            Compression::Uniform8Bit => {
-                let mut buf = c.dense;
-                match c.q8_scale {
-                    Some(scale) => q8_allreduce_tree(comm, &mut buf, scale)?,
-                    None => allreduce_tree(comm, &mut buf)?,
-                }
-                buf
-            }
-            Compression::Sparse { union_bound, .. } => {
-                let mut sv = SparseVec::from_dense(&c.dense);
-                let opts = SparseTreeOpts {
-                    union_bound: union_bound.then_some(c.k_budget),
-                    q8_scale: c.q8_scale,
-                };
-                let mut profile = SparseLevelProfile::default();
-                let spill = sparse_allreduce_tree_v2(comm, &mut sv, opts, &mut profile)?;
-                history.sparse_levels.merge(&profile);
-                for (&i, &v) in spill.idx.iter().zip(&spill.val) {
-                    self.residual[i as usize] += v;
-                }
-                sv.to_dense()
-            }
-        })
-    }
+            buf
+        }
+    })
 }
 
 /// SASGD: tree allreduce of the accumulated gradients (optionally
@@ -216,7 +173,7 @@ impl Codec {
 struct GradTree<T> {
     comm: T,
     gamma_p: GammaP,
-    codec: Option<Codec>,
+    codec: Option<ErrorFeedback>,
     x: Vec<f32>,
 }
 
@@ -225,7 +182,7 @@ impl<T: Transport> Exchange for GradTree<T> {
         let gp = self.gamma_p.resolve(round.gamma, self.comm.size());
         match self.codec.as_mut() {
             Some(codec) => {
-                let total = codec.allreduce(&mut self.comm, &l.gs, round)?;
+                let total = compressed_allreduce(codec, &mut self.comm, &l.gs, round)?;
                 global_step(&mut self.x, gp, &total, &mut l.model);
             }
             None => {
@@ -618,7 +575,8 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             Endpoint::Flat(mut comm, None),
         ) => Box::new(GradTree {
             x: broadcast_x0(&mut comm, l)?,
-            codec: compression.map(|comp| Codec::new(comp, &l.model)),
+            codec: compression
+                .map(|comp| ErrorFeedback::new(comp, l.model.param_len(), l.model.param_blocks())),
             comm,
             gamma_p,
         }),

@@ -36,7 +36,7 @@ use sasgd_nn::Model;
 
 use sasgd_comm::sparse::SparseLevelProfile;
 
-use crate::history::{History, SparsitySample, StalenessStats, WireStats};
+use crate::history::{History, StalenessStats, WireStats};
 use crate::schedule::SyncPolicy;
 use crate::trainer::{Learner, TrainConfig};
 
@@ -214,8 +214,9 @@ pub(crate) trait AggregationStrategy {
         l.local_step(data, idx, gamma, step_s, jitter);
     }
 
-    /// Global sync across all learners (lockstep cadence).
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32) {}
+    /// Global sync across all learners; compression telemetry goes into
+    /// `history` (the sparsity series, the sparse tree's level profile).
+    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History) {}
 
     /// End-of-epoch bookkeeping, before the epoch record is taken (e.g.
     /// refresh an averaged evaluation replica, charge a one-shot
@@ -233,28 +234,16 @@ pub(crate) trait AggregationStrategy {
         None
     }
 
-    /// Analytic wire-traffic accounting for the simulated backend, given
-    /// the number of sync points executed.
-    fn wire(&self, syncs: u64) -> Option<WireStats> {
+    /// Wire-traffic accounting for the simulated backend, given the
+    /// number of sync points executed and the level profile its sparse
+    /// aggregations recorded.
+    fn wire(&self, syncs: u64, sparse_levels: &SparseLevelProfile) -> Option<WireStats> {
         None
     }
 
     /// Final parameters reported in [`History`].
     fn final_params(&mut self, learners: &[Learner]) -> Vec<f32> {
         learners[0].model.param_vector()
-    }
-
-    /// Drain the per-sync `(round, rank, k_eff, residual_norm)` telemetry
-    /// an adaptive-compression strategy recorded; strategies without
-    /// compression return nothing.
-    fn sparsity_series(&mut self) -> Vec<SparsitySample> {
-        Vec::new()
-    }
-
-    /// Per-tree-level wire profile accumulated by a sparse-aggregating
-    /// strategy (empty for dense strategies).
-    fn sparse_levels(&self) -> SparseLevelProfile {
-        SparseLevelProfile::default()
     }
 
     /// One local minibatch (event-driven cadence; virtual time is the

@@ -145,7 +145,7 @@ fn run_lockstep(
                 round: syncs,
             };
             if s.should_communicate(ctx) == CommDecision::Communicate {
-                s.sync(&mut learners, gamma_now);
+                s.sync(&mut learners, gamma_now, &mut history);
                 // Lockstep aggregations apply fresh state: τ = 0 for every
                 // rank, by construction.
                 for id in 0..p {
@@ -172,10 +172,8 @@ fn run_lockstep(
         history.records.push(rec);
     }
     history.staleness = s.staleness(syncs);
-    history.wire = s.wire(syncs);
+    history.wire = s.wire(syncs, &history.sparse_levels);
     history.sync_rounds = syncs;
-    history.sparsity_series = s.sparsity_series();
-    history.sparse_levels = s.sparse_levels();
     history.final_params = Some(s.final_params(&learners));
     history
 }
@@ -356,7 +354,7 @@ fn run_event_collective(
         if t_now >= 1 {
             // Collective rendezvous: the strategy aggregates all learners
             // (charging waits and wire time to their clocks itself).
-            s.sync(&mut learners, gamma_now);
+            s.sync(&mut learners, gamma_now, &mut history);
             let tau = s.collective_tau();
             for id in 0..p {
                 let gamma_eff = s.observe_staleness(id, tau, gamma_now);
@@ -394,10 +392,8 @@ fn run_event_collective(
         history.records.push(rec);
     }
     history.staleness = StalenessStats::from_observations(&staleness_obs);
-    history.wire = s.wire(syncs);
+    history.wire = s.wire(syncs, &history.sparse_levels);
     history.sync_rounds = syncs;
-    history.sparsity_series = s.sparsity_series();
-    history.sparse_levels = s.sparse_levels();
     history.final_params = Some(s.final_params(&learners));
     history
 }

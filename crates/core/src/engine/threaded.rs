@@ -19,7 +19,7 @@ use super::exchange::Endpoint;
 use super::rank::{drive, supported_cadence};
 use super::{EngineError, FaultConfig};
 use crate::algorithms::Algorithm;
-use crate::history::{History, WireStats, MAX_SPARSITY_SAMPLES};
+use crate::history::{History, WireStats};
 use crate::trainer::TrainConfig;
 
 /// Join rank threads (handles in rank order).
@@ -80,16 +80,21 @@ fn spawn_ranks<E: Send>(
         .collect::<Result<Vec<_>, _>>()?
         .into_iter();
     let mut history = ranks.next().expect("at least one rank");
+    let mut sparsity = std::mem::take(&mut history.sparsity_series);
     for peer in ranks {
-        history.sparsity_series.extend(peer.sparsity_series);
+        sparsity.extend(peer.sparsity_series);
         history.sparse_levels.merge(&peer.sparse_levels);
         history.retirements.extend(peer.retirements);
         if individually {
             history.sync_rounds += peer.sync_rounds;
         }
     }
-    history.sparsity_series.sort_by_key(|s| (s.round, s.rank));
-    history.sparsity_series.truncate(MAX_SPARSITY_SAMPLES);
+    // Re-pushed in (round, rank) order, so the merged series is capped
+    // where — and keeps the samples — the simulated backend's is.
+    sparsity.sort_by_key(|s| (s.round, s.rank));
+    for s in sparsity {
+        history.push_sparsity(s.round, s.rank, s.k_eff, s.residual_norm);
+    }
     history.retirements.sort_by_key(|r| (r.round, r.rank));
     history.wire = Some(wire());
     Ok(history)

@@ -41,7 +41,7 @@ fn main() {
                 p: 8,
                 t: 5,
                 gamma_p: GammaP::OverP,
-                compression: Some(Compression::TopK { ratio: 0.1 }),
+                compression: Some(Compression::topk(0.1)),
             },
             Algorithm::Sasgd {
                 p: 8,

@@ -394,11 +394,7 @@ type Family = (fn(usize) -> Algorithm, bool, bool);
 const FAMILIES: [Family; 14] = [
     (|_| Algorithm::Sequential, true, true),
     (|p| sasgd_with(p, None), true, true),
-    (
-        |p| sasgd_with(p, Some(Compression::TopK { ratio: 0.25 })),
-        true,
-        true,
-    ),
+    (|p| sasgd_with(p, Some(Compression::topk(0.25))), true, true),
     (
         |p| sasgd_with(p, Some(Compression::Uniform8Bit)),
         true,
@@ -582,12 +578,13 @@ fn compressed_wire_volumes_match_their_models() {
     // epoch → 3 sync rounds.
     let syncs = 3u64;
     let bcast = (p as u64 - 1) * m; // initial parameter broadcast
-    let wire_of = |compression| {
+    let wire_on = |backend, compression| {
         let algo = sasgd_with(p, compression);
-        let h = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
+        let h = Executor::new(backend).run(&factory, &train_set, &test_set, &algo, &cfg);
         assert_eq!(h.sync_rounds, syncs);
         h.wire.expect("wire").elements
     };
+    let wire_of = |compression| wire_on(Backend::Threaded, compression);
     // Dense traffic is exactly modeled: reduce + broadcast move 2(p−1)·m
     // elements per round.
     let dense = wire_of(None);
@@ -602,10 +599,13 @@ fn compressed_wire_volumes_match_their_models() {
             bcast + syncs * hi
         );
     };
-    let topk = Compression::TopK { ratio: 0.1 };
+    let topk = Compression::topk(0.1);
     let s = wire_of(Some(topk));
-    assert!(s < dense / 2, "TopK-10% wire {s} vs dense {dense}");
+    assert!(s < dense / 2, "top-10% wire {s} vs dense {dense}");
     in_bracket(topk, s);
+    // A fixed-k run's modeled wire comes from the level profile, like every
+    // sparse scheme's: not an estimate, the measured count.
+    assert_eq!(wire_on(Backend::Simulated, Some(topk)), s);
 
     // Uniform8Bit traffic is exactly modeled (packed leaf frames, dense
     // f32 internal partials and broadcast).

@@ -73,7 +73,7 @@ fn goldens() -> Vec<Golden> {
                 p: 2,
                 t: 2,
                 gamma_p: GammaP::OverP,
-                compression: Some(Compression::TopK { ratio: 0.25 }),
+                compression: Some(Compression::topk(0.25)),
             },
             hash: 0x7b15_802e_c791_7c13,
             head: [0xbd80551d, 0xbcea33ec, 0x3d54e1f0, 0x3de00d6f],

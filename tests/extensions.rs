@@ -45,7 +45,7 @@ fn compressed_sasgd_learns_and_saves_traffic_time() {
             p: 4,
             t: 2,
             gamma_p: GammaP::OverP,
-            compression: Some(Compression::TopK { ratio: 0.1 }),
+            compression: Some(Compression::topk(0.1)),
         },
         &c,
     );
@@ -326,7 +326,7 @@ fn compressed_comm_cost_reflects_wire_elements() {
     let m = 506_378;
     let dense = cost.allreduce_tree(m, 8).seconds;
     let sparse = cost
-        .allreduce_tree_elements(Compression::TopK { ratio: 0.1 }.wire_elements(m), 8)
+        .allreduce_tree_elements(Compression::topk(0.1).wire_elements(m), 8)
         .seconds;
     assert!(sparse < dense * 0.4, "sparse {sparse} vs dense {dense}");
 }

@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 use sasgd::comm::collectives::{allreduce_ring, allreduce_tree, broadcast};
-use sasgd::comm::sparse::{sparse_allreduce_tree, SparseVec};
+use sasgd::comm::sparse::{
+    sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec,
+};
 use sasgd::comm::world::CommWorld;
 use sasgd::core::epoch_time::{epoch_time, Aggregation, Workload};
 use sasgd::core::theory;
@@ -177,7 +179,7 @@ proptest! {
         // other is +0.0; -0.0 inputs are normalized away since x + -0.0
         // only differs from x at that one bit pattern).
         let g: Vec<f32> = raw.iter().map(|&x| if x == 0.0 { 0.0 } else { x }).collect();
-        let c = Compression::TopK { ratio }.compress(&g);
+        let c = Compression::topk(ratio).compress(&g);
         for ((d, r), orig) in c.dense.iter().zip(&c.residual).zip(&g) {
             prop_assert_eq!((d + r).to_bits(), orig.to_bits());
             prop_assert!(*d == 0.0 || *r == 0.0, "coordinate split between dense and residual");
@@ -231,7 +233,9 @@ proptest! {
         });
         let sparse = run_ranks(p, move |c| {
             let mut sv = SparseVec::from_dense(&make(c.rank()));
-            sparse_allreduce_tree(c, &mut sv).expect("sparse allreduce");
+            let mut profile = SparseLevelProfile::default();
+            sparse_allreduce_tree_v2(c, &mut sv, SparseTreeOpts::default(), &mut profile)
+                .expect("sparse allreduce");
             sv.to_dense()
         });
         for (dv, sv) in dense.iter().zip(&sparse) {
