@@ -6,6 +6,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sasgd_comm::collectives::allreduce_tree;
 use sasgd_comm::ps_transport::{run_world, PsLayout};
 use sasgd_comm::world::CommWorld;
+use sasgd_core::compress::ErrorFeedback;
+use sasgd_core::{Compression, KSchedule};
+use sasgd_nn::models;
+use sasgd_tensor::SeedRng;
+use std::hint::black_box;
 use std::thread;
 use std::time::Duration;
 
@@ -50,5 +55,39 @@ fn bench_aggregation(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_aggregation);
+/// One rank's error-feedback round on the NLC net (m = 1 733 511, its
+/// real block map) at the benchmark's `nlc_sparse_p2` setting: layer-wise
+/// top-1 %, residual carried from call to call.
+fn bench_encode(c: &mut Criterion) {
+    let mut g = c.benchmark_group("encode");
+    g.sample_size(20);
+    let blocks = models::nlc_net(20, &mut SeedRng::new(1)).param_blocks();
+    let m = blocks.last().expect("the NLC net has parameters").1;
+    let mut rng = SeedRng::new(2);
+    // Per-block scales a decade apart, a third of the coordinates exactly
+    // zero: batch-1 gradients are that sparse before the residual fills in.
+    let mut gs = vec![0.0f32; m];
+    for (j, &(lo, hi)) in blocks.iter().enumerate() {
+        let scale = 10f32.powi(-(j as i32 % 3));
+        for v in &mut gs[lo..hi] {
+            *v = if rng.below(3) == 0 {
+                0.0
+            } else {
+                rng.normal() * scale
+            };
+        }
+    }
+    let comp = Compression::Sparse {
+        k: KSchedule::layer_wise(0.01),
+        q8: false,
+        union_bound: false,
+    };
+    let mut codec = ErrorFeedback::new(comp, m, blocks);
+    g.bench_function("nlc_1.7M_layerwise_1pct", |b| {
+        b.iter(|| black_box(codec.encode(black_box(&gs)).k_eff))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_aggregation, bench_encode);
 criterion_main!(benches);

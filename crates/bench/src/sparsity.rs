@@ -8,16 +8,24 @@
 //! budget allocation, and the composed scheme (fixed k + 8-bit leaf
 //! quantization + union-bounded merges). Each sparse row also reports the
 //! mean nonzeros per message at every tree level — the union-growth curve
-//! the composed scheme exists to flatten. The composed point is run twice
+//! the composed scheme exists to flatten — and, next to the bytes, what they
+//! cost in time: the run's wall-clock per sync round and a steady-state
+//! probe of one rank's `ErrorFeedback::encode` at the workload's model
+//! size, with the bytes it allocates. The composed point is run twice
 //! and compared bitwise (`deterministic_replay`), and once on the
 //! simulated backend (`cross_backend_bitwise`), so both flags are
 //! measured, not asserted.
 
+use std::time::Instant;
+
 use sasgd_core::algorithms::GammaP;
+use sasgd_core::compress::ErrorFeedback;
 use sasgd_core::report::ascii_table;
 use sasgd_core::{Algorithm, Backend, Compression, Executor, History, KSchedule, TrainConfig};
 use sasgd_simnet::JitterModel;
+use sasgd_tensor::SeedRng;
 
+use crate::alloc;
 use crate::figures::Artifact;
 use crate::scale::{cifar_workload, Scale};
 
@@ -34,6 +42,9 @@ const ACC_TOL: f32 = 0.02;
 /// Wire-reduction factor the best adaptive point must reach at p = 8
 /// while staying inside `ACC_TOL`.
 const WIRE_GATE: f64 = 10.0;
+/// Rounds the encode probe runs before it measures (scratch buffers grow
+/// to their steady size) and rounds it measures.
+const PROBE_ROUNDS: (usize, usize) = (2, 9);
 
 /// The sweep at one learner count. The first entry is the dense baseline.
 fn schemes() -> Vec<(&'static str, Option<Compression>)> {
@@ -81,6 +92,60 @@ pub struct SparsityRow {
     /// Mean nonzeros per message at each tree level (reduce levels in
     /// bit order, then the broadcast level; empty for dense).
     pub nnz_per_level: Vec<f64>,
+    /// Wall-clock of the whole run over its sync rounds, in ms (T = 1: one
+    /// step and one round each, evaluation and start-up amortised in).
+    pub round_ms: f64,
+    /// The probe's numbers for this row's scheme (zeros for dense).
+    pub encode: EncodeProbe,
+}
+
+/// Steady-state cost of one rank's `ErrorFeedback::encode`.
+#[derive(Clone, Copy, Default)]
+pub struct EncodeProbe {
+    /// Median wall-clock of one call, in ms.
+    pub ms_per_round: f64,
+    /// Heap bytes one call requests (0 when the counting allocator is not
+    /// installed, i.e. outside the `repro` binary).
+    pub alloc_bytes_per_round: u64,
+}
+
+/// Run `comp`'s codec alone for a few rounds of a synthetic gradient at
+/// the model's size and block map, residual carried, and measure the
+/// rounds after the warm-up.
+///
+/// # Panics
+/// A scheme whose budget is fixed at [`RATIO`] must allocate less than an
+/// eighth of one `m`-element f32 vector per round: its payload and some
+/// O(blocks) bookkeeping, never a dense temporary. (An adaptive budget may
+/// legitimately grow the payload itself past that.)
+fn encode_probe(comp: Compression, blocks: &[(usize, usize)], m: usize) -> EncodeProbe {
+    let mut rng = SeedRng::new(0xE7C0);
+    let gs: Vec<f32> = (0..m).map(|_| rng.normal()).collect();
+    let mut codec = ErrorFeedback::new(comp, m, blocks.to_vec());
+    let (warmup, measured) = PROBE_ROUNDS;
+    for _ in 0..warmup {
+        codec.encode(&gs);
+    }
+    let mut ms = Vec::with_capacity(measured);
+    let mut bytes = 0;
+    for _ in 0..measured {
+        let (b0, t0) = (alloc::bytes(), Instant::now());
+        std::hint::black_box(codec.encode(&gs));
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        bytes += alloc::bytes() - b0;
+    }
+    ms.sort_by(f64::total_cmp);
+    let probe = EncodeProbe {
+        ms_per_round: ms[measured / 2],
+        alloc_bytes_per_round: bytes / measured as u64,
+    };
+    let fixed_budget = matches!(comp, Compression::Sparse { k, .. } if k.ratio_bounds().1 <= RATIO);
+    assert!(
+        !fixed_budget || probe.alloc_bytes_per_round < (m / 8 * 4) as u64,
+        "encode allocates {} B/round at m = {m}: a dense temporary is back",
+        probe.alloc_bytes_per_round
+    );
+    probe
 }
 
 fn build_row(
@@ -89,6 +154,8 @@ fn build_row(
     h: &History,
     m: usize,
     dense: Option<(f32, u64)>,
+    wall_ms: f64,
+    encode: EncodeProbe,
 ) -> SparsityRow {
     let wire = h.wire.as_ref().expect("threaded runs count traffic");
     let wire_bytes = wire.elements * 4;
@@ -122,6 +189,8 @@ fn build_row(
         messages: wire.messages,
         mean_k_ratio,
         nnz_per_level,
+        round_ms: wall_ms / h.sync_rounds.max(1) as f64,
+        encode,
     }
 }
 
@@ -146,7 +215,8 @@ pub fn to_json(
             "    {{\"scheme\": \"{}\", \"label\": \"{}\", \"p\": {}, \
              \"test_acc\": {:.4}, \"acc_delta\": {:.4}, \"wire_bytes\": {}, \
              \"wire_ratio\": {:.2}, \"messages\": {}, \"mean_k_ratio\": {:.4}, \
-             \"nnz_per_level\": [{}]}}{}\n",
+             \"nnz_per_level\": [{}], \"round_ms\": {:.3}, \
+             \"encode_ms_per_round\": {:.4}, \"encode_alloc_bytes_per_round\": {}}}{}\n",
             r.scheme,
             r.label,
             r.p,
@@ -157,6 +227,9 @@ pub fn to_json(
             r.messages,
             r.mean_k_ratio,
             levels.join(", "),
+            r.round_ms,
+            r.encode.ms_per_round,
+            r.encode.alloc_bytes_per_round,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -185,7 +258,8 @@ pub fn sparsity(scale: Scale, epochs: Option<usize>) -> Artifact {
     // Wire accounting wants wall-clock-independent runs; jitter shapes
     // virtual time only, but keep the config noiseless anyway.
     cfg.jitter = JitterModel::none();
-    let m = (w.factory)().param_vector().len();
+    let model = (w.factory)();
+    let (m, blocks) = (model.param_len(), model.param_blocks());
     let threaded = Executor::new(Backend::Threaded);
 
     let mut rows = Vec::new();
@@ -198,8 +272,12 @@ pub fn sparsity(scale: Scale, epochs: Option<usize>) -> Artifact {
                 gamma_p: GammaP::OverP,
                 compression,
             };
+            let t0 = Instant::now();
             let h = threaded.run(&*w.factory, &w.train, &w.test, &algo, &cfg);
-            let row = build_row(scheme, &algo, &h, m, dense);
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let encode =
+                compression.map_or_else(EncodeProbe::default, |c| encode_probe(c, &blocks, m));
+            let row = build_row(scheme, &algo, &h, m, dense, wall_ms, encode);
             if dense.is_none() {
                 dense = Some((row.test_acc, row.wire_bytes));
             }
@@ -242,6 +320,8 @@ pub fn sparsity(scale: Scale, epochs: Option<usize>) -> Artifact {
                 r.wire_bytes.to_string(),
                 format!("{:.1}x", r.wire_ratio),
                 format!("{:.2}%", r.mean_k_ratio * 100.0),
+                format!("{:.2}", r.round_ms),
+                format!("{:.3}", r.encode.ms_per_round),
                 if levels.is_empty() {
                     "-".into()
                 } else {
@@ -258,6 +338,8 @@ pub fn sparsity(scale: Scale, epochs: Option<usize>) -> Artifact {
             "wire bytes",
             "vs dense",
             "mean k",
+            "round ms",
+            "encode ms",
             "nnz/msg by tree level",
         ],
         &table_rows,
@@ -268,7 +350,10 @@ pub fn sparsity(scale: Scale, epochs: Option<usize>) -> Artifact {
          \"nnz/msg by tree level\" lists the reduce levels in bit order,\n\
          then the result broadcast: unbounded sparse merges grow toward\n\
          the union of their subtree, the union-bounded composed scheme\n\
-         stays flat at the k budget. Best adaptive point at p = 8 inside\n\
+         stays flat at the k budget. \"round ms\" is the run's wall-clock per\n\
+         sync round (step, round, amortised evaluation); \"encode ms\" one\n\
+         rank's steady-state `ErrorFeedback::encode` alone at this m.\n\
+         Best adaptive point at p = 8 inside\n\
          ±{ACC_TOL} of dense: {wire_bytes_ratio:.1}x fewer measured wire \
          bytes (gate ≥ {WIRE_GATE}x: {wire_gate_ok}).\n\
          Composed p = 8 replay is bitwise deterministic: \
@@ -308,6 +393,11 @@ mod tests {
             messages: 10,
             mean_k_ratio: 0.02,
             nnz_per_level: vec![40.0, 41.0, 39.5, 40.2],
+            round_ms: 1.25,
+            encode: EncodeProbe {
+                ms_per_round: 0.0312,
+                alloc_bytes_per_round: 336,
+            },
         }
     }
 
@@ -320,6 +410,8 @@ mod tests {
         assert!(j.contains("\"wire_bytes_ratio\": 18.00"));
         assert!(j.contains("\"wire_gate_ok\": true"));
         assert!(j.contains("\"nnz_per_level\": [40.0, 41.0, 39.5, 40.2]"));
+        assert!(j.contains("\"round_ms\": 1.250, \"encode_ms_per_round\": 0.0312"));
+        assert!(j.contains("\"encode_alloc_bytes_per_round\": 336}"));
     }
 
     #[test]

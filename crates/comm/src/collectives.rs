@@ -29,7 +29,27 @@ fn tag(op: u64, phase: u64) -> u64 {
     (op << 4) | phase
 }
 
-/// Binomial-tree broadcast from `root`.
+/// `got`, once it is known to be as long as the buffer it lands in.
+pub(crate) fn expect_len(
+    peer: usize,
+    expected: usize,
+    got: Vec<f32>,
+) -> Result<Vec<f32>, CommError> {
+    if got.len() == expected {
+        Ok(got)
+    } else {
+        Err(CommError::MalformedLength {
+            peer,
+            expected,
+            got: got.len(),
+        })
+    }
+}
+
+/// Binomial-tree broadcast from `root`. A non-root rank's `buf` states
+/// the length it expects — anything else from the parent is a
+/// [`CommError::MalformedLength`] — unless it is empty, which adopts
+/// whatever arrives (for frames whose length only the root knows).
 pub fn broadcast<T: Transport>(
     comm: &mut T,
     root: usize,
@@ -49,7 +69,12 @@ pub fn broadcast<T: Transport>(
         let hb = usize::BITS - 1 - vrank.leading_zeros();
         let parent_v = vrank & !(1 << hb);
         let parent = (parent_v + root) % p;
-        *buf = comm.recv(parent, tag(op, 0))?;
+        let got = comm.recv(parent, tag(op, 0))?;
+        *buf = if buf.is_empty() {
+            got
+        } else {
+            expect_len(parent, buf.len(), got)?
+        };
     }
     // Children are vrank | bit for bits above vrank's highest set bit.
     let start_bit = if vrank == 0 {
@@ -70,7 +95,9 @@ pub fn broadcast<T: Transport>(
 }
 
 /// Binomial-tree sum-reduce to `root`; on non-root ranks `buf` is left as
-/// the partial sum this rank forwarded.
+/// the partial sum this rank forwarded. A child's partial of any other
+/// length than `buf`'s is a [`CommError::MalformedLength`], and `buf` keeps
+/// what it had accumulated.
 pub fn reduce_tree<T: Transport>(
     comm: &mut T,
     root: usize,
@@ -95,7 +122,7 @@ pub fn reduce_tree<T: Transport>(
         let child_v = vrank | bit;
         if child_v < p {
             let child = (child_v + root) % p;
-            let part = comm.recv(child, tag(op, 1))?;
+            let part = expect_len(child, buf.len(), comm.recv(child, tag(op, 1))?)?;
             for (a, b) in buf.iter_mut().zip(&part) {
                 *a += b;
             }
@@ -430,6 +457,78 @@ mod tests {
             });
             assert_eq!(traffic.elements_sent(), (2 * (p - 1) * m) as u64, "p={p}");
         }
+    }
+
+    #[test]
+    fn dense_frames_of_the_wrong_length_are_malformed_not_truncated() {
+        use crate::mock::mock_world;
+
+        // Two mock ranks on one thread: the peer's frame is sent by hand
+        // under the tag the collective is about to match, then the rank
+        // under test runs the real collective.
+        let own = [1.0f32, 2.0, 3.0, 4.0];
+        type Collective =
+            fn(&mut crate::mock::MockTransport, &mut Vec<f32>) -> Result<(), CommError>;
+        let up: [(&str, Collective); 2] = [
+            ("reduce_tree", |c, v| reduce_tree(c, 0, v)),
+            ("allreduce_tree", |c, v| allreduce_tree(c, v)),
+        ];
+        let down: [(&str, Collective); 2] = [
+            ("broadcast", |c, v| broadcast(c, 0, v)),
+            ("allreduce_tree", |c, v| allreduce_tree(c, v)),
+        ];
+        for (what, len) in [("short", 3usize), ("long", 5), ("empty", 0), ("exact", 4)] {
+            let frame = vec![0.5f32; len];
+            let want = |peer| match len {
+                4 => Ok(()),
+                got => Err(CommError::MalformedLength {
+                    peer,
+                    expected: 4,
+                    got,
+                }),
+            };
+            // A child's partial arriving at the root's reduce.
+            for (name, collective) in up {
+                let mut world = mock_world(2);
+                let (mut r1, mut r0) = (world.pop().expect("rank 1"), world.pop().expect("rank 0"));
+                let reduce = r1.next_op();
+                r1.send(0, tag(reduce, 1), frame.clone()).expect("send");
+                let mut v = own.to_vec();
+                assert_eq!(collective(&mut r0, &mut v), want(1), "{name} / {what}");
+                if len != 4 {
+                    assert_eq!(v, own, "{name} / {what}: partial untouched");
+                }
+            }
+            // The parent's buffer arriving at a non-root's broadcast.
+            for (name, collective) in down {
+                let mut world = mock_world(2);
+                let (mut r1, mut r0) = (world.pop().expect("rank 1"), world.pop().expect("rank 0"));
+                let mut bcast = r0.next_op();
+                if name == "allreduce_tree" {
+                    bcast = r0.next_op(); // its reduce came first
+                }
+                r0.send(1, tag(bcast, 0), frame.clone()).expect("send");
+                let mut v = own.to_vec();
+                assert_eq!(collective(&mut r1, &mut v), want(0), "{name} / {what}");
+                assert_eq!(
+                    v,
+                    if len == 4 {
+                        frame.clone()
+                    } else {
+                        own.to_vec()
+                    },
+                    "{name} / {what}"
+                );
+            }
+        }
+        // An empty buffer on a non-root states no expectation.
+        let mut world = mock_world(2);
+        let (mut r1, mut r0) = (world.pop().expect("rank 1"), world.pop().expect("rank 0"));
+        let bcast = r0.next_op();
+        r0.send(1, tag(bcast, 0), vec![7.0; 3]).expect("send");
+        let mut v = Vec::new();
+        assert_eq!(broadcast(&mut r1, 0, &mut v), Ok(()));
+        assert_eq!(v, [7.0; 3]);
     }
 
     #[test]

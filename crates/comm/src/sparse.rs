@@ -53,7 +53,7 @@
 //! bad frame is a [`CommError::Malformed`] that leaves the receiver's
 //! partial untouched, never a panic or an out-of-bounds index.
 
-use crate::collectives::broadcast;
+use crate::collectives::{broadcast, expect_len};
 use crate::transport::Transport;
 use crate::world::CommError;
 
@@ -116,7 +116,9 @@ pub struct SparseVec {
 }
 
 impl SparseVec {
-    /// Extract the nonzero coordinates of `dense` (`±0.0` excluded).
+    /// Extract the nonzero coordinates of `dense` (`±0.0` excluded). An
+    /// adapter for tests and callers that hold a dense vector: the engine's
+    /// compressor emits its payload sparse and never builds one.
     pub fn from_dense(dense: &[f32]) -> Self {
         assert!(dense.len() <= u32::MAX as usize, "vector too long for wire");
         let mut idx = Vec::new();
@@ -148,7 +150,8 @@ impl SparseVec {
         self.idx.len()
     }
 
-    /// Densify.
+    /// Densify. Like [`from_dense`](SparseVec::from_dense), an adapter: the
+    /// engine applies a sparse total by index instead.
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.len as usize];
         for (&i, &v) in self.idx.iter().zip(&self.val) {
@@ -571,7 +574,12 @@ pub fn sparse_allreduce_tree_v2<T: Transport>(
     let p = comm.size();
     let mut spill = SparseVec::empty(sv.len);
     reduce_to_root(comm, sv, opts, profile, &mut spill)?;
-    let mut enc = sv.encode();
+    // Only the root's frame travels, and only the root knows its length.
+    let mut enc = if comm.rank() == 0 {
+        sv.encode()
+    } else {
+        Vec::new()
+    };
     if comm.rank() == 0 && p > 1 {
         let msgs = (p - 1) as u64;
         profile.record(
@@ -702,9 +710,9 @@ fn dense8_decode(buf: &[f32], m: usize) -> Result<Vec<f32>, CommError> {
 /// inputs — the 8-bit frame is a transport optimization, not an extra
 /// lossy step.
 ///
-/// A leaf frame that fails validation, or a partial of the wrong length,
-/// is a [`CommError::Malformed`]; `v` then still holds what this rank had
-/// accumulated before it.
+/// A leaf frame that fails validation is a [`CommError::Malformed`], a
+/// partial of the wrong length a [`CommError::MalformedLength`]; `v` then
+/// still holds what this rank had accumulated before it.
 pub fn q8_allreduce_tree<T: Transport>(
     comm: &mut T,
     v: &mut Vec<f32>,
@@ -734,13 +742,8 @@ pub fn q8_allreduce_tree<T: Transport>(
             let buf = comm.recv(child, tag(op, 1))?;
             let part = if bit == 1 {
                 dense8_decode(&buf, v.len())?
-            } else if buf.len() == v.len() {
-                buf
             } else {
-                return Err(CommError::Malformed {
-                    frame: "dense partial",
-                    reason: "length differs from the receiver's",
-                });
+                expect_len(child, v.len(), buf)?
             };
             for (a, b) in v.iter_mut().zip(&part) {
                 *a += b;
@@ -1182,7 +1185,12 @@ mod tests {
         }
         let mut v = own_dense.to_vec();
         let out = q8_allreduce_tree(&mut r0, &mut v, 0.25);
-        assert!(matches!(out, Err(CommError::Malformed { .. })), "{out:?}");
+        let bad_len = CommError::MalformedLength {
+            peer: 2,
+            expected: 8,
+            got: 7,
+        };
+        assert_eq!(out, Err(bad_len));
         let after_leaf: Vec<f32> = own_dense.iter().map(|x| x + x).collect();
         assert_eq!(v, after_leaf, "keeps what it had accumulated");
     }

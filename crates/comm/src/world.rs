@@ -72,6 +72,18 @@ pub enum CommError {
         /// What was wrong with it.
         reason: &'static str,
     },
+    /// A dense buffer from `peer` is not the length this rank's collective
+    /// works on — the dense form of [`CommError::Malformed`]. Summing or
+    /// adopting it anyway would truncate silently; the receiver's buffer
+    /// is left as it was.
+    MalformedLength {
+        /// Rank the buffer came from.
+        peer: usize,
+        /// Elements this rank's buffer holds.
+        expected: usize,
+        /// Elements that arrived.
+        got: usize,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -91,6 +103,14 @@ impl fmt::Display for CommError {
             CommError::Malformed { frame, reason } => {
                 write!(f, "malformed {frame} frame: {reason}")
             }
+            CommError::MalformedLength {
+                peer,
+                expected,
+                got,
+            } => write!(
+                f,
+                "malformed dense frame from rank {peer}: {got} elements, expected {expected}"
+            ),
         }
     }
 }

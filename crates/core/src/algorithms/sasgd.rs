@@ -25,7 +25,7 @@ use sasgd_nn::Model;
 
 use crate::algorithms::GammaP;
 use crate::compress::{Compression, ErrorFeedback, Payload};
-use crate::engine::{simulated, tree_reduce, AggregationStrategy};
+use crate::engine::{simulated, tree_reduce, AggregationStrategy, Total};
 use crate::history::{History, StalenessStats, WireStats};
 use crate::trainer::{Learner, TrainConfig};
 
@@ -135,18 +135,16 @@ impl AggregationStrategy for SasgdStrategy {
             }
         }
         let total = if sparse.is_empty() {
-            tree_reduce(dense)
+            Total::Dense(tree_reduce(dense))
         } else {
             let (total, spills, profile) = tree_combine_bounded(sparse, &opts);
             history.sparse_levels.merge(&profile);
             for (codec, spill) in self.codecs.iter_mut().zip(&spills) {
                 codec.absorb(spill);
             }
-            total.to_dense()
+            Total::Sparse(total)
         };
-        for (xi, &g) in self.x.iter_mut().zip(&total) {
-            *xi -= gp * g;
-        }
+        total.step(&mut self.x, gp);
         let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
         for l in learners.iter_mut() {
             let wait = t_max - l.clock;

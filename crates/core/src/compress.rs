@@ -20,17 +20,24 @@
 //!   (`q8`) and a union-growth bound in the sparse tree reduce
 //!   (`union_bound`).
 //!
-//! **NaN policy** (bugfix): a NaN coordinate's magnitude is treated as
-//! +∞, so selection always keeps it and the poison surfaces downstream
-//! instead of silently scrambling `select_nth` (whose comparator used to
-//! map incomparable pairs to `Equal`, making the kept set arbitrary).
-//! The f32 wire transmits the NaN as-is; the 8-bit value lane cannot
-//! represent it, so quantized frames transmit 0 for that coordinate and
-//! the NaN stays in the error-feedback residual, where it resurfaces
-//! every round rather than vanishing.
+//! **The round** is three streaming passes over the codec's own residual
+//! and builds no dense temporary (DESIGN.md §4j): (A) `residual += gs`
+//! fused with per-block sums of squares and a histogram of magnitude
+//! keys; (B) per block, exact selection of the k largest off that
+//! histogram, straight into the payload; (C) the residual norm. Exactly k
+//! per block, larger magnitude first, ties to the lower index, exact
+//! zeros never kept. [`Compression::compress_with`] is a dense-form
+//! wrapper over the same round, so there is one selection implementation.
+//!
+//! **NaN policy**: a NaN coordinate's selection key is that of +∞, so
+//! selection always keeps it and the poison surfaces downstream instead
+//! of making the kept set arbitrary. The f32 wire transmits the NaN
+//! as-is; the 8-bit value lane cannot represent it, so quantized frames
+//! drop that coordinate and the NaN stays in the error-feedback residual,
+//! where it resurfaces every round rather than vanishing.
 //!
 //! **Quantized exactness**: quantization happens at *compression* time —
-//! the lossy dense vector holds exactly `q·scale` per coordinate, and the
+//! the payload holds exactly `q·scale` per coordinate, and the
 //! quantization error lives in the residual. The wire can therefore ship
 //! `(q, scale)` and the receiver's `q·scale` reconstruction is bitwise
 //! identical to the sender's, keeping the tree reduce a plain f32 sum
@@ -46,26 +53,64 @@ use sasgd_comm::sparse::{
     dense8_frame_elements, sparse8_frame_elements, sparse_frame_elements, SparseTreeOpts, SparseVec,
 };
 
-/// Selection magnitude: NaN maps to +∞ so it is always kept (see the
-/// module-level NaN policy). Identical to `v.abs()` for non-NaN input.
-fn mag(v: f32) -> f32 {
-    if v.is_nan() {
-        f32::INFINITY
-    } else {
-        v.abs()
+/// Histogram bins of the selection pass: the top 11 bits of a 31-bit
+/// magnitude key (8 exponent + 3 mantissa bits).
+const BINS: usize = 2048;
+/// `key >> KEY_SHIFT` is a key's bin.
+const KEY_SHIFT: u32 = 20;
+/// The key of `±Inf` — and, by the NaN policy, of every NaN.
+const INF_KEY: u32 = 0x7f80_0000;
+/// Elements a streaming pass handles at a time: one tile of the residual
+/// stays in L1 while the add, the sum of squares and the histogram each
+/// run their own loop over it. A multiple of [`LANES`].
+const TILE: usize = 4096;
+/// Independent f64 accumulators of [`sum_sq`]; element `i` feeds lane
+/// `i % LANES`.
+const LANES: usize = 8;
+
+/// Selection key: the magnitude's bit pattern, which orders like the
+/// magnitude itself. NaN maps to the +∞ key so it is always kept (see the
+/// module-level NaN policy); `±0.0` is key 0.
+fn key(v: f32) -> u32 {
+    (v.to_bits() & 0x7fff_ffff).min(INF_KEY)
+}
+
+/// The histogram bin of `v`'s key.
+fn bin(v: f32) -> usize {
+    (key(v) >> KEY_SHIFT) as usize
+}
+
+/// Add the squares of `v` into `acc`, lane `i % LANES` taking element `i`.
+// hot-path: one pass over a residual tile
+fn sq_lanes(acc: &mut [f64; LANES], v: &[f32]) {
+    let mut chunks = v.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (a, &x) in acc.iter_mut().zip(c) {
+            let x = f64::from(x);
+            *a += x * x;
+        }
+    }
+    for (a, &x) in acc.iter_mut().zip(chunks.remainder()) {
+        let x = f64::from(x);
+        *a += x * x;
     }
 }
 
-/// `‖v‖₂` accumulated in f64. NaN coordinates yield a NaN norm (callers
-/// treat that as "hold the schedule steady").
-fn l2_norm(v: &[f32]) -> f64 {
-    v.iter()
-        .map(|&x| {
-            let x = f64::from(x);
-            x * x
-        })
-        .sum::<f64>()
-        .sqrt()
+/// The lanes of [`sq_lanes`] combined pairwise, always in this order.
+fn fold_lanes(a: &[f64; LANES]) -> f64 {
+    ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+}
+
+/// `Σ v²` in f64 over [`LANES`] fixed lanes: one serial f64 chain is
+/// add-latency bound (≈ 3 ms at 1.7 M elements), eight vectorise. The
+/// split is part of the definition, so the same input gives the same
+/// bits everywhere. NaN coordinates yield NaN (callers treat that as
+/// "hold the schedule steady").
+// hot-path: the residual-norm pass
+fn sum_sq(v: &[f32]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    sq_lanes(&mut acc, v);
+    fold_lanes(&acc)
 }
 
 /// Snap `v` onto the 8-bit grid `{-127..127}·scale`, returning the
@@ -92,42 +137,125 @@ fn q8_scale_for(maxabs: f32) -> f32 {
     (maxabs / 127.0).max(f32::MIN_POSITIVE)
 }
 
-/// Keep the `k` largest-magnitude coordinates of `g[lo..hi]` by writing
-/// them into `d[lo..hi]` (other slots untouched); returns how many were
-/// written. Ties at the threshold fill in index order; exact zeros are
-/// never kept (they carry no mass), so a range with fewer than `k`
-/// nonzeros keeps exactly its nonzeros. `k ≥ len` copies the range
-/// verbatim (lossless).
-fn keep_topk(g: &[f32], lo: usize, hi: usize, k: usize, d: &mut [f32]) -> usize {
-    let len = hi - lo;
-    if k >= len {
-        d[lo..hi].copy_from_slice(&g[lo..hi]);
-        return g[lo..hi].iter().filter(|&&v| v != 0.0).count();
-    }
-    let mut mags: Vec<f32> = g[lo..hi].iter().map(|&v| mag(v)).collect();
-    let idx = len - k;
-    mags.select_nth_unstable_by(idx, f32::total_cmp);
-    let thresh = mags[idx];
-    let mut kept = 0usize;
-    // First pass: strictly above threshold.
-    for (i, &v) in g[lo..hi].iter().enumerate() {
-        if mag(v) > thresh {
-            d[lo + i] = v;
-            kept += 1;
+/// Reused buffers of the selection passes, so a steady-state round
+/// allocates nothing but its payload.
+#[derive(Default)]
+struct Scratch {
+    /// One [`BINS`]-bin histogram of magnitude keys per block.
+    hist: Vec<u32>,
+    /// `‖input‖₂` per block.
+    norms: Vec<f64>,
+    /// `(index << 32) | key` of a block's coordinates at or above the
+    /// threshold bucket, in index order.
+    hits: Vec<u64>,
+    /// Keys of the hits inside the threshold bucket.
+    keys: Vec<u32>,
+}
+
+/// Pass A over one block: `res += gs` in place (when there is a `gs`),
+/// returning the block's `Σ res²` and filling `hist` with the histogram of
+/// its magnitude keys. Increments go round-robin to four tables — a run
+/// of same-bin increments to one table would serialise on store
+/// forwarding.
+// hot-path: touches every coordinate once per round
+fn accumulate(res: &mut [f32], gs: Option<&[f32]>, hist: &mut [u32]) -> f64 {
+    let mut tables = [[0u32; BINS]; 4];
+    let mut acc = [0.0f64; LANES];
+    for (t, tile) in res.chunks_mut(TILE).enumerate() {
+        if let Some(gs) = gs {
+            for (r, &g) in tile.iter_mut().zip(&gs[t * TILE..]) {
+                *r += g;
+            }
+        }
+        sq_lanes(&mut acc, tile);
+        for (i, &v) in tile.iter().enumerate() {
+            tables[i % 4][bin(v)] += 1;
         }
     }
-    // Second pass: fill up with values equal to the threshold (ties)
-    // until exactly k are kept.
-    for (i, &v) in g[lo..hi].iter().enumerate() {
-        if kept == k {
-            break;
+    for (b, h) in hist.iter_mut().enumerate() {
+        *h = tables[0][b] + tables[1][b] + tables[2][b] + tables[3][b];
+    }
+    fold_lanes(&acc)
+}
+
+/// Pass B over block `j`, `res[lo..lo + len]`: move its `k`
+/// largest-magnitude coordinates into `out` in index order, zeroing their
+/// residual slots (unless `q8`, whose kept slots take the quantization
+/// error later). Exact: the block's histogram names the bucket holding
+/// the k-th key, everything in a higher bucket is kept, and the bucket's
+/// own candidates are resolved on their full keys — larger key first,
+/// ties to the lower index. Exact zeros are never kept (they carry no
+/// mass), so a block with fewer than `k` nonzeros keeps exactly its
+/// nonzeros, and `k ≥ len` keeps every nonzero (lossless).
+// hot-path: touches every coordinate once per round
+fn select_block(
+    scratch: &mut Scratch,
+    j: usize,
+    res: &mut [f32],
+    lo: usize,
+    k: usize,
+    q8: bool,
+    out: &mut SparseVec,
+) {
+    let Scratch {
+        hist, hits, keys, ..
+    } = scratch;
+    let hist = &hist[j * BINS..][..BINS];
+    let mut emit = |res: &mut [f32], i: usize| {
+        out.idx.push((lo + i) as u32); // m ≤ u32::MAX: `round` checked it
+        out.val.push(res[i]);
+        if !q8 {
+            res[i] = 0.0;
         }
-        if d[lo + i] == 0.0 && mag(v) == thresh && v != 0.0 {
-            d[lo + i] = v;
-            kept += 1;
+    };
+    if k >= res.len() {
+        for i in 0..res.len() {
+            if res[i] != 0.0 {
+                emit(res, i);
+            }
+        }
+        return;
+    }
+    // The bucket holding the k-th largest key, and how many of the k it
+    // has to supply.
+    let (mut bucket, mut above) = (BINS - 1, 0);
+    while above + (hist[bucket] as usize) < k {
+        above += hist[bucket] as usize;
+        bucket -= 1;
+    }
+    let need = k - above;
+    let floor = ((bucket as u32) << KEY_SHIFT).max(1);
+    hits.clear();
+    for (c, chunk) in res.chunks(16).enumerate() {
+        let top = chunk
+            .iter()
+            .fold(0, |a, v| a.max(v.to_bits() & 0x7fff_ffff));
+        if top < floor {
+            continue;
+        }
+        for (i, &v) in chunk.iter().enumerate() {
+            if key(v) >= floor {
+                hits.push(((c * 16 + i) as u64) << 32 | u64::from(key(v)));
+            }
         }
     }
-    kept
+    // The exact k-th key and how many coordinates tied at it make the cut.
+    keys.clear();
+    let in_bucket = |key: &u32| (key >> KEY_SHIFT) as usize == bucket;
+    keys.extend(hits.iter().map(|&h| h as u32).filter(in_bucket));
+    let (kth, mut ties) = if keys.len() < need {
+        (0, 0) // the bucket ran out of nonzeros: every hit is kept
+    } else {
+        let (larger, &mut kth, _) = keys.select_nth_unstable_by(need - 1, |a, b| b.cmp(a));
+        (kth, need - larger.iter().filter(|&&key| key > kth).count())
+    };
+    for &h in hits.iter() {
+        let key = h as u32;
+        if key > kth || (key == kth && ties > 0) {
+            ties -= usize::from(key == kth);
+            emit(res, (h >> 32) as usize);
+        }
+    }
 }
 
 /// Largest-remainder apportionment of `k_total` over blocks proportional
@@ -369,7 +497,8 @@ pub struct KState {
 
 impl KState {
     /// Fresh state for `c`. `blocks` is the model's per-layer parameter
-    /// block map (`Model::param_blocks`); only `LayerWise` reads it.
+    /// block map (`Model::param_blocks`); only `LayerWise` reads it, and
+    /// needs it to tile the parameter vector in order.
     ///
     /// # Panics
     /// Panics on invalid [`Compression::Sparse`] schedule parameters (see
@@ -467,79 +596,27 @@ impl Compression {
     }
 
     /// Compress `g`, returning the lossy dense reconstruction plus the
-    /// residual, and advance the schedule state.
+    /// residual, and advance the schedule state. The dense form of one
+    /// [`ErrorFeedback`] round that starts from a zero residual: `dense`
+    /// is the payload scattered over `+0.0`.
     ///
     /// # Panics
-    /// Panics if a ratio is outside `(0, 1]`.
+    /// Panics if a ratio is outside `(0, 1]`, or if a layer-wise block map
+    /// does not tile `0..g.len()`.
     pub fn compress_with(&self, g: &[f32], state: &mut KState) -> Compressed {
-        match *self {
-            Compression::Uniform8Bit => {
-                let m = g.len();
-                let maxabs = g.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-                if maxabs == 0.0 {
-                    return Compressed {
-                        dense: g.to_vec(),
-                        residual: vec![0.0; m],
-                        k_eff: m,
-                        k_budget: m,
-                        residual_norm: 0.0,
-                        q8_scale: None,
-                    };
-                }
-                let scale = q8_scale_for(maxabs);
-                let mut dense = Vec::with_capacity(m);
-                let mut residual = Vec::with_capacity(m);
-                for &v in g {
-                    let rec = quantize8(v, scale);
-                    dense.push(rec);
-                    residual.push(v - rec);
-                }
-                let residual_norm = l2_norm(&residual);
-                Compressed {
-                    dense,
-                    residual,
-                    k_eff: m,
-                    k_budget: m,
-                    residual_norm,
-                    q8_scale: Some(scale),
-                }
-            }
-            Compression::Sparse { q8, .. } => {
-                state.schedule.validate();
-                let m = g.len();
-                let k_total = ratio_to_k(state.ratio_now, m);
-                let layer_wise = matches!(state.schedule, KSchedule::LayerWise { .. });
-                let (blocks, ks): (Vec<(usize, usize)>, Vec<usize>) = if layer_wise
-                    && state.blocks.len() > 1
-                {
-                    let caps: Vec<usize> = state.blocks.iter().map(|&(lo, hi)| hi - lo).collect();
-                    let weights: Vec<f64> = state
-                        .blocks
-                        .iter()
-                        .map(|&(lo, hi)| l2_norm(&g[lo..hi]))
-                        .collect();
-                    (state.blocks.clone(), apportion(&weights, &caps, k_total))
-                } else {
-                    (vec![(0, m)], vec![k_total])
-                };
-                let c = sparse_compress(g, &blocks, &ks, k_total, q8);
-                if let KSchedule::NormAdaptive {
-                    ratio_min,
-                    ratio_max,
-                    target,
-                    gain,
-                    ..
-                } = state.schedule
-                {
-                    let gn = l2_norm(g);
-                    let rho = if gn > 0.0 { c.residual_norm / gn } else { 0.0 };
-                    let next = state.ratio_now * (1.0 + gain * (rho - target));
-                    if next.is_finite() {
-                        state.ratio_now = next.clamp(ratio_min, ratio_max);
-                    }
-                }
-                c
-            }
+        let mut residual = g.to_vec();
+        let enc = round(self, state, &mut residual, None, &mut Scratch::default());
+        let (dense, q8_scale) = match enc.payload {
+            Payload::Sparse(sv, opts) => (sv.to_dense(), opts.q8_scale),
+            Payload::Dense8(dense, scale) => (dense, scale),
+        };
+        Compressed {
+            dense,
+            residual,
+            k_eff: enc.k_eff,
+            k_budget: enc.k_budget,
+            residual_norm: enc.residual_norm,
+            q8_scale,
         }
     }
 
@@ -638,6 +715,9 @@ pub struct Encoded {
     pub payload: Payload,
     /// Nonzero coordinates in the payload.
     pub k_eff: usize,
+    /// The schedule's kept-coordinate budget this round (`m` when the
+    /// scheme is not sparse).
+    pub k_budget: usize,
     /// `‖residual‖₂` left behind by this round's compression.
     pub residual_norm: f64,
 }
@@ -652,6 +732,7 @@ pub struct ErrorFeedback {
     comp: Compression,
     residual: Vec<f32>,
     kstate: KState,
+    scratch: Scratch,
 }
 
 impl ErrorFeedback {
@@ -665,30 +746,22 @@ impl ErrorFeedback {
             comp,
             residual: vec![0.0; m],
             kstate: KState::new(&comp, blocks),
+            scratch: Scratch::default(),
         }
     }
 
     /// Compress `gs + residual` into this round's payload; what the
-    /// payload does not carry becomes the new residual.
+    /// payload does not carry becomes the new residual. Works in place on
+    /// the residual: no dense temporary is built.
     pub fn encode(&mut self, gs: &[f32]) -> Encoded {
-        let input: Vec<f32> = gs.iter().zip(&self.residual).map(|(a, b)| a + b).collect();
-        let c = self.comp.compress_with(&input, &mut self.kstate);
-        self.residual = c.residual;
-        let payload = match self.comp {
-            Compression::Uniform8Bit => Payload::Dense8(c.dense, c.q8_scale),
-            Compression::Sparse { union_bound, .. } => Payload::Sparse(
-                SparseVec::from_dense(&c.dense),
-                SparseTreeOpts {
-                    union_bound: union_bound.then_some(c.k_budget),
-                    q8_scale: c.q8_scale,
-                },
-            ),
-        };
-        Encoded {
-            payload,
-            k_eff: c.k_eff,
-            residual_norm: c.residual_norm,
-        }
+        let (comp, kstate) = (&self.comp, &mut self.kstate);
+        round(
+            comp,
+            kstate,
+            &mut self.residual,
+            Some(gs),
+            &mut self.scratch,
+        )
     }
 
     /// Fold back the mass the sparse tree trimmed from partial sums this
@@ -701,78 +774,380 @@ impl ErrorFeedback {
     }
 }
 
-/// Core sparse compression: per-block top-k selection, optional 8-bit
-/// quantization of the kept values, residual fill. `k_total` is the
-/// whole-vector budget (used only for the lossless fast path).
-fn sparse_compress(
-    g: &[f32],
-    blocks: &[(usize, usize)],
-    ks: &[usize],
-    k_total: usize,
-    q8: bool,
-) -> Compressed {
-    let m = g.len();
-    let mut d = vec![0.0f32; m];
-    let mut residual = vec![0.0f32; m];
-    if k_total >= m && blocks.len() == 1 && !q8 {
-        // Lossless identity: preserve the input bit-for-bit (including
-        // signed zeros) with an all-zero residual.
-        d.copy_from_slice(g);
-        let k_eff = g.iter().filter(|&&v| v != 0.0).count();
-        return Compressed {
-            dense: d,
-            residual,
-            k_eff,
-            k_budget: k_total,
-            residual_norm: 0.0,
-            q8_scale: None,
-        };
-    }
-    for (&(lo, hi), &kj) in blocks.iter().zip(ks) {
-        if kj > 0 {
-            keep_topk(g, lo, hi, kj, &mut d);
-        }
-    }
-    let q8_scale = if q8 {
-        let maxabs = d.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
-        let scale = q8_scale_for(maxabs);
-        for v in d.iter_mut() {
-            if *v != 0.0 {
-                *v = quantize8(*v, scale);
-            }
-        }
-        Some(scale)
+/// `Uniform8Bit`'s round over `res` (already holding the input): every
+/// coordinate snaps to the vector's 8-bit grid, the rounding error stays.
+fn uniform8_round(res: &mut [f32]) -> Encoded {
+    let m = res.len();
+    let maxabs = res.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
+    let (dense, scale, residual_norm) = if maxabs == 0.0 {
+        // No grid to speak of: the zeros travel as plain dense f32.
+        let dense = res.to_vec();
+        res.fill(0.0);
+        (dense, None, 0.0)
     } else {
-        None
+        let scale = q8_scale_for(maxabs);
+        let quantize = |r: &mut f32| {
+            let rec = quantize8(*r, scale);
+            *r -= rec;
+            rec
+        };
+        let dense = res.iter_mut().map(quantize).collect();
+        (dense, Some(scale), sum_sq(res).sqrt())
     };
-    let mut k_eff = 0usize;
-    let mut rsq = 0.0f64;
-    for i in 0..m {
-        if d[i] == 0.0 {
-            residual[i] = g[i];
-        } else {
-            k_eff += 1;
-            if q8_scale.is_some() {
-                residual[i] = g[i] - d[i];
+    Encoded {
+        payload: Payload::Dense8(dense, scale),
+        k_eff: m,
+        k_budget: m,
+        residual_norm,
+    }
+}
+
+/// One error-feedback round, in place. On entry `res` holds the residual
+/// (`gs` is added to it) or, with no `gs`, the input itself; on exit it
+/// holds what the returned payload does not carry. Pass A is
+/// [`accumulate`] per block, pass B [`select_block`] per block once the
+/// schedule has turned the block norms into budgets, pass C the norm.
+// hot-path: the compressed round's largest span
+fn round(
+    comp: &Compression,
+    state: &mut KState,
+    res: &mut [f32],
+    gs: Option<&[f32]>,
+    scratch: &mut Scratch,
+) -> Encoded {
+    let m = res.len();
+    let Compression::Sparse {
+        q8, union_bound, ..
+    } = *comp
+    else {
+        if let Some(gs) = gs {
+            for (r, &g) in res.iter_mut().zip(gs) {
+                *r += g;
             }
         }
-        let r = f64::from(residual[i]);
-        rsq += r * r;
+        return uniform8_round(res);
+    };
+    state.schedule.validate();
+    assert!(m <= u32::MAX as usize, "vector too long for wire");
+    let k_total = ratio_to_k(state.ratio_now, m);
+    let layered = matches!(state.schedule, KSchedule::LayerWise { .. }) && state.blocks.len() > 1;
+    let whole = [(0, m)];
+    let blocks: &[(usize, usize)] = if layered { &state.blocks } else { &whole };
+    let tiled = blocks
+        .iter()
+        .try_fold(0, |at, &(lo, hi)| (lo == at && hi >= lo).then_some(hi));
+    assert_eq!(tiled, Some(m), "parameter blocks must tile 0..m in order");
+
+    scratch.hist.resize(blocks.len() * BINS, 0);
+    scratch.norms.clear();
+    for (&(lo, hi), hist) in blocks.iter().zip(scratch.hist.chunks_mut(BINS)) {
+        let gs = gs.map(|gs| &gs[lo..hi]);
+        let sum_sq = accumulate(&mut res[lo..hi], gs, hist);
+        scratch.norms.push(sum_sq.sqrt());
     }
-    Compressed {
-        dense: d,
-        residual,
-        k_eff,
-        k_budget: k_total,
-        residual_norm: rsq.sqrt(),
+    let ks = if layered {
+        // lint:allow(hot-alloc): O(blocks) budgets, not O(m)
+        let caps: Vec<usize> = blocks.iter().map(|&(lo, hi)| hi - lo).collect();
+        apportion(&scratch.norms, &caps, k_total)
+    } else {
+        vec![k_total] // lint:allow(hot-alloc): one element
+    };
+
+    let mut sv = SparseVec::empty(m as u32);
+    sv.idx.reserve(k_total);
+    sv.val.reserve(k_total);
+    for (j, (&(lo, hi), &k)) in blocks.iter().zip(&ks).enumerate() {
+        if k > 0 {
+            select_block(scratch, j, &mut res[lo..hi], lo, k, q8, &mut sv);
+        }
+    }
+    let q8_scale = q8.then(|| {
+        // Kept values snap to their common grid. One that quantises to
+        // zero (NaN included — the grid cannot carry it) leaves the
+        // payload and stays whole in the residual; the others leave their
+        // rounding error.
+        let scale = q8_scale_for(sv.val.iter().fold(0.0f32, |a, &v| a.max(v.abs())));
+        let mut kept = 0;
+        for j in 0..sv.idx.len() {
+            let (i, rec) = (sv.idx[j], quantize8(sv.val[j], scale));
+            if rec != 0.0 {
+                res[i as usize] -= rec;
+                (sv.idx[kept], sv.val[kept]) = (i, rec);
+                kept += 1;
+            }
+        }
+        sv.idx.truncate(kept);
+        sv.val.truncate(kept);
+        scale
+    });
+    let residual_norm = sum_sq(res).sqrt();
+
+    if let KSchedule::NormAdaptive {
+        ratio_min,
+        ratio_max,
+        target,
+        gain,
+        ..
+    } = state.schedule
+    {
+        let gn = scratch.norms[0]; // never layered: one block, the whole input
+        let rho = if gn > 0.0 { residual_norm / gn } else { 0.0 };
+        let next = state.ratio_now * (1.0 + gain * (rho - target));
+        if next.is_finite() {
+            state.ratio_now = next.clamp(ratio_min, ratio_max);
+        }
+    }
+    let opts = SparseTreeOpts {
+        union_bound: union_bound.then_some(k_total),
         q8_scale,
+    };
+    Encoded {
+        k_eff: sv.nnz(),
+        payload: Payload::Sparse(sv, opts),
+        k_budget: k_total,
+        residual_norm,
+    }
+}
+
+/// The selection this module used before the histogram passes, kept as
+/// the reference the fused round is property-tested against: a magnitude
+/// copy, `select_nth_unstable_by` for the threshold, a two-pass fill of a
+/// dense `d`, a rebuilt residual, serial f64 norms.
+#[cfg(test)]
+mod oracle {
+    use super::{apportion, q8_scale_for, quantize8, ratio_to_k, KSchedule, KState};
+    use sasgd_comm::sparse::SparseVec;
+
+    fn mag(v: f32) -> f32 {
+        if v.is_nan() {
+            f32::INFINITY
+        } else {
+            v.abs()
+        }
+    }
+
+    fn l2_norm(v: &[f32]) -> f64 {
+        let sq = |&x: &f32| f64::from(x) * f64::from(x);
+        v.iter().map(sq).sum::<f64>().sqrt()
+    }
+
+    fn keep_topk(g: &[f32], lo: usize, hi: usize, k: usize, d: &mut [f32]) {
+        let len = hi - lo;
+        if k >= len {
+            d[lo..hi].copy_from_slice(&g[lo..hi]);
+            return;
+        }
+        let mut mags: Vec<f32> = g[lo..hi].iter().map(|&v| mag(v)).collect();
+        let idx = len - k;
+        mags.select_nth_unstable_by(idx, f32::total_cmp);
+        let thresh = mags[idx];
+        let mut kept = 0usize;
+        for (i, &v) in g[lo..hi].iter().enumerate() {
+            if mag(v) > thresh {
+                d[lo + i] = v;
+                kept += 1;
+            }
+        }
+        for (i, &v) in g[lo..hi].iter().enumerate() {
+            if kept == k {
+                break;
+            }
+            if d[lo + i] == 0.0 && mag(v) == thresh && v != 0.0 {
+                d[lo + i] = v;
+                kept += 1;
+            }
+        }
+    }
+
+    /// What one reference round produced.
+    pub(super) struct Round {
+        pub(super) payload: SparseVec,
+        pub(super) k_eff: usize,
+        pub(super) residual_norm: f64,
+        pub(super) q8_scale: Option<f32>,
+    }
+
+    /// One sparse error-feedback round the old way; `residual` is replaced.
+    pub(super) fn encode(
+        q8: bool,
+        state: &mut KState,
+        residual: &mut Vec<f32>,
+        gs: &[f32],
+    ) -> Round {
+        let g: Vec<f32> = gs.iter().zip(residual.iter()).map(|(a, b)| a + b).collect();
+        let m = g.len();
+        let k_total = ratio_to_k(state.ratio_now, m);
+        let layer_wise = matches!(state.schedule, KSchedule::LayerWise { .. });
+        let (blocks, ks) = if layer_wise && state.blocks.len() > 1 {
+            let caps: Vec<usize> = state.blocks.iter().map(|&(lo, hi)| hi - lo).collect();
+            let weights: Vec<f64> = state
+                .blocks
+                .iter()
+                .map(|&(lo, hi)| l2_norm(&g[lo..hi]))
+                .collect();
+            (state.blocks.clone(), apportion(&weights, &caps, k_total))
+        } else {
+            (vec![(0, m)], vec![k_total])
+        };
+        let mut d = vec![0.0f32; m];
+        *residual = vec![0.0f32; m];
+        let mut q8_scale = None;
+        if k_total >= m && blocks.len() == 1 && !q8 {
+            d.copy_from_slice(&g);
+        } else {
+            for (&(lo, hi), &kj) in blocks.iter().zip(&ks) {
+                if kj > 0 {
+                    keep_topk(&g, lo, hi, kj, &mut d);
+                }
+            }
+            if q8 {
+                let scale = q8_scale_for(d.iter().fold(0.0f32, |a, &v| a.max(v.abs())));
+                for v in d.iter_mut().filter(|v| **v != 0.0) {
+                    *v = quantize8(*v, scale);
+                }
+                q8_scale = Some(scale);
+            }
+            for i in 0..m {
+                if d[i] == 0.0 {
+                    residual[i] = g[i];
+                } else if q8 {
+                    residual[i] = g[i] - d[i];
+                }
+            }
+        }
+        let residual_norm = l2_norm(residual);
+        if let KSchedule::NormAdaptive {
+            ratio_min,
+            ratio_max,
+            target,
+            gain,
+            ..
+        } = state.schedule
+        {
+            let gn = l2_norm(&g);
+            let rho = if gn > 0.0 { residual_norm / gn } else { 0.0 };
+            let next = state.ratio_now * (1.0 + gain * (rho - target));
+            if next.is_finite() {
+                state.ratio_now = next.clamp(ratio_min, ratio_max);
+            }
+        }
+        let payload = SparseVec::from_dense(&d);
+        Round {
+            k_eff: payload.nnz(),
+            payload,
+            residual_norm,
+            q8_scale,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sasgd_tensor::SeedRng;
+
+    /// One coordinate of a property-test gradient. The modes between them
+    /// cover what selection has to get right: plain values; a coarse grid
+    /// (threshold ties, exact zeros); the special values (`±0.0`,
+    /// subnormals, `±Inf`, NaN); nine decades of dynamic range (kept
+    /// values that quantise to zero); mostly zeros (fewer nonzeros than k).
+    fn draw(rng: &mut SeedRng, mode: usize) -> f32 {
+        match mode {
+            0 => rng.normal(),
+            1 => (rng.below(9) as f32 - 4.0) * 0.25,
+            2 => match rng.below(14) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => f32::NAN,
+                5 => 1.0e-40,
+                6 => -1.0e-42,
+                7 => f32::MIN_POSITIVE,
+                _ => rng.normal(),
+            },
+            3 => rng.normal() * 10f32.powi(rng.below(9) as i32 - 4),
+            _ if rng.below(10) < 8 => 0.0,
+            _ => (rng.below(5) as f32 - 2.0) * 0.5,
+        }
+    }
+
+    /// Bit pattern with every NaN collapsed to one: which operand's
+    /// payload a NaN sum carries is the compiler's choice, not ours.
+    fn bits(v: f32) -> u32 {
+        if v.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn fused_round_equals_the_select_nth_oracle(
+            seed in 0u64..u64::MAX,
+            m in 1usize..300,
+            cuts in proptest::collection::vec(0usize..300, 0..5),
+            ratio in 0.002f64..1.15,
+            schedule in 0usize..3,
+            q8 in 0u8..2,
+            mode in 0usize..5,
+        ) {
+            let ratio = ratio.min(1.0); // a good share of lossless rounds
+            let k = match schedule {
+                0 => KSchedule::fixed(ratio),
+                1 => KSchedule::norm_adaptive(ratio),
+                _ => KSchedule::layer_wise(ratio),
+            };
+            let comp = Compression::Sparse { k, q8: q8 == 1, union_bound: false };
+            // Random tiling of 0..m; repeated cuts make empty blocks, no
+            // cuts a single block.
+            let mut edges: Vec<usize> = cuts.iter().map(|c| c % (m + 1)).collect();
+            edges.extend([0, m]);
+            edges.sort_unstable();
+            let blocks: Vec<(usize, usize)> = edges.windows(2).map(|w| (w[0], w[1])).collect();
+
+            let mut rng = SeedRng::new(seed);
+            let mut fused = ErrorFeedback::new(comp, m, blocks.clone());
+            let mut kstate = KState::new(&comp, blocks);
+            let mut residual = vec![0.0f32; m];
+            for round in 0..4 {
+                let gs: Vec<f32> = (0..m).map(|_| draw(&mut rng, mode)).collect();
+                let want = oracle::encode(q8 == 1, &mut kstate, &mut residual, &gs);
+                let got = fused.encode(&gs);
+                let Payload::Sparse(sv, opts) = got.payload else {
+                    panic!("a sparse scheme ships sparse");
+                };
+                // `round` rides along so a failure says when it happened.
+                let all_bits = |v: &[f32]| v.iter().map(|&v| bits(v)).collect::<Vec<_>>();
+                prop_assert_eq!((round, &sv.idx), (round, &want.payload.idx));
+                prop_assert_eq!((round, all_bits(&sv.val)), (round, all_bits(&want.payload.val)));
+                prop_assert_eq!((round, got.k_eff), (round, want.k_eff));
+                prop_assert_eq!(opts.q8_scale.map(bits), want.q8_scale.map(bits));
+                prop_assert_eq!((round, all_bits(&fused.residual)), (round, all_bits(&residual)));
+                prop_assert_eq!(bits(got.residual_norm as f32), bits(want.residual_norm as f32));
+                // The controller sees lane-split f64 norms where the oracle's
+                // are serial: same ratio to rounding, same k (checked above).
+                let (r, want_r) = (fused.kstate.ratio(), kstate.ratio());
+                prop_assert!((r - want_r).abs() <= 1e-12 * want_r, "ratio {r} vs {want_r}");
+                // What a union-bounded tree would hand back between rounds.
+                let mut spill = SparseVec::empty(m as u32);
+                for i in 0..m as u32 {
+                    if rng.below(7) == 0 {
+                        spill.idx.push(i);
+                        spill.val.push(draw(&mut rng, mode));
+                    }
+                }
+                fused.absorb(&spill);
+                for (&i, &v) in spill.idx.iter().zip(&spill.val) {
+                    residual[i as usize] += v;
+                }
+            }
+        }
+    }
 
     #[test]
     fn topk_keeps_exactly_k_and_preserves_total() {

@@ -19,7 +19,7 @@ use sasgd_comm::sparse::{q8_allreduce_tree, sparse_allreduce_tree_v2};
 use sasgd_comm::transport::Transport;
 use sasgd_nn::Model;
 
-use super::{delta_sq_norm, FaultConfig};
+use super::{delta_sq_norm, dense_step, FaultConfig, Total};
 use crate::algorithms::{Algorithm, GammaP};
 use crate::compress::{ErrorFeedback, Payload};
 use crate::history::{History, MembershipEvent, RetirementEvent};
@@ -129,9 +129,7 @@ fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<Vec<f32>,
 /// The global step `x ← x − γp·Σg`; the replica restarts from the common
 /// `x`.
 fn global_step(x: &mut [f32], gp: f32, total: &[f32], model: &mut Model) {
-    for (xi, &g) in x.iter_mut().zip(total) {
-        *xi -= gp * g;
-    }
+    dense_step(x, gp, total);
     model.write_params(x);
 }
 
@@ -139,13 +137,14 @@ fn global_step(x: &mut [f32], gp: f32, total: &[f32], model: &mut Model) {
 /// own wire form — the sparse tree, exact 8-bit leaf frames, or (an
 /// all-zero gradient has no 8-bit grid) the dense tree — and the tree's
 /// spill goes back into the codec. Records `(round, rank, k_eff,
-/// residual_norm)` and the per-level wire stats; returns the dense total.
+/// residual_norm)` and the per-level wire stats; returns the total as the
+/// tree left it.
 fn compressed_allreduce<T: Transport>(
     codec: &mut ErrorFeedback,
     comm: &mut T,
     gs: &[f32],
     round: Round<'_>,
-) -> Result<Vec<f32>, WireError> {
+) -> Result<Total, WireError> {
     let enc = codec.encode(gs);
     // lint:allow(float-cast): telemetry narrowing — the norm is a
     // monitoring signal, not part of the update arithmetic.
@@ -156,14 +155,14 @@ fn compressed_allreduce<T: Transport>(
         Payload::Sparse(mut sv, opts) => {
             let levels = &mut history.sparse_levels;
             codec.absorb(&sparse_allreduce_tree_v2(comm, &mut sv, opts, levels)?);
-            sv.to_dense()
+            Total::Sparse(sv)
         }
         Payload::Dense8(mut buf, scale) => {
             match scale {
                 Some(scale) => q8_allreduce_tree(comm, &mut buf, scale)?,
                 None => allreduce_tree(comm, &mut buf)?,
             }
-            buf
+            Total::Dense(buf)
         }
     })
 }
@@ -182,8 +181,8 @@ impl<T: Transport> Exchange for GradTree<T> {
         let gp = self.gamma_p.resolve(round.gamma, self.comm.size());
         match self.codec.as_mut() {
             Some(codec) => {
-                let total = compressed_allreduce(codec, &mut self.comm, &l.gs, round)?;
-                global_step(&mut self.x, gp, &total, &mut l.model);
+                compressed_allreduce(codec, &mut self.comm, &l.gs, round)?.step(&mut self.x, gp);
+                l.model.write_params(&self.x);
             }
             None => {
                 allreduce_tree(&mut self.comm, &mut l.gs)?;

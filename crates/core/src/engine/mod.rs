@@ -34,7 +34,7 @@ use sasgd_comm::fault::FaultPlan;
 use sasgd_data::{make_shards, Dataset, Shard};
 use sasgd_nn::Model;
 
-use sasgd_comm::sparse::SparseLevelProfile;
+use sasgd_comm::sparse::{SparseLevelProfile, SparseVec};
 
 use crate::history::{History, StalenessStats, WireStats};
 use crate::schedule::SyncPolicy;
@@ -286,6 +286,39 @@ pub(crate) fn tree_reduce(mut bufs: Vec<Vec<f32>>) -> Vec<f32> {
         gap *= 2;
     }
     bufs.swap_remove(0)
+}
+
+/// The global step `x ← x − γp·total` over every coordinate.
+pub(crate) fn dense_step(x: &mut [f32], gp: f32, total: &[f32]) {
+    for (xi, &g) in x.iter_mut().zip(total) {
+        *xi -= gp * g;
+    }
+}
+
+/// The sum an allreduce left on every rank, in the form it arrived in.
+pub(crate) enum Total {
+    /// Every coordinate.
+    Dense(Vec<f32>),
+    /// The union of the ranks' kept coordinates (the sparse tree's result).
+    Sparse(SparseVec),
+}
+
+impl Total {
+    /// The global step `x ← x − γp·total`. The sparse arm touches only the
+    /// total's own indices and is bitwise the dense loop over
+    /// `to_dense()` for any finite `γp ≥ 0`: an absent coordinate is
+    /// `+0.0` there, and `x − γp·(+0.0) = x` — signed zeros included.
+    // hot-path: once per round, O(nnz) on the sparse arm
+    pub(crate) fn step(&self, x: &mut [f32], gp: f32) {
+        match self {
+            Total::Dense(total) => dense_step(x, gp, total),
+            Total::Sparse(total) => {
+                for (&i, &g) in total.idx.iter().zip(&total.val) {
+                    x[i as usize] -= gp * g;
+                }
+            }
+        }
+    }
 }
 
 /// Whole minibatches in the smallest shard: what bulk-synchronous epochs
@@ -647,5 +680,26 @@ mod tests {
         assert_eq!(s.completed_passes(), 1);
         let _ = s.next(&mut rng);
         assert_eq!(s.completed_passes(), 1, "mid-pass");
+    }
+
+    #[test]
+    fn sparse_step_is_bitwise_the_dense_step_over_to_dense() {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Signed-zero and ordinary parameters, under an entry, under a
+        // cancelled sum the tree kept as an explicit zero, and untouched.
+        let x0 = [-0.0f32, 0.0, 1.5, -0.0, -2.25, 0.0, -0.0, 3.0e-39];
+        let mut sum = SparseVec::from_dense(&[0.0, 0.0, 0.0, -2.0, 4.0, 0.0, 1.0, 7.0]);
+        sum.add_assign(&SparseVec::from_dense(&[
+            0.0, 0.5, 0.0, 2.0, 0.0, 0.0, -1.0, 0.0,
+        ]));
+        assert_eq!(sum.val, [0.5, 0.0, 4.0, 0.0, 7.0], "explicit zeros in play");
+        for total in [sum, SparseVec::empty(8)] {
+            for gp in [0.0f32, 0.025, 1.0, 3.0e38] {
+                let (mut dense, mut sparse) = (x0, x0);
+                Total::Dense(total.to_dense()).step(&mut dense, gp);
+                Total::Sparse(total.clone()).step(&mut sparse, gp);
+                assert_eq!(bits(&sparse), bits(&dense), "γp = {gp}, total {total:?}");
+            }
+        }
     }
 }
