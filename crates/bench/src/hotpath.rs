@@ -16,6 +16,16 @@
 //! [`crate::alloc`] (installed by the `repro` binary). Results land in
 //! `BENCH_hotpath.json`.
 //!
+//! ## Engine step
+//!
+//! The suite above stops at `backward`. [`run_engine_step`] measures what
+//! the engine adds around it — accumulate, local apply, the allreduce and
+//! the global step — by running dense SASGD (`p = 2`, `T = 1`, batch 1) on
+//! the full NLC network through `Executor` for one epoch and for two, and
+//! charging the difference to the extra steps: set-up, arena warm-up and
+//! teardown cancel. CI holds the allocated bytes per step under 1 MiB,
+//! a seventh of one parameter vector.
+//!
 //! ## Roofline sweep
 //!
 //! Alongside the model-level suite the harness sweeps the raw GEMM
@@ -41,11 +51,13 @@
 
 use std::time::Instant;
 
+use sasgd_core::{Algorithm, Backend, Executor, GammaP, TrainConfig};
+use sasgd_data::nlc_like::{self, NlcLikeConfig};
 use sasgd_nn::layers::{
     Dropout, Flatten, GlobalMaxOverTime, Linear, MaxPool2d, Relu, Tanh, TemporalConv1d,
     TemporalMaxPool,
 };
-use sasgd_nn::{init, layers::Conv2d, parallel, Ctx, Layer, Model};
+use sasgd_nn::{init, layers::Conv2d, models, parallel, Ctx, Layer, Model};
 use sasgd_tensor::conv::{conv2d_backward_ref, conv2d_forward_ref, Conv2dSpec};
 use sasgd_tensor::{linalg, SeedRng, Tensor, Workspace};
 
@@ -258,45 +270,34 @@ pub struct HotpathTiming {
 }
 
 /// Pre-PR convolution layer: per-image `*_ref` kernels, every intermediate
-/// freshly heap-allocated. Draws its parameters from the RNG in exactly
-/// the order [`Conv2d::new`] does, so a model built from `Conv2dRef`
-/// layers is bit-identical to its `Conv2d` twin.
+/// freshly heap-allocated. Same parameter block and initialization as
+/// [`Conv2d`], so a model built from `Conv2dRef` layers is bit-identical
+/// to its `Conv2d` twin.
 struct Conv2dRef {
     spec: Conv2dSpec,
-    weight: Tensor,
-    bias: Vec<f32>,
-    dweight: Tensor,
-    dbias: Vec<f32>,
     cached_input: Option<Tensor>,
 }
 
 impl Conv2dRef {
-    fn new(
-        ci: usize,
-        co: usize,
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad: usize,
-        rng: &mut SeedRng,
-    ) -> Self {
-        let spec = Conv2dSpec {
-            ci,
-            co,
-            kh,
-            kw,
-            stride,
-            pad,
-        };
-        let fan_in = ci * kh * kw;
+    fn new(ci: usize, co: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
         Conv2dRef {
-            spec,
-            weight: init::torch_uniform(rng, &[co, fan_in], fan_in),
-            bias: init::torch_uniform_bias(rng, co, fan_in),
-            dweight: Tensor::zeros(&[co, fan_in]),
-            dbias: vec![0.0; co],
+            spec: Conv2dSpec {
+                ci,
+                co,
+                kh,
+                kw,
+                stride,
+                pad,
+            },
             cached_input: None,
         }
+    }
+
+    /// The `[co, patch]` weight tensor the `*_ref` kernels take, copied
+    /// out of the parameter block.
+    fn weight(&self, params: &[f32]) -> Tensor {
+        let dims = [self.spec.co, self.spec.patch_len()];
+        Tensor::from_vec(params[..dims[0] * dims[1]].to_vec(), &dims)
     }
 }
 
@@ -305,49 +306,41 @@ impl Layer for Conv2dRef {
         "Conv2dRef"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
-        let out = conv2d_forward_ref(&input, &self.weight, &self.bias, &self.spec);
+    fn forward(&mut self, input: Tensor, params: &[f32], ctx: &mut Ctx) -> Tensor {
+        let weight = self.weight(params);
+        let bias = &params[weight.numel()..];
+        let out = conv2d_forward_ref(&input, &weight, bias, &self.spec);
         if ctx.training {
             self.cached_input = Some(input);
         }
         out
     }
 
-    fn backward(&mut self, grad_out: Tensor, _ctx: &mut Ctx) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: Tensor,
+        params: &[f32],
+        grads: &mut [f32],
+        _ctx: &mut Ctx,
+    ) -> Tensor {
         let input = self.cached_input.take().expect("backward without forward");
-        let grads = conv2d_backward_ref(&input, &self.weight, &grad_out, &self.spec);
-        self.dweight.add_assign(&grads.dweight);
-        for (a, b) in self.dbias.iter_mut().zip(&grads.dbias) {
+        let got = conv2d_backward_ref(&input, &self.weight(params), &grad_out, &self.spec);
+        let (dweight, dbias) = grads.split_at_mut(got.dweight.numel());
+        for (a, b) in dweight.iter_mut().zip(got.dweight.as_slice()) {
             *a += b;
         }
-        grads.dinput
+        for (a, b) in dbias.iter_mut().zip(&got.dbias) {
+            *a += b;
+        }
+        got.dinput
     }
 
     fn param_len(&self) -> usize {
-        self.weight.numel() + self.bias.len()
+        self.spec.co * self.spec.patch_len() + self.spec.co
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        let w = self.weight.numel();
-        out[..w].copy_from_slice(self.weight.as_slice());
-        out[w..].copy_from_slice(&self.bias);
-    }
-
-    fn write_params(&mut self, src: &[f32]) {
-        let w = self.weight.numel();
-        self.weight.as_mut_slice().copy_from_slice(&src[..w]);
-        self.bias.copy_from_slice(&src[w..]);
-    }
-
-    fn read_grads(&self, out: &mut [f32]) {
-        let w = self.dweight.numel();
-        out[..w].copy_from_slice(self.dweight.as_slice());
-        out[w..].copy_from_slice(&self.dbias);
-    }
-
-    fn zero_grads(&mut self) {
-        self.dweight.zero_();
-        self.dbias.iter_mut().for_each(|x| *x = 0.0);
+    fn init_params(&self, rng: &mut SeedRng, params: &mut [f32]) {
+        init::torch_uniform(rng, params, self.spec.patch_len());
     }
 
     fn out_shape(&self, in_dims: &[usize]) -> Vec<usize> {
@@ -368,35 +361,36 @@ fn cnn_model(divisor: usize, reference: bool, rng: &mut SeedRng) -> Model {
     let c2 = 128 / divisor;
     let c3 = 256 / divisor;
     let c4 = 128 / divisor;
-    let conv = |ci, co, k, s, p, rng: &mut SeedRng| -> Box<dyn Layer> {
+    let conv = |ci, co, k, s, p| -> Box<dyn Layer> {
         if reference {
-            Box::new(Conv2dRef::new(ci, co, k, k, s, p, rng))
+            Box::new(Conv2dRef::new(ci, co, k, k, s, p))
         } else {
-            Box::new(Conv2d::new(ci, co, k, k, s, p, rng))
+            Box::new(Conv2d::new(ci, co, k, k, s, p))
         }
     };
     Model::new(
         vec![
-            conv(3, c1, 5, 1, 2, rng),
+            conv(3, c1, 5, 1, 2),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
-            conv(c1, c2, 3, 1, 1, rng),
+            conv(c1, c2, 3, 1, 1),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
-            conv(c2, c3, 3, 1, 1, rng),
+            conv(c2, c3, 3, 1, 1),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
-            conv(c3, c4, 2, 1, 0, rng),
+            conv(c3, c4, 2, 1, 0),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
             Box::new(Flatten::new()),
-            Box::new(Linear::new(c4, 10, rng)),
+            Box::new(Linear::new(c4, 10)),
         ],
         &[3, 32, 32],
+        rng,
     )
 }
 
@@ -405,17 +399,18 @@ fn cnn_model(divisor: usize, reference: bool, rng: &mut SeedRng) -> Model {
 fn nlc_model(seq_len: usize, rng: &mut SeedRng) -> Model {
     Model::new(
         vec![
-            Box::new(Linear::new(100, 200, rng)),
+            Box::new(Linear::new(100, 200)),
             Box::new(Tanh::new()),
-            Box::new(TemporalConv1d::new(200, 1000, 2, rng)),
+            Box::new(TemporalConv1d::new(200, 1000, 2)),
             Box::new(TemporalMaxPool::new(2)),
             Box::new(Tanh::new()),
             Box::new(GlobalMaxOverTime::new()),
-            Box::new(Linear::new(1000, 1000, rng)),
+            Box::new(Linear::new(1000, 1000)),
             Box::new(Tanh::new()),
-            Box::new(Linear::new(1000, 311, rng)),
+            Box::new(Linear::new(1000, 311)),
         ],
         &[seq_len, 100],
+        rng,
     )
 }
 
@@ -518,20 +513,64 @@ pub fn run_suite() -> Vec<HotpathTiming> {
     out
 }
 
+/// Steady-state cost of one step-and-round of the threaded engine (see the
+/// module docs, *Engine step*).
+pub struct EngineStep {
+    /// Wall-clock per step on a rank (the ranks step concurrently), ms.
+    pub ms_per_step: f64,
+    /// Heap allocations per rank-step.
+    pub allocs_per_step: f64,
+    /// Bytes allocated per rank-step.
+    pub alloc_bytes_per_step: u64,
+}
+
+/// Sentences per epoch of [`run_engine_step`]: 32 steps per rank, enough
+/// that the per-epoch evaluation's own buffers amortise.
+const ENGINE_STEP_SAMPLES: usize = 64;
+
+/// Dense SASGD at full NLC size for one epoch and for two; the difference
+/// over the extra steps.
+pub fn run_engine_step() -> EngineStep {
+    let (train, test) = nlc_like::generate(&NlcLikeConfig::scaled(ENGINE_STEP_SAMPLES, 16, 311));
+    let factory = || models::nlc_net(20, &mut SeedRng::new(9));
+    let algo = Algorithm::sasgd(2, 1, GammaP::OverP);
+    let measure = |epochs: usize| {
+        let mut cfg = TrainConfig::new(epochs, 1, 0.01, 42);
+        cfg.eval_cap = 16;
+        alloc::reset();
+        let t0 = Instant::now();
+        let h = Executor::new(Backend::Threaded).run(&factory, &train, &test, &algo, &cfg);
+        let secs = t0.elapsed().as_secs_f64();
+        std::hint::black_box(h);
+        (secs, alloc::allocs(), alloc::bytes())
+    };
+    let (short, long) = (measure(1), measure(2));
+    let rank_steps = ENGINE_STEP_SAMPLES as f64; // batch 1: one per sample of the extra epoch
+    EngineStep {
+        ms_per_step: (long.0 - short.0) * 1e3 / (rank_steps / 2.0),
+        allocs_per_step: long.1.saturating_sub(short.1) as f64 / rank_steps,
+        alloc_bytes_per_step: long.2.saturating_sub(short.2) / ENGINE_STEP_SAMPLES as u64,
+    }
+}
+
 /// Hand-rolled JSON (the workspace builds offline, with no serde).
-pub fn to_json(timings: &[HotpathTiming], roof: &Roofline) -> String {
+pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
         "  \"parallel_feature\": {},\n  \"simd_feature\": {},\n  \
          \"pool_threads\": {},\n  \
          \"par_threshold\": {},\n  \"alloc_counting\": {},\n  \
-         \"parallel_path_taken\": {},\n  \"cases\": [\n",
+         \"parallel_path_taken\": {},\n  \"engine_step\": {{\"ms_per_step\": {:.3}, \
+         \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}}},\n  \"cases\": [\n",
         parallel::parallel_enabled(),
         cfg!(feature = "simd"),
         parallel::threads(),
         linalg::par_threshold(),
         alloc::counting(),
         roof.parallel_path_taken,
+        engine.ms_per_step,
+        engine.allocs_per_step,
+        engine.alloc_bytes_per_step,
     ));
     for (i, t) in timings.iter().enumerate() {
         let alloc_drop = if t.after_allocs > 0 {
@@ -616,6 +655,7 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline) -> String {
 /// a report plus `BENCH_hotpath.json`.
 pub fn hotpath() -> Artifact {
     let timings = run_suite();
+    let engine = run_engine_step();
     let roof = run_roofline();
     let mut report = String::from(
         "Hot-path fwd+bwd step timings: per-image ref kernels + fresh buffers \
@@ -641,6 +681,11 @@ pub fn hotpath() -> Artifact {
             }
         ));
     }
+    report.push_str(&format!(
+        "\nengine step (dense SASGD, p=2, T=1, batch 1, full NLC net, through Executor): \
+         {:.2} ms/step, {:.1} allocs and {} bytes allocated per rank-step\n",
+        engine.ms_per_step, engine.allocs_per_step, engine.alloc_bytes_per_step
+    ));
     if !alloc::counting() {
         report.push_str("\n(counting allocator not installed: alloc columns are zero)\n");
     }
@@ -723,7 +768,10 @@ pub fn hotpath() -> Artifact {
     Artifact {
         name: "hotpath".to_string(),
         report,
-        csvs: vec![("BENCH_hotpath.json".to_string(), to_json(&timings, &roof))],
+        csvs: vec![(
+            "BENCH_hotpath.json".to_string(),
+            to_json(&timings, &roof, &engine),
+        )],
     }
 }
 
@@ -792,7 +840,16 @@ mod tests {
                 hits: 6,
             }],
         };
-        let j = to_json(&t, &roof);
+        let engine = EngineStep {
+            ms_per_step: 6.25,
+            allocs_per_step: 21.5,
+            alloc_bytes_per_step: 40_960,
+        };
+        let j = to_json(&t, &roof, &engine);
+        assert!(j.contains(
+            "\"engine_step\": {\"ms_per_step\": 6.250, \"allocs_per_step\": 21.5, \
+             \"alloc_bytes_per_step\": 40960}"
+        ));
         assert!(j.contains("\"speedup\": 2.000"));
         assert!(j.contains("\"alloc_drop\": 20.0"));
         assert!(j.contains("\"par_threshold\""));

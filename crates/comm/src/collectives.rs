@@ -134,9 +134,113 @@ pub fn reduce_tree<T: Transport>(
 
 /// Allreduce (sum) via reduce-to-0 plus broadcast: `2·m·log₂(p)` elements
 /// through the root's subtree links — the paper's `O(m log p)` collective.
+///
+/// Same messages, tags, wire and combine order as [`reduce_tree`] then
+/// [`broadcast`], but buffers move instead of being copied: a rank gives
+/// its partial away on the way up (the total overwrites `buf` anyway) and
+/// sends the total down in the partial buffers its children sent it. Only
+/// a rank with more children in the broadcast tree than partials from the
+/// reduce tree (rank 1 at `p = 4`) still copies the total for the extras.
+///
+/// On `Err`, a rank still collecting partials keeps its sum as it was (a
+/// wrong-length partial is [`CommError::MalformedLength`], never a
+/// truncated sum); a rank that had handed its partial to the transport is
+/// left with an **empty** `buf` — the contents were forwarded and are not
+/// coming back — never a truncated or partly overwritten one.
+// hot-path: once per round; the frames it sends are the ones it received
 pub fn allreduce_tree<T: Transport>(comm: &mut T, buf: &mut Vec<f32>) -> Result<(), CommError> {
-    reduce_tree(comm, 0, buf)?;
-    broadcast(comm, 0, buf)
+    let (p, rank) = (comm.size(), comm.rank());
+    let reduce = comm.next_op();
+    let len = buf.len();
+    // Up: merge the children's partials in rank order, then hand the
+    // partial to the rank with this one's lowest set bit cleared.
+    let mut spares = Vec::new(); // lint:allow(hot-alloc): O(log p) buffer handles, not O(m)
+    let mut bit = 1usize;
+    while bit < p {
+        if rank & bit != 0 {
+            comm.send(rank & !bit, tag(reduce, 1), std::mem::take(buf))?;
+            break;
+        }
+        if rank | bit < p {
+            let child = rank | bit;
+            let part = expect_len(child, len, comm.recv(child, tag(reduce, 1))?)?;
+            for (a, b) in buf.iter_mut().zip(&part) {
+                *a += b;
+            }
+            spares.push(part);
+        }
+        bit <<= 1;
+    }
+    // Down: the total arrives from the rank with this one's highest set
+    // bit cleared and goes on to the children above that bit, ascending.
+    let bcast = comm.next_op();
+    let mut bit = 1usize;
+    if rank != 0 {
+        let top = 1usize << (usize::BITS - 1 - rank.leading_zeros());
+        let parent = rank & !top;
+        *buf = expect_len(parent, len, comm.recv(parent, tag(bcast, 0))?)?;
+        bit = top << 1;
+    }
+    while rank | bit < p {
+        let frame = match spares.pop() {
+            Some(mut spare) => {
+                spare.copy_from_slice(buf);
+                spare
+            }
+            // lint:allow(hot-alloc): more children below than partials
+            // received from above them — nothing to recycle for this one.
+            None => buf.clone(),
+        };
+        comm.send(rank | bit, tag(bcast, 0), frame)?;
+        bit <<= 1;
+    }
+    Ok(())
+}
+
+/// The `p − 1` reduce-scatter steps of a ring, under `op`'s phases `2..`:
+/// afterwards rank `r` owns the full sum of chunk `(r+1) mod p`. A chunk of
+/// any other length than the slot it is for is a
+/// [`CommError::MalformedLength`] and leaves that slot as it was.
+fn ring_scatter<T: Transport>(
+    comm: &mut T,
+    op: u64,
+    buf: &mut [f32],
+    bounds: &[(usize, usize)],
+) -> Result<(), CommError> {
+    let (p, r) = (comm.size(), comm.rank());
+    for step in 0..p - 1 {
+        let (slo, shi) = bounds[(r + p - step) % p];
+        let (rlo, rhi) = bounds[(r + p - step - 1) % p];
+        let phase = tag(op, 2 + step as u64);
+        comm.send((r + 1) % p, phase, buf[slo..shi].to_vec())?;
+        let prev = (r + p - 1) % p;
+        let incoming = expect_len(prev, rhi - rlo, comm.recv(prev, phase)?)?;
+        for (a, b) in buf[rlo..rhi].iter_mut().zip(&incoming) {
+            *a += b;
+        }
+    }
+    Ok(())
+}
+
+/// The `p − 1` allgather steps of a ring, under `op`'s phases `first..`:
+/// circulates the completed chunks, each checked like [`ring_scatter`]'s.
+fn ring_gather<T: Transport>(
+    comm: &mut T,
+    op: u64,
+    first: usize,
+    buf: &mut [f32],
+    bounds: &[(usize, usize)],
+) -> Result<(), CommError> {
+    let (p, r) = (comm.size(), comm.rank());
+    for step in 0..p - 1 {
+        let (slo, shi) = bounds[(r + 1 + p - step) % p];
+        let (rlo, rhi) = bounds[(r + p - step) % p];
+        let phase = tag(op, (first + step) as u64);
+        comm.send((r + 1) % p, phase, buf[slo..shi].to_vec())?;
+        let prev = (r + p - 1) % p;
+        buf[rlo..rhi].copy_from_slice(&expect_len(prev, rhi - rlo, comm.recv(prev, phase)?)?);
+    }
+    Ok(())
 }
 
 /// Ring allreduce (reduce-scatter + allgather).
@@ -145,57 +249,10 @@ pub fn allreduce_tree<T: Transport>(comm: &mut T, buf: &mut Vec<f32>) -> Result<
 /// bandwidth-optimal collective modern NCCL uses; contrast with
 /// [`allreduce_tree`] in the ablation bench.
 pub fn allreduce_ring<T: Transport>(comm: &mut T, buf: &mut [f32]) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    let r = comm.rank();
-    let m = buf.len();
-    // Chunk boundaries (first m % p chunks get one extra element).
-    let bounds: Vec<(usize, usize)> = {
-        let base = m / p;
-        let extra = m % p;
-        let mut v = Vec::with_capacity(p);
-        let mut start = 0usize;
-        for k in 0..p {
-            let len = base + usize::from(k < extra);
-            v.push((start, start + len));
-            start += len;
-        }
-        v
-    };
-    let next = (r + 1) % p;
-    let prev = (r + p - 1) % p;
-    // Reduce-scatter: after p-1 steps, rank r owns the full sum of chunk
-    // (r+1) mod p.
-    for step in 0..p - 1 {
-        let send_chunk = (r + p - step) % p;
-        let recv_chunk = (r + p - step - 1) % p;
-        let (slo, shi) = bounds[send_chunk];
-        comm.send(next, tag(op, 2 + step as u64), buf[slo..shi].to_vec())?;
-        let incoming = comm.recv(prev, tag(op, 2 + step as u64))?;
-        let (rlo, rhi) = bounds[recv_chunk];
-        for (a, b) in buf[rlo..rhi].iter_mut().zip(&incoming) {
-            *a += b;
-        }
-    }
-    // Allgather: circulate the completed chunks.
-    for step in 0..p - 1 {
-        let send_chunk = (r + 1 + p - step) % p;
-        let recv_chunk = (r + p - step) % p;
-        let (slo, shi) = bounds[send_chunk];
-        comm.send(
-            next,
-            tag(op, 2 + (p - 1 + step) as u64),
-            buf[slo..shi].to_vec(),
-        )?;
-        let incoming = comm.recv(prev, tag(op, 2 + (p - 1 + step) as u64))?;
-        let (rlo, rhi) = bounds[recv_chunk];
-        buf[rlo..rhi].copy_from_slice(&incoming);
-    }
-    Ok(())
+    let (p, op) = (comm.size(), comm.next_op());
+    let bounds = chunk_bounds(buf.len(), p);
+    ring_scatter(comm, op, buf, &bounds)?;
+    ring_gather(comm, op, 2 + (p - 1), buf, &bounds)
 }
 
 /// Barrier: zero-length allreduce.
@@ -226,54 +283,18 @@ pub fn reduce_scatter<T: Transport>(
     comm: &mut T,
     buf: &mut [f32],
 ) -> Result<(usize, usize), CommError> {
-    let p = comm.size();
-    let r = comm.rank();
+    let (p, op) = (comm.size(), comm.next_op());
     let bounds = chunk_bounds(buf.len(), p);
-    if p == 1 {
-        comm.next_op();
-        return Ok(bounds[0]);
-    }
-    let op = comm.next_op();
-    let next = (r + 1) % p;
-    let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_chunk = (r + p - step) % p;
-        let recv_chunk = (r + p - step - 1) % p;
-        let (slo, shi) = bounds[send_chunk];
-        comm.send(next, tag(op, 2 + step as u64), buf[slo..shi].to_vec())?;
-        let incoming = comm.recv(prev, tag(op, 2 + step as u64))?;
-        let (rlo, rhi) = bounds[recv_chunk];
-        for (a, b) in buf[rlo..rhi].iter_mut().zip(&incoming) {
-            *a += b;
-        }
-    }
-    Ok(bounds[(r + 1) % p])
+    ring_scatter(comm, op, buf, &bounds)?;
+    Ok(bounds[(comm.rank() + 1) % p])
 }
 
 /// Ring allgather: every rank contributes the chunk it owns (chunk index
 /// `(rank+1) % p`, matching [`reduce_scatter`]'s output) and receives all
 /// others, leaving `buf` identical on every rank.
 pub fn allgather<T: Transport>(comm: &mut T, buf: &mut [f32]) -> Result<(), CommError> {
-    let p = comm.size();
-    let r = comm.rank();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    let bounds = chunk_bounds(buf.len(), p);
-    let next = (r + 1) % p;
-    let prev = (r + p - 1) % p;
-    for step in 0..p - 1 {
-        let send_chunk = (r + 1 + p - step) % p;
-        let recv_chunk = (r + p - step) % p;
-        let (slo, shi) = bounds[send_chunk];
-        comm.send(next, tag(op, 2 + step as u64), buf[slo..shi].to_vec())?;
-        let incoming = comm.recv(prev, tag(op, 2 + step as u64))?;
-        let (rlo, rhi) = bounds[recv_chunk];
-        buf[rlo..rhi].copy_from_slice(&incoming);
-    }
-    Ok(())
+    let (p, op) = (comm.size(), comm.next_op());
+    ring_gather(comm, op, 2, buf, &chunk_bounds(buf.len(), p))
 }
 
 #[cfg(test)]
@@ -461,74 +482,121 @@ mod tests {
 
     #[test]
     fn dense_frames_of_the_wrong_length_are_malformed_not_truncated() {
-        use crate::mock::mock_world;
+        use crate::mock::{mock_world, MockTransport};
+        use std::ops::Range;
 
-        // Two mock ranks on one thread: the peer's frame is sent by hand
-        // under the tag the collective is about to match, then the rank
+        // Two mock ranks on one thread: the peer's frames are sent by hand
+        // under the tags the collective is about to match, then the rank
         // under test runs the real collective.
+        let pair = || {
+            let mut world = mock_world(2);
+            let r1 = world.pop().expect("rank 1");
+            (world.pop().expect("rank 0"), r1)
+        };
         let own = [1.0f32, 2.0, 3.0, 4.0];
-        type Collective =
-            fn(&mut crate::mock::MockTransport, &mut Vec<f32>) -> Result<(), CommError>;
-        let up: [(&str, Collective); 2] = [
+        let want = |peer, expected, got| match got == expected {
+            true => Ok(()),
+            false => Err(CommError::MalformedLength {
+                peer,
+                expected,
+                got,
+            }),
+        };
+        type Tree = fn(&mut MockTransport, &mut Vec<f32>) -> Result<(), CommError>;
+        let up: [(&str, Tree); 2] = [
             ("reduce_tree", |c, v| reduce_tree(c, 0, v)),
             ("allreduce_tree", |c, v| allreduce_tree(c, v)),
         ];
-        let down: [(&str, Collective); 2] = [
-            ("broadcast", |c, v| broadcast(c, 0, v)),
-            ("allreduce_tree", |c, v| allreduce_tree(c, v)),
+        // What a failed receive from the parent leaves in the buffer:
+        // `broadcast` has not touched it; `allreduce_tree` gave it away on
+        // the way up, and it is gone — never truncated, never a mix.
+        let down: [(&str, Tree, &[f32]); 2] = [
+            ("broadcast", |c, v| broadcast(c, 0, v), &own),
+            ("allreduce_tree", |c, v| allreduce_tree(c, v), &[]),
         ];
         for (what, len) in [("short", 3usize), ("long", 5), ("empty", 0), ("exact", 4)] {
             let frame = vec![0.5f32; len];
-            let want = |peer| match len {
-                4 => Ok(()),
-                got => Err(CommError::MalformedLength {
-                    peer,
-                    expected: 4,
-                    got,
-                }),
-            };
             // A child's partial arriving at the root's reduce.
             for (name, collective) in up {
-                let mut world = mock_world(2);
-                let (mut r1, mut r0) = (world.pop().expect("rank 1"), world.pop().expect("rank 0"));
+                let (mut r0, mut r1) = pair();
                 let reduce = r1.next_op();
                 r1.send(0, tag(reduce, 1), frame.clone()).expect("send");
                 let mut v = own.to_vec();
-                assert_eq!(collective(&mut r0, &mut v), want(1), "{name} / {what}");
+                assert_eq!(
+                    collective(&mut r0, &mut v),
+                    want(1, 4, len),
+                    "{name} / {what}"
+                );
                 if len != 4 {
                     assert_eq!(v, own, "{name} / {what}: partial untouched");
                 }
             }
             // The parent's buffer arriving at a non-root's broadcast.
-            for (name, collective) in down {
-                let mut world = mock_world(2);
-                let (mut r1, mut r0) = (world.pop().expect("rank 1"), world.pop().expect("rank 0"));
+            for (name, collective, after_error) in down {
+                let (mut r0, mut r1) = pair();
                 let mut bcast = r0.next_op();
                 if name == "allreduce_tree" {
                     bcast = r0.next_op(); // its reduce came first
                 }
                 r0.send(1, tag(bcast, 0), frame.clone()).expect("send");
                 let mut v = own.to_vec();
-                assert_eq!(collective(&mut r1, &mut v), want(0), "{name} / {what}");
                 assert_eq!(
-                    v,
-                    if len == 4 {
-                        frame.clone()
-                    } else {
-                        own.to_vec()
-                    },
+                    collective(&mut r1, &mut v),
+                    want(0, 4, len),
                     "{name} / {what}"
                 );
+                let left = if len == 4 { &frame[..] } else { after_error };
+                assert_eq!(v, left, "{name} / {what}");
             }
         }
         // An empty buffer on a non-root states no expectation.
-        let mut world = mock_world(2);
-        let (mut r1, mut r0) = (world.pop().expect("rank 1"), world.pop().expect("rank 0"));
+        let (mut r0, mut r1) = pair();
         let bcast = r0.next_op();
         r0.send(1, tag(bcast, 0), vec![7.0; 3]).expect("send");
         let mut v = Vec::new();
         assert_eq!(broadcast(&mut r1, 0, &mut v), Ok(()));
         assert_eq!(v, [7.0; 3]);
+
+        // The ring family at p = 2: `own` is two chunks of two. Each row
+        // names the phases rank 0 receives under, which of them carries the
+        // frame under test, and the slot that frame is for.
+        type Ring = fn(&mut MockTransport, &mut [f32]) -> Result<(), CommError>;
+        type Row = (&'static str, Ring, &'static [u64], usize, Range<usize>);
+        let ring: [Row; 4] = [
+            ("allreduce_ring scatter", allreduce_ring, &[2, 3], 0, 2..4),
+            ("allreduce_ring gather", allreduce_ring, &[2, 3], 1, 0..2),
+            (
+                "reduce_scatter",
+                |c, v| reduce_scatter(c, v).map(drop),
+                &[2],
+                0,
+                2..4,
+            ),
+            ("allgather", allgather, &[2], 0, 0..2),
+        ];
+        for (what, len) in [("short", 1usize), ("long", 3), ("empty", 0), ("exact", 2)] {
+            for (name, collective, phases, under_test, slot) in ring.clone() {
+                let (mut r0, mut r1) = pair();
+                let op = r1.next_op();
+                for (i, &phase) in phases.iter().enumerate() {
+                    let len = if i == under_test { len } else { 2 };
+                    r1.send(0, tag(op, phase), vec![0.5; len]).expect("send");
+                }
+                let mut v = own;
+                assert_eq!(
+                    collective(&mut r0, &mut v),
+                    want(1, 2, len),
+                    "{name} / {what}"
+                );
+                if len != 2 {
+                    assert_eq!(
+                        v[slot.clone()],
+                        own[slot],
+                        "{name} / {what}: slot untouched"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -91,17 +91,13 @@ impl AggregationStrategy for AveragingStrategy {
         // is charged on the last epoch).
         let m = learners[0].model.param_len();
         let p = self.p;
-        let mut avg = vec![0.0f32; m];
+        let avg = self.avg_model.as_mut().expect("setup ran").params_mut();
+        avg.fill(0.0);
         for l in learners.iter() {
-            let v = l.model.param_vector();
-            for (a, &b) in avg.iter_mut().zip(&v) {
+            for (a, &b) in avg.iter_mut().zip(l.model.params()) {
                 *a += b / p as f32;
             }
         }
-        self.avg_model
-            .as_mut()
-            .expect("setup ran")
-            .write_params(&avg);
         if epoch == cfg.epochs {
             let ar = cfg.cost.allreduce_tree(m, p);
             for l in learners.iter_mut() {
@@ -115,7 +111,8 @@ impl AggregationStrategy for AveragingStrategy {
     }
 
     fn final_params(&mut self, _learners: &[Learner]) -> Vec<f32> {
-        self.avg_model.as_ref().expect("setup ran").param_vector()
+        let avg_model = self.avg_model.as_ref().expect("setup ran");
+        avg_model.params().to_vec()
     }
 }
 

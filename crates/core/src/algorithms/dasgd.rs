@@ -23,7 +23,7 @@ use sasgd_comm::sparse::SparseLevelProfile;
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
-use crate::engine::{simulated, tree_reduce, AggregationStrategy, Cadence};
+use crate::engine::{rebase, simulated, tree_reduce, AggregationStrategy, Cadence};
 use crate::history::{History, WireStats};
 use crate::trainer::{Learner, TrainConfig};
 
@@ -33,6 +33,9 @@ pub(crate) struct DaSgdStrategy {
     t: usize,
     /// The average computed last round, waiting to be applied.
     pending: Option<Vec<f32>>,
+    /// Per-learner copies of the pre-application parameters: what this
+    /// round's allreduce sums (in place — the average lands in the first).
+    frames: Vec<Vec<f32>>,
     /// Per-learner parameters at the moment of the last application —
     /// the base point the local progress delta is measured from.
     snaps: Vec<Vec<f32>>,
@@ -52,6 +55,7 @@ impl DaSgdStrategy {
             p,
             t,
             pending: None,
+            frames: Vec::new(),
             snaps: Vec::new(),
             last_avail: 0.0,
             ar_seconds: 0.0,
@@ -85,6 +89,7 @@ impl AggregationStrategy for DaSgdStrategy {
     fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
         self.m = x0.len();
         self.snaps = vec![x0.to_vec(); self.p];
+        self.frames = self.snaps.clone();
         self.ar_seconds = cfg.cost.allreduce_tree(self.m, self.p).seconds;
         self.last_avail = 0.0;
         self.pending = None;
@@ -125,30 +130,25 @@ impl AggregationStrategy for DaSgdStrategy {
         // parameters, in binomial-tree order with reciprocal scaling —
         // the exact float sequence of the threaded DelayedAverage op.
         let t_arr_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-        let bufs: Vec<Vec<f32>> = learners.iter().map(|l| l.model.param_vector()).collect();
-        let mut avg = tree_reduce(bufs);
-        let inv = 1.0 / self.p as f32;
-        avg.iter_mut().for_each(|v| *v *= inv);
-        // Apply the PREVIOUS round's average, re-based by each learner's
-        // local progress since its last application.
-        if let Some(prev) = self.pending.take() {
-            for (i, l) in learners.iter_mut().enumerate() {
-                let cur = l.model.param_vector();
-                let applied: Vec<f32> = prev
-                    .iter()
-                    .zip(&cur)
-                    .zip(&self.snaps[i])
-                    .map(|((&pv, &cv), &sv)| pv + (cv - sv))
-                    .collect();
-                l.model.write_params(&applied);
-                self.snaps[i] = applied;
-            }
-        } else {
-            for (i, l) in learners.iter().enumerate() {
-                self.snaps[i] = l.model.param_vector();
-            }
+        for (frame, l) in self.frames.iter_mut().zip(learners.iter()) {
+            frame.copy_from_slice(l.model.params());
         }
-        self.pending = Some(avg);
+        tree_reduce(&mut self.frames);
+        let inv = 1.0 / self.p as f32;
+        self.frames[0].iter_mut().for_each(|v| *v *= inv);
+        // Apply the PREVIOUS round's average, re-based by each learner's
+        // local progress since its last application; the buffer it came
+        // in carries the next round's copy.
+        let avg = std::mem::take(&mut self.frames[0]);
+        let prev = self.pending.replace(avg);
+        for (l, snap) in learners.iter_mut().zip(&mut self.snaps) {
+            let cur = l.model.params_mut();
+            if let Some(prev) = &prev {
+                rebase(cur, prev, snap);
+            }
+            snap.copy_from_slice(cur);
+        }
+        self.frames[0] = prev.unwrap_or_else(|| vec![0.0; self.m]);
         // Overlapped timing: a learner only stalls if the previous
         // round's allreduce has not completed by the time it arrives
         // here; the one launched now completes ar_seconds after the
@@ -163,16 +163,11 @@ impl AggregationStrategy for DaSgdStrategy {
     fn final_params(&mut self, learners: &[Learner]) -> Vec<f32> {
         // Flush the in-flight average so a finished run does not discard
         // the last round of aggregation (mirrors the threaded runner).
-        let cur = learners[0].model.param_vector();
-        match &self.pending {
-            Some(prev) => prev
-                .iter()
-                .zip(&cur)
-                .zip(&self.snaps[0])
-                .map(|((&pv, &cv), &sv)| pv + (cv - sv))
-                .collect(),
-            None => cur,
+        let mut cur = learners[0].model.params().to_vec();
+        if let Some(prev) = &self.pending {
+            rebase(&mut cur, prev, &self.snaps[0]);
         }
+        cur
     }
 
     fn wire(&self, syncs: u64, _sparse_levels: &SparseLevelProfile) -> Option<WireStats> {

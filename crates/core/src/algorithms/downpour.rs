@@ -123,7 +123,7 @@ impl DownpourStrategy {
         }
         l.gs.iter_mut().for_each(|g| *g = 0.0);
         // Pull: fresh (possibly already-stale-tomorrow) parameters.
-        l.model.write_params(&self.ps);
+        l.model.params_mut().copy_from_slice(&self.ps);
     }
 }
 

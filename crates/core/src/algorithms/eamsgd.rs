@@ -143,14 +143,13 @@ impl AggregationStrategy for EamsgdStrategy {
         gamma: f32,
     ) {
         // One momentum-SGD step on the local replica.
-        let (g, _) = l.compute_gradient(data, idx);
-        let mut params = l.model.param_vector();
+        l.compute_gradient(data, idx);
+        let (params, grads) = l.model.params_and_grads_mut();
         let v = &mut self.velocities[id];
-        for ((vi, pi), &gi) in v.iter_mut().zip(params.iter_mut()).zip(&g) {
+        for ((vi, pi), &gi) in v.iter_mut().zip(params).zip(grads) {
             *vi = self.momentum * *vi - gamma * gi;
             *pi += *vi;
         }
-        l.model.write_params(&params);
     }
 
     fn event_sync(&mut self, l: &mut Learner, _id: usize, _gamma: f32) {
@@ -162,13 +161,11 @@ impl EamsgdStrategy {
     /// Elastic exchange with the center at the current effective rate.
     fn exchange(&mut self, l: &mut Learner) {
         let alpha = self.alpha_eff();
-        let mut params = l.model.param_vector();
-        for (pi, ci) in params.iter_mut().zip(self.center.iter_mut()) {
+        for (pi, ci) in l.model.params_mut().iter_mut().zip(&mut self.center) {
             let diff = alpha * (*pi - *ci);
             *pi -= diff;
             *ci += diff;
         }
-        l.model.write_params(&params);
     }
 }
 

@@ -25,7 +25,7 @@ use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
 use crate::algorithms::GammaP;
-use crate::engine::{simulated, AggregationStrategy};
+use crate::engine::{aggregate_dense, simulated, AggregationStrategy};
 use crate::history::{History, StalenessStats};
 use crate::trainer::{Learner, TrainConfig};
 
@@ -139,17 +139,11 @@ fn level1(
     for g in 0..groups {
         let members = &mut learners[g * per_group..(g + 1) * per_group];
         let t_max = members.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
-        // Binomial-tree-order sum of the members' gs.
-        let bufs: Vec<Vec<f32>> = members.iter().map(|l| l.gs.clone()).collect();
-        let total = crate::engine::tree_reduce(bufs);
-        for (xi, &gv) in group_x[g].iter_mut().zip(&total) {
-            *xi -= gamma_p * gv;
-        }
+        // Binomial-tree-order sum of the members' gs, then the group step.
+        aggregate_dense(&mut group_x[g], gamma_p, members);
         for l in members.iter_mut() {
             let wait = t_max - l.clock;
             l.charge_comm(wait + local_ar_seconds);
-            l.model.write_params(&group_x[g]);
-            l.gs.iter_mut().for_each(|gv| *gv = 0.0);
         }
     }
 }
@@ -176,7 +170,9 @@ fn level2(
     for (id, l) in learners.iter_mut().enumerate() {
         let wait = t_max - l.clock;
         l.charge_comm(wait + global_ar_seconds);
-        l.model.write_params(&group_x[id / per_group]);
+        l.model
+            .params_mut()
+            .copy_from_slice(&group_x[id / per_group]);
     }
 }
 

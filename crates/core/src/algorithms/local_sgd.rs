@@ -131,19 +131,25 @@ impl AggregationStrategy for LocalSgdStrategy {
         // Sum replicas in binomial-tree order (the sasgd-comm allreduce
         // order) and scale by the reciprocal — the exact float sequence of
         // the threaded backend's ParamAverage op, so p-way runs stay
-        // bitwise equal across backends.
-        let bufs: Vec<Vec<f32>> = learners.iter().map(|l| l.model.param_vector()).collect();
-        let mut avg = tree_reduce(bufs);
+        // bitwise equal across backends. Every replica is about to be
+        // overwritten, so the sum runs in place and lands in learner 0's.
+        let mut replicas: Vec<&mut [f32]> =
+            learners.iter_mut().map(|l| l.model.params_mut()).collect();
+        tree_reduce(&mut replicas);
+        let (first, rest) = learners.split_first_mut().expect("at least one learner");
+        let avg = first.model.params_mut();
         let inv = 1.0 / self.p as f32;
         avg.iter_mut().for_each(|v| *v *= inv);
-        self.last_signal = Some(delta_sq_norm(&avg, &self.prev_avg));
+        self.last_signal = Some(delta_sq_norm(avg, &self.prev_avg));
+        self.prev_avg.copy_from_slice(avg);
+        for l in rest {
+            l.model.params_mut().copy_from_slice(&self.prev_avg);
+        }
         for l in learners.iter_mut() {
             let wait = t_max - l.clock;
             l.charge_comm(wait + self.ar_seconds);
-            l.model.write_params(&avg);
             l.gs.iter_mut().for_each(|g| *g = 0.0);
         }
-        self.prev_avg = avg;
     }
 
     fn sync_signal(&mut self) -> Option<f32> {

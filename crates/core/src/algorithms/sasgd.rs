@@ -25,7 +25,7 @@ use sasgd_nn::Model;
 
 use crate::algorithms::GammaP;
 use crate::compress::{Compression, ErrorFeedback, Payload};
-use crate::engine::{simulated, tree_reduce, AggregationStrategy, Total};
+use crate::engine::{aggregate_dense, simulated, tree_reduce, AggregationStrategy, Total};
 use crate::history::{History, StalenessStats, WireStats};
 use crate::trainer::{Learner, TrainConfig};
 
@@ -114,43 +114,46 @@ impl AggregationStrategy for SasgdStrategy {
     fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History) {
         let gp = self.gamma_p.resolve(gamma_now, self.p);
         self.rounds += 1; // 1-based, matching the threaded backend's rounds
-        let mut dense = Vec::new();
-        let (mut sparse, mut opts) = (Vec::new(), Vec::new());
-        for (r, l) in learners.iter().enumerate() {
-            let Some(codec) = self.codecs.get_mut(r) else {
-                // Uncompressed run: the payload is `gs` itself.
-                dense.push(l.gs.clone());
-                continue;
-            };
-            let enc = codec.encode(&l.gs);
-            // lint:allow(float-cast): telemetry narrowing — the norm is
-            // accumulated in f64 for order-stability, reported in f32.
-            history.push_sparsity(self.rounds, r, enc.k_eff, enc.residual_norm as f32);
-            match enc.payload {
-                Payload::Dense8(v, _) => dense.push(v),
-                Payload::Sparse(sv, o) => {
-                    sparse.push(sv);
-                    opts.push(o);
+        if self.codecs.is_empty() {
+            // Uncompressed run: the payloads are the `gs` themselves.
+            aggregate_dense(&mut self.x, gp, learners);
+        } else {
+            let mut dense = Vec::new();
+            let (mut sparse, mut opts) = (Vec::new(), Vec::new());
+            for (r, (l, codec)) in learners.iter().zip(&mut self.codecs).enumerate() {
+                let enc = codec.encode(&l.gs);
+                // lint:allow(float-cast): telemetry narrowing — the norm is
+                // accumulated in f64 for order-stability, reported in f32.
+                history.push_sparsity(self.rounds, r, enc.k_eff, enc.residual_norm as f32);
+                match enc.payload {
+                    Payload::Dense8(v, _) => dense.push(v),
+                    Payload::Sparse(sv, o) => {
+                        sparse.push(sv);
+                        opts.push(o);
+                    }
                 }
             }
-        }
-        let total = if sparse.is_empty() {
-            Total::Dense(tree_reduce(dense))
-        } else {
-            let (total, spills, profile) = tree_combine_bounded(sparse, &opts);
-            history.sparse_levels.merge(&profile);
-            for (codec, spill) in self.codecs.iter_mut().zip(&spills) {
-                codec.absorb(spill);
+            let total = if sparse.is_empty() {
+                tree_reduce(&mut dense);
+                Total::Dense(dense.swap_remove(0))
+            } else {
+                let (total, spills, profile) = tree_combine_bounded(sparse, &opts);
+                history.sparse_levels.merge(&profile);
+                for (codec, spill) in self.codecs.iter_mut().zip(&spills) {
+                    codec.absorb(spill);
+                }
+                Total::Sparse(total)
+            };
+            total.step(&mut self.x, gp);
+            for l in learners.iter_mut() {
+                l.model.params_mut().copy_from_slice(&self.x);
+                l.gs.fill(0.0);
             }
-            Total::Sparse(total)
-        };
-        total.step(&mut self.x, gp);
+        }
         let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
         for l in learners.iter_mut() {
             let wait = t_max - l.clock;
             l.charge_comm(wait + self.ar_seconds);
-            l.model.write_params(&self.x);
-            l.gs.iter_mut().for_each(|g| *g = 0.0);
         }
     }
 

@@ -19,7 +19,7 @@ use sasgd_comm::sparse::{q8_allreduce_tree, sparse_allreduce_tree_v2};
 use sasgd_comm::transport::Transport;
 use sasgd_nn::Model;
 
-use super::{delta_sq_norm, dense_step, FaultConfig, Total};
+use super::{delta_sq_norm, global_step, rebase, FaultConfig, Total};
 use crate::algorithms::{Algorithm, GammaP};
 use crate::compress::{ErrorFeedback, Payload};
 use crate::history::{History, MembershipEvent, RetirementEvent};
@@ -80,10 +80,10 @@ pub(crate) trait Exchange {
         true
     }
 
-    /// Apply one minibatch gradient locally: accumulate into `gs` and take
-    /// the step `x ← x − γ·g`.
-    fn apply_local(&mut self, l: &mut Learner, g: &[f32], gamma: f32) {
-        l.apply_local(g, gamma);
+    /// Apply the minibatch gradient in `l.model.grads()` locally:
+    /// accumulate into `gs` and take the step `x ← x − γ·g`.
+    fn apply_local(&mut self, l: &mut Learner, gamma: f32) {
+        l.apply_local(gamma);
     }
 
     /// One aggregation round.
@@ -103,7 +103,7 @@ pub(crate) trait Exchange {
 
     /// Final parameters reported in [`History`].
     fn final_params(&mut self, l: &Learner) -> Vec<f32> {
-        l.model.param_vector()
+        l.model.params().to_vec()
     }
 
     /// Learners still contributing, when that can differ from `p`.
@@ -120,17 +120,10 @@ impl Exchange for Solo {}
 /// Broadcast rank 0's parameters (Algorithm 1) and keep them as the
 /// shared pre-interval vector `x`.
 fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<Vec<f32>, WireError> {
-    let mut x = l.model.param_vector();
+    let mut x = l.model.params().to_vec();
     broadcast(comm, 0, &mut x)?;
-    l.model.write_params(&x);
+    l.model.params_mut().copy_from_slice(&x);
     Ok(x)
-}
-
-/// The global step `x ← x − γp·Σg`; the replica restarts from the common
-/// `x`.
-fn global_step(x: &mut [f32], gp: f32, total: &[f32], model: &mut Model) {
-    dense_step(x, gp, total);
-    model.write_params(x);
 }
 
 /// Allreduce `gs` through `codec`: its payload travels in the payload's
@@ -182,14 +175,14 @@ impl<T: Transport> Exchange for GradTree<T> {
         match self.codec.as_mut() {
             Some(codec) => {
                 compressed_allreduce(codec, &mut self.comm, &l.gs, round)?.step(&mut self.x, gp);
-                l.model.write_params(&self.x);
+                l.model.params_mut().copy_from_slice(&self.x);
+                l.gs.fill(0.0);
             }
             None => {
                 allreduce_tree(&mut self.comm, &mut l.gs)?;
-                global_step(&mut self.x, gp, &l.gs, &mut l.model);
+                global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
             }
         }
-        l.gs.fill(0.0);
         Ok(Outcome::default())
     }
 }
@@ -245,8 +238,7 @@ impl<T: Transport> Exchange for FtTree<'_, T> {
         };
         // = p on a clean round, so the fault-free trajectory is GradTree's.
         let gp = self.gamma_p.resolve(round.gamma, self.membership.len());
-        global_step(&mut self.x, gp, &l.gs, &mut l.model);
-        l.gs.fill(0.0);
+        global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
         if rank == 0 && !lost.lost.is_empty() {
             round.history.membership.push(MembershipEvent {
                 round: round.number,
@@ -282,10 +274,7 @@ impl<T: Transport> Exchange for HierTree<T> {
     fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
         let gp = self.gamma_p.resolve(round.gamma, self.bundle.local.size());
         allreduce_tree(&mut self.bundle.local, &mut l.gs)?;
-        for (xi, &g) in self.x.iter_mut().zip(&l.gs) {
-            *xi -= gp * g;
-        }
-        l.gs.fill(0.0);
+        global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
         self.local_rounds += 1;
         if self.local_rounds == self.t_global {
             if let Some(leaders) = self.bundle.leaders.as_mut() {
@@ -294,19 +283,27 @@ impl<T: Transport> Exchange for HierTree<T> {
                 self.x.iter_mut().for_each(|v| *v *= inv);
             }
             broadcast(&mut self.bundle.local, 0, &mut self.x)?;
+            l.model.params_mut().copy_from_slice(&self.x);
             self.local_rounds = 0;
         }
-        l.model.write_params(&self.x);
         Ok(Outcome::default())
     }
 }
 
-/// Tree allreduce of the parameters scaled by `1/p`.
-fn average_params<T: Transport>(comm: &mut T, mut buf: Vec<f32>) -> Result<Vec<f32>, WireError> {
-    allreduce_tree(comm, &mut buf)?;
+/// The average of every rank's `params`, left in `frame`: a tree allreduce
+/// of a copy, scaled by `1/p`. The copy travels in `frame`'s own storage,
+/// so a caller that keeps the buffer across rounds allocates nothing.
+fn average_params<T: Transport>(
+    comm: &mut T,
+    params: &[f32],
+    frame: &mut Vec<f32>,
+) -> Result<(), WireError> {
+    frame.clear();
+    frame.extend_from_slice(params);
+    allreduce_tree(comm, frame)?;
     let inv = 1.0 / comm.size() as f32;
-    buf.iter_mut().for_each(|v| *v *= inv);
-    Ok(buf)
+    frame.iter_mut().for_each(|v| *v *= inv);
+    Ok(())
 }
 
 /// Local SGD: parameter average every round; the squared displacement of
@@ -314,14 +311,17 @@ fn average_params<T: Transport>(comm: &mut T, mut buf: Vec<f32>) -> Result<Vec<f
 struct ParamAvg<T> {
     comm: T,
     prev_avg: Vec<f32>,
+    /// This round's average; trades places with `prev_avg` every round.
+    avg: Vec<f32>,
 }
 
 impl<T: Transport> Exchange for ParamAvg<T> {
     fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
-        let avg = average_params(&mut self.comm, l.model.param_vector())?;
-        l.model.write_params(&avg);
-        let signal = Some(delta_sq_norm(&avg, &self.prev_avg));
-        self.prev_avg = avg;
+        let params = l.model.params_mut();
+        average_params(&mut self.comm, params, &mut self.avg)?;
+        params.copy_from_slice(&self.avg);
+        let signal = Some(delta_sq_norm(&self.avg, &self.prev_avg));
+        std::mem::swap(&mut self.avg, &mut self.prev_avg);
         Ok(Outcome {
             signal,
             ..Outcome::default()
@@ -336,37 +336,31 @@ struct DelayedAvg<T> {
     comm: T,
     snap: Vec<f32>,
     pending: Option<Vec<f32>>,
-}
-
-impl<T> DelayedAvg<T> {
-    /// The pending average re-based onto `cur`.
-    fn rebased(&mut self, cur: &[f32]) -> Option<Vec<f32>> {
-        let prev = self.pending.take()?;
-        let rebase = |((&pv, &c), &s0): ((&f32, &f32), &f32)| pv + (c - s0);
-        Some(prev.iter().zip(cur).zip(&self.snap).map(rebase).collect())
-    }
+    /// The average that landed last round: next round's allreduce frame.
+    spare: Vec<f32>,
 }
 
 impl<T: Transport> Exchange for DelayedAvg<T> {
     fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
-        let cur = l.model.param_vector();
-        let avg = average_params(&mut self.comm, cur.clone())?;
-        self.snap = match self.rebased(&cur) {
-            Some(applied) => {
-                l.model.write_params(&applied);
-                applied
-            }
-            None => cur,
-        };
-        self.pending = Some(avg);
+        let params = l.model.params_mut();
+        let mut avg = std::mem::take(&mut self.spare);
+        average_params(&mut self.comm, params, &mut avg)?;
+        if let Some(prev) = self.pending.replace(avg) {
+            rebase(params, &prev, &self.snap);
+            self.spare = prev;
+        }
+        self.snap.copy_from_slice(params);
         Ok(Outcome::default())
     }
 
     /// A pending average that never landed is flushed into the final
     /// parameters, exactly like the simulated strategy.
     fn final_params(&mut self, l: &Learner) -> Vec<f32> {
-        let cur = l.model.param_vector();
-        self.rebased(&cur).unwrap_or(cur)
+        let mut cur = l.model.params().to_vec();
+        if let Some(prev) = &self.pending {
+            rebase(&mut cur, prev, &self.snap);
+        }
+        cur
     }
 }
 
@@ -384,20 +378,20 @@ impl<T: Transport> Exchange for EpochGather<T> {
         let p = self.comm.size();
         let gather_tag = (self.comm.next_op() << 4) | 2;
         let Some(avg_model) = self.avg_model.as_mut() else {
-            self.comm.send(0, gather_tag, l.model.param_vector())?;
+            self.comm.send(0, gather_tag, l.model.params().to_vec())?;
             return Ok(());
         };
-        let mut avg = vec![0.0f32; l.model.param_len()];
+        let avg = avg_model.params_mut();
+        avg.fill(0.0);
         let mut add = |v: &[f32]| {
             for (a, &b) in avg.iter_mut().zip(v) {
                 *a += b / p as f32;
             }
         };
-        add(&l.model.param_vector());
+        add(l.model.params());
         for r in 1..p {
             add(&self.comm.recv(r, gather_tag)?);
         }
-        avg_model.write_params(&avg);
         Ok(())
     }
 
@@ -406,7 +400,11 @@ impl<T: Transport> Exchange for EpochGather<T> {
     }
 
     fn final_params(&mut self, l: &Learner) -> Vec<f32> {
-        self.avg_model.as_ref().unwrap_or(&l.model).param_vector()
+        self.avg_model
+            .as_ref()
+            .unwrap_or(&l.model)
+            .params()
+            .to_vec()
     }
 }
 
@@ -440,7 +438,7 @@ impl<T: Transport> PsLink<T> {
             client: PsTransportClient::new(comm, layout),
             staleness_aware,
         };
-        l.model.write_params(&link.pull()?);
+        l.model.params_mut().copy_from_slice(&link.pull()?);
         Ok(Some(link))
     }
 
@@ -474,7 +472,7 @@ impl<T: Transport> Exchange for PsPushPull<T> {
         let staleness = self.0.claim(round.gamma)?;
         self.0.client.push_gradient(staleness.1, &l.gs)?;
         l.gs.fill(0.0);
-        l.model.write_params(&self.0.pull()?);
+        l.model.params_mut().copy_from_slice(&self.0.pull()?);
         Ok(Outcome {
             staleness: Some(staleness),
             ..Outcome::default()
@@ -490,30 +488,29 @@ struct PsElastic<T: Transport> {
     alpha: f32,
     momentum: f32,
     velocity: Vec<f32>,
+    /// The elastic difference pushed each round.
+    diff: Vec<f32>,
 }
 
 impl<T: Transport> Exchange for PsElastic<T> {
     /// One momentum-SGD step — same arithmetic as the simulated strategy.
-    fn apply_local(&mut self, l: &mut Learner, g: &[f32], gamma: f32) {
-        let mut params = l.model.param_vector();
-        for ((vi, pi), &gi) in self.velocity.iter_mut().zip(params.iter_mut()).zip(g) {
+    fn apply_local(&mut self, l: &mut Learner, gamma: f32) {
+        let (params, grads) = l.model.params_and_grads_mut();
+        for ((vi, pi), &gi) in self.velocity.iter_mut().zip(params).zip(grads) {
             *vi = self.momentum * *vi - gamma * gi;
             *pi += *vi;
         }
-        l.model.write_params(&params);
     }
 
     fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
         let staleness = self.link.claim(self.alpha)?;
         let center = self.link.pull()?;
-        let mut params = l.model.param_vector();
-        let mut diff = vec![0.0f32; params.len()];
-        for ((pi, &ci), di) in params.iter_mut().zip(&center).zip(diff.iter_mut()) {
+        let params = l.model.params_mut();
+        for ((pi, &ci), di) in params.iter_mut().zip(&center).zip(self.diff.iter_mut()) {
             *di = staleness.1 * (*pi - ci);
             *pi -= *di;
         }
-        l.model.write_params(&params);
-        self.link.client.add(&diff)?;
+        self.link.client.add(&self.diff)?;
         Ok(Outcome {
             staleness: Some(staleness),
             ..Outcome::default()
@@ -593,12 +590,14 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
         }),
         (Algorithm::LocalSgd { .. }, Endpoint::Flat(comm, None)) => Box::new(ParamAvg {
             comm,
-            prev_avg: l.model.param_vector(),
+            prev_avg: l.model.params().to_vec(),
+            avg: Vec::new(),
         }),
         (Algorithm::DelayedAvg { .. }, Endpoint::Flat(comm, None)) => Box::new(DelayedAvg {
             comm,
-            snap: l.model.param_vector(),
+            snap: l.model.params().to_vec(),
             pending: None,
+            spare: Vec::new(),
         }),
         (Algorithm::ModelAverageOnce { .. }, Endpoint::Flat(comm, None)) => Box::new(EpochGather {
             avg_model: (comm.rank() == 0).then(factory),
@@ -634,6 +633,7 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
                 alpha,
                 momentum,
                 velocity: vec![0.0; l.model.param_len()],
+                diff: vec![0.0; l.model.param_len()],
             })
         }
         _ => return Ok(None),

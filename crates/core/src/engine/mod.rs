@@ -243,7 +243,7 @@ pub(crate) trait AggregationStrategy {
 
     /// Final parameters reported in [`History`].
     fn final_params(&mut self, learners: &[Learner]) -> Vec<f32> {
-        learners[0].model.param_vector()
+        learners[0].model.params().to_vec()
     }
 
     /// One local minibatch (event-driven cadence; virtual time is the
@@ -267,31 +267,51 @@ pub(crate) trait AggregationStrategy {
     fn event_sync(&mut self, l: &mut Learner, id: usize, gamma: f32) {}
 }
 
-/// Binomial-tree reduction of per-rank buffers in the exact gap-doubling
-/// order of the wire collective (`sasgd-comm`'s `allreduce_tree`), so the
-/// simulated sum is bitwise the threaded sum. Consumes the buffers and
-/// returns the total.
-pub(crate) fn tree_reduce(mut bufs: Vec<Vec<f32>>) -> Vec<f32> {
+/// Binomial-tree reduction of per-rank buffers, in place, in the exact
+/// gap-doubling order of the wire collective (`sasgd-comm`'s
+/// `allreduce_tree`), so the simulated sum is bitwise the threaded sum. The
+/// total lands in `bufs[0]`; the other buffers are left holding the
+/// partial sums they forwarded.
+pub(crate) fn tree_reduce<B: AsMut<[f32]>>(bufs: &mut [B]) {
     let p = bufs.len();
     let mut gap = 1;
     while gap < p {
         let mut i = 0;
         while i + gap < p {
             let (lo, hi) = bufs.split_at_mut(i + gap);
-            for (a, b) in lo[i].iter_mut().zip(&hi[0]) {
+            for (a, b) in lo[i].as_mut().iter_mut().zip(hi[0].as_mut().iter()) {
                 *a += b;
             }
             i += 2 * gap;
         }
         gap *= 2;
     }
-    bufs.swap_remove(0)
 }
 
-/// The global step `x ← x − γp·total` over every coordinate.
-pub(crate) fn dense_step(x: &mut [f32], gp: f32, total: &[f32]) {
-    for (xi, &g) in x.iter_mut().zip(total) {
-        *xi -= gp * g;
+/// The dense global step of Algorithm 1 in one pass: `x ← x − γp·gs`, the
+/// replica restarts from the common `x`, and `gs` (holding the allreduced
+/// total) is cleared for the next interval.
+// hot-path: once per round, in place
+pub(crate) fn global_step(x: &mut [f32], gp: f32, gs: &mut [f32], params: &mut [f32]) {
+    for ((xi, g), p) in x.iter_mut().zip(gs).zip(params) {
+        *xi -= gp * *g;
+        *p = *xi;
+        *g = 0.0;
+    }
+}
+
+/// One uncompressed aggregation over a simulated cohort sharing `x`: the
+/// learners' `gs` summed in place in the wire collective's order (the
+/// total lands in learner 0's), the fused [`global_step`] there, and every
+/// other learner restarted from the common `x`.
+pub(crate) fn aggregate_dense(x: &mut [f32], gp: f32, learners: &mut [Learner]) {
+    let mut gs: Vec<&mut [f32]> = learners.iter_mut().map(|l| &mut l.gs[..]).collect();
+    tree_reduce(&mut gs);
+    let (first, rest) = learners.split_first_mut().expect("at least one learner");
+    global_step(x, gp, &mut first.gs, first.model.params_mut());
+    for l in rest {
+        l.model.params_mut().copy_from_slice(x);
+        l.gs.fill(0.0);
     }
 }
 
@@ -311,7 +331,11 @@ impl Total {
     // hot-path: once per round, O(nnz) on the sparse arm
     pub(crate) fn step(&self, x: &mut [f32], gp: f32) {
         match self {
-            Total::Dense(total) => dense_step(x, gp, total),
+            Total::Dense(total) => {
+                for (xi, &g) in x.iter_mut().zip(total) {
+                    *xi -= gp * g;
+                }
+            }
             Total::Sparse(total) => {
                 for (&i, &g) in total.idx.iter().zip(&total.val) {
                     x[i as usize] -= gp * g;
@@ -335,6 +359,15 @@ pub(crate) fn delta_sq_norm(a: &[f32], b: &[f32]) -> f32 {
     a.iter()
         .zip(b)
         .fold(0.0f32, |acc, (x, y)| acc + (x - y) * (x - y))
+}
+
+/// `cur ← prev + (cur − snap)`: DaSGD's delayed average `prev` re-based
+/// onto the local progress made since the snapshot `snap` — one formula for
+/// both backends.
+pub(crate) fn rebase(cur: &mut [f32], prev: &[f32], snap: &[f32]) {
+    for ((c, &pv), &s0) in cur.iter_mut().zip(prev).zip(snap) {
+        *c = pv + (*c - s0);
+    }
 }
 
 /// Fractional collective epoch fed to the γ schedule by the event-driven

@@ -45,7 +45,7 @@ use crate::trainer::{EvalSets, Learner, TrainConfig};
 /// One rank of `algo` over `comm`, a flat world of `algo.learners()`
 /// learners — followed, for the parameter-server algorithms (Downpour,
 /// EAMSGD), by at least one shard rank: every rank past the learners serves
-/// its slice of `factory().param_vector()` and returns a record-less
+/// its slice of `factory().params()` and returns a record-less
 /// [`History`] whose `final_params` is that slice as the learners left it.
 /// `factory` must produce identically initialized models on every rank.
 /// Returns this rank's [`History`]; only rank 0's carries epoch records.
@@ -269,7 +269,7 @@ pub(crate) fn drive<T: Transport>(
                 });
             }
             // A parameter-server shard: no loop, no learner.
-            let x0 = factory().param_vector();
+            let x0 = factory().params().to_vec();
             let layout = PsLayout {
                 p,
                 shards: comm.size() - p,
@@ -309,9 +309,8 @@ pub(crate) fn drive<T: Transport>(
             break;
         }
         let t0 = Instant::now();
-        let (g, _) = learner.compute_gradient(train_set, &step.idx);
-        exchange.apply_local(&mut learner, &g, step.gamma);
-        drop(g); // a parameter-sized buffer the round should not overlap
+        learner.compute_gradient(train_set, &step.idx);
+        exchange.apply_local(&mut learner, step.gamma);
         compute_s += t0.elapsed().as_secs_f64();
 
         if step.sync {

@@ -80,10 +80,10 @@ fn run_lockstep(
     let p = s.p();
     let mut learners: Vec<Learner> = (0..p).map(|id| Learner::new(id, factory(), cfg)).collect();
     let macs = learners[0].model.macs_per_sample();
-    let x0 = learners[0].model.param_vector();
+    let x0 = learners[0].model.params().to_vec();
     let init_comm = s.setup(factory, &x0, cfg);
     for l in &mut learners {
-        l.model.write_params(&x0);
+        l.model.params_mut().copy_from_slice(&x0);
         l.charge_comm(init_comm);
     }
 
@@ -191,10 +191,10 @@ fn run_event_individual(
     let mut learners: Vec<Learner> = (0..p).map(|id| Learner::new(id, factory(), cfg)).collect();
     let m = learners[0].model.param_len();
     let macs = learners[0].model.macs_per_sample();
-    let x0 = learners[0].model.param_vector();
+    let x0 = learners[0].model.params().to_vec();
     let init_comm = s.setup(factory, &x0, cfg);
     for l in &mut learners {
-        l.model.write_params(&x0);
+        l.model.params_mut().copy_from_slice(&x0);
         l.charge_comm(init_comm);
     }
 
@@ -294,10 +294,10 @@ fn run_event_collective(
     let mut policy = s.sync_policy();
     let mut learners: Vec<Learner> = (0..p).map(|id| Learner::new(id, factory(), cfg)).collect();
     let macs = learners[0].model.macs_per_sample();
-    let x0 = learners[0].model.param_vector();
+    let x0 = learners[0].model.params().to_vec();
     let init_comm = s.setup(factory, &x0, cfg);
     for l in &mut learners {
-        l.model.write_params(&x0);
+        l.model.params_mut().copy_from_slice(&x0);
         l.charge_comm(init_comm);
     }
 

@@ -229,8 +229,7 @@ impl EvalSets {
             let mut ctx = Ctx::measure();
             model.forward_loss(x, y, &mut ctx);
             model.backward(&mut ctx);
-            let g = model.grad_vector();
-            for (a, &b) in grad.iter_mut().zip(&g) {
+            for (a, &b) in grad.iter_mut().zip(model.grads()) {
                 *a += b;
             }
             batches += 1;
@@ -291,9 +290,11 @@ impl Learner {
         jm.minibatch_factor(&mut self.jrng)
     }
 
-    /// Forward + backward on one minibatch; returns `(gradient, loss)`
-    /// without touching parameters, `gs`, or the clock.
-    pub(crate) fn compute_gradient(&mut self, data: &Dataset, idx: &[usize]) -> (Vec<f32>, f32) {
+    /// Forward + backward on one minibatch: leaves the gradient in
+    /// `model.grads()` and returns the loss, without touching parameters,
+    /// `gs`, or the clock.
+    // hot-path: once per step; O(m) scratch comes from the learner's Workspace
+    pub(crate) fn compute_gradient(&mut self, data: &Dataset, idx: &[usize]) -> f32 {
         let (x, y) = data.batch(idx);
         let mut ctx = Ctx::train(self.rng.split(0xD5)); // fresh dropout stream per call
                                                         // Advance the dropout base stream so successive batches differ.
@@ -305,20 +306,23 @@ impl Learner {
         let out = self.model.forward_loss(&x, &y, &mut ctx);
         self.model.backward(&mut ctx);
         self.ws = std::mem::take(&mut ctx.ws);
-        (self.model.grad_vector(), out.loss)
+        out.loss
     }
 
-    /// Accumulate `g` into `gs` and apply the local step `x ← x − γ·g`.
-    pub(crate) fn apply_local(&mut self, g: &[f32], gamma: f32) {
-        for (a, &b) in self.gs.iter_mut().zip(g) {
-            *a += b;
-        }
-        if gamma != 0.0 {
-            let mut params = self.model.param_vector();
-            for (p, &gv) in params.iter_mut().zip(g) {
-                *p -= gamma * gv;
+    /// Accumulate the gradient `compute_gradient` left into `gs` and apply
+    /// the local step `x ← x − γ·g`, in one pass over the three vectors.
+    // hot-path: once per step, in place
+    pub(crate) fn apply_local(&mut self, gamma: f32) {
+        let (params, grads) = self.model.params_and_grads_mut();
+        if gamma == 0.0 {
+            for (a, &g) in self.gs.iter_mut().zip(grads) {
+                *a += g;
             }
-            self.model.write_params(&params);
+            return;
+        }
+        for ((a, p), &g) in self.gs.iter_mut().zip(params).zip(grads) {
+            *a += g;
+            *p -= gamma * g;
         }
     }
 
@@ -333,8 +337,8 @@ impl Learner {
         step_seconds: f64,
         jitter: f64,
     ) -> f32 {
-        let (g, loss) = self.compute_gradient(data, idx);
-        self.apply_local(&g, gamma);
+        let loss = self.compute_gradient(data, idx);
+        self.apply_local(gamma);
         let dt = step_seconds * self.speed * jitter;
         self.clock += dt;
         self.compute_s += dt;
@@ -385,16 +389,16 @@ mod tests {
         use sasgd_nn::layers::{Dropout, Flatten, Linear, Relu};
         let (train, test) = generate(&CifarLikeConfig::tiny(16, 8, 3));
         let ev = EvalSets::prepare(&train, &test, 0);
-        let mut rng = SeedRng::new(11);
         let mut model = Model::new(
             vec![
                 Box::new(Flatten::new()),
-                Box::new(Linear::new(3 * 8 * 8, 16, &mut rng)),
+                Box::new(Linear::new(3 * 8 * 8, 16)),
                 Box::new(Relu::new()),
                 Box::new(Dropout::new(0.5)),
-                Box::new(Linear::new(16, 3, &mut rng)),
+                Box::new(Linear::new(16, 3)),
             ],
             &[3, 8, 8],
+            &mut SeedRng::new(11),
         );
         let first = ev.grad_norm_estimate(&mut model);
         let second = ev.grad_norm_estimate(&mut model);

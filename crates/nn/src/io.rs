@@ -23,8 +23,7 @@ pub fn save_checkpoint(model: &Model, path: &Path) -> io::Result<()> {
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
     w.write_all(&(model.param_len() as u64).to_le_bytes())?;
-    let params = model.param_vector();
-    for v in params {
+    for v in model.params() {
         w.write_all(&v.to_le_bytes())?;
     }
     w.flush()

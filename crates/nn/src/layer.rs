@@ -1,4 +1,4 @@
-//! The [`Layer`] trait: forward/backward, flat parameter access, FLOP model.
+//! The [`Layer`] trait: forward/backward over a parameter block, FLOP model.
 
 use sasgd_tensor::{SeedRng, Tensor, Workspace};
 
@@ -63,9 +63,11 @@ impl Ctx {
 
 /// One differentiable layer.
 ///
-/// Layers own their parameters, their parameter gradients (accumulated
-/// across `backward` calls until [`Layer::zero_grads`]), and whatever
-/// activations they must cache between `forward` and `backward`.
+/// A layer is geometry plus whatever activations it must cache between
+/// `forward` and `backward`. It owns no parameters: the [`Model`](crate::Model)
+/// keeps every layer's parameters in one flat arena and every gradient in
+/// a second arena of the same layout, and hands a layer its own block —
+/// [`Layer::param_len`] scalars, weight then bias — on each call.
 ///
 /// Shapes use *per-sample* dimensions (the batch axis is implicit and
 /// dynamic): a conv layer maps `[ci, h, w] -> [co, oh, ow]`, a linear layer
@@ -74,31 +76,32 @@ pub trait Layer: Send {
     /// Human-readable layer name for model summaries.
     fn name(&self) -> &'static str;
 
-    /// Forward pass over a batch. Consumes the input (layers that need it
-    /// for backward cache it internally).
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor;
+    /// Forward pass over a batch with this layer's parameter block.
+    /// Consumes the input (layers that need it for backward cache it
+    /// internally).
+    fn forward(&mut self, input: Tensor, params: &[f32], ctx: &mut Ctx) -> Tensor;
 
     /// Backward pass: receives `dL/d(output)`, returns `dL/d(input)`, and
-    /// *accumulates* parameter gradients internally. Consumed tensors are
-    /// recycled into `ctx.ws` so the next step reuses their storage.
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor;
+    /// *accumulates* parameter gradients into `grads`, this layer's block
+    /// of the gradient arena (they add up across calls until the model
+    /// zeroes the arena). Consumed tensors are recycled into `ctx.ws` so
+    /// the next step reuses their storage.
+    fn backward(
+        &mut self,
+        grad_out: Tensor,
+        params: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) -> Tensor;
 
     /// Number of learnable scalars.
     fn param_len(&self) -> usize {
         0
     }
 
-    /// Copy parameters into `out` (length exactly [`Layer::param_len`]).
-    fn read_params(&self, _out: &mut [f32]) {}
-
-    /// Overwrite parameters from `src` (length exactly [`Layer::param_len`]).
-    fn write_params(&mut self, _src: &[f32]) {}
-
-    /// Copy accumulated gradients into `out`.
-    fn read_grads(&self, _out: &mut [f32]) {}
-
-    /// Reset accumulated gradients to zero.
-    fn zero_grads(&mut self) {}
+    /// Draw this layer's initial parameters into its block. Called once,
+    /// by [`Model::new`](crate::Model::new), in layer order.
+    fn init_params(&self, _rng: &mut SeedRng, _params: &mut [f32]) {}
 
     /// Per-sample output dimensions given per-sample input dimensions.
     fn out_shape(&self, in_dims: &[usize]) -> Vec<usize>;
@@ -115,6 +118,15 @@ pub fn with_batch(n: usize, per_sample: &[usize]) -> Vec<usize> {
     d.push(n);
     d.extend_from_slice(per_sample);
     d
+}
+
+/// A fresh parameter block for `layer`, as [`Model::new`](crate::Model::new)
+/// would draw it — for unit tests that drive one layer on its own.
+#[cfg(test)]
+pub(crate) fn drawn_params(layer: &dyn Layer, rng: &mut SeedRng) -> Vec<f32> {
+    let mut params = vec![0.0; layer.param_len()];
+    layer.init_params(rng, &mut params);
+    params
 }
 
 #[cfg(test)]

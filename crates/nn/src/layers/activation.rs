@@ -27,7 +27,7 @@ impl Layer for Relu {
         "ReLU"
     }
 
-    fn forward(&mut self, mut input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, mut input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         if ctx.training {
             self.mask.clear();
             self.mask.extend(input.as_slice().iter().map(|&x| x > 0.0));
@@ -41,7 +41,7 @@ impl Layer for Relu {
         input
     }
 
-    fn backward(&mut self, mut grad_out: Tensor, _ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, mut grad_out: Tensor, _: &[f32], _: &mut [f32], _: &mut Ctx) -> Tensor {
         assert!(self.mask_valid, "backward without forward");
         self.mask_valid = false;
         for (g, &m) in grad_out.as_mut_slice().iter_mut().zip(&self.mask) {
@@ -80,7 +80,7 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward(&mut self, mut input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, mut input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         input.as_mut_slice().iter_mut().for_each(|x| *x = x.tanh());
         if ctx.training {
             self.cached_out.clear();
@@ -90,7 +90,7 @@ impl Layer for Tanh {
         input
     }
 
-    fn backward(&mut self, mut grad_out: Tensor, _ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, mut grad_out: Tensor, _: &[f32], _: &mut [f32], _: &mut Ctx) -> Tensor {
         assert!(self.cache_valid, "backward without forward");
         self.cache_valid = false;
         for (g, &yv) in grad_out.as_mut_slice().iter_mut().zip(&self.cached_out) {
@@ -118,9 +118,14 @@ mod tests {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = r.forward(x, &mut ctx);
+        let y = r.forward(x, &[], &mut ctx);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let dx = r.backward(Tensor::from_vec(vec![5.0, 5.0, 5.0], &[3]), &mut ctx);
+        let dx = r.backward(
+            Tensor::from_vec(vec![5.0, 5.0, 5.0], &[3]),
+            &[],
+            &mut [],
+            &mut ctx,
+        );
         assert_eq!(dx.as_slice(), &[0.0, 0.0, 5.0]);
     }
 
@@ -129,9 +134,9 @@ mod tests {
         let mut t = Tanh::new();
         let x = Tensor::from_vec(vec![0.3, -0.7], &[2]);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = t.forward(x.clone(), &mut ctx);
+        let y = t.forward(x.clone(), &[], &mut ctx);
         assert!((y.as_slice()[0] - 0.3f32.tanh()).abs() < 1e-6);
-        let dx = t.backward(Tensor::full(&[2], 1.0), &mut ctx);
+        let dx = t.backward(Tensor::full(&[2], 1.0), &[], &mut [], &mut ctx);
         for (i, &xv) in x.as_slice().iter().enumerate() {
             let expect = 1.0 - xv.tanh().powi(2);
             assert!((dx.as_slice()[i] - expect).abs() < 1e-5);

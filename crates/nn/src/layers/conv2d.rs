@@ -6,43 +6,26 @@ use sasgd_tensor::{SeedRng, Tensor};
 use crate::init;
 use crate::layer::{Ctx, Layer};
 
-/// Spatial convolution: `[ci, h, w] -> [co, oh, ow]` per sample.
+/// Spatial convolution: `[ci, h, w] -> [co, oh, ow]` per sample. Parameter
+/// block: the `[co, ci·kh·kw]` weight, then the `[co]` bias.
 pub struct Conv2d {
     spec: Conv2dSpec,
-    weight: Tensor,
-    bias: Vec<f32>,
-    dweight: Tensor,
-    dbias: Vec<f32>,
     cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
     /// New layer; `pad` and `stride` as in the paper's Torch models
     /// (stride 1; padding preserving size for the 5×5/3×3 stages).
-    pub fn new(
-        ci: usize,
-        co: usize,
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad: usize,
-        rng: &mut SeedRng,
-    ) -> Self {
-        let spec = Conv2dSpec {
-            ci,
-            co,
-            kh,
-            kw,
-            stride,
-            pad,
-        };
-        let fan_in = ci * kh * kw;
+    pub fn new(ci: usize, co: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
         Conv2d {
-            spec,
-            weight: init::torch_uniform(rng, &[co, fan_in], fan_in),
-            bias: init::torch_uniform_bias(rng, co, fan_in),
-            dweight: Tensor::zeros(&[co, fan_in]),
-            dbias: vec![0.0; co],
+            spec: Conv2dSpec {
+                ci,
+                co,
+                kh,
+                kw,
+                stride,
+                pad,
+            },
             cached_input: None,
         }
     }
@@ -50,6 +33,11 @@ impl Conv2d {
     /// The geometry of this convolution.
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
+    }
+
+    /// Scalars in the weight part of the parameter block.
+    fn weight_len(&self) -> usize {
+        self.spec.co * self.spec.patch_len()
     }
 }
 
@@ -59,8 +47,9 @@ impl Layer for Conv2d {
     }
 
     // hot-path: delegates to the workspace-backed conv kernel
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
-        let out = conv2d_forward_ws(&input, &self.weight, &self.bias, &self.spec, &mut ctx.ws);
+    fn forward(&mut self, input: Tensor, params: &[f32], ctx: &mut Ctx) -> Tensor {
+        let (weight, bias) = params.split_at(self.weight_len());
+        let out = conv2d_forward_ws(&input, weight, bias, &self.spec, &mut ctx.ws);
         if ctx.training {
             self.cached_input = Some(input);
         } else {
@@ -70,48 +59,39 @@ impl Layer for Conv2d {
     }
 
     // hot-path: delegates to the workspace-backed conv kernel
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: Tensor,
+        params: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) -> Tensor {
         let input = self
             .cached_input
             .take()
             .expect("backward without forward (or eval-mode forward)");
-        let grads = conv2d_backward_ws(&input, &self.weight, &grad_out, &self.spec, &mut ctx.ws);
+        let w = self.weight_len();
+        let (dweight, dbias) = grads.split_at_mut(w);
+        let dinput = conv2d_backward_ws(
+            &input,
+            &params[..w],
+            &grad_out,
+            &self.spec,
+            dweight,
+            dbias,
+            &mut ctx.ws,
+        );
         ctx.ws.recycle(input);
         ctx.ws.recycle(grad_out);
-        self.dweight.add_assign(&grads.dweight);
-        for (a, b) in self.dbias.iter_mut().zip(&grads.dbias) {
-            *a += b;
-        }
-        ctx.ws.recycle(grads.dweight);
-        ctx.ws.give_f32(grads.dbias);
-        grads.dinput
+        dinput
     }
 
     fn param_len(&self) -> usize {
-        self.weight.numel() + self.bias.len()
+        self.weight_len() + self.spec.co
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        let w = self.weight.numel();
-        out[..w].copy_from_slice(self.weight.as_slice());
-        out[w..].copy_from_slice(&self.bias);
-    }
-
-    fn write_params(&mut self, src: &[f32]) {
-        let w = self.weight.numel();
-        self.weight.as_mut_slice().copy_from_slice(&src[..w]);
-        self.bias.copy_from_slice(&src[w..]);
-    }
-
-    fn read_grads(&self, out: &mut [f32]) {
-        let w = self.dweight.numel();
-        out[..w].copy_from_slice(self.dweight.as_slice());
-        out[w..].copy_from_slice(&self.dbias);
-    }
-
-    fn zero_grads(&mut self) {
-        self.dweight.zero_();
-        self.dbias.iter_mut().for_each(|x| *x = 0.0);
+    fn init_params(&self, rng: &mut SeedRng, params: &mut [f32]) {
+        init::torch_uniform(rng, params, self.spec.patch_len());
     }
 
     fn out_shape(&self, in_dims: &[usize]) -> Vec<usize> {
@@ -133,11 +113,11 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::drawn_params;
 
     #[test]
     fn table1_first_layer_geometry() {
-        let mut rng = SeedRng::new(1);
-        let c = Conv2d::new(3, 64, 5, 5, 1, 2, &mut rng);
+        let c = Conv2d::new(3, 64, 5, 5, 1, 2);
         assert_eq!(c.param_len(), 3 * 64 * 25 + 64); // 4,864
         assert_eq!(c.out_shape(&[3, 32, 32]), vec![64, 32, 32]);
     }
@@ -145,26 +125,22 @@ mod tests {
     #[test]
     fn forward_backward_roundtrip_with_fd() {
         let mut rng = SeedRng::new(2);
-        let mut c = Conv2d::new(2, 3, 3, 3, 1, 1, &mut rng);
+        let mut c = Conv2d::new(2, 3, 3, 3, 1, 1);
+        let params = drawn_params(&c, &mut rng);
         let x = rng.normal_tensor(&[2, 2, 5, 5], 1.0);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let out = c.forward(x.clone(), &mut ctx);
+        let out = c.forward(x.clone(), &params, &mut ctx);
         assert_eq!(out.dims(), &[2, 3, 5, 5]);
-        let dx = c.backward(Tensor::full(out.dims(), 1.0), &mut ctx);
+        let mut grads = vec![0.0; c.param_len()];
+        let dx = c.backward(Tensor::full(out.dims(), 1.0), &params, &mut grads, &mut ctx);
         assert_eq!(dx.dims(), x.dims());
 
-        let mut grads = vec![0.0; c.param_len()];
-        c.read_grads(&mut grads);
-        let mut params = vec![0.0; c.param_len()];
-        c.read_params(&mut params);
         let eps = 1e-2f32;
-        let base = c.forward(x.clone(), &mut Ctx::eval()).sum();
+        let base = c.forward(x.clone(), &params, &mut Ctx::eval()).sum();
         for &k in &[0usize, 10, 30, c.param_len() - 2, c.param_len() - 1] {
             let mut p = params.clone();
             p[k] += eps;
-            c.write_params(&p);
-            let up = c.forward(x.clone(), &mut Ctx::eval()).sum();
-            c.write_params(&params);
+            let up = c.forward(x.clone(), &p, &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             assert!(
                 (fd - grads[k]).abs() < 0.05 * (1.0 + grads[k].abs()),
@@ -177,9 +153,10 @@ mod tests {
     #[test]
     fn eval_mode_does_not_cache() {
         let mut rng = SeedRng::new(3);
-        let mut c = Conv2d::new(1, 1, 2, 2, 1, 0, &mut rng);
+        let mut c = Conv2d::new(1, 1, 2, 2, 1, 0);
+        let params = drawn_params(&c, &mut rng);
         let x = rng.normal_tensor(&[1, 1, 3, 3], 1.0);
-        c.forward(x, &mut Ctx::eval());
+        c.forward(x, &params, &mut Ctx::eval());
         assert!(c.cached_input.is_none());
     }
 }

@@ -41,7 +41,7 @@ impl Layer for Dropout {
         "Dropout"
     }
 
-    fn forward(&mut self, mut input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, mut input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         if !ctx.stochastic || self.p == 0.0 {
             self.mask_valid = false; // identity pass: backward must not reuse a stale mask
             return input;
@@ -62,7 +62,7 @@ impl Layer for Dropout {
         input
     }
 
-    fn backward(&mut self, mut grad_out: Tensor, _ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, mut grad_out: Tensor, _: &[f32], _: &mut [f32], _: &mut Ctx) -> Tensor {
         // An invalid mask means the forward pass was an identity
         // (deterministic mode or p = 0): gradients pass through unchanged.
         if self.mask_valid {
@@ -92,7 +92,7 @@ mod tests {
     fn eval_mode_is_identity() {
         let mut d = Dropout::new(0.5);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let y = d.forward(x.clone(), &mut Ctx::eval());
+        let y = d.forward(x.clone(), &[], &mut Ctx::eval());
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -102,7 +102,7 @@ mod tests {
         let n = 10_000;
         let x = Tensor::full(&[n], 1.0);
         let mut ctx = Ctx::train(SeedRng::new(42));
-        let y = d.forward(x, &mut ctx);
+        let y = d.forward(x, &[], &mut ctx);
         let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
         let kept = y
             .as_slice()
@@ -120,8 +120,8 @@ mod tests {
         let mut d = Dropout::new(0.5);
         let x = Tensor::full(&[100], 1.0);
         let mut ctx = Ctx::train(SeedRng::new(7));
-        let y = d.forward(x, &mut ctx);
-        let dx = d.backward(Tensor::full(&[100], 1.0), &mut ctx);
+        let y = d.forward(x, &[], &mut ctx);
+        let dx = d.backward(Tensor::full(&[100], 1.0), &[], &mut [], &mut ctx);
         for (yv, dv) in y.as_slice().iter().zip(dx.as_slice()) {
             assert_eq!(yv, dv, "gradient gate must equal the forward mask");
         }
@@ -132,7 +132,7 @@ mod tests {
         let mut d = Dropout::new(0.0);
         let x = Tensor::from_vec(vec![4.0, 5.0], &[2]);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = d.forward(x.clone(), &mut ctx);
+        let y = d.forward(x.clone(), &[], &mut ctx);
         assert_eq!(y.as_slice(), x.as_slice());
     }
 
@@ -146,12 +146,16 @@ mod tests {
     fn measure_mode_is_identity_with_passthrough_grads() {
         let mut d = Dropout::new(0.5);
         // A training forward first, so a stale mask exists to be cleared.
-        let _ = d.forward(Tensor::full(&[2], 1.0), &mut Ctx::train(SeedRng::new(1)));
+        let _ = d.forward(
+            Tensor::full(&[2], 1.0),
+            &[],
+            &mut Ctx::train(SeedRng::new(1)),
+        );
         let x = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         let mut mctx = Ctx::measure();
-        let y = d.forward(x.clone(), &mut mctx);
+        let y = d.forward(x.clone(), &[], &mut mctx);
         assert_eq!(y.as_slice(), x.as_slice(), "measure forward is identity");
-        let dx = d.backward(Tensor::full(&[2], 3.0), &mut mctx);
+        let dx = d.backward(Tensor::full(&[2], 3.0), &[], &mut [], &mut mctx);
         assert_eq!(dx.as_slice(), &[3.0, 3.0], "gradients pass through");
     }
 }

@@ -8,28 +8,21 @@ use crate::layer::{Ctx, Layer};
 /// `y = x · W + b` with `W: [in, out]`, applied to any input whose last
 /// dimension is `in` (leading dimensions are folded into rows). This lets
 /// the same layer serve both the classifier heads (`[n, in]`) and the
-/// per-timestep projection of the NLC network (`[n, len, in]`).
+/// per-timestep projection of the NLC network (`[n, len, in]`). Parameter
+/// block: `W` row-major, then `b`.
 pub struct Linear {
     in_dim: usize,
     out_dim: usize,
-    weight: Tensor,
-    bias: Vec<f32>,
-    dweight: Tensor,
-    dbias: Vec<f32>,
     cached_input: Option<Tensor>,
     cached_lead: Vec<usize>,
 }
 
 impl Linear {
-    /// New layer with Torch-default initialization.
-    pub fn new(in_dim: usize, out_dim: usize, rng: &mut SeedRng) -> Self {
+    /// New `in_dim → out_dim` layer.
+    pub fn new(in_dim: usize, out_dim: usize) -> Self {
         Linear {
             in_dim,
             out_dim,
-            weight: init::torch_uniform(rng, &[in_dim, out_dim], in_dim),
-            bias: init::torch_uniform_bias(rng, out_dim, in_dim),
-            dweight: Tensor::zeros(&[in_dim, out_dim]),
-            dbias: vec![0.0; out_dim],
             cached_input: None,
             cached_lead: Vec::new(),
         }
@@ -52,7 +45,7 @@ impl Layer for Linear {
     }
 
     // hot-path: per-step matmul; O(m) scratch must come from ctx.ws
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, params: &[f32], ctx: &mut Ctx) -> Tensor {
         let dims = input.dims().to_vec(); // lint:allow(hot-alloc): O(ndims) shape metadata, not O(m)
         assert_eq!(
             *dims.last().expect("linear input needs >= 1 dim"),
@@ -61,19 +54,20 @@ impl Layer for Linear {
             self.in_dim,
             dims
         );
+        let (weight, bias) = params.split_at(self.in_dim * self.out_dim);
         let rows: usize = dims[..dims.len() - 1].iter().product();
         let flat = input.reshape(&[rows, self.in_dim]);
         let mut out = Tensor::zeros_in(&[rows, self.out_dim], &mut ctx.ws);
         linalg::gemm_nn_ws(
             out.as_mut_slice(),
             flat.as_slice(),
-            self.weight.as_slice(),
+            weight,
             rows,
             self.in_dim,
             self.out_dim,
             &mut ctx.ws,
         );
-        linalg::add_bias_rows(&mut out, &self.bias);
+        linalg::add_bias_rows(&mut out, bias);
         if ctx.training {
             self.cached_input = Some(flat);
             // lint:allow(hot-alloc): O(ndims) shape metadata, not O(m)
@@ -87,17 +81,24 @@ impl Layer for Linear {
     }
 
     // hot-path: per-step gradient GEMMs; O(m) scratch must come from ctx.ws
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: Tensor,
+        params: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) -> Tensor {
         let x = self
             .cached_input
             .take()
             .expect("backward without forward (or eval-mode forward)");
         let rows = x.dims()[0];
         let g = grad_out.reshape(&[rows, self.out_dim]);
+        let w = self.in_dim * self.out_dim;
+        let (dweight, dbias) = grads.split_at_mut(w);
         // dW += X^T G ; db += colsum(G) ; dX = G W^T
-        let mut dw = Tensor::zeros_in(&[self.in_dim, self.out_dim], &mut ctx.ws);
-        linalg::gemm_tn_ws(
-            dw.as_mut_slice(),
+        linalg::gemm_tn_acc_ws(
+            dweight,
             x.as_slice(),
             g.as_slice(),
             rows,
@@ -105,14 +106,12 @@ impl Layer for Linear {
             self.out_dim,
             &mut ctx.ws,
         );
-        self.dweight.add_assign(&dw);
-        ctx.ws.recycle(dw);
-        linalg::col_sums_into(&g, &mut self.dbias);
+        linalg::col_sums_into(&g, dbias);
         let mut dx = Tensor::zeros_in(&[rows, self.in_dim], &mut ctx.ws);
         linalg::gemm_nt_ws(
             dx.as_mut_slice(),
             g.as_slice(),
-            self.weight.as_slice(),
+            &params[..w],
             rows,
             self.out_dim,
             self.in_dim,
@@ -129,27 +128,8 @@ impl Layer for Linear {
         self.in_dim * self.out_dim + self.out_dim
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        let w = self.weight.numel();
-        out[..w].copy_from_slice(self.weight.as_slice());
-        out[w..].copy_from_slice(&self.bias);
-    }
-
-    fn write_params(&mut self, src: &[f32]) {
-        let w = self.weight.numel();
-        self.weight.as_mut_slice().copy_from_slice(&src[..w]);
-        self.bias.copy_from_slice(&src[w..]);
-    }
-
-    fn read_grads(&self, out: &mut [f32]) {
-        let w = self.dweight.numel();
-        out[..w].copy_from_slice(self.dweight.as_slice());
-        out[w..].copy_from_slice(&self.dbias);
-    }
-
-    fn zero_grads(&mut self) {
-        self.dweight.zero_();
-        self.dbias.iter_mut().for_each(|x| *x = 0.0);
+    fn init_params(&self, rng: &mut SeedRng, params: &mut [f32]) {
+        init::torch_uniform(rng, params, self.in_dim);
     }
 
     fn out_shape(&self, in_dims: &[usize]) -> Vec<usize> {
@@ -169,32 +149,33 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::drawn_params;
 
-    fn fd_check(layer: &mut Linear, x: &Tensor, param_probe: &[usize]) {
-        // Loss = sum(outputs). Finite-difference the parameters.
+    /// `layer` with a parameter block drawn from `rng`.
+    fn linear(in_dim: usize, out_dim: usize, rng: &mut SeedRng) -> (Linear, Vec<f32>) {
+        let l = Linear::new(in_dim, out_dim);
+        let params = drawn_params(&l, rng);
+        (l, params)
+    }
+
+    /// One training forward + backward of all-ones output gradient,
+    /// accumulated into `grads`; returns `dL/dx`.
+    fn run(l: &mut Linear, params: &[f32], grads: &mut [f32], x: &Tensor) -> Tensor {
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let out = layer.forward(x.clone(), &mut ctx);
-        let gones = Tensor::full(out.dims(), 1.0);
-        layer.backward(gones, &mut ctx);
-        let mut grads = vec![0.0; layer.param_len()];
-        layer.read_grads(&mut grads);
+        let out = l.forward(x.clone(), params, &mut ctx);
+        l.backward(Tensor::full(out.dims(), 1.0), params, grads, &mut ctx)
+    }
 
-        let mut params = vec![0.0; layer.param_len()];
-        layer.read_params(&mut params);
+    fn fd_check(layer: &mut Linear, params: &[f32], x: &Tensor, param_probe: &[usize]) {
+        // Loss = sum(outputs). Finite-difference the parameters.
+        let mut grads = vec![0.0; layer.param_len()];
+        run(layer, params, &mut grads, x);
         let eps = 1e-2f32;
-        let base = {
-            let mut c = Ctx::eval();
-            layer.forward(x.clone(), &mut c).sum()
-        };
+        let base = layer.forward(x.clone(), params, &mut Ctx::eval()).sum();
         for &k in param_probe {
-            let mut p2 = params.clone();
+            let mut p2 = params.to_vec();
             p2[k] += eps;
-            layer.write_params(&p2);
-            let up = {
-                let mut c = Ctx::eval();
-                layer.forward(x.clone(), &mut c).sum()
-            };
-            layer.write_params(&params);
+            let up = layer.forward(x.clone(), &p2, &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             assert!(
                 (fd - grads[k]).abs() < 0.02 * (1.0 + grads[k].abs()),
@@ -206,45 +187,42 @@ mod tests {
 
     #[test]
     fn forward_shape_2d_and_3d() {
-        let mut rng = SeedRng::new(1);
-        let mut l = Linear::new(5, 3, &mut rng);
+        let (mut l, params) = linear(5, 3, &mut SeedRng::new(1));
         let mut ctx = Ctx::eval();
-        let y = l.forward(Tensor::zeros(&[4, 5]), &mut ctx);
+        let y = l.forward(Tensor::zeros(&[4, 5]), &params, &mut ctx);
         assert_eq!(y.dims(), &[4, 3]);
-        let y3 = l.forward(Tensor::zeros(&[2, 7, 5]), &mut ctx);
+        let y3 = l.forward(Tensor::zeros(&[2, 7, 5]), &params, &mut ctx);
         assert_eq!(y3.dims(), &[2, 7, 3]);
     }
 
     #[test]
     fn gradients_match_finite_differences() {
         let mut rng = SeedRng::new(2);
-        let mut l = Linear::new(4, 3, &mut rng);
+        let (mut l, params) = linear(4, 3, &mut rng);
         let x = rng.normal_tensor(&[5, 4], 1.0);
-        fd_check(&mut l, &x, &[0, 5, 11, 12, 14]);
+        fd_check(&mut l, &params, &x, &[0, 5, 11, 12, 14]);
     }
 
     #[test]
     fn gradients_match_fd_time_distributed() {
         let mut rng = SeedRng::new(3);
-        let mut l = Linear::new(4, 2, &mut rng);
+        let (mut l, params) = linear(4, 2, &mut rng);
         let x = rng.normal_tensor(&[2, 3, 4], 1.0);
-        fd_check(&mut l, &x, &[0, 3, 7, 8, 9]);
+        fd_check(&mut l, &params, &x, &[0, 3, 7, 8, 9]);
     }
 
     #[test]
     fn input_gradient_matches_fd() {
         let mut rng = SeedRng::new(4);
-        let mut l = Linear::new(3, 2, &mut rng);
+        let (mut l, params) = linear(3, 2, &mut rng);
         let x = rng.normal_tensor(&[2, 3], 1.0);
-        let mut ctx = Ctx::train(SeedRng::new(0));
-        let out = l.forward(x.clone(), &mut ctx);
-        let dx = l.backward(Tensor::full(out.dims(), 1.0), &mut ctx);
+        let dx = run(&mut l, &params, &mut [0.0; 8], &x);
         let eps = 1e-2f32;
-        let base = l.forward(x.clone(), &mut Ctx::eval()).sum();
+        let base = l.forward(x.clone(), &params, &mut Ctx::eval()).sum();
         for k in 0..x.numel() {
             let mut xp = x.clone();
             xp.as_mut_slice()[k] += eps;
-            let up = l.forward(xp, &mut Ctx::eval()).sum();
+            let up = l.forward(xp, &params, &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             assert!((fd - dx.as_slice()[k]).abs() < 0.02 * (1.0 + fd.abs()));
         }
@@ -256,16 +234,17 @@ mod tests {
         // cutover, so dX runs transpose + axpy kernel; it must still be the
         // dot kernel's bits, zeros in G (a ReLU/max-pool upstream) included.
         let mut rng = SeedRng::new(8);
-        let mut l = Linear::new(7, 5, &mut rng);
+        let (mut l, params) = linear(7, 5, &mut rng);
         let x = rng.normal_tensor(&[20, 7], 1.0);
         let mut g = rng.normal_tensor(&[20, 5], 1.0);
         for v in g.as_mut_slice().iter_mut().step_by(3) {
             *v = 0.0;
         }
         let mut ctx = Ctx::train(SeedRng::new(0));
-        l.forward(x, &mut ctx);
-        let dx = l.backward(g.clone(), &mut ctx);
-        let want = linalg::matmul_nt(&g, &l.weight);
+        l.forward(x, &params, &mut ctx);
+        let dx = l.backward(g.clone(), &params, &mut [0.0; 40], &mut ctx);
+        let weight = Tensor::from_vec(params[..35].to_vec(), &[7, 5]);
+        let want = linalg::matmul_nt(&g, &weight);
         assert_eq!(dx.dims(), want.dims());
         for (a, b) in dx.as_slice().iter().zip(want.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -273,49 +252,42 @@ mod tests {
     }
 
     #[test]
-    fn grads_accumulate_until_zeroed() {
+    fn grads_accumulate_across_backward_calls() {
         let mut rng = SeedRng::new(5);
-        let mut l = Linear::new(2, 2, &mut rng);
+        let (mut l, params) = linear(2, 2, &mut rng);
         let x = rng.normal_tensor(&[1, 2], 1.0);
-        let run = |l: &mut Linear, x: &Tensor| {
-            let mut ctx = Ctx::train(SeedRng::new(0));
-            let out = l.forward(x.clone(), &mut ctx);
-            l.backward(Tensor::full(out.dims(), 1.0), &mut ctx);
-        };
-        run(&mut l, &x);
-        let mut g1 = vec![0.0; l.param_len()];
-        l.read_grads(&mut g1);
-        run(&mut l, &x);
-        let mut g2 = vec![0.0; l.param_len()];
-        l.read_grads(&mut g2);
-        for (a, b) in g1.iter().zip(&g2) {
+        let mut grads = vec![0.0; l.param_len()];
+        run(&mut l, &params, &mut grads, &x);
+        let g1 = grads.clone();
+        run(&mut l, &params, &mut grads, &x);
+        for (a, b) in g1.iter().zip(&grads) {
             assert!(
                 (2.0 * a - b).abs() < 1e-5,
                 "second pass should double grads"
             );
         }
-        l.zero_grads();
-        let mut g3 = vec![0.0; l.param_len()];
-        l.read_grads(&mut g3);
-        assert!(g3.iter().all(|&v| v == 0.0));
     }
 
     #[test]
-    fn param_roundtrip() {
+    fn weight_gradient_over_a_zeroed_block_is_bitwise_the_tn_product() {
         let mut rng = SeedRng::new(6);
-        let l = Linear::new(3, 4, &mut rng);
-        let mut buf = vec![0.0; l.param_len()];
-        l.read_params(&mut buf);
-        let mut l2 = Linear::new(3, 4, &mut SeedRng::new(99));
-        l2.write_params(&buf);
-        let mut buf2 = vec![0.0; l2.param_len()];
-        l2.read_params(&mut buf2);
-        assert_eq!(buf, buf2);
+        let (mut l, params) = linear(6, 4, &mut rng);
+        let mut x = rng.normal_tensor(&[9, 6], 1.0);
+        x.as_mut_slice()
+            .iter_mut()
+            .step_by(4)
+            .for_each(|v| *v = 0.0);
+        let mut grads = vec![0.0; l.param_len()];
+        run(&mut l, &params, &mut grads, &x);
+        let want = linalg::matmul_tn(&x, &Tensor::full(&[9, 4], 1.0));
+        for (a, b) in grads[..24].iter().zip(want.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
     fn macs_and_shape() {
-        let l = Linear::new(100, 200, &mut SeedRng::new(1));
+        let l = Linear::new(100, 200);
         assert_eq!(l.param_len(), 100 * 200 + 200);
         assert_eq!(l.out_shape(&[100]), vec![200]);
         assert_eq!(l.out_shape(&[7, 100]), vec![7, 200]);

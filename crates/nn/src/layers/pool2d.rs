@@ -31,7 +31,7 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         let [n, c] = [input.dims()[0], input.dims()[1]];
         let (oh, ow) = self.spec.out_hw(input.dims()[2], input.dims()[3]);
         let mut output = Tensor::zeros_in(&[n, c, oh, ow], &mut ctx.ws);
@@ -50,7 +50,7 @@ impl Layer for MaxPool2d {
         output
     }
 
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _: &[f32], _: &mut [f32], ctx: &mut Ctx) -> Tensor {
         assert!(self.argmax_valid, "backward without forward");
         self.argmax_valid = false;
         let mut din = Tensor::zeros_in(&self.cached_in_dims, &mut ctx.ws);
@@ -90,9 +90,9 @@ mod tests {
         let mut p = MaxPool2d::new(2);
         let x = rng.normal_tensor(&[2, 3, 4, 4], 1.0);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = p.forward(x.clone(), &mut ctx);
+        let y = p.forward(x.clone(), &[], &mut ctx);
         assert_eq!(y.dims(), &[2, 3, 2, 2]);
-        let dx = p.backward(Tensor::full(y.dims(), 1.0), &mut ctx);
+        let dx = p.backward(Tensor::full(y.dims(), 1.0), &[], &mut [], &mut ctx);
         assert_eq!(dx.dims(), x.dims());
         // Each 2x2 window contributed exactly one gradient unit.
         assert_eq!(dx.sum(), y.numel() as f32);

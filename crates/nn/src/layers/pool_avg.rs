@@ -29,7 +29,7 @@ impl Layer for AvgPool2d {
         "AvgPool2d"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         let [n, c, h, w] = [
             input.dims()[0],
             input.dims()[1],
@@ -68,7 +68,7 @@ impl Layer for AvgPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _: &[f32], _: &mut [f32], ctx: &mut Ctx) -> Tensor {
         let [n, c, h, w] = [
             self.cached_in_dims[0],
             self.cached_in_dims[1],
@@ -168,7 +168,7 @@ impl Layer for LocalResponseNorm {
         "LocalResponseNorm"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         let [n, c, h, w] = [
             input.dims()[0],
             input.dims()[1],
@@ -195,7 +195,7 @@ impl Layer for LocalResponseNorm {
         out
     }
 
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _: &[f32], _: &mut [f32], ctx: &mut Ctx) -> Tensor {
         // Exact LRN backward couples nearby channels; we use the dominant
         // diagonal term d(y_i)/d(x_i) ≈ denom^{-β} − 2αβ/n · x_i² ·
         // denom^{-β-1}, the standard fast approximation (cross terms are
@@ -248,7 +248,7 @@ mod tests {
     fn avg_pool_averages() {
         let x = Tensor::from_vec(vec![1., 2., 3., 4.], &[1, 1, 2, 2]);
         let mut p = AvgPool2d::new(2);
-        let y = p.forward(x, &mut Ctx::eval());
+        let y = p.forward(x, &[], &mut Ctx::eval());
         assert_eq!(y.as_slice(), &[2.5]);
     }
 
@@ -257,8 +257,13 @@ mod tests {
         let x = Tensor::from_vec(vec![1., 2., 3., 4.], &[1, 1, 2, 2]);
         let mut p = AvgPool2d::new(2);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let _ = p.forward(x, &mut ctx);
-        let din = p.backward(Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]), &mut ctx);
+        let _ = p.forward(x, &[], &mut ctx);
+        let din = p.backward(
+            Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]),
+            &[],
+            &mut [],
+            &mut ctx,
+        );
         assert_eq!(din.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -268,14 +273,14 @@ mod tests {
         let x = rng.normal_tensor(&[1, 2, 4, 4], 1.0);
         let mut p = AvgPool2d::new(2);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = p.forward(x.clone(), &mut ctx);
-        let din = p.backward(Tensor::full(y.dims(), 1.0), &mut ctx);
+        let y = p.forward(x.clone(), &[], &mut ctx);
+        let din = p.backward(Tensor::full(y.dims(), 1.0), &[], &mut [], &mut ctx);
         let eps = 1e-2f32;
-        let base = p.forward(x.clone(), &mut Ctx::eval()).sum();
+        let base = p.forward(x.clone(), &[], &mut Ctx::eval()).sum();
         for &k in &[0usize, 7, 20, 31] {
             let mut xp = x.clone();
             xp.as_mut_slice()[k] += eps;
-            let up = p.forward(xp, &mut Ctx::eval()).sum();
+            let up = p.forward(xp, &[], &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             assert!(
                 (fd - din.as_slice()[k]).abs() < 1e-3,
@@ -292,7 +297,7 @@ mod tests {
         let mut rng = SeedRng::new(2);
         let x = rng.normal_tensor(&[1, 8, 3, 3], 1.0);
         let mut lrn = LocalResponseNorm::alexnet();
-        let y = lrn.forward(x.clone(), &mut Ctx::eval());
+        let y = lrn.forward(x.clone(), &[], &mut Ctx::eval());
         let scale = 2.0f32.powf(-0.75);
         for (a, b) in y.as_slice().iter().zip(x.as_slice()) {
             assert!(
@@ -309,8 +314,8 @@ mod tests {
         let small = Tensor::full(&[1, 5, 1, 1], 0.1);
         let large = Tensor::full(&[1, 5, 1, 1], 50.0);
         let mut lrn = LocalResponseNorm::new(5, 0.1, 0.75, 2.0);
-        let ys = lrn.forward(small, &mut Ctx::eval());
-        let yl = lrn.forward(large, &mut Ctx::eval());
+        let ys = lrn.forward(small, &[], &mut Ctx::eval());
+        let yl = lrn.forward(large, &[], &mut Ctx::eval());
         let rs = ys.as_slice()[0] / 0.1;
         let rl = yl.as_slice()[0] / 50.0;
         assert!(
@@ -325,14 +330,14 @@ mod tests {
         let x = rng.normal_tensor(&[1, 4, 2, 2], 1.0);
         let mut lrn = LocalResponseNorm::alexnet();
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = lrn.forward(x.clone(), &mut ctx);
-        let din = lrn.backward(Tensor::full(y.dims(), 1.0), &mut ctx);
+        let y = lrn.forward(x.clone(), &[], &mut ctx);
+        let din = lrn.backward(Tensor::full(y.dims(), 1.0), &[], &mut [], &mut ctx);
         let eps = 1e-2f32;
-        let base = lrn.forward(x.clone(), &mut Ctx::eval()).sum();
+        let base = lrn.forward(x.clone(), &[], &mut Ctx::eval()).sum();
         for &k in &[0usize, 5, 10, 15] {
             let mut xp = x.clone();
             xp.as_mut_slice()[k] += eps;
-            let up = lrn.forward(xp, &mut Ctx::eval()).sum();
+            let up = lrn.forward(xp, &[], &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             // Diagonal approximation: allow the O(α) cross-term slack.
             assert!((fd - din.as_slice()[k]).abs() < 0.02 * (1.0 + fd.abs()));

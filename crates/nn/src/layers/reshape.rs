@@ -23,7 +23,7 @@ impl Layer for Flatten {
         "Flatten"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         let dims = input.dims().to_vec();
         let n = dims[0];
         let rest: usize = dims[1..].iter().product();
@@ -33,7 +33,7 @@ impl Layer for Flatten {
         input.reshape(&[n, rest])
     }
 
-    fn backward(&mut self, grad_out: Tensor, _ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _: &[f32], _: &mut [f32], _: &mut Ctx) -> Tensor {
         grad_out.reshape(&self.cached_in_dims.clone())
     }
 
@@ -56,9 +56,9 @@ mod tests {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 5]);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = f.forward(x, &mut ctx);
+        let y = f.forward(x, &[], &mut ctx);
         assert_eq!(y.dims(), &[2, 60]);
-        let dx = f.backward(Tensor::zeros(&[2, 60]), &mut ctx);
+        let dx = f.backward(Tensor::zeros(&[2, 60]), &[], &mut [], &mut ctx);
         assert_eq!(dx.dims(), &[2, 3, 4, 5]);
     }
 

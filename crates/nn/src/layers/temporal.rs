@@ -11,15 +11,11 @@ use crate::init;
 use crate::layer::{Ctx, Layer};
 
 /// 1-D convolution over the time axis: `[len, din] -> [len-k+1, nkern]`.
+/// Parameter block: the `[window*din, nkern]` weight, then the bias.
 pub struct TemporalConv1d {
     din: usize,
     nkern: usize,
     window: usize,
-    /// `[window*din, nkern]`
-    weight: Tensor,
-    bias: Vec<f32>,
-    dweight: Tensor,
-    dbias: Vec<f32>,
     /// Unfolded input `[n*(len-k+1), window*din]` cached for backward.
     cached_unfold: Option<Tensor>,
     cached_in_dims: Vec<usize>,
@@ -28,20 +24,20 @@ pub struct TemporalConv1d {
 impl TemporalConv1d {
     /// New temporal convolution (`nkern` kernels of width `window` over
     /// `din`-dimensional timesteps).
-    pub fn new(din: usize, nkern: usize, window: usize, rng: &mut SeedRng) -> Self {
+    pub fn new(din: usize, nkern: usize, window: usize) -> Self {
         assert!(window >= 1, "window must be >= 1");
-        let fan_in = window * din;
         TemporalConv1d {
             din,
             nkern,
             window,
-            weight: init::torch_uniform(rng, &[fan_in, nkern], fan_in),
-            bias: init::torch_uniform_bias(rng, nkern, fan_in),
-            dweight: Tensor::zeros(&[fan_in, nkern]),
-            dbias: vec![0.0; nkern],
             cached_unfold: None,
             cached_in_dims: Vec::new(),
         }
+    }
+
+    /// Scalars in the weight part of the parameter block.
+    fn weight_len(&self) -> usize {
+        self.window * self.din * self.nkern
     }
 
     fn unfold(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
@@ -67,10 +63,11 @@ impl Layer for TemporalConv1d {
         "TemporalConv1d"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, params: &[f32], ctx: &mut Ctx) -> Tensor {
         let [n, len, din] = [input.dims()[0], input.dims()[1], input.dims()[2]];
         assert_eq!(din, self.din, "timestep width mismatch");
         assert!(len >= self.window, "sequence shorter than window");
+        let (weight, bias) = params.split_at(self.weight_len());
         let olen = len + 1 - self.window;
         let rows = n * olen;
         let unfolded = self.unfold(&input, &mut ctx.ws);
@@ -78,13 +75,13 @@ impl Layer for TemporalConv1d {
         linalg::gemm_nn_ws(
             out.as_mut_slice(),
             unfolded.as_slice(),
-            self.weight.as_slice(),
+            weight,
             rows,
             self.window * din,
             self.nkern,
             &mut ctx.ws,
         );
-        linalg::add_bias_rows(&mut out, &self.bias);
+        linalg::add_bias_rows(&mut out, bias);
         if ctx.training {
             self.cached_unfold = Some(unfolded);
             self.cached_in_dims = input.dims().to_vec();
@@ -95,7 +92,13 @@ impl Layer for TemporalConv1d {
         out.reshape(&[n, olen, self.nkern])
     }
 
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: Tensor,
+        params: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) -> Tensor {
         let unfolded = self.cached_unfold.take().expect("backward without forward");
         let [n, len, din] = [
             self.cached_in_dims[0],
@@ -106,9 +109,9 @@ impl Layer for TemporalConv1d {
         let rows = n * olen;
         let fan_in = self.window * din;
         let g = grad_out.reshape(&[rows, self.nkern]);
-        let mut dw = Tensor::zeros_in(&[fan_in, self.nkern], &mut ctx.ws);
-        linalg::gemm_tn_ws(
-            dw.as_mut_slice(),
+        let (dweight, dbias) = grads.split_at_mut(self.weight_len());
+        linalg::gemm_tn_acc_ws(
+            dweight,
             unfolded.as_slice(),
             g.as_slice(),
             rows,
@@ -116,15 +119,13 @@ impl Layer for TemporalConv1d {
             self.nkern,
             &mut ctx.ws,
         );
-        self.dweight.add_assign(&dw);
-        ctx.ws.recycle(dw);
-        linalg::col_sums_into(&g, &mut self.dbias);
+        linalg::col_sums_into(&g, dbias);
         // d(unfolded) = G W^T, then fold overlapping windows back.
         let mut dunf = Tensor::zeros_in(&[rows, fan_in], &mut ctx.ws);
         linalg::gemm_nt_ws(
             dunf.as_mut_slice(),
             g.as_slice(),
-            self.weight.as_slice(),
+            &params[..self.weight_len()],
             rows,
             self.nkern,
             fan_in,
@@ -149,30 +150,11 @@ impl Layer for TemporalConv1d {
     }
 
     fn param_len(&self) -> usize {
-        self.weight.numel() + self.bias.len()
+        self.weight_len() + self.nkern
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        let w = self.weight.numel();
-        out[..w].copy_from_slice(self.weight.as_slice());
-        out[w..].copy_from_slice(&self.bias);
-    }
-
-    fn write_params(&mut self, src: &[f32]) {
-        let w = self.weight.numel();
-        self.weight.as_mut_slice().copy_from_slice(&src[..w]);
-        self.bias.copy_from_slice(&src[w..]);
-    }
-
-    fn read_grads(&self, out: &mut [f32]) {
-        let w = self.dweight.numel();
-        out[..w].copy_from_slice(self.dweight.as_slice());
-        out[w..].copy_from_slice(&self.dbias);
-    }
-
-    fn zero_grads(&mut self) {
-        self.dweight.zero_();
-        self.dbias.iter_mut().for_each(|x| *x = 0.0);
+    fn init_params(&self, rng: &mut SeedRng, params: &mut [f32]) {
+        init::torch_uniform(rng, params, self.window * self.din);
     }
 
     fn out_shape(&self, in_dims: &[usize]) -> Vec<usize> {
@@ -215,7 +197,7 @@ impl Layer for TemporalMaxPool {
         "TemporalMaxPool"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         let [n, len, dim] = [input.dims()[0], input.dims()[1], input.dims()[2]];
         let olen = len / self.window;
         assert!(olen >= 1, "sequence shorter than pool window");
@@ -250,7 +232,7 @@ impl Layer for TemporalMaxPool {
         out
     }
 
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _: &[f32], _: &mut [f32], ctx: &mut Ctx) -> Tensor {
         assert!(self.argmax_valid, "backward without forward");
         self.argmax_valid = false;
         let mut din = Tensor::zeros_in(&self.cached_in_dims, &mut ctx.ws);
@@ -294,7 +276,7 @@ impl Layer for GlobalMaxOverTime {
         "GlobalMaxOverTime"
     }
 
-    fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn forward(&mut self, input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
         let [n, len, dim] = [input.dims()[0], input.dims()[1], input.dims()[2]];
         let mut out = Tensor::zeros_in(&[n, dim], &mut ctx.ws);
         self.cached_argmax.resize(n * dim, 0);
@@ -324,7 +306,7 @@ impl Layer for GlobalMaxOverTime {
         out
     }
 
-    fn backward(&mut self, grad_out: Tensor, ctx: &mut Ctx) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor, _: &[f32], _: &mut [f32], ctx: &mut Ctx) -> Tensor {
         assert!(self.argmax_valid, "backward without forward");
         self.argmax_valid = false;
         let mut din = Tensor::zeros_in(&self.cached_in_dims, &mut ctx.ws);
@@ -348,11 +330,11 @@ impl Layer for GlobalMaxOverTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::drawn_params;
 
     #[test]
     fn conv_shapes_match_table2() {
-        let mut rng = SeedRng::new(1);
-        let c = TemporalConv1d::new(200, 1000, 2, &mut rng);
+        let c = TemporalConv1d::new(200, 1000, 2);
         assert_eq!(c.param_len(), 200 * 2 * 1000 + 1000); // 401,000
         assert_eq!(c.out_shape(&[20, 200]), vec![19, 1000]);
     }
@@ -361,14 +343,13 @@ mod tests {
     fn conv_window1_equals_linear_map() {
         // With window 1 the temporal conv is a per-timestep linear layer.
         let mut rng = SeedRng::new(2);
-        let mut c = TemporalConv1d::new(3, 2, 1, &mut rng);
+        let mut c = TemporalConv1d::new(3, 2, 1);
+        let params = drawn_params(&c, &mut rng);
         let x = rng.normal_tensor(&[1, 4, 3], 1.0);
         let mut ctx = Ctx::eval();
-        let y = c.forward(x.clone(), &mut ctx);
+        let y = c.forward(x.clone(), &params, &mut ctx);
         assert_eq!(y.dims(), &[1, 4, 2]);
         // Manual check of one timestep.
-        let mut params = vec![0.0; c.param_len()];
-        c.read_params(&mut params);
         let (w, b) = params.split_at(6);
         let t0 = &x.as_slice()[0..3];
         for j in 0..2 {
@@ -380,23 +361,19 @@ mod tests {
     #[test]
     fn conv_backward_matches_fd() {
         let mut rng = SeedRng::new(3);
-        let mut c = TemporalConv1d::new(3, 2, 2, &mut rng);
+        let mut c = TemporalConv1d::new(3, 2, 2);
+        let params = drawn_params(&c, &mut rng);
         let x = rng.normal_tensor(&[2, 5, 3], 1.0);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = c.forward(x.clone(), &mut ctx);
-        let dx = c.backward(Tensor::full(y.dims(), 1.0), &mut ctx);
+        let y = c.forward(x.clone(), &params, &mut ctx);
         let mut grads = vec![0.0; c.param_len()];
-        c.read_grads(&mut grads);
-        let mut params = vec![0.0; c.param_len()];
-        c.read_params(&mut params);
+        let dx = c.backward(Tensor::full(y.dims(), 1.0), &params, &mut grads, &mut ctx);
         let eps = 1e-2f32;
-        let base = c.forward(x.clone(), &mut Ctx::eval()).sum();
+        let base = c.forward(x.clone(), &params, &mut Ctx::eval()).sum();
         for &k in &[0usize, 5, 11, 12, 13] {
             let mut p = params.clone();
             p[k] += eps;
-            c.write_params(&p);
-            let up = c.forward(x.clone(), &mut Ctx::eval()).sum();
-            c.write_params(&params);
+            let up = c.forward(x.clone(), &p, &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             assert!(
                 (fd - grads[k]).abs() < 0.05 * (1.0 + grads[k].abs()),
@@ -408,7 +385,7 @@ mod tests {
         for &k in &[0usize, 7, 20] {
             let mut xp = x.clone();
             xp.as_mut_slice()[k] += eps;
-            let up = c.forward(xp, &mut Ctx::eval()).sum();
+            let up = c.forward(xp, &params, &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             assert!((fd - dx.as_slice()[k]).abs() < 0.05 * (1.0 + fd.abs()));
         }
@@ -422,7 +399,8 @@ mod tests {
         // zeros, as after the temporal max-pool.
         let mut rng = SeedRng::new(6);
         let (din, nkern, window, len) = (3, 4, 2, 20);
-        let mut c = TemporalConv1d::new(din, nkern, window, &mut rng);
+        let mut c = TemporalConv1d::new(din, nkern, window);
+        let params = drawn_params(&c, &mut rng);
         let x = rng.normal_tensor(&[1, len, din], 1.0);
         let olen = len + 1 - window;
         let mut g = rng.normal_tensor(&[olen, nkern], 1.0);
@@ -432,9 +410,16 @@ mod tests {
             }
         }
         let mut ctx = Ctx::train(SeedRng::new(0));
-        c.forward(x, &mut ctx);
-        let dx = c.backward(g.clone().reshape(&[1, olen, nkern]), &mut ctx);
-        let dunf = linalg::matmul_nt(&g, &c.weight);
+        c.forward(x, &params, &mut ctx);
+        let mut grads = vec![0.0; c.param_len()];
+        let dx = c.backward(
+            g.clone().reshape(&[1, olen, nkern]),
+            &params,
+            &mut grads,
+            &mut ctx,
+        );
+        let weight = Tensor::from_vec(params[..c.weight_len()].to_vec(), &[window * din, nkern]);
+        let dunf = linalg::matmul_nt(&g, &weight);
         let mut want = vec![0.0f32; len * din];
         for t in 0..olen {
             for k in 0..window * din {
@@ -459,17 +444,17 @@ mod tests {
         );
         let mut p = TemporalMaxPool::new(2);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let y = p.forward(x.clone(), &mut ctx);
+        let y = p.forward(x.clone(), &[], &mut ctx);
         assert_eq!(y.dims(), &[1, 2, 2]);
         assert_eq!(y.as_slice(), &[2.0, 10.0, 5.0, 8.0]);
-        let dx = p.backward(Tensor::full(&[1, 2, 2], 1.0), &mut ctx);
+        let dx = p.backward(Tensor::full(&[1, 2, 2], 1.0), &[], &mut [], &mut ctx);
         assert_eq!(dx.as_slice(), &[0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]);
 
         let mut g = GlobalMaxOverTime::new();
-        let z = g.forward(x, &mut ctx);
+        let z = g.forward(x, &[], &mut ctx);
         assert_eq!(z.dims(), &[1, 2]);
         assert_eq!(z.as_slice(), &[5.0, 10.0]);
-        let dz = g.backward(Tensor::full(&[1, 2], 2.0), &mut ctx);
+        let dz = g.backward(Tensor::full(&[1, 2], 2.0), &[], &mut [], &mut ctx);
         assert_eq!(dz.as_slice(), &[0.0, 2.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0]);
     }
 

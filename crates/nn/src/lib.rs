@@ -6,9 +6,9 @@
 //!
 //! The distributed algorithms in `sasgd-core` treat a model as a *flat
 //! parameter vector* plus a *flat gradient vector* — exactly the view
-//! Downpour's parameter server and SASGD's allreduce need — so every layer
-//! implements `read_params` / `write_params` / `read_grads` over contiguous
-//! slices, and [`Model`] concatenates them in layer order.
+//! Downpour's parameter server and SASGD's allreduce need — so that is how
+//! [`Model`] stores them: two contiguous arenas, layer blocks in layer
+//! order, with each layer handed its block on `forward` / `backward`.
 //!
 //! Layers also report their multiply–accumulate counts ([`Layer::macs`]),
 //! which drives the simulated-GPU compute-time model in `sasgd-simnet`.

@@ -1,7 +1,7 @@
 //! A sequential model with the flat parameter/gradient view that every
 //! distributed algorithm in the paper operates on.
 
-use sasgd_tensor::Tensor;
+use sasgd_tensor::{SeedRng, Tensor};
 
 use crate::layer::{Ctx, Layer};
 use crate::loss::softmax_cross_entropy_ws;
@@ -19,9 +19,16 @@ pub struct ForwardOutput {
 /// A stack of layers ending in softmax cross-entropy.
 ///
 /// `Model` is the unit a *learner* replicates: SASGD broadcasts one model to
-/// `p` learners, each computes gradients locally, and the flat
-/// [`Model::read_params`] / [`Model::write_params`] / [`Model::read_grads`]
-/// views are what travels through allreduce or the parameter server.
+/// `p` learners and each computes gradients locally. Every learnable
+/// scalar lives in one contiguous arena, [`Model::params`], and every
+/// gradient in a second arena of the same layout, [`Model::grads`]: layer
+/// blocks in layer order ([`Model::param_blocks`]), weight then bias inside
+/// a block. Layers own no storage; `forward`/`backward` hand each its
+/// block. The training step and every exchange work on these slices in
+/// place — they *are* the flat vectors the paper's allreduce and parameter
+/// server move. The copying accessors ([`Model::param_vector`],
+/// [`Model::write_params`], [`Model::grad_vector`], …) remain for callers
+/// off the step path: checkpoints, analysis probes, tests, benchmarks.
 pub struct Model {
     layers: Vec<Box<dyn Layer>>,
     /// Per-sample input dimensions (e.g. `[3, 32, 32]`).
@@ -29,13 +36,16 @@ pub struct Model {
     /// Cached gradient of the loss w.r.t. the logits from the last
     /// `forward_loss`, consumed by `backward`.
     pending_dlogits: Option<Tensor>,
-    param_len: usize,
+    params: Vec<f32>,
+    grads: Vec<f32>,
+    /// Layer `i`'s block is `offsets[i]..offsets[i + 1]` of either arena.
     offsets: Vec<usize>,
 }
 
 impl Model {
     /// Build from layers; `input_dims` are per-sample (no batch axis).
-    pub fn new(layers: Vec<Box<dyn Layer>>, input_dims: &[usize]) -> Self {
+    /// Initial parameters are drawn from `rng` layer by layer, in order.
+    pub fn new(layers: Vec<Box<dyn Layer>>, input_dims: &[usize], rng: &mut SeedRng) -> Self {
         let mut offsets = Vec::with_capacity(layers.len() + 1);
         let mut acc = 0usize;
         for l in &layers {
@@ -43,11 +53,16 @@ impl Model {
             acc += l.param_len();
         }
         offsets.push(acc);
+        let mut params = vec![0.0; acc];
+        for (l, w) in layers.iter().zip(offsets.windows(2)) {
+            l.init_params(rng, &mut params[w[0]..w[1]]);
+        }
         Model {
             layers,
             input_dims: input_dims.to_vec(),
             pending_dlogits: None,
-            param_len: acc,
+            params,
+            grads: vec![0.0; acc],
             offsets,
         }
     }
@@ -60,7 +75,7 @@ impl Model {
     /// Total learnable scalars — the model size `m` of the paper's
     /// communication analysis.
     pub fn param_len(&self) -> usize {
-        self.param_len
+        self.params.len()
     }
 
     /// Number of layers.
@@ -73,17 +88,40 @@ impl Model {
     /// skipped. Layer-wise gradient compression allocates its k budget
     /// over these blocks.
     pub fn param_blocks(&self) -> Vec<(usize, usize)> {
-        (0..self.layers.len())
-            .map(|i| (self.offsets[i], self.offsets[i + 1]))
+        self.offsets
+            .windows(2)
+            .map(|w| (w[0], w[1]))
             .filter(|(s, e)| e > s)
             .collect()
+    }
+
+    /// The parameter arena.
+    pub fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    /// The parameter arena, for in-place updates.
+    pub fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    /// The gradient arena: what `backward` calls have accumulated since
+    /// the last [`Model::zero_grads`].
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
+    }
+
+    /// Both arenas at once — the parameters to update, the gradients to
+    /// update them by — for passes that walk the two together.
+    pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &[f32]) {
+        (&mut self.params, &self.grads)
     }
 
     /// Forward through all layers (no loss); returns logits.
     pub fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
         let mut x = input;
-        for l in &mut self.layers {
-            x = l.forward(x, ctx);
+        for (l, w) in self.layers.iter_mut().zip(self.offsets.windows(2)) {
+            x = l.forward(x, &self.params[w[0]..w[1]], ctx);
         }
         x
     }
@@ -113,7 +151,7 @@ impl Model {
     }
 
     /// Backpropagate the cached loss gradient, accumulating parameter
-    /// gradients in every layer.
+    /// gradients into the gradient arena.
     ///
     /// # Panics
     /// Panics if called without a preceding training-mode `forward_loss`.
@@ -122,65 +160,49 @@ impl Model {
             .pending_dlogits
             .take()
             .expect("backward() requires a training-mode forward_loss first");
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(g, ctx);
+        for (l, w) in self.layers.iter_mut().zip(self.offsets.windows(2)).rev() {
+            let block = w[0]..w[1];
+            g = l.backward(g, &self.params[block.clone()], &mut self.grads[block], ctx);
         }
         ctx.ws.recycle(g);
     }
 
     /// Copy all parameters into a fresh flat vector.
     pub fn param_vector(&self) -> Vec<f32> {
-        let mut v = vec![0.0; self.param_len];
-        self.read_params(&mut v);
-        v
+        self.params.clone()
     }
 
     /// Copy all parameters into `out`.
     pub fn read_params(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.param_len, "param buffer length");
-        for (i, l) in self.layers.iter().enumerate() {
-            l.read_params(&mut out[self.offsets[i]..self.offsets[i + 1]]);
-        }
+        out.copy_from_slice(&self.params);
     }
 
     /// Overwrite all parameters from `src`.
     pub fn write_params(&mut self, src: &[f32]) {
-        assert_eq!(src.len(), self.param_len, "param buffer length");
-        for (i, l) in self.layers.iter_mut().enumerate() {
-            l.write_params(&src[self.offsets[i]..self.offsets[i + 1]]);
-        }
+        self.params.copy_from_slice(src);
     }
 
     /// Copy accumulated gradients into `out`.
     pub fn read_grads(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.param_len, "grad buffer length");
-        for (i, l) in self.layers.iter().enumerate() {
-            l.read_grads(&mut out[self.offsets[i]..self.offsets[i + 1]]);
-        }
+        out.copy_from_slice(&self.grads);
     }
 
     /// Copy accumulated gradients into a fresh vector.
     pub fn grad_vector(&self) -> Vec<f32> {
-        let mut v = vec![0.0; self.param_len];
-        self.read_grads(&mut v);
-        v
+        self.grads.clone()
     }
 
-    /// Zero every layer's gradient accumulator.
+    /// Zero the gradient arena.
     pub fn zero_grads(&mut self) {
-        for l in &mut self.layers {
-            l.zero_grads();
-        }
+        self.grads.fill(0.0);
     }
 
-    /// In-place SGD step `x ← x − γ·g` over the flat views.
+    /// In-place SGD step `x ← x − γ·g`, one pass over the two arenas.
     pub fn sgd_step(&mut self, gamma: f32) {
-        let mut params = self.param_vector();
-        let grads = self.grad_vector();
-        for (p, g) in params.iter_mut().zip(&grads) {
+        let (params, grads) = self.params_and_grads_mut();
+        for (p, g) in params.iter_mut().zip(grads) {
             *p -= gamma * g;
         }
-        self.write_params(&params);
     }
 
     /// Forward multiply–accumulates for one sample.
@@ -210,7 +232,7 @@ impl Model {
             ));
             dims = out;
         }
-        s.push_str(&format!("total params: {}\n", self.param_len));
+        s.push_str(&format!("total params: {}\n", self.param_len()));
         s
     }
 
@@ -243,17 +265,16 @@ impl Model {
 mod tests {
     use super::*;
     use crate::layers::{Linear, Relu};
-    use sasgd_tensor::SeedRng;
 
     fn mlp(seed: u64) -> Model {
-        let mut rng = SeedRng::new(seed);
         Model::new(
             vec![
-                Box::new(Linear::new(4, 8, &mut rng)),
+                Box::new(Linear::new(4, 8)),
                 Box::new(Relu::new()),
-                Box::new(Linear::new(8, 3, &mut rng)),
+                Box::new(Linear::new(8, 3)),
             ],
             &[4],
+            &mut SeedRng::new(seed),
         )
     }
 

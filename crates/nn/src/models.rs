@@ -41,26 +41,27 @@ pub fn cifar_cnn_scaled(divisor: usize, rng: &mut SeedRng) -> Model {
     let c4 = 128 / divisor;
     Model::new(
         vec![
-            Box::new(Conv2d::new(3, c1, 5, 5, 1, 2, rng)),
+            Box::new(Conv2d::new(3, c1, 5, 5, 1, 2)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
-            Box::new(Conv2d::new(c1, c2, 3, 3, 1, 1, rng)),
+            Box::new(Conv2d::new(c1, c2, 3, 3, 1, 1)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
-            Box::new(Conv2d::new(c2, c3, 3, 3, 1, 1, rng)),
+            Box::new(Conv2d::new(c2, c3, 3, 3, 1, 1)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
-            Box::new(Conv2d::new(c3, c4, 2, 2, 1, 0, rng)),
+            Box::new(Conv2d::new(c3, c4, 2, 2, 1, 0)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Dropout::new(0.5)),
             Box::new(Flatten::new()),
-            Box::new(Linear::new(c4, 10, rng)),
+            Box::new(Linear::new(c4, 10)),
         ],
         &[3, 32, 32],
+        rng,
     )
 }
 
@@ -98,17 +99,18 @@ pub fn nlc_net_custom(
     assert!(seq_len >= 3, "need at least 3 timesteps for conv+pool");
     Model::new(
         vec![
-            Box::new(Linear::new(embed, proj, rng)),
+            Box::new(Linear::new(embed, proj)),
             Box::new(Tanh::new()),
-            Box::new(TemporalConv1d::new(proj, nkern, 2, rng)),
+            Box::new(TemporalConv1d::new(proj, nkern, 2)),
             Box::new(TemporalMaxPool::new(2)),
             Box::new(Tanh::new()),
             Box::new(GlobalMaxOverTime::new()),
-            Box::new(Linear::new(nkern, hidden, rng)),
+            Box::new(Linear::new(nkern, hidden)),
             Box::new(Tanh::new()),
-            Box::new(Linear::new(hidden, classes, rng)),
+            Box::new(Linear::new(hidden, classes)),
         ],
         &[seq_len, embed],
+        rng,
     )
 }
 
@@ -129,25 +131,26 @@ pub fn alexnet_32(width_divisor: usize, classes: usize, rng: &mut SeedRng) -> Mo
     let fc = 512 / width_divisor;
     Model::new(
         vec![
-            Box::new(Conv2d::new(3, c1, 5, 5, 1, 2, rng)),
+            Box::new(Conv2d::new(3, c1, 5, 5, 1, 2)),
             Box::new(Relu::new()),
             Box::new(LocalResponseNorm::alexnet()),
             Box::new(MaxPool2d::new(2)), // 16
-            Box::new(Conv2d::new(c1, c2, 3, 3, 1, 1, rng)),
+            Box::new(Conv2d::new(c1, c2, 3, 3, 1, 1)),
             Box::new(Relu::new()),
             Box::new(LocalResponseNorm::alexnet()),
             Box::new(MaxPool2d::new(2)), // 8
-            Box::new(Conv2d::new(c2, c3, 3, 3, 1, 1, rng)),
+            Box::new(Conv2d::new(c2, c3, 3, 3, 1, 1)),
             Box::new(Relu::new()),
             Box::new(AvgPool2d::new(2)), // 4
             Box::new(Flatten::new()),
             Box::new(Dropout::new(0.5)),
-            Box::new(Linear::new(c3 * 16, fc, rng)),
+            Box::new(Linear::new(c3 * 16, fc)),
             Box::new(Relu::new()),
             Box::new(Dropout::new(0.5)),
-            Box::new(Linear::new(fc, classes, rng)),
+            Box::new(Linear::new(fc, classes)),
         ],
         &[3, 32, 32],
+        rng,
     )
 }
 
@@ -155,11 +158,12 @@ pub fn alexnet_32(width_divisor: usize, classes: usize, rng: &mut SeedRng) -> Mo
 pub fn tiny_mlp(input: usize, hidden: usize, classes: usize, rng: &mut SeedRng) -> Model {
     Model::new(
         vec![
-            Box::new(Linear::new(input, hidden, rng)),
+            Box::new(Linear::new(input, hidden)),
             Box::new(Relu::new()),
-            Box::new(Linear::new(hidden, classes, rng)),
+            Box::new(Linear::new(hidden, classes)),
         ],
         &[input],
+        rng,
     )
 }
 
@@ -168,16 +172,17 @@ pub fn tiny_mlp(input: usize, hidden: usize, classes: usize, rng: &mut SeedRng) 
 pub fn tiny_cnn(classes: usize, rng: &mut SeedRng) -> Model {
     Model::new(
         vec![
-            Box::new(Conv2d::new(3, 8, 3, 3, 1, 1, rng)),
+            Box::new(Conv2d::new(3, 8, 3, 3, 1, 1)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
-            Box::new(Conv2d::new(8, 16, 3, 3, 1, 1, rng)),
+            Box::new(Conv2d::new(8, 16, 3, 3, 1, 1)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2)),
             Box::new(Flatten::new()),
-            Box::new(Linear::new(16 * 2 * 2, classes, rng)),
+            Box::new(Linear::new(16 * 2 * 2, classes)),
         ],
         &[3, 8, 8],
+        rng,
     )
 }
 

@@ -17,24 +17,21 @@ proptest! {
     fn linear_backward_matches_fd(
         din in 1usize..6, dout in 1usize..5, batch in 1usize..5, seed in 0u64..500
     ) {
-        let mut layer = Linear::new(din, dout, &mut SeedRng::new(seed));
+        let mut layer = Linear::new(din, dout);
+        let mut params = vec![0.0; layer.param_len()];
+        layer.init_params(&mut SeedRng::new(seed), &mut params);
         let x = rand_tensor(&[batch, din], seed + 1);
         let mut ctx = Ctx::train(SeedRng::new(0));
-        let out = layer.forward(x.clone(), &mut ctx);
-        layer.backward(Tensor::full(out.dims(), 1.0), &mut ctx);
+        let out = layer.forward(x.clone(), &params, &mut ctx);
         let mut grads = vec![0.0; layer.param_len()];
-        layer.read_grads(&mut grads);
-        let mut params = vec![0.0; layer.param_len()];
-        layer.read_params(&mut params);
+        layer.backward(Tensor::full(out.dims(), 1.0), &params, &mut grads, &mut ctx);
         let eps = 1e-2f32;
-        let base = layer.forward(x.clone(), &mut Ctx::eval()).sum();
+        let base = layer.forward(x.clone(), &params, &mut Ctx::eval()).sum();
         // Probe the first weight and the last bias.
         for &k in &[0usize, layer.param_len() - 1] {
             let mut p2 = params.clone();
             p2[k] += eps;
-            layer.write_params(&p2);
-            let up = layer.forward(x.clone(), &mut Ctx::eval()).sum();
-            layer.write_params(&params);
+            let up = layer.forward(x.clone(), &p2, &mut Ctx::eval()).sum();
             let fd = (up - base) / eps;
             prop_assert!((fd - grads[k]).abs() < 0.05 * (1.0 + grads[k].abs()),
                 "k={} fd={} grad={}", k, fd, grads[k]);
@@ -45,11 +42,11 @@ proptest! {
     fn activations_are_idempotent_shapes(n in 1usize..40, seed in 0u64..500) {
         let x = rand_tensor(&[n], seed);
         let mut relu = Relu::new();
-        let y = relu.forward(x.clone(), &mut Ctx::eval());
+        let y = relu.forward(x.clone(), &[], &mut Ctx::eval());
         prop_assert_eq!(y.dims(), x.dims());
         prop_assert!(y.as_slice().iter().all(|&v| v >= 0.0));
         let mut tanh = Tanh::new();
-        let z = tanh.forward(x, &mut Ctx::eval());
+        let z = tanh.forward(x, &[], &mut Ctx::eval());
         prop_assert!(z.as_slice().iter().all(|&v| (-1.0..=1.0).contains(&v)));
     }
 

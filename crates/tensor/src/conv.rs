@@ -270,11 +270,11 @@ pub fn col2im_batch(
     });
 }
 
-fn forward_asserts(input: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv2dSpec) {
+fn forward_asserts(input: &Tensor, weight: &[f32], bias: &[f32], spec: &Conv2dSpec) {
     assert_eq!(input.dims()[1], spec.ci, "input channels mismatch");
     assert_eq!(
-        weight.dims(),
-        &[spec.co, spec.patch_len()],
+        weight.len(),
+        spec.co * spec.patch_len(),
         "weight shape mismatch"
     );
     assert_eq!(bias.len(), spec.co, "bias length mismatch");
@@ -282,8 +282,8 @@ fn forward_asserts(input: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv2dS
 
 /// Forward convolution over a batch, scratch space from a [`Workspace`].
 ///
-/// `input`: `[n, ci, h, w]`; `weight`: `[co, ci*kh*kw]` (pre-flattened);
-/// `bias`: `[co]`. Returns `[n, co, oh, ow]`. The whole minibatch is
+/// `input`: `[n, ci, h, w]`; `weight`: `[co, ci*kh*kw]` (pre-flattened,
+/// row-major); `bias`: `[co]`. Returns `[n, co, oh, ow]`. The whole minibatch is
 /// lowered into one stacked patch matrix and multiplied in a single
 /// `cols · weightᵀ` GEMM. `linalg::gemm_nt_ws` runs it as
 /// `cols · (weightᵀ)` on the zero-skipping axpy kernel (the patches of a
@@ -297,7 +297,7 @@ fn forward_asserts(input: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv2dS
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_forward_ws(
     input: &Tensor,
-    weight: &Tensor,
+    weight: &[f32],
     bias: &[f32],
     spec: &Conv2dSpec,
     ws: &mut Workspace,
@@ -322,7 +322,7 @@ pub fn conv2d_forward_ws(
     // Dispatched: transpose + axpy reference kernel by default, packed
     // tolerance-mode kernel when `linalg::set_packed_gemm` opted in.
     let mut tmp = ws.take_f32_uninit(nrows * co);
-    linalg::gemm_nt_ws(&mut tmp, &cols, weight.as_slice(), nrows, plen, co, ws);
+    linalg::gemm_nt_ws(&mut tmp, &cols, weight, nrows, plen, co, ws);
 
     // Transpose each image's [npix, co] block to the NCHW [co, npix]
     // output layout, adding the bias (pure data movement plus the same
@@ -345,7 +345,7 @@ pub fn conv2d_forward_ws(
 /// Forward convolution over a batch (fresh scratch space per call; hot
 /// loops should pass a persistent [`Workspace`] to [`conv2d_forward_ws`]).
 pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv2dSpec) -> Tensor {
-    conv2d_forward_ws(input, weight, bias, spec, &mut Workspace::new())
+    conv2d_forward_ws(input, weight.as_slice(), bias, spec, &mut Workspace::new())
 }
 
 /// The original per-image forward path (one `im2col` + one small GEMM per
@@ -363,7 +363,7 @@ pub fn conv2d_forward_ref(
         input.dims()[2],
         input.dims()[3],
     ];
-    forward_asserts(input, weight, bias, spec);
+    forward_asserts(input, weight.as_slice(), bias, spec);
     let (oh, ow) = spec.out_hw(h, w);
     let mut out = Tensor::zeros(&[n, spec.co, oh, ow]);
     let in_stride = ci * h * w;
@@ -397,24 +397,30 @@ pub struct Conv2dGrads {
     pub dbias: Vec<f32>,
 }
 
-/// Backward convolution over a batch, scratch space from a [`Workspace`].
+/// Backward convolution over a batch, scratch space from a [`Workspace`]:
+/// returns `[n, ci, h, w]`, the gradient w.r.t. the input, and
+/// *accumulates* the weight and bias gradients into `dweight`
+/// (`[co, ci*kh*kw]`) and `dbias` (`[co]`).
 ///
 /// `grad_out`: `[n, co, oh, ow]`. Recomputes the stacked `im2col` (trading
 /// FLOPs for memory, as cuDNN's low-workspace algorithms do). The patch
 /// gradient is one minibatch-wide GEMM; the weight/bias gradients are
-/// computed as per-image partials in parallel and reduced serially in
-/// image order, with the reference's `g == 0.0` skip — bitwise identical
-/// to [`conv2d_backward_ref`] at any thread count in default mode (the
+/// computed as per-image partials in parallel and added to the
+/// accumulators serially in image order, with the reference's `g == 0.0`
+/// skip — over `+0.0` accumulators bitwise identical to
+/// [`conv2d_backward_ref`] at any thread count in default mode (the
 /// opt-in packed tolerance mode may bend the patch-gradient GEMM within
 /// its documented bound).
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_backward_ws(
     input: &Tensor,
-    weight: &Tensor,
+    weight: &[f32],
     grad_out: &Tensor,
     spec: &Conv2dSpec,
+    dweight: &mut [f32],
+    dbias: &mut [f32],
     ws: &mut Workspace,
-) -> Conv2dGrads {
+) -> Tensor {
     let [n, ci, h, w] = [
         input.dims()[0],
         input.dims()[1],
@@ -429,6 +435,8 @@ pub fn conv2d_backward_ws(
     );
     let plen = spec.patch_len();
     let co = spec.co;
+    assert_eq!(dweight.len(), co * plen, "dweight shape mismatch");
+    assert_eq!(dbias.len(), co, "dbias length mismatch");
     let npix = oh * ow;
     let nrows = n * npix;
     let out_stride = co * npix;
@@ -453,7 +461,7 @@ pub fn conv2d_backward_ws(
     // terms accumulate in ascending output-channel order with g == 0.0
     // skipped — exactly the reference's fused loop.
     let mut dcols = ws.take_f32_uninit(nrows * plen);
-    linalg::gemm_nn_ws(&mut dcols, &gt, weight.as_slice(), nrows, co, plen, ws);
+    linalg::gemm_nn_ws(&mut dcols, &gt, weight, nrows, co, plen, ws);
 
     // Per-image dweight/dbias partials in parallel (disjoint outputs),
     // reduced serially in image order below.
@@ -474,11 +482,9 @@ pub fn conv2d_backward_ws(
         }
     });
 
-    let mut dweight = Tensor::zeros_in(&[co, plen], ws);
-    let mut dbias = ws.take_f32(co);
     for img in 0..n {
         let dw = &dw_all[img * co * plen..(img + 1) * co * plen];
-        for (a, &v) in dweight.as_mut_slice().iter_mut().zip(dw) {
+        for (a, &v) in dweight.iter_mut().zip(dw) {
             *a += v;
         }
         let db = &db_all[img * co..(img + 1) * co];
@@ -495,22 +501,34 @@ pub fn conv2d_backward_ws(
     ws.give_f32(dcols);
     ws.give_f32(dw_all);
     ws.give_f32(db_all);
-    Conv2dGrads {
-        dinput,
-        dweight,
-        dbias,
-    }
+    dinput
 }
 
-/// Backward convolution over a batch (fresh scratch space per call; hot
-/// loops should pass a persistent [`Workspace`] to [`conv2d_backward_ws`]).
+/// Backward convolution over a batch into fresh gradients (fresh scratch
+/// space per call too; hot loops pass a persistent [`Workspace`] and their
+/// accumulators to [`conv2d_backward_ws`]).
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     spec: &Conv2dSpec,
 ) -> Conv2dGrads {
-    conv2d_backward_ws(input, weight, grad_out, spec, &mut Workspace::new())
+    let mut dweight = Tensor::zeros(weight.dims());
+    let mut dbias = vec![0.0f32; spec.co];
+    let dinput = conv2d_backward_ws(
+        input,
+        weight.as_slice(),
+        grad_out,
+        spec,
+        dweight.as_mut_slice(),
+        &mut dbias,
+        &mut Workspace::new(),
+    );
+    Conv2dGrads {
+        dinput,
+        dweight,
+        dbias,
+    }
 }
 
 /// The original per-image backward path (fused dW/db/dcols loop per image,
@@ -750,10 +768,10 @@ mod tests {
         let bias = vec![0.1, 0.2, 0.3];
         let fresh = conv2d_forward(&input, &weight, &bias, &spec);
         let mut ws = Workspace::new();
-        let first = conv2d_forward_ws(&input, &weight, &bias, &spec, &mut ws);
+        let first = conv2d_forward_ws(&input, weight.as_slice(), &bias, &spec, &mut ws);
         let f = first.as_slice().to_vec();
         ws.recycle(first);
-        let second = conv2d_forward_ws(&input, &weight, &bias, &spec, &mut ws);
+        let second = conv2d_forward_ws(&input, weight.as_slice(), &bias, &spec, &mut ws);
         assert_eq!(second.as_slice(), fresh.as_slice());
         assert_eq!(second.as_slice(), &f[..]);
     }

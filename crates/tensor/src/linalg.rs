@@ -256,6 +256,35 @@ pub fn gemm_tn_ws(
     matmul_tn_into_auto(out, a, b, k, m, n);
 }
 
+/// Dispatched `out += Aᵀ · B`: [`gemm_tn_ws`] that accumulates, so a weight
+/// gradient lands straight in its gradient block. On the reference family
+/// it is [`matmul_tn_acc_into_auto`] — over a `+0.0`-filled `out`, bitwise
+/// [`gemm_tn_ws`]. The packed family writes whole tiles, so it keeps the
+/// product in a [`Workspace`] temporary and adds it.
+// hot-path: dispatched weight-gradient GEMM — the packed temp comes from the Workspace
+pub fn gemm_tn_acc_ws(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    ws: &mut Workspace,
+) {
+    if use_packed(m) {
+        PACKED_TAKEN.fetch_add(1, Ordering::Relaxed);
+        let mut tmp = ws.take_f32_uninit(m * n);
+        matmul_tn_packed_into_ws(&mut tmp, a, b, k, m, n, ws);
+        for (o, &t) in out.iter_mut().zip(&tmp) {
+            *o += t;
+        }
+        ws.give_f32(tmp);
+        return;
+    }
+    REF_TAKEN.fetch_add(1, Ordering::Relaxed);
+    matmul_tn_acc_into_auto(out, a, b, k, m, n);
+}
+
 /// Packed `out = A · B`, unconditionally (no mode check): the tolerance
 /// family's NN entry, for the bench roofline and the error-bound tests.
 /// Normal callers go through [`gemm_nn_ws`].
@@ -470,11 +499,10 @@ pub fn matmul_auto(a: &Tensor, b: &Tensor) -> Tensor {
     }
 }
 
-/// Row of `C = Aᵀ · B`: `out_row = Σ_l a[l,i] · b[l, ·]` in ascending `l`
+/// Row of `C += Aᵀ · B`: `out_row += Σ_l a[l,i] · b[l, ·]` in ascending `l`
 /// with `a[l,i] == 0` skipped — the same per-element order as the
 /// `l`-outer sequential kernel.
-fn tn_row(out_row: &mut [f32], a: &[f32], b: &[f32], i: usize, m: usize, k: usize, n: usize) {
-    out_row.iter_mut().for_each(|x| *x = 0.0);
+fn tn_row_acc(out_row: &mut [f32], a: &[f32], b: &[f32], i: usize, m: usize, k: usize, n: usize) {
     for l in 0..k {
         let av = a[l * m + i];
         if av == 0.0 {
@@ -485,14 +513,13 @@ fn tn_row(out_row: &mut [f32], a: &[f32], b: &[f32], i: usize, m: usize, k: usiz
     }
 }
 
-/// `out = Aᵀ · B` on raw slices for `A: [k,m]`, `B: [k,n]`, sequential
-/// (`l`-outer: streams both `A` and `B` rows once).
-// hot-path: weight-gradient GEMM — no allocation allowed
-pub fn matmul_tn_into(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
+/// The sequential TN kernel, `out += Aᵀ · B` (`l`-outer: streams both `A`
+/// and `B` rows once). Each element folds its terms onto what `out` held,
+/// in ascending `l` with `a[l,i] == 0` skipped.
+fn tn_acc(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
     assert_eq!(out.len(), m * n, "matmul_tn_into output size");
     assert_eq!(a.len(), k * m, "matmul_tn_into lhs size");
     assert_eq!(b.len(), k * n, "matmul_tn_into rhs size");
-    out.iter_mut().for_each(|x| *x = 0.0);
     for l in 0..k {
         let arow = &a[l * m..(l + 1) * m];
         let brow = &b[l * n..(l + 1) * n];
@@ -506,19 +533,45 @@ pub fn matmul_tn_into(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize,
     }
 }
 
-/// `out = Aᵀ · B` on raw slices, output rows over the thread pool when
-/// large. Bitwise identical to [`matmul_tn_into`].
-// hot-path: weight-gradient GEMM (banded) — no allocation allowed
-pub fn matmul_tn_into_auto(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
+/// `out += Aᵀ · B` on raw slices for `A: [k,m]`, `B: [k,n]`, output rows
+/// over the thread pool when large (bitwise the sequential walk). Over a
+/// `+0.0`-filled `out` this is [`matmul_tn_into`] bit for bit; and since a
+/// `+0.0`-seeded sum is never `-0.0`, so is `0 + (0 + Σ)` — a temporary
+/// product added to a zeroed accumulator.
+// hot-path: weight-gradient GEMM, accumulated in place — no allocation allowed
+pub fn matmul_tn_acc_into_auto(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+) {
     if !use_par(m) {
-        return matmul_tn_into(out, a, b, k, m, n);
+        return tn_acc(out, a, b, k, m, n);
     }
     assert_eq!(out.len(), m * n, "matmul_tn_into output size");
     assert_eq!(a.len(), k * m, "matmul_tn_into lhs size");
     assert_eq!(b.len(), k * n, "matmul_tn_into rhs size");
     parallel::for_each_chunk_mut(out, n, |i, row| {
-        tn_row(row, a, b, i, m, k, n);
+        tn_row_acc(row, a, b, i, m, k, n);
     });
+}
+
+/// `out = Aᵀ · B` on raw slices for `A: [k,m]`, `B: [k,n]`, sequential:
+/// a `+0.0` fill, then the accumulate kernel.
+// hot-path: weight-gradient GEMM — no allocation allowed
+pub fn matmul_tn_into(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
+    out.fill(0.0);
+    tn_acc(out, a, b, k, m, n);
+}
+
+/// `out = Aᵀ · B` on raw slices, output rows over the thread pool when
+/// large. Bitwise identical to [`matmul_tn_into`].
+// hot-path: weight-gradient GEMM (banded) — no allocation allowed
+pub fn matmul_tn_into_auto(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
+    out.fill(0.0);
+    matmul_tn_acc_into_auto(out, a, b, k, m, n);
 }
 
 /// `C = Aᵀ · B` for `A: [k,m]`, `B: [k,n]` without materializing `Aᵀ`.
@@ -540,7 +593,7 @@ pub fn matmul_tn_par(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(&[m, n]);
     let (ad, bd) = (a.as_slice(), b.as_slice());
     parallel::for_each_chunk_mut(out.as_mut_slice(), n, |i, row| {
-        tn_row(row, ad, bd, i, m, k, n);
+        tn_row_acc(row, ad, bd, i, m, k, n);
     });
     out
 }

@@ -98,6 +98,43 @@ proptest! {
     }
 
     #[test]
+    fn tn_accumulate_over_zeros_is_bitwise_the_overwriting_kernel(
+        ki in 0usize..3, mi in 0usize..4, n in 1usize..40, di in 0usize..3, seed in 0u64..1000
+    ) {
+        // `m` spans the banded cutover of a `parallel` build (8 rows per
+        // pool thread); `A` carries exact zeros of both signs and a zero
+        // row, and both operands a sprinkling of subnormals.
+        let (k, m) = ([1, 3, 19][ki], [1, 7, 40, 150][mi]);
+        let denorm = |x: &mut [f32]| x.iter_mut().step_by(7).for_each(|v| *v *= 1.0e-41);
+        let mut a = sparse_operand(k, m, [1.0, 0.45, 0.05][di], seed);
+        let mut b = rand_tensor(&[k, n], seed + 1).into_vec();
+        denorm(&mut a);
+        denorm(&mut b);
+        let mut ws = Workspace::new();
+        let mut want = vec![f32::NAN; m * n];
+        linalg::gemm_tn_ws(&mut want, &a, &b, k, m, n, &mut ws);
+
+        // Over a +0.0 block: the overwriting kernel's bits, which are also
+        // those of the old "product into a temporary, added to a zeroed
+        // accumulator".
+        let mut got = vec![0.0f32; m * n];
+        linalg::gemm_tn_acc_ws(&mut got, &a, &b, k, m, n, &mut ws);
+        prop_assert_eq!(bits(&got), bits(&want));
+        let temp_then_add: Vec<f32> = want.iter().map(|t| 0.0 + t).collect();
+        prop_assert_eq!(bits(&got), bits(&temp_then_add));
+
+        // Over what an earlier backward left: it adds (a second identical
+        // pass doubles the gradient), up to the reassociation.
+        let base = rand_tensor(&[m, n], seed + 2).into_vec();
+        let mut acc = base.clone();
+        linalg::gemm_tn_acc_ws(&mut acc, &a, &b, k, m, n, &mut ws);
+        for ((g, b0), t) in acc.iter().zip(&base).zip(&want) {
+            prop_assert!((g - (b0 + t)).abs() <= 1e-5 * (1.0 + b0.abs() + t.abs()),
+                "{} vs {} + {}", g, b0, t);
+        }
+    }
+
+    #[test]
     fn conv_forward_is_bitwise_serial_reference(
         n in 1usize..5, ci in 1usize..4, co in 1usize..8,
         kside in 1usize..4, side in 4usize..10, pad in 0usize..2,
@@ -359,17 +396,17 @@ proptest! {
         let fresh_bwd = conv2d_backward(&input, &weight, &grad, &spec);
 
         let mut ws = Workspace::new();
+        let w = weight.as_slice();
         for _ in 0..2 {
-            let fwd = conv2d_forward_ws(&input, &weight, &bias, &spec, &mut ws);
-            let bwd = conv2d_backward_ws(&input, &weight, &grad, &spec, &mut ws);
+            let fwd = conv2d_forward_ws(&input, w, &bias, &spec, &mut ws);
+            let (mut dw, mut db) = (vec![0.0f32; w.len()], vec![0.0f32; co]);
+            let dinput = conv2d_backward_ws(&input, w, &grad, &spec, &mut dw, &mut db, &mut ws);
             prop_assert_eq!(fwd.as_slice(), fresh_fwd.as_slice());
-            prop_assert_eq!(bwd.dinput.as_slice(), fresh_bwd.dinput.as_slice());
-            prop_assert_eq!(bwd.dweight.as_slice(), fresh_bwd.dweight.as_slice());
-            prop_assert_eq!(&bwd.dbias, &fresh_bwd.dbias);
+            prop_assert_eq!(dinput.as_slice(), fresh_bwd.dinput.as_slice());
+            prop_assert_eq!(&dw[..], fresh_bwd.dweight.as_slice());
+            prop_assert_eq!(&db, &fresh_bwd.dbias);
             ws.recycle(fwd);
-            ws.recycle(bwd.dinput);
-            ws.recycle(bwd.dweight);
-            ws.give_f32(bwd.dbias);
+            ws.recycle(dinput);
         }
     }
 
