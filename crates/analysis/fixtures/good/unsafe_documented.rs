@@ -1,4 +1,4 @@
-// virtual-path: crates/tensor/src/workspace.rs
+// virtual-path: crates/comm/src/sparse.rs
 // GOOD: allow-listed file, and every block carries a `// SAFETY:` comment.
 
 pub fn take_uninit(len: usize) -> Vec<f32> {

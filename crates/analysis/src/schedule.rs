@@ -732,7 +732,7 @@ fn explore_ps(
     }
 }
 
-/// PS push/pull under concurrent clients (see [`explore_ps`]).
+/// PS push/pull under concurrent clients (see `explore_ps`).
 pub fn scenario_ps(
     p: usize,
     shards: usize,
@@ -744,7 +744,7 @@ pub fn scenario_ps(
 }
 
 /// Stamp-consistent snapshot pulls under concurrent cross-shard pushes
-/// (see [`explore_ps`]).
+/// (see `explore_ps`).
 pub fn scenario_ps_snapshot(
     p: usize,
     shards: usize,

@@ -31,23 +31,19 @@
 //! Alongside the model-level suite the harness sweeps the raw GEMM
 //! kernels — NN / NT / TN at model-representative shapes — across every
 //! feature leg this build can run: `serial` (the PR 3 scalar path, the
-//! baseline every speedup is quoted against), `parallel` (same kernels,
-//! banded over a pool of `max(2, cores)` threads), `simd` (the packed
-//! register-blocked tolerance-mode kernels, 1 thread) and
-//! `simd_parallel` (packed + row-band parallelism). The reference `nt`
-//! cells go through [`linalg::gemm_nt_ws`], the dispatcher training calls
+//! baseline every speedup is quoted against) and `parallel` (same kernels,
+//! banded over a pool of `max(2, cores)` threads). The `nt` cells go
+//! through [`linalg::gemm_nt_ws`], the dispatcher training calls
 //! (transpose + axpy kernel at these row counts); the dot kernel it
 //! replaced stays in the sweep as the `nt_dot` oracle row. `A` is filled
-//! at the density stated per shape, since the reference kernels skip its
-//! exact zeros, and each shape reports `nt_over_nn` — serial dispatcher-NT
+//! at the density stated per shape, since the kernels skip its exact
+//! zeros, and each shape reports `nt_over_nn` — serial dispatcher-NT
 //! GFLOP/s over serial NN GFLOP/s, a same-process ratio CI gates on. Each
 //! cell reports *nominal* GFLOP/s (`2·m·k·n` over time, skipped zeros
 //! included); the pool is *explicitly* sized to at least 2 threads for the
 //! parallel legs and the [`parallel::par_regions_taken`] counter is
 //! recorded, so the artifact proves intra-op threads actually engaged
-//! instead of silently serializing on 1-core CI. Tile plans chosen by the
-//! deterministic autotuner during the packed legs are serialized into the
-//! artifact ([`sasgd_tensor::tune::observed`]).
+//! instead of silently serializing on 1-core CI.
 
 use std::time::Instant;
 
@@ -84,7 +80,7 @@ const ROOFLINE_SHAPES: &[(&str, usize, usize, usize, f32)] = &[
 ];
 
 /// Kernel rows per shape: the three layouts, plus the dot-product NT
-/// kernel as an oracle row (reference legs only — it has no packed twin).
+/// kernel as an oracle row.
 const ROOFLINE_KERNELS: [&str; 4] = ["nn", "nt", "nt_dot", "tn"];
 
 /// One roofline row: a kernel at a shape, with one `(leg, ms, GFLOP/s)`
@@ -107,8 +103,8 @@ pub struct RooflineRow {
     pub legs: Vec<(&'static str, f64, f64)>,
 }
 
-/// Results of the roofline sweep plus the evidence that parallel and
-/// packed paths genuinely ran.
+/// Results of the roofline sweep plus the evidence that the parallel
+/// path genuinely ran.
 pub struct Roofline {
     /// One row per kernel × shape.
     pub rows: Vec<RooflineRow>,
@@ -116,9 +112,6 @@ pub struct Roofline {
     /// the pool engaged (the parallel legs force ≥ 2 threads even on a
     /// 1-core machine).
     pub parallel_path_taken: u64,
-    /// Tile plans the deterministic autotuner chose during the packed
-    /// legs (empty without the `simd` feature).
-    pub tiles: Vec<sasgd_tensor::tune::ObservedPlan>,
 }
 
 impl RooflineRow {
@@ -172,18 +165,11 @@ pub fn run_roofline() -> Roofline {
     // deterministic-safe, and it keeps the "did threads engage" check
     // meaningful on 1-core CI runners.
     let par_threads = cores.max(2);
-    let mut legs: Vec<(&'static str, bool, usize)> = vec![("serial", false, 1)];
+    let mut legs: Vec<(&'static str, usize)> = vec![("serial", 1)];
     if parallel::parallel_enabled() {
-        legs.push(("parallel", false, par_threads));
-    }
-    if cfg!(feature = "simd") {
-        legs.push(("simd", true, 1));
-        if parallel::parallel_enabled() {
-            legs.push(("simd_parallel", true, par_threads));
-        }
+        legs.push(("parallel", par_threads));
     }
 
-    sasgd_tensor::tune::reset_observed();
     parallel::reset_par_regions();
     let mut rng = SeedRng::new(0xF00F);
     let mut ws = Workspace::new();
@@ -201,31 +187,17 @@ pub fn run_roofline() -> Roofline {
         let mut out = vec![0.0f32; m * n];
         for kernel in ROOFLINE_KERNELS {
             let mut cells = Vec::new();
-            for &(leg, packed, threads) in &legs {
-                if packed && kernel == "nt_dot" {
-                    continue;
-                }
+            for &(leg, threads) in &legs {
                 parallel::configure_threads(threads);
                 let mut best = f64::INFINITY;
                 for _ in 0..REPS {
                     let t0 = Instant::now();
-                    match (kernel, packed) {
-                        ("nn", false) => linalg::matmul_into_auto(&mut out, &a, &b, m, k, n),
-                        ("nn", true) => {
-                            linalg::matmul_packed_into_ws(&mut out, &a, &b, m, k, n, &mut ws)
-                        }
-                        ("nt", false) => linalg::gemm_nt_ws(&mut out, &a, &bt, m, k, n, &mut ws),
-                        ("nt_dot", false) => {
-                            linalg::matmul_nt_into_auto(&mut out, &a, &bt, m, k, n)
-                        }
-                        ("nt", true) => {
-                            linalg::matmul_nt_packed_into_ws(&mut out, &a, &bt, m, k, n, &mut ws)
-                        }
-                        ("tn", false) => linalg::matmul_tn_into_auto(&mut out, &at, &b, k, m, n),
-                        ("tn", true) => {
-                            linalg::matmul_tn_packed_into_ws(&mut out, &at, &b, k, m, n, &mut ws)
-                        }
-                        _ => unreachable!("kernel/leg grid is fixed"),
+                    match kernel {
+                        "nn" => linalg::matmul_into_auto(&mut out, &a, &b, m, k, n),
+                        "nt" => linalg::gemm_nt_ws(&mut out, &a, &bt, m, k, n, &mut ws),
+                        "nt_dot" => linalg::matmul_nt_into_auto(&mut out, &a, &bt, m, k, n),
+                        "tn" => linalg::matmul_tn_into_auto(&mut out, &at, &b, k, m, n),
+                        _ => unreachable!("kernel grid is fixed"),
                     }
                     best = best.min(t0.elapsed().as_secs_f64());
                 }
@@ -248,7 +220,6 @@ pub fn run_roofline() -> Roofline {
     Roofline {
         rows,
         parallel_path_taken,
-        tiles: sasgd_tensor::tune::observed(),
     }
 }
 
@@ -557,13 +528,11 @@ pub fn run_engine_step() -> EngineStep {
 pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"parallel_feature\": {},\n  \"simd_feature\": {},\n  \
-         \"pool_threads\": {},\n  \
+        "  \"parallel_feature\": {},\n  \"pool_threads\": {},\n  \
          \"par_threshold\": {},\n  \"alloc_counting\": {},\n  \
          \"parallel_path_taken\": {},\n  \"engine_step\": {{\"ms_per_step\": {:.3}, \
          \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}}},\n  \"cases\": [\n",
         parallel::parallel_enabled(),
-        cfg!(feature = "simd"),
         parallel::threads(),
         linalg::par_threshold(),
         alloc::counting(),
@@ -628,26 +597,7 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) 
             if i > 0 { ", " } else { "" }
         ));
     }
-    s.push_str("},\n  \"tiles\": [\n");
-    for (i, t) in roof.tiles.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"class\": [{}, {}, {}], \"mr\": {}, \"nr\": {}, \"kc\": {}, \"nc\": {}, \
-             \"example\": [{}, {}, {}], \"hits\": {}}}{}\n",
-            t.class.0,
-            t.class.1,
-            t.class.2,
-            t.plan.mr,
-            t.plan.nr,
-            t.plan.kc,
-            t.plan.nc,
-            t.example.0,
-            t.example.1,
-            t.example.2,
-            t.hits,
-            if i + 1 < roof.tiles.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    s.push_str("}\n}\n");
     s
 }
 
@@ -723,14 +673,9 @@ pub fn hotpath() -> Artifact {
         ));
         let serial_ms = r.leg("serial").map_or(f64::NAN, |(ms, _)| ms);
         let mut best_ms = f64::INFINITY;
-        for l in &leg_names {
-            match r.leg(l) {
-                Some((ms, gflops)) => {
-                    report.push_str(&format!(" {gflops:>14.3}"));
-                    best_ms = best_ms.min(ms);
-                }
-                None => report.push_str(&format!(" {:>14}", "-")),
-            }
+        for &(_, ms, gflops) in &r.legs {
+            report.push_str(&format!(" {gflops:>14.3}"));
+            best_ms = best_ms.min(ms);
         }
         report.push_str(&format!(" {:>11.2}x\n", serial_ms / best_ms));
     }
@@ -743,28 +688,6 @@ pub fn hotpath() -> Artifact {
         "\nparallel_path_taken = {} region(s) fanned out over the pool\n",
         roof.parallel_path_taken
     ));
-    if roof.tiles.is_empty() {
-        report.push_str("autotuned tiles: none (simd legs not built in)\n");
-    } else {
-        report.push_str("autotuned tiles (deterministic, per log2 shape class):\n");
-        for t in &roof.tiles {
-            report.push_str(&format!(
-                "  class ({}, {}, {}): MRxNR = {}x{}, KC = {}, NC = {} \
-                 (first {}x{}x{}, {} dispatches)\n",
-                t.class.0,
-                t.class.1,
-                t.class.2,
-                t.plan.mr,
-                t.plan.nr,
-                t.plan.kc,
-                t.plan.nc,
-                t.example.0,
-                t.example.1,
-                t.example.2,
-                t.hits
-            ));
-        }
-    }
     Artifact {
         name: "hotpath".to_string(),
         report,
@@ -833,12 +756,6 @@ mod tests {
                 },
             ],
             parallel_path_taken: 3,
-            tiles: vec![sasgd_tensor::tune::ObservedPlan {
-                class: (8, 8, 8),
-                plan: sasgd_tensor::tune::plan_for(256, 256, 256),
-                example: (256, 256, 256),
-                hits: 6,
-            }],
         };
         let engine = EngineStep {
             ms_per_step: 6.25,
@@ -858,8 +775,25 @@ mod tests {
         assert!(j.contains("\"best_over_serial\": 2.000"));
         assert!(j.contains("\"a_density\": 1.00"));
         assert!(j.contains("\"nt_over_nn\": {\"square256\": 0.750}"));
-        assert!(j.contains("\"tiles\""));
-        assert!(j.contains("\"mr\""));
+        // The top-level keys, exactly: nothing else rides in the artifact.
+        let keys: Vec<&str> = j
+            .lines()
+            .filter_map(|l| l.strip_prefix("  \"")?.split('"').next())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "parallel_feature",
+                "pool_threads",
+                "par_threshold",
+                "alloc_counting",
+                "parallel_path_taken",
+                "engine_step",
+                "cases",
+                "roofline",
+                "nt_over_nn"
+            ]
+        );
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
@@ -867,21 +801,20 @@ mod tests {
     #[test]
     fn roofline_sweeps_every_leg_this_build_carries() {
         let roof = run_roofline();
-        // 4 kernel rows x 3 shapes; the dot-kernel oracle row carries the
-        // reference legs only, every other row all of them.
+        // 4 kernel rows x 3 shapes, each with `serial` and, when built in,
+        // `parallel`.
         assert_eq!(
             roof.rows.len(),
             ROOFLINE_SHAPES.len() * ROOFLINE_KERNELS.len()
         );
-        let ref_legs = 1 + usize::from(parallel::parallel_enabled());
+        let want_legs: &[&str] = if parallel::parallel_enabled() {
+            &["serial", "parallel"]
+        } else {
+            &["serial"]
+        };
         for r in &roof.rows {
-            let want_legs = if r.kernel == "nt_dot" || cfg!(not(feature = "simd")) {
-                ref_legs
-            } else {
-                2 * ref_legs
-            };
-            assert_eq!(r.legs.len(), want_legs, "{}/{}", r.kernel, r.shape);
-            assert_eq!(r.legs[0].0, "serial");
+            let legs: Vec<&str> = r.legs.iter().map(|&(l, _, _)| l).collect();
+            assert_eq!(legs, want_legs, "{}/{}", r.kernel, r.shape);
             for &(leg, ms, gflops) in &r.legs {
                 assert!(ms > 0.0 && gflops > 0.0, "{leg} cell not measured");
             }
@@ -893,10 +826,6 @@ mod tests {
         // Any parallel-capable build must prove its pool engaged.
         if parallel::parallel_enabled() {
             assert!(roof.parallel_path_taken > 0, "pool never engaged");
-        }
-        // Packed legs must have recorded deterministic tile plans.
-        if cfg!(feature = "simd") {
-            assert!(!roof.tiles.is_empty(), "packed legs recorded no tiles");
         }
     }
 }

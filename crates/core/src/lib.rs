@@ -24,6 +24,8 @@
 //! * [`history`] / [`report`] — experiment records, CSV output and ASCII
 //!   plots.
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod compress;
 pub mod engine;

@@ -18,6 +18,8 @@
 //! experiments (Figs 2–3, 7–10) need. See DESIGN.md §2 for why this
 //! substitution preserves the relevant behaviour.
 
+#![forbid(unsafe_code)]
+
 pub mod cifar_like;
 pub mod dataset;
 pub mod nlc_like;

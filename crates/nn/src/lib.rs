@@ -27,6 +27,8 @@
 //! assert!(out.loss > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod init;
 pub mod io;
 pub mod layer;

@@ -27,7 +27,7 @@ pub struct ForwardOutput {
 /// block. The training step and every exchange work on these slices in
 /// place — they *are* the flat vectors the paper's allreduce and parameter
 /// server move. The copying accessors ([`Model::param_vector`],
-/// [`Model::write_params`], [`Model::grad_vector`], …) remain for callers
+/// [`Model::write_params`], [`Model::grad_vector`]) remain for callers
 /// off the step path: checkpoints, analysis probes, tests, benchmarks.
 pub struct Model {
     layers: Vec<Box<dyn Layer>>,
@@ -172,19 +172,9 @@ impl Model {
         self.params.clone()
     }
 
-    /// Copy all parameters into `out`.
-    pub fn read_params(&self, out: &mut [f32]) {
-        out.copy_from_slice(&self.params);
-    }
-
     /// Overwrite all parameters from `src`.
     pub fn write_params(&mut self, src: &[f32]) {
         self.params.copy_from_slice(src);
-    }
-
-    /// Copy accumulated gradients into `out`.
-    pub fn read_grads(&self, out: &mut [f32]) {
-        out.copy_from_slice(&self.grads);
     }
 
     /// Copy accumulated gradients into a fresh vector.

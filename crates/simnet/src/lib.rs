@@ -19,6 +19,8 @@
 //! * [`jitter`] — reproducible per-minibatch learner speed noise (the
 //!   source of gradient staleness variation in asynchronous algorithms).
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod event;
 pub mod jitter;

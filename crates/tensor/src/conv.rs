@@ -290,10 +290,7 @@ fn forward_asserts(input: &Tensor, weight: &[f32], bias: &[f32], spec: &Conv2dSp
 /// post-ReLU/dropout input, and all zero padding, are exact zeros it never
 /// multiplies); each output element is still the ascending-index fold of
 /// `patch[l] · weight[co][l]` plus `bias[co]`, so for finite inputs results
-/// are bitwise identical to the per-column `dot` of [`conv2d_forward_ref`]
-/// — in default mode. Under the opt-in packed tolerance mode
-/// (`linalg::set_packed_gemm`) the big GEMM may diverge within the
-/// documented relative-error bound.
+/// are bitwise identical to the per-column `dot` of [`conv2d_forward_ref`].
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_forward_ws(
     input: &Tensor,
@@ -319,8 +316,6 @@ pub fn conv2d_forward_ws(
     im2col_batch_into(input.as_slice(), n, ci, h, w, spec, &mut cols);
 
     // One GEMM for the minibatch: tmp[row, c] = Σ_l cols[row, l]·weight[c, l].
-    // Dispatched: transpose + axpy reference kernel by default, packed
-    // tolerance-mode kernel when `linalg::set_packed_gemm` opted in.
     let mut tmp = ws.take_f32_uninit(nrows * co);
     linalg::gemm_nt_ws(&mut tmp, &cols, weight, nrows, plen, co, ws);
 
@@ -408,9 +403,7 @@ pub struct Conv2dGrads {
 /// computed as per-image partials in parallel and added to the
 /// accumulators serially in image order, with the reference's `g == 0.0`
 /// skip — over `+0.0` accumulators bitwise identical to
-/// [`conv2d_backward_ref`] at any thread count in default mode (the
-/// opt-in packed tolerance mode may bend the patch-gradient GEMM within
-/// its documented bound).
+/// [`conv2d_backward_ref`] at any thread count.
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_backward_ws(
     input: &Tensor,

@@ -15,14 +15,6 @@
 //! identical** to the serial kernels at any thread count; size the pool
 //! with [`parallel::configure_threads`].
 //!
-//! The `simd` feature adds a packed, register-blocked GEMM family
-//! ([`pack`] / [`microkernel`] / [`tune`]) dispatched through
-//! `linalg::gemm_*_ws`. It is **tolerance mode** — opt-in at runtime via
-//! [`linalg::set_packed_gemm`], never bitwise-equal to the reference
-//! kernels (see the [`linalg`] module docs for the fold-order contract).
-//! `simd-nightly` additionally spells the microkernels with `std::simd`
-//! on a nightly toolchain; the arithmetic is lane-identical either way.
-//!
 //! ## Example
 //!
 //! ```
@@ -33,22 +25,19 @@
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! ```
 
-#![cfg_attr(feature = "simd-nightly", feature(portable_simd))]
+#![forbid(unsafe_code)]
 
 pub mod conv;
 pub mod linalg;
-pub mod microkernel;
-pub mod pack;
 pub mod parallel;
 pub mod pool;
 pub mod rng;
 pub mod shape;
 pub mod stats;
 pub mod tensor;
-pub mod tune;
 pub mod workspace;
 
 pub use rng::SeedRng;
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use workspace::{AlignedF32, Workspace};
+pub use workspace::Workspace;

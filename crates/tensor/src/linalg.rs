@@ -29,7 +29,7 @@
 //!
 //! ## NT through the axpy kernel
 //!
-//! `A · Bᵀ` has two reference kernels that give the same bits. The dot
+//! `A · Bᵀ` has two kernels that give the same bits. The dot
 //! kernel (`nt_rows`, behind [`matmul_nt_into`] / [`matmul_nt`]) reads a
 //! row of `A` against eight rows of `B`: contiguous operands, but eight
 //! strided streams and no zero-skip, about 8–9 GF/s on every shape. The
@@ -53,50 +53,10 @@
 //! the switch. The one divergence is the caveat NN and TN always carried:
 //! an exact-zero `a` against a non-finite `b` is NaN in the dot kernel and
 //! skipped (contributes nothing) in the axpy kernel.
-//!
-//! ## Two kernel families: bitwise oracle vs packed tolerance mode
-//!
-//! The kernels above — [`matmul_into_auto`] and friends, built on
-//! `mm_rows_blocked` / `nt_rows` / `tn_row` / `axpy_row` — are the
-//! **reference family**: per-element fold order is frozen (ascending inner
-//! index, zero-skip `if av == 0.0 { continue; }` in the axpy-style
-//! kernels), so serial, blocked, and banded-parallel runs are bitwise
-//! identical and the engine-golden checksums stay stable. The zero-skip is
-//! also why this family stays the default: on the ~1/8-dense `G` the conv
-//! backward pass feeds the NN and TN kernels it does a fraction of the
-//! multiply-adds, and the packed family below, which cannot skip, is 2–5x
-//! slower there — more than it wins back on the forward NT products
-//! (DESIGN.md §4h has the table). The **packed
-//! family** ([`pack`] / [`microkernel`](crate::microkernel) /
-//! [`tune`](crate::tune), reached through the [`gemm_nn_ws`]-style
-//! dispatchers) reassociates the reduction into `KC`-deep block sums and
-//! drops the zero-skip.
-//!
-//! The two families **cannot** be bitwise-equal, by design:
-//!
-//! * skipping `av == 0.0` is not an IEEE no-op — `x + 0.0 * b` flips
-//!   `-0.0` to `+0.0` and would turn `0.0 · ±inf` into NaN — so the skip
-//!   is itself a semantic choice the golden checksums froze in;
-//! * a data-dependent branch in the innermost loop serializes the 8-lane
-//!   FMA chains the packed microkernel exists for, so the packed path
-//!   drops it and computes every lane unconditionally;
-//! * block-sum accumulation (`Σ_pc (Σ_{l∈pc} a·b)`) reassociates the fold.
-//!
-//! The packed path is therefore **tolerance mode** and strictly opt-in:
-//! even a `--features simd` build keeps the reference family until
-//! [`set_packed_gemm`]`(true)` is called, so default builds and default
-//! runs stay bitwise. For finite inputs both folds obey the standard
-//! `γ_k` rounding bound, so the divergence is bounded by
-//! `|packed − ref| ≤ 2·k·ε · Σ_l |a_il|·|b_lj|` with `ε = 2⁻²⁴`;
-//! `tests/packed.rs` asserts a 4·k·ε slack version of this bound across
-//! random ragged shapes. Within itself the packed path is still
-//! deterministic at any thread count (bands only partition output rows).
 
-use crate::pack::{self, MatRef};
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Minimum output rows **per pool thread** before the `_auto` kernels take
 /// the parallel path. The old fixed threshold (64 rows) was tuned for an
@@ -138,56 +98,11 @@ pub fn par_threshold() -> usize {
     PAR_ROWS_PER_THREAD * parallel::threads().max(1)
 }
 
-/// Opt-in switch for the packed tolerance-mode GEMM family (see the
-/// module docs). Off by default in every build; inert without the `simd`
-/// feature, so flipping it can never perturb a default build.
-static PACKED_GEMM: AtomicBool = AtomicBool::new(false);
-
-/// GEMM dispatches that took the packed path.
-static PACKED_TAKEN: AtomicU64 = AtomicU64::new(0);
-
-/// GEMM dispatches that took the reference (bitwise-oracle) path.
-static REF_TAKEN: AtomicU64 = AtomicU64::new(0);
-
-/// Opt in to (or out of) the packed tolerance-mode GEMM path for the
-/// `gemm_*_ws` dispatchers. A no-op unless built with `--features simd`.
-pub fn set_packed_gemm(on: bool) {
-    PACKED_GEMM.store(on, Ordering::Relaxed);
-}
-
-/// Whether `gemm_*_ws` may dispatch to the packed kernels: requires both
-/// the `simd` feature *and* a [`set_packed_gemm`]`(true)` opt-in.
-pub fn packed_gemm_enabled() -> bool {
-    cfg!(feature = "simd") && PACKED_GEMM.load(Ordering::Relaxed)
-}
-
-/// `(packed, reference)` dispatch counts since the last reset — how many
-/// `gemm_*_ws` calls actually took each path.
-pub fn gemm_path_counts() -> (u64, u64) {
-    (
-        PACKED_TAKEN.load(Ordering::Relaxed),
-        REF_TAKEN.load(Ordering::Relaxed),
-    )
-}
-
-/// Zero the [`gemm_path_counts`] counters (bench-leg isolation).
-pub fn reset_gemm_path_counts() {
-    PACKED_TAKEN.store(0, Ordering::Relaxed);
-    REF_TAKEN.store(0, Ordering::Relaxed);
-}
-
-/// Whether a dispatcher sends an `m`-row GEMM to the packed path: the
-/// mode must be on and the output big enough that packing pays for
-/// itself — the same [`par_threshold`] cutover the banded kernels use,
-/// so "packed" and "parallel-worthy" engage together.
-fn use_packed(m: usize) -> bool {
-    packed_gemm_enabled() && m >= par_threshold()
-}
-
-/// Dispatched `out = A · B` (`A: [m,k]`, `B: [k,n]`) for hot-path callers
-/// holding a [`Workspace`]: packed tolerance-mode kernel when opted in and
-/// the shape is large, otherwise bitwise [`matmul_into_auto`].
-// hot-path: dispatched GEMM (NN) — no allocation allowed
+/// `out = A · B` (`A: [m,k]`, `B: [k,n]`), the layers' NN seam:
+/// [`matmul_into_auto`]. The four `gemm_*_ws` seams share one signature, so
+/// a layer passes its [`Workspace`] without knowing which of them draws
+/// scratch from it (only [`gemm_nt_ws`] does).
+// hot-path: GEMM seam (NN) — no allocation allowed
 pub fn gemm_nn_ws(
     out: &mut [f32],
     a: &[f32],
@@ -195,22 +110,16 @@ pub fn gemm_nn_ws(
     m: usize,
     k: usize,
     n: usize,
-    ws: &mut Workspace,
+    _ws: &mut Workspace,
 ) {
-    if use_packed(m) {
-        PACKED_TAKEN.fetch_add(1, Ordering::Relaxed);
-        return matmul_packed_into_ws(out, a, b, m, k, n, ws);
-    }
-    REF_TAKEN.fetch_add(1, Ordering::Relaxed);
     matmul_into_auto(out, a, b, m, k, n);
 }
 
-/// Dispatched `out = A · Bᵀ` (`A: [m,k]`, `B: [n,k]`); see [`gemm_nn_ws`]
-/// for the packed opt-in. On the reference family, [`NT_VIA_NN_ROWS`] or
-/// more output rows are computed as `A · (Bᵀ)` — `B` transposed into a
-/// [`Workspace`] buffer, then [`matmul_into_auto`] — and fewer rows by the
-/// dot kernel [`matmul_nt_into_auto`]. For finite inputs the two are
-/// bitwise identical (module docs, *NT through the axpy kernel*).
+/// `out = A · Bᵀ` (`A: [m,k]`, `B: [n,k]`), the layers' NT seam.
+/// [`NT_VIA_NN_ROWS`] or more output rows are computed as `A · (Bᵀ)` — `B`
+/// transposed into a [`Workspace`] buffer, then [`matmul_into_auto`] — and
+/// fewer rows by the dot kernel [`matmul_nt_into_auto`]. For finite inputs
+/// the two are bitwise identical (module docs, *NT through the axpy kernel*).
 // hot-path: dispatched GEMM (NT) — the Bᵀ scratch comes from the Workspace
 pub fn gemm_nt_ws(
     out: &mut [f32],
@@ -221,11 +130,6 @@ pub fn gemm_nt_ws(
     n: usize,
     ws: &mut Workspace,
 ) {
-    if use_packed(m) {
-        PACKED_TAKEN.fetch_add(1, Ordering::Relaxed);
-        return matmul_nt_packed_into_ws(out, a, b, m, k, n, ws);
-    }
-    REF_TAKEN.fetch_add(1, Ordering::Relaxed);
     if m < NT_VIA_NN_ROWS {
         return matmul_nt_into_auto(out, a, b, m, k, n);
     }
@@ -236,9 +140,9 @@ pub fn gemm_nt_ws(
     ws.give_f32(bt);
 }
 
-/// Dispatched `out = Aᵀ · B` (`A: [k,m]`, `B: [k,n]`); see [`gemm_nn_ws`].
-/// The cutover tests `m` (output rows), as [`matmul_tn_into_auto`] does.
-// hot-path: dispatched GEMM (TN) — no allocation allowed
+/// `out = Aᵀ · B` (`A: [k,m]`, `B: [k,n]`), the layers' TN seam:
+/// [`matmul_tn_into_auto`].
+// hot-path: GEMM seam (TN) — no allocation allowed
 pub fn gemm_tn_ws(
     out: &mut [f32],
     a: &[f32],
@@ -246,22 +150,15 @@ pub fn gemm_tn_ws(
     k: usize,
     m: usize,
     n: usize,
-    ws: &mut Workspace,
+    _ws: &mut Workspace,
 ) {
-    if use_packed(m) {
-        PACKED_TAKEN.fetch_add(1, Ordering::Relaxed);
-        return matmul_tn_packed_into_ws(out, a, b, k, m, n, ws);
-    }
-    REF_TAKEN.fetch_add(1, Ordering::Relaxed);
     matmul_tn_into_auto(out, a, b, k, m, n);
 }
 
-/// Dispatched `out += Aᵀ · B`: [`gemm_tn_ws`] that accumulates, so a weight
-/// gradient lands straight in its gradient block. On the reference family
-/// it is [`matmul_tn_acc_into_auto`] — over a `+0.0`-filled `out`, bitwise
-/// [`gemm_tn_ws`]. The packed family writes whole tiles, so it keeps the
-/// product in a [`Workspace`] temporary and adds it.
-// hot-path: dispatched weight-gradient GEMM — the packed temp comes from the Workspace
+/// `out += Aᵀ · B`: [`gemm_tn_ws`] that accumulates, so a weight gradient
+/// lands straight in its gradient block. It is [`matmul_tn_acc_into_auto`]
+/// — over a `+0.0`-filled `out`, bitwise [`gemm_tn_ws`].
+// hot-path: weight-gradient GEMM seam — no allocation allowed
 pub fn gemm_tn_acc_ws(
     out: &mut [f32],
     a: &[f32],
@@ -269,97 +166,9 @@ pub fn gemm_tn_acc_ws(
     k: usize,
     m: usize,
     n: usize,
-    ws: &mut Workspace,
+    _ws: &mut Workspace,
 ) {
-    if use_packed(m) {
-        PACKED_TAKEN.fetch_add(1, Ordering::Relaxed);
-        let mut tmp = ws.take_f32_uninit(m * n);
-        matmul_tn_packed_into_ws(&mut tmp, a, b, k, m, n, ws);
-        for (o, &t) in out.iter_mut().zip(&tmp) {
-            *o += t;
-        }
-        ws.give_f32(tmp);
-        return;
-    }
-    REF_TAKEN.fetch_add(1, Ordering::Relaxed);
     matmul_tn_acc_into_auto(out, a, b, k, m, n);
-}
-
-/// Packed `out = A · B`, unconditionally (no mode check): the tolerance
-/// family's NN entry, for the bench roofline and the error-bound tests.
-/// Normal callers go through [`gemm_nn_ws`].
-// hot-path: packed GEMM (NN) — no allocation allowed
-pub fn matmul_packed_into_ws(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-) {
-    assert_eq!(out.len(), m * n, "matmul_packed output size");
-    assert_eq!(a.len(), m * k, "matmul_packed lhs size");
-    assert_eq!(b.len(), k * n, "matmul_packed rhs size");
-    pack::gemm_packed(
-        out,
-        MatRef::Rm { d: a, ld: k },
-        MatRef::Rm { d: b, ld: n },
-        m,
-        k,
-        n,
-        ws,
-    );
-}
-
-/// Packed `out = A · Bᵀ` (`A: [m,k]`, `B: [n,k]`), unconditionally.
-// hot-path: packed GEMM (NT) — no allocation allowed
-pub fn matmul_nt_packed_into_ws(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ws: &mut Workspace,
-) {
-    assert_eq!(out.len(), m * n, "matmul_nt_packed output size");
-    assert_eq!(a.len(), m * k, "matmul_nt_packed lhs size");
-    assert_eq!(b.len(), n * k, "matmul_nt_packed rhs size");
-    pack::gemm_packed(
-        out,
-        MatRef::Rm { d: a, ld: k },
-        MatRef::Cm { d: b, ld: k },
-        m,
-        k,
-        n,
-        ws,
-    );
-}
-
-/// Packed `out = Aᵀ · B` (`A: [k,m]`, `B: [k,n]`), unconditionally.
-// hot-path: packed GEMM (TN) — no allocation allowed
-pub fn matmul_tn_packed_into_ws(
-    out: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    m: usize,
-    n: usize,
-    ws: &mut Workspace,
-) {
-    assert_eq!(out.len(), m * n, "matmul_tn_packed output size");
-    assert_eq!(a.len(), k * m, "matmul_tn_packed lhs size");
-    assert_eq!(b.len(), k * n, "matmul_tn_packed rhs size");
-    pack::gemm_packed(
-        out,
-        MatRef::Cm { d: a, ld: m },
-        MatRef::Rm { d: b, ld: n },
-        m,
-        k,
-        n,
-        ws,
-    );
 }
 
 /// `dst = srcᵀ` for row-major `src: [rows, cols]` (so `dst: [cols, rows]`),

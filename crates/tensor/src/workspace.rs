@@ -23,64 +23,6 @@
 pub struct Workspace {
     f32_free: Vec<Vec<f32>>,
     u32_free: Vec<Vec<u32>>,
-    lane_free: Vec<Vec<Lane>>,
-}
-
-/// Eight `f32`s forced to a 32-byte boundary — the allocation unit behind
-/// [`Workspace::take_f32_aligned`]. A `Vec<Lane>`'s storage is aligned to
-/// `align_of::<Lane>() == 32`, which a plain `Vec<f32>` (4-byte aligned)
-/// cannot promise.
-#[repr(C, align(32))]
-#[derive(Clone, Copy, Debug, Default)]
-struct Lane([f32; 8]);
-
-/// A 32-byte-aligned `f32` scratch buffer checked out of a [`Workspace`].
-/// Dereferences to `[f32]` of exactly the requested length; return it with
-/// [`Workspace::give_f32_aligned`] so its storage is reused.
-#[derive(Debug)]
-pub struct AlignedF32 {
-    raw: Vec<Lane>,
-    len: usize,
-}
-
-impl AlignedF32 {
-    /// The buffer as a plain `f32` slice (always 32-byte aligned).
-    pub fn as_slice(&self) -> &[f32] {
-        // SAFETY: `Lane` is `repr(C)` over `[f32; 8]`, so `raw`'s storage
-        // is `raw.len() * 8` contiguous, initialized `f32`s; `len` is
-        // capped at that count by construction in `take_f32_aligned`.
-        unsafe { std::slice::from_raw_parts(self.raw.as_ptr().cast::<f32>(), self.len) }
-    }
-
-    /// Mutable view of the buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        // SAFETY: same layout argument as `as_slice`; `&mut self` grants
-        // unique access to the underlying storage.
-        unsafe { std::slice::from_raw_parts_mut(self.raw.as_mut_ptr().cast::<f32>(), self.len) }
-    }
-
-    /// Elements in the buffer (the length requested at checkout).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer holds zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl std::ops::Deref for AlignedF32 {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        self.as_slice()
-    }
-}
-
-impl std::ops::DerefMut for AlignedF32 {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        self.as_mut_slice()
-    }
 }
 
 /// Pop the best-fitting free buffer: the smallest capacity ≥ `len`, or the
@@ -143,28 +85,6 @@ impl Workspace {
         buf
     }
 
-    /// A **32-byte-aligned**, zero-filled `f32` buffer of exactly `len`
-    /// elements — the same zero-fill contract as [`take_f32`]
-    /// (bitwise identical to `vec![0.0f32; len]` element for element),
-    /// with an alignment guarantee the plain take cannot make. Pack
-    /// buffers for the vectorized GEMM path check out through here.
-    ///
-    /// [`take_f32`]: Workspace::take_f32
-    pub fn take_f32_aligned(&mut self, len: usize) -> AlignedF32 {
-        let lanes = len.div_ceil(8);
-        let mut raw = pop_best(&mut self.lane_free, lanes).unwrap_or_default();
-        raw.clear();
-        raw.resize(lanes, Lane::default());
-        AlignedF32 { raw, len }
-    }
-
-    /// Return an aligned buffer to the pool.
-    pub fn give_f32_aligned(&mut self, buf: AlignedF32) {
-        if buf.raw.capacity() > 0 {
-            self.lane_free.push(buf.raw);
-        }
-    }
-
     /// Return an `f32` buffer to the pool.
     pub fn give_f32(&mut self, buf: Vec<f32>) {
         if buf.capacity() > 0 {
@@ -186,7 +106,7 @@ impl Workspace {
 
     /// Buffers currently parked on the free lists.
     pub fn pooled(&self) -> usize {
-        self.f32_free.len() + self.u32_free.len() + self.lane_free.len()
+        self.f32_free.len() + self.u32_free.len()
     }
 }
 
@@ -238,44 +158,6 @@ mod tests {
         ws.give_u32(a);
         let b = ws.take_u32(6);
         assert_eq!(b, vec![0; 6]);
-    }
-
-    #[test]
-    fn aligned_take_is_32_byte_aligned_and_zero_filled() {
-        let mut ws = Workspace::new();
-        for len in [1usize, 7, 8, 9, 64, 1000] {
-            let mut buf = ws.take_f32_aligned(len);
-            assert_eq!(buf.as_ptr() as usize % 32, 0, "len {len}: misaligned");
-            assert_eq!(buf.len(), len);
-            // Zero-fill semantics must be bitwise-equal to a fresh vec.
-            let fresh = vec![0.0f32; len];
-            assert_eq!(
-                buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                fresh.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            buf.iter_mut().for_each(|v| *v = -3.25); // dirty it
-            ws.give_f32_aligned(buf);
-        }
-        // Reused storage must stay aligned and come back zeroed.
-        let buf = ws.take_f32_aligned(500);
-        assert_eq!(buf.as_ptr() as usize % 32, 0);
-        assert!(buf.iter().all(|&v| v.to_bits() == 0.0f32.to_bits()));
-    }
-
-    #[test]
-    fn aligned_pool_reuses_capacity() {
-        let mut ws = Workspace::new();
-        let a = ws.take_f32_aligned(64);
-        let cap = a.raw.capacity();
-        ws.give_f32_aligned(a);
-        assert_eq!(ws.pooled(), 1);
-        let b = ws.take_f32_aligned(40);
-        assert_eq!(
-            b.raw.capacity(),
-            cap,
-            "lane storage reused, not reallocated"
-        );
-        assert_eq!(ws.pooled(), 0);
     }
 
     #[test]

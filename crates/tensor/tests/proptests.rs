@@ -114,6 +114,16 @@ proptest! {
         let mut want = vec![f32::NAN; m * n];
         linalg::gemm_tn_ws(&mut want, &a, &b, k, m, n, &mut ws);
 
+        // The TN and NN seams are the `_auto` kernels bit for bit (the NN
+        // row reads the same `a` as an `[m, k]` operand).
+        let mut reference = vec![f32::NAN; m * n];
+        linalg::matmul_tn_into_auto(&mut reference, &a, &b, k, m, n);
+        prop_assert_eq!(bits(&want), bits(&reference));
+        linalg::matmul_into_auto(&mut reference, &a, &b, m, k, n);
+        let mut nn = vec![f32::NAN; m * n];
+        linalg::gemm_nn_ws(&mut nn, &a, &b, m, k, n, &mut ws);
+        prop_assert_eq!(bits(&nn), bits(&reference));
+
         // Over a +0.0 block: the overwriting kernel's bits, which are also
         // those of the old "product into a temporary, added to a zeroed
         // accumulator".
