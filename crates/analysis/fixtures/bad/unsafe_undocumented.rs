@@ -1,13 +1,15 @@
-// virtual-path: crates/comm/src/sparse.rs
+// virtual-path: crates/bench/src/alloc.rs
 // BAD: the file is on the unsafe allow-list, but the block below has no
 // `// SAFETY:` comment within the 4 lines above it.
 
-pub fn bits(x: f32) -> u32 {
+use std::alloc::{GlobalAlloc, Layout, System};
+
+pub fn grab(layout: Layout) -> *mut u8 {
     let out;
     {
-        let tmp = x;
+        let l = layout;
 
-        out = unsafe { std::mem::transmute::<f32, u32>(tmp) };
+        out = unsafe { System.alloc(l) };
     }
     out
 }

@@ -1,10 +1,10 @@
-// virtual-path: crates/comm/src/sparse.rs
+// virtual-path: crates/bench/src/alloc.rs
 // GOOD: allow-listed file, and every block carries a `// SAFETY:` comment.
 
-pub fn take_uninit(len: usize) -> Vec<f32> {
-    let mut v = Vec::with_capacity(len);
-    // SAFETY: the caller overwrites all `len` elements before reading; the
-    // capacity was just reserved above.
-    unsafe { v.set_len(len) };
-    v
+use std::alloc::{GlobalAlloc, Layout, System};
+
+pub fn grab(layout: Layout) -> *mut u8 {
+    // SAFETY: the caller's layout, forwarded to the system allocator
+    // unchanged; the caller frees the block with the same layout.
+    unsafe { System.alloc(layout) }
 }

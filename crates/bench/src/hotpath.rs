@@ -34,11 +34,13 @@
 //! baseline every speedup is quoted against) and `parallel` (same kernels,
 //! banded over a pool of `max(2, cores)` threads). The `nt` cells go
 //! through [`linalg::gemm_nt_ws`], the dispatcher training calls
-//! (transpose + axpy kernel at these row counts); the dot kernel it
-//! replaced stays in the sweep as the `nt_dot` oracle row. `A` is filled
-//! at the density stated per shape, since the kernels skip its exact
-//! zeros, and each shape reports `nt_over_nn` — serial dispatcher-NT
-//! GFLOP/s over serial NN GFLOP/s, a same-process ratio CI gates on. Each
+//! (transpose + the compacting NN kernel at these row counts); the dot
+//! kernel it replaced stays in the sweep as the `nt_dot` oracle row. `A` is
+//! filled at the density stated per shape, since the kernels skip its exact
+//! zeros, and each shape reports two same-process ratios CI gates on:
+//! `nt_over_nn` — serial dispatcher-NT GFLOP/s over serial NN GFLOP/s — and
+//! `nn_over_nt_dot` — serial NN over the oracle, which falls back towards
+//! 1.7 on `conv_im2col` if the NN kernel returns to a branch per term. Each
 //! cell reports *nominal* GFLOP/s (`2·m·k·n` over time, skipped zeros
 //! included); the pool is *explicitly* sized to at least 2 threads for the
 //! parallel legs and the [`parallel::par_regions_taken`] counter is
@@ -125,23 +127,36 @@ impl RooflineRow {
 }
 
 impl Roofline {
-    /// `(shape, nt_over_nn)` per swept shape: serial GFLOP/s of the `nt`
-    /// row (the dispatcher training calls) over the `nn` row's. Both rows
-    /// share `A`, so near 1.0 means forward GEMMs run at the backward
-    /// kernel's speed.
-    pub fn nt_over_nn(&self) -> Vec<(&'static str, f64)> {
-        let nn_serial = |shape| {
-            let nn = self
+    /// `(shape, ratio)` per swept shape: serial GFLOP/s of the `num` kernel's
+    /// row over the `den` kernel's. The rows of a shape share `A`, `B` and
+    /// the process, so the speed of the machine cancels.
+    fn serial_ratio(&self, num: &str, den: &str) -> Vec<(&'static str, f64)> {
+        let serial = |kernel, shape| {
+            let row = self
                 .rows
                 .iter()
-                .find(|r| r.kernel == "nn" && r.shape == shape)?;
-            Some(nn.leg("serial")?.1)
+                .find(|r| r.kernel == kernel && r.shape == shape)?;
+            Some(row.leg("serial")?.1)
         };
         self.rows
             .iter()
-            .filter(|r| r.kernel == "nt")
-            .filter_map(|nt| Some((nt.shape, nt.leg("serial")?.1 / nn_serial(nt.shape)?)))
+            .filter(|r| r.kernel == num)
+            .filter_map(|r| Some((r.shape, serial(num, r.shape)? / serial(den, r.shape)?)))
             .collect()
+    }
+
+    /// The `nt` row (the dispatcher training calls) over the `nn` row:
+    /// near 1.0 means forward GEMMs run at the backward kernel's speed.
+    pub fn nt_over_nn(&self) -> Vec<(&'static str, f64)> {
+        self.serial_ratio("nt", "nn")
+    }
+
+    /// The `nn` row over the `nt_dot` oracle, which neither skips zeros
+    /// nor branches on them: how far the compacting kernel is ahead of a
+    /// plain dot product on this `A`. On `conv_im2col` (45 % dense) the
+    /// per-term-branch kernel it replaced scores ~1.7, this one ~5.
+    pub fn nn_over_nt_dot(&self) -> Vec<(&'static str, f64)> {
+        self.serial_ratio("nn", "nt_dot")
     }
 }
 
@@ -590,14 +605,23 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) 
             if i + 1 < roof.rows.len() { "," } else { "" }
         ));
     }
-    s.push_str("  ],\n  \"nt_over_nn\": {");
-    for (i, (shape, ratio)) in roof.nt_over_nn().iter().enumerate() {
+    s.push_str("  ],\n");
+    let ratios = [
+        ("nt_over_nn", roof.nt_over_nn()),
+        ("nn_over_nt_dot", roof.nn_over_nt_dot()),
+    ];
+    for (i, (name, per_shape)) in ratios.iter().enumerate() {
+        let cells: Vec<String> = per_shape
+            .iter()
+            .map(|(shape, ratio)| format!("\"{shape}\": {ratio:.3}"))
+            .collect();
         s.push_str(&format!(
-            "{}\"{shape}\": {ratio:.3}",
-            if i > 0 { ", " } else { "" }
+            "  \"{name}\": {{{}}}{}\n",
+            cells.join(", "),
+            if i + 1 < ratios.len() { "," } else { "" }
         ));
     }
-    s.push_str("}\n}\n");
+    s.push_str("}\n");
     s
 }
 
@@ -679,11 +703,22 @@ pub fn hotpath() -> Artifact {
         }
         report.push_str(&format!(" {:>11.2}x\n", serial_ms / best_ms));
     }
-    report.push_str("\nnt_over_nn (serial dispatcher-NT GF/s / NN GF/s, same A):");
-    for (shape, ratio) in roof.nt_over_nn() {
-        report.push_str(&format!("  {shape} {ratio:.2}"));
+    for (title, per_shape) in [
+        (
+            "nt_over_nn (serial dispatcher-NT GF/s / NN GF/s, same A)",
+            roof.nt_over_nn(),
+        ),
+        (
+            "nn_over_nt_dot (serial NN GF/s / dot-kernel NT GF/s, same A)",
+            roof.nn_over_nt_dot(),
+        ),
+    ] {
+        report.push_str(&format!("\n{title}:"));
+        for (shape, ratio) in per_shape {
+            report.push_str(&format!("  {shape} {ratio:.2}"));
+        }
+        report.push('\n');
     }
-    report.push('\n');
     report.push_str(&format!(
         "\nparallel_path_taken = {} region(s) fanned out over the pool\n",
         roof.parallel_path_taken
@@ -754,6 +789,15 @@ mod tests {
                     a_density: 1.0,
                     legs: vec![("serial", 5.0, 6.3)],
                 },
+                RooflineRow {
+                    kernel: "nt_dot",
+                    shape: "square256",
+                    m: 256,
+                    k: 256,
+                    n: 256,
+                    a_density: 1.0,
+                    legs: vec![("serial", 10.0, 4.2)],
+                },
             ],
             parallel_path_taken: 3,
         };
@@ -774,7 +818,8 @@ mod tests {
         assert!(j.contains("\"roofline\""));
         assert!(j.contains("\"best_over_serial\": 2.000"));
         assert!(j.contains("\"a_density\": 1.00"));
-        assert!(j.contains("\"nt_over_nn\": {\"square256\": 0.750}"));
+        assert!(j.contains("\"nt_over_nn\": {\"square256\": 0.750},"));
+        assert!(j.contains("\"nn_over_nt_dot\": {\"square256\": 2.000}\n"));
         // The top-level keys, exactly: nothing else rides in the artifact.
         let keys: Vec<&str> = j
             .lines()
@@ -791,7 +836,8 @@ mod tests {
                 "engine_step",
                 "cases",
                 "roofline",
-                "nt_over_nn"
+                "nt_over_nn",
+                "nn_over_nt_dot"
             ]
         );
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -819,10 +865,11 @@ mod tests {
                 assert!(ms > 0.0 && gflops > 0.0, "{leg} cell not measured");
             }
         }
-        // One finite same-process ratio per shape for the CI gate.
-        let ratios = roof.nt_over_nn();
-        assert_eq!(ratios.len(), ROOFLINE_SHAPES.len());
-        assert!(ratios.iter().all(|&(_, r)| r.is_finite() && r > 0.0));
+        // One finite same-process ratio per shape for each CI gate.
+        for ratios in [roof.nt_over_nn(), roof.nn_over_nt_dot()] {
+            assert_eq!(ratios.len(), ROOFLINE_SHAPES.len());
+            assert!(ratios.iter().all(|&(_, r)| r.is_finite() && r > 0.0));
+        }
         // Any parallel-capable build must prove its pool engaged.
         if parallel::parallel_enabled() {
             assert!(roof.parallel_path_taken > 0, "pool never engaged");

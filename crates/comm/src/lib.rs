@@ -55,6 +55,8 @@
 //! });
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod collectives;
 pub mod fault;
 pub mod ft;

@@ -94,6 +94,22 @@ pub trait Layer: Send {
         ctx: &mut Ctx,
     ) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads —
+    /// the first of a [`Model`](crate::Model): accumulates bit for bit the
+    /// parameter gradients `backward` would and returns nothing. Layers
+    /// whose input gradient is a separate product (a GEMM, a `col2im`)
+    /// override this to skip it.
+    fn backward_params_only(
+        &mut self,
+        grad_out: Tensor,
+        params: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) {
+        let dinput = self.backward(grad_out, params, grads, ctx);
+        ctx.ws.recycle(dinput);
+    }
+
     /// Number of learnable scalars.
     fn param_len(&self) -> usize {
         0

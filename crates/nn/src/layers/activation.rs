@@ -33,21 +33,21 @@ impl Layer for Relu {
             self.mask.extend(input.as_slice().iter().map(|&x| x > 0.0));
             self.mask_valid = true;
         }
-        input.as_mut_slice().iter_mut().for_each(|x| {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        });
+        // A select, not a conditional store: baseline x86-64 has no masked
+        // store, so `if *x < 0.0 { *x = 0.0 }` is one data-dependent branch
+        // per activation, and this is a compare and a mask.
+        for x in input.as_mut_slice() {
+            *x = if *x < 0.0 { 0.0 } else { *x };
+        }
         input
     }
 
     fn backward(&mut self, mut grad_out: Tensor, _: &[f32], _: &mut [f32], _: &mut Ctx) -> Tensor {
         assert!(self.mask_valid, "backward without forward");
+        assert_eq!(grad_out.numel(), self.mask.len(), "gradient/mask length");
         self.mask_valid = false;
         for (g, &m) in grad_out.as_mut_slice().iter_mut().zip(&self.mask) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
         grad_out
     }
@@ -92,6 +92,11 @@ impl Layer for Tanh {
 
     fn backward(&mut self, mut grad_out: Tensor, _: &[f32], _: &mut [f32], _: &mut Ctx) -> Tensor {
         assert!(self.cache_valid, "backward without forward");
+        assert_eq!(
+            grad_out.numel(),
+            self.cached_out.len(),
+            "gradient/cache length"
+        );
         self.cache_valid = false;
         for (g, &yv) in grad_out.as_mut_slice().iter_mut().zip(&self.cached_out) {
             *g *= 1.0 - yv * yv;
@@ -115,18 +120,36 @@ mod tests {
 
     #[test]
     fn relu_clamps_and_gates() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut r = Relu::new();
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
+        // -0.0 is not `< 0.0` and NaN compares false: both pass through the
+        // clamp unchanged, and neither is `> 0.0`, so both gate the gradient.
+        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0, -0.0, f32::NAN, f32::INFINITY], &[6]);
         let mut ctx = Ctx::train(SeedRng::new(0));
         let y = r.forward(x, &[], &mut ctx);
-        assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let dx = r.backward(
-            Tensor::from_vec(vec![5.0, 5.0, 5.0], &[3]),
-            &[],
-            &mut [],
-            &mut ctx,
-        );
-        assert_eq!(dx.as_slice(), &[0.0, 0.0, 5.0]);
+        let want = Tensor::from_vec(vec![0.0, 0.0, 2.0, -0.0, f32::NAN, f32::INFINITY], &[6]);
+        assert_eq!(bits(&y), bits(&want));
+        let dx = r.backward(Tensor::full(&[6], 5.0), &[], &mut [], &mut ctx);
+        let want = Tensor::from_vec(vec![0.0, 0.0, 5.0, 0.0, 0.0, 5.0], &[6]);
+        assert_eq!(bits(&dx), bits(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient/mask length")]
+    fn relu_backward_rejects_a_gradient_of_another_length() {
+        let mut r = Relu::new();
+        let mut ctx = Ctx::train(SeedRng::new(0));
+        r.forward(Tensor::full(&[3], 1.0), &[], &mut ctx);
+        r.backward(Tensor::full(&[4], 1.0), &[], &mut [], &mut ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient/cache length")]
+    fn tanh_backward_rejects_a_gradient_of_another_length() {
+        let mut t = Tanh::new();
+        let mut ctx = Ctx::train(SeedRng::new(0));
+        t.forward(Tensor::full(&[4], 1.0), &[], &mut ctx);
+        t.backward(Tensor::full(&[3], 1.0), &[], &mut [], &mut ctx);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! 2-D convolution layer (NCHW) wrapping the im2col kernels.
 
-use sasgd_tensor::conv::{conv2d_backward_ws, conv2d_forward_ws, Conv2dSpec};
+use sasgd_tensor::conv::{
+    conv2d_backward_params_ws, conv2d_backward_ws, conv2d_forward_ws, Conv2dSpec,
+};
 use sasgd_tensor::{SeedRng, Tensor};
 
 use crate::init;
@@ -84,6 +86,24 @@ impl Layer for Conv2d {
         ctx.ws.recycle(input);
         ctx.ws.recycle(grad_out);
         dinput
+    }
+
+    // hot-path: delegates to the workspace-backed conv kernel
+    fn backward_params_only(
+        &mut self,
+        grad_out: Tensor,
+        _: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward without forward (or eval-mode forward)");
+        let (dweight, dbias) = grads.split_at_mut(self.weight_len());
+        conv2d_backward_params_ws(&input, &grad_out, &self.spec, dweight, dbias, &mut ctx.ws);
+        ctx.ws.recycle(input);
+        ctx.ws.recycle(grad_out);
     }
 
     fn param_len(&self) -> usize {

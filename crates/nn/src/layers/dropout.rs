@@ -66,6 +66,7 @@ impl Layer for Dropout {
         // An invalid mask means the forward pass was an identity
         // (deterministic mode or p = 0): gradients pass through unchanged.
         if self.mask_valid {
+            assert_eq!(grad_out.numel(), self.mask.len(), "gradient/mask length");
             self.mask_valid = false;
             for (g, &m) in grad_out.as_mut_slice().iter_mut().zip(&self.mask) {
                 *g *= m;
@@ -125,6 +126,15 @@ mod tests {
         for (yv, dv) in y.as_slice().iter().zip(dx.as_slice()) {
             assert_eq!(yv, dv, "gradient gate must equal the forward mask");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient/mask length")]
+    fn backward_rejects_a_gradient_of_another_length() {
+        let mut d = Dropout::new(0.5);
+        let mut ctx = Ctx::train(SeedRng::new(7));
+        d.forward(Tensor::full(&[3], 1.0), &[], &mut ctx);
+        d.backward(Tensor::full(&[5], 1.0), &[], &mut [], &mut ctx);
     }
 
     #[test]

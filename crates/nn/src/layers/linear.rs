@@ -37,6 +37,36 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
+
+    /// The parameter half of the backward pass: `dW += Xᵀ G`,
+    /// `db += colsum(G)`. Returns the cached input `X` and `G` (`grad_out`
+    /// as `[rows, out]`) for the input half, or the workspace.
+    // hot-path: per-step gradient GEMM; O(m) scratch must come from ctx.ws
+    fn accumulate_grads(
+        &mut self,
+        grad_out: Tensor,
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) -> (Tensor, Tensor) {
+        let x = self
+            .cached_input
+            .take()
+            .expect("backward without forward (or eval-mode forward)");
+        let rows = x.dims()[0];
+        let g = grad_out.reshape(&[rows, self.out_dim]);
+        let (dweight, dbias) = grads.split_at_mut(self.in_dim * self.out_dim);
+        linalg::gemm_tn_acc_ws(
+            dweight,
+            x.as_slice(),
+            g.as_slice(),
+            rows,
+            self.in_dim,
+            self.out_dim,
+            &mut ctx.ws,
+        );
+        linalg::col_sums_into(&g, dbias);
+        (x, g)
+    }
 }
 
 impl Layer for Linear {
@@ -88,30 +118,14 @@ impl Layer for Linear {
         grads: &mut [f32],
         ctx: &mut Ctx,
     ) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("backward without forward (or eval-mode forward)");
+        let (x, g) = self.accumulate_grads(grad_out, grads, ctx);
         let rows = x.dims()[0];
-        let g = grad_out.reshape(&[rows, self.out_dim]);
-        let w = self.in_dim * self.out_dim;
-        let (dweight, dbias) = grads.split_at_mut(w);
-        // dW += X^T G ; db += colsum(G) ; dX = G W^T
-        linalg::gemm_tn_acc_ws(
-            dweight,
-            x.as_slice(),
-            g.as_slice(),
-            rows,
-            self.in_dim,
-            self.out_dim,
-            &mut ctx.ws,
-        );
-        linalg::col_sums_into(&g, dbias);
+        // dX = G W^T
         let mut dx = Tensor::zeros_in(&[rows, self.in_dim], &mut ctx.ws);
         linalg::gemm_nt_ws(
             dx.as_mut_slice(),
             g.as_slice(),
-            &params[..w],
+            &params[..self.in_dim * self.out_dim],
             rows,
             self.out_dim,
             self.in_dim,
@@ -122,6 +136,19 @@ impl Layer for Linear {
         let mut in_dims = self.cached_lead.clone(); // lint:allow(hot-alloc): O(ndims) shape metadata
         in_dims.push(self.in_dim);
         dx.reshape(&in_dims)
+    }
+
+    // hot-path: the weight-gradient GEMM alone
+    fn backward_params_only(
+        &mut self,
+        grad_out: Tensor,
+        _: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) {
+        let (x, g) = self.accumulate_grads(grad_out, grads, ctx);
+        ctx.ws.recycle(x);
+        ctx.ws.recycle(g);
     }
 
     fn param_len(&self) -> usize {
@@ -231,7 +258,7 @@ mod tests {
     #[test]
     fn batched_input_gradient_is_bitwise_matmul_nt() {
         // 20 rows (the NLC projection's batch-1 shape) is past the NT row
-        // cutover, so dX runs transpose + axpy kernel; it must still be the
+        // cutover, so dX runs transpose + NN kernel; it must still be the
         // dot kernel's bits, zeros in G (a ReLU/max-pool upstream) included.
         let mut rng = SeedRng::new(8);
         let (mut l, params) = linear(7, 5, &mut rng);

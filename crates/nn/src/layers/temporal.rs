@@ -56,6 +56,32 @@ impl TemporalConv1d {
         }
         Tensor::from_vec(od, &[n * olen, fan_in])
     }
+
+    /// The parameter half of the backward pass: `dW += Uᵀ G`,
+    /// `db += colsum(G)`. Returns the cached unfolded input `U` and `G`
+    /// (`grad_out` as `[rows, nkern]`) for the input half, or the workspace.
+    fn accumulate_grads(
+        &mut self,
+        grad_out: Tensor,
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) -> (Tensor, Tensor) {
+        let unfolded = self.cached_unfold.take().expect("backward without forward");
+        let rows = unfolded.dims()[0];
+        let g = grad_out.reshape(&[rows, self.nkern]);
+        let (dweight, dbias) = grads.split_at_mut(self.weight_len());
+        linalg::gemm_tn_acc_ws(
+            dweight,
+            unfolded.as_slice(),
+            g.as_slice(),
+            rows,
+            self.window * self.din,
+            self.nkern,
+            &mut ctx.ws,
+        );
+        linalg::col_sums_into(&g, dbias);
+        (unfolded, g)
+    }
 }
 
 impl Layer for TemporalConv1d {
@@ -99,7 +125,7 @@ impl Layer for TemporalConv1d {
         grads: &mut [f32],
         ctx: &mut Ctx,
     ) -> Tensor {
-        let unfolded = self.cached_unfold.take().expect("backward without forward");
+        let (unfolded, g) = self.accumulate_grads(grad_out, grads, ctx);
         let [n, len, din] = [
             self.cached_in_dims[0],
             self.cached_in_dims[1],
@@ -108,18 +134,6 @@ impl Layer for TemporalConv1d {
         let olen = len + 1 - self.window;
         let rows = n * olen;
         let fan_in = self.window * din;
-        let g = grad_out.reshape(&[rows, self.nkern]);
-        let (dweight, dbias) = grads.split_at_mut(self.weight_len());
-        linalg::gemm_tn_acc_ws(
-            dweight,
-            unfolded.as_slice(),
-            g.as_slice(),
-            rows,
-            fan_in,
-            self.nkern,
-            &mut ctx.ws,
-        );
-        linalg::col_sums_into(&g, dbias);
         // d(unfolded) = G W^T, then fold overlapping windows back.
         let mut dunf = Tensor::zeros_in(&[rows, fan_in], &mut ctx.ws);
         linalg::gemm_nt_ws(
@@ -147,6 +161,18 @@ impl Layer for TemporalConv1d {
         ctx.ws.recycle(unfolded);
         ctx.ws.recycle(g);
         din_t
+    }
+
+    fn backward_params_only(
+        &mut self,
+        grad_out: Tensor,
+        _: &[f32],
+        grads: &mut [f32],
+        ctx: &mut Ctx,
+    ) {
+        let (unfolded, g) = self.accumulate_grads(grad_out, grads, ctx);
+        ctx.ws.recycle(unfolded);
+        ctx.ws.recycle(g);
     }
 
     fn param_len(&self) -> usize {
@@ -394,7 +420,7 @@ mod tests {
     #[test]
     fn batched_input_gradient_is_bitwise_matmul_nt() {
         // One 20-step sequence unfolds to 19 rows (Table II's shape), past
-        // the NT row cutover: d(unfolded) runs transpose + axpy kernel and
+        // the NT row cutover: d(unfolded) runs transpose + NN kernel and
         // must still fold back from the dot kernel's bits. G is mostly
         // zeros, as after the temporal max-pool.
         let mut rng = SeedRng::new(6);

@@ -160,9 +160,15 @@ impl Model {
             .pending_dlogits
             .take()
             .expect("backward() requires a training-mode forward_loss first");
-        for (l, w) in self.layers.iter_mut().zip(self.offsets.windows(2)).rev() {
+        let blocks = self.offsets.windows(2);
+        for (i, (l, w)) in self.layers.iter_mut().zip(blocks).enumerate().rev() {
             let block = w[0]..w[1];
-            g = l.backward(g, &self.params[block.clone()], &mut self.grads[block], ctx);
+            let (params, grads) = (&self.params[block.clone()], &mut self.grads[block]);
+            if i == 0 {
+                // The gradient w.r.t. the model's input has no reader.
+                return l.backward_params_only(g, params, grads, ctx);
+            }
+            g = l.backward(g, params, grads, ctx);
         }
         ctx.ws.recycle(g);
     }
@@ -343,6 +349,70 @@ mod tests {
         let (loss, acc) = m.evaluate(&[x], &[labels]);
         assert!(acc > 0.9, "separable data should be learned, acc={acc}");
         assert!(loss < 0.5);
+    }
+
+    /// A layer that leaves [`Layer::backward_params_only`] at the trait's
+    /// default: the full backward, its input gradient recycled.
+    struct FullBackward(Box<dyn Layer>);
+
+    impl Layer for FullBackward {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn forward(&mut self, input: Tensor, params: &[f32], ctx: &mut Ctx) -> Tensor {
+            self.0.forward(input, params, ctx)
+        }
+        fn backward(
+            &mut self,
+            g: Tensor,
+            params: &[f32],
+            grads: &mut [f32],
+            ctx: &mut Ctx,
+        ) -> Tensor {
+            self.0.backward(g, params, grads, ctx)
+        }
+        fn param_len(&self) -> usize {
+            self.0.param_len()
+        }
+        fn out_shape(&self, in_dims: &[usize]) -> Vec<usize> {
+            self.0.out_shape(in_dims)
+        }
+        fn macs(&self, in_dims: &[usize]) -> u64 {
+            self.0.macs(in_dims)
+        }
+    }
+
+    #[test]
+    fn skipping_the_first_input_gradient_leaves_parameter_gradients_bitwise() {
+        use crate::models;
+        let rng = || SeedRng::new(0x19);
+        let pair = |build: fn(&mut SeedRng) -> Model| (build(&mut rng()), build(&mut rng()));
+        let cases = [
+            ("tiny_cnn", pair(|r| models::tiny_cnn(3, r)), 3),
+            ("cifar_cnn(2)", pair(|r| models::cifar_cnn_scaled(2, r)), 10),
+            ("nlc_net(20)", pair(|r| models::nlc_net(20, r)), 311),
+        ];
+        for (name, (mut fast, mut full), classes) in cases {
+            let first = full.layers.remove(0);
+            full.layers.insert(0, Box::new(FullBackward(first)));
+
+            let mut dims = vec![2];
+            dims.extend_from_slice(fast.input_dims());
+            let x = SeedRng::new(20).normal_tensor(&dims, 1.0);
+            let labels = [1, classes - 1];
+            for m in [&mut fast, &mut full] {
+                // Two steps through one context: the second runs on
+                // recycled buffers and accumulates onto the first.
+                let mut ctx = Ctx::train(SeedRng::new(21));
+                for _ in 0..2 {
+                    m.forward_loss(&x, &labels, &mut ctx);
+                    m.backward(&mut ctx);
+                }
+            }
+            let bits = |m: &Model| m.grads().iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            assert!(fast.grads().iter().any(|&g| g != 0.0), "{name}");
+            assert_eq!(bits(&fast), bits(&full), "{name}");
+        }
     }
 
     #[test]

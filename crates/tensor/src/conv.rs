@@ -286,11 +286,15 @@ fn forward_asserts(input: &Tensor, weight: &[f32], bias: &[f32], spec: &Conv2dSp
 /// row-major); `bias`: `[co]`. Returns `[n, co, oh, ow]`. The whole minibatch is
 /// lowered into one stacked patch matrix and multiplied in a single
 /// `cols · weightᵀ` GEMM. `linalg::gemm_nt_ws` runs it as
-/// `cols · (weightᵀ)` on the zero-skipping axpy kernel (the patches of a
-/// post-ReLU/dropout input, and all zero padding, are exact zeros it never
-/// multiplies); each output element is still the ascending-index fold of
-/// `patch[l] · weight[co][l]` plus `bias[co]`, so for finite inputs results
-/// are bitwise identical to the per-column `dot` of [`conv2d_forward_ref`].
+/// `cols · (weightᵀ)` on the compacting NN kernel: the non-zeros of 16 patch
+/// rows at a time are listed without a branch, and each 32-channel panel of
+/// an output pixel is folded over its row's list in registers and stored
+/// once — so the exact zeros of a post-ReLU/dropout input (about 55 % of a
+/// patch row) and all zero padding cost neither a multiply nor a
+/// mispredicted test. Each output element is still the ascending-index fold
+/// of `patch[l] · weight[co][l]` plus `bias[co]`, so for finite inputs
+/// results are bitwise identical to the per-column `dot` of
+/// [`conv2d_forward_ref`].
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_forward_ws(
     input: &Tensor,
@@ -392,28 +396,24 @@ pub struct Conv2dGrads {
     pub dbias: Vec<f32>,
 }
 
-/// Backward convolution over a batch, scratch space from a [`Workspace`]:
-/// returns `[n, ci, h, w]`, the gradient w.r.t. the input, and
-/// *accumulates* the weight and bias gradients into `dweight`
-/// (`[co, ci*kh*kw]`) and `dbias` (`[co]`).
+/// The parameter half of the backward pass — all of [`conv2d_backward_ws`]
+/// but the input gradient: *accumulates* the weight and bias gradients into
+/// `dweight` (`[co, ci*kh*kw]`) and `dbias` (`[co]`), and returns `gt`,
+/// `grad_out` with each image's block transposed to `[npix, co]` (checked
+/// out of `ws`), which the input half multiplies next.
 ///
-/// `grad_out`: `[n, co, oh, ow]`. Recomputes the stacked `im2col` (trading
-/// FLOPs for memory, as cuDNN's low-workspace algorithms do). The patch
-/// gradient is one minibatch-wide GEMM; the weight/bias gradients are
-/// computed as per-image partials in parallel and added to the
-/// accumulators serially in image order, with the reference's `g == 0.0`
-/// skip — over `+0.0` accumulators bitwise identical to
-/// [`conv2d_backward_ref`] at any thread count.
-// hot-path: all scratch comes from the Workspace arena
-pub fn conv2d_backward_ws(
+/// Recomputes the stacked `im2col` (trading FLOPs for memory, as cuDNN's
+/// low-workspace algorithms do). The weight/bias gradients are computed as
+/// per-image partials in parallel and added to the accumulators serially in
+/// image order, with the reference's `g == 0.0` skip.
+fn backward_params(
     input: &Tensor,
-    weight: &[f32],
     grad_out: &Tensor,
     spec: &Conv2dSpec,
     dweight: &mut [f32],
     dbias: &mut [f32],
     ws: &mut Workspace,
-) -> Tensor {
+) -> Vec<f32> {
     let [n, ci, h, w] = [
         input.dims()[0],
         input.dims()[1],
@@ -450,12 +450,6 @@ pub fn conv2d_backward_ws(
         }
     });
 
-    // Patch gradient for the whole minibatch in one GEMM. Per element the
-    // terms accumulate in ascending output-channel order with g == 0.0
-    // skipped — exactly the reference's fused loop.
-    let mut dcols = ws.take_f32_uninit(nrows * plen);
-    linalg::gemm_nn_ws(&mut dcols, &gt, weight, nrows, co, plen, ws);
-
     // Per-image dweight/dbias partials in parallel (disjoint outputs),
     // reduced serially in image order below.
     let mut dw_all = ws.take_f32_uninit(n * co * plen);
@@ -486,15 +480,71 @@ pub fn conv2d_backward_ws(
         }
     }
 
-    let mut dinput = Tensor::zeros_in(&[n, ci, h, w], ws);
-    col2im_batch(&dcols, n, ci, h, w, spec, dinput.as_mut_slice());
-
     ws.give_f32(cols);
-    ws.give_f32(gt);
-    ws.give_f32(dcols);
     ws.give_f32(dw_all);
     ws.give_f32(db_all);
+    gt
+}
+
+/// Backward convolution over a batch, scratch space from a [`Workspace`]:
+/// returns `[n, ci, h, w]`, the gradient w.r.t. the input, and
+/// *accumulates* the weight and bias gradients into `dweight`
+/// (`[co, ci*kh*kw]`) and `dbias` (`[co]`).
+///
+/// `grad_out`: `[n, co, oh, ow]`. The parameter half is
+/// [`conv2d_backward_params_ws`]'s; the patch gradient is one
+/// minibatch-wide GEMM, scattered back through `col2im`. Over `+0.0`
+/// accumulators bitwise identical to [`conv2d_backward_ref`] at any thread
+/// count.
+// hot-path: all scratch comes from the Workspace arena
+pub fn conv2d_backward_ws(
+    input: &Tensor,
+    weight: &[f32],
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    dweight: &mut [f32],
+    dbias: &mut [f32],
+    ws: &mut Workspace,
+) -> Tensor {
+    let gt = backward_params(input, grad_out, spec, dweight, dbias, ws);
+    let plen = spec.patch_len();
+    let nrows = gt.len() / spec.co;
+
+    // Patch gradient for the whole minibatch in one GEMM. Per element the
+    // terms accumulate in ascending output-channel order with g == 0.0
+    // skipped — exactly the reference's fused loop.
+    let mut dcols = ws.take_f32_uninit(nrows * plen);
+    linalg::gemm_nn_ws(&mut dcols, &gt, weight, nrows, spec.co, plen, ws);
+
+    let mut dinput = Tensor::zeros_in(input.dims(), ws);
+    let [n, ci, h, w] = [
+        input.dims()[0],
+        input.dims()[1],
+        input.dims()[2],
+        input.dims()[3],
+    ];
+    col2im_batch(&dcols, n, ci, h, w, spec, dinput.as_mut_slice());
+
+    ws.give_f32(gt);
+    ws.give_f32(dcols);
     dinput
+}
+
+/// [`conv2d_backward_ws`] without the input gradient: accumulates bit for
+/// bit the same `dweight` / `dbias` and skips the patch-gradient GEMM, its
+/// `[n*oh*ow, ci*kh*kw]` matrix and the `col2im` scatter — for the first
+/// layer of a model, whose input gradient nobody reads.
+// hot-path: all scratch comes from the Workspace arena
+pub fn conv2d_backward_params_ws(
+    input: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+    dweight: &mut [f32],
+    dbias: &mut [f32],
+    ws: &mut Workspace,
+) {
+    let gt = backward_params(input, grad_out, spec, dweight, dbias, ws);
+    ws.give_f32(gt);
 }
 
 /// Backward convolution over a batch into fresh gradients (fresh scratch

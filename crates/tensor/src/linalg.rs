@@ -9,40 +9,59 @@
 //! identical results — the property the SASGD determinism contract needs,
 //! and what the proptests in `tests/proptests.rs` check.
 //!
-//! The sequential GEMM is cache-blocked: `MR` rows of `A` share each
-//! streamed row of `B`, and columns are walked in `NC`-wide panels so the
-//! active slice of `B` stays cache-resident. Blocking changes only the
-//! *visit* order of (row, column-panel) pairs, never the per-element
-//! accumulation order.
+//! The sequential NN GEMM (`mm_rows_blocked`) compacts, then accumulates in
+//! registers. `A` is taken 16 rows and 128 columns at a time; the non-zero
+//! `(l, a[i,l])` pairs of each row are written to a stack list without a
+//! branch (`off[c] = l·n; val[c] = a; c += (a != 0.0) as usize`), and then
+//! every 32-column panel of the output row is held in a `[f32; 32]`
+//! accumulator, folded over that list in ascending `l` and stored once
+//! (8-wide and scalar column tails the same way). What that replaces is one
+//! `a == 0.0` test and one load–add–store of the output row through L1 *per
+//! term*: on the 45 %-dense patch matrices a post-ReLU/dropout layer feeds
+//! its convolution, the test mispredicts every other time, and the kernel
+//! ran at 12–21 nominal GF/s where it now runs at 38–48 (`2·m·k·n` over
+//! time, skipped zeros included; 20 → 20 on a dense `A` with hundreds of
+//! output columns, where there was nothing to mispredict and a long row
+//! amortised its round trip). A register panel *without* the compaction was
+//! tried first and is slower than what it replaced — it pays the same
+//! coin-flip branch once per panel instead of once per row (DESIGN.md §4h).
+//! Bands of fewer than [`NT_VIA_NN_ROWS`] rows keep the streaming walk the
+//! crate always had (`mm_rows_streamed`: 4 rows share each row of `B`, read
+//! once and in order, 256 columns at a time), which is the right trade for
+//! a batch-1 product against a 4 MB weight. Either walk, and any block
+//! size, gives every output element the same terms in the same order from
+//! the same `+0.0`: blocking changes only the *visit* order of (row,
+//! column-panel) pairs, and storing and reloading an `f32` accumulator
+//! between `k`-blocks is exact.
 //!
-//! Inner loops are panel-vectorized: the axpy kernels walk the column
-//! panel in fixed 8-wide chunks (plus a scalar tail) and the dot-product
-//! kernel computes 8 output columns with 8 independent accumulators.
-//! Vectorizing across *columns* (independent output elements) never
-//! reorders any single element's reduction, so this is bitwise-invisible;
-//! it exists purely to break the FP-add latency chain that a one-column
-//! scalar loop serializes on.
+//! The other inner loops are panel-vectorized: the axpy walks (TN, and the
+//! streaming NN) cross the column panel in fixed 8-wide chunks plus a
+//! scalar tail, and the dot-product kernel computes 8 output columns with 8
+//! independent accumulators. Vectorizing across *columns* (independent
+//! output elements) never reorders any single element's reduction, so this
+//! is bitwise-invisible; it exists purely to break the FP-add latency chain
+//! that a one-column scalar loop serializes on.
 //!
 //! Every GEMM also has a `*_into` entry point taking a caller-provided
 //! output slice, so hot-path callers can feed buffers from a
 //! [`Workspace`] instead of allocating per call.
 //!
-//! ## NT through the axpy kernel
+//! ## NT through the NN kernel
 //!
 //! `A · Bᵀ` has two kernels that give the same bits. The dot
 //! kernel (`nt_rows`, behind [`matmul_nt_into`] / [`matmul_nt`]) reads a
 //! row of `A` against eight rows of `B`: contiguous operands, but eight
-//! strided streams and no zero-skip, about 8–9 GF/s on every shape. The
-//! axpy kernel (`mm_rows_blocked`, behind [`matmul_into`]) streams rows of
-//! a row-major right operand across an output panel, which the compiler
-//! vectorizes, and skips exact-zero entries of `A` — 12–22 GF/s on the
-//! shapes training runs. So the layers' NT seam, [`gemm_nt_ws`],
-//! transposes `B` into a [`Workspace`] buffer (`n·k` moves against
-//! `2·m·n·k` flops) and runs the axpy kernel whenever the call has at
-//! least [`NT_VIA_NN_ROWS`] output rows: conv forward, linear and temporal
-//! backward-dx at batch > 1 or on a sequence. GEMV-like calls (batch-1
-//! linears) stay on the dot kernel, where a transpose would cost several
-//! times the product.
+//! strided streams and no zero-skip, about 8–9 GF/s on every shape. The NN
+//! kernel (`mm_rows_blocked`, behind [`matmul_into`]) reads a row-major
+//! right operand a 32-column panel at a time, which the compiler
+//! vectorizes, and never multiplies an exact-zero entry of `A` — 20 GF/s on
+//! a dense `A`, 38–48 nominal on the shapes training runs. So the layers'
+//! NT seam, [`gemm_nt_ws`], transposes `B` into a [`Workspace`] buffer
+//! (`n·k` moves against `2·m·n·k` flops) and runs the NN kernel whenever
+//! the call has at least [`NT_VIA_NN_ROWS`] output rows: conv forward,
+//! linear and temporal backward-dx at batch > 1 or on a sequence. GEMV-like
+//! calls (batch-1 linears) stay on the dot kernel, where a transpose would
+//! cost several times the product.
 //!
 //! Per output element both kernels fold `a[i,l]·b[j,l]` in ascending `l`
 //! from `+0.0` with an unfused multiply and add. A skipped term is
@@ -52,7 +71,7 @@
 //! — `engine_golden` and every cross-backend test run unchanged through
 //! the switch. The one divergence is the caveat NN and TN always carried:
 //! an exact-zero `a` against a non-finite `b` is NaN in the dot kernel and
-//! skipped (contributes nothing) in the axpy kernel.
+//! skipped (contributes nothing) in the NN kernel.
 
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -64,26 +83,45 @@ use crate::workspace::Workspace;
 /// `intra_op_threads_for` hands each of `p` learners a smaller pool.
 const PAR_ROWS_PER_THREAD: usize = 8;
 
-/// Register-block height: rows of `A` processed together, sharing each
-/// streamed row of `B`.
+/// Row-block height of the streaming walk (`mm_rows_streamed`): rows of `A`
+/// processed together, sharing each streamed row of `B`.
 const MR: usize = 4;
 
-/// Column-panel width: output columns per pass, sized so one panel of
-/// `C` plus a row of `B` stay in L1 (256 f32 = 1 KiB each).
+/// Column-panel width of the streaming walk: output columns per pass, sized
+/// so one panel of `C` plus a row of `B` stay in L1 (256 f32 = 1 KiB each).
 const NC: usize = 256;
 
 /// Width of the fixed vector panel in the inner kernels.
 const VW: usize = 8;
 
 /// Output rows at or above which [`gemm_nt_ws`] transposes `B` and runs the
-/// axpy-form NN kernel instead of the dot kernel. The transpose costs `n·k`
-/// moves however few rows share it, so GEMV-like calls lose and a handful
-/// of rows win: at `k,n = 1000,400` (the NLC temporal weight) 4 rows go
-/// 0.38 → 0.48 ms, 8 rows break even, 16 rows 1.56 → 0.78 ms and 19 rows
-/// 1.43 → 0.87 ms, while a batch-1 `1000×1000` linear would pay a 1.0 ms
-/// transpose for a 0.24 ms dot. A measured break-even with margin, not a
-/// setting: either side of it gives the same bits.
+/// NN kernel instead of the dot kernel. The transpose costs `n·k` moves
+/// however few rows share it, so GEMV-like calls lose and a handful of rows
+/// win: at `k,n = 1000,400` (the NLC temporal weight) 4 rows go 0.38 →
+/// 0.48 ms, 8 rows break even, 16 rows 1.56 → 0.78 ms and 19 rows 1.43 →
+/// 0.87 ms, while a batch-1 `1000×1000` linear would pay a 1.0 ms transpose
+/// for a 0.24 ms dot. It is also where the NN kernel itself changes walk:
+/// below it the streaming one, from it on the compacting one (a block of
+/// rows has to share each slice of `B` for the compaction to pay). A
+/// measured break-even with margin, not a setting: either side of it gives
+/// the same bits.
 pub const NT_VIA_NN_ROWS: usize = 16;
+
+/// Row-block height of [`mm_rows_blocked`]: rows of `A` compacted together,
+/// sharing each `KB`×`PW` slice of `B` while it is in L1.
+const MB: usize = 16;
+
+/// Inner-dimension block of [`mm_rows_blocked`]. 128 keeps the slice of `B`
+/// under a panel (16 KiB) and the compaction lists (24 KiB, on the stack)
+/// inside L1 together; measured, it is what puts the 19-row × `k = 1000`
+/// NLC product ahead of the streaming walk rather than behind it (0.80 ms
+/// streamed; 0.95 unblocked, 0.74 at 256, 0.64 at 128) and costs the conv
+/// shapes nothing.
+const KB: usize = 128;
+
+/// Register-panel width of [`mm_rows_blocked`]: 32 `f32` accumulators are
+/// eight 128-bit registers, half the baseline x86-64 file.
+const PW: usize = 32;
 
 /// Tile edge of [`transpose_into`]: a 32×32 `f32` tile touches 32 cache
 /// lines on the strided side, well inside L1.
@@ -101,7 +139,8 @@ pub fn par_threshold() -> usize {
 /// `out = A · B` (`A: [m,k]`, `B: [k,n]`), the layers' NN seam:
 /// [`matmul_into_auto`]. The four `gemm_*_ws` seams share one signature, so
 /// a layer passes its [`Workspace`] without knowing which of them draws
-/// scratch from it (only [`gemm_nt_ws`] does).
+/// scratch from it (only [`gemm_nt_ws`] does: the NN kernel's compaction
+/// lists are 24 KiB of stack).
 // hot-path: GEMM seam (NN) — no allocation allowed
 pub fn gemm_nn_ws(
     out: &mut [f32],
@@ -119,7 +158,7 @@ pub fn gemm_nn_ws(
 /// [`NT_VIA_NN_ROWS`] or more output rows are computed as `A · (Bᵀ)` — `B`
 /// transposed into a [`Workspace`] buffer, then [`matmul_into_auto`] — and
 /// fewer rows by the dot kernel [`matmul_nt_into_auto`]. For finite inputs
-/// the two are bitwise identical (module docs, *NT through the axpy kernel*).
+/// the two are bitwise identical (module docs, *NT through the NN kernel*).
 // hot-path: dispatched GEMM (NT) — the Bᵀ scratch comes from the Workspace
 pub fn gemm_nt_ws(
     out: &mut [f32],
@@ -207,16 +246,14 @@ fn axpy_row(orow: &mut [f32], brow: &[f32], av: f32) {
     }
 }
 
-/// Blocked `out = A · B` on raw row-major slices for a band of rows:
-/// `out: [rows, n]`, `a: [rows, k]`, `b: [k, n]`.
-///
-/// Per element, terms accumulate in ascending `l` with `a[i,l] == 0`
-/// skipped — the same order and skip rule as the naive row kernel, so
-/// results are bitwise independent of `MR`/`NC`.
-fn mm_rows_blocked(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), rows * n);
-    debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(b.len(), k * n);
+/// The streaming `out = A · B` walk, for a handful of rows: `MR` rows share
+/// each row of `B`, read once and in order per `NC`-wide panel, and every
+/// non-zero `a[i,l]` is one [`axpy_row`] into `out` — one branch and one trip
+/// of the output row through L1 per term. That is the right trade for
+/// GEMV-like calls against a large `B` (NLC's batch-1 linears read a 4 MB
+/// weight exactly once) and the wrong one for tall products
+/// ([`mm_rows_blocked`]).
+fn mm_rows_streamed(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) {
     out.iter_mut().for_each(|x| *x = 0.0);
     let mut jc = 0;
     while jc < n {
@@ -238,6 +275,108 @@ fn mm_rows_blocked(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize,
             i0 += mr;
         }
         jc += nc;
+    }
+}
+
+/// The non-zero entries of an `MB`×`KB` block of `A`: row `r`'s terms are
+/// `off[r][..nnz[r]]` / `val[r][..nnz[r]]` in ascending `l`, each the
+/// offset `l·n` of the row of `B` it multiplies and the value `a[r,l]`.
+/// 24 KiB, on [`mm_rows_blocked`]'s stack.
+struct Terms {
+    off: [[usize; KB]; MB],
+    val: [[f32; KB]; MB],
+    nnz: [usize; MB],
+}
+
+impl Terms {
+    /// List row `r`'s non-zeros among `arow`, a row of `A` from column `l0`
+    /// on. Branch-free: every entry is stored and the cursor advances only
+    /// past a non-zero, so `-0.0` is dropped and NaN kept exactly as the
+    /// streaming walk's `a == 0.0` test decides.
+    #[inline]
+    fn compact(&mut self, r: usize, arow: &[f32], l0: usize, n: usize) {
+        let (off, val) = (&mut self.off[r], &mut self.val[r]);
+        let mut nnz = 0;
+        for (l, &av) in arow.iter().enumerate() {
+            off[nnz] = (l0 + l) * n;
+            val[nnz] = av;
+            nnz += usize::from(av != 0.0);
+        }
+        self.nnz[r] = nnz;
+    }
+
+    /// Columns `jc..jc + W` of every row of `oblk` (`[rows, n]`): hold the
+    /// panel in a register accumulator — from `+0.0`, or with `resume` from
+    /// what the row holds (an `f32` store and reload is exact) — fold
+    /// `a · b[l, jc..jc + W]` over the row's list, store once.
+    #[inline(always)]
+    fn fold<const W: usize>(&self, oblk: &mut [f32], b: &[f32], n: usize, jc: usize, resume: bool) {
+        for (r, orow) in oblk.chunks_mut(n).enumerate() {
+            let opanel = &mut orow[jc..jc + W];
+            let mut acc = [0.0f32; W];
+            if resume {
+                acc.copy_from_slice(opanel);
+            }
+            let nnz = self.nnz[r];
+            for (&off, &av) in self.off[r][..nnz].iter().zip(&self.val[r][..nnz]) {
+                let brow = &b[off + jc..][..W];
+                for t in 0..W {
+                    acc[t] += av * brow[t];
+                }
+            }
+            opanel.copy_from_slice(&acc);
+        }
+    }
+}
+
+/// `out = A · B` on raw row-major slices for a band of rows:
+/// `out: [rows, n]`, `a: [rows, k]`, `b: [k, n]`.
+///
+/// Compact, then accumulate in registers. `A` is taken `MB` rows and `KB`
+/// columns at a time; each row's non-zeros go to a list ([`Terms`]), and
+/// then every `PW`-column panel of `out` (8-wide and scalar tails alike) is
+/// folded over that list in a register accumulator and stored once. The
+/// only branch left is the loop bound, and the `KB`×`PW` slice of `B` a
+/// panel reads stays in L1 across the block's rows.
+///
+/// Per element, terms accumulate from `+0.0` in ascending `l` with
+/// `a[i,l] == 0` skipped — the order, seed and skip rule of
+/// [`mm_rows_streamed`], which bands of fewer than [`NT_VIA_NN_ROWS`] rows
+/// still take — so results are bitwise independent of the path and of
+/// `MB`/`KB`/`PW`, for any input (NaN, `-0.0` and non-finite `b` included).
+fn mm_rows_blocked(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) {
+    debug_assert_eq!(out.len(), rows * n);
+    debug_assert_eq!(a.len(), rows * k);
+    debug_assert_eq!(b.len(), k * n);
+    if rows < NT_VIA_NN_ROWS || k == 0 || n == 0 {
+        return mm_rows_streamed(out, a, b, rows, k, n);
+    }
+    let mut terms = Terms {
+        off: [[0; KB]; MB],
+        val: [[0.0; KB]; MB],
+        nnz: [0; MB],
+    };
+    for (oblk, ablk) in out.chunks_mut(MB * n).zip(a.chunks(MB * k)) {
+        for l0 in (0..k).step_by(KB) {
+            let l1 = (l0 + KB).min(k);
+            for (r, arow) in ablk.chunks(k).enumerate() {
+                terms.compact(r, &arow[l0..l1], l0, n);
+            }
+            let resume = l0 > 0;
+            let mut jc = 0;
+            while jc + PW <= n {
+                terms.fold::<PW>(oblk, b, n, jc, resume);
+                jc += PW;
+            }
+            while jc + VW <= n {
+                terms.fold::<VW>(oblk, b, n, jc, resume);
+                jc += VW;
+            }
+            while jc < n {
+                terms.fold::<1>(oblk, b, n, jc, resume);
+                jc += 1;
+            }
+        }
     }
 }
 
@@ -513,11 +652,11 @@ pub fn matmul_nt_auto(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Rows per parallel band: enough bands to feed the pool (~4 per thread
-/// for load balance), at least `MR` so the blocked kernel keeps its
-/// register blocking. Band size never affects results.
+/// for load balance), in whole `MB`-row blocks so every band runs the
+/// compacting kernel on full blocks. Band size never affects results.
 fn band_rows(m: usize) -> usize {
     let target_bands = parallel::threads() * 4;
-    m.div_ceil(target_bands.max(1)).max(MR)
+    m.div_ceil(target_bands.max(1)).max(1).next_multiple_of(MB)
 }
 
 fn use_par(rows: usize) -> bool {
@@ -591,7 +730,7 @@ mod tests {
 
     #[test]
     fn blocked_kernel_handles_panel_boundaries() {
-        // Shapes straddling the MR, NC and vector-panel block edges.
+        // Shapes straddling the block edges of both walks.
         let mut r = SeedRng::new(7);
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -601,6 +740,10 @@ mod tests {
             (3, 5, 7),
             (2, 3, 8),
             (6, 2, 9),
+            // At and past the row cutover: MB, KB, PW and VW edges.
+            (16, 128, 32),
+            (17, 129, 41),
+            (35, 300, 75),
         ] {
             let a = r.normal_tensor(&[m, k], 1.0);
             let b = r.normal_tensor(&[k, n], 1.0);

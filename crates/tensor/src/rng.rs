@@ -14,9 +14,14 @@ use crate::tensor::Tensor;
 
 /// A deterministic, splittable RNG (ChaCha8).
 ///
-/// ChaCha8 is chosen over the default thread RNG because it is seedable,
-/// portable across platforms, and fast enough that RNG never shows up in
-/// profiles of the training loops.
+/// ChaCha8 is chosen over the default thread RNG because it is seedable
+/// and portable across platforms. It is not free: the vendored generator
+/// refills one 64-byte block at a time in scalar code, and the one draw per
+/// activation behind `Dropout::forward` — 460 800 of them in a batch-32
+/// step of the benchmark CNN — costs 4.8 ms of a 55 ms step, about 10.5 ns
+/// a draw (EXPERIMENTS.md, *PR 19*). A four-block refill the compiler can
+/// vectorise, emitting the identical word stream, is ROADMAP's next item
+/// on that step.
 #[derive(Clone, Debug)]
 pub struct SeedRng {
     inner: ChaCha8Rng,

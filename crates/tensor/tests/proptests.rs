@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use sasgd_tensor::conv::{
-    col2im, col2im_batch, conv2d_backward, conv2d_backward_ws, conv2d_forward, conv2d_forward_ws,
-    im2col, im2col_batch, im2col_ref, Conv2dSpec,
+    col2im, col2im_batch, conv2d_backward, conv2d_backward_params_ws, conv2d_backward_ws,
+    conv2d_forward, conv2d_forward_ws, im2col, im2col_batch, im2col_ref, Conv2dSpec,
 };
 use sasgd_tensor::pool::{maxpool2d_backward, maxpool2d_forward, Pool2dSpec};
 use sasgd_tensor::shape::{conv_out, pool_out};
@@ -39,8 +39,88 @@ fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Bit patterns with every NaN mapped to one: which operand's payload a
+/// NaN-meets-NaN add or multiply keeps is the compiler's operand order, not
+/// the kernel's arithmetic.
+fn bits_nan_canonical(x: &[f32]) -> Vec<u32> {
+    let canon = |v: &f32| if v.is_nan() { f32::NAN } else { *v }.to_bits();
+    x.iter().map(canon).collect()
+}
+
+/// The NN product by definition: each element the ascending-`l` fold of
+/// `a[i,l] · b[l,j]` from `+0.0`, terms with `a[i,l] == 0` skipped.
+fn naive_skip_zero_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for l in (0..k).filter(|&l| a[i * k + l] != 0.0) {
+                out[i * n + j] += a[i * k + l] * b[l * n + j];
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn compacting_nn_kernel_is_bitwise_the_streaming_walk_and_the_naive_fold(
+        mi in 0usize..5, ni in 0usize..9, ki in 0usize..3, di in 0usize..4, seed in 0u64..1000
+    ) {
+        // Rows either side of the 16-row cutover and of the 16-row block;
+        // widths straddling the 32- and 8-column panels and the scalar
+        // tail; `k` below, at and across the 128-term block.
+        let m = [15, 16, 17, 33, 150][mi];
+        let n = [1, 7, 8, 31, 32, 33, 40, 75, 257][ni];
+        let k = [1, 75, 288][ki];
+        let mut a = sparse_operand(m, k, [0.0, 0.1, 0.45, 1.0][di], seed);
+        let mut b = rand_tensor(&[k, n], seed + 1).into_vec();
+        // Non-finite `b` in one row `l`, met by an exact zero (row 0:
+        // skipped, never touched), a negative zero (row 1: skipped too) and
+        // a non-zero (row 2); NaN and both infinities planted in `A`.
+        let mut r = SeedRng::new(seed + 2);
+        let l = r.below(k);
+        for special in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            b[l * n + r.below(n)] = special;
+            a[r.below(m) * k + r.below(k)] = special;
+        }
+        a[l] = 0.0;
+        a[k + l] = -0.0;
+        a[2 * k + l] = 1.5;
+
+        // Oracle (i): one row per call is the < 16-row streaming walk.
+        let mut streamed = vec![f32::NAN; m * n];
+        for (orow, arow) in streamed.chunks_mut(n).zip(a.chunks(k)) {
+            linalg::matmul_into(orow, arow, &b, 1, k, n);
+        }
+        // Oracle (ii): the definition.
+        let naive = naive_skip_zero_nn(&a, &b, m, k, n);
+        prop_assert_eq!(bits_nan_canonical(&streamed), bits_nan_canonical(&naive));
+
+        let mut ws = Workspace::new();
+        let mut got = vec![f32::NAN; m * n];
+        linalg::matmul_into(&mut got, &a, &b, m, k, n);
+        prop_assert_eq!(bits_nan_canonical(&got), bits_nan_canonical(&naive));
+        // Banded over the pool in a `parallel` build.
+        got.fill(f32::NAN);
+        linalg::matmul_into_auto(&mut got, &a, &b, m, k, n);
+        prop_assert_eq!(bits_nan_canonical(&got), bits_nan_canonical(&naive));
+        got.fill(f32::NAN);
+        linalg::gemm_nn_ws(&mut got, &a, &b, m, k, n, &mut ws);
+        prop_assert_eq!(bits_nan_canonical(&got), bits_nan_canonical(&naive));
+        // The compaction lists live on the stack: the NN seam neither draws
+        // from the workspace nor parks anything in it.
+        prop_assert_eq!(ws.pooled(), 0);
+
+        // The NT seam's only scratch is the transposed `B`; a second call
+        // reuses the parked buffer.
+        let bt = rand_tensor(&[n, k], seed + 3);
+        for _ in 0..2 {
+            linalg::gemm_nt_ws(&mut got, &a, bt.as_slice(), m, k, n, &mut ws);
+            prop_assert_eq!(ws.pooled(), usize::from(m >= linalg::NT_VIA_NN_ROWS));
+        }
+    }
 
     #[test]
     fn matmul_parallel_is_bitwise_equal(
@@ -86,7 +166,7 @@ proptest! {
         mi in 0usize..4, k in 1usize..70, n in 1usize..40, di in 0usize..3, seed in 0u64..1000
     ) {
         // Below the row cutover `gemm_nt_ws` is the dot kernel; at and above
-        // it, transpose + zero-skipping axpy kernel. Same bits either way.
+        // it, transpose + the zero-skipping NN kernel. Same bits either way.
         let m = [1, linalg::NT_VIA_NN_ROWS - 1, linalg::NT_VIA_NN_ROWS, 150][mi];
         let a = sparse_operand(m, k, [1.0, 0.45, 0.05][di], seed);
         let b = rand_tensor(&[n, k], seed + 1);
@@ -415,6 +495,11 @@ proptest! {
             prop_assert_eq!(dinput.as_slice(), fresh_bwd.dinput.as_slice());
             prop_assert_eq!(&dw[..], fresh_bwd.dweight.as_slice());
             prop_assert_eq!(&db, &fresh_bwd.dbias);
+            // The parameter half on its own: the same bits, no dinput.
+            let (mut dw_only, mut db_only) = (vec![0.0f32; w.len()], vec![0.0f32; co]);
+            conv2d_backward_params_ws(&input, &grad, &spec, &mut dw_only, &mut db_only, &mut ws);
+            prop_assert_eq!(bits(&dw_only), bits(&dw));
+            prop_assert_eq!(bits(&db_only), bits(&db));
             ws.recycle(fwd);
             ws.recycle(dinput);
         }
