@@ -1,7 +1,7 @@
 //! # sasgd-analysis
 //!
-//! Repo-invariant static analysis and schedule-exploration race checking
-//! for the SASGD workspace. Two legs, one verdict:
+//! Repo-invariant static analysis and schedule exploration for the SASGD
+//! workspace. Two legs, one verdict:
 //!
 //! 1. **Lint pass** ([`lints`], [`scan`]) — a hand-rolled lexer
 //!    ([`lexer`]; the workspace vendors no `syn`) drives six repo-specific
@@ -12,43 +12,35 @@
 //!    float↔int conversions in gradient math (`float-cast`). Suppression
 //!    is per-site: `// lint:allow(<id>): <justification>`.
 //!
-//! 2. **Race checker** ([`schedule`]) — runs the `sasgd-comm` collectives
-//!    and the parameter server under exhaustively permuted (p ≤ 4) and
-//!    seeded-random (p = 8) delay-injection schedules, asserting bitwise
-//!    result invariance, deadlock freedom (watchdog + held-resource
-//!    report), and lost-update freedom on the PS path — including the
-//!    fault-tolerant allreduce (fault-free invariance against the plain
-//!    tree, dead-rank eviction agreement) and the epoch-versioned PS
-//!    snapshot (no torn cross-shard cuts under concurrent pushes).
-//!
-//! 3. **Model checker** ([`model`], [`vclock`], [`dpor`]) — a fourth
-//!    `Transport` impl routes every operation through a cooperative
+//! 2. **Model checker** ([`model`], [`vclock`], [`dpor`], [`corpus`]) — a
+//!    fourth `Transport` impl routes every operation through a cooperative
 //!    scheduler that owns all nondeterminism, and a sleep-set DPOR
 //!    explorer enumerates **every inequivalent interleaving** of the
 //!    scenario corpus at p ≤ 4 (seeded bounded search at p = 8). Races
 //!    and lost updates are happens-before violations on vector clocks;
 //!    deadlocks are wait-for-graph cycles with the exact blocked-op cycle
 //!    in the report; every finding carries a replayable decision-sequence
-//!    witness. Opt-in via [`run_all_with_model`] (`repro analyze
-//!    --model`).
+//!    witness. Every corpus body is generic over `Transport`, and
+//!    [`crosscheck`] runs the deterministic rows once on OS threads over
+//!    the production transport, bitwise against the model's result.
 //!
-//! All legs self-check against deliberate failures (a bad-fixture lint
+//! Both legs self-check against deliberate failures (a bad-fixture lint
 //! corpus; an arrival-order reduce, a PS lost update, and a recv cycle)
 //! so a silently dead analyzer cannot go green. Entry point: [`run_all`],
 //! surfaced as `repro analyze` in `sasgd-bench` and as a CI gate.
 
+pub mod corpus;
+pub mod crosscheck;
 pub mod dpor;
 pub mod lexer;
 pub mod lints;
 pub mod model;
 pub mod report;
 pub mod scan;
-pub mod schedule;
 pub mod vclock;
 
 use report::{Analysis, ModelReport};
 use scan::{fixtures_dir, lint_fixture_corpus, lint_repo, repo_root};
-use schedule::{exhaustive_schedules, scenario_bad_reduce, scenario_deadlock};
 
 /// Run the lint leg only (real tree + fixture self-check).
 pub fn run_lints() -> (usize, Vec<lints::Violation>, usize, usize) {
@@ -62,48 +54,27 @@ pub fn run_lints() -> (usize, Vec<lints::Violation>, usize, usize) {
     )
 }
 
-/// Run the schedule-exploration leg only (production sweep + self-checks).
-pub fn run_schedule_checks() -> (Vec<schedule::ScenarioResult>, bool, bool) {
-    let scenarios = schedule::run_production_sweep();
-    let bad = scenario_bad_reduce(3, &exhaustive_schedules(3));
-    let bad_diverged = bad.distinct_results > 1;
-    let dead = scenario_deadlock(2);
-    let deadlock_detected = dead.deadlocks > 0
-        && dead
-            .deadlock_reports
-            .iter()
-            .any(|r| r.contains("blocked on"));
-    (scenarios, bad_diverged, deadlock_detected)
+/// Run the model-checker leg only: the DPOR sweep over the scenario
+/// corpus, the real-thread cross-check of its deterministic rows, and the
+/// implanted-bug self-check.
+pub fn run_model_checks() -> ModelReport {
+    let corpus = corpus::corpus();
+    let scenarios: Vec<_> = corpus.iter().map(dpor::explore).collect();
+    ModelReport {
+        real_thread: crosscheck::cross_check(&corpus, &scenarios),
+        scenarios,
+        self_check: corpus::model_self_checks(),
+    }
 }
 
 /// Run both legs and assemble the full [`Analysis`].
 pub fn run_all() -> Analysis {
     let (files_scanned, violations, fixture_files, fixture_violations) = run_lints();
-    let (scenarios, bad_fixture_diverged, deadlock_detected) = run_schedule_checks();
     Analysis {
         files_scanned,
         violations,
         fixture_violations,
         fixture_files,
-        scenarios,
-        bad_fixture_diverged,
-        deadlock_detected,
-        model: None,
+        model: run_model_checks(),
     }
-}
-
-/// Run the model-checker leg only: the DPOR sweep over the scenario
-/// corpus plus the implanted-bug self-check.
-pub fn run_model_checks() -> ModelReport {
-    ModelReport {
-        scenarios: dpor::run_model_sweep(),
-        self_check: dpor::model_self_checks(),
-    }
-}
-
-/// Run all three legs (`repro analyze --model`).
-pub fn run_all_with_model() -> Analysis {
-    let mut a = run_all();
-    a.model = Some(run_model_checks());
-    a
 }

@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::world::CommError;
 
+use crate::corpus::world_fingerprint;
 use crate::vclock::VClock;
 
 /// How long the controlled-mode scheduler waits for quiescence before
@@ -259,10 +260,14 @@ struct WorldState {
     cycles: Vec<ModelEvent>,
 }
 
-/// Lock + condvar pair every endpoint of a world shares.
+/// The lock every endpoint of a world shares, and who waits on what:
+/// live-mode receivers and the controlled-mode scheduler on `cv`, each
+/// parked controlled-mode rank on its own `granted` entry — so a grant
+/// wakes one thread, not the world.
 struct WorldShared {
     state: Mutex<WorldState>,
     cv: Condvar,
+    granted: Vec<Condvar>,
 }
 
 type StateGuard<'a> = MutexGuard<'a, WorldState>;
@@ -270,6 +275,12 @@ type StateGuard<'a> = MutexGuard<'a, WorldState>;
 impl WorldShared {
     fn lock(&self) -> StateGuard<'_> {
         self.state.lock().expect("model world lock")
+    }
+
+    /// Tear a controlled execution down: every parked rank unwinds.
+    fn abort(&self, st: &mut StateGuard<'_>) {
+        st.aborted = true;
+        self.granted.iter().for_each(Condvar::notify_one);
     }
 }
 
@@ -279,8 +290,8 @@ impl WorldShared {
 
 /// One rank's endpoint into a model world — the fourth [`Transport`] impl.
 ///
-/// Endpoints are produced by [`model_world`] (live mode) or by the
-/// controlled-mode harness in [`crate::dpor`]. [`ModelTransport::subgroup`]
+/// Endpoints are produced by [`model_world`] (live mode) or by
+/// [`run_execution`] (controlled mode). [`ModelTransport::subgroup`]
 /// derives rank-remapped views for hierarchy bundles.
 pub struct ModelTransport {
     shared: Arc<WorldShared>,
@@ -332,6 +343,7 @@ fn world_with_mode(
             cycles: Vec::new(),
         }),
         cv: Condvar::new(),
+        granted: (0..p).map(|_| Condvar::new()).collect(),
     });
     let endpoints = (0..p)
         .map(|rank| ModelTransport {
@@ -376,77 +388,38 @@ impl ModelTransport {
         }
     }
 
-    /// Controlled-mode shared-cell read (scheduler-mediated; joins the
-    /// cell's last-writer clock). Live mode reads directly under the lock.
+    /// Shared-cell read (scheduler-mediated; joins the cell's last-writer
+    /// clock). Cells exist in controlled worlds only.
     pub fn cell_load(&mut self, cell: u32) -> Result<f32, CommError> {
-        self.run_op(PendingOp::CellLoad { cell })?
+        self.cell_op(PendingOp::CellLoad { cell })
     }
 
     /// Shared-cell blind write. The checker flags the write as a *lost
     /// update* when the writer's clock does not dominate the cell's
     /// last-writer clock (the previous write was never observed).
     pub fn cell_store(&mut self, cell: u32, value: f32) -> Result<(), CommError> {
-        self.run_op(PendingOp::CellStore { cell, value })?
+        self.cell_op(PendingOp::CellStore { cell, value })
             .map(|_| ())
     }
 
     /// Shared-cell atomic read-modify-write (`+= delta`); joins the cell
     /// clock, so it can never lose an update. Returns the new value.
     pub fn cell_add(&mut self, cell: u32, delta: f32) -> Result<f32, CommError> {
-        self.run_op(PendingOp::CellAdd { cell, delta })?
+        self.cell_op(PendingOp::CellAdd { cell, delta })
     }
 
-    /// Dispatch an operation through the mode-appropriate path.
-    fn run_op(&mut self, op: PendingOp) -> Result<Result<f32, CommError>, CommError> {
-        let mode = self.shared.lock().mode;
-        let grant = match mode {
-            Mode::Controlled => self.scheduled(op),
-            Mode::Live => self.live_cell(op),
-        };
-        match grant {
-            Grant::Value(v) => Ok(Ok(v)),
+    fn cell_op(&mut self, op: PendingOp) -> Result<f32, CommError> {
+        assert!(
+            self.shared.lock().mode == Mode::Controlled,
+            "shared cells exist in controlled worlds only"
+        );
+        match self.scheduled(op) {
+            Grant::Value(v) => Ok(v),
             Grant::Abort => Err(CommError::Disconnected {
                 src: self.rank_v,
                 tag: 0,
             }),
             _ => unreachable!("cell ops grant values"),
-        }
-    }
-
-    /// Live-mode cell operation: immediate, under the lock.
-    fn live_cell(&self, op: PendingOp) -> Grant {
-        let mut st = self.shared.lock();
-        let r = self.rank_w;
-        match op {
-            PendingOp::CellLoad { cell } => {
-                let (value, clock) = cell_view(&mut st, cell);
-                st.clocks[r].join(&clock);
-                st.clocks[r].tick(r);
-                Grant::Value(value)
-            }
-            PendingOp::CellStore { cell, value } => {
-                st.clocks[r].tick(r);
-                let stamp = st.clocks[r].clone();
-                let p = st.p;
-                let c = st.cells.entry(cell).or_insert_with(|| Cell {
-                    value: 0.0,
-                    clock: VClock::new(p),
-                });
-                c.value = value;
-                c.clock = stamp;
-                Grant::Value(value)
-            }
-            PendingOp::CellAdd { cell, delta } => {
-                let (_, clock) = cell_view(&mut st, cell);
-                st.clocks[r].join(&clock);
-                st.clocks[r].tick(r);
-                let stamp = st.clocks[r].clone();
-                let c = st.cells.get_mut(&cell).expect("cell initialized");
-                c.value += delta;
-                c.clock = stamp;
-                Grant::Value(c.value)
-            }
-            _ => unreachable!("live_cell handles cell ops only"),
         }
     }
 
@@ -467,7 +440,8 @@ impl ModelTransport {
                 st.parked[self.rank_w] = None;
                 return Grant::Abort;
             }
-            st = self.shared.cv.wait(st).expect("model world lock");
+            let granted = &self.shared.granted[self.rank_w];
+            st = granted.wait(st).expect("model world lock");
         }
     }
 
@@ -482,20 +456,9 @@ impl ModelTransport {
         payload: Vec<f32>,
     ) -> Result<(), CommError> {
         let mut st = self.shared.lock();
-        if st.finished[dst_w] {
-            return Err(CommError::PeerGone { peer: dst_v });
-        }
-        let r = self.rank_w;
-        st.clocks[r].tick(r);
-        let msg = Msg {
-            payload,
-            clock: st.clocks[r].clone(),
-            seq: st.next_seq,
-        };
-        st.next_seq += 1;
-        st.queues.entry((r, dst_w, tag)).or_default().push_back(msg);
+        let sent = enqueue(&mut st, self.rank_w, (dst_w, dst_v), tag, payload);
         self.shared.cv.notify_all();
-        Ok(())
+        sent
     }
 
     /// Live-mode receive over `cands` (`(src_world, src_view, tag)`),
@@ -561,6 +524,29 @@ impl ModelTransport {
     }
 }
 
+/// Rank `r` sends: tick its clock and queue the stamped message, or
+/// `PeerGone` when the destination (world rank, view rank) has left.
+fn enqueue(
+    st: &mut StateGuard<'_>,
+    r: usize,
+    (dst_w, dst_v): (usize, usize),
+    tag: u64,
+    payload: Vec<f32>,
+) -> Result<(), CommError> {
+    st.clocks[r].tick(r);
+    if st.finished[dst_w] {
+        return Err(CommError::PeerGone { peer: dst_v });
+    }
+    let msg = Msg {
+        payload,
+        clock: st.clocks[r].clone(),
+        seq: st.next_seq,
+    };
+    st.next_seq += 1;
+    st.queues.entry((r, dst_w, tag)).or_default().push_back(msg);
+    Ok(())
+}
+
 /// Current `(value, last-writer clock)` of a cell, initializing on first
 /// touch.
 fn cell_view(st: &mut StateGuard<'_>, cell: u32) -> (f32, VClock) {
@@ -600,7 +586,7 @@ impl Transport for ModelTransport {
     }
 
     fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, false).map(|(_, v)| v)
+        self.receive(&[(src, tag)], true, None).map(|(_, v)| v)
     }
 
     fn recv_deadline(
@@ -609,19 +595,12 @@ impl Transport for ModelTransport {
         tag: u64,
         timeout: Duration,
     ) -> Result<Vec<f32>, CommError> {
-        let mode = self.shared.lock().mode;
-        match mode {
-            Mode::Live => {
-                let src_w = self.world_rank(src);
-                self.live_recv(&[(src_w, src, tag)], Some(timeout))
-                    .map(|(_, v)| v)
-            }
-            Mode::Controlled => self.recv_inner(src, tag, true).map(|(_, v)| v),
-        }
+        self.receive(&[(src, tag)], true, Some(timeout))
+            .map(|(_, v)| v)
     }
 
     fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, false)
+        self.receive(candidates, false, None)
     }
 
     fn recv_any_deadline(
@@ -629,17 +608,7 @@ impl Transport for ModelTransport {
         candidates: &[(usize, u64)],
         timeout: Duration,
     ) -> Result<(usize, Vec<f32>), CommError> {
-        let mode = self.shared.lock().mode;
-        match mode {
-            Mode::Live => {
-                let cands: Vec<(usize, usize, u64)> = candidates
-                    .iter()
-                    .map(|&(s, t)| (self.world_rank(s), s, t))
-                    .collect();
-                self.live_recv(&cands, Some(timeout))
-            }
-            Mode::Controlled => self.recv_any_inner(candidates, true),
-        }
+        self.receive(candidates, false, Some(timeout))
     }
 
     fn next_op(&mut self) -> u64 {
@@ -650,52 +619,39 @@ impl Transport for ModelTransport {
 }
 
 impl ModelTransport {
-    fn recv_inner(
-        &mut self,
-        src: usize,
-        tag: u64,
-        can_timeout: bool,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let src_w = self.world_rank(src);
-        let mode = self.shared.lock().mode;
-        match mode {
-            Mode::Live => self.live_recv(&[(src_w, src, tag)], None),
-            Mode::Controlled => match self.scheduled(PendingOp::Recv {
-                src_w,
-                src_v: src,
-                tag,
-                can_timeout,
-            }) {
-                Grant::Received(res) => res,
-                Grant::Abort => Err(CommError::Disconnected { src, tag }),
-                _ => unreachable!("recv grants Received"),
-            },
-        }
-    }
-
-    fn recv_any_inner(
+    /// Every receive. `named` is a plain `recv` (one candidate, parked as
+    /// [`PendingOp::Recv`]); otherwise a wildcard over `candidates`. A
+    /// `timeout` bounds the live-mode wait and, in controlled mode, only
+    /// says that the deadline branch exists.
+    fn receive(
         &mut self,
         candidates: &[(usize, u64)],
-        can_timeout: bool,
+        named: bool,
+        timeout: Option<Duration>,
     ) -> Result<(usize, Vec<f32>), CommError> {
-        if candidates.is_empty() {
-            return Err(CommError::NoCandidates);
-        }
+        let &(src, tag) = candidates.first().ok_or(CommError::NoCandidates)?;
         let cands: Vec<(usize, usize, u64)> = candidates
             .iter()
             .map(|&(s, t)| (self.world_rank(s), s, t))
             .collect();
-        let mode = self.shared.lock().mode;
-        match mode {
-            Mode::Live => self.live_recv(&cands, None),
-            Mode::Controlled => match self.scheduled(PendingOp::RecvAny { cands, can_timeout }) {
-                Grant::Received(res) => res,
-                Grant::Abort => Err(CommError::Disconnected {
-                    src: candidates[0].0,
-                    tag: candidates[0].1,
-                }),
-                _ => unreachable!("recv_any grants Received"),
-            },
+        if self.shared.lock().mode == Mode::Live {
+            return self.live_recv(&cands, timeout);
+        }
+        let can_timeout = timeout.is_some();
+        let op = if named {
+            PendingOp::Recv {
+                src_w: cands[0].0,
+                src_v: src,
+                tag,
+                can_timeout,
+            }
+        } else {
+            PendingOp::RecvAny { cands, can_timeout }
+        };
+        match self.scheduled(op) {
+            Grant::Received(res) => res,
+            Grant::Abort => Err(CommError::Disconnected { src, tag }),
+            _ => unreachable!("receives grant Received"),
         }
     }
 }
@@ -775,12 +731,12 @@ impl ExecRecord {
     }
 }
 
-/// One rank's body in a controlled execution: owns its endpoint, returns
-/// the rank's result vector (fingerprinted) or a scenario error.
-pub type ModelRankFn = Arc<dyn Fn(ModelTransport) -> Result<Vec<f32>, String> + Send + Sync>;
+/// What one rank's body produced: its result vector (fingerprinted) or a
+/// scenario error.
+pub type RankOutcome = Result<Vec<f32>, String>;
 
-/// What one rank's body produced: its result vector or a scenario error.
-type RankOutcome = Result<Vec<f32>, String>;
+/// One rank's body in a controlled execution: owns its endpoint.
+pub type ModelRankFn = Arc<dyn Fn(ModelTransport) -> RankOutcome + Send + Sync>;
 
 /// The exploration policy: given the enabled set (canonical order), pick
 /// the index to fire, or `None` to abandon the branch (sleep-blocked).
@@ -928,21 +884,7 @@ fn apply_choice(st: &mut StateGuard<'_>, choice: &EnabledChoice) {
                 payload,
             },
             ChoiceKind::Fire,
-        ) => {
-            st.clocks[r].tick(r);
-            if st.finished[dst_w] {
-                Grant::Sent(Err(CommError::PeerGone { peer: dst_v }))
-            } else {
-                let msg = Msg {
-                    payload,
-                    clock: st.clocks[r].clone(),
-                    seq: st.next_seq,
-                };
-                st.next_seq += 1;
-                st.queues.entry((r, dst_w, tag)).or_default().push_back(msg);
-                Grant::Sent(Ok(()))
-            }
-        }
+        ) => Grant::Sent(enqueue(st, r, (dst_w, dst_v), tag, payload)),
         (
             PendingOp::Recv {
                 src_w, src_v, tag, ..
@@ -1154,8 +1096,6 @@ pub fn run_execution(
         for (rank, endpoint) in endpoints.into_iter().enumerate() {
             let bodies = Arc::clone(bodies);
             let results = &results;
-            // lint:allow(raw-spawn): the model checker is the sanctioned
-            // thread host (SPAWN_ALLOWED covers crates/analysis/).
             scope.spawn(move || {
                 let out = bodies(endpoint);
                 results.lock().expect("results lock")[rank] = Some(out);
@@ -1181,8 +1121,7 @@ pub fn run_execution(
             }
             if stalled {
                 outcome = Outcome::HarnessError;
-                st.aborted = true;
-                shared.cv.notify_all();
+                shared.abort(&mut st);
                 break;
             }
             if (0..p).all(|r| st.finished[r]) {
@@ -1197,22 +1136,20 @@ pub fn run_execution(
                     witness,
                 });
                 outcome = Outcome::Deadlock;
-                st.aborted = true;
-                shared.cv.notify_all();
+                shared.abort(&mut st);
                 break;
             }
             let Some(idx) = policy(&enabled) else {
                 outcome = Outcome::SleepBlocked;
-                st.aborted = true;
-                shared.cv.notify_all();
+                shared.abort(&mut st);
                 break;
             };
             apply_choice(&mut st, &enabled[idx]);
+            shared.granted[enabled[idx].rank].notify_one();
             steps.push(StepRecord {
                 enabled,
                 taken: idx,
             });
-            shared.cv.notify_all();
         }
     });
     let mut st = shared.lock();
@@ -1221,24 +1158,13 @@ pub fn run_execution(
     let cycles = std::mem::take(&mut st.cycles);
     drop(st);
     let collected = results.into_inner().expect("results lock");
-    let mut errors = Vec::new();
-    let mut fingerprint = None;
-    if outcome == Outcome::Completed {
-        let mut bits: Vec<f32> = Vec::new();
-        for (rank, res) in collected.into_iter().enumerate() {
-            match res {
-                Some(Ok(v)) => {
-                    bits.push(rank as f32);
-                    bits.extend(v);
-                }
-                Some(Err(e)) => errors.push(format!("rank {rank}: {e}")),
-                None => errors.push(format!("rank {rank}: no result")),
-            }
-        }
-        if errors.is_empty() {
-            fingerprint = Some(crate::schedule::fnv1a_f32(&bits));
-        }
-    }
+    let (fingerprint, errors) = match outcome {
+        Outcome::Completed => match world_fingerprint(collected) {
+            Ok(fp) => (Some(fp), Vec::new()),
+            Err(errors) => (None, errors),
+        },
+        _ => (None, Vec::new()),
+    };
     ExecRecord {
         steps,
         outcome,

@@ -1,20 +1,20 @@
-//! Integration tests for both analyzer legs.
+//! Integration tests for the lint leg and the real-thread cross-check
+//! (the model checker's negative controls are in `model_checker.rs`).
 //!
 //! * The lint pass must fire on every bad fixture, stay silent on every
 //!   good fixture, and report **zero** violations on the real tree.
-//! * The race checker must certify the shipped collectives
-//!   schedule-invariant, catch the arrival-order bad reduce bitwise, and
-//!   flag the deliberate recv cycle with a held-resource report.
+//! * The cross-check must find the production transport bitwise on the
+//!   model's result for every row it covers — and must be able to fail.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
 
+use sasgd_analysis::corpus::{corpus, order_sensitive_input};
+use sasgd_analysis::crosscheck::{cross_check, flat};
+use sasgd_analysis::dpor::{explore, ModelScenario, Search};
 use sasgd_analysis::lints::{call_taint_single, lint_file};
 use sasgd_analysis::scan::{fixtures_dir, lint_fixture_corpus, lint_repo, repo_root};
-use sasgd_analysis::schedule::{
-    exhaustive_schedules, random_schedules, scenario_allreduce_tree, scenario_bad_reduce,
-    scenario_deadlock, scenario_hierarchical, scenario_ps, scenario_sparse_allreduce,
-};
+use sasgd_comm::collectives::allreduce_tree;
+use sasgd_comm::transport::Transport;
 
 fn fixture_lints(name: &str) -> Vec<&'static str> {
     let path = fixtures_dir().join(name);
@@ -118,116 +118,122 @@ fn real_tree_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Race-checker leg.
+// Real-thread cross-check.
 // ---------------------------------------------------------------------------
 
+/// Every row with a real-thread instantiation, minus the two exhaustive
+/// snapshot rows (a minute of exploration `repro analyze` already pays;
+/// their bodies run here at `ps_transport`'s and the bounded worlds' size).
+fn cross_checked_rows() -> Vec<ModelScenario> {
+    let slow = ["ps_snapshot", "ps_snapshot_two_shards"];
+    let rows = corpus().into_iter();
+    rows.filter(|sc| sc.real.is_some() && !slow.contains(&sc.name.as_str()))
+        .collect()
+}
+
 #[test]
-fn allreduce_tree_is_schedule_invariant_exhaustive() {
-    for p in [2usize, 3, 4] {
-        let r = scenario_allreduce_tree(p, &exhaustive_schedules(p));
-        assert_eq!(r.distinct_results, 1, "p={p}: {r:?}");
-        assert_eq!(r.deadlocks, 0, "p={p}: {r:?}");
+fn production_transport_is_bitwise_the_model_on_every_covered_row() {
+    let rows = cross_checked_rows();
+    let model: Vec<_> = rows.iter().map(explore).collect();
+    for m in &model {
+        assert!(m.ok(), "{m:?}");
+        assert_eq!(m.distinct_results, 1, "{m:?}");
+    }
+    let report = cross_check(&rows, &model);
+    assert!(report.rows >= 10, "only {} rows cross-checked", report.rows);
+    assert!(report.ok(), "{:#?}", report.mismatches);
+}
+
+/// The corpus keeps the deleted delay sweep's envelope: exhaustive rows at
+/// p = 4 for every collective it swept there, bounded rows at p = 8, and
+/// the three many-pusher PS worlds.
+#[test]
+fn corpus_covers_the_deleted_sweeps_envelope() {
+    let rows = corpus();
+    let find = |name: &str| {
+        let row = rows.iter().find(|sc| sc.name == name);
+        row.unwrap_or_else(|| panic!("{name} missing from the corpus"))
+    };
+    for name in [
+        "allreduce_tree_p4",
+        "reduce_tree_root1",
+        "sparse_allreduce_tree_p4",
+        "allreduce_ring_p4",
+        "back_to_back_allreduce_p4",
+        "hierarchical_2x2",
+        "ft_allreduce_fault_free_p4",
+        "ft_allreduce_one_dead_p4",
+    ] {
+        let sc = find(name);
+        assert_eq!((sc.p, sc.search), (4, Search::Exhaustive), "{name}");
+    }
+    for (name, p) in [
+        ("allreduce_tree_p8_bounded", 8),
+        ("sparse_allreduce_tree_p8_bounded", 8),
+        ("allreduce_ring_p8_bounded", 8),
+        ("hierarchical_2x4_bounded", 8),
+        ("ft_allreduce_fault_free_p8_bounded", 8),
+        ("ft_allreduce_one_dead_p8_bounded", 8),
+        ("ps_push_pull_4x2_bounded", 7),
+        ("ps_push_pull_8x3_bounded", 12),
+        ("ps_snapshot_4x3_bounded", 8),
+    ] {
+        let sc = find(name);
+        assert_eq!(sc.p, p, "{name}");
+        assert!(matches!(sc.search, Search::Random { .. }), "{name}");
     }
 }
 
+/// The check can fail: perturb one rank's input on the real-thread side
+/// only, and the row is reported by name.
 #[test]
-fn sparse_allreduce_is_schedule_invariant() {
-    let r = scenario_sparse_allreduce(4, &exhaustive_schedules(4));
-    assert_eq!(r.distinct_results, 1, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-}
-
-#[test]
-fn hierarchical_allreduce_is_schedule_invariant() {
-    let r = scenario_hierarchical(2, 2, &exhaustive_schedules(4));
-    assert_eq!(r.distinct_results, 1, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-}
-
-#[test]
-fn random_schedules_at_p8_are_invariant() {
-    let r = scenario_allreduce_tree(8, &random_schedules(8, 6, 0xfeed));
-    assert_eq!(r.distinct_results, 1, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-}
-
-#[test]
-fn ps_path_has_no_lost_updates() {
-    let r = scenario_ps(4, 2, 5, &exhaustive_schedules(4));
-    assert_eq!(r.lost_updates, 0, "{r:?}");
-    assert_eq!(r.deadlocks, 0);
-    assert_eq!(r.distinct_results, 1, "commuting adds must converge: {r:?}");
-}
-
-/// Regression: a reduce that combines children in *arrival* order must be
-/// caught by the bitwise-invariance assertion. This is the test that proves
-/// the checker can actually see the class of bug it exists for.
-#[test]
-fn arrival_order_reduce_is_caught() {
-    let r = scenario_bad_reduce(3, &exhaustive_schedules(3));
-    assert!(
-        r.distinct_results > 1,
-        "bad reduce produced one result across {} schedules — checker is blind: {r:?}",
-        r.schedules
-    );
-}
-
-/// Regression: a recv cycle must trip the watchdog and the report must name
-/// the resource each rank is blocked on.
-#[test]
-fn recv_cycle_is_reported_with_held_resources() {
-    let r = scenario_deadlock(2);
-    assert_eq!(r.deadlocks, 1, "{r:?}");
-    let report = &r.deadlock_reports[0];
-    assert!(
-        report.contains("rank 0 blocked on (src 1, tag 99)"),
-        "{report}"
-    );
-    assert!(
-        report.contains("rank 1 blocked on (src 0, tag 99)"),
-        "{report}"
-    );
-}
-
-/// The schedule generators themselves: exhaustive really is p! × 3, and the
-/// seeded stream is reproducible.
-#[test]
-fn schedule_generators_are_deterministic() {
-    assert_eq!(exhaustive_schedules(3).len(), 18); // 3! × 3 bases
-    assert_eq!(exhaustive_schedules(4).len(), 72); // 4! × 3 bases
-    let a = random_schedules(8, 4, 42);
-    let b = random_schedules(8, 4, 42);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.start, y.start);
-        assert_eq!(x.delays.send, y.delays.send);
-        assert_eq!(x.delays.recv, y.delays.recv);
-    }
-    let c = random_schedules(8, 4, 43);
-    assert!(a
-        .iter()
-        .zip(&c)
-        .any(|(x, y)| x.delays.send != y.delays.send));
-}
-
-/// Delay injection must not alter the *values* a collective computes, only
-/// their timing — spot-check against an undelayed run.
-#[test]
-fn delays_do_not_change_results() {
-    use sasgd_analysis::schedule::{explore_with, Schedule};
-    use std::sync::Arc;
-    let none = vec![Schedule::default()];
-    let some = exhaustive_schedules(2);
-    let scenario = Arc::new(|rank: usize, comm: &mut sasgd_comm::Communicator| {
-        let mut v = vec![rank as f32 + 1.0; 4];
-        sasgd_comm::collectives::allreduce_tree(comm, &mut v).expect("allreduce");
-        v
+fn cross_check_names_a_row_whose_real_side_differs() {
+    let model_side = |rank: usize| order_sensitive_input(rank, 4);
+    let mut row = ModelScenario::new("perturbed_allreduce", 3, move |mut t| {
+        let mut v = model_side(t.rank());
+        allreduce_tree(&mut t, &mut v).map_err(|e| e.to_string())?;
+        Ok(v)
     });
-    let a = explore_with("plain", 2, &none, scenario.clone(), Duration::from_secs(5));
-    let b = explore_with("delayed", 2, &some, scenario, Duration::from_secs(5));
-    assert_eq!(a.distinct_results, 1);
-    assert_eq!(b.distinct_results, 1);
-    assert_eq!(
-        a.fingerprint, b.fingerprint,
-        "delay injection changed the computed values, not just their timing"
+    row.real = Some(flat(3, move |mut c| {
+        let mut v = model_side(c.rank());
+        if c.rank() == 1 {
+            v[0] += 1024.0; // large enough not to be absorbed next to 1e8
+        }
+        allreduce_tree(&mut c, &mut v).map_err(|e| e.to_string())?;
+        Ok(v)
+    }));
+    let rows = [row];
+    let model: Vec<_> = rows.iter().map(explore).collect();
+    assert!(model[0].ok(), "{:?}", model[0]);
+    let report = cross_check(&rows, &model);
+    assert_eq!(report.rows, 1);
+    assert!(!report.ok());
+    assert!(
+        report.mismatches[0].starts_with("perturbed_allreduce: real threads computed"),
+        "{:?}",
+        report.mismatches
     );
+    // Unperturbed, the same row passes — the mismatch is the input's.
+    let mut clean = rows[0].clone();
+    clean.real = Some(flat(3, move |mut c| {
+        let mut v = model_side(c.rank());
+        allreduce_tree(&mut c, &mut v).map_err(|e| e.to_string())?;
+        Ok(v)
+    }));
+    assert!(cross_check(&[clean], &model).ok());
+}
+
+/// A rank that fails outright on the real side is a mismatch too, not a
+/// hang and not a pass.
+#[test]
+fn cross_check_reports_a_real_side_error() {
+    let mut row = ModelScenario::new("real_side_fails", 2, |_t| Ok(vec![1.0]));
+    row.real = Some(flat(2, |c| match c.rank() {
+        0 => Ok(vec![1.0]),
+        _ => Err("boom".to_string()),
+    }));
+    let rows = [row];
+    let model: Vec<_> = rows.iter().map(explore).collect();
+    let report = cross_check(&rows, &model);
+    assert_eq!(report.mismatches, ["real_side_fails: rank 1: boom"]);
 }

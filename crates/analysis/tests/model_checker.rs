@@ -1,13 +1,11 @@
 //! Negative controls for the DPOR model checker: every detector must
 //! catch its implanted bug — with a replayable witness — and the clean
 //! twins must stay clean. These are the tests that prove the checker can
-//! see the classes of bug it exists for; `repro analyze --model` runs the
-//! same scenarios as part of the CI gate.
+//! see the classes of bug it exists for; `repro analyze` runs the same
+//! scenarios as part of the CI gate.
 
-use sasgd_analysis::dpor::{
-    explore_exhaustive, model_scenarios, replay_decisions, sc_bad_reduce, sc_lost_update,
-    sc_recv_cycle, sc_rmw_clean,
-};
+use sasgd_analysis::corpus::{corpus, sc_bad_reduce, sc_lost_update, sc_recv_cycle, sc_rmw_clean};
+use sasgd_analysis::dpor::{explore, replay_decisions};
 use sasgd_analysis::model::parse_witness;
 
 /// The implanted arrival-order reduce: the root's wildcard receive can
@@ -17,7 +15,7 @@ use sasgd_analysis::model::parse_witness;
 #[test]
 fn implanted_bad_reduce_yields_replayable_racy_witness() {
     let sc = sc_bad_reduce();
-    let r = explore_exhaustive(&sc);
+    let r = explore(&sc);
     assert!(r.exhausted, "{r:?}");
     assert!(r.races > 0, "race not detected: {r:?}");
     let witness = r.witness.as_deref().expect("racy witness");
@@ -42,13 +40,13 @@ fn implanted_bad_reduce_yields_replayable_racy_witness() {
 /// not on mere concurrency.
 #[test]
 fn implanted_lost_update_caught_and_rmw_twin_clean() {
-    let lost = explore_exhaustive(&sc_lost_update());
+    let lost = explore(&sc_lost_update());
     assert!(lost.lost_updates > 0, "lost update not detected: {lost:?}");
     assert!(
         lost.witness.as_deref().is_some_and(|w| !w.is_empty()),
         "no witness for the lost update: {lost:?}"
     );
-    let rmw = explore_exhaustive(&sc_rmw_clean());
+    let rmw = explore(&sc_rmw_clean());
     assert_eq!(rmw.lost_updates, 0, "{rmw:?}");
     assert_eq!(rmw.races, 0, "{rmw:?}");
     assert_eq!(rmw.cycles, 0, "{rmw:?}");
@@ -60,7 +58,7 @@ fn implanted_lost_update_caught_and_rmw_twin_clean() {
 /// wall-clock watchdog.
 #[test]
 fn implanted_recv_cycle_reported_from_wait_for_graph() {
-    let r = explore_exhaustive(&sc_recv_cycle());
+    let r = explore(&sc_recv_cycle());
     assert!(r.cycles > 0, "cycle not detected: {r:?}");
     let report = r.reports.first().expect("cycle report");
     assert!(report.contains("wait-for cycle"), "{report}");
@@ -74,13 +72,17 @@ fn implanted_recv_cycle_reported_from_wait_for_graph() {
 /// execution must be pruned, not explored).
 #[test]
 fn shipped_collectives_are_clean_and_dpor_prunes() {
-    let corpus = model_scenarios();
-    for name in ["allreduce_tree_p3", "allreduce_ring"] {
+    let corpus = corpus();
+    for name in [
+        "allreduce_tree_p3",
+        "allreduce_ring_p3",
+        "allreduce_ring_p4",
+    ] {
         let sc = corpus
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("{name} missing from corpus"));
-        let r = explore_exhaustive(sc);
+        let r = explore(sc);
         assert!(r.ok(), "{name}: {r:?}");
         assert!(r.exhausted, "{name}: {r:?}");
         assert_eq!(r.explored, 1, "{name} has >1 trace: {r:?}");

@@ -1,23 +1,16 @@
-//! `repro analyze` — the static-analysis and race-checking gate.
+//! `repro analyze` — the static-analysis and schedule-exploration gate.
 //!
-//! Runs the `sasgd-analysis` legs (the repo-invariant lint pass, the
-//! schedule-exploration race checker, and — with `--model` — the DPOR
-//! model checker) and packages the outcome as a bench [`Artifact`]: a
-//! human-readable report plus the machine-readable `ANALYSIS.json` CI
-//! consumes. The second tuple element is the verdict — `repro` exits
-//! nonzero when it is `false`.
+//! Runs the two `sasgd-analysis` legs (the repo-invariant lint pass and the
+//! DPOR model checker with its real-thread cross-check) and packages the
+//! outcome as a bench [`Artifact`]: a human-readable report plus the
+//! machine-readable `ANALYSIS.json` CI consumes. The second tuple element
+//! is the verdict — `repro` exits nonzero when it is `false`.
 
 use crate::figures::Artifact;
 
-/// Run the analyzer and return `(artifact, ok)`. `model` adds the DPOR
-/// model-checker leg (exhaustive interleaving exploration — minutes, not
-/// seconds, so it is opt-in).
-pub fn analyze(model: bool) -> (Artifact, bool) {
-    let analysis = if model {
-        sasgd_analysis::run_all_with_model()
-    } else {
-        sasgd_analysis::run_all()
-    };
+/// Run the analyzer and return `(artifact, ok)`.
+pub fn analyze() -> (Artifact, bool) {
+    let analysis = sasgd_analysis::run_all();
     let ok = analysis.ok();
     let artifact = Artifact {
         name: "analyze".to_string(),

@@ -29,8 +29,6 @@ struct Options {
     scale: Scale,
     epochs: Option<usize>,
     out: PathBuf,
-    /// `analyze` also runs the DPOR model-checker leg.
-    model: bool,
 }
 
 const ALL: &[&str] = &[
@@ -59,7 +57,7 @@ const EXTENSIONS: &[&str] = &[
 
 fn usage() -> String {
     format!(
-        "usage: repro <target>... [--scale 0|1|2] [--epochs N] [--out DIR] [--model]\n\
+        "usage: repro <target>... [--scale 0|1|2] [--epochs N] [--out DIR]\n\
          targets: all {} | ext {}\n",
         ALL.join(" "),
         EXTENSIONS.join(" ")
@@ -72,7 +70,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         scale: Scale::Tiny,
         epochs: None,
         out: PathBuf::from("target/repro"),
-        model: false,
     };
     let mut i = 0;
     while i < args.len() {
@@ -91,7 +88,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 i += 1;
                 opts.out = PathBuf::from(args.get(i).ok_or("--out needs a value")?);
             }
-            "--model" => opts.model = true,
             "all" => opts.targets.extend(ALL.iter().map(|s| s.to_string())),
             "ext" => opts
                 .targets
@@ -111,7 +107,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// `analyze` can fail; every other target reports unconditionally.
 fn build(target: &str, o: &Options) -> (Artifact, bool) {
     if target == "analyze" {
-        return sasgd_bench::analysis::analyze(o.model);
+        return sasgd_bench::analysis::analyze();
     }
     if target == "launch" {
         return sasgd_bench::launch::launch();

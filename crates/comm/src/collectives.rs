@@ -353,6 +353,20 @@ mod tests {
         }
     }
 
+    /// The virtual-rank remapping: any root ends with the full sum.
+    #[test]
+    fn reduce_tree_nonzero_root() {
+        for (p, root) in [(2usize, 1usize), (4, 1), (5, 3), (8, 5)] {
+            let res = run_world(p, |c| {
+                let mut v = vec![c.rank() as f32 + 1.0; 3];
+                reduce_tree(c, root, &mut v).expect("reduce");
+                v
+            });
+            let expect = (p * (p + 1) / 2) as f32;
+            assert_eq!(res[root], vec![expect; 3], "p={p} root={root}");
+        }
+    }
+
     #[test]
     fn allreduce_tree_sums() {
         for p in [1usize, 2, 3, 4, 7, 8, 16] {

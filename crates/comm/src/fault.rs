@@ -170,8 +170,8 @@ impl FaultPlan {
     }
 }
 
-/// splitmix64 step — the same tiny deterministic stream the race checker's
-/// schedule sampler uses.
+/// splitmix64 step — the same tiny deterministic stream the model
+/// checker's bounded search uses.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;

@@ -78,4 +78,4 @@ pub use ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportErro
 pub use socket::{loopback_addrs, SocketTransport};
 pub use sparse::{sparse_allreduce_tree_v2, SparseVec};
 pub use transport::{InProcTransport, Transport};
-pub use world::{CommError, CommWorld, Communicator, DelaySchedule, FaultSchedule};
+pub use world::{CommError, CommWorld, Communicator, FaultSchedule};

@@ -2,7 +2,7 @@
 //! [`Transport`].
 //!
 //! Where [`crate::world::Communicator`] carries the production machinery
-//! (delay/fault injection, wait tables, traffic counters) and
+//! (wire fault injection, default deadlines, traffic counters) and
 //! [`crate::socket::SocketTransport`] carries a real wire, this impl is
 //! the failure-semantics table from [`crate::transport`] and *nothing
 //! else*: one mutex-guarded inbox per rank, a condvar for arrival

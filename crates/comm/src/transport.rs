@@ -13,8 +13,8 @@
 //!
 //! * [`InProcTransport`] — the crossbeam-channel world of
 //!   [`crate::world`], one endpoint per OS thread (the original substrate;
-//!   delay/fault injection for the race checker remains a capability of
-//!   this impl only);
+//!   traffic counters and wire fault injection are capabilities of this
+//!   impl only);
 //! * [`crate::socket::SocketTransport`] — length-prefixed frames over TCP
 //!   sockets, one endpoint per OS *process*;
 //! * [`crate::mock::MockTransport`] — a shared-memory reference
@@ -94,9 +94,9 @@ pub trait Transport: Send {
 }
 
 /// The in-process transport: the crossbeam-channel [`Communicator`] of
-/// [`crate::world`], under the name the trait-facing code uses. Race-checker
-/// delay injection ([`Communicator::set_delays`]) and wire fault injection
-/// are capabilities of this impl, deliberately outside the trait.
+/// [`crate::world`], under the name the trait-facing code uses. Traffic
+/// counters and wire fault injection ([`crate::world::FaultSchedule`]) are
+/// capabilities of this impl, deliberately outside the trait.
 pub type InProcTransport = Communicator;
 
 impl Transport for Communicator {

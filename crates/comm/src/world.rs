@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 // lint:allow(wall-clock): deadline-based communication is wall-clock by
 // nature; the numeric path never reads these clocks.
 use std::time::{Duration, Instant};
@@ -153,40 +153,6 @@ impl Traffic {
     }
 }
 
-/// Deterministic delay injection at communication points, for the
-/// schedule-exploration race checker in `sasgd-analysis`.
-///
-/// `send[rank]` / `recv[rank]` are cycled by each rank's operation index;
-/// every unit is one [`DelaySchedule::unit`] sleep before the operation
-/// proceeds. An empty vector means no delays for that rank. Injected
-/// delays perturb *when* messages arrive, never *what* they carry — the
-/// checker asserts results are bitwise invariant under all of them.
-#[derive(Clone, Debug, Default)]
-pub struct DelaySchedule {
-    /// Sleep quantum for one delay unit.
-    pub unit: Duration,
-    /// Per-rank delay units before each `send`, cycled by send index.
-    pub send: Vec<Vec<u32>>,
-    /// Per-rank delay units before each `recv`, cycled by recv index.
-    pub recv: Vec<Vec<u32>>,
-}
-
-impl DelaySchedule {
-    fn units(table: &[Vec<u32>], rank: usize, seq: u64) -> u32 {
-        match table.get(rank) {
-            Some(d) if !d.is_empty() => d[(seq % d.len() as u64) as usize],
-            _ => 0,
-        }
-    }
-
-    fn apply(&self, table: &[Vec<u32>], rank: usize, seq: u64) {
-        let u = Self::units(table, rank, seq);
-        if u > 0 && !self.unit.is_zero() {
-            std::thread::sleep(self.unit * u);
-        }
-    }
-}
-
 /// Deterministic message-drop injection at the wire, the third leg of the
 /// fault model (crash and stall live in `crate::fault`, interpreted at the
 /// learner loop). `drop_send[rank]` lists the send-sequence indices (one
@@ -213,19 +179,13 @@ impl FaultSchedule {
     }
 }
 
-/// What each rank is currently blocked on (`(src, tag)`), if anything.
-/// Shared between the world (for watchdog snapshots) and the endpoints.
-type WaitTable = Arc<Vec<Mutex<Option<(usize, u64)>>>>;
-
 /// A communication group of `size` ranks (MPI_COMM_WORLD analogue).
 pub struct CommWorld {
     senders: Vec<Sender<Message>>,
     receivers: Vec<Option<Receiver<Message>>>,
     traffic: Arc<Traffic>,
-    delays: Option<Arc<DelaySchedule>>,
     faults: Option<Arc<FaultSchedule>>,
     default_deadline: Option<Duration>,
-    waiting: WaitTable,
 }
 
 impl CommWorld {
@@ -246,10 +206,8 @@ impl CommWorld {
             senders,
             receivers,
             traffic: Arc::new(Traffic::default()),
-            delays: None,
             faults: None,
             default_deadline: None,
-            waiting: Arc::new((0..size).map(|_| Mutex::new(None)).collect()),
         }
     }
 
@@ -261,13 +219,6 @@ impl CommWorld {
     /// Shared traffic counters.
     pub fn traffic(&self) -> Arc<Traffic> {
         Arc::clone(&self.traffic)
-    }
-
-    /// Install a delay-injection schedule (race-checker hook). Must be
-    /// called before [`CommWorld::communicators`]; endpoints handed out
-    /// later inherit it.
-    pub fn set_delays(&mut self, delays: Arc<DelaySchedule>) {
-        self.delays = Some(delays);
     }
 
     /// Install a message-drop schedule (fault-injection hook). Must be
@@ -296,16 +247,6 @@ impl CommWorld {
         Ok(())
     }
 
-    /// Snapshot of what each rank is currently blocked on (`(src, tag)`),
-    /// `None` for ranks that are running. The race checker's watchdog reads
-    /// this to report held resources when a schedule deadlocks.
-    pub fn waiting_snapshot(&self) -> Vec<Option<(usize, u64)>> {
-        self.waiting
-            .iter()
-            .map(|m| *m.lock().expect("wait-table lock"))
-            .collect()
-    }
-
     /// Take the per-rank endpoints (callable once; each goes to one thread).
     ///
     /// # Panics
@@ -323,12 +264,9 @@ impl CommWorld {
                 pending: BTreeMap::new(),
                 op_counter: 0,
                 traffic: Arc::clone(&self.traffic),
-                delays: self.delays.clone(),
                 faults: self.faults.clone(),
                 default_deadline: self.default_deadline,
                 send_seq: std::cell::Cell::new(0),
-                recv_seq: 0,
-                waiting: Arc::clone(&self.waiting),
             })
             .collect()
     }
@@ -347,16 +285,12 @@ pub struct Communicator {
     /// order, so equal counters identify the same operation.
     op_counter: u64,
     traffic: Arc<Traffic>,
-    /// Delay-injection schedule (race-checker hook); `None` in production.
-    delays: Option<Arc<DelaySchedule>>,
     /// Message-drop schedule (fault-injection hook); `None` in production.
     faults: Option<Arc<FaultSchedule>>,
     /// Deadline applied to plain `recv` calls; `None` = block forever.
     default_deadline: Option<Duration>,
     /// `Cell`: `send` takes `&self` (endpoints are per-thread, never shared).
     send_seq: std::cell::Cell<u64>,
-    recv_seq: u64,
-    waiting: WaitTable,
 }
 
 impl Communicator {
@@ -368,13 +302,6 @@ impl Communicator {
     /// World size.
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// Install a delay-injection schedule on this endpoint (race-checker
-    /// hook; see [`DelaySchedule`]). Also settable world-wide before the
-    /// endpoints are taken via [`CommWorld::set_delays`].
-    pub fn set_delays(&mut self, delays: Arc<DelaySchedule>) {
-        self.delays = Some(delays);
     }
 
     /// Set or clear this endpoint's default receive deadline (see
@@ -394,9 +321,6 @@ impl Communicator {
     pub fn send(&self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
         let seq = self.send_seq.get();
         self.send_seq.set(seq + 1);
-        if let Some(d) = &self.delays {
-            d.apply(&d.send, self.rank, seq);
-        }
         if let Some(f) = &self.faults {
             if f.should_drop(self.rank, seq) {
                 self.traffic.dropped.fetch_add(1, Ordering::Relaxed);
@@ -440,31 +364,27 @@ impl Communicator {
         tag: u64,
         timeout: Option<Duration>,
     ) -> Result<Vec<f32>, CommError> {
-        if let Some(d) = self.delays.clone() {
-            d.apply(&d.recv, self.rank, self.recv_seq);
-            self.recv_seq += 1;
-        }
         if let Some(q) = self.pending.get_mut(&(src, tag)) {
             if let Some(m) = q.pop_front() {
                 return Ok(m);
             }
         }
         let deadline = timeout.map(|t| Instant::now() + t);
-        *self.waiting[self.rank].lock().expect("wait-table lock") = Some((src, tag));
-        let out = loop {
-            match self.next_message(deadline, src, tag) {
-                Ok(msg) if msg.from == src && msg.tag == tag => break Ok(msg.payload),
-                Ok(msg) => {
-                    self.pending
-                        .entry((msg.from, msg.tag))
-                        .or_default()
-                        .push_back(msg.payload);
-                }
-                Err(e) => break Err(e),
+        loop {
+            let msg = self.next_message(deadline, src, tag)?;
+            if msg.from == src && msg.tag == tag {
+                return Ok(msg.payload);
             }
-        };
-        *self.waiting[self.rank].lock().expect("wait-table lock") = None;
-        out
+            self.park(msg);
+        }
+    }
+
+    /// Park an arrival no receive is waiting for yet.
+    fn park(&mut self, msg: Message) {
+        self.pending
+            .entry((msg.from, msg.tag))
+            .or_default()
+            .push_back(msg.payload);
     }
 
     /// One message off the channel, bounded by `deadline` when present.
@@ -499,7 +419,8 @@ impl Communicator {
     /// This is deliberately **not** used by the crate's fixed-order
     /// collectives: the combine order it yields depends on the thread
     /// schedule, which is exactly the nondeterminism those exist to avoid.
-    /// It is public for the `sasgd-analysis` race checker and for the
+    /// Its callers are the parameter-server shard loop (asynchronous by
+    /// design: arrival order across learners *is* the schedule) and the
     /// fault-tolerant collectives in [`crate::ft`], whose recovery sweep
     /// re-sorts arrivals by source rank before combining.
     pub fn recv_any(
@@ -524,10 +445,6 @@ impl Communicator {
         timeout: Option<Duration>,
     ) -> Result<(usize, Vec<f32>), CommError> {
         let &(first_src, first_tag) = candidates.first().ok_or(CommError::NoCandidates)?;
-        if let Some(d) = self.delays.clone() {
-            d.apply(&d.recv, self.rank, self.recv_seq);
-            self.recv_seq += 1;
-        }
         for &(src, tag) in candidates {
             if let Some(q) = self.pending.get_mut(&(src, tag)) {
                 if let Some(m) = q.pop_front() {
@@ -536,23 +453,13 @@ impl Communicator {
             }
         }
         let deadline = timeout.map(|t| Instant::now() + t);
-        *self.waiting[self.rank].lock().expect("wait-table lock") = Some((first_src, first_tag));
-        let out = loop {
-            match self.next_message(deadline, first_src, first_tag) {
-                Ok(msg) if candidates.contains(&(msg.from, msg.tag)) => {
-                    break Ok((msg.from, msg.payload));
-                }
-                Ok(msg) => {
-                    self.pending
-                        .entry((msg.from, msg.tag))
-                        .or_default()
-                        .push_back(msg.payload);
-                }
-                Err(e) => break Err(e),
+        loop {
+            let msg = self.next_message(deadline, first_src, first_tag)?;
+            if candidates.contains(&(msg.from, msg.tag)) {
+                return Ok((msg.from, msg.payload));
             }
-        };
-        *self.waiting[self.rank].lock().expect("wait-table lock") = None;
-        out
+            self.park(msg);
+        }
     }
 
     /// Next collective sequence number (advances the counter).
@@ -659,10 +566,8 @@ mod tests {
     }
 
     #[test]
-    fn recv_deadline_times_out_and_clears_wait_table() {
+    fn recv_deadline_times_out_with_a_live_peer() {
         let mut world = CommWorld::new(2);
-        let snapshot_world = world.waiting_snapshot();
-        assert_eq!(snapshot_world, vec![None, None]);
         let mut comms = world.communicators();
         let _c1 = comms.pop().expect("rank 1");
         let mut c0 = comms.pop().expect("rank 0");
@@ -670,8 +575,6 @@ mod tests {
             c0.recv_deadline(1, 4, Duration::from_millis(10)),
             Err(CommError::Timeout { src: 1, tag: 4 })
         );
-        // The wait-table entry must be cleared on the error path too.
-        assert_eq!(world.waiting_snapshot(), vec![None, None]);
     }
 
     #[test]

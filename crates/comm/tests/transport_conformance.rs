@@ -261,7 +261,7 @@ conformance!(inproc, inproc_world);
 conformance!(socket, socket_world);
 conformance!(mock, mock_world);
 // The model checker's transport in *live* mode: same failure-semantics
-// contract as the real substrates, so `repro analyze --model` results
+// contract as the real substrates, so `repro analyze` results
 // transfer to the transports the engine actually runs on.
 use sasgd_analysis::model::model_world;
 conformance!(model, model_world);
