@@ -8,7 +8,7 @@
 //! | `map-iter`    | no `HashMap`/`HashSet` in numeric crates (`tensor`, `nn`, `core`, `comm`) — nondeterministic iteration order can reach numerics |
 //! | `unsafe`      | no `unsafe` outside the allow-list; allowed blocks must carry a `// SAFETY:` comment within 4 lines above |
 //! | `wall-clock`  | no `Instant::now` / `SystemTime` outside the threaded backend and `bench` — the Simulated backend is virtual-clock pure |
-//! | `raw-spawn`   | no `std::thread::spawn` outside `comm`, the threaded backend, and the analyzer's two thread hosts |
+//! | `raw-spawn`   | no `std::thread::spawn` / `Builder` / `scope` outside `comm`, the threaded backend, the analyzer's two thread hosts, and the one fork-join site, `tensor/src/parallel.rs` |
 //! | `hot-alloc`   | no heap-allocating calls (`Vec::new`, `vec!`, `.to_vec()`, `.clone()`, …) inside functions annotated `// hot-path` |
 //! | `float-cast`  | no `as` casts with syntactic float evidence in gradient-math crates (float→int truncation, `f64`→`f32` width collapse) |
 //! | `comm-unwrap` | no `.unwrap()`/`.expect()` on `CommError`-carrying Results in `comm`/`core` library code — peer loss and timeouts are runtime conditions, not bugs |
@@ -102,10 +102,12 @@ const WALL_CLOCK_ALLOWED: &[&str] = &[
 
 /// Raw thread creation: the comm substrate, the threaded backend, and the
 /// analyzer's two rank-thread hosts — the model checker's scheduler and
-/// the real-thread cross-check — plus the analyzer's own tests.
+/// the real-thread cross-check — plus the analyzer's own tests; and the one
+/// fork-join site, whose threads share nothing but disjoint output blocks.
 const SPAWN_ALLOWED: &[&str] = &[
     "crates/comm/",
     "crates/core/src/engine/threaded.rs",
+    "crates/tensor/src/parallel.rs",
     "crates/analysis/src/model.rs",
     "crates/analysis/src/crosscheck.rs",
     "crates/analysis/tests/",
@@ -302,21 +304,24 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    // L4 raw-spawn: thread::spawn outside comm / the threaded backend.
+    // L4 raw-spawn: thread::{spawn, Builder, scope} outside comm, the
+    // threaded backend and the fork-join helpers.
     if !in_scope(path, SPAWN_ALLOWED) {
         for (i, t) in toks.iter().enumerate() {
             if t.kind == TokKind::Ident
                 && t.text == "thread"
                 && matches!(
                     (toks.get(i + 1), toks.get(i + 2)),
-                    (Some(a), Some(b)) if a.is("::") && (b.is("spawn") || b.is("Builder"))
+                    (Some(a), Some(b))
+                        if a.is("::") && (b.is("spawn") || b.is("Builder") || b.is("scope"))
                 )
             {
                 push(
                     "raw-spawn",
                     t.line,
-                    "std::thread::spawn outside comm/the threaded harness: concurrency must be \
-                     expressed over a Transport, the only kind the model checker explores"
+                    "thread creation outside comm/the threaded harness/tensor::parallel: \
+                     message-passing concurrency goes over a Transport, the only kind the model \
+                     checker explores; fork-join over disjoint outputs goes through parallel.rs"
                         .to_string(),
                     &mut out,
                 );
@@ -1039,6 +1044,18 @@ mod tests {
             lints_of("crates/core/src/engine/rank.rs", src),
             vec!["raw-spawn"]
         );
+        // Scoped threads are threads: one fork-join site, named by file.
+        let scoped = "std::thread::scope(|s| { s.spawn(|| {}); });\n";
+        assert_eq!(
+            lints_of("crates/nn/src/model.rs", scoped),
+            vec!["raw-spawn"]
+        );
+        assert_eq!(
+            lints_of("crates/tensor/src/conv.rs", scoped),
+            vec!["raw-spawn"]
+        );
+        assert!(lints_of("crates/tensor/src/parallel.rs", scoped).is_empty());
+        assert!(lints_of("crates/core/src/engine/threaded.rs", scoped).is_empty());
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::time::Duration;
 fn aggregate_allreduce(p: usize, m: usize) {
     let mut world = CommWorld::new(p);
     let comms = world.communicators();
+    // lint:allow(raw-spawn): bench host of rank threads over CommWorld endpoints
     thread::scope(|s| {
         for mut c in comms {
             s.spawn(move || {

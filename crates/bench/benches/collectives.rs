@@ -10,6 +10,7 @@ use std::thread;
 fn run_allreduce(p: usize, m: usize, ring: bool) {
     let mut world = CommWorld::new(p);
     let comms = world.communicators();
+    // lint:allow(raw-spawn): bench host of rank threads over CommWorld endpoints
     thread::scope(|s| {
         for mut c in comms {
             s.spawn(move || {

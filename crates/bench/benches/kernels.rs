@@ -1,10 +1,16 @@
 //! Compute-kernel microbenchmarks: the per-minibatch work the cost model
-//! abstracts, measured for real on this host (matmul sequential vs Rayon,
-//! conv2d forward/backward on a Table-I-shaped layer).
+//! abstracts, measured for real on this host — matmul and conv2d
+//! forward/backward on a Table-I-shaped layer, each at width 1 and at the
+//! thread cap (the same kernels, banded; bitwise-identical outputs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sasgd_tensor::conv::{conv2d_backward, conv2d_forward, Conv2dSpec};
-use sasgd_tensor::{linalg, SeedRng, Tensor};
+use sasgd_tensor::{linalg, parallel, SeedRng, Tensor};
+
+/// The two widths every kernel is timed at.
+fn widths() -> [(&'static str, usize); 2] {
+    [("width1", 1), ("cap", parallel::cap())]
+}
 
 fn bench_matmul(c: &mut Criterion) {
     let mut g = c.benchmark_group("matmul");
@@ -13,12 +19,11 @@ fn bench_matmul(c: &mut Criterion) {
     for &n in &[64usize, 192] {
         let a = rng.normal_tensor(&[n, n], 1.0);
         let b = rng.normal_tensor(&[n, n], 1.0);
-        g.bench_with_input(BenchmarkId::new("sequential", n), &n, |bch, _| {
-            bch.iter(|| linalg::matmul(&a, &b))
-        });
-        g.bench_with_input(BenchmarkId::new("rayon", n), &n, |bch, _| {
-            bch.iter(|| linalg::matmul_par(&a, &b))
-        });
+        for (label, width) in widths() {
+            g.bench_with_input(BenchmarkId::new(label, n), &n, |bch, _| {
+                bch.iter(|| parallel::with_width(width, || linalg::matmul(&a, &b)))
+            });
+        }
     }
     g.finish();
 }
@@ -26,7 +31,7 @@ fn bench_matmul(c: &mut Criterion) {
 fn bench_conv(c: &mut Criterion) {
     let mut g = c.benchmark_group("conv2d");
     g.sample_size(10);
-    // The first Table I layer at reduced batch: conv(3→64, 5×5, pad 2).
+    // The first Table I layer: conv(3→64, 5×5, pad 2), batch 32.
     let spec = Conv2dSpec {
         ci: 3,
         co: 64,
@@ -36,17 +41,21 @@ fn bench_conv(c: &mut Criterion) {
         pad: 2,
     };
     let mut rng = SeedRng::new(2);
-    let input = rng.normal_tensor(&[4, 3, 32, 32], 1.0);
+    let input = rng.normal_tensor(&[32, 3, 32, 32], 1.0);
     let weight = rng.normal_tensor(&[64, spec.patch_len()], 0.1);
     let bias = vec![0.0f32; 64];
-    g.bench_function("forward_b4_32x32", |b| {
-        b.iter(|| conv2d_forward(&input, &weight, &bias, &spec))
-    });
     let out = conv2d_forward(&input, &weight, &bias, &spec);
     let grad = Tensor::full(out.dims(), 1.0);
-    g.bench_function("backward_b4_32x32", |b| {
-        b.iter(|| conv2d_backward(&input, &weight, &grad, &spec))
-    });
+    for (label, width) in widths() {
+        g.bench_function(BenchmarkId::new("forward_b32_32x32", label), |b| {
+            b.iter(|| parallel::with_width(width, || conv2d_forward(&input, &weight, &bias, &spec)))
+        });
+        g.bench_function(BenchmarkId::new("backward_b32_32x32", label), |b| {
+            b.iter(|| {
+                parallel::with_width(width, || conv2d_backward(&input, &weight, &grad, &spec))
+            })
+        });
+    }
     g.finish();
 }
 

@@ -29,10 +29,10 @@
 //! ## Roofline sweep
 //!
 //! Alongside the model-level suite the harness sweeps the raw GEMM
-//! kernels — NN / NT / TN at model-representative shapes — across every
-//! feature leg this build can run: `serial` (the PR 3 scalar path, the
-//! baseline every speedup is quoted against) and `parallel` (same kernels,
-//! banded over a pool of `max(2, cores)` threads). The `nt` cells go
+//! kernels — NN / NT / TN at model-representative shapes — on two legs:
+//! `serial` (width 1, the baseline every speedup is quoted against) and
+//! `parallel` (same kernels, banded under a width of `max(2, cap)`). The
+//! `nt` cells go
 //! through [`linalg::gemm_nt_ws`], the dispatcher training calls
 //! (transpose + the compacting NN kernel at these row counts); the dot
 //! kernel it replaced stays in the sweep as the `nt_dot` oracle row. `A` is
@@ -42,10 +42,10 @@
 //! `nn_over_nt_dot` — serial NN over the oracle, which falls back towards
 //! 1.7 on `conv_im2col` if the NN kernel returns to a branch per term. Each
 //! cell reports *nominal* GFLOP/s (`2·m·k·n` over time, skipped zeros
-//! included); the pool is *explicitly* sized to at least 2 threads for the
-//! parallel legs and the [`parallel::par_regions_taken`] counter is
-//! recorded, so the artifact proves intra-op threads actually engaged
-//! instead of silently serializing on 1-core CI.
+//! included); the parallel leg is *explicitly* at least 2 wide and the
+//! [`parallel::regions_taken`] counter is recorded, so the artifact proves
+//! intra-op threads actually engaged instead of silently serializing on
+//! 1-core CI.
 
 use std::time::Instant;
 
@@ -86,7 +86,7 @@ const ROOFLINE_SHAPES: &[(&str, usize, usize, usize, f32)] = &[
 const ROOFLINE_KERNELS: [&str; 4] = ["nn", "nt", "nt_dot", "tn"];
 
 /// One roofline row: a kernel at a shape, with one `(leg, ms, GFLOP/s)`
-/// cell per feature leg this build could run.
+/// cell per leg.
 pub struct RooflineRow {
     /// GEMM kernel: `nn`, `nt` (the training dispatcher), `nt_dot` (the
     /// dot-kernel oracle), or `tn`.
@@ -110,9 +110,9 @@ pub struct RooflineRow {
 pub struct Roofline {
     /// One row per kernel × shape.
     pub rows: Vec<RooflineRow>,
-    /// [`parallel::par_regions_taken`] during the sweep — `> 0` proves
-    /// the pool engaged (the parallel legs force ≥ 2 threads even on a
-    /// 1-core machine).
+    /// [`parallel::regions_taken`] during the sweep — `> 0` proves the
+    /// kernels fanned out (the parallel leg is ≥ 2 wide even on a 1-core
+    /// machine).
     pub parallel_path_taken: u64,
 }
 
@@ -171,21 +171,14 @@ fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     t
 }
 
-/// Sweep the GEMM kernels across shapes and feature legs. Restores the
-/// requested thread count before returning.
+/// Sweep the GEMM kernels across shapes and the two legs.
 pub fn run_roofline() -> Roofline {
-    let initial_threads = parallel::requested_threads();
-    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
-    // At least 2 pool threads for the parallel legs: oversubscription is
+    // At least 2 wide on the parallel leg: oversubscription is
     // deterministic-safe, and it keeps the "did threads engage" check
     // meaningful on 1-core CI runners.
-    let par_threads = cores.max(2);
-    let mut legs: Vec<(&'static str, usize)> = vec![("serial", 1)];
-    if parallel::parallel_enabled() {
-        legs.push(("parallel", par_threads));
-    }
+    let legs = [("serial", 1), ("parallel", parallel::cap().max(2))];
 
-    parallel::reset_par_regions();
+    parallel::reset_regions();
     let mut rng = SeedRng::new(0xF00F);
     let mut ws = Workspace::new();
     let mut rows = Vec::new();
@@ -202,18 +195,17 @@ pub fn run_roofline() -> Roofline {
         let mut out = vec![0.0f32; m * n];
         for kernel in ROOFLINE_KERNELS {
             let mut cells = Vec::new();
-            for &(leg, threads) in &legs {
-                parallel::configure_threads(threads);
+            for &(leg, width) in &legs {
                 let mut best = f64::INFINITY;
                 for _ in 0..REPS {
                     let t0 = Instant::now();
-                    match kernel {
-                        "nn" => linalg::matmul_into_auto(&mut out, &a, &b, m, k, n),
+                    parallel::with_width(width, || match kernel {
+                        "nn" => linalg::matmul_into(&mut out, &a, &b, m, k, n),
                         "nt" => linalg::gemm_nt_ws(&mut out, &a, &bt, m, k, n, &mut ws),
-                        "nt_dot" => linalg::matmul_nt_into_auto(&mut out, &a, &bt, m, k, n),
-                        "tn" => linalg::matmul_tn_into_auto(&mut out, &at, &b, k, m, n),
+                        "nt_dot" => linalg::matmul_nt_into(&mut out, &a, &bt, m, k, n),
+                        "tn" => linalg::matmul_tn_into(&mut out, &at, &b, k, m, n),
                         _ => unreachable!("kernel grid is fixed"),
-                    }
+                    });
                     best = best.min(t0.elapsed().as_secs_f64());
                 }
                 let gflops = 2.0 * (m * k * n) as f64 / best / 1e9;
@@ -230,11 +222,9 @@ pub fn run_roofline() -> Roofline {
             });
         }
     }
-    let parallel_path_taken = parallel::par_regions_taken();
-    parallel::configure_threads(initial_threads);
     Roofline {
         rows,
-        parallel_path_taken,
+        parallel_path_taken: parallel::regions_taken(),
     }
 }
 
@@ -543,13 +533,10 @@ pub fn run_engine_step() -> EngineStep {
 pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"parallel_feature\": {},\n  \"pool_threads\": {},\n  \
-         \"par_threshold\": {},\n  \"alloc_counting\": {},\n  \
+        "  \"threads\": {},\n  \"alloc_counting\": {},\n  \
          \"parallel_path_taken\": {},\n  \"engine_step\": {{\"ms_per_step\": {:.3}, \
          \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}}},\n  \"cases\": [\n",
-        parallel::parallel_enabled(),
-        parallel::threads(),
-        linalg::par_threshold(),
+        parallel::cap(),
         alloc::counting(),
         roof.parallel_path_taken,
         engine.ms_per_step,
@@ -628,7 +615,9 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) 
 /// The `hotpath` repro target: run the suite and the roofline sweep, emit
 /// a report plus `BENCH_hotpath.json`.
 pub fn hotpath() -> Artifact {
-    let timings = run_suite();
+    // The suite steps models on this thread, which nobody sized: give it
+    // what a one-learner run gets.
+    let timings = parallel::with_width(parallel::cap(), run_suite);
     let engine = run_engine_step();
     let roof = run_roofline();
     let mut report = String::from(
@@ -664,15 +653,14 @@ pub fn hotpath() -> Artifact {
         report.push_str("\n(counting allocator not installed: alloc columns are zero)\n");
     }
     report.push_str(&format!(
-        "\npar_threshold = {} rows ({} pool thread(s))\n",
-        linalg::par_threshold(),
-        parallel::threads()
+        "\nthreads = {} (the cap the step timings above ran under)\n",
+        parallel::cap()
     ));
 
-    report.push_str("\nRoofline: GFLOP/s per kernel x shape x feature leg\n");
+    report.push_str("\nRoofline: GFLOP/s per kernel x shape x leg\n");
     report.push_str(
-        "(serial = PR 3 scalar baseline; parallel legs force >= 2 pool threads; nt = the \
-         gemm_nt_ws dispatcher, nt_dot = the dot-kernel oracle; nominal GF/s, A zeros skipped)\n\n",
+        "(serial = width 1; the parallel leg is >= 2 wide; nt = the gemm_nt_ws dispatcher, \
+         nt_dot = the dot-kernel oracle; nominal GF/s, A zeros skipped)\n\n",
     );
     let leg_names: Vec<&str> = roof
         .rows
@@ -720,7 +708,7 @@ pub fn hotpath() -> Artifact {
         report.push('\n');
     }
     report.push_str(&format!(
-        "\nparallel_path_taken = {} region(s) fanned out over the pool\n",
+        "\nparallel_path_taken = {} region(s) fanned out\n",
         roof.parallel_path_taken
     ));
     Artifact {
@@ -813,7 +801,6 @@ mod tests {
         ));
         assert!(j.contains("\"speedup\": 2.000"));
         assert!(j.contains("\"alloc_drop\": 20.0"));
-        assert!(j.contains("\"par_threshold\""));
         assert!(j.contains("\"parallel_path_taken\": 3"));
         assert!(j.contains("\"roofline\""));
         assert!(j.contains("\"best_over_serial\": 2.000"));
@@ -828,9 +815,7 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "parallel_feature",
-                "pool_threads",
-                "par_threshold",
+                "threads",
                 "alloc_counting",
                 "parallel_path_taken",
                 "engine_step",
@@ -845,22 +830,16 @@ mod tests {
     }
 
     #[test]
-    fn roofline_sweeps_every_leg_this_build_carries() {
+    fn roofline_sweeps_both_legs() {
         let roof = run_roofline();
-        // 4 kernel rows x 3 shapes, each with `serial` and, when built in,
-        // `parallel`.
+        // 4 kernel rows x 3 shapes, each with `serial` and `parallel`.
         assert_eq!(
             roof.rows.len(),
             ROOFLINE_SHAPES.len() * ROOFLINE_KERNELS.len()
         );
-        let want_legs: &[&str] = if parallel::parallel_enabled() {
-            &["serial", "parallel"]
-        } else {
-            &["serial"]
-        };
         for r in &roof.rows {
             let legs: Vec<&str> = r.legs.iter().map(|&(l, _, _)| l).collect();
-            assert_eq!(legs, want_legs, "{}/{}", r.kernel, r.shape);
+            assert_eq!(legs, ["serial", "parallel"], "{}/{}", r.kernel, r.shape);
             for &(leg, ms, gflops) in &r.legs {
                 assert!(ms > 0.0 && gflops > 0.0, "{leg} cell not measured");
             }
@@ -870,9 +849,7 @@ mod tests {
             assert_eq!(ratios.len(), ROOFLINE_SHAPES.len());
             assert!(ratios.iter().all(|&(_, r)| r.is_finite() && r > 0.0));
         }
-        // Any parallel-capable build must prove its pool engaged.
-        if parallel::parallel_enabled() {
-            assert!(roof.parallel_path_taken > 0, "pool never engaged");
-        }
+        // The parallel leg must prove it fanned out.
+        assert!(roof.parallel_path_taken > 0, "no region fanned out");
     }
 }

@@ -2,10 +2,9 @@
 //! recorded as `BENCH_kernels.json` so the perf trajectory of the hot path
 //! (the tensor GEMM/conv kernels) is tracked over time.
 //!
-//! "Serial" pins the intra-op pool to one thread (or calls the sequential
-//! entry point where one exists); "parallel" lets the pool use every core.
-//! Without the `parallel` feature both columns run the serial kernels and
-//! the speedup is ~1 — the JSON records which build produced it.
+//! "Serial" runs a kernel at width 1, "parallel" at the process cap
+//! (`parallel::cap()`, every core unless configured); the JSON records
+//! that cap as `threads`.
 
 use std::time::Instant;
 
@@ -40,12 +39,10 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     (best * 1e3, out)
 }
 
-/// Time one kernel under a 1-thread pool and a full pool.
+/// Time one kernel at width 1 and at the cap.
 fn timed(name: &str, mut run: impl FnMut() -> Vec<f32>) -> KernelTiming {
-    parallel::configure_threads(1);
-    let (serial_ms, s_out) = best_of(&mut run);
-    parallel::configure_threads(0);
-    let (parallel_ms, p_out) = best_of(&mut run);
+    let (serial_ms, s_out) = parallel::with_width(1, || best_of(&mut run));
+    let (parallel_ms, p_out) = parallel::with_width(parallel::cap(), || best_of(&mut run));
     KernelTiming {
         name: name.to_string(),
         serial_ms,
@@ -91,51 +88,29 @@ pub fn run_suite() -> Vec<KernelTiming> {
     // patches over 200 channels), and the 1000×1000 fully connected.
     let fc1_x = rng.normal_tensor(&[32 * 50, 100], 1.0);
     let fc1_w = rng.normal_tensor(&[100, 200], 0.1);
-    out.push(timed_pair("table2_fc1_gemm", &fc1_x, &fc1_w));
+    out.push(timed("table2_fc1_gemm", || {
+        linalg::matmul(&fc1_x, &fc1_w).into_vec()
+    }));
     let tc_x = rng.normal_tensor(&[32 * 50, 400], 1.0);
     let tc_w = rng.normal_tensor(&[1000, 400], 0.05);
-    out.push(KernelTiming {
-        name: "table2_tconv_gemm".to_string(),
-        ..timed_nt(&tc_x, &tc_w)
-    });
+    out.push(timed("table2_tconv_gemm", || {
+        linalg::matmul_nt(&tc_x, &tc_w).into_vec()
+    }));
     let fc2_x = rng.normal_tensor(&[32, 1000], 1.0);
     let fc2_w = rng.normal_tensor(&[1000, 1000], 0.03);
-    out.push(timed_pair("table2_fc2_gemm", &fc2_x, &fc2_w));
+    out.push(timed("table2_fc2_gemm", || {
+        linalg::matmul(&fc2_x, &fc2_w).into_vec()
+    }));
 
     out
-}
-
-/// Serial [`linalg::matmul`] vs [`linalg::matmul_par`] on fixed operands.
-fn timed_pair(name: &str, a: &Tensor, b: &Tensor) -> KernelTiming {
-    let (serial_ms, s) = best_of(|| linalg::matmul(a, b));
-    let (parallel_ms, p) = best_of(|| linalg::matmul_par(a, b));
-    KernelTiming {
-        name: name.to_string(),
-        serial_ms,
-        parallel_ms,
-        bitwise_equal: s.as_slice() == p.as_slice(),
-    }
-}
-
-/// Serial [`linalg::matmul_nt`] vs [`linalg::matmul_nt_par`].
-fn timed_nt(a: &Tensor, b: &Tensor) -> KernelTiming {
-    let (serial_ms, s) = best_of(|| linalg::matmul_nt(a, b));
-    let (parallel_ms, p) = best_of(|| linalg::matmul_nt_par(a, b));
-    KernelTiming {
-        name: String::new(),
-        serial_ms,
-        parallel_ms,
-        bitwise_equal: s.as_slice() == p.as_slice(),
-    }
 }
 
 /// Hand-rolled JSON (the workspace builds offline, with no serde).
 pub fn to_json(timings: &[KernelTiming]) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
-        "  \"parallel_feature\": {},\n  \"pool_threads\": {},\n  \"kernels\": [\n",
-        parallel::parallel_enabled(),
-        parallel::threads()
+        "  \"threads\": {},\n  \"kernels\": [\n",
+        parallel::cap()
     ));
     for (i, t) in timings.iter().enumerate() {
         s.push_str(&format!(
@@ -157,9 +132,8 @@ pub fn to_json(timings: &[KernelTiming]) -> String {
 /// `BENCH_kernels.json`.
 pub fn kernels() -> Artifact {
     let timings = run_suite();
-    let mut report = String::from(
-        "Compute-kernel timings (serial = 1 intra-op thread, parallel = all cores)\n\n",
-    );
+    let mut report =
+        String::from("Compute-kernel timings (serial = width 1, parallel = the thread cap)\n\n");
     report.push_str(&format!(
         "{:<24} {:>10} {:>12} {:>8}  bitwise\n",
         "kernel", "serial ms", "parallel ms", "speedup"
@@ -173,9 +147,6 @@ pub fn kernels() -> Artifact {
             t.serial_ms / t.parallel_ms,
             if t.bitwise_equal { "ok" } else { "DIVERGED" }
         ));
-    }
-    if !parallel::parallel_enabled() {
-        report.push_str("\n(built without the `parallel` feature: both columns are serial)\n");
     }
     Artifact {
         name: "kernels".to_string(),
@@ -208,7 +179,7 @@ mod tests {
         let mut rng = SeedRng::new(1);
         let a = rng.normal_tensor(&[8, 5], 1.0);
         let b = rng.normal_tensor(&[5, 4], 1.0);
-        let t = timed_pair("smoke", &a, &b);
+        let t = timed("smoke", || linalg::matmul(&a, &b).into_vec());
         assert!(t.bitwise_equal);
         assert!(t.serial_ms >= 0.0 && t.parallel_ms >= 0.0);
     }

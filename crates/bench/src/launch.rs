@@ -32,7 +32,7 @@ use sasgd_core::{run_rank, Algorithm, Backend, Executor, GammaP, TrainConfig};
 use sasgd_data::cifar_like::{generate, CifarLikeConfig};
 use sasgd_data::Dataset;
 use sasgd_nn::{models, Model};
-use sasgd_tensor::SeedRng;
+use sasgd_tensor::{parallel, SeedRng};
 
 use crate::figures::Artifact;
 
@@ -124,8 +124,13 @@ fn rank_run(args: &[String]) -> Result<(), String> {
     // Regenerate the fixed workload; every child derives the identical
     // shards and lockstep step count the in-process backend would.
     let (train, test, cfg) = workload();
-    let history = run_rank(comm, &model, &train, &test, &algorithm(size), &cfg)
-        .map_err(|e| format!("rank {rank} wire failure: {e}"))?;
+    // The `size` rank processes share this machine: each takes its share
+    // of the compute threads, as the threaded backend gives a rank thread.
+    let width = parallel::width_for(size, 0);
+    let history = parallel::with_width(width, || {
+        run_rank(comm, &model, &train, &test, &algorithm(size), &cfg)
+    })
+    .map_err(|e| format!("rank {rank} wire failure: {e}"))?;
 
     if rank == 0 {
         let out = out.ok_or("--out is required for rank 0")?;

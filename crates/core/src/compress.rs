@@ -1541,6 +1541,7 @@ mod tests {
 
         // The same p codecs, each on its own rank of a real wire tree.
         let mut world = CommWorld::new(p);
+        // lint:allow(raw-spawn): test host of rank threads over CommWorld endpoints
         let wire: Vec<ErrorFeedback> = std::thread::scope(|scope| {
             let handles: Vec<_> = world
                 .communicators()

@@ -688,6 +688,7 @@ mod tests {
             // deadline only bounds how soon they notice.
             let mut world = CommWorld::new(3).communicators().into_iter();
             let learner = world.next().expect("learner endpoint");
+            // lint:allow(raw-spawn): test host of shard threads over CommWorld endpoints
             let mut exchange = std::thread::scope(|scope| {
                 let mut alive = Vec::new();
                 for mut shard in world {

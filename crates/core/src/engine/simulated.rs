@@ -28,6 +28,7 @@
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 use sasgd_simnet::{RankQueue, VirtualTime};
+use sasgd_tensor::parallel;
 
 use super::{
     event_gamma_epoch, min_whole_batches, AggregationStrategy, BatchStream, Cadence, CommDecision,
@@ -48,7 +49,9 @@ pub(crate) fn run_auto(
     run(strategy, factory, train_set, test_set, cfg, cadence)
 }
 
-/// Run `strategy` on the simulated backend at the given cadence.
+/// Run `strategy` on the simulated backend at the given cadence. Every
+/// learner steps on this one OS thread, so its kernels take the caller's
+/// whole budget of compute threads.
 pub(crate) fn run(
     strategy: &mut dyn AggregationStrategy,
     factory: &mut dyn FnMut() -> Model,
@@ -57,7 +60,7 @@ pub(crate) fn run(
     cfg: &TrainConfig,
     cadence: Cadence,
 ) -> History {
-    match cadence {
+    parallel::with_width(parallel::budget(), || match cadence {
         Cadence::Lockstep => run_lockstep(strategy, factory, train_set, test_set, cfg),
         Cadence::EventDriven => match strategy.comm_scope() {
             CommScope::Individual => {
@@ -67,7 +70,7 @@ pub(crate) fn run(
                 run_event_collective(strategy, factory, train_set, test_set, cfg)
             }
         },
-    }
+    })
 }
 
 fn run_lockstep(

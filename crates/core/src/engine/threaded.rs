@@ -14,6 +14,7 @@ use std::sync::Arc;
 use sasgd_comm::world::{CommWorld, Communicator, Traffic};
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
+use sasgd_tensor::parallel;
 
 use super::exchange::Endpoint;
 use super::rank::{drive, supported_cadence};
@@ -52,9 +53,10 @@ fn join_learners<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T
     ok
 }
 
-/// Spawn one thread per endpoint (in rank order) on `body`, join them all,
-/// and merge: the lowest-rank error wins (peers typically fail secondarily
-/// when the first casualty's endpoint disappears mid-collective);
+/// Spawn one thread per endpoint (in rank order) on `body`, each `width`
+/// kernel workers wide, join them all, and merge: the lowest-rank error
+/// wins (peers typically fail secondarily when the first casualty's
+/// endpoint disappears mid-collective);
 /// otherwise rank 0's history, with every rank's sparsity telemetry and
 /// retirement account folded in and `wire` read from the traffic counters
 /// once the world is quiet. Ranks that exchange `individually` (with a
@@ -64,6 +66,7 @@ fn spawn_ranks<E: Send>(
     endpoints: Vec<E>,
     body: impl Fn(usize, E) -> Result<History, EngineError> + Sync,
     individually: bool,
+    width: usize,
     wire: impl FnOnce() -> WireStats,
 ) -> Result<History, EngineError> {
     let results = std::thread::scope(|scope| {
@@ -71,7 +74,9 @@ fn spawn_ranks<E: Send>(
         let handles = endpoints
             .into_iter()
             .enumerate()
-            .map(|(rank, endpoint)| scope.spawn(move || body(rank, endpoint)))
+            .map(|(rank, endpoint)| {
+                scope.spawn(move || parallel::with_width(width, || body(rank, endpoint)))
+            })
             .collect();
         join_learners(handles)
     });
@@ -121,9 +126,6 @@ pub(crate) fn run(
 ) -> Result<History, EngineError> {
     let cadence = supported_cadence(algo, cfg.cadence)?;
     let p = algo.learners();
-    // Split intra-op workers across the p learner threads (no-op unless
-    // the `parallel` feature is on and nothing was configured explicitly).
-    sasgd_tensor::parallel::auto_configure_for_learners(p);
     let rank_loop = |rank: usize, endpoint: Endpoint<'_, Communicator>| {
         drive(
             rank, endpoint, factory, train_set, test_set, algo, cfg, cadence,
@@ -135,7 +137,8 @@ pub(crate) fn run(
         } => {
             let (bundles, traffic) = sasgd_comm::hierarchy::grouped(groups, per_group);
             let endpoints = bundles.into_iter().map(Endpoint::Grouped).collect();
-            spawn_ranks(endpoints, rank_loop, false, || sent(&traffic))
+            let width = parallel::width_for(p, 0);
+            spawn_ranks(endpoints, rank_loop, false, width, || sent(&traffic))
         }
         _ => {
             // Downpour shards its server across as many ranks as it has
@@ -155,7 +158,10 @@ pub(crate) fn run(
                 .into_iter()
                 .map(|comm| Endpoint::Flat(comm, faults))
                 .collect();
-            spawn_ranks(endpoints, rank_loop, shards > 0, || sent(&traffic))
+            // The compute threads this caller may use, shared evenly by
+            // the ranks: oversubscribed worlds run the serial kernels.
+            let width = parallel::width_for(p, shards);
+            spawn_ranks(endpoints, rank_loop, shards > 0, width, || sent(&traffic))
         }
     }
 }

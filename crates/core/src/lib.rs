@@ -53,8 +53,9 @@ pub use sasgd_comm::sparse::{LevelStats, SparseLevelProfile};
 /// configure fault-tolerant runs without a direct comm dependency.
 pub use sasgd_comm::{FaultEvent, FaultKind, FaultPlan};
 pub use sasgd_data::ShardStrategy;
-/// Intra-op thread-pool control for the compute kernels (re-exported from
-/// `sasgd-tensor` so embedders size the pool without a direct tensor dep).
+/// Intra-op width control for the compute kernels (re-exported from
+/// `sasgd-tensor` so embedders cap the compute threads without a direct
+/// tensor dep).
 pub use sasgd_tensor::parallel;
 pub use schedule::{LrSchedule, SyncPolicy, TSchedule};
 pub use sweep::{run_sweep, SweepGrid, SweepResult};

@@ -4,12 +4,14 @@
 //! Every figure in the paper is a sweep — over `p`, over `T`, over
 //! algorithms. This module is the public API for users running their own:
 //! build a [`SweepGrid`], call [`run_sweep`], get one [`History`] per
-//! configuration. Simulated runs are single-threaded and independent, so
-//! the sweep parallelizes embarrassingly; each run stays bit-identical to
-//! a standalone [`crate::train`] call with the same seed.
+//! configuration. Simulated runs are independent, so the sweep
+//! parallelizes embarrassingly — each worker's run takes an even share of
+//! the caller's compute threads for its kernels — and each run stays
+//! bit-identical to a standalone [`crate::train`] call with the same seed.
 
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
+use sasgd_tensor::parallel;
 
 use crate::algorithms::Algorithm;
 use crate::history::History;
@@ -70,22 +72,28 @@ pub fn run_sweep(
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<&mut Option<SweepResult>>> =
         results.iter_mut().map(std::sync::Mutex::new).collect();
+    let workers = workers.min(n);
+    // Concurrent runs share the caller's compute threads evenly.
+    let width = parallel::width_for(workers, 0);
+    // lint:allow(raw-spawn): whole independent runs, one result slot each — no rank talks to another
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let algo = grid.algorithms[i];
-                let mut cfg = grid.base.clone();
-                cfg.seed = grid.base.seed.wrapping_add(i as u64);
-                let mut f = factory;
-                let history = train(&mut f, train_set, test_set, &algo, &cfg);
-                **slots[i].lock().expect("slot lock") = Some(SweepResult {
-                    algorithm: algo,
-                    history,
-                });
+        for _ in 0..workers {
+            scope.spawn(|| {
+                parallel::with_width(width, || loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let algo = grid.algorithms[i];
+                    let mut cfg = grid.base.clone();
+                    cfg.seed = grid.base.seed.wrapping_add(i as u64);
+                    let mut f = factory;
+                    let history = train(&mut f, train_set, test_set, &algo, &cfg);
+                    **slots[i].lock().expect("slot lock") = Some(SweepResult {
+                        algorithm: algo,
+                        history,
+                    });
+                })
             });
         }
     });
@@ -199,8 +207,8 @@ mod tests {
         );
         let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
         let serial = run_sweep(&grid, &factory, &train_set, &test_set, 1);
-        let parallel = run_sweep(&grid, &factory, &train_set, &test_set, 0);
-        for (a, b) in serial.iter().zip(&parallel) {
+        let many = run_sweep(&grid, &factory, &train_set, &test_set, 0);
+        for (a, b) in serial.iter().zip(&many) {
             assert_eq!(
                 a.history.records.last().expect("r").train_loss,
                 b.history.records.last().expect("r").train_loss

@@ -4,7 +4,7 @@
 //! (`clear` + refill each step) rather than fresh allocations, so the
 //! steady-state hot path does not touch the allocator.
 
-use sasgd_tensor::Tensor;
+use sasgd_tensor::{parallel, Tensor};
 
 use crate::layer::{Ctx, Layer};
 
@@ -28,17 +28,31 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, mut input: Tensor, _: &[f32], ctx: &mut Ctx) -> Tensor {
-        if ctx.training {
-            self.mask.clear();
-            self.mask.extend(input.as_slice().iter().map(|&x| x > 0.0));
+        let n = input.numel();
+        // Outside training nobody reads a mask: the lock-step walk below
+        // then hands every band of activations an empty mask band.
+        let mask: &mut [bool] = if ctx.training {
+            self.mask.resize(n, false);
             self.mask_valid = true;
-        }
-        // A select, not a conditional store: baseline x86-64 has no masked
-        // store, so `if *x < 0.0 { *x = 0.0 }` is one data-dependent branch
-        // per activation, and this is a compare and a mask.
-        for x in input.as_mut_slice() {
-            *x = if *x < 0.0 { 0.0 } else { *x };
-        }
+            &mut self.mask
+        } else {
+            &mut []
+        };
+        // Element-wise, so any band of activations is independent.
+        let band = parallel::block_len(n, n);
+        let xs = input.as_mut_slice();
+        parallel::for_each_zip_chunks_mut(xs, band, mask, band, n, |_, xs, mask| {
+            for (m, &x) in mask.iter_mut().zip(&*xs) {
+                *m = x > 0.0;
+            }
+            // A select, not a conditional store: baseline x86-64 has no
+            // masked store, so `if *x < 0.0 { *x = 0.0 }` is one
+            // data-dependent branch per activation, and this is a compare
+            // and a mask.
+            for x in xs {
+                *x = if *x < 0.0 { 0.0 } else { *x };
+            }
+        });
         input
     }
 
@@ -46,9 +60,14 @@ impl Layer for Relu {
         assert!(self.mask_valid, "backward without forward");
         assert_eq!(grad_out.numel(), self.mask.len(), "gradient/mask length");
         self.mask_valid = false;
-        for (g, &m) in grad_out.as_mut_slice().iter_mut().zip(&self.mask) {
-            *g = if m { *g } else { 0.0 };
-        }
+        let n = grad_out.numel();
+        let band = parallel::block_len(n, n);
+        let mask = &self.mask;
+        parallel::for_each_chunk_mut(grad_out.as_mut_slice(), band, n, |j, gs| {
+            for (g, &m) in gs.iter_mut().zip(&mask[j * band..]) {
+                *g = if m { *g } else { 0.0 };
+            }
+        });
         grad_out
     }
 

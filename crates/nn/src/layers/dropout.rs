@@ -48,13 +48,10 @@ impl Layer for Dropout {
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        self.mask.clear();
         // One Bernoulli draw per element, in element order — the exact RNG
         // consumption the reproduction's seeds depend on.
-        for _ in 0..input.numel() {
-            self.mask
-                .push(if ctx.rng.bernoulli(keep) { scale } else { 0.0 });
-        }
+        self.mask.resize(input.numel(), 0.0);
+        ctx.rng.fill_keep_mask(keep, scale, &mut self.mask);
         for (x, &m) in input.as_mut_slice().iter_mut().zip(&self.mask) {
             *x *= m;
         }

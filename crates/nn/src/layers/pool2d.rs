@@ -53,7 +53,8 @@ impl Layer for MaxPool2d {
     fn backward(&mut self, grad_out: Tensor, _: &[f32], _: &mut [f32], ctx: &mut Ctx) -> Tensor {
         assert!(self.argmax_valid, "backward without forward");
         self.argmax_valid = false;
-        let mut din = Tensor::zeros_in(&self.cached_in_dims, &mut ctx.ws);
+        let numel = self.cached_in_dims.iter().product();
+        let mut din = Tensor::from_vec(ctx.ws.take_f32_uninit(numel), &self.cached_in_dims);
         maxpool2d_backward_into(&grad_out, &self.cached_argmax, din.as_mut_slice());
         ctx.ws.recycle(grad_out);
         din

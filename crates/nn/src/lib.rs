@@ -39,7 +39,7 @@ pub mod models;
 
 pub use layer::{Ctx, Layer};
 pub use model::{ForwardOutput, Model};
-/// Intra-op thread-pool control for the kernels under every layer
-/// (re-exported from `sasgd-tensor`): [`parallel::configure_threads`],
-/// [`parallel::intra_op_threads_for`], …
+/// Intra-op width control for the kernels under every layer (re-exported
+/// from `sasgd-tensor`): [`parallel::configure_threads`],
+/// [`parallel::with_width`], …
 pub use sasgd_tensor::parallel;

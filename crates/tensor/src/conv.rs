@@ -12,8 +12,8 @@
 //! The hot path lowers the **whole minibatch at once**: [`im2col_batch`]
 //! stacks all `n` images into one `[n*oh*ow, ci*kh*kw]` matrix (image
 //! `i`'s rows exactly where the per-image loop would put them), so forward
-//! and backward each become a single large GEMM whose row count actually
-//! saturates the thread pool. Scratch matrices come from a
+//! and backward each become a single large GEMM with enough rows to band
+//! across workers. Scratch matrices come from a
 //! [`Workspace`] via the `*_ws` entry points, so a
 //! steady-state training loop stops allocating. The pre-batching
 //! per-image implementations survive as [`conv2d_forward_ref`] /
@@ -23,7 +23,7 @@
 //! Every accumulation keeps the reference order — ascending inner index,
 //! `g == 0.0` skipped where the reference skipped it, per-image weight /
 //! bias partials reduced serially in image order — so batched and
-//! reference paths are bitwise identical at any thread count.
+//! reference paths are bitwise identical at any width.
 
 use crate::linalg;
 use crate::parallel;
@@ -155,7 +155,7 @@ pub fn im2col_ref(img: &[f32], ci: usize, h: usize, w: usize, spec: &Conv2dSpec)
 
 /// Lower a whole batch `[n, ci, h, w]` into one stacked patch matrix
 /// `[n*oh*ow, ci*kh*kw]` — image `i`'s rows land exactly where the
-/// per-image loop would put them, split across the thread pool per image.
+/// per-image loop would put them, images split across this thread's workers.
 // hot-path: minibatch patch lowering — no allocation allowed
 pub fn im2col_batch_into(
     input: &[f32],
@@ -171,7 +171,7 @@ pub fn im2col_batch_into(
     let in_stride = ci * h * w;
     debug_assert_eq!(input.len(), n * in_stride);
     debug_assert_eq!(out.len(), n * block);
-    parallel::for_each_chunk_mut(out, block, |img, oblk| {
+    parallel::for_each_chunk_mut(out, block, n * block, |img, oblk| {
         im2col_into(
             &input[img * in_stride..(img + 1) * in_stride],
             ci,
@@ -248,8 +248,8 @@ pub fn col2im(
 
 /// Scatter a stacked batch patch-matrix gradient `[n*oh*ow, ci*kh*kw]`
 /// back onto a batch image gradient `[n, ci, h, w]` (accumulating), each
-/// image in the existing per-image scatter order, images split across the
-/// thread pool (their output slices are disjoint).
+/// image in the existing per-image scatter order, images split across this
+/// thread's workers (their output slices are disjoint).
 // hot-path: minibatch gradient scatter — no allocation allowed
 pub fn col2im_batch(
     cols: &[f32],
@@ -265,7 +265,7 @@ pub fn col2im_batch(
     let in_stride = ci * h * w;
     debug_assert_eq!(cols.len(), n * block);
     debug_assert_eq!(grad.len(), n * in_stride);
-    parallel::for_each_chunk_mut(grad, in_stride, |img, gimg| {
+    parallel::for_each_chunk_mut(grad, in_stride, n * block, |img, gimg| {
         col2im_into(&cols[img * block..(img + 1) * block], ci, h, w, spec, gimg);
     });
 }
@@ -327,7 +327,7 @@ pub fn conv2d_forward_ws(
     // output layout, adding the bias (pure data movement plus the same
     // `dot + bias` the reference computes).
     let mut od = ws.take_f32_uninit(n * co * npix);
-    parallel::for_each_chunk_mut(&mut od, co * npix, |img, oimg| {
+    parallel::for_each_chunk_mut(&mut od, co * npix, nrows * co, |img, oimg| {
         let t = &tmp[img * npix * co..(img + 1) * npix * co];
         for (c, orow) in oimg.chunks_mut(npix).enumerate() {
             let b = bias[c];
@@ -370,7 +370,8 @@ pub fn conv2d_forward_ref(
     let id = input.as_slice();
     let wd = weight.as_slice();
     let plen = spec.patch_len();
-    parallel::for_each_chunk_mut(out.as_mut_slice(), out_stride, |img, oimg| {
+    let work = n * out_stride * plen / parallel::MACS_PER_UNIT;
+    parallel::for_each_chunk_mut(out.as_mut_slice(), out_stride, work, |img, oimg| {
         let cols = im2col_ref(&id[img * in_stride..(img + 1) * in_stride], ci, h, w, spec);
         // oimg[co][pix] = dot(weight[co], cols[pix]), one column at a time.
         let cd = cols.as_slice();
@@ -404,8 +405,8 @@ pub struct Conv2dGrads {
 ///
 /// Recomputes the stacked `im2col` (trading FLOPs for memory, as cuDNN's
 /// low-workspace algorithms do). The weight/bias gradients are computed as
-/// per-image partials in parallel and added to the accumulators serially in
-/// image order, with the reference's `g == 0.0` skip.
+/// per-image partials and added to the accumulators in image order, with
+/// the reference's `g == 0.0` skip.
 fn backward_params(
     input: &Tensor,
     grad_out: &Tensor,
@@ -441,7 +442,7 @@ fn backward_params(
     // Transpose each image's gradient block to [npix, co] so output pixels
     // index GEMM rows (pure data movement).
     let mut gt = ws.take_f32_uninit(nrows * co);
-    parallel::for_each_chunk_mut(&mut gt, npix * co, |img, gblk| {
+    parallel::for_each_chunk_mut(&mut gt, npix * co, nrows * co, |img, gblk| {
         let src = &gd[img * out_stride..(img + 1) * out_stride];
         for (pix, row) in gblk.chunks_mut(co).enumerate() {
             for (c, v) in row.iter_mut().enumerate() {
@@ -450,11 +451,13 @@ fn backward_params(
         }
     });
 
-    // Per-image dweight/dbias partials in parallel (disjoint outputs),
-    // reduced serially in image order below.
-    let mut dw_all = ws.take_f32_uninit(n * co * plen);
+    // Per-image dweight/dbias partials (disjoint outputs), reduced in
+    // image order below.
+    let wlen = co * plen;
+    let mut dw_all = ws.take_f32_uninit(n * wlen);
     let mut db_all = ws.take_f32(n * co);
-    parallel::for_each_zip_chunks_mut(&mut dw_all, co * plen, &mut db_all, co, |img, dw, db| {
+    let work = nrows * wlen / parallel::MACS_PER_UNIT;
+    parallel::for_each_zip_chunks_mut(&mut dw_all, wlen, &mut db_all, co, work, |img, dw, db| {
         let gblk = &gt[img * npix * co..(img + 1) * npix * co];
         let cblk = &cols[img * npix * plen..(img + 1) * npix * plen];
         // dw[c][k] = Σ_pix g · patch[k], ascending pix, g == 0.0 skipped.
@@ -469,12 +472,17 @@ fn backward_params(
         }
     });
 
-    for img in 0..n {
-        let dw = &dw_all[img * co * plen..(img + 1) * co * plen];
-        for (a, &v) in dweight.iter_mut().zip(dw) {
-            *a += v;
+    // Every accumulator element folds its partials in ascending image
+    // order; bands of elements are independent of each other.
+    let band = parallel::block_len(wlen, n * wlen);
+    parallel::for_each_chunk_mut(dweight, band, n * wlen, |j, dband| {
+        for dw in dw_all.chunks(wlen) {
+            for (a, &v) in dband.iter_mut().zip(&dw[j * band..]) {
+                *a += v;
+            }
         }
-        let db = &db_all[img * co..(img + 1) * co];
+    });
+    for db in db_all.chunks(co) {
         for (a, &v) in dbias.iter_mut().zip(db) {
             *a += v;
         }
@@ -604,7 +612,8 @@ pub fn conv2d_backward_ref(
 
     // Per-image partials, reduced serially in image order afterwards so
     // the dweight/dbias sums accumulate identically at any thread count.
-    let partials: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = parallel::map_collect(n, |img| {
+    let work = 2 * n * out_stride * plen / parallel::MACS_PER_UNIT;
+    let partials: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = parallel::map_collect(n, work, |img| {
         let cols = im2col_ref(&id[img * in_stride..(img + 1) * in_stride], ci, h, w, spec);
         let cd = cols.as_slice();
         let gimg = &gd[img * out_stride..(img + 1) * out_stride];

@@ -7,13 +7,13 @@
 //! convolution kernels needed by the networks of Table I / Table II, and
 //! seeded random initialization so every experiment is reproducible.
 //!
-//! Heavy kernels ([`linalg::matmul`], [`conv`], [`pool`]) have parallel
-//! paths — the "GPU" inside one simulated learner — selected per call via
-//! the `*_par` / `*_auto` entry points and enabled by the `parallel`
-//! feature (they fall back to the serial kernels without it). Parallel
-//! kernels split only across independent outputs, so they are **bitwise
-//! identical** to the serial kernels at any thread count; size the pool
-//! with [`parallel::configure_threads`].
+//! Heavy kernels ([`linalg::matmul`], [`conv`], [`pool`]) fork-join over
+//! bands of their output — the "GPU" inside one learner — whenever the
+//! calling thread has been given a width above 1 ([`parallel::with_width`];
+//! the engine sizes its own threads, an unsized thread runs the serial
+//! loops). Kernels split only across independent outputs, so they are
+//! **bitwise identical** at any width; the one setting is the process-wide
+//! cap, [`parallel::configure_threads`].
 //!
 //! ## Example
 //!

@@ -1,13 +1,14 @@
 //! Matrix kernels: the workhorses behind the fully connected and
 //! (via im2col) convolutional layers.
 //!
-//! Each GEMM has a sequential path and a parallel path (`*_par`) that
-//! splits work over blocks of **independent output rows**; `*_auto` picks
-//! between them by output size. Within one output element the reduction
-//! always runs in ascending inner-index order with the same zero-skip, so
-//! the serial, blocked-serial, and parallel kernels produce bitwise
-//! identical results — the property the SASGD determinism contract needs,
-//! and what the proptests in `tests/proptests.rs` check.
+//! Each product has one name. On a thread whose [`parallel`] width is above
+//! 1 a large enough product is cut into one band of **independent output
+//! rows** per worker; otherwise the same kernel walks all the rows. Within
+//! one output element the reduction always runs in ascending inner-index
+//! order with the same zero-skip, so the streaming, blocked and banded
+//! walks produce bitwise identical results at any width — the property the
+//! SASGD determinism contract needs, and what the proptests in
+//! `tests/proptests.rs` check.
 //!
 //! The sequential NN GEMM (`mm_rows_blocked`) compacts, then accumulates in
 //! registers. `A` is taken 16 rows and 128 columns at a time; the non-zero
@@ -77,12 +78,6 @@ use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::Workspace;
 
-/// Minimum output rows **per pool thread** before the `_auto` kernels take
-/// the parallel path. The old fixed threshold (64 rows) was tuned for an
-/// 8-thread pool; expressing it per-thread keeps the cutover sensible when
-/// `intra_op_threads_for` hands each of `p` learners a smaller pool.
-const PAR_ROWS_PER_THREAD: usize = 8;
-
 /// Row-block height of the streaming walk (`mm_rows_streamed`): rows of `A`
 /// processed together, sharing each streamed row of `B`.
 const MR: usize = 4;
@@ -127,17 +122,8 @@ const PW: usize = 32;
 /// lines on the strided side, well inside L1.
 const TB: usize = 32;
 
-/// Output rows at or above this count use the parallel path in `_auto`
-/// kernels. Pool-aware: scales with the live thread count
-/// ([`parallel::threads`]), so a 2-thread pool parallelizes mid-size GEMMs
-/// a fixed 64-row threshold would serialize. Path choice never affects
-/// results (parallel == serial bitwise).
-pub fn par_threshold() -> usize {
-    PAR_ROWS_PER_THREAD * parallel::threads().max(1)
-}
-
 /// `out = A · B` (`A: [m,k]`, `B: [k,n]`), the layers' NN seam:
-/// [`matmul_into_auto`]. The four `gemm_*_ws` seams share one signature, so
+/// [`matmul_into`]. The four `gemm_*_ws` seams share one signature, so
 /// a layer passes its [`Workspace`] without knowing which of them draws
 /// scratch from it (only [`gemm_nt_ws`] does: the NN kernel's compaction
 /// lists are 24 KiB of stack).
@@ -151,13 +137,13 @@ pub fn gemm_nn_ws(
     n: usize,
     _ws: &mut Workspace,
 ) {
-    matmul_into_auto(out, a, b, m, k, n);
+    matmul_into(out, a, b, m, k, n);
 }
 
 /// `out = A · Bᵀ` (`A: [m,k]`, `B: [n,k]`), the layers' NT seam.
 /// [`NT_VIA_NN_ROWS`] or more output rows are computed as `A · (Bᵀ)` — `B`
-/// transposed into a [`Workspace`] buffer, then [`matmul_into_auto`] — and
-/// fewer rows by the dot kernel [`matmul_nt_into_auto`]. For finite inputs
+/// transposed into a [`Workspace`] buffer, then [`matmul_into`] — and
+/// fewer rows by the dot kernel [`matmul_nt_into`]. For finite inputs
 /// the two are bitwise identical (module docs, *NT through the NN kernel*).
 // hot-path: dispatched GEMM (NT) — the Bᵀ scratch comes from the Workspace
 pub fn gemm_nt_ws(
@@ -170,17 +156,17 @@ pub fn gemm_nt_ws(
     ws: &mut Workspace,
 ) {
     if m < NT_VIA_NN_ROWS {
-        return matmul_nt_into_auto(out, a, b, m, k, n);
+        return matmul_nt_into(out, a, b, m, k, n);
     }
     assert_eq!(b.len(), n * k, "gemm_nt_ws rhs size");
     let mut bt = ws.take_f32_uninit(n * k);
     transpose_into(&mut bt, b, n, k);
-    matmul_into_auto(out, a, &bt, m, k, n);
+    matmul_into(out, a, &bt, m, k, n);
     ws.give_f32(bt);
 }
 
 /// `out = Aᵀ · B` (`A: [k,m]`, `B: [k,n]`), the layers' TN seam:
-/// [`matmul_tn_into_auto`].
+/// [`matmul_tn_into`].
 // hot-path: GEMM seam (TN) — no allocation allowed
 pub fn gemm_tn_ws(
     out: &mut [f32],
@@ -191,11 +177,11 @@ pub fn gemm_tn_ws(
     n: usize,
     _ws: &mut Workspace,
 ) {
-    matmul_tn_into_auto(out, a, b, k, m, n);
+    matmul_tn_into(out, a, b, k, m, n);
 }
 
 /// `out += Aᵀ · B`: [`gemm_tn_ws`] that accumulates, so a weight gradient
-/// lands straight in its gradient block. It is [`matmul_tn_acc_into_auto`]
+/// lands straight in its gradient block. It is [`matmul_tn_acc_into`]
 /// — over a `+0.0`-filled `out`, bitwise [`gemm_tn_ws`].
 // hot-path: weight-gradient GEMM seam — no allocation allowed
 pub fn gemm_tn_acc_ws(
@@ -207,25 +193,32 @@ pub fn gemm_tn_acc_ws(
     n: usize,
     _ws: &mut Workspace,
 ) {
-    matmul_tn_acc_into_auto(out, a, b, k, m, n);
+    matmul_tn_acc_into(out, a, b, k, m, n);
 }
 
 /// `dst = srcᵀ` for row-major `src: [rows, cols]` (so `dst: [cols, rows]`),
-/// walked in `TB`×`TB` tiles. Pure data movement; writes every element.
+/// walked in `TB`×`TB` tiles, bands of `dst` rows per worker. Pure data
+/// movement; writes every element.
 fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
     debug_assert_eq!(dst.len(), rows * cols);
     debug_assert_eq!(src.len(), rows * cols);
-    for r0 in (0..rows).step_by(TB) {
-        let r1 = (r0 + TB).min(rows);
-        for c0 in (0..cols).step_by(TB) {
-            for c in c0..(c0 + TB).min(cols) {
-                let drow = &mut dst[c * rows + r0..c * rows + r1];
-                for (d, r) in drow.iter_mut().zip(r0..r1) {
-                    *d = src[r * cols + c];
+    if rows == 0 {
+        return;
+    }
+    let band = parallel::block_len(cols, rows * cols);
+    parallel::for_each_chunk_mut(dst, band * rows, rows * cols, |j, dband| {
+        for r0 in (0..rows).step_by(TB) {
+            let r1 = (r0 + TB).min(rows);
+            for (t, dtile) in dband.chunks_mut(TB * rows).enumerate() {
+                for (c, drow) in dtile.chunks_mut(rows).enumerate() {
+                    let c = j * band + t * TB + c;
+                    for (d, r) in drow[r0..r1].iter_mut().zip(r0..r1) {
+                        *d = src[r * cols + c];
+                    }
                 }
             }
         }
-    }
+    });
 }
 
 /// `orow += av * brow` over an 8-wide panel walk with a scalar tail.
@@ -380,34 +373,39 @@ fn mm_rows_blocked(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize,
     }
 }
 
-/// `out = A · B` on raw slices, sequential (cache-blocked).
+/// Run `kernel(r0, rows, oband)` over the `m` output rows of an `m·k·n`
+/// product (`out: [m, n]`): one call for all of them on the calling thread,
+/// or — when the product is large enough for this thread's width — one
+/// band of `rows` rows from `r0` per worker.
+fn for_each_band(
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    kernel: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    let work = m * k * n / parallel::MACS_PER_UNIT;
+    let band = parallel::block_len(m, work);
+    if band >= m {
+        return kernel(0, m, out);
+    }
+    parallel::for_each_chunk_mut(out, band * n, work, |j, oband| {
+        kernel(j * band, oband.len() / n, oband);
+    });
+}
+
+/// `out = A · B` on raw slices (cache-blocked), one band of output rows per
+/// worker when the product is large enough for this thread's width.
 // hot-path: per-minibatch GEMM — no allocation allowed
 pub fn matmul_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(out.len(), m * n, "matmul_into output size");
     assert_eq!(a.len(), m * k, "matmul_into lhs size");
     assert_eq!(b.len(), k * n, "matmul_into rhs size");
-    mm_rows_blocked(out, a, b, m, k, n);
-}
-
-/// `out = A · B` on raw slices, bands of output rows over the thread pool
-/// when the output is large. Bitwise identical to [`matmul_into`].
-// hot-path: per-minibatch GEMM (banded) — no allocation allowed
-pub fn matmul_into_auto(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(out.len(), m * n, "matmul_into output size");
-    assert_eq!(a.len(), m * k, "matmul_into lhs size");
-    assert_eq!(b.len(), k * n, "matmul_into rhs size");
-    if !use_par(m) {
-        return mm_rows_blocked(out, a, b, m, k, n);
-    }
-    let rows_per_band = band_rows(m);
-    parallel::for_each_chunk_mut(out, rows_per_band * n, |band, oband| {
-        let r0 = band * rows_per_band;
-        let rows = oband.len() / n;
+    for_each_band(out, (m, k, n), |r0, rows, oband| {
         mm_rows_blocked(oband, &a[r0 * k..(r0 + rows) * k], b, rows, k, n);
     });
 }
 
-/// `C = A · B` for `A: [m,k]`, `B: [k,n]`, sequential (cache-blocked).
+/// `C = A · B` for `A: [m,k]`, `B: [k,n]` ([`matmul_into`] into a fresh
+/// tensor).
 ///
 /// # Panics
 /// Panics if inner dimensions disagree or inputs are not matrices.
@@ -416,110 +414,59 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
     let mut out = Tensor::zeros(&[m, n]);
-    mm_rows_blocked(out.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
+    matmul_into(out.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
     out
 }
 
-/// `C = A · B`, bands of output rows distributed over the thread pool.
-/// Bitwise identical to [`matmul`] at any thread count.
-pub fn matmul_par(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-    let mut out = Tensor::zeros(&[m, n]);
-    let rows_per_band = band_rows(m);
-    let ad = a.as_slice();
-    let bd = b.as_slice();
-    parallel::for_each_chunk_mut(out.as_mut_slice(), rows_per_band * n, |band, oband| {
-        let r0 = band * rows_per_band;
-        let rows = oband.len() / n;
-        mm_rows_blocked(oband, &ad[r0 * k..(r0 + rows) * k], bd, rows, k, n);
-    });
-    out
-}
-
-/// `C = A · B` choosing the parallel path for large outputs.
-pub fn matmul_auto(a: &Tensor, b: &Tensor) -> Tensor {
-    if use_par(a.dims()[0]) {
-        matmul_par(a, b)
-    } else {
-        matmul(a, b)
-    }
-}
-
-/// Row of `C += Aᵀ · B`: `out_row += Σ_l a[l,i] · b[l, ·]` in ascending `l`
-/// with `a[l,i] == 0` skipped — the same per-element order as the
-/// `l`-outer sequential kernel.
-fn tn_row_acc(out_row: &mut [f32], a: &[f32], b: &[f32], i: usize, m: usize, k: usize, n: usize) {
-    for l in 0..k {
-        let av = a[l * m + i];
-        if av == 0.0 {
-            continue;
-        }
-        let brow = &b[l * n..(l + 1) * n];
-        axpy_row(out_row, brow, av);
-    }
-}
-
-/// The sequential TN kernel, `out += Aᵀ · B` (`l`-outer: streams both `A`
-/// and `B` rows once). Each element folds its terms onto what `out` held,
-/// in ascending `l` with `a[l,i] == 0` skipped.
-fn tn_acc(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
-    assert_eq!(out.len(), m * n, "matmul_tn_into output size");
-    assert_eq!(a.len(), k * m, "matmul_tn_into lhs size");
-    assert_eq!(b.len(), k * n, "matmul_tn_into rhs size");
-    for l in 0..k {
-        let arow = &a[l * m..(l + 1) * m];
-        let brow = &b[l * n..(l + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let orow = &mut out[i * n..(i + 1) * n];
-            axpy_row(orow, brow, av);
-        }
-    }
-}
-
-/// `out += Aᵀ · B` on raw slices for `A: [k,m]`, `B: [k,n]`, output rows
-/// over the thread pool when large (bitwise the sequential walk). Over a
-/// `+0.0`-filled `out` this is [`matmul_tn_into`] bit for bit; and since a
-/// `+0.0`-seeded sum is never `-0.0`, so is `0 + (0 + Σ)` — a temporary
-/// product added to a zeroed accumulator.
-// hot-path: weight-gradient GEMM, accumulated in place — no allocation allowed
-pub fn matmul_tn_acc_into_auto(
-    out: &mut [f32],
+/// Rows `i0..i0 + rows` of `out += Aᵀ · B` (`oband: [rows, n]`),
+/// `l`-outer: streams the band's columns of `A` and every row of `B` once.
+/// Each element folds its terms onto what `oband` held, in ascending `l`
+/// with `a[l,i] == 0` skipped.
+fn tn_acc_band(
+    oband: &mut [f32],
     a: &[f32],
     b: &[f32],
+    (i0, rows): (usize, usize),
     k: usize,
     m: usize,
     n: usize,
 ) {
-    if !use_par(m) {
-        return tn_acc(out, a, b, k, m, n);
+    for l in 0..k {
+        let arow = &a[l * m + i0..l * m + i0 + rows];
+        let brow = &b[l * n..(l + 1) * n];
+        // Indexed, not `chunks_mut(n).zip(arow)`: seven in eight entries of
+        // a conv layer's `Gᵀ` are zeros, and a skipped entry should cost a
+        // load and a compare, not a slice split.
+        for (i, &av) in arow.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            axpy_row(&mut oband[i * n..(i + 1) * n], brow, av);
+        }
     }
+}
+
+/// `out += Aᵀ · B` on raw slices for `A: [k,m]`, `B: [k,n]`, one band of
+/// output rows per worker when large. Over a `+0.0`-filled `out` this is
+/// [`matmul_tn_into`] bit for bit; and since a `+0.0`-seeded sum is never
+/// `-0.0`, so is `0 + (0 + Σ)` — a temporary product added to a zeroed
+/// accumulator.
+// hot-path: weight-gradient GEMM, accumulated in place — no allocation allowed
+pub fn matmul_tn_acc_into(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
     assert_eq!(out.len(), m * n, "matmul_tn_into output size");
     assert_eq!(a.len(), k * m, "matmul_tn_into lhs size");
     assert_eq!(b.len(), k * n, "matmul_tn_into rhs size");
-    parallel::for_each_chunk_mut(out, n, |i, row| {
-        tn_row_acc(row, a, b, i, m, k, n);
+    for_each_band(out, (m, k, n), |i0, rows, oband| {
+        tn_acc_band(oband, a, b, (i0, rows), k, m, n);
     });
 }
 
-/// `out = Aᵀ · B` on raw slices for `A: [k,m]`, `B: [k,n]`, sequential:
-/// a `+0.0` fill, then the accumulate kernel.
+/// `out = Aᵀ · B` on raw slices for `A: [k,m]`, `B: [k,n]`: a `+0.0` fill,
+/// then [`matmul_tn_acc_into`].
 // hot-path: weight-gradient GEMM — no allocation allowed
 pub fn matmul_tn_into(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
     out.fill(0.0);
-    tn_acc(out, a, b, k, m, n);
-}
-
-/// `out = Aᵀ · B` on raw slices, output rows over the thread pool when
-/// large. Bitwise identical to [`matmul_tn_into`].
-// hot-path: weight-gradient GEMM (banded) — no allocation allowed
-pub fn matmul_tn_into_auto(out: &mut [f32], a: &[f32], b: &[f32], k: usize, m: usize, n: usize) {
-    out.fill(0.0);
-    matmul_tn_acc_into_auto(out, a, b, k, m, n);
+    matmul_tn_acc_into(out, a, b, k, m, n);
 }
 
 /// `C = Aᵀ · B` for `A: [k,m]`, `B: [k,n]` without materializing `Aᵀ`.
@@ -528,31 +475,8 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
     let mut out = Tensor::zeros(&[m, n]);
-    matmul_tn_into(out.as_mut_slice(), a.as_slice(), b.as_slice(), k, m, n);
+    matmul_tn_acc_into(out.as_mut_slice(), a.as_slice(), b.as_slice(), k, m, n);
     out
-}
-
-/// `C = Aᵀ · B`, output rows distributed over the thread pool. Bitwise
-/// identical to [`matmul_tn`].
-pub fn matmul_tn_par(a: &Tensor, b: &Tensor) -> Tensor {
-    let (k, m) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul_tn inner dims {k} vs {k2}");
-    let mut out = Tensor::zeros(&[m, n]);
-    let (ad, bd) = (a.as_slice(), b.as_slice());
-    parallel::for_each_chunk_mut(out.as_mut_slice(), n, |i, row| {
-        tn_row_acc(row, ad, bd, i, m, k, n);
-    });
-    out
-}
-
-/// `C = Aᵀ · B` choosing the parallel path for large outputs.
-pub fn matmul_tn_auto(a: &Tensor, b: &Tensor) -> Tensor {
-    if use_par(a.dims()[1]) {
-        matmul_tn_par(a, b)
-    } else {
-        matmul_tn(a, b)
-    }
 }
 
 /// Band of rows of `C = A · Bᵀ`: each element is a dot product in
@@ -587,29 +511,14 @@ pub(crate) fn nt_rows(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usi
     }
 }
 
-/// `out = A · Bᵀ` on raw slices for `A: [m,k]`, `B: [n,k]`, sequential.
+/// `out = A · Bᵀ` on raw slices for `A: [m,k]`, `B: [n,k]` (the dot
+/// kernel), one band of output rows per worker when large.
 // hot-path: conv/linear forward GEMM — no allocation allowed
 pub fn matmul_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(out.len(), m * n, "matmul_nt_into output size");
     assert_eq!(a.len(), m * k, "matmul_nt_into lhs size");
     assert_eq!(b.len(), n * k, "matmul_nt_into rhs size");
-    nt_rows(out, a, b, m, k, n);
-}
-
-/// `out = A · Bᵀ` on raw slices, row bands over the thread pool when
-/// large. Bitwise identical to [`matmul_nt_into`].
-// hot-path: conv/linear forward GEMM (banded) — no allocation allowed
-pub fn matmul_nt_into_auto(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    assert_eq!(out.len(), m * n, "matmul_nt_into output size");
-    assert_eq!(a.len(), m * k, "matmul_nt_into lhs size");
-    assert_eq!(b.len(), n * k, "matmul_nt_into rhs size");
-    if !use_par(m) {
-        return nt_rows(out, a, b, m, k, n);
-    }
-    let rows_per_band = band_rows(m);
-    parallel::for_each_chunk_mut(out, rows_per_band * n, |band, oband| {
-        let r0 = band * rows_per_band;
-        let rows = oband.len() / n;
+    for_each_band(out, (m, k, n), |r0, rows, oband| {
         nt_rows(oband, &a[r0 * k..(r0 + rows) * k], b, rows, k, n);
     });
 }
@@ -620,47 +529,8 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let (n, k2) = (b.dims()[0], b.dims()[1]);
     assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
     let mut out = Tensor::zeros(&[m, n]);
-    nt_rows(out.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
+    matmul_nt_into(out.as_mut_slice(), a.as_slice(), b.as_slice(), m, k, n);
     out
-}
-
-/// `C = A · Bᵀ`, bands of output rows distributed over the thread pool.
-/// Bitwise identical to [`matmul_nt`].
-pub fn matmul_nt_par(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let (n, k2) = (b.dims()[0], b.dims()[1]);
-    assert_eq!(k, k2, "matmul_nt inner dims {k} vs {k2}");
-    let mut out = Tensor::zeros(&[m, n]);
-    let rows_per_band = band_rows(m);
-    let ad = a.as_slice();
-    let bd = b.as_slice();
-    parallel::for_each_chunk_mut(out.as_mut_slice(), rows_per_band * n, |band, oband| {
-        let r0 = band * rows_per_band;
-        let rows = oband.len() / n;
-        nt_rows(oband, &ad[r0 * k..(r0 + rows) * k], bd, rows, k, n);
-    });
-    out
-}
-
-/// `C = A · Bᵀ` choosing the parallel path for large outputs.
-pub fn matmul_nt_auto(a: &Tensor, b: &Tensor) -> Tensor {
-    if use_par(a.dims()[0]) {
-        matmul_nt_par(a, b)
-    } else {
-        matmul_nt(a, b)
-    }
-}
-
-/// Rows per parallel band: enough bands to feed the pool (~4 per thread
-/// for load balance), in whole `MB`-row blocks so every band runs the
-/// compacting kernel on full blocks. Band size never affects results.
-fn band_rows(m: usize) -> usize {
-    let target_bands = parallel::threads() * 4;
-    m.div_ceil(target_bands.max(1)).max(1).next_multiple_of(MB)
-}
-
-fn use_par(rows: usize) -> bool {
-    parallel::threads() > 1 && rows >= par_threshold()
 }
 
 /// Dot product of two equal-length slices.
@@ -755,43 +625,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential_bitwise() {
+    fn banded_equals_single_band_bitwise() {
+        // Big enough for the grain rule at widths 2 and 3 (uneven bands).
         let mut r = SeedRng::new(2);
-        let a = r.normal_tensor(&[130, 33], 1.0);
-        let b = r.normal_tensor(&[33, 21], 1.0);
-        let s = matmul(&a, &b);
-        let p = matmul_par(&a, &b);
-        assert_eq!(
-            s.as_slice(),
-            p.as_slice(),
-            "parallel path must be bit-identical"
-        );
-        assert_eq!(matmul_auto(&a, &b).as_slice(), s.as_slice());
-    }
-
-    #[test]
-    fn tn_and_nt_parallel_bitwise() {
-        let mut r = SeedRng::new(6);
-        let a = r.normal_tensor(&[33, 130], 1.0);
-        let b = r.normal_tensor(&[33, 17], 1.0);
-        assert_eq!(
-            matmul_tn(&a, &b).as_slice(),
-            matmul_tn_par(&a, &b).as_slice()
-        );
-        assert_eq!(
-            matmul_tn_auto(&a, &b).as_slice(),
-            matmul_tn(&a, &b).as_slice()
-        );
-        let c = r.normal_tensor(&[130, 12], 1.0);
-        let d = r.normal_tensor(&[29, 12], 1.0);
-        assert_eq!(
-            matmul_nt(&c, &d).as_slice(),
-            matmul_nt_par(&c, &d).as_slice()
-        );
-        assert_eq!(
-            matmul_nt_auto(&c, &d).as_slice(),
-            matmul_nt(&c, &d).as_slice()
-        );
+        let a = r.normal_tensor(&[400, 160], 1.0);
+        let b = r.normal_tensor(&[160, 100], 1.0);
+        let at = r.normal_tensor(&[160, 400], 1.0);
+        let bt = r.normal_tensor(&[100, 160], 1.0);
+        let (nn, tn, nt) = (matmul(&a, &b), matmul_tn(&at, &b), matmul_nt(&a, &bt));
+        for width in [2, 3] {
+            let before = parallel::regions_taken();
+            parallel::with_width(width, || {
+                assert_eq!(
+                    matmul(&a, &b).as_slice(),
+                    nn.as_slice(),
+                    "nn, width {width}"
+                );
+                assert_eq!(
+                    matmul_tn(&at, &b).as_slice(),
+                    tn.as_slice(),
+                    "tn, width {width}"
+                );
+                assert_eq!(
+                    matmul_nt(&a, &bt).as_slice(),
+                    nt.as_slice(),
+                    "nt, width {width}"
+                );
+            });
+            assert!(
+                parallel::regions_taken() >= before + 3,
+                "width {width} never fanned out"
+            );
+        }
     }
 
     #[test]
@@ -847,26 +712,18 @@ mod tests {
         let a = r.normal_tensor(&[70, 13], 1.0);
         let b = r.normal_tensor(&[13, 19], 1.0);
         let mut out = vec![1.0f32; 70 * 19]; // dirty buffer: kernels must overwrite
-        matmul_into_auto(&mut out, a.as_slice(), b.as_slice(), 70, 13, 19);
+        matmul_into(&mut out, a.as_slice(), b.as_slice(), 70, 13, 19);
         assert_eq!(out, matmul(&a, &b).as_slice());
 
         let at = r.normal_tensor(&[13, 70], 1.0);
         let mut out = vec![1.0f32; 70 * 19];
-        matmul_tn_into_auto(&mut out, at.as_slice(), b.as_slice(), 13, 70, 19);
+        matmul_tn_into(&mut out, at.as_slice(), b.as_slice(), 13, 70, 19);
         assert_eq!(out, matmul_tn(&at, &b).as_slice());
 
         let bt = r.normal_tensor(&[19, 13], 1.0);
         let mut out = vec![1.0f32; 70 * 19];
-        matmul_nt_into_auto(&mut out, a.as_slice(), bt.as_slice(), 70, 13, 19);
+        matmul_nt_into(&mut out, a.as_slice(), bt.as_slice(), 70, 13, 19);
         assert_eq!(out, matmul_nt(&a, &bt).as_slice());
-    }
-
-    #[test]
-    fn par_threshold_scales_with_pool() {
-        // With a 1-thread pool (test default) the threshold is the
-        // per-thread floor; it can only grow with more threads.
-        assert_eq!(par_threshold() % 8, 0);
-        assert!(par_threshold() >= 8);
     }
 
     #[test]
@@ -916,13 +773,23 @@ mod tests {
 
     #[test]
     fn transpose_into_handles_ragged_tiles() {
-        for &(rows, cols) in &[(1usize, 1usize), (1, 70), (70, 1), (33, 65), (64, 32)] {
+        // The last shape is past the grain rule: two bands at width 2.
+        for &(rows, cols) in &[
+            (1usize, 1usize),
+            (1, 70),
+            (70, 1),
+            (33, 65),
+            (64, 32),
+            (700, 801),
+        ] {
             let src: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
-            let mut dst = vec![f32::NAN; rows * cols];
-            transpose_into(&mut dst, &src, rows, cols);
-            for r in 0..rows {
-                for c in 0..cols {
-                    assert_eq!(dst[c * rows + r], src[r * cols + c], "{rows}x{cols}");
+            for width in [1, 2] {
+                let mut dst = vec![f32::NAN; rows * cols];
+                parallel::with_width(width, || transpose_into(&mut dst, &src, rows, cols));
+                for r in 0..rows {
+                    for c in 0..cols {
+                        assert_eq!(dst[c * rows + r], src[r * cols + c], "{rows}x{cols}");
+                    }
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Max-pooling kernels with argmax bookkeeping for the backward pass.
 //!
-//! Both passes parallelize across the `n·c` independent planes of the
-//! batch; within a plane the window scan order is fixed, so results are
-//! bitwise identical to the serial path at any thread count.
+//! Both passes split across the `n·c` independent planes of the batch;
+//! within a plane the window scan order is fixed, so results are bitwise
+//! identical at any width.
 
 use crate::parallel;
 use crate::shape::pool_out;
@@ -69,7 +69,7 @@ pub fn maxpool2d_forward_into(
     let id = input.as_slice();
     let out_plane = oh * ow;
     let spec = *spec;
-    parallel::for_each_zip_chunks_mut(output, out_plane, argmax, out_plane, |p, oplane, aplane| {
+    let scan = |p: usize, oplane: &mut [f32], aplane: &mut [u32]| {
         // p enumerates (img, channel) planes in row-major order.
         let plane = p * h * w;
         let mut o = 0usize;
@@ -93,7 +93,8 @@ pub fn maxpool2d_forward_into(
                 o += 1;
             }
         }
-    });
+    };
+    parallel::for_each_zip_chunks_mut(output, out_plane, argmax, out_plane, id.len(), scan);
 }
 
 /// Max-pool an NCHW batch.
@@ -113,7 +114,7 @@ pub fn maxpool2d_forward(input: &Tensor, spec: &Pool2dSpec) -> PoolForward {
 
 /// Route output gradients back to the winning input positions.
 ///
-/// When `grad_out` is NCHW the scatter runs plane-parallel: each `(img,
+/// When `grad_out` is NCHW the scatter runs plane by plane: each `(img,
 /// channel)` plane's argmax targets stay inside that plane's slice of the
 /// input, so planes write disjoint regions and the in-plane scatter keeps
 /// the serial output order (overlapping windows hit the same winner in the
@@ -124,8 +125,10 @@ pub fn maxpool2d_backward(grad_out: &Tensor, argmax: &[u32], input_numel: usize)
     Tensor::from_vec(din, &[input_numel])
 }
 
-/// [`maxpool2d_backward`] scattering into a caller-provided, **pre-zeroed**
-/// input-gradient slice (only the winning positions are touched).
+/// [`maxpool2d_backward`] into a caller-provided input-gradient slice.
+/// Every element is written (`+0.0`, then the winners' gradients), each
+/// plane by the worker that scatters into it, so `din` may hold stale
+/// values on entry.
 pub fn maxpool2d_backward_into(grad_out: &Tensor, argmax: &[u32], din: &mut [f32]) {
     assert_eq!(grad_out.numel(), argmax.len(), "argmax length mismatch");
     let input_numel = din.len();
@@ -139,7 +142,8 @@ pub fn maxpool2d_backward_into(grad_out: &Tensor, argmax: &[u32], din: &mut [f32
     if planes > 1 && input_numel.is_multiple_of(planes) && gd.len().is_multiple_of(planes) {
         let in_plane = input_numel / planes;
         let out_plane = gd.len() / planes;
-        parallel::for_each_chunk_mut(din, in_plane, |p, dplane| {
+        parallel::for_each_chunk_mut(din, in_plane, input_numel, |p, dplane| {
+            dplane.fill(0.0);
             let base = p * in_plane;
             let lo = p * out_plane;
             for (g, &idx) in gd[lo..lo + out_plane]
@@ -150,6 +154,7 @@ pub fn maxpool2d_backward_into(grad_out: &Tensor, argmax: &[u32], din: &mut [f32
             }
         });
     } else {
+        din.fill(0.0);
         for (g, &idx) in gd.iter().zip(argmax) {
             din[idx as usize] += g;
         }

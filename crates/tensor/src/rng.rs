@@ -7,21 +7,39 @@
 //! trajectories exactly.
 
 use rand::distributions::Distribution;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::parallel;
 use crate::tensor::Tensor;
+
+/// The `[0, 1)` float [`SeedRng::uniform`] makes of one stream word (the
+/// 24 high bits, as `rand`'s `Standard` does).
+#[inline]
+fn unit_f32(word: u32) -> f32 {
+    (word >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+}
+
+/// `mband[i] = if next draw < keep { on } else { 0.0 }`, the draws taken
+/// from `rng` a few blocks at a time.
+fn fill_band(rng: &mut ChaCha8Rng, keep: f32, on: f32, mband: &mut [f32]) {
+    let mut words = [0u32; 256];
+    for part in mband.chunks_mut(words.len()) {
+        let words = &mut words[..part.len()];
+        rng.fill_u32(words);
+        for (m, &w) in part.iter_mut().zip(&*words) {
+            *m = if unit_f32(w) < keep { on } else { 0.0 };
+        }
+    }
+}
 
 /// A deterministic, splittable RNG (ChaCha8).
 ///
-/// ChaCha8 is chosen over the default thread RNG because it is seedable
-/// and portable across platforms. It is not free: the vendored generator
-/// refills one 64-byte block at a time in scalar code, and the one draw per
-/// activation behind `Dropout::forward` — 460 800 of them in a batch-32
-/// step of the benchmark CNN — costs 4.8 ms of a 55 ms step, about 10.5 ns
-/// a draw (EXPERIMENTS.md, *PR 19*). A four-block refill the compiler can
-/// vectorise, emitting the identical word stream, is ROADMAP's next item
-/// on that step.
+/// ChaCha8 is chosen over the default thread RNG because it is seedable,
+/// portable across platforms and seekable: word `i` of the stream depends
+/// only on the seed and `i`, which is what lets [`SeedRng::fill_keep_mask`]
+/// write a dropout mask from whole blocks, on several workers, and still
+/// consume exactly the draws the element-at-a-time loop did.
 #[derive(Clone, Debug)]
 pub struct SeedRng {
     inner: ChaCha8Rng,
@@ -56,8 +74,9 @@ impl SeedRng {
     }
 
     /// Uniform `f32` in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f32 {
-        self.inner.gen::<f32>()
+        unit_f32(self.inner.next_u32())
     }
 
     /// Uniform `f32` in `[lo, hi)`.
@@ -86,8 +105,32 @@ impl SeedRng {
     }
 
     /// `true` with probability `p`.
+    #[inline]
     pub fn bernoulli(&mut self, p: f32) -> bool {
         self.uniform() < p
+    }
+
+    /// `mask[i] = if self.bernoulli(keep) { on } else { 0.0 }` for every
+    /// `i` in order — the same draws, the same mask and the same stream
+    /// position afterwards — generated a block of the key stream at a time
+    /// rather than a call per element, and (word `i` being a function of
+    /// the seed and `i` alone) in one band per worker when the mask is
+    /// large enough for this thread's width.
+    // hot-path: dropout mask, one draw per activation — no allocation allowed
+    pub fn fill_keep_mask(&mut self, keep: f32, on: f32, mask: &mut [f32]) {
+        // A draw is a few dozen integer operations, not one.
+        const WORK_PER_DRAW: usize = 8;
+        let start = self.inner.get_word_pos();
+        let inner = &self.inner;
+        let n = mask.len();
+        let band = parallel::block_len(n, n * WORK_PER_DRAW);
+        parallel::for_each_chunk_mut(mask, band, n * WORK_PER_DRAW, |j, mband| {
+            // lint:allow(hot-alloc): the generator is plain data; this copies ~140 bytes on the stack
+            let mut rng = inner.clone();
+            rng.set_word_pos(start + (j * band) as u128);
+            fill_band(&mut rng, keep, on, mband);
+        });
+        self.inner.set_word_pos(start + n as u128);
     }
 
     /// Fisher–Yates shuffle.
@@ -198,5 +241,44 @@ mod tests {
         let mut r = SeedRng::new(13);
         let hits = (0..10_000).filter(|_| r.bernoulli(0.3)).count();
         assert!((hits as f32 / 10_000.0 - 0.3).abs() < 0.02);
+    }
+
+    #[test]
+    fn uniform_is_the_standard_distribution_of_the_word_stream() {
+        let (mut a, mut b) = (SeedRng::new(21), SeedRng::new(21));
+        for _ in 0..100 {
+            assert_eq!(a.uniform().to_bits(), b.inner.gen::<f32>().to_bits());
+        }
+    }
+
+    #[test]
+    fn keep_mask_fill_equals_single_draws() {
+        // Empty, sub-block, block-straddling and banded lengths from
+        // aligned and mid-block starts, at widths 1 and 3 (uneven bands).
+        for pre in [0usize, 1, 7, 16, 29] {
+            for n in [0usize, 1, 15, 16, 17, 100, 1000, 100_001] {
+                let mut single = SeedRng::new(5);
+                let mut bulk = SeedRng::new(5);
+                for _ in 0..pre {
+                    single.uniform();
+                    bulk.uniform();
+                }
+                let want: Vec<f32> = (0..n)
+                    .map(|_| if single.bernoulli(0.5) { 2.0 } else { 0.0 })
+                    .collect();
+                let after = single.uniform();
+                for width in [1, 3] {
+                    let mut bulk = bulk.clone();
+                    let mut got = vec![f32::NAN; n];
+                    parallel::with_width(width, || bulk.fill_keep_mask(0.5, 2.0, &mut got));
+                    assert_eq!(got, want, "pre {pre}, n {n}, width {width}");
+                    assert_eq!(
+                        bulk.uniform().to_bits(),
+                        after.to_bits(),
+                        "stream position, pre {pre}, n {n}, width {width}"
+                    );
+                }
+            }
+        }
     }
 }

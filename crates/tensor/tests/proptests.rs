@@ -102,9 +102,9 @@ proptest! {
         let mut got = vec![f32::NAN; m * n];
         linalg::matmul_into(&mut got, &a, &b, m, k, n);
         prop_assert_eq!(bits_nan_canonical(&got), bits_nan_canonical(&naive));
-        // Banded over the pool in a `parallel` build.
+        // In uneven bands where the product is large enough to be cut.
         got.fill(f32::NAN);
-        linalg::matmul_into_auto(&mut got, &a, &b, m, k, n);
+        parallel::with_width(3, || linalg::matmul_into(&mut got, &a, &b, m, k, n));
         prop_assert_eq!(bits_nan_canonical(&got), bits_nan_canonical(&naive));
         got.fill(f32::NAN);
         linalg::gemm_nn_ws(&mut got, &a, &b, m, k, n, &mut ws);
@@ -120,45 +120,6 @@ proptest! {
             linalg::gemm_nt_ws(&mut got, &a, bt.as_slice(), m, k, n, &mut ws);
             prop_assert_eq!(ws.pooled(), usize::from(m >= linalg::NT_VIA_NN_ROWS));
         }
-    }
-
-    #[test]
-    fn matmul_parallel_is_bitwise_equal(
-        m in 1usize..200, k in 1usize..20, n in 1usize..20, seed in 0u64..1000
-    ) {
-        let a = rand_tensor(&[m, k], seed);
-        let b = rand_tensor(&[k, n], seed + 1);
-        let s = linalg::matmul(&a, &b);
-        let p = linalg::matmul_par(&a, &b);
-        let auto = linalg::matmul_auto(&a, &b);
-        prop_assert_eq!(s.as_slice(), p.as_slice());
-        prop_assert_eq!(s.as_slice(), auto.as_slice());
-    }
-
-    #[test]
-    fn matmul_tn_parallel_is_bitwise_equal(
-        k in 1usize..20, m in 1usize..200, n in 1usize..20, seed in 0u64..1000
-    ) {
-        let a = rand_tensor(&[k, m], seed);
-        let b = rand_tensor(&[k, n], seed + 1);
-        let s = linalg::matmul_tn(&a, &b);
-        let p = linalg::matmul_tn_par(&a, &b);
-        let auto = linalg::matmul_tn_auto(&a, &b);
-        prop_assert_eq!(s.as_slice(), p.as_slice());
-        prop_assert_eq!(s.as_slice(), auto.as_slice());
-    }
-
-    #[test]
-    fn matmul_nt_parallel_is_bitwise_equal(
-        m in 1usize..200, k in 1usize..20, n in 1usize..20, seed in 0u64..1000
-    ) {
-        let a = rand_tensor(&[m, k], seed);
-        let b = rand_tensor(&[n, k], seed + 1);
-        let s = linalg::matmul_nt(&a, &b);
-        let p = linalg::matmul_nt_par(&a, &b);
-        let auto = linalg::matmul_nt_auto(&a, &b);
-        prop_assert_eq!(s.as_slice(), p.as_slice());
-        prop_assert_eq!(s.as_slice(), auto.as_slice());
     }
 
     #[test]
@@ -181,9 +142,8 @@ proptest! {
     fn tn_accumulate_over_zeros_is_bitwise_the_overwriting_kernel(
         ki in 0usize..3, mi in 0usize..4, n in 1usize..40, di in 0usize..3, seed in 0u64..1000
     ) {
-        // `m` spans the banded cutover of a `parallel` build (8 rows per
-        // pool thread); `A` carries exact zeros of both signs and a zero
-        // row, and both operands a sprinkling of subnormals.
+        // `A` carries exact zeros of both signs and a zero row, and both
+        // operands a sprinkling of subnormals.
         let (k, m) = ([1, 3, 19][ki], [1, 7, 40, 150][mi]);
         let denorm = |x: &mut [f32]| x.iter_mut().step_by(7).for_each(|v| *v *= 1.0e-41);
         let mut a = sparse_operand(k, m, [1.0, 0.45, 0.05][di], seed);
@@ -194,12 +154,12 @@ proptest! {
         let mut want = vec![f32::NAN; m * n];
         linalg::gemm_tn_ws(&mut want, &a, &b, k, m, n, &mut ws);
 
-        // The TN and NN seams are the `_auto` kernels bit for bit (the NN
+        // The TN and NN seams are the slice kernels bit for bit (the NN
         // row reads the same `a` as an `[m, k]` operand).
         let mut reference = vec![f32::NAN; m * n];
-        linalg::matmul_tn_into_auto(&mut reference, &a, &b, k, m, n);
+        linalg::matmul_tn_into(&mut reference, &a, &b, k, m, n);
         prop_assert_eq!(bits(&want), bits(&reference));
-        linalg::matmul_into_auto(&mut reference, &a, &b, m, k, n);
+        linalg::matmul_into(&mut reference, &a, &b, m, k, n);
         let mut nn = vec![f32::NAN; m * n];
         linalg::gemm_nn_ws(&mut nn, &a, &b, m, k, n, &mut ws);
         prop_assert_eq!(bits(&nn), bits(&reference));
@@ -514,67 +474,114 @@ proptest! {
     }
 }
 
-/// Thread-count invariance for the batch-parallel kernels: reconfigure the
-/// global pool between runs and demand bitwise-equal outputs. A single
-/// plain test (not a proptest case) so the global pool mutation does not
-/// race other cases in this binary.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // The three `*_parallel_is_bitwise_equal` properties: a product gives
+    // the same bits whatever width the calling thread has. Shapes straddle
+    // the grain rule (4–6 M multiply–adds), so some cases stay one band
+    // and the rest are cut in two and in three (uneven) bands.
+    #[test]
+    fn matmul_parallel_is_bitwise_equal(
+        m in 300usize..700, k in 80usize..160, n in 50usize..100, seed in 0u64..1000
+    ) {
+        let a = rand_tensor(&[m, k], seed);
+        let b = rand_tensor(&[k, n], seed + 1);
+        let s = linalg::matmul(&a, &b);
+        for width in [2, 3] {
+            let p = parallel::with_width(width, || linalg::matmul(&a, &b));
+            prop_assert_eq!(s.as_slice(), p.as_slice());
+        }
+    }
+
+    #[test]
+    fn matmul_tn_parallel_is_bitwise_equal(
+        k in 80usize..160, m in 300usize..700, n in 50usize..100, seed in 0u64..1000
+    ) {
+        let a = rand_tensor(&[k, m], seed);
+        let b = rand_tensor(&[k, n], seed + 1);
+        let s = linalg::matmul_tn(&a, &b);
+        for width in [2, 3] {
+            let p = parallel::with_width(width, || linalg::matmul_tn(&a, &b));
+            prop_assert_eq!(s.as_slice(), p.as_slice());
+        }
+    }
+
+    #[test]
+    fn matmul_nt_parallel_is_bitwise_equal(
+        m in 300usize..700, k in 80usize..160, n in 50usize..100, seed in 0u64..1000
+    ) {
+        let a = rand_tensor(&[m, k], seed);
+        let b = rand_tensor(&[n, k], seed + 1);
+        let s = linalg::matmul_nt(&a, &b);
+        for width in [2, 3] {
+            let p = parallel::with_width(width, || linalg::matmul_nt(&a, &b));
+            prop_assert_eq!(s.as_slice(), p.as_slice());
+        }
+    }
+}
+
+/// Width invariance for the banded kernels: the same calls under widths 1,
+/// 2, 3 and 4 (3 does not divide the 8 images: uneven blocks) must give
+/// bitwise-equal outputs, and the wide runs must really have fanned out.
+/// Shapes are sized past the grain rule for every region of the conv and
+/// pool kernels.
 #[test]
 fn kernels_are_bitwise_invariant_to_thread_count() {
     let spec = Conv2dSpec {
-        ci: 3,
-        co: 6,
+        ci: 8,
+        co: 64,
         kh: 3,
         kw: 3,
         stride: 1,
         pad: 1,
     };
-    let input = rand_tensor(&[5, 3, 9, 9], 99);
-    let weight = rand_tensor(&[6, spec.patch_len()], 100);
-    let bias = vec![0.1f32; 6];
+    let input = rand_tensor(&[8, 8, 32, 32], 99);
+    let weight = rand_tensor(&[64, spec.patch_len()], 100);
+    let bias = vec![0.1f32; 64];
     let pool = Pool2dSpec::square(2);
-    // An NT product tall enough to band at every pool size below.
-    let (m, k, n) = (150, 37, 11);
+    // An NT product large enough to band at every width below.
+    let (m, k, n) = (600, 137, 141);
     let nt_a = sparse_operand(m, k, 0.45, 101);
     let nt_b = rand_tensor(&[n, k], 102);
     let mut nt_serial = vec![f32::NAN; m * n];
     linalg::matmul_nt_into(&mut nt_serial, &nt_a, nt_b.as_slice(), m, k, n);
 
     let mut runs = Vec::new();
-    for threads in [1usize, 2, 4] {
-        parallel::configure_threads(threads);
-        let mut nt = vec![f32::NAN; m * n];
-        linalg::gemm_nt_ws(
-            &mut nt,
-            &nt_a,
-            nt_b.as_slice(),
-            m,
-            k,
-            n,
-            &mut Workspace::new(),
-        );
-        assert_eq!(
-            bits(&nt),
-            bits(&nt_serial),
-            "NT dispatch at {threads} thread(s)"
-        );
-        let fwd = conv2d_forward(&input, &weight, &bias, &spec);
-        let grad = Tensor::full(fwd.dims(), 0.5);
-        let back = conv2d_backward(&input, &weight, &grad, &spec);
-        let pf = maxpool2d_forward(&fwd, &pool);
-        let pb = maxpool2d_backward(&pf.output, &pf.argmax, fwd.numel());
-        runs.push((
-            fwd.as_slice().to_vec(),
-            back.dinput.as_slice().to_vec(),
-            back.dweight.as_slice().to_vec(),
-            back.dbias,
-            pf.output.as_slice().to_vec(),
-            pf.argmax,
-            pb.as_slice().to_vec(),
-        ));
+    for width in [1usize, 2, 3, 4] {
+        let regions = parallel::regions_taken();
+        runs.push(parallel::with_width(width, || {
+            let mut nt = vec![f32::NAN; m * n];
+            let mut ws = Workspace::new();
+            linalg::gemm_nt_ws(&mut nt, &nt_a, nt_b.as_slice(), m, k, n, &mut ws);
+            assert_eq!(bits(&nt), bits(&nt_serial), "NT dispatch at width {width}");
+            let fwd = conv2d_forward(&input, &weight, &bias, &spec);
+            let grad = Tensor::full(fwd.dims(), 0.5);
+            let back = conv2d_backward(&input, &weight, &grad, &spec);
+            let pf = maxpool2d_forward(&fwd, &pool);
+            let pb = maxpool2d_backward(&pf.output, &pf.argmax, fwd.numel());
+            (
+                fwd.as_slice().to_vec(),
+                back.dinput.as_slice().to_vec(),
+                back.dweight.as_slice().to_vec(),
+                back.dbias,
+                pf.output.as_slice().to_vec(),
+                pf.argmax,
+                pb.as_slice().to_vec(),
+            )
+        }));
+        if width > 1 {
+            // NT, im2col ×2, the two conv GEMMs, both transposition
+            // passes, the partials, col2im and the two pool passes.
+            let fanned = parallel::regions_taken() - regions;
+            assert!(
+                fanned >= 10,
+                "width {width}: only {fanned} regions fanned out"
+            );
+        }
     }
-    parallel::configure_threads(0);
     assert!(
         runs.windows(2).all(|w| w[0] == w[1]),
-        "kernel outputs changed with thread count"
+        "kernel outputs changed with width"
     );
 }

@@ -60,9 +60,10 @@ fn threaded_equals_simulated_sasgd_bitwise() {
             );
         }
         // Parameter-for-parameter, not just trajectory-for-trajectory:
-        // the final flat parameter vectors must be bitwise equal. With
-        // `--features parallel` this pins the determinism contract of the
-        // rayon kernels under real OS threads against the serial simulator.
+        // the final flat parameter vectors must be bitwise equal. The
+        // simulator's kernels fan out over the whole thread cap while each
+        // of the `p` rank threads gets `cap / p` workers, so this also pins
+        // the banded kernels' determinism contract across widths.
         let pt = h_thread.final_params.expect("threaded final params");
         let ps = h_sim.final_params.expect("simulated final params");
         assert_eq!(pt.len(), ps.len());
@@ -107,6 +108,7 @@ fn learner_and_shard_over_sockets(
     let addrs = listeners
         .each_ref()
         .map(|l| l.local_addr().expect("local addr"));
+    // lint:allow(raw-spawn): test host of rank threads over the socket transport
     std::thread::scope(|scope| {
         let mut ranks = Vec::new();
         for (rank, listener) in listeners.into_iter().enumerate() {

@@ -171,8 +171,8 @@ fn run_sasgd_ft(
 /// dead-rank detection rounds (which wait out leveled
 /// `deadline × (level+1)` windows) stay cheap in test time, but with
 /// enough headroom that a *healthy* learner descheduled on an
-/// oversubscribed CI box (8 learner threads on one core, plus the
-/// `parallel` feature's kernel pool) is never falsely evicted —
+/// oversubscribed CI box (8 learner threads on one core) is never
+/// falsely evicted —
 /// eviction must be decided by the scripted plan, not by load.
 const FT_DEADLINE: Duration = Duration::from_millis(800);
 

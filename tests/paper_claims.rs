@@ -22,6 +22,7 @@ fn claim_communication_complexity_measured_on_real_substrate() {
         let mut world = CommWorld::new(p);
         let traffic = world.traffic();
         let comms = world.communicators();
+        // lint:allow(raw-spawn): test host of rank threads over CommWorld endpoints
         thread::scope(|s| {
             for mut c in comms {
                 s.spawn(move || {

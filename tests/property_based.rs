@@ -24,6 +24,7 @@ fn run_ranks<T: Send>(p: usize, f: impl Fn(&mut sasgd::comm::Communicator) -> T 
     let mut world = CommWorld::new(p);
     let comms = world.communicators();
     let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
+    // lint:allow(raw-spawn): test host of rank threads over CommWorld endpoints
     thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
