@@ -17,6 +17,7 @@ use sasgd_comm::hierarchy::GroupedComm;
 use sasgd_comm::ps_transport::{PsLayout, PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::{q8_allreduce_tree, sparse_allreduce_tree_v2};
 use sasgd_comm::transport::Transport;
+use sasgd_comm::world::CommError;
 use sasgd_nn::Model;
 
 use super::{delta_sq_norm, global_step, rebase, FaultConfig, Total};
@@ -390,7 +391,17 @@ impl<T: Transport> Exchange for EpochGather<T> {
         };
         add(l.model.params());
         for r in 1..p {
-            add(&self.comm.recv(r, gather_tag)?);
+            let replica = self.comm.recv(r, gather_tag)?;
+            if replica.len() != l.model.param_len() {
+                // A short frame would otherwise truncate the average.
+                return Err(CommError::MalformedLength {
+                    peer: r,
+                    expected: l.model.param_len(),
+                    got: replica.len(),
+                }
+                .into());
+            }
+            add(&replica);
         }
         Ok(())
     }
@@ -719,5 +730,26 @@ mod tests {
                 .expect("a round against a dead shard must fail, not panic");
             assert!(err.0.contains("shard rank 1 is gone"), "{}", err.0);
         }
+    }
+
+    #[test]
+    fn a_short_gathered_replica_is_a_wire_error_not_a_truncated_average() {
+        let cfg = TrainConfig::new(1, 8, 0.05, 1);
+        let model = || models::tiny_cnn(2, &mut SeedRng::new(3));
+        let mut world = CommWorld::new(2).communicators().into_iter();
+        let root = world.next().expect("rank 0");
+        let mut peer = world.next().expect("rank 1");
+        let mut l = Learner::new(0, model(), &cfg);
+        let algo = Algorithm::ModelAverageOnce { p: 2 };
+        let mut exchange = connect(&algo, Endpoint::Flat(root, None), &mut l, &model)
+            .ok()
+            .flatten()
+            .expect("rank 0's exchange");
+        let gather = (peer.next_op() << 4) | 2;
+        peer.send(0, gather, vec![0.5; 3]).expect("send");
+        let err = exchange
+            .epoch_end(&mut l)
+            .expect_err("a short replica must fail the gather");
+        assert!(err.0.contains("3 elements, expected"), "{}", err.0);
     }
 }

@@ -94,6 +94,42 @@ fn assert_backends_agree(algo: &Algorithm, cfg: &TrainConfig, model_seed: u64) {
     }
 }
 
+/// `algo` over a loopback TCP mesh of `size` ranks, `run_rank` on each;
+/// every rank's history, in rank order.
+fn ranks_over_sockets(
+    size: usize,
+    factory: &(dyn Fn() -> Model + Sync),
+    train_set: &Dataset,
+    test_set: &Dataset,
+    algo: &Algorithm,
+    cfg: &TrainConfig,
+) -> Vec<History> {
+    let listeners: Vec<TcpListener> = (0..size)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
+        .collect();
+    let addrs: Vec<_> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("local addr"))
+        .collect();
+    // lint:allow(raw-spawn): test host of rank threads over the socket transport
+    std::thread::scope(|scope| {
+        let mut ranks = Vec::new();
+        for (rank, listener) in listeners.into_iter().enumerate() {
+            let addrs = &addrs;
+            ranks.push(scope.spawn(move || {
+                let rendezvous = Duration::from_secs(30);
+                let comm = SocketTransport::with_listener(rank, listener, addrs, rendezvous)
+                    .expect("rendezvous");
+                run_rank(comm, factory, train_set, test_set, algo, cfg).expect("rank runs")
+            }));
+        }
+        ranks
+            .into_iter()
+            .map(|h| h.join().expect("rank thread"))
+            .collect()
+    })
+}
+
 /// `algo`'s one learner and one parameter-server shard as the two ranks of
 /// a loopback TCP mesh, `run_rank` on both; the learner's history.
 fn learner_and_shard_over_sockets(
@@ -104,27 +140,11 @@ fn learner_and_shard_over_sockets(
     cfg: &TrainConfig,
 ) -> History {
     assert_eq!(algo.learners(), 1);
-    let listeners = [(); 2].map(|()| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"));
-    let addrs = listeners
-        .each_ref()
-        .map(|l| l.local_addr().expect("local addr"));
-    // lint:allow(raw-spawn): test host of rank threads over the socket transport
-    std::thread::scope(|scope| {
-        let mut ranks = Vec::new();
-        for (rank, listener) in listeners.into_iter().enumerate() {
-            ranks.push(scope.spawn(move || {
-                let rendezvous = Duration::from_secs(30);
-                let comm = SocketTransport::with_listener(rank, listener, &addrs, rendezvous)
-                    .expect("rendezvous");
-                run_rank(comm, factory, train_set, test_set, algo, cfg).expect("rank runs")
-            }));
-        }
-        let mut ranks = ranks.into_iter().map(|h| h.join().expect("rank thread"));
-        let learner = ranks.next().expect("rank 0");
-        let shard = ranks.next().expect("rank 1");
-        assert!(shard.records.is_empty(), "a shard keeps no epoch records");
-        learner
-    })
+    let mut ranks = ranks_over_sockets(2, factory, train_set, test_set, algo, cfg).into_iter();
+    let learner = ranks.next().expect("rank 0");
+    let shard = ranks.next().expect("rank 1");
+    assert!(shard.records.is_empty(), "a shard keeps no epoch records");
+    learner
 }
 
 #[test]
@@ -566,6 +586,73 @@ fn hierarchical_single_group_equals_flat_and_wire_is_accounted() {
             "{cadence:?}: paired runs move the same traffic"
         );
         assert_eq!(a.final_params, b.final_params, "{cadence:?}");
+    }
+}
+
+/// FNV-1a over the little-endian bit patterns of a parameter vector.
+fn fnv1a(params: &[f32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in params {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn threaded_hierarchical_groups_are_pinned() {
+    // Several groups on threads: group rounds every step, the leader
+    // average every second one. Each row pins the FNV-1a of
+    // `final_params` and the measured `(elements, messages)`. At 2x2 the
+    // messages are the x0 broadcast (3), 12 group rounds (4 each) and 6
+    // leader rounds (4 each).
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(192, 24, 2));
+    let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
+    type Pin = (usize, usize, Cadence, u64, (u64, u64));
+    let pins: [Pin; 4] = [
+        (
+            2,
+            2,
+            Cadence::Lockstep,
+            0xfb4c_7be7_7b8a_8185,
+            (114_150, 75),
+        ),
+        (
+            2,
+            2,
+            Cadence::EventDriven,
+            0xfb4c_7be7_7b8a_8185,
+            (114_150, 75),
+        ),
+        (
+            2,
+            4,
+            Cadence::Lockstep,
+            0x00bf_2304_db36_4c8b,
+            (156_766, 103),
+        ),
+        (
+            2,
+            4,
+            Cadence::EventDriven,
+            0x00bf_2304_db36_4c8b,
+            (156_766, 103),
+        ),
+    ];
+    for (groups, per_group, cadence, hash, wire) in pins {
+        let mut cfg = quiet_cfg(2, 0.05, 11);
+        cfg.cadence = Some(cadence);
+        let algo = hierarchical(groups, per_group, 1);
+        let h = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
+        let params = h.final_params.expect("final params");
+        let w = h.wire.expect("wire");
+        assert_eq!(
+            (fnv1a(&params), (w.elements, w.messages)),
+            (hash, wire),
+            "{groups}x{per_group} {cadence:?}"
+        );
     }
 }
 
