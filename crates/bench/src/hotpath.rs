@@ -6,15 +6,19 @@
 //! * **before** — the pre-optimization path: per-image `*_ref` convolution
 //!   kernels and a fresh workspace every step (every scratch buffer heap-
 //!   allocated), and
-//! * **after** — the batched im2col/GEMM path with one workspace arena
-//!   persisted across steps.
+//! * **after** — the per-image conv passes (one fork-join region per pass,
+//!   each image lowered, multiplied and scattered by one worker) with one
+//!   workspace arena persisted across steps.
 //!
 //! Both variants start from bit-identical parameters and consume identical
 //! per-step RNG streams, so the first-step loss must agree bit for bit —
 //! the harness records that check next to every timing. Steady-state heap
 //! allocation counts come from the counting global allocator in
-//! [`crate::alloc`] (installed by the `repro` binary). Results land in
-//! `BENCH_hotpath.json`.
+//! [`crate::alloc`] (installed by the `repro` binary), and `held_bytes` is
+//! the capacity an "after" arena keeps between steady-state steps at width
+//! 2 ([`Workspace::held_bytes`]): a number neither the runner's speed nor
+//! its core count can move, which CI holds under a line so a
+//! minibatch-sized scratch matrix cannot come back unnoticed. Results land in `BENCH_hotpath.json`.
 //!
 //! ## Engine step
 //!
@@ -67,6 +71,9 @@ use crate::figures::Artifact;
 const REPS: usize = 3;
 /// Steps averaged for the steady-state allocation count.
 const ALLOC_STEPS: u64 = 2;
+/// Kernel width of the steps `held_bytes` is measured after: 2, so that the
+/// conv passes' per-worker scratch and parked partials are in it.
+const HELD_WIDTH: usize = 2;
 
 /// Model-representative GEMM shapes for the roofline sweep:
 /// `(name, m, k, n, a_density)` as logical `A: [m,k] · B: [k,n]`, with
@@ -75,6 +82,12 @@ const ROOFLINE_SHAPES: &[(&str, usize, usize, usize, f32)] = &[
     // Tall-skinny im2col product (CNN conv2 at batch 32, width/2); its
     // patches are post-ReLU/dropout activations plus zero padding.
     ("conv_im2col", 2048, 288, 64, 0.45),
+    // What conv2's forward now runs: one image's 256 patch rows against
+    // the transposed weight.
+    ("conv_fwd_img", 256, 288, 64, 0.45),
+    // conv2's per-image weight gradient: the image's [co, npix] gradient
+    // block, 7/8 zeros after ReLU and dropout, times its patch rows.
+    ("conv_dw_img", 64, 256, 288, 0.125),
     // NLC fully connected block at batch 128 (tanh activations: dense).
     ("nlc_linear", 128, 512, 512, 1.0),
     // Balanced reference point.
@@ -243,6 +256,9 @@ pub struct HotpathTiming {
     pub after_allocs: u64,
     /// First-step losses of the two paths agreed bit for bit.
     pub loss_bitwise_equal: bool,
+    /// Bytes a fresh "after" arena holds after a steady-state step at
+    /// width `HELD_WIDTH`.
+    pub held_bytes: usize,
 }
 
 /// Pre-PR convolution layer: per-image `*_ref` kernels, every intermediate
@@ -449,7 +465,18 @@ fn run_case(
     }
     let after_allocs = alloc::allocs() / ALLOC_STEPS;
 
+    // The footprint on a fresh arena at a fixed width, after a priming step
+    // and a steady-state one: neither the runner's speed nor its core
+    // count moves it.
+    let mut fresh = Workspace::new();
+    parallel::with_width(HELD_WIDTH, || {
+        for s in 0..2 {
+            step(&mut after, x, y, 200 + s, Some(&mut fresh));
+        }
+    });
+
     HotpathTiming {
+        held_bytes: fresh.held_bytes(),
         name: name.to_string(),
         before_ms,
         after_ms,
@@ -552,7 +579,7 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) 
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"before_ms\": {:.3}, \"after_ms\": {:.3}, \
              \"speedup\": {:.3}, \"before_allocs\": {}, \"after_allocs\": {}, \
-             \"alloc_drop\": {:.1}, \"loss_bitwise_equal\": {}}}{}\n",
+             \"alloc_drop\": {:.1}, \"loss_bitwise_equal\": {}, \"held_bytes\": {}}}{}\n",
             t.name,
             t.before_ms,
             t.after_ms,
@@ -561,6 +588,7 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) 
             t.after_allocs,
             alloc_drop,
             t.loss_bitwise_equal,
+            t.held_bytes,
             if i + 1 < timings.len() { "," } else { "" }
         ));
     }
@@ -622,21 +650,22 @@ pub fn hotpath() -> Artifact {
     let roof = run_roofline();
     let mut report = String::from(
         "Hot-path fwd+bwd step timings: per-image ref kernels + fresh buffers \
-         (before) vs batched im2col/GEMM + workspace arena (after)\n\n",
+         (before) vs per-image conv passes + workspace arena (after)\n\n",
     );
     report.push_str(&format!(
-        "{:<16} {:>10} {:>10} {:>8} {:>14} {:>13}  bitwise\n",
-        "case", "before ms", "after ms", "speedup", "allocs before", "allocs after"
+        "{:<16} {:>10} {:>10} {:>8} {:>14} {:>13} {:>10}  bitwise\n",
+        "case", "before ms", "after ms", "speedup", "allocs before", "allocs after", "held MiB"
     ));
     for t in &timings {
         report.push_str(&format!(
-            "{:<16} {:>10.3} {:>10.3} {:>7.2}x {:>14} {:>13}  {}\n",
+            "{:<16} {:>10.3} {:>10.3} {:>7.2}x {:>14} {:>13} {:>10.2}  {}\n",
             t.name,
             t.before_ms,
             t.after_ms,
             t.before_ms / t.after_ms,
             t.before_allocs,
             t.after_allocs,
+            t.held_bytes as f64 / (1 << 20) as f64,
             if t.loss_bitwise_equal {
                 "ok"
             } else {
@@ -756,6 +785,7 @@ mod tests {
             before_allocs: 500,
             after_allocs: 25,
             loss_bitwise_equal: true,
+            held_bytes: 4096,
         }];
         let roof = Roofline {
             rows: vec![
@@ -801,6 +831,7 @@ mod tests {
         ));
         assert!(j.contains("\"speedup\": 2.000"));
         assert!(j.contains("\"alloc_drop\": 20.0"));
+        assert!(j.contains("\"loss_bitwise_equal\": true, \"held_bytes\": 4096}"));
         assert!(j.contains("\"parallel_path_taken\": 3"));
         assert!(j.contains("\"roofline\""));
         assert!(j.contains("\"best_over_serial\": 2.000"));
@@ -832,7 +863,7 @@ mod tests {
     #[test]
     fn roofline_sweeps_both_legs() {
         let roof = run_roofline();
-        // 4 kernel rows x 3 shapes, each with `serial` and `parallel`.
+        // 4 kernel rows x 5 shapes, each with `serial` and `parallel`.
         assert_eq!(
             roof.rows.len(),
             ROOFLINE_SHAPES.len() * ROOFLINE_KERNELS.len()

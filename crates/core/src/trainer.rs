@@ -10,7 +10,7 @@
 //! stay bit-reproducible under a seed.
 
 use sasgd_data::{Dataset, ShardStrategy};
-use sasgd_nn::{Ctx, Model};
+use sasgd_nn::{Ctx, EvalTally, Model};
 use sasgd_simnet::{CostModel, JitterModel};
 use sasgd_tensor::{SeedRng, Tensor, Workspace};
 
@@ -191,8 +191,13 @@ impl EvalSets {
 
     /// Evaluate `model` and assemble a record, including a large-batch
     /// gradient-norm estimate (the empirical counterpart of the theory's
-    /// average gradient norm; measured on up to two evaluation batches
-    /// in deterministic measurement mode — dropout disabled).
+    /// average gradient norm; measured on up to [`GRAD_NORM_BATCHES`]
+    /// evaluation batches in deterministic measurement mode — dropout
+    /// disabled).
+    ///
+    /// Every pass draws on one arena. The measured train batches are not
+    /// run a second time for the evaluation: dropout is off in both modes,
+    /// so their loss and accuracy are the evaluation pass's bits.
     pub(crate) fn record(
         &self,
         model: &mut Model,
@@ -201,9 +206,39 @@ impl EvalSets {
         comm_seconds: f64,
         samples: u64,
     ) -> EpochRecord {
-        let (train_loss, train_acc) = model.evaluate(&self.train_x, &self.train_y);
-        let (test_loss, test_acc) = model.evaluate(&self.test_x, &self.test_y);
-        let grad_norm = self.grad_norm_estimate(model);
+        let mut ctx = Ctx::measure();
+        // Sized after the first backward, not before the first pass: taking
+        // the model-sized vector ahead of the pass's buffers cost the NLC
+        // benchmark rows 4 MiB of peak RSS (heap layout, not arithmetic).
+        let mut grad = Vec::new();
+        let (mut train, mut measured) = (EvalTally::default(), 0usize);
+        for (x, y) in self.train_x.iter().zip(&self.train_y) {
+            // Measurement mode: activations are cached so backward works,
+            // but dropout stays off — this estimates the norm of the full
+            // network's gradient, not of one sampled thinned network, and
+            // repeated calls on the same parameters agree exactly.
+            ctx.training = measured < GRAD_NORM_BATCHES;
+            if ctx.training {
+                model.zero_grads();
+            }
+            train.add(&model.forward_loss(x, y, &mut ctx));
+            if ctx.training {
+                model.backward(&mut ctx);
+                grad.resize(model.param_len(), 0.0f32);
+                for (a, &b) in grad.iter_mut().zip(model.grads()) {
+                    *a += b;
+                }
+                measured += 1;
+            }
+        }
+        model.zero_grads();
+        ctx.training = false;
+        let mut test = EvalTally::default();
+        for (x, y) in self.test_x.iter().zip(&self.test_y) {
+            test.add(&model.forward_loss(x, y, &mut ctx));
+        }
+        let (train_loss, train_acc) = train.mean();
+        let (test_loss, test_acc) = test.mean();
         EpochRecord {
             epoch,
             train_loss,
@@ -213,37 +248,24 @@ impl EvalSets {
             compute_seconds,
             comm_seconds,
             samples,
-            grad_norm,
+            grad_norm: mean_norm(&grad, measured),
         }
     }
+}
 
-    fn grad_norm_estimate(&self, model: &mut Model) -> f32 {
-        let mut grad = vec![0.0f32; model.param_len()];
-        let mut batches = 0usize;
-        for (x, y) in self.train_x.iter().zip(&self.train_y).take(2) {
-            model.zero_grads();
-            // Measurement mode: activations are cached so backward works,
-            // but dropout stays off — this estimates the norm of the full
-            // network's gradient, not of one sampled thinned network, and
-            // repeated calls on the same parameters agree exactly.
-            let mut ctx = Ctx::measure();
-            model.forward_loss(x, y, &mut ctx);
-            model.backward(&mut ctx);
-            for (a, &b) in grad.iter_mut().zip(model.grads()) {
-                *a += b;
-            }
-            batches += 1;
-        }
-        model.zero_grads();
-        if batches == 0 {
-            return 0.0;
-        }
-        let inv = 1.0 / batches as f32;
-        grad.iter()
-            .map(|v| (v * inv) * (v * inv))
-            .sum::<f32>()
-            .sqrt()
+/// Train batches whose gradients the per-record norm estimate averages.
+const GRAD_NORM_BATCHES: usize = 2;
+
+/// `‖Σ g / batches‖`, 0 over no batches.
+fn mean_norm(grad: &[f32], batches: usize) -> f32 {
+    if batches == 0 {
+        return 0.0;
     }
+    let inv = 1.0 / batches as f32;
+    grad.iter()
+        .map(|v| (v * inv) * (v * inv))
+        .sum::<f32>()
+        .sqrt()
 }
 
 /// One learner replica with its deterministic streams and virtual clocks.
@@ -381,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_norm_estimate_is_invariant_across_calls() {
+    fn grad_norm_is_invariant_across_records() {
         // The estimate must be a pure function of the parameters: it runs
         // in measurement mode (dropout off), so repeating it on the same
         // model — even one whose stack contains Dropout layers — yields
@@ -400,13 +422,19 @@ mod tests {
             &[3, 8, 8],
             &mut SeedRng::new(11),
         );
-        let first = ev.grad_norm_estimate(&mut model);
-        let second = ev.grad_norm_estimate(&mut model);
-        assert!(first > 0.0, "fresh model must have a nonzero gradient");
-        assert_eq!(first, second, "estimate must not sample dropout noise");
         let r1 = ev.record(&mut model, 0.0, 0.0, 0.0, 0);
+        assert!(
+            r1.grad_norm > 0.0,
+            "fresh model must have a nonzero gradient"
+        );
+        assert!(
+            model.grads().iter().all(|&g| g == 0.0),
+            "gradients left behind"
+        );
         let r2 = ev.record(&mut model, 0.0, 0.0, 0.0, 0);
-        assert_eq!(r1.grad_norm, r2.grad_norm);
-        assert_eq!(r1.grad_norm, first);
+        assert_eq!(
+            r1.grad_norm, r2.grad_norm,
+            "estimate must not sample dropout noise"
+        );
     }
 }

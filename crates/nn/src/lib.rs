@@ -38,7 +38,7 @@ pub mod model;
 pub mod models;
 
 pub use layer::{Ctx, Layer};
-pub use model::{ForwardOutput, Model};
+pub use model::{EvalTally, ForwardOutput, Model};
 /// Intra-op width control for the kernels under every layer (re-exported
 /// from `sasgd-tensor`): [`parallel::configure_threads`],
 /// [`parallel::with_width`], …

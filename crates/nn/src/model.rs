@@ -236,23 +236,42 @@ impl Model {
     pub fn evaluate(&mut self, inputs: &[Tensor], labels: &[Vec<usize>]) -> (f32, f32) {
         assert_eq!(inputs.len(), labels.len());
         let mut ctx = Ctx::eval();
-        let mut loss_sum = 0.0f64;
-        let mut correct = 0usize;
-        let mut total = 0usize;
+        let mut tally = EvalTally::default();
         for (x, y) in inputs.iter().zip(labels) {
-            let out = self.forward_loss(x, y, &mut ctx);
-            loss_sum += f64::from(out.loss) * y.len() as f64;
-            correct += out.correct;
-            total += y.len();
+            tally.add(&self.forward_loss(x, y, &mut ctx));
         }
-        if total == 0 {
+        tally.mean()
+    }
+}
+
+/// Sample-weighted loss and correct-prediction sums over the batches of an
+/// evaluation, added in batch order: [`Model::evaluate`]'s arithmetic, for
+/// callers that run the forward passes themselves.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EvalTally {
+    loss_sum: f64,
+    correct: usize,
+    total: usize,
+}
+
+impl EvalTally {
+    /// Add one batch's forward pass.
+    pub fn add(&mut self, out: &ForwardOutput) {
+        self.loss_sum += f64::from(out.loss) * out.total as f64;
+        self.correct += out.correct;
+        self.total += out.total;
+    }
+
+    /// Mean loss and accuracy; `(0, 0)` over no samples.
+    pub fn mean(&self) -> (f32, f32) {
+        if self.total == 0 {
             return (0.0, 0.0);
         }
         (
             // lint:allow(float-cast): deliberate narrowing — the epoch mean
             // is accumulated in f64 for order-stability, reported in f32.
-            (loss_sum / total as f64) as f32,
-            correct as f32 / total as f32,
+            (self.loss_sum / self.total as f64) as f32,
+            self.correct as f32 / self.total as f32,
         )
     }
 }

@@ -9,20 +9,21 @@
 //! `sasgd-nn` can count the same multiply–accumulate operations a GPU
 //! would perform.
 //!
-//! The hot path lowers the **whole minibatch at once**: [`im2col_batch`]
-//! stacks all `n` images into one `[n*oh*ow, ci*kh*kw]` matrix (image
-//! `i`'s rows exactly where the per-image loop would put them), so forward
-//! and backward each become a single large GEMM with enough rows to band
-//! across workers. Scratch matrices come from a
-//! [`Workspace`] via the `*_ws` entry points, so a
-//! steady-state training loop stops allocating. The pre-batching
-//! per-image implementations survive as [`conv2d_forward_ref`] /
-//! [`conv2d_backward_ref`]: they are the bitwise reference the proptests
+//! The hot path works **one image at a time**: each pass — forward,
+//! backward, parameters-only backward — is a single fork-join region over
+//! the images of the minibatch ([`parallel::for_each_item_mut`]), and a
+//! worker lowers, multiplies and scatters one image before it takes the
+//! next, so an image's patch rows (≤ 300 KB at the Table I shapes) stay in
+//! that worker's L2 instead of a minibatch-sized matrix streaming through
+//! DRAM. Per-worker scratch is one buffer from a [`Workspace`], so a
+//! steady-state training loop stops allocating. The per-image reference
+//! implementations survive as [`conv2d_forward_ref`] /
+//! [`conv2d_backward_ref`]: they are the bitwise oracle the proptests
 //! compare against and the "before" baseline of the `hotpath` benchmark.
 //!
 //! Every accumulation keeps the reference order — ascending inner index,
 //! `g == 0.0` skipped where the reference skipped it, per-image weight /
-//! bias partials reduced serially in image order — so batched and
+//! bias partials added to the accumulators in image order — so the fast and
 //! reference paths are bitwise identical at any width.
 
 use crate::linalg;
@@ -156,7 +157,8 @@ pub fn im2col_ref(img: &[f32], ci: usize, h: usize, w: usize, spec: &Conv2dSpec)
 /// Lower a whole batch `[n, ci, h, w]` into one stacked patch matrix
 /// `[n*oh*ow, ci*kh*kw]` — image `i`'s rows land exactly where the
 /// per-image loop would put them, images split across this thread's workers.
-// hot-path: minibatch patch lowering — no allocation allowed
+/// The conv passes lower one image at a time instead; this is the
+/// minibatch-wide lowering for probes that time it on its own.
 pub fn im2col_batch_into(
     input: &[f32],
     n: usize,
@@ -185,12 +187,7 @@ pub fn im2col_batch_into(
 
 /// [`im2col_batch_into`] allocating its `[n*oh*ow, ci*kh*kw]` output.
 pub fn im2col_batch(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
-    let [n, ci, h, w] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
+    let [n, ci, h, w] = nchw(input);
     let (oh, ow) = spec.out_hw(h, w);
     let mut out = Tensor::zeros(&[n * oh * ow, spec.patch_len()]);
     im2col_batch_into(input.as_slice(), n, ci, h, w, spec, out.as_mut_slice());
@@ -199,6 +196,11 @@ pub fn im2col_batch(input: &Tensor, spec: &Conv2dSpec) -> Tensor {
 
 /// Scatter a patch-matrix gradient slice `[oh*ow * ci*kh*kw]` back onto an
 /// image gradient `[ci, h, w]` (accumulating; inverse of [`im2col_into`]).
+///
+/// Each `kw`-wide window row is one contiguous run of `img_grad`: the
+/// in-bounds `kx` range is worked out once per output pixel, so the inner
+/// loop is a plain slice add. Every `+=` lands in the order of the
+/// per-element walk (out-of-bounds terms were never added).
 // hot-path: gradient scatter, called per image per step — no allocation allowed
 pub fn col2im_into(
     cols: &[f32],
@@ -212,21 +214,27 @@ pub fn col2im_into(
     let (oh, ow) = spec.out_hw(h, w);
     let plen = spec.patch_len();
     debug_assert_eq!(cols.len(), oh * ow * plen);
+    let (kh, kw, stride, pad) = (spec.kh, spec.kw, spec.stride, spec.pad);
     for oy in 0..oh {
         for ox in 0..ow {
-            let row = (oy * ow + ox) * plen;
-            let mut k = row;
+            let mut k = (oy * ow + ox) * plen;
+            // Window columns `kx0..kx1` land on image columns `x0..`, the
+            // part of `ix0 + kx` inside `0..w`.
+            let ix0 = (ox * stride) as isize - pad as isize;
+            let kx0 = (-ix0).clamp(0, kw as isize) as usize;
+            let kx1 = (w as isize - ix0).clamp(kx0 as isize, kw as isize) as usize;
+            let x0 = (ix0 + kx0 as isize) as usize;
             for c in 0..ci {
-                let base = c * h * w;
-                for ky in 0..spec.kh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                    for kx in 0..spec.kw {
-                        let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            img_grad[base + iy as usize * w + ix as usize] += cols[k];
+                for ky in 0..kh {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy >= 0 && (iy as usize) < h && kx0 < kx1 {
+                        let at = (c * h + iy as usize) * w + x0;
+                        let dst = &mut img_grad[at..at + kx1 - kx0];
+                        for (d, &v) in dst.iter_mut().zip(&cols[k + kx0..k + kx1]) {
+                            *d += v;
                         }
-                        k += 1;
                     }
+                    k += kw;
                 }
             }
         }
@@ -249,8 +257,8 @@ pub fn col2im(
 /// Scatter a stacked batch patch-matrix gradient `[n*oh*ow, ci*kh*kw]`
 /// back onto a batch image gradient `[n, ci, h, w]` (accumulating), each
 /// image in the existing per-image scatter order, images split across this
-/// thread's workers (their output slices are disjoint).
-// hot-path: minibatch gradient scatter — no allocation allowed
+/// thread's workers (their output slices are disjoint). Like
+/// [`im2col_batch_into`], for probes: the conv passes scatter per image.
 pub fn col2im_batch(
     cols: &[f32],
     n: usize,
@@ -270,6 +278,12 @@ pub fn col2im_batch(
     });
 }
 
+/// `[n, ci, h, w]` of a 4-D tensor.
+fn nchw(t: &Tensor) -> [usize; 4] {
+    let d = t.dims();
+    [d[0], d[1], d[2], d[3]]
+}
+
 fn forward_asserts(input: &Tensor, weight: &[f32], bias: &[f32], spec: &Conv2dSpec) {
     assert_eq!(input.dims()[1], spec.ci, "input channels mismatch");
     assert_eq!(
@@ -283,18 +297,19 @@ fn forward_asserts(input: &Tensor, weight: &[f32], bias: &[f32], spec: &Conv2dSp
 /// Forward convolution over a batch, scratch space from a [`Workspace`].
 ///
 /// `input`: `[n, ci, h, w]`; `weight`: `[co, ci*kh*kw]` (pre-flattened,
-/// row-major); `bias`: `[co]`. Returns `[n, co, oh, ow]`. The whole minibatch is
-/// lowered into one stacked patch matrix and multiplied in a single
-/// `cols · weightᵀ` GEMM. `linalg::gemm_nt_ws` runs it as
-/// `cols · (weightᵀ)` on the compacting NN kernel: the non-zeros of 16 patch
-/// rows at a time are listed without a branch, and each 32-channel panel of
-/// an output pixel is folded over its row's list in registers and stored
-/// once — so the exact zeros of a post-ReLU/dropout input (about 55 % of a
-/// patch row) and all zero padding cost neither a multiply nor a
-/// mispredicted test. Each output element is still the ascending-index fold
-/// of `patch[l] · weight[co][l]` plus `bias[co]`, so for finite inputs
-/// results are bitwise identical to the per-column `dot` of
-/// [`conv2d_forward_ref`].
+/// row-major); `bias`: `[co]`. Returns `[n, co, oh, ow]`.
+///
+/// One region over the images: a worker lowers an image into its own patch
+/// rows, multiplies them by `weightᵀ` (transposed once per call) on the
+/// compacting NN kernel — the non-zeros of 16 patch rows at a time are
+/// listed without a branch and each 32-channel panel of an output pixel is
+/// folded over its row's list in registers, so the exact zeros of a
+/// post-ReLU/dropout input (about 55 % of a patch row) and all zero padding
+/// cost neither a multiply nor a mispredicted test — and writes the
+/// `[npix, co]` product plus bias straight into that image's `[co, npix]`
+/// output. Each output element is still the ascending-index fold of
+/// `patch[l] · weight[co][l]` plus `bias[co]`, so for finite inputs results
+/// are bitwise identical to the per-column `dot` of [`conv2d_forward_ref`].
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_forward_ws(
     input: &Tensor,
@@ -303,41 +318,47 @@ pub fn conv2d_forward_ws(
     spec: &Conv2dSpec,
     ws: &mut Workspace,
 ) -> Tensor {
-    let [n, ci, h, w] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
+    let [n, ci, h, w] = nchw(input);
     forward_asserts(input, weight, bias, spec);
     let (oh, ow) = spec.out_hw(h, w);
-    let npix = oh * ow;
-    let nrows = n * npix;
-    let plen = spec.patch_len();
-    let co = spec.co;
+    let (npix, plen, co) = (oh * ow, spec.patch_len(), spec.co);
+    let in_stride = ci * h * w;
 
-    let mut cols = ws.take_f32_uninit(nrows * plen);
-    im2col_batch_into(input.as_slice(), n, ci, h, w, spec, &mut cols);
-
-    // One GEMM for the minibatch: tmp[row, c] = Σ_l cols[row, l]·weight[c, l].
-    let mut tmp = ws.take_f32_uninit(nrows * co);
-    linalg::gemm_nt_ws(&mut tmp, &cols, weight, nrows, plen, co, ws);
-
-    // Transpose each image's [npix, co] block to the NCHW [co, npix]
-    // output layout, adding the bias (pure data movement plus the same
-    // `dot + bias` the reference computes).
+    let mut wt = ws.take_f32_uninit(plen * co);
+    linalg::transpose_into(&mut wt, weight, co, plen);
+    let work = n * npix * plen * co / parallel::MACS_PER_UNIT;
+    // Per worker: one image's patch rows and its [npix, co] product.
+    let mut scratch = ws.take_f32_uninit(parallel::workers(n, work) * npix * (plen + co));
     let mut od = ws.take_f32_uninit(n * co * npix);
-    parallel::for_each_chunk_mut(&mut od, co * npix, nrows * co, |img, oimg| {
-        let t = &tmp[img * npix * co..(img + 1) * npix * co];
-        for (c, orow) in oimg.chunks_mut(npix).enumerate() {
-            let b = bias[c];
-            for (pix, o) in orow.iter_mut().enumerate() {
-                *o = t[pix * co + c] + b;
+    let x = input.as_slice();
+    parallel::for_each_item_mut(
+        n,
+        work,
+        &mut od,
+        &mut scratch,
+        &mut (),
+        &mut [],
+        |img, oimg, s, _| {
+            let (cols, prod) = s.split_at_mut(npix * plen);
+            im2col_into(
+                &x[img * in_stride..(img + 1) * in_stride],
+                ci,
+                h,
+                w,
+                spec,
+                cols,
+            );
+            linalg::matmul_into(prod, cols, &wt, npix, plen, co);
+            for (c, orow) in oimg.chunks_mut(npix).enumerate() {
+                let b = bias[c];
+                for (pix, o) in orow.iter_mut().enumerate() {
+                    *o = prod[pix * co + c] + b;
+                }
             }
-        }
-    });
-    ws.give_f32(cols);
-    ws.give_f32(tmp);
+        },
+    );
+    ws.give_f32(wt);
+    ws.give_f32(scratch);
     Tensor::from_vec(od, &[n, co, oh, ow])
 }
 
@@ -356,12 +377,7 @@ pub fn conv2d_forward_ref(
     bias: &[f32],
     spec: &Conv2dSpec,
 ) -> Tensor {
-    let [n, ci, h, w] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
+    let [n, ci, h, w] = nchw(input);
     forward_asserts(input, weight.as_slice(), bias, spec);
     let (oh, ow) = spec.out_hw(h, w);
     let mut out = Tensor::zeros(&[n, spec.co, oh, ow]);
@@ -397,101 +413,124 @@ pub struct Conv2dGrads {
     pub dbias: Vec<f32>,
 }
 
-/// The parameter half of the backward pass — all of [`conv2d_backward_ws`]
-/// but the input gradient: *accumulates* the weight and bias gradients into
-/// `dweight` (`[co, ci*kh*kw]`) and `dbias` (`[co]`), and returns `gt`,
-/// `grad_out` with each image's block transposed to `[npix, co]` (checked
-/// out of `ws`), which the input half multiplies next.
+/// The backward region both entry points run: one pass over the images
+/// that *accumulates* the weight and bias gradients into `dweight`
+/// (`[co, ci*kh*kw]`) and `dbias` (`[co]`) and, given `Some((weight,
+/// dinput))`, writes the input gradient `[n, ci, h, w]`.
 ///
-/// Recomputes the stacked `im2col` (trading FLOPs for memory, as cuDNN's
-/// low-workspace algorithms do). The weight/bias gradients are computed as
-/// per-image partials and added to the accumulators in image order, with
-/// the reference's `g == 0.0` skip.
-fn backward_params(
+/// Per image a worker lowers the patch rows again (trading FLOPs for
+/// memory, as cuDNN's low-workspace algorithms do) and computes
+/// `dW_img = G_img · cols_img` on the compacting NN kernel: the image's
+/// NCHW `grad_out` block is `[co, npix]` — the left operand as it lies —
+/// so every weight-gradient element is the ascending-pixel fold of
+/// `g · patch` from `+0.0` with `g == 0.0` skipped, the reference's order.
+/// `db` is the same fold of `g` alone. The caller's images add their
+/// partials to the accumulators as they finish; the other workers' images
+/// park theirs, folded in image order after the region. With `dinput` the
+/// worker goes on to `Gᵀ_img · weight` (the patch gradient, ascending
+/// output channel, zeros skipped) and scatters it through [`col2im_into`].
+// hot-path: all scratch comes from the Workspace arena
+fn backward_images(
     input: &Tensor,
     grad_out: &Tensor,
     spec: &Conv2dSpec,
     dweight: &mut [f32],
     dbias: &mut [f32],
+    dinput: Option<(&[f32], &mut [f32])>,
     ws: &mut Workspace,
-) -> Vec<f32> {
-    let [n, ci, h, w] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
+) {
+    let [n, ci, h, w] = nchw(input);
     let (oh, ow) = spec.out_hw(h, w);
     assert_eq!(
         grad_out.dims(),
         &[n, spec.co, oh, ow],
         "grad_out shape mismatch"
     );
-    let plen = spec.patch_len();
-    let co = spec.co;
-    assert_eq!(dweight.len(), co * plen, "dweight shape mismatch");
-    assert_eq!(dbias.len(), co, "dbias length mismatch");
-    let npix = oh * ow;
-    let nrows = n * npix;
-    let out_stride = co * npix;
-    let gd = grad_out.as_slice();
-
-    let mut cols = ws.take_f32_uninit(nrows * plen);
-    im2col_batch_into(input.as_slice(), n, ci, h, w, spec, &mut cols);
-
-    // Transpose each image's gradient block to [npix, co] so output pixels
-    // index GEMM rows (pure data movement).
-    let mut gt = ws.take_f32_uninit(nrows * co);
-    parallel::for_each_chunk_mut(&mut gt, npix * co, nrows * co, |img, gblk| {
-        let src = &gd[img * out_stride..(img + 1) * out_stride];
-        for (pix, row) in gblk.chunks_mut(co).enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = src[c * npix + pix];
-            }
-        }
-    });
-
-    // Per-image dweight/dbias partials (disjoint outputs), reduced in
-    // image order below.
+    let (npix, plen, co) = (oh * ow, spec.patch_len(), spec.co);
     let wlen = co * plen;
-    let mut dw_all = ws.take_f32_uninit(n * wlen);
-    let mut db_all = ws.take_f32(n * co);
-    let work = nrows * wlen / parallel::MACS_PER_UNIT;
-    parallel::for_each_zip_chunks_mut(&mut dw_all, wlen, &mut db_all, co, work, |img, dw, db| {
-        let gblk = &gt[img * npix * co..(img + 1) * npix * co];
-        let cblk = &cols[img * npix * plen..(img + 1) * npix * plen];
-        // dw[c][k] = Σ_pix g · patch[k], ascending pix, g == 0.0 skipped.
-        linalg::matmul_tn_into(dw, gblk, cblk, npix, co, plen);
-        for grow in gblk.chunks(co) {
-            for (bj, &g) in db.iter_mut().zip(grow) {
-                if g == 0.0 {
-                    continue;
-                }
-                *bj += g;
-            }
-        }
-    });
+    assert_eq!(dweight.len(), wlen, "dweight shape mismatch");
+    assert_eq!(dbias.len(), co, "dbias length mismatch");
+    let (in_stride, out_stride) = (ci * h * w, co * npix);
 
-    // Every accumulator element folds its partials in ascending image
-    // order; bands of elements are independent of each other.
-    let band = parallel::block_len(wlen, n * wlen);
-    parallel::for_each_chunk_mut(dweight, band, n * wlen, |j, dband| {
-        for dw in dw_all.chunks(wlen) {
-            for (a, &v) in dband.iter_mut().zip(&dw[j * band..]) {
-                *a += v;
+    let (weight, dx): (&[f32], &mut [f32]) = match dinput {
+        Some((weight, dx)) => (weight, dx),
+        None => (&[], &mut []),
+    };
+    let passes = if dx.is_empty() { 1 } else { 2 };
+    let work = passes * n * npix * plen * co / parallel::MACS_PER_UNIT;
+    // Per worker: one image's patch rows and dW/db partial, then — with
+    // dinput — its Gᵀ and patch gradient.
+    let per = npix * plen + wlen + co + (passes - 1) * npix * (co + plen);
+    let mut scratch = ws.take_f32_uninit(parallel::workers(n, work) * per);
+    let mut park = ws.take_f32_uninit((n - parallel::lead_items(n, work)) * (wlen + co));
+    let (x, g) = (input.as_slice(), grad_out.as_slice());
+    let mut acc = (dweight, dbias);
+    parallel::for_each_item_mut(
+        n,
+        work,
+        dx,
+        &mut scratch,
+        &mut acc,
+        &mut park,
+        |img, dimg, s, partial| {
+            let (cols, s) = s.split_at_mut(npix * plen);
+            let (own, s) = s.split_at_mut(wlen + co);
+            im2col_into(
+                &x[img * in_stride..(img + 1) * in_stride],
+                ci,
+                h,
+                w,
+                spec,
+                cols,
+            );
+            let gimg = &g[img * out_stride..(img + 1) * out_stride];
+            let (slot, lead) = match partial {
+                parallel::Partial::Lead(acc) => (own, Some(acc)),
+                parallel::Partial::Park(slot) => (slot, None),
+            };
+            let (dw, db) = slot.split_at_mut(wlen);
+            linalg::matmul_into(dw, gimg, cols, co, npix, plen);
+            for (b, grow) in db.iter_mut().zip(gimg.chunks(npix)) {
+                *b = grow
+                    .iter()
+                    .filter(|&&v| v != 0.0)
+                    .fold(0.0, |sum, &v| sum + v);
             }
+            if let Some((dweight, dbias)) = lead {
+                add_into(dweight, dw);
+                add_into(dbias, db);
+            }
+            if !dimg.is_empty() {
+                let (gt, dcols) = s.split_at_mut(npix * co);
+                linalg::transpose_into(gt, gimg, co, npix);
+                linalg::matmul_into(dcols, gt, weight, npix, co, plen);
+                dimg.fill(0.0);
+                col2im_into(dcols, ci, h, w, spec, dimg);
+            }
+        },
+    );
+
+    // Each accumulator element adds the parked partials in image order;
+    // bands of elements are independent of each other.
+    let (dweight, dbias) = acc;
+    let band = parallel::block_len(wlen, park.len());
+    parallel::for_each_chunk_mut(dweight, band, park.len(), |j, dband| {
+        for p in park.chunks(wlen + co) {
+            add_into(dband, &p[j * band..]);
         }
     });
-    for db in db_all.chunks(co) {
-        for (a, &v) in dbias.iter_mut().zip(db) {
-            *a += v;
-        }
+    for p in park.chunks(wlen + co) {
+        add_into(dbias, &p[wlen..]);
     }
+    ws.give_f32(scratch);
+    ws.give_f32(park);
+}
 
-    ws.give_f32(cols);
-    ws.give_f32(dw_all);
-    ws.give_f32(db_all);
-    gt
+/// `acc[i] += v[i]` over `acc`'s length.
+fn add_into(acc: &mut [f32], v: &[f32]) {
+    for (a, &b) in acc.iter_mut().zip(v) {
+        *a += b;
+    }
 }
 
 /// Backward convolution over a batch, scratch space from a [`Workspace`]:
@@ -499,11 +538,10 @@ fn backward_params(
 /// *accumulates* the weight and bias gradients into `dweight`
 /// (`[co, ci*kh*kw]`) and `dbias` (`[co]`).
 ///
-/// `grad_out`: `[n, co, oh, ow]`. The parameter half is
-/// [`conv2d_backward_params_ws`]'s; the patch gradient is one
-/// minibatch-wide GEMM, scattered back through `col2im`. Over `+0.0`
-/// accumulators bitwise identical to [`conv2d_backward_ref`] at any thread
-/// count.
+/// `grad_out`: `[n, co, oh, ow]`. One region over the images; per image the
+/// parameter partial, then the patch gradient scattered back through
+/// `col2im` (see `backward_images`). Over `+0.0` accumulators bitwise
+/// identical to [`conv2d_backward_ref`] at any thread count.
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_backward_ws(
     input: &Tensor,
@@ -514,34 +552,23 @@ pub fn conv2d_backward_ws(
     dbias: &mut [f32],
     ws: &mut Workspace,
 ) -> Tensor {
-    let gt = backward_params(input, grad_out, spec, dweight, dbias, ws);
-    let plen = spec.patch_len();
-    let nrows = gt.len() / spec.co;
-
-    // Patch gradient for the whole minibatch in one GEMM. Per element the
-    // terms accumulate in ascending output-channel order with g == 0.0
-    // skipped — exactly the reference's fused loop.
-    let mut dcols = ws.take_f32_uninit(nrows * plen);
-    linalg::gemm_nn_ws(&mut dcols, &gt, weight, nrows, spec.co, plen, ws);
-
-    let mut dinput = Tensor::zeros_in(input.dims(), ws);
-    let [n, ci, h, w] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
-    col2im_batch(&dcols, n, ci, h, w, spec, dinput.as_mut_slice());
-
-    ws.give_f32(gt);
-    ws.give_f32(dcols);
-    dinput
+    let mut dinput = ws.take_f32_uninit(input.numel());
+    backward_images(
+        input,
+        grad_out,
+        spec,
+        dweight,
+        dbias,
+        Some((weight, &mut dinput)),
+        ws,
+    );
+    Tensor::from_vec(dinput, input.dims())
 }
 
 /// [`conv2d_backward_ws`] without the input gradient: accumulates bit for
-/// bit the same `dweight` / `dbias` and skips the patch-gradient GEMM, its
-/// `[n*oh*ow, ci*kh*kw]` matrix and the `col2im` scatter — for the first
-/// layer of a model, whose input gradient nobody reads.
+/// bit the same `dweight` / `dbias` and skips each image's patch-gradient
+/// product and `col2im` scatter — for the first layer of a model, whose
+/// input gradient nobody reads.
 // hot-path: all scratch comes from the Workspace arena
 pub fn conv2d_backward_params_ws(
     input: &Tensor,
@@ -551,8 +578,7 @@ pub fn conv2d_backward_params_ws(
     dbias: &mut [f32],
     ws: &mut Workspace,
 ) {
-    let gt = backward_params(input, grad_out, spec, dweight, dbias, ws);
-    ws.give_f32(gt);
+    backward_images(input, grad_out, spec, dweight, dbias, None, ws);
 }
 
 /// Backward convolution over a batch into fresh gradients (fresh scratch
@@ -591,12 +617,7 @@ pub fn conv2d_backward_ref(
     grad_out: &Tensor,
     spec: &Conv2dSpec,
 ) -> Conv2dGrads {
-    let [n, ci, h, w] = [
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    ];
+    let [n, ci, h, w] = nchw(input);
     let (oh, ow) = spec.out_hw(h, w);
     assert_eq!(
         grad_out.dims(),
@@ -670,12 +691,7 @@ mod tests {
     use crate::rng::SeedRng;
 
     fn naive_conv(input: &Tensor, weight: &Tensor, bias: &[f32], spec: &Conv2dSpec) -> Tensor {
-        let [n, ci, h, w] = [
-            input.dims()[0],
-            input.dims()[1],
-            input.dims()[2],
-            input.dims()[3],
-        ];
+        let [n, ci, h, w] = nchw(input);
         let (oh, ow) = spec.out_hw(h, w);
         let mut out = Tensor::zeros(&[n, spec.co, oh, ow]);
         for img in 0..n {

@@ -59,10 +59,11 @@
 //! a dense `A`, 38–48 nominal on the shapes training runs. So the layers'
 //! NT seam, [`gemm_nt_ws`], transposes `B` into a [`Workspace`] buffer
 //! (`n·k` moves against `2·m·n·k` flops) and runs the NN kernel whenever
-//! the call has at least [`NT_VIA_NN_ROWS`] output rows: conv forward,
-//! linear and temporal backward-dx at batch > 1 or on a sequence. GEMV-like
-//! calls (batch-1 linears) stay on the dot kernel, where a transpose would
-//! cost several times the product.
+//! the call has at least [`NT_VIA_NN_ROWS`] output rows: linear and temporal
+//! backward-dx at batch > 1 or on a sequence. GEMV-like calls (batch-1
+//! linears) stay on the dot kernel, where a transpose would cost several
+//! times the product. Conv forward makes the same trade itself: it
+//! transposes its weight once per call and runs [`matmul_into`] per image.
 //!
 //! Per output element both kernels fold `a[i,l]·b[j,l]` in ascending `l`
 //! from `+0.0` with an unfused multiply and add. A skipped term is
@@ -199,7 +200,7 @@ pub fn gemm_tn_acc_ws(
 /// `dst = srcᵀ` for row-major `src: [rows, cols]` (so `dst: [cols, rows]`),
 /// walked in `TB`×`TB` tiles, bands of `dst` rows per worker. Pure data
 /// movement; writes every element.
-fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
+pub(crate) fn transpose_into(dst: &mut [f32], src: &[f32], rows: usize, cols: usize) {
     debug_assert_eq!(dst.len(), rows * cols);
     debug_assert_eq!(src.len(), rows * cols);
     if rows == 0 {
@@ -434,9 +435,9 @@ fn tn_acc_band(
     for l in 0..k {
         let arow = &a[l * m + i0..l * m + i0 + rows];
         let brow = &b[l * n..(l + 1) * n];
-        // Indexed, not `chunks_mut(n).zip(arow)`: seven in eight entries of
-        // a conv layer's `Gᵀ` are zeros, and a skipped entry should cost a
-        // load and a compare, not a slice split.
+        // Indexed, not `chunks_mut(n).zip(arow)`: most entries of a
+        // post-ReLU/dropout gradient are zeros, and a skipped entry should
+        // cost a load and a compare, not a slice split.
         for (i, &av) in arow.iter().enumerate() {
             if av == 0.0 {
                 continue;
@@ -513,7 +514,7 @@ pub(crate) fn nt_rows(out: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usi
 
 /// `out = A · Bᵀ` on raw slices for `A: [m,k]`, `B: [n,k]` (the dot
 /// kernel), one band of output rows per worker when large.
-// hot-path: conv/linear forward GEMM — no allocation allowed
+// hot-path: linear forward GEMM (GEMV-like rows) — no allocation allowed
 pub fn matmul_nt_into(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(out.len(), m * n, "matmul_nt_into output size");
     assert_eq!(a.len(), m * k, "matmul_nt_into lhs size");

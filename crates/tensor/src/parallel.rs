@@ -1,6 +1,6 @@
 //! Deterministic intra-op fork-join.
 //!
-//! Every multi-threaded kernel in this crate routes through the three
+//! Every multi-threaded kernel in this crate routes through the four
 //! helpers here, which guarantee one property: **work item `i` is always
 //! work item `i`**, no matter how many threads execute it. Kernels split
 //! only across independent outputs (rows, images, planes) and never change
@@ -214,6 +214,86 @@ pub fn for_each_zip_chunks_mut<T, U, F>(
     });
 }
 
+/// Where [`for_each_item_mut`] sends item `i`'s partial result.
+pub enum Partial<'a, L, P> {
+    /// `i` is on the caller's block, whose items come first and run in
+    /// order: fold the partial into the accumulator now.
+    Lead(&'a mut L),
+    /// `i` is on a later worker: leave the partial in this slot, for the
+    /// caller to fold in item order after the region.
+    Park(&'a mut [P]),
+}
+
+/// Items on the caller's block of a [`for_each_item_mut`] region over `n`
+/// items and `work` units: the items whose partials fold straight into
+/// `lead`. The rest need one `park` slot each.
+pub fn lead_items(n: usize, work: usize) -> usize {
+    n / workers(n, work)
+}
+
+/// One region over items `0..n` whose workers each own scratch: runs
+/// `op(i, out_i, scratch_w, partial_i)` for every item, where `out` is cut
+/// into `n` equal chunks (all empty if `out` is), `scratch` into one equal
+/// slice per worker ([`workers`]`(n, work)` of them — the caller sizes it
+/// so), and `partial_i` is [`Partial::Lead`] for the caller's
+/// [`lead_items`] and [`Partial::Park`] — `park` cut into one equal slot
+/// per remaining item — for the rest. Each worker takes a contiguous block
+/// of items in order, as [`for_each_zip_chunks_mut`] does.
+pub fn for_each_item_mut<T, S, L, F>(
+    n: usize,
+    work: usize,
+    out: &mut [T],
+    scratch: &mut [S],
+    lead: &mut L,
+    park: &mut [S],
+    op: F,
+) where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut [S], Partial<'_, L, S>) + Sync,
+{
+    let k = workers(n, work);
+    let lead_n = n / k;
+    let out_len = out.len().checked_div(n).unwrap_or(0);
+    let park_len = park.len().checked_div(n - lead_n).unwrap_or(0);
+    let (mine_o, mut rest_o) = out.split_at_mut(lead_n * out_len);
+    let own = scratch.len() / k;
+    let (mine_s, mut rest_s) = scratch.split_at_mut(own);
+    // The caller's block: items `0..lead_n`, folding as they go.
+    let mut lead_block = || {
+        for i in 0..lead_n {
+            let o = &mut mine_o[i * out_len..(i + 1) * out_len];
+            op(i, o, &mut *mine_s, Partial::Lead(&mut *lead));
+        }
+    };
+    if k < 2 {
+        return lead_block();
+    }
+    REGIONS.fetch_add(1, Ordering::Relaxed);
+    std::thread::scope(|scope| {
+        let op = &op;
+        let (mut rest_p, mut first) = (park, lead_n);
+        for j in 1..k {
+            let count = (j + 1) * n / k - first;
+            let (oblk, sblk, pblk);
+            (oblk, rest_o) = std::mem::take(&mut rest_o).split_at_mut(count * out_len);
+            (sblk, rest_s) = std::mem::take(&mut rest_s).split_at_mut(own);
+            (pblk, rest_p) = std::mem::take(&mut rest_p).split_at_mut(count * park_len);
+            scope.spawn(move || {
+                for i in 0..count {
+                    let o = &mut oblk[i * out_len..(i + 1) * out_len];
+                    let slot = &mut pblk[i * park_len..(i + 1) * park_len];
+                    op(first + i, o, &mut *sblk, Partial::Park(slot));
+                }
+            });
+            first += count;
+        }
+        // The caller is a worker too: a region entered from its block
+        // runs serially, as it does on the spawned threads.
+        with_width(1, lead_block);
+    });
+}
+
 /// Evaluate `f(0..n)`, returning results in index order; `work` as in
 /// [`for_each_chunk_mut`].
 pub fn map_collect<T, F>(n: usize, work: usize, f: F) -> Vec<T>
@@ -270,6 +350,41 @@ mod tests {
     fn map_collect_is_ordered() {
         let out = with_width(3, || map_collect(17, BIG, |i| i * 3));
         assert_eq!(out, (0..17).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn items_fold_on_the_lead_block_and_park_the_rest_in_order() {
+        for width in [1, 2, 3] {
+            let n = 7;
+            let (lead_n, mut folded) = with_width(width, || (lead_items(n, BIG), Vec::new()));
+            let mut out = vec![0usize; 2 * n];
+            let mut scratch = vec![0usize; with_width(width, || workers(n, BIG))];
+            let mut park = vec![usize::MAX; n - lead_n];
+            with_width(width, || {
+                for_each_item_mut(
+                    n,
+                    BIG,
+                    &mut out,
+                    &mut scratch,
+                    &mut folded,
+                    &mut park,
+                    |i, o, s, partial| {
+                        o.fill(i);
+                        s[0] += 1; // one slice per worker, whatever its length
+                        match partial {
+                            Partial::Lead(acc) => acc.push(i),
+                            Partial::Park(slot) => slot[0] = i,
+                        }
+                    },
+                );
+            });
+            let want: Vec<usize> = (0..n).flat_map(|i| [i, i]).collect();
+            assert_eq!(out, want, "width {width}");
+            assert_eq!(lead_n, n / width, "width {width}");
+            assert_eq!(folded, (0..lead_n).collect::<Vec<_>>(), "width {width}");
+            assert_eq!(park, (lead_n..n).collect::<Vec<_>>(), "width {width}");
+            assert_eq!(scratch.iter().sum::<usize>(), n, "width {width}");
+        }
     }
 
     #[test]

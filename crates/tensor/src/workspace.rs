@@ -108,6 +108,14 @@ impl Workspace {
     pub fn pooled(&self) -> usize {
         self.f32_free.len() + self.u32_free.len()
     }
+
+    /// Bytes of capacity parked on the free lists: what the arena holds
+    /// between steps, once every buffer has been given back.
+    pub fn held_bytes(&self) -> usize {
+        let f32s: usize = self.f32_free.iter().map(Vec::capacity).sum();
+        let u32s: usize = self.u32_free.iter().map(Vec::capacity).sum();
+        4 * (f32s + u32s)
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +166,19 @@ mod tests {
         ws.give_u32(a);
         let b = ws.take_u32(6);
         assert_eq!(b, vec![0; 6]);
+    }
+
+    #[test]
+    fn held_bytes_sums_pooled_capacity() {
+        let mut ws = Workspace::new();
+        assert_eq!(ws.held_bytes(), 0);
+        ws.give_f32(Vec::with_capacity(10));
+        ws.give_u32(Vec::with_capacity(6));
+        assert_eq!(ws.held_bytes(), 64);
+        let out = ws.take_f32(8);
+        assert_eq!(ws.held_bytes(), 24, "a checked-out buffer is not held");
+        ws.give_f32(out);
+        assert_eq!(ws.held_bytes(), 64);
     }
 
     #[test]

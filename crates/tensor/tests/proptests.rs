@@ -1,14 +1,27 @@
 //! Property-based tests for the tensor kernels: algebraic identities that
 //! must hold for arbitrary shapes and data.
 
+use std::sync::{Mutex, MutexGuard};
+
 use proptest::prelude::*;
 use sasgd_tensor::conv::{
-    col2im, col2im_batch, conv2d_backward, conv2d_backward_params_ws, conv2d_backward_ws,
-    conv2d_forward, conv2d_forward_ws, im2col, im2col_batch, im2col_ref, Conv2dSpec,
+    col2im, col2im_batch, conv2d_backward, conv2d_backward_params_ws, conv2d_backward_ref,
+    conv2d_backward_ws, conv2d_forward, conv2d_forward_ref, conv2d_forward_ws, im2col,
+    im2col_batch, im2col_ref, Conv2dSpec,
 };
 use sasgd_tensor::pool::{maxpool2d_backward, maxpool2d_forward, Pool2dSpec};
 use sasgd_tensor::shape::{conv_out, pool_out};
 use sasgd_tensor::{linalg, parallel, SeedRng, Tensor, Workspace};
+
+/// The region counter is process-wide: the tests of this binary that
+/// open regions take turns, so one of them can count its own exactly.
+static REGIONS: Mutex<()> = Mutex::new(());
+
+fn take_turn() -> MutexGuard<'static, ()> {
+    REGIONS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn rand_tensor(dims: &[usize], seed: u64) -> Tensor {
     SeedRng::new(seed).normal_tensor(dims, 1.0)
@@ -68,6 +81,7 @@ proptest! {
     fn compacting_nn_kernel_is_bitwise_the_streaming_walk_and_the_naive_fold(
         mi in 0usize..5, ni in 0usize..9, ki in 0usize..3, di in 0usize..4, seed in 0u64..1000
     ) {
+        let _turn = take_turn();
         // Rows either side of the 16-row cutover and of the 16-row block;
         // widths straddling the 32- and 8-column panels and the scalar
         // tail; `k` below, at and across the 128-term block.
@@ -485,6 +499,7 @@ proptest! {
     fn matmul_parallel_is_bitwise_equal(
         m in 300usize..700, k in 80usize..160, n in 50usize..100, seed in 0u64..1000
     ) {
+        let _turn = take_turn();
         let a = rand_tensor(&[m, k], seed);
         let b = rand_tensor(&[k, n], seed + 1);
         let s = linalg::matmul(&a, &b);
@@ -498,6 +513,7 @@ proptest! {
     fn matmul_tn_parallel_is_bitwise_equal(
         k in 80usize..160, m in 300usize..700, n in 50usize..100, seed in 0u64..1000
     ) {
+        let _turn = take_turn();
         let a = rand_tensor(&[k, m], seed);
         let b = rand_tensor(&[k, n], seed + 1);
         let s = linalg::matmul_tn(&a, &b);
@@ -511,6 +527,7 @@ proptest! {
     fn matmul_nt_parallel_is_bitwise_equal(
         m in 300usize..700, k in 80usize..160, n in 50usize..100, seed in 0u64..1000
     ) {
+        let _turn = take_turn();
         let a = rand_tensor(&[m, k], seed);
         let b = rand_tensor(&[n, k], seed + 1);
         let s = linalg::matmul_nt(&a, &b);
@@ -528,6 +545,7 @@ proptest! {
 /// pool kernels.
 #[test]
 fn kernels_are_bitwise_invariant_to_thread_count() {
+    let _turn = take_turn();
     let spec = Conv2dSpec {
         ci: 8,
         co: 64,
@@ -571,17 +589,93 @@ fn kernels_are_bitwise_invariant_to_thread_count() {
             )
         }));
         if width > 1 {
-            // NT, im2col ×2, the two conv GEMMs, both transposition
-            // passes, the partials, col2im and the two pool passes.
+            // Exactly one region per pass: the NT product's row bands, the
+            // conv forward's images, the conv backward's images, and the
+            // two pool passes. The transpositions of `weight` and `nt_b`
+            // and the fold of the parked dW/db partials (≤ 6 × 4 672
+            // elements here) sit under the grain rule and run serially;
+            // every per-image lowering, product and scatter runs inside its
+            // pass's region.
             let fanned = parallel::regions_taken() - regions;
-            assert!(
-                fanned >= 10,
-                "width {width}: only {fanned} regions fanned out"
-            );
+            assert_eq!(fanned, 5, "width {width}: regions fanned out");
         }
     }
     assert!(
         runs.windows(2).all(|w| w[0] == w[1]),
         "kernel outputs changed with width"
     );
+}
+
+/// The four convolutions of `cifar_cnn_scaled(2)` at batch 32, through the
+/// per-image passes at widths 1–4, against the per-image reference bit for
+/// bit: conv1's dense 32×32 image; conv2 and conv3 on 45 %-dense
+/// post-ReLU/dropout inputs (conv3's 576-term patch rows span several
+/// 128-term blocks of the NN kernel); conv4's 3×3 output, whose 9 rows per
+/// image take the streamed-rows kernel. `grad_out` is 7/8 zeros, a third of
+/// them `-0.0`, as a ReLU-then-dropout backward delivers it.
+#[test]
+fn table1_conv_geometries_match_the_reference_at_every_width() {
+    let _turn = take_turn();
+    // (ci, co, k, pad, side, input density)
+    let geoms = [
+        (3, 32, 5, 2, 32, 1.0),
+        (32, 64, 3, 1, 16, 0.45),
+        (64, 128, 3, 1, 8, 0.45),
+        (128, 64, 2, 0, 4, 0.45),
+    ];
+    let n = 32;
+    for (gi, &(ci, co, k, pad, side, density)) in geoms.iter().enumerate() {
+        let spec = Conv2dSpec {
+            ci,
+            co,
+            kh: k,
+            kw: k,
+            stride: 1,
+            pad,
+        };
+        let seed = 300 + 10 * gi as u64;
+        let input = Tensor::from_vec(
+            sparse_operand(n * ci, side * side, density, seed),
+            &[n, ci, side, side],
+        );
+        let weight = rand_tensor(&[co, spec.patch_len()], seed + 1);
+        let bias: Vec<f32> = (0..co).map(|c| 0.01 * c as f32 - 0.2).collect();
+        let (oh, ow) = spec.out_hw(side, side);
+        let grad = Tensor::from_vec(
+            sparse_operand(n * co, oh * ow, 0.125, seed + 2),
+            &[n, co, oh, ow],
+        );
+        let fwd_ref = conv2d_forward_ref(&input, &weight, &bias, &spec);
+        let bwd_ref = conv2d_backward_ref(&input, &weight, &grad, &spec);
+        for width in 1..=4 {
+            let at = format!("conv{} at width {width}", gi + 1);
+            parallel::with_width(width, || {
+                let mut ws = Workspace::new();
+                let w = weight.as_slice();
+                let fwd = conv2d_forward_ws(&input, w, &bias, &spec, &mut ws);
+                assert_eq!(
+                    bits(fwd.as_slice()),
+                    bits(fwd_ref.as_slice()),
+                    "forward, {at}"
+                );
+                let (mut dw, mut db) = (vec![0.0f32; w.len()], vec![0.0f32; co]);
+                let dx = conv2d_backward_ws(&input, w, &grad, &spec, &mut dw, &mut db, &mut ws);
+                assert_eq!(
+                    bits(dx.as_slice()),
+                    bits(bwd_ref.dinput.as_slice()),
+                    "dinput, {at}"
+                );
+                assert_eq!(bits(&dw), bits(bwd_ref.dweight.as_slice()), "dweight, {at}");
+                assert_eq!(bits(&db), bits(&bwd_ref.dbias), "dbias, {at}");
+                let (mut dw, mut db) = (vec![0.0f32; w.len()], vec![0.0f32; co]);
+                conv2d_backward_params_ws(&input, &grad, &spec, &mut dw, &mut db, &mut ws);
+                assert_eq!(
+                    bits(&dw),
+                    bits(bwd_ref.dweight.as_slice()),
+                    "params-only dW, {at}"
+                );
+                assert_eq!(bits(&db), bits(&bwd_ref.dbias), "params-only db, {at}");
+            });
+        }
+    }
 }
