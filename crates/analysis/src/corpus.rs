@@ -4,10 +4,11 @@
 //! [`Transport`], and instantiated twice: for [`ModelTransport`] by the
 //! DPOR explorer ([`crate::dpor`]) and for the production `Communicator`
 //! by the real-thread cross-check ([`crate::crosscheck`]). [`corpus`] covers the
-//! shipped collectives, the hierarchy bundle, the parameter server (adds
-//! and pulls, the snapshot pull across two shards, the pull-retry ladder,
-//! and three many-pusher worlds with a mid-flight reader), fault-tolerant
-//! allreduce (fault-free and one-dead), and the engine ranks (SASGD,
+//! shipped collectives, the tree over a partial membership and over
+//! hierarchical groups, the parameter server (adds and pulls, the snapshot
+//! pull across two shards, the pull-retry ladder, and three many-pusher
+//! worlds with a mid-flight reader), the armed tree, dense and sparse
+//! (fault-free and one-dead), and the engine ranks (SASGD,
 //! DaSGD's delayed average, Downpour against its shard) — exhaustively at
 //! p ≤ 4, by seeded bounded search at p = 8 and for the large PS worlds.
 //! [`model_self_checks`] runs the implanted bugs — arrival-order reduce,
@@ -18,12 +19,12 @@
 use std::fmt::Display;
 use std::time::Duration;
 
-use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, reduce_tree};
-use sasgd_comm::ft::{ft_allreduce, Membership};
-use sasgd_comm::hierarchy::{hierarchical_allreduce, GroupedComm};
+use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, Dense};
 use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
-use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec};
+use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseFold, SparseLevelProfile};
+use sasgd_comm::sparse::{SparseTreeOpts, SparseVec};
 use sasgd_comm::transport::Transport;
+use sasgd_comm::tree::{allreduce_over, broadcast_over, Membership};
 use sasgd_core::algorithms::{Algorithm, GammaP};
 use sasgd_core::engine::rank::run_rank;
 use sasgd_core::trainer::TrainConfig;
@@ -31,7 +32,7 @@ use sasgd_data::Dataset;
 use sasgd_nn::models::tiny_mlp;
 use sasgd_tensor::SeedRng;
 
-use crate::crosscheck::{flat, grouped_world};
+use crate::crosscheck::flat;
 use crate::dpor::{explore, replay_decisions, ModelScenario, Search};
 use crate::model::{parse_witness, ModelTransport, RankOutcome};
 
@@ -106,20 +107,28 @@ fn allreduce_tree_body<T: Transport>(mut t: T) -> RankOutcome {
     Ok(v)
 }
 
-fn reduce_root1_body<T: Transport>(mut t: T) -> RankOutcome {
-    let mut v = order_sensitive_input(t.rank(), 4);
-    wire(reduce_tree(&mut t, 1, &mut v))?;
-    Ok(v)
+/// The tree over members {1, 2, 3} of a 4-rank world: rank 0 only takes
+/// the ops, and the world's next collective still lines up.
+fn members_123_body<T: Transport>(mut t: T) -> RankOutcome {
+    let (mut v, mut after) = (order_sensitive_input(t.rank(), 4), vec![t.rank() as f32]);
+    let (members, fold) = (&mut Membership::of(1..4), &mut Dense::new(&mut v, None));
+    wire(allreduce_over(&mut t, members, fold, None))?;
+    wire(allreduce_tree(&mut t, &mut after))?;
+    Ok([v, after].concat())
 }
 
-fn sparse_body<T: Transport>(mut t: T) -> RankOutcome {
-    let rank = t.rank();
+/// Rank `rank`'s sparse contribution: every other coordinate.
+fn sparse_input(rank: usize) -> SparseVec {
     let dense: Vec<f32> = order_sensitive_input(rank, 6)
         .into_iter()
         .enumerate()
         .map(|(j, x)| if (rank + j).is_multiple_of(2) { x } else { 0.0 })
         .collect();
-    let mut sv = SparseVec::from_dense(&dense);
+    SparseVec::from_dense(&dense)
+}
+
+fn sparse_body<T: Transport>(mut t: T) -> RankOutcome {
+    let mut sv = sparse_input(t.rank());
     let (opts, mut profile) = (SparseTreeOpts::default(), SparseLevelProfile::default());
     wire(sparse_allreduce_tree_v2(
         &mut t,
@@ -147,25 +156,20 @@ fn back_to_back_body<T: Transport>(mut t: T) -> RankOutcome {
     Ok(a)
 }
 
-fn hierarchical_body<T: Transport>(mut gc: GroupedComm<T>) -> RankOutcome {
-    let mut v = order_sensitive_input(gc.global.rank(), 4);
-    wire(hierarchical_allreduce(&mut gc, &mut v))?;
-    Ok(v)
-}
-
-/// The hierarchy bundle over one model world, assembled from subgroup
-/// views (no two ranks share two scopes, so the scopes' tag spaces cannot
-/// collide on a channel).
-fn model_bundle(t: ModelTransport, per_group: usize) -> GroupedComm<ModelTransport> {
-    let (rank, group) = (t.rank(), t.rank() / per_group);
-    let members: Vec<usize> = (group * per_group..(group + 1) * per_group).collect();
-    let heads: Vec<usize> = (0..t.size()).step_by(per_group).collect();
-    GroupedComm {
-        local: t.subgroup(&members),
-        leaders: rank.is_multiple_of(per_group).then(|| t.subgroup(&heads)),
-        global: t,
-        group,
+/// Hierarchical allreduce as two memberships of one flat world of
+/// `per_group`-rank groups: the group's tree, the group leaders' tree, the
+/// group's way down from its leader.
+fn hierarchical_body<T: Transport>(mut t: T, per_group: usize) -> RankOutcome {
+    let (first, p) = (t.rank() / per_group * per_group, t.size());
+    let group = &mut Membership::of(first..first + per_group);
+    let leaders = &mut Membership::of((0..p).step_by(per_group));
+    let mut v = order_sensitive_input(t.rank(), 4);
+    let fold = &mut Dense::new(&mut v, None);
+    for members in [&mut *group, leaders] {
+        wire(allreduce_over(&mut t, members, fold, None))?;
     }
+    wire(broadcast_over(&mut t, group, 0, fold))?;
+    Ok(v)
 }
 
 /// `p` learners (ranks `0..p`) against `shards` shards over `dim` parameters.
@@ -311,47 +315,83 @@ fn pull_retry_body<T: Transport>(t: T) -> RankOutcome {
     wire(client.pull_retry(WAIT, 2, Duration::ZERO))
 }
 
-/// Fault-free fault-tolerant allreduce, after a plain tree allreduce of
-/// the same input: no eviction, and the FT result must be bitwise the
-/// plain tree's (the mask prefix and direct result distribution must not
-/// perturb a single bit). The rank's result carries the epoch word.
-fn ft_fault_free_body<T: Transport>(mut t: T) -> RankOutcome {
-    let mut plain = order_sensitive_input(t.rank(), 3);
-    let mut v = plain.clone();
-    wire(allreduce_tree(&mut t, &mut plain))?;
-    let mut membership = Membership::new(t.size());
-    let out = wire(ft_allreduce(&mut t, &mut membership, &mut v, WAIT))?;
-    if !out.lost.is_empty() {
-        return Err(format!("unexpected eviction: {:?}", out.lost));
+/// The sparse rows' tree options: partials trimmed to two entries, so the
+/// spill is exercised.
+const BOUNDED: SparseTreeOpts = SparseTreeOpts {
+    union_bound: Some(2),
+    q8_scale: None,
+};
+
+/// This rank's input through the unarmed tree — the dense input, or
+/// (`sparse`) the sparse one under [`BOUNDED`], its spill appended.
+fn unarmed<T: Transport>(t: &mut T, sparse: bool) -> RankOutcome {
+    let (mut v, mut sv) = (order_sensitive_input(t.rank(), 3), sparse_input(t.rank()));
+    if !sparse {
+        wire(allreduce_tree(t, &mut v))?;
+        return Ok(v);
     }
-    if v.iter()
-        .zip(&plain)
-        .any(|(a, b)| a.to_bits() != b.to_bits())
-    {
-        return Err(format!("ft result {v:?} is not the plain tree's {plain:?}"));
+    let spill = wire(sparse_allreduce_tree_v2(
+        t,
+        &mut sv,
+        BOUNDED,
+        &mut Default::default(),
+    ))?;
+    Ok([sv.to_dense(), spill.to_dense()].concat())
+}
+
+/// The same through the armed tree over the whole world: the result (then
+/// the epoch word), or an error naming what was lost other than `dead`.
+fn armed<T: Transport>(t: &mut T, sparse: bool, dead: Option<usize>) -> RankOutcome {
+    let mut membership = Membership::new(t.size());
+    let (mut v, mut sv) = (order_sensitive_input(t.rank(), 3), sparse_input(t.rank()));
+    let mut profile = SparseLevelProfile::default();
+    let mut fold = SparseFold::new(&mut sv, BOUNDED, &mut profile);
+    let out = match sparse {
+        false => allreduce_over(
+            t,
+            &mut membership,
+            &mut Dense::new(&mut v, None),
+            Some(WAIT),
+        ),
+        true => allreduce_over(t, &mut membership, &mut fold, Some(WAIT)),
+    };
+    let out = wire(out)?;
+    if out.lost != dead.as_slice() {
+        return Err(format!("expected to lose {dead:?}, lost {:?}", out.lost));
+    }
+    if sparse {
+        let spill = fold.spill.to_dense();
+        v = [sv.to_dense(), spill].concat();
     }
     v.push(out.epoch as f32);
     Ok(v)
 }
 
-/// Fault-tolerant allreduce with rank `dead` gone before contributing: its
-/// endpoint drop is the hangup the survivors detect, and every survivor
-/// must evict exactly that rank and agree on the sum and the epoch.
-fn ft_one_dead_body<T: Transport>(mut t: T, dead: usize) -> RankOutcome {
-    if t.rank() == dead {
-        return Ok(vec![]);
-    }
-    let mut membership = Membership::new(t.size());
-    let mut v = order_sensitive_input(t.rank(), 3);
-    let out = wire(ft_allreduce(&mut t, &mut membership, &mut v, WAIT))?;
-    if out.lost != [dead] {
+/// The armed tree, fault-free, after the unarmed one on the same input: no
+/// eviction, and a result bitwise the unarmed tree's (the masks and the
+/// direct result distribution must not perturb a single bit).
+fn ft_fault_free_body<T: Transport>(mut t: T, sparse: bool) -> RankOutcome {
+    let plain = unarmed(&mut t, sparse)?;
+    let v = armed(&mut t, sparse, None)?;
+    if v.iter()
+        .zip(&plain)
+        .any(|(a, b)| a.to_bits() != b.to_bits())
+    {
         return Err(format!(
-            "expected to evict rank {dead}, lost {:?}",
-            out.lost
+            "armed result {v:?} is not the plain tree's {plain:?}"
         ));
     }
-    v.push(out.epoch as f32);
     Ok(v)
+}
+
+/// The armed tree with rank `dead` gone before contributing: its endpoint
+/// drop is the hangup the survivors detect, and every survivor must evict
+/// exactly that rank and agree on the sum and the epoch.
+fn ft_one_dead_body<T: Transport>(mut t: T, dead: usize, sparse: bool) -> RankOutcome {
+    match t.rank() == dead {
+        true => Ok(vec![]),
+        false => armed(&mut t, sparse, Some(dead)),
+    }
 }
 
 /// One engine rank of `algo` on a tiny fixture (8 samples, 2 features, 2
@@ -408,11 +448,9 @@ fn bounded(sc: ModelScenario, execs: usize) -> ModelScenario {
 
 fn sc_hierarchical(groups: usize, per_group: usize) -> ModelScenario {
     let name = format!("hierarchical_{groups}x{per_group}");
-    let body = move |t| hierarchical_body(model_bundle(t, per_group));
-    ModelScenario {
-        real: Some(grouped_world(groups, per_group, hierarchical_body)),
-        ..ModelScenario::new(name, groups * per_group, body)
-    }
+    row!(name, groups * per_group, move |t| hierarchical_body(
+        t, per_group
+    ))
 }
 
 /// The wildcard race check stays off on every PS row: the shard's
@@ -438,11 +476,13 @@ fn sc_ps_world(snapshot: bool, pushers: usize, shards: usize, pushes: usize) -> 
 
 /// Model-only: on OS threads the survivors wait out real deadlines, and a
 /// generous one is slow where a short one confuses slow with dead.
-fn sc_ft_one_dead(p: usize, dead: usize) -> ModelScenario {
-    let name = format!("ft_allreduce_one_dead_p{p}");
+fn sc_ft_one_dead(p: usize, dead: usize, sparse: bool) -> ModelScenario {
+    let kind = if sparse { "ft_sparse" } else { "ft_allreduce" };
     ModelScenario {
         check_races: false,
-        ..ModelScenario::new(name, p, move |t| ft_one_dead_body(t, dead))
+        ..ModelScenario::new(format!("{kind}_one_dead_p{p}"), p, move |t| {
+            ft_one_dead_body(t, dead, sparse)
+        })
     }
 }
 
@@ -470,7 +510,7 @@ pub fn corpus() -> Vec<ModelScenario> {
         sized!("allreduce_tree", 2, allreduce_tree_body),
         sized!("allreduce_tree", 3, allreduce_tree_body),
         sized!("allreduce_tree", 4, allreduce_tree_body),
-        row!("reduce_tree_root1", 4, reduce_root1_body),
+        row!("members_1to3_of_4", 4, members_123_body),
         sized!("sparse_allreduce_tree", 3, sparse_body),
         sized!("sparse_allreduce_tree", 4, sparse_body),
         sized!("allreduce_ring", 3, ring_body),
@@ -481,10 +521,17 @@ pub fn corpus() -> Vec<ModelScenario> {
         ps_row(row!("ps_transport", 3, |t| ps_body(t, false))),
         ps_row(row!("ps_snapshot", 3, |t| ps_body(t, true))),
         ps_row(row!("ps_snapshot_two_shards", 4, ps_two_shards_body)),
-        sized!("ft_allreduce_fault_free", 3, ft_fault_free_body),
-        sized!("ft_allreduce_fault_free", 4, ft_fault_free_body),
-        sc_ft_one_dead(3, 2),
-        sc_ft_one_dead(4, 3),
+        sized!("ft_allreduce_fault_free", 3, |t| ft_fault_free_body(
+            t, false
+        )),
+        sized!("ft_allreduce_fault_free", 4, |t| ft_fault_free_body(
+            t, false
+        )),
+        sc_ft_one_dead(3, 2, false),
+        sc_ft_one_dead(4, 3, false),
+        sized!("ft_sparse_fault_free", 3, |t| ft_fault_free_body(t, true)),
+        sized!("ft_sparse_fault_free", 4, |t| ft_fault_free_body(t, true)),
+        sc_ft_one_dead(4, 3, true),
         sc_engine("engine_sasgd_rank", sasgd, 0),
         sc_engine("engine_dasgd_delayed_average", dasgd, 0),
         sc_engine("engine_downpour_rank", downpour, 1),
@@ -496,8 +543,13 @@ pub fn corpus() -> Vec<ModelScenario> {
         bounded(sized!("allreduce_ring", 8, ring_body), 8),
         bounded(sized!("sparse_allreduce_tree", 8, sparse_body), 12),
         bounded(sc_hierarchical(2, 4), 12),
-        bounded(sized!("ft_allreduce_fault_free", 8, ft_fault_free_body), 12),
-        bounded(sc_ft_one_dead(8, 5), 12),
+        bounded(
+            sized!("ft_allreduce_fault_free", 8, |t| ft_fault_free_body(
+                t, false
+            )),
+            12,
+        ),
+        bounded(sc_ft_one_dead(8, 5, false), 12),
         bounded(sc_ps_world(false, 4, 2, 6), 24),
         bounded(sc_ps_world(false, 8, 3, 4), 12),
         bounded(sc_ps_world(true, 4, 3, 6), 24),
@@ -515,7 +567,7 @@ pub fn corpus() -> Vec<ModelScenario> {
 fn bad_reduce_arrival_order<T: Transport>(comm: &mut T, buf: &mut [f32]) {
     let (p, rank) = (comm.size(), comm.rank());
     let tag = (comm.next_op() << 4) | 1;
-    // Children/parent sets identical to the correct reduce_tree…
+    // Children/parent sets identical to the correct tree's…
     let mut children = Vec::new();
     let mut bit = 1usize;
     let mut parent = None;

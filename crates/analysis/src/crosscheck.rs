@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use sasgd_comm::hierarchy::{grouped, GroupedComm};
 use sasgd_comm::world::{CommWorld, Communicator};
 
 use crate::corpus::{world_fingerprint, WAIT};
@@ -42,27 +41,6 @@ pub fn flat(
             .map(|c| {
                 let body = Arc::clone(&body);
                 Box::new(move || body(c)) as RankThunk
-            })
-            .collect()
-    })
-}
-
-/// The `groups × per_group` bundles of [`grouped`], each running `body`.
-pub fn grouped_world(
-    groups: usize,
-    per_group: usize,
-    body: fn(GroupedComm) -> RankOutcome,
-) -> RealWorld {
-    Arc::new(move || {
-        let bundles = grouped(groups, per_group).0.into_iter();
-        bundles
-            .map(|mut gc| {
-                gc.global.set_default_deadline(Some(WAIT));
-                gc.local.set_default_deadline(Some(WAIT));
-                if let Some(leaders) = gc.leaders.as_mut() {
-                    leaders.set_default_deadline(Some(WAIT));
-                }
-                Box::new(move || body(gc)) as RankThunk
             })
             .collect()
     })

@@ -11,7 +11,7 @@
 //! | `raw-spawn`   | no `std::thread::spawn` / `Builder` / `scope` outside `comm`, the threaded backend, the analyzer's two thread hosts, and the one fork-join site, `tensor/src/parallel.rs` |
 //! | `hot-alloc`   | no heap-allocating calls (`Vec::new`, `vec!`, `.to_vec()`, `.clone()`, …) inside functions annotated `// hot-path` |
 //! | `float-cast`  | no `as` casts with syntactic float evidence in gradient-math crates (float→int truncation, `f64`→`f32` width collapse) |
-//! | `comm-unwrap` | no `.unwrap()`/`.expect()` on `CommError`-carrying Results in `comm`/`core` library code — peer loss and timeouts are runtime conditions, not bugs |
+//! | `comm-unwrap` | no `.unwrap()`/`.expect()` on `CommError`-carrying Results in `comm`/`core` library code — peer loss and timeouts are runtime conditions, not bugs — and no `assert!`/`assert_eq!`/`assert_ne!`/`panic!`/`unreachable!` in `comm` library code, where a peer's frame must become a typed error |
 //! | `call-taint`  | no *indirect* nondeterminism in numeric crates: a cheap intra-crate call graph flags calls to helpers whose bodies (transitively) read wall clocks, thread identity, or hash-map iteration order |
 //!
 //! The first seven are per-file ([`lint_file`]); `call-taint` needs the
@@ -121,6 +121,14 @@ const FLOAT_CAST_SCOPE: &[&str] = &["crates/tensor/src/", "crates/nn/src/", "cra
 /// inside these files are excluded too).
 const COMM_UNWRAP_SCOPE: &[&str] = &["crates/comm/src/", "crates/core/src/"];
 
+/// Library scope of `comm-unwrap`'s panic-macro half: the wire library
+/// itself, where whatever a peer sent must end as a typed `CommError`.
+const COMM_PANIC_SCOPE: &[&str] = &["crates/comm/src/"];
+
+/// The macros that half flags (`debug_assert*` is exempt: it is compiled
+/// out of the release build the wire runs in).
+const PANIC_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne", "panic", "unreachable"];
+
 /// Method / function names whose `Result` carries a `CommError` (directly
 /// or via the transport trait): the receiver-chain evidence `comm-unwrap`
 /// looks for.
@@ -131,12 +139,11 @@ const COMM_RESULT_FNS: &[&str] = &[
     "recv_any",
     "recv_any_deadline",
     "broadcast",
-    "reduce_tree",
     "allreduce_tree",
+    "allreduce_over",
+    "broadcast_over",
     "allreduce_ring",
     "sparse_allreduce_tree_v2",
-    "q8_allreduce_tree",
-    "ft_allreduce",
     // The sparse/8-bit frame decoders: a peer's buffer can be malformed.
     "decode",
     "dense8_decode",
@@ -415,6 +422,32 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
                     format!(
                         "`.{}()` on the `CommError`-carrying result of `{hit}`: peer loss and \
                          timeouts are runtime conditions — propagate with `?` or match on them",
+                        t.text
+                    ),
+                    &mut out,
+                );
+            }
+        }
+        if in_scope(path, COMM_PANIC_SCOPE) {
+            for (i, t) in toks.iter().enumerate() {
+                let is_macro = matches!(toks.get(i + 1), Some(n) if n.is("!"));
+                if t.kind != TokKind::Ident || !is_macro || !PANIC_MACROS.contains(&t.text.as_str())
+                {
+                    continue;
+                }
+                if test_ranges
+                    .iter()
+                    .any(|&(lo, hi)| t.line >= lo && t.line <= hi)
+                {
+                    continue;
+                }
+                push(
+                    "comm-unwrap",
+                    t.line,
+                    format!(
+                        "`{}!` in the comm library: what a peer sent must end as a typed \
+                         `CommError`, never a panic — a caller bug says why with \
+                         `lint:allow(comm-unwrap)`",
                         t.text
                     ),
                     &mut out,
@@ -1183,7 +1216,8 @@ mod tests {
             "l.client.pull_snapshot(deadline, 8)",
             "l.client.claim(deadline)",
             "sparse_allreduce_tree_v2(comm, &mut sv, opts, &mut profile)",
-            "q8_allreduce_tree(comm, &mut buf, scale)",
+            "allreduce_over(comm, &mut membership, &mut fold, deadline)",
+            "broadcast_over(comm, &membership, 0, &mut fold)",
             "SparseVec::decode(&buf)",
             "SparseVec8::decode(&buf)",
             "dense8_decode(&buf, m)",

@@ -173,25 +173,21 @@ struct Cell {
     clock: VClock,
 }
 
-/// A parked operation awaiting a scheduler grant. Source/destination ranks
-/// are stored in both world coordinates (channel keys) and view coordinates
-/// (error attribution for subgroup endpoints).
+/// A parked operation awaiting a scheduler grant.
 enum PendingOp {
     Send {
-        dst_w: usize,
-        dst_v: usize,
+        dst: usize,
         tag: u64,
         payload: Vec<f32>,
     },
     Recv {
-        src_w: usize,
-        src_v: usize,
+        src: usize,
         tag: u64,
         can_timeout: bool,
     },
     RecvAny {
-        /// `(src_world, src_view, tag)` per candidate, in caller order.
-        cands: Vec<(usize, usize, u64)>,
+        /// `(src, tag)` per candidate, in caller order.
+        cands: Vec<(usize, u64)>,
         can_timeout: bool,
     },
     CellLoad {
@@ -291,23 +287,15 @@ impl WorldShared {
 /// One rank's endpoint into a model world — the fourth [`Transport`] impl.
 ///
 /// Endpoints are produced by [`model_world`] (live mode) or by
-/// [`run_execution`] (controlled mode). [`ModelTransport::subgroup`]
-/// derives rank-remapped views for hierarchy bundles.
+/// [`run_execution`] (controlled mode).
 pub struct ModelTransport {
     shared: Arc<WorldShared>,
-    /// World rank.
-    rank_w: usize,
-    /// View: `view rank -> world rank`. `None` is the identity (primary).
-    map: Option<Vec<usize>>,
-    /// View rank (equals `rank_w` for primaries).
-    rank_v: usize,
-    size_v: usize,
-    /// Only the primary endpoint's drop marks the rank finished.
-    primary: bool,
+    rank: usize,
+    size: usize,
     op_counter: u64,
 }
 
-/// Build the `p` primary endpoints of a fresh **live-mode** model world —
+/// Build the `p` endpoints of a fresh **live-mode** model world —
 /// the factory the transport-conformance suite uses.
 pub fn model_world(p: usize) -> Vec<ModelTransport> {
     world_with_mode(p, Mode::Live, 0, false).0
@@ -348,11 +336,8 @@ fn world_with_mode(
     let endpoints = (0..p)
         .map(|rank| ModelTransport {
             shared: Arc::clone(&shared),
-            rank_w: rank,
-            map: None,
-            rank_v: rank,
-            size_v: p,
-            primary: true,
+            rank,
+            size: p,
             op_counter: 0,
         })
         .collect();
@@ -360,34 +345,6 @@ fn world_with_mode(
 }
 
 impl ModelTransport {
-    /// A rank-remapped view of this endpoint for a sub-communicator (e.g.
-    /// the `local`/`leaders` members of a hierarchy bundle): `members`
-    /// lists the world ranks of the subgroup in view-rank order and must
-    /// contain this endpoint's rank. The view shares the world but not the
-    /// op counter, and dropping it does not hang up the rank.
-    pub fn subgroup(&self, members: &[usize]) -> ModelTransport {
-        let rank_v = members
-            .iter()
-            .position(|&m| m == self.rank_w)
-            .expect("subgroup must contain own rank");
-        ModelTransport {
-            shared: Arc::clone(&self.shared),
-            rank_w: self.rank_w,
-            map: Some(members.to_vec()),
-            rank_v,
-            size_v: members.len(),
-            primary: false,
-            op_counter: 0,
-        }
-    }
-
-    fn world_rank(&self, view: usize) -> usize {
-        match &self.map {
-            Some(m) => m[view],
-            None => view,
-        }
-    }
-
     /// Shared-cell read (scheduler-mediated; joins the cell's last-writer
     /// clock). Cells exist in controlled worlds only.
     pub fn cell_load(&mut self, cell: u32) -> Result<f32, CommError> {
@@ -416,7 +373,7 @@ impl ModelTransport {
         match self.scheduled(op) {
             Grant::Value(v) => Ok(v),
             Grant::Abort => Err(CommError::Disconnected {
-                src: self.rank_v,
+                src: self.rank,
                 tag: 0,
             }),
             _ => unreachable!("cell ops grant values"),
@@ -430,17 +387,17 @@ impl ModelTransport {
         if st.aborted {
             return Grant::Abort;
         }
-        st.parked[self.rank_w] = Some(op);
+        st.parked[self.rank] = Some(op);
         self.shared.cv.notify_all();
         loop {
-            if let Some(g) = st.grants[self.rank_w].take() {
+            if let Some(g) = st.grants[self.rank].take() {
                 return g;
             }
-            if st.aborted && st.parked[self.rank_w].is_some() {
-                st.parked[self.rank_w] = None;
+            if st.aborted && st.parked[self.rank].is_some() {
+                st.parked[self.rank] = None;
                 return Grant::Abort;
             }
-            let granted = &self.shared.granted[self.rank_w];
+            let granted = &self.shared.granted[self.rank];
             st = granted.wait(st).expect("model world lock");
         }
     }
@@ -448,57 +405,51 @@ impl ModelTransport {
     // ---------------------------------------------------------------- live
 
     /// Live-mode send: immediate enqueue, `PeerGone` on a finished peer.
-    fn live_send(
-        &self,
-        dst_w: usize,
-        dst_v: usize,
-        tag: u64,
-        payload: Vec<f32>,
-    ) -> Result<(), CommError> {
+    fn live_send(&self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
         let mut st = self.shared.lock();
-        let sent = enqueue(&mut st, self.rank_w, (dst_w, dst_v), tag, payload);
+        let sent = enqueue(&mut st, self.rank, dst, tag, payload);
         self.shared.cv.notify_all();
         sent
     }
 
-    /// Live-mode receive over `cands` (`(src_world, src_view, tag)`),
-    /// taking the earliest arrival; blocks (or waits out `timeout`).
+    /// Live-mode receive over `cands` (`(src, tag)`), taking the earliest
+    /// arrival; blocks (or waits out `timeout`).
     fn live_recv(
         &self,
-        cands: &[(usize, usize, u64)],
+        cands: &[(usize, u64)],
         timeout: Option<Duration>,
     ) -> Result<(usize, Vec<f32>), CommError> {
         let deadline = timeout.map(|t| Instant::now() + t);
-        let me = self.rank_w;
-        let &(_, fsrc_v, ftag) = cands.first().ok_or(CommError::NoCandidates)?;
+        let me = self.rank;
+        let &(fsrc, ftag) = cands.first().ok_or(CommError::NoCandidates)?;
         let mut st = self.shared.lock();
         loop {
             // Earliest-arrival match across the candidate channels.
             let best = cands
                 .iter()
-                .filter_map(|&(sw, sv, tag)| {
+                .filter_map(|&(src, tag)| {
                     st.queues
-                        .get(&(sw, me, tag))
+                        .get(&(src, me, tag))
                         .and_then(|q| q.front())
-                        .map(|m| (m.seq, sw, sv, tag))
+                        .map(|m| (m.seq, src, tag))
                 })
                 .min_by_key(|&(seq, ..)| seq);
-            if let Some((_, sw, sv, tag)) = best {
+            if let Some((_, src, tag)) = best {
                 let msg = st
                     .queues
-                    .get_mut(&(sw, me, tag))
+                    .get_mut(&(src, me, tag))
                     .and_then(|q| q.pop_front())
                     .expect("matched head");
                 st.clocks[me].join(&msg.clock);
                 st.clocks[me].tick(me);
-                return Ok((sv, msg.payload));
+                return Ok((src, msg.payload));
             }
-            let all_gone = cands.iter().all(|&(sw, ..)| st.finished[sw]);
+            let all_gone = cands.iter().all(|&(src, _)| st.finished[src]);
             match deadline {
                 Some(dl) => {
                     if all_gone || Instant::now() >= dl {
                         return Err(CommError::Timeout {
-                            src: fsrc_v,
+                            src: fsrc,
                             tag: ftag,
                         });
                     }
@@ -513,7 +464,7 @@ impl ModelTransport {
                 None => {
                     if all_gone {
                         return Err(CommError::Disconnected {
-                            src: fsrc_v,
+                            src: fsrc,
                             tag: ftag,
                         });
                     }
@@ -525,17 +476,17 @@ impl ModelTransport {
 }
 
 /// Rank `r` sends: tick its clock and queue the stamped message, or
-/// `PeerGone` when the destination (world rank, view rank) has left.
+/// `PeerGone` when the destination has left.
 fn enqueue(
     st: &mut StateGuard<'_>,
     r: usize,
-    (dst_w, dst_v): (usize, usize),
+    dst: usize,
     tag: u64,
     payload: Vec<f32>,
 ) -> Result<(), CommError> {
     st.clocks[r].tick(r);
-    if st.finished[dst_w] {
-        return Err(CommError::PeerGone { peer: dst_v });
+    if st.finished[dst] {
+        return Err(CommError::PeerGone { peer: dst });
     }
     let msg = Msg {
         payload,
@@ -543,7 +494,7 @@ fn enqueue(
         seq: st.next_seq,
     };
     st.next_seq += 1;
-    st.queues.entry((r, dst_w, tag)).or_default().push_back(msg);
+    st.queues.entry((r, dst, tag)).or_default().push_back(msg);
     Ok(())
 }
 
@@ -560,24 +511,18 @@ fn cell_view(st: &mut StateGuard<'_>, cell: u32) -> (f32, VClock) {
 
 impl Transport for ModelTransport {
     fn rank(&self) -> usize {
-        self.rank_v
+        self.rank
     }
 
     fn size(&self) -> usize {
-        self.size_v
+        self.size
     }
 
     fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
-        let dst_w = self.world_rank(dst);
         let mode = self.shared.lock().mode;
         match mode {
-            Mode::Live => self.live_send(dst_w, dst, tag, payload),
-            Mode::Controlled => match self.scheduled(PendingOp::Send {
-                dst_w,
-                dst_v: dst,
-                tag,
-                payload,
-            }) {
+            Mode::Live => self.live_send(dst, tag, payload),
+            Mode::Controlled => match self.scheduled(PendingOp::Send { dst, tag, payload }) {
                 Grant::Sent(res) => res,
                 Grant::Abort => Err(CommError::Disconnected { src: dst, tag }),
                 _ => unreachable!("send grants Sent"),
@@ -630,22 +575,18 @@ impl ModelTransport {
         timeout: Option<Duration>,
     ) -> Result<(usize, Vec<f32>), CommError> {
         let &(src, tag) = candidates.first().ok_or(CommError::NoCandidates)?;
-        let cands: Vec<(usize, usize, u64)> = candidates
-            .iter()
-            .map(|&(s, t)| (self.world_rank(s), s, t))
-            .collect();
         if self.shared.lock().mode == Mode::Live {
-            return self.live_recv(&cands, timeout);
+            return self.live_recv(candidates, timeout);
         }
         let can_timeout = timeout.is_some();
         let op = if named {
             PendingOp::Recv {
-                src_w: cands[0].0,
-                src_v: src,
+                src,
                 tag,
                 can_timeout,
             }
         } else {
+            let cands = candidates.to_vec();
             PendingOp::RecvAny { cands, can_timeout }
         };
         match self.scheduled(op) {
@@ -658,14 +599,11 @@ impl ModelTransport {
 
 impl Drop for ModelTransport {
     fn drop(&mut self) {
-        if !self.primary {
-            return;
-        }
         // Hangup is immediate (like the mock): the next send to this rank
         // fails with PeerGone, and the controlled scheduler sees the rank
         // as finished.
         let mut st = self.shared.lock();
-        st.finished[self.rank_w] = true;
+        st.finished[self.rank] = true;
         self.shared.cv.notify_all();
     }
 }
@@ -751,22 +689,21 @@ fn enabled_choices(st: &StateGuard<'_>) -> Vec<EnabledChoice> {
             continue;
         };
         match op {
-            PendingOp::Send { dst_w, tag, .. } => out.push(EnabledChoice {
+            PendingOp::Send { dst, tag, .. } => out.push(EnabledChoice {
                 rank: r,
                 kind: ChoiceKind::Fire,
-                chans: vec![Chan::Msg(r, *dst_w, *tag)],
+                chans: vec![Chan::Msg(r, *dst, *tag)],
                 is_load: false,
             }),
             PendingOp::Recv {
-                src_w,
+                src,
                 tag,
                 can_timeout,
-                ..
             } => {
-                let chan = Chan::Msg(*src_w, r, *tag);
+                let chan = Chan::Msg(*src, r, *tag);
                 let has_msg = st
                     .queues
-                    .get(&(*src_w, r, *tag))
+                    .get(&(*src, r, *tag))
                     .is_some_and(|q| !q.is_empty());
                 if has_msg {
                     out.push(EnabledChoice {
@@ -775,7 +712,7 @@ fn enabled_choices(st: &StateGuard<'_>) -> Vec<EnabledChoice> {
                         chans: vec![chan],
                         is_load: false,
                     });
-                } else if *can_timeout && (st.finished[*src_w] || st.timeouts_left > 0) {
+                } else if *can_timeout && (st.finished[*src] || st.timeouts_left > 0) {
                     out.push(EnabledChoice {
                         rank: r,
                         kind: ChoiceKind::Timeout,
@@ -785,13 +722,10 @@ fn enabled_choices(st: &StateGuard<'_>) -> Vec<EnabledChoice> {
                 }
             }
             PendingOp::RecvAny { cands, can_timeout } => {
-                let chans: Vec<Chan> = cands
-                    .iter()
-                    .map(|&(sw, _, t)| Chan::Msg(sw, r, t))
-                    .collect();
+                let chans: Vec<Chan> = cands.iter().map(|&(src, t)| Chan::Msg(src, r, t)).collect();
                 let deliverable = deliverable_candidates(st, r, cands);
                 if deliverable.is_empty() {
-                    let all_gone = cands.iter().all(|&(sw, ..)| st.finished[sw]);
+                    let all_gone = cands.iter().all(|&(src, _)| st.finished[src]);
                     if *can_timeout && (all_gone || st.timeouts_left > 0) {
                         out.push(EnabledChoice {
                             rank: r,
@@ -834,16 +768,12 @@ fn enabled_choices(st: &StateGuard<'_>) -> Vec<EnabledChoice> {
 /// deliverable only if it is the *earliest* undelivered arrival from its
 /// sender among the candidate channels (per-src FIFO: real wires deliver
 /// one sender's messages in send order, whatever their tags).
-fn deliverable_candidates(
-    st: &StateGuard<'_>,
-    me: usize,
-    cands: &[(usize, usize, u64)],
-) -> Vec<usize> {
+fn deliverable_candidates(st: &StateGuard<'_>, me: usize, cands: &[(usize, u64)]) -> Vec<usize> {
     let mut out = Vec::new();
-    for (idx, &(sw, _, tag)) in cands.iter().enumerate() {
+    for (idx, &(src, tag)) in cands.iter().enumerate() {
         let Some(head_seq) = st
             .queues
-            .get(&(sw, me, tag))
+            .get(&(src, me, tag))
             .and_then(|q| q.front())
             .map(|m| m.seq)
         else {
@@ -851,10 +781,10 @@ fn deliverable_candidates(
         };
         let earliest_from_src = cands
             .iter()
-            .filter(|&&(osw, _, otag)| osw == sw && otag != tag)
-            .filter_map(|&(osw, _, otag)| {
+            .filter(|&&(osrc, otag)| osrc == src && otag != tag)
+            .filter_map(|&(osrc, otag)| {
                 st.queues
-                    .get(&(osw, me, otag))
+                    .get(&(osrc, me, otag))
                     .and_then(|q| q.front())
                     .map(|m| m.seq)
             })
@@ -876,65 +806,49 @@ fn apply_choice(st: &mut StateGuard<'_>, choice: &EnabledChoice) {
     });
     let op = st.parked[r].take().expect("choice for a parked rank");
     let grant = match (op, choice.kind) {
-        (
-            PendingOp::Send {
-                dst_w,
-                dst_v,
-                tag,
-                payload,
-            },
-            ChoiceKind::Fire,
-        ) => Grant::Sent(enqueue(st, r, (dst_w, dst_v), tag, payload)),
-        (
-            PendingOp::Recv {
-                src_w, src_v, tag, ..
-            },
-            ChoiceKind::Fire,
-        ) => {
+        (PendingOp::Send { dst, tag, payload }, ChoiceKind::Fire) => {
+            Grant::Sent(enqueue(st, r, dst, tag, payload))
+        }
+        (PendingOp::Recv { src, tag, .. }, ChoiceKind::Fire) => {
             let msg = st
                 .queues
-                .get_mut(&(src_w, r, tag))
+                .get_mut(&(src, r, tag))
                 .and_then(|q| q.pop_front())
                 .expect("enabled recv has a message");
             let clock = msg.clock;
             st.clocks[r].join(&clock);
             st.clocks[r].tick(r);
-            Grant::Received(Ok((src_v, msg.payload)))
+            Grant::Received(Ok((src, msg.payload)))
         }
-        (
-            PendingOp::Recv {
-                src_w, src_v, tag, ..
-            },
-            ChoiceKind::Timeout,
-        ) => {
-            if !st.finished[src_w] {
+        (PendingOp::Recv { src, tag, .. }, ChoiceKind::Timeout) => {
+            if !st.finished[src] {
                 st.timeouts_left = st.timeouts_left.saturating_sub(1);
             }
             st.clocks[r].tick(r);
-            Grant::Received(Err(CommError::Timeout { src: src_v, tag }))
+            Grant::Received(Err(CommError::Timeout { src, tag }))
         }
         (PendingOp::RecvAny { cands, .. }, ChoiceKind::Deliver(idx)) => {
             if st.check_races {
                 record_wildcard_races(st, r, &cands);
             }
-            let (sw, sv, tag) = cands[idx];
+            let (src, tag) = cands[idx];
             let msg = st
                 .queues
-                .get_mut(&(sw, r, tag))
+                .get_mut(&(src, r, tag))
                 .and_then(|q| q.pop_front())
                 .expect("enabled deliver has a message");
             let clock = msg.clock;
             st.clocks[r].join(&clock);
             st.clocks[r].tick(r);
-            Grant::Received(Ok((sv, msg.payload)))
+            Grant::Received(Ok((src, msg.payload)))
         }
         (PendingOp::RecvAny { cands, .. }, ChoiceKind::Timeout) => {
-            if !cands.iter().all(|&(sw, ..)| st.finished[sw]) {
+            if !cands.iter().all(|&(src, _)| st.finished[src]) {
                 st.timeouts_left = st.timeouts_left.saturating_sub(1);
             }
             st.clocks[r].tick(r);
-            let &(_, sv, tag) = cands.first().expect("nonempty candidates");
-            Grant::Received(Err(CommError::Timeout { src: sv, tag }))
+            let &(src, tag) = cands.first().expect("nonempty candidates");
+            Grant::Received(Err(CommError::Timeout { src, tag }))
         }
         (PendingOp::CellLoad { cell }, ChoiceKind::Fire) => {
             let (value, clock) = cell_view(st, cell);
@@ -979,16 +893,16 @@ fn apply_choice(st: &mut StateGuard<'_>, choice: &EnabledChoice) {
 /// At a wildcard delivery with several deliverable messages: any pair whose
 /// clocks are concurrent and whose payloads differ bitwise is a
 /// happens-before race — the receive's outcome depends on the schedule.
-fn record_wildcard_races(st: &mut StateGuard<'_>, me: usize, cands: &[(usize, usize, u64)]) {
+fn record_wildcard_races(st: &mut StateGuard<'_>, me: usize, cands: &[(usize, u64)]) {
     let heads: Vec<(usize, u64, VClock, Vec<u32>)> = cands
         .iter()
-        .filter_map(|&(sw, _, tag)| {
+        .filter_map(|&(src, tag)| {
             st.queues
-                .get(&(sw, me, tag))
+                .get(&(src, me, tag))
                 .and_then(|q| q.front())
                 .map(|m| {
                     (
-                        sw,
+                        src,
                         tag,
                         m.clock.clone(),
                         m.payload.iter().map(|f| f.to_bits()).collect(),
@@ -1024,11 +938,11 @@ fn wait_for_report(st: &StateGuard<'_>) -> String {
     let mut waits: BTreeMap<usize, Vec<(usize, u64)>> = BTreeMap::new();
     for r in 0..st.p {
         match st.parked[r].as_ref() {
-            Some(PendingOp::Recv { src_w, tag, .. }) => {
-                waits.insert(r, vec![(*src_w, *tag)]);
+            Some(PendingOp::Recv { src, tag, .. }) => {
+                waits.insert(r, vec![(*src, *tag)]);
             }
             Some(PendingOp::RecvAny { cands, .. }) => {
-                waits.insert(r, cands.iter().map(|&(sw, _, t)| (sw, t)).collect());
+                waits.insert(r, cands.clone());
             }
             _ => {}
         }
@@ -1240,16 +1154,6 @@ mod tests {
             c0.recv_deadline(1, 9, Duration::from_millis(20)),
             Err(CommError::Timeout { src: 1, tag: 9 })
         );
-    }
-
-    #[test]
-    fn subgroup_ranks_remap() {
-        let world = model_world(4);
-        let sub = world[2].subgroup(&[2, 3]);
-        assert_eq!(sub.rank(), 0);
-        assert_eq!(sub.size(), 2);
-        let sub3 = world[3].subgroup(&[2, 3]);
-        assert_eq!(sub3.rank(), 1);
     }
 
     #[test]

@@ -63,12 +63,31 @@ fn every_bad_fixture_fires_its_lint() {
         fixture_lints("bad/comm_unwrap.rs"),
         vec!["comm-unwrap", "comm-unwrap"]
     );
+    // `assert!`, `assert_eq!`, `assert_ne!`, `unreachable!`, `panic!`;
+    // not `debug_assert!`, not the test module.
+    assert_eq!(fixture_lints("bad/comm_panic.rs"), vec!["comm-unwrap"; 5]);
     // Both tainted call edges fire: decay_seed -> thread_salt and
     // scale_gradients -> decay_seed.
     assert_eq!(
         fixture_lints("bad/call_taint.rs"),
         vec!["call-taint", "call-taint"]
     );
+}
+
+/// The panic-macro half of `comm-unwrap` covers the wire library only:
+/// the same source under `core` is clean, and a justified allow silences
+/// one site.
+#[test]
+fn comm_panic_macros_fire_in_the_comm_library_only() {
+    let path = fixtures_dir().join("bad/comm_panic.rs");
+    let src = std::fs::read_to_string(&path).expect("fixture");
+    assert_eq!(lint_file("crates/comm/src/frames.rs", &src).len(), 5);
+    assert!(lint_file("crates/core/src/frames.rs", &src).is_empty());
+    let allowed = src.replace(
+        "    assert!(frame.len()",
+        "    // lint:allow(comm-unwrap): the caller sized the frame.\n    assert!(frame.len()",
+    );
+    assert_eq!(lint_file("crates/comm/src/frames.rs", &allowed).len(), 4);
 }
 
 #[test]
@@ -91,7 +110,7 @@ fn every_good_fixture_is_clean() {
 #[test]
 fn corpus_exercises_every_lint_id() {
     let (files, violations) = lint_fixture_corpus(&fixtures_dir());
-    assert!(files >= 16, "expected the full corpus, saw {files} files");
+    assert!(files >= 18, "expected the full corpus, saw {files} files");
     let fired: BTreeSet<&str> = violations.iter().map(|v| v.lint).collect();
     for id in sasgd_analysis::lints::LINT_IDS {
         assert!(fired.contains(id), "no fixture fires `{id}` — lint is dead");
@@ -157,13 +176,15 @@ fn corpus_covers_the_deleted_sweeps_envelope() {
     };
     for name in [
         "allreduce_tree_p4",
-        "reduce_tree_root1",
+        "members_1to3_of_4",
         "sparse_allreduce_tree_p4",
         "allreduce_ring_p4",
         "back_to_back_allreduce_p4",
         "hierarchical_2x2",
         "ft_allreduce_fault_free_p4",
         "ft_allreduce_one_dead_p4",
+        "ft_sparse_fault_free_p4",
+        "ft_sparse_one_dead_p4",
     ] {
         let sc = find(name);
         assert_eq!((sc.p, sc.search), (4, Search::Exhaustive), "{name}");

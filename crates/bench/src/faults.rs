@@ -1,5 +1,6 @@
 //! Fault-injection bench: SASGD on the fault-tolerant threaded backend
-//! under scripted learner crashes and stalls, recorded as
+//! under scripted learner crashes and stalls — dense, and layer-wise
+//! top-1 % through the sparse tree — recorded as
 //! `BENCH_faults.json` — per scenario: completion, survivor count,
 //! measured recovery latency (from the run's `History::membership`
 //! events), the cost model's predicted recovery latency, and the final
@@ -11,7 +12,10 @@ use std::time::Duration;
 
 use sasgd_core::algorithms::GammaP;
 use sasgd_core::report::ascii_table;
-use sasgd_core::{Algorithm, Backend, Executor, FaultConfig, FaultPlan, History, TrainConfig};
+use sasgd_core::{
+    Algorithm, Backend, Compression, Executor, FaultConfig, FaultPlan, History, KSchedule,
+    TrainConfig,
+};
 use sasgd_simnet::{CostModel, JitterModel};
 
 use crate::figures::Artifact;
@@ -66,17 +70,21 @@ pub struct FaultRow {
     pub determinism_violation: bool,
 }
 
-fn run(w: &crate::scale::ConvergenceWorkload, cfg: &TrainConfig, faults: &FaultConfig) -> History {
+fn run(
+    w: &crate::scale::ConvergenceWorkload,
+    cfg: &TrainConfig,
+    faults: &FaultConfig,
+    compression: Option<Compression>,
+) -> History {
+    let algo = Algorithm::Sasgd {
+        p: P,
+        t: T,
+        gamma_p: GammaP::OverP,
+        compression,
+    };
     Executor::new(Backend::Threaded)
-        .try_run_ft(
-            &*w.factory,
-            &w.train,
-            &w.test,
-            &Algorithm::sasgd(P, T, GammaP::OverP),
-            cfg,
-            faults,
-        )
-        .unwrap_or_else(|e| panic!("fault-tolerant SASGD(p={P},T={T}) could not degrade: {e}"))
+        .try_run_ft(&*w.factory, &w.train, &w.test, &algo, cfg, faults)
+        .unwrap_or_else(|e| panic!("fault-tolerant {} could not degrade: {e}", algo.label()))
 }
 
 fn summarize(
@@ -167,9 +175,10 @@ pub fn to_json(rows: &[FaultRow]) -> String {
 }
 
 /// The `faults` repro target: fault-free baseline, seeded 1/8 and 2/8
-/// crash campaigns (each run twice for the bitwise-reproducibility
-/// check), and a sub-deadline stall, emitted as a report plus
-/// `BENCH_faults.json`.
+/// crash campaigns, the 1/8 campaign again under layer-wise top-1 %
+/// compression (each run twice for the bitwise-reproducibility check), and
+/// a sub-deadline stall, emitted as a report plus `BENCH_faults.json`.
+/// Accuracy deltas are against the dense fault-free run.
 pub fn faults(scale: Scale, epochs: Option<usize>) -> Artifact {
     let w = cifar_workload(scale, epochs.or(Some(4)));
     let mut cfg = TrainConfig::new(w.epochs, w.batch, w.gamma_hi, 0xFA17);
@@ -179,7 +188,7 @@ pub fn faults(scale: Scale, epochs: Option<usize>) -> Artifact {
     // happens degraded — the worst case for the accuracy-delta column.
     let max_step = 2 * T as u64;
 
-    let baseline = run(&w, &cfg, &FaultConfig::default());
+    let baseline = run(&w, &cfg, &FaultConfig::default(), None);
     let baseline_acc = baseline.final_test_acc();
     let model_params = baseline
         .final_params
@@ -191,12 +200,31 @@ pub fn faults(scale: Scale, epochs: Option<usize>) -> Artifact {
         "fault-free run must see no membership change"
     );
 
-    let scenarios: Vec<(&str, FaultPlan)> = vec![
-        ("crash-1of8", FaultPlan::seeded(0xFA17, P, 1, max_step)),
-        ("crash-2of8", FaultPlan::seeded(0xFA18, P, 2, max_step)),
+    let sparse = Compression::Sparse {
+        k: KSchedule::layer_wise(0.01),
+        q8: false,
+        union_bound: false,
+    };
+    let scenarios: Vec<(&str, FaultPlan, Option<Compression>)> = vec![
+        (
+            "crash-1of8",
+            FaultPlan::seeded(0xFA17, P, 1, max_step),
+            None,
+        ),
+        (
+            "crash-2of8",
+            FaultPlan::seeded(0xFA18, P, 2, max_step),
+            None,
+        ),
+        (
+            "crash-1of8-sparse",
+            FaultPlan::seeded(0xFA17, P, 1, max_step),
+            Some(sparse),
+        ),
         (
             "stall-absorbed",
             FaultPlan::none().with_stall(3, T as u64, STALL_MS),
+            None,
         ),
     ];
 
@@ -207,13 +235,13 @@ pub fn faults(scale: Scale, epochs: Option<usize>) -> Artifact {
         baseline_acc,
         model_params,
     )];
-    for (name, plan) in scenarios {
+    for (name, plan, compression) in scenarios {
         let fc = FaultConfig {
             plan,
             deadline: DEADLINE,
         };
-        let first = run(&w, &cfg, &fc);
-        let second = run(&w, &cfg, &fc);
+        let first = run(&w, &cfg, &fc, compression);
+        let second = run(&w, &cfg, &fc, compression);
         let row = summarize(name, &first, Some(&second), baseline_acc, model_params);
         if name == "stall-absorbed" {
             assert!(
@@ -260,7 +288,7 @@ pub fn faults(scale: Scale, epochs: Option<usize>) -> Artifact {
     );
     let report = format!(
         "Fault-injection campaign — threaded SASGD, p = {P}, T = {T}, \
-         deadline {} ms\n\n{table}\n\
+         deadline {} ms (the -sparse row: layer-wise top-1 %)\n\n{table}\n\
          Every scenario completes on the survivors (no deadlock); degraded\n\
          runs replay bitwise for the same FaultPlan and eviction outcome; a\n\
          stall below the receive deadline is absorbed with zero numeric\n\

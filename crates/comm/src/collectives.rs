@@ -1,10 +1,11 @@
 //! Collective operations over any [`Transport`].
 //!
 //! The reproduction's SASGD uses [`allreduce_tree`] — the `O(m log p)`
-//! binomial pattern the paper's communication analysis assumes. The
-//! bandwidth-optimal [`allreduce_ring`] (reduce-scatter + allgather,
-//! `2·m·(p−1)/p` elements per rank) is implemented for the tree-vs-ring
-//! ablation bench.
+//! binomial pattern the paper's communication analysis assumes. It and
+//! [`broadcast`] are the walk of [`crate::tree`] over a full membership,
+//! with the dense [`Fold`] defined here. The bandwidth-optimal
+//! [`allreduce_ring`] (reduce-scatter + allgather, `2·m·(p−1)/p` elements
+//! per rank) is implemented for the tree-vs-ring ablation bench.
 //!
 //! Reduction order is fixed (children merge into parents in rank order), so
 //! results are bitwise deterministic across runs and thread schedules.
@@ -12,22 +13,19 @@
 //! Every collective returns `Result<_, CommError>`: a crashed peer surfaces
 //! as [`CommError::PeerGone`] at the rank adjacent to it (and, with a
 //! default deadline installed, as [`CommError::Timeout`] on waiting ranks)
-//! instead of panicking the whole group. Membership-aware, self-healing
-//! variants live in [`crate::ft`].
+//! instead of panicking the whole group. The same tree over a shrinking
+//! membership, armed with a deadline, heals around lost ranks
+//! ([`crate::tree::allreduce_over`]).
 //!
 //! All collectives are generic over [`Transport`], so the same code runs
 //! over in-process channels, TCP sockets, or the mock — the combine order
-//! (and therefore the bitwise result) is a property of this module, not of
+//! (and therefore the bitwise result) is a property of this crate, not of
 //! the wire underneath.
 
+use crate::sparse::{dense8_decode, dense8_encode};
 use crate::transport::Transport;
+use crate::tree::{broadcast_over, prefixed, tag, walk, Fold, Membership, Wire};
 use crate::world::CommError;
-
-/// Tag space: collectives encode `(op_counter << 4) | phase` so concurrent
-/// phases of one collective never collide.
-fn tag(op: u64, phase: u64) -> u64 {
-    (op << 4) | phase
-}
 
 /// `got`, once it is known to be as long as the buffer it lands in.
 pub(crate) fn expect_len(
@@ -46,6 +44,80 @@ pub(crate) fn expect_len(
     }
 }
 
+/// `frame[at..]`, in `frame`'s own storage.
+fn payload(mut frame: Vec<f32>, at: usize) -> Vec<f32> {
+    frame.drain(..at);
+    frame
+}
+
+/// The dense tree's [`Fold`]: partials are `f32` buffers as long as `buf`,
+/// merged by `+=`. Buffers move instead of being copied: a member gives its
+/// partial away on the way up (the total overwrites `buf` anyway) and sends
+/// the total down in the partial buffers its children sent it — only a
+/// member with more children below than partials from above (member 1 of
+/// 4) copies the total for the extras. With a `scale`, leaf partials (a
+/// member's own contribution, which the compressor placed exactly on its
+/// `q·scale` grid) travel as packed 8-bit frames, `2 + ⌈m/4⌉` elements.
+/// An empty `buf` adopts a total of any length.
+pub struct Dense<'a> {
+    buf: &'a mut Vec<f32>,
+    len: usize,
+    scale: Option<f32>,
+    spares: Vec<Vec<f32>>,
+}
+
+impl<'a> Dense<'a> {
+    /// Fold `buf`; `scale`: leaf frames are 8-bit on this grid.
+    pub fn new(buf: &'a mut Vec<f32>, scale: Option<f32>) -> Self {
+        Dense {
+            len: buf.len(),
+            buf,
+            scale,
+            spares: Vec::new(),
+        }
+    }
+}
+
+impl Fold for Dense<'_> {
+    fn up(&mut self, level: u32, head: &[f32]) -> Vec<f32> {
+        match self.scale {
+            Some(scale) if level == 0 => prefixed(head, dense8_encode(self.buf, scale)),
+            _ => prefixed(head, std::mem::take(self.buf)),
+        }
+    }
+
+    fn merge(&mut self, from: usize, level: u32, frame: Vec<f32>, at: usize) -> Wire {
+        let part = match self.scale {
+            Some(_) if level == 0 => dense8_decode(&frame[at..], self.len)?,
+            _ => payload(expect_len(from, at + self.len, frame)?, at),
+        };
+        for (a, b) in self.buf.iter_mut().zip(&part) {
+            *a += b;
+        }
+        self.spares.push(part);
+        Ok(())
+    }
+
+    fn adopt(&mut self, from: usize, frame: Vec<f32>, at: usize) -> Wire {
+        let frame = match self.len {
+            0 => frame,
+            len => expect_len(from, at + len, frame)?,
+        };
+        *self.buf = payload(frame, at);
+        Ok(())
+    }
+
+    fn copy(&mut self) -> Vec<f32> {
+        match self.spares.pop() {
+            Some(mut spare) => {
+                spare.copy_from_slice(self.buf);
+                spare
+            }
+            None => self.buf.clone(),
+        }
+    }
+}
+
 /// Binomial-tree broadcast from `root`. A non-root rank's `buf` states
 /// the length it expects — anything else from the parent is a
 /// [`CommError::MalformedLength`] — unless it is empty, which adopts
@@ -55,146 +127,22 @@ pub fn broadcast<T: Transport>(
     root: usize,
     buf: &mut Vec<f32>,
 ) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    // Work in root-relative rank space so any root works.
-    let vrank = (comm.rank() + p - root) % p;
-    // Receive from the parent (vrank with its highest set bit cleared),
-    // then forward to children.
-    if vrank != 0 {
-        let hb = usize::BITS - 1 - vrank.leading_zeros();
-        let parent_v = vrank & !(1 << hb);
-        let parent = (parent_v + root) % p;
-        let got = comm.recv(parent, tag(op, 0))?;
-        *buf = if buf.is_empty() {
-            got
-        } else {
-            expect_len(parent, buf.len(), got)?
-        };
-    }
-    // Children are vrank | bit for bits above vrank's highest set bit.
-    let start_bit = if vrank == 0 {
-        1usize
-    } else {
-        1usize << (usize::BITS - vrank.leading_zeros())
-    };
-    let mut bit = start_bit;
-    while bit < p {
-        let child_v = vrank | bit;
-        if child_v < p && child_v != vrank {
-            let child = (child_v + root) % p;
-            comm.send(child, tag(op, 0), buf.clone())?;
-        }
-        bit <<= 1;
-    }
-    Ok(())
+    let all = Membership::new(comm.size());
+    broadcast_over(comm, &all, root, &mut Dense::new(buf, None))
 }
 
-/// Binomial-tree sum-reduce to `root`; on non-root ranks `buf` is left as
-/// the partial sum this rank forwarded. A child's partial of any other
-/// length than `buf`'s is a [`CommError::MalformedLength`], and `buf` keeps
-/// what it had accumulated.
-pub fn reduce_tree<T: Transport>(
-    comm: &mut T,
-    root: usize,
-    buf: &mut [f32],
-) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    let vrank = (comm.rank() + p - root) % p;
-    let mut bit = 1usize;
-    while bit < p {
-        if vrank & bit != 0 {
-            // Send partial to parent and stop.
-            let parent_v = vrank & !bit;
-            let parent = (parent_v + root) % p;
-            comm.send(parent, tag(op, 1), buf.to_vec())?;
-            return Ok(());
-        }
-        let child_v = vrank | bit;
-        if child_v < p {
-            let child = (child_v + root) % p;
-            let part = expect_len(child, buf.len(), comm.recv(child, tag(op, 1))?)?;
-            for (a, b) in buf.iter_mut().zip(&part) {
-                *a += b;
-            }
-        }
-        bit <<= 1;
-    }
-    Ok(())
-}
-
-/// Allreduce (sum) via reduce-to-0 plus broadcast: `2·m·log₂(p)` elements
-/// through the root's subtree links — the paper's `O(m log p)` collective.
-///
-/// Same messages, tags, wire and combine order as [`reduce_tree`] then
-/// [`broadcast`], but buffers move instead of being copied: a rank gives
-/// its partial away on the way up (the total overwrites `buf` anyway) and
-/// sends the total down in the partial buffers its children sent it. Only
-/// a rank with more children in the broadcast tree than partials from the
-/// reduce tree (rank 1 at `p = 4`) still copies the total for the extras.
+/// Allreduce (sum): reduce to rank 0, then broadcast — `2·m·log₂(p)`
+/// elements through the root's subtree links, the paper's `O(m log p)`
+/// collective, with buffers moved rather than copied ([`Dense`]).
 ///
 /// On `Err`, a rank still collecting partials keeps its sum as it was (a
 /// wrong-length partial is [`CommError::MalformedLength`], never a
 /// truncated sum); a rank that had handed its partial to the transport is
 /// left with an **empty** `buf` — the contents were forwarded and are not
 /// coming back — never a truncated or partly overwritten one.
-// hot-path: once per round; the frames it sends are the ones it received
 pub fn allreduce_tree<T: Transport>(comm: &mut T, buf: &mut Vec<f32>) -> Result<(), CommError> {
-    let (p, rank) = (comm.size(), comm.rank());
-    let reduce = comm.next_op();
-    let len = buf.len();
-    // Up: merge the children's partials in rank order, then hand the
-    // partial to the rank with this one's lowest set bit cleared.
-    let mut spares = Vec::new(); // lint:allow(hot-alloc): O(log p) buffer handles, not O(m)
-    let mut bit = 1usize;
-    while bit < p {
-        if rank & bit != 0 {
-            comm.send(rank & !bit, tag(reduce, 1), std::mem::take(buf))?;
-            break;
-        }
-        if rank | bit < p {
-            let child = rank | bit;
-            let part = expect_len(child, len, comm.recv(child, tag(reduce, 1))?)?;
-            for (a, b) in buf.iter_mut().zip(&part) {
-                *a += b;
-            }
-            spares.push(part);
-        }
-        bit <<= 1;
-    }
-    // Down: the total arrives from the rank with this one's highest set
-    // bit cleared and goes on to the children above that bit, ascending.
-    let bcast = comm.next_op();
-    let mut bit = 1usize;
-    if rank != 0 {
-        let top = 1usize << (usize::BITS - 1 - rank.leading_zeros());
-        let parent = rank & !top;
-        *buf = expect_len(parent, len, comm.recv(parent, tag(bcast, 0))?)?;
-        bit = top << 1;
-    }
-    while rank | bit < p {
-        let frame = match spares.pop() {
-            Some(mut spare) => {
-                spare.copy_from_slice(buf);
-                spare
-            }
-            // lint:allow(hot-alloc): more children below than partials
-            // received from above them — nothing to recycle for this one.
-            None => buf.clone(),
-        };
-        comm.send(rank | bit, tag(bcast, 0), frame)?;
-        bit <<= 1;
-    }
-    Ok(())
+    let all = Membership::new(comm.size());
+    walk(comm, &all, &mut Dense::new(buf, None))
 }
 
 /// The `p − 1` reduce-scatter steps of a ring, under `op`'s phases `2..`:
@@ -353,20 +301,6 @@ mod tests {
         }
     }
 
-    /// The virtual-rank remapping: any root ends with the full sum.
-    #[test]
-    fn reduce_tree_nonzero_root() {
-        for (p, root) in [(2usize, 1usize), (4, 1), (5, 3), (8, 5)] {
-            let res = run_world(p, |c| {
-                let mut v = vec![c.rank() as f32 + 1.0; 3];
-                reduce_tree(c, root, &mut v).expect("reduce");
-                v
-            });
-            let expect = (p * (p + 1) / 2) as f32;
-            assert_eq!(res[root], vec![expect; 3], "p={p} root={root}");
-        }
-    }
-
     #[test]
     fn allreduce_tree_sums() {
         for p in [1usize, 2, 3, 4, 7, 8, 16] {
@@ -517,10 +451,7 @@ mod tests {
             }),
         };
         type Tree = fn(&mut MockTransport, &mut Vec<f32>) -> Result<(), CommError>;
-        let up: [(&str, Tree); 2] = [
-            ("reduce_tree", |c, v| reduce_tree(c, 0, v)),
-            ("allreduce_tree", |c, v| allreduce_tree(c, v)),
-        ];
+        let up: [(&str, Tree); 1] = [("allreduce_tree", |c, v| allreduce_tree(c, v))];
         // What a failed receive from the parent leaves in the buffer:
         // `broadcast` has not touched it; `allreduce_tree` gave it away on
         // the way up, and it is gone — never truncated, never a mix.

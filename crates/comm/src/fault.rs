@@ -99,13 +99,15 @@ impl FaultPlan {
     /// Derive a crash campaign from a seed: `crashes` distinct ranks out of
     /// `p`, each crashing at a step in `1..=max_step`. Rank 0 is never
     /// chosen — it is the recovery coordinator, whose loss is a typed fatal
-    /// error rather than a degradation (see `crate::ft`). The same
+    /// error rather than a degradation (see `crate::tree`). The same
     /// `(seed, p, crashes, max_step)` always yields the same plan.
     ///
     /// # Panics
     /// Panics if `crashes >= p` (someone must survive) or `max_step == 0`.
     pub fn seeded(seed: u64, p: usize, crashes: usize, max_step: u64) -> Self {
+        // lint:allow(comm-unwrap): a plan's shape is the caller's, not wire input.
         assert!(crashes < p, "at least one learner must survive");
+        // lint:allow(comm-unwrap): as above.
         assert!(max_step > 0, "crash steps start at 1");
         let mut state = seed;
         let mut plan = FaultPlan::none();

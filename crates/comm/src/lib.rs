@@ -15,20 +15,21 @@
 //!   ranks running as separate OS processes;
 //! * [`mock`] — a minimal reference implementation for conformance
 //!   testing and failure-path injection;
-//! * [`collectives`] — broadcast, binomial-tree reduce/allreduce
-//!   (the `O(m log p)` pattern the paper's cost analysis assumes), a
-//!   bandwidth-optimal ring allreduce for the ablation bench, and a
-//!   barrier;
+//! * [`tree`] — the one binomial tree (the `O(m log p)` pattern the
+//!   paper's cost analysis assumes), walked over a [`tree::Membership`]:
+//!   all of a world's ranks, a subset (a hierarchical group), or the
+//!   survivors of a fault — with a deadline, its error path evicts lost
+//!   ranks and rebuilds the tree over the survivors;
+//! * [`collectives`] — broadcast and allreduce over the whole world (the
+//!   dense tree), a bandwidth-optimal ring allreduce for the ablation
+//!   bench, and a barrier;
 //! * [`ps_transport`] — the (sharded) parameter server Downpour and EAMSGD
 //!   aggregate through, expressed purely in [`Transport`] operations:
 //!   shards are ranks of the learners' world, with asynchronous adds,
 //!   deadline-bounded pulls under a retry ladder, a stamp-consistent
 //!   snapshot pull, and the update clock staleness is measured against;
 //! * [`fault`] — deterministic crash/stall/drop fault plans for the
-//!   threaded backend;
-//! * [`ft`] — membership epochs and a self-healing allreduce that
-//!   survives learner loss by rebuilding the binomial tree over the
-//!   survivors.
+//!   threaded backend.
 //!
 //! Everything is deterministic given a deterministic caller: collectives
 //! use fixed reduction orders, so "SASGD over threads" equals "SASGD
@@ -59,23 +60,21 @@
 
 pub mod collectives;
 pub mod fault;
-pub mod ft;
-pub mod hierarchy;
 pub mod mock;
 pub mod protocol;
 pub mod ps_transport;
 pub mod socket;
 pub mod sparse;
 pub mod transport;
+pub mod tree;
 pub mod world;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use ft::{ft_allreduce, FtError, FtOutcome, Membership};
-pub use hierarchy::{grouped, hierarchical_allreduce, GroupedComm};
 pub use mock::{mock_world, MockTransport};
 pub use protocol::Frame;
 pub use ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 pub use socket::{loopback_addrs, SocketTransport};
 pub use sparse::{sparse_allreduce_tree_v2, SparseVec};
 pub use transport::{InProcTransport, Transport};
+pub use tree::{allreduce_over, broadcast_over, Fold, FtError, FtOutcome, Membership};
 pub use world::{CommError, CommWorld, Communicator, FaultSchedule};

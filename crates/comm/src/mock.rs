@@ -50,6 +50,7 @@ pub struct MockTransport {
 
 /// Build the `p` endpoints of a fresh mock world.
 pub fn mock_world(p: usize) -> Vec<MockTransport> {
+    // lint:allow(comm-unwrap): the world's size is the caller's, not wire input.
     assert!(p > 0, "world needs at least one rank");
     let shared = Arc::new(Shared {
         inboxes: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),

@@ -283,6 +283,7 @@ impl<T: Transport> PsTransportClient<T> {
     /// # Panics
     /// Panics unless `comm.rank() < layout.p`.
     pub fn new(comm: T, layout: PsLayout) -> Self {
+        // lint:allow(comm-unwrap): the caller's own rank and layout.
         assert!(comm.rank() < layout.p, "client must be a learner rank");
         PsTransportClient {
             comm,
@@ -330,6 +331,7 @@ impl<T: Transport> PsTransportClient<T> {
     /// # Panics
     /// Panics if `delta` is not full-dimension.
     pub fn add(&mut self, delta: &[f32]) -> Result<(), PsTransportError> {
+        // lint:allow(comm-unwrap): the caller's own update, not wire input.
         assert_eq!(delta.len(), self.layout.dim, "delta dimension mismatch");
         // Unique across the world: no two learners share the high bits.
         let id = ((self.comm.rank() as u64) << 40) | self.adds;
@@ -543,8 +545,11 @@ mod tests {
     /// is the sum of every delta.
     #[test]
     fn adds_and_pulls_over_inproc_and_mock_worlds() {
+        // Both clients pull before either adds: the initial pull sees zeros.
+        static PULLED: std::sync::Barrier = std::sync::Barrier::new(2);
         fn chatter<T: Transport>(mut client: PsTransportClient<T>) {
             assert_eq!(client.pull(PULL).expect("initial pull"), vec![0.0; 7]);
+            PULLED.wait();
             for step in 0..3 {
                 let delta: Vec<f32> = (0..7)
                     .map(|j| (client.comm.rank() * 100 + step * 10 + j) as f32)

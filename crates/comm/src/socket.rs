@@ -20,8 +20,10 @@
 //! fail with [`CommError::PeerGone`]. Unlike the in-process channel world,
 //! hangup detection rides the wire, so there is a window where a send to a
 //! just-crashed peer still buffers successfully — callers probing for a
-//! dead peer retry until the error surfaces (the conformance suite and
-//! `ft_allreduce`'s reroute path both already do).
+//! dead peer retry until the error surfaces (the conformance suite does).
+//! The armed tree walk ([`crate::tree`]) reroutes a partial only on a
+//! send that fails, so over sockets a partial sent into that window is
+//! lost and its sender is evicted along with the dead peer.
 //!
 //! Dropping the endpoint shuts every stream down both ways, which is what
 //! the surviving peers' readers observe as the hangup.
@@ -106,6 +108,7 @@ impl SocketTransport {
         rendezvous: Duration,
     ) -> io::Result<Self> {
         let size = addrs.len();
+        // lint:allow(comm-unwrap): the caller's own rank and address list.
         assert!(rank < size, "rank {rank} outside world of {size}");
         let deadline = Instant::now() + rendezvous;
         let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();

@@ -6,9 +6,9 @@
 //! the threaded backend moves `O(k)` elements per hop instead of `O(m)` —
 //! and the traffic counters record the real (compressed) sizes.
 //!
-//! The reduction mirrors [`crate::collectives::reduce_tree`]'s combine order
-//! exactly (accumulated self `+=` incoming child, children in ascending
-//! bit order), so a sparse allreduce of vectors produces the same sums, bit
+//! The reduction is the walk of [`crate::tree`] with the sparse
+//! [`SparseFold`] (accumulated self `+=` incoming child, children in
+//! ascending bit order), so a sparse allreduce of vectors produces the same sums, bit
 //! for bit, as the dense tree allreduce of their densified forms — with one
 //! IEEE corner: a coordinate whose every contribution is `-0.0` densifies
 //! to `+0.0` here (`-0.0` entries are structurally absent) while a dense
@@ -29,22 +29,23 @@
 //! the tree reduce stays a plain f32 sum.
 //!
 //! [`sparse_allreduce_tree_v2`] is the one sparse tree (the `_v2` is
-//! historical; the benchmark adapter compiles against the name): reduce
-//! to rank 0 in the dense tree's combine order, broadcast the encoded
-//! result. It records a per-level wire profile ([`SparseLevelProfile`],
-//! measuring how the index union grows with tree depth) and, with a union
-//! bound, re-TopKs each merged partial, folding the trimmed mass back to
+//! historical; the benchmark adapter compiles against the name): the
+//! walk over a full membership, the encoded total going down. It records
+//! a per-level wire profile ([`SparseLevelProfile`], measuring how the
+//! index union grows with tree depth) and, with a union bound, re-TopKs each merged partial, folding the trimmed mass back to
 //! the caller as a sparse *spill* for its error-feedback residual —
 //! nothing is silently lost.
 //! With default [`SparseTreeOpts`] the spill is empty and the sums are
 //! the dense tree's. [`tree_combine_bounded`] is the in-memory mirror of
 //! the same combine-and-trim order for the simulated backend.
 //!
-//! [`q8_allreduce_tree`] gives dense 8-bit quantization a real wire form:
-//! leaf sends travel as packed `[len, scale, q-packed]` frames
-//! (`2 + ⌈m/4⌉` elements), merged partials and the result broadcast stay
-//! dense f32 — bitwise identical to the dense tree over the same
-//! quantized inputs.
+//! The dense tree's fold ([`crate::collectives::Dense`]) with a scale
+//! gives dense 8-bit quantization a real wire form: leaf sends travel as
+//! packed `[len, scale, q-packed]` frames (`2 + ⌈m/4⌉` elements, encoded
+//! and decoded here), merged partials and the total on the way down stay
+//! dense f32 — bitwise identical to the dense tree over the same quantized
+//! inputs: the 8-bit frame is a transport optimization, not an extra lossy
+//! step.
 //!
 //! Frames arrive from peers, over [`crate::socket::SocketTransport`] from
 //! another process: every decoder validates its buffer once (header and
@@ -53,8 +54,8 @@
 //! bad frame is a [`CommError::Malformed`] that leaves the receiver's
 //! partial untouched, never a panic or an out-of-bounds index.
 
-use crate::collectives::{broadcast, expect_len};
 use crate::transport::Transport;
+use crate::tree::{depth, links, prefixed, walk, Fold, Membership, Wire};
 use crate::world::CommError;
 
 /// Elements of a [`SparseVec`] wire frame carrying `nnz` entries.
@@ -120,6 +121,7 @@ impl SparseVec {
     /// adapter for tests and callers that hold a dense vector: the engine's
     /// compressor emits its payload sparse and never builds one.
     pub fn from_dense(dense: &[f32]) -> Self {
+        // lint:allow(comm-unwrap): the caller's own vector, not wire input.
         assert!(dense.len() <= u32::MAX as usize, "vector too long for wire");
         let mut idx = Vec::new();
         let mut val = Vec::new();
@@ -164,6 +166,7 @@ impl SparseVec {
     /// coordinates, union elsewhere) — the sparse mirror of the dense
     /// reduce's `a += b`.
     pub fn add_assign(&mut self, other: &SparseVec) {
+        // lint:allow(comm-unwrap): frames are length-checked before they merge.
         assert_eq!(self.len, other.len, "length mismatch in sparse add");
         let (n_a, n_b) = (self.idx.len(), other.idx.len());
         let mut idx = Vec::with_capacity(n_a + n_b);
@@ -233,11 +236,6 @@ impl SparseVec {
             }),
         }
     }
-}
-
-/// Tag space mirroring `collectives::tag` (kept private there).
-fn tag(op: u64, phase: u64) -> u64 {
-    (op << 4) | phase
 }
 
 /// A sparse vector with 8-bit quantized values: the composed
@@ -431,17 +429,6 @@ pub struct SparseTreeOpts {
     pub q8_scale: Option<f32>,
 }
 
-/// Reduce-level index of a send at tree bit `bit`.
-fn level_of(bit: usize) -> usize {
-    bit.trailing_zeros() as usize
-}
-
-/// The broadcast's level index: one past the last reduce level,
-/// `⌈log₂ p⌉`.
-fn broadcast_level(p: usize) -> usize {
-    (usize::BITS - (p - 1).leading_zeros()) as usize
-}
-
 /// Trim `sv` in place to its `bound` largest-magnitude entries (NaN
 /// ranks as +∞; ties break toward the lower index), returning the
 /// trimmed-off entries as a sparse remainder for the caller's residual.
@@ -502,66 +489,88 @@ fn decode_part(buf: &[f32], q8: bool, len: u32) -> Result<SparseVec, CommError> 
     Ok(part)
 }
 
-/// Reduce phase of [`sparse_allreduce_tree_v2`] (root 0): the combine
-/// order of [`crate::collectives::reduce_tree`] (accumulated self `+=`
-/// incoming child, children in ascending bit order) plus per-level
-/// profiling, optional q8 leaf frames, and optional union-bound trimming
-/// after every merge (trimmed mass accumulates in `spill`). On non-root
-/// ranks `sv` is left as the partial this rank forwarded.
-fn reduce_to_root<T: Transport>(
-    comm: &mut T,
-    sv: &mut SparseVec,
+/// The sparse tree's [`Fold`]: partials travel encoded, `O(nnz)` wire
+/// elements per hop, and merge by [`SparseVec::add_assign`]. Leaf sends
+/// ship as [`SparseVec8`] frames when [`SparseTreeOpts::q8_scale`] is set;
+/// with a union bound, every merged partial is re-TopK'd and the trimmed
+/// mass lands in [`SparseFold::spill`]. Sends up are profiled at the
+/// sender, the way down once at the root (all its copies), so merging all
+/// ranks' profiles counts every message exactly once. The profile counts
+/// the codec's frames, not the mask an armed walk prefixes.
+pub struct SparseFold<'a> {
+    sv: &'a mut SparseVec,
     opts: SparseTreeOpts,
-    profile: &mut SparseLevelProfile,
-    spill: &mut SparseVec,
-) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    let rank = comm.rank();
-    let mut bit = 1usize;
-    while bit < p {
-        let q8_leaf = bit == 1 && opts.q8_scale.is_some();
-        if rank & bit != 0 {
-            let parent = rank & !bit;
-            let enc = match opts.q8_scale {
-                Some(scale) if q8_leaf => SparseVec8::from_scaled(sv, scale).encode(),
-                _ => sv.encode(),
-            };
-            profile.record(level_of(bit), 1, sv.nnz() as u64, enc.len() as u64);
-            comm.send(parent, tag(op, 1), enc)?;
-            return Ok(());
-        }
-        let child = rank | bit;
-        if child < p {
-            let part = decode_part(&comm.recv(child, tag(op, 1))?, q8_leaf, sv.len)?;
-            sv.add_assign(&part);
-            if let Some(bound) = opts.union_bound {
-                let trimmed = trim_to_bound(sv, bound);
-                spill.add_assign(&trimmed);
-            }
-        }
-        bit <<= 1;
-    }
-    Ok(())
+    profile: &'a mut SparseLevelProfile,
+    /// The mass this rank's trims removed from partial sums, which the
+    /// caller folds into its error-feedback residual.
+    pub spill: SparseVec,
+    /// The encoded total, once sealed or adopted.
+    total: Vec<f32>,
 }
 
-/// Sparse allreduce (sum): sparse reduce to rank 0 plus broadcast of the
-/// encoded result, `O(nnz)` wire elements per hop, with per-level wire
-/// profiling, optional [`SparseVec8`] leaf frames, and an optional union
-/// bound. Every rank returns with the full sparse sum in `sv` and its
-/// *spill* — the mass its trims removed from partial sums — which the
-/// caller must fold into its error-feedback residual so nothing is lost.
-/// With default [`SparseTreeOpts`] the spill is empty and the sums are
-/// bitwise the dense tree's over the densified inputs.
-///
-/// Reduce sends are profiled at the sender; the result broadcast
-/// (`p − 1` messages of the root frame) is profiled analytically on
-/// rank 0, so merging all ranks' profiles counts every message exactly
-/// once.
+impl<'a> SparseFold<'a> {
+    /// Fold `sv` under `opts`, recording wire stats into `profile`.
+    pub fn new(
+        sv: &'a mut SparseVec,
+        opts: SparseTreeOpts,
+        profile: &'a mut SparseLevelProfile,
+    ) -> Self {
+        SparseFold {
+            spill: SparseVec::empty(sv.len),
+            sv,
+            opts,
+            profile,
+            total: Vec::new(),
+        }
+    }
+}
+
+impl Fold for SparseFold<'_> {
+    fn up(&mut self, level: u32, head: &[f32]) -> Vec<f32> {
+        let frame = match self.opts.q8_scale {
+            Some(scale) if level == 0 => SparseVec8::from_scaled(self.sv, scale).encode(),
+            _ => self.sv.encode(),
+        };
+        let (nnz, elements) = (self.sv.nnz() as u64, frame.len() as u64);
+        self.profile.record(level as usize, 1, nnz, elements);
+        prefixed(head, frame)
+    }
+
+    fn merge(&mut self, _from: usize, level: u32, frame: Vec<f32>, at: usize) -> Wire {
+        let q8 = level == 0 && self.opts.q8_scale.is_some();
+        self.sv
+            .add_assign(&decode_part(&frame[at..], q8, self.sv.len)?);
+        if let Some(bound) = self.opts.union_bound {
+            let trimmed = trim_to_bound(self.sv, bound);
+            self.spill.add_assign(&trimmed);
+        }
+        Ok(())
+    }
+
+    fn seal(&mut self, level: usize, copies: usize) {
+        self.total = self.sv.encode();
+        let msgs = copies as u64;
+        let (nnz, elements) = (self.sv.nnz() as u64, self.total.len() as u64);
+        self.profile
+            .record(level, msgs, msgs * nnz, msgs * elements);
+    }
+
+    fn adopt(&mut self, _from: usize, frame: Vec<f32>, at: usize) -> Wire {
+        *self.sv = decode_part(&frame[at..], false, self.sv.len)?;
+        self.total = frame;
+        Ok(())
+    }
+
+    fn copy(&mut self) -> Vec<f32> {
+        self.total.clone()
+    }
+}
+
+/// Sparse allreduce (sum) over all of `comm`'s ranks, through
+/// [`SparseFold`]: every rank returns with the full sparse sum in `sv` and
+/// its *spill*, which the caller must fold into its error-feedback residual
+/// so nothing is lost. With default [`SparseTreeOpts`] the spill is empty
+/// and the sums are bitwise the dense tree's over the densified inputs.
 ///
 /// A frame that fails validation is a [`CommError::Malformed`]; `sv` then
 /// still holds what this rank had accumulated before the bad frame.
@@ -571,27 +580,10 @@ pub fn sparse_allreduce_tree_v2<T: Transport>(
     opts: SparseTreeOpts,
     profile: &mut SparseLevelProfile,
 ) -> Result<SparseVec, CommError> {
-    let p = comm.size();
-    let mut spill = SparseVec::empty(sv.len);
-    reduce_to_root(comm, sv, opts, profile, &mut spill)?;
-    // Only the root's frame travels, and only the root knows its length.
-    let mut enc = if comm.rank() == 0 {
-        sv.encode()
-    } else {
-        Vec::new()
-    };
-    if comm.rank() == 0 && p > 1 {
-        let msgs = (p - 1) as u64;
-        profile.record(
-            broadcast_level(p),
-            msgs,
-            msgs * sv.nnz() as u64,
-            msgs * enc.len() as u64,
-        );
-    }
-    broadcast(comm, 0, &mut enc)?;
-    *sv = decode_part(&enc, false, sv.len)?;
-    Ok(spill)
+    let all = Membership::new(comm.size());
+    let mut fold = SparseFold::new(sv, opts, profile);
+    walk(comm, &all, &mut fold)?;
+    Ok(fold.spill)
 }
 
 /// In-memory mirror of [`sparse_allreduce_tree_v2`] over all `p`
@@ -609,21 +601,22 @@ pub fn tree_combine_bounded(
     opts: &[SparseTreeOpts],
 ) -> (SparseVec, Vec<SparseVec>, SparseLevelProfile) {
     let p = svs.len();
+    // lint:allow(comm-unwrap): the simulated backend's own contributions.
     assert!(p > 0, "no contributions");
+    // lint:allow(comm-unwrap): as above.
     assert_eq!(opts.len(), p, "one set of tree options per rank");
     let mut profile = SparseLevelProfile::default();
     let mut spills: Vec<SparseVec> = svs.iter().map(|s| SparseVec::empty(s.len)).collect();
-    let mut bit = 1usize;
-    while bit < p {
-        let mut r = 0usize;
-        while r + bit < p {
-            let s = r + bit;
-            let frame = if bit == 1 && opts[s].q8_scale.is_some() {
+    // Receivers from the last rank down: a rank's subtree lies above it, so
+    // its partial is complete by the time its own parent takes it.
+    for r in (0..p).rev() {
+        for (s, level) in links(r, p).children {
+            let frame = if level == 0 && opts[s].q8_scale.is_some() {
                 sparse8_frame_elements(svs[s].nnz())
             } else {
                 sparse_frame_elements(svs[s].nnz())
             };
-            profile.record(level_of(bit), 1, svs[s].nnz() as u64, frame as u64);
+            profile.record(level as usize, 1, svs[s].nnz() as u64, frame as u64);
             // The sender's slot is never read again.
             let part = std::mem::replace(&mut svs[s], SparseVec::empty(0));
             svs[r].add_assign(&part);
@@ -631,15 +624,13 @@ pub fn tree_combine_bounded(
                 let trimmed = trim_to_bound(&mut svs[r], bound);
                 spills[r].add_assign(&trimmed);
             }
-            r += 2 * bit;
         }
-        bit <<= 1;
     }
     let total = svs.swap_remove(0);
     if p > 1 {
         let msgs = (p - 1) as u64;
         profile.record(
-            broadcast_level(p),
+            depth(p),
             msgs,
             msgs * total.nnz() as u64,
             msgs * sparse_frame_elements(total.nnz()) as u64,
@@ -651,7 +642,8 @@ pub fn tree_combine_bounded(
 /// Encode an `m`-element dense vector whose entries sit exactly on the
 /// `q·scale` grid as a packed dense frame `[len, scale, q-packed...]`
 /// (four `i8` per `f32` slot). Debug builds assert the grid property.
-fn dense8_encode(v: &[f32], scale: f32) -> Vec<f32> {
+pub(crate) fn dense8_encode(v: &[f32], scale: f32) -> Vec<f32> {
+    // lint:allow(comm-unwrap): the sender's own vector, not wire input.
     assert!(v.len() <= u32::MAX as usize, "vector too long for wire");
     let mut out = Vec::with_capacity(dense8_frame_elements(v.len()));
     out.push(f32::from_bits(v.len() as u32));
@@ -674,7 +666,7 @@ fn dense8_encode(v: &[f32], scale: f32) -> Vec<f32> {
 /// Decode and validate a [`dense8_encode`]d frame for a receiver holding
 /// `m` elements, back to the dense `q·scale` vector (`q = 0`
 /// reconstructing canonical `+0.0`).
-fn dense8_decode(buf: &[f32], m: usize) -> Result<Vec<f32>, CommError> {
+pub(crate) fn dense8_decode(buf: &[f32], m: usize) -> Result<Vec<f32>, CommError> {
     let bad = |reason| CommError::Malformed {
         frame: "dense8",
         reason,
@@ -699,65 +691,17 @@ fn dense8_decode(buf: &[f32], m: usize) -> Result<Vec<f32>, CommError> {
     Ok(bytes.map(dequantize).take(m).collect())
 }
 
-/// Dense allreduce for 8-bit-quantized vectors: leaf-level sends (a
-/// rank's own contribution, which the compressor placed exactly on its
-/// `q·scale` grid) travel as packed dense-8-bit frames
-/// (`2 + ⌈m/4⌉` elements); merged partials are arbitrary f32 sums and
-/// travel dense, as does the result broadcast. The scale is per-sender
-/// and rides in the frame. Because the wire only transports values the
-/// sender already holds, the result is bitwise identical to
-/// [`crate::collectives::allreduce_tree`] over the same (quantized)
-/// inputs — the 8-bit frame is a transport optimization, not an extra
-/// lossy step.
-///
-/// A leaf frame that fails validation is a [`CommError::Malformed`], a
-/// partial of the wrong length a [`CommError::MalformedLength`]; `v` then
-/// still holds what this rank had accumulated before it.
-pub fn q8_allreduce_tree<T: Transport>(
-    comm: &mut T,
-    v: &mut Vec<f32>,
-    scale: f32,
-) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        comm.next_op();
-        return Ok(());
-    }
-    let op = comm.next_op();
-    let rank = comm.rank();
-    let mut bit = 1usize;
-    while bit < p {
-        if rank & bit != 0 {
-            let parent = rank & !bit;
-            let enc = if bit == 1 {
-                dense8_encode(v, scale)
-            } else {
-                v.clone()
-            };
-            comm.send(parent, tag(op, 1), enc)?;
-            break;
-        }
-        let child = rank | bit;
-        if child < p {
-            let buf = comm.recv(child, tag(op, 1))?;
-            let part = if bit == 1 {
-                dense8_decode(&buf, v.len())?
-            } else {
-                expect_len(child, v.len(), buf)?
-            };
-            for (a, b) in v.iter_mut().zip(&part) {
-                *a += b;
-            }
-        }
-        bit <<= 1;
-    }
-    broadcast(comm, 0, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::allreduce_tree;
+    use crate::collectives::{allreduce_tree, Dense};
+    use crate::tree::{tag, walk};
+
+    /// The dense tree with 8-bit leaf frames on the `scale` grid.
+    fn q8_allreduce_tree<T: Transport>(comm: &mut T, v: &mut Vec<f32>, scale: f32) -> Wire {
+        let all = Membership::new(comm.size());
+        walk(comm, &all, &mut Dense::new(v, Some(scale)))
+    }
     use crate::world::{CommWorld, Communicator};
     use std::thread;
 

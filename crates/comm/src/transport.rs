@@ -1,9 +1,9 @@
 //! The `Transport` trait: the comm substrate behind an interface.
 //!
 //! Everything above the point-to-point layer — the collectives in
-//! [`crate::collectives`] and [`crate::sparse`], the fault-tolerant
-//! allreduce in [`crate::ft`], the hierarchy bundles in
-//! [`crate::hierarchy`], the parameter server in
+//! [`crate::collectives`] and [`crate::sparse`], the binomial tree over a
+//! membership (and its fault-tolerant error path) in [`crate::tree`], the
+//! parameter server in
 //! [`crate::ps_transport`], and the threaded engine backend in
 //! `sasgd-core` — is written against this trait, not against a concrete
 //! endpoint type. A rank endpoint is opaque: it knows its own rank, the

@@ -194,6 +194,7 @@ impl CommWorld {
     /// # Panics
     /// Panics if `size == 0`.
     pub fn new(size: usize) -> Self {
+        // lint:allow(comm-unwrap): the world's size is the caller's, not wire input.
         assert!(size > 0, "world needs at least one rank");
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
@@ -421,7 +422,7 @@ impl Communicator {
     /// schedule, which is exactly the nondeterminism those exist to avoid.
     /// Its callers are the parameter-server shard loop (asynchronous by
     /// design: arrival order across learners *is* the schedule) and the
-    /// fault-tolerant collectives in [`crate::ft`], whose recovery sweep
+    /// armed tree walk in [`crate::tree`], whose recovery sweep
     /// re-sorts arrivals by source rank before combining.
     pub fn recv_any(
         &mut self,

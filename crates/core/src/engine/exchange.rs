@@ -11,12 +11,11 @@
 
 use std::time::{Duration, Instant};
 
-use sasgd_comm::collectives::{allreduce_tree, broadcast};
-use sasgd_comm::ft::{ft_allreduce, FtError, Membership};
-use sasgd_comm::hierarchy::GroupedComm;
+use sasgd_comm::collectives::{allreduce_tree, broadcast, Dense};
 use sasgd_comm::ps_transport::{PsLayout, PsTransportClient, PsTransportError};
-use sasgd_comm::sparse::{q8_allreduce_tree, sparse_allreduce_tree_v2};
+use sasgd_comm::sparse::SparseFold;
 use sasgd_comm::transport::Transport;
+use sasgd_comm::tree::{allreduce_over, broadcast_over, FtError, FtOutcome, Membership};
 use sasgd_comm::world::CommError;
 use sasgd_nn::Model;
 
@@ -127,86 +126,68 @@ fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<Vec<f32>,
     Ok(x)
 }
 
-/// Allreduce `gs` through `codec`: its payload travels in the payload's
-/// own wire form — the sparse tree, exact 8-bit leaf frames, or (an
-/// all-zero gradient has no 8-bit grid) the dense tree — and the tree's
-/// spill goes back into the codec. Records `(round, rank, k_eff,
-/// residual_norm)` and the per-level wire stats; returns the total as the
-/// tree left it.
+/// Allreduce `gs` over `membership` through `codec` (armed by `deadline`,
+/// if any): its payload travels in the payload's own wire form — the
+/// sparse tree, exact 8-bit leaf frames, or (an all-zero gradient has no
+/// 8-bit grid) the dense tree — and the tree's spill goes back into the
+/// codec. Records `(round, rank, k_eff, residual_norm)` and the per-level
+/// wire stats; returns the total as the tree left it.
 fn compressed_allreduce<T: Transport>(
     codec: &mut ErrorFeedback,
     comm: &mut T,
+    membership: &mut Membership,
+    deadline: Option<Duration>,
     gs: &[f32],
-    round: Round<'_>,
-) -> Result<Total, WireError> {
+    round: &mut Round<'_>,
+) -> Result<(Total, FtOutcome), FtError> {
     let enc = codec.encode(gs);
     // lint:allow(float-cast): telemetry narrowing — the norm is a
     // monitoring signal, not part of the update arithmetic.
     let norm = enc.residual_norm as f32;
-    let history = round.history;
+    let history = &mut *round.history;
     history.push_sparsity(round.number, comm.rank(), enc.k_eff, norm);
     Ok(match enc.payload {
         Payload::Sparse(mut sv, opts) => {
-            let levels = &mut history.sparse_levels;
-            codec.absorb(&sparse_allreduce_tree_v2(comm, &mut sv, opts, levels)?);
-            Total::Sparse(sv)
+            let mut fold = SparseFold::new(&mut sv, opts, &mut history.sparse_levels);
+            let outcome = allreduce_over(comm, membership, &mut fold, deadline)?;
+            codec.absorb(&fold.spill);
+            (Total::Sparse(sv), outcome)
         }
         Payload::Dense8(mut buf, scale) => {
-            match scale {
-                Some(scale) => q8_allreduce_tree(comm, &mut buf, scale)?,
-                None => allreduce_tree(comm, &mut buf)?,
-            }
-            Total::Dense(buf)
+            let fold = &mut Dense::new(&mut buf, scale);
+            let outcome = allreduce_over(comm, membership, fold, deadline)?;
+            (Total::Dense(buf), outcome)
         }
     })
 }
 
 /// SASGD: tree allreduce of the accumulated gradients (optionally
-/// compressed with error feedback), then the global step.
-struct GradTree<T> {
+/// compressed with error feedback) over the live membership, then the
+/// global step with `γp` resolved over the members.
+///
+/// With a [`FaultConfig`] the tree is armed: its scripted faults fire at
+/// step boundaries (never inside a collective), so a degraded run replays
+/// bitwise; a lost rank leaves the membership (its residual with it) and
+/// `γp` rescales to the survivors. A rank the survivors evicted, or a
+/// non-coordinator whose wire failed, retires with a [`RetirementEvent`];
+/// nothing can degrade around rank 0, the recovery coordinator, so its
+/// failure is the one error. With an empty plan the trajectory is bitwise
+/// the unarmed one's — same combine order.
+struct GradTree<'a, T> {
     comm: T,
     gamma_p: GammaP,
     codec: Option<ErrorFeedback>,
-    x: Vec<f32>,
-}
-
-impl<T: Transport> Exchange for GradTree<T> {
-    fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
-        let gp = self.gamma_p.resolve(round.gamma, self.comm.size());
-        match self.codec.as_mut() {
-            Some(codec) => {
-                compressed_allreduce(codec, &mut self.comm, &l.gs, round)?.step(&mut self.x, gp);
-                l.model.params_mut().copy_from_slice(&self.x);
-                l.gs.fill(0.0);
-            }
-            None => {
-                allreduce_tree(&mut self.comm, &mut l.gs)?;
-                global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
-            }
-        }
-        Ok(Outcome::default())
-    }
-}
-
-/// SASGD under the fault-tolerance layer: [`ft_allreduce`] over a shrinking
-/// [`Membership`], `γp` rescaled to the survivor count, and the scripted
-/// faults of a [`FaultConfig`] fired at step boundaries (never inside a
-/// collective), so a degraded run replays bitwise. With an empty plan the
-/// trajectory is bitwise [`GradTree`]'s — same combine order. A rank that
-/// survivors evicted, or a non-coordinator whose wire failed, retires with
-/// a [`RetirementEvent`]; nothing can degrade around rank 0, the recovery
-/// coordinator, so its failure is the one error.
-struct FtTree<'a, T> {
-    comm: T,
-    gamma_p: GammaP,
-    faults: &'a FaultConfig,
     membership: Membership,
+    faults: Option<&'a FaultConfig>,
     x: Vec<f32>,
 }
 
-impl<T: Transport> Exchange for FtTree<'_, T> {
+impl<T: Transport> Exchange for GradTree<'_, T> {
     fn step_boundary(&mut self, gstep: u64) -> bool {
-        let (rank, plan) = (self.comm.rank(), &self.faults.plan);
+        let Some(faults) = self.faults else {
+            return true;
+        };
+        let (rank, plan) = (self.comm.rank(), &faults.plan);
         if plan.crash_step(rank).is_some_and(|s| gstep >= s) {
             // Crash: stop participating. Dropping the endpoint when the
             // rank returns is what survivors detect.
@@ -218,13 +199,19 @@ impl<T: Transport> Exchange for FtTree<'_, T> {
         true
     }
 
-    fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
-        let rank = self.comm.rank();
-        let started = Instant::now();
-        let deadline = self.faults.deadline;
-        let lost = match ft_allreduce(&mut self.comm, &mut self.membership, &mut l.gs, deadline) {
-            Ok(outcome) => outcome,
-            Err(e) if rank != 0 || matches!(e, FtError::Evicted { .. }) => {
+    fn round(&mut self, l: &mut Learner, mut round: Round<'_>) -> Result<Outcome, WireError> {
+        let (rank, started) = (self.comm.rank(), Instant::now());
+        let deadline = self.faults.map(|f| f.deadline);
+        let (comm, ms) = (&mut self.comm, &mut self.membership);
+        let total = match self.codec.as_mut() {
+            Some(codec) => compressed_allreduce(codec, comm, ms, deadline, &l.gs, &mut round)
+                .map(|(total, outcome)| (Some(total), outcome)),
+            None => allreduce_over(comm, ms, &mut Dense::new(&mut l.gs, None), deadline)
+                .map(|outcome| (None, outcome)),
+        };
+        let (total, outcome) = match total {
+            Ok(done) => done,
+            Err(e) if deadline.is_some() && (rank != 0 || matches!(e, FtError::Evicted { .. })) => {
                 round.history.retirements.push(RetirementEvent {
                     rank,
                     round: round.number,
@@ -237,14 +224,22 @@ impl<T: Transport> Exchange for FtTree<'_, T> {
             }
             Err(e) => return Err(e.into()),
         };
-        // = p on a clean round, so the fault-free trajectory is GradTree's.
+        // = p unarmed and on a clean round, so the fault-free trajectory is
+        // the plain tree's.
         let gp = self.gamma_p.resolve(round.gamma, self.membership.len());
-        global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
-        if rank == 0 && !lost.lost.is_empty() {
+        match total {
+            Some(total) => {
+                total.step(&mut self.x, gp);
+                l.model.params_mut().copy_from_slice(&self.x);
+                l.gs.fill(0.0);
+            }
+            None => global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut()),
+        }
+        if rank == 0 && !outcome.lost.is_empty() {
             round.history.membership.push(MembershipEvent {
                 round: round.number,
-                epoch: lost.epoch,
-                lost: lost.lost,
+                epoch: outcome.epoch,
+                lost: outcome.lost,
                 survivors: self.membership.len(),
                 gamma_p: gp,
                 recovery_seconds: started.elapsed().as_secs_f64(),
@@ -258,13 +253,16 @@ impl<T: Transport> Exchange for FtTree<'_, T> {
     }
 }
 
-/// Hierarchical SASGD: every round a group-local allreduce and group step;
-/// every `t_global` rounds the group copies are averaged through the
-/// leader communicator and broadcast back down. Level 2 averages via
-/// tree-reduce + scale while the simulated strategy accumulates in rank
-/// order, so cross-backend equality is bitwise only at `groups = 1`.
-struct HierTree<T: Transport> {
-    bundle: GroupedComm<T>,
+/// Hierarchical SASGD over two memberships of one flat world: every round
+/// an allreduce within the rank's group and the group step; every
+/// `t_global` rounds the group leaders average their copies and each group
+/// hears the average from its leader. Level 2 averages via tree-reduce +
+/// scale while the simulated strategy accumulates in rank order, so
+/// cross-backend equality is bitwise only at `groups = 1`.
+struct HierTree<T> {
+    comm: T,
+    group: Membership,
+    leaders: Membership,
     t_global: usize,
     gamma_p: GammaP,
     local_rounds: usize,
@@ -273,17 +271,19 @@ struct HierTree<T: Transport> {
 
 impl<T: Transport> Exchange for HierTree<T> {
     fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError> {
-        let gp = self.gamma_p.resolve(round.gamma, self.bundle.local.size());
-        allreduce_tree(&mut self.bundle.local, &mut l.gs)?;
+        let gp = self.gamma_p.resolve(round.gamma, self.group.len());
+        let (comm, group) = (&mut self.comm, &mut self.group);
+        allreduce_over(comm, group, &mut Dense::new(&mut l.gs, None), None)?;
         global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
         self.local_rounds += 1;
         if self.local_rounds == self.t_global {
-            if let Some(leaders) = self.bundle.leaders.as_mut() {
-                allreduce_tree(leaders, &mut self.x)?;
-                let inv = 1.0 / leaders.size() as f32;
+            let leaders = &mut self.leaders;
+            allreduce_over(comm, leaders, &mut Dense::new(&mut self.x, None), None)?;
+            if leaders.contains(comm.rank()) {
+                let inv = 1.0 / leaders.len() as f32;
                 self.x.iter_mut().for_each(|v| *v *= inv);
             }
-            broadcast(&mut self.bundle.local, 0, &mut self.x)?;
+            broadcast_over(comm, group, 0, &mut Dense::new(&mut self.x, None))?;
             l.model.params_mut().copy_from_slice(&self.x);
             self.local_rounds = 0;
         }
@@ -529,88 +529,77 @@ impl<T: Transport> Exchange for PsElastic<T> {
     }
 }
 
-/// What a rank reaches its peers through; the threaded harness builds one
-/// per rank.
-pub(crate) enum Endpoint<'a, T: Transport> {
-    /// One flat world — `size()` learners, or the learners followed by
-    /// their parameter-server shards — under the fault-tolerance layer
-    /// when a [`FaultConfig`] rides along.
-    Flat(T, Option<&'a FaultConfig>),
-    /// The three scopes of hierarchical SASGD.
-    Grouped(GroupedComm<T>),
-}
-
-/// Build `algo`'s exchange over `endpoint` and align learner `l` with its
-/// peers (the `x0` broadcast of Algorithm 1, the server's initial pull; the
-/// averaging algorithms start from the factory's identical replicas, like
-/// their simulated strategies). `None`: the algorithm has no exchange
-/// over this kind of endpoint.
+/// Build `algo`'s exchange over `comm`, a flat world — `algo.learners()`
+/// learners, followed by the parameter-server shards for the PS algorithms
+/// — armed by `faults` where the exchange is SASGD, and align learner `l`
+/// with its peers (the `x0` broadcast of Algorithm 1, the server's initial
+/// pull; the averaging algorithms start from the factory's identical
+/// replicas, like their simulated strategies). `None`: the algorithm has no
+/// exchange over this world.
 pub(crate) fn connect<'a, T: Transport + 'a>(
     algo: &Algorithm,
-    endpoint: Endpoint<'a, T>,
+    mut comm: T,
+    faults: Option<&'a FaultConfig>,
     l: &mut Learner,
     factory: &dyn Fn() -> Model,
 ) -> Result<Option<Box<dyn Exchange + 'a>>, WireError> {
-    Ok(Some(match (*algo, endpoint) {
-        (Algorithm::Sequential, Endpoint::Flat(..)) => Box::new(Solo),
-        (
-            Algorithm::Sasgd {
-                gamma_p,
-                compression: None,
-                ..
-            },
-            Endpoint::Flat(mut comm, Some(faults)),
-        ) => {
-            assert!(
-                !faults.deadline.is_zero(),
-                "failure-detection deadline must be nonzero"
-            );
-            Box::new(FtTree {
-                x: broadcast_x0(&mut comm, l)?,
-                membership: Membership::new(comm.size()),
-                comm,
-                gamma_p,
-                faults,
-            })
-        }
+    if let Some(faults) = faults {
+        assert!(
+            !faults.deadline.is_zero(),
+            "failure-detection deadline must be nonzero"
+        );
+    }
+    Ok(Some(match (*algo, faults) {
+        (Algorithm::Sequential, None) => Box::new(Solo),
         (
             Algorithm::Sasgd {
                 gamma_p,
                 compression,
                 ..
             },
-            Endpoint::Flat(mut comm, None),
+            faults,
         ) => Box::new(GradTree {
             x: broadcast_x0(&mut comm, l)?,
             codec: compression
                 .map(|comp| ErrorFeedback::new(comp, l.model.param_len(), l.model.param_blocks())),
+            membership: Membership::new(comm.size()),
             comm,
             gamma_p,
+            faults,
         }),
         (
             Algorithm::HierarchicalSasgd {
-                t_global, gamma_p, ..
+                groups,
+                per_group,
+                t_global,
+                gamma_p,
+                ..
             },
-            Endpoint::Grouped(mut bundle),
-        ) => Box::new(HierTree {
-            x: broadcast_x0(&mut bundle.global, l)?,
-            bundle,
-            t_global,
-            gamma_p,
-            local_rounds: 0,
-        }),
-        (Algorithm::LocalSgd { .. }, Endpoint::Flat(comm, None)) => Box::new(ParamAvg {
+            None,
+        ) => {
+            let first = comm.rank() / per_group * per_group;
+            Box::new(HierTree {
+                x: broadcast_x0(&mut comm, l)?,
+                group: Membership::of(first..first + per_group),
+                leaders: Membership::of((0..groups * per_group).step_by(per_group)),
+                comm,
+                t_global,
+                gamma_p,
+                local_rounds: 0,
+            })
+        }
+        (Algorithm::LocalSgd { .. }, None) => Box::new(ParamAvg {
             comm,
             prev_avg: l.model.params().to_vec(),
             avg: Vec::new(),
         }),
-        (Algorithm::DelayedAvg { .. }, Endpoint::Flat(comm, None)) => Box::new(DelayedAvg {
+        (Algorithm::DelayedAvg { .. }, None) => Box::new(DelayedAvg {
             comm,
             snap: l.model.params().to_vec(),
             pending: None,
             spare: Vec::new(),
         }),
-        (Algorithm::ModelAverageOnce { .. }, Endpoint::Flat(comm, None)) => Box::new(EpochGather {
+        (Algorithm::ModelAverageOnce { .. }, None) => Box::new(EpochGather {
             avg_model: (comm.rank() == 0).then(factory),
             comm,
         }),
@@ -618,7 +607,7 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             Algorithm::Downpour {
                 staleness_gamma, ..
             },
-            Endpoint::Flat(comm, None),
+            None,
         ) => match PsLink::open(comm, algo, staleness_gamma, l)? {
             Some(link) => Box::new(PsPushPull(link)),
             None => return Ok(None),
@@ -631,7 +620,7 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
                 staleness_gamma,
                 ..
             },
-            Endpoint::Flat(comm, None),
+            None,
         ) => {
             let alpha = moving_rate.unwrap_or(0.9 / p as f32);
             assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
@@ -656,7 +645,7 @@ mod tests {
     use super::*;
     use crate::trainer::TrainConfig;
     use sasgd_comm::ps_transport::serve_shard;
-    use sasgd_comm::{CommWorld, Communicator};
+    use sasgd_comm::CommWorld;
     use sasgd_nn::models;
     use sasgd_tensor::SeedRng;
     use std::sync::mpsc;
@@ -671,7 +660,6 @@ mod tests {
             shards: 2,
             dim: x0.len(),
         };
-        let flat = |comm| Endpoint::<Communicator>::Flat(comm, None);
         for algo in [
             Algorithm::Downpour {
                 p: 1,
@@ -691,7 +679,7 @@ mod tests {
             nobody_home.truncate(1);
             let late = nobody_home.pop().expect("learner endpoint");
             assert!(
-                connect(&algo, flat(late), &mut l, &model).is_err(),
+                connect(&algo, late, None, &mut l, &model).is_err(),
                 "initial pull from a dead shard"
             );
 
@@ -713,7 +701,7 @@ mod tests {
                         }
                     });
                 }
-                connect(&algo, flat(learner), &mut l, &model)
+                connect(&algo, learner, None, &mut l, &model)
                     .ok()
                     .flatten()
                     .expect("a live server connects")
@@ -741,7 +729,7 @@ mod tests {
         let mut peer = world.next().expect("rank 1");
         let mut l = Learner::new(0, model(), &cfg);
         let algo = Algorithm::ModelAverageOnce { p: 2 };
-        let mut exchange = connect(&algo, Endpoint::Flat(root, None), &mut l, &model)
+        let mut exchange = connect(&algo, root, None, &mut l, &model)
             .ok()
             .flatten()
             .expect("rank 0's exchange");

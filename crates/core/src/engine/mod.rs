@@ -416,11 +416,10 @@ pub enum EngineError {
         label: String,
     },
     /// The algorithm has no exchange for what was asked of it: a fault plan
-    /// needs the fault-tolerant gradient tree (uncompressed SASGD on the
-    /// threaded backend only), [`rank::run_rank`] over one flat transport
-    /// cannot host hierarchical SASGD's grouped endpoints, and a
-    /// parameter-server algorithm needs a world with shard ranks after its
-    /// learners (and no other algorithm has a use for extra ranks).
+    /// needs SASGD's armed gradient tree (flat SASGD, compressed or not, on
+    /// the threaded backend), and a parameter-server algorithm needs a
+    /// world with shard ranks after its learners (and no other algorithm
+    /// has a use for extra ranks).
     UnsupportedExchange {
         /// Label of the offending algorithm.
         label: String,
@@ -604,8 +603,8 @@ impl Executor {
     /// left mid-run (evicted, or cut off by a survivable wire failure) in
     /// [`History::retirements`]. The one unsurvivable case — a wire
     /// failure under the recovery coordinator, rank 0 — is
-    /// [`EngineError::WireFailure`]; anything but uncompressed SASGD on
-    /// the threaded backend is [`EngineError::UnsupportedExchange`].
+    /// [`EngineError::WireFailure`]; anything but flat SASGD (compressed or
+    /// not) on the threaded backend is [`EngineError::UnsupportedExchange`].
     pub fn try_run_ft(
         &self,
         factory: &(dyn Fn() -> Model + Sync),
@@ -628,13 +627,7 @@ impl Executor {
         faults: Option<&FaultConfig>,
     ) -> Result<History, EngineError> {
         let has_ft_exchange = self.backend == Backend::Threaded
-            && matches!(
-                algo,
-                crate::algorithms::Algorithm::Sasgd {
-                    compression: None,
-                    ..
-                }
-            );
+            && matches!(algo, crate::algorithms::Algorithm::Sasgd { .. });
         if faults.is_some() && !has_ft_exchange {
             return Err(EngineError::UnsupportedExchange {
                 label: algo.label(),

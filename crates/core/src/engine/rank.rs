@@ -32,10 +32,10 @@ use sasgd_data::{Dataset, Shard};
 use sasgd_nn::Model;
 use sasgd_tensor::SeedRng;
 
-use super::exchange::{connect, Endpoint, Round, WireError};
+use super::exchange::{connect, Round, WireError};
 use super::{
     min_whole_batches, strategy_for, AggregationStrategy, BatchStream, Cadence, CommScope,
-    EngineError,
+    EngineError, FaultConfig,
 };
 use crate::algorithms::Algorithm;
 use crate::history::{History, StalenessStats};
@@ -49,10 +49,10 @@ use crate::trainer::{EvalSets, Learner, TrainConfig};
 /// [`History`] whose `final_params` is that slice as the learners left it.
 /// `factory` must produce identically initialized models on every rank.
 /// Returns this rank's [`History`]; only rank 0's carries epoch records.
-/// Hierarchical SASGD needs endpoints one flat transport cannot provide,
-/// and a parameter-server algorithm needs its shard ranks
-/// ([`EngineError::UnsupportedExchange`] otherwise);
-/// [`Executor`](super::Executor) builds either world.
+/// Every algorithm runs over one flat transport — hierarchical SASGD's
+/// groups and leaders are memberships of it — but a parameter-server
+/// algorithm needs its shard ranks ([`EngineError::UnsupportedExchange`]
+/// otherwise).
 pub fn run_rank<T: Transport>(
     comm: T,
     factory: &dyn Fn() -> Model,
@@ -62,10 +62,7 @@ pub fn run_rank<T: Transport>(
     cfg: &TrainConfig,
 ) -> Result<History, EngineError> {
     let cadence = supported_cadence(algo, cfg.cadence)?;
-    let (rank, endpoint) = (comm.rank(), Endpoint::Flat(comm, None));
-    drive(
-        rank, endpoint, factory, train_set, test_set, algo, cfg, cadence,
-    )
+    drive(comm, None, factory, train_set, test_set, algo, cfg, cadence)
 }
 
 /// The cadence `algo` runs at on threads: `requested`, or the strategy's
@@ -236,11 +233,12 @@ fn block_walk<'a>(
     })
 }
 
-/// The loop, over whatever `endpoint` reaches this rank's peers through.
+/// The loop, over the world `comm` reaches this rank's peers through —
+/// with SASGD's tree armed when `faults` rides along.
 #[allow(clippy::too_many_arguments)] // the run's full context, passed once
 pub(crate) fn drive<T: Transport>(
-    rank: usize,
-    endpoint: Endpoint<'_, T>,
+    mut comm: T,
+    faults: Option<&FaultConfig>,
     factory: &dyn Fn() -> Model,
     train_set: &Dataset,
     test_set: &Dataset,
@@ -248,7 +246,7 @@ pub(crate) fn drive<T: Transport>(
     cfg: &TrainConfig,
     cadence: Cadence,
 ) -> Result<History, EngineError> {
-    let strategy = strategy_for(algo);
+    let (strategy, rank) = (strategy_for(algo), comm.rank());
     let p = strategy.p();
     let failed = |round: u64| {
         move |e: WireError| EngineError::WireFailure {
@@ -260,27 +258,24 @@ pub(crate) fn drive<T: Transport>(
 
     let label = threaded_label(&strategy.label());
     let mut history = History::new(label, p, strategy.history_interval());
-    let endpoint = match endpoint {
-        Endpoint::Flat(mut comm, _) if rank >= p => {
-            if strategy.comm_scope() != CommScope::Individual {
-                return Err(EngineError::UnsupportedExchange {
-                    label: algo.label(),
-                    wanted: "a world with more ranks than learners",
-                });
-            }
-            // A parameter-server shard: no loop, no learner.
-            let x0 = factory().params().to_vec();
-            let layout = PsLayout {
-                p,
-                shards: comm.size() - p,
-                dim: x0.len(),
-            };
-            let segment = serve_shard(&mut comm, &layout, &x0).map_err(|e| failed(0)(e.into()))?;
-            history.final_params = Some(segment);
-            return Ok(history);
+    if rank >= p {
+        if strategy.comm_scope() != CommScope::Individual {
+            return Err(EngineError::UnsupportedExchange {
+                label: algo.label(),
+                wanted: "a world with more ranks than learners",
+            });
         }
-        endpoint => endpoint,
-    };
+        // A parameter-server shard: no loop, no learner.
+        let x0 = factory().params().to_vec();
+        let layout = PsLayout {
+            p,
+            shards: comm.size() - p,
+            dim: x0.len(),
+        };
+        let segment = serve_shard(&mut comm, &layout, &x0).map_err(|e| failed(0)(e.into()))?;
+        history.final_params = Some(segment);
+        return Ok(history);
+    }
 
     let n = train_set.len();
     let shards = strategy.shards(train_set, cfg);
@@ -290,7 +285,7 @@ pub(crate) fn drive<T: Transport>(
         Cadence::EventDriven => block_walk(&shards, rank, cfg, &*strategy, n),
     };
     let mut learner = Learner::new(rank, factory(), cfg);
-    let mut exchange = connect(algo, endpoint, &mut learner, factory)
+    let mut exchange = connect(algo, comm, faults, &mut learner, factory)
         .map_err(failed(0))?
         .ok_or_else(|| EngineError::UnsupportedExchange {
             label: algo.label(),

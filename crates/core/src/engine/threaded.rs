@@ -1,22 +1,22 @@
 //! The threaded harness: build the world an algorithm runs over, spawn one
 //! OS thread per rank on the rank loop, merge what they return.
 //!
-//! Two kinds of world cover every algorithm: one flat in-process world
-//! (the collectives — optionally with a scripted wire-fault schedule — and
-//! the parameter-server algorithms, whose shards are the ranks after the
-//! learners) and the grouped worlds of hierarchical SASGD. Unlike the simulated backend's analytic wire accounting,
+//! One flat in-process world covers every algorithm: the learners —
+//! hierarchical SASGD's groups are memberships of it — followed, for the
+//! parameter-server algorithms, by their shard ranks, optionally under a
+//! scripted wire-fault schedule. Unlike the simulated backend's analytic
+//! wire accounting,
 //! [`History::wire`] here is read from the substrate's traffic counters —
 //! compressed gradients travel in the sparse wire format, so the counters
 //! record genuinely fewer elements, not a model of fewer elements.
 
 use std::sync::Arc;
 
-use sasgd_comm::world::{CommWorld, Communicator, Traffic};
+use sasgd_comm::world::{CommWorld, Communicator};
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 use sasgd_tensor::parallel;
 
-use super::exchange::Endpoint;
 use super::rank::{drive, supported_cadence};
 use super::{EngineError, FaultConfig};
 use crate::algorithms::Algorithm;
@@ -105,13 +105,6 @@ fn spawn_ranks<E: Send>(
     Ok(history)
 }
 
-fn sent(traffic: &[Arc<Traffic>]) -> WireStats {
-    WireStats {
-        elements: traffic.iter().map(|t| t.elements_sent()).sum(),
-        messages: traffic.iter().map(|t| t.messages_sent()).sum(),
-    }
-}
-
 /// Run `algo` with one OS thread per learner — under the fault-tolerance
 /// layer when `faults` is given (the caller has checked the algorithm has
 /// a fault-tolerant exchange). A cadence with no execution path is a typed
@@ -126,42 +119,30 @@ pub(crate) fn run(
 ) -> Result<History, EngineError> {
     let cadence = supported_cadence(algo, cfg.cadence)?;
     let p = algo.learners();
-    let rank_loop = |rank: usize, endpoint: Endpoint<'_, Communicator>| {
+    let rank_loop = |_, comm: Communicator| {
         drive(
-            rank, endpoint, factory, train_set, test_set, algo, cfg, cadence,
+            comm, faults, factory, train_set, test_set, algo, cfg, cadence,
         )
     };
-    match *algo {
-        Algorithm::HierarchicalSasgd {
-            groups, per_group, ..
-        } => {
-            let (bundles, traffic) = sasgd_comm::hierarchy::grouped(groups, per_group);
-            let endpoints = bundles.into_iter().map(Endpoint::Grouped).collect();
-            let width = parallel::width_for(p, 0);
-            spawn_ranks(endpoints, rank_loop, false, width, || sent(&traffic))
-        }
-        _ => {
-            // Downpour shards its server across as many ranks as it has
-            // learners; EAMSGD's center variable is one shard.
-            let shards = match algo {
-                Algorithm::Downpour { .. } => p,
-                Algorithm::Eamsgd { .. } => 1,
-                _ => 0,
-            };
-            let mut world = CommWorld::new(p + shards);
-            if let Some(schedule) = faults.and_then(|f| f.plan.wire_faults(p)) {
-                world.set_faults(Arc::new(schedule));
-            }
-            let traffic = [world.traffic()];
-            let endpoints = world
-                .communicators()
-                .into_iter()
-                .map(|comm| Endpoint::Flat(comm, faults))
-                .collect();
-            // The compute threads this caller may use, shared evenly by
-            // the ranks: oversubscribed worlds run the serial kernels.
-            let width = parallel::width_for(p, shards);
-            spawn_ranks(endpoints, rank_loop, shards > 0, width, || sent(&traffic))
-        }
+    // Downpour shards its server across as many ranks as it has learners;
+    // EAMSGD's center variable is one shard.
+    let shards = match algo {
+        Algorithm::Downpour { .. } => p,
+        Algorithm::Eamsgd { .. } => 1,
+        _ => 0,
+    };
+    let mut world = CommWorld::new(p + shards);
+    if let Some(schedule) = faults.and_then(|f| f.plan.wire_faults(p)) {
+        world.set_faults(Arc::new(schedule));
     }
+    let traffic = world.traffic();
+    // The compute threads this caller may use, shared evenly by the ranks:
+    // oversubscribed worlds run the serial kernels.
+    let width = parallel::width_for(p, shards);
+    spawn_ranks(world.communicators(), rank_loop, shards > 0, width, || {
+        WireStats {
+            elements: traffic.elements_sent(),
+            messages: traffic.messages_sent(),
+        }
+    })
 }

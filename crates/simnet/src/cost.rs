@@ -125,8 +125,8 @@ impl CostModel {
     /// level, the recovery coordinator waits out a sweep window of
     /// `deadline_s · ⌈log₂ p⌉` for rerouted partials, and the repaired sum
     /// is redistributed to the `survivors − 1` non-coordinator ranks by
-    /// direct sends of `m` elements. Matches the threaded backend's
-    /// `ft_allreduce` timing structure (leveled deadline windows, direct
+    /// direct sends of `m` elements. Matches the timing structure of the
+    /// threaded backend's armed tree walk (leveled deadline windows, direct
     /// result distribution); a fault-free round costs nothing extra over
     /// [`CostModel::allreduce_tree`].
     pub fn recovery(&self, m: usize, p: usize, survivors: usize, deadline_s: f64) -> CommCost {

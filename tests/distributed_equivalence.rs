@@ -657,6 +657,29 @@ fn threaded_hierarchical_groups_are_pinned() {
 }
 
 #[test]
+fn hierarchical_sasgd_over_sockets_is_the_threaded_run() {
+    // A rank's group and the group leaders are memberships of one flat
+    // world, so `run_rank` hosts hierarchical SASGD over any transport:
+    // 2x2 over loopback TCP ends bitwise where the in-process run does.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(192, 24, 2));
+    let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
+    for cadence in [Cadence::Lockstep, Cadence::EventDriven] {
+        let mut cfg = quiet_cfg(2, 0.05, 11);
+        cfg.cadence = Some(cadence);
+        let algo = hierarchical(2, 2, 1);
+        let exec = Executor::new(Backend::Threaded);
+        let thr = exec.run(&factory, &train_set, &test_set, &algo, &cfg);
+        let tcp = ranks_over_sockets(4, &factory, &train_set, &test_set, &algo, &cfg);
+        assert_bitwise(
+            &format!("{} over TCP, {cadence:?}", thr.label),
+            &thr,
+            &tcp[0],
+        );
+        assert_eq!(thr.sync_rounds, tcp[0].sync_rounds, "{cadence:?}: rounds");
+    }
+}
+
+#[test]
 fn compressed_wire_volumes_match_their_models() {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 2));
     let cfg = quiet_cfg(1, 0.05, 42);

@@ -5,7 +5,8 @@ use sasgd::comm::ps_transport::{run_world, PsLayout};
 use sasgd::comm::world::CommWorld;
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
-    train, Algorithm, Backend, Executor, FaultConfig, FaultPlan, History, TrainConfig,
+    train, Algorithm, Backend, Compression, Executor, FaultConfig, FaultPlan, History, KSchedule,
+    TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
@@ -341,6 +342,93 @@ fn degraded_sasgd_still_beats_one_shot_averaging() {
         "degraded SASGD {:.3} should beat one-shot averaging {:.3}",
         degraded.final_test_acc(),
         averaged.final_test_acc()
+    );
+}
+
+/// SASGD(`p`, `t`, γ/p) compressed with `compression`, on the threaded
+/// backend: plain (`faults` is `None`) or under the fault-tolerance layer.
+fn run_compressed(
+    f: &(dyn Fn() -> Model + Sync),
+    (train_set, test_set): (&Dataset, &Dataset),
+    cfg: &TrainConfig,
+    (p, t): (usize, usize),
+    compression: Compression,
+    faults: Option<&FaultConfig>,
+) -> History {
+    let algo = Algorithm::Sasgd {
+        p,
+        t,
+        gamma_p: GammaP::OverP,
+        compression: Some(compression),
+    };
+    let exec = Executor::new(Backend::Threaded);
+    match faults {
+        None => exec.run(f, train_set, test_set, &algo, cfg),
+        Some(faults) => exec
+            .try_run_ft(f, train_set, test_set, &algo, cfg, faults)
+            .expect("the compressed run degrades onto its survivors"),
+    }
+}
+
+/// Layer-wise top-1 % through the sparse tree.
+fn layer_wise_top1() -> Compression {
+    Compression::Sparse {
+        k: KSchedule::layer_wise(0.01),
+        q8: false,
+        union_bound: false,
+    }
+}
+
+#[test]
+fn compressed_ft_with_empty_plan_matches_plain_threaded_bitwise() {
+    // Fault tolerance is the tree's error path for every codec: with
+    // nothing failing, the armed sparse and 8-bit trees are the plain ones.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
+    let cfg = TrainConfig::new(2, 8, 0.05, 11);
+    let f = || models::tiny_cnn(3, &mut SeedRng::new(5));
+    for compression in [layer_wise_top1(), Compression::Uniform8Bit] {
+        let sets = (&train_set, &test_set);
+        let plain = run_compressed(&f, sets, &cfg, (4, 2), compression, None);
+        let faults = FaultConfig::default();
+        let ft = run_compressed(&f, sets, &cfg, (4, 2), compression, Some(&faults));
+        assert_eq!(plain.final_params, ft.final_params, "{}", plain.label);
+        assert!(ft.membership.is_empty(), "{}: no loss", plain.label);
+        let k_eff =
+            |h: &History| -> Vec<usize> { h.sparsity_series.iter().map(|s| s.k_eff).collect() };
+        assert_eq!(k_eff(&plain), k_eff(&ft), "{}", plain.label);
+    }
+}
+
+#[test]
+fn compressed_crash_one_of_eight_completes_and_replays_bitwise() {
+    // The 1-of-8 crash of `crash_one_of_eight_mid_epoch_completes_on_survivors`,
+    // under layer-wise top-1 %: the dead rank's residual leaves with it,
+    // the seven survivors finish at γ/7, and the same plan replays bitwise.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(256, 64, 3));
+    let cfg = TrainConfig::new(3, 8, 0.05, 13);
+    let f = || models::tiny_cnn(3, &mut SeedRng::new(9));
+    let plan = FaultPlan::seeded(0xFA17, 8, 1, 3);
+    let crashed = plan.events[0].rank;
+    let faults = FaultConfig {
+        plan,
+        deadline: FT_DEADLINE,
+    };
+    let sets = (&train_set, &test_set);
+    let run = || run_compressed(&f, sets, &cfg, (8, 2), layer_wise_top1(), Some(&faults));
+    let (h, again) = (run(), run());
+    assert_eq!(h.records.len(), 3, "all epochs ran on the survivors");
+    assert_eq!(h.membership.len(), 1, "exactly one membership change");
+    let ev = &h.membership[0];
+    assert_eq!((&ev.lost, ev.survivors, ev.epoch), (&vec![crashed], 7, 1));
+    assert!((ev.gamma_p - 0.05 / 7.0).abs() < 1e-7, "γp {}", ev.gamma_p);
+    assert!(h.final_params.is_some());
+    assert_eq!(
+        h.final_params, again.final_params,
+        "degraded run not bitwise"
+    );
+    assert_eq!(
+        (again.membership[0].round, &again.membership[0].lost),
+        (ev.round, &ev.lost)
     );
 }
 
