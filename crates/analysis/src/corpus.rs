@@ -27,6 +27,7 @@ use sasgd_comm::transport::Transport;
 use sasgd_comm::tree::{allreduce_over, broadcast_over, Membership};
 use sasgd_core::algorithms::{Algorithm, GammaP};
 use sasgd_core::engine::rank::run_rank;
+use sasgd_core::schedule::TSchedule;
 use sasgd_core::trainer::TrainConfig;
 use sasgd_data::Dataset;
 use sasgd_nn::models::tiny_mlp;
@@ -496,7 +497,14 @@ fn sc_engine(name: &str, algo: Algorithm, shards: usize) -> ModelScenario {
 /// bounded rows at p = 8 and the three many-pusher PS worlds.
 pub fn corpus() -> Vec<ModelScenario> {
     let sasgd = Algorithm::sasgd(2, 1, GammaP::OverP);
-    let dasgd = Algorithm::DelayedAvg { p: 2, t: 1 };
+    // DaSGD's point on the lattice: each round's total lands a round late.
+    let dasgd = Algorithm::Sasgd {
+        p: 2,
+        schedule: TSchedule::Fixed { t: 1 },
+        gamma_p: GammaP::OverP,
+        compression: None,
+        delayed: true,
+    };
     // Downpour at p = 1 against its one shard, `run_rank` on both ranks:
     // the learner's claims, pushes and retry-laddered pulls interleave with
     // the shard's serve loop every way the wire allows, and both ranks'

@@ -4,16 +4,17 @@
 //! One sweep per learner count (p = 4 and p = 8), all on the simulated
 //! backend with per-learner speed jitter so stragglers cost real virtual
 //! time: bulk-synchronous SASGD (the lockstep baseline every row is judged
-//! against), Local SGD with a fixed and with an adaptive interval, DaSGD
-//! delayed averaging, and Downpour with and without staleness-aware γ.
-//! A row "meets target" when it reaches the sync baseline's final accuracy
-//! within one point at a measurably lower modeled epoch time — the
-//! lattice's reason to exist. One lattice point is run twice and compared
-//! bitwise so `deterministic_replay` is measured, not asserted.
+//! against), then event-driven SASGD with a fixed interval (Local SGD's
+//! point), with an adaptive interval, and delayed (DaSGD's point), and
+//! Downpour with and without staleness-aware γ. A row "meets target" when
+//! it reaches the sync baseline's final accuracy within one point at a
+//! measurably lower modeled epoch time — the lattice's reason to exist.
+//! One lattice point is run twice and compared bitwise so
+//! `deterministic_replay` is measured, not asserted.
 
 use sasgd_core::algorithms::GammaP;
 use sasgd_core::report::ascii_table;
-use sasgd_core::{train, Algorithm, History, TSchedule, TrainConfig};
+use sasgd_core::{train, Algorithm, Cadence, History, TSchedule, TrainConfig};
 use sasgd_simnet::JitterModel;
 
 use crate::figures::Artifact;
@@ -27,42 +28,42 @@ const ACC_TOL: f32 = 0.01;
 /// count as "measurably" faster (guards against float dust).
 const TIME_MARGIN: f64 = 0.99;
 
-/// The lattice at a given learner count. The first entry is the sync
-/// SASGD baseline the other rows are measured against.
-fn lattice(p: usize) -> Vec<Algorithm> {
+/// SASGD at `γp = γ/p`, uncompressed.
+fn sasgd(p: usize, schedule: TSchedule, delayed: bool) -> Algorithm {
+    Algorithm::Sasgd {
+        p,
+        schedule,
+        gamma_p: GammaP::OverP,
+        compression: None,
+        delayed,
+    }
+}
+
+/// The lattice at a given learner count, each point with the cadence it
+/// runs at. The first entry is the sync SASGD baseline the other rows are
+/// measured against.
+fn lattice(p: usize) -> Vec<(Algorithm, Cadence)> {
+    let fixed = |t| TSchedule::Fixed { t };
+    let adaptive = TSchedule::AdaptivePlateau {
+        t0: T,
+        t_max: 4 * T,
+        patience: 2,
+        rel_improve: 0.05,
+    };
+    let downpour = |staleness_gamma| Algorithm::Downpour {
+        p,
+        t: T,
+        staleness_gamma,
+    };
     vec![
-        Algorithm::Sasgd {
-            p,
-            t: T,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
-        Algorithm::LocalSgd {
-            p,
-            schedule: TSchedule::Fixed { t: T },
-        },
-        Algorithm::LocalSgd {
-            p,
-            schedule: TSchedule::AdaptivePlateau {
-                t0: T,
-                t_max: 4 * T,
-                patience: 2,
-                rel_improve: 0.05,
-            },
-        },
-        Algorithm::DelayedAvg { p, t: 2 },
-        Algorithm::DelayedAvg { p, t: T },
-        Algorithm::DelayedAvg { p, t: 2 * T },
-        Algorithm::Downpour {
-            p,
-            t: T,
-            staleness_gamma: false,
-        },
-        Algorithm::Downpour {
-            p,
-            t: T,
-            staleness_gamma: true,
-        },
+        (sasgd(p, fixed(T), false), Cadence::Lockstep),
+        (sasgd(p, fixed(T), false), Cadence::EventDriven),
+        (sasgd(p, adaptive, false), Cadence::EventDriven),
+        (sasgd(p, fixed(2), true), Cadence::EventDriven),
+        (sasgd(p, fixed(T), true), Cadence::EventDriven),
+        (sasgd(p, fixed(2 * T), true), Cadence::EventDriven),
+        (downpour(false), Cadence::EventDriven),
+        (downpour(true), Cadence::EventDriven),
     ]
 }
 
@@ -88,10 +89,14 @@ pub struct AsyncRow {
     pub meets_target: Option<bool>,
 }
 
-fn row(algo: &Algorithm, h: &History, baseline: Option<(f32, f64)>) -> AsyncRow {
+fn row(algo: &Algorithm, cadence: Cadence, h: &History, baseline: Option<(f32, f64)>) -> AsyncRow {
     let epoch_seconds = h.epoch_seconds();
+    let cadence = match cadence {
+        Cadence::Lockstep => "lockstep",
+        Cadence::EventDriven => "event",
+    };
     AsyncRow {
-        label: algo.label(),
+        label: format!("{} {cadence}", algo.label()),
         p: algo.learners(),
         test_acc: h.final_test_acc(),
         epoch_seconds,
@@ -155,10 +160,14 @@ pub fn async_lattice(scale: Scale, epochs: Option<usize>) -> Artifact {
     let mut rows = Vec::new();
     for p in [4usize, 8] {
         let mut baseline: Option<(f32, f64)> = None;
-        for algo in lattice(p) {
+        for (algo, cadence) in lattice(p) {
             let mut f = &*w.factory;
+            let cfg = TrainConfig {
+                cadence: Some(cadence),
+                ..cfg.clone()
+            };
             let h = train(&mut f, &w.train, &w.test, &algo, &cfg);
-            rows.push(row(&algo, &h, baseline));
+            rows.push(row(&algo, cadence, &h, baseline));
             if baseline.is_none() {
                 baseline = Some((h.final_test_acc(), h.epoch_seconds()));
             }
@@ -166,7 +175,8 @@ pub fn async_lattice(scale: Scale, epochs: Option<usize>) -> Artifact {
     }
 
     // Replay one event-driven lattice point and compare bitwise.
-    let replay_algo = Algorithm::DelayedAvg { p: 8, t: T };
+    let replay_algo = sasgd(8, TSchedule::Fixed { t: T }, true);
+    cfg.cadence = Some(Cadence::EventDriven);
     let mut f1 = &*w.factory;
     let first = train(&mut f1, &w.train, &w.test, &replay_algo, &cfg);
     let mut f2 = &*w.factory;
@@ -211,8 +221,9 @@ pub fn async_lattice(scale: Scale, epochs: Option<usize>) -> Artifact {
          \"beats sync\" = reaches the same-p synchronous SASGD accuracy\n\
          (±{ACC_TOL}) at a measurably lower modeled epoch time. At p = 8,\n\
          {winners_p8} lattice points beat the sync baseline. Event-driven\n\
-         replay of DaSGD(p=8) is bitwise deterministic: {deterministic_replay}.\n",
-        w.epochs
+         replay of {} is bitwise deterministic: {deterministic_replay}.\n",
+        w.epochs,
+        replay_algo.label()
     );
     Artifact {
         name: "async".into(),
@@ -232,7 +243,7 @@ mod tests {
     fn json_shape_and_flags() {
         let rows = vec![
             AsyncRow {
-                label: "SASGD(p=8,T=5)".into(),
+                label: "SASGD(p=8,T=5) lockstep".into(),
                 p: 8,
                 test_acc: 0.8,
                 epoch_seconds: 2.0,
@@ -242,7 +253,7 @@ mod tests {
                 meets_target: None,
             },
             AsyncRow {
-                label: "DaSGD(p=8,T=5)".into(),
+                label: "SASGD-delayed(p=8,T=5) event".into(),
                 p: 8,
                 test_acc: 0.795,
                 epoch_seconds: 1.5,

@@ -27,15 +27,7 @@ pub fn staleness(scale: Scale, epochs: Option<usize>) -> Artifact {
         for p in [4usize, 8] {
             let t = 5;
             for (name, algo) in [
-                (
-                    "SASGD",
-                    Algorithm::Sasgd {
-                        p,
-                        t,
-                        gamma_p: GammaP::OverP,
-                        compression: None,
-                    },
-                ),
+                ("SASGD", Algorithm::sasgd(p, t, GammaP::OverP)),
                 (
                     "Downpour",
                     Algorithm::Downpour {
@@ -121,18 +113,8 @@ pub fn compression(scale: Scale, epochs: Option<usize>) -> Artifact {
     ];
     for (name, comp) in schemes {
         let algo = match comp {
-            None => Algorithm::Sasgd {
-                p,
-                t,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
-            Some(c) => Algorithm::Sasgd {
-                p,
-                t,
-                gamma_p: GammaP::OverP,
-                compression: Some(c),
-            },
+            None => Algorithm::sasgd(p, t, GammaP::OverP),
+            Some(c) => Algorithm::sasgd_compressed(p, t, GammaP::OverP, c),
         };
         let cfg = TrainConfig::new(w.epochs, w.batch, w.gamma_hi, 0xC0);
         let mut f = || (w.factory)();
@@ -198,15 +180,7 @@ pub fn noniid(scale: Scale, epochs: Option<usize>) -> Artifact {
     let mut csv = String::from("sharding,algorithm,final_test_acc\n");
     for (tag, data) in [("IID", &w.train), ("by-class", &sorted_train)] {
         for (name, algo) in [
-            (
-                "SASGD(T=5)",
-                Algorithm::Sasgd {
-                    p,
-                    t: 5,
-                    gamma_p: GammaP::OverP,
-                    compression: None,
-                },
-            ),
+            ("SASGD(T=5)", Algorithm::sasgd(p, 5, GammaP::OverP)),
             ("ModelAvgOnce", Algorithm::ModelAverageOnce { p }),
         ] {
             let cfg = TrainConfig::new(w.epochs, w.batch, w.gamma_hi, 0xA1D);
@@ -309,12 +283,7 @@ pub fn gradnorm(scale: Scale, epochs: Option<usize>) -> Artifact {
     for t in [1usize, 10, 50] {
         let cfg = TrainConfig::new(w.epochs, w.batch, w.gamma_hi, 0x6A0);
         let mut f = || (w.factory)();
-        let algo = Algorithm::Sasgd {
-            p,
-            t,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        };
+        let algo = Algorithm::sasgd(p, t, GammaP::OverP);
         let h = train(&mut f, &w.train, &w.test, &algo, &cfg);
         for r in &h.records {
             csv.push_str(&format!("{t},{},{}\n", r.epoch, r.grad_norm));
@@ -365,24 +334,8 @@ pub fn hierarchy(scale: Scale, epochs: Option<usize>) -> Artifact {
     let mut rows = Vec::new();
     let mut csv = String::from("config,final_test_acc,comm_seconds\n");
     let runs: Vec<(String, Algorithm)> = vec![
-        (
-            "flat p=8 T=2".into(),
-            Algorithm::Sasgd {
-                p: 8,
-                t: 2,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
-        ),
-        (
-            "flat p=8 T=8".into(),
-            Algorithm::Sasgd {
-                p: 8,
-                t: 8,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
-        ),
+        ("flat p=8 T=2".into(), Algorithm::sasgd(8, 2, GammaP::OverP)),
+        ("flat p=8 T=8".into(), Algorithm::sasgd(8, 8, GammaP::OverP)),
         (
             "hier 4x2 Tl=2 Tg=4".into(),
             Algorithm::HierarchicalSasgd {

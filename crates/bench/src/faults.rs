@@ -14,7 +14,7 @@ use sasgd_core::algorithms::GammaP;
 use sasgd_core::report::ascii_table;
 use sasgd_core::{
     Algorithm, Backend, Compression, Executor, FaultConfig, FaultPlan, History, KSchedule,
-    TrainConfig,
+    TSchedule, TrainConfig,
 };
 use sasgd_simnet::{CostModel, JitterModel};
 
@@ -78,9 +78,10 @@ fn run(
 ) -> History {
     let algo = Algorithm::Sasgd {
         p: P,
-        t: T,
+        schedule: TSchedule::Fixed { t: T },
         gamma_p: GammaP::OverP,
         compression,
+        delayed: false,
     };
     Executor::new(Backend::Threaded)
         .try_run_ft(&*w.factory, &w.train, &w.test, &algo, cfg, faults)

@@ -415,12 +415,7 @@ fn interval_accuracy_fig(name: &str, w: &ConvergenceWorkload, seed: u64) -> Arti
     for &p in &ps {
         let mut series = Vec::new();
         for &t in &ts {
-            let algo = Algorithm::Sasgd {
-                p,
-                t,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            };
+            let algo = Algorithm::sasgd(p, t, GammaP::OverP);
             let h = run_algo(w, &algo, w.gamma_hi, w.epochs, seed + (p * 100 + t) as u64);
             for r in &h.records {
                 csv.push_str(&format!("{},{},{},{}\n", p, t, r.epoch, r.test_acc));
@@ -495,16 +490,7 @@ fn algo_comparison_fig(name: &str, w: &ConvergenceWorkload, t: usize, seed: u64)
                 },
                 w.gamma_hi * (1.0 - momentum),
             ),
-            (
-                "SASGD",
-                Algorithm::Sasgd {
-                    p,
-                    t,
-                    gamma_p: GammaP::OverP,
-                    compression: None,
-                },
-                w.gamma_hi,
-            ),
+            ("SASGD", Algorithm::sasgd(p, t, GammaP::OverP), w.gamma_hi),
         ];
         let mut train_series = Vec::new();
         let mut test_series = Vec::new();

@@ -21,7 +21,9 @@ use std::time::Instant;
 use sasgd_core::algorithms::GammaP;
 use sasgd_core::compress::ErrorFeedback;
 use sasgd_core::report::ascii_table;
-use sasgd_core::{Algorithm, Backend, Compression, Executor, History, KSchedule, TrainConfig};
+use sasgd_core::{
+    Algorithm, Backend, Compression, Executor, History, KSchedule, TSchedule, TrainConfig,
+};
 use sasgd_simnet::JitterModel;
 use sasgd_tensor::SeedRng;
 
@@ -268,9 +270,10 @@ pub fn sparsity(scale: Scale, epochs: Option<usize>) -> Artifact {
         for (scheme, compression) in schemes() {
             let algo = Algorithm::Sasgd {
                 p,
-                t: T,
+                schedule: TSchedule::Fixed { t: T },
                 gamma_p: GammaP::OverP,
                 compression,
+                delayed: false,
             };
             let t0 = Instant::now();
             let h = threaded.run(&*w.factory, &w.train, &w.test, &algo, &cfg);
@@ -288,16 +291,16 @@ pub fn sparsity(scale: Scale, epochs: Option<usize>) -> Artifact {
     // Replay the composed point at p = 8 on both backends: two threaded
     // runs must be bitwise identical, and the simulated in-memory mirror
     // must match them.
-    let replay_algo = Algorithm::Sasgd {
-        p: 8,
-        t: T,
-        gamma_p: GammaP::OverP,
-        compression: Some(Compression::Sparse {
+    let replay_algo = Algorithm::sasgd_compressed(
+        8,
+        T,
+        GammaP::OverP,
+        Compression::Sparse {
             k: KSchedule::norm_adaptive(RATIO),
             q8: true,
             union_bound: true,
-        }),
-    };
+        },
+    );
     let first = threaded.run(&*w.factory, &w.train, &w.test, &replay_algo, &cfg);
     let second = threaded.run(&*w.factory, &w.train, &w.test, &replay_algo, &cfg);
     let deterministic_replay =

@@ -10,8 +10,7 @@
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
-use crate::engine::{simulated, AggregationStrategy};
-use crate::history::History;
+use crate::engine::AggregationStrategy;
 use crate::trainer::{Learner, TrainConfig};
 
 /// Independent learners with end-of-training averaging: never syncs, uses
@@ -116,21 +115,10 @@ impl AggregationStrategy for AveragingStrategy {
     }
 }
 
-/// Run independent learners with end-of-training averaging.
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-) -> History {
-    let mut s = AveragingStrategy::new(p);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -142,7 +130,13 @@ mod tests {
         let mut cfg = TrainConfig::new(6, 8, 0.05, 42);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = run(&mut factory, &train, &test, &cfg, 1);
+        let h = crate::train(
+            &mut factory,
+            &train,
+            &test,
+            &Algorithm::ModelAverageOnce { p: 1 },
+            &cfg,
+        );
         assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
     }
 
@@ -152,7 +146,13 @@ mod tests {
         let mut cfg = TrainConfig::new(3, 8, 0.02, 1);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let h = run(&mut factory, &train, &test, &cfg, 4);
+        let h = crate::train(
+            &mut factory,
+            &train,
+            &test,
+            &Algorithm::ModelAverageOnce { p: 4 },
+            &cfg,
+        );
         let comm_mid = h.records[1].comm_seconds;
         let comm_end = h.records.last().expect("r").comm_seconds;
         assert_eq!(comm_mid, 0.0, "no traffic during training");

@@ -14,7 +14,7 @@
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
-use crate::engine::{simulated, AggregationStrategy, Cadence, CommScope};
+use crate::engine::{AggregationStrategy, Cadence, CommScope};
 use crate::history::History;
 use crate::trainer::{Learner, TrainConfig};
 
@@ -127,23 +127,10 @@ impl DownpourStrategy {
     }
 }
 
-/// Run Downpour.
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    t: usize,
-    staleness_gamma: bool,
-) -> History {
-    let mut s = DownpourStrategy::new(p, t, staleness_gamma);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -155,7 +142,12 @@ mod tests {
         let mut cfg = TrainConfig::new(6, 8, 0.05, 42);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = run(&mut factory, &train, &test, &cfg, 1, 1, false);
+        let algo = Algorithm::Downpour {
+            p: 1,
+            t: 1,
+            staleness_gamma: false,
+        };
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
         assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
         assert!(
             h.records.last().expect("r").comm_seconds > 0.0,
@@ -172,7 +164,12 @@ mod tests {
         let mut cfg = TrainConfig::new(8, 8, 0.02, 42);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let h = run(&mut factory, &train, &test, &cfg, 4, 2, false);
+        let algo = Algorithm::Downpour {
+            p: 4,
+            t: 2,
+            staleness_gamma: false,
+        };
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
         assert!(h.records.len() >= 2);
         let gap = h.records[1].epoch - h.records[0].epoch;
         assert!(
@@ -187,7 +184,12 @@ mod tests {
         let mut cfg = TrainConfig::new(3, 8, 0.02, 1);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let h = run(&mut factory, &train, &test, &cfg, 2, 1, false);
+        let algo = Algorithm::Downpour {
+            p: 2,
+            t: 1,
+            staleness_gamma: false,
+        };
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
         let total = h.records.last().expect("r").samples;
         // Budget 3 × 40 = 120, with at most one block (8 samples × 2
         // learners) of overshoot.

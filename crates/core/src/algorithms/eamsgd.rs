@@ -20,7 +20,7 @@
 use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
-use crate::engine::{simulated, AggregationStrategy, Cadence, CommScope};
+use crate::engine::{AggregationStrategy, Cadence, CommScope};
 use crate::history::History;
 use crate::trainer::{Learner, TrainConfig};
 
@@ -112,14 +112,11 @@ impl AggregationStrategy for EamsgdStrategy {
         0.0
     }
 
-    fn observe_staleness(&mut self, _id: usize, tau: u64, gamma: f32) -> f32 {
+    /// The rate the exchange applies is the moving rate, not `γ`: that is
+    /// what the staleness series records, as the threaded exchange does.
+    fn observe_staleness(&mut self, _id: usize, tau: u64, _gamma: f32) -> f32 {
         self.last_tau = tau;
-        if self.staleness_gamma {
-            // lint:allow(float-cast): τ is a small update count.
-            gamma / (1.0 + tau as f32)
-        } else {
-            gamma
-        }
+        self.alpha_eff()
     }
 
     fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32, _history: &mut History) {
@@ -169,26 +166,10 @@ impl EamsgdStrategy {
     }
 }
 
-/// Run EAMSGD.
-#[allow(clippy::too_many_arguments)] // mirrors the Eamsgd variant's fields
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    t: usize,
-    moving_rate: Option<f32>,
-    momentum: f32,
-    staleness_gamma: bool,
-) -> History {
-    let mut s = EamsgdStrategy::new(p, t, moving_rate, momentum, staleness_gamma);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -200,7 +181,19 @@ mod tests {
         let mut cfg = TrainConfig::new(8, 8, 0.02, 42);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = run(&mut factory, &train, &test, &cfg, 2, 2, None, 0.9, false);
+        let h = crate::train(
+            &mut factory,
+            &train,
+            &test,
+            &Algorithm::Eamsgd {
+                p: 2,
+                t: 2,
+                moving_rate: None,
+                momentum: 0.9,
+                staleness_gamma: false,
+            },
+            &cfg,
+        );
         assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
     }
 
@@ -213,16 +206,18 @@ mod tests {
         let mut cfg = TrainConfig::new(6, 8, 0.02, 3);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(9));
-        let h = run(
+        let h = crate::train(
             &mut factory,
             &train,
             &test,
+            &Algorithm::Eamsgd {
+                p: 1,
+                t: 1,
+                moving_rate: Some(1.0),
+                momentum: 0.9,
+                staleness_gamma: false,
+            },
             &cfg,
-            1,
-            1,
-            Some(1.0),
-            0.9,
-            false,
         );
         assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
     }
@@ -233,6 +228,18 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(16, 8, 2));
         let cfg = TrainConfig::new(1, 8, 0.02, 3);
         let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(9));
-        run(&mut factory, &train, &test, &cfg, 1, 1, None, 1.5, false);
+        crate::train(
+            &mut factory,
+            &train,
+            &test,
+            &Algorithm::Eamsgd {
+                p: 1,
+                t: 1,
+                moving_rate: None,
+                momentum: 1.5,
+                staleness_gamma: false,
+            },
+            &cfg,
+        );
     }
 }

@@ -21,11 +21,10 @@
 //! drops by `t_global×` while staleness across groups stays explicitly
 //! bounded by `t_local · t_global`.
 
-use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
 use crate::algorithms::GammaP;
-use crate::engine::{aggregate_dense, simulated, AggregationStrategy};
+use crate::engine::{aggregate_dense, AggregationStrategy};
 use crate::history::{History, StalenessStats};
 use crate::trainer::{Learner, TrainConfig};
 
@@ -176,26 +175,10 @@ fn level2(
     }
 }
 
-/// Run hierarchical SASGD with `groups × per_group` learners.
-#[allow(clippy::too_many_arguments)] // mirrors the algorithm's parameter set
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    groups: usize,
-    per_group: usize,
-    t_local: usize,
-    t_global: usize,
-    gamma_p: GammaP,
-) -> History {
-    let mut s = HierarchicalStrategy::new(groups, per_group, t_local, t_global, gamma_p);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -212,10 +195,27 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(128, 32, 3));
         let cfg = quiet_cfg(3, 0.05);
         let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let flat =
-            crate::algorithms::sasgd::run(&mut f1, &train, &test, &cfg, 4, 2, GammaP::OverP, None);
+        let flat = crate::train(
+            &mut f1,
+            &train,
+            &test,
+            &Algorithm::sasgd(4, 2, GammaP::OverP),
+            &cfg,
+        );
         let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let hier = run(&mut f2, &train, &test, &cfg, 1, 4, 2, 3, GammaP::OverP);
+        let hier = crate::train(
+            &mut f2,
+            &train,
+            &test,
+            &Algorithm::HierarchicalSasgd {
+                groups: 1,
+                per_group: 4,
+                t_local: 2,
+                t_global: 3,
+                gamma_p: GammaP::OverP,
+            },
+            &cfg,
+        );
         for (a, b) in flat.records.iter().zip(&hier.records) {
             assert_eq!(
                 a.train_loss, b.train_loss,
@@ -232,10 +232,27 @@ mod tests {
         // Flat SASGD at T=2 vs hierarchy: local sync every 2 steps, global
         // every 4 local rounds.
         let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let flat =
-            crate::algorithms::sasgd::run(&mut f1, &train, &test, &cfg, 4, 2, GammaP::OverP, None);
+        let flat = crate::train(
+            &mut f1,
+            &train,
+            &test,
+            &Algorithm::sasgd(4, 2, GammaP::OverP),
+            &cfg,
+        );
         let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let hier = run(&mut f2, &train, &test, &cfg, 2, 2, 2, 4, GammaP::OverP);
+        let hier = crate::train(
+            &mut f2,
+            &train,
+            &test,
+            &Algorithm::HierarchicalSasgd {
+                groups: 2,
+                per_group: 2,
+                t_local: 2,
+                t_global: 4,
+                gamma_p: GammaP::OverP,
+            },
+            &cfg,
+        );
         assert!(
             hier.final_test_acc() > 0.5,
             "acc {:.2}",
@@ -263,7 +280,19 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(96, 24, 2));
         let cfg = quiet_cfg(2, 0.02);
         let mut f = || models::tiny_cnn(2, &mut SeedRng::new(1));
-        let h = run(&mut f, &train, &test, &cfg, 2, 2, 3, 2, GammaP::OverP);
+        let h = crate::train(
+            &mut f,
+            &train,
+            &test,
+            &Algorithm::HierarchicalSasgd {
+                groups: 2,
+                per_group: 2,
+                t_local: 3,
+                t_global: 2,
+                gamma_p: GammaP::OverP,
+            },
+            &cfg,
+        );
         let st = h.staleness.expect("hierarchical records staleness");
         assert_eq!(st.max, 6, "bound = t_local × t_global");
     }
@@ -274,6 +303,18 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(32, 8, 2));
         let cfg = quiet_cfg(1, 0.02);
         let mut f = || models::tiny_cnn(2, &mut SeedRng::new(1));
-        run(&mut f, &train, &test, &cfg, 2, 2, 0, 1, GammaP::OverP);
+        crate::train(
+            &mut f,
+            &train,
+            &test,
+            &Algorithm::HierarchicalSasgd {
+                groups: 2,
+                per_group: 2,
+                t_local: 0,
+                t_global: 1,
+                gamma_p: GammaP::OverP,
+            },
+            &cfg,
+        );
     }
 }

@@ -4,11 +4,9 @@ use crate::compress::Compression;
 use crate::schedule::TSchedule;
 
 pub(crate) mod averaging;
-pub(crate) mod dasgd;
 pub(crate) mod downpour;
 pub(crate) mod eamsgd;
 pub(crate) mod hierarchical;
-pub(crate) mod local_sgd;
 pub(crate) mod sasgd;
 pub(crate) mod sequential;
 
@@ -48,15 +46,26 @@ pub enum Algorithm {
     /// shards, `T` local steps between allreduce aggregations, optionally
     /// compressing each learner's accumulated gradient (with error
     /// feedback) before aggregation.
+    ///
+    /// With `γp = γ/p` the global step averages the locally updated
+    /// replicas (§III: "Alg. 1 simulates model averaging"), so the
+    /// averaging lattice is configuration: an adaptive `schedule` is Local
+    /// SGD's growing interval (Stich), and `delayed` is DaSGD's one-round
+    /// delay (Zhou et al.).
     Sasgd {
         /// Learners.
         p: usize,
-        /// Aggregation interval (T=1 is classic synchronous SGD).
-        t: usize,
+        /// Aggregation interval: fixed (T=1 is classic synchronous SGD),
+        /// or grown when the displacement of `x` plateaus.
+        schedule: TSchedule,
         /// Global learning-rate policy.
         gamma_p: GammaP,
         /// Optional gradient compression applied before aggregation.
         compression: Option<Compression>,
+        /// Apply each round's total one round late, re-based onto the
+        /// local progress made meanwhile, so the allreduce overlaps the
+        /// next round's compute.
+        delayed: bool,
     },
     /// Two-level SASGD: groups of learners aggregate over a fast local
     /// fabric every `t_local` steps and average across groups every
@@ -102,26 +111,6 @@ pub enum Algorithm {
         /// per-exchange staleness τ.
         staleness_gamma: bool,
     },
-    /// Local SGD (periodic parameter averaging): independent learners
-    /// whose replicas are averaged every `T` local steps — the model-
-    /// averaging view of Algorithm 1 (§III), with `T` either fixed or
-    /// grown adaptively when the average-displacement signal plateaus.
-    LocalSgd {
-        /// Learners.
-        p: usize,
-        /// Interval schedule (fixed, or adaptive plateau doubling).
-        schedule: TSchedule,
-    },
-    /// DaSGD-style delayed averaging: the round-k parameter average is
-    /// applied at round k+1, while the learners already run `T` steps
-    /// ahead — the allreduce overlaps with compute at the price of one
-    /// round of staleness.
-    DelayedAvg {
-        /// Learners.
-        p: usize,
-        /// Local steps per averaging round.
-        t: usize,
-    },
     /// One-shot model averaging (Zinkevich et al.): independent learners,
     /// parameters averaged only for evaluation/at the end — the heuristic
     /// §III reports as giving "very poor training and test accuracies".
@@ -136,9 +125,10 @@ impl Algorithm {
     pub fn sasgd(p: usize, t: usize, gamma_p: GammaP) -> Self {
         Algorithm::Sasgd {
             p,
-            t,
+            schedule: TSchedule::Fixed { t },
             gamma_p,
             compression: None,
+            delayed: false,
         }
     }
 
@@ -147,9 +137,10 @@ impl Algorithm {
     pub fn sasgd_compressed(p: usize, t: usize, gamma_p: GammaP, compression: Compression) -> Self {
         Algorithm::Sasgd {
             p,
-            t,
+            schedule: TSchedule::Fixed { t },
             gamma_p,
             compression: Some(compression),
+            delayed: false,
         }
     }
 
@@ -160,8 +151,6 @@ impl Algorithm {
             Algorithm::Sasgd { p, .. }
             | Algorithm::Downpour { p, .. }
             | Algorithm::Eamsgd { p, .. }
-            | Algorithm::LocalSgd { p, .. }
-            | Algorithm::DelayedAvg { p, .. }
             | Algorithm::ModelAverageOnce { p } => p,
             Algorithm::HierarchicalSasgd {
                 groups, per_group, ..
@@ -172,14 +161,8 @@ impl Algorithm {
     /// Aggregation interval (1 where not applicable).
     pub fn interval(&self) -> usize {
         match *self {
-            Algorithm::Sasgd { t, .. }
-            | Algorithm::Downpour { t, .. }
-            | Algorithm::Eamsgd { t, .. }
-            | Algorithm::DelayedAvg { t, .. } => t,
-            Algorithm::LocalSgd { schedule, .. } => match schedule {
-                TSchedule::Fixed { t } => t,
-                TSchedule::AdaptivePlateau { t0, .. } => t0,
-            },
+            Algorithm::Sasgd { schedule, .. } => schedule.initial_t(),
+            Algorithm::Downpour { t, .. } | Algorithm::Eamsgd { t, .. } => t,
             Algorithm::HierarchicalSasgd {
                 t_local, t_global, ..
             } => t_local * t_global,
@@ -192,21 +175,28 @@ impl Algorithm {
         match *self {
             Algorithm::Sequential => "SGD".into(),
             Algorithm::Sasgd {
-                p, t, compression, ..
-            } => match compression {
-                None => format!("SASGD(p={p},T={t})"),
-                Some(Compression::Uniform8Bit) => format!("SASGD-8bit(p={p},T={t})"),
-                Some(Compression::Sparse { k, q8, union_bound }) => {
-                    let mut tag = k.tag();
-                    if q8 {
-                        tag.push_str("+q8");
+                p,
+                schedule,
+                compression,
+                delayed,
+                ..
+            } => {
+                let codec = match compression {
+                    None => String::new(),
+                    Some(Compression::Uniform8Bit) => "-8bit".into(),
+                    Some(Compression::Sparse { k, q8, union_bound }) => {
+                        let mut tag = format!("-{}", k.tag());
+                        if q8 {
+                            tag.push_str("+q8");
+                        }
+                        if union_bound {
+                            tag.push_str("+ub");
+                        }
+                        tag
                     }
-                    if union_bound {
-                        tag.push_str("+ub");
-                    }
-                    format!("SASGD-{tag}(p={p},T={t})")
-                }
-            },
+                };
+                sasgd_label(&codec, p, schedule, delayed)
+            }
             Algorithm::HierarchicalSasgd {
                 groups,
                 per_group,
@@ -239,13 +229,18 @@ impl Algorithm {
                     format!("EAMSGD(p={p},T={t})")
                 }
             }
-            Algorithm::LocalSgd { p, schedule } => match schedule {
-                TSchedule::Fixed { t } => format!("LocalSGD(p={p},T={t})"),
-                TSchedule::AdaptivePlateau { t0, .. } => format!("LocalSGD-adT(p={p},T0={t0})"),
-            },
-            Algorithm::DelayedAvg { p, t } => format!("DaSGD(p={p},T={t})"),
             Algorithm::ModelAverageOnce { p } => format!("ModelAvg(p={p})"),
         }
+    }
+}
+
+/// `SASGD{codec}[-adT][-delayed](p=…,T=…)`: an adaptive schedule shows
+/// its initial interval as `T0`.
+pub(crate) fn sasgd_label(codec: &str, p: usize, schedule: TSchedule, delayed: bool) -> String {
+    let delay = if delayed { "-delayed" } else { "" };
+    match schedule {
+        TSchedule::Fixed { t } => format!("SASGD{codec}{delay}(p={p},T={t})"),
+        TSchedule::AdaptivePlateau { t0, .. } => format!("SASGD{codec}-adT{delay}(p={p},T0={t0})"),
     }
 }
 
@@ -302,14 +297,7 @@ mod tests {
 
     #[test]
     fn lattice_labels_and_accessors() {
-        let fixed = Algorithm::LocalSgd {
-            p: 4,
-            schedule: TSchedule::Fixed { t: 5 },
-        };
-        assert_eq!(fixed.label(), "LocalSGD(p=4,T=5)");
-        assert_eq!(fixed.learners(), 4);
-        assert_eq!(fixed.interval(), 5);
-        let adaptive = Algorithm::LocalSgd {
+        let adaptive = Algorithm::Sasgd {
             p: 8,
             schedule: TSchedule::AdaptivePlateau {
                 t0: 5,
@@ -317,12 +305,29 @@ mod tests {
                 patience: 2,
                 rel_improve: 0.05,
             },
+            gamma_p: GammaP::OverP,
+            compression: None,
+            delayed: false,
         };
-        assert_eq!(adaptive.label(), "LocalSGD-adT(p=8,T0=5)");
+        assert_eq!(adaptive.label(), "SASGD-adT(p=8,T0=5)");
+        assert_eq!(adaptive.learners(), 8);
         assert_eq!(adaptive.interval(), 5);
-        let da = Algorithm::DelayedAvg { p: 8, t: 5 };
-        assert_eq!(da.label(), "DaSGD(p=8,T=5)");
-        assert_eq!(da.learners(), 8);
-        assert_eq!(da.interval(), 5);
+        let Algorithm::Sasgd { schedule, .. } = adaptive else {
+            unreachable!()
+        };
+        let delayed = Algorithm::Sasgd {
+            p: 8,
+            schedule,
+            gamma_p: GammaP::OverP,
+            compression: Some(Compression::Uniform8Bit),
+            delayed: true,
+        };
+        assert_eq!(delayed.label(), "SASGD-8bit-adT-delayed(p=8,T0=5)");
+        assert_eq!(delayed.interval(), 5);
+        let mut da = Algorithm::sasgd(8, 5, GammaP::OverP);
+        if let Algorithm::Sasgd { delayed, .. } = &mut da {
+            *delayed = true;
+        }
+        assert_eq!(da.label(), "SASGD-delayed(p=8,T=5)");
     }
 }

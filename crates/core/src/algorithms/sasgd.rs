@@ -18,27 +18,42 @@
 //! the same codec and the same combine order as the threaded backend's
 //! `GradTree`, so compressed runs are bitwise identical across backends.
 //! The aggregation cost is priced by the compressor's wire size.
+//!
+//! For `γp = γ/p` the global step averages the locally updated replicas,
+//! so the averaging lattice is configuration, for any codec: an adaptive
+//! schedule grows `T` when the displacement of `x` plateaus (Stich's Local
+//! SGD), and `delayed` lands each round's total one round late, re-based
+//! onto the local progress made meanwhile (Zhou et al.'s DaSGD) — the
+//! allreduce overlaps compute at one round of staleness.
 
 use sasgd_comm::sparse::{tree_combine_bounded, SparseLevelProfile};
-use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
-use crate::algorithms::GammaP;
+use crate::algorithms::{sasgd_label, GammaP};
 use crate::compress::{Compression, ErrorFeedback, Payload};
-use crate::engine::{aggregate_dense, simulated, tree_reduce, AggregationStrategy, Total};
+use crate::engine::{aggregate_dense, tree_reduce, AggregationStrategy, Lattice, Total};
 use crate::history::{History, StalenessStats, WireStats};
+use crate::schedule::{SyncPolicy, TSchedule};
 use crate::trainer::{Learner, TrainConfig};
 
-/// Algorithm 1 with optional compressed aggregation.
+/// Algorithm 1 with optional compressed aggregation, an adaptive interval
+/// and a one-round delay.
 pub(crate) struct SasgdStrategy {
     p: usize,
-    t: usize,
+    schedule: TSchedule,
     gamma_p: GammaP,
     compression: Option<Compression>,
+    delayed: bool,
     /// The shared (pre-interval) parameter vector `x`.
     x: Vec<f32>,
     /// Error-feedback state, one per learner (compressed runs only).
     codecs: Vec<ErrorFeedback>,
+    /// The delay's snapshots and pending total; the plateau signal.
+    lattice: Lattice,
+    /// Signal from the latest round, consumed by [`Self::sync_signal`].
+    signal: Option<f32>,
+    /// Virtual time at which the in-flight allreduce completes (delayed).
+    last_avail: f64,
     /// Sync rounds completed.
     rounds: u64,
     /// Cost of one (possibly compressed) allreduce.
@@ -50,19 +65,27 @@ pub(crate) struct SasgdStrategy {
 impl SasgdStrategy {
     pub(crate) fn new(
         p: usize,
-        t: usize,
+        schedule: TSchedule,
         gamma_p: GammaP,
         compression: Option<Compression>,
+        delayed: bool,
     ) -> Self {
         assert!(p >= 1, "need at least one learner");
-        assert!(t >= 1, "aggregation interval must be positive");
+        assert!(
+            schedule.initial_t() >= 1,
+            "aggregation interval must be positive"
+        );
         SasgdStrategy {
             p,
-            t,
+            schedule,
             gamma_p,
             compression,
+            delayed,
             x: Vec::new(),
             codecs: Vec::new(),
+            lattice: Lattice::default(),
+            signal: None,
+            last_avail: 0.0,
             rounds: 0,
             ar_seconds: 0.0,
             m: 0,
@@ -72,11 +95,12 @@ impl SasgdStrategy {
 
 impl AggregationStrategy for SasgdStrategy {
     fn label(&self) -> String {
-        let (p, t) = (self.p, self.t);
-        match self.compression {
-            Some(_) => format!("SASGD-compressed(p={p},T={t})"),
-            None => format!("SASGD(p={p},T={t})"),
-        }
+        let codec = if self.compression.is_some() {
+            "-compressed"
+        } else {
+            ""
+        };
+        sasgd_label(codec, self.p, self.schedule, self.delayed)
     }
 
     fn p(&self) -> usize {
@@ -84,12 +108,25 @@ impl AggregationStrategy for SasgdStrategy {
     }
 
     fn sync_interval(&self) -> usize {
-        self.t
+        self.schedule.initial_t()
+    }
+
+    fn sync_policy(&self) -> SyncPolicy {
+        SyncPolicy::new(self.schedule)
+    }
+
+    fn sync_signal(&mut self) -> Option<f32> {
+        self.signal.take()
+    }
+
+    fn collective_tau(&self) -> u64 {
+        self.delayed as u64
     }
 
     fn setup(&mut self, factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
         self.m = x0.len();
         self.x = x0.to_vec();
+        self.lattice = Lattice::new(self.schedule, self.delayed, x0, self.p);
         self.ar_seconds = match self.compression {
             Some(c) => {
                 // The layer-wise schedule needs the model's parameter-block
@@ -110,59 +147,47 @@ impl AggregationStrategy for SasgdStrategy {
     /// One global aggregation: gather every learner's payload, combine in
     /// the wire collective's order (so the threaded backend reproduces
     /// these parameters bit for bit), global step, then the barrier —
-    /// each learner waits for the slowest and pays the allreduce.
+    /// each learner waits for the slowest and pays the allreduce. Delayed,
+    /// a learner waits only for the previous round's allreduce, and the
+    /// one launched now completes `ar_seconds` after the slowest arrives.
     fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History) {
         let gp = self.gamma_p.resolve(gamma_now, self.p);
         self.rounds += 1; // 1-based, matching the threaded backend's rounds
-        if self.codecs.is_empty() {
-            // Uncompressed run: the payloads are the `gs` themselves.
+        if self.codecs.is_empty() && self.lattice.is_plain() {
+            // Algorithm 1's own round, uncompressed: the payloads are the
+            // `gs` themselves.
             aggregate_dense(&mut self.x, gp, learners);
         } else {
-            let mut dense = Vec::new();
-            let (mut sparse, mut opts) = (Vec::new(), Vec::new());
-            for (r, (l, codec)) in learners.iter().zip(&mut self.codecs).enumerate() {
-                let enc = codec.encode(&l.gs);
-                // lint:allow(float-cast): telemetry narrowing — the norm is
-                // accumulated in f64 for order-stability, reported in f32.
-                history.push_sparsity(self.rounds, r, enc.k_eff, enc.residual_norm as f32);
-                match enc.payload {
-                    Payload::Dense8(v, _) => dense.push(v),
-                    Payload::Sparse(sv, o) => {
-                        sparse.push(sv);
-                        opts.push(o);
-                    }
-                }
-            }
-            let total = if sparse.is_empty() {
-                tree_reduce(&mut dense);
-                Total::Dense(dense.swap_remove(0))
+            let total = if self.codecs.is_empty() {
+                let mut gs: Vec<&mut [f32]> = learners.iter_mut().map(|l| &mut l.gs[..]).collect();
+                tree_reduce(&mut gs);
+                learners[1..].iter_mut().for_each(|l| l.gs.fill(0.0));
+                self.lattice.take_gs(&mut learners[0].gs)
             } else {
-                let (total, spills, profile) = tree_combine_bounded(sparse, &opts);
-                history.sparse_levels.merge(&profile);
-                for (codec, spill) in self.codecs.iter_mut().zip(&spills) {
-                    codec.absorb(spill);
-                }
-                Total::Sparse(total)
+                self.compressed_total(learners, history)
             };
-            total.step(&mut self.x, gp);
-            for l in learners.iter_mut() {
-                l.model.params_mut().copy_from_slice(&self.x);
-                l.gs.fill(0.0);
-            }
+            let params = learners.iter_mut().map(|l| l.model.params_mut());
+            self.signal = self.lattice.round(&mut self.x, total, gp, params);
         }
         let t_max = learners.iter().map(|l| l.clock).fold(0.0_f64, f64::max);
         for l in learners.iter_mut() {
-            let wait = t_max - l.clock;
-            l.charge_comm(wait + self.ar_seconds);
+            let charge = if self.delayed {
+                (self.last_avail - l.clock).max(0.0)
+            } else {
+                t_max - l.clock + self.ar_seconds
+            };
+            l.charge_comm(charge);
         }
+        self.last_avail = t_max + self.ar_seconds;
     }
 
     fn staleness(&self, syncs: u64) -> Option<StalenessStats> {
         // SASGD's staleness is T by construction — record it so staleness
         // reports can compare against the measured async distributions.
+        let t = self.sync_interval();
         Some(StalenessStats {
-            mean: self.t as f64,
-            max: self.t as u64,
+            mean: t as f64,
+            max: t as u64,
             pushes: syncs,
         })
     }
@@ -191,29 +216,51 @@ impl AggregationStrategy for SasgdStrategy {
             messages: p1 + messages,
         })
     }
+
+    fn final_params(&mut self, learners: &[Learner]) -> Vec<f32> {
+        self.lattice
+            .final_params(&self.x, learners[0].model.params())
+    }
 }
 
-/// Run SASGD on the simulated backend. `T = 1` is classic bulk-synchronous
-/// SGD; `p = 1` degrades to sequential SGD (with the global step folded
-/// in).
-#[allow(clippy::too_many_arguments)] // mirrors the Algorithm variant's fields
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-    p: usize,
-    t: usize,
-    gamma_p: GammaP,
-    compression: Option<Compression>,
-) -> History {
-    let mut s = SasgdStrategy::new(p, t, gamma_p, compression);
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
+impl SasgdStrategy {
+    /// Every learner's `gs` through its codec, combined in the wire
+    /// collective's order; the `gs` restart from zeros.
+    fn compressed_total(&mut self, learners: &mut [Learner], history: &mut History) -> Total {
+        let mut dense = Vec::new();
+        let (mut sparse, mut opts) = (Vec::new(), Vec::new());
+        for (r, (l, codec)) in learners.iter_mut().zip(&mut self.codecs).enumerate() {
+            let enc = codec.encode(&l.gs);
+            l.gs.fill(0.0);
+            // lint:allow(float-cast): telemetry narrowing — the norm is
+            // accumulated in f64 for order-stability, reported in f32.
+            history.push_sparsity(self.rounds, r, enc.k_eff, enc.residual_norm as f32);
+            match enc.payload {
+                Payload::Dense8(v, _) => dense.push(v),
+                Payload::Sparse(sv, o) => {
+                    sparse.push(sv);
+                    opts.push(o);
+                }
+            }
+        }
+        if sparse.is_empty() {
+            tree_reduce(&mut dense);
+            return Total::Dense(dense.swap_remove(0));
+        }
+        let (total, spills, profile) = tree_combine_bounded(sparse, &opts);
+        history.sparse_levels.merge(&profile);
+        for (codec, spill) in self.codecs.iter_mut().zip(&spills) {
+            codec.absorb(spill);
+        }
+        Total::Sparse(total)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Cadence;
+    use crate::Algorithm;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -230,7 +277,8 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(160, 60, 3));
         let cfg = quiet_cfg(8, 0.05);
         let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = run(&mut factory, &train, &test, &cfg, 4, 2, GammaP::OverP, None);
+        let algo = Algorithm::sasgd(4, 2, GammaP::OverP);
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
         assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
         assert!(
             h.records.last().expect("r").comm_seconds > 0.0,
@@ -245,9 +293,10 @@ mod tests {
         // Run manually to inspect: easiest is T=1 where every step syncs,
         // so learner 0's history must equal a rerun's.
         let mut f1 = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let h1 = run(&mut f1, &train, &test, &cfg, 2, 1, GammaP::OverP, None);
+        let algo = Algorithm::sasgd(2, 1, GammaP::OverP);
+        let h1 = crate::train(&mut f1, &train, &test, &algo, &cfg);
         let mut f2 = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let h2 = run(&mut f2, &train, &test, &cfg, 2, 1, GammaP::OverP, None);
+        let h2 = crate::train(&mut f2, &train, &test, &algo, &cfg);
         assert_eq!(
             h1.records.last().expect("r").train_loss,
             h2.records.last().expect("r").train_loss
@@ -263,19 +312,11 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(48, 16, 2));
         let sasgd_cfg = quiet_cfg(3, 0.0);
         let mut f1 = || models::tiny_cnn(2, &mut SeedRng::new(9));
-        let h_sasgd = run(
-            &mut f1,
-            &train,
-            &test,
-            &sasgd_cfg,
-            1,
-            1,
-            GammaP::Fixed(0.05),
-            None,
-        );
+        let algo = Algorithm::sasgd(1, 1, GammaP::Fixed(0.05));
+        let h_sasgd = crate::train(&mut f1, &train, &test, &algo, &sasgd_cfg);
         let seq_cfg = quiet_cfg(3, 0.05);
         let mut f2 = || models::tiny_cnn(2, &mut SeedRng::new(9));
-        let h_seq = crate::algorithms::sequential::run(&mut f2, &train, &test, &seq_cfg);
+        let h_seq = crate::train(&mut f2, &train, &test, &Algorithm::Sequential, &seq_cfg);
         for (a, b) in h_sasgd.records.iter().zip(&h_seq.records) {
             assert_eq!(a.train_loss, b.train_loss, "trajectories must coincide");
             assert_eq!(a.test_acc, b.test_acc);
@@ -300,7 +341,13 @@ mod tests {
         let mut comm = Vec::new();
         for t in [1usize, 5] {
             let mut f = || models::tiny_cnn(2, &mut SeedRng::new(1));
-            let h = run(&mut f, &train, &test, &cfg, p, t, GammaP::OverP, None);
+            let h = crate::train(
+                &mut f,
+                &train,
+                &test,
+                &Algorithm::sasgd(p, t, GammaP::OverP),
+                &cfg,
+            );
             let got = h.records.last().expect("r").comm_seconds;
             let expect = bcast + (steps / t) as f64 * ar;
             assert!(
@@ -323,18 +370,16 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(64, 16, 2));
         let cfg = quiet_cfg(1, 0.02);
         let mut f1 = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let dense = run(&mut f1, &train, &test, &cfg, 2, 2, GammaP::OverP, None);
-        let mut f2 = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let sparse = run(
-            &mut f2,
+        let dense = crate::train(
+            &mut f1,
             &train,
             &test,
+            &Algorithm::sasgd(2, 2, GammaP::OverP),
             &cfg,
-            2,
-            2,
-            GammaP::OverP,
-            Some(Compression::topk(0.1)),
         );
+        let mut f2 = || models::tiny_cnn(2, &mut SeedRng::new(3));
+        let algo = Algorithm::sasgd_compressed(2, 2, GammaP::OverP, Compression::topk(0.1));
+        let sparse = crate::train(&mut f2, &train, &test, &algo, &cfg);
         let (d, s) = (dense.wire.expect("wire"), sparse.wire.expect("wire"));
         assert!(
             s.elements < d.elements / 2,
@@ -350,6 +395,115 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(8, 4, 2));
         let cfg = quiet_cfg(1, 0.05);
         let mut f = || models::tiny_cnn(2, &mut SeedRng::new(1));
-        run(&mut f, &train, &test, &cfg, 8, 1, GammaP::OverP, None);
+        crate::train(
+            &mut f,
+            &train,
+            &test,
+            &Algorithm::sasgd(8, 1, GammaP::OverP),
+            &cfg,
+        );
+    }
+
+    /// SASGD at `(p, schedule, delayed)`, uncompressed, `γp = γ/p`.
+    fn lattice(p: usize, schedule: TSchedule, delayed: bool) -> Algorithm {
+        Algorithm::Sasgd {
+            p,
+            schedule,
+            gamma_p: GammaP::OverP,
+            compression: None,
+            delayed,
+        }
+    }
+
+    fn event_cfg(epochs: usize) -> TrainConfig {
+        let mut cfg = quiet_cfg(epochs, 0.05);
+        cfg.cadence = Some(Cadence::EventDriven);
+        cfg
+    }
+
+    #[test]
+    fn adaptive_schedule_syncs_no_more_than_fixed_t0() {
+        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
+        let cfg = event_cfg(6);
+        let t0 = 2;
+        let run = |schedule| {
+            let mut f = || models::tiny_cnn(3, &mut SeedRng::new(5));
+            crate::train(
+                &mut f,
+                &train_set,
+                &test_set,
+                &lattice(2, schedule, false),
+                &cfg,
+            )
+        };
+        let fixed = run(TSchedule::Fixed { t: t0 });
+        let adaptive = run(TSchedule::AdaptivePlateau {
+            t0,
+            t_max: 16,
+            patience: 1,
+            rel_improve: 0.5,
+        });
+        // A 50% improvement bar with patience 1 plateaus almost every
+        // round, so T must actually have grown.
+        assert!(
+            adaptive.sync_rounds < fixed.sync_rounds,
+            "adaptive {} rounds vs fixed {}",
+            adaptive.sync_rounds,
+            fixed.sync_rounds
+        );
+    }
+
+    #[test]
+    fn delayed_rounds_learn_and_hide_the_allreduce() {
+        // With jitter off every learner reaches the round at the same
+        // time, so the synchronous round pays the full allreduce while
+        // the delayed one only waits for the previous round's — already
+        // finished once T compute steps outlast it.
+        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(160, 60, 3));
+        let cfg = event_cfg(8);
+        let run = |delayed| {
+            let mut f = || models::tiny_cnn(3, &mut SeedRng::new(7));
+            let algo = lattice(4, TSchedule::Fixed { t: 2 }, delayed);
+            crate::train(&mut f, &train_set, &test_set, &algo, &cfg)
+        };
+        let (sync, delayed) = (run(false), run(true));
+        assert!(
+            delayed.final_test_acc() > 0.5,
+            "acc {}",
+            delayed.final_test_acc()
+        );
+        let st = delayed
+            .staleness
+            .expect("collective rounds record staleness");
+        assert_eq!(st.max, 1, "staleness is one round by construction");
+        let comm = |h: &History| h.records.last().expect("r").comm_seconds;
+        assert!(
+            comm(&delayed) < comm(&sync),
+            "delayed comm {} should undercut synchronous {}",
+            comm(&delayed),
+            comm(&sync)
+        );
+    }
+
+    #[test]
+    fn p1_delay_is_nearly_transparent() {
+        // With one learner the landed total is the learner's own progress,
+        // so re-basing onto it is the identity up to f32 association: the
+        // delayed run tracks the undelayed one to rounding noise.
+        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 3));
+        let cfg = event_cfg(3);
+        let run = |delayed| {
+            let mut f = || models::tiny_cnn(3, &mut SeedRng::new(9));
+            let algo = lattice(1, TSchedule::Fixed { t: 2 }, delayed);
+            let h = crate::train(&mut f, &train_set, &test_set, &algo, &cfg);
+            h.final_params.expect("params")
+        };
+        let (plain, delayed) = (run(false), run(true));
+        let max_diff = plain
+            .iter()
+            .zip(&delayed)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(max_diff < 1e-4, "p=1 delay drifted {max_diff}");
     }
 }

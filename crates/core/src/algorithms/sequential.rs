@@ -1,10 +1,8 @@
 //! Sequential SGD — the single-learner baseline every figure compares to.
 
 use sasgd_data::{Dataset, Shard};
-use sasgd_nn::Model;
 
-use crate::engine::{simulated, AggregationStrategy};
-use crate::history::History;
+use crate::engine::AggregationStrategy;
 use crate::trainer::{Learner, TrainConfig};
 
 /// Plain minibatch SGD on one learner: never syncs, walks the full
@@ -65,20 +63,10 @@ impl AggregationStrategy for SequentialStrategy {
     }
 }
 
-/// Run plain minibatch SGD on one learner.
-pub(crate) fn run(
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-) -> History {
-    let mut s = SequentialStrategy::new();
-    simulated::run_auto(&mut s, factory, train_set, test_set, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;
@@ -90,7 +78,7 @@ mod tests {
         let mut cfg = TrainConfig::new(8, 8, 0.05, 42);
         cfg.jitter = JitterModel::none();
         let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = run(&mut factory, &train, &test, &cfg);
+        let h = crate::train(&mut factory, &train, &test, &Algorithm::Sequential, &cfg);
         assert_eq!(h.records.len(), 8);
         let first = h.records[0].train_loss;
         let last = h.records.last().expect("records").train_loss;
@@ -105,9 +93,9 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(40, 20, 3));
         let cfg = TrainConfig::new(2, 8, 0.05, 11);
         let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let h1 = run(&mut f1, &train, &test, &cfg);
+        let h1 = crate::train(&mut f1, &train, &test, &Algorithm::Sequential, &cfg);
         let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let h2 = run(&mut f2, &train, &test, &cfg);
+        let h2 = crate::train(&mut f2, &train, &test, &Algorithm::Sequential, &cfg);
         assert_eq!(
             h1.records.last().expect("r").train_loss,
             h2.records.last().expect("r").train_loss

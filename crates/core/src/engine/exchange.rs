@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use sasgd_comm::collectives::{allreduce_tree, broadcast, Dense};
+use sasgd_comm::collectives::{broadcast, Dense};
 use sasgd_comm::ps_transport::{PsLayout, PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::SparseFold;
 use sasgd_comm::transport::Transport;
@@ -19,7 +19,7 @@ use sasgd_comm::tree::{allreduce_over, broadcast_over, FtError, FtOutcome, Membe
 use sasgd_comm::world::CommError;
 use sasgd_nn::Model;
 
-use super::{delta_sq_norm, global_step, rebase, FaultConfig, Total};
+use super::{global_step, FaultConfig, Lattice, Total};
 use crate::algorithms::{Algorithm, GammaP};
 use crate::compress::{ErrorFeedback, Payload};
 use crate::history::{History, MembershipEvent, RetirementEvent};
@@ -58,8 +58,8 @@ pub(crate) struct Round<'a> {
 /// What a round tells the rank loop.
 #[derive(Default)]
 pub(crate) struct Outcome {
-    /// End-of-round scalar the sync policy adapts on (Local SGD's
-    /// average-displacement norm); `None` never adapts.
+    /// End-of-round scalar the sync policy adapts on (adaptive SASGD's
+    /// displacement of `x`); `None` never adapts.
     pub(crate) signal: Option<f32>,
     /// Measured `(τ, effective rate)` of this rank's update, for the
     /// exchanges against shared state; `None` for collectives, whose
@@ -130,17 +130,19 @@ fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<Vec<f32>,
 /// if any): its payload travels in the payload's own wire form — the
 /// sparse tree, exact 8-bit leaf frames, or (an all-zero gradient has no
 /// 8-bit grid) the dense tree — and the tree's spill goes back into the
-/// codec. Records `(round, rank, k_eff, residual_norm)` and the per-level
-/// wire stats; returns the total as the tree left it.
+/// codec; `gs` restarts from zeros. Records `(round, rank, k_eff,
+/// residual_norm)` and the per-level wire stats; returns the total as the
+/// tree left it.
 fn compressed_allreduce<T: Transport>(
     codec: &mut ErrorFeedback,
     comm: &mut T,
     membership: &mut Membership,
     deadline: Option<Duration>,
-    gs: &[f32],
+    gs: &mut [f32],
     round: &mut Round<'_>,
 ) -> Result<(Total, FtOutcome), FtError> {
     let enc = codec.encode(gs);
+    gs.fill(0.0);
     // lint:allow(float-cast): telemetry narrowing — the norm is a
     // monitoring signal, not part of the update arithmetic.
     let norm = enc.residual_norm as f32;
@@ -163,7 +165,9 @@ fn compressed_allreduce<T: Transport>(
 
 /// SASGD: tree allreduce of the accumulated gradients (optionally
 /// compressed with error feedback) over the live membership, then the
-/// global step with `γp` resolved over the members.
+/// global step with `γp` resolved over the members — or, delayed, the
+/// previous round's, with this rank's progress re-based onto it (the
+/// simulated strategy's [`Lattice`], one replica wide).
 ///
 /// With a [`FaultConfig`] the tree is armed: its scripted faults fire at
 /// step boundaries (never inside a collective), so a degraded run replays
@@ -180,6 +184,7 @@ struct GradTree<'a, T> {
     membership: Membership,
     faults: Option<&'a FaultConfig>,
     x: Vec<f32>,
+    lattice: Lattice,
 }
 
 impl<T: Transport> Exchange for GradTree<'_, T> {
@@ -204,7 +209,7 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
         let deadline = self.faults.map(|f| f.deadline);
         let (comm, ms) = (&mut self.comm, &mut self.membership);
         let total = match self.codec.as_mut() {
-            Some(codec) => compressed_allreduce(codec, comm, ms, deadline, &l.gs, &mut round)
+            Some(codec) => compressed_allreduce(codec, comm, ms, deadline, &mut l.gs, &mut round)
                 .map(|(total, outcome)| (Some(total), outcome)),
             None => allreduce_over(comm, ms, &mut Dense::new(&mut l.gs, None), deadline)
                 .map(|outcome| (None, outcome)),
@@ -227,14 +232,17 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
         // = p unarmed and on a clean round, so the fault-free trajectory is
         // the plain tree's.
         let gp = self.gamma_p.resolve(round.gamma, self.membership.len());
-        match total {
-            Some(total) => {
-                total.step(&mut self.x, gp);
-                l.model.params_mut().copy_from_slice(&self.x);
-                l.gs.fill(0.0);
+        let signal = match total {
+            None if self.lattice.is_plain() => {
+                global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
+                None
             }
-            None => global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut()),
-        }
+            total => {
+                let total = total.unwrap_or_else(|| self.lattice.take_gs(&mut l.gs));
+                let params = std::iter::once(l.model.params_mut());
+                self.lattice.round(&mut self.x, total, gp, params)
+            }
+        };
         if rank == 0 && !outcome.lost.is_empty() {
             round.history.membership.push(MembershipEvent {
                 round: round.number,
@@ -245,7 +253,14 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
                 recovery_seconds: started.elapsed().as_secs_f64(),
             });
         }
-        Ok(Outcome::default())
+        Ok(Outcome {
+            signal,
+            ..Outcome::default()
+        })
+    }
+
+    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
+        self.lattice.final_params(&self.x, l.model.params())
     }
 
     fn survivors(&self) -> Option<usize> {
@@ -288,80 +303,6 @@ impl<T: Transport> Exchange for HierTree<T> {
             self.local_rounds = 0;
         }
         Ok(Outcome::default())
-    }
-}
-
-/// The average of every rank's `params`, left in `frame`: a tree allreduce
-/// of a copy, scaled by `1/p`. The copy travels in `frame`'s own storage,
-/// so a caller that keeps the buffer across rounds allocates nothing.
-fn average_params<T: Transport>(
-    comm: &mut T,
-    params: &[f32],
-    frame: &mut Vec<f32>,
-) -> Result<(), WireError> {
-    frame.clear();
-    frame.extend_from_slice(params);
-    allreduce_tree(comm, frame)?;
-    let inv = 1.0 / comm.size() as f32;
-    frame.iter_mut().for_each(|v| *v *= inv);
-    Ok(())
-}
-
-/// Local SGD: parameter average every round; the squared displacement of
-/// the average is the plateau signal adaptive `T` schedules read.
-struct ParamAvg<T> {
-    comm: T,
-    prev_avg: Vec<f32>,
-    /// This round's average; trades places with `prev_avg` every round.
-    avg: Vec<f32>,
-}
-
-impl<T: Transport> Exchange for ParamAvg<T> {
-    fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
-        let params = l.model.params_mut();
-        average_params(&mut self.comm, params, &mut self.avg)?;
-        params.copy_from_slice(&self.avg);
-        let signal = Some(delta_sq_norm(&self.avg, &self.prev_avg));
-        std::mem::swap(&mut self.avg, &mut self.prev_avg);
-        Ok(Outcome {
-            signal,
-            ..Outcome::default()
-        })
-    }
-}
-
-/// DaSGD: the round-`k` average of the *pre-application* parameters lands
-/// at round `k+1`, re-based onto the local progress made since its
-/// snapshot, so the allreduce overlaps the next round's compute.
-struct DelayedAvg<T> {
-    comm: T,
-    snap: Vec<f32>,
-    pending: Option<Vec<f32>>,
-    /// The average that landed last round: next round's allreduce frame.
-    spare: Vec<f32>,
-}
-
-impl<T: Transport> Exchange for DelayedAvg<T> {
-    fn round(&mut self, l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
-        let params = l.model.params_mut();
-        let mut avg = std::mem::take(&mut self.spare);
-        average_params(&mut self.comm, params, &mut avg)?;
-        if let Some(prev) = self.pending.replace(avg) {
-            rebase(params, &prev, &self.snap);
-            self.spare = prev;
-        }
-        self.snap.copy_from_slice(params);
-        Ok(Outcome::default())
-    }
-
-    /// A pending average that never landed is flushed into the final
-    /// parameters, exactly like the simulated strategy.
-    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
-        let mut cur = l.model.params().to_vec();
-        if let Some(prev) = &self.pending {
-            rebase(&mut cur, prev, &self.snap);
-        }
-        cur
     }
 }
 
@@ -533,8 +474,8 @@ impl<T: Transport> Exchange for PsElastic<T> {
 /// learners, followed by the parameter-server shards for the PS algorithms
 /// — armed by `faults` where the exchange is SASGD, and align learner `l`
 /// with its peers (the `x0` broadcast of Algorithm 1, the server's initial
-/// pull; the averaging algorithms start from the factory's identical
-/// replicas, like their simulated strategies). `None`: the algorithm has no
+/// pull; one-shot averaging starts from the factory's identical replicas,
+/// like its simulated strategy). `None`: the algorithm has no
 /// exchange over this world.
 pub(crate) fn connect<'a, T: Transport + 'a>(
     algo: &Algorithm,
@@ -553,20 +494,27 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
         (Algorithm::Sequential, None) => Box::new(Solo),
         (
             Algorithm::Sasgd {
+                schedule,
                 gamma_p,
                 compression,
+                delayed,
                 ..
             },
             faults,
-        ) => Box::new(GradTree {
-            x: broadcast_x0(&mut comm, l)?,
-            codec: compression
-                .map(|comp| ErrorFeedback::new(comp, l.model.param_len(), l.model.param_blocks())),
-            membership: Membership::new(comm.size()),
-            comm,
-            gamma_p,
-            faults,
-        }),
+        ) => {
+            let x = broadcast_x0(&mut comm, l)?;
+            Box::new(GradTree {
+                lattice: Lattice::new(schedule, delayed, &x, 1),
+                x,
+                codec: compression.map(|comp| {
+                    ErrorFeedback::new(comp, l.model.param_len(), l.model.param_blocks())
+                }),
+                membership: Membership::new(comm.size()),
+                comm,
+                gamma_p,
+                faults,
+            })
+        }
         (
             Algorithm::HierarchicalSasgd {
                 groups,
@@ -588,17 +536,6 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
                 local_rounds: 0,
             })
         }
-        (Algorithm::LocalSgd { .. }, None) => Box::new(ParamAvg {
-            comm,
-            prev_avg: l.model.params().to_vec(),
-            avg: Vec::new(),
-        }),
-        (Algorithm::DelayedAvg { .. }, None) => Box::new(DelayedAvg {
-            comm,
-            snap: l.model.params().to_vec(),
-            pending: None,
-            spare: Vec::new(),
-        }),
         (Algorithm::ModelAverageOnce { .. }, None) => Box::new(EpochGather {
             avg_model: (comm.rank() == 0).then(factory),
             comm,

@@ -37,7 +37,7 @@ use sasgd_nn::Model;
 use sasgd_comm::sparse::{SparseLevelProfile, SparseVec};
 
 use crate::history::{History, StalenessStats, WireStats};
-use crate::schedule::SyncPolicy;
+use crate::schedule::{SyncPolicy, TSchedule};
 use crate::trainer::{Learner, TrainConfig};
 
 mod exchange;
@@ -65,7 +65,7 @@ pub enum CommScope {
     /// center variable) without waiting for peers — Downpour, EAMSGD.
     Individual,
     /// All learners rendezvous for a collective (allreduce / averaging) —
-    /// SASGD, Local SGD, DaSGD, hierarchical, model averaging.
+    /// SASGD (delayed and adaptive too), hierarchical, model averaging.
     Collective,
 }
 
@@ -149,8 +149,8 @@ pub(crate) trait AggregationStrategy {
     }
 
     /// End-of-round scalar the [`SyncPolicy`] adapts on (lower = better;
-    /// e.g. Local SGD's average-displacement norm). `None` = no signal,
-    /// the policy never adapts.
+    /// adaptive SASGD's displacement of `x`). `None` = no signal, the
+    /// policy never adapts.
     fn sync_signal(&mut self) -> Option<f32> {
         None
     }
@@ -163,9 +163,10 @@ pub(crate) trait AggregationStrategy {
         gamma
     }
 
-    /// Staleness a collective-scope strategy imposes by construction
-    /// (DaSGD applies the round-`k` average one round late, so 1; plain
-    /// collectives apply fresh state, so 0).
+    /// Staleness a collective-scope strategy imposes by construction, in
+    /// rounds (delayed SASGD lands the round-`k` total one round late, so
+    /// 1; plain collectives apply fresh state, so 0). Both backends record
+    /// it for every rank at every collective round.
     fn collective_tau(&self) -> u64 {
         0
     }
@@ -343,6 +344,19 @@ impl Total {
             }
         }
     }
+
+    /// `‖γp·total‖²`, folded in f32 in index order: how far
+    /// [`step`](Total::step) moves `x`, the adaptive schedule's plateau
+    /// signal. The sparse fold over the stored entries is bitwise the dense
+    /// fold, since an absent coordinate adds `+0.0`.
+    pub(crate) fn displacement_sq(&self, gp: f32) -> f32 {
+        let vals = match self {
+            Total::Dense(total) => total,
+            Total::Sparse(total) => &total.val,
+        };
+        vals.iter()
+            .fold(0.0f32, |acc, &g| acc + (gp * g) * (gp * g))
+    }
 }
 
 /// Whole minibatches in the smallest shard: what bulk-synchronous epochs
@@ -352,21 +366,109 @@ pub(crate) fn min_whole_batches(shards: &[Shard], batch: usize) -> usize {
     whole.expect("at least one shard")
 }
 
-/// Squared L2 distance between two parameter vectors, folded sequentially
-/// in f32 — the Local-SGD plateau signal, computed identically on both
-/// backends so adaptive-T decisions replay exactly.
-pub(crate) fn delta_sq_norm(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .fold(0.0f32, |acc, (x, y)| acc + (x - y) * (x - y))
-}
-
-/// `cur ← prev + (cur − snap)`: DaSGD's delayed average `prev` re-based
-/// onto the local progress made since the snapshot `snap` — one formula for
-/// both backends.
+/// `cur ← prev + (cur − snap)`: the shared `prev` re-based onto the local
+/// progress made since the snapshot `snap` — one formula for both backends.
 pub(crate) fn rebase(cur: &mut [f32], prev: &[f32], snap: &[f32]) {
     for ((c, &pv), &s0) in cur.iter_mut().zip(prev).zip(snap) {
         *c = pv + (*c - s0);
+    }
+}
+
+/// Where a SASGD round sits on the averaging lattice beyond Algorithm 1's
+/// own point. `delayed` (DaSGD) holds each round's total back one round:
+/// the previous round's total lands on `x` instead, and every replica keeps
+/// its local progress since its snapshot on top of the new `x`. An adaptive
+/// schedule (Local SGD) reads the displacement of `x` as its plateau
+/// signal. One instance serves a simulated cohort or one threaded rank.
+#[derive(Default)]
+pub(crate) struct Lattice {
+    adaptive: bool,
+    /// Each replica's parameters when a total last landed (`delayed` only).
+    snaps: Vec<Vec<f32>>,
+    /// The previous round's total and its `γp`, not landed yet.
+    pending: Option<(Total, f32)>,
+    /// A landed dense total's buffer: the next `gs`.
+    spare: Vec<f32>,
+}
+
+impl Lattice {
+    pub(crate) fn new(schedule: TSchedule, delayed: bool, x0: &[f32], replicas: usize) -> Self {
+        Lattice {
+            adaptive: matches!(schedule, TSchedule::AdaptivePlateau { .. }),
+            snaps: if delayed {
+                vec![x0.to_vec(); replicas]
+            } else {
+                Vec::new()
+            },
+            ..Lattice::default()
+        }
+    }
+
+    /// Fixed `T`, no delay: the round is Algorithm 1's, with no extra pass
+    /// or buffer.
+    pub(crate) fn is_plain(&self) -> bool {
+        !self.adaptive && self.snaps.is_empty()
+    }
+
+    /// The allreduced `gs` as this round's total; `gs` restarts from zeros.
+    pub(crate) fn take_gs(&mut self, gs: &mut Vec<f32>) -> Total {
+        let mut next = std::mem::take(&mut self.spare);
+        next.clear();
+        next.resize(gs.len(), 0.0);
+        Total::Dense(std::mem::replace(gs, next))
+    }
+
+    /// Land a round's `total` (reduced at rate `gp`) on `x` and on each
+    /// replica's `params`. Undelayed, this round's total lands and every
+    /// replica restarts from `x`; delayed, the previous round's total lands
+    /// and every replica is re-based onto `x`. Returns the plateau signal
+    /// (adaptive only) if `x` moved.
+    // hot-path: once per round, in place
+    pub(crate) fn round<'a>(
+        &mut self,
+        x: &mut [f32],
+        total: Total,
+        gp: f32,
+        params: impl Iterator<Item = &'a mut [f32]>,
+    ) -> Option<f32> {
+        let delayed = !self.snaps.is_empty();
+        let landed = if delayed {
+            self.pending.replace((total, gp))
+        } else {
+            Some((total, gp))
+        };
+        let signal = landed.as_ref().and_then(|(total, gp)| {
+            total.step(x, *gp);
+            self.adaptive.then(|| total.displacement_sq(*gp))
+        });
+        if delayed {
+            for (params, snap) in params.zip(&mut self.snaps) {
+                if landed.is_some() {
+                    rebase(params, x, snap);
+                }
+                snap.copy_from_slice(params);
+            }
+        } else {
+            params.for_each(|params| params.copy_from_slice(x));
+        }
+        // A landed dense buffer is the next `take_gs`'s; Algorithm 1's own
+        // round (an 8-bit total, say) keeps none.
+        if let (false, Some((Total::Dense(buf), _))) = (self.is_plain(), landed) {
+            self.spare = buf;
+        }
+        signal
+    }
+
+    /// What a finished run reports: the first replica's `params`, with a
+    /// total still pending landed on them.
+    pub(crate) fn final_params(&self, x: &[f32], params: &[f32]) -> Vec<f32> {
+        let mut out = params.to_vec();
+        if let Some((total, gp)) = &self.pending {
+            let mut x = x.to_vec();
+            total.step(&mut x, *gp);
+            rebase(&mut out, &x, &self.snaps[0]);
+        }
+        out
     }
 }
 
@@ -416,8 +518,8 @@ pub enum EngineError {
         label: String,
     },
     /// The algorithm has no exchange for what was asked of it: a fault plan
-    /// needs SASGD's armed gradient tree (flat SASGD, compressed or not, on
-    /// the threaded backend), and a parameter-server algorithm needs a
+    /// needs SASGD's armed gradient tree (flat SASGD in any configuration,
+    /// on the threaded backend), and a parameter-server algorithm needs a
     /// world with shard ranks after its learners (and no other algorithm
     /// has a use for extra ranks).
     UnsupportedExchange {
@@ -474,10 +576,17 @@ pub(crate) fn strategy_for(algo: &crate::algorithms::Algorithm) -> Box<dyn Aggre
         Algorithm::Sequential => Box::new(sequential::SequentialStrategy::new()),
         Algorithm::Sasgd {
             p,
-            t,
+            schedule,
             gamma_p,
             compression,
-        } => Box::new(sasgd::SasgdStrategy::new(p, t, gamma_p, compression)),
+            delayed,
+        } => Box::new(sasgd::SasgdStrategy::new(
+            p,
+            schedule,
+            gamma_p,
+            compression,
+            delayed,
+        )),
         Algorithm::HierarchicalSasgd {
             groups,
             per_group,
@@ -505,10 +614,6 @@ pub(crate) fn strategy_for(algo: &crate::algorithms::Algorithm) -> Box<dyn Aggre
             momentum,
             staleness_gamma,
         )),
-        Algorithm::LocalSgd { p, schedule } => {
-            Box::new(local_sgd::LocalSgdStrategy::new(p, schedule))
-        }
-        Algorithm::DelayedAvg { p, t } => Box::new(dasgd::DaSgdStrategy::new(p, t)),
         Algorithm::ModelAverageOnce { p } => Box::new(averaging::AveragingStrategy::new(p)),
     }
 }
@@ -603,8 +708,9 @@ impl Executor {
     /// left mid-run (evicted, or cut off by a survivable wire failure) in
     /// [`History::retirements`]. The one unsurvivable case — a wire
     /// failure under the recovery coordinator, rank 0 — is
-    /// [`EngineError::WireFailure`]; anything but flat SASGD (compressed or
-    /// not) on the threaded backend is [`EngineError::UnsupportedExchange`].
+    /// [`EngineError::WireFailure`]; anything but flat SASGD (compressed,
+    /// adaptive or delayed too) on the threaded backend is
+    /// [`EngineError::UnsupportedExchange`].
     pub fn try_run_ft(
         &self,
         factory: &(dyn Fn() -> Model + Sync),

@@ -67,9 +67,9 @@ pub fn run_rank<T: Transport>(
 
 /// The cadence `algo` runs at on threads: `requested`, or the strategy's
 /// default. The algorithms that default to event-driven (the asynchronous
-/// parameter-server ones and the averaging lattice points) have no
-/// lockstep exchange on threads; forcing one is a typed error (the
-/// simulated backend executes every strategy under either cadence).
+/// parameter-server ones) have no lockstep exchange on threads; forcing
+/// one is a typed error (the simulated backend executes every strategy
+/// under either cadence).
 pub(crate) fn supported_cadence(
     algo: &Algorithm,
     requested: Option<Cadence>,

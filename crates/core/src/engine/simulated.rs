@@ -149,11 +149,12 @@ fn run_lockstep(
             };
             if s.should_communicate(ctx) == CommDecision::Communicate {
                 s.sync(&mut learners, gamma_now, &mut history);
-                // Lockstep aggregations apply fresh state: τ = 0 for every
-                // rank, by construction.
+                // A lockstep round's staleness is the strategy's, for every
+                // rank alike (0 where it applies fresh state).
+                let tau = s.collective_tau();
                 for id in 0..p {
-                    let gamma_eff = s.observe_staleness(id, 0, gamma_now);
-                    history.push_staleness(syncs, id, 0, gamma_eff);
+                    let gamma_eff = s.observe_staleness(id, tau, gamma_now);
+                    history.push_staleness(syncs, id, tau, gamma_eff);
                 }
                 policy.observe_round(s.sync_signal());
                 syncs += 1;

@@ -83,9 +83,10 @@ pub struct History {
 }
 
 /// One (round, rank) staleness observation: how many global updates landed
-/// between this rank's pull and its push (`tau`), and the learning rate
-/// actually applied after any staleness-aware scaling (`gamma_eff` equals
-/// the scheduled γ when scaling is off).
+/// between this rank's pull and its push (`tau`), and the rate actually
+/// applied after any staleness-aware scaling (`gamma_eff` equals the
+/// scheduled γ when scaling is off; for EAMSGD it is the elastic moving
+/// rate, which is what staleness scales there).
 #[derive(Clone, Copy, Debug)]
 pub struct StalenessSample {
     /// Sync round (0-based) the sample was taken in.

@@ -9,7 +9,7 @@
 //! [`TSchedule`] and [`SyncPolicy`] play the same role for the *other*
 //! knob in Algorithm 1: the aggregation interval `T`. A fixed schedule is
 //! the paper's setting; the adaptive schedule grows `T` when the sync
-//! signal (e.g. the Local-SGD average-displacement norm) plateaus —
+//! signal (SASGD's displacement of the shared `x`) plateaus —
 //! communicating less as training stabilizes, per Stich's Local SGD
 //! analysis.
 
@@ -100,6 +100,16 @@ pub enum TSchedule {
     },
 }
 
+impl TSchedule {
+    /// The interval the first round runs at.
+    pub fn initial_t(&self) -> usize {
+        match *self {
+            TSchedule::Fixed { t } => t,
+            TSchedule::AdaptivePlateau { t0, .. } => t0,
+        }
+    }
+}
+
 /// The live state of a [`TSchedule`]: owns the current interval and the
 /// plateau detector. One policy instance drives one run; both backends
 /// feed it the same per-round signals so its decisions replay exactly.
@@ -119,17 +129,13 @@ impl SyncPolicy {
 
     /// Policy driven by `schedule`, starting at its initial interval.
     pub fn new(schedule: TSchedule) -> Self {
-        let current = match schedule {
-            TSchedule::Fixed { t } => t,
-            TSchedule::AdaptivePlateau { t0, t_max, .. } => {
-                assert!(t0 >= 1, "adaptive schedule needs t0 >= 1");
-                assert!(t_max >= t0, "t_max must be >= t0");
-                t0
-            }
-        };
+        if let TSchedule::AdaptivePlateau { t0, t_max, .. } = schedule {
+            assert!(t0 >= 1, "adaptive schedule needs t0 >= 1");
+            assert!(t_max >= t0, "t_max must be >= t0");
+        }
         SyncPolicy {
             schedule,
-            current,
+            current: schedule.initial_t(),
             best: f32::INFINITY,
             plateau: 0,
         }

@@ -139,12 +139,7 @@ mod tests {
         let (train_set, test_set, cfg) = setup();
         let grid = SweepGrid::over_p(
             &[1, 2, 4],
-            |p| Algorithm::Sasgd {
-                p,
-                t: 2,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
+            |p| Algorithm::sasgd(p, 2, GammaP::OverP),
             cfg.clone(),
         );
         let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
@@ -173,16 +168,7 @@ mod tests {
     #[test]
     fn results_preserve_grid_order() {
         let (train_set, test_set, cfg) = setup();
-        let grid = SweepGrid::over_t(
-            &[1, 4],
-            |t| Algorithm::Sasgd {
-                p: 2,
-                t,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
-            cfg,
-        );
+        let grid = SweepGrid::over_t(&[1, 4], |t| Algorithm::sasgd(2, t, GammaP::OverP), cfg);
         let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
         let results = run_sweep(&grid, &factory, &train_set, &test_set, 0);
         assert_eq!(results[0].algorithm.interval(), 1);
@@ -195,16 +181,7 @@ mod tests {
     #[test]
     fn single_worker_equals_many_workers() {
         let (train_set, test_set, cfg) = setup();
-        let grid = SweepGrid::over_p(
-            &[1, 2],
-            |p| Algorithm::Sasgd {
-                p,
-                t: 1,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
-            cfg,
-        );
+        let grid = SweepGrid::over_p(&[1, 2], |p| Algorithm::sasgd(p, 1, GammaP::OverP), cfg);
         let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
         let serial = run_sweep(&grid, &factory, &train_set, &test_set, 1);
         let many = run_sweep(&grid, &factory, &train_set, &test_set, 0);

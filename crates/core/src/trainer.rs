@@ -14,7 +14,8 @@ use sasgd_nn::{Ctx, EvalTally, Model};
 use sasgd_simnet::{CostModel, JitterModel};
 use sasgd_tensor::{SeedRng, Tensor, Workspace};
 
-use crate::algorithms::{self, Algorithm};
+use crate::algorithms::Algorithm;
+use crate::engine::{simulated, strategy_for};
 use crate::history::{EpochRecord, History};
 use crate::schedule::LrSchedule;
 
@@ -90,64 +91,7 @@ pub fn train(
     assert!(cfg.epochs > 0, "need at least one epoch");
     assert!(cfg.batch_size > 0, "need a positive minibatch size");
     assert!(!train_set.is_empty(), "empty training set");
-    match *algo {
-        Algorithm::Sequential => algorithms::sequential::run(factory, train_set, test_set, cfg),
-        Algorithm::Sasgd {
-            p,
-            t,
-            gamma_p,
-            compression,
-        } => algorithms::sasgd::run(
-            factory,
-            train_set,
-            test_set,
-            cfg,
-            p,
-            t,
-            gamma_p,
-            compression,
-        ),
-        Algorithm::HierarchicalSasgd {
-            groups,
-            per_group,
-            t_local,
-            t_global,
-            gamma_p,
-        } => algorithms::hierarchical::run(
-            factory, train_set, test_set, cfg, groups, per_group, t_local, t_global, gamma_p,
-        ),
-        Algorithm::Downpour {
-            p,
-            t,
-            staleness_gamma,
-        } => algorithms::downpour::run(factory, train_set, test_set, cfg, p, t, staleness_gamma),
-        Algorithm::Eamsgd {
-            p,
-            t,
-            moving_rate,
-            momentum,
-            staleness_gamma,
-        } => algorithms::eamsgd::run(
-            factory,
-            train_set,
-            test_set,
-            cfg,
-            p,
-            t,
-            moving_rate,
-            momentum,
-            staleness_gamma,
-        ),
-        Algorithm::LocalSgd { p, schedule } => {
-            algorithms::local_sgd::run(factory, train_set, test_set, cfg, p, schedule)
-        }
-        Algorithm::DelayedAvg { p, t } => {
-            algorithms::dasgd::run(factory, train_set, test_set, cfg, p, t)
-        }
-        Algorithm::ModelAverageOnce { p } => {
-            algorithms::averaging::run(factory, train_set, test_set, cfg, p)
-        }
-    }
+    simulated::run_auto(&mut *strategy_for(algo), factory, train_set, test_set, cfg)
 }
 
 // ---------------------------------------------------------------------------

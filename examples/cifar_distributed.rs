@@ -28,15 +28,7 @@ fn main() {
 
     let runs: Vec<(&str, Algorithm)> = vec![
         ("SGD (sequential)", Algorithm::Sequential),
-        (
-            "SASGD",
-            Algorithm::Sasgd {
-                p,
-                t,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
-        ),
+        ("SASGD", Algorithm::sasgd(p, t, GammaP::OverP)),
         (
             "Downpour",
             Algorithm::Downpour {

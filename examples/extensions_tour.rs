@@ -31,24 +31,9 @@ fn main() {
     };
     let grid = SweepGrid {
         algorithms: vec![
-            Algorithm::Sasgd {
-                p: 8,
-                t: 5,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
-            Algorithm::Sasgd {
-                p: 8,
-                t: 5,
-                gamma_p: GammaP::OverP,
-                compression: Some(Compression::topk(0.1)),
-            },
-            Algorithm::Sasgd {
-                p: 8,
-                t: 5,
-                gamma_p: GammaP::OverP,
-                compression: Some(Compression::Uniform8Bit),
-            },
+            Algorithm::sasgd(8, 5, GammaP::OverP),
+            Algorithm::sasgd_compressed(8, 5, GammaP::OverP, Compression::topk(0.1)),
+            Algorithm::sasgd_compressed(8, 5, GammaP::OverP, Compression::Uniform8Bit),
             Algorithm::HierarchicalSasgd {
                 groups: 4,
                 per_group: 2,
@@ -73,12 +58,7 @@ fn main() {
     // 2. Staleness: the quantity SASGD bounds and async methods don't.
     println!("\n== staleness (T = 5, p = 8) ==\n");
     for algo in [
-        Algorithm::Sasgd {
-            p: 8,
-            t: 5,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        Algorithm::sasgd(8, 5, GammaP::OverP),
         Algorithm::Downpour {
             p: 8,
             t: 5,

@@ -41,12 +41,7 @@ fn main() {
     for t in [1usize, 2, 5, 10, 25, 50] {
         let cfg = TrainConfig::new(epochs, 8, gamma, 42);
         let mut factory = || models::tiny_cnn(10, &mut SeedRng::new(7));
-        let algo = Algorithm::Sasgd {
-            p,
-            t,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        };
+        let algo = Algorithm::sasgd(p, t, GammaP::OverP);
         let h = train(&mut factory, &train_set, &test_set, &algo, &cfg);
         // Simulated seconds until the target accuracy is first reached.
         let time_to_target = h

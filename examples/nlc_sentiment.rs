@@ -38,15 +38,7 @@ fn main() {
     let mut rows = Vec::new();
     for p in [1usize, 4, 8, 16] {
         for (name, algo) in [
-            (
-                "SASGD",
-                Algorithm::Sasgd {
-                    p,
-                    t,
-                    gamma_p: GammaP::OverP,
-                    compression: None,
-                },
-            ),
+            ("SASGD", Algorithm::sasgd(p, t, GammaP::OverP)),
             (
                 "Downpour",
                 Algorithm::Downpour {

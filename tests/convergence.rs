@@ -24,12 +24,7 @@ fn every_algorithm_learns_at_small_p() {
     let (train_set, test_set) = cifar();
     let algos = [
         Algorithm::Sequential,
-        Algorithm::Sasgd {
-            p: 2,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        Algorithm::sasgd(2, 2, GammaP::OverP),
         Algorithm::Downpour {
             p: 2,
             t: 1,
@@ -77,12 +72,7 @@ fn sasgd_tolerates_more_learners_than_downpour() {
         &mut f1,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p,
-            t,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(p, t, GammaP::OverP),
         &c,
     );
     let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(5));
@@ -118,12 +108,7 @@ fn interval_increases_sample_complexity() {
             &mut f,
             &train_set,
             &test_set,
-            &Algorithm::Sasgd {
-                p: 4,
-                t,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
+            &Algorithm::sasgd(4, t, GammaP::OverP),
             &c,
         );
         accs.push(h.final_train_acc());
@@ -148,12 +133,7 @@ fn sasgd_comm_time_amortizes_with_t() {
             &mut f,
             &train_set,
             &test_set,
-            &Algorithm::Sasgd {
-                p: 4,
-                t,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
+            &Algorithm::sasgd(4, t, GammaP::OverP),
             &c,
         );
         comm.push(h.records.last().expect("records").comm_seconds);
@@ -176,12 +156,7 @@ fn nlc_workload_trains_with_sasgd() {
         &mut f,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 4,
-            t: 5,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(4, 5, GammaP::OverP),
         &c,
     );
     assert!(
@@ -217,12 +192,7 @@ fn one_shot_averaging_underperforms_sasgd() {
         &mut f2,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(p, 2, GammaP::OverP),
         &c,
     );
     assert!(

@@ -16,12 +16,7 @@ fn run(algo: &Algorithm, seed: u64) -> History {
 fn algos() -> Vec<Algorithm> {
     vec![
         Algorithm::Sequential,
-        Algorithm::Sasgd {
-            p: 4,
-            t: 3,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        Algorithm::sasgd(4, 3, GammaP::OverP),
         Algorithm::Downpour {
             p: 4,
             t: 2,
@@ -34,7 +29,7 @@ fn algos() -> Vec<Algorithm> {
             momentum: 0.5,
             staleness_gamma: false,
         },
-        Algorithm::LocalSgd {
+        Algorithm::Sasgd {
             p: 4,
             schedule: TSchedule::AdaptivePlateau {
                 t0: 2,
@@ -42,8 +37,17 @@ fn algos() -> Vec<Algorithm> {
                 patience: 1,
                 rel_improve: 0.2,
             },
+            gamma_p: GammaP::OverP,
+            compression: None,
+            delayed: false,
         },
-        Algorithm::DelayedAvg { p: 4, t: 2 },
+        Algorithm::Sasgd {
+            p: 4,
+            schedule: TSchedule::Fixed { t: 2 },
+            gamma_p: GammaP::OverP,
+            compression: None,
+            delayed: true,
+        },
         Algorithm::ModelAverageOnce { p: 4 },
     ]
 }

@@ -30,12 +30,7 @@ fn threaded_equals_simulated_sasgd_bitwise() {
     for (p, t) in [(1usize, 1usize), (2, 1), (4, 2), (3, 5)] {
         let cfg = quiet_cfg(3, 0.05, 21);
         let factory = || models::tiny_cnn(3, &mut SeedRng::new(5));
-        let algo = Algorithm::Sasgd {
-            p,
-            t,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        };
+        let algo = Algorithm::sasgd(p, t, GammaP::OverP);
         let h_thread =
             Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
         let mut f = || models::tiny_cnn(3, &mut SeedRng::new(5));
@@ -184,18 +179,48 @@ fn threaded_equals_simulated_eamsgd_p1_bitwise() {
     );
 }
 
+/// SASGD at `γp = γ/p` on the averaging lattice: Local SGD's interval
+/// `schedule`, DaSGD's `delayed` landing, any codec.
+fn lattice(
+    p: usize,
+    schedule: TSchedule,
+    delayed: bool,
+    compression: Option<Compression>,
+) -> Algorithm {
+    Algorithm::Sasgd {
+        p,
+        schedule,
+        gamma_p: GammaP::OverP,
+        compression,
+        delayed,
+    }
+}
+
+/// The plateau schedule the adaptive rows run: doubles `T` within a few
+/// rounds of a tiny run.
+const ADAPTIVE: TSchedule = TSchedule::AdaptivePlateau {
+    t0: 1,
+    t_max: 8,
+    patience: 1,
+    rel_improve: 0.2,
+};
+
+/// `quiet_cfg` under the event-driven cadence.
+fn event_cfg(epochs: usize, gamma: f32, seed: u64) -> TrainConfig {
+    let mut cfg = quiet_cfg(epochs, gamma, seed);
+    cfg.cadence = Some(Cadence::EventDriven);
+    cfg
+}
+
 #[test]
 fn threaded_equals_simulated_local_sgd_bitwise() {
-    // Parameter averaging is allreduce-shaped: one rank-independent γ per
-    // round and a binomial-tree reduction, so real threads must reproduce
-    // the simulated event engine bit for bit at ANY p, not just p=1.
+    // Local SGD is SASGD at `γp = γ/p`: one rank-independent γ per round
+    // and a binomial-tree reduction, so real threads must reproduce the
+    // simulated event engine bit for bit at ANY p, not just p=1.
     for p in [1usize, 4] {
         assert_backends_agree(
-            &Algorithm::LocalSgd {
-                p,
-                schedule: TSchedule::Fixed { t: 2 },
-            },
-            &quiet_cfg(3, 0.05, 23),
+            &lattice(p, TSchedule::Fixed { t: 2 }, false, None),
+            &event_cfg(3, 0.05, 23),
             5,
         );
     }
@@ -203,34 +228,24 @@ fn threaded_equals_simulated_local_sgd_bitwise() {
 
 #[test]
 fn threaded_equals_simulated_adaptive_local_sgd_bitwise() {
-    // The adaptive policy is driven by the average-displacement signal,
-    // which both backends compute from identical floats — so the interval
-    // doublings land on the same rounds and the trajectories stay bitwise
-    // equal.
+    // The adaptive policy is driven by the displacement of `x`, which both
+    // backends fold from identical floats — so the interval doublings land
+    // on the same rounds and the trajectories stay bitwise equal.
     assert_backends_agree(
-        &Algorithm::LocalSgd {
-            p: 4,
-            schedule: TSchedule::AdaptivePlateau {
-                t0: 1,
-                t_max: 8,
-                patience: 1,
-                rel_improve: 0.2,
-            },
-        },
-        &quiet_cfg(3, 0.05, 29),
+        &lattice(4, ADAPTIVE, false, None),
+        &event_cfg(3, 0.05, 29),
         5,
     );
 }
 
 #[test]
 fn threaded_equals_simulated_delayed_avg_bitwise() {
-    // Delayed averaging is also allreduce-shaped (the delay changes when
-    // the average lands, not the float sequence), so the cross-backend
-    // contract again holds at any p.
+    // The delay changes when a total lands, not the float sequence, so the
+    // cross-backend contract again holds at any p.
     for p in [1usize, 4] {
         assert_backends_agree(
-            &Algorithm::DelayedAvg { p, t: 2 },
-            &quiet_cfg(3, 0.05, 31),
+            &lattice(p, TSchedule::Fixed { t: 2 }, true, None),
+            &event_cfg(3, 0.05, 31),
             5,
         );
     }
@@ -243,16 +258,10 @@ fn event_driven_p1_collapses_to_simulated_bitwise() {
     // bit. (Downpour and EAMSGD p=1 are pinned by the dedicated tests
     // above; these are the collective strategies under an explicit
     // event-driven cadence.)
-    let mut cfg = quiet_cfg(2, 0.05, 37);
-    cfg.cadence = Some(Cadence::EventDriven);
+    let cfg = event_cfg(2, 0.05, 37);
     for algo in [
         Algorithm::Sequential,
-        Algorithm::Sasgd {
-            p: 1,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        Algorithm::sasgd(1, 2, GammaP::OverP),
         Algorithm::HierarchicalSasgd {
             groups: 1,
             per_group: 1,
@@ -261,11 +270,8 @@ fn event_driven_p1_collapses_to_simulated_bitwise() {
             gamma_p: GammaP::OverP,
         },
         Algorithm::ModelAverageOnce { p: 1 },
-        Algorithm::LocalSgd {
-            p: 1,
-            schedule: TSchedule::Fixed { t: 2 },
-        },
-        Algorithm::DelayedAvg { p: 1, t: 2 },
+        lattice(1, ADAPTIVE, false, None),
+        lattice(1, TSchedule::Fixed { t: 2 }, true, None),
     ] {
         assert_backends_agree(&algo, &cfg, 5);
     }
@@ -284,12 +290,7 @@ fn sync_sgd_is_sasgd_with_t1() {
         &mut f1,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p,
-            t: 1,
-            gamma_p: GammaP::Fixed(0.05 / p as f32),
-            compression: None,
-        },
+        &Algorithm::sasgd(p, 1, GammaP::Fixed(0.05 / p as f32)),
         &cfg,
     );
     let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(7));
@@ -297,12 +298,7 @@ fn sync_sgd_is_sasgd_with_t1() {
         &mut f2,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p,
-            t: 1,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(p, 1, GammaP::OverP),
         &cfg,
     );
     for (x, y) in a.records.iter().zip(&b.records) {
@@ -352,12 +348,7 @@ fn gamma_p_policies_change_trajectories() {
         &mut f1,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 4,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(4, 2, GammaP::OverP),
         &cfg,
     );
     let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(1));
@@ -365,12 +356,7 @@ fn gamma_p_policies_change_trajectories() {
         &mut f2,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 4,
-            t: 2,
-            gamma_p: GammaP::SameAsGamma,
-            compression: None,
-        },
+        &Algorithm::sasgd(4, 2, GammaP::SameAsGamma),
         &cfg,
     );
     assert_ne!(
@@ -384,12 +370,7 @@ fn gamma_p_policies_change_trajectories() {
 // table is the one statement of what each cell promises.
 
 fn sasgd_with(p: usize, compression: Option<Compression>) -> Algorithm {
-    Algorithm::Sasgd {
-        p,
-        t: 2,
-        gamma_p: GammaP::OverP,
-        compression,
-    }
+    lattice(p, TSchedule::Fixed { t: 2 }, false, compression)
 }
 
 fn sparse(k: KSchedule, q8: bool, union_bound: bool) -> Option<Compression> {
@@ -413,7 +394,7 @@ fn hierarchical(groups: usize, per_group: usize, t_local: usize) -> Algorithm {
 /// different orders, and only the bookkeeping is compared).
 type Family = (fn(usize) -> Algorithm, bool, bool);
 
-const FAMILIES: [Family; 14] = [
+const FAMILIES: [Family; 16] = [
     (|_| Algorithm::Sequential, true, true),
     (|p| sasgd_with(p, None), true, true),
     (|p| sasgd_with(p, Some(Compression::topk(0.25))), true, true),
@@ -443,15 +424,27 @@ const FAMILIES: [Family; 14] = [
     // accumulates them in rank order.
     (|p| hierarchical(p, 2, 1), true, false),
     (|p| Algorithm::ModelAverageOnce { p }, true, true),
+    // The averaging lattice: Local SGD's adaptive interval, DaSGD's
+    // delayed landing, each also over a codec.
+    (|p| lattice(p, ADAPTIVE, false, None), true, true),
     (
-        |p| Algorithm::LocalSgd {
-            p,
-            schedule: TSchedule::Fixed { t: 2 },
-        },
-        false,
+        |p| lattice(p, TSchedule::Fixed { t: 2 }, true, None),
+        true,
         true,
     ),
-    (|p| Algorithm::DelayedAvg { p, t: 2 }, false, true),
+    (
+        |p| {
+            let k = KSchedule::layer_wise(0.01);
+            lattice(p, TSchedule::Fixed { t: 2 }, true, sparse(k, false, false))
+        },
+        true,
+        true,
+    ),
+    (
+        |p| lattice(p, ADAPTIVE, false, Some(Compression::Uniform8Bit)),
+        true,
+        true,
+    ),
     (
         |p| Algorithm::Downpour {
             p,
@@ -491,6 +484,13 @@ fn assert_bitwise(cell: &str, sim: &History, thr: &History) {
         h.sparsity_series.iter().map(bits).collect()
     };
     assert_eq!(series(sim), series(thr), "{cell}: sparsity series");
+    // Every rank's staleness at every round, the rate it applied included.
+    let staleness = |h: &History| -> Vec<(u64, usize, u64, u32)> {
+        let bits =
+            |s: &sasgd::core::StalenessSample| (s.round, s.rank, s.tau, s.gamma_eff.to_bits());
+        h.staleness_series.iter().map(bits).collect()
+    };
+    assert_eq!(staleness(sim), staleness(thr), "{cell}: staleness series");
 }
 
 #[test]

@@ -58,34 +58,19 @@ fn goldens() -> Vec<Golden> {
         },
         Golden {
             name: "sasgd_p4_t2",
-            algo: Algorithm::Sasgd {
-                p: 4,
-                t: 2,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
+            algo: Algorithm::sasgd(4, 2, GammaP::OverP),
             hash: 0xae37_8f2c_1b9a_b357,
             head: [0xbd89768f, 0xbd090af7, 0x3d45c332, 0x3ddd0f3a],
         },
         Golden {
             name: "sasgd_p2_t2_topk25",
-            algo: Algorithm::Sasgd {
-                p: 2,
-                t: 2,
-                gamma_p: GammaP::OverP,
-                compression: Some(Compression::topk(0.25)),
-            },
+            algo: Algorithm::sasgd_compressed(2, 2, GammaP::OverP, Compression::topk(0.25)),
             hash: 0x7b15_802e_c791_7c13,
             head: [0xbd80551d, 0xbcea33ec, 0x3d54e1f0, 0x3de00d6f],
         },
         Golden {
             name: "sasgd_p2_t2_8bit",
-            algo: Algorithm::Sasgd {
-                p: 2,
-                t: 2,
-                gamma_p: GammaP::OverP,
-                compression: Some(Compression::Uniform8Bit),
-            },
+            algo: Algorithm::sasgd_compressed(2, 2, GammaP::OverP, Compression::Uniform8Bit),
             hash: 0x2488_0a77_8fed_7fd9,
             head: [0xbd801e8a, 0xbce70075, 0x3d5aae27, 0x3de30b8a],
         },
@@ -163,35 +148,24 @@ fn final_params_match_pre_engine_goldens() {
 }
 
 /// The same workload under `Cadence::EventDriven` — pinning the
-/// event-driven simulated engine's numerics, including the new lattice
-/// strategies. Generated fresh for the event engine (the collective event
-/// loop resolves one γ per round from nominal steps, so it is NOT expected
-/// to match the lockstep hashes above).
+/// event-driven simulated engine's numerics, including SASGD's adaptive and
+/// delayed lattice points. Generated fresh for the event engine (the
+/// collective event loop resolves one γ per round from nominal steps, so it
+/// is NOT expected to match the lockstep hashes above). The adaptive and
+/// delayed pins were taken when Local SGD and DaSGD became SASGD
+/// configurations: stepping on summed gradients and averaging replicas
+/// differ by float association.
 fn event_goldens() -> Vec<Golden> {
     vec![
         Golden {
             name: "event_sasgd_p4_t2",
-            algo: Algorithm::Sasgd {
-                p: 4,
-                t: 2,
-                gamma_p: GammaP::OverP,
-                compression: None,
-            },
+            algo: Algorithm::sasgd(4, 2, GammaP::OverP),
             hash: 0xae37_8f2c_1b9a_b357,
             head: [0xbd89768f, 0xbd090af7, 0x3d45c332, 0x3ddd0f3a],
         },
         Golden {
-            name: "event_localsgd_p4_t2",
-            algo: Algorithm::LocalSgd {
-                p: 4,
-                schedule: TSchedule::Fixed { t: 2 },
-            },
-            hash: 0xd0b2_a679_9476_b628,
-            head: [0xbd897690, 0xbd090af8, 0x3d45c332, 0x3ddd0f3c],
-        },
-        Golden {
             name: "event_localsgd_p4_adaptive",
-            algo: Algorithm::LocalSgd {
+            algo: Algorithm::Sasgd {
                 p: 4,
                 schedule: TSchedule::AdaptivePlateau {
                     t0: 1,
@@ -199,15 +173,24 @@ fn event_goldens() -> Vec<Golden> {
                     patience: 1,
                     rel_improve: 0.2,
                 },
+                gamma_p: GammaP::OverP,
+                compression: None,
+                delayed: false,
             },
-            hash: 0x8f97_0a1e_8807_0f72,
-            head: [0xbd847bac, 0xbcfe8cc5, 0x3d4c984e, 0x3de11ffa],
+            hash: 0xbbf5_c333_0ca3_e28d,
+            head: [0xbd847bac, 0xbcfe8cc7, 0x3d4c984f, 0x3de11ffb],
         },
         Golden {
             name: "event_dasgd_p4_t2",
-            algo: Algorithm::DelayedAvg { p: 4, t: 2 },
-            hash: 0x0f4e_6dce_a86e_4211,
-            head: [0xbd8930d2, 0xbd07f678, 0x3d446b36, 0x3ddd33df],
+            algo: Algorithm::Sasgd {
+                p: 4,
+                schedule: TSchedule::Fixed { t: 2 },
+                gamma_p: GammaP::OverP,
+                compression: None,
+                delayed: true,
+            },
+            hash: 0x70b4_840b_e7ca_5850,
+            head: [0xbd8930d2, 0xbd07f677, 0x3d446b35, 0x3ddd33de],
         },
         Golden {
             name: "event_modelavg_p3",

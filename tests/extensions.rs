@@ -28,12 +28,7 @@ fn compressed_sasgd_learns_and_saves_traffic_time() {
         &mut f1,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 4,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(4, 2, GammaP::OverP),
         &c,
     );
     let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(7));
@@ -41,12 +36,7 @@ fn compressed_sasgd_learns_and_saves_traffic_time() {
         &mut f2,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 4,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: Some(Compression::topk(0.1)),
-        },
+        &Algorithm::sasgd_compressed(4, 2, GammaP::OverP, Compression::topk(0.1)),
         &c,
     );
     assert!(
@@ -82,12 +72,7 @@ fn quantized_sasgd_tracks_plain_closely() {
         &mut f1,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 2,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(2, 2, GammaP::OverP),
         &c,
     );
     let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(3));
@@ -95,12 +80,7 @@ fn quantized_sasgd_tracks_plain_closely() {
         &mut f2,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 2,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: Some(Compression::Uniform8Bit),
-        },
+        &Algorithm::sasgd_compressed(2, 2, GammaP::OverP, Compression::Uniform8Bit),
         &c,
     );
     assert!(
@@ -121,12 +101,7 @@ fn step_decay_schedule_changes_late_trajectory_only() {
         every: 3,
         factor: 0.1,
     };
-    let algo = Algorithm::Sasgd {
-        p: 2,
-        t: 1,
-        gamma_p: GammaP::OverP,
-        compression: None,
-    };
+    let algo = Algorithm::sasgd(2, 1, GammaP::OverP);
     let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(9));
     let a = train(&mut f1, &train_set, &test_set, &algo, &constant);
     let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(9));
@@ -157,12 +132,7 @@ fn warmup_schedule_trains_successfully() {
         &mut f,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 4,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(4, 2, GammaP::OverP),
         &c,
     );
     assert!(
@@ -187,12 +157,7 @@ fn staleness_is_t_for_sasgd_and_spreads_for_downpour() {
         &mut f1,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 4,
-            t,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(4, t, GammaP::OverP),
         &c,
     );
     let st = sasgd.staleness.expect("SASGD records staleness");
@@ -239,12 +204,7 @@ fn lockstep_staleness_series_records_all_zero_tau() {
         &mut f,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(p, 2, GammaP::OverP),
         &c,
     );
     assert!(!h.staleness_series.is_empty(), "lockstep records samples");

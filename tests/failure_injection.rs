@@ -6,7 +6,7 @@ use sasgd::comm::world::CommWorld;
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
     train, Algorithm, Backend, Compression, Executor, FaultConfig, FaultPlan, History, KSchedule,
-    TrainConfig,
+    TSchedule, TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
@@ -21,12 +21,7 @@ fn extreme_jitter_changes_time_not_math() {
     // the gradients of the synchronous algorithms: SASGD's trajectory is
     // identical under any jitter level.
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 3));
-    let algo = Algorithm::Sasgd {
-        p: 4,
-        t: 2,
-        gamma_p: GammaP::OverP,
-        compression: None,
-    };
+    let algo = Algorithm::sasgd(4, 2, GammaP::OverP);
     let mut histories = Vec::new();
     for cv in [0.0f64, 1.5] {
         let mut cfg = TrainConfig::new(3, 8, 0.05, 7);
@@ -91,12 +86,7 @@ fn single_class_dataset_trains_to_perfection() {
         &mut f,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 2,
-            t: 1,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(2, 1, GammaP::OverP),
         &cfg,
     );
     assert_eq!(h.final_test_acc(), 1.0);
@@ -134,12 +124,7 @@ fn minibatch_larger_than_shard_still_runs() {
         &mut f,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 2,
-            t: 1,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
+        &Algorithm::sasgd(2, 1, GammaP::OverP),
         &cfg,
     );
     assert_eq!(h.records.len(), 2);
@@ -355,12 +340,7 @@ fn run_compressed(
     compression: Compression,
     faults: Option<&FaultConfig>,
 ) -> History {
-    let algo = Algorithm::Sasgd {
-        p,
-        t,
-        gamma_p: GammaP::OverP,
-        compression: Some(compression),
-    };
+    let algo = Algorithm::sasgd_compressed(p, t, GammaP::OverP, compression);
     let exec = Executor::new(Backend::Threaded);
     match faults {
         None => exec.run(f, train_set, test_set, &algo, cfg),
@@ -432,6 +412,75 @@ fn compressed_crash_one_of_eight_completes_and_replays_bitwise() {
     );
 }
 
+/// SASGD(`p`, `t`, γ/p) with each round's total landing one round late.
+fn delayed_sasgd(p: usize, t: usize) -> Algorithm {
+    Algorithm::Sasgd {
+        p,
+        schedule: TSchedule::Fixed { t },
+        gamma_p: GammaP::OverP,
+        compression: None,
+        delayed: true,
+    }
+}
+
+#[test]
+fn delayed_ft_with_empty_plan_matches_plain_threaded_bitwise() {
+    // The delay rides on the armed tree like any codec does: with nothing
+    // failing, the armed delayed run is the unarmed one.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
+    let cfg = TrainConfig::new(3, 8, 0.05, 11);
+    let f = || models::tiny_cnn(3, &mut SeedRng::new(5));
+    let algo = delayed_sasgd(4, 2);
+    let exec = Executor::new(Backend::Threaded);
+    let plain = exec.run(&f, &train_set, &test_set, &algo, &cfg);
+    let ft = exec
+        .try_run_ft(
+            &f,
+            &train_set,
+            &test_set,
+            &algo,
+            &cfg,
+            &FaultConfig::default(),
+        )
+        .expect("nothing fails");
+    assert!(plain.final_params.is_some());
+    assert_eq!(plain.final_params, ft.final_params, "{}", plain.label);
+    assert!(ft.membership.is_empty() && ft.retirements.is_empty());
+}
+
+#[test]
+fn delayed_crash_one_of_eight_completes_and_replays_bitwise() {
+    // The 1-of-8 crash under the one-round delay: the seven survivors land
+    // the pending total and finish at γ/7, and the same plan replays
+    // bitwise.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(256, 64, 3));
+    let cfg = TrainConfig::new(3, 8, 0.05, 13);
+    let f = || models::tiny_cnn(3, &mut SeedRng::new(9));
+    let plan = FaultPlan::seeded(0xFA17, 8, 1, 3);
+    let crashed = plan.events[0].rank;
+    let faults = FaultConfig {
+        plan,
+        deadline: FT_DEADLINE,
+    };
+    let algo = delayed_sasgd(8, 2);
+    let run = || {
+        Executor::new(Backend::Threaded)
+            .try_run_ft(&f, &train_set, &test_set, &algo, &cfg, &faults)
+            .expect("the delayed run degrades onto its survivors")
+    };
+    let (h, again) = (run(), run());
+    assert_eq!(h.records.len(), 3, "all epochs ran on the survivors");
+    assert_eq!(h.membership.len(), 1, "exactly one membership change");
+    let ev = &h.membership[0];
+    assert_eq!((&ev.lost, ev.survivors, ev.epoch), (&vec![crashed], 7, 1));
+    assert!((ev.gamma_p - 0.05 / 7.0).abs() < 1e-7, "γp {}", ev.gamma_p);
+    assert!(h.final_params.is_some());
+    assert_eq!(
+        h.final_params, again.final_params,
+        "degraded run not bitwise"
+    );
+}
+
 #[test]
 fn zero_learning_rate_is_a_fixed_point() {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(32, 16, 2));
@@ -441,12 +490,7 @@ fn zero_learning_rate_is_a_fixed_point() {
         &mut f,
         &train_set,
         &test_set,
-        &Algorithm::Sasgd {
-            p: 2,
-            t: 1,
-            gamma_p: GammaP::Fixed(0.0),
-            compression: None,
-        },
+        &Algorithm::sasgd(2, 1, GammaP::Fixed(0.0)),
         &cfg,
     );
     let first = h.records.first().expect("records");

@@ -12,7 +12,9 @@ use sasgd::comm::sparse::{
 use sasgd::comm::world::CommWorld;
 use sasgd::core::epoch_time::{epoch_time, Aggregation, Workload};
 use sasgd::core::theory;
-use sasgd::core::{train, Algorithm, Backend, Compression, Executor, TSchedule, TrainConfig};
+use sasgd::core::{
+    train, Algorithm, Backend, Cadence, Compression, Executor, GammaP, TSchedule, TrainConfig,
+};
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
 use sasgd::nn::models;
@@ -262,10 +264,24 @@ proptest! {
 // ---- Event-driven engine invariants ------------------------------------
 // Each case runs real (tiny) training, so the case count stays low.
 
+/// Event-driven, jitter-free: the cadence the averaging lattice points
+/// first ran at.
 fn lattice_cfg(seed: u64) -> TrainConfig {
     let mut cfg = TrainConfig::new(2, 8, 0.05, seed);
     cfg.jitter = JitterModel::none();
+    cfg.cadence = Some(Cadence::EventDriven);
     cfg
+}
+
+/// Uncompressed, undelayed SASGD at `γp = γ/p` under `schedule`.
+fn local_sgd(p: usize, schedule: TSchedule) -> Algorithm {
+    Algorithm::Sasgd {
+        p,
+        schedule,
+        gamma_p: GammaP::OverP,
+        compression: None,
+        delayed: false,
+    }
 }
 
 proptest! {
@@ -295,7 +311,7 @@ proptest! {
         };
         let (train_set, test_set) = generate(&CifarLikeConfig::tiny(64, 16, 2));
         let cfg = lattice_cfg(seed);
-        let algo = Algorithm::LocalSgd { p: 1, schedule };
+        let algo = local_sgd(1, schedule);
         let factory = move || models::tiny_cnn(2, &mut SeedRng::new(7));
         let sim = Executor::new(Backend::Simulated).run(&factory, &train_set, &test_set, &algo, &cfg);
         let thr = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
@@ -322,7 +338,7 @@ proptest! {
             &mut f1,
             &train_set,
             &test_set,
-            &Algorithm::LocalSgd { p: 2, schedule: TSchedule::Fixed { t: t0 } },
+            &local_sgd(2, TSchedule::Fixed { t: t0 }),
             &cfg,
         );
         let mut f2 = || models::tiny_cnn(2, &mut SeedRng::new(7));
@@ -330,15 +346,15 @@ proptest! {
             &mut f2,
             &train_set,
             &test_set,
-            &Algorithm::LocalSgd {
-                p: 2,
-                schedule: TSchedule::AdaptivePlateau {
+            &local_sgd(
+                2,
+                TSchedule::AdaptivePlateau {
                     t0,
                     t_max: t0 * 8,
                     patience,
                     rel_improve,
                 },
-            },
+            ),
             &cfg,
         );
         prop_assert!(

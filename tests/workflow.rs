@@ -22,12 +22,7 @@ fn checkpoint_resume_reaches_same_quality_as_uninterrupted() {
     let (train_set, test_set) = cifar(160, 60);
     let mut cfg = TrainConfig::new(6, 8, 0.05, 42);
     cfg.jitter = JitterModel::none();
-    let algo = Algorithm::Sasgd {
-        p: 2,
-        t: 2,
-        gamma_p: GammaP::OverP,
-        compression: None,
-    };
+    let algo = Algorithm::sasgd(2, 2, GammaP::OverP);
 
     let mut f = || models::tiny_cnn(3, &mut SeedRng::new(7));
     let straight = train(&mut f, &train_set, &test_set, &algo, &cfg);
@@ -151,12 +146,7 @@ fn alexnet_style_network_trains_with_sasgd() {
     cfg.jitter = JitterModel::none();
     cfg.eval_cap = 96;
     let mut f = || models::alexnet_32(8, 10, &mut SeedRng::new(7));
-    let algo = Algorithm::Sasgd {
-        p: 2,
-        t: 2,
-        gamma_p: GammaP::OverP,
-        compression: None,
-    };
+    let algo = Algorithm::sasgd(2, 2, GammaP::OverP);
     let h = train(&mut f, &train_set, &test_set, &algo, &cfg);
     let first = h.records.first().expect("r").train_loss;
     let last = h.records.last().expect("r").train_loss;
@@ -171,16 +161,7 @@ fn sweep_reproduces_figure_style_grid() {
     let (train_set, test_set) = cifar(96, 24);
     let mut cfg = TrainConfig::new(2, 8, 0.05, 42);
     cfg.jitter = JitterModel::none();
-    let grid = SweepGrid::over_p(
-        &[1, 2, 4],
-        |p| Algorithm::Sasgd {
-            p,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        },
-        cfg,
-    );
+    let grid = SweepGrid::over_p(&[1, 2, 4], |p| Algorithm::sasgd(p, 2, GammaP::OverP), cfg);
     let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
     let results = run_sweep(&grid, &factory, &train_set, &test_set, 2);
     let rows = summarize(&results);

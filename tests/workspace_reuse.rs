@@ -55,12 +55,7 @@ fn engine_runs_are_bitwise_stable_across_backends_and_p() {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(64, 16, 3));
     let cfg = TrainConfig::new(2, 8, 0.05, 42);
     for p in [1usize, 4] {
-        let algo = Algorithm::Sasgd {
-            p,
-            t: 2,
-            gamma_p: GammaP::OverP,
-            compression: None,
-        };
+        let algo = Algorithm::sasgd(p, 2, GammaP::OverP);
         for backend in [Backend::Simulated, Backend::Threaded] {
             let run = |_: usize| {
                 let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));

@@ -96,9 +96,13 @@ fn a_steady_state_step_and_round_allocate_no_model_sized_buffer() {
         Algorithm::Sequential,
         Algorithm::sasgd(2, 1, GammaP::OverP),
         Algorithm::sasgd_compressed(2, 1, GammaP::OverP, layer_wise_1pct),
-        Algorithm::LocalSgd {
+        // The delayed round rotates `gs`, the pending total and the snapshot.
+        Algorithm::Sasgd {
             p: 2,
             schedule: TSchedule::Fixed { t: 1 },
+            gamma_p: GammaP::OverP,
+            compression: None,
+            delayed: true,
         },
     ] {
         let (short, long) = (allocated(&algo, epochs), allocated(&algo, 2 * epochs));
