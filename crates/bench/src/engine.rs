@@ -57,7 +57,7 @@ pub fn run_matrix(scale: Scale, epochs: Option<usize>) -> Vec<EngineRow> {
             momentum: 0.9,
             staleness_gamma: false,
         },
-        Algorithm::ModelAverageOnce { p },
+        Algorithm::model_average_once(p),
     ];
     let mut rows = Vec::new();
     for algo in &algos {
@@ -144,7 +144,7 @@ pub fn engine(scale: Scale, epochs: Option<usize>) -> Artifact {
     };
     if let (Some(dense), Some(sparse)) = (
         threaded_wire("SASGD-threaded"),
-        threaded_wire("SASGD-compressed-threaded"),
+        threaded_wire("SASGD-k10.0%-threaded"),
     ) {
         report.push_str(&format!(
             "\nThreaded SASGD wire elements: dense {dense} vs top-10% {sparse} \

@@ -181,7 +181,7 @@ pub fn noniid(scale: Scale, epochs: Option<usize>) -> Artifact {
     for (tag, data) in [("IID", &w.train), ("by-class", &sorted_train)] {
         for (name, algo) in [
             ("SASGD(T=5)", Algorithm::sasgd(p, 5, GammaP::OverP)),
-            ("ModelAvgOnce", Algorithm::ModelAverageOnce { p }),
+            ("ModelAvgOnce", Algorithm::model_average_once(p)),
         ] {
             let cfg = TrainConfig::new(w.epochs, w.batch, w.gamma_hi, 0xA1D);
             let mut f = || (w.factory)();

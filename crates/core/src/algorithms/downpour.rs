@@ -46,14 +46,6 @@ impl DownpourStrategy {
 }
 
 impl AggregationStrategy for DownpourStrategy {
-    fn label(&self) -> String {
-        if self.staleness_gamma {
-            format!("Downpour-s\u{3b3}(p={},T={})", self.p, self.t)
-        } else {
-            format!("Downpour(p={},T={})", self.p, self.t)
-        }
-    }
-
     fn p(&self) -> usize {
         self.p
     }

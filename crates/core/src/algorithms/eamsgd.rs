@@ -81,14 +81,6 @@ impl EamsgdStrategy {
 }
 
 impl AggregationStrategy for EamsgdStrategy {
-    fn label(&self) -> String {
-        if self.staleness_gamma {
-            format!("EAMSGD-s\u{3b3}(p={},T={})", self.p, self.t)
-        } else {
-            format!("EAMSGD(p={},T={})", self.p, self.t)
-        }
-    }
-
     fn p(&self) -> usize {
         self.p
     }

@@ -72,13 +72,6 @@ impl HierarchicalStrategy {
 }
 
 impl AggregationStrategy for HierarchicalStrategy {
-    fn label(&self) -> String {
-        format!(
-            "H-SASGD(g={}x{},Tl={},Tg={})",
-            self.groups, self.per_group, self.t_local, self.t_global
-        )
-    }
-
     fn p(&self) -> usize {
         self.groups * self.per_group
     }

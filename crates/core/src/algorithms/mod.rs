@@ -3,12 +3,10 @@
 use crate::compress::Compression;
 use crate::schedule::TSchedule;
 
-pub(crate) mod averaging;
 pub(crate) mod downpour;
 pub(crate) mod eamsgd;
 pub(crate) mod hierarchical;
 pub(crate) mod sasgd;
-pub(crate) mod sequential;
 
 /// How SASGD's global learning rate `γp` is chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -40,7 +38,9 @@ impl GammaP {
 #[derive(Clone, Copy, Debug)]
 pub enum Algorithm {
     /// Plain sequential SGD — the paper's baseline ("SGD", also the p=1
-    /// rows of every figure).
+    /// rows of every figure). A spelling of SASGD at `p = 1`, `T = 1`,
+    /// `γp = γ`, whose round is exactly the step `x ← x − γ·g`: it runs as
+    /// that lattice point and keeps only its label.
     Sequential,
     /// Sparse-aggregation SGD (Algorithm 1): `p` learners over data
     /// shards, `T` local steps between allreduce aggregations, optionally
@@ -50,13 +50,16 @@ pub enum Algorithm {
     /// With `γp = γ/p` the global step averages the locally updated
     /// replicas (§III: "Alg. 1 simulates model averaging"), so the
     /// averaging lattice is configuration: an adaptive `schedule` is Local
-    /// SGD's growing interval (Stich), and `delayed` is DaSGD's one-round
-    /// delay (Zhou et al.).
+    /// SGD's growing interval (Stich), `delayed` is DaSGD's one-round
+    /// delay (Zhou et al.), and `Fixed { t: 0 }` stretches the interval to
+    /// the whole run — one-shot averaging
+    /// ([`model_average_once`](Algorithm::model_average_once)).
     Sasgd {
         /// Learners.
         p: usize,
-        /// Aggregation interval: fixed (T=1 is classic synchronous SGD),
-        /// or grown when the displacement of `x` plateaus.
+        /// Aggregation interval: fixed (T=1 is classic synchronous SGD,
+        /// T=0 one round after the run's last step), or grown when the
+        /// displacement of `x` plateaus.
         schedule: TSchedule,
         /// Global learning-rate policy.
         gamma_p: GammaP,
@@ -111,13 +114,6 @@ pub enum Algorithm {
         /// per-exchange staleness τ.
         staleness_gamma: bool,
     },
-    /// One-shot model averaging (Zinkevich et al.): independent learners,
-    /// parameters averaged only for evaluation/at the end — the heuristic
-    /// §III reports as giving "very poor training and test accuracies".
-    ModelAverageOnce {
-        /// Learners.
-        p: usize,
-    },
 }
 
 impl Algorithm {
@@ -144,21 +140,52 @@ impl Algorithm {
         }
     }
 
+    /// One-shot model averaging (Zinkevich et al.): `p` learners train
+    /// independently and their replicas are averaged once, after the run's
+    /// last step — SASGD with the interval stretched to the whole run, at
+    /// `γp = γ/p`. The heuristic §III reports as giving "very poor training
+    /// and test accuracies".
+    pub fn model_average_once(p: usize) -> Self {
+        Algorithm::Sasgd {
+            p,
+            schedule: TSchedule::Fixed { t: 0 },
+            gamma_p: GammaP::OverP,
+            compression: None,
+            delayed: false,
+        }
+    }
+
+    /// The lattice point the algorithm runs as: [`Algorithm::Sequential`]
+    /// resolves to SASGD at `p = 1`, `T = 1`, `γp = γ`; every other
+    /// algorithm is its own.
+    pub(crate) fn resolved(&self) -> Algorithm {
+        match *self {
+            Algorithm::Sequential => Algorithm::Sasgd {
+                p: 1,
+                schedule: TSchedule::Fixed { t: 1 },
+                gamma_p: GammaP::SameAsGamma,
+                compression: None,
+                delayed: false,
+            },
+            other => other,
+        }
+    }
+
     /// Number of learners.
     pub fn learners(&self) -> usize {
         match *self {
             Algorithm::Sequential => 1,
             Algorithm::Sasgd { p, .. }
             | Algorithm::Downpour { p, .. }
-            | Algorithm::Eamsgd { p, .. }
-            | Algorithm::ModelAverageOnce { p } => p,
+            | Algorithm::Eamsgd { p, .. } => p,
             Algorithm::HierarchicalSasgd {
                 groups, per_group, ..
             } => groups * per_group,
         }
     }
 
-    /// Aggregation interval (1 where not applicable).
+    /// Aggregation interval (1 where not applicable, 0 for one-shot
+    /// averaging's run-long interval).
     pub fn interval(&self) -> usize {
         match *self {
             Algorithm::Sasgd { schedule, .. } => schedule.initial_t(),
@@ -170,7 +197,8 @@ impl Algorithm {
         }
     }
 
-    /// Display label matching the paper's plot legends.
+    /// Display label matching the paper's plot legends; every run's
+    /// [`History::label`](crate::History) (`-threaded` added on threads).
     pub fn label(&self) -> String {
         match *self {
             Algorithm::Sequential => "SGD".into(),
@@ -229,16 +257,17 @@ impl Algorithm {
                     format!("EAMSGD(p={p},T={t})")
                 }
             }
-            Algorithm::ModelAverageOnce { p } => format!("ModelAvg(p={p})"),
         }
     }
 }
 
 /// `SASGD{codec}[-adT][-delayed](p=…,T=…)`: an adaptive schedule shows
-/// its initial interval as `T0`.
-pub(crate) fn sasgd_label(codec: &str, p: usize, schedule: TSchedule, delayed: bool) -> String {
+/// its initial interval as `T0`; a run-long interval is one-shot averaging,
+/// `ModelAvg{codec}[-delayed](p=…)`.
+fn sasgd_label(codec: &str, p: usize, schedule: TSchedule, delayed: bool) -> String {
     let delay = if delayed { "-delayed" } else { "" };
     match schedule {
+        TSchedule::Fixed { t: 0 } => format!("ModelAvg{codec}{delay}(p={p})"),
         TSchedule::Fixed { t } => format!("SASGD{codec}{delay}(p={p},T={t})"),
         TSchedule::AdaptivePlateau { t0, .. } => format!("SASGD{codec}-adT{delay}(p={p},T0={t0})"),
     }
@@ -263,6 +292,10 @@ mod tests {
         assert_eq!(a.interval(), 50);
         assert_eq!(Algorithm::Sequential.learners(), 1);
         assert_eq!(Algorithm::Sequential.interval(), 1);
+        assert_eq!(Algorithm::Sequential.label(), "SGD");
+        let avg = Algorithm::model_average_once(3);
+        assert_eq!(avg.label(), "ModelAvg(p=3)");
+        assert_eq!(avg.learners(), 3);
         assert!(Algorithm::Downpour {
             p: 2,
             t: 1,

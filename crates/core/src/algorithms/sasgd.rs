@@ -24,12 +24,15 @@
 //! schedule grows `T` when the displacement of `x` plateaus (Stich's Local
 //! SGD), and `delayed` lands each round's total one round late, re-based
 //! onto the local progress made meanwhile (Zhou et al.'s DaSGD) — the
-//! allreduce overlaps compute at one round of staleness.
+//! allreduce overlaps compute at one round of staleness. The lattice's two
+//! ends are the paper's baselines: at `p = 1`, `T = 1`, `γp = γ` the round
+//! is the sequential step `x ← x − γ·g`, and `Fixed { t: 0 }` stretches the
+//! interval to the whole run — one-shot averaging.
 
 use sasgd_comm::sparse::{tree_combine_bounded, SparseLevelProfile};
 use sasgd_nn::Model;
 
-use crate::algorithms::{sasgd_label, GammaP};
+use crate::algorithms::GammaP;
 use crate::compress::{Compression, ErrorFeedback, Payload};
 use crate::engine::{aggregate_dense, tree_reduce, AggregationStrategy, Lattice, Total};
 use crate::history::{History, StalenessStats, WireStats};
@@ -71,10 +74,6 @@ impl SasgdStrategy {
         delayed: bool,
     ) -> Self {
         assert!(p >= 1, "need at least one learner");
-        assert!(
-            schedule.initial_t() >= 1,
-            "aggregation interval must be positive"
-        );
         SasgdStrategy {
             p,
             schedule,
@@ -94,15 +93,6 @@ impl SasgdStrategy {
 }
 
 impl AggregationStrategy for SasgdStrategy {
-    fn label(&self) -> String {
-        let codec = if self.compression.is_some() {
-            "-compressed"
-        } else {
-            ""
-        };
-        sasgd_label(codec, self.p, self.schedule, self.delayed)
-    }
-
     fn p(&self) -> usize {
         self.p
     }
@@ -505,5 +495,96 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         assert!(max_diff < 1e-4, "p=1 delay drifted {max_diff}");
+    }
+
+    #[test]
+    fn sequential_sgd_learns_and_replays_without_communicating() {
+        // Sequential SGD runs as SASGD at p = 1, T = 1, γp = γ: a round per
+        // step, yet one learner has no peer: the cost model charges no
+        // communication and neither backend puts anything on the wire.
+        let (train, test) = generate(&CifarLikeConfig::tiny(120, 60, 3));
+        let cfg = quiet_cfg(8, 0.05);
+        let factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
+        let run = |backend| {
+            crate::Executor::new(backend).run(&factory, &train, &test, &Algorithm::Sequential, &cfg)
+        };
+        let (h, again, thr) = (
+            run(crate::Backend::Simulated),
+            run(crate::Backend::Simulated),
+            run(crate::Backend::Threaded),
+        );
+        assert_eq!(
+            (h.label.as_str(), thr.label.as_str()),
+            ("SGD", "SGD-threaded")
+        );
+        assert_eq!(h.records.len(), 8);
+        let first = h.records[0].train_loss;
+        let last = h.records.last().expect("records").train_loss;
+        assert!(last < first, "loss should fall: {first} -> {last}");
+        assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
+        assert_eq!(h.sync_rounds, 8 * 120 / 8, "one round per step");
+        assert_eq!(
+            again.final_params, h.final_params,
+            "pure function of the seed"
+        );
+        assert_eq!(thr.final_params, h.final_params, "bitwise across backends");
+        // Simulated comm time is the cost model's; the threaded backend's
+        // is the wall-clock of each round, global step included.
+        assert_eq!(h.records.last().expect("r").comm_seconds, 0.0);
+        for run in [&h, &thr] {
+            assert_eq!(run.wire.expect("wire accounted").elements, 0);
+        }
+    }
+
+    #[test]
+    fn one_shot_averaging_is_one_round_after_the_last_step() {
+        // T = 0 stretches the interval to the run: after the x0 broadcast
+        // the learners train alone, and the one allreduce follows the last
+        // step. Lockstep records every epoch; the event walk runs the whole
+        // run as one block, so its one record follows the round.
+        let (train, test) = generate(&CifarLikeConfig::tiny(64, 16, 2));
+        let p = 4;
+        let m = models::tiny_cnn(2, &mut SeedRng::new(3)).param_len();
+        let algo = Algorithm::model_average_once(p);
+        let factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
+        for (cadence, records) in [(Cadence::Lockstep, 3), (Cadence::EventDriven, 1)] {
+            let mut cfg = quiet_cfg(3, 0.02);
+            cfg.cadence = Some(cadence);
+            let h = crate::Executor::new(crate::Backend::Simulated)
+                .run(&factory, &train, &test, &algo, &cfg);
+            assert_eq!(h.label, "ModelAvg(p=4)");
+            assert_eq!(h.sync_rounds, 1, "{cadence:?}: exactly one round");
+            assert_eq!(h.records.len(), records, "{cadence:?}");
+            let bcast = cfg.cost.broadcast(m, p);
+            let (end, mid) = h.records.split_last().expect("records");
+            for r in mid {
+                assert_eq!(
+                    r.comm_seconds, bcast,
+                    "{cadence:?}: no traffic while training"
+                );
+            }
+            assert!(end.comm_seconds > bcast, "{cadence:?}: one final reduction");
+        }
+        // On threads the wire carries the broadcast and one allreduce:
+        // (p−1)·m + 2(p−1)·m elements.
+        let cfg = quiet_cfg(3, 0.02);
+        let thr = crate::Executor::new(crate::Backend::Threaded)
+            .run(&factory, &train, &test, &algo, &cfg);
+        assert_eq!(thr.sync_rounds, 1);
+        assert_eq!(
+            thr.wire.expect("wire").elements,
+            3 * (p as u64 - 1) * m as u64
+        );
+    }
+
+    #[test]
+    fn p1_averaging_is_just_sgd() {
+        let (train, test) = generate(&CifarLikeConfig::tiny(80, 40, 3));
+        let cfg = quiet_cfg(6, 0.05);
+        let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
+        let algo = Algorithm::model_average_once(1);
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
+        assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
+        assert_eq!(h.records.last().expect("r").comm_seconds, 0.0);
     }
 }

@@ -16,8 +16,6 @@ use sasgd_comm::ps_transport::{PsLayout, PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::SparseFold;
 use sasgd_comm::transport::Transport;
 use sasgd_comm::tree::{allreduce_over, broadcast_over, FtError, FtOutcome, Membership};
-use sasgd_comm::world::CommError;
-use sasgd_nn::Model;
 
 use super::{global_step, FaultConfig, Lattice, Total};
 use crate::algorithms::{Algorithm, GammaP};
@@ -70,9 +68,10 @@ pub(crate) struct Outcome {
     pub(crate) retired: bool,
 }
 
-/// The aggregation step of one rank. Defaults describe a learner that
-/// never communicates (sequential SGD); each algorithm overrides only
-/// where it differs. Exchanges that consume `learner.gs` clear it.
+/// The aggregation step of one rank: every algorithm runs rounds, and
+/// the defaults describe the rest of a plain collective — no scripted
+/// faults, the local step of Algorithm 1, the learner's own parameters as
+/// the result. Exchanges that consume `learner.gs` clear it.
 pub(crate) trait Exchange {
     /// Called at every step boundary with the 1-based global step about to
     /// run; `false` stops this rank before it (a scripted crash).
@@ -87,19 +86,7 @@ pub(crate) trait Exchange {
     }
 
     /// One aggregation round.
-    fn round(&mut self, _l: &mut Learner, _round: Round<'_>) -> Result<Outcome, WireError> {
-        Ok(Outcome::default())
-    }
-
-    /// Epoch-boundary communication (one-shot averaging's gather).
-    fn epoch_end(&mut self, _l: &mut Learner) -> Result<(), WireError> {
-        Ok(())
-    }
-
-    /// The model evaluated for epoch records.
-    fn eval_model<'a>(&'a mut self, l: &'a mut Learner) -> &'a mut Model {
-        &mut l.model
-    }
+    fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError>;
 
     /// Final parameters reported in [`History`].
     fn final_params(&mut self, l: &Learner) -> Vec<f32> {
@@ -111,11 +98,6 @@ pub(crate) trait Exchange {
         None
     }
 }
-
-/// Sequential SGD: no peers, no exchange.
-struct Solo;
-
-impl Exchange for Solo {}
 
 /// Broadcast rank 0's parameters (Algorithm 1) and keep them as the
 /// shared pre-interval vector `x`.
@@ -306,60 +288,6 @@ impl<T: Transport> Exchange for HierTree<T> {
     }
 }
 
-/// One-shot model averaging: at every epoch end the independent learners'
-/// parameters are gathered to rank 0 in rank order (the simulated
-/// strategy's accumulation order) into a spare replica, evaluated instead.
-struct EpochGather<T> {
-    comm: T,
-    /// Rank 0 only.
-    avg_model: Option<Model>,
-}
-
-impl<T: Transport> Exchange for EpochGather<T> {
-    fn epoch_end(&mut self, l: &mut Learner) -> Result<(), WireError> {
-        let p = self.comm.size();
-        let gather_tag = (self.comm.next_op() << 4) | 2;
-        let Some(avg_model) = self.avg_model.as_mut() else {
-            self.comm.send(0, gather_tag, l.model.params().to_vec())?;
-            return Ok(());
-        };
-        let avg = avg_model.params_mut();
-        avg.fill(0.0);
-        let mut add = |v: &[f32]| {
-            for (a, &b) in avg.iter_mut().zip(v) {
-                *a += b / p as f32;
-            }
-        };
-        add(l.model.params());
-        for r in 1..p {
-            let replica = self.comm.recv(r, gather_tag)?;
-            if replica.len() != l.model.param_len() {
-                // A short frame would otherwise truncate the average.
-                return Err(CommError::MalformedLength {
-                    peer: r,
-                    expected: l.model.param_len(),
-                    got: replica.len(),
-                }
-                .into());
-            }
-            add(&replica);
-        }
-        Ok(())
-    }
-
-    fn eval_model<'a>(&'a mut self, l: &'a mut Learner) -> &'a mut Model {
-        self.avg_model.as_mut().unwrap_or(&mut l.model)
-    }
-
-    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
-        self.avg_model
-            .as_ref()
-            .unwrap_or(&l.model)
-            .params()
-            .to_vec()
-    }
-}
-
 /// One learner's link to the parameter server whose shards are the ranks
 /// after the learners in `comm`'s world.
 struct PsLink<T: Transport> {
@@ -470,19 +398,17 @@ impl<T: Transport> Exchange for PsElastic<T> {
     }
 }
 
-/// Build `algo`'s exchange over `comm`, a flat world — `algo.learners()`
-/// learners, followed by the parameter-server shards for the PS algorithms
-/// — armed by `faults` where the exchange is SASGD, and align learner `l`
-/// with its peers (the `x0` broadcast of Algorithm 1, the server's initial
-/// pull; one-shot averaging starts from the factory's identical replicas,
-/// like its simulated strategy). `None`: the algorithm has no
-/// exchange over this world.
+/// Build the exchange of `algo`'s lattice point over `comm`, a flat world
+/// — `algo.learners()` learners, followed by the parameter-server shards
+/// for the PS algorithms — armed by `faults` where the exchange is SASGD,
+/// and align learner `l` with its peers (the `x0` broadcast of Algorithm 1,
+/// the server's initial pull). `None`: the algorithm has no exchange over
+/// this world.
 pub(crate) fn connect<'a, T: Transport + 'a>(
     algo: &Algorithm,
     mut comm: T,
     faults: Option<&'a FaultConfig>,
     l: &mut Learner,
-    factory: &dyn Fn() -> Model,
 ) -> Result<Option<Box<dyn Exchange + 'a>>, WireError> {
     if let Some(faults) = faults {
         assert!(
@@ -490,8 +416,7 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             "failure-detection deadline must be nonzero"
         );
     }
-    Ok(Some(match (*algo, faults) {
-        (Algorithm::Sequential, None) => Box::new(Solo),
+    Ok(Some(match (algo.resolved(), faults) {
         (
             Algorithm::Sasgd {
                 schedule,
@@ -536,10 +461,6 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
                 local_rounds: 0,
             })
         }
-        (Algorithm::ModelAverageOnce { .. }, None) => Box::new(EpochGather {
-            avg_model: (comm.rank() == 0).then(factory),
-            comm,
-        }),
         (
             Algorithm::Downpour {
                 staleness_gamma, ..
@@ -616,7 +537,7 @@ mod tests {
             nobody_home.truncate(1);
             let late = nobody_home.pop().expect("learner endpoint");
             assert!(
-                connect(&algo, late, None, &mut l, &model).is_err(),
+                connect(&algo, late, None, &mut l).is_err(),
                 "initial pull from a dead shard"
             );
 
@@ -638,7 +559,7 @@ mod tests {
                         }
                     });
                 }
-                connect(&algo, learner, None, &mut l, &model)
+                connect(&algo, learner, None, &mut l)
                     .ok()
                     .flatten()
                     .expect("a live server connects")
@@ -655,26 +576,5 @@ mod tests {
                 .expect("a round against a dead shard must fail, not panic");
             assert!(err.0.contains("shard rank 1 is gone"), "{}", err.0);
         }
-    }
-
-    #[test]
-    fn a_short_gathered_replica_is_a_wire_error_not_a_truncated_average() {
-        let cfg = TrainConfig::new(1, 8, 0.05, 1);
-        let model = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        let mut world = CommWorld::new(2).communicators().into_iter();
-        let root = world.next().expect("rank 0");
-        let mut peer = world.next().expect("rank 1");
-        let mut l = Learner::new(0, model(), &cfg);
-        let algo = Algorithm::ModelAverageOnce { p: 2 };
-        let mut exchange = connect(&algo, root, None, &mut l, &model)
-            .ok()
-            .flatten()
-            .expect("rank 0's exchange");
-        let gather = (peer.next_op() << 4) | 2;
-        peer.send(0, gather, vec![0.5; 3]).expect("send");
-        let err = exchange
-            .epoch_end(&mut l)
-            .expect_err("a short replica must fail the gather");
-        assert!(err.0.contains("3 elements, expected"), "{}", err.0);
     }
 }

@@ -1,14 +1,17 @@
 //! The unified execution engine.
 //!
 //! Every distributed algorithm in this crate is the composition of the
-//! *same* learner loop with a different aggregation rule. This module
-//! factors that observation into code:
+//! *same* learner loop with a different aggregation rule, and every one of
+//! them communicates: sequential SGD is SASGD at `p = 1`, `T = 1`, `γp = γ`,
+//! and one-shot averaging is SASGD with the interval stretched to the whole
+//! run. This module factors that observation into code:
 //!
 //! * `AggregationStrategy` — the pluggable aggregation rule. A strategy
-//!   declares its cadence (lockstep or event-driven), its sync interval,
-//!   and implements the handful of hooks where algorithms actually differ:
-//!   what a local step does, what happens at a sync point, what model is
-//!   evaluated, and what the final parameters are.
+//!   declares its cadence (lockstep or event-driven), its sync policy, and
+//!   implements the handful of hooks where algorithms actually differ:
+//!   what a local step does, what happens at a sync point, and what the
+//!   final parameters are. The loops own everything else — the shards, the
+//!   step counts, the γ schedule, the evaluated model (learner 0's).
 //! * [`simulated`] — the virtual-time backend. Runs any strategy over the
 //!   `sasgd-simnet` cost model with deterministic virtual clocks,
 //!   reproducing the pre-engine per-algorithm implementations
@@ -22,6 +25,11 @@
 //!   their histories.
 //! * [`Executor`] — the public entry point selecting a [`Backend`].
 //!
+//! Two rules shared by both backends follow from the inputs alone: a
+//! lockstep epoch truncates to whole minibatches only when there are peers
+//! to align with ([`lockstep_steps`]), and a fixed interval `T = 0` is one
+//! round after the run's last step ([`interval_in_force`]).
+//!
 //! The simulated aggregation arithmetic deliberately mirrors the wire
 //! collectives' reduction order (binomial tree, rank-ordered averaging),
 //! so synchronous strategies produce bitwise-identical parameters on both
@@ -31,7 +39,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use sasgd_comm::fault::FaultPlan;
-use sasgd_data::{make_shards, Dataset, Shard};
+use sasgd_data::{Dataset, Shard};
 use sasgd_nn::Model;
 
 use sasgd_comm::sparse::{SparseLevelProfile, SparseVec};
@@ -65,41 +73,20 @@ pub enum CommScope {
     /// center variable) without waiting for peers — Downpour, EAMSGD.
     Individual,
     /// All learners rendezvous for a collective (allreduce / averaging) —
-    /// SASGD (delayed and adaptive too), hierarchical, model averaging.
+    /// SASGD at every lattice point, hierarchical SASGD.
     Collective,
 }
 
-/// Per-round context handed to
-/// `AggregationStrategy::should_communicate`.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundCtx {
-    /// Local steps taken since the last communication.
-    pub steps_since_sync: usize,
-    /// The sync policy's interval currently in force.
-    pub current_t: usize,
-    /// Global sync rounds completed so far (0 before the first sync) —
-    /// adaptive compression schedules key their telemetry off this.
-    pub round: u64,
-}
-
-/// A strategy's verdict on whether this round communicates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommDecision {
-    /// Keep taking local steps.
-    Continue,
-    /// Run the aggregation now.
-    Communicate,
-}
-
 /// The pluggable aggregation rule the engine composes with its learner
-/// loop. Default implementations encode the most common behaviour
-/// (sequential-SGD-like); each algorithm overrides only where it differs.
+/// loop. Default implementations encode the most common behaviour (a plain
+/// local step, a collective round); each algorithm overrides only where it
+/// differs.
 ///
-/// Every strategy executes under both cadences. Lockstep uses
-/// [`sync`](AggregationStrategy::sync) and friends; the event-driven loops
-/// use [`on_local_step`](AggregationStrategy::on_local_step),
-/// [`should_communicate`](AggregationStrategy::should_communicate) driven
-/// by the strategy's [`SyncPolicy`], and — for
+/// Every strategy executes under both cadences, with rounds where its
+/// [`SyncPolicy`] puts them. Lockstep uses
+/// [`local_step`](AggregationStrategy::local_step) and
+/// [`sync`](AggregationStrategy::sync); the event-driven loops use
+/// [`on_local_step`](AggregationStrategy::on_local_step) and — for
 /// [`CommScope::Individual`] strategies —
 /// [`event_sync`](AggregationStrategy::event_sync) against shared state.
 /// Strategy state that is global in the simulated world (the shared
@@ -108,9 +95,6 @@ pub enum CommDecision {
 #[allow(unused_variables)] // default hook bodies ignore their arguments
 #[allow(clippy::too_many_arguments)] // hooks carry the full step context
 pub(crate) trait AggregationStrategy {
-    /// Display label matching the paper's plot legends.
-    fn label(&self) -> String;
-
     /// Number of learners.
     fn p(&self) -> usize;
 
@@ -124,10 +108,9 @@ pub(crate) trait AggregationStrategy {
         CommScope::Collective
     }
 
-    /// Local steps between sync points (`0` = never sync).
-    fn sync_interval(&self) -> usize {
-        0
-    }
+    /// Local steps between sync points (`0`: one round, after the run's
+    /// last step — see [`interval_in_force`]).
+    fn sync_interval(&self) -> usize;
 
     /// The T schedule driving this strategy's communication. The default
     /// is the fixed interval every paper algorithm uses; adaptive
@@ -135,17 +118,6 @@ pub(crate) trait AggregationStrategy {
     /// [`TSchedule`](crate::schedule::TSchedule) instead.
     fn sync_policy(&self) -> SyncPolicy {
         SyncPolicy::fixed(self.sync_interval())
-    }
-
-    /// Decide whether this round communicates. The default mirrors the
-    /// classic counter: communicate exactly when `steps_since_sync`
-    /// reaches the policy's interval (never when the interval is 0).
-    fn should_communicate(&mut self, ctx: RoundCtx) -> CommDecision {
-        if ctx.current_t >= 1 && ctx.steps_since_sync >= ctx.current_t {
-            CommDecision::Communicate
-        } else {
-            CommDecision::Continue
-        }
     }
 
     /// End-of-round scalar the [`SyncPolicy`] adapts on (lower = better;
@@ -176,30 +148,10 @@ pub(crate) trait AggregationStrategy {
         self.sync_interval().max(1)
     }
 
-    /// Partition the training data across learners.
-    fn shards(&self, train: &Dataset, cfg: &TrainConfig) -> Vec<Shard> {
-        make_shards(train, self.p(), cfg.shard_strategy)
-    }
-
-    /// Whether lockstep epochs truncate to the smallest shard's
-    /// whole-minibatch count (bulk-synchrony needs aligned step counts);
-    /// `false` lets every learner walk its full shard, ragged tails
-    /// included.
-    fn lockstep_truncates(&self) -> bool {
-        true
-    }
-
     /// One-time initialization once all replicas share `x0`. `factory`
     /// builds extra replicas if the strategy needs them. Returns the
     /// per-learner initial communication charge (e.g. the `x0` broadcast).
-    fn setup(&mut self, factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
-        0.0
-    }
-
-    /// Fractional epoch fed to the γ schedule at a lockstep step.
-    fn gamma_epoch(&self, epoch: usize, step: usize, steps: usize) -> f64 {
-        (epoch - 1) as f64 + step as f64 / steps as f64
-    }
+    fn setup(&mut self, factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64;
 
     /// One local minibatch (lockstep cadence).
     fn local_step(
@@ -217,17 +169,7 @@ pub(crate) trait AggregationStrategy {
 
     /// Global sync across all learners; compression telemetry goes into
     /// `history` (the sparsity series, the sparse tree's level profile).
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History) {}
-
-    /// End-of-epoch bookkeeping, before the epoch record is taken (e.g.
-    /// refresh an averaged evaluation replica, charge a one-shot
-    /// reduction).
-    fn epoch_end(&mut self, learners: &mut [Learner], epoch: usize, cfg: &TrainConfig) {}
-
-    /// The model evaluated for epoch records.
-    fn eval_model<'a>(&'a mut self, learners: &'a mut [Learner]) -> &'a mut Model {
-        &mut learners[0].model
-    }
+    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History);
 
     /// Staleness summary given the number of sync points executed
     /// (lockstep; the event engine measures staleness directly).
@@ -359,11 +301,32 @@ impl Total {
     }
 }
 
-/// Whole minibatches in the smallest shard: what bulk-synchronous epochs
-/// truncate to, and the block size of never-syncing event-driven rounds.
-pub(crate) fn min_whole_batches(shards: &[Shard], batch: usize) -> usize {
-    let whole = shards.iter().map(|s| s.len() / batch).min();
-    whole.expect("at least one shard")
+/// Minibatches per lockstep epoch (rule 1). Bulk-synchrony needs aligned
+/// step counts, so with peers every learner's epoch truncates to the
+/// smallest shard's whole-minibatch count; a lone learner has no peer to
+/// align with and walks its ragged tail too.
+pub(crate) fn lockstep_steps(shards: &[Shard], batch: usize) -> usize {
+    match shards {
+        [only] => only.len().div_ceil(batch),
+        _ => shards.iter().map(|s| s.len() / batch).min().unwrap_or(0),
+    }
+}
+
+/// Fractional epoch fed to the γ schedule at lockstep step `step` (0-based)
+/// of `steps` in `epoch` (1-based).
+pub(crate) fn lockstep_gamma_epoch(epoch: usize, step: usize, steps: usize) -> f64 {
+    (epoch - 1) as f64 + step as f64 / steps as f64
+}
+
+/// The interval in force (rule 2): the policy's `t`, where `t = 0` stretches
+/// it to the whole run of `run_steps` per-rank steps, so the one round
+/// follows the run's last step (one-shot averaging).
+pub(crate) fn interval_in_force(t: usize, run_steps: usize) -> usize {
+    if t == 0 {
+        run_steps
+    } else {
+        t
+    }
 }
 
 /// `cur ← prev + (cur − snap)`: the shared `prev` re-based onto the local
@@ -569,11 +532,11 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Build the strategy implementing `algo`.
+/// Build the strategy implementing `algo`'s lattice point.
 pub(crate) fn strategy_for(algo: &crate::algorithms::Algorithm) -> Box<dyn AggregationStrategy> {
     use crate::algorithms::*;
-    match *algo {
-        Algorithm::Sequential => Box::new(sequential::SequentialStrategy::new()),
+    match algo.resolved() {
+        Algorithm::Sequential => unreachable!("sequential SGD resolves to its SASGD point"),
         Algorithm::Sasgd {
             p,
             schedule,
@@ -614,7 +577,6 @@ pub(crate) fn strategy_for(algo: &crate::algorithms::Algorithm) -> Box<dyn Aggre
             momentum,
             staleness_gamma,
         )),
-        Algorithm::ModelAverageOnce { p } => Box::new(averaging::AveragingStrategy::new(p)),
     }
 }
 
@@ -733,7 +695,7 @@ impl Executor {
         faults: Option<&FaultConfig>,
     ) -> Result<History, EngineError> {
         let has_ft_exchange = self.backend == Backend::Threaded
-            && matches!(algo, crate::algorithms::Algorithm::Sasgd { .. });
+            && matches!(algo.resolved(), crate::algorithms::Algorithm::Sasgd { .. });
         if faults.is_some() && !has_ft_exchange {
             return Err(EngineError::UnsupportedExchange {
                 label: algo.label(),
@@ -743,7 +705,7 @@ impl Executor {
         Ok(match self.backend {
             Backend::Simulated => {
                 let mut f = || factory();
-                simulated::run_auto(&mut *strategy_for(algo), &mut f, train_set, test_set, cfg)
+                simulated::run(algo, &mut f, train_set, test_set, cfg)
             }
             Backend::Threaded => threaded::run(factory, train_set, test_set, algo, cfg, faults)?,
         })

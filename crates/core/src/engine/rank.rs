@@ -9,7 +9,10 @@
 //!   the since-last-sync counter carried across epochs, a record per epoch;
 //! * the **event block walk**: `T`-minibatch blocks from an endless
 //!   `BatchStream`, `T` from the strategy's [`SyncPolicy`], one γ per
-//!   block, a record whenever the rank completes a pass over its shard.
+//!   block and a round after it, a record whenever the rank completes a
+//!   pass over its shard.
+//!
+//! On both walks `T = 0` is one round after the run's last step.
 //!
 //! Both mirror the simulated backend's loops step for step and touch only
 //! rank-local state, so every rank reaches its sync points after the same
@@ -28,14 +31,14 @@ use std::time::Instant;
 
 use sasgd_comm::ps_transport::{serve_shard, PsLayout};
 use sasgd_comm::transport::Transport;
-use sasgd_data::{Dataset, Shard};
+use sasgd_data::{make_shards, Dataset, Shard};
 use sasgd_nn::Model;
 use sasgd_tensor::SeedRng;
 
 use super::exchange::{connect, Round, WireError};
 use super::{
-    min_whole_batches, strategy_for, AggregationStrategy, BatchStream, Cadence, CommScope,
-    EngineError, FaultConfig,
+    interval_in_force, lockstep_gamma_epoch, lockstep_steps, strategy_for, AggregationStrategy,
+    BatchStream, Cadence, CommScope, EngineError, FaultConfig,
 };
 use crate::algorithms::Algorithm;
 use crate::history::{History, StalenessStats};
@@ -74,12 +77,11 @@ pub(crate) fn supported_cadence(
     algo: &Algorithm,
     requested: Option<Cadence>,
 ) -> Result<Cadence, EngineError> {
-    let strategy = strategy_for(algo);
-    let natural = strategy.cadence();
+    let natural = strategy_for(algo).cadence();
     match requested.unwrap_or(natural) {
         Cadence::Lockstep if natural == Cadence::EventDriven => {
             Err(EngineError::UnsupportedCadence {
-                label: strategy.label(),
+                label: algo.label(),
             })
         }
         cadence => Ok(cadence),
@@ -102,8 +104,6 @@ struct Step {
     samples: u64,
     /// Run an exchange round after this step.
     sync: bool,
-    /// This step closes an epoch: run the exchange's epoch hook.
-    epoch_end: bool,
     /// Take an evaluation record labelled with this (fractional) epoch.
     record: Option<f64>,
 }
@@ -114,22 +114,11 @@ struct Step {
 type Walk<'a> = Box<dyn FnMut(&mut SeedRng, &SyncPolicy) -> Option<Step> + 'a>;
 
 /// The lockstep epoch walk.
-fn epoch_walk<'a>(
-    shards: &'a [Shard],
-    rank: usize,
-    cfg: &'a TrainConfig,
-    strategy: &'a dyn AggregationStrategy,
-) -> Walk<'a> {
+fn epoch_walk<'a>(shards: &'a [Shard], rank: usize, cfg: &'a TrainConfig) -> Walk<'a> {
     let shard = &shards[rank];
-    // Bulk-synchrony needs aligned step counts: truncate every rank's
-    // epoch to the smallest shard's whole-minibatch count. Independent
-    // learners walk their full shard, ragged tail included.
-    let steps = if strategy.lockstep_truncates() {
-        min_whole_batches(shards, cfg.batch_size)
-    } else {
-        shard.len().div_ceil(cfg.batch_size)
-    };
+    let steps = lockstep_steps(shards, cfg.batch_size);
     assert!(steps > 0, "shards too small for batch size");
+    let run_steps = cfg.epochs * steps;
     let (mut epoch, mut step, mut since_sync, mut samples) = (0usize, steps, 0usize, 0u64);
     let mut batches = None;
     Box::new(move |rng, policy| {
@@ -144,23 +133,20 @@ fn epoch_walk<'a>(
         let idx = batches.as_mut()?.next()?;
         // Same per-step schedule formula as the simulated backend, so
         // trajectories stay bitwise equal.
-        let gamma = cfg.gamma_at(strategy.gamma_epoch(epoch, step, steps));
+        let gamma = cfg.gamma_at(lockstep_gamma_epoch(epoch, step, steps));
         step += 1;
         samples += idx.len() as u64;
         since_sync += 1;
-        let t = policy.current_t();
-        let sync = t >= 1 && since_sync >= t;
+        let sync = since_sync >= interval_in_force(policy.current_t(), run_steps);
         if sync {
             since_sync = 0;
         }
-        let last = step == steps;
         Some(Step {
             idx,
             gamma,
             samples,
             sync,
-            epoch_end: last,
-            record: last.then_some(epoch as f64),
+            record: (step == steps).then_some(epoch as f64),
         })
     })
 }
@@ -175,14 +161,13 @@ fn block_walk<'a>(
 ) -> Walk<'a> {
     let p = strategy.p() as u64;
     let scope = strategy.comm_scope();
-    // Never-syncing strategies (`T = 0`) run epoch-sized blocks.
-    let epoch_block = min_whole_batches(shards, cfg.batch_size).max(1);
+    let run_steps = (cfg.epochs * n).div_ceil(cfg.batch_size * strategy.p());
     let mut stream = BatchStream::new(shards[rank].indices().to_vec(), cfg.batch_size);
-    // `T` and γ of the block in progress, and the steps left in it.
-    let (mut t_now, mut gamma, mut left) = (0usize, 0.0f32, 0usize);
+    // γ of the block in progress, and the steps left in it.
+    let (mut gamma, mut left) = (0.0f32, 0usize);
     // Nominal per-rank steps (the same on every rank) and drawn samples.
     let (mut steps_done, mut samples) = (0u64, 0u64);
-    let (mut epochs_done, mut recorded_passes, mut done) = (0usize, 0u64, false);
+    let (mut recorded_passes, mut done) = (0u64, false);
     Box::new(move |rng, policy| {
         // System-wide samples the γ schedule and the stopping rule count.
         // Collective rounds count *nominal* progress (whole batches, the
@@ -197,8 +182,7 @@ fn block_walk<'a>(
             if done {
                 return None;
             }
-            t_now = policy.current_t();
-            left = if t_now >= 1 { t_now } else { epoch_block };
+            left = interval_in_force(policy.current_t(), run_steps);
             // γ for the whole block, resolved from progress *before* it.
             gamma = cfg.gamma_at(progress(steps_done, samples) as f64 / n as f64);
         }
@@ -206,19 +190,14 @@ fn block_walk<'a>(
         samples += idx.len() as u64;
         steps_done += 1;
         left -= 1;
-        let block_end = left == 0;
-        let sync = block_end && t_now >= 1;
-        let epoch_end = block_end && !sync;
+        let sync = left == 0;
         if sync {
             done = progress(steps_done, samples) >= (cfg.epochs * n) as u64;
-        } else if epoch_end {
-            epochs_done += 1;
-            done = epochs_done >= cfg.epochs;
         }
         // A record per completed pass over the shard — and a final one even
         // if the run does not end on a pass boundary.
         let passes = stream.completed_passes();
-        let record = (block_end && (passes > recorded_passes || done)).then(|| {
+        let record = (sync && (passes > recorded_passes || done)).then(|| {
             recorded_passes = passes;
             (samples * p) as f64 / n as f64
         });
@@ -227,7 +206,6 @@ fn block_walk<'a>(
             gamma,
             samples,
             sync,
-            epoch_end,
             record,
         })
     })
@@ -256,7 +234,7 @@ pub(crate) fn drive<T: Transport>(
         }
     };
 
-    let label = threaded_label(&strategy.label());
+    let label = threaded_label(&algo.label());
     let mut history = History::new(label, p, strategy.history_interval());
     if rank >= p {
         if strategy.comm_scope() != CommScope::Individual {
@@ -278,14 +256,14 @@ pub(crate) fn drive<T: Transport>(
     }
 
     let n = train_set.len();
-    let shards = strategy.shards(train_set, cfg);
+    let shards = make_shards(train_set, p, cfg.shard_strategy);
     let mut policy = strategy.sync_policy();
     let mut walk = match cadence {
-        Cadence::Lockstep => epoch_walk(&shards, rank, cfg, &*strategy),
+        Cadence::Lockstep => epoch_walk(&shards, rank, cfg),
         Cadence::EventDriven => block_walk(&shards, rank, cfg, &*strategy, n),
     };
     let mut learner = Learner::new(rank, factory(), cfg);
-    let mut exchange = connect(algo, comm, faults, &mut learner, factory)
+    let mut exchange = connect(algo, comm, faults, &mut learner)
         .map_err(failed(0))?
         .ok_or_else(|| EngineError::UnsupportedExchange {
             label: algo.label(),
@@ -293,7 +271,7 @@ pub(crate) fn drive<T: Transport>(
         })?;
     let evals = (rank == 0).then(|| EvalSets::prepare(train_set, test_set, cfg.eval_cap));
     let (mut compute_s, mut comm_s) = (0.0f64, 0.0f64);
-    let (mut gstep, mut syncs, mut epochs) = (0u64, 0u64, 0u64);
+    let (mut gstep, mut syncs) = (0u64, 0u64);
     let mut staleness_obs: Vec<u64> = Vec::new();
 
     while let Some(step) = walk(&mut learner.rng, &policy) {
@@ -336,16 +314,9 @@ pub(crate) fn drive<T: Transport>(
                 }
             }
         }
-        if step.epoch_end {
-            epochs += 1;
-            let t1 = Instant::now();
-            exchange.epoch_end(&mut learner).map_err(failed(epochs))?;
-            comm_s += t1.elapsed().as_secs_f64();
-        }
         if let (Some(epoch), Some(ev)) = (step.record, &evals) {
             let total = step.samples * exchange.survivors().unwrap_or(p) as u64;
-            let model = exchange.eval_model(&mut learner);
-            let record = ev.record(model, epoch, compute_s, comm_s, total);
+            let record = ev.record(&mut learner.model, epoch, compute_s, comm_s, total);
             history.records.push(record);
         }
     }

@@ -2,9 +2,10 @@
 //!
 //! Three loop shapes cover every strategy × cadence combination:
 //!
-//! * **lockstep** — epochs of aligned steps; after each collective step
-//!   the engine asks the strategy's [`SyncPolicy`](crate::schedule::SyncPolicy)-driven
-//!   `should_communicate` and hands the whole learner cohort to
+//! * **lockstep** — epochs of aligned steps; once the steps since the last
+//!   round reach the interval in force (the strategy's
+//!   [`SyncPolicy`](crate::schedule::SyncPolicy), `T = 0` stretched to the
+//!   run), the engine hands the whole learner cohort to
 //!   `AggregationStrategy::sync`. Barrier waits and aggregation costs are
 //!   charged by the strategy through the learners' virtual clocks.
 //! * **event-driven, individual scope** — each learner's next `T`-minibatch
@@ -13,10 +14,11 @@
 //!   single-learner sync against shared state, so gradient staleness
 //!   emerges from the same speed variation a real cluster has while
 //!   staying bit-reproducible under a seed.
-//! * **event-driven, collective scope** — learners run their blocks on
-//!   free virtual clocks, the engine pops completions in `(time, rank)`
-//!   order, and each round ends in a collective rendezvous (allreduce /
-//!   averaging). γ for a round is resolved from *nominal* system progress
+//! * **event-driven, collective scope** — learners run their `T`-step
+//!   blocks (`T = 0`: one block, the whole run) on free virtual clocks, the
+//!   engine pops completions in `(time, rank)` order, and each block ends
+//!   in a collective rendezvous (allreduce / averaging). γ for a round is
+//!   resolved from *nominal* system progress
 //!   (`event_gamma_epoch`), identically on every rank and backend, so the
 //!   trajectory is independent of completion interleaving and the
 //!   threaded backend reproduces it bitwise.
@@ -25,56 +27,46 @@
 //! batch order and dropout draws depend only on its own stream, never on
 //! how learners interleave.
 
-use sasgd_data::Dataset;
+use sasgd_data::{make_shards, Dataset};
 use sasgd_nn::Model;
 use sasgd_simnet::{RankQueue, VirtualTime};
 use sasgd_tensor::parallel;
 
 use super::{
-    event_gamma_epoch, min_whole_batches, AggregationStrategy, BatchStream, Cadence, CommDecision,
-    CommScope, RoundCtx,
+    event_gamma_epoch, interval_in_force, lockstep_gamma_epoch, lockstep_steps, strategy_for,
+    AggregationStrategy, BatchStream, Cadence, CommScope,
 };
+use crate::algorithms::Algorithm;
 use crate::history::{History, StalenessStats};
 use crate::trainer::{EvalSets, Learner, TrainConfig};
 
-/// Run `strategy` at its natural cadence unless `cfg.cadence` overrides it.
-pub(crate) fn run_auto(
-    strategy: &mut dyn AggregationStrategy,
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-) -> History {
-    let cadence = cfg.cadence.unwrap_or_else(|| strategy.cadence());
-    run(strategy, factory, train_set, test_set, cfg, cadence)
-}
-
-/// Run `strategy` on the simulated backend at the given cadence. Every
-/// learner steps on this one OS thread, so its kernels take the caller's
-/// whole budget of compute threads.
+/// Run `algo` on the simulated backend, at its strategy's natural cadence
+/// unless `cfg.cadence` overrides it. Every learner steps on this one OS
+/// thread, so its kernels take the caller's whole budget of compute
+/// threads.
 pub(crate) fn run(
-    strategy: &mut dyn AggregationStrategy,
+    algo: &Algorithm,
     factory: &mut dyn FnMut() -> Model,
     train_set: &Dataset,
     test_set: &Dataset,
     cfg: &TrainConfig,
-    cadence: Cadence,
 ) -> History {
-    parallel::with_width(parallel::budget(), || match cadence {
-        Cadence::Lockstep => run_lockstep(strategy, factory, train_set, test_set, cfg),
-        Cadence::EventDriven => match strategy.comm_scope() {
-            CommScope::Individual => {
-                run_event_individual(strategy, factory, train_set, test_set, cfg)
-            }
-            CommScope::Collective => {
-                run_event_collective(strategy, factory, train_set, test_set, cfg)
-            }
-        },
+    let strategy = &mut *strategy_for(algo);
+    let history = History::new(algo.label(), strategy.p(), strategy.history_interval());
+    let cadence = cfg.cadence.unwrap_or_else(|| strategy.cadence());
+    let run = match (cadence, strategy.comm_scope()) {
+        (Cadence::Lockstep, _) => run_lockstep,
+        (Cadence::EventDriven, CommScope::Individual) => run_event_individual,
+        (Cadence::EventDriven, CommScope::Collective) => run_event_collective,
+    };
+    parallel::with_width(parallel::budget(), || {
+        run(strategy, history, factory, train_set, test_set, cfg)
     })
 }
 
 fn run_lockstep(
     s: &mut dyn AggregationStrategy,
+    mut history: History,
     factory: &mut dyn FnMut() -> Model,
     train_set: &Dataset,
     test_set: &Dataset,
@@ -91,25 +83,18 @@ fn run_lockstep(
     }
 
     let evals = EvalSets::prepare(train_set, test_set, cfg.eval_cap);
-    let shards = s.shards(train_set, cfg);
-    let steps_cap = if s.lockstep_truncates() {
-        // Bulk-synchrony needs aligned step counts: truncate every
-        // learner's epoch to the smallest shard's whole-minibatch count.
-        let cap = min_whole_batches(&shards, cfg.batch_size);
-        assert!(
-            cap > 0,
-            "shards too small: {} samples over {p} learners at batch {}",
-            train_set.len(),
-            cfg.batch_size
-        );
-        Some(cap)
-    } else {
-        None
-    };
+    let shards = make_shards(train_set, p, cfg.shard_strategy);
+    let steps = lockstep_steps(&shards, cfg.batch_size);
+    assert!(
+        steps > 0,
+        "shards too small: {} samples over {p} learners at batch {}",
+        train_set.len(),
+        cfg.batch_size
+    );
+    let run_steps = cfg.epochs * steps;
     let step_s = cfg.cost.minibatch_compute(macs, cfg.batch_size, p);
     let mut policy = s.sync_policy();
 
-    let mut history = History::new(s.label(), p, s.history_interval());
     let mut samples = 0u64;
     let mut since_sync = 0usize;
     let mut syncs = 0u64;
@@ -119,35 +104,21 @@ fn run_lockstep(
             .iter_mut()
             .zip(&shards)
             .map(|(l, sh)| {
-                let it = sh.epoch_iter(cfg.batch_size, &mut l.rng);
-                match steps_cap {
-                    Some(cap) => it.take(cap).collect(),
-                    None => it.collect(),
-                }
+                sh.epoch_iter(cfg.batch_size, &mut l.rng)
+                    .take(steps)
+                    .collect()
             })
             .collect();
-        let steps = iters.iter().map(Vec::len).max().unwrap_or(0);
-        let gamma_steps = iters[0].len().max(1);
         for step in 0..steps {
-            let epoch_f = s.gamma_epoch(epoch, step, gamma_steps);
-            let gamma_now = cfg.gamma_at(epoch_f);
+            let gamma_now = cfg.gamma_at(lockstep_gamma_epoch(epoch, step, steps));
             for (id, (l, batches)) in learners.iter_mut().zip(&iters).enumerate() {
-                // Ragged tails only exist for non-truncating strategies,
-                // whose learners are independent between sync points.
-                let Some(idx) = batches.get(step) else {
-                    continue;
-                };
+                let idx = &batches[step];
                 samples += idx.len() as u64;
                 let j = l.draw_jitter(&cfg.jitter);
                 s.local_step(l, id, train_set, idx, gamma_now, step_s, j);
             }
             since_sync += 1;
-            let ctx = RoundCtx {
-                steps_since_sync: since_sync,
-                current_t: policy.current_t(),
-                round: syncs,
-            };
-            if s.should_communicate(ctx) == CommDecision::Communicate {
+            if since_sync >= interval_in_force(policy.current_t(), run_steps) {
                 s.sync(&mut learners, gamma_now, &mut history);
                 // A lockstep round's staleness is the strategy's, for every
                 // rank alike (0 where it applies fresh state).
@@ -164,15 +135,8 @@ fn run_lockstep(
         for l in &mut learners {
             l.clock += cfg.cost.epoch_overhead;
         }
-        s.epoch_end(&mut learners, epoch, cfg);
-        let (comp, comm) = (learners[0].compute_s, learners[0].comm_s);
-        let rec = evals.record(
-            s.eval_model(&mut learners),
-            epoch as f64,
-            comp,
-            comm,
-            samples,
-        );
+        let l = &mut learners[0];
+        let rec = evals.record(&mut l.model, epoch as f64, l.compute_s, l.comm_s, samples);
         history.records.push(rec);
     }
     history.staleness = s.staleness(syncs);
@@ -184,6 +148,7 @@ fn run_lockstep(
 
 fn run_event_individual(
     s: &mut dyn AggregationStrategy,
+    mut history: History,
     factory: &mut dyn FnMut() -> Model,
     train_set: &Dataset,
     test_set: &Dataset,
@@ -208,8 +173,7 @@ fn run_event_individual(
     let comm_round = cfg.cost.ps_roundtrip(m, p).seconds;
     let target_samples = (cfg.epochs as u64) * (n as u64);
 
-    let mut streams: Vec<BatchStream> = s
-        .shards(train_set, cfg)
+    let mut streams: Vec<BatchStream> = make_shards(train_set, p, cfg.shard_strategy)
         .into_iter()
         .map(|sh| BatchStream::new(sh.indices().to_vec(), cfg.batch_size))
         .collect();
@@ -221,7 +185,6 @@ fn run_event_individual(
         queue.push(VirtualTime(dur), id, 0.0);
     }
 
-    let mut history = History::new(s.label(), p, s.history_interval());
     let mut samples = 0u64;
     let mut recorded_passes = 0u64;
     let mut rounds = 0u64;
@@ -289,6 +252,7 @@ fn run_event_individual(
 
 fn run_event_collective(
     s: &mut dyn AggregationStrategy,
+    mut history: History,
     factory: &mut dyn FnMut() -> Model,
     train_set: &Dataset,
     test_set: &Dataset,
@@ -308,27 +272,21 @@ fn run_event_collective(
     let evals = EvalSets::prepare(train_set, test_set, cfg.eval_cap);
     let n = train_set.len();
     let step_s = cfg.cost.minibatch_compute(macs, cfg.batch_size, p);
-    let shards = s.shards(train_set, cfg);
-    // Never-syncing strategies (sequential SGD, one-shot averaging) run
-    // epoch-sized rounds: the smallest shard's whole-minibatch count.
-    let epoch_block = min_whole_batches(&shards, cfg.batch_size).max(1);
-    let mut streams: Vec<BatchStream> = shards
+    let mut streams: Vec<BatchStream> = make_shards(train_set, p, cfg.shard_strategy)
         .into_iter()
         .map(|sh| BatchStream::new(sh.indices().to_vec(), cfg.batch_size))
         .collect();
 
-    let mut history = History::new(s.label(), p, s.history_interval());
     let mut samples = 0u64;
     let mut steps_done = 0u64; // nominal per-rank steps, same on every rank
     let mut syncs = 0u64;
-    let mut epochs_done = 0usize;
     let mut recorded_passes = 0u64;
     let mut staleness_obs: Vec<u64> = Vec::new();
     let target_steps = (cfg.epochs as u64) * (n as u64); // in batch·p units
+    let run_steps = (cfg.epochs * n).div_ceil(cfg.batch_size * p);
 
     loop {
-        let t_now = policy.current_t();
-        let block = if t_now >= 1 { t_now } else { epoch_block };
+        let block = interval_in_force(policy.current_t(), run_steps);
         // γ for the whole round, resolved from nominal progress *before*
         // the round: rank-independent, so every rank (and the threaded
         // backend) computes the identical rate.
@@ -355,44 +313,32 @@ fn run_event_collective(
             l.clock = tv.seconds();
         }
         steps_done += block as u64;
-        if t_now >= 1 {
-            // Collective rendezvous: the strategy aggregates all learners
-            // (charging waits and wire time to their clocks itself).
-            s.sync(&mut learners, gamma_now, &mut history);
-            let tau = s.collective_tau();
-            for id in 0..p {
-                let gamma_eff = s.observe_staleness(id, tau, gamma_now);
-                history.push_staleness(syncs, id, tau, gamma_eff);
-                staleness_obs.push(tau);
-            }
-            policy.observe_round(s.sync_signal());
-            syncs += 1;
-        } else {
-            // T = 0: the round is an epoch; run the strategy's epoch hook
-            // (one-shot averaging charges its final reduction here).
-            epochs_done += 1;
-            s.epoch_end(&mut learners, epochs_done, cfg);
+        // Collective rendezvous: the strategy aggregates all learners
+        // (charging waits and wire time to their clocks itself).
+        s.sync(&mut learners, gamma_now, &mut history);
+        let tau = s.collective_tau();
+        for id in 0..p {
+            let gamma_eff = s.observe_staleness(id, tau, gamma_now);
+            history.push_staleness(syncs, id, tau, gamma_eff);
+            staleness_obs.push(tau);
         }
+        policy.observe_round(s.sync_signal());
+        syncs += 1;
         if streams[0].completed_passes() > recorded_passes {
             recorded_passes = streams[0].completed_passes();
             let epoch = samples as f64 / n as f64;
-            let (comp, comm) = (learners[0].compute_s, learners[0].comm_s);
-            let rec = evals.record(s.eval_model(&mut learners), epoch, comp, comm, samples);
+            let l = &mut learners[0];
+            let rec = evals.record(&mut l.model, epoch, l.compute_s, l.comm_s, samples);
             history.records.push(rec);
         }
-        let done = if t_now >= 1 {
-            steps_done * (cfg.batch_size as u64) * (p as u64) >= target_steps
-        } else {
-            epochs_done >= cfg.epochs
-        };
-        if done {
+        if steps_done * (cfg.batch_size as u64) * (p as u64) >= target_steps {
             break;
         }
     }
     if history.records.is_empty() || history.records.last().expect("nonempty").samples < samples {
         let epoch = samples as f64 / n as f64;
-        let (comp, comm) = (learners[0].compute_s, learners[0].comm_s);
-        let rec = evals.record(s.eval_model(&mut learners), epoch, comp, comm, samples);
+        let l = &mut learners[0];
+        let rec = evals.record(&mut l.model, epoch, l.compute_s, l.comm_s, samples);
         history.records.push(rec);
     }
     history.staleness = StalenessStats::from_observations(&staleness_obs);

@@ -5,10 +5,10 @@
 //! * [`algorithms`] — **SASGD** (Algorithm 1 of the paper: local steps with
 //!   rate `γ`, gradient accumulation `gs`, allreduce every `T` minibatches,
 //!   global step with rate `γp`), plus the comparison algorithms it is
-//!   evaluated against: sequential SGD, synchronous SGD (`T = 1`),
-//!   **Downpour** (asynchronous sharded parameter server) and **EAMSGD**
-//!   (elastic averaging), and the model-averaging heuristics discussed in
-//!   §III;
+//!   evaluated against: sequential SGD (SASGD at `p = 1`), synchronous SGD
+//!   (`T = 1`), the model-averaging heuristics discussed in §III (one-shot
+//!   averaging is SASGD's run-long interval), **Downpour** (asynchronous
+//!   sharded parameter server) and **EAMSGD** (elastic averaging);
 //! * [`trainer`] — the event-driven distributed trainer: real gradient
 //!   math on model replicas, virtual-time accounting from the
 //!   `sasgd-simnet` cost model, per-epoch accuracy histories;

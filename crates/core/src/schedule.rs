@@ -78,7 +78,8 @@ impl LrSchedule {
 /// How the aggregation interval `T` evolves over communication rounds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TSchedule {
-    /// `T` fixed for the whole run (`t = 0` means "never communicate").
+    /// `T` fixed for the whole run. `t = 0` stretches the interval to the
+    /// run: one round, after its last step (one-shot averaging).
     Fixed {
         /// Local steps between aggregations.
         t: usize,
@@ -122,7 +123,8 @@ pub struct SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// Policy with a fixed interval (`t = 0` disables communication).
+    /// Policy with a fixed interval (`t = 0`: one round, after the run's
+    /// last step).
     pub fn fixed(t: usize) -> Self {
         SyncPolicy::new(TSchedule::Fixed { t })
     }

@@ -15,7 +15,7 @@ use sasgd_simnet::{CostModel, JitterModel};
 use sasgd_tensor::{SeedRng, Tensor, Workspace};
 
 use crate::algorithms::Algorithm;
-use crate::engine::{simulated, strategy_for};
+use crate::engine::simulated;
 use crate::history::{EpochRecord, History};
 use crate::schedule::LrSchedule;
 
@@ -91,7 +91,7 @@ pub fn train(
     assert!(cfg.epochs > 0, "need at least one epoch");
     assert!(cfg.batch_size > 0, "need a positive minibatch size");
     assert!(!train_set.is_empty(), "empty training set");
-    simulated::run_auto(&mut *strategy_for(algo), factory, train_set, test_set, cfg)
+    simulated::run(algo, factory, train_set, test_set, cfg)
 }
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ fn every_algorithm_learns_at_small_p() {
             momentum: 0.5,
             staleness_gamma: false,
         },
-        Algorithm::ModelAverageOnce { p: 2 },
+        Algorithm::model_average_once(2),
     ];
     for algo in algos {
         let mut f = || models::tiny_cnn(3, &mut SeedRng::new(7));
@@ -184,7 +184,7 @@ fn one_shot_averaging_underperforms_sasgd() {
         &mut f1,
         &train_set,
         &test_set,
-        &Algorithm::ModelAverageOnce { p },
+        &Algorithm::model_average_once(p),
         &c,
     );
     let mut f2 = || models::tiny_cnn(10, &mut SeedRng::new(4));

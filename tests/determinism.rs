@@ -48,7 +48,7 @@ fn algos() -> Vec<Algorithm> {
             compression: None,
             delayed: true,
         },
-        Algorithm::ModelAverageOnce { p: 4 },
+        Algorithm::model_average_once(4),
     ]
 }
 

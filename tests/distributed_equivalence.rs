@@ -269,7 +269,7 @@ fn event_driven_p1_collapses_to_simulated_bitwise() {
             t_global: 2,
             gamma_p: GammaP::OverP,
         },
-        Algorithm::ModelAverageOnce { p: 1 },
+        Algorithm::model_average_once(1),
         lattice(1, ADAPTIVE, false, None),
         lattice(1, TSchedule::Fixed { t: 2 }, true, None),
     ] {
@@ -423,7 +423,7 @@ const FAMILIES: [Family; 16] = [
     // Several groups: threads tree-reduce the group copies, the simulator
     // accumulates them in rank order.
     (|p| hierarchical(p, 2, 1), true, false),
-    (|p| Algorithm::ModelAverageOnce { p }, true, true),
+    (|p| Algorithm::model_average_once(p), true, true),
     // The averaging lattice: Local SGD's adaptive interval, DaSGD's
     // delayed landing, each also over a codec.
     (|p| lattice(p, ADAPTIVE, false, None), true, true),

@@ -319,7 +319,7 @@ fn degraded_sasgd_still_beats_one_shot_averaging() {
         &mut f2,
         &train_set,
         &test_set,
-        &Algorithm::ModelAverageOnce { p: 8 },
+        &Algorithm::model_average_once(8),
         &cfg,
     );
     assert!(
