@@ -28,7 +28,10 @@
 //! the full NLC network through `Executor` for one epoch and for two, and
 //! charging the difference to the extra steps: set-up, arena warm-up and
 //! teardown cancel. CI holds the allocated bytes per step under 1 MiB,
-//! a seventh of one parameter vector.
+//! a seventh of one parameter vector. The one-epoch run also reports its
+//! `peak_live_bytes`, the most heap it held at once above what was live
+//! before it: a count of model-sized vectors per rank that no runner's
+//! speed moves, which CI holds under a line too.
 //!
 //! ## Roofline sweep
 //!
@@ -525,6 +528,10 @@ pub struct EngineStep {
     pub allocs_per_step: f64,
     /// Bytes allocated per rank-step.
     pub alloc_bytes_per_step: u64,
+    /// Most heap bytes live at once during the one-epoch run, above what
+    /// was live when it started: both ranks' models and whatever else the
+    /// engine keeps per rank.
+    pub peak_live_bytes: u64,
 }
 
 /// Sentences per epoch of [`run_engine_step`]: 32 steps per rank, enough
@@ -540,12 +547,14 @@ pub fn run_engine_step() -> EngineStep {
     let measure = |epochs: usize| {
         let mut cfg = TrainConfig::new(epochs, 1, 0.01, 42);
         cfg.eval_cap = 16;
+        let base = alloc::live_bytes();
         alloc::reset();
         let t0 = Instant::now();
         let h = Executor::new(Backend::Threaded).run(&factory, &train, &test, &algo, &cfg);
         let secs = t0.elapsed().as_secs_f64();
         std::hint::black_box(h);
-        (secs, alloc::allocs(), alloc::bytes())
+        let peak = alloc::peak_live_bytes().saturating_sub(base);
+        (secs, alloc::allocs(), alloc::bytes(), peak)
     };
     let (short, long) = (measure(1), measure(2));
     let rank_steps = ENGINE_STEP_SAMPLES as f64; // batch 1: one per sample of the extra epoch
@@ -553,6 +562,7 @@ pub fn run_engine_step() -> EngineStep {
         ms_per_step: (long.0 - short.0) * 1e3 / (rank_steps / 2.0),
         allocs_per_step: long.1.saturating_sub(short.1) as f64 / rank_steps,
         alloc_bytes_per_step: long.2.saturating_sub(short.2) / ENGINE_STEP_SAMPLES as u64,
+        peak_live_bytes: short.3,
     }
 }
 
@@ -562,13 +572,15 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) 
     s.push_str(&format!(
         "  \"threads\": {},\n  \"alloc_counting\": {},\n  \
          \"parallel_path_taken\": {},\n  \"engine_step\": {{\"ms_per_step\": {:.3}, \
-         \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}}},\n  \"cases\": [\n",
+         \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}, \"peak_live_bytes\": {}}},\n  \
+         \"cases\": [\n",
         parallel::cap(),
         alloc::counting(),
         roof.parallel_path_taken,
         engine.ms_per_step,
         engine.allocs_per_step,
         engine.alloc_bytes_per_step,
+        engine.peak_live_bytes,
     ));
     for (i, t) in timings.iter().enumerate() {
         let alloc_drop = if t.after_allocs > 0 {
@@ -675,8 +687,12 @@ pub fn hotpath() -> Artifact {
     }
     report.push_str(&format!(
         "\nengine step (dense SASGD, p=2, T=1, batch 1, full NLC net, through Executor): \
-         {:.2} ms/step, {:.1} allocs and {} bytes allocated per rank-step\n",
-        engine.ms_per_step, engine.allocs_per_step, engine.alloc_bytes_per_step
+         {:.2} ms/step, {:.1} allocs and {} bytes allocated per rank-step, \
+         {} bytes live at the one-epoch run's peak\n",
+        engine.ms_per_step,
+        engine.allocs_per_step,
+        engine.alloc_bytes_per_step,
+        engine.peak_live_bytes
     ));
     if !alloc::counting() {
         report.push_str("\n(counting allocator not installed: alloc columns are zero)\n");
@@ -823,11 +839,12 @@ mod tests {
             ms_per_step: 6.25,
             allocs_per_step: 21.5,
             alloc_bytes_per_step: 40_960,
+            peak_live_bytes: 27_000_000,
         };
         let j = to_json(&t, &roof, &engine);
         assert!(j.contains(
             "\"engine_step\": {\"ms_per_step\": 6.250, \"allocs_per_step\": 21.5, \
-             \"alloc_bytes_per_step\": 40960}"
+             \"alloc_bytes_per_step\": 40960, \"peak_live_bytes\": 27000000}"
         ));
         assert!(j.contains("\"speedup\": 2.000"));
         assert!(j.contains("\"alloc_drop\": 20.0"));

@@ -135,7 +135,7 @@ impl AggregationStrategy for EamsgdStrategy {
         l.compute_gradient(data, idx);
         let (params, grads) = l.model.params_and_grads_mut();
         let v = &mut self.velocities[id];
-        for ((vi, pi), &gi) in v.iter_mut().zip(params).zip(grads) {
+        for ((vi, pi), &gi) in v.iter_mut().zip(params).zip(&*grads) {
             *vi = self.momentum * *vi - gamma * gi;
             *pi += *vi;
         }

@@ -5,7 +5,10 @@
 //! global allreduce then sums the `gs` of all learners and every learner
 //! applies `x ← x − γp·Σgs` to the *pre-interval* parameters before
 //! continuing from the common `x`. The interval `T` amortizes the
-//! communication; the allreduce replaces the parameter server.
+//! communication; the allreduce replaces the parameter server. At `T = 1`
+//! there is no interval to keep apart: the round's payload is each
+//! learner's gradient arena and the total lands on `params` — no `x`, no
+//! `gs`, no local step ([`Lattice::on_arena`]).
 //!
 //! Bulk-synchrony means each aggregation waits for the slowest learner —
 //! the straggler penalty is charged to every learner's virtual clock as
@@ -30,11 +33,14 @@
 //! interval to the whole run — one-shot averaging.
 
 use sasgd_comm::sparse::{tree_combine_bounded, SparseLevelProfile};
+use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
 use crate::algorithms::GammaP;
 use crate::compress::{Compression, ErrorFeedback, Payload};
-use crate::engine::{aggregate_dense, tree_reduce, AggregationStrategy, Lattice, Total};
+use crate::engine::{
+    aggregate_arenas, aggregate_dense, tree_reduce, AggregationStrategy, Lattice, Total,
+};
 use crate::history::{History, StalenessStats, WireStats};
 use crate::schedule::{SyncPolicy, TSchedule};
 use crate::trainer::{Learner, TrainConfig};
@@ -47,7 +53,8 @@ pub(crate) struct SasgdStrategy {
     gamma_p: GammaP,
     compression: Option<Compression>,
     delayed: bool,
-    /// The shared (pre-interval) parameter vector `x`.
+    /// The shared (pre-interval) parameter vector `x`; never allocated at
+    /// `T = 1`, where it is every learner's `params`.
     x: Vec<f32>,
     /// Error-feedback state, one per learner (compressed runs only).
     codecs: Vec<ErrorFeedback>,
@@ -82,7 +89,8 @@ impl SasgdStrategy {
             delayed,
             x: Vec::new(),
             codecs: Vec::new(),
-            lattice: Lattice::default(),
+            // Rebuilt over `x0` in `setup`.
+            lattice: Lattice::new(schedule, delayed, &[], p),
             signal: None,
             last_avail: 0.0,
             rounds: 0,
@@ -115,8 +123,10 @@ impl AggregationStrategy for SasgdStrategy {
 
     fn setup(&mut self, factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
         self.m = x0.len();
-        self.x = x0.to_vec();
         self.lattice = Lattice::new(self.schedule, self.delayed, x0, self.p);
+        if !self.lattice.on_arena() {
+            self.x = x0.to_vec();
+        }
         self.ar_seconds = match self.compression {
             Some(c) => {
                 // The layer-wise schedule needs the model's parameter-block
@@ -134,6 +144,37 @@ impl AggregationStrategy for SasgdStrategy {
         cfg.cost.broadcast(self.m, self.p)
     }
 
+    /// At `T = 1` the gradient stays in the arena for the round
+    /// ([`Lattice::on_arena`]): no accumulation, no local step.
+    fn local_step(
+        &mut self,
+        l: &mut Learner,
+        _id: usize,
+        data: &Dataset,
+        idx: &[usize],
+        gamma: f32,
+        step_s: f64,
+        jitter: f64,
+    ) {
+        if self.lattice.on_arena() {
+            l.compute_gradient(data, idx);
+            l.advance(step_s, jitter);
+        } else {
+            l.local_step(data, idx, gamma, step_s, jitter);
+        }
+    }
+
+    fn on_local_step(
+        &mut self,
+        l: &mut Learner,
+        id: usize,
+        data: &Dataset,
+        idx: &[usize],
+        gamma: f32,
+    ) {
+        self.local_step(l, id, data, idx, gamma, 0.0, 1.0);
+    }
+
     /// One global aggregation: gather every learner's payload, combine in
     /// the wire collective's order (so the threaded backend reproduces
     /// these parameters bit for bit), global step, then the barrier —
@@ -143,7 +184,18 @@ impl AggregationStrategy for SasgdStrategy {
     fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History) {
         let gp = self.gamma_p.resolve(gamma_now, self.p);
         self.rounds += 1; // 1-based, matching the threaded backend's rounds
-        if self.codecs.is_empty() && self.lattice.is_plain() {
+        if self.lattice.on_arena() {
+            // The payloads are the gradient arenas; the total lands on
+            // every learner's `params`, which are Algorithm 1's `x` here.
+            if self.codecs.is_empty() {
+                aggregate_arenas(gp, learners);
+            } else {
+                let total = self.compressed_total(learners, history);
+                learners
+                    .iter_mut()
+                    .for_each(|l| total.step(l.model.params_mut(), gp));
+            }
+        } else if self.codecs.is_empty() && self.lattice.is_plain() {
             // Algorithm 1's own round, uncompressed: the payloads are the
             // `gs` themselves.
             aggregate_dense(&mut self.x, gp, learners);
@@ -154,7 +206,9 @@ impl AggregationStrategy for SasgdStrategy {
                 learners[1..].iter_mut().for_each(|l| l.gs.fill(0.0));
                 self.lattice.take_gs(&mut learners[0].gs)
             } else {
-                self.compressed_total(learners, history)
+                let total = self.compressed_total(learners, history);
+                learners.iter_mut().for_each(|l| l.gs.fill(0.0));
+                total
             };
             let params = learners.iter_mut().map(|l| l.model.params_mut());
             self.signal = self.lattice.round(&mut self.x, total, gp, params);
@@ -214,14 +268,14 @@ impl AggregationStrategy for SasgdStrategy {
 }
 
 impl SasgdStrategy {
-    /// Every learner's `gs` through its codec, combined in the wire
-    /// collective's order; the `gs` restart from zeros.
+    /// Every learner's payload — its `gs`, or at `T = 1` its gradient
+    /// arena — through its codec, combined in the wire collective's order.
     fn compressed_total(&mut self, learners: &mut [Learner], history: &mut History) -> Total {
         let mut dense = Vec::new();
         let (mut sparse, mut opts) = (Vec::new(), Vec::new());
+        let on_arena = self.lattice.on_arena();
         for (r, (l, codec)) in learners.iter_mut().zip(&mut self.codecs).enumerate() {
-            let enc = codec.encode(&l.gs);
-            l.gs.fill(0.0);
+            let enc = codec.encode(if on_arena { l.model.grads() } else { &l.gs });
             // lint:allow(float-cast): telemetry narrowing — the norm is
             // accumulated in f64 for order-stability, reported in f32.
             history.push_sparsity(self.rounds, r, enc.k_eff, enc.residual_norm as f32);

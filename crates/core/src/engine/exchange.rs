@@ -17,7 +17,7 @@ use sasgd_comm::sparse::SparseFold;
 use sasgd_comm::transport::Transport;
 use sasgd_comm::tree::{allreduce_over, broadcast_over, FtError, FtOutcome, Membership};
 
-use super::{global_step, FaultConfig, Lattice, Total};
+use super::{descend, global_step, FaultConfig, Lattice, Total};
 use crate::algorithms::{Algorithm, GammaP};
 use crate::compress::{ErrorFeedback, Payload};
 use crate::history::{History, MembershipEvent, RetirementEvent};
@@ -71,7 +71,9 @@ pub(crate) struct Outcome {
 /// The aggregation step of one rank: every algorithm runs rounds, and
 /// the defaults describe the rest of a plain collective — no scripted
 /// faults, the local step of Algorithm 1, the learner's own parameters as
-/// the result. Exchanges that consume `learner.gs` clear it.
+/// the result. Exchanges that consume `learner.gs` clear it; SASGD at
+/// `T = 1` has no `gs` and consumes the model's gradient arena, which the
+/// next step's backward starts from zeros anyway.
 pub(crate) trait Exchange {
     /// Called at every step boundary with the 1-based global step about to
     /// run; `false` stops this rank before it (a scripted crash).
@@ -108,23 +110,22 @@ fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<Vec<f32>,
     Ok(x)
 }
 
-/// Allreduce `gs` over `membership` through `codec` (armed by `deadline`,
-/// if any): its payload travels in the payload's own wire form — the
+/// Allreduce `input` — the accumulated `gs`, or at `T = 1` the gradient
+/// arena — over `membership` through `codec` (armed by `deadline`, if
+/// any): its payload travels in the payload's own wire form — the
 /// sparse tree, exact 8-bit leaf frames, or (an all-zero gradient has no
 /// 8-bit grid) the dense tree — and the tree's spill goes back into the
-/// codec; `gs` restarts from zeros. Records `(round, rank, k_eff,
-/// residual_norm)` and the per-level wire stats; returns the total as the
-/// tree left it.
+/// codec. Records `(round, rank, k_eff, residual_norm)` and the per-level
+/// wire stats; returns the total as the tree left it.
 fn compressed_allreduce<T: Transport>(
     codec: &mut ErrorFeedback,
     comm: &mut T,
     membership: &mut Membership,
     deadline: Option<Duration>,
-    gs: &mut [f32],
+    input: &[f32],
     round: &mut Round<'_>,
 ) -> Result<(Total, FtOutcome), FtError> {
-    let enc = codec.encode(gs);
-    gs.fill(0.0);
+    let enc = codec.encode(input);
     // lint:allow(float-cast): telemetry narrowing — the norm is a
     // monitoring signal, not part of the update arithmetic.
     let norm = enc.residual_norm as f32;
@@ -149,7 +150,11 @@ fn compressed_allreduce<T: Transport>(
 /// compressed with error feedback) over the live membership, then the
 /// global step with `γp` resolved over the members — or, delayed, the
 /// previous round's, with this rank's progress re-based onto it (the
-/// simulated strategy's [`Lattice`], one replica wide).
+/// simulated strategy's [`Lattice`], one replica wide). At `T = 1`
+/// ([`Lattice::on_arena`]) the payload is the model's gradient arena —
+/// the dense walk moves the arena's own buffer, a codec encodes straight
+/// from it — and the total lands on `params`: no `x`, no `gs`, no local
+/// step.
 ///
 /// With a [`FaultConfig`] the tree is armed: its scripted faults fire at
 /// step boundaries (never inside a collective), so a degraded run replays
@@ -165,6 +170,7 @@ struct GradTree<'a, T> {
     codec: Option<ErrorFeedback>,
     membership: Membership,
     faults: Option<&'a FaultConfig>,
+    /// Algorithm 1's pre-interval `x`; empty at `T = 1`.
     x: Vec<f32>,
     lattice: Lattice,
 }
@@ -186,13 +192,29 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
         true
     }
 
+    /// At `T = 1` the gradient stays in the arena for the round.
+    fn apply_local(&mut self, l: &mut Learner, gamma: f32) {
+        if !self.lattice.on_arena() {
+            l.apply_local(gamma);
+        }
+    }
+
     fn round(&mut self, l: &mut Learner, mut round: Round<'_>) -> Result<Outcome, WireError> {
         let (rank, started) = (self.comm.rank(), Instant::now());
         let deadline = self.faults.map(|f| f.deadline);
+        let on_arena = self.lattice.on_arena();
         let (comm, ms) = (&mut self.comm, &mut self.membership);
         let total = match self.codec.as_mut() {
-            Some(codec) => compressed_allreduce(codec, comm, ms, deadline, &mut l.gs, &mut round)
-                .map(|(total, outcome)| (Some(total), outcome)),
+            Some(codec) => {
+                let input = if on_arena { l.model.grads() } else { &l.gs };
+                let total = compressed_allreduce(codec, comm, ms, deadline, input, &mut round);
+                l.gs.fill(0.0);
+                total.map(|(total, outcome)| (Some(total), outcome))
+            }
+            None if on_arena => l
+                .model
+                .lend_grads(|g| allreduce_over(comm, ms, &mut Dense::new(g, None), deadline))
+                .map(|outcome| (None, outcome)),
             None => allreduce_over(comm, ms, &mut Dense::new(&mut l.gs, None), deadline)
                 .map(|outcome| (None, outcome)),
         };
@@ -215,6 +237,16 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
         // the plain tree's.
         let gp = self.gamma_p.resolve(round.gamma, self.membership.len());
         let signal = match total {
+            // `params` is `x` at `T = 1`: the total lands on it directly.
+            Some(total) if on_arena => {
+                total.step(l.model.params_mut(), gp);
+                None
+            }
+            None if on_arena => {
+                let (params, total) = l.model.params_and_grads_mut();
+                descend(params, gp, total);
+                None
+            }
             None if self.lattice.is_plain() => {
                 global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
                 None
@@ -376,7 +408,7 @@ impl<T: Transport> Exchange for PsElastic<T> {
     /// One momentum-SGD step — same arithmetic as the simulated strategy.
     fn apply_local(&mut self, l: &mut Learner, gamma: f32) {
         let (params, grads) = l.model.params_and_grads_mut();
-        for ((vi, pi), &gi) in self.velocity.iter_mut().zip(params).zip(grads) {
+        for ((vi, pi), &gi) in self.velocity.iter_mut().zip(params).zip(&*grads) {
             *vi = self.momentum * *vi - gamma * gi;
             *pi += *vi;
         }
@@ -428,9 +460,10 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             faults,
         ) => {
             let x = broadcast_x0(&mut comm, l)?;
+            let lattice = Lattice::new(schedule, delayed, &x, 1);
             Box::new(GradTree {
-                lattice: Lattice::new(schedule, delayed, &x, 1),
-                x,
+                x: if lattice.on_arena() { Vec::new() } else { x },
+                lattice,
                 codec: compression.map(|comp| {
                     ErrorFeedback::new(comp, l.model.param_len(), l.model.param_blocks())
                 }),
@@ -501,12 +534,57 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::TSchedule;
     use crate::trainer::TrainConfig;
     use sasgd_comm::ps_transport::serve_shard;
     use sasgd_comm::CommWorld;
     use sasgd_nn::models;
     use sasgd_tensor::SeedRng;
     use std::sync::mpsc;
+
+    #[test]
+    fn a_t1_round_whose_peer_is_gone_leaves_a_full_arena() {
+        // Rank 1 hands its gradient arena to the dense walk, whose send to
+        // rank 0 fails: the walk's buffer is gone, but the model's arena
+        // must come back at full length, unarmed (a typed error) and armed
+        // (the rank retires).
+        let cfg = TrainConfig::new(1, 8, 0.05, 1);
+        let plan = FaultConfig {
+            deadline: Duration::from_millis(50),
+            ..FaultConfig::default()
+        };
+        for faults in [None, Some(&plan)] {
+            let mut l = Learner::new(1, models::tiny_cnn(2, &mut SeedRng::new(3)), &cfg);
+            let m = l.model.param_len();
+            l.model.lend_grads(|g| g.fill(1.0));
+            let mut world = CommWorld::new(2).communicators();
+            let comm = world.pop().expect("rank 1");
+            drop(world);
+            let lattice = Lattice::new(TSchedule::Fixed { t: 1 }, false, &[], 1);
+            assert!(lattice.on_arena());
+            let mut tree = GradTree {
+                comm,
+                gamma_p: GammaP::OverP,
+                codec: None,
+                membership: Membership::new(2),
+                faults,
+                x: Vec::new(),
+                lattice,
+            };
+            let mut history = History::new("dead-peer", 2, 1);
+            let round = Round {
+                number: 1,
+                gamma: 0.05,
+                history: &mut history,
+            };
+            match (tree.round(&mut l, round), faults) {
+                (Err(e), None) => assert!(e.0.contains("hung up"), "{}", e.0),
+                (Ok(outcome), Some(_)) => assert!(outcome.retired, "the rank retires"),
+                (got, _) => panic!("armed: {}, got ok: {}", faults.is_some(), got.is_ok()),
+            }
+            assert_eq!(l.model.grads().len(), m, "armed: {}", faults.is_some());
+        }
+    }
 
     #[test]
     fn ps_exchanges_on_a_dead_server_are_typed_errors_not_panics() {

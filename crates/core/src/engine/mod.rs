@@ -231,9 +231,11 @@ pub(crate) fn tree_reduce<B: AsMut<[f32]>>(bufs: &mut [B]) {
     }
 }
 
-/// The dense global step of Algorithm 1 in one pass: `x ← x − γp·gs`, the
-/// replica restarts from the common `x`, and `gs` (holding the allreduced
-/// total) is cleared for the next interval.
+/// The dense global step of Algorithm 1 in one pass, where a rank keeps
+/// `x` and `gs` (a fixed `T ≠ 1`, a hierarchical group): `x ← x − γp·gs`,
+/// the replica restarts from the common `x`, and `gs` (holding the
+/// allreduced total) is cleared for the next interval. At `T = 1` the
+/// total lands on `params` alone ([`descend`]; see [`Lattice::on_arena`]).
 // hot-path: once per round, in place
 pub(crate) fn global_step(x: &mut [f32], gp: f32, gs: &mut [f32], params: &mut [f32]) {
     for ((xi, g), p) in x.iter_mut().zip(gs).zip(params) {
@@ -258,6 +260,32 @@ pub(crate) fn aggregate_dense(x: &mut [f32], gp: f32, learners: &mut [Learner]) 
     }
 }
 
+/// One uncompressed `T = 1` round over a simulated cohort
+/// ([`Lattice::on_arena`]): the learners' gradient arenas summed in place
+/// in the wire collective's order (the total lands in learner 0's), and
+/// the total landed on every learner's parameters, as each threaded rank
+/// lands it on its own.
+pub(crate) fn aggregate_arenas(gp: f32, learners: &mut [Learner]) {
+    let mut grads: Vec<&mut [f32]> = (learners.iter_mut())
+        .map(|l| l.model.params_and_grads_mut().1)
+        .collect();
+    tree_reduce(&mut grads);
+    let (first, rest) = learners.split_first_mut().expect("at least one learner");
+    let (params, total) = first.model.params_and_grads_mut();
+    descend(params, gp, total);
+    for l in rest {
+        descend(l.model.params_mut(), gp, total);
+    }
+}
+
+/// `x ← x − γp·total`, in place: how every dense total lands.
+// hot-path: once per round, in place
+pub(crate) fn descend(x: &mut [f32], gp: f32, total: &[f32]) {
+    for (xi, &g) in x.iter_mut().zip(total) {
+        *xi -= gp * g;
+    }
+}
+
 /// The sum an allreduce left on every rank, in the form it arrived in.
 pub(crate) enum Total {
     /// Every coordinate.
@@ -274,11 +302,7 @@ impl Total {
     // hot-path: once per round, O(nnz) on the sparse arm
     pub(crate) fn step(&self, x: &mut [f32], gp: f32) {
         match self {
-            Total::Dense(total) => {
-                for (xi, &g) in x.iter_mut().zip(total) {
-                    *xi -= gp * g;
-                }
-            }
+            Total::Dense(total) => descend(x, gp, total),
             Total::Sparse(total) => {
                 for (&i, &g) in total.idx.iter().zip(&total.val) {
                     x[i as usize] -= gp * g;
@@ -337,15 +361,15 @@ pub(crate) fn rebase(cur: &mut [f32], prev: &[f32], snap: &[f32]) {
     }
 }
 
-/// Where a SASGD round sits on the averaging lattice beyond Algorithm 1's
-/// own point. `delayed` (DaSGD) holds each round's total back one round:
-/// the previous round's total lands on `x` instead, and every replica keeps
-/// its local progress since its snapshot on top of the new `x`. An adaptive
-/// schedule (Local SGD) reads the displacement of `x` as its plateau
-/// signal. One instance serves a simulated cohort or one threaded rank.
-#[derive(Default)]
+/// Where a SASGD round sits on the averaging lattice. `delayed` (DaSGD)
+/// holds each round's total back one round: the previous round's total
+/// lands on `x` instead, and every replica keeps its local progress since
+/// its snapshot on top of the new `x`. An adaptive schedule (Local SGD)
+/// reads the displacement of `x` as its plateau signal. Algorithm 1 at
+/// `T = 1` needs neither `x` nor `gs` ([`Lattice::on_arena`]). One instance
+/// serves a simulated cohort or one threaded rank.
 pub(crate) struct Lattice {
-    adaptive: bool,
+    schedule: TSchedule,
     /// Each replica's parameters when a total last landed (`delayed` only).
     snaps: Vec<Vec<f32>>,
     /// The previous round's total and its `γp`, not landed yet.
@@ -357,20 +381,35 @@ pub(crate) struct Lattice {
 impl Lattice {
     pub(crate) fn new(schedule: TSchedule, delayed: bool, x0: &[f32], replicas: usize) -> Self {
         Lattice {
-            adaptive: matches!(schedule, TSchedule::AdaptivePlateau { .. }),
+            schedule,
             snaps: if delayed {
                 vec![x0.to_vec(); replicas]
             } else {
                 Vec::new()
             },
-            ..Lattice::default()
+            pending: None,
+            spare: Vec::new(),
         }
+    }
+
+    fn adaptive(&self) -> bool {
+        matches!(self.schedule, TSchedule::AdaptivePlateau { .. })
     }
 
     /// Fixed `T`, no delay: the round is Algorithm 1's, with no extra pass
     /// or buffer.
     pub(crate) fn is_plain(&self) -> bool {
-        !self.adaptive && self.snaps.is_empty()
+        !self.adaptive() && self.snaps.is_empty()
+    }
+
+    /// `Fixed { t: 1 }`, no delay — plain minibatch SGD over `p` ranks, and
+    /// sequential SGD at `p = 1`. Every step is a round, so Algorithm 1's
+    /// `x` is `params` at every step boundary and `gs` is the step's
+    /// gradient: the round's payload is the model's gradient arena as
+    /// `backward` left it, the total lands on `params`, and there is no
+    /// local step, no `x` and no `gs`.
+    pub(crate) fn on_arena(&self) -> bool {
+        matches!(self.schedule, TSchedule::Fixed { t: 1 }) && self.snaps.is_empty()
     }
 
     /// The allreduced `gs` as this round's total; `gs` restarts from zeros.
@@ -402,7 +441,7 @@ impl Lattice {
         };
         let signal = landed.as_ref().and_then(|(total, gp)| {
             total.step(x, *gp);
-            self.adaptive.then(|| total.displacement_sq(*gp))
+            self.adaptive().then(|| total.displacement_sq(*gp))
         });
         if delayed {
             for (params, snap) in params.zip(&mut self.snaps) {

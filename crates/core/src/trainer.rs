@@ -227,7 +227,10 @@ pub(crate) struct Learner {
     pub(crate) compute_s: f64,
     /// Accumulated communication (incl. barrier wait) seconds.
     pub(crate) comm_s: f64,
-    /// Gradient accumulator `gs` of Algorithm 1.
+    /// Gradient accumulator `gs` of Algorithm 1, sized by the first local
+    /// step that accumulates: a lattice point that never does (SASGD at
+    /// `T = 1`, which rounds on the gradient arena; EAMSGD's momentum
+    /// steps) holds none.
     pub(crate) gs: Vec<f32>,
     /// Scratch-buffer arena reused across this learner's steps, so the
     /// steady-state hot path stays off the allocator.
@@ -236,7 +239,6 @@ pub(crate) struct Learner {
 
 impl Learner {
     pub(crate) fn new(id: usize, model: Model, cfg: &TrainConfig) -> Self {
-        let m = model.param_len();
         let root = SeedRng::new(cfg.seed);
         Learner {
             model,
@@ -246,7 +248,7 @@ impl Learner {
             clock: 0.0,
             compute_s: 0.0,
             comm_s: 0.0,
-            gs: vec![0.0; m],
+            gs: Vec::new(),
             ws: Workspace::new(),
         }
     }
@@ -276,17 +278,23 @@ impl Learner {
     }
 
     /// Accumulate the gradient `compute_gradient` left into `gs` and apply
-    /// the local step `x ← x − γ·g`, in one pass over the three vectors.
+    /// the local step `x ← x − γ·g`, in one pass over the three vectors —
+    /// the step of a lattice point that keeps `x` and `gs`; at `T = 1` the
+    /// round takes the gradient from the arena instead and no local step
+    /// runs. The first call sizes `gs`.
     // hot-path: once per step, in place
     pub(crate) fn apply_local(&mut self, gamma: f32) {
         let (params, grads) = self.model.params_and_grads_mut();
+        if self.gs.len() != grads.len() {
+            self.gs.resize(grads.len(), 0.0);
+        }
         if gamma == 0.0 {
-            for (a, &g) in self.gs.iter_mut().zip(grads) {
+            for (a, &g) in self.gs.iter_mut().zip(&*grads) {
                 *a += g;
             }
             return;
         }
-        for ((a, p), &g) in self.gs.iter_mut().zip(params).zip(grads) {
+        for ((a, p), &g) in self.gs.iter_mut().zip(params).zip(&*grads) {
             *a += g;
             *p -= gamma * g;
         }
@@ -305,10 +313,16 @@ impl Learner {
     ) -> f32 {
         let loss = self.compute_gradient(data, idx);
         self.apply_local(gamma);
+        self.advance(step_seconds, jitter);
+        loss
+    }
+
+    /// Advance the clock through one minibatch's compute:
+    /// `step_seconds × speed × jitter`.
+    pub(crate) fn advance(&mut self, step_seconds: f64, jitter: f64) {
         let dt = step_seconds * self.speed * jitter;
         self.clock += dt;
         self.compute_s += dt;
-        loss
     }
 
     /// Advance the clock through a communication phase.

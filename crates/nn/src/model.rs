@@ -112,9 +112,21 @@ impl Model {
     }
 
     /// Both arenas at once — the parameters to update, the gradients to
-    /// update them by — for passes that walk the two together.
-    pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &[f32]) {
-        (&mut self.params, &self.grads)
+    /// update them by — for passes that walk the two together, or that
+    /// reduce gradient arenas in place.
+    pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.params, &mut self.grads)
+    }
+
+    /// Lend the gradient arena itself to `f`, for a collective that moves
+    /// its buffer instead of copying it, and keep the arena at
+    /// [`Model::param_len`] floats whatever `f` leaves behind: a walk that
+    /// fails after handing its buffer to the wire leaves it empty, and the
+    /// arena comes back zero-filled to full length, never short.
+    pub fn lend_grads<R>(&mut self, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+        let out = f(&mut self.grads);
+        self.grads.resize(self.params.len(), 0.0);
+        out
     }
 
     /// Forward through all layers (no loss); returns logits.
@@ -195,8 +207,7 @@ impl Model {
 
     /// In-place SGD step `x ← x − γ·g`, one pass over the two arenas.
     pub fn sgd_step(&mut self, gamma: f32) {
-        let (params, grads) = self.params_and_grads_mut();
-        for (p, g) in params.iter_mut().zip(grads) {
+        for (p, g) in self.params.iter_mut().zip(&self.grads) {
             *p -= gamma * g;
         }
     }
@@ -344,6 +355,24 @@ mod tests {
         assert!(m.grad_vector().iter().any(|&g| g != 0.0));
         m.zero_grads();
         assert!(m.grad_vector().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn a_lent_arena_comes_back_full_length() {
+        let mut m = mlp(5);
+        let len = m.param_len();
+        let moved = m.lend_grads(|g| {
+            g.fill(2.0);
+            std::mem::take(g)
+        });
+        assert_eq!(moved, vec![2.0; len], "the arena itself was lent");
+        assert_eq!(m.grads(), vec![0.0; len], "a taken arena comes back zeroed");
+        m.lend_grads(|g| *g = vec![3.0; len]);
+        assert_eq!(
+            m.grads(),
+            vec![3.0; len],
+            "a replacement of full length stays"
+        );
     }
 
     #[test]

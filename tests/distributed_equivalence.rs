@@ -373,6 +373,8 @@ fn sasgd_with(p: usize, compression: Option<Compression>) -> Algorithm {
     lattice(p, TSchedule::Fixed { t: 2 }, false, compression)
 }
 
+const T1: TSchedule = TSchedule::Fixed { t: 1 };
+
 fn sparse(k: KSchedule, q8: bool, union_bound: bool) -> Option<Compression> {
     Some(Compression::Sparse { k, q8, union_bound })
 }
@@ -394,7 +396,7 @@ fn hierarchical(groups: usize, per_group: usize, t_local: usize) -> Algorithm {
 /// different orders, and only the bookkeeping is compared).
 type Family = (fn(usize) -> Algorithm, bool, bool);
 
-const FAMILIES: [Family; 16] = [
+const FAMILIES: [Family; 19] = [
     (|_| Algorithm::Sequential, true, true),
     (|p| sasgd_with(p, None), true, true),
     (|p| sasgd_with(p, Some(Compression::topk(0.25))), true, true),
@@ -419,6 +421,25 @@ const FAMILIES: [Family; 16] = [
         true,
     ),
     // One group: level 2 is the identity on both backends.
+    // T = 1: every step is a round, taken on the gradient arena.
+    (|p| lattice(p, T1, false, None), true, true),
+    (
+        |p| lattice(p, T1, false, Some(Compression::Uniform8Bit)),
+        true,
+        true,
+    ),
+    (
+        |p| {
+            lattice(
+                p,
+                T1,
+                false,
+                sparse(KSchedule::layer_wise(0.1), false, false),
+            )
+        },
+        true,
+        true,
+    ),
     (|p| hierarchical(1, p, 2), true, true),
     // Several groups: threads tree-reduce the group copies, the simulator
     // accumulates them in rank order.

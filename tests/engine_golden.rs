@@ -13,7 +13,9 @@
 //! GOLDEN_PRINT=1 cargo test -q --test engine_golden -- --nocapture
 //! ```
 
-use sasgd::core::{train, Algorithm, Cadence, Compression, GammaP, TSchedule, TrainConfig};
+use sasgd::core::{
+    train, Algorithm, Cadence, Compression, GammaP, KSchedule, TSchedule, TrainConfig,
+};
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::nn::models;
 use sasgd::tensor::SeedRng;
@@ -237,5 +239,65 @@ fn event_driven_final_params_are_pinned() {
         let h = train(&mut factory, &train_set, &test_set, algo, &cfg);
         h.final_params
             .unwrap_or_else(|| panic!("{} must report final_params", algo.label()))
+    });
+}
+
+/// SASGD at `T = 1`: every step is a round, so the round works on the
+/// model's gradient arena alone — no pre-interval copy, no accumulator.
+/// Pinned before that round existed, from the `x`/`gs` round it replaced.
+fn t1_goldens() -> Vec<Golden> {
+    let layer_wise_top1 = Compression::Sparse {
+        k: KSchedule::layer_wise(0.01),
+        q8: false,
+        union_bound: false,
+    };
+    vec![
+        Golden {
+            name: "sasgd_p2_t1",
+            algo: Algorithm::sasgd(2, 1, GammaP::OverP),
+            hash: 0xed4e_659c_7014_c64c,
+            head: [0xbd7edf03, 0xbce51fd9, 0x3d58b1c6, 0x3de33aaf],
+        },
+        Golden {
+            name: "sasgd_p3_t1",
+            algo: Algorithm::sasgd(3, 1, GammaP::OverP),
+            hash: 0x03e2_6791_d937_2f0b,
+            head: [0xbd86454f, 0xbd04633e, 0x3d4a27af, 0x3ddfa2f2],
+        },
+        Golden {
+            name: "sasgd_p2_t1_8bit",
+            algo: Algorithm::sasgd_compressed(2, 1, GammaP::OverP, Compression::Uniform8Bit),
+            hash: 0xbdfc_de82_1b09_e450,
+            head: [0xbd7ee773, 0xbce55f5d, 0x3d58b882, 0x3de3375d],
+        },
+        Golden {
+            name: "sasgd_p2_t1_layerwise1",
+            algo: Algorithm::sasgd_compressed(2, 1, GammaP::OverP, layer_wise_top1),
+            hash: 0xbb22_088b_38ad_01c7,
+            head: [0xbd8a1e7f, 0xbd0c6587, 0x3d36ed30, 0x3dd83f06],
+        },
+    ]
+}
+
+#[test]
+fn t1_final_params_are_pinned() {
+    check(t1_goldens(), run_case);
+}
+
+#[test]
+fn event_driven_t1_final_params_are_pinned() {
+    let dense_p3 = vec![Golden {
+        name: "event_sasgd_p3_t1",
+        algo: Algorithm::sasgd(3, 1, GammaP::OverP),
+        hash: 0x03e2_6791_d937_2f0b,
+        head: [0xbd86454f, 0xbd04633e, 0x3d4a27af, 0x3ddfa2f2],
+    }];
+    check(dense_p3, |algo| {
+        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 3));
+        let mut cfg = TrainConfig::new(2, 8, 0.05, 42);
+        cfg.cadence = Some(Cadence::EventDriven);
+        let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
+        let h = train(&mut factory, &train_set, &test_set, algo, &cfg);
+        h.final_params.expect("final_params")
     });
 }

@@ -412,6 +412,61 @@ fn compressed_crash_one_of_eight_completes_and_replays_bitwise() {
     );
 }
 
+#[test]
+fn t1_crash_one_of_eight_completes_and_replays_bitwise() {
+    // The 1-of-8 crash at T = 1, where every step is a round taken on the
+    // gradient arena: dense (the walk moves the arena itself) and
+    // layer-wise top-1 % (the codec encodes straight from it). The seven
+    // survivors finish at γ/7, and the same plan replays bitwise.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(256, 64, 3));
+    let cfg = TrainConfig::new(3, 8, 0.05, 13);
+    let f = || models::tiny_cnn(3, &mut SeedRng::new(9));
+    let plan = FaultPlan::seeded(0xFA17, 8, 1, 3);
+    let crashed = plan.events[0].rank;
+    let faults = FaultConfig {
+        plan,
+        deadline: FT_DEADLINE,
+    };
+    for compression in [None, Some(layer_wise_top1())] {
+        let algo = Algorithm::Sasgd {
+            p: 8,
+            schedule: TSchedule::Fixed { t: 1 },
+            gamma_p: GammaP::OverP,
+            compression,
+            delayed: false,
+        };
+        let run = || {
+            Executor::new(Backend::Threaded)
+                .try_run_ft(&f, &train_set, &test_set, &algo, &cfg, &faults)
+                .expect("the T = 1 run degrades onto its survivors")
+        };
+        let (h, again) = (run(), run());
+        let label = &h.label;
+        assert_eq!(
+            h.records.len(),
+            3,
+            "{label}: all epochs ran on the survivors"
+        );
+        assert_eq!(h.membership.len(), 1, "{label}: one membership change");
+        let ev = &h.membership[0];
+        assert_eq!(
+            (&ev.lost, ev.survivors, ev.epoch),
+            (&vec![crashed], 7, 1),
+            "{label}"
+        );
+        assert!(
+            (ev.gamma_p - 0.05 / 7.0).abs() < 1e-7,
+            "{label}: γp {}",
+            ev.gamma_p
+        );
+        assert!(h.final_params.is_some());
+        assert_eq!(
+            h.final_params, again.final_params,
+            "{label}: degraded run not bitwise"
+        );
+    }
+}
+
 /// SASGD(`p`, `t`, γ/p) with each round's total landing one round late.
 fn delayed_sasgd(p: usize, t: usize) -> Algorithm {
     Algorithm::Sasgd {
