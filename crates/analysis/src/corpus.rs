@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, Dense};
 use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
-use sasgd_comm::sparse::{sparse_allreduce_tree_v2, SparseFold, SparseLevelProfile};
+use sasgd_comm::sparse::{sparse_allreduce_tree, SparseFold, SparseLevelProfile};
 use sasgd_comm::sparse::{SparseTreeOpts, SparseVec};
 use sasgd_comm::transport::Transport;
 use sasgd_comm::tree::{allreduce_over, broadcast_over, Membership};
@@ -131,12 +131,7 @@ fn sparse_input(rank: usize) -> SparseVec {
 fn sparse_body<T: Transport>(mut t: T) -> RankOutcome {
     let mut sv = sparse_input(t.rank());
     let (opts, mut profile) = (SparseTreeOpts::default(), SparseLevelProfile::default());
-    wire(sparse_allreduce_tree_v2(
-        &mut t,
-        &mut sv,
-        opts,
-        &mut profile,
-    ))?;
+    wire(sparse_allreduce_tree(&mut t, &mut sv, opts, &mut profile))?;
     Ok(sv.to_dense())
 }
 
@@ -331,7 +326,7 @@ fn unarmed<T: Transport>(t: &mut T, sparse: bool) -> RankOutcome {
         wire(allreduce_tree(t, &mut v))?;
         return Ok(v);
     }
-    let spill = wire(sparse_allreduce_tree_v2(
+    let spill = wire(sparse_allreduce_tree(
         t,
         &mut sv,
         BOUNDED,

@@ -143,7 +143,7 @@ const COMM_RESULT_FNS: &[&str] = &[
     "allreduce_over",
     "broadcast_over",
     "allreduce_ring",
-    "sparse_allreduce_tree_v2",
+    "sparse_allreduce_tree",
     // The sparse/8-bit frame decoders: a peer's buffer can be malformed.
     "decode",
     "dense8_decode",
@@ -1215,7 +1215,7 @@ mod tests {
             "l.client.pull_retry(deadline, 3, backoff)",
             "l.client.pull_snapshot(deadline, 8)",
             "l.client.claim(deadline)",
-            "sparse_allreduce_tree_v2(comm, &mut sv, opts, &mut profile)",
+            "sparse_allreduce_tree(comm, &mut sv, opts, &mut profile)",
             "allreduce_over(comm, &mut membership, &mut fold, deadline)",
             "broadcast_over(comm, &membership, 0, &mut fold)",
             "SparseVec::decode(&buf)",

@@ -6,7 +6,8 @@
 //! * [`transport`] — the [`transport::Transport`] trait every collective
 //!   and engine backend is written against: `send`/`recv`/`recv_deadline`/
 //!   `recv_any` over opaque rank endpoints, with typed [`world::CommError`]
-//!   as the only failure channel;
+//!   as the only failure channel — and [`transport::Clocked`], the
+//!   decorator that prices any endpoint's messages in virtual time;
 //! * [`world`] — a process-group abstraction: `p` ranks exchanging typed
 //!   messages over crossbeam channels, with global traffic accounting —
 //!   the in-process [`Transport`] implementation;
@@ -74,7 +75,7 @@ pub use mock::{mock_world, MockTransport};
 pub use protocol::Frame;
 pub use ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 pub use socket::{loopback_addrs, SocketTransport};
-pub use sparse::{sparse_allreduce_tree_v2, SparseVec};
-pub use transport::{InProcTransport, Transport};
+pub use sparse::{sparse_allreduce_tree, SparseVec};
+pub use transport::{Clocked, InProcTransport, Stamps, Transport, VirtualClock};
 pub use tree::{allreduce_over, broadcast_over, Fold, FtError, FtOutcome, Membership};
 pub use world::{CommError, CommWorld, Communicator, FaultSchedule};

@@ -28,16 +28,15 @@
 //! reconstruction is bitwise identical to the sender's dense form and
 //! the tree reduce stays a plain f32 sum.
 //!
-//! [`sparse_allreduce_tree_v2`] is the one sparse tree (the `_v2` is
-//! historical; the benchmark adapter compiles against the name): the
-//! walk over a full membership, the encoded total going down. It records
-//! a per-level wire profile ([`SparseLevelProfile`], measuring how the
-//! index union grows with tree depth) and, with a union bound, re-TopKs each merged partial, folding the trimmed mass back to
-//! the caller as a sparse *spill* for its error-feedback residual —
-//! nothing is silently lost.
-//! With default [`SparseTreeOpts`] the spill is empty and the sums are
-//! the dense tree's. [`tree_combine_bounded`] is the in-memory mirror of
-//! the same combine-and-trim order for the simulated backend.
+//! [`sparse_allreduce_tree`] is the one sparse tree: the walk over a full
+//! membership, the encoded total going down. It records a per-level wire
+//! profile ([`SparseLevelProfile`], measuring how the index union grows
+//! with tree depth) and, with a union bound, re-TopKs each merged partial,
+//! folding the trimmed mass back to the caller as a sparse *spill* for its
+//! error-feedback residual — nothing is silently lost. With default
+//! [`SparseTreeOpts`] the spill is empty and the sums are the dense
+//! tree's. Both engine backends run it; there is no in-memory copy of its
+//! combine order.
 //!
 //! The dense tree's fold ([`crate::collectives::Dense`]) with a scale
 //! gives dense 8-bit quantization a real wire form: leaf sends travel as
@@ -55,7 +54,7 @@
 //! partial untouched, never a panic or an out-of-bounds index.
 
 use crate::transport::Transport;
-use crate::tree::{depth, links, prefixed, walk, Fold, Membership, Wire};
+use crate::tree::{prefixed, walk, Fold, Membership, Wire};
 use crate::world::CommError;
 
 /// Elements of a [`SparseVec`] wire frame carrying `nnz` entries.
@@ -413,7 +412,7 @@ impl SparseLevelProfile {
     }
 }
 
-/// Options for [`sparse_allreduce_tree_v2`].
+/// Options for [`sparse_allreduce_tree`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SparseTreeOpts {
     /// Re-TopK every merged partial down to this many entries, folding
@@ -574,7 +573,7 @@ impl Fold for SparseFold<'_> {
 ///
 /// A frame that fails validation is a [`CommError::Malformed`]; `sv` then
 /// still holds what this rank had accumulated before the bad frame.
-pub fn sparse_allreduce_tree_v2<T: Transport>(
+pub fn sparse_allreduce_tree<T: Transport>(
     comm: &mut T,
     sv: &mut SparseVec,
     opts: SparseTreeOpts,
@@ -586,58 +585,10 @@ pub fn sparse_allreduce_tree_v2<T: Transport>(
     Ok(fold.spill)
 }
 
-/// In-memory mirror of [`sparse_allreduce_tree_v2`] over all `p`
-/// contributions at once, `opts[r]` being what rank `r` would pass the
-/// wire collective: identical combine order (ascending bit levels,
-/// receiver `r` absorbs `r | bit`), identical per-receiver trimming, and
-/// the exact [`SparseLevelProfile`] the wire run's merged per-rank
-/// profiles would record. Returns `(total, per-rank spills, profile)`.
-///
-/// The simulated backend aggregates through this so compressed runs stay
-/// bitwise identical to the threaded backend and its modeled wire
-/// accounting matches the measured traffic counters element-for-element.
-pub fn tree_combine_bounded(
-    mut svs: Vec<SparseVec>,
-    opts: &[SparseTreeOpts],
-) -> (SparseVec, Vec<SparseVec>, SparseLevelProfile) {
-    let p = svs.len();
-    // lint:allow(comm-unwrap): the simulated backend's own contributions.
-    assert!(p > 0, "no contributions");
-    // lint:allow(comm-unwrap): as above.
-    assert_eq!(opts.len(), p, "one set of tree options per rank");
-    let mut profile = SparseLevelProfile::default();
-    let mut spills: Vec<SparseVec> = svs.iter().map(|s| SparseVec::empty(s.len)).collect();
-    // Receivers from the last rank down: a rank's subtree lies above it, so
-    // its partial is complete by the time its own parent takes it.
-    for r in (0..p).rev() {
-        for (s, level) in links(r, p).children {
-            let frame = if level == 0 && opts[s].q8_scale.is_some() {
-                sparse8_frame_elements(svs[s].nnz())
-            } else {
-                sparse_frame_elements(svs[s].nnz())
-            };
-            profile.record(level as usize, 1, svs[s].nnz() as u64, frame as u64);
-            // The sender's slot is never read again.
-            let part = std::mem::replace(&mut svs[s], SparseVec::empty(0));
-            svs[r].add_assign(&part);
-            if let Some(bound) = opts[r].union_bound {
-                let trimmed = trim_to_bound(&mut svs[r], bound);
-                spills[r].add_assign(&trimmed);
-            }
-        }
-    }
-    let total = svs.swap_remove(0);
-    if p > 1 {
-        let msgs = (p - 1) as u64;
-        profile.record(
-            depth(p),
-            msgs,
-            msgs * total.nnz() as u64,
-            msgs * sparse_frame_elements(total.nnz()) as u64,
-        );
-    }
-    (total, spills, profile)
-}
+/// The sparse tree under its former name, which the benchmark harness and
+/// the property suite compile against.
+#[doc(hidden)]
+pub use self::sparse_allreduce_tree as sparse_allreduce_tree_v2;
 
 /// Encode an `m`-element dense vector whose entries sit exactly on the
 /// `q·scale` grid as a packed dense frame `[len, scale, q-packed...]`
@@ -727,7 +678,7 @@ mod tests {
     /// The unbounded f32 tree: no profile kept, and the spill must be empty.
     fn plain_allreduce(c: &mut Communicator, sv: &mut SparseVec) {
         let mut profile = SparseLevelProfile::default();
-        let spill = sparse_allreduce_tree_v2(c, sv, SparseTreeOpts::default(), &mut profile)
+        let spill = sparse_allreduce_tree(c, sv, SparseTreeOpts::default(), &mut profile)
             .expect("sparse allreduce");
         assert_eq!(spill.nnz(), 0, "unbounded tree spills nothing");
     }
@@ -888,45 +839,104 @@ mod tests {
         assert_eq!(sv.idx, vec![1, 3]);
     }
 
+    /// One sparse allreduce of `inputs` under `opts` on a `p`-rank world:
+    /// each rank's `(total, spill)`, the ranks' profiles merged, and the
+    /// world's `(elements, messages)` counters.
+    fn bounded_run(
+        inputs: &[SparseVec],
+        opts: SparseTreeOpts,
+    ) -> (Vec<(SparseVec, SparseVec)>, SparseLevelProfile, (u64, u64)) {
+        let p = inputs.len();
+        let mut world = CommWorld::new(p);
+        let traffic = world.traffic();
+        let comms = world.communicators();
+        let ranks: Vec<_> = thread::scope(|s| {
+            let handles: Vec<_> = comms
+                .into_iter()
+                .map(|mut c| {
+                    s.spawn(move || {
+                        let mut sv = inputs[c.rank()].clone();
+                        let mut profile = SparseLevelProfile::default();
+                        let spill = sparse_allreduce_tree(&mut c, &mut sv, opts, &mut profile)
+                            .expect("bounded allreduce");
+                        (sv, spill, profile)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("rank thread"))
+                .collect()
+        });
+        let mut merged = SparseLevelProfile::default();
+        let ranks = ranks
+            .into_iter()
+            .map(|(total, spill, profile)| {
+                merged.merge(&profile);
+                (total, spill)
+            })
+            .collect();
+        let counters = (traffic.elements_sent(), traffic.messages_sent());
+        (ranks, merged, counters)
+    }
+
+    /// `Σ inputs == total + Σ spills`, per coordinate and to the bit — for
+    /// inputs whose every partial sum is exact in f32.
+    fn assert_conserved(inputs: &[SparseVec], ranks: &[(SparseVec, SparseVec)], what: &str) {
+        let sum = |vs: &mut dyn Iterator<Item = &SparseVec>| -> Vec<f64> {
+            let mut out = vec![0.0f64; inputs[0].len as usize];
+            for v in vs {
+                for (o, x) in out.iter_mut().zip(v.to_dense()) {
+                    *o += f64::from(x);
+                }
+            }
+            out
+        };
+        let input = sum(&mut inputs.iter());
+        let delivered = sum(&mut ranks[..1].iter().map(|r| &r.0));
+        let spilled = sum(&mut ranks.iter().map(|r| &r.1));
+        for (j, (i, (d, s))) in input.iter().zip(delivered.iter().zip(&spilled)).enumerate() {
+            assert_eq!(d + s, *i, "{what}: coordinate {j} lost mass");
+        }
+    }
+
     #[test]
-    fn v2_wire_matches_in_memory_mirror_bitwise() {
-        // q8 leaf frames + union bound, p across tree shapes: the wire
-        // run and tree_combine_bounded must agree on the total, every
-        // rank's spill, and the merged per-level profile.
+    fn bounded_q8_tree_agrees_conserves_and_profiles_its_traffic() {
+        // q8 leaf frames + union bound, p across tree shapes: every rank
+        // ends with one total, total + spills conserve the inputs (grid
+        // values sum exactly), merged partials respect the bound, and the
+        // merged level profile is exactly what the world's counters saw.
         for p in [2usize, 3, 4, 7, 8] {
-            let m = 64;
-            let scale = 0.03125f32;
-            let bound = 6usize;
+            let (m, scale, bound) = (64, 0.03125f32, 6usize);
             let inputs: Vec<SparseVec> = (0..p).map(|r| grid_vector(m, scale, r + 1)).collect();
             let opts = SparseTreeOpts {
                 union_bound: Some(bound),
                 q8_scale: Some(scale),
             };
-            let wire: Vec<(Vec<f32>, Vec<f32>, SparseLevelProfile)> = {
-                let inputs = &inputs;
-                run_world(p, move |c| {
-                    let mut sv = inputs[c.rank()].clone();
-                    let mut profile = SparseLevelProfile::default();
-                    let spill = sparse_allreduce_tree_v2(c, &mut sv, opts, &mut profile)
-                        .expect("bounded allreduce");
-                    (sv.to_dense(), spill.to_dense(), profile)
-                })
-            };
-            let (total, spills, mirror_profile) =
-                tree_combine_bounded(inputs.clone(), &vec![opts; p]);
-            let total_dense = total.to_dense();
-            let mut merged = SparseLevelProfile::default();
-            for (r, (wire_total, wire_spill, profile)) in wire.iter().enumerate() {
-                merged.merge(profile);
-                for (a, b) in wire_total.iter().zip(&total_dense) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "total p={p} rank={r}");
-                }
-                let mirror_spill = spills[r].to_dense();
-                for (a, b) in wire_spill.iter().zip(&mirror_spill) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "spill p={p} rank={r}");
-                }
+            let (ranks, profile, (elements, messages)) = bounded_run(&inputs, opts);
+            for (r, (total, _)) in ranks.iter().enumerate() {
+                assert_eq!(total, &ranks[0].0, "p={p}: rank {r}'s total");
             }
-            assert_eq!(merged, mirror_profile, "p={p}");
+            assert!(
+                ranks[0].0.nnz() <= bound,
+                "p={p}: the total is a merged partial"
+            );
+            assert_conserved(&inputs, &ranks, &format!("p={p}"));
+            // At a power-of-two p every send above level 0 carries a merged
+            // partial (elsewhere a childless member sends its own input
+            // at a higher level).
+            let merged = profile.levels.iter().enumerate().skip(1);
+            for (level, s) in merged.filter(|_| p.is_power_of_two()) {
+                assert!(
+                    s.nnz <= s.messages * bound as u64,
+                    "p={p} level {level}: {s:?}"
+                );
+            }
+            assert_eq!(
+                (profile.total_elements(), profile.total_messages()),
+                (elements, messages),
+                "p={p}: the profile counts the wire"
+            );
         }
     }
 
@@ -953,23 +963,16 @@ mod tests {
                 SparseVec::from_dense(&v)
             })
             .collect();
-        let input_mass: f64 = inputs
-            .iter()
-            .flat_map(|sv| sv.val.iter())
-            .map(|&v| f64::from(v))
-            .sum();
-        let (total, spills, _) = tree_combine_bounded(inputs, &vec![bounded(5); p]);
-        assert!(total.nnz() <= 5, "delivered vector respects the bound");
-        let delivered: f64 = total.val.iter().map(|&v| f64::from(v)).sum();
-        let spilled: f64 = spills
-            .iter()
-            .flat_map(|sv| sv.val.iter())
-            .map(|&v| f64::from(v))
-            .sum();
-        assert_eq!(
-            delivered + spilled,
-            input_mass,
-            "no mass is silently lost by union-bound trimming"
+        let (ranks, _, _) = bounded_run(&inputs, bounded(5));
+        assert!(ranks[0].0.nnz() <= 5, "delivered vector respects the bound");
+        assert!(
+            ranks.iter().any(|(_, spill)| spill.nnz() > 0),
+            "the bound trims"
+        );
+        assert_conserved(
+            &inputs,
+            &ranks,
+            "no mass is silently lost by union-bound trimming",
         );
     }
 
@@ -987,24 +990,27 @@ mod tests {
             SparseVec::from_dense(&v)
         };
         let svs: Vec<SparseVec> = (0..p).map(inputs).collect();
-        let (_, _, unbounded) =
-            tree_combine_bounded(svs.clone(), &vec![SparseTreeOpts::default(); p]);
+        let (_, unbounded, _) = bounded_run(&svs, SparseTreeOpts::default());
         let leaf = &unbounded.levels[0];
         let deepest = &unbounded.levels[2];
         assert!(
             deepest.nnz * leaf.messages > 2 * leaf.nnz * deepest.messages,
             "unbounded per-message nnz must grow with depth: {unbounded:?}"
         );
-        let (total, spills, flat) = tree_combine_bounded(svs, &vec![bounded(per_rank); p]);
+        let (ranks, flat, _) = bounded_run(&svs, bounded(per_rank));
         for (level, s) in flat.levels.iter().enumerate() {
             assert!(
                 s.nnz <= s.messages * per_rank as u64,
                 "level {level} exceeds the union bound: {s:?}"
             );
         }
-        assert_eq!(total.nnz(), per_rank, "delivered vector is at the bound");
+        assert_eq!(
+            ranks[0].0.nnz(),
+            per_rank,
+            "delivered vector is at the bound"
+        );
         assert!(
-            spills.iter().map(SparseVec::nnz).sum::<usize>() > 0,
+            ranks.iter().map(|(_, spill)| spill.nnz()).sum::<usize>() > 0,
             "trimmed mass lands in the spills"
         );
     }
@@ -1043,18 +1049,19 @@ mod tests {
             let out = if let Result = lane {
                 let (_reduce, bcast) = (r0.next_op(), r0.next_op());
                 r0.send(1, tag(bcast, 0), frame).expect("send");
-                sparse_allreduce_tree_v2(&mut r1, &mut sv, opts(None), &mut profile).map(drop)
+                sparse_allreduce_tree(&mut r1, &mut sv, opts(None), &mut profile).map(drop)
             } else {
                 let reduce = r1.next_op();
                 r1.send(0, tag(reduce, 1), frame).expect("send");
                 match lane {
                     Dense8 => q8_allreduce_tree(&mut r0, &mut v, 0.25),
                     Sparse8 => {
-                        sparse_allreduce_tree_v2(&mut r0, &mut sv, opts(Some(0.25)), &mut profile)
+                        sparse_allreduce_tree(&mut r0, &mut sv, opts(Some(0.25)), &mut profile)
                             .map(drop)
                     }
-                    _ => sparse_allreduce_tree_v2(&mut r0, &mut sv, opts(None), &mut profile)
-                        .map(drop),
+                    _ => {
+                        sparse_allreduce_tree(&mut r0, &mut sv, opts(None), &mut profile).map(drop)
+                    }
                 }
             };
             if out.is_err() {

@@ -40,7 +40,22 @@
 //! buffer before the hangup is observed), so callers that probe for a dead
 //! peer retry-send until the error surfaces; on `InProcTransport` it is
 //! immediate.
+//!
+//! ## The virtual-clock decorator
+//!
+//! [`Clocked`] wraps any endpoint and prices its traffic in virtual time,
+//! for a world whose ranks run real code on simulated hardware. Each rank
+//! owns a [`VirtualClock`]. A send charges the sender the hop's link time
+//! and stamps the message with the sender's clock after the charge: its
+//! arrival. A receive advances the receiver to `max(now, arrival)`. The
+//! stamps travel out of band, through one [`Stamps`] board per world, so
+//! payloads and traffic counters are the undecorated wire's. Code that
+//! only names its receives (the unarmed tree walk) therefore reads the
+//! same clocks under any thread schedule.
 
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::world::{CommError, Communicator};
@@ -139,6 +154,149 @@ impl Transport for Communicator {
 
     fn next_op(&mut self) -> u64 {
         Communicator::next_op(self)
+    }
+}
+
+/// One rank's virtual time in seconds, shared by the rank's loop (which
+/// advances it through compute) and its [`Clocked`] endpoint (which
+/// advances it through the wire). Only the owning rank moves it.
+#[derive(Clone, Debug, Default)]
+pub struct VirtualClock(Arc<AtomicU64>);
+
+impl VirtualClock {
+    /// Seconds now.
+    pub fn now(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+
+    /// Set the clock to `t`.
+    pub fn set(&self, t: f64) {
+        self.0.store(t.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Advance the clock by `dt`; returns the new time.
+    pub fn advance(&self, dt: f64) -> f64 {
+        let t = self.now() + dt;
+        self.set(t);
+        t
+    }
+}
+
+/// Seconds one message of `elements` `f32`s takes from `src` to `dst`.
+type Link = dyn Fn(usize, usize, usize) -> f64 + Send + Sync;
+
+/// The out-of-band side of a clocked world: each message's arrival time,
+/// queued per `(src, dst, tag)` in send order (the order an MPI-style
+/// `(src, tag)` match delivers in), and the link that prices a hop.
+pub struct Stamps {
+    queues: Mutex<BTreeMap<(usize, usize, u64), VecDeque<f64>>>,
+    link: Box<Link>,
+}
+
+impl Stamps {
+    /// A board for one world whose hops cost `link(src, dst, elements)`
+    /// seconds.
+    pub fn new(link: impl Fn(usize, usize, usize) -> f64 + Send + Sync + 'static) -> Arc<Self> {
+        Arc::new(Stamps {
+            queues: Mutex::new(BTreeMap::new()),
+            link: Box::new(link),
+        })
+    }
+}
+
+/// An endpoint whose traffic is priced in virtual time (see the module
+/// docs). A `recv_any` over several tags from one source is matched to
+/// the first of them.
+pub struct Clocked<T> {
+    inner: T,
+    clock: VirtualClock,
+    stamps: Arc<Stamps>,
+}
+
+impl<T: Transport> Clocked<T> {
+    /// `inner`, priced on `clock` through the world's `stamps`.
+    pub fn new(inner: T, clock: VirtualClock, stamps: Arc<Stamps>) -> Self {
+        Clocked {
+            inner,
+            clock,
+            stamps,
+        }
+    }
+
+    /// A message from `src` under `tag` arrived: the clock moves to its
+    /// arrival if that is later.
+    fn arrived(&self, src: usize, tag: u64) {
+        let key = (src, self.inner.rank(), tag);
+        let mut queues = (self.stamps.queues.lock()).unwrap_or_else(PoisonError::into_inner);
+        let at = queues.get_mut(&key).and_then(VecDeque::pop_front);
+        if let Some(at) = at.filter(|&at| at > self.clock.now()) {
+            self.clock.set(at);
+        }
+    }
+
+    /// [`Clocked::arrived`] for a `recv_any` that returned `src`.
+    fn arrived_any(&self, src: usize, candidates: &[(usize, u64)]) {
+        if let Some(&(_, tag)) = candidates.iter().find(|c| c.0 == src) {
+            self.arrived(src, tag);
+        }
+    }
+}
+
+impl<T: Transport> Transport for Clocked<T> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
+        let me = self.inner.rank();
+        let at = self
+            .clock
+            .advance((self.stamps.link)(me, dst, payload.len()));
+        let mut queues = (self.stamps.queues.lock()).unwrap_or_else(PoisonError::into_inner);
+        queues.entry((me, dst, tag)).or_default().push_back(at);
+        drop(queues);
+        self.inner.send(dst, tag, payload)
+    }
+
+    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
+        let frame = self.inner.recv(src, tag)?;
+        self.arrived(src, tag);
+        Ok(frame)
+    }
+
+    fn recv_deadline(
+        &mut self,
+        src: usize,
+        tag: u64,
+        timeout: Duration,
+    ) -> Result<Vec<f32>, CommError> {
+        let frame = self.inner.recv_deadline(src, tag, timeout)?;
+        self.arrived(src, tag);
+        Ok(frame)
+    }
+
+    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
+        let (src, frame) = self.inner.recv_any(candidates)?;
+        self.arrived_any(src, candidates);
+        Ok((src, frame))
+    }
+
+    fn recv_any_deadline(
+        &mut self,
+        candidates: &[(usize, u64)],
+        timeout: Duration,
+    ) -> Result<(usize, Vec<f32>), CommError> {
+        let (src, frame) = self.inner.recv_any_deadline(candidates, timeout)?;
+        self.arrived_any(src, candidates);
+        Ok((src, frame))
+    }
+
+    fn next_op(&mut self) -> u64 {
+        self.inner.next_op()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Transport conformance suite: one generic body of tests run against
 //! every [`Transport`] implementation — the in-process crossbeam world,
-//! the TCP socket mesh, the mock, and the model checker's live-mode
+//! the same world behind the virtual-clock decorator, the TCP socket mesh,
+//! the mock, and the model checker's live-mode
 //! [`ModelTransport`](sasgd_analysis::model) — so the trait's
 //! failure-semantics contract is checked by construction, not by
 //! convention.
@@ -12,8 +13,8 @@
 use sasgd_comm::collectives::allreduce_tree;
 use sasgd_comm::mock::mock_world;
 use sasgd_comm::socket::SocketTransport;
-use sasgd_comm::transport::Transport;
-use sasgd_comm::world::{CommError, CommWorld};
+use sasgd_comm::transport::{Clocked, Stamps, Transport, VirtualClock};
+use sasgd_comm::world::{CommError, CommWorld, Communicator};
 use std::net::TcpListener;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -52,8 +53,18 @@ fn socket_world(p: usize) -> Vec<SocketTransport> {
     out.into_iter().map(|o| o.expect("endpoint")).collect()
 }
 
-fn inproc_world(p: usize) -> Vec<sasgd_comm::world::Communicator> {
+fn inproc_world(p: usize) -> Vec<Communicator> {
     CommWorld::new(p).communicators()
+}
+
+/// The in-process world with every endpoint priced in virtual time, a
+/// microsecond a hop: the simulated backend's wire.
+fn clocked_world(p: usize) -> Vec<Clocked<Communicator>> {
+    let stamps = Stamps::new(|_, _, _| 1e-6);
+    let endpoints = inproc_world(p).into_iter();
+    endpoints
+        .map(|c| Clocked::new(c, VirtualClock::default(), stamps.clone()))
+        .collect()
 }
 
 // ---------------------------------------------------------------- scenarios
@@ -258,6 +269,7 @@ macro_rules! conformance {
 }
 
 conformance!(inproc, inproc_world);
+conformance!(clocked, clocked_world);
 conformance!(socket, socket_world);
 conformance!(mock, mock_world);
 // The model checker's transport in *live* mode: same failure-semantics

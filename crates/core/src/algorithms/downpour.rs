@@ -11,64 +11,34 @@
 //! event-driven loop realizes exactly that interleaving in virtual-time
 //! order, with staleness driven by the jitter model's speed variation.
 
-use sasgd_data::Dataset;
-use sasgd_nn::Model;
-
-use crate::engine::{AggregationStrategy, Cadence, CommScope};
-use crate::history::History;
-use crate::trainer::{Learner, TrainConfig};
+use crate::engine::AggregationStrategy;
+use crate::trainer::Learner;
 
 /// Asynchronous learners around a simulated parameter server: every `T`
 /// minibatches a learner pushes `gs` (applied immediately) and pulls the
 /// current parameters.
 pub(crate) struct DownpourStrategy {
-    p: usize,
-    t: usize,
     /// Scale each push by γ/(1+τ) using the measured staleness τ.
     staleness_gamma: bool,
     /// The parameter-server state.
     ps: Vec<f32>,
-    /// Lockstep-only: modeled PS round-trip seconds, set in `setup`.
-    round_s: f64,
 }
 
 impl DownpourStrategy {
-    pub(crate) fn new(p: usize, t: usize, staleness_gamma: bool) -> Self {
-        assert!(p >= 1 && t >= 1);
+    pub(crate) fn new(staleness_gamma: bool) -> Self {
         DownpourStrategy {
-            p,
-            t,
             staleness_gamma,
             ps: Vec::new(),
-            round_s: 0.0,
         }
     }
 }
 
 impl AggregationStrategy for DownpourStrategy {
-    fn p(&self) -> usize {
-        self.p
-    }
-
-    fn cadence(&self) -> Cadence {
-        Cadence::EventDriven
-    }
-
-    fn comm_scope(&self) -> CommScope {
-        CommScope::Individual
-    }
-
-    fn sync_interval(&self) -> usize {
-        self.t
-    }
-
-    fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
+    fn setup(&mut self, x0: &[f32]) {
         self.ps = x0.to_vec();
-        self.round_s = cfg.cost.ps_roundtrip(x0.len(), self.p).seconds;
-        0.0
     }
 
-    fn observe_staleness(&mut self, _id: usize, tau: u64, gamma: f32) -> f32 {
+    fn observe_staleness(&mut self, tau: u64, gamma: f32) -> f32 {
         if self.staleness_gamma {
             // lint:allow(float-cast): τ is a small update count.
             gamma / (1.0 + tau as f32)
@@ -77,38 +47,7 @@ impl AggregationStrategy for DownpourStrategy {
         }
     }
 
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, _history: &mut History) {
-        // Lockstep Downpour: the same push/pull math, executed as a
-        // bulk-synchronous round in rank order (τ = 0 by construction).
-        let t_max = learners.iter().map(|l| l.clock).fold(0.0, f64::max);
-        for (id, l) in learners.iter_mut().enumerate() {
-            let gamma_eff = self.observe_staleness(id, 0, gamma_now);
-            let wait = t_max - l.clock;
-            self.event_sync_inner(l, gamma_eff);
-            l.charge_comm(wait + self.round_s);
-        }
-    }
-
-    fn on_local_step(
-        &mut self,
-        l: &mut Learner,
-        _id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-    ) {
-        // Local SGD step against the parameters pulled at the previous
-        // sync; wall-clock time is accounted by the block event itself.
-        l.local_step(data, idx, gamma, 0.0, 1.0);
-    }
-
-    fn event_sync(&mut self, l: &mut Learner, _id: usize, gamma: f32) {
-        self.event_sync_inner(l, gamma);
-    }
-}
-
-impl DownpourStrategy {
-    fn event_sync_inner(&mut self, l: &mut Learner, gamma: f32) {
+    fn event_sync(&mut self, l: &mut Learner, gamma: f32) {
         // Push: the server applies the accumulated gradient at once.
         for (x, &g) in self.ps.iter_mut().zip(&l.gs) {
             *x -= gamma * g;
@@ -121,8 +60,7 @@ impl DownpourStrategy {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Algorithm;
+    use crate::{Algorithm, TrainConfig};
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;

@@ -18,108 +18,57 @@
 //! by virtual time.
 
 use sasgd_data::Dataset;
-use sasgd_nn::Model;
 
-use crate::engine::{AggregationStrategy, Cadence, CommScope};
-use crate::history::History;
-use crate::trainer::{Learner, TrainConfig};
+use crate::engine::AggregationStrategy;
+use crate::trainer::Learner;
+use crate::Algorithm;
 
 /// Asynchronous momentum-SGD replicas elastically coupled to a center
 /// variable.
 pub(crate) struct EamsgdStrategy {
-    p: usize,
-    t: usize,
     alpha: f32,
     momentum: f32,
     /// Scale the elastic moving rate by 1/(1+τ) using measured staleness.
     staleness_gamma: bool,
-    /// Staleness observed for the learner about to exchange.
-    last_tau: u64,
     /// The center variable `x̃` on the parameter server.
     center: Vec<f32>,
     /// Per-learner momentum buffers.
     velocities: Vec<Vec<f32>>,
-    /// Lockstep-only: modeled PS round-trip seconds, set in `setup`.
-    round_s: f64,
 }
 
 impl EamsgdStrategy {
     pub(crate) fn new(
         p: usize,
-        t: usize,
         moving_rate: Option<f32>,
         momentum: f32,
         staleness_gamma: bool,
     ) -> Self {
-        assert!(p >= 1 && t >= 1);
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        let alpha = moving_rate.unwrap_or(0.9 / p as f32);
-        assert!(alpha > 0.0 && alpha <= 1.0, "moving rate out of range");
         EamsgdStrategy {
-            p,
-            t,
-            alpha,
+            alpha: Algorithm::moving_rate(p, moving_rate),
             momentum,
             staleness_gamma,
-            last_tau: 0,
             center: Vec::new(),
-            velocities: Vec::new(),
-            round_s: 0.0,
-        }
-    }
-
-    /// The moving rate for the next exchange, staleness-scaled when
-    /// enabled.
-    fn alpha_eff(&self) -> f32 {
-        if self.staleness_gamma {
-            // lint:allow(float-cast): τ is a small update count.
-            self.alpha / (1.0 + self.last_tau as f32)
-        } else {
-            self.alpha
+            velocities: vec![Vec::new(); p],
         }
     }
 }
 
 impl AggregationStrategy for EamsgdStrategy {
-    fn p(&self) -> usize {
-        self.p
-    }
-
-    fn cadence(&self) -> Cadence {
-        Cadence::EventDriven
-    }
-
-    fn comm_scope(&self) -> CommScope {
-        CommScope::Individual
-    }
-
-    fn sync_interval(&self) -> usize {
-        self.t
-    }
-
-    fn setup(&mut self, _factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64 {
+    fn setup(&mut self, x0: &[f32]) {
         self.center = x0.to_vec();
-        self.velocities = vec![vec![0.0; x0.len()]; self.p];
-        self.round_s = cfg.cost.ps_roundtrip(x0.len(), self.p).seconds;
-        0.0
+        self.velocities
+            .iter_mut()
+            .for_each(|v| *v = vec![0.0; x0.len()]);
     }
 
     /// The rate the exchange applies is the moving rate, not `γ`: that is
     /// what the staleness series records, as the threaded exchange does.
-    fn observe_staleness(&mut self, _id: usize, tau: u64, _gamma: f32) -> f32 {
-        self.last_tau = tau;
-        self.alpha_eff()
-    }
-
-    fn sync(&mut self, learners: &mut [Learner], _gamma_now: f32, _history: &mut History) {
-        // Lockstep EAMSGD: the same elastic exchange, executed as a
-        // bulk-synchronous round in rank order (τ = 0 by construction).
-        let t_max = learners.iter().map(|l| l.clock).fold(0.0, f64::max);
-        self.last_tau = 0;
-        for l in learners.iter_mut() {
-            let wait = t_max - l.clock;
-            self.exchange(l);
-            l.charge_comm(wait + self.round_s);
+    fn observe_staleness(&mut self, tau: u64, _gamma: f32) -> f32 {
+        if self.staleness_gamma {
+            // lint:allow(float-cast): τ is a small update count.
+            self.alpha / (1.0 + tau as f32)
+        } else {
+            self.alpha
         }
     }
 
@@ -141,15 +90,9 @@ impl AggregationStrategy for EamsgdStrategy {
         }
     }
 
-    fn event_sync(&mut self, l: &mut Learner, _id: usize, _gamma: f32) {
-        self.exchange(l);
-    }
-}
-
-impl EamsgdStrategy {
-    /// Elastic exchange with the center at the current effective rate.
-    fn exchange(&mut self, l: &mut Learner) {
-        let alpha = self.alpha_eff();
+    /// Elastic exchange with the center at the rate `observe_staleness`
+    /// returned.
+    fn event_sync(&mut self, l: &mut Learner, alpha: f32) {
         for (pi, ci) in l.model.params_mut().iter_mut().zip(&mut self.center) {
             let diff = alpha * (*pi - *ci);
             *pi -= diff;
@@ -161,7 +104,7 @@ impl EamsgdStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
+    use crate::TrainConfig;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
     use sasgd_nn::models;
     use sasgd_simnet::JitterModel;

@@ -3,10 +3,9 @@
 //!
 //! The rank loop ([`super::rank::run_rank`]) is the same for every
 //! algorithm; an [`Exchange`] is the only place they differ. Each exchange
-//! owns its endpoint(s) and mirrors its simulated strategy's arithmetic
-//! in the wire collective's reduction order, so `final_params` are bitwise
-//! the simulated backend's wherever DESIGN.md §4b claims it. The wire call
-//! order (`broadcast`, `next_op`, tags) of each exchange is frozen: the
+//! owns its endpoint and is its algorithm's one definition: both backends
+//! run it, the simulated one over a clocked endpoint. The wire call order
+//! (`broadcast`, `next_op`, tags) of each exchange is frozen: the
 //! multi-process launcher and the model checker replay it.
 
 use std::time::{Duration, Instant};
@@ -90,9 +89,10 @@ pub(crate) trait Exchange {
     /// One aggregation round.
     fn round(&mut self, l: &mut Learner, round: Round<'_>) -> Result<Outcome, WireError>;
 
-    /// Final parameters reported in [`History`].
-    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
-        l.model.params().to_vec()
+    /// Final parameters reported in [`History`]: the learner's own, moved
+    /// out of it.
+    fn final_params(&mut self, l: Learner) -> Vec<f32> {
+        l.model.into_params()
     }
 
     /// Learners still contributing, when that can differ from `p`.
@@ -101,13 +101,10 @@ pub(crate) trait Exchange {
     }
 }
 
-/// Broadcast rank 0's parameters (Algorithm 1) and keep them as the
-/// shared pre-interval vector `x`.
-fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<Vec<f32>, WireError> {
-    let mut x = l.model.params().to_vec();
-    broadcast(comm, 0, &mut x)?;
-    l.model.params_mut().copy_from_slice(&x);
-    Ok(x)
+/// Broadcast rank 0's parameters (Algorithm 1): a receiver's arena becomes
+/// the frame it received, no copy kept.
+fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<(), WireError> {
+    Ok(l.model.lend_params(|params| broadcast(comm, 0, params))?)
 }
 
 /// Allreduce `input` — the accumulated `gs`, or at `T = 1` the gradient
@@ -150,7 +147,7 @@ fn compressed_allreduce<T: Transport>(
 /// compressed with error feedback) over the live membership, then the
 /// global step with `γp` resolved over the members — or, delayed, the
 /// previous round's, with this rank's progress re-based onto it (the
-/// simulated strategy's [`Lattice`], one replica wide). At `T = 1`
+/// [`Lattice`]). At `T = 1`
 /// ([`Lattice::on_arena`]) the payload is the model's gradient arena —
 /// the dense walk moves the arena's own buffer, a codec encodes straight
 /// from it — and the total lands on `params`: no `x`, no `gs`, no local
@@ -253,8 +250,8 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
             }
             total => {
                 let total = total.unwrap_or_else(|| self.lattice.take_gs(&mut l.gs));
-                let params = std::iter::once(l.model.params_mut());
-                self.lattice.round(&mut self.x, total, gp, params)
+                self.lattice
+                    .round(&mut self.x, total, gp, l.model.params_mut())
             }
         };
         if rank == 0 && !outcome.lost.is_empty() {
@@ -273,8 +270,8 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
         })
     }
 
-    fn final_params(&mut self, l: &Learner) -> Vec<f32> {
-        self.lattice.final_params(&self.x, l.model.params())
+    fn final_params(&mut self, l: Learner) -> Vec<f32> {
+        self.lattice.final_params(&self.x, l.model.into_params())
     }
 
     fn survivors(&self) -> Option<usize> {
@@ -283,11 +280,13 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
 }
 
 /// Hierarchical SASGD over two memberships of one flat world: every round
-/// an allreduce within the rank's group and the group step; every
-/// `t_global` rounds the group leaders average their copies and each group
-/// hears the average from its leader. Level 2 averages via tree-reduce +
-/// scale while the simulated strategy accumulates in rank order, so
-/// cross-backend equality is bitwise only at `groups = 1`.
+/// an allreduce within the rank's group and the group step (Algorithm 1
+/// per group, over the fast local fabric); every `t_global` rounds the
+/// group leaders average their copies — tree-reduce, then scale — over the
+/// global fabric, and each group hears the average from its leader. One
+/// group is flat SASGD at `T = t_local`; `t_global > 1` cuts global
+/// traffic `t_global`-fold while staleness across groups stays bounded by
+/// `t_local · t_global`.
 struct HierTree<T> {
     comm: T,
     group: Membership,
@@ -405,7 +404,7 @@ struct PsElastic<T: Transport> {
 }
 
 impl<T: Transport> Exchange for PsElastic<T> {
-    /// One momentum-SGD step — same arithmetic as the simulated strategy.
+    /// One momentum-SGD step — the simulated event loop's arithmetic.
     fn apply_local(&mut self, l: &mut Learner, gamma: f32) {
         let (params, grads) = l.model.params_and_grads_mut();
         for ((vi, pi), &gi) in self.velocity.iter_mut().zip(params).zip(&*grads) {
@@ -459,10 +458,14 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             },
             faults,
         ) => {
-            let x = broadcast_x0(&mut comm, l)?;
-            let lattice = Lattice::new(schedule, delayed, &x, 1);
+            broadcast_x0(&mut comm, l)?;
+            let lattice = Lattice::new(schedule, delayed, l.model.params());
             Box::new(GradTree {
-                x: if lattice.on_arena() { Vec::new() } else { x },
+                x: if lattice.on_arena() {
+                    Vec::new()
+                } else {
+                    l.model.params().to_vec()
+                },
                 lattice,
                 codec: compression.map(|comp| {
                     ErrorFeedback::new(comp, l.model.param_len(), l.model.param_blocks())
@@ -484,8 +487,9 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             None,
         ) => {
             let first = comm.rank() / per_group * per_group;
+            broadcast_x0(&mut comm, l)?;
             Box::new(HierTree {
-                x: broadcast_x0(&mut comm, l)?,
+                x: l.model.params().to_vec(),
                 group: Membership::of(first..first + per_group),
                 leaders: Membership::of((0..groups * per_group).step_by(per_group)),
                 comm,
@@ -513,9 +517,7 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
             },
             None,
         ) => {
-            let alpha = moving_rate.unwrap_or(0.9 / p as f32);
-            assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-            assert!(alpha > 0.0 && alpha <= 1.0, "moving rate out of range");
+            let alpha = Algorithm::moving_rate(p, moving_rate);
             let Some(link) = PsLink::open(comm, algo, staleness_gamma, l)? else {
                 return Ok(None);
             };
@@ -560,7 +562,7 @@ mod tests {
             let mut world = CommWorld::new(2).communicators();
             let comm = world.pop().expect("rank 1");
             drop(world);
-            let lattice = Lattice::new(TSchedule::Fixed { t: 1 }, false, &[], 1);
+            let lattice = Lattice::new(TSchedule::Fixed { t: 1 }, false, &[]);
             assert!(lattice.on_arena());
             let mut tree = GradTree {
                 comm,

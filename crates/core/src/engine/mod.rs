@@ -6,23 +6,22 @@
 //! and one-shot averaging is SASGD with the interval stretched to the whole
 //! run. This module factors that observation into code:
 //!
-//! * `AggregationStrategy` — the pluggable aggregation rule. A strategy
-//!   declares its cadence (lockstep or event-driven), its sync policy, and
-//!   implements the handful of hooks where algorithms actually differ:
-//!   what a local step does, what happens at a sync point, and what the
-//!   final parameters are. The loops own everything else — the shards, the
-//!   step counts, the γ schedule, the evaluated model (learner 0's).
-//! * [`simulated`] — the virtual-time backend. Runs any strategy over the
-//!   `sasgd-simnet` cost model with deterministic virtual clocks,
-//!   reproducing the pre-engine per-algorithm implementations
-//!   element-for-element (pinned by `tests/engine_golden.rs`).
-//! * the threaded backend — one OS thread per learner, measuring
-//!   wall-clock time and actual wire traffic. [`rank::run_rank`] is the one
-//!   per-rank loop (two step walks: lockstep epochs, event-driven blocks);
-//!   an `exchange` per algorithm is the only place algorithms differ on
-//!   the wire (`sasgd-comm` collectives, or the parameter server); the
-//!   `threaded` harness builds the world, spawns the ranks and merges
-//!   their histories.
+//! * [`rank::run_rank`] — the one per-rank loop (two step walks: lockstep
+//!   epochs, event-driven blocks); an `exchange` per algorithm is the only
+//!   place algorithms differ on the wire (`sasgd-comm` collectives, or the
+//!   parameter server). The loop reads the time off a clock its backend
+//!   hands it.
+//! * the threaded backend — one OS thread per rank over the in-process
+//!   world, wall-clock time and the world's traffic counters; the
+//!   `threaded` harness builds the world, spawns the ranks and merges their
+//!   histories.
+//! * [`simulated`] — the virtual-time backend: the same harness, loop and
+//!   exchanges, over endpoints that price every message on the
+//!   `sasgd-simnet` link model and a clock that advances by the cost
+//!   model's minibatch time; deterministic and bit-reproducible under a
+//!   seed. Only the parameter-server algorithms still run there as an
+//!   `AggregationStrategy` on one event loop, ordered by `(completion time,
+//!   rank)`.
 //! * [`Executor`] — the public entry point selecting a [`Backend`].
 //!
 //! Two rules shared by both backends follow from the inputs alone: a
@@ -30,22 +29,20 @@
 //! to align with ([`lockstep_steps`]), and a fixed interval `T = 0` is one
 //! round after the run's last step ([`interval_in_force`]).
 //!
-//! The simulated aggregation arithmetic deliberately mirrors the wire
-//! collectives' reduction order (binomial tree, rank-ordered averaging),
-//! so synchronous strategies produce bitwise-identical parameters on both
-//! backends.
+//! A collective algorithm has one definition, so its `final_params`, round
+//! structure, telemetry and wire traffic are the same on both backends by
+//! construction; only the clocks differ.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use sasgd_comm::fault::FaultPlan;
+use sasgd_comm::sparse::SparseVec;
 use sasgd_data::{Dataset, Shard};
 use sasgd_nn::Model;
 
-use sasgd_comm::sparse::{SparseLevelProfile, SparseVec};
-
-use crate::history::{History, StalenessStats, WireStats};
-use crate::schedule::{SyncPolicy, TSchedule};
+use crate::history::History;
+use crate::schedule::TSchedule;
 use crate::trainer::{Learner, TrainConfig};
 
 mod exchange;
@@ -53,9 +50,10 @@ pub mod rank;
 pub mod simulated;
 mod threaded;
 
-/// How a strategy's learners advance relative to each other. Every
-/// strategy declares a *default* cadence; [`TrainConfig::cadence`] can
-/// override it per run, and every strategy executes under either value.
+/// How an algorithm's learners advance relative to each other. Every
+/// algorithm has a *default* cadence; [`TrainConfig::cadence`] can
+/// override it per run. The collectives execute under either value, the
+/// parameter-server algorithms only event-driven.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cadence {
     /// All learners take a step, then the engine checks the sync policy —
@@ -77,121 +75,24 @@ pub enum CommScope {
     Collective,
 }
 
-/// The pluggable aggregation rule the engine composes with its learner
-/// loop. Default implementations encode the most common behaviour (a plain
-/// local step, a collective round); each algorithm overrides only where it
-/// differs.
-///
-/// Every strategy executes under both cadences, with rounds where its
-/// [`SyncPolicy`] puts them. Lockstep uses
-/// [`local_step`](AggregationStrategy::local_step) and
-/// [`sync`](AggregationStrategy::sync); the event-driven loops use
-/// [`on_local_step`](AggregationStrategy::on_local_step) and — for
-/// [`CommScope::Individual`] strategies —
-/// [`event_sync`](AggregationStrategy::event_sync) against shared state.
-/// Strategy state that is global in the simulated world (the shared
-/// parameter vector, a parameter server, a center variable, error-feedback
-/// residuals) lives inside the strategy.
+/// A parameter-server algorithm's rule on the simulated backend's event
+/// loop (`simulated::run_event_individual`), which keeps the server's
+/// state in the strategy and steps every learner on one thread. The
+/// collective algorithms have no strategy: both backends run them as their
+/// `Exchange` over a wire.
 #[allow(unused_variables)] // default hook bodies ignore their arguments
-#[allow(clippy::too_many_arguments)] // hooks carry the full step context
 pub(crate) trait AggregationStrategy {
-    /// Number of learners.
-    fn p(&self) -> usize;
+    /// Start the shared state from the common `x0`.
+    fn setup(&mut self, x0: &[f32]);
 
-    /// Default execution cadence ([`TrainConfig::cadence`] overrides it).
-    fn cadence(&self) -> Cadence {
-        Cadence::Lockstep
-    }
-
-    /// What a sync point touches under the event-driven cadence.
-    fn comm_scope(&self) -> CommScope {
-        CommScope::Collective
-    }
-
-    /// Local steps between sync points (`0`: one round, after the run's
-    /// last step — see [`interval_in_force`]).
-    fn sync_interval(&self) -> usize;
-
-    /// The T schedule driving this strategy's communication. The default
-    /// is the fixed interval every paper algorithm uses; adaptive
-    /// strategies return a policy built from a
-    /// [`TSchedule`](crate::schedule::TSchedule) instead.
-    fn sync_policy(&self) -> SyncPolicy {
-        SyncPolicy::fixed(self.sync_interval())
-    }
-
-    /// End-of-round scalar the [`SyncPolicy`] adapts on (lower = better;
-    /// adaptive SASGD's displacement of `x`). `None` = no signal, the
-    /// policy never adapts.
-    fn sync_signal(&mut self) -> Option<f32> {
-        None
-    }
-
-    /// Observe learner `id`'s measured staleness `tau` at a sync point and
-    /// return the learning rate to apply for the update. The default
-    /// returns `gamma` unchanged; staleness-aware strategies scale it
-    /// (γ/(1+τ)).
-    fn observe_staleness(&mut self, id: usize, tau: u64, gamma: f32) -> f32 {
+    /// Observe a learner's measured staleness `tau` at a sync point and
+    /// return the rate to apply for its update: `gamma` unless the
+    /// strategy scales it (γ/(1+τ)).
+    fn observe_staleness(&mut self, tau: u64, gamma: f32) -> f32 {
         gamma
     }
 
-    /// Staleness a collective-scope strategy imposes by construction, in
-    /// rounds (delayed SASGD lands the round-`k` total one round late, so
-    /// 1; plain collectives apply fresh state, so 0). Both backends record
-    /// it for every rank at every collective round.
-    fn collective_tau(&self) -> u64 {
-        0
-    }
-
-    /// Aggregation interval reported in [`History`].
-    fn history_interval(&self) -> usize {
-        self.sync_interval().max(1)
-    }
-
-    /// One-time initialization once all replicas share `x0`. `factory`
-    /// builds extra replicas if the strategy needs them. Returns the
-    /// per-learner initial communication charge (e.g. the `x0` broadcast).
-    fn setup(&mut self, factory: &mut dyn FnMut() -> Model, x0: &[f32], cfg: &TrainConfig) -> f64;
-
-    /// One local minibatch (lockstep cadence).
-    fn local_step(
-        &mut self,
-        l: &mut Learner,
-        id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-        step_s: f64,
-        jitter: f64,
-    ) {
-        l.local_step(data, idx, gamma, step_s, jitter);
-    }
-
-    /// Global sync across all learners; compression telemetry goes into
-    /// `history` (the sparsity series, the sparse tree's level profile).
-    fn sync(&mut self, learners: &mut [Learner], gamma_now: f32, history: &mut History);
-
-    /// Staleness summary given the number of sync points executed
-    /// (lockstep; the event engine measures staleness directly).
-    fn staleness(&self, syncs: u64) -> Option<StalenessStats> {
-        None
-    }
-
-    /// Wire-traffic accounting for the simulated backend, given the
-    /// number of sync points executed and the level profile its sparse
-    /// aggregations recorded.
-    fn wire(&self, syncs: u64, sparse_levels: &SparseLevelProfile) -> Option<WireStats> {
-        None
-    }
-
-    /// Final parameters reported in [`History`].
-    fn final_params(&mut self, learners: &[Learner]) -> Vec<f32> {
-        learners[0].model.params().to_vec()
-    }
-
-    /// One local minibatch (event-driven cadence; virtual time is the
-    /// engine's job, so no step cost or jitter is passed). The default
-    /// applies the gradient locally, exactly like a lockstep local step.
+    /// One local minibatch: by default the local step of Algorithm 1.
     fn on_local_step(
         &mut self,
         l: &mut Learner,
@@ -203,32 +104,8 @@ pub(crate) trait AggregationStrategy {
         l.local_step(data, idx, gamma, 0.0, 1.0);
     }
 
-    /// Sync learner `id` against the shared state
-    /// ([`CommScope::Individual`] strategies only; collective-scope
-    /// strategies aggregate through
-    /// [`sync`](AggregationStrategy::sync) instead).
-    fn event_sync(&mut self, l: &mut Learner, id: usize, gamma: f32) {}
-}
-
-/// Binomial-tree reduction of per-rank buffers, in place, in the exact
-/// gap-doubling order of the wire collective (`sasgd-comm`'s
-/// `allreduce_tree`), so the simulated sum is bitwise the threaded sum. The
-/// total lands in `bufs[0]`; the other buffers are left holding the
-/// partial sums they forwarded.
-pub(crate) fn tree_reduce<B: AsMut<[f32]>>(bufs: &mut [B]) {
-    let p = bufs.len();
-    let mut gap = 1;
-    while gap < p {
-        let mut i = 0;
-        while i + gap < p {
-            let (lo, hi) = bufs.split_at_mut(i + gap);
-            for (a, b) in lo[i].as_mut().iter_mut().zip(hi[0].as_mut().iter()) {
-                *a += b;
-            }
-            i += 2 * gap;
-        }
-        gap *= 2;
-    }
+    /// Sync learner `l` against the shared state at rate `gamma`.
+    fn event_sync(&mut self, l: &mut Learner, gamma: f32);
 }
 
 /// The dense global step of Algorithm 1 in one pass, where a rank keeps
@@ -242,39 +119,6 @@ pub(crate) fn global_step(x: &mut [f32], gp: f32, gs: &mut [f32], params: &mut [
         *xi -= gp * *g;
         *p = *xi;
         *g = 0.0;
-    }
-}
-
-/// One uncompressed aggregation over a simulated cohort sharing `x`: the
-/// learners' `gs` summed in place in the wire collective's order (the
-/// total lands in learner 0's), the fused [`global_step`] there, and every
-/// other learner restarted from the common `x`.
-pub(crate) fn aggregate_dense(x: &mut [f32], gp: f32, learners: &mut [Learner]) {
-    let mut gs: Vec<&mut [f32]> = learners.iter_mut().map(|l| &mut l.gs[..]).collect();
-    tree_reduce(&mut gs);
-    let (first, rest) = learners.split_first_mut().expect("at least one learner");
-    global_step(x, gp, &mut first.gs, first.model.params_mut());
-    for l in rest {
-        l.model.params_mut().copy_from_slice(x);
-        l.gs.fill(0.0);
-    }
-}
-
-/// One uncompressed `T = 1` round over a simulated cohort
-/// ([`Lattice::on_arena`]): the learners' gradient arenas summed in place
-/// in the wire collective's order (the total lands in learner 0's), and
-/// the total landed on every learner's parameters, as each threaded rank
-/// lands it on its own.
-pub(crate) fn aggregate_arenas(gp: f32, learners: &mut [Learner]) {
-    let mut grads: Vec<&mut [f32]> = (learners.iter_mut())
-        .map(|l| l.model.params_and_grads_mut().1)
-        .collect();
-    tree_reduce(&mut grads);
-    let (first, rest) = learners.split_first_mut().expect("at least one learner");
-    let (params, total) = first.model.params_and_grads_mut();
-    descend(params, gp, total);
-    for l in rest {
-        descend(l.model.params_mut(), gp, total);
     }
 }
 
@@ -361,17 +205,17 @@ pub(crate) fn rebase(cur: &mut [f32], prev: &[f32], snap: &[f32]) {
     }
 }
 
-/// Where a SASGD round sits on the averaging lattice. `delayed` (DaSGD)
-/// holds each round's total back one round: the previous round's total
-/// lands on `x` instead, and every replica keeps its local progress since
-/// its snapshot on top of the new `x`. An adaptive schedule (Local SGD)
-/// reads the displacement of `x` as its plateau signal. Algorithm 1 at
-/// `T = 1` needs neither `x` nor `gs` ([`Lattice::on_arena`]). One instance
-/// serves a simulated cohort or one threaded rank.
+/// Where a SASGD round sits on the averaging lattice, for one rank.
+/// `delayed` (DaSGD) holds each round's total back one round: the previous
+/// round's total lands on `x` instead, and the replica keeps its local
+/// progress since its snapshot on top of the new `x`. An adaptive schedule
+/// (Local SGD) reads the displacement of `x` as its plateau signal.
+/// Algorithm 1 at `T = 1` needs neither `x` nor `gs`
+/// ([`Lattice::on_arena`]).
 pub(crate) struct Lattice {
     schedule: TSchedule,
-    /// Each replica's parameters when a total last landed (`delayed` only).
-    snaps: Vec<Vec<f32>>,
+    /// The replica's parameters when a total last landed (`delayed` only).
+    snap: Option<Vec<f32>>,
     /// The previous round's total and its `γp`, not landed yet.
     pending: Option<(Total, f32)>,
     /// A landed dense total's buffer: the next `gs`.
@@ -379,14 +223,10 @@ pub(crate) struct Lattice {
 }
 
 impl Lattice {
-    pub(crate) fn new(schedule: TSchedule, delayed: bool, x0: &[f32], replicas: usize) -> Self {
+    pub(crate) fn new(schedule: TSchedule, delayed: bool, x0: &[f32]) -> Self {
         Lattice {
             schedule,
-            snaps: if delayed {
-                vec![x0.to_vec(); replicas]
-            } else {
-                Vec::new()
-            },
+            snap: delayed.then(|| x0.to_vec()),
             pending: None,
             spare: Vec::new(),
         }
@@ -399,7 +239,7 @@ impl Lattice {
     /// Fixed `T`, no delay: the round is Algorithm 1's, with no extra pass
     /// or buffer.
     pub(crate) fn is_plain(&self) -> bool {
-        !self.adaptive() && self.snaps.is_empty()
+        !self.adaptive() && self.snap.is_none()
     }
 
     /// `Fixed { t: 1 }`, no delay — plain minibatch SGD over `p` ranks, and
@@ -409,7 +249,7 @@ impl Lattice {
     /// `backward` left it, the total lands on `params`, and there is no
     /// local step, no `x` and no `gs`.
     pub(crate) fn on_arena(&self) -> bool {
-        matches!(self.schedule, TSchedule::Fixed { t: 1 }) && self.snaps.is_empty()
+        matches!(self.schedule, TSchedule::Fixed { t: 1 }) && self.snap.is_none()
     }
 
     /// The allreduced `gs` as this round's total; `gs` restarts from zeros.
@@ -420,38 +260,35 @@ impl Lattice {
         Total::Dense(std::mem::replace(gs, next))
     }
 
-    /// Land a round's `total` (reduced at rate `gp`) on `x` and on each
-    /// replica's `params`. Undelayed, this round's total lands and every
+    /// Land a round's `total` (reduced at rate `gp`) on `x` and on the
+    /// replica's `params`. Undelayed, this round's total lands and the
     /// replica restarts from `x`; delayed, the previous round's total lands
-    /// and every replica is re-based onto `x`. Returns the plateau signal
+    /// and the replica is re-based onto `x`. Returns the plateau signal
     /// (adaptive only) if `x` moved.
     // hot-path: once per round, in place
-    pub(crate) fn round<'a>(
+    pub(crate) fn round(
         &mut self,
         x: &mut [f32],
         total: Total,
         gp: f32,
-        params: impl Iterator<Item = &'a mut [f32]>,
+        params: &mut [f32],
     ) -> Option<f32> {
-        let delayed = !self.snaps.is_empty();
-        let landed = if delayed {
-            self.pending.replace((total, gp))
-        } else {
-            Some((total, gp))
+        let landed = match self.snap {
+            Some(_) => self.pending.replace((total, gp)),
+            None => Some((total, gp)),
         };
         let signal = landed.as_ref().and_then(|(total, gp)| {
             total.step(x, *gp);
             self.adaptive().then(|| total.displacement_sq(*gp))
         });
-        if delayed {
-            for (params, snap) in params.zip(&mut self.snaps) {
+        match &mut self.snap {
+            Some(snap) => {
                 if landed.is_some() {
                     rebase(params, x, snap);
                 }
                 snap.copy_from_slice(params);
             }
-        } else {
-            params.for_each(|params| params.copy_from_slice(x));
+            None => params.copy_from_slice(x),
         }
         // A landed dense buffer is the next `take_gs`'s; Algorithm 1's own
         // round (an 8-bit total, say) keeps none.
@@ -461,26 +298,16 @@ impl Lattice {
         signal
     }
 
-    /// What a finished run reports: the first replica's `params`, with a
-    /// total still pending landed on them.
-    pub(crate) fn final_params(&self, x: &[f32], params: &[f32]) -> Vec<f32> {
-        let mut out = params.to_vec();
-        if let Some((total, gp)) = &self.pending {
+    /// What a finished run reports: `params`, with a total still pending
+    /// landed on them.
+    pub(crate) fn final_params(&self, x: &[f32], mut params: Vec<f32>) -> Vec<f32> {
+        if let (Some((total, gp)), Some(snap)) = (&self.pending, &self.snap) {
             let mut x = x.to_vec();
             total.step(&mut x, *gp);
-            rebase(&mut out, &x, &self.snaps[0]);
+            rebase(&mut params, &x, snap);
         }
-        out
+        params
     }
-}
-
-/// Fractional collective epoch fed to the γ schedule by the event-driven
-/// *collective* loops: nominal system-wide progress after `steps_done`
-/// per-rank steps of `batch` samples across `p` ranks over an `n`-sample
-/// dataset. Rank-independent by construction, so every rank resolves the
-/// same γ for a given round on either backend.
-pub(crate) fn event_gamma_epoch(steps_done: u64, batch: usize, p: usize, n: usize) -> f64 {
-    (steps_done * batch as u64 * p as u64) as f64 / n as f64
 }
 
 /// Fault-injection configuration for [`Executor::try_run_ft`].
@@ -509,12 +336,10 @@ impl Default for FaultConfig {
 /// threaded run could not degrade around.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The requested cadence/backend combination has no execution path —
-    /// e.g. forcing a parameter-server strategy to lockstep on the
-    /// threaded backend, where no bulk-synchronous PS exchange exists. The
-    /// simulated backend executes every strategy under either cadence, so
-    /// only explicit [`TrainConfig::cadence`] overrides on the threaded
-    /// backend can produce this.
+    /// The requested cadence has no execution path: a parameter-server
+    /// algorithm forced to lockstep, on either backend — no
+    /// bulk-synchronous PS exchange exists. Only an explicit
+    /// [`TrainConfig::cadence`] override can produce this.
     UnsupportedCadence {
         /// Label of the offending strategy.
         label: String,
@@ -571,59 +396,12 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Build the strategy implementing `algo`'s lattice point.
-pub(crate) fn strategy_for(algo: &crate::algorithms::Algorithm) -> Box<dyn AggregationStrategy> {
-    use crate::algorithms::*;
-    match algo.resolved() {
-        Algorithm::Sequential => unreachable!("sequential SGD resolves to its SASGD point"),
-        Algorithm::Sasgd {
-            p,
-            schedule,
-            gamma_p,
-            compression,
-            delayed,
-        } => Box::new(sasgd::SasgdStrategy::new(
-            p,
-            schedule,
-            gamma_p,
-            compression,
-            delayed,
-        )),
-        Algorithm::HierarchicalSasgd {
-            groups,
-            per_group,
-            t_local,
-            t_global,
-            gamma_p,
-        } => Box::new(hierarchical::HierarchicalStrategy::new(
-            groups, per_group, t_local, t_global, gamma_p,
-        )),
-        Algorithm::Downpour {
-            p,
-            t,
-            staleness_gamma,
-        } => Box::new(downpour::DownpourStrategy::new(p, t, staleness_gamma)),
-        Algorithm::Eamsgd {
-            p,
-            t,
-            moving_rate,
-            momentum,
-            staleness_gamma,
-        } => Box::new(eamsgd::EamsgdStrategy::new(
-            p,
-            t,
-            moving_rate,
-            momentum,
-            staleness_gamma,
-        )),
-    }
-}
-
 /// Which substrate executes the learner loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Virtual clocks over the `sasgd-simnet` cost model; deterministic
-    /// and bit-reproducible under a seed.
+    /// The threaded backend's ranks on virtual clocks: each step costs the
+    /// `sasgd-simnet` compute model's time, each message its link model's;
+    /// deterministic and bit-reproducible under a seed.
     Simulated,
     /// One OS thread per learner over `sasgd-comm` collectives / parameter
     /// server; wall-clock timing and measured wire traffic.
@@ -741,13 +519,10 @@ impl Executor {
                 wanted: "the fault-tolerant threaded backend",
             });
         }
-        Ok(match self.backend {
-            Backend::Simulated => {
-                let mut f = || factory();
-                simulated::run(algo, &mut f, train_set, test_set, cfg)
-            }
-            Backend::Threaded => threaded::run(factory, train_set, test_set, algo, cfg, faults)?,
-        })
+        match self.backend {
+            Backend::Simulated => simulated::run(algo, &mut || factory(), train_set, test_set, cfg),
+            Backend::Threaded => threaded::run(factory, train_set, test_set, algo, cfg, faults),
+        }
     }
 }
 

@@ -1,24 +1,28 @@
-//! The one threaded rank loop.
+//! The one rank loop.
 //!
-//! Every algorithm on the threaded backend is the same loop — walk steps,
-//! take a local step, run an exchange round when the walk says sync,
-//! record when it says epoch — composed with one of two *step walks* and
-//! one per-algorithm `Exchange` (`engine/exchange.rs`):
+//! Every algorithm on the threaded backend, and every collective one on
+//! the simulated backend, is the same loop — walk steps, take a local step,
+//! run an exchange round when the walk says sync, record when it says
+//! epoch — composed with one of two *step walks* and one per-algorithm
+//! `Exchange` (`engine/exchange.rs`):
 //!
 //! * the **lockstep epoch walk**: epochs of aligned steps, a per-step γ,
 //!   the since-last-sync counter carried across epochs, a record per epoch;
 //! * the **event block walk**: `T`-minibatch blocks from an endless
-//!   `BatchStream`, `T` from the strategy's [`SyncPolicy`], one γ per
+//!   `BatchStream`, `T` from the algorithm's [`SyncPolicy`], one γ per
 //!   block and a round after it, a record whenever the rank completes a
 //!   pass over its shard.
 //!
 //! On both walks `T = 0` is one round after the run's last step.
 //!
-//! Both mirror the simulated backend's loops step for step and touch only
-//! rank-local state, so every rank reaches its sync points after the same
-//! number of steps (the collectives line up without a coordinator) and
-//! `final_params` are bitwise the simulated backend's for the collective
-//! exchanges at any `p` and for the parameter-server exchanges at `p = 1`.
+//! Both walks touch only rank-local state, so every rank reaches its sync
+//! points after the same number of steps (the collectives line up without
+//! a coordinator), and no walk depends on how ranks interleave.
+//!
+//! The loop reads the time off a [`Clock`] its backend supplies: wall time
+//! on threads, or virtual time, which a step advances by the cost model's
+//! minibatch time and the rank's [`Clocked`](sasgd_comm::transport::Clocked)
+//! endpoint advances through the wire.
 //!
 //! [`run_rank`] is the loop over any [`Transport`]: the threaded harness
 //! drives it over in-process endpoints, the multi-process launcher over
@@ -30,15 +34,16 @@
 use std::time::Instant;
 
 use sasgd_comm::ps_transport::{serve_shard, PsLayout};
-use sasgd_comm::transport::Transport;
+use sasgd_comm::transport::{Transport, VirtualClock};
 use sasgd_data::{make_shards, Dataset, Shard};
 use sasgd_nn::Model;
+use sasgd_simnet::JitterModel;
 use sasgd_tensor::SeedRng;
 
 use super::exchange::{connect, Round, WireError};
 use super::{
-    interval_in_force, lockstep_gamma_epoch, lockstep_steps, strategy_for, AggregationStrategy,
-    BatchStream, Cadence, CommScope, EngineError, FaultConfig,
+    interval_in_force, lockstep_gamma_epoch, lockstep_steps, BatchStream, Cadence, CommScope,
+    EngineError, FaultConfig,
 };
 use crate::algorithms::Algorithm;
 use crate::history::{History, StalenessStats};
@@ -65,19 +70,34 @@ pub fn run_rank<T: Transport>(
     cfg: &TrainConfig,
 ) -> Result<History, EngineError> {
     let cadence = supported_cadence(algo, cfg.cadence)?;
-    drive(comm, None, factory, train_set, test_set, algo, cfg, cadence)
+    let model = factory();
+    drive(
+        comm,
+        Clock::Wall,
+        None,
+        model,
+        train_set,
+        test_set,
+        algo,
+        cfg,
+        cadence,
+    )
 }
 
-/// The cadence `algo` runs at on threads: `requested`, or the strategy's
-/// default. The algorithms that default to event-driven (the asynchronous
-/// parameter-server ones) have no lockstep exchange on threads; forcing
-/// one is a typed error (the simulated backend executes every strategy
-/// under either cadence).
+/// The cadence `algo` runs at: `requested`, or the algorithm's default.
+/// The algorithms that default to event-driven (the asynchronous
+/// parameter-server ones) have no lockstep exchange; forcing one is a
+/// typed error.
+///
+/// # Panics
+/// On a malformed algorithm (no learner, no interval): before any rank
+/// exists, so no peer is left waiting.
 pub(crate) fn supported_cadence(
     algo: &Algorithm,
     requested: Option<Cadence>,
 ) -> Result<Cadence, EngineError> {
-    let natural = strategy_for(algo).cadence();
+    algo.check();
+    let natural = algo.cadence();
     match requested.unwrap_or(natural) {
         Cadence::Lockstep if natural == Cadence::EventDriven => {
             Err(EngineError::UnsupportedCadence {
@@ -156,12 +176,12 @@ fn block_walk<'a>(
     shards: &[Shard],
     rank: usize,
     cfg: &'a TrainConfig,
-    strategy: &dyn AggregationStrategy,
+    algo: &Algorithm,
     n: usize,
 ) -> Walk<'a> {
-    let p = strategy.p() as u64;
-    let scope = strategy.comm_scope();
-    let run_steps = (cfg.epochs * n).div_ceil(cfg.batch_size * strategy.p());
+    let p = algo.learners() as u64;
+    let scope = algo.comm_scope();
+    let run_steps = (cfg.epochs * n).div_ceil(cfg.batch_size * algo.learners());
     let mut stream = BatchStream::new(shards[rank].indices().to_vec(), cfg.batch_size);
     // γ of the block in progress, and the steps left in it.
     let (mut gamma, mut left) = (0.0f32, 0usize);
@@ -211,21 +231,99 @@ fn block_walk<'a>(
     })
 }
 
-/// The loop, over the world `comm` reaches this rank's peers through —
-/// with SASGD's tree armed when `faults` rides along.
+/// Where a rank's loop reads the time.
+pub(crate) enum Clock {
+    /// Wall time, as the rank's thread runs.
+    Wall,
+    /// Virtual time.
+    Virtual {
+        /// The rank's clock, shared with its clocked endpoint.
+        now: VirtualClock,
+        /// One minibatch's compute at unit speed and jitter.
+        step_s: f64,
+        /// The per-minibatch noise, drawn from the learner's jitter stream.
+        jitter: JitterModel,
+        /// Delayed SASGD: when this rank's previous round completed, the
+        /// only round it waits for. `None`: every round is waited out.
+        landed: Option<f64>,
+    },
+}
+
+impl Clock {
+    /// Run one minibatch's compute `work` on `l`; returns its seconds. A
+    /// virtual step costs `step_s × speed × jitter`.
+    fn compute(&mut self, l: &mut Learner, work: impl FnOnce(&mut Learner)) -> f64 {
+        match self {
+            Clock::Wall => {
+                let t0 = Instant::now();
+                work(l);
+                t0.elapsed().as_secs_f64()
+            }
+            Clock::Virtual {
+                now,
+                step_s,
+                jitter,
+                ..
+            } => {
+                work(l);
+                let dt = *step_s * l.speed * l.draw_jitter(jitter);
+                now.advance(dt);
+                dt
+            }
+        }
+    }
+
+    /// Run communication `work`; returns its result and seconds.
+    fn comm<R>(&mut self, work: impl FnOnce() -> R) -> (R, f64) {
+        match self {
+            Clock::Wall => {
+                let t0 = Instant::now();
+                let out = work();
+                (out, t0.elapsed().as_secs_f64())
+            }
+            Clock::Virtual { now, .. } => {
+                let t0 = now.now();
+                let out = work();
+                (out, now.now() - t0)
+            }
+        }
+    }
+
+    /// [`Clock::comm`] for a round: a delayed rank goes on once the
+    /// previous round has completed, and this one completes behind it.
+    fn round<R>(&mut self, work: impl FnOnce() -> R) -> (R, f64) {
+        let Clock::Virtual {
+            now,
+            landed: Some(landed),
+            ..
+        } = self
+        else {
+            return self.comm(work);
+        };
+        let t0 = now.now();
+        let out = work();
+        let done = now.now();
+        now.set(t0.max(*landed));
+        *landed = done;
+        (out, now.now() - t0)
+    }
+}
+
+/// The loop, over the world `comm` reaches this rank's peers through, on
+/// `clock` — with SASGD's tree armed when `faults` rides along.
 #[allow(clippy::too_many_arguments)] // the run's full context, passed once
 pub(crate) fn drive<T: Transport>(
     mut comm: T,
+    mut clock: Clock,
     faults: Option<&FaultConfig>,
-    factory: &dyn Fn() -> Model,
+    model: Model,
     train_set: &Dataset,
     test_set: &Dataset,
     algo: &Algorithm,
     cfg: &TrainConfig,
     cadence: Cadence,
 ) -> Result<History, EngineError> {
-    let (strategy, rank) = (strategy_for(algo), comm.rank());
-    let p = strategy.p();
+    let (p, rank) = (algo.learners(), comm.rank());
     let failed = |round: u64| {
         move |e: WireError| EngineError::WireFailure {
             rank,
@@ -235,42 +333,44 @@ pub(crate) fn drive<T: Transport>(
     };
 
     let label = threaded_label(&algo.label());
-    let mut history = History::new(label, p, strategy.history_interval());
+    let mut history = History::new(label, p, algo.interval().max(1));
     if rank >= p {
-        if strategy.comm_scope() != CommScope::Individual {
+        if algo.comm_scope() != CommScope::Individual {
             return Err(EngineError::UnsupportedExchange {
                 label: algo.label(),
                 wanted: "a world with more ranks than learners",
             });
         }
         // A parameter-server shard: no loop, no learner.
-        let x0 = factory().params().to_vec();
         let layout = PsLayout {
             p,
             shards: comm.size() - p,
-            dim: x0.len(),
+            dim: model.param_len(),
         };
-        let segment = serve_shard(&mut comm, &layout, &x0).map_err(|e| failed(0)(e.into()))?;
+        let segment =
+            serve_shard(&mut comm, &layout, model.params()).map_err(|e| failed(0)(e.into()))?;
         history.final_params = Some(segment);
         return Ok(history);
     }
 
     let n = train_set.len();
     let shards = make_shards(train_set, p, cfg.shard_strategy);
-    let mut policy = strategy.sync_policy();
+    let mut policy = algo.sync_policy();
     let mut walk = match cadence {
         Cadence::Lockstep => epoch_walk(&shards, rank, cfg),
-        Cadence::EventDriven => block_walk(&shards, rank, cfg, &*strategy, n),
+        Cadence::EventDriven => block_walk(&shards, rank, cfg, algo, n),
     };
-    let mut learner = Learner::new(rank, factory(), cfg);
-    let mut exchange = connect(algo, comm, faults, &mut learner)
-        .map_err(failed(0))?
-        .ok_or_else(|| EngineError::UnsupportedExchange {
-            label: algo.label(),
-            wanted: "the endpoint it was given",
-        })?;
+    let mut learner = Learner::new(rank, model, cfg);
+    let (exchange, mut comm_s) = clock.comm(|| connect(algo, comm, faults, &mut learner));
+    let mut exchange =
+        exchange
+            .map_err(failed(0))?
+            .ok_or_else(|| EngineError::UnsupportedExchange {
+                label: algo.label(),
+                wanted: "the endpoint it was given",
+            })?;
     let evals = (rank == 0).then(|| EvalSets::prepare(train_set, test_set, cfg.eval_cap));
-    let (mut compute_s, mut comm_s) = (0.0f64, 0.0f64);
+    let mut compute_s = 0.0f64;
     let (mut gstep, mut syncs) = (0u64, 0u64);
     let mut staleness_obs: Vec<u64> = Vec::new();
 
@@ -281,32 +381,32 @@ pub(crate) fn drive<T: Transport>(
         if !exchange.step_boundary(gstep) {
             break;
         }
-        let t0 = Instant::now();
-        learner.compute_gradient(train_set, &step.idx);
-        exchange.apply_local(&mut learner, step.gamma);
-        compute_s += t0.elapsed().as_secs_f64();
+        compute_s += clock.compute(&mut learner, |l| {
+            l.compute_gradient(train_set, &step.idx);
+            exchange.apply_local(l, step.gamma);
+        });
 
         if step.sync {
             syncs += 1;
-            let t1 = Instant::now();
             let round = Round {
                 number: syncs,
                 gamma: step.gamma,
                 history: &mut history,
             };
-            let outcome = exchange.round(&mut learner, round).map_err(failed(syncs))?;
-            comm_s += t1.elapsed().as_secs_f64();
+            let (outcome, secs) = clock.round(|| exchange.round(&mut learner, round));
+            let outcome = outcome.map_err(failed(syncs))?;
+            comm_s += secs;
             if outcome.retired {
                 break;
             }
             policy.observe_round(outcome.signal);
             if rank == 0 {
-                // A collective's staleness is its strategy's, for every
+                // A collective's staleness is its algorithm's, for every
                 // rank alike; an exchange with shared state measured its
                 // own.
                 let (ids, (tau, rate)) = match outcome.staleness {
                     Some(measured) => (0..1, measured),
-                    None => (0..p, (strategy.collective_tau(), step.gamma)),
+                    None => (0..p, (algo.collective_tau(), step.gamma)),
                 };
                 for id in ids {
                     history.push_staleness(syncs - 1, id, tau, rate);
@@ -321,10 +421,10 @@ pub(crate) fn drive<T: Transport>(
         }
     }
     history.staleness = match cadence {
-        Cadence::Lockstep => strategy.staleness(syncs),
+        Cadence::Lockstep => algo.lockstep_staleness(syncs),
         Cadence::EventDriven => StalenessStats::from_observations(&staleness_obs),
     };
     history.sync_rounds = syncs;
-    history.final_params = Some(exchange.final_params(&learner));
+    history.final_params = Some(exchange.final_params(learner));
     Ok(history)
 }

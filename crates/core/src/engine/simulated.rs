@@ -1,171 +1,149 @@
-//! The simulated backend: one learner loop over virtual time.
+//! The simulated backend: the threaded backend's ranks on virtual clocks.
 //!
-//! Three loop shapes cover every strategy × cadence combination:
+//! A collective algorithm — every SASGD lattice point, hierarchical SASGD —
+//! runs exactly as on threads: the same harness spawns one thread per rank
+//! over the in-process world, and each runs the one rank loop and the
+//! algorithm's `Exchange`. Two things differ, and neither touches the
+//! arithmetic:
 //!
-//! * **lockstep** — epochs of aligned steps; once the steps since the last
-//!   round reach the interval in force (the strategy's
-//!   [`SyncPolicy`](crate::schedule::SyncPolicy), `T = 0` stretched to the
-//!   run), the engine hands the whole learner cohort to
-//!   `AggregationStrategy::sync`. Barrier waits and aggregation costs are
-//!   charged by the strategy through the learners' virtual clocks.
-//! * **event-driven, individual scope** — each learner's next `T`-minibatch
-//!   block is an event ordered by `(completion time, rank)`; at each
-//!   completion the engine applies the strategy's local math and
-//!   single-learner sync against shared state, so gradient staleness
-//!   emerges from the same speed variation a real cluster has while
-//!   staying bit-reproducible under a seed.
-//! * **event-driven, collective scope** — learners run their `T`-step
-//!   blocks (`T = 0`: one block, the whole run) on free virtual clocks, the
-//!   engine pops completions in `(time, rank)` order, and each block ends
-//!   in a collective rendezvous (allreduce / averaging). γ for a round is
-//!   resolved from *nominal* system progress
-//!   (`event_gamma_epoch`), identically on every rank and backend, so the
-//!   trajectory is independent of completion interleaving and the
-//!   threaded backend reproduces it bitwise.
+//! * each endpoint is [`Clocked`]: a send charges the sender the hop's
+//!   `gpu_link_time(bytes)` (÷ [`LOCAL_FABRIC_SPEEDUP`] inside a
+//!   hierarchical group) and stamps the message with its arrival; a receive
+//!   moves the receiver to `max(now, arrival)`. Barrier waits, stragglers
+//!   and tree depth are read off the messages the code sends;
+//! * the loop's clock is virtual: a step costs the cost model's
+//!   `minibatch_compute × speed × jitter`, drawn from the learner's own
+//!   jitter stream, and a delayed SASGD round waits only for the previous
+//!   round's completion.
 //!
-//! Per-learner RNG streams make the interleavings composable: a learner's
-//! batch order and dropout draws depend only on its own stream, never on
-//! how learners interleave.
+//! The unarmed tree walk names every receive, so a rank's clock is a
+//! function of the seed alone, whatever the thread schedule.
+//!
+//! The parameter-server algorithms (Downpour, EAMSGD) still run on one
+//! event loop: each learner's next `T`-minibatch block is an event ordered
+//! by `(completion time, rank)`; at each completion the engine applies the
+//! strategy's local math and single-learner sync against shared state, so
+//! gradient staleness emerges from the same speed variation a real cluster
+//! has while staying bit-reproducible under a seed. Per-learner RNG streams
+//! make the interleaving composable: a learner's batch order and dropout
+//! draws depend only on its own stream.
 
+use sasgd_comm::transport::{Clocked, Stamps, VirtualClock};
+use sasgd_comm::world::CommWorld;
 use sasgd_data::{make_shards, Dataset};
 use sasgd_nn::Model;
+use sasgd_simnet::cost::BYTES_PER_PARAM;
 use sasgd_simnet::{RankQueue, VirtualTime};
 use sasgd_tensor::parallel;
 
-use super::{
-    event_gamma_epoch, interval_in_force, lockstep_gamma_epoch, lockstep_steps, strategy_for,
-    AggregationStrategy, BatchStream, Cadence, CommScope,
-};
+use super::rank::{drive, supported_cadence, Clock};
+use super::threaded::{spawn_ranks, wire_of};
+use super::{AggregationStrategy, BatchStream, CommScope, EngineError};
+use crate::algorithms::downpour::DownpourStrategy;
+use crate::algorithms::eamsgd::EamsgdStrategy;
 use crate::algorithms::Algorithm;
 use crate::history::{History, StalenessStats};
 use crate::trainer::{EvalSets, Learner, TrainConfig};
 
-/// Run `algo` on the simulated backend, at its strategy's natural cadence
-/// unless `cfg.cadence` overrides it. Every learner steps on this one OS
-/// thread, so its kernels take the caller's whole budget of compute
-/// threads.
+/// Speed advantage of the intra-group fabric over the global GPU fabric
+/// (hierarchical SASGD's groups share a device or PCIe switch).
+pub(crate) const LOCAL_FABRIC_SPEEDUP: f64 = 8.0;
+
+/// Run `algo` on the simulated backend, at its natural cadence unless
+/// `cfg.cadence` overrides it. A collective's ranks share the caller's
+/// compute threads evenly; the parameter-server event loop steps every
+/// learner on this one thread, at the caller's whole budget.
 pub(crate) fn run(
     algo: &Algorithm,
     factory: &mut dyn FnMut() -> Model,
     train_set: &Dataset,
     test_set: &Dataset,
     cfg: &TrainConfig,
-) -> History {
-    let strategy = &mut *strategy_for(algo);
-    let history = History::new(algo.label(), strategy.p(), strategy.history_interval());
-    let cadence = cfg.cadence.unwrap_or_else(|| strategy.cadence());
-    let run = match (cadence, strategy.comm_scope()) {
-        (Cadence::Lockstep, _) => run_lockstep,
-        (Cadence::EventDriven, CommScope::Individual) => run_event_individual,
-        (Cadence::EventDriven, CommScope::Collective) => run_event_collective,
+) -> Result<History, EngineError> {
+    let cadence = supported_cadence(algo, cfg.cadence)?;
+    if algo.comm_scope() == CommScope::Individual {
+        let run = || run_event_individual(algo, factory, train_set, test_set, cfg);
+        return Ok(parallel::with_width(parallel::budget(), run));
+    }
+    let p = algo.learners();
+    let models: Vec<Model> = (0..p).map(|_| factory()).collect();
+    let step_s = cfg
+        .cost
+        .minibatch_compute(models[0].macs_per_sample(), cfg.batch_size, p);
+    let group = match algo {
+        Algorithm::HierarchicalSasgd { per_group, .. } => *per_group,
+        _ => 0,
     };
-    parallel::with_width(parallel::budget(), || {
-        run(strategy, history, factory, train_set, test_set, cfg)
-    })
+    let topology = cfg.cost.topology.clone();
+    let stamps = Stamps::new(move |src, dst, elements| {
+        let hop = topology.gpu_link_time(elements as f64 * BYTES_PER_PARAM);
+        if group > 0 && src / group == dst / group {
+            hop / LOCAL_FABRIC_SPEEDUP
+        } else {
+            hop
+        }
+    });
+    let delayed = matches!(algo, Algorithm::Sasgd { delayed: true, .. });
+    let mut world = CommWorld::new(p);
+    let wire = wire_of(&world);
+    let ranks = world.communicators().into_iter().zip(models);
+    let ranks: Vec<_> = ranks
+        .map(|(comm, model)| {
+            let now = VirtualClock::default();
+            let clock = Clock::Virtual {
+                now: now.clone(),
+                step_s,
+                jitter: cfg.jitter.clone(),
+                landed: delayed.then_some(0.0),
+            };
+            (Clocked::new(comm, now, stamps.clone()), clock, model)
+        })
+        .collect();
+    let rank_loop = |_, (comm, clock, model)| {
+        drive(
+            comm, clock, None, model, train_set, test_set, algo, cfg, cadence,
+        )
+    };
+    let width = parallel::width_for(p, 0);
+    let mut history = spawn_ranks(ranks, rank_loop, false, width, wire)?;
+    history.label = algo.label();
+    Ok(history)
 }
 
-fn run_lockstep(
-    s: &mut dyn AggregationStrategy,
-    mut history: History,
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-) -> History {
-    let p = s.p();
-    let mut learners: Vec<Learner> = (0..p).map(|id| Learner::new(id, factory(), cfg)).collect();
-    let macs = learners[0].model.macs_per_sample();
-    let x0 = learners[0].model.params().to_vec();
-    let init_comm = s.setup(factory, &x0, cfg);
-    for l in &mut learners {
-        l.model.params_mut().copy_from_slice(&x0);
-        l.charge_comm(init_comm);
-    }
-
-    let evals = EvalSets::prepare(train_set, test_set, cfg.eval_cap);
-    let shards = make_shards(train_set, p, cfg.shard_strategy);
-    let steps = lockstep_steps(&shards, cfg.batch_size);
-    assert!(
-        steps > 0,
-        "shards too small: {} samples over {p} learners at batch {}",
-        train_set.len(),
-        cfg.batch_size
-    );
-    let run_steps = cfg.epochs * steps;
-    let step_s = cfg.cost.minibatch_compute(macs, cfg.batch_size, p);
-    let mut policy = s.sync_policy();
-
-    let mut samples = 0u64;
-    let mut since_sync = 0usize;
-    let mut syncs = 0u64;
-
-    for epoch in 1..=cfg.epochs {
-        let iters: Vec<Vec<Vec<usize>>> = learners
-            .iter_mut()
-            .zip(&shards)
-            .map(|(l, sh)| {
-                sh.epoch_iter(cfg.batch_size, &mut l.rng)
-                    .take(steps)
-                    .collect()
-            })
-            .collect();
-        for step in 0..steps {
-            let gamma_now = cfg.gamma_at(lockstep_gamma_epoch(epoch, step, steps));
-            for (id, (l, batches)) in learners.iter_mut().zip(&iters).enumerate() {
-                let idx = &batches[step];
-                samples += idx.len() as u64;
-                let j = l.draw_jitter(&cfg.jitter);
-                s.local_step(l, id, train_set, idx, gamma_now, step_s, j);
-            }
-            since_sync += 1;
-            if since_sync >= interval_in_force(policy.current_t(), run_steps) {
-                s.sync(&mut learners, gamma_now, &mut history);
-                // A lockstep round's staleness is the strategy's, for every
-                // rank alike (0 where it applies fresh state).
-                let tau = s.collective_tau();
-                for id in 0..p {
-                    let gamma_eff = s.observe_staleness(id, tau, gamma_now);
-                    history.push_staleness(syncs, id, tau, gamma_eff);
-                }
-                policy.observe_round(s.sync_signal());
-                syncs += 1;
-                since_sync = 0;
-            }
-        }
-        for l in &mut learners {
-            l.clock += cfg.cost.epoch_overhead;
-        }
-        let l = &mut learners[0];
-        let rec = evals.record(&mut l.model, epoch as f64, l.compute_s, l.comm_s, samples);
-        history.records.push(rec);
-    }
-    history.staleness = s.staleness(syncs);
-    history.wire = s.wire(syncs, &history.sparse_levels);
-    history.sync_rounds = syncs;
-    history.final_params = Some(s.final_params(&learners));
-    history
-}
-
+/// The parameter-server event loop: `algo`'s learners around its
+/// strategy's shared state, one block completion at a time.
 fn run_event_individual(
-    s: &mut dyn AggregationStrategy,
-    mut history: History,
+    algo: &Algorithm,
     factory: &mut dyn FnMut() -> Model,
     train_set: &Dataset,
     test_set: &Dataset,
     cfg: &TrainConfig,
 ) -> History {
-    let p = s.p();
-    let mut policy = s.sync_policy();
-    assert!(policy.current_t() >= 1, "event-driven strategies must sync");
+    let mut strategy: Box<dyn AggregationStrategy> = match *algo {
+        Algorithm::Downpour {
+            staleness_gamma, ..
+        } => Box::new(DownpourStrategy::new(staleness_gamma)),
+        Algorithm::Eamsgd {
+            p,
+            moving_rate,
+            momentum,
+            staleness_gamma,
+            ..
+        } => Box::new(EamsgdStrategy::new(
+            p,
+            moving_rate,
+            momentum,
+            staleness_gamma,
+        )),
+        _ => unreachable!("only the parameter-server algorithms exchange individually"),
+    };
+    let s = &mut *strategy;
+    let (p, t) = (algo.learners(), algo.interval());
+    let mut history = History::new(algo.label(), p, t);
     let mut learners: Vec<Learner> = (0..p).map(|id| Learner::new(id, factory(), cfg)).collect();
     let m = learners[0].model.param_len();
     let macs = learners[0].model.macs_per_sample();
-    let x0 = learners[0].model.params().to_vec();
-    let init_comm = s.setup(factory, &x0, cfg);
-    for l in &mut learners {
-        l.model.params_mut().copy_from_slice(&x0);
-        l.charge_comm(init_comm);
-    }
+    s.setup(learners[0].model.params());
 
     let evals = EvalSets::prepare(train_set, test_set, cfg.eval_cap);
     let n = train_set.len();
@@ -181,7 +159,7 @@ fn run_event_individual(
     // pure function of the virtual clocks, never of scheduling history.
     let mut queue: RankQueue<f64> = RankQueue::new();
     for (id, l) in learners.iter_mut().enumerate() {
-        let dur = block_duration(l, policy.current_t(), step_s, cfg);
+        let dur = block_duration(l, t, step_s, cfg);
         queue.push(VirtualTime(dur), id, 0.0);
     }
 
@@ -197,7 +175,6 @@ fn run_event_individual(
     while let Some((tv, id, start)) = queue.pop() {
         // The block's math: T local minibatches against the state pulled
         // at the previous sync.
-        let t = policy.current_t();
         let gamma_now = cfg.gamma_at(samples as f64 / n as f64);
         for _ in 0..t {
             let idx = {
@@ -214,13 +191,12 @@ fn run_event_individual(
             let tau = shared_version - pulled_version[id];
             staleness_obs.push(tau);
             shared_version += 1;
-            let gamma_eff = s.observe_staleness(id, tau, gamma_now);
-            s.event_sync(l, id, gamma_eff);
+            let gamma_eff = s.observe_staleness(tau, gamma_now);
+            s.event_sync(l, gamma_eff);
             pulled_version[id] = shared_version;
             l.charge_comm(comm_round);
             history.push_staleness(rounds, id, tau, gamma_eff);
         }
-        policy.observe_round(s.sync_signal());
         rounds += 1;
         // Record accuracy when learner 0 finishes a pass over its shard.
         if id == 0 && streams[0].completed_passes() > recorded_passes {
@@ -232,7 +208,7 @@ fn run_event_individual(
         }
         if samples < target_samples {
             let start = learners[id].clock;
-            let dur = block_duration(&mut learners[id], policy.current_t(), step_s, cfg);
+            let dur = block_duration(&mut learners[id], t, step_s, cfg);
             queue.push(VirtualTime(start + dur), id, start);
         }
     }
@@ -246,111 +222,13 @@ fn run_event_individual(
     }
     history.staleness = StalenessStats::from_observations(&staleness_obs);
     history.sync_rounds = rounds;
-    history.final_params = Some(s.final_params(&learners));
-    history
-}
-
-fn run_event_collective(
-    s: &mut dyn AggregationStrategy,
-    mut history: History,
-    factory: &mut dyn FnMut() -> Model,
-    train_set: &Dataset,
-    test_set: &Dataset,
-    cfg: &TrainConfig,
-) -> History {
-    let p = s.p();
-    let mut policy = s.sync_policy();
-    let mut learners: Vec<Learner> = (0..p).map(|id| Learner::new(id, factory(), cfg)).collect();
-    let macs = learners[0].model.macs_per_sample();
-    let x0 = learners[0].model.params().to_vec();
-    let init_comm = s.setup(factory, &x0, cfg);
-    for l in &mut learners {
-        l.model.params_mut().copy_from_slice(&x0);
-        l.charge_comm(init_comm);
-    }
-
-    let evals = EvalSets::prepare(train_set, test_set, cfg.eval_cap);
-    let n = train_set.len();
-    let step_s = cfg.cost.minibatch_compute(macs, cfg.batch_size, p);
-    let mut streams: Vec<BatchStream> = make_shards(train_set, p, cfg.shard_strategy)
-        .into_iter()
-        .map(|sh| BatchStream::new(sh.indices().to_vec(), cfg.batch_size))
-        .collect();
-
-    let mut samples = 0u64;
-    let mut steps_done = 0u64; // nominal per-rank steps, same on every rank
-    let mut syncs = 0u64;
-    let mut recorded_passes = 0u64;
-    let mut staleness_obs: Vec<u64> = Vec::new();
-    let target_steps = (cfg.epochs as u64) * (n as u64); // in batch·p units
-    let run_steps = (cfg.epochs * n).div_ceil(cfg.batch_size * p);
-
-    loop {
-        let block = interval_in_force(policy.current_t(), run_steps);
-        // γ for the whole round, resolved from nominal progress *before*
-        // the round: rank-independent, so every rank (and the threaded
-        // backend) computes the identical rate.
-        let gamma_now = cfg.gamma_at(event_gamma_epoch(steps_done, cfg.batch_size, p, n));
-        // Schedule every learner's block (jitter drawn in rank order),
-        // then pop completions in (time, rank) order.
-        let mut queue: RankQueue<f64> = RankQueue::new();
-        for (id, l) in learners.iter_mut().enumerate() {
-            let start = l.clock;
-            let dur = block_duration(l, block, step_s, cfg);
-            queue.push(VirtualTime(start + dur), id, start);
-        }
-        while let Some((tv, id, start)) = queue.pop() {
-            for _ in 0..block {
-                let idx = {
-                    let l = &mut learners[id];
-                    streams[id].next(&mut l.rng)
-                };
-                samples += idx.len() as u64;
-                s.on_local_step(&mut learners[id], id, train_set, &idx, gamma_now);
-            }
-            let l = &mut learners[id];
-            l.compute_s += tv.seconds() - start;
-            l.clock = tv.seconds();
-        }
-        steps_done += block as u64;
-        // Collective rendezvous: the strategy aggregates all learners
-        // (charging waits and wire time to their clocks itself).
-        s.sync(&mut learners, gamma_now, &mut history);
-        let tau = s.collective_tau();
-        for id in 0..p {
-            let gamma_eff = s.observe_staleness(id, tau, gamma_now);
-            history.push_staleness(syncs, id, tau, gamma_eff);
-            staleness_obs.push(tau);
-        }
-        policy.observe_round(s.sync_signal());
-        syncs += 1;
-        if streams[0].completed_passes() > recorded_passes {
-            recorded_passes = streams[0].completed_passes();
-            let epoch = samples as f64 / n as f64;
-            let l = &mut learners[0];
-            let rec = evals.record(&mut l.model, epoch, l.compute_s, l.comm_s, samples);
-            history.records.push(rec);
-        }
-        if steps_done * (cfg.batch_size as u64) * (p as u64) >= target_steps {
-            break;
-        }
-    }
-    if history.records.is_empty() || history.records.last().expect("nonempty").samples < samples {
-        let epoch = samples as f64 / n as f64;
-        let l = &mut learners[0];
-        let rec = evals.record(&mut l.model, epoch, l.compute_s, l.comm_s, samples);
-        history.records.push(rec);
-    }
-    history.staleness = StalenessStats::from_observations(&staleness_obs);
-    history.wire = s.wire(syncs, &history.sparse_levels);
-    history.sync_rounds = syncs;
-    history.final_params = Some(s.final_params(&learners));
+    history.final_params = Some(learners[0].model.params().to_vec());
     history
 }
 
 /// Duration of the next `t`-minibatch compute block (jitter drawn now so
 /// completion order is known to the event queue up front).
-pub(crate) fn block_duration(l: &mut Learner, t: usize, step_s: f64, cfg: &TrainConfig) -> f64 {
+fn block_duration(l: &mut Learner, t: usize, step_s: f64, cfg: &TrainConfig) -> f64 {
     let mut dur = 0.0;
     for _ in 0..t {
         dur += step_s * l.speed * l.draw_jitter(&cfg.jitter);

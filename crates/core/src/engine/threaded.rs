@@ -4,11 +4,11 @@
 //! One flat in-process world covers every algorithm: the learners —
 //! hierarchical SASGD's groups are memberships of it — followed, for the
 //! parameter-server algorithms, by their shard ranks, optionally under a
-//! scripted wire-fault schedule. Unlike the simulated backend's analytic
-//! wire accounting,
-//! [`History::wire`] here is read from the substrate's traffic counters —
-//! compressed gradients travel in the sparse wire format, so the counters
-//! record genuinely fewer elements, not a model of fewer elements.
+//! scripted wire-fault schedule. [`History::wire`] is read from the
+//! world's traffic counters — compressed gradients travel in the sparse
+//! wire format, so the counters record genuinely fewer elements. The
+//! simulated backend runs its collectives through the same
+//! [`spawn_ranks`], over clocked endpoints of the same world.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use sasgd_data::Dataset;
 use sasgd_nn::Model;
 use sasgd_tensor::parallel;
 
-use super::rank::{drive, supported_cadence};
+use super::rank::{drive, supported_cadence, Clock};
 use super::{EngineError, FaultConfig};
 use crate::algorithms::Algorithm;
 use crate::history::{History, WireStats};
@@ -62,7 +62,7 @@ fn join_learners<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T
 /// once the world is quiet. Ranks that exchange `individually` (with a
 /// parameter server, each at its own pace) ran their own rounds, so the
 /// run's round count is the sum; collective rounds are everyone's at once.
-fn spawn_ranks<E: Send>(
+pub(crate) fn spawn_ranks<E: Send>(
     endpoints: Vec<E>,
     body: impl Fn(usize, E) -> Result<History, EngineError> + Sync,
     individually: bool,
@@ -120,8 +120,17 @@ pub(crate) fn run(
     let cadence = supported_cadence(algo, cfg.cadence)?;
     let p = algo.learners();
     let rank_loop = |_, comm: Communicator| {
+        let model = factory();
         drive(
-            comm, faults, factory, train_set, test_set, algo, cfg, cadence,
+            comm,
+            Clock::Wall,
+            faults,
+            model,
+            train_set,
+            test_set,
+            algo,
+            cfg,
+            cadence,
         )
     };
     // Downpour shards its server across as many ranks as it has learners;
@@ -135,14 +144,18 @@ pub(crate) fn run(
     if let Some(schedule) = faults.and_then(|f| f.plan.wire_faults(p)) {
         world.set_faults(Arc::new(schedule));
     }
-    let traffic = world.traffic();
+    let wire = wire_of(&world);
     // The compute threads this caller may use, shared evenly by the ranks:
     // oversubscribed worlds run the serial kernels.
     let width = parallel::width_for(p, shards);
-    spawn_ranks(world.communicators(), rank_loop, shards > 0, width, || {
-        WireStats {
-            elements: traffic.elements_sent(),
-            messages: traffic.messages_sent(),
-        }
-    })
+    spawn_ranks(world.communicators(), rank_loop, shards > 0, width, wire)
+}
+
+/// What `world` will have carried once its ranks are done.
+pub(crate) fn wire_of(world: &CommWorld) -> impl FnOnce() -> WireStats {
+    let traffic = world.traffic();
+    move || WireStats {
+        elements: traffic.elements_sent(),
+        messages: traffic.messages_sent(),
+    }
 }

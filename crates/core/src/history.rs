@@ -49,10 +49,9 @@ pub struct History {
     /// tests compare backends parameter-for-parameter, not just by
     /// accuracy trajectories.
     pub final_params: Option<Vec<f32>>,
-    /// Wire traffic of the run, where the backend can account for it: the
-    /// threaded backend reports the comm-world's measured counters, the
-    /// simulated backend the analytic element counts its cost model
-    /// charges. `None` when the algorithm has no accounted channel.
+    /// Wire traffic of the run: the comm world's counters, on either
+    /// backend. `None` for the simulated parameter-server event loop,
+    /// which has no wire.
     pub wire: Option<WireStats>,
     /// Membership changes observed by the fault-tolerant threaded backend
     /// (empty for fault-free runs and for backends without failure

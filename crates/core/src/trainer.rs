@@ -92,6 +92,7 @@ pub fn train(
     assert!(cfg.batch_size > 0, "need a positive minibatch size");
     assert!(!train_set.is_empty(), "empty training set");
     simulated::run(algo, factory, train_set, test_set, cfg)
+        .unwrap_or_else(|e| panic!("Simulated backend running {algo:?}: {e}"))
 }
 
 // ---------------------------------------------------------------------------

@@ -129,6 +129,23 @@ impl Model {
         out
     }
 
+    /// Lend the parameter arena itself to `f`, for a collective that lands
+    /// the buffer it receives in place of copying it (the `x0` broadcast).
+    ///
+    /// # Panics
+    /// If `f` leaves the arena at another length than
+    /// [`Model::param_len`]: the layers index into it.
+    pub fn lend_params<R>(&mut self, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+        let len = self.params.len();
+        let out = f(&mut self.params);
+        assert_eq!(
+            self.params.len(),
+            len,
+            "a lent parameter arena came back resized"
+        );
+        out
+    }
+
     /// Forward through all layers (no loss); returns logits.
     pub fn forward(&mut self, input: Tensor, ctx: &mut Ctx) -> Tensor {
         let mut x = input;
@@ -188,6 +205,11 @@ impl Model {
     /// Copy all parameters into a fresh flat vector.
     pub fn param_vector(&self) -> Vec<f32> {
         self.params.clone()
+    }
+
+    /// The parameter arena itself, the model consumed.
+    pub fn into_params(self) -> Vec<f32> {
+        self.params
     }
 
     /// Overwrite all parameters from `src`.
@@ -373,6 +395,8 @@ mod tests {
             vec![3.0; len],
             "a replacement of full length stays"
         );
+        m.lend_params(|p| *p = vec![4.0; len]);
+        assert_eq!(m.params(), vec![4.0; len], "a lent parameter arena lands");
     }
 
     #[test]

@@ -389,11 +389,11 @@ fn hierarchical(groups: usize, per_group: usize, t_local: usize) -> Algorithm {
     }
 }
 
-/// One algorithm family, instantiated per `p`; whether lockstep on threads
-/// is part of its contract (else `UnsupportedCadence`); and whether its
-/// `final_params` stay bitwise the simulated backend's beyond `p = 1`
-/// (else the trajectory is schedule-dependent, or the backends reduce in
-/// different orders, and only the bookkeeping is compared).
+/// One algorithm family, instantiated per `p`; whether lockstep is part of
+/// its contract (else `UnsupportedCadence`, on either backend); and whether
+/// its `final_params` stay bitwise the simulated backend's beyond `p = 1`
+/// (else the trajectory is schedule-dependent and only the bookkeeping is
+/// compared).
 type Family = (fn(usize) -> Algorithm, bool, bool);
 
 const FAMILIES: [Family; 19] = [
@@ -441,9 +441,9 @@ const FAMILIES: [Family; 19] = [
         true,
     ),
     (|p| hierarchical(1, p, 2), true, true),
-    // Several groups: threads tree-reduce the group copies, the simulator
-    // accumulates them in rank order.
-    (|p| hierarchical(p, 2, 1), true, false),
+    // Several groups: both backends run the one exchange, level 2's
+    // tree-reduce + scale included.
+    (|p| hierarchical(p, 2, 1), true, true),
     (|p| Algorithm::model_average_once(p), true, true),
     // The averaging lattice: Local SGD's adaptive interval, DaSGD's
     // delayed landing, each also over a codec.
@@ -535,6 +535,13 @@ fn every_algorithm_cadence_and_p_keeps_its_promise() {
                         "{cell}: expected UnsupportedCadence, got {:?}",
                         thr.map(|h| h.label)
                     );
+                    let sim = Executor::new(Backend::Simulated)
+                        .try_run(&factory, &train_set, &test_set, &algo, &cfg);
+                    assert!(
+                        matches!(sim, Err(EngineError::UnsupportedCadence { .. })),
+                        "{cell}: expected UnsupportedCadence on the simulated backend, got {:?}",
+                        sim.map(|h| h.label)
+                    );
                     continue;
                 }
                 let thr = thr.unwrap_or_else(|e| panic!("{cell}: {e}"));
@@ -549,6 +556,15 @@ fn every_algorithm_cadence_and_p_keeps_its_promise() {
                     server || algo.learners() > 1,
                     "{cell}: traffic iff there is a server or a peer"
                 );
+                if !server {
+                    // One exchange on both backends: one wire, one count.
+                    let sim_wire = sim.wire.unwrap_or_else(|| panic!("{cell}: simulated wire"));
+                    assert_eq!(
+                        (sim_wire.elements, sim_wire.messages),
+                        (wire.elements, wire.messages),
+                        "{cell}: wire"
+                    );
+                }
                 let bitwise = p == 1 || bitwise_beyond_p1;
                 if bitwise {
                     assert_bitwise(&cell, &sim, &thr);

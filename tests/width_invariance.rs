@@ -87,11 +87,11 @@ fn two_epoch_runs_are_bitwise_equal_at_every_cap_on_both_backends() {
         let mut reference: Option<Vec<u32>> = None;
         for backend in [Backend::Simulated, Backend::Threaded] {
             // Caps 2 and 3 where they change a width (a lone learner's
-            // simulated run is its threaded one on the caller's thread);
+            // simulated run is its threaded one on a clocked endpoint);
             // two rank threads get two workers each from a cap of 4.
             let caps: &[usize] = match (backend, p) {
                 (Backend::Simulated, 1) => &[1],
-                (Backend::Threaded, 2) => &[1, 2, 3, 4],
+                (_, 2) => &[1, 2, 3, 4],
                 _ => &[1, 2, 3],
             };
             for &cap in caps {
@@ -102,12 +102,8 @@ fn two_epoch_runs_are_bitwise_equal_at_every_cap_on_both_backends() {
                 let what = format!("{} on {backend:?} at cap {cap}", algo.label());
                 let params = bits(&history.final_params.expect("final_params"));
                 assert_eq!(*reference.get_or_insert(params.clone()), params, "{what}");
-                // One OS thread steps every simulated learner and takes the
-                // whole cap; `p` rank threads share it.
-                let width = match backend {
-                    Backend::Simulated => cap,
-                    Backend::Threaded => (cap / p).max(1),
-                };
+                // On either backend `p` rank threads share the cap.
+                let width = (cap / p).max(1);
                 assert_eq!(fanned > 0, width > 1, "{what}: {fanned} region(s)");
             }
         }
