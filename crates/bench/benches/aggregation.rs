@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sasgd_comm::collectives::allreduce_tree;
 use sasgd_comm::ps_transport::{run_world, PsLayout};
 use sasgd_comm::world::CommWorld;
-use sasgd_core::compress::ErrorFeedback;
+use sasgd_core::compress::{ErrorFeedback, Payload};
 use sasgd_core::{Compression, KSchedule};
 use sasgd_nn::models;
 use sasgd_tensor::SeedRng;
@@ -57,8 +57,10 @@ fn bench_aggregation(c: &mut Criterion) {
 }
 
 /// One rank's error-feedback round on the NLC net (m = 1 733 511, its
-/// real block map) at the benchmark's `nlc_sparse_p2` setting: layer-wise
-/// top-1 %, residual carried from call to call.
+/// real block map), residual carried from call to call: layer-wise top-1 %
+/// (the benchmark's `nlc_sparse_p2` setting) and top-10 %, plus an
+/// all-ties input at 1 %, where every 16-coordinate group tops out in the
+/// same histogram bin and pass B has to visit all of them.
 fn bench_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("encode");
     g.sample_size(20);
@@ -78,14 +80,38 @@ fn bench_encode(c: &mut Criterion) {
             };
         }
     }
-    let comp = Compression::Sparse {
-        k: KSchedule::layer_wise(0.01),
+    let layer_wise = |ratio| Compression::Sparse {
+        k: KSchedule::layer_wise(ratio),
         q8: false,
         union_bound: false,
     };
-    let mut codec = ErrorFeedback::new(comp, m, blocks);
-    g.bench_function("nlc_1.7M_layerwise_1pct", |b| {
-        b.iter(|| black_box(codec.encode(black_box(&gs)).k_eff))
+    for (name, ratio) in [
+        ("nlc_1.7M_layerwise_1pct", 0.01),
+        ("nlc_1.7M_layerwise_10pct", 0.1),
+    ] {
+        let mut codec = ErrorFeedback::new(layer_wise(ratio), m, blocks.clone());
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(codec.encode(black_box(&gs)).k_eff))
+        });
+    }
+    // Every input magnitude 1: prime the residual with ±1, then encode a
+    // zero gradient and hand the payload straight back, so each round
+    // sees the same all-tied input.
+    let mut codec = ErrorFeedback::new(layer_wise(0.01), m, blocks);
+    let signs: Vec<f32> = (0..m)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
+    let zeros = vec![0.0f32; m];
+    let mut round = |gs: &[f32]| {
+        let Payload::Sparse(sv, _) = codec.encode(gs).payload else {
+            unreachable!("a sparse scheme ships sparse");
+        };
+        codec.absorb(&sv);
+        sv.nnz()
+    };
+    round(&signs);
+    g.bench_function("nlc_1.7M_layerwise_1pct_ties", |b| {
+        b.iter(|| black_box(round(black_box(&zeros))))
     });
     g.finish();
 }

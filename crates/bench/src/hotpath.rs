@@ -33,6 +33,16 @@
 //! before it: a count of model-sized vectors per rank that no runner's
 //! speed moves, which CI holds under a line too.
 //!
+//! ## Encode
+//!
+//! [`run_encode`] times one rank's sparse round, `ErrorFeedback::encode`,
+//! on the full NLC net's block map at layer-wise top-1 % (the benchmark's
+//! `nlc_sparse_p2` setting), residual carried, against one plain
+//! `residual += gs` pass over the same `m` in the same process: the round
+//! has to make that pass anyway, so `encode_over_add` says how many such
+//! passes the selection costs on top, whatever the runner's speed. CI
+//! holds it under a line.
+//!
 //! ## Roofline sweep
 //!
 //! Alongside the model-level suite the harness sweeps the raw GEMM
@@ -56,7 +66,8 @@
 
 use std::time::Instant;
 
-use sasgd_core::{Algorithm, Backend, Executor, GammaP, TrainConfig};
+use sasgd_core::compress::ErrorFeedback;
+use sasgd_core::{Algorithm, Backend, Compression, Executor, GammaP, KSchedule, TrainConfig};
 use sasgd_data::nlc_like::{self, NlcLikeConfig};
 use sasgd_nn::layers::{
     Dropout, Flatten, GlobalMaxOverTime, Linear, MaxPool2d, Relu, Tanh, TemporalConv1d,
@@ -566,13 +577,90 @@ pub fn run_engine_step() -> EngineStep {
     }
 }
 
+/// One rank's sparse round against a plain add pass (see the module docs,
+/// *Encode*).
+pub struct EncodeCost {
+    /// Median wall-clock of one `encode`, ms.
+    pub encode_ms: f64,
+    /// Median wall-clock of one `residual += gs` pass over the same `m`, ms.
+    pub add_ms: f64,
+}
+
+impl EncodeCost {
+    /// `encode_ms / add_ms`: the round in units of the one pass it cannot
+    /// skip.
+    pub fn encode_over_add(&self) -> f64 {
+        self.encode_ms / self.add_ms
+    }
+}
+
+/// Timed rounds of [`run_encode`], after as many warm-up rounds.
+const ENCODE_ROUNDS: usize = 15;
+
+/// Time `encode` at layer-wise top-1 % on the full NLC net's block map
+/// (m = 1 733 511), and one `residual += gs` pass over the same `m`.
+pub fn run_encode() -> EncodeCost {
+    let blocks = models::nlc_net(20, &mut SeedRng::new(9)).param_blocks();
+    let m = blocks.last().expect("the NLC net has parameters").1;
+    // Per-block scales a decade apart, a third of the coordinates exactly
+    // zero: batch-1 gradients are that sparse before the residual fills in.
+    let mut rng = SeedRng::new(0xE7C0);
+    let mut gs = vec![0.0f32; m];
+    for (j, &(lo, hi)) in blocks.iter().enumerate() {
+        let scale = 10f32.powi(-(j as i32 % 3));
+        for v in &mut gs[lo..hi] {
+            *v = if rng.below(3) == 0 {
+                0.0
+            } else {
+                rng.normal() * scale
+            };
+        }
+    }
+    let median = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let comp = Compression::Sparse {
+        k: KSchedule::layer_wise(0.01),
+        q8: false,
+        union_bound: false,
+    };
+    let mut codec = ErrorFeedback::new(comp, m, blocks);
+    let mut residual = vec![0.0f32; m];
+    let (mut encode_ms, mut add_ms) = (Vec::new(), Vec::new());
+    for round in 0..2 * ENCODE_ROUNDS {
+        let t0 = Instant::now();
+        std::hint::black_box(codec.encode(&gs));
+        let t1 = Instant::now();
+        for (r, &g) in residual.iter_mut().zip(&gs) {
+            *r += g;
+        }
+        std::hint::black_box(&mut residual);
+        if round >= ENCODE_ROUNDS {
+            encode_ms.push((t1 - t0).as_secs_f64() * 1e3);
+            add_ms.push(t1.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    EncodeCost {
+        encode_ms: median(encode_ms),
+        add_ms: median(add_ms),
+    }
+}
+
 /// Hand-rolled JSON (the workspace builds offline, with no serde).
-pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) -> String {
+pub fn to_json(
+    timings: &[HotpathTiming],
+    roof: &Roofline,
+    engine: &EngineStep,
+    encode: &EncodeCost,
+) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
         "  \"threads\": {},\n  \"alloc_counting\": {},\n  \
          \"parallel_path_taken\": {},\n  \"engine_step\": {{\"ms_per_step\": {:.3}, \
          \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}, \"peak_live_bytes\": {}}},\n  \
+         \"encode\": {{\"encode_ms\": {:.3}, \"add_ms\": {:.3}}},\n  \
+         \"encode_over_add\": {:.2},\n  \
          \"cases\": [\n",
         parallel::cap(),
         alloc::counting(),
@@ -581,6 +669,9 @@ pub fn to_json(timings: &[HotpathTiming], roof: &Roofline, engine: &EngineStep) 
         engine.allocs_per_step,
         engine.alloc_bytes_per_step,
         engine.peak_live_bytes,
+        encode.encode_ms,
+        encode.add_ms,
+        encode.encode_over_add(),
     ));
     for (i, t) in timings.iter().enumerate() {
         let alloc_drop = if t.after_allocs > 0 {
@@ -659,6 +750,7 @@ pub fn hotpath() -> Artifact {
     // what a one-learner run gets.
     let timings = parallel::with_width(parallel::cap(), run_suite);
     let engine = run_engine_step();
+    let encode = run_encode();
     let roof = run_roofline();
     let mut report = String::from(
         "Hot-path fwd+bwd step timings: per-image ref kernels + fresh buffers \
@@ -693,6 +785,13 @@ pub fn hotpath() -> Artifact {
         engine.allocs_per_step,
         engine.alloc_bytes_per_step,
         engine.peak_live_bytes
+    ));
+    report.push_str(&format!(
+        "\nencode (layer-wise top-1 %, full NLC net, residual carried): {:.2} ms, \
+         {:.2} ms for one plain residual += gs pass: encode_over_add = {:.2}\n",
+        encode.encode_ms,
+        encode.add_ms,
+        encode.encode_over_add()
     ));
     if !alloc::counting() {
         report.push_str("\n(counting allocator not installed: alloc columns are zero)\n");
@@ -761,7 +860,7 @@ pub fn hotpath() -> Artifact {
         report,
         csvs: vec![(
             "BENCH_hotpath.json".to_string(),
-            to_json(&timings, &roof, &engine),
+            to_json(&timings, &roof, &engine, &encode),
         )],
     }
 }
@@ -841,11 +940,17 @@ mod tests {
             alloc_bytes_per_step: 40_960,
             peak_live_bytes: 27_000_000,
         };
-        let j = to_json(&t, &roof, &engine);
+        let encode = EncodeCost {
+            encode_ms: 6.0,
+            add_ms: 0.8,
+        };
+        let j = to_json(&t, &roof, &engine, &encode);
         assert!(j.contains(
             "\"engine_step\": {\"ms_per_step\": 6.250, \"allocs_per_step\": 21.5, \
              \"alloc_bytes_per_step\": 40960, \"peak_live_bytes\": 27000000}"
         ));
+        assert!(j.contains("\"encode\": {\"encode_ms\": 6.000, \"add_ms\": 0.800},"));
+        assert!(j.contains("\"encode_over_add\": 7.50,"));
         assert!(j.contains("\"speedup\": 2.000"));
         assert!(j.contains("\"alloc_drop\": 20.0"));
         assert!(j.contains("\"loss_bitwise_equal\": true, \"held_bytes\": 4096}"));
@@ -867,6 +972,8 @@ mod tests {
                 "alloc_counting",
                 "parallel_path_taken",
                 "engine_step",
+                "encode",
+                "encode_over_add",
                 "cases",
                 "roofline",
                 "nt_over_nn",

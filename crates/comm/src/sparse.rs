@@ -585,8 +585,8 @@ pub fn sparse_allreduce_tree<T: Transport>(
     Ok(fold.spill)
 }
 
-/// The sparse tree under its former name, which the benchmark harness and
-/// the property suite compile against.
+/// The sparse tree under its former name, kept for its one caller,
+/// `benchmark/src/adapter.rs`.
 #[doc(hidden)]
 pub use self::sparse_allreduce_tree as sparse_allreduce_tree_v2;
 

@@ -18,14 +18,17 @@
 //!   (`q8`) and a union-growth bound in the sparse tree reduce
 //!   (`union_bound`).
 //!
-//! **The round** is three streaming passes over the codec's own residual
-//! and builds no dense temporary (DESIGN.md §4j): (A) `residual += gs`
-//! fused with per-block sums of squares and a histogram of magnitude
-//! keys; (B) per block, exact selection of the k largest off that
-//! histogram, straight into the payload; (C) the residual norm. Exactly k
-//! per block, larger magnitude first, ties to the lower index, exact
-//! zeros never kept. [`Compression::compress_with`] is a dense-form
-//! wrapper over the same round, so there is one selection implementation.
+//! **The round** is two streaming passes over the codec's own residual and
+//! one that reads only what can win; it builds no dense temporary
+//! (DESIGN.md §4j): (A) `residual += gs` fused with per-block sums of
+//! squares and the largest magnitude key of each 16-coordinate group,
+//! counted in a histogram of group tops; (B) per block, that histogram
+//! bounds the k-th largest key, and exact selection runs over only the
+//! groups whose top reaches the bound, straight into the payload; (C) the
+//! residual norm. Exactly k per block, larger magnitude first, ties to the
+//! lower index, exact zeros never kept. [`Compression::compress_with`] is
+//! a dense-form wrapper over the same round, so there is one selection
+//! implementation.
 //!
 //! **NaN policy**: a NaN coordinate's selection key is that of +∞, so
 //! selection always keeps it and the poison surfaces downstream instead
@@ -58,9 +61,14 @@ const KEY_SHIFT: u32 = 20;
 /// The key of `±Inf` — and, by the NaN policy, of every NaN.
 const INF_KEY: u32 = 0x7f80_0000;
 /// Elements a streaming pass handles at a time: one tile of the residual
-/// stays in L1 while the add, the sum of squares and the histogram each
-/// run their own loop over it. A multiple of [`LANES`].
+/// stays in L1 while the add, the sum of squares and the group maxima
+/// each run their own loop over it. A multiple of [`LANES`] and of
+/// [`GROUP`].
 const TILE: usize = 4096;
+/// Coordinates per group: pass A records each group's largest key, and
+/// pass B reads only the groups whose top can make the cut. A block's
+/// groups start at its first coordinate and never straddle two tiles.
+const GROUP: usize = 16;
 /// Independent f64 accumulators of [`sum_sq`]; element `i` feeds lane
 /// `i % LANES`.
 const LANES: usize = 8;
@@ -70,11 +78,6 @@ const LANES: usize = 8;
 /// module-level NaN policy); `±0.0` is key 0.
 fn key(v: f32) -> u32 {
     (v.to_bits() & 0x7fff_ffff).min(INF_KEY)
-}
-
-/// The histogram bin of `v`'s key.
-fn bin(v: f32) -> usize {
-    (key(v) >> KEY_SHIFT) as usize
 }
 
 /// Add the squares of `v` into `acc`, lane `i % LANES` taking element `i`.
@@ -138,25 +141,79 @@ fn q8_scale_for(maxabs: f32) -> f32 {
 /// allocates nothing but its payload.
 #[derive(Default)]
 struct Scratch {
-    /// One [`BINS`]-bin histogram of magnitude keys per block.
+    /// One [`BINS`]-bin histogram per block: of its group tops after pass
+    /// A, then of its candidates' keys once pass B has them.
     hist: Vec<u32>,
+    /// The top bin of each [`GROUP`], block by block (a block's groups
+    /// start at its first coordinate).
+    tops: Vec<u16>,
     /// `‖input‖₂` per block.
     norms: Vec<f64>,
-    /// `(index << 32) | key` of a block's coordinates at or above the
-    /// threshold bucket, in index order.
-    hits: Vec<u64>,
-    /// Keys of the hits inside the threshold bucket.
+    /// The candidate groups of the block in hand, in index order.
+    visit: Vec<u32>,
+    /// A copy of each candidate group's coordinates.
+    cands: Vec<[f32; GROUP]>,
+    /// Keys of the candidates inside the bucket holding the k-th.
     keys: Vec<u32>,
 }
 
+/// The largest key in `group`, folded over four `i32` lanes (keys are
+/// below 2³¹, so signed lanes order them, and SSE2 has a signed 32-bit
+/// compare but no unsigned one), then clamped so NaN keeps the +∞ key.
+fn group_top(group: &[f32; GROUP]) -> u32 {
+    let mut lanes = [0i32; 4];
+    for quad in group.chunks_exact(4) {
+        for (l, &v) in lanes.iter_mut().zip(quad) {
+            *l = (*l).max((v.to_bits() & 0x7fff_ffff) as i32);
+        }
+    }
+    let top = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
+    (top as u32).min(INF_KEY)
+}
+
+/// Bit `i` set for each coordinate `i` of `group` whose key is at least
+/// `floor`. Up to [`INF_KEY`] the raw magnitude bits decide (a NaN's
+/// bits pass every floor its +∞ key passes); no key lies above it.
+fn at_or_above(group: &[f32; GROUP], floor: u32) -> u32 {
+    if floor > INF_KEY {
+        return 0;
+    }
+    let mut mask = 0;
+    for (i, &v) in group.iter().enumerate() {
+        mask |= u32::from((v.to_bits() & 0x7fff_ffff) as i32 >= floor as i32) << i;
+    }
+    mask
+}
+
+/// Up to [`GROUP`] coordinates as a whole group, zero-padded (a zero
+/// is never a top, a candidate or a winner).
+fn padded(coords: &[f32]) -> [f32; GROUP] {
+    coords.try_into().unwrap_or_else(|_| {
+        let mut group = [0.0; GROUP];
+        group[..coords.len()].copy_from_slice(coords);
+        group
+    })
+}
+
+/// The bin of `hist` holding its k-th largest entry, and how many entries
+/// the bins above it hold (always fewer than `k`); bin 0 when the whole
+/// histogram holds fewer than `k`.
+fn descend(hist: &[u32], k: usize) -> (usize, usize) {
+    let (mut bin, mut above) = (BINS - 1, 0);
+    while bin > 0 && above + (hist[bin] as usize) < k {
+        above += hist[bin] as usize;
+        bin -= 1;
+    }
+    (bin, above)
+}
+
 /// Pass A over one block: `res += gs` in place (when there is a `gs`),
-/// returning the block's `Σ res²` and filling `hist` with the histogram of
-/// its magnitude keys. Increments go round-robin to four tables — a run
-/// of same-bin increments to one table would serialise on store
-/// forwarding.
+/// returning the block's `Σ res²`, writing the top bin of each of its
+/// groups to `tops` and counting them in `hist` — one increment per
+/// [`GROUP`] coordinates.
 // hot-path: touches every coordinate once per round
-fn accumulate(res: &mut [f32], gs: Option<&[f32]>, hist: &mut [u32]) -> f64 {
-    let mut tables = [[0u32; BINS]; 4];
+fn accumulate(res: &mut [f32], gs: Option<&[f32]>, hist: &mut [u32], tops: &mut [u16]) -> f64 {
+    hist.fill(0);
     let mut acc = [0.0f64; LANES];
     for (t, tile) in res.chunks_mut(TILE).enumerate() {
         if let Some(gs) = gs {
@@ -165,29 +222,37 @@ fn accumulate(res: &mut [f32], gs: Option<&[f32]>, hist: &mut [u32]) -> f64 {
             }
         }
         sq_lanes(&mut acc, tile);
-        for (i, &v) in tile.iter().enumerate() {
-            tables[i % 4][bin(v)] += 1;
+        let tops = &mut tops[t * (TILE / GROUP)..];
+        for (top, group) in tops.iter_mut().zip(tile.chunks(GROUP)) {
+            let bin = group_top(&padded(group)) >> KEY_SHIFT;
+            *top = bin as u16; // < BINS
+            hist[bin as usize] += 1;
         }
-    }
-    for (b, h) in hist.iter_mut().enumerate() {
-        *h = tables[0][b] + tables[1][b] + tables[2][b] + tables[3][b];
     }
     fold_lanes(&acc)
 }
 
-/// Pass B over block `j`, `res[lo..lo + len]`: move its `k`
-/// largest-magnitude coordinates into `out` in index order, zeroing their
-/// residual slots (unless `q8`, whose kept slots take the quantization
-/// error later). Exact: the block's histogram names the bucket holding
-/// the k-th key, everything in a higher bucket is kept, and the bucket's
-/// own candidates are resolved on their full keys — larger key first,
-/// ties to the lower index. Exact zeros are never kept (they carry no
-/// mass), so a block with fewer than `k` nonzeros keeps exactly its
-/// nonzeros, and `k ≥ len` keeps every nonzero (lossless).
-// hot-path: touches every coordinate once per round
+/// Pass B over block `j`, `res[lo..lo + len]`, whose groups start at
+/// `tops[g0]`: move its `k` largest-magnitude coordinates into `out` in
+/// index order, zeroing their residual slots (unless `q8`, whose kept
+/// slots take the quantization error later).
+///
+/// Exact, and blind to most of the block. Let `b` be the bin holding the
+/// k-th largest group top: at least `k` distinct coordinates have keys at
+/// or above `b`'s floor, so every winner does too, and sits in a group
+/// whose top is in bin `b` or higher. Only those candidate groups are
+/// read — copied out first, so their scattered reads overlap. A histogram
+/// of their keys names the bucket holding the k-th; everything in a
+/// higher bucket is kept, and the bucket's own keys are resolved in full —
+/// larger key first, ties to the lower index. When `k` is at least the
+/// number of groups the bound cuts nothing, and this is the per-coordinate
+/// histogram pass A no longer makes. Exact zeros are never kept (they
+/// carry no mass), so a block with fewer than `k` nonzeros keeps exactly
+/// its nonzeros, and `k ≥ len` keeps every nonzero (lossless).
+// hot-path: reads only the groups that can hold a winner
 fn select_block(
     scratch: &mut Scratch,
-    j: usize,
+    (j, g0): (usize, usize),
     res: &mut [f32],
     lo: usize,
     k: usize,
@@ -195,62 +260,86 @@ fn select_block(
     out: &mut SparseVec,
 ) {
     let Scratch {
-        hist, hits, keys, ..
+        hist,
+        tops,
+        visit,
+        cands,
+        keys,
+        ..
     } = scratch;
-    let hist = &hist[j * BINS..][..BINS];
-    let mut emit = |res: &mut [f32], i: usize| {
-        out.idx.push((lo + i) as u32); // m ≤ u32::MAX: `round` checked it
-        out.val.push(res[i]);
-        if !q8 {
-            res[i] = 0.0;
-        }
-    };
-    if k >= res.len() {
-        for i in 0..res.len() {
-            if res[i] != 0.0 {
-                emit(res, i);
-            }
-        }
-        return;
+    let hist = &mut hist[j * BINS..][..BINS];
+    let tops = &tops[g0..][..res.len().div_ceil(GROUP)];
+    // The bound, and the candidate groups: listed with no branch per
+    // group, then copied.
+    let (bound, _) = descend(hist, k);
+    visit.clear();
+    visit.resize(tops.len(), 0);
+    let mut n = 0;
+    for (g, &top) in tops.iter().enumerate() {
+        visit[n] = g as u32;
+        n += usize::from(usize::from(top) >= bound);
     }
-    // The bucket holding the k-th largest key, and how many of the k it
-    // has to supply.
-    let (mut bucket, mut above) = (BINS - 1, 0);
-    while above + (hist[bucket] as usize) < k {
-        above += hist[bucket] as usize;
-        bucket -= 1;
+    visit.truncate(n);
+    cands.clear();
+    cands.extend(visit.iter().map(|&g| {
+        let at = g as usize * GROUP;
+        padded(&res[at..res.len().min(at + GROUP)])
+    }));
+    // The candidates' keys at or above the bound's floor, histogrammed:
+    // the bucket holding the k-th, and how many of the k it supplies.
+    // Increments go round-robin to four tables, so a run of equal keys
+    // does not serialise on store forwarding.
+    let floor = ((bound as u32) << KEY_SHIFT).max(1);
+    let mut tables = [[0u32; BINS]; 4];
+    for group in cands.iter() {
+        for (i, v) in group.iter().enumerate() {
+            let bits = v.to_bits() & 0x7fff_ffff;
+            tables[i % 4][(bits.min(INF_KEY) >> KEY_SHIFT) as usize] += u32::from(bits >= floor);
+        }
     }
+    for (b, h) in hist.iter_mut().enumerate() {
+        *h = tables[0][b] + tables[1][b] + tables[2][b] + tables[3][b];
+    }
+    let (bucket, above) = descend(hist, k);
     let need = k - above;
+    // The exact k-th key and how many coordinates tied at it make the cut.
     let floor = ((bucket as u32) << KEY_SHIFT).max(1);
-    hits.clear();
-    for (c, chunk) in res.chunks(16).enumerate() {
-        let top = chunk
-            .iter()
-            .fold(0, |a, v| a.max(v.to_bits() & 0x7fff_ffff));
-        if top < floor {
-            continue;
-        }
-        for (i, &v) in chunk.iter().enumerate() {
-            if key(v) >= floor {
-                hits.push(((c * 16 + i) as u64) << 32 | u64::from(key(v)));
-            }
+    let ceil = (bucket as u32 + 1) << KEY_SHIFT;
+    keys.clear();
+    for group in cands.iter() {
+        let mut mask = at_or_above(group, floor) & !at_or_above(group, ceil);
+        while mask != 0 {
+            keys.push(key(group[mask.trailing_zeros() as usize]));
+            mask &= mask - 1;
         }
     }
-    // The exact k-th key and how many coordinates tied at it make the cut.
-    keys.clear();
-    let in_bucket = |key: &u32| (key >> KEY_SHIFT) as usize == bucket;
-    keys.extend(hits.iter().map(|&h| h as u32).filter(in_bucket));
     let (kth, mut ties) = if keys.len() < need {
-        (0, 0) // the bucket ran out of nonzeros: every hit is kept
+        (0, 0) // the bucket ran out of nonzeros: every candidate is kept
     } else {
         let (larger, &mut kth, _) = keys.select_nth_unstable_by(need - 1, |a, b| b.cmp(a));
         (kth, need - larger.iter().filter(|&&key| key > kth).count())
     };
-    for &h in hits.iter() {
-        let key = h as u32;
-        if key > kth || (key == kth && ties > 0) {
-            ties -= usize::from(key == kth);
-            emit(res, (h >> 32) as usize);
+    // Emit in index order until the k are out.
+    let mut left = k;
+    for (&g, group) in visit.iter().zip(cands.iter()) {
+        let mut mask = at_or_above(group, kth.max(1));
+        while mask != 0 && left > 0 {
+            let c = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let key = key(group[c]);
+            if key > kth || ties > 0 {
+                ties -= usize::from(key == kth);
+                left -= 1;
+                let i = g as usize * GROUP + c;
+                out.idx.push((lo + i) as u32); // m ≤ u32::MAX: `round` checked it
+                out.val.push(group[c]);
+                if !q8 {
+                    res[i] = 0.0;
+                }
+            }
+        }
+        if left == 0 {
+            break;
         }
     }
 }
@@ -741,8 +830,12 @@ impl ErrorFeedback {
         ErrorFeedback {
             comp,
             residual: vec![0.0; m],
+            scratch: Scratch {
+                // Every block's groups: at most one ragged group per block.
+                tops: Vec::with_capacity(m.div_ceil(GROUP) + blocks.len()),
+                ..Scratch::default()
+            },
             kstate: KState::new(&comp, blocks),
-            scratch: Scratch::default(),
         }
     }
 
@@ -834,12 +927,17 @@ fn round(
         .try_fold(0, |at, &(lo, hi)| (lo == at && hi >= lo).then_some(hi));
     assert_eq!(tiled, Some(m), "parameter blocks must tile 0..m in order");
 
+    let groups = |&(lo, hi): &(usize, usize)| (hi - lo).div_ceil(GROUP);
     scratch.hist.resize(blocks.len() * BINS, 0);
+    scratch.tops.resize(blocks.iter().map(groups).sum(), 0);
     scratch.norms.clear();
-    for (&(lo, hi), hist) in blocks.iter().zip(scratch.hist.chunks_mut(BINS)) {
-        let gs = gs.map(|gs| &gs[lo..hi]);
-        let sum_sq = accumulate(&mut res[lo..hi], gs, hist);
+    let mut g0 = 0;
+    for (block, hist) in blocks.iter().zip(scratch.hist.chunks_mut(BINS)) {
+        let (lo, hi) = *block;
+        let tops = &mut scratch.tops[g0..g0 + groups(block)];
+        let sum_sq = accumulate(&mut res[lo..hi], gs.map(|gs| &gs[lo..hi]), hist, tops);
         scratch.norms.push(sum_sq.sqrt());
+        g0 += groups(block);
     }
     let ks = if layered {
         // lint:allow(hot-alloc): O(blocks) budgets, not O(m)
@@ -852,10 +950,13 @@ fn round(
     let mut sv = SparseVec::empty(m as u32);
     sv.idx.reserve(k_total);
     sv.val.reserve(k_total);
-    for (j, (&(lo, hi), &k)) in blocks.iter().zip(&ks).enumerate() {
+    let mut g0 = 0;
+    for (j, (block, &k)) in blocks.iter().zip(&ks).enumerate() {
+        let (lo, hi) = *block;
         if k > 0 {
-            select_block(scratch, j, &mut res[lo..hi], lo, k, q8, &mut sv);
+            select_block(scratch, (j, g0), &mut res[lo..hi], lo, k, q8, &mut sv);
         }
+        g0 += groups(block);
     }
     let q8_scale = q8.then(|| {
         // Kept values snap to their common grid. One that quantises to
@@ -1041,6 +1142,7 @@ mod oracle {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use sasgd_tensor::SeedRng;
 
     /// One coordinate of a property-test gradient. The modes between them
@@ -1079,19 +1181,86 @@ mod tests {
         }
     }
 
+    /// Four rounds through the fused codec and the oracle side by side,
+    /// coordinate `i` of every gradient (and of the spill a union-bounded
+    /// tree would hand back between rounds) drawn by `draw_at(rng, i)`.
+    fn fused_equals_oracle(
+        comp: Compression,
+        blocks: Vec<(usize, usize)>,
+        m: usize,
+        seed: u64,
+        mut draw_at: impl FnMut(&mut SeedRng, usize) -> f32,
+    ) -> Result<(), TestCaseError> {
+        let Compression::Sparse { q8, .. } = comp else {
+            panic!("the oracle is a sparse round");
+        };
+        let mut rng = SeedRng::new(seed);
+        let mut fused = ErrorFeedback::new(comp, m, blocks.clone());
+        let mut kstate = KState::new(&comp, blocks);
+        let mut residual = vec![0.0f32; m];
+        for round in 0..4 {
+            let gs: Vec<f32> = (0..m).map(|i| draw_at(&mut rng, i)).collect();
+            let want = oracle::encode(q8, &mut kstate, &mut residual, &gs);
+            let got = fused.encode(&gs);
+            let Payload::Sparse(sv, opts) = got.payload else {
+                panic!("a sparse scheme ships sparse");
+            };
+            // `round` rides along so a failure says when it happened.
+            let all_bits = |v: &[f32]| v.iter().map(|&v| bits(v)).collect::<Vec<_>>();
+            prop_assert_eq!((round, &sv.idx), (round, &want.payload.idx));
+            prop_assert_eq!(
+                (round, all_bits(&sv.val)),
+                (round, all_bits(&want.payload.val))
+            );
+            prop_assert_eq!((round, got.k_eff), (round, want.k_eff));
+            prop_assert_eq!(opts.q8_scale.map(bits), want.q8_scale.map(bits));
+            prop_assert_eq!(
+                (round, all_bits(&fused.residual)),
+                (round, all_bits(&residual))
+            );
+            prop_assert_eq!(
+                bits(got.residual_norm as f32),
+                bits(want.residual_norm as f32)
+            );
+            // The controller sees lane-split f64 norms where the oracle's
+            // are serial: same ratio to rounding, same k (checked above).
+            let (r, want_r) = (fused.kstate.ratio(), kstate.ratio());
+            prop_assert!(
+                (r - want_r).abs() <= 1e-12 * want_r,
+                "ratio {r} vs {want_r}"
+            );
+            // What a union-bounded tree would hand back between rounds.
+            let mut spill = SparseVec::empty(m as u32);
+            for i in 0..m as u32 {
+                if rng.below(7) == 0 {
+                    spill.idx.push(i);
+                    spill.val.push(draw_at(&mut rng, i as usize));
+                }
+            }
+            fused.absorb(&spill);
+            for (&i, &v) in spill.idx.iter().zip(&spill.val) {
+                residual[i as usize] += v;
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(600))]
+        #![proptest_config(ProptestConfig::with_cases(300))]
 
         #[test]
         fn fused_round_equals_the_select_nth_oracle(
             seed in 0u64..u64::MAX,
-            m in 1usize..300,
-            cuts in proptest::collection::vec(0usize..300, 0..5),
+            m in 1usize..10_000,
+            short in 0u8..2,
+            cuts in proptest::collection::vec(0usize..10_000, 0..5),
             ratio in 0.002f64..1.15,
             schedule in 0usize..3,
             q8 in 0u8..2,
             mode in 0usize..5,
         ) {
+            // Half the cases short blocks, half spanning several tiles.
+            let m = if short == 1 { 1 + m % 299 } else { m };
             let ratio = ratio.min(1.0); // a good share of lossless rounds
             let k = match schedule {
                 0 => KSchedule::fixed(ratio),
@@ -1105,44 +1274,84 @@ mod tests {
             edges.extend([0, m]);
             edges.sort_unstable();
             let blocks: Vec<(usize, usize)> = edges.windows(2).map(|w| (w[0], w[1])).collect();
-
-            let mut rng = SeedRng::new(seed);
-            let mut fused = ErrorFeedback::new(comp, m, blocks.clone());
-            let mut kstate = KState::new(&comp, blocks);
-            let mut residual = vec![0.0f32; m];
-            for round in 0..4 {
-                let gs: Vec<f32> = (0..m).map(|_| draw(&mut rng, mode)).collect();
-                let want = oracle::encode(q8 == 1, &mut kstate, &mut residual, &gs);
-                let got = fused.encode(&gs);
-                let Payload::Sparse(sv, opts) = got.payload else {
-                    panic!("a sparse scheme ships sparse");
-                };
-                // `round` rides along so a failure says when it happened.
-                let all_bits = |v: &[f32]| v.iter().map(|&v| bits(v)).collect::<Vec<_>>();
-                prop_assert_eq!((round, &sv.idx), (round, &want.payload.idx));
-                prop_assert_eq!((round, all_bits(&sv.val)), (round, all_bits(&want.payload.val)));
-                prop_assert_eq!((round, got.k_eff), (round, want.k_eff));
-                prop_assert_eq!(opts.q8_scale.map(bits), want.q8_scale.map(bits));
-                prop_assert_eq!((round, all_bits(&fused.residual)), (round, all_bits(&residual)));
-                prop_assert_eq!(bits(got.residual_norm as f32), bits(want.residual_norm as f32));
-                // The controller sees lane-split f64 norms where the oracle's
-                // are serial: same ratio to rounding, same k (checked above).
-                let (r, want_r) = (fused.kstate.ratio(), kstate.ratio());
-                prop_assert!((r - want_r).abs() <= 1e-12 * want_r, "ratio {r} vs {want_r}");
-                // What a union-bounded tree would hand back between rounds.
-                let mut spill = SparseVec::empty(m as u32);
-                for i in 0..m as u32 {
-                    if rng.below(7) == 0 {
-                        spill.idx.push(i);
-                        spill.val.push(draw(&mut rng, mode));
-                    }
-                }
-                fused.absorb(&spill);
-                for (&i, &v) in spill.idx.iter().zip(&spill.val) {
-                    residual[i as usize] += v;
-                }
-            }
+            fused_equals_oracle(comp, blocks, m, seed, |rng, _| draw(rng, mode))?;
         }
+    }
+
+    /// Inputs that sit on the edges of pass B's group bound, each against
+    /// the oracle.
+    #[test]
+    fn fused_round_equals_the_oracle_on_the_bounds_edges() {
+        // 9 000 coordinates: two whole tiles and a ragged third.
+        let row = |name: &str, comp, blocks, draw_at: fn(&mut SeedRng, usize) -> f32| {
+            if let Err(e) = fused_equals_oracle(comp, blocks, 9000, 7, draw_at) {
+                panic!("{name}: {e}");
+            }
+        };
+        fn small(rng: &mut SeedRng) -> f32 {
+            rng.normal() * 1e-3
+        }
+        // k = 9, all of them in group 257 (third tile): one group's top
+        // makes the bound.
+        row(
+            "all k winners in one group",
+            Compression::topk(0.001),
+            vec![],
+            |rng, i| {
+                if (4112..4121).contains(&i) {
+                    i as f32
+                } else {
+                    small(rng)
+                }
+            },
+        );
+        // A 20-coordinate block in 2 groups carries nearly all the mass,
+        // so its budget (capped at 20) outnumbers its groups.
+        let layered = Compression::Sparse {
+            k: KSchedule::layer_wise(0.1),
+            q8: false,
+            union_bound: false,
+        };
+        row(
+            "k >= groups: a short block",
+            layered,
+            vec![(0, 20), (20, 9000)],
+            |rng, i| rng.normal() * if i < 20 { 1e3 } else { 1e-3 },
+        );
+        // 900 kept of 563 groups: the bound visits every group.
+        row(
+            "k >= groups: ratio 0.1",
+            Compression::topk(0.1),
+            vec![],
+            |rng, _| small(rng),
+        );
+        row(
+            "every magnitude equal",
+            Compression::topk(0.01),
+            vec![],
+            |_, i| [1.0, -1.0][i % 2],
+        );
+        row(
+            "a NaN among small values",
+            Compression::topk(0.001),
+            vec![],
+            |rng, i| if i == 5000 { f32::NAN } else { small(rng) },
+        );
+        // What the oracle agrees to on the last two rows.
+        let ties: Vec<f32> = (0..9000).map(|i| [1.0, -1.0][i % 2]).collect();
+        let kept = SparseVec::from_dense(&Compression::topk(0.01).compress(&ties).dense);
+        assert_eq!(
+            kept.idx,
+            (0..90).collect::<Vec<u32>>(),
+            "ties keep the lowest indices"
+        );
+        let mut rng = SeedRng::new(7);
+        let mut nan: Vec<f32> = (0..9000).map(|_| rng.normal() * 1e-3).collect();
+        nan[5000] = f32::NAN;
+        assert!(
+            Compression::topk(0.001).compress(&nan).dense[5000].is_nan(),
+            "NaN kept"
+        );
     }
 
     #[test]

@@ -6,9 +6,7 @@
 
 use proptest::prelude::*;
 use sasgd::comm::collectives::{allreduce_ring, allreduce_tree, broadcast};
-use sasgd::comm::sparse::{
-    sparse_allreduce_tree_v2, SparseLevelProfile, SparseTreeOpts, SparseVec,
-};
+use sasgd::comm::sparse::{sparse_allreduce_tree, SparseLevelProfile, SparseTreeOpts, SparseVec};
 use sasgd::comm::world::CommWorld;
 use sasgd::core::epoch_time::{epoch_time, Aggregation, Workload};
 use sasgd::core::theory;
@@ -237,7 +235,7 @@ proptest! {
         let sparse = run_ranks(p, move |c| {
             let mut sv = SparseVec::from_dense(&make(c.rank()));
             let mut profile = SparseLevelProfile::default();
-            sparse_allreduce_tree_v2(c, &mut sv, SparseTreeOpts::default(), &mut profile)
+            sparse_allreduce_tree(c, &mut sv, SparseTreeOpts::default(), &mut profile)
                 .expect("sparse allreduce");
             sv.to_dense()
         });
