@@ -76,6 +76,6 @@ pub use protocol::Frame;
 pub use ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 pub use socket::{loopback_addrs, SocketTransport};
 pub use sparse::{sparse_allreduce_tree, SparseVec};
-pub use transport::{Clocked, InProcTransport, Stamps, Transport, VirtualClock};
+pub use transport::{Clocked, InProcTransport, Sequenced, Stamps, Transport, VirtualClock};
 pub use tree::{allreduce_over, broadcast_over, Fold, FtError, FtOutcome, Membership};
 pub use world::{CommError, CommWorld, Communicator, FaultSchedule};

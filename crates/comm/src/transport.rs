@@ -51,11 +51,32 @@
 //! stamps travel out of band, through one [`Stamps`] board per world, so
 //! payloads and traffic counters are the undecorated wire's. Code that
 //! only names its receives (the unarmed tree walk) therefore reads the
-//! same clocks under any thread schedule.
+//! same clocks under any thread schedule: by Kahn's theorem a rank whose
+//! every receive names its channel sees the same inputs, in the same
+//! order, however the threads interleave.
+//!
+//! ## The virtual-time sequencer
+//!
+//! A wildcard receive breaks that: which of several senders a
+//! `recv_any` hears first (a parameter-server shard's inbox) is decided
+//! by the OS. [`Sequenced`] wraps every [`Clocked`] endpoint of such a
+//! world in one scheduler that runs it one operation at a time, in virtual
+//! time. Every send and receive parks its rank. Once every live rank is
+//! parked, the enabled operation that completes first runs: the least
+//! `(virtual time, rank)`, where a send completes at the sender's clock and
+//! a receive at `max(clock, arrival)` of the message it takes. A receive
+//! is enabled once a matching message is in flight; `recv_any` takes the
+//! candidate with the least `(arrival, src)`. A deadline never expires on
+//! the wall clock, and a world whose every live rank waits on a receive
+//! nothing can satisfy fails each waiter with [`CommError::Stalled`]
+//! instead of hanging. No message can arrive before the time of the
+//! operation granted — every later send is made at a clock at least
+//! that late — so a shard serves its requests in arrival order, and the
+//! run is a function of the seed alone. Only one rank runs at a time.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::world::{CommError, Communicator};
@@ -185,9 +206,10 @@ impl VirtualClock {
 /// Seconds one message of `elements` `f32`s takes from `src` to `dst`.
 type Link = dyn Fn(usize, usize, usize) -> f64 + Send + Sync;
 
-/// The out-of-band side of a clocked world: each message's arrival time,
-/// queued per `(src, dst, tag)` in send order (the order an MPI-style
-/// `(src, tag)` match delivers in), and the link that prices a hop.
+/// The out-of-band side of a clocked world: each message in flight's
+/// arrival time, queued per `(dst, src, tag)` in send order (the order an
+/// MPI-style `(src, tag)` match delivers in), and the link that prices a
+/// hop.
 pub struct Stamps {
     queues: Mutex<BTreeMap<(usize, usize, u64), VecDeque<f64>>>,
     link: Box<Link>,
@@ -226,9 +248,17 @@ impl<T: Transport> Clocked<T> {
     /// A message from `src` under `tag` arrived: the clock moves to its
     /// arrival if that is later.
     fn arrived(&self, src: usize, tag: u64) {
-        let key = (src, self.inner.rank(), tag);
+        let key = (self.inner.rank(), src, tag);
         let mut queues = (self.stamps.queues.lock()).unwrap_or_else(PoisonError::into_inner);
-        let at = queues.get_mut(&key).and_then(VecDeque::pop_front);
+        let Some(queue) = queues.get_mut(&key) else {
+            return;
+        };
+        let at = queue.pop_front();
+        // Only messages in flight stay on the board: collective and reply
+        // tags are fresh per operation, so drained queues would pile up.
+        if queue.is_empty() {
+            queues.remove(&key);
+        }
         if let Some(at) = at.filter(|&at| at > self.clock.now()) {
             self.clock.set(at);
         }
@@ -257,7 +287,7 @@ impl<T: Transport> Transport for Clocked<T> {
             .clock
             .advance((self.stamps.link)(me, dst, payload.len()));
         let mut queues = (self.stamps.queues.lock()).unwrap_or_else(PoisonError::into_inner);
-        queues.entry((me, dst, tag)).or_default().push_back(at);
+        queues.entry((dst, me, tag)).or_default().push_back(at);
         drop(queues);
         self.inner.send(dst, tag, payload)
     }
@@ -300,6 +330,208 @@ impl<T: Transport> Transport for Clocked<T> {
     }
 }
 
+/// What a parked rank waits to do.
+enum Op {
+    Send,
+    /// Take a message matching one of these `(src, tag)` pairs.
+    Recv(Vec<(usize, u64)>),
+}
+
+/// A rank's standing with its world's sequencer.
+enum Slot {
+    /// Between operations: computing, or not yet at its first.
+    Running,
+    /// Waiting for its turn.
+    Parked(Op),
+    /// Its turn; a receive takes the `(src, tag)` named.
+    Granted(Option<(usize, u64)>),
+    /// Its turn, with nothing to take: every live rank waits.
+    Stalled,
+    /// Its endpoint is gone.
+    Done,
+}
+
+/// The scheduler a sequenced world shares (see the module docs).
+struct Sequencer {
+    slots: Mutex<Vec<Slot>>,
+    /// One per rank, all over `slots`: a grant wakes its rank alone.
+    turns: Vec<Condvar>,
+    clocks: Vec<VirtualClock>,
+    stamps: Arc<Stamps>,
+}
+
+impl Sequencer {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Slot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Park `rank` on `op` until its turn; a receive learns what to take.
+    fn park(&self, rank: usize, op: Op) -> Result<Option<(usize, u64)>, CommError> {
+        let mut slots = self.lock();
+        slots[rank] = Slot::Parked(op);
+        self.grant(&mut slots);
+        loop {
+            match std::mem::replace(&mut slots[rank], Slot::Running) {
+                Slot::Granted(pick) => return Ok(pick),
+                Slot::Stalled => return Err(CommError::Stalled),
+                parked => slots[rank] = parked,
+            }
+            slots = (self.turns[rank].wait(slots)).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// `rank` is gone for good.
+    fn leave(&self, rank: usize) {
+        let mut slots = self.lock();
+        slots[rank] = Slot::Done;
+        self.grant(&mut slots);
+    }
+
+    /// Once no rank runs, grant the enabled operation with the least
+    /// `(virtual time, rank)` — or, with none enabled, stall every waiter.
+    fn grant(&self, slots: &mut [Slot]) {
+        let busy = |s: &Slot| matches!(s, Slot::Running | Slot::Granted(_) | Slot::Stalled);
+        if slots.iter().any(busy) {
+            return;
+        }
+        let queues = (self.stamps.queues.lock()).unwrap_or_else(PoisonError::into_inner);
+        // The message a receive at `rank` would take: least `(arrival, src)`
+        // of those in flight to it.
+        let first = |rank: usize, candidates: &[(usize, u64)]| {
+            let inbox = queues.range((rank, 0, 0)..=(rank, usize::MAX, u64::MAX));
+            let stamped = inbox.filter_map(|(&(_, src, tag), queue)| {
+                let at = queue.front().filter(|_| candidates.contains(&(src, tag)))?;
+                Some((*at, src, tag))
+            });
+            stamped.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        };
+        // Each enabled operation: when it completes, whose it is, what it
+        // takes.
+        let enabled = slots.iter().enumerate().filter_map(|(rank, slot)| {
+            let (at, pick) = match slot {
+                Slot::Parked(Op::Send) => (f64::NEG_INFINITY, None),
+                Slot::Parked(Op::Recv(candidates)) => {
+                    let (at, src, tag) = first(rank, candidates)?;
+                    (at, Some((src, tag)))
+                }
+                _ => return None,
+            };
+            Some((self.clocks[rank].now().max(at), rank, pick))
+        });
+        let next = enabled.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        drop(queues);
+        match next {
+            Some((_, rank, pick)) => {
+                slots[rank] = Slot::Granted(pick);
+                self.turns[rank].notify_one();
+            }
+            None => {
+                for (slot, turn) in slots.iter_mut().zip(&self.turns) {
+                    if matches!(slot, Slot::Parked(_)) {
+                        *slot = Slot::Stalled;
+                        turn.notify_one();
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A [`Clocked`] endpoint of a world run one operation at a time in
+/// virtual time (see the module docs): the wrapper for a world with
+/// wildcard receives.
+pub struct Sequenced<T> {
+    inner: Clocked<T>,
+    rank: usize,
+    seq: Arc<Sequencer>,
+}
+
+impl<T: Transport> Sequenced<T> {
+    /// Sequence a whole world: `endpoints` in rank order, over one
+    /// [`Stamps`] board. Each must be driven or dropped — the world
+    /// waits for every live rank to park.
+    pub fn world(endpoints: Vec<Clocked<T>>) -> Vec<Self> {
+        let Some(first) = endpoints.first() else {
+            return Vec::new();
+        };
+        let seq = Arc::new(Sequencer {
+            slots: Mutex::new(endpoints.iter().map(|_| Slot::Running).collect()),
+            turns: endpoints.iter().map(|_| Condvar::new()).collect(),
+            clocks: endpoints.iter().map(|e| e.clock.clone()).collect(),
+            stamps: Arc::clone(&first.stamps),
+        });
+        let wrap = |(rank, inner)| Sequenced {
+            inner,
+            rank,
+            seq: Arc::clone(&seq),
+        };
+        endpoints.into_iter().enumerate().map(wrap).collect()
+    }
+
+    /// The receive every receive is: wait for a turn, take what it names.
+    fn take(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
+        let pick = match candidates {
+            [] => None,
+            _ => self.seq.park(self.rank, Op::Recv(candidates.to_vec()))?,
+        };
+        let (src, tag) = pick.ok_or(CommError::NoCandidates)?;
+        Ok((src, self.inner.recv(src, tag)?))
+    }
+}
+
+impl<T: Transport> Transport for Sequenced<T> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
+        self.seq.park(self.rank, Op::Send)?;
+        self.inner.send(dst, tag, payload)
+    }
+
+    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
+        self.take(&[(src, tag)]).map(|(_, frame)| frame)
+    }
+
+    /// Never times out: a peer still computing is late in wall time only.
+    fn recv_deadline(
+        &mut self,
+        src: usize,
+        tag: u64,
+        _timeout: Duration,
+    ) -> Result<Vec<f32>, CommError> {
+        self.recv(src, tag)
+    }
+
+    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
+        self.take(candidates)
+    }
+
+    fn recv_any_deadline(
+        &mut self,
+        candidates: &[(usize, u64)],
+        _timeout: Duration,
+    ) -> Result<(usize, Vec<f32>), CommError> {
+        self.take(candidates)
+    }
+
+    fn next_op(&mut self) -> u64 {
+        self.inner.next_op()
+    }
+}
+
+impl<T> Drop for Sequenced<T> {
+    /// The rank leaves the world: on every exit path, unwinding included,
+    /// so no peer waits for it.
+    fn drop(&mut self) {
+        self.seq.leave(self.rank);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +553,76 @@ mod tests {
         let mut c1 = comms.pop().expect("rank 1");
         let mut c0 = comms.pop().expect("rank 0");
         ping(&mut c0, &mut c1);
+    }
+
+    /// A sequenced `p`-rank world whose every hop costs `hop` seconds, and
+    /// its clocks.
+    fn sequenced(p: usize, hop: f64) -> (Vec<Sequenced<Communicator>>, Vec<VirtualClock>) {
+        let stamps = Stamps::new(move |_, _, _| hop);
+        let clocks: Vec<VirtualClock> = (0..p).map(|_| VirtualClock::default()).collect();
+        let clocked = (CommWorld::new(p).communicators().into_iter().zip(&clocks))
+            .map(|(comm, clock)| Clocked::new(comm, clock.clone(), stamps.clone()))
+            .collect();
+        (Sequenced::world(clocked), clocks)
+    }
+
+    #[test]
+    fn recv_any_takes_the_least_stamped_message_not_the_first_sent() {
+        // Rank 2's message arrives first in virtual time (1 + 0.5) though
+        // its thread sends last in real time; rank 1's arrives at 5.5.
+        let (world, clocks) = sequenced(3, 0.5);
+        clocks[1].set(5.0);
+        clocks[2].set(1.0);
+        let mut ranks = world.into_iter();
+        let mut server = ranks.next().expect("rank 0");
+        let heard = thread::scope(|scope| {
+            for mut peer in ranks {
+                scope.spawn(move || {
+                    if peer.rank() == 2 {
+                        thread::sleep(Duration::from_millis(50));
+                    }
+                    let rank = peer.rank();
+                    peer.send(0, 7, vec![rank as f32]).expect("send");
+                });
+            }
+            let inbox = [(1, 7), (2, 7)];
+            let first = server.recv_any(&inbox).expect("first");
+            let second = server.recv_any(&inbox).expect("second");
+            [first, second]
+        });
+        assert_eq!(heard, [(2, vec![2.0]), (1, vec![1.0])]);
+        assert_eq!(clocks[0].now(), 5.5, "the server ends at the later arrival");
+    }
+
+    #[test]
+    fn a_world_where_every_rank_waits_is_a_typed_error() {
+        let (world, _) = sequenced(2, 1.0);
+        let outcomes: Vec<_> = thread::scope(|scope| {
+            let waits = world.into_iter().map(|mut comm| {
+                scope.spawn(move || {
+                    let peer = 1 - comm.rank();
+                    comm.recv(peer, 3)
+                })
+            });
+            let waits: Vec<_> = waits.collect();
+            waits.into_iter().map(|h| h.join().expect("rank")).collect()
+        });
+        assert_eq!(outcomes, [Err(CommError::Stalled), Err(CommError::Stalled)]);
+    }
+
+    #[test]
+    fn a_deadline_receive_waits_out_a_peer_that_is_still_computing() {
+        let (world, _) = sequenced(2, 1.0);
+        let mut ranks = world.into_iter();
+        let (mut waiter, mut worker) = (ranks.next().expect("0"), ranks.next().expect("1"));
+        let got = thread::scope(|scope| {
+            scope.spawn(move || {
+                thread::sleep(Duration::from_millis(50));
+                worker.send(0, 3, vec![4.5]).expect("send");
+            });
+            waiter.recv_deadline(1, 3, Duration::from_millis(1))
+        });
+        assert_eq!(got, Ok(vec![4.5]));
     }
 
     #[test]

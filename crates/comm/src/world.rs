@@ -84,6 +84,10 @@ pub enum CommError {
         /// Elements that arrived.
         got: usize,
     },
+    /// Every live rank of a sequenced world waits on a receive no rank
+    /// can satisfy ([`crate::transport::Sequenced`]): the world can make no
+    /// progress, so each waiter fails instead of hanging.
+    Stalled,
 }
 
 impl fmt::Display for CommError {
@@ -111,6 +115,7 @@ impl fmt::Display for CommError {
                 f,
                 "malformed dense frame from rank {peer}: {got} elements, expected {expected}"
             ),
+            CommError::Stalled => f.write_str("every live rank of the world is waiting"),
         }
     }
 }

@@ -1,12 +1,9 @@
 //! The distributed SGD algorithms the paper implements and compares.
 
 use crate::compress::Compression;
-use crate::engine::{Cadence, CommScope};
+use crate::engine::Cadence;
 use crate::history::StalenessStats;
 use crate::schedule::{SyncPolicy, TSchedule};
-
-pub(crate) mod downpour;
-pub(crate) mod eamsgd;
 
 /// How SASGD's global learning rate `γp` is chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -202,18 +199,21 @@ impl Algorithm {
     /// parameter-server algorithms run event-driven, the collectives in
     /// lockstep.
     pub(crate) fn cadence(&self) -> Cadence {
-        match self.comm_scope() {
-            CommScope::Individual => Cadence::EventDriven,
-            CommScope::Collective => Cadence::Lockstep,
+        match self.ps_shards() {
+            0 => Cadence::Lockstep,
+            _ => Cadence::EventDriven,
         }
     }
 
-    /// What a round touches: shared state on a server (Downpour, EAMSGD),
-    /// or every learner at once.
-    pub(crate) fn comm_scope(&self) -> CommScope {
-        match self {
-            Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. } => CommScope::Individual,
-            _ => CommScope::Collective,
+    /// Parameter-server shard ranks the in-process harnesses put after the
+    /// learners: Downpour shards its server across as many ranks as it has
+    /// learners, EAMSGD's center variable is one shard, and a collective
+    /// has no server. Over a caller's own world any `s ≥ 1` serves.
+    pub(crate) fn ps_shards(&self) -> usize {
+        match *self {
+            Algorithm::Downpour { p, .. } => p,
+            Algorithm::Eamsgd { .. } => 1,
+            _ => 0,
         }
     }
 
@@ -914,6 +914,136 @@ mod tests {
                 t_local: 0,
                 t_global: 1,
                 gamma_p: GammaP::OverP,
+            },
+            &cfg,
+        );
+    }
+
+    // The parameter-server baselines, end to end on the simulated backend.
+
+    #[test]
+    fn single_learner_downpour_learns() {
+        let (train, test) = generate(&CifarLikeConfig::tiny(80, 40, 3));
+        let mut cfg = TrainConfig::new(6, 8, 0.05, 42);
+        cfg.jitter = JitterModel::none();
+        let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
+        let algo = Algorithm::Downpour {
+            p: 1,
+            t: 1,
+            staleness_gamma: false,
+        };
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
+        assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
+        assert!(
+            h.records.last().expect("r").comm_seconds > 0.0,
+            "PS traffic even at p=1"
+        );
+    }
+
+    #[test]
+    fn records_land_once_per_collective_epoch() {
+        // Learner 0 records whenever it finishes a pass over its shard
+        // (n/p samples); with all p learners running that is ~n collective
+        // samples between records, i.e. one epoch.
+        let (train, test) = generate(&CifarLikeConfig::tiny(64, 16, 2));
+        let mut cfg = TrainConfig::new(8, 8, 0.02, 42);
+        cfg.jitter = JitterModel::none();
+        let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
+        let algo = Algorithm::Downpour {
+            p: 4,
+            t: 2,
+            staleness_gamma: false,
+        };
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
+        assert!(h.records.len() >= 2);
+        let gap = h.records[1].epoch - h.records[0].epoch;
+        assert!(
+            (gap - 1.0).abs() < 0.5,
+            "records ~1 collective epoch apart, gap {gap}"
+        );
+    }
+
+    #[test]
+    fn total_samples_respect_epoch_budget() {
+        let (train, test) = generate(&CifarLikeConfig::tiny(40, 10, 2));
+        let mut cfg = TrainConfig::new(3, 8, 0.02, 1);
+        cfg.jitter = JitterModel::none();
+        let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
+        let algo = Algorithm::Downpour {
+            p: 2,
+            t: 1,
+            staleness_gamma: false,
+        };
+        let h = crate::train(&mut factory, &train, &test, &algo, &cfg);
+        let total = h.records.last().expect("r").samples;
+        // Budget 3 × 40 = 120, with at most one block (8 samples × 2
+        // learners) of overshoot.
+        assert!((120..=120 + 32).contains(&total), "samples {total}");
+    }
+
+    #[test]
+    fn learns_tiny_cifar_with_two_learners() {
+        let (train, test) = generate(&CifarLikeConfig::tiny(80, 40, 3));
+        let mut cfg = TrainConfig::new(8, 8, 0.02, 42);
+        cfg.jitter = JitterModel::none();
+        let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
+        let h = crate::train(
+            &mut factory,
+            &train,
+            &test,
+            &Algorithm::Eamsgd {
+                p: 2,
+                t: 2,
+                moving_rate: None,
+                momentum: 0.9,
+                staleness_gamma: false,
+            },
+            &cfg,
+        );
+        assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
+    }
+
+    #[test]
+    fn center_tracks_learners() {
+        // With α = 1 and p = 1 the center equals the learner after every
+        // exchange, so EAMSGD degenerates to momentum SGD — and should
+        // still learn.
+        let (train, test) = generate(&CifarLikeConfig::tiny(60, 20, 2));
+        let mut cfg = TrainConfig::new(6, 8, 0.02, 3);
+        cfg.jitter = JitterModel::none();
+        let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(9));
+        let h = crate::train(
+            &mut factory,
+            &train,
+            &test,
+            &Algorithm::Eamsgd {
+                p: 1,
+                t: 1,
+                moving_rate: Some(1.0),
+                momentum: 0.9,
+                staleness_gamma: false,
+            },
+            &cfg,
+        );
+        assert!(h.final_test_acc() > 0.5, "acc {}", h.final_test_acc());
+    }
+
+    #[test]
+    #[should_panic(expected = "momentum must be")]
+    fn bad_momentum_rejected() {
+        let (train, test) = generate(&CifarLikeConfig::tiny(16, 8, 2));
+        let cfg = TrainConfig::new(1, 8, 0.02, 3);
+        let mut factory = || models::tiny_cnn(2, &mut SeedRng::new(9));
+        crate::train(
+            &mut factory,
+            &train,
+            &test,
+            &Algorithm::Eamsgd {
+                p: 1,
+                t: 1,
+                moving_rate: None,
+                momentum: 1.5,
+                staleness_gamma: false,
             },
             &cfg,
         );

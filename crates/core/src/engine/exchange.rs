@@ -373,9 +373,12 @@ impl<T: Transport> PsLink<T> {
     }
 }
 
-/// Downpour: push the accumulated gradient (the server applies `−γ·g`
-/// whenever it lands relative to the other learners), pull fresh
-/// parameters.
+/// Downpour ASGD (Dean et al., NIPS 2012), the paper's main baseline.
+/// Each learner iterates its own data shard; every `T` minibatches it
+/// pushes its accumulated gradient — the server applies `−γ·g` whenever it
+/// lands relative to the other learners — and pulls fresh parameters.
+/// Between a learner's pull and its next push the others keep updating
+/// the server, so the pushed gradient is stale by the measured τ.
 struct PsPushPull<T: Transport>(PsLink<T>);
 
 impl<T: Transport> Exchange for PsPushPull<T> {
@@ -391,9 +394,12 @@ impl<T: Transport> Exchange for PsPushPull<T> {
     }
 }
 
-/// EAMSGD: momentum-SGD local steps; each round pulls the center `x̃`,
-/// retreats toward it by the moving rate, and pushes the elastic
-/// difference (the server adds it to `x̃`).
+/// EAMSGD — elastic-averaging asynchronous SGD (Zhang, Choromanska,
+/// LeCun, NIPS 2015), the paper's stronger baseline. Each learner runs
+/// momentum SGD on its own replica and shard; every `T` minibatches it
+/// pulls the center `x̃` from the server and exchanges the elastic force
+/// `d = α(xᵢ − x̃)`: `xᵢ ← xᵢ − d` here, `x̃ ← x̃ + d` on the server. The
+/// moving rate defaults to the EAMSGD paper's `α = 0.9/p`.
 struct PsElastic<T: Transport> {
     link: PsLink<T>,
     alpha: f32,
@@ -404,7 +410,7 @@ struct PsElastic<T: Transport> {
 }
 
 impl<T: Transport> Exchange for PsElastic<T> {
-    /// One momentum-SGD step — the simulated event loop's arithmetic.
+    /// One momentum-SGD step: `v ← δ·v − γ·g`, `x ← x + v`.
     fn apply_local(&mut self, l: &mut Learner, gamma: f32) {
         let (params, grads) = l.model.params_and_grads_mut();
         for ((vi, pi), &gi) in self.velocity.iter_mut().zip(params).zip(&*grads) {

@@ -18,20 +18,21 @@
 //! * [`simulated`] — the virtual-time backend: the same harness, loop and
 //!   exchanges, over endpoints that price every message on the
 //!   `sasgd-simnet` link model and a clock that advances by the cost
-//!   model's minibatch time; deterministic and bit-reproducible under a
-//!   seed. Only the parameter-server algorithms still run there as an
-//!   `AggregationStrategy` on one event loop, ordered by `(completion time,
-//!   rank)`.
+//!   model's minibatch time; a parameter-server world also runs one
+//!   operation at a time in virtual-time order. Deterministic and
+//!   bit-reproducible under a seed.
 //! * [`Executor`] — the public entry point selecting a [`Backend`].
 //!
 //! Two rules shared by both backends follow from the inputs alone: a
 //! lockstep epoch truncates to whole minibatches only when there are peers
-//! to align with ([`lockstep_steps`]), and a fixed interval `T = 0` is one
-//! round after the run's last step ([`interval_in_force`]).
+//! to align with (`lockstep_steps`), and a fixed interval `T = 0` is one
+//! round after the run's last step (`interval_in_force`).
 //!
-//! A collective algorithm has one definition, so its `final_params`, round
-//! structure, telemetry and wire traffic are the same on both backends by
-//! construction; only the clocks differ.
+//! Every algorithm has one definition, so a collective's `final_params`,
+//! round structure, telemetry and wire traffic are the same on both
+//! backends by construction, and a parameter-server run's are at `p = 1`;
+//! only the clocks — and, beyond one learner, the order a server hears its
+//! learners in — differ.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -43,7 +44,7 @@ use sasgd_nn::Model;
 
 use crate::history::History;
 use crate::schedule::TSchedule;
-use crate::trainer::{Learner, TrainConfig};
+use crate::trainer::TrainConfig;
 
 mod exchange;
 pub mod rank;
@@ -59,53 +60,10 @@ pub enum Cadence {
     /// All learners take a step, then the engine checks the sync policy —
     /// the bulk-synchronous execution the paper's Algorithm 1 describes.
     Lockstep,
-    /// Learners run free on their own virtual clocks and reach sync points
-    /// one at a time in `(completion time, rank)` order.
+    /// Each learner runs free through blocks of `T` steps, each followed
+    /// by a round: a collective's ranks meet at it, a parameter-server
+    /// learner exchanges with the server whenever its block is done.
     EventDriven,
-}
-
-/// What a sync point touches under the event-driven cadence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommScope {
-    /// One learner exchanges with shared state (a parameter server or
-    /// center variable) without waiting for peers — Downpour, EAMSGD.
-    Individual,
-    /// All learners rendezvous for a collective (allreduce / averaging) —
-    /// SASGD at every lattice point, hierarchical SASGD.
-    Collective,
-}
-
-/// A parameter-server algorithm's rule on the simulated backend's event
-/// loop (`simulated::run_event_individual`), which keeps the server's
-/// state in the strategy and steps every learner on one thread. The
-/// collective algorithms have no strategy: both backends run them as their
-/// `Exchange` over a wire.
-#[allow(unused_variables)] // default hook bodies ignore their arguments
-pub(crate) trait AggregationStrategy {
-    /// Start the shared state from the common `x0`.
-    fn setup(&mut self, x0: &[f32]);
-
-    /// Observe a learner's measured staleness `tau` at a sync point and
-    /// return the rate to apply for its update: `gamma` unless the
-    /// strategy scales it (γ/(1+τ)).
-    fn observe_staleness(&mut self, tau: u64, gamma: f32) -> f32 {
-        gamma
-    }
-
-    /// One local minibatch: by default the local step of Algorithm 1.
-    fn on_local_step(
-        &mut self,
-        l: &mut Learner,
-        id: usize,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-    ) {
-        l.local_step(data, idx, gamma, 0.0, 1.0);
-    }
-
-    /// Sync learner `l` against the shared state at rate `gamma`.
-    fn event_sync(&mut self, l: &mut Learner, gamma: f32);
 }
 
 /// The dense global step of Algorithm 1 in one pass, where a rank keeps
@@ -527,8 +485,7 @@ impl Executor {
 }
 
 /// A per-learner infinite minibatch stream over that learner's data shard
-/// (reshuffled every pass). Shared by the event-driven engine and the
-/// threaded asynchronous backend.
+/// (reshuffled every pass): the event block walk's batch order.
 pub(crate) struct BatchStream {
     pending: VecDeque<Vec<usize>>,
     indices: Vec<usize>,

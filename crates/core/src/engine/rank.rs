@@ -1,10 +1,9 @@
 //! The one rank loop.
 //!
-//! Every algorithm on the threaded backend, and every collective one on
-//! the simulated backend, is the same loop — walk steps, take a local step,
-//! run an exchange round when the walk says sync, record when it says
-//! epoch — composed with one of two *step walks* and one per-algorithm
-//! `Exchange` (`engine/exchange.rs`):
+//! Every algorithm, on both backends, is the same loop — walk steps, take
+//! a local step, run an exchange round when the walk says sync, record
+//! when it says epoch — composed with one of two *step walks* and one
+//! per-algorithm `Exchange` (`engine/exchange.rs`):
 //!
 //! * the **lockstep epoch walk**: epochs of aligned steps, a per-step γ,
 //!   the since-last-sync counter carried across epochs, a record per epoch;
@@ -19,7 +18,7 @@
 //! points after the same number of steps (the collectives line up without
 //! a coordinator), and no walk depends on how ranks interleave.
 //!
-//! The loop reads the time off a [`Clock`] its backend supplies: wall time
+//! The loop reads the time off a `Clock` its backend supplies: wall time
 //! on threads, or virtual time, which a step advances by the cost model's
 //! minibatch time and the rank's [`Clocked`](sasgd_comm::transport::Clocked)
 //! endpoint advances through the wire.
@@ -42,8 +41,8 @@ use sasgd_tensor::SeedRng;
 
 use super::exchange::{connect, Round, WireError};
 use super::{
-    interval_in_force, lockstep_gamma_epoch, lockstep_steps, BatchStream, Cadence, CommScope,
-    EngineError, FaultConfig,
+    interval_in_force, lockstep_gamma_epoch, lockstep_steps, BatchStream, Cadence, EngineError,
+    FaultConfig,
 };
 use crate::algorithms::Algorithm;
 use crate::history::{History, StalenessStats};
@@ -180,7 +179,7 @@ fn block_walk<'a>(
     n: usize,
 ) -> Walk<'a> {
     let p = algo.learners() as u64;
-    let scope = algo.comm_scope();
+    let individually = algo.ps_shards() > 0;
     let run_steps = (cfg.epochs * n).div_ceil(cfg.batch_size * algo.learners());
     let mut stream = BatchStream::new(shards[rank].indices().to_vec(), cfg.batch_size);
     // γ of the block in progress, and the steps left in it.
@@ -191,12 +190,12 @@ fn block_walk<'a>(
     Box::new(move |rng, policy| {
         // System-wide samples the γ schedule and the stopping rule count.
         // Collective rounds count *nominal* progress (whole batches, the
-        // same on every rank); a learner exchanging with shared state on
-        // its own counts what it actually drew — each the simulated
-        // backend's measure for that scope.
-        let progress = |steps_done: u64, samples: u64| match scope {
-            CommScope::Collective => steps_done * cfg.batch_size as u64 * p,
-            CommScope::Individual => samples * p,
+        // same on every rank); a learner exchanging with a parameter
+        // server on its own counts what it actually drew, and stops once
+        // its share of the budget is done.
+        let progress = |steps_done: u64, samples: u64| match individually {
+            false => steps_done * cfg.batch_size as u64 * p,
+            true => samples * p,
         };
         if left == 0 {
             if done {
@@ -335,7 +334,7 @@ pub(crate) fn drive<T: Transport>(
     let label = threaded_label(&algo.label());
     let mut history = History::new(label, p, algo.interval().max(1));
     if rank >= p {
-        if algo.comm_scope() != CommScope::Individual {
+        if algo.ps_shards() == 0 {
             return Err(EngineError::UnsupportedExchange {
                 label: algo.label(),
                 wanted: "a world with more ranks than learners",
@@ -400,18 +399,22 @@ pub(crate) fn drive<T: Transport>(
                 break;
             }
             policy.observe_round(outcome.signal);
-            if rank == 0 {
-                // A collective's staleness is its algorithm's, for every
-                // rank alike; an exchange with shared state measured its
-                // own.
-                let (ids, (tau, rate)) = match outcome.staleness {
-                    Some(measured) => (0..1, measured),
-                    None => (0..p, (algo.collective_tau(), step.gamma)),
-                };
-                for id in ids {
-                    history.push_staleness(syncs - 1, id, tau, rate);
+            match outcome.staleness {
+                // An exchange with shared state measured its own update.
+                Some((tau, rate)) => {
+                    history.push_staleness(syncs - 1, rank, tau, rate);
                     staleness_obs.push(tau);
                 }
+                // A collective's staleness is its algorithm's, for every
+                // rank alike: rank 0 records it for all.
+                None if rank == 0 => {
+                    let tau = algo.collective_tau();
+                    for id in 0..p {
+                        history.push_staleness(syncs - 1, id, tau, step.gamma);
+                        staleness_obs.push(tau);
+                    }
+                }
+                None => {}
             }
         }
         if let (Some(epoch), Some(ev)) = (step.record, &evals) {

@@ -7,8 +7,8 @@
 //! scripted wire-fault schedule. [`History::wire`] is read from the
 //! world's traffic counters — compressed gradients travel in the sparse
 //! wire format, so the counters record genuinely fewer elements. The
-//! simulated backend runs its collectives through the same
-//! [`spawn_ranks`], over clocked endpoints of the same world.
+//! simulated backend builds the same world and goes through the same
+//! [`spawn_ranks`], over clocked endpoints.
 
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ use sasgd_tensor::parallel;
 use super::rank::{drive, supported_cadence, Clock};
 use super::{EngineError, FaultConfig};
 use crate::algorithms::Algorithm;
-use crate::history::{History, WireStats};
+use crate::history::{History, StalenessStats, WireStats};
 use crate::trainer::TrainConfig;
 
 /// Join rank threads (handles in rank order).
@@ -60,8 +60,9 @@ fn join_learners<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T
 /// otherwise rank 0's history, with every rank's sparsity telemetry and
 /// retirement account folded in and `wire` read from the traffic counters
 /// once the world is quiet. Ranks that exchange `individually` (with a
-/// parameter server, each at its own pace) ran their own rounds, so the
-/// run's round count is the sum; collective rounds are everyone's at once.
+/// parameter server, each at its own pace) ran their own rounds and
+/// measured their own staleness, so the run's round count is the sum and
+/// its staleness every learner's; collective rounds are everyone's at once.
 pub(crate) fn spawn_ranks<E: Send>(
     endpoints: Vec<E>,
     body: impl Fn(usize, E) -> Result<History, EngineError> + Sync,
@@ -86,19 +87,26 @@ pub(crate) fn spawn_ranks<E: Send>(
         .into_iter();
     let mut history = ranks.next().expect("at least one rank");
     let mut sparsity = std::mem::take(&mut history.sparsity_series);
+    let mut staleness = std::mem::take(&mut history.staleness_series);
     for peer in ranks {
         sparsity.extend(peer.sparsity_series);
         history.sparse_levels.merge(&peer.sparse_levels);
         history.retirements.extend(peer.retirements);
         if individually {
             history.sync_rounds += peer.sync_rounds;
+            staleness.extend(peer.staleness_series);
+            history.staleness = StalenessStats::merged(history.staleness, peer.staleness);
         }
     }
-    // Re-pushed in (round, rank) order, so the merged series is capped
-    // where — and keeps the samples — the simulated backend's is.
+    // Re-pushed in (round, rank) order, so a merged series is capped
+    // where — and keeps the samples — a one-thread run's would.
     sparsity.sort_by_key(|s| (s.round, s.rank));
     for s in sparsity {
         history.push_sparsity(s.round, s.rank, s.k_eff, s.residual_norm);
+    }
+    staleness.sort_by_key(|s| (s.round, s.rank));
+    for s in staleness {
+        history.push_staleness(s.round, s.rank, s.tau, s.gamma_eff);
     }
     history.retirements.sort_by_key(|r| (r.round, r.rank));
     history.wire = Some(wire());
@@ -133,13 +141,7 @@ pub(crate) fn run(
             cadence,
         )
     };
-    // Downpour shards its server across as many ranks as it has learners;
-    // EAMSGD's center variable is one shard.
-    let shards = match algo {
-        Algorithm::Downpour { .. } => p,
-        Algorithm::Eamsgd { .. } => 1,
-        _ => 0,
-    };
+    let shards = algo.ps_shards();
     let mut world = CommWorld::new(p + shards);
     if let Some(schedule) = faults.and_then(|f| f.plan.wire_faults(p)) {
         world.set_faults(Arc::new(schedule));
@@ -157,5 +159,44 @@ pub(crate) fn wire_of(world: &CommWorld) -> impl FnOnce() -> WireStats {
     move || WireStats {
         elements: traffic.elements_sent(),
         messages: traffic.messages_sent(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Algorithm, Backend, Executor, TrainConfig};
+    use sasgd_data::cifar_like::{generate, CifarLikeConfig};
+    use sasgd_nn::models;
+    use sasgd_tensor::SeedRng;
+
+    #[test]
+    fn every_learner_s_pushes_count_toward_the_staleness_stats() {
+        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(64, 16, 3));
+        let cfg = TrainConfig::new(2, 8, 0.05, 3);
+        let algo = Algorithm::Downpour {
+            p: 4,
+            t: 1,
+            staleness_gamma: false,
+        };
+        let factory = || models::tiny_cnn(3, &mut SeedRng::new(4));
+        let h = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
+        let stats = h.staleness.expect("Downpour measures staleness");
+        assert_eq!(
+            stats.pushes, h.sync_rounds,
+            "one τ per push, every learner's"
+        );
+        assert_eq!(h.staleness_series.len() as u64, h.sync_rounds);
+        for rank in 0..4 {
+            assert!(
+                h.staleness_series.iter().any(|s| s.rank == rank),
+                "rank {rank}"
+            );
+        }
+        let order: Vec<_> = h
+            .staleness_series
+            .iter()
+            .map(|s| (s.round, s.rank))
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "(round, rank) order");
     }
 }

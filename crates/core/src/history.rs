@@ -50,8 +50,7 @@ pub struct History {
     /// accuracy trajectories.
     pub final_params: Option<Vec<f32>>,
     /// Wire traffic of the run: the comm world's counters, on either
-    /// backend. `None` for the simulated parameter-server event loop,
-    /// which has no wire.
+    /// backend.
     pub wire: Option<WireStats>,
     /// Membership changes observed by the fault-tolerant threaded backend
     /// (empty for fault-free runs and for backends without failure
@@ -188,6 +187,23 @@ impl StalenessStats {
             mean: sum as f64 / obs.len() as f64,
             max: obs.iter().copied().max().unwrap_or(0),
             pushes: obs.len() as u64,
+        })
+    }
+
+    /// The summary of two disjoint sets of observations: exactly
+    /// [`StalenessStats::from_observations`] over their union, since a sum
+    /// of update counts is an integer that `mean × pushes` recovers.
+    pub fn merged(a: Option<Self>, b: Option<Self>) -> Option<Self> {
+        let (a, b) = match (a, b) {
+            (Some(a), Some(b)) => (a, b),
+            (one, other) => return one.or(other),
+        };
+        let sum = |s: &Self| (s.mean * s.pushes as f64).round();
+        let pushes = a.pushes + b.pushes;
+        Some(StalenessStats {
+            mean: (sum(&a) + sum(&b)) / pushes as f64,
+            max: a.max.max(b.max),
+            pushes,
         })
     }
 }
@@ -366,6 +382,22 @@ mod tests {
         assert!((s.mean - 4.0).abs() < 1e-12);
         assert_eq!(s.max, 8);
         assert_eq!(s.pushes, 3);
+    }
+
+    #[test]
+    fn merged_stats_are_the_union_s() {
+        let (a, b) = ([1u64, 3, 8], [0u64, 2]);
+        let merged = StalenessStats::merged(
+            StalenessStats::from_observations(&a),
+            StalenessStats::from_observations(&b),
+        )
+        .expect("stats");
+        let union = StalenessStats::from_observations(&[1, 3, 8, 0, 2]).expect("stats");
+        assert_eq!(merged.mean.to_bits(), union.mean.to_bits());
+        assert_eq!((merged.max, merged.pushes), (union.max, union.pushes));
+        let one = StalenessStats::merged(None, StalenessStats::from_observations(&b));
+        assert_eq!(one.expect("stats").pushes, 2);
+        assert!(StalenessStats::merged(None, None).is_none());
     }
 
     #[test]

@@ -213,7 +213,7 @@ fn mean_norm(grad: &[f32], batches: usize) -> f32 {
         .sqrt()
 }
 
-/// One learner replica with its deterministic streams and virtual clocks.
+/// One learner replica with its deterministic streams.
 pub(crate) struct Learner {
     pub(crate) model: Model,
     /// Batch-order and dropout stream.
@@ -222,12 +222,6 @@ pub(crate) struct Learner {
     pub(crate) jrng: SeedRng,
     /// Persistent speed factor.
     pub(crate) speed: f64,
-    /// Virtual clock (seconds).
-    pub(crate) clock: f64,
-    /// Accumulated compute seconds.
-    pub(crate) compute_s: f64,
-    /// Accumulated communication (incl. barrier wait) seconds.
-    pub(crate) comm_s: f64,
     /// Gradient accumulator `gs` of Algorithm 1, sized by the first local
     /// step that accumulates: a lattice point that never does (SASGD at
     /// `T = 1`, which rounds on the gradient arena; EAMSGD's momentum
@@ -246,9 +240,6 @@ impl Learner {
             rng: root.split(0x100 + id as u64),
             jrng: root.split(0x200 + id as u64),
             speed: cfg.jitter.learner_factor(id, cfg.seed),
-            clock: 0.0,
-            compute_s: 0.0,
-            comm_s: 0.0,
             gs: Vec::new(),
             ws: Workspace::new(),
         }
@@ -299,37 +290,6 @@ impl Learner {
             *a += g;
             *p -= gamma * g;
         }
-    }
-
-    /// Process one minibatch: forward, backward, accumulate into `gs`,
-    /// apply the local step `x ← x − γ·g`, and advance the clock by
-    /// `step_seconds × speed × jitter`. Returns the minibatch loss.
-    pub(crate) fn local_step(
-        &mut self,
-        data: &Dataset,
-        idx: &[usize],
-        gamma: f32,
-        step_seconds: f64,
-        jitter: f64,
-    ) -> f32 {
-        let loss = self.compute_gradient(data, idx);
-        self.apply_local(gamma);
-        self.advance(step_seconds, jitter);
-        loss
-    }
-
-    /// Advance the clock through one minibatch's compute:
-    /// `step_seconds × speed × jitter`.
-    pub(crate) fn advance(&mut self, step_seconds: f64, jitter: f64) {
-        let dt = step_seconds * self.speed * jitter;
-        self.clock += dt;
-        self.compute_s += dt;
-    }
-
-    /// Advance the clock through a communication phase.
-    pub(crate) fn charge_comm(&mut self, seconds: f64) {
-        self.clock += seconds;
-        self.comm_s += seconds;
     }
 }
 

@@ -56,7 +56,7 @@ impl<T> PartialOrd for Entry<T> {
 }
 
 /// A priority queue of timestamped events with deterministic FIFO
-/// tie-breaking — the heart of the event-driven trainer.
+/// tie-breaking.
 pub struct EventQueue<T> {
     heap: BinaryHeap<Entry<T>>,
     seq: u64,
@@ -99,88 +99,6 @@ impl<T> EventQueue<T> {
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<VirtualTime> {
         self.heap.peek().map(|e| VirtualTime(e.time))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-struct RankEntry<T> {
-    time: f64,
-    rank: usize,
-    payload: T,
-}
-
-impl<T> PartialEq for RankEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.rank == other.rank
-    }
-}
-impl<T> Eq for RankEntry<T> {}
-
-impl<T> Ord for RankEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on (time, rank): earlier time first, lowest rank on
-        // ties — the event-driven engine's determinism contract.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.rank.cmp(&self.rank))
-    }
-}
-impl<T> PartialOrd for RankEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A priority queue of per-rank events ordered by `(time, rank)` — unlike
-/// [`EventQueue`], ties break on the *rank* that scheduled the event, not
-/// insertion order, so the event-driven trainer's pop sequence is a pure
-/// function of the virtual clocks and never of scheduling history.
-pub struct RankQueue<T> {
-    heap: BinaryHeap<RankEntry<T>>,
-}
-
-impl<T> Default for RankQueue<T> {
-    fn default() -> Self {
-        RankQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T> RankQueue<T> {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule `payload` for `rank` at `time`.
-    ///
-    /// # Panics
-    /// Panics on NaN times (they would corrupt the heap order).
-    pub fn push(&mut self, time: VirtualTime, rank: usize, payload: T) {
-        assert!(!time.0.is_nan(), "NaN event time");
-        self.heap.push(RankEntry {
-            time: time.0,
-            rank,
-            payload,
-        });
-    }
-
-    /// Remove and return the earliest event (lowest rank on time ties).
-    pub fn pop(&mut self) -> Option<(VirtualTime, usize, T)> {
-        self.heap
-            .pop()
-            .map(|e| (VirtualTime(e.time), e.rank, e.payload))
     }
 
     /// Number of pending events.
@@ -239,26 +157,6 @@ mod tests {
     #[should_panic(expected = "NaN event time")]
     fn nan_time_rejected() {
         EventQueue::new().push(VirtualTime(f64::NAN), ());
-    }
-
-    #[test]
-    fn rank_queue_breaks_ties_by_rank_not_insertion() {
-        let mut q = RankQueue::new();
-        // Inserted high-rank first: insertion order must not matter.
-        q.push(VirtualTime(1.0), 3, "r3");
-        q.push(VirtualTime(1.0), 0, "r0");
-        q.push(VirtualTime(1.0), 2, "r2");
-        q.push(VirtualTime(0.5), 5, "early");
-        let order: Vec<(usize, &str)> =
-            std::iter::from_fn(|| q.pop().map(|(_, r, p)| (r, p))).collect();
-        assert_eq!(order, vec![(5, "early"), (0, "r0"), (2, "r2"), (3, "r3")]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN event time")]
-    fn rank_queue_rejects_nan() {
-        RankQueue::new().push(VirtualTime(f64::NAN), 0, ());
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * [`cost`] — the α–β communication cost model and the MAC-driven
 //!   compute model, including barrier straggler effects and host
 //!   contention;
-//! * [`event`] — a deterministic event queue and virtual clock for the
-//!   event-driven trainer in `sasgd-core`;
+//! * [`event`] — a deterministic event queue over virtual time;
 //! * [`jitter`] — reproducible per-minibatch learner speed noise (the
 //!   source of gradient staleness variation in asynchronous algorithms).
 
@@ -28,7 +27,7 @@ pub mod timeline;
 pub mod topology;
 
 pub use cost::{CommCost, CostModel};
-pub use event::{EventQueue, RankQueue, VirtualTime};
+pub use event::{EventQueue, VirtualTime};
 pub use jitter::JitterModel;
 pub use timeline::{render_gantt, trace_downpour, trace_sasgd, LearnerTrace, Phase, TimelineSpec};
 pub use topology::Topology;

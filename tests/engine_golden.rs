@@ -88,6 +88,12 @@ fn goldens() -> Vec<Golden> {
             hash: 0x4e38_60ea_2b69_3f9b,
             head: [0xbd8748b5, 0xbcff1477, 0x3d4b8d82, 0x3ddc02e6],
         },
+        // The parameter-server rows were re-pinned when the simulator
+        // moved them onto the rank loop and a sequenced wire: the server
+        // applies updates in the virtual-time order their messages arrive
+        // in (was: one atomic pull-and-push per block completion), and each
+        // learner stops after its own share of the sample budget (was: the
+        // run stopped once all learners together had drawn it).
         Golden {
             name: "downpour_p3_t2",
             algo: Algorithm::Downpour {
@@ -95,8 +101,8 @@ fn goldens() -> Vec<Golden> {
                 t: 2,
                 staleness_gamma: false,
             },
-            hash: 0x03ee_1a78_95a1_be2d,
-            head: [0xbd510305, 0xbc3b6204, 0x3d890491, 0x3dee1c64],
+            hash: 0x5559_8e60_b441_6a19,
+            head: [0xbd6ae62e, 0xbca5dda6, 0x3d7828e1, 0x3de8d590],
         },
         Golden {
             name: "eamsgd_p2_t2",
@@ -107,8 +113,8 @@ fn goldens() -> Vec<Golden> {
                 momentum: 0.9,
                 staleness_gamma: false,
             },
-            hash: 0x3020_912e_d9ce_57a5,
-            head: [0xbd29a092, 0x3c21a180, 0x3da3bc90, 0x3df81ef9],
+            hash: 0x4598_c268_ec87_920f,
+            head: [0xbd34ebf8, 0x3b7e5a14, 0x3d96e715, 0x3df40efe],
         },
         // Re-pinned when one-shot averaging became SASGD's run-long
         // interval: `x0 − γ/p·Σ gs` in place of the replicas' mean. Word 0
