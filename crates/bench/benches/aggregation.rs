@@ -57,7 +57,8 @@ fn bench_aggregation(c: &mut Criterion) {
 }
 
 /// One rank's error-feedback round on the NLC net (m = 1 733 511, its
-/// real block map), residual carried from call to call: layer-wise top-1 %
+/// real block map), each call adding the gradient onto the accumulator
+/// that carries the residual, as backward does: layer-wise top-1 %
 /// (the benchmark's `nlc_sparse_p2` setting) and top-10 %, plus an
 /// all-ties input at 1 %, where every 16-coordinate group tops out in the
 /// same histogram bin and pass B has to visit all of them.
@@ -90,28 +91,30 @@ fn bench_encode(c: &mut Criterion) {
         ("nlc_1.7M_layerwise_10pct", 0.1),
     ] {
         let mut codec = ErrorFeedback::new(layer_wise(ratio), m, blocks.clone());
+        let mut acc = vec![0.0f32; m];
         g.bench_function(name, |b| {
-            b.iter(|| black_box(codec.encode(black_box(&gs)).k_eff))
+            b.iter(|| {
+                for (a, &v) in acc.iter_mut().zip(black_box(&gs)) {
+                    *a += v;
+                }
+                black_box(codec.encode(&mut acc).k_eff)
+            })
         });
     }
-    // Every input magnitude 1: prime the residual with ±1, then encode a
-    // zero gradient and hand the payload straight back, so each round
-    // sees the same all-tied input.
+    // Every input magnitude 1: an accumulator of ±1, whose payload is
+    // handed straight back, so each round sees the same all-tied input.
     let mut codec = ErrorFeedback::new(layer_wise(0.01), m, blocks);
-    let signs: Vec<f32> = (0..m)
+    let mut acc: Vec<f32> = (0..m)
         .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
         .collect();
-    let zeros = vec![0.0f32; m];
-    let mut round = |gs: &[f32]| {
-        let Payload::Sparse(sv, _) = codec.encode(gs).payload else {
-            unreachable!("a sparse scheme ships sparse");
-        };
-        codec.absorb(&sv);
-        sv.nnz()
-    };
-    round(&signs);
     g.bench_function("nlc_1.7M_layerwise_1pct_ties", |b| {
-        b.iter(|| black_box(round(black_box(&zeros))))
+        b.iter(|| {
+            let Payload::Sparse(sv, _) = codec.encode(black_box(&mut acc)).payload else {
+                unreachable!("a sparse scheme ships sparse");
+            };
+            ErrorFeedback::absorb(&mut acc, &sv);
+            black_box(sv.nnz())
+        })
     });
     g.finish();
 }

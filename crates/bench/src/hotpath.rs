@@ -31,17 +31,21 @@
 //! a seventh of one parameter vector. The one-epoch run also reports its
 //! `peak_live_bytes`, the most heap it held at once above what was live
 //! before it: a count of model-sized vectors per rank that no runner's
-//! speed moves, which CI holds under a line too.
+//! speed moves, which CI holds under a line too — and so does
+//! `sparse_peak_live_bytes`, the same one-epoch run at layer-wise top-1 %
+//! (the benchmark's `nlc_sparse_p2` codec), whose error-feedback residual
+//! lives in the gradient arena.
 //!
 //! ## Encode
 //!
 //! [`run_encode`] times one rank's sparse round, `ErrorFeedback::encode`,
 //! on the full NLC net's block map at layer-wise top-1 % (the benchmark's
-//! `nlc_sparse_p2` setting), residual carried, against one plain
-//! `residual += gs` pass over the same `m` in the same process: the round
-//! has to make that pass anyway, so `encode_over_add` says how many such
-//! passes the selection costs on top, whatever the runner's speed. CI
-//! holds it under a line.
+//! `nlc_sparse_p2` setting), against one plain `acc += gs` pass over the
+//! same `m` in the same process — the add backward makes onto the
+//! accumulator, which carries the residual from round to round. The round
+//! itself makes no add: it reads the accumulator once and then only the
+//! groups that can win, so `encode_over_add` says how many add passes the
+//! round costs, whatever the runner's speed. CI holds it under a line.
 //!
 //! ## Roofline sweep
 //!
@@ -543,37 +547,47 @@ pub struct EngineStep {
     /// was live when it started: both ranks' models and whatever else the
     /// engine keeps per rank.
     pub peak_live_bytes: u64,
+    /// [`peak_live_bytes`](Self::peak_live_bytes) of the one-epoch run at
+    /// layer-wise top-1 %.
+    pub sparse_peak_live_bytes: u64,
 }
 
 /// Sentences per epoch of [`run_engine_step`]: 32 steps per rank, enough
 /// that the per-epoch evaluation's own buffers amortise.
 const ENGINE_STEP_SAMPLES: usize = 64;
 
-/// Dense SASGD at full NLC size for one epoch and for two; the difference
-/// over the extra steps.
+/// Dense SASGD at full NLC size for one epoch and for two, the difference
+/// over the extra steps; and the one-epoch run's peak at layer-wise top-1 %.
 pub fn run_engine_step() -> EngineStep {
     let (train, test) = nlc_like::generate(&NlcLikeConfig::scaled(ENGINE_STEP_SAMPLES, 16, 311));
     let factory = || models::nlc_net(20, &mut SeedRng::new(9));
-    let algo = Algorithm::sasgd(2, 1, GammaP::OverP);
-    let measure = |epochs: usize| {
+    let measure = |algo: &Algorithm, epochs: usize| {
         let mut cfg = TrainConfig::new(epochs, 1, 0.01, 42);
         cfg.eval_cap = 16;
         let base = alloc::live_bytes();
         alloc::reset();
         let t0 = Instant::now();
-        let h = Executor::new(Backend::Threaded).run(&factory, &train, &test, &algo, &cfg);
+        let h = Executor::new(Backend::Threaded).run(&factory, &train, &test, algo, &cfg);
         let secs = t0.elapsed().as_secs_f64();
         std::hint::black_box(h);
         let peak = alloc::peak_live_bytes().saturating_sub(base);
         (secs, alloc::allocs(), alloc::bytes(), peak)
     };
-    let (short, long) = (measure(1), measure(2));
+    let dense = Algorithm::sasgd(2, 1, GammaP::OverP);
+    let (short, long) = (measure(&dense, 1), measure(&dense, 2));
+    let top1 = Compression::Sparse {
+        k: KSchedule::layer_wise(0.01),
+        q8: false,
+        union_bound: false,
+    };
+    let sparse = measure(&Algorithm::sasgd_compressed(2, 1, GammaP::OverP, top1), 1);
     let rank_steps = ENGINE_STEP_SAMPLES as f64; // batch 1: one per sample of the extra epoch
     EngineStep {
         ms_per_step: (long.0 - short.0) * 1e3 / (rank_steps / 2.0),
         allocs_per_step: long.1.saturating_sub(short.1) as f64 / rank_steps,
         alloc_bytes_per_step: long.2.saturating_sub(short.2) / ENGINE_STEP_SAMPLES as u64,
         peak_live_bytes: short.3,
+        sparse_peak_live_bytes: sparse.3,
     }
 }
 
@@ -582,13 +596,13 @@ pub fn run_engine_step() -> EngineStep {
 pub struct EncodeCost {
     /// Median wall-clock of one `encode`, ms.
     pub encode_ms: f64,
-    /// Median wall-clock of one `residual += gs` pass over the same `m`, ms.
+    /// Median wall-clock of one `acc += gs` pass over the same `m`, ms.
     pub add_ms: f64,
 }
 
 impl EncodeCost {
-    /// `encode_ms / add_ms`: the round in units of the one pass it cannot
-    /// skip.
+    /// `encode_ms / add_ms`: the round in units of one pass over the
+    /// accumulator.
     pub fn encode_over_add(&self) -> f64 {
         self.encode_ms / self.add_ms
     }
@@ -598,7 +612,7 @@ impl EncodeCost {
 const ENCODE_ROUNDS: usize = 15;
 
 /// Time `encode` at layer-wise top-1 % on the full NLC net's block map
-/// (m = 1 733 511), and one `residual += gs` pass over the same `m`.
+/// (m = 1 733 511), and the `acc += gs` pass that feeds it each round.
 pub fn run_encode() -> EncodeCost {
     let blocks = models::nlc_net(20, &mut SeedRng::new(9)).param_blocks();
     let m = blocks.last().expect("the NLC net has parameters").1;
@@ -626,19 +640,19 @@ pub fn run_encode() -> EncodeCost {
         union_bound: false,
     };
     let mut codec = ErrorFeedback::new(comp, m, blocks);
-    let mut residual = vec![0.0f32; m];
+    let mut acc = vec![0.0f32; m];
     let (mut encode_ms, mut add_ms) = (Vec::new(), Vec::new());
     for round in 0..2 * ENCODE_ROUNDS {
         let t0 = Instant::now();
-        std::hint::black_box(codec.encode(&gs));
-        let t1 = Instant::now();
-        for (r, &g) in residual.iter_mut().zip(&gs) {
-            *r += g;
+        for (a, &g) in acc.iter_mut().zip(&gs) {
+            *a += g;
         }
-        std::hint::black_box(&mut residual);
+        std::hint::black_box(&mut acc);
+        let t1 = Instant::now();
+        std::hint::black_box(codec.encode(&mut acc));
         if round >= ENCODE_ROUNDS {
-            encode_ms.push((t1 - t0).as_secs_f64() * 1e3);
-            add_ms.push(t1.elapsed().as_secs_f64() * 1e3);
+            add_ms.push((t1 - t0).as_secs_f64() * 1e3);
+            encode_ms.push(t1.elapsed().as_secs_f64() * 1e3);
         }
     }
     EncodeCost {
@@ -658,7 +672,8 @@ pub fn to_json(
     s.push_str(&format!(
         "  \"threads\": {},\n  \"alloc_counting\": {},\n  \
          \"parallel_path_taken\": {},\n  \"engine_step\": {{\"ms_per_step\": {:.3}, \
-         \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}, \"peak_live_bytes\": {}}},\n  \
+         \"allocs_per_step\": {:.1}, \"alloc_bytes_per_step\": {}, \"peak_live_bytes\": {}, \
+         \"sparse_peak_live_bytes\": {}}},\n  \
          \"encode\": {{\"encode_ms\": {:.3}, \"add_ms\": {:.3}}},\n  \
          \"encode_over_add\": {:.2},\n  \
          \"cases\": [\n",
@@ -669,6 +684,7 @@ pub fn to_json(
         engine.allocs_per_step,
         engine.alloc_bytes_per_step,
         engine.peak_live_bytes,
+        engine.sparse_peak_live_bytes,
         encode.encode_ms,
         encode.add_ms,
         encode.encode_over_add(),
@@ -780,15 +796,16 @@ pub fn hotpath() -> Artifact {
     report.push_str(&format!(
         "\nengine step (dense SASGD, p=2, T=1, batch 1, full NLC net, through Executor): \
          {:.2} ms/step, {:.1} allocs and {} bytes allocated per rank-step, \
-         {} bytes live at the one-epoch run's peak\n",
+         {} bytes live at the one-epoch run's peak ({} at layer-wise top-1 %)\n",
         engine.ms_per_step,
         engine.allocs_per_step,
         engine.alloc_bytes_per_step,
-        engine.peak_live_bytes
+        engine.peak_live_bytes,
+        engine.sparse_peak_live_bytes
     ));
     report.push_str(&format!(
-        "\nencode (layer-wise top-1 %, full NLC net, residual carried): {:.2} ms, \
-         {:.2} ms for one plain residual += gs pass: encode_over_add = {:.2}\n",
+        "\nencode (layer-wise top-1 %, full NLC net, accumulator carried): {:.2} ms, \
+         {:.2} ms for one plain acc += gs pass: encode_over_add = {:.2}\n",
         encode.encode_ms,
         encode.add_ms,
         encode.encode_over_add()
@@ -939,6 +956,7 @@ mod tests {
             allocs_per_step: 21.5,
             alloc_bytes_per_step: 40_960,
             peak_live_bytes: 27_000_000,
+            sparse_peak_live_bytes: 26_000_000,
         };
         let encode = EncodeCost {
             encode_ms: 6.0,
@@ -947,7 +965,8 @@ mod tests {
         let j = to_json(&t, &roof, &engine, &encode);
         assert!(j.contains(
             "\"engine_step\": {\"ms_per_step\": 6.250, \"allocs_per_step\": 21.5, \
-             \"alloc_bytes_per_step\": 40960, \"peak_live_bytes\": 27000000}"
+             \"alloc_bytes_per_step\": 40960, \"peak_live_bytes\": 27000000, \
+             \"sparse_peak_live_bytes\": 26000000}"
         ));
         assert!(j.contains("\"encode\": {\"encode_ms\": 6.000, \"add_ms\": 0.800},"));
         assert!(j.contains("\"encode_over_add\": 7.50,"));

@@ -112,8 +112,9 @@ pub struct EncodeProbe {
 }
 
 /// Run `comp`'s codec alone for a few rounds of a synthetic gradient at
-/// the model's size and block map, residual carried, and measure the
-/// rounds after the warm-up.
+/// the model's size and block map, added each round onto the accumulator
+/// that carries the residual, and measure the rounds (the add untimed)
+/// after the warm-up.
 ///
 /// # Panics
 /// A scheme whose budget is fixed at [`RATIO`] must allocate less than an
@@ -124,15 +125,23 @@ fn encode_probe(comp: Compression, blocks: &[(usize, usize)], m: usize) -> Encod
     let mut rng = SeedRng::new(0xE7C0);
     let gs: Vec<f32> = (0..m).map(|_| rng.normal()).collect();
     let mut codec = ErrorFeedback::new(comp, m, blocks.to_vec());
+    let mut acc = vec![0.0f32; m];
+    let accumulate = |acc: &mut [f32]| {
+        for (a, &g) in acc.iter_mut().zip(&gs) {
+            *a += g;
+        }
+    };
     let (warmup, measured) = PROBE_ROUNDS;
     for _ in 0..warmup {
-        codec.encode(&gs);
+        accumulate(&mut acc);
+        codec.encode(&mut acc);
     }
     let mut ms = Vec::with_capacity(measured);
     let mut bytes = 0;
     for _ in 0..measured {
+        accumulate(&mut acc);
         let (b0, t0) = (alloc::bytes(), Instant::now());
-        std::hint::black_box(codec.encode(&gs));
+        std::hint::black_box(codec.encode(&mut acc));
         ms.push(t0.elapsed().as_secs_f64() * 1e3);
         bytes += alloc::bytes() - b0;
     }

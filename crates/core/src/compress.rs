@@ -1,13 +1,13 @@
 //! Gradient compression for sparse aggregation — the paper's "sparse
 //! gradient aggregation" direction grown into an adaptive family.
 //!
-//! Every scheme carries **error feedback** (the part of the gradient a
-//! round drops is folded into the next round's accumulator, so nothing is
-//! permanently lost). [`ErrorFeedback`] is that round, once: one rank's
-//! residual and schedule state, `encode` turning an accumulated gradient
-//! into the payload the allreduce carries, `absorb` taking back what the
-//! sparse tree trimmed. Each rank's exchange holds one and puts its payload
-//! on the wire collectives, on either backend.
+//! Every scheme carries **error feedback**: the part of the gradient a
+//! round drops stays in the accumulator the next gradients are added onto
+//! (Alistarh et al.'s memory) — the caller's, the gradient arena at
+//! `T = 1`, `gs` at `T > 1`. [`ErrorFeedback`] is the round, once:
+//! `encode` moves the payload out of the accumulator in place, `absorb`
+//! puts back what the sparse tree trimmed. Each rank's exchange holds one
+//! and puts its payload on the wire collectives, on either backend.
 //!
 //! * [`Compression::Uniform8Bit`] — linear quantization of every value to
 //!   8 bits with a per-vector scale;
@@ -18,17 +18,17 @@
 //!   (`q8`) and a union-growth bound in the sparse tree reduce
 //!   (`union_bound`).
 //!
-//! **The round** is two streaming passes over the codec's own residual and
+//! **The round** is one read-only streaming pass over the accumulator and
 //! one that reads only what can win; it builds no dense temporary
-//! (DESIGN.md §4j): (A) `residual += gs` fused with per-block sums of
-//! squares and the largest magnitude key of each 16-coordinate group,
-//! counted in a histogram of group tops; (B) per block, that histogram
-//! bounds the k-th largest key, and exact selection runs over only the
-//! groups whose top reaches the bound, straight into the payload; (C) the
-//! residual norm. Exactly k per block, larger magnitude first, ties to the
-//! lower index, exact zeros never kept. [`Compression::compress_with`] is
-//! a dense-form wrapper over the same round, so there is one selection
-//! implementation.
+//! (DESIGN.md §4j): (A) per-block sums of squares and the largest
+//! magnitude key of each 16-coordinate group, counted in a histogram of
+//! group tops; (B) per block, that histogram bounds the k-th largest key,
+//! and exact selection runs over only the groups whose top reaches the
+//! bound, moving the winners into the payload. Exactly k per block, larger
+//! magnitude first, ties to the lower index, exact zeros never kept. The
+//! residual norm is pass A's mass less the payload's (`left_norm`).
+//! [`Compression::compress_with`] is a dense-form wrapper over the same
+//! round, so there is one selection implementation.
 //!
 //! **NaN policy**: a NaN coordinate's selection key is that of +∞, so
 //! selection always keeps it and the poison surfaces downstream instead
@@ -60,8 +60,8 @@ const BINS: usize = 2048;
 const KEY_SHIFT: u32 = 20;
 /// The key of `±Inf` — and, by the NaN policy, of every NaN.
 const INF_KEY: u32 = 0x7f80_0000;
-/// Elements a streaming pass handles at a time: one tile of the residual
-/// stays in L1 while the add, the sum of squares and the group maxima
+/// Elements a streaming pass handles at a time: one tile of the
+/// accumulator stays in L1 while the sum of squares and the group maxima
 /// each run their own loop over it. A multiple of [`LANES`] and of
 /// [`GROUP`].
 const TILE: usize = 4096;
@@ -72,6 +72,10 @@ const GROUP: usize = 16;
 /// Independent f64 accumulators of [`sum_sq`]; element `i` feeds lane
 /// `i % LANES`.
 const LANES: usize = 8;
+/// The least share of pass A's mass [`left_norm`] trusts a difference
+/// with. f32 squares are exact in f64, so the difference carries only the
+/// two sums' rounding (≈ 1e-14 of the mass): under 1e-12 of the norm here.
+const MIN_LEFT: f64 = 1.0 / 16.0;
 
 /// Selection key: the magnitude's bit pattern, which orders like the
 /// magnitude itself. NaN maps to the +∞ key so it is always kept (see the
@@ -81,7 +85,7 @@ fn key(v: f32) -> u32 {
 }
 
 /// Add the squares of `v` into `acc`, lane `i % LANES` taking element `i`.
-// hot-path: one pass over a residual tile
+// hot-path: one pass over an accumulator tile
 fn sq_lanes(acc: &mut [f64; LANES], v: &[f32]) {
     let mut chunks = v.chunks_exact(LANES);
     for c in &mut chunks {
@@ -106,7 +110,6 @@ fn fold_lanes(a: &[f64; LANES]) -> f64 {
 /// split is part of the definition, so the same input gives the same
 /// bits everywhere. NaN coordinates yield NaN (callers treat that as
 /// "hold the schedule steady").
-// hot-path: the residual-norm pass
 fn sum_sq(v: &[f32]) -> f64 {
     let mut acc = [0.0f64; LANES];
     sq_lanes(&mut acc, v);
@@ -117,7 +120,7 @@ fn sum_sq(v: &[f32]) -> f64 {
 /// reconstruction. `0` reconstructions are canonical `+0.0` (never
 /// `-0.0`) so sparse wire frames, which drop exact zeros, round-trip the
 /// dense form bitwise. NaN maps to `0.0` — the grid cannot carry it; the
-/// caller's residual keeps the NaN alive.
+/// accumulator keeps the NaN alive.
 fn quantize8(v: f32, scale: f32) -> f32 {
     if v.is_nan() {
         return 0.0;
@@ -207,20 +210,14 @@ fn descend(hist: &[u32], k: usize) -> (usize, usize) {
     (bin, above)
 }
 
-/// Pass A over one block: `res += gs` in place (when there is a `gs`),
-/// returning the block's `Σ res²`, writing the top bin of each of its
-/// groups to `tops` and counting them in `hist` — one increment per
-/// [`GROUP`] coordinates.
+/// Pass A over one block of the accumulator, read-only: returns the
+/// block's `Σ v²`, writes the top bin of each of its groups to `tops` and
+/// counts them in `hist` — one increment per [`GROUP`] coordinates.
 // hot-path: touches every coordinate once per round
-fn accumulate(res: &mut [f32], gs: Option<&[f32]>, hist: &mut [u32], tops: &mut [u16]) -> f64 {
+fn survey(res: &[f32], hist: &mut [u32], tops: &mut [u16]) -> f64 {
     hist.fill(0);
     let mut acc = [0.0f64; LANES];
-    for (t, tile) in res.chunks_mut(TILE).enumerate() {
-        if let Some(gs) = gs {
-            for (r, &g) in tile.iter_mut().zip(&gs[t * TILE..]) {
-                *r += g;
-            }
-        }
+    for (t, tile) in res.chunks(TILE).enumerate() {
         sq_lanes(&mut acc, tile);
         let tops = &mut tops[t * (TILE / GROUP)..];
         for (top, group) in tops.iter_mut().zip(tile.chunks(GROUP)) {
@@ -234,7 +231,7 @@ fn accumulate(res: &mut [f32], gs: Option<&[f32]>, hist: &mut [u32], tops: &mut 
 
 /// Pass B over block `j`, `res[lo..lo + len]`, whose groups start at
 /// `tops[g0]`: move its `k` largest-magnitude coordinates into `out` in
-/// index order, zeroing their residual slots (unless `q8`, whose kept
+/// index order, zeroing their accumulator slots (unless `q8`, whose kept
 /// slots take the quantization error later).
 ///
 /// Exact, and blind to most of the block. Let `b` be the bin holding the
@@ -691,7 +688,7 @@ impl Compression {
     /// does not tile `0..g.len()`.
     pub fn compress_with(&self, g: &[f32], state: &mut KState) -> Compressed {
         let mut residual = g.to_vec();
-        let enc = round(self, state, &mut residual, None, &mut Scratch::default());
+        let enc = round(self, state, &mut residual, &mut Scratch::default());
         let (dense, q8_scale) = match enc.payload {
             Payload::Sparse(sv, opts) => (sv.to_dense(), opts.q8_scale),
             Payload::Dense8(dense, scale) => (dense, scale),
@@ -808,28 +805,24 @@ pub struct Encoded {
     pub residual_norm: f64,
 }
 
-/// One rank's error-feedback compression state: the scheme, the residual
-/// it has not transmitted yet, and its k schedule. The only place the
-/// round `input = gs + residual → compress → residual = what was dropped`
-/// is written; the sparse tree hands trimmed mass back through
-/// [`absorb`](ErrorFeedback::absorb).
+/// One rank's error-feedback state: the scheme, its k schedule, the
+/// selection's scratch — no residual, which is the caller's accumulator.
+/// The only place the round `acc → payload + what was dropped` is written.
 pub struct ErrorFeedback {
     comp: Compression,
-    residual: Vec<f32>,
     kstate: KState,
     scratch: Scratch,
 }
 
 impl ErrorFeedback {
-    /// Fresh state (zero residual) for an `m`-parameter model whose
-    /// per-layer parameter block map is `blocks` (`Model::param_blocks`).
+    /// Fresh state for an `m`-parameter model whose per-layer parameter
+    /// block map is `blocks` (`Model::param_blocks`).
     ///
     /// # Panics
     /// Panics on invalid schedule parameters (see [`KState::new`]).
     pub fn new(comp: Compression, m: usize, blocks: Vec<(usize, usize)>) -> Self {
         ErrorFeedback {
             comp,
-            residual: vec![0.0; m],
             scratch: Scratch {
                 // Every block's groups: at most one ragged group per block.
                 tops: Vec::with_capacity(m.div_ceil(GROUP) + blocks.len()),
@@ -839,32 +832,25 @@ impl ErrorFeedback {
         }
     }
 
-    /// Compress `gs + residual` into this round's payload; what the
-    /// payload does not carry becomes the new residual. Works in place on
-    /// the residual: no dense temporary is built.
-    pub fn encode(&mut self, gs: &[f32]) -> Encoded {
-        let (comp, kstate) = (&self.comp, &mut self.kstate);
-        round(
-            comp,
-            kstate,
-            &mut self.residual,
-            Some(gs),
-            &mut self.scratch,
-        )
+    /// Move this round's payload out of `acc` (the gradients added since
+    /// the last round onto what it left) in place: what the payload does
+    /// not carry stays, the residual the next gradients are added onto.
+    pub fn encode(&mut self, acc: &mut [f32]) -> Encoded {
+        round(&self.comp, &mut self.kstate, acc, &mut self.scratch)
     }
 
-    /// Fold back the mass the sparse tree trimmed from partial sums this
-    /// rank merged (`spill` of `sparse_allreduce_tree`), so it is
-    /// retransmitted, not lost.
-    pub fn absorb(&mut self, spill: &SparseVec) {
+    /// Fold back into `acc` the mass the sparse tree trimmed from partial
+    /// sums this rank merged (`spill` of `sparse_allreduce_tree`), so it
+    /// is retransmitted, not lost.
+    pub fn absorb(acc: &mut [f32], spill: &SparseVec) {
         for (&i, &v) in spill.idx.iter().zip(&spill.val) {
-            self.residual[i as usize] += v;
+            acc[i as usize] += v;
         }
     }
 }
 
-/// `Uniform8Bit`'s round over `res` (already holding the input): every
-/// coordinate snaps to the vector's 8-bit grid, the rounding error stays.
+/// `Uniform8Bit`'s round over `res`: every coordinate snaps to the
+/// vector's 8-bit grid, the rounding error stays.
 fn uniform8_round(res: &mut [f32]) -> Encoded {
     let m = res.len();
     let maxabs = res.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
@@ -891,17 +877,28 @@ fn uniform8_round(res: &mut [f32]) -> Encoded {
     }
 }
 
-/// One error-feedback round, in place. On entry `res` holds the residual
-/// (`gs` is added to it) or, with no `gs`, the input itself; on exit it
-/// holds what the returned payload does not carry. Pass A is
-/// [`accumulate`] per block, pass B [`select_block`] per block once the
-/// schedule has turned the block norms into budgets, pass C the norm.
+/// `‖res‖₂` once a round took `taken` of pass A's `mass` (sums of squares)
+/// out of it: `√(mass − taken)` if the mass is finite and keeps
+/// [`MIN_LEFT`] of itself, else a fresh pass — NaN or ±∞ rounds report NaN
+/// or ∞ (never 0), a lossless one exactly 0.
+fn left_norm(res: &[f32], mass: f64, taken: f64) -> f64 {
+    let left = mass - taken;
+    if mass.is_finite() && left >= mass * MIN_LEFT {
+        left.sqrt()
+    } else {
+        sum_sq(res).sqrt()
+    }
+}
+
+/// One error-feedback round over the accumulator `res`, in place: on exit
+/// it holds what the returned payload does not carry. Pass A is
+/// [`survey`] per block, pass B [`select_block`] per block once the
+/// schedule has turned the block norms into budgets.
 // hot-path: the compressed round's largest span
 fn round(
     comp: &Compression,
     state: &mut KState,
     res: &mut [f32],
-    gs: Option<&[f32]>,
     scratch: &mut Scratch,
 ) -> Encoded {
     let m = res.len();
@@ -909,11 +906,6 @@ fn round(
         q8, union_bound, ..
     } = *comp
     else {
-        if let Some(gs) = gs {
-            for (r, &g) in res.iter_mut().zip(gs) {
-                *r += g;
-            }
-        }
         return uniform8_round(res);
     };
     state.schedule.validate();
@@ -931,11 +923,12 @@ fn round(
     scratch.hist.resize(blocks.len() * BINS, 0);
     scratch.tops.resize(blocks.iter().map(groups).sum(), 0);
     scratch.norms.clear();
-    let mut g0 = 0;
+    let (mut g0, mut mass) = (0, 0.0);
     for (block, hist) in blocks.iter().zip(scratch.hist.chunks_mut(BINS)) {
         let (lo, hi) = *block;
         let tops = &mut scratch.tops[g0..g0 + groups(block)];
-        let sum_sq = accumulate(&mut res[lo..hi], gs.map(|gs| &gs[lo..hi]), hist, tops);
+        let sum_sq = survey(&res[lo..hi], hist, tops);
+        mass += sum_sq;
         scratch.norms.push(sum_sq.sqrt());
         g0 += groups(block);
     }
@@ -958,26 +951,29 @@ fn round(
         }
         g0 += groups(block);
     }
+    let mut taken = sum_sq(&sv.val);
     let q8_scale = q8.then(|| {
         // Kept values snap to their common grid. One that quantises to
         // zero (NaN included — the grid cannot carry it) leaves the
-        // payload and stays whole in the residual; the others leave their
-        // rounding error.
+        // payload and stays whole in the accumulator; the others leave
+        // their rounding error, which the payload did not take.
         let scale = q8_scale_for(sv.val.iter().fold(0.0f32, |a, &v| a.max(v.abs())));
         let mut kept = 0;
         for j in 0..sv.idx.len() {
             let (i, rec) = (sv.idx[j], quantize8(sv.val[j], scale));
+            let left = &mut res[i as usize];
             if rec != 0.0 {
-                res[i as usize] -= rec;
+                *left -= rec;
                 (sv.idx[kept], sv.val[kept]) = (i, rec);
                 kept += 1;
             }
+            taken -= f64::from(*left) * f64::from(*left);
         }
         sv.idx.truncate(kept);
         sv.val.truncate(kept);
         scale
     });
-    let residual_norm = sum_sq(res).sqrt();
+    let residual_norm = left_norm(res, mass, taken);
 
     if let KSchedule::NormAdaptive {
         ratio_min,
@@ -1181,6 +1177,14 @@ mod tests {
         }
     }
 
+    /// The derived residual norm against a fresh pass: within 1e-12
+    /// relative, or the same non-finite value.
+    fn agrees(derived: f64, fresh: f64) -> bool {
+        (derived.is_nan() && fresh.is_nan())
+            || derived == fresh
+            || (derived - fresh).abs() <= 1e-12 * fresh
+    }
+
     /// Four rounds through the fused codec and the oracle side by side,
     /// coordinate `i` of every gradient (and of the spill a union-bounded
     /// tree would hand back between rounds) drawn by `draw_at(rng, i)`.
@@ -1197,11 +1201,15 @@ mod tests {
         let mut rng = SeedRng::new(seed);
         let mut fused = ErrorFeedback::new(comp, m, blocks.clone());
         let mut kstate = KState::new(&comp, blocks);
-        let mut residual = vec![0.0f32; m];
+        let (mut acc, mut residual) = (vec![0.0f32; m], vec![0.0f32; m]);
         for round in 0..4 {
             let gs: Vec<f32> = (0..m).map(|i| draw_at(&mut rng, i)).collect();
             let want = oracle::encode(q8, &mut kstate, &mut residual, &gs);
-            let got = fused.encode(&gs);
+            // What backward does to the accumulator.
+            for (a, &g) in acc.iter_mut().zip(&gs) {
+                *a += g;
+            }
+            let got = fused.encode(&mut acc);
             let Payload::Sparse(sv, opts) = got.payload else {
                 panic!("a sparse scheme ships sparse");
             };
@@ -1214,13 +1222,17 @@ mod tests {
             );
             prop_assert_eq!((round, got.k_eff), (round, want.k_eff));
             prop_assert_eq!(opts.q8_scale.map(bits), want.q8_scale.map(bits));
-            prop_assert_eq!(
-                (round, all_bits(&fused.residual)),
-                (round, all_bits(&residual))
-            );
+            prop_assert_eq!((round, all_bits(&acc)), (round, all_bits(&residual)));
             prop_assert_eq!(
                 bits(got.residual_norm as f32),
                 bits(want.residual_norm as f32)
+            );
+            // The derived norm against a fresh pass over what is left.
+            let fresh = sum_sq(&acc).sqrt();
+            prop_assert!(
+                agrees(got.residual_norm, fresh),
+                "round {round}: derived norm {} vs fresh {fresh}",
+                got.residual_norm
             );
             // The controller sees lane-split f64 norms where the oracle's
             // are serial: same ratio to rounding, same k (checked above).
@@ -1237,7 +1249,7 @@ mod tests {
                     spill.val.push(draw_at(&mut rng, i as usize));
                 }
             }
-            fused.absorb(&spill);
+            ErrorFeedback::absorb(&mut acc, &spill);
             for (&i, &v) in spill.idx.iter().zip(&spill.val) {
                 residual[i as usize] += v;
             }
@@ -1662,10 +1674,13 @@ mod tests {
         // rounds × gradient.
         let g = vec![1.0f32, 0.2, 0.05, -0.6];
         let mut codec = ErrorFeedback::new(Compression::topk(0.25), 4, Vec::new());
-        let mut transmitted = [0.0f32; 4];
+        let (mut acc, mut transmitted) = ([0.0f32; 4], [0.0f32; 4]);
         let rounds = 40;
         for _ in 0..rounds {
-            let Payload::Sparse(sv, _) = codec.encode(&g).payload else {
+            for (a, &gi) in acc.iter_mut().zip(&g) {
+                *a += gi;
+            }
+            let Payload::Sparse(sv, _) = codec.encode(&mut acc).payload else {
                 panic!("top-k ships sparse");
             };
             for (t, d) in transmitted.iter_mut().zip(sv.to_dense()) {
@@ -1708,10 +1723,11 @@ mod tests {
             .collect();
 
         // p codecs, each on its own rank of a real wire tree: what each
-        // rank received in total, how much its trims spilled, its codec.
+        // rank received in total, how much its trims spilled, what it
+        // still owes (its accumulator).
         let mut world = CommWorld::new(p);
         // lint:allow(raw-spawn): test host of rank threads over CommWorld endpoints
-        let ranks: Vec<(Vec<f32>, usize, ErrorFeedback)> = std::thread::scope(|scope| {
+        let ranks: Vec<(Vec<f32>, usize, Vec<f32>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = world
                 .communicators()
                 .into_iter()
@@ -1721,9 +1737,12 @@ mod tests {
                         let mut codec = ErrorFeedback::new(comp, m, blocks);
                         let mut profile = SparseLevelProfile::default();
                         let (mut transmitted, mut spilled) = (vec![0.0f32; m], 0);
+                        let mut acc = vec![0.0f32; m];
                         for round in grads {
-                            let Payload::Sparse(mut sv, opts) =
-                                codec.encode(&round[comm.rank()]).payload
+                            for (a, &g) in acc.iter_mut().zip(&round[comm.rank()]) {
+                                *a += g;
+                            }
+                            let Payload::Sparse(mut sv, opts) = codec.encode(&mut acc).payload
                             else {
                                 panic!("a sparse scheme ships sparse");
                             };
@@ -1731,12 +1750,12 @@ mod tests {
                                 sparse_allreduce_tree(&mut comm, &mut sv, opts, &mut profile)
                                     .expect("allreduce");
                             spilled += spill.nnz();
-                            codec.absorb(&spill);
+                            ErrorFeedback::absorb(&mut acc, &spill);
                             for (t, d) in transmitted.iter_mut().zip(sv.to_dense()) {
                                 *t += d;
                             }
                         }
-                        (transmitted, spilled, codec)
+                        (transmitted, spilled, acc)
                     })
                 })
                 .collect();
@@ -1756,9 +1775,99 @@ mod tests {
         // Σ transmitted + Σ residuals == Σ inputs, per coordinate.
         for j in 0..m {
             let input: f32 = grads.iter().flatten().map(|g| g[j]).sum();
-            let owed: f32 = ranks.iter().map(|r| r.2.residual[j]).sum();
+            let owed: f32 = ranks.iter().map(|r| r.2[j]).sum();
             assert_eq!(transmitted[j] + owed, input, "coordinate {j}");
         }
+    }
+
+    /// One round of `comp` over `g`, returning the reported residual norm
+    /// and a fresh pass over what the round left.
+    fn derived_and_fresh(comp: Compression, g: &[f32]) -> (f64, f64) {
+        let mut acc = g.to_vec();
+        let enc = ErrorFeedback::new(comp, g.len(), Vec::new()).encode(&mut acc);
+        (enc.residual_norm, sum_sq(&acc).sqrt())
+    }
+
+    #[test]
+    fn derived_norm_keeps_the_nan_and_inf_policy() {
+        let q8 = |k| Compression::Sparse {
+            k,
+            q8: true,
+            union_bound: false,
+        };
+        let mut rng = SeedRng::new(5);
+        let base: Vec<f32> = (0..300).map(|_| rng.normal()).collect();
+        for (special, at) in [
+            (f32::NAN, 17),
+            (f32::INFINITY, 40),
+            (f32::NEG_INFINITY, 299),
+        ] {
+            let mut g = base.clone();
+            g[at] = special;
+            for comp in [
+                Compression::topk(0.01),
+                Compression::topk(0.5),
+                q8(KSchedule::fixed(0.01)),
+                q8(KSchedule::norm_adaptive(0.05)),
+                Compression::Uniform8Bit,
+            ] {
+                let (derived, fresh) = derived_and_fresh(comp, &g);
+                assert!(
+                    agrees(derived, fresh),
+                    "{special} under {comp:?}: {derived} vs fresh {fresh}"
+                );
+                assert_ne!(derived, 0.0, "{special} under {comp:?} reads 0");
+            }
+        }
+        // A NaN the f32 wire carries away leaves a finite residual; one the
+        // 8-bit grid cannot carry stays, and so does its NaN norm.
+        let mut g = base.clone();
+        g[17] = f32::NAN;
+        let (derived, _) = derived_and_fresh(Compression::topk(0.01), &g);
+        assert!(derived.is_finite() && derived > 0.0, "{derived}");
+        let (derived, _) = derived_and_fresh(q8(KSchedule::fixed(0.01)), &g);
+        assert!(derived.is_nan(), "{derived}");
+    }
+
+    #[test]
+    fn a_lossless_round_reports_exactly_zero() {
+        let mut rng = SeedRng::new(6);
+        let mut g: Vec<f32> = (0..5000).map(|_| rng.normal() * 1e3).collect();
+        for v in g.iter_mut().step_by(3) {
+            *v = 0.0;
+        }
+        for comp in [
+            Compression::topk(1.0),
+            // k = 3 400 ≥ the 3 333 nonzeros.
+            Compression::topk(0.68),
+            Compression::Sparse {
+                k: KSchedule::layer_wise(1.0),
+                q8: false,
+                union_bound: false,
+            },
+        ] {
+            let (derived, fresh) = derived_and_fresh(comp, &g);
+            assert_eq!((derived, fresh), (0.0, 0.0), "{comp:?}");
+        }
+    }
+
+    #[test]
+    fn a_huge_payload_over_a_tiny_residual_takes_the_guard() {
+        // k = 1 takes the 1e6: pass A's mass less the payload's square
+        // keeps ~1e-14 of the mass, far below f64's rounding of it, so the
+        // difference alone would be noise (here it cancels to 0).
+        let mut g = vec![1e-3f32; 100];
+        g[42] = 1e6;
+        let (derived, fresh) = derived_and_fresh(Compression::topk(0.01), &g);
+        let mass = sum_sq(&g);
+        let naive = (mass - 1e12).max(0.0).sqrt();
+        assert!(
+            (naive - fresh).abs() > 1e-3 * fresh,
+            "the row must defeat the naive difference: {naive} vs {fresh}"
+        );
+        assert_eq!(derived.to_bits(), fresh.to_bits(), "guard not taken");
+        let want = 99f64.sqrt() * f64::from(1e-3f32);
+        assert!((fresh - want).abs() < 1e-12, "{fresh} vs {want}");
     }
 
     #[test]

@@ -70,9 +70,12 @@ pub(crate) struct Outcome {
 /// The aggregation step of one rank: every algorithm runs rounds, and
 /// the defaults describe the rest of a plain collective — no scripted
 /// faults, the local step of Algorithm 1, the learner's own parameters as
-/// the result. Exchanges that consume `learner.gs` clear it; SASGD at
-/// `T = 1` has no `gs` and consumes the model's gradient arena, which the
-/// next step's backward starts from zeros anyway.
+/// the result. A round consumes `learner.gs` — a dense one clears it, a
+/// codec leaves in it the residual the next interval accumulates onto.
+/// SASGD at `T = 1` has no `gs` and rounds on the model's gradient arena:
+/// a dense round consumes it and the next step's backward starts from
+/// zeros; with a codec the arena is the accumulator
+/// ([`Learner::carry`]), which backward adds onto.
 pub(crate) trait Exchange {
     /// Called at every step boundary with the 1-based global step about to
     /// run; `false` stops this rank before it (a scripted crash).
@@ -107,22 +110,22 @@ fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<(), WireE
     Ok(l.model.lend_params(|params| broadcast(comm, 0, params))?)
 }
 
-/// Allreduce `input` — the accumulated `gs`, or at `T = 1` the gradient
-/// arena — over `membership` through `codec` (armed by `deadline`, if
-/// any): its payload travels in the payload's own wire form — the
+/// Allreduce the payload `codec` moves out of the accumulator `acc` —
+/// `gs`, or at `T = 1` the gradient arena — over `membership` (armed by
+/// `deadline`, if any): it travels in the payload's own wire form — the
 /// sparse tree, exact 8-bit leaf frames, or (an all-zero gradient has no
-/// 8-bit grid) the dense tree — and the tree's spill goes back into the
-/// codec. Records `(round, rank, k_eff, residual_norm)` and the per-level
+/// 8-bit grid) the dense tree — and the tree's spill goes back into
+/// `acc`. Records `(round, rank, k_eff, residual_norm)` and the per-level
 /// wire stats; returns the total as the tree left it.
 fn compressed_allreduce<T: Transport>(
     codec: &mut ErrorFeedback,
     comm: &mut T,
     membership: &mut Membership,
     deadline: Option<Duration>,
-    input: &[f32],
+    acc: &mut [f32],
     round: &mut Round<'_>,
 ) -> Result<(Total, FtOutcome), FtError> {
-    let enc = codec.encode(input);
+    let enc = codec.encode(acc);
     // lint:allow(float-cast): telemetry narrowing — the norm is a
     // monitoring signal, not part of the update arithmetic.
     let norm = enc.residual_norm as f32;
@@ -132,7 +135,7 @@ fn compressed_allreduce<T: Transport>(
         Payload::Sparse(mut sv, opts) => {
             let mut fold = SparseFold::new(&mut sv, opts, &mut history.sparse_levels);
             let outcome = allreduce_over(comm, membership, &mut fold, deadline)?;
-            codec.absorb(&fold.spill);
+            ErrorFeedback::absorb(acc, &fold.spill);
             (Total::Sparse(sv), outcome)
         }
         Payload::Dense8(mut buf, scale) => {
@@ -149,9 +152,9 @@ fn compressed_allreduce<T: Transport>(
 /// previous round's, with this rank's progress re-based onto it (the
 /// [`Lattice`]). At `T = 1`
 /// ([`Lattice::on_arena`]) the payload is the model's gradient arena —
-/// the dense walk moves the arena's own buffer, a codec encodes straight
-/// from it — and the total lands on `params`: no `x`, no `gs`, no local
-/// step.
+/// the dense walk moves the arena's own buffer, a codec encodes in place
+/// and leaves its residual there — and the total lands on `params`: no
+/// `x`, no `gs`, no local step.
 ///
 /// With a [`FaultConfig`] the tree is armed: its scripted faults fire at
 /// step boundaries (never inside a collective), so a degraded run replays
@@ -203,10 +206,13 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
         let (comm, ms) = (&mut self.comm, &mut self.membership);
         let total = match self.codec.as_mut() {
             Some(codec) => {
-                let input = if on_arena { l.model.grads() } else { &l.gs };
-                let total = compressed_allreduce(codec, comm, ms, deadline, input, &mut round);
-                l.gs.fill(0.0);
-                total.map(|(total, outcome)| (Some(total), outcome))
+                let acc = if on_arena {
+                    l.model.params_and_grads_mut().1
+                } else {
+                    &mut l.gs
+                };
+                compressed_allreduce(codec, comm, ms, deadline, acc, &mut round)
+                    .map(|(total, outcome)| (Some(total), outcome))
             }
             None if on_arena => l
                 .model
@@ -466,6 +472,7 @@ pub(crate) fn connect<'a, T: Transport + 'a>(
         ) => {
             broadcast_x0(&mut comm, l)?;
             let lattice = Lattice::new(schedule, delayed, l.model.params());
+            l.carry = lattice.on_arena() && compression.is_some();
             Box::new(GradTree {
                 x: if lattice.on_arena() {
                     Vec::new()

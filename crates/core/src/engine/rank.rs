@@ -419,7 +419,8 @@ pub(crate) fn drive<T: Transport>(
         }
         if let (Some(epoch), Some(ev)) = (step.record, &evals) {
             let total = step.samples * exchange.survivors().unwrap_or(p) as u64;
-            let record = ev.record(&mut learner.model, epoch, compute_s, comm_s, total);
+            let (model, carry) = (&mut learner.model, learner.carry);
+            let record = ev.record(model, carry, epoch, compute_s, comm_s, total);
             history.records.push(record);
         }
     }

@@ -142,15 +142,21 @@ impl EvalSets {
     ///
     /// Every pass draws on one arena. The measured train batches are not
     /// run a second time for the evaluation: dropout is off in both modes,
-    /// so their loss and accuracy are the evaluation pass's bits.
+    /// so their loss and accuracy are the evaluation pass's bits. The
+    /// passes leave the gradient arena zeroed, or with `carry` (the arena
+    /// is a codec's accumulator, [`Learner::carry`]) bitwise as they found
+    /// it: it is set aside for them, the one model-sized allocation a
+    /// record makes beyond the estimate's sum.
     pub(crate) fn record(
         &self,
         model: &mut Model,
+        carry: bool,
         epoch: f64,
         compute_seconds: f64,
         comm_seconds: f64,
         samples: u64,
     ) -> EpochRecord {
+        let carried = carry.then(|| model.lend_grads(std::mem::take));
         let mut ctx = Ctx::measure();
         // Sized after the first backward, not before the first pass: taking
         // the model-sized vector ahead of the pass's buffers cost the NLC
@@ -176,7 +182,10 @@ impl EvalSets {
                 measured += 1;
             }
         }
-        model.zero_grads();
+        match carried {
+            Some(acc) => model.lend_grads(|g| *g = acc),
+            None => model.zero_grads(),
+        }
         ctx.training = false;
         let mut test = EvalTally::default();
         for (x, y) in self.test_x.iter().zip(&self.test_y) {
@@ -223,10 +232,17 @@ pub(crate) struct Learner {
     /// Persistent speed factor.
     pub(crate) speed: f64,
     /// Gradient accumulator `gs` of Algorithm 1, sized by the first local
-    /// step that accumulates: a lattice point that never does (SASGD at
-    /// `T = 1`, which rounds on the gradient arena; EAMSGD's momentum
-    /// steps) holds none.
+    /// step that accumulates: each step adds its gradient, and a round
+    /// consumes it — the dense walk leaves it zeroed, a codec leaves in it
+    /// what its payload did not carry, the error-feedback residual the
+    /// next interval accumulates onto. A lattice point that never
+    /// accumulates (SASGD at `T = 1`, which rounds on the gradient arena;
+    /// EAMSGD's momentum steps) holds none.
     pub(crate) gs: Vec<f32>,
+    /// The gradient arena is a codec's accumulator (SASGD at `T = 1` with
+    /// compression): backward adds onto what the last round left in it,
+    /// so no step and no evaluation may clear it.
+    pub(crate) carry: bool,
     /// Scratch-buffer arena reused across this learner's steps, so the
     /// steady-state hot path stays off the allocator.
     pub(crate) ws: Workspace,
@@ -241,6 +257,7 @@ impl Learner {
             jrng: root.split(0x200 + id as u64),
             speed: cfg.jitter.learner_factor(id, cfg.seed),
             gs: Vec::new(),
+            carry: false,
             ws: Workspace::new(),
         }
     }
@@ -251,8 +268,10 @@ impl Learner {
     }
 
     /// Forward + backward on one minibatch: leaves the gradient in
-    /// `model.grads()` and returns the loss, without touching parameters,
-    /// `gs`, or the clock.
+    /// `model.grads()` — added onto what the arena held, when it
+    /// [carries](Learner::carry) an accumulator, bitwise that plus the
+    /// gradient a zeroed arena would get — and returns the loss,
+    /// without touching parameters, `gs`, or the clock.
     // hot-path: once per step; O(m) scratch comes from the learner's Workspace
     pub(crate) fn compute_gradient(&mut self, data: &Dataset, idx: &[usize]) -> f32 {
         let (x, y) = data.batch(idx);
@@ -262,7 +281,9 @@ impl Learner {
         // Thread the learner's persistent arena through this step's context
         // so per-batch scratch buffers are reused instead of reallocated.
         ctx.ws = std::mem::take(&mut self.ws);
-        self.model.zero_grads();
+        if !self.carry {
+            self.model.zero_grads();
+        }
         let out = self.model.forward_loss(&x, &y, &mut ctx);
         self.model.backward(&mut ctx);
         self.ws = std::mem::take(&mut ctx.ws);
@@ -314,7 +335,7 @@ mod tests {
         let (train, test) = generate(&CifarLikeConfig::tiny(20, 10, 3));
         let ev = EvalSets::prepare(&train, &test, 0);
         let mut model = models::tiny_cnn(3, &mut SeedRng::new(0));
-        let r = ev.record(&mut model, 2.0, 1.5, 0.5, 40);
+        let r = ev.record(&mut model, false, 2.0, 1.5, 0.5, 40);
         assert_eq!(r.epoch, 2.0);
         assert!(r.train_acc >= 0.0 && r.train_acc <= 1.0);
         assert!(r.test_loss > 0.0);
@@ -341,7 +362,7 @@ mod tests {
             &[3, 8, 8],
             &mut SeedRng::new(11),
         );
-        let r1 = ev.record(&mut model, 0.0, 0.0, 0.0, 0);
+        let r1 = ev.record(&mut model, false, 0.0, 0.0, 0.0, 0);
         assert!(
             r1.grad_norm > 0.0,
             "fresh model must have a nonzero gradient"
@@ -350,10 +371,31 @@ mod tests {
             model.grads().iter().all(|&g| g == 0.0),
             "gradients left behind"
         );
-        let r2 = ev.record(&mut model, 0.0, 0.0, 0.0, 0);
+        let r2 = ev.record(&mut model, false, 0.0, 0.0, 0.0, 0);
         assert_eq!(
             r1.grad_norm, r2.grad_norm,
             "estimate must not sample dropout noise"
         );
+    }
+
+    #[test]
+    fn record_leaves_a_carried_accumulator_bitwise_intact() {
+        // A codec's accumulator at T = 1 is the gradient arena; rank 0
+        // evaluates between rounds. The record must hand the arena back
+        // as it found it, and report what a record on a zeroed arena does.
+        let (train, test) = generate(&CifarLikeConfig::tiny(16, 8, 3));
+        let ev = EvalSets::prepare(&train, &test, 0);
+        let mut model = models::tiny_cnn(3, &mut SeedRng::new(4));
+        let mut rng = SeedRng::new(5);
+        let acc: Vec<f32> = (0..model.param_len()).map(|_| rng.normal()).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        model.params_and_grads_mut().1.copy_from_slice(&acc);
+        let carried = ev.record(&mut model, true, 1.0, 0.0, 0.0, 8);
+        assert_eq!(bits(model.grads()), bits(&acc), "accumulator disturbed");
+        model.zero_grads();
+        let plain = ev.record(&mut model, false, 1.0, 0.0, 0.0, 8);
+        assert_eq!(carried.grad_norm.to_bits(), plain.grad_norm.to_bits());
+        assert_eq!(carried.train_loss.to_bits(), plain.train_loss.to_bits());
+        assert_eq!(carried.test_loss.to_bits(), plain.test_loss.to_bits());
     }
 }

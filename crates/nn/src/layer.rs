@@ -24,6 +24,10 @@ pub struct Ctx {
     /// Scratch-buffer pool for activations, gradients and conv patch
     /// matrices. Reuse is bitwise-invisible (see `sasgd_tensor::workspace`).
     pub ws: Workspace,
+    /// The gradient arena held only zeros when this backward began (set
+    /// by [`Model::backward`](crate::Model::backward)): a layer may sum
+    /// its gradient straight into its block (see [`add_grads`]).
+    pub(crate) grads_zeroed: bool,
 }
 
 impl Ctx {
@@ -34,6 +38,7 @@ impl Ctx {
             stochastic: true,
             rng,
             ws: Workspace::new(),
+            grads_zeroed: true,
         }
     }
 
@@ -44,6 +49,7 @@ impl Ctx {
             stochastic: false,
             rng: SeedRng::new(0),
             ws: Workspace::new(),
+            grads_zeroed: true,
         }
     }
 
@@ -57,6 +63,7 @@ impl Ctx {
             stochastic: false,
             rng: SeedRng::new(0),
             ws: Workspace::new(),
+            grads_zeroed: true,
         }
     }
 }
@@ -84,8 +91,9 @@ pub trait Layer: Send {
     /// Backward pass: receives `dL/d(output)`, returns `dL/d(input)`, and
     /// *accumulates* parameter gradients into `grads`, this layer's block
     /// of the gradient arena (they add up across calls until the model
-    /// zeroes the arena). Consumed tensors are recycled into `ctx.ws` so
-    /// the next step reuses their storage.
+    /// zeroes the arena), one add per coordinate of this call's gradient
+    /// onto what the block held (`add_grads`). Consumed tensors are
+    /// recycled into `ctx.ws` so the next step reuses their storage.
     fn backward(
         &mut self,
         grad_out: Tensor,
@@ -126,6 +134,34 @@ pub trait Layer: Send {
     /// per-sample input dimensions. Element-wise layers report their element
     /// count; parameter-free reshapes report zero.
     fn macs(&self, in_dims: &[usize]) -> u64;
+}
+
+/// Add this pass's parameter gradient `g` to `grads`, a layer's block of
+/// the arena, as `grads[i] + g[i]` with `g` summed exactly as onto zeros:
+/// backward onto an accumulator (an error-feedback residual kept in the
+/// arena) is bitwise the accumulator plus a fresh gradient (a `-0.0`
+/// start aside, which no sum onto zeros produces). `sum`
+/// accumulates `g` into the block it is handed, `terms` products per
+/// coordinate. With one term, or onto a zeroed arena, that already holds
+/// and `sum` writes `grads` itself; otherwise it sums into zeroed
+/// workspace scratch, added in after. Returns what `sum` returns.
+// hot-path: per-step parameter gradient; scratch comes from ctx.ws
+pub(crate) fn add_grads<R>(
+    grads: &mut [f32],
+    terms: usize,
+    ctx: &mut Ctx,
+    sum: impl FnOnce(&mut [f32], &mut Ctx) -> R,
+) -> R {
+    if ctx.grads_zeroed || terms <= 1 {
+        return sum(grads, ctx);
+    }
+    let mut g = ctx.ws.take_f32(grads.len());
+    let out = sum(&mut g, ctx);
+    for (a, &v) in grads.iter_mut().zip(&g) {
+        *a += v;
+    }
+    ctx.ws.give_f32(g);
+    out
 }
 
 /// Batch a per-sample shape into full tensor dims.

@@ -6,7 +6,7 @@ use sasgd_tensor::conv::{
 use sasgd_tensor::{SeedRng, Tensor};
 
 use crate::init;
-use crate::layer::{Ctx, Layer};
+use crate::layer::{add_grads, Ctx, Layer};
 
 /// Spatial convolution: `[ci, h, w] -> [co, oh, ow]` per sample. Parameter
 /// block: the `[co, ci·kh·kw]` weight, then the `[co]` bias.
@@ -72,17 +72,13 @@ impl Layer for Conv2d {
             .cached_input
             .take()
             .expect("backward without forward (or eval-mode forward)");
-        let w = self.weight_len();
-        let (dweight, dbias) = grads.split_at_mut(w);
-        let dinput = conv2d_backward_ws(
-            &input,
-            &params[..w],
-            &grad_out,
-            &self.spec,
-            dweight,
-            dbias,
-            &mut ctx.ws,
-        );
+        let (w, spec) = (self.weight_len(), &self.spec);
+        // One partial per image is added into the block.
+        let dinput = add_grads(grads, input.dims()[0], ctx, |grads, ctx| {
+            let (dweight, dbias) = grads.split_at_mut(w);
+            let weight = &params[..w];
+            conv2d_backward_ws(&input, weight, &grad_out, spec, dweight, dbias, &mut ctx.ws)
+        });
         ctx.ws.recycle(input);
         ctx.ws.recycle(grad_out);
         dinput
@@ -100,8 +96,11 @@ impl Layer for Conv2d {
             .cached_input
             .take()
             .expect("backward without forward (or eval-mode forward)");
-        let (dweight, dbias) = grads.split_at_mut(self.weight_len());
-        conv2d_backward_params_ws(&input, &grad_out, &self.spec, dweight, dbias, &mut ctx.ws);
+        let (w, spec) = (self.weight_len(), &self.spec);
+        add_grads(grads, input.dims()[0], ctx, |grads, ctx| {
+            let (dweight, dbias) = grads.split_at_mut(w);
+            conv2d_backward_params_ws(&input, &grad_out, spec, dweight, dbias, &mut ctx.ws);
+        });
         ctx.ws.recycle(input);
         ctx.ws.recycle(grad_out);
     }

@@ -3,7 +3,7 @@
 use sasgd_tensor::{linalg, SeedRng, Tensor};
 
 use crate::init;
-use crate::layer::{Ctx, Layer};
+use crate::layer::{add_grads, Ctx, Layer};
 
 /// `y = x · W + b` with `W: [in, out]`, applied to any input whose last
 /// dimension is `in` (leading dimensions are folded into rows). This lets
@@ -54,17 +54,13 @@ impl Linear {
             .expect("backward without forward (or eval-mode forward)");
         let rows = x.dims()[0];
         let g = grad_out.reshape(&[rows, self.out_dim]);
-        let (dweight, dbias) = grads.split_at_mut(self.in_dim * self.out_dim);
-        linalg::gemm_tn_acc_ws(
-            dweight,
-            x.as_slice(),
-            g.as_slice(),
-            rows,
-            self.in_dim,
-            self.out_dim,
-            &mut ctx.ws,
-        );
-        linalg::col_sums_into(&g, dbias);
+        let (din, dout) = (self.in_dim, self.out_dim);
+        add_grads(grads, rows, ctx, |grads, ctx| {
+            let (dweight, dbias) = grads.split_at_mut(din * dout);
+            let (xs, gs) = (x.as_slice(), g.as_slice());
+            linalg::gemm_tn_acc_ws(dweight, xs, gs, rows, din, dout, &mut ctx.ws);
+            linalg::col_sums_into(&g, dbias);
+        });
         (x, g)
     }
 }

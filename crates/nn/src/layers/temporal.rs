@@ -8,7 +8,7 @@
 use sasgd_tensor::{linalg, SeedRng, Tensor, Workspace};
 
 use crate::init;
-use crate::layer::{Ctx, Layer};
+use crate::layer::{add_grads, Ctx, Layer};
 
 /// 1-D convolution over the time axis: `[len, din] -> [len-k+1, nkern]`.
 /// Parameter block: the `[window*din, nkern]` weight, then the bias.
@@ -69,17 +69,13 @@ impl TemporalConv1d {
         let unfolded = self.cached_unfold.take().expect("backward without forward");
         let rows = unfolded.dims()[0];
         let g = grad_out.reshape(&[rows, self.nkern]);
-        let (dweight, dbias) = grads.split_at_mut(self.weight_len());
-        linalg::gemm_tn_acc_ws(
-            dweight,
-            unfolded.as_slice(),
-            g.as_slice(),
-            rows,
-            self.window * self.din,
-            self.nkern,
-            &mut ctx.ws,
-        );
-        linalg::col_sums_into(&g, dbias);
+        let (wlen, fan_in, nkern) = (self.weight_len(), self.window * self.din, self.nkern);
+        add_grads(grads, rows, ctx, |grads, ctx| {
+            let (dweight, dbias) = grads.split_at_mut(wlen);
+            let (us, gs) = (unfolded.as_slice(), g.as_slice());
+            linalg::gemm_tn_acc_ws(dweight, us, gs, rows, fan_in, nkern, &mut ctx.ws);
+            linalg::col_sums_into(&g, dbias);
+        });
         (unfolded, g)
     }
 }

@@ -40,6 +40,9 @@ pub struct Model {
     grads: Vec<f32>,
     /// Layer `i`'s block is `offsets[i]..offsets[i + 1]` of either arena.
     offsets: Vec<usize>,
+    /// `grads` holds only zeros: set by [`Model::zero_grads`], cleared by
+    /// everything that may write the arena.
+    grads_zeroed: bool,
 }
 
 impl Model {
@@ -64,6 +67,7 @@ impl Model {
             params,
             grads: vec![0.0; acc],
             offsets,
+            grads_zeroed: true,
         }
     }
 
@@ -115,6 +119,7 @@ impl Model {
     /// update them by — for passes that walk the two together, or that
     /// reduce gradient arenas in place.
     pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        self.grads_zeroed = false;
         (&mut self.params, &mut self.grads)
     }
 
@@ -124,6 +129,7 @@ impl Model {
     /// fails after handing its buffer to the wire leaves it empty, and the
     /// arena comes back zero-filled to full length, never short.
     pub fn lend_grads<R>(&mut self, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+        self.grads_zeroed = false;
         let out = f(&mut self.grads);
         self.grads.resize(self.params.len(), 0.0);
         out
@@ -180,7 +186,9 @@ impl Model {
     }
 
     /// Backpropagate the cached loss gradient, accumulating parameter
-    /// gradients into the gradient arena.
+    /// gradients into the gradient arena: onto a non-zero arena, each
+    /// coordinate ends as what it held plus the gradient a zeroed arena
+    /// would have received, bitwise (see `Layer::backward`).
     ///
     /// # Panics
     /// Panics if called without a preceding training-mode `forward_loss`.
@@ -189,6 +197,7 @@ impl Model {
             .pending_dlogits
             .take()
             .expect("backward() requires a training-mode forward_loss first");
+        ctx.grads_zeroed = std::mem::replace(&mut self.grads_zeroed, false);
         let blocks = self.offsets.windows(2);
         for (i, (l, w)) in self.layers.iter_mut().zip(blocks).enumerate().rev() {
             let block = w[0]..w[1];
@@ -225,6 +234,7 @@ impl Model {
     /// Zero the gradient arena.
     pub fn zero_grads(&mut self) {
         self.grads.fill(0.0);
+        self.grads_zeroed = true;
     }
 
     /// In-place SGD step `x ← x − γ·g`, one pass over the two arenas.

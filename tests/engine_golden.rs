@@ -64,17 +64,22 @@ fn goldens() -> Vec<Golden> {
             hash: 0xae37_8f2c_1b9a_b357,
             head: [0xbd89768f, 0xbd090af7, 0x3d45c332, 0x3ddd0f3a],
         },
+        // The codec rows were re-pinned when the error-feedback residual
+        // moved into the accumulator: a round's input is `(r + g₁) + g₂`
+        // where it was `(g₁ + g₂) + r`, float association. The largest
+        // relative change of any parameter was 3.9e-6 (top-k) and 7.8e-6
+        // (8-bit); word 1 of top-k and word 0 of 8-bit move one ULP.
         Golden {
             name: "sasgd_p2_t2_topk25",
             algo: Algorithm::sasgd_compressed(2, 2, GammaP::OverP, Compression::topk(0.25)),
-            hash: 0x7b15_802e_c791_7c13,
-            head: [0xbd80551d, 0xbcea33ec, 0x3d54e1f0, 0x3de00d6f],
+            hash: 0xf3de_561e_92b2_69b4,
+            head: [0xbd80551d, 0xbcea33eb, 0x3d54e1f0, 0x3de00d6f],
         },
         Golden {
             name: "sasgd_p2_t2_8bit",
             algo: Algorithm::sasgd_compressed(2, 2, GammaP::OverP, Compression::Uniform8Bit),
-            hash: 0x2488_0a77_8fed_7fd9,
-            head: [0xbd801e8a, 0xbce70075, 0x3d5aae27, 0x3de30b8a],
+            hash: 0x6811_5b54_1e4f_f56a,
+            head: [0xbd801e89, 0xbce70075, 0x3d5aae27, 0x3de30b8a],
         },
         Golden {
             name: "hier_2x2_tl2_tg2",
@@ -250,7 +255,9 @@ fn event_driven_final_params_are_pinned() {
 
 /// SASGD at `T = 1`: every step is a round, so the round works on the
 /// model's gradient arena alone — no pre-interval copy, no accumulator.
-/// Pinned before that round existed, from the `x`/`gs` round it replaced.
+/// Pinned before that round existed, from the `x`/`gs` round it replaced;
+/// the codec rows held when the arena became the error-feedback
+/// accumulator, since backward onto it is bitwise residual + gradient.
 fn t1_goldens() -> Vec<Golden> {
     let layer_wise_top1 = Compression::Sparse {
         k: KSchedule::layer_wise(0.01),
