@@ -19,7 +19,7 @@
 use std::fmt::Display;
 use std::time::Duration;
 
-use sasgd_comm::collectives::{allreduce_ring, allreduce_tree, Dense};
+use sasgd_comm::collectives::{allreduce_tree, Dense};
 use sasgd_comm::ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::{sparse_allreduce_tree, SparseFold, SparseLevelProfile};
 use sasgd_comm::sparse::{SparseTreeOpts, SparseVec};
@@ -133,12 +133,6 @@ fn sparse_body<T: Transport>(mut t: T) -> RankOutcome {
     let (opts, mut profile) = (SparseTreeOpts::default(), SparseLevelProfile::default());
     wire(sparse_allreduce_tree(&mut t, &mut sv, opts, &mut profile))?;
     Ok(sv.to_dense())
-}
-
-fn ring_body<T: Transport>(mut t: T) -> RankOutcome {
-    let mut v = order_sensitive_input(t.rank(), 4);
-    wire(allreduce_ring(&mut t, &mut v))?;
-    Ok(v)
 }
 
 /// Two consecutive collectives — catches tag-space collisions between
@@ -516,8 +510,6 @@ pub fn corpus() -> Vec<ModelScenario> {
         row!("members_1to3_of_4", 4, members_123_body),
         sized!("sparse_allreduce_tree", 3, sparse_body),
         sized!("sparse_allreduce_tree", 4, sparse_body),
-        sized!("allreduce_ring", 3, ring_body),
-        sized!("allreduce_ring", 4, ring_body),
         sized!("back_to_back_allreduce", 3, back_to_back_body),
         sized!("back_to_back_allreduce", 4, back_to_back_body),
         sc_hierarchical(2, 2),
@@ -543,7 +535,6 @@ pub fn corpus() -> Vec<ModelScenario> {
             ..row!("downpour_pull_retry", 2, pull_retry_body)
         },
         bounded(sized!("allreduce_tree", 8, allreduce_tree_body), 12),
-        bounded(sized!("allreduce_ring", 8, ring_body), 8),
         bounded(sized!("sparse_allreduce_tree", 8, sparse_body), 12),
         bounded(sc_hierarchical(2, 4), 12),
         bounded(

@@ -142,7 +142,6 @@ const COMM_RESULT_FNS: &[&str] = &[
     "allreduce_tree",
     "allreduce_over",
     "broadcast_over",
-    "allreduce_ring",
     "sparse_allreduce_tree",
     // The sparse/8-bit frame decoders: a peer's buffer can be malformed.
     "decode",

@@ -178,7 +178,6 @@ fn corpus_covers_the_deleted_sweeps_envelope() {
         "allreduce_tree_p4",
         "members_1to3_of_4",
         "sparse_allreduce_tree_p4",
-        "allreduce_ring_p4",
         "back_to_back_allreduce_p4",
         "hierarchical_2x2",
         "ft_allreduce_fault_free_p4",
@@ -192,7 +191,6 @@ fn corpus_covers_the_deleted_sweeps_envelope() {
     for (name, p) in [
         ("allreduce_tree_p8_bounded", 8),
         ("sparse_allreduce_tree_p8_bounded", 8),
-        ("allreduce_ring_p8_bounded", 8),
         ("hierarchical_2x4_bounded", 8),
         ("ft_allreduce_fault_free_p8_bounded", 8),
         ("ft_allreduce_one_dead_p8_bounded", 8),

@@ -75,8 +75,8 @@ fn shipped_collectives_are_clean_and_dpor_prunes() {
     let corpus = corpus();
     for name in [
         "allreduce_tree_p3",
-        "allreduce_ring_p3",
-        "allreduce_ring_p4",
+        "allreduce_tree_p4",
+        "sparse_allreduce_tree_p3",
     ] {
         let sc = corpus
             .iter()

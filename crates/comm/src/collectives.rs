@@ -1,11 +1,9 @@
 //! Collective operations over any [`Transport`].
 //!
 //! The reproduction's SASGD uses [`allreduce_tree`] — the `O(m log p)`
-//! binomial pattern the paper's communication analysis assumes. It and
-//! [`broadcast`] are the walk of [`crate::tree`] over a full membership,
-//! with the dense [`Fold`] defined here. The bandwidth-optimal
-//! [`allreduce_ring`] (reduce-scatter + allgather, `2·m·(p−1)/p` elements
-//! per rank) is implemented for the tree-vs-ring ablation bench.
+//! binomial pattern the paper's communication analysis assumes, and the
+//! one allreduce. It and [`broadcast`] are the walk of [`crate::tree`]
+//! over a full membership, with the dense [`Fold`] defined here.
 //!
 //! Reduction order is fixed (children merge into parents in rank order), so
 //! results are bitwise deterministic across runs and thread schedules.
@@ -24,7 +22,7 @@
 
 use crate::sparse::{dense8_decode, dense8_encode};
 use crate::transport::Transport;
-use crate::tree::{broadcast_over, prefixed, tag, walk, Fold, Membership, Wire};
+use crate::tree::{broadcast_over, prefixed, walk, Fold, Membership, Wire};
 use crate::world::CommError;
 
 /// `got`, once it is known to be as long as the buffer it lands in.
@@ -145,109 +143,10 @@ pub fn allreduce_tree<T: Transport>(comm: &mut T, buf: &mut Vec<f32>) -> Result<
     walk(comm, &all, &mut Dense::new(buf, None))
 }
 
-/// The `p − 1` reduce-scatter steps of a ring, under `op`'s phases `2..`:
-/// afterwards rank `r` owns the full sum of chunk `(r+1) mod p`. A chunk of
-/// any other length than the slot it is for is a
-/// [`CommError::MalformedLength`] and leaves that slot as it was.
-fn ring_scatter<T: Transport>(
-    comm: &mut T,
-    op: u64,
-    buf: &mut [f32],
-    bounds: &[(usize, usize)],
-) -> Result<(), CommError> {
-    let (p, r) = (comm.size(), comm.rank());
-    for step in 0..p - 1 {
-        let (slo, shi) = bounds[(r + p - step) % p];
-        let (rlo, rhi) = bounds[(r + p - step - 1) % p];
-        let phase = tag(op, 2 + step as u64);
-        comm.send((r + 1) % p, phase, buf[slo..shi].to_vec())?;
-        let prev = (r + p - 1) % p;
-        let incoming = expect_len(prev, rhi - rlo, comm.recv(prev, phase)?)?;
-        for (a, b) in buf[rlo..rhi].iter_mut().zip(&incoming) {
-            *a += b;
-        }
-    }
-    Ok(())
-}
-
-/// The `p − 1` allgather steps of a ring, under `op`'s phases `first..`:
-/// circulates the completed chunks, each checked like [`ring_scatter`]'s.
-fn ring_gather<T: Transport>(
-    comm: &mut T,
-    op: u64,
-    first: usize,
-    buf: &mut [f32],
-    bounds: &[(usize, usize)],
-) -> Result<(), CommError> {
-    let (p, r) = (comm.size(), comm.rank());
-    for step in 0..p - 1 {
-        let (slo, shi) = bounds[(r + 1 + p - step) % p];
-        let (rlo, rhi) = bounds[(r + p - step) % p];
-        let phase = tag(op, (first + step) as u64);
-        comm.send((r + 1) % p, phase, buf[slo..shi].to_vec())?;
-        let prev = (r + p - 1) % p;
-        buf[rlo..rhi].copy_from_slice(&expect_len(prev, rhi - rlo, comm.recv(prev, phase)?)?);
-    }
-    Ok(())
-}
-
-/// Ring allreduce (reduce-scatter + allgather).
-///
-/// Each rank sends `2·m·(p−1)/p` elements regardless of `p` — the
-/// bandwidth-optimal collective modern NCCL uses; contrast with
-/// [`allreduce_tree`] in the ablation bench.
-pub fn allreduce_ring<T: Transport>(comm: &mut T, buf: &mut [f32]) -> Result<(), CommError> {
-    let (p, op) = (comm.size(), comm.next_op());
-    let bounds = chunk_bounds(buf.len(), p);
-    ring_scatter(comm, op, buf, &bounds)?;
-    ring_gather(comm, op, 2 + (p - 1), buf, &bounds)
-}
-
-/// Barrier: zero-length allreduce.
-pub fn barrier<T: Transport>(comm: &mut T) -> Result<(), CommError> {
-    let mut empty: Vec<f32> = Vec::new();
-    allreduce_tree(comm, &mut empty)
-}
-
-/// Near-equal chunk boundaries of an `m`-element buffer over `p` ranks
-/// (the first `m % p` chunks get one extra element).
-pub fn chunk_bounds(m: usize, p: usize) -> Vec<(usize, usize)> {
-    let base = m / p;
-    let extra = m % p;
-    let mut v = Vec::with_capacity(p);
-    let mut start = 0usize;
-    for k in 0..p {
-        let len = base + usize::from(k < extra);
-        v.push((start, start + len));
-        start += len;
-    }
-    v
-}
-
-/// Ring reduce-scatter: on return, this rank's chunk of `buf` (per
-/// [`chunk_bounds`]) holds the global sum; other chunks hold partials.
-/// Returns the `(lo, hi)` bounds of the completed chunk.
-pub fn reduce_scatter<T: Transport>(
-    comm: &mut T,
-    buf: &mut [f32],
-) -> Result<(usize, usize), CommError> {
-    let (p, op) = (comm.size(), comm.next_op());
-    let bounds = chunk_bounds(buf.len(), p);
-    ring_scatter(comm, op, buf, &bounds)?;
-    Ok(bounds[(comm.rank() + 1) % p])
-}
-
-/// Ring allgather: every rank contributes the chunk it owns (chunk index
-/// `(rank+1) % p`, matching [`reduce_scatter`]'s output) and receives all
-/// others, leaving `buf` identical on every rank.
-pub fn allgather<T: Transport>(comm: &mut T, buf: &mut [f32]) -> Result<(), CommError> {
-    let (p, op) = (comm.size(), comm.next_op());
-    ring_gather(comm, op, 2, buf, &chunk_bounds(buf.len(), p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::tag;
     use crate::world::{CommWorld, Communicator};
     use std::thread;
 
@@ -317,92 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_ring_sums() {
-        for p in [1usize, 2, 3, 4, 5, 8] {
-            // Buffer length not divisible by p on purpose.
-            let res = run_world(p, |c| {
-                let mut v: Vec<f32> = (0..11).map(|j| (c.rank() * 11 + j) as f32).collect();
-                allreduce_ring(c, &mut v).expect("allreduce");
-                v
-            });
-            let expect: Vec<f32> = (0..11)
-                .map(|j| (0..p).map(|r| (r * 11 + j) as f32).sum())
-                .collect();
-            for v in res {
-                assert_eq!(v, expect, "p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn tree_and_ring_agree() {
-        let p = 6;
-        let tree = run_world(p, |c| {
-            let mut v: Vec<f32> = (0..9).map(|j| ((c.rank() + 1) * (j + 1)) as f32).collect();
-            allreduce_tree(c, &mut v).expect("allreduce");
-            v
-        });
-        let ring = run_world(p, |c| {
-            let mut v: Vec<f32> = (0..9).map(|j| ((c.rank() + 1) * (j + 1)) as f32).collect();
-            allreduce_ring(c, &mut v).expect("allreduce");
-            v
-        });
-        for (a, b) in tree.iter().zip(&ring) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
     fn consecutive_collectives_do_not_cross() {
         let res = run_world(4, |c| {
             let mut a = vec![1.0f32];
             allreduce_tree(c, &mut a).expect("allreduce");
             let mut b = vec![10.0f32];
             allreduce_tree(c, &mut b).expect("allreduce");
-            barrier(c).expect("barrier");
+            allreduce_tree(c, &mut Vec::new()).expect("empty allreduce");
             (a[0], b[0])
         });
         for (a, b) in res {
             assert_eq!(a, 4.0);
             assert_eq!(b, 40.0);
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_then_allgather_equals_allreduce() {
-        for p in [1usize, 2, 3, 4, 6, 8] {
-            let res = run_world(p, |c| {
-                let mut v: Vec<f32> = (0..13).map(|j| ((c.rank() + 2) * (j + 1)) as f32).collect();
-                let (lo, hi) = reduce_scatter(c, &mut v).expect("reduce_scatter");
-                // The owned chunk holds the exact global sum already.
-                let expect: Vec<f32> = (0..13)
-                    .map(|j| (0..c.size()).map(|r| ((r + 2) * (j + 1)) as f32).sum())
-                    .collect();
-                assert_eq!(&v[lo..hi], &expect[lo..hi], "owned chunk p={}", c.size());
-                allgather(c, &mut v).expect("allgather");
-                v
-            });
-            let expect: Vec<f32> = (0..13)
-                .map(|j| (0..p).map(|r| ((r + 2) * (j + 1)) as f32).sum())
-                .collect();
-            for v in res {
-                assert_eq!(v, expect, "p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_bounds_cover_everything() {
-        for (m, p) in [(10usize, 3usize), (7, 7), (5, 8), (0, 2)] {
-            let b = chunk_bounds(m, p);
-            assert_eq!(b.len(), p);
-            assert_eq!(b[0].0, 0);
-            assert_eq!(b[p - 1].1, m);
-            for w in b.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous");
-            }
         }
     }
 
@@ -431,7 +256,6 @@ mod tests {
     #[test]
     fn dense_frames_of_the_wrong_length_are_malformed_not_truncated() {
         use crate::mock::{mock_world, MockTransport};
-        use std::ops::Range;
 
         // Two mock ranks on one thread: the peer's frames are sent by hand
         // under the tags the collective is about to match, then the rank
@@ -501,47 +325,6 @@ mod tests {
         let mut v = Vec::new();
         assert_eq!(broadcast(&mut r1, 0, &mut v), Ok(()));
         assert_eq!(v, [7.0; 3]);
-
-        // The ring family at p = 2: `own` is two chunks of two. Each row
-        // names the phases rank 0 receives under, which of them carries the
-        // frame under test, and the slot that frame is for.
-        type Ring = fn(&mut MockTransport, &mut [f32]) -> Result<(), CommError>;
-        type Row = (&'static str, Ring, &'static [u64], usize, Range<usize>);
-        let ring: [Row; 4] = [
-            ("allreduce_ring scatter", allreduce_ring, &[2, 3], 0, 2..4),
-            ("allreduce_ring gather", allreduce_ring, &[2, 3], 1, 0..2),
-            (
-                "reduce_scatter",
-                |c, v| reduce_scatter(c, v).map(drop),
-                &[2],
-                0,
-                2..4,
-            ),
-            ("allgather", allgather, &[2], 0, 0..2),
-        ];
-        for (what, len) in [("short", 1usize), ("long", 3), ("empty", 0), ("exact", 2)] {
-            for (name, collective, phases, under_test, slot) in ring.clone() {
-                let (mut r0, mut r1) = pair();
-                let op = r1.next_op();
-                for (i, &phase) in phases.iter().enumerate() {
-                    let len = if i == under_test { len } else { 2 };
-                    r1.send(0, tag(op, phase), vec![0.5; len]).expect("send");
-                }
-                let mut v = own;
-                assert_eq!(
-                    collective(&mut r0, &mut v),
-                    want(1, 2, len),
-                    "{name} / {what}"
-                );
-                if len != 2 {
-                    assert_eq!(
-                        v[slot.clone()],
-                        own[slot],
-                        "{name} / {what}: slot untouched"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

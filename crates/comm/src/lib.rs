@@ -21,9 +21,8 @@
 //!   all of a world's ranks, a subset (a hierarchical group), or the
 //!   survivors of a fault — with a deadline, its error path evicts lost
 //!   ranks and rebuilds the tree over the survivors;
-//! * [`collectives`] — broadcast and allreduce over the whole world (the
-//!   dense tree), a bandwidth-optimal ring allreduce for the ablation
-//!   bench, and a barrier;
+//! * [`collectives`] — broadcast and allreduce over the whole world: the
+//!   dense tree, the one allreduce;
 //! * [`ps_transport`] — the (sharded) parameter server Downpour and EAMSGD
 //!   aggregate through, expressed purely in [`Transport`] operations:
 //!   shards are ranks of the learners' world, with asynchronous adds,

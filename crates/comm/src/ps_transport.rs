@@ -11,8 +11,8 @@
 //! ## World layout and protocol
 //!
 //! A PS world of `p + s` ranks: learners are ranks `0..p`, shards are ranks
-//! `p..p+s`. Shard `k` owns segment [`PsLayout::segment`]`(k)` — the
-//! [`chunk_bounds`] split.
+//! `p..p+s`. Shard `k` owns segment [`PsLayout::segment`]`(k)` of a
+//! near-equal split (the first `dim % s` segments get one extra element).
 //!
 //! Every learner→shard frame travels under the one tag `TAG_REQ` and is
 //! self-describing — word 0 is a bit-cast opcode, never inferred from the
@@ -44,7 +44,6 @@
 
 use std::time::Duration;
 
-use crate::collectives::chunk_bounds;
 use crate::transport::Transport;
 use crate::world::CommError;
 
@@ -143,6 +142,21 @@ impl PsLayout {
     pub fn segment(&self, k: usize) -> (usize, usize) {
         chunk_bounds(self.dim, self.shards)[k]
     }
+}
+
+/// Near-equal chunk boundaries of an `m`-element buffer over `p` parts
+/// (the first `m % p` chunks get one extra element).
+fn chunk_bounds(m: usize, p: usize) -> Vec<(usize, usize)> {
+    let base = m / p;
+    let extra = m % p;
+    let mut v = Vec::with_capacity(p);
+    let mut start = 0usize;
+    for k in 0..p {
+        let len = base + usize::from(k < extra);
+        v.push((start, start + len));
+        start += len;
+    }
+    v
 }
 
 /// Order-independent digest of the set of updates a shard has applied. Two
@@ -505,6 +519,19 @@ mod tests {
 
     fn layout(p: usize, shards: usize, dim: usize) -> PsLayout {
         PsLayout { p, shards, dim }
+    }
+
+    #[test]
+    fn chunk_bounds_cover_everything() {
+        for (m, p) in [(10usize, 3usize), (7, 7), (5, 8), (0, 2)] {
+            let b = chunk_bounds(m, p);
+            assert_eq!(b.len(), p);
+            assert_eq!(b[0].0, 0);
+            assert_eq!(b[p - 1].1, m);
+            for w in b.windows(2) {
+                assert_eq!(w[0].1, w[1].0, "contiguous");
+            }
+        }
     }
 
     /// `run_world` over the in-process transport.

@@ -60,19 +60,23 @@
 //! A wildcard receive breaks that: which of several senders a
 //! `recv_any` hears first (a parameter-server shard's inbox) is decided
 //! by the OS. [`Sequenced`] wraps every [`Clocked`] endpoint of such a
-//! world in one scheduler that runs it one operation at a time, in virtual
-//! time. Every send and receive parks its rank. Once every live rank is
-//! parked, the enabled operation that completes first runs: the least
-//! `(virtual time, rank)`, where a send completes at the sender's clock and
-//! a receive at `max(clock, arrival)` of the message it takes. A receive
-//! is enabled once a matching message is in flight; `recv_any` takes the
-//! candidate with the least `(arrival, src)`. A deadline never expires on
-//! the wall clock, and a world whose every live rank waits on a receive
-//! nothing can satisfy fails each waiter with [`CommError::Stalled`]
-//! instead of hanging. No message can arrive before the time of the
-//! operation granted — every later send is made at a clock at least
-//! that late — so a shard serves its requests in arrival order, and the
-//! run is a function of the seed alone. Only one rank runs at a time.
+//! world in one scheduler that runs it one receive at a time, in virtual
+//! time. Every receive parks its rank; a send goes straight to the wire.
+//! Once every live rank is parked, the enabled receive that completes
+//! first runs: the least `(virtual time, rank)`, where a receive completes
+//! at `max(clock, arrival)` of the message it takes. A receive is enabled
+//! once a matching message is in flight; `recv_any` takes the candidate
+//! with the least `(arrival, src)`. A deadline never expires on the wall
+//! clock, and a world whose every live rank waits on a receive nothing
+//! can satisfy fails each waiter with [`CommError::Stalled`] instead of
+//! hanging.
+//!
+//! Sends need no turn. With every live rank parked, a rank's next send
+//! comes after its next receive completes, so at a clock no earlier than
+//! the least enabled receive's: a receive granted at time `T` has already
+//! seen every message that can arrive by `T`. So a shard serves its
+//! requests in arrival order, and the run is a function of the seed alone.
+//! Past the ranks' first receives, only one rank runs at a time.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -330,21 +334,15 @@ impl<T: Transport> Transport for Clocked<T> {
     }
 }
 
-/// What a parked rank waits to do.
-enum Op {
-    Send,
-    /// Take a message matching one of these `(src, tag)` pairs.
-    Recv(Vec<(usize, u64)>),
-}
-
 /// A rank's standing with its world's sequencer.
 enum Slot {
-    /// Between operations: computing, or not yet at its first.
+    /// Between receives: computing and sending, or not yet at its first.
     Running,
-    /// Waiting for its turn.
-    Parked(Op),
-    /// Its turn; a receive takes the `(src, tag)` named.
-    Granted(Option<(usize, u64)>),
+    /// Waiting for its turn to take a message matching one of these
+    /// `(src, tag)` pairs.
+    Parked(Vec<(usize, u64)>),
+    /// Its turn; it takes the `(src, tag)` named.
+    Granted((usize, u64)),
     /// Its turn, with nothing to take: every live rank waits.
     Stalled,
     /// Its endpoint is gone.
@@ -365,10 +363,11 @@ impl Sequencer {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Park `rank` on `op` until its turn; a receive learns what to take.
-    fn park(&self, rank: usize, op: Op) -> Result<Option<(usize, u64)>, CommError> {
+    /// Park `rank` on a receive from `candidates` until its turn; learn
+    /// what to take.
+    fn park(&self, rank: usize, candidates: Vec<(usize, u64)>) -> Result<(usize, u64), CommError> {
         let mut slots = self.lock();
-        slots[rank] = Slot::Parked(op);
+        slots[rank] = Slot::Parked(candidates);
         self.grant(&mut slots);
         loop {
             match std::mem::replace(&mut slots[rank], Slot::Running) {
@@ -387,7 +386,7 @@ impl Sequencer {
         self.grant(&mut slots);
     }
 
-    /// Once no rank runs, grant the enabled operation with the least
+    /// Once no rank runs, grant the enabled receive with the least
     /// `(virtual time, rank)` — or, with none enabled, stall every waiter.
     fn grant(&self, slots: &mut [Slot]) {
         let busy = |s: &Slot| matches!(s, Slot::Running | Slot::Granted(_) | Slot::Stalled);
@@ -405,18 +404,14 @@ impl Sequencer {
             });
             stamped.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
         };
-        // Each enabled operation: when it completes, whose it is, what it
+        // Each enabled receive: when it completes, whose it is, what it
         // takes.
         let enabled = slots.iter().enumerate().filter_map(|(rank, slot)| {
-            let (at, pick) = match slot {
-                Slot::Parked(Op::Send) => (f64::NEG_INFINITY, None),
-                Slot::Parked(Op::Recv(candidates)) => {
-                    let (at, src, tag) = first(rank, candidates)?;
-                    (at, Some((src, tag)))
-                }
-                _ => return None,
+            let Slot::Parked(candidates) = slot else {
+                return None;
             };
-            Some((self.clocks[rank].now().max(at), rank, pick))
+            let (at, src, tag) = first(rank, candidates)?;
+            Some((self.clocks[rank].now().max(at), rank, (src, tag)))
         });
         let next = enabled.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         drop(queues);
@@ -470,11 +465,10 @@ impl<T: Transport> Sequenced<T> {
 
     /// The receive every receive is: wait for a turn, take what it names.
     fn take(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        let pick = match candidates {
-            [] => None,
-            _ => self.seq.park(self.rank, Op::Recv(candidates.to_vec()))?,
-        };
-        let (src, tag) = pick.ok_or(CommError::NoCandidates)?;
+        if candidates.is_empty() {
+            return Err(CommError::NoCandidates);
+        }
+        let (src, tag) = self.seq.park(self.rank, candidates.to_vec())?;
         Ok((src, self.inner.recv(src, tag)?))
     }
 }
@@ -489,7 +483,6 @@ impl<T: Transport> Transport for Sequenced<T> {
     }
 
     fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
-        self.seq.park(self.rank, Op::Send)?;
         self.inner.send(dst, tag, payload)
     }
 

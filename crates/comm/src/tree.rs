@@ -876,7 +876,8 @@ mod tests {
                         let fold = &mut Dense::new(&mut v, None);
                         allreduce_over(&mut c, &mut mem, fold, None).expect("walk");
                         // The next collective still lines up world-wide.
-                        barrier_after(&mut c);
+                        let empty = &mut Vec::new();
+                        crate::collectives::allreduce_tree(&mut c, empty).expect("empty allreduce");
                         v
                     })
                 })
@@ -908,10 +909,6 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(got), bits(&want), "rank {r}");
         }
-    }
-
-    fn barrier_after(c: &mut crate::world::Communicator) {
-        crate::collectives::barrier(c).expect("barrier");
     }
 
     #[test]

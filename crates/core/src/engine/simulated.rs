@@ -22,7 +22,7 @@
 //! A collective names every receive, so a rank's clock is a function of
 //! the seed alone, whatever the thread schedule. A shard's inbox is a
 //! wildcard receive, so a parameter-server world is also [`Sequenced`]:
-//! one operation at a time, in virtual-time order, each shard serving its
+//! one receive at a time, in virtual-time order, each shard serving its
 //! requests in the order they arrive. Gradient staleness then emerges from
 //! the learners' speed variation, as on a real cluster, and stays
 //! bit-reproducible under a seed.

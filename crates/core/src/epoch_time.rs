@@ -61,8 +61,6 @@ pub enum Aggregation {
     None,
     /// SASGD's tree allreduce.
     AllreduceTree,
-    /// Ring allreduce (ablation).
-    AllreduceRing,
     /// Downpour/EAMSGD parameter-server round trip.
     ParamServer,
 }
@@ -131,13 +129,10 @@ pub fn epoch_time(
     let per_agg = match kind {
         Aggregation::None => 0.0,
         Aggregation::AllreduceTree => cost.allreduce_tree(w.model_params, p).seconds,
-        Aggregation::AllreduceRing => cost.allreduce_ring(w.model_params, p).seconds,
         Aggregation::ParamServer => cost.ps_roundtrip(w.model_params, p).seconds,
     };
     let wait = match kind {
-        Aggregation::AllreduceTree | Aggregation::AllreduceRing if p > 1 => {
-            straggler_wait(step, p, t, jitter, seed)
-        }
+        Aggregation::AllreduceTree if p > 1 => straggler_wait(step, p, t, jitter, seed),
         _ => 0.0,
     };
     EpochTime {
@@ -279,15 +274,5 @@ mod tests {
     fn no_jitter_no_wait() {
         let jit = JitterModel::none();
         assert!(straggler_wait(0.01, 8, 5, &jit, 1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ring_beats_tree_for_large_models_at_scale() {
-        // Bandwidth-optimal ring: fewer bytes per rank for big m.
-        let (cost, jit) = setup();
-        let w = Workload::nlc_f();
-        let tree = epoch_time(&cost, &w, Aggregation::AllreduceTree, 8, 1, &jit, 1).comm_s;
-        let ring = epoch_time(&cost, &w, Aggregation::AllreduceRing, 8, 1, &jit, 1).comm_s;
-        assert!(ring < tree, "ring {ring} vs tree {tree}");
     }
 }

@@ -142,11 +142,12 @@ impl EvalSets {
     ///
     /// Every pass draws on one arena. The measured train batches are not
     /// run a second time for the evaluation: dropout is off in both modes,
-    /// so their loss and accuracy are the evaluation pass's bits. The
-    /// passes leave the gradient arena zeroed, or with `carry` (the arena
-    /// is a codec's accumulator, [`Learner::carry`]) bitwise as they found
-    /// it: it is set aside for them, the one model-sized allocation a
-    /// record makes beyond the estimate's sum.
+    /// so their loss and accuracy are the evaluation pass's bits. Their
+    /// gradients sum in the gradient arena itself, zeroed before the first
+    /// only: backward onto a non-zero arena adds bitwise. The passes leave
+    /// the arena zeroed, or with `carry` (the arena is a codec's
+    /// accumulator, [`Learner::carry`]) bitwise as they found it: it is set
+    /// aside for them, the one model-sized allocation a record makes.
     pub(crate) fn record(
         &self,
         model: &mut Model,
@@ -158,10 +159,6 @@ impl EvalSets {
     ) -> EpochRecord {
         let carried = carry.then(|| model.lend_grads(std::mem::take));
         let mut ctx = Ctx::measure();
-        // Sized after the first backward, not before the first pass: taking
-        // the model-sized vector ahead of the pass's buffers cost the NLC
-        // benchmark rows 4 MiB of peak RSS (heap layout, not arithmetic).
-        let mut grad = Vec::new();
         let (mut train, mut measured) = (EvalTally::default(), 0usize);
         for (x, y) in self.train_x.iter().zip(&self.train_y) {
             // Measurement mode: activations are cached so backward works,
@@ -169,19 +166,16 @@ impl EvalSets {
             // network's gradient, not of one sampled thinned network, and
             // repeated calls on the same parameters agree exactly.
             ctx.training = measured < GRAD_NORM_BATCHES;
-            if ctx.training {
+            if measured == 0 {
                 model.zero_grads();
             }
             train.add(&model.forward_loss(x, y, &mut ctx));
             if ctx.training {
                 model.backward(&mut ctx);
-                grad.resize(model.param_len(), 0.0f32);
-                for (a, &b) in grad.iter_mut().zip(model.grads()) {
-                    *a += b;
-                }
                 measured += 1;
             }
         }
+        let grad_norm = mean_norm(model.grads(), measured);
         match carried {
             Some(acc) => model.lend_grads(|g| *g = acc),
             None => model.zero_grads(),
@@ -202,7 +196,7 @@ impl EvalSets {
             compute_seconds,
             comm_seconds,
             samples,
-            grad_norm: mean_norm(&grad, measured),
+            grad_norm,
         }
     }
 }

@@ -90,24 +90,6 @@ impl CostModel {
         }
     }
 
-    /// One ring allreduce of `m` parameters among `p` learners:
-    /// `2(p−1)` rounds of `m/p` elements — bandwidth-optimal, more
-    /// latency-bound (ablation).
-    pub fn allreduce_ring(&self, m: usize, p: usize) -> CommCost {
-        if p <= 1 {
-            return CommCost {
-                seconds: 0.0,
-                total_elements: 0.0,
-            };
-        }
-        let rounds = 2.0 * (p as f64 - 1.0);
-        let bytes = m as f64 * BYTES_PER_PARAM / p as f64;
-        CommCost {
-            seconds: rounds * self.topology.gpu_link_time(bytes),
-            total_elements: 2.0 * (p as f64 - 1.0) * m as f64 / p as f64 * p as f64,
-        }
-    }
-
     /// One parameter-server interaction (push `m` gradients up, pull `m`
     /// parameters down) for one learner while `p` learners share the host
     /// channel — the `O(m·p)` system traffic path.

@@ -1,7 +1,9 @@
 //! # sasgd-simnet
 //!
-//! Discrete-event cluster simulator: the stand-in for the paper's testbed
-//! (an IBM Power8 host with 8 Tesla K80 GPUs behind a PCIe binary tree).
+//! Cluster cost model: the stand-in for the paper's testbed (an IBM
+//! Power8 host with 8 Tesla K80 GPUs behind a PCIe binary tree). The
+//! discrete-event run itself is the engine's simulated backend, which
+//! prices every message it sends with this crate's topology.
 //!
 //! The paper's timing results are functions of three quantities — compute
 //! time per minibatch, bytes moved per gradient aggregation, and the path
@@ -14,20 +16,18 @@
 //! * [`cost`] — the α–β communication cost model and the MAC-driven
 //!   compute model, including barrier straggler effects and host
 //!   contention;
-//! * [`event`] — a deterministic event queue over virtual time;
 //! * [`jitter`] — reproducible per-minibatch learner speed noise (the
-//!   source of gradient staleness variation in asynchronous algorithms).
+//!   source of gradient staleness variation in asynchronous algorithms);
+//! * [`timeline`] — per-learner phase traces rendered as Gantt charts.
 
 #![forbid(unsafe_code)]
 
 pub mod cost;
-pub mod event;
 pub mod jitter;
 pub mod timeline;
 pub mod topology;
 
 pub use cost::{CommCost, CostModel};
-pub use event::{EventQueue, VirtualTime};
 pub use jitter::JitterModel;
 pub use timeline::{render_gantt, trace_downpour, trace_sasgd, LearnerTrace, Phase, TimelineSpec};
 pub use topology::Topology;

@@ -10,7 +10,7 @@
 //! * [`nn`] — layers, backprop, Table I / Table II models
 //! * [`data`] — synthetic CIFAR-like / NLC-like datasets
 //! * [`comm`] — real-thread collectives and the sharded parameter server
-//! * [`simnet`] — discrete-event cluster simulator and cost models
+//! * [`simnet`] — the testbed's cost model, learner jitter and timelines
 //! * [`core`] — SASGD, Downpour, EAMSGD, the trainer, and the theory module
 
 pub use sasgd_comm as comm;

@@ -5,7 +5,7 @@
 //! their defining equations, and the cost model is monotone.
 
 use proptest::prelude::*;
-use sasgd::comm::collectives::{allreduce_ring, allreduce_tree, broadcast};
+use sasgd::comm::collectives::{allreduce_tree, broadcast};
 use sasgd::comm::sparse::{sparse_allreduce_tree, SparseLevelProfile, SparseTreeOpts, SparseVec};
 use sasgd::comm::world::CommWorld;
 use sasgd::core::epoch_time::{epoch_time, Aggregation, Workload};
@@ -16,7 +16,7 @@ use sasgd::core::{
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
 use sasgd::nn::models;
-use sasgd::simnet::{CostModel, EventQueue, JitterModel, VirtualTime};
+use sasgd::simnet::{CostModel, JitterModel};
 use sasgd::tensor::SeedRng;
 use std::thread;
 
@@ -66,26 +66,6 @@ proptest! {
         for r in results {
             prop_assert_eq!(&r, &expect);
         }
-    }
-
-    #[test]
-    fn ring_matches_tree(p in 1usize..7, m in 1usize..30, seed in 0u64..1000) {
-        let mut rng = SeedRng::new(seed);
-        let inputs: Vec<Vec<f32>> = (0..p)
-            .map(|_| (0..m).map(|_| (rng.below(64) as f32) - 32.0).collect())
-            .collect();
-        let i1 = inputs.clone();
-        let tree = run_ranks(p, move |c| {
-            let mut v = i1[c.rank()].clone();
-            allreduce_tree(c, &mut v).expect("allreduce");
-            v
-        });
-        let ring = run_ranks(p, move |c| {
-            let mut v = inputs[c.rank()].clone();
-            allreduce_ring(c, &mut v).expect("ring allreduce");
-            v
-        });
-        prop_assert_eq!(tree, ring);
     }
 
     #[test]
@@ -154,19 +134,6 @@ proptest! {
         let a = epoch_time(&cost, &w, Aggregation::AllreduceTree, p, t, &jit, 1).total();
         let b = epoch_time(&cost, &w, Aggregation::AllreduceTree, p, t + 1, &jit, 1).total();
         prop_assert!(b <= a + 1e-12, "larger T must not cost more time");
-    }
-
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0.0f64..1e6, 1..60)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(VirtualTime(t), i);
-        }
-        let mut prev = f64::NEG_INFINITY;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t.seconds() >= prev);
-            prev = t.seconds();
-        }
     }
 
     #[test]
