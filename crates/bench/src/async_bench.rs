@@ -3,18 +3,17 @@
 //!
 //! One sweep per learner count (p = 4 and p = 8), all on the simulated
 //! backend with per-learner speed jitter so stragglers cost real virtual
-//! time: bulk-synchronous SASGD (the lockstep baseline every row is judged
-//! against), then event-driven SASGD with a fixed interval (Local SGD's
-//! point), with an adaptive interval, and delayed (DaSGD's point), and
-//! Downpour with and without staleness-aware γ. A row "meets target" when
-//! it reaches the sync baseline's final accuracy within one point at a
-//! measurably lower modeled epoch time — the lattice's reason to exist.
-//! One lattice point is run twice and compared bitwise so
-//! `deterministic_replay` is measured, not asserted.
+//! time: SASGD at a fixed interval (the baseline every row is judged
+//! against), then SASGD with an adaptive interval (Local SGD's point) and
+//! delayed (DaSGD's point), and Downpour with and without staleness-aware
+//! γ. A row "meets target" when it reaches the baseline's final accuracy
+//! within one point at a measurably lower modeled epoch time — the
+//! lattice's reason to exist. One lattice point is run twice and compared
+//! bitwise so `deterministic_replay` is measured, not asserted.
 
 use sasgd_core::algorithms::GammaP;
 use sasgd_core::report::ascii_table;
-use sasgd_core::{train, Algorithm, Cadence, History, TSchedule, TrainConfig};
+use sasgd_core::{train, Algorithm, History, TSchedule, TrainConfig};
 use sasgd_simnet::JitterModel;
 
 use crate::figures::Artifact;
@@ -39,10 +38,9 @@ fn sasgd(p: usize, schedule: TSchedule, delayed: bool) -> Algorithm {
     }
 }
 
-/// The lattice at a given learner count, each point with the cadence it
-/// runs at. The first entry is the sync SASGD baseline the other rows are
-/// measured against.
-fn lattice(p: usize) -> Vec<(Algorithm, Cadence)> {
+/// The lattice at a given learner count. The first entry is the SASGD
+/// baseline the other rows are measured against.
+fn lattice(p: usize) -> Vec<Algorithm> {
     let fixed = |t| TSchedule::Fixed { t };
     let adaptive = TSchedule::AdaptivePlateau {
         t0: T,
@@ -56,14 +54,13 @@ fn lattice(p: usize) -> Vec<(Algorithm, Cadence)> {
         staleness_gamma,
     };
     vec![
-        (sasgd(p, fixed(T), false), Cadence::Lockstep),
-        (sasgd(p, fixed(T), false), Cadence::EventDriven),
-        (sasgd(p, adaptive, false), Cadence::EventDriven),
-        (sasgd(p, fixed(2), true), Cadence::EventDriven),
-        (sasgd(p, fixed(T), true), Cadence::EventDriven),
-        (sasgd(p, fixed(2 * T), true), Cadence::EventDriven),
-        (downpour(false), Cadence::EventDriven),
-        (downpour(true), Cadence::EventDriven),
+        sasgd(p, fixed(T), false),
+        sasgd(p, adaptive, false),
+        sasgd(p, fixed(2), true),
+        sasgd(p, fixed(T), true),
+        sasgd(p, fixed(2 * T), true),
+        downpour(false),
+        downpour(true),
     ]
 }
 
@@ -81,7 +78,8 @@ pub struct AsyncRow {
     pub comm_seconds: f64,
     /// Aggregation rounds executed.
     pub sync_rounds: u64,
-    /// Mean measured staleness (0 for synchronous points).
+    /// Mean staleness: the interval's bound in steps for SASGD, the
+    /// measured τ in global updates for Downpour.
     pub staleness_mean: f64,
     /// Whether this row reaches the same-p sync baseline's accuracy
     /// (±`ACC_TOL`) at a measurably lower epoch time. `None` for the
@@ -89,14 +87,10 @@ pub struct AsyncRow {
     pub meets_target: Option<bool>,
 }
 
-fn row(algo: &Algorithm, cadence: Cadence, h: &History, baseline: Option<(f32, f64)>) -> AsyncRow {
+fn row(algo: &Algorithm, h: &History, baseline: Option<(f32, f64)>) -> AsyncRow {
     let epoch_seconds = h.epoch_seconds();
-    let cadence = match cadence {
-        Cadence::Lockstep => "lockstep",
-        Cadence::EventDriven => "event",
-    };
     AsyncRow {
-        label: format!("{} {cadence}", algo.label()),
+        label: algo.label(),
         p: algo.learners(),
         test_acc: h.final_test_acc(),
         epoch_seconds,
@@ -160,23 +154,18 @@ pub fn async_lattice(scale: Scale, epochs: Option<usize>) -> Artifact {
     let mut rows = Vec::new();
     for p in [4usize, 8] {
         let mut baseline: Option<(f32, f64)> = None;
-        for (algo, cadence) in lattice(p) {
+        for algo in lattice(p) {
             let mut f = &*w.factory;
-            let cfg = TrainConfig {
-                cadence: Some(cadence),
-                ..cfg.clone()
-            };
             let h = train(&mut f, &w.train, &w.test, &algo, &cfg);
-            rows.push(row(&algo, cadence, &h, baseline));
+            rows.push(row(&algo, &h, baseline));
             if baseline.is_none() {
                 baseline = Some((h.final_test_acc(), h.epoch_seconds()));
             }
         }
     }
 
-    // Replay one event-driven lattice point and compare bitwise.
+    // Replay one lattice point and compare bitwise.
     let replay_algo = sasgd(8, TSchedule::Fixed { t: T }, true);
-    cfg.cadence = Some(Cadence::EventDriven);
     let mut f1 = &*w.factory;
     let first = train(&mut f1, &w.train, &w.test, &replay_algo, &cfg);
     let mut f2 = &*w.factory;
@@ -220,8 +209,8 @@ pub fn async_lattice(scale: Scale, epochs: Option<usize>) -> Artifact {
          spread 0.3, {} epochs\n\n{table}\n\
          \"beats sync\" = reaches the same-p synchronous SASGD accuracy\n\
          (±{ACC_TOL}) at a measurably lower modeled epoch time. At p = 8,\n\
-         {winners_p8} lattice points beat the sync baseline. Event-driven\n\
-         replay of {} is bitwise deterministic: {deterministic_replay}.\n",
+         {winners_p8} lattice points beat the sync baseline. Replay of {}\n\
+         is bitwise deterministic: {deterministic_replay}.\n",
         w.epochs,
         replay_algo.label()
     );
@@ -243,7 +232,7 @@ mod tests {
     fn json_shape_and_flags() {
         let rows = vec![
             AsyncRow {
-                label: "SASGD(p=8,T=5) lockstep".into(),
+                label: "SASGD(p=8,T=5)".into(),
                 p: 8,
                 test_acc: 0.8,
                 epoch_seconds: 2.0,
@@ -253,7 +242,7 @@ mod tests {
                 meets_target: None,
             },
             AsyncRow {
-                label: "SASGD-delayed(p=8,T=5) event".into(),
+                label: "SASGD-delayed(p=8,T=5)".into(),
                 p: 8,
                 test_acc: 0.795,
                 epoch_seconds: 1.5,

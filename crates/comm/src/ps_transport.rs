@@ -138,25 +138,13 @@ impl PsLayout {
         self.p + k
     }
 
-    /// `(lo, hi)` segment bounds of shard `k`.
+    /// `(lo, hi)` segment bounds of shard `k`: near-equal chunks of
+    /// `dim`, the first `dim % shards` one element longer.
     pub fn segment(&self, k: usize) -> (usize, usize) {
-        chunk_bounds(self.dim, self.shards)[k]
+        let (base, extra) = (self.dim / self.shards, self.dim % self.shards);
+        let lo = k * base + k.min(extra);
+        (lo, lo + base + usize::from(k < extra))
     }
-}
-
-/// Near-equal chunk boundaries of an `m`-element buffer over `p` parts
-/// (the first `m % p` chunks get one extra element).
-fn chunk_bounds(m: usize, p: usize) -> Vec<(usize, usize)> {
-    let base = m / p;
-    let extra = m % p;
-    let mut v = Vec::with_capacity(p);
-    let mut start = 0usize;
-    for k in 0..p {
-        let len = base + usize::from(k < extra);
-        v.push((start, start + len));
-        start += len;
-    }
-    v
 }
 
 /// Order-independent digest of the set of updates a shard has applied. Two
@@ -522,14 +510,21 @@ mod tests {
     }
 
     #[test]
-    fn chunk_bounds_cover_everything() {
-        for (m, p) in [(10usize, 3usize), (7, 7), (5, 8), (0, 2)] {
-            let b = chunk_bounds(m, p);
-            assert_eq!(b.len(), p);
-            assert_eq!(b[0].0, 0);
-            assert_eq!(b[p - 1].1, m);
-            for w in b.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous");
+    fn segments_tile_the_vector_in_near_equal_order() {
+        for dim in 0..=40usize {
+            for shards in 1..=9usize {
+                let l = layout(1, shards, dim);
+                let segs: Vec<_> = (0..shards).map(|k| l.segment(k)).collect();
+                let mut end = 0;
+                for &(lo, hi) in &segs {
+                    assert_eq!(lo, end, "dim {dim}, {shards} shards: contiguous");
+                    end = hi;
+                }
+                assert_eq!(end, dim, "dim {dim}, {shards} shards: covered");
+                let lens: Vec<usize> = segs.iter().map(|(lo, hi)| hi - lo).collect();
+                let min = lens.iter().min().expect("a shard");
+                let max = lens.iter().max().expect("a shard");
+                assert!(max - min <= 1, "dim {dim}, {shards} shards: {lens:?}");
             }
         }
     }

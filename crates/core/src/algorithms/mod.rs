@@ -1,7 +1,6 @@
 //! The distributed SGD algorithms the paper implements and compares.
 
 use crate::compress::Compression;
-use crate::engine::Cadence;
 use crate::history::StalenessStats;
 use crate::schedule::{SyncPolicy, TSchedule};
 
@@ -194,17 +193,6 @@ impl Algorithm {
         }
     }
 
-    /// The cadence the algorithm runs at unless
-    /// [`TrainConfig::cadence`](crate::TrainConfig) overrides it: the
-    /// parameter-server algorithms run event-driven, the collectives in
-    /// lockstep.
-    pub(crate) fn cadence(&self) -> Cadence {
-        match self.ps_shards() {
-            0 => Cadence::Lockstep,
-            _ => Cadence::EventDriven,
-        }
-    }
-
     /// Parameter-server shard ranks the in-process harnesses put after the
     /// learners: Downpour shards its server across as many ranks as it has
     /// learners, EAMSGD's center variable is one shard, and a collective
@@ -245,7 +233,9 @@ impl Algorithm {
             Algorithm::HierarchicalSasgd {
                 t_local, t_global, ..
             } => assert!(t_local >= 1 && t_global >= 1, "intervals must be positive"),
-            Algorithm::Downpour { t, .. } => assert!(t >= 1, "event-driven strategies must sync"),
+            Algorithm::Downpour { t, .. } => {
+                assert!(t >= 1, "parameter-server strategies must sync")
+            }
             Algorithm::Eamsgd {
                 p,
                 t,
@@ -253,7 +243,7 @@ impl Algorithm {
                 momentum,
                 ..
             } => {
-                assert!(t >= 1, "event-driven strategies must sync");
+                assert!(t >= 1, "parameter-server strategies must sync");
                 assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
                 let alpha = Self::moving_rate(p, moving_rate);
                 assert!(alpha > 0.0 && alpha <= 1.0, "moving rate out of range");
@@ -269,8 +259,9 @@ impl Algorithm {
         matches!(self, Algorithm::Sasgd { delayed: true, .. }).into()
     }
 
-    /// A lockstep run's staleness after `syncs` rounds, which the interval
-    /// fixes: `T` for SASGD, `t_local · t_global` for hierarchical SASGD.
+    /// A collective run's staleness after `syncs` rounds: the bound the
+    /// interval fixes, in steps — `T` for SASGD, `t_local · t_global` for
+    /// hierarchical SASGD.
     pub(crate) fn lockstep_staleness(&self, syncs: u64) -> Option<StalenessStats> {
         let bound = match self.resolved() {
             Algorithm::Sasgd { .. } | Algorithm::HierarchicalSasgd { .. } => self.interval(),
@@ -362,7 +353,6 @@ fn sasgd_label(codec: &str, p: usize, schedule: TSchedule, delayed: bool) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Cadence;
     use crate::history::History;
     use crate::trainer::TrainConfig;
     use sasgd_data::cifar_like::{generate, CifarLikeConfig};
@@ -608,16 +598,10 @@ mod tests {
         }
     }
 
-    fn event_cfg(epochs: usize) -> TrainConfig {
-        let mut cfg = quiet_cfg(epochs, 0.05);
-        cfg.cadence = Some(Cadence::EventDriven);
-        cfg
-    }
-
     #[test]
     fn adaptive_schedule_syncs_no_more_than_fixed_t0() {
         let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
-        let cfg = event_cfg(6);
+        let cfg = quiet_cfg(6, 0.05);
         let t0 = 2;
         let run = |schedule| {
             let mut f = || models::tiny_cnn(3, &mut SeedRng::new(5));
@@ -653,7 +637,7 @@ mod tests {
         // the delayed one only waits for the previous round's — already
         // finished once T compute steps outlast it.
         let (train_set, test_set) = generate(&CifarLikeConfig::tiny(160, 60, 3));
-        let cfg = event_cfg(8);
+        let cfg = quiet_cfg(8, 0.05);
         let run = |delayed| {
             let mut f = || models::tiny_cnn(3, &mut SeedRng::new(7));
             let algo = lattice(4, TSchedule::Fixed { t: 2 }, delayed);
@@ -665,10 +649,13 @@ mod tests {
             "acc {}",
             delayed.final_test_acc()
         );
+        // Each total lands one round late; the bound is still the interval.
+        assert!(!delayed.staleness_series.is_empty());
+        assert!(delayed.staleness_series.iter().all(|s| s.tau == 1));
         let st = delayed
             .staleness
             .expect("collective rounds record staleness");
-        assert_eq!(st.max, 1, "staleness is one round by construction");
+        assert_eq!(st.max, 2, "the interval bounds staleness, in steps");
         let comm = |h: &History| h.records.last().expect("r").comm_seconds;
         assert!(
             comm(&delayed) < comm(&sync),
@@ -684,7 +671,7 @@ mod tests {
         // so re-basing onto it is the identity up to f32 association: the
         // delayed run tracks the undelayed one to rounding noise.
         let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 3));
-        let cfg = event_cfg(3);
+        let cfg = quiet_cfg(3, 0.05);
         let run = |delayed| {
             let mut f = || models::tiny_cnn(3, &mut SeedRng::new(9));
             let algo = lattice(1, TSchedule::Fixed { t: 2 }, delayed);
@@ -743,34 +730,26 @@ mod tests {
     fn one_shot_averaging_is_one_round_after_the_last_step() {
         // T = 0 stretches the interval to the run: after the x0 broadcast
         // the learners train alone, and the one allreduce follows the last
-        // step. Lockstep records every epoch; the event walk runs the whole
-        // run as one block, so its one record follows the round.
+        // step. Every epoch still records.
         let (train, test) = generate(&CifarLikeConfig::tiny(64, 16, 2));
         let p = 4;
         let m = models::tiny_cnn(2, &mut SeedRng::new(3)).param_len();
         let algo = Algorithm::model_average_once(p);
         let factory = || models::tiny_cnn(2, &mut SeedRng::new(3));
-        for (cadence, records) in [(Cadence::Lockstep, 3), (Cadence::EventDriven, 1)] {
-            let mut cfg = quiet_cfg(3, 0.02);
-            cfg.cadence = Some(cadence);
-            let h = crate::Executor::new(crate::Backend::Simulated)
-                .run(&factory, &train, &test, &algo, &cfg);
-            assert_eq!(h.label, "ModelAvg(p=4)");
-            assert_eq!(h.sync_rounds, 1, "{cadence:?}: exactly one round");
-            assert_eq!(h.records.len(), records, "{cadence:?}");
-            let bcast = cfg.cost.broadcast(m, p);
-            let (end, mid) = h.records.split_last().expect("records");
-            for r in mid {
-                assert_eq!(
-                    r.comm_seconds, bcast,
-                    "{cadence:?}: no traffic while training"
-                );
-            }
-            assert!(end.comm_seconds > bcast, "{cadence:?}: one final reduction");
+        let cfg = quiet_cfg(3, 0.02);
+        let h = crate::Executor::new(crate::Backend::Simulated)
+            .run(&factory, &train, &test, &algo, &cfg);
+        assert_eq!(h.label, "ModelAvg(p=4)");
+        assert_eq!(h.sync_rounds, 1, "exactly one round");
+        assert_eq!(h.records.len(), 3);
+        let bcast = cfg.cost.broadcast(m, p);
+        let (end, mid) = h.records.split_last().expect("records");
+        for r in mid {
+            assert_eq!(r.comm_seconds, bcast, "no traffic while training");
         }
+        assert!(end.comm_seconds > bcast, "one final reduction");
         // On threads the wire carries the broadcast and one allreduce:
         // (p−1)·m + 2(p−1)·m elements.
-        let cfg = quiet_cfg(3, 0.02);
         let thr = crate::Executor::new(crate::Backend::Threaded)
             .run(&factory, &train, &test, &algo, &cfg);
         assert_eq!(thr.sync_rounds, 1);

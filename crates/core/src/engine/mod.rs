@@ -6,9 +6,9 @@
 //! and one-shot averaging is SASGD with the interval stretched to the whole
 //! run. This module factors that observation into code:
 //!
-//! * [`rank::run_rank`] — the one per-rank loop (two step walks: lockstep
-//!   epochs, event-driven blocks); an `exchange` per algorithm is the only
-//!   place algorithms differ on the wire (`sasgd-comm` collectives, or the
+//! * [`rank::run_rank`] — the one per-rank loop (each learner walks epochs
+//!   over its own shard); an `exchange` per algorithm is the only place
+//!   algorithms differ on the wire (`sasgd-comm` collectives, or the
 //!   parameter server). The loop reads the time off a clock its backend
 //!   hands it.
 //! * the threaded backend — one OS thread per rank over the in-process
@@ -23,10 +23,10 @@
 //!   bit-reproducible under a seed.
 //! * [`Executor`] — the public entry point selecting a [`Backend`].
 //!
-//! Two rules shared by both backends follow from the inputs alone: a
-//! lockstep epoch truncates to whole minibatches only when there are peers
-//! to align with (`lockstep_steps`), and a fixed interval `T = 0` is one
-//! round after the run's last step (`interval_in_force`).
+//! Two rules shared by both backends follow from the algorithm alone: an
+//! epoch truncates to the smallest shard's whole minibatches only when
+//! rounds are collective and there are peers to align with, and a fixed
+//! interval `T = 0` is one round after the run's last step.
 //!
 //! Every algorithm has one definition, so a collective's `final_params`,
 //! round structure, telemetry and wire traffic are the same on both
@@ -34,12 +34,11 @@
 //! only the clocks — and, beyond one learner, the order a server hears its
 //! learners in — differ.
 
-use std::collections::VecDeque;
 use std::time::Duration;
 
 use sasgd_comm::fault::FaultPlan;
 use sasgd_comm::sparse::SparseVec;
-use sasgd_data::{Dataset, Shard};
+use sasgd_data::Dataset;
 use sasgd_nn::Model;
 
 use crate::history::History;
@@ -50,21 +49,6 @@ mod exchange;
 pub mod rank;
 pub mod simulated;
 mod threaded;
-
-/// How an algorithm's learners advance relative to each other. Every
-/// algorithm has a *default* cadence; [`TrainConfig::cadence`] can
-/// override it per run. The collectives execute under either value, the
-/// parameter-server algorithms only event-driven.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cadence {
-    /// All learners take a step, then the engine checks the sync policy —
-    /// the bulk-synchronous execution the paper's Algorithm 1 describes.
-    Lockstep,
-    /// Each learner runs free through blocks of `T` steps, each followed
-    /// by a round: a collective's ranks meet at it, a parameter-server
-    /// learner exchanges with the server whenever its block is done.
-    EventDriven,
-}
 
 /// The dense global step of Algorithm 1 in one pass, where a rank keeps
 /// `x` and `gs` (a fixed `T ≠ 1`, a hierarchical group): `x ← x − γp·gs`,
@@ -124,34 +108,6 @@ impl Total {
         };
         vals.iter()
             .fold(0.0f32, |acc, &g| acc + (gp * g) * (gp * g))
-    }
-}
-
-/// Minibatches per lockstep epoch (rule 1). Bulk-synchrony needs aligned
-/// step counts, so with peers every learner's epoch truncates to the
-/// smallest shard's whole-minibatch count; a lone learner has no peer to
-/// align with and walks its ragged tail too.
-pub(crate) fn lockstep_steps(shards: &[Shard], batch: usize) -> usize {
-    match shards {
-        [only] => only.len().div_ceil(batch),
-        _ => shards.iter().map(|s| s.len() / batch).min().unwrap_or(0),
-    }
-}
-
-/// Fractional epoch fed to the γ schedule at lockstep step `step` (0-based)
-/// of `steps` in `epoch` (1-based).
-pub(crate) fn lockstep_gamma_epoch(epoch: usize, step: usize, steps: usize) -> f64 {
-    (epoch - 1) as f64 + step as f64 / steps as f64
-}
-
-/// The interval in force (rule 2): the policy's `t`, where `t = 0` stretches
-/// it to the whole run of `run_steps` per-rank steps, so the one round
-/// follows the run's last step (one-shot averaging).
-pub(crate) fn interval_in_force(t: usize, run_steps: usize) -> usize {
-    if t == 0 {
-        run_steps
-    } else {
-        t
     }
 }
 
@@ -294,14 +250,6 @@ impl Default for FaultConfig {
 /// threaded run could not degrade around.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineError {
-    /// The requested cadence has no execution path: a parameter-server
-    /// algorithm forced to lockstep, on either backend — no
-    /// bulk-synchronous PS exchange exists. Only an explicit
-    /// [`TrainConfig::cadence`] override can produce this.
-    UnsupportedCadence {
-        /// Label of the offending strategy.
-        label: String,
-    },
     /// The algorithm has no exchange for what was asked of it: a fault plan
     /// needs SASGD's armed gradient tree (flat SASGD in any configuration,
     /// on the threaded backend), and a parameter-server algorithm needs a
@@ -332,11 +280,6 @@ pub enum EngineError {
 impl std::fmt::Display for EngineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EngineError::UnsupportedCadence { label } => write!(
-                f,
-                "no execution path for strategy `{label}` at the requested cadence \
-                 on the selected backend"
-            ),
             EngineError::UnsupportedExchange { label, wanted } => {
                 write!(f, "algorithm `{label}` has no exchange over {wanted}")
             }
@@ -420,10 +363,9 @@ impl Executor {
             .unwrap_or_else(|e| panic!("{:?} backend running {algo:?}: {e}", self.backend))
     }
 
-    /// [`Executor::run`] with the error typed: a cadence/backend
-    /// combination with no execution path is a typed [`EngineError`]
-    /// before any thread or learner state exists, and threaded wire
-    /// failures surface instead of panicking.
+    /// [`Executor::run`] with the error typed: an algorithm with no
+    /// exchange for the world it is given is a typed [`EngineError`], and
+    /// threaded wire failures surface instead of panicking.
     pub fn try_run(
         &self,
         factory: &(dyn Fn() -> Model + Sync),
@@ -484,68 +426,9 @@ impl Executor {
     }
 }
 
-/// A per-learner infinite minibatch stream over that learner's data shard
-/// (reshuffled every pass): the event block walk's batch order.
-pub(crate) struct BatchStream {
-    pending: VecDeque<Vec<usize>>,
-    indices: Vec<usize>,
-    batch: usize,
-    /// Completed shard passes.
-    pub(crate) passes: u64,
-}
-
-impl BatchStream {
-    pub(crate) fn new(indices: Vec<usize>, batch: usize) -> Self {
-        assert!(!indices.is_empty(), "learner shard is empty (p > n?)");
-        BatchStream {
-            pending: VecDeque::new(),
-            indices,
-            batch,
-            passes: 0,
-        }
-    }
-
-    /// Next minibatch of indices, reshuffling when a pass completes.
-    pub(crate) fn next(&mut self, rng: &mut sasgd_tensor::SeedRng) -> Vec<usize> {
-        if self.pending.is_empty() {
-            let mut order = self.indices.clone();
-            rng.shuffle(&mut order);
-            self.pending = order.chunks(self.batch).map(<[usize]>::to_vec).collect();
-            self.passes += 1;
-        }
-        self.pending.pop_front().expect("refilled stream")
-    }
-
-    /// Passes completed (a pass counts once its last batch is consumed).
-    pub(crate) fn completed_passes(&self) -> u64 {
-        if self.pending.is_empty() {
-            self.passes
-        } else {
-            self.passes.saturating_sub(1)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sasgd_tensor::SeedRng;
-
-    #[test]
-    fn batch_stream_passes_count_on_consumption() {
-        let mut rng = SeedRng::new(1);
-        let mut s = BatchStream::new((0..10).collect(), 4);
-        assert_eq!(s.completed_passes(), 0);
-        let mut seen = Vec::new();
-        for _ in 0..3 {
-            seen.extend(s.next(&mut rng)); // 4 + 4 + 2 consumes one pass
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert_eq!(s.completed_passes(), 1);
-        let _ = s.next(&mut rng);
-        assert_eq!(s.completed_passes(), 1, "mid-pass");
-    }
 
     #[test]
     fn sparse_step_is_bitwise_the_dense_step_over_to_dense() {

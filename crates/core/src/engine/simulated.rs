@@ -34,9 +34,9 @@ use sasgd_nn::Model;
 use sasgd_simnet::cost::BYTES_PER_PARAM;
 use sasgd_tensor::parallel;
 
-use super::rank::{drive, supported_cadence, Clock};
+use super::rank::{drive, Clock};
 use super::threaded::{spawn_ranks, wire_of};
-use super::{Cadence, EngineError};
+use super::EngineError;
 use crate::algorithms::Algorithm;
 use crate::history::{History, WireStats};
 use crate::trainer::TrainConfig;
@@ -45,10 +45,9 @@ use crate::trainer::TrainConfig;
 /// (hierarchical SASGD's groups share a device or PCIe switch).
 pub(crate) const LOCAL_FABRIC_SPEEDUP: f64 = 8.0;
 
-/// Run `algo` on the simulated backend, at its natural cadence unless
-/// `cfg.cadence` overrides it. A collective's ranks share the caller's
-/// compute threads evenly; a parameter-server world's ranks run one at a
-/// time, each at the caller's whole budget.
+/// Run `algo` on the simulated backend. A collective's ranks share the
+/// caller's compute threads evenly; a parameter-server world's ranks run
+/// one at a time, each at the caller's whole budget.
 pub(crate) fn run(
     algo: &Algorithm,
     factory: &mut dyn FnMut() -> Model,
@@ -56,7 +55,7 @@ pub(crate) fn run(
     test_set: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<History, EngineError> {
-    let cadence = supported_cadence(algo, cfg.cadence)?;
+    algo.check();
     let (p, shards) = (algo.learners(), algo.ps_shards());
     let models: Vec<Model> = (0..p + shards).map(|_| factory()).collect();
     let step_s = cfg
@@ -97,7 +96,6 @@ pub(crate) fn run(
         test_set,
         algo,
         cfg,
-        cadence,
     };
     let mut history = match shards {
         0 => launch.spawn(endpoints, ranks, parallel::width_for(p, 0), wire),
@@ -114,7 +112,6 @@ struct Launch<'a> {
     test_set: &'a Dataset,
     algo: &'a Algorithm,
     cfg: &'a TrainConfig,
-    cadence: Cadence,
 }
 
 impl Launch<'_> {
@@ -131,12 +128,9 @@ impl Launch<'_> {
             test_set,
             algo,
             cfg,
-            cadence,
         } = *self;
         let rank_loop = |_, (comm, (clock, model))| {
-            drive(
-                comm, clock, None, model, train_set, test_set, algo, cfg, cadence,
-            )
+            drive(comm, clock, None, model, train_set, test_set, algo, cfg)
         };
         let ranks = endpoints.into_iter().zip(ranks).collect();
         spawn_ranks(ranks, rank_loop, algo.ps_shards() > 0, width, wire)

@@ -17,7 +17,7 @@ use sasgd_data::Dataset;
 use sasgd_nn::Model;
 use sasgd_tensor::parallel;
 
-use super::rank::{drive, supported_cadence, Clock};
+use super::rank::{drive, Clock};
 use super::{EngineError, FaultConfig};
 use crate::algorithms::Algorithm;
 use crate::history::{History, StalenessStats, WireStats};
@@ -115,8 +115,7 @@ pub(crate) fn spawn_ranks<E: Send>(
 
 /// Run `algo` with one OS thread per learner — under the fault-tolerance
 /// layer when `faults` is given (the caller has checked the algorithm has
-/// a fault-tolerant exchange). A cadence with no execution path is a typed
-/// error before any thread exists.
+/// a fault-tolerant exchange).
 pub(crate) fn run(
     factory: &(dyn Fn() -> Model + Sync),
     train_set: &Dataset,
@@ -125,7 +124,7 @@ pub(crate) fn run(
     cfg: &TrainConfig,
     faults: Option<&FaultConfig>,
 ) -> Result<History, EngineError> {
-    let cadence = supported_cadence(algo, cfg.cadence)?;
+    algo.check();
     let p = algo.learners();
     let rank_loop = |_, comm: Communicator| {
         let model = factory();
@@ -138,7 +137,6 @@ pub(crate) fn run(
             test_set,
             algo,
             cfg,
-            cadence,
         )
     };
     let shards = algo.ps_shards();

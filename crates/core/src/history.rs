@@ -2,11 +2,14 @@
 
 use sasgd_comm::sparse::SparseLevelProfile;
 
-/// One accuracy/timing sample, taken when a learner completes a pass.
+/// One accuracy/timing sample, taken when learner 0 completes a pass over
+/// its shard.
 ///
-/// For synchronous algorithms records land on every collective epoch; for
-/// asynchronous ones (Downpour, EAMSGD) a record lands every `p` collective
-/// epochs — exactly the `1/p` plotting density the paper describes in §IV-C.
+/// Every learner walks its own shard, so a record lands about once per
+/// collective epoch for every algorithm: `p` learners together process
+/// about `p` shards, one dataset, per pass of learner 0. A
+/// parameter-server learner walks its ragged tail too, so its pass is
+/// whole; a collective's may drop up to a minibatch.
 #[derive(Clone, Debug)]
 pub struct EpochRecord {
     /// Collective epochs completed (total samples processed / dataset size).
@@ -41,8 +44,10 @@ pub struct History {
     pub p: usize,
     /// Aggregation interval.
     pub t_interval: usize,
-    /// Observed gradient staleness (asynchronous algorithms record the
-    /// measured distribution; SASGD's staleness is `T` by construction).
+    /// Gradient staleness. A parameter-server run records the τ its
+    /// exchange measured, in global updates. A collective records the
+    /// bound its interval fixes, in steps: `T` for SASGD,
+    /// `t_local · t_global` for hierarchical SASGD.
     pub staleness: Option<StalenessStats>,
     /// Final flat parameter vector of the evaluated learner, where the
     /// backend can provide it (the SASGD backends do). Lets equivalence
@@ -63,10 +68,11 @@ pub struct History {
     /// the other side; this is the retiree's own account.
     pub retirements: Vec<RetirementEvent>,
     /// Per-update staleness series: one sample per (sync round, rank),
-    /// capped at [`MAX_STALENESS_SAMPLES`] entries. Lockstep runs record
-    /// all-zero `tau` by construction; event-driven runs record the
-    /// measured lag and the effective rate after any staleness-aware γ
-    /// scaling.
+    /// capped at [`MAX_STALENESS_SAMPLES`] entries. A collective records
+    /// `tau` in rounds, fixed by construction: 0, or 1 for delayed SASGD,
+    /// whose totals land a round late. A parameter-server run records the
+    /// measured lag in global updates, and the effective rate after any
+    /// staleness-aware γ scaling.
     pub staleness_series: Vec<StalenessSample>,
     /// Total aggregation (communication) rounds the run executed.
     pub sync_rounds: u64,
@@ -80,8 +86,8 @@ pub struct History {
     pub sparse_levels: SparseLevelProfile,
 }
 
-/// One (round, rank) staleness observation: how many global updates landed
-/// between this rank's pull and its push (`tau`), and the rate actually
+/// One (round, rank) staleness observation: how stale the state this
+/// rank's update lands on is (`tau`), and the rate actually
 /// applied after any staleness-aware scaling (`gamma_eff` equals the
 /// scheduled γ when scaling is off; for EAMSGD it is the elastic moving
 /// rate, which is what staleness scales there).
@@ -91,7 +97,8 @@ pub struct StalenessSample {
     pub round: u64,
     /// The observing rank.
     pub rank: usize,
-    /// Measured staleness in global updates.
+    /// Staleness: measured, in global updates, against a parameter
+    /// server; fixed, in rounds, for a collective.
     pub tau: u64,
     /// Effective learning rate applied for this update.
     pub gamma_eff: f32,

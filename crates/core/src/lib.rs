@@ -9,7 +9,7 @@
 //!   (`T = 1`), the model-averaging heuristics discussed in §III (one-shot
 //!   averaging is SASGD's run-long interval), **Downpour** (asynchronous
 //!   sharded parameter server) and **EAMSGD** (elastic averaging);
-//! * [`trainer`] — the event-driven distributed trainer: real gradient
+//! * [`trainer`] — the distributed trainer: real gradient
 //!   math on model replicas, virtual-time accounting from the
 //!   `sasgd-simnet` cost model, per-epoch accuracy histories;
 //! * [`engine`] — the unified execution engine: every algorithm on the
@@ -40,7 +40,7 @@ pub mod trainer;
 pub use algorithms::{Algorithm, GammaP};
 pub use compress::{Compression, KSchedule, KState};
 pub use engine::rank::run_rank;
-pub use engine::{Backend, Cadence, EngineError, Executor, FaultConfig};
+pub use engine::{Backend, EngineError, Executor, FaultConfig};
 pub use history::{
     EpochRecord, History, MembershipEvent, RetirementEvent, SparsitySample, StalenessSample,
     StalenessStats, WireStats, MAX_SPARSITY_SAMPLES,

@@ -4,10 +4,10 @@
 //! All algorithms run *real* gradient math on model replicas; what is
 //! simulated is the platform — per-minibatch compute times, aggregation
 //! costs and learner jitter come from the `sasgd-simnet` cost model and
-//! advance deterministic virtual clocks. Asynchronous algorithms are
-//! executed event-driven in virtual-time order, so gradient staleness
-//! emerges from the same speed variations a real cluster has, while runs
-//! stay bit-reproducible under a seed.
+//! advance deterministic virtual clocks. A parameter server serves its
+//! learners in virtual-time order, so gradient staleness emerges from the
+//! same speed variations a real cluster has, while runs stay
+//! bit-reproducible under a seed.
 
 use sasgd_data::{Dataset, ShardStrategy};
 use sasgd_nn::{Ctx, EvalTally, Model};
@@ -43,11 +43,6 @@ pub struct TrainConfig {
     /// datasets; [`ShardStrategy::ByClass`] builds the pathological
     /// non-IID partition where one-shot averaging collapses.
     pub shard_strategy: ShardStrategy,
-    /// Execution-cadence override: `None` runs each strategy at its
-    /// natural cadence (lockstep for the bulk-synchronous algorithms,
-    /// event-driven for the asynchronous ones); `Some` forces one. The
-    /// simulated backend executes every strategy under either value.
-    pub cadence: Option<crate::engine::Cadence>,
 }
 
 impl TrainConfig {
@@ -69,7 +64,6 @@ impl TrainConfig {
             jitter: JitterModel::default(),
             eval_cap: 2_000,
             shard_strategy: ShardStrategy::Contiguous,
-            cadence: None,
         }
     }
 }

@@ -5,8 +5,8 @@
 use sasgd::comm::SocketTransport;
 use sasgd::core::algorithms::GammaP;
 use sasgd::core::{
-    run_rank, train, Algorithm, Backend, Cadence, Compression, EngineError, Executor, History,
-    KSchedule, TSchedule, TrainConfig,
+    run_rank, train, Algorithm, Backend, Compression, Executor, History, KSchedule, TSchedule,
+    TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
@@ -205,22 +205,15 @@ const ADAPTIVE: TSchedule = TSchedule::AdaptivePlateau {
     rel_improve: 0.2,
 };
 
-/// `quiet_cfg` under the event-driven cadence.
-fn event_cfg(epochs: usize, gamma: f32, seed: u64) -> TrainConfig {
-    let mut cfg = quiet_cfg(epochs, gamma, seed);
-    cfg.cadence = Some(Cadence::EventDriven);
-    cfg
-}
-
 #[test]
 fn threaded_equals_simulated_local_sgd_bitwise() {
-    // Local SGD is SASGD at `γp = γ/p`: one rank-independent γ per round
-    // and a binomial-tree reduction, so real threads must reproduce the
-    // simulated event engine bit for bit at ANY p, not just p=1.
+    // Local SGD is SASGD at `γp = γ/p`: a rank-independent γ per step and
+    // a binomial-tree reduction, so real threads must reproduce the
+    // simulated run bit for bit at ANY p, not just p=1.
     for p in [1usize, 4] {
         assert_backends_agree(
             &lattice(p, TSchedule::Fixed { t: 2 }, false, None),
-            &event_cfg(3, 0.05, 23),
+            &quiet_cfg(3, 0.05, 23),
             5,
         );
     }
@@ -233,7 +226,7 @@ fn threaded_equals_simulated_adaptive_local_sgd_bitwise() {
     // on the same rounds and the trajectories stay bitwise equal.
     assert_backends_agree(
         &lattice(4, ADAPTIVE, false, None),
-        &event_cfg(3, 0.05, 29),
+        &quiet_cfg(3, 0.05, 29),
         5,
     );
 }
@@ -245,7 +238,7 @@ fn threaded_equals_simulated_delayed_avg_bitwise() {
     for p in [1usize, 4] {
         assert_backends_agree(
             &lattice(p, TSchedule::Fixed { t: 2 }, true, None),
-            &event_cfg(3, 0.05, 31),
+            &quiet_cfg(3, 0.05, 31),
             5,
         );
     }
@@ -253,12 +246,11 @@ fn threaded_equals_simulated_delayed_avg_bitwise() {
 
 #[test]
 fn event_driven_p1_collapses_to_simulated_bitwise() {
-    // At p=1 the event-driven engine has no scheduling freedom left: every
-    // strategy's threaded run must reproduce the simulated one bit for
-    // bit. (Downpour and EAMSGD p=1 are pinned by the dedicated tests
-    // above; these are the collective strategies under an explicit
-    // event-driven cadence.)
-    let cfg = event_cfg(2, 0.05, 37);
+    // At p=1 there is no scheduling freedom left: every strategy's
+    // threaded run must reproduce the simulated one bit for bit. (Downpour
+    // and EAMSGD p=1 are pinned by the dedicated tests above; these are
+    // the collective strategies.)
+    let cfg = quiet_cfg(2, 0.05, 37);
     for algo in [
         Algorithm::Sequential,
         Algorithm::sasgd(1, 2, GammaP::OverP),
@@ -307,14 +299,14 @@ fn sync_sgd_is_sasgd_with_t1() {
 }
 
 #[test]
-fn downpour_p1_t1_tracks_sequential_closely() {
+fn downpour_p1_t1_is_sequential_sgd_bitwise() {
     // One asynchronous learner has no one to be stale against. The local
     // step does NOT compound with the server step: the server applies γ·g
     // to the same pre-step parameters and the pull overwrites the local
     // replica with that result, so each round moves the model by exactly
-    // one γ·g — sequential SGD at the *same* γ. (With p=1 the learner's
-    // shard is the whole set and the batch streams coincide, so the
-    // trajectories agree to within accumulation noise.)
+    // one γ·g — sequential SGD at the *same* γ. With p=1 the learner's
+    // shard is the whole set, both walk it ragged tail included and draw
+    // the same batch orders, so the runs agree bit for bit.
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 48, 3));
     let cfg = quiet_cfg(4, 0.02, 13);
     let mut f1 = || models::tiny_cnn(3, &mut SeedRng::new(3));
@@ -331,12 +323,10 @@ fn downpour_p1_t1_tracks_sequential_closely() {
     );
     let mut f2 = || models::tiny_cnn(3, &mut SeedRng::new(3));
     let seq = train(&mut f2, &train_set, &test_set, &Algorithm::Sequential, &cfg);
-    let d = dp.final_test_acc();
-    let s = seq.final_test_acc();
-    assert!(
-        (d - s).abs() < 1e-6,
-        "Downpour p=1 ({d}) should match sequential SGD at the same γ ({s})"
-    );
+    assert_bitwise("Downpour(p=1,T=1) vs SGD", &seq, &dp);
+    let losses =
+        |h: &History| -> Vec<u32> { h.records.iter().map(|r| r.train_loss.to_bits()).collect() };
+    assert_eq!(losses(&dp), losses(&seq), "per-record train loss");
 }
 
 #[test]
@@ -365,7 +355,7 @@ fn gamma_p_policies_change_trajectories() {
     );
 }
 
-// ---- The algorithm × cadence × p matrix ---------------------------------
+// ---- The algorithm × p matrix -------------------------------------------
 // Every way to run an algorithm on threads goes through `Executor`; this
 // table is the one statement of what each cell promises.
 
@@ -389,43 +379,34 @@ fn hierarchical(groups: usize, per_group: usize, t_local: usize) -> Algorithm {
     }
 }
 
-/// One algorithm family, instantiated per `p`; whether lockstep is part of
-/// its contract (else `UnsupportedCadence`, on either backend); and whether
-/// its `final_params` stay bitwise the simulated backend's beyond `p = 1`
-/// (else the trajectory is schedule-dependent and only the bookkeeping is
-/// compared).
-type Family = (fn(usize) -> Algorithm, bool, bool);
+/// One algorithm family, instantiated per `p`, and whether its
+/// `final_params` and round count stay the simulated backend's beyond
+/// `p = 1` (else the trajectory is schedule-dependent and only the
+/// bookkeeping is compared).
+type Family = (fn(usize) -> Algorithm, bool);
 
 const FAMILIES: [Family; 19] = [
-    (|_| Algorithm::Sequential, true, true),
-    (|p| sasgd_with(p, None), true, true),
-    (|p| sasgd_with(p, Some(Compression::topk(0.25))), true, true),
-    (
-        |p| sasgd_with(p, Some(Compression::Uniform8Bit)),
-        true,
-        true,
-    ),
+    (|_| Algorithm::Sequential, true),
+    (|p| sasgd_with(p, None), true),
+    (|p| sasgd_with(p, Some(Compression::topk(0.25))), true),
+    (|p| sasgd_with(p, Some(Compression::Uniform8Bit)), true),
     (
         |p| sasgd_with(p, sparse(KSchedule::norm_adaptive(0.1), false, false)),
-        true,
         true,
     ),
     (
         |p| sasgd_with(p, sparse(KSchedule::layer_wise(0.1), false, false)),
         true,
-        true,
     ),
     (
         |p| sasgd_with(p, sparse(KSchedule::fixed(0.1), true, true)),
         true,
-        true,
     ),
     // One group: level 2 is the identity on both backends.
     // T = 1: every step is a round, taken on the gradient arena.
-    (|p| lattice(p, T1, false, None), true, true),
+    (|p| lattice(p, T1, false, None), true),
     (
         |p| lattice(p, T1, false, Some(Compression::Uniform8Bit)),
-        true,
         true,
     ),
     (
@@ -438,32 +419,25 @@ const FAMILIES: [Family; 19] = [
             )
         },
         true,
-        true,
     ),
-    (|p| hierarchical(1, p, 2), true, true),
+    (|p| hierarchical(1, p, 2), true),
     // Several groups: both backends run the one exchange, level 2's
     // tree-reduce + scale included.
-    (|p| hierarchical(p, 2, 1), true, true),
-    (|p| Algorithm::model_average_once(p), true, true),
+    (|p| hierarchical(p, 2, 1), true),
+    (|p| Algorithm::model_average_once(p), true),
     // The averaging lattice: Local SGD's adaptive interval, DaSGD's
     // delayed landing, each also over a codec.
-    (|p| lattice(p, ADAPTIVE, false, None), true, true),
-    (
-        |p| lattice(p, TSchedule::Fixed { t: 2 }, true, None),
-        true,
-        true,
-    ),
+    (|p| lattice(p, ADAPTIVE, false, None), true),
+    (|p| lattice(p, TSchedule::Fixed { t: 2 }, true, None), true),
     (
         |p| {
             let k = KSchedule::layer_wise(0.01);
             lattice(p, TSchedule::Fixed { t: 2 }, true, sparse(k, false, false))
         },
         true,
-        true,
     ),
     (
         |p| lattice(p, ADAPTIVE, false, Some(Compression::Uniform8Bit)),
-        true,
         true,
     ),
     (
@@ -472,7 +446,6 @@ const FAMILIES: [Family; 19] = [
             t: 2,
             staleness_gamma: false,
         },
-        false,
         false,
     ),
     (
@@ -483,7 +456,6 @@ const FAMILIES: [Family; 19] = [
             momentum: 0.9,
             staleness_gamma: false,
         },
-        false,
         false,
     ),
 ];
@@ -517,75 +489,54 @@ fn assert_bitwise(cell: &str, sim: &History, thr: &History) {
 #[test]
 fn every_algorithm_cadence_and_p_keeps_its_promise() {
     // 100 samples at batch 8: every shard has a ragged tail, which the
-    // bulk-synchronous walks drop and the independent ones keep.
+    // collective rounds drop and the independent learners keep.
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(100, 24, 3));
     let factory = || models::tiny_cnn(3, &mut SeedRng::new(5));
-    for (make, lockstep, bitwise_beyond_p1) in FAMILIES {
-        for cadence in [Cadence::Lockstep, Cadence::EventDriven] {
-            for p in [1usize, 2, 4] {
-                let algo = make(p);
-                let cell = format!("{} {cadence:?}", algo.label());
-                let mut cfg = quiet_cfg(2, 0.05, 37);
-                cfg.cadence = Some(cadence);
-                let thr = Executor::new(Backend::Threaded)
-                    .try_run(&factory, &train_set, &test_set, &algo, &cfg);
-                if cadence == Cadence::Lockstep && !lockstep {
-                    assert!(
-                        matches!(thr, Err(EngineError::UnsupportedCadence { .. })),
-                        "{cell}: expected UnsupportedCadence, got {:?}",
-                        thr.map(|h| h.label)
-                    );
-                    let sim = Executor::new(Backend::Simulated)
-                        .try_run(&factory, &train_set, &test_set, &algo, &cfg);
-                    assert!(
-                        matches!(sim, Err(EngineError::UnsupportedCadence { .. })),
-                        "{cell}: expected UnsupportedCadence on the simulated backend, got {:?}",
-                        sim.map(|h| h.label)
-                    );
-                    continue;
-                }
-                let thr = thr.unwrap_or_else(|e| panic!("{cell}: {e}"));
-                let sim = Executor::new(Backend::Simulated)
-                    .run(&factory, &train_set, &test_set, &algo, &cfg);
-                assert_eq!(thr.p, algo.learners(), "{cell}");
-                assert!(!thr.records.is_empty(), "{cell}: rank 0 recorded");
-                let wire = thr.wire.unwrap_or_else(|| panic!("{cell}: wire accounted"));
-                let server = matches!(algo, Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. });
+    let cfg = quiet_cfg(2, 0.05, 37);
+    for (make, bitwise_beyond_p1) in FAMILIES {
+        for p in [1usize, 2, 4] {
+            let algo = make(p);
+            let cell = algo.label();
+            let thr = Executor::new(Backend::Threaded)
+                .try_run(&factory, &train_set, &test_set, &algo, &cfg)
+                .unwrap_or_else(|e| panic!("{cell}: {e}"));
+            let sim =
+                Executor::new(Backend::Simulated).run(&factory, &train_set, &test_set, &algo, &cfg);
+            assert_eq!(thr.p, algo.learners(), "{cell}");
+            assert!(!thr.records.is_empty(), "{cell}: rank 0 recorded");
+            let wire = thr.wire.unwrap_or_else(|| panic!("{cell}: wire accounted"));
+            let server = matches!(algo, Algorithm::Downpour { .. } | Algorithm::Eamsgd { .. });
+            assert_eq!(
+                wire.elements > 0,
+                server || algo.learners() > 1,
+                "{cell}: traffic iff there is a server or a peer"
+            );
+            if !server {
+                // One exchange on both backends: one wire, one count.
+                let sim_wire = sim.wire.unwrap_or_else(|| panic!("{cell}: simulated wire"));
                 assert_eq!(
-                    wire.elements > 0,
-                    server || algo.learners() > 1,
-                    "{cell}: traffic iff there is a server or a peer"
+                    (sim_wire.elements, sim_wire.messages),
+                    (wire.elements, wire.messages),
+                    "{cell}: wire"
                 );
-                if !server {
-                    // One exchange on both backends: one wire, one count.
-                    let sim_wire = sim.wire.unwrap_or_else(|| panic!("{cell}: simulated wire"));
-                    assert_eq!(
-                        (sim_wire.elements, sim_wire.messages),
-                        (wire.elements, wire.messages),
-                        "{cell}: wire"
-                    );
+            }
+            if p == 1 || bitwise_beyond_p1 {
+                assert_bitwise(&cell, &sim, &thr);
+                // Deterministic round structure, whatever the floats.
+                assert_eq!(sim.sync_rounds, thr.sync_rounds, "{cell}: rounds");
+            }
+            let sparse = matches!(
+                algo,
+                Algorithm::Sasgd {
+                    compression: Some(Compression::Sparse { .. }),
+                    ..
                 }
-                let bitwise = p == 1 || bitwise_beyond_p1;
-                if bitwise {
-                    assert_bitwise(&cell, &sim, &thr);
-                }
-                if bitwise || lockstep {
-                    // Deterministic round structure, whatever the floats.
-                    assert_eq!(sim.sync_rounds, thr.sync_rounds, "{cell}: rounds");
-                }
-                let sparse = matches!(
-                    algo,
-                    Algorithm::Sasgd {
-                        compression: Some(Compression::Sparse { .. }),
-                        ..
-                    }
+            );
+            if sparse && p > 1 {
+                assert!(
+                    thr.sparse_levels.levels.iter().any(|l| l.messages > 0),
+                    "{cell}: per-level wire stats recorded"
                 );
-                if sparse && p > 1 {
-                    assert!(
-                        thr.sparse_levels.levels.iter().any(|l| l.messages > 0),
-                        "{cell}: per-level wire stats recorded"
-                    );
-                }
             }
         }
     }
@@ -596,34 +547,26 @@ fn hierarchical_single_group_equals_flat_and_wire_is_accounted() {
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 2));
     let cfg = quiet_cfg(3, 0.05, 11);
     let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
-    let run = |algo: &Algorithm, cadence| {
-        let mut cfg = cfg.clone();
-        cfg.cadence = Some(cadence);
+    let run = |algo: &Algorithm| {
         Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, algo, &cfg)
     };
-    for cadence in [Cadence::Lockstep, Cadence::EventDriven] {
-        // With one group the leader exchange is a no-op, so the run equals
-        // flat SASGD at T = t_local.
-        let hier = hierarchical(1, 3, 2);
-        let flat = Algorithm::sasgd(3, 2, GammaP::OverP);
-        assert_eq!(
-            run(&hier, cadence).final_params,
-            run(&flat, cadence).final_params,
-            "{cadence:?}"
-        );
-        // Three worlds carry the traffic (global, leaders, per-group);
-        // all of it is counted, identically on a paired run.
-        let grouped = hierarchical(2, 2, 2);
-        let (a, b) = (run(&grouped, cadence), run(&grouped, cadence));
-        let (wa, wb) = (a.wire.expect("wire"), b.wire.expect("wire"));
-        assert!(wa.elements > 0 && wa.messages > 0, "{cadence:?}");
-        assert_eq!(
-            (wa.elements, wa.messages),
-            (wb.elements, wb.messages),
-            "{cadence:?}: paired runs move the same traffic"
-        );
-        assert_eq!(a.final_params, b.final_params, "{cadence:?}");
-    }
+    // With one group the leader exchange is a no-op, so the run equals
+    // flat SASGD at T = t_local.
+    let hier = hierarchical(1, 3, 2);
+    let flat = Algorithm::sasgd(3, 2, GammaP::OverP);
+    assert_eq!(run(&hier).final_params, run(&flat).final_params);
+    // Three worlds carry the traffic (global, leaders, per-group); all of
+    // it is counted, identically on a paired run.
+    let grouped = hierarchical(2, 2, 2);
+    let (a, b) = (run(&grouped), run(&grouped));
+    let (wa, wb) = (a.wire.expect("wire"), b.wire.expect("wire"));
+    assert!(wa.elements > 0 && wa.messages > 0);
+    assert_eq!(
+        (wa.elements, wa.messages),
+        (wb.elements, wb.messages),
+        "paired runs move the same traffic"
+    );
+    assert_eq!(a.final_params, b.final_params);
 }
 
 /// FNV-1a over the little-endian bit patterns of a parameter vector.
@@ -647,40 +590,13 @@ fn threaded_hierarchical_groups_are_pinned() {
     // leader rounds (4 each).
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(192, 24, 2));
     let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
-    type Pin = (usize, usize, Cadence, u64, (u64, u64));
-    let pins: [Pin; 4] = [
-        (
-            2,
-            2,
-            Cadence::Lockstep,
-            0xfb4c_7be7_7b8a_8185,
-            (114_150, 75),
-        ),
-        (
-            2,
-            2,
-            Cadence::EventDriven,
-            0xfb4c_7be7_7b8a_8185,
-            (114_150, 75),
-        ),
-        (
-            2,
-            4,
-            Cadence::Lockstep,
-            0x00bf_2304_db36_4c8b,
-            (156_766, 103),
-        ),
-        (
-            2,
-            4,
-            Cadence::EventDriven,
-            0x00bf_2304_db36_4c8b,
-            (156_766, 103),
-        ),
+    type Pin = (usize, usize, u64, (u64, u64));
+    let pins: [Pin; 2] = [
+        (2, 2, 0xfb4c_7be7_7b8a_8185, (114_150, 75)),
+        (2, 4, 0x00bf_2304_db36_4c8b, (156_766, 103)),
     ];
-    for (groups, per_group, cadence, hash, wire) in pins {
-        let mut cfg = quiet_cfg(2, 0.05, 11);
-        cfg.cadence = Some(cadence);
+    let cfg = quiet_cfg(2, 0.05, 11);
+    for (groups, per_group, hash, wire) in pins {
         let algo = hierarchical(groups, per_group, 1);
         let h = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
         let params = h.final_params.expect("final params");
@@ -688,7 +604,7 @@ fn threaded_hierarchical_groups_are_pinned() {
         assert_eq!(
             (fnv1a(&params), (w.elements, w.messages)),
             (hash, wire),
-            "{groups}x{per_group} {cadence:?}"
+            "{groups}x{per_group}"
         );
     }
 }
@@ -700,20 +616,12 @@ fn hierarchical_sasgd_over_sockets_is_the_threaded_run() {
     // 2x2 over loopback TCP ends bitwise where the in-process run does.
     let (train_set, test_set) = generate(&CifarLikeConfig::tiny(192, 24, 2));
     let factory = || models::tiny_cnn(2, &mut SeedRng::new(5));
-    for cadence in [Cadence::Lockstep, Cadence::EventDriven] {
-        let mut cfg = quiet_cfg(2, 0.05, 11);
-        cfg.cadence = Some(cadence);
-        let algo = hierarchical(2, 2, 1);
-        let exec = Executor::new(Backend::Threaded);
-        let thr = exec.run(&factory, &train_set, &test_set, &algo, &cfg);
-        let tcp = ranks_over_sockets(4, &factory, &train_set, &test_set, &algo, &cfg);
-        assert_bitwise(
-            &format!("{} over TCP, {cadence:?}", thr.label),
-            &thr,
-            &tcp[0],
-        );
-        assert_eq!(thr.sync_rounds, tcp[0].sync_rounds, "{cadence:?}: rounds");
-    }
+    let cfg = quiet_cfg(2, 0.05, 11);
+    let algo = hierarchical(2, 2, 1);
+    let thr = Executor::new(Backend::Threaded).run(&factory, &train_set, &test_set, &algo, &cfg);
+    let tcp = ranks_over_sockets(4, &factory, &train_set, &test_set, &algo, &cfg);
+    assert_bitwise(&format!("{} over TCP", thr.label), &thr, &tcp[0]);
+    assert_eq!(thr.sync_rounds, tcp[0].sync_rounds, "rounds");
 }
 
 #[test]

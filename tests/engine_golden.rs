@@ -13,9 +13,7 @@
 //! GOLDEN_PRINT=1 cargo test -q --test engine_golden -- --nocapture
 //! ```
 
-use sasgd::core::{
-    train, Algorithm, Cadence, Compression, GammaP, KSchedule, TSchedule, TrainConfig,
-};
+use sasgd::core::{train, Algorithm, Compression, GammaP, KSchedule, TSchedule, TrainConfig};
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::nn::models;
 use sasgd::tensor::SeedRng;
@@ -130,6 +128,44 @@ fn goldens() -> Vec<Golden> {
             hash: 0x7bb2_a90b_ed3a_1657,
             head: [0xbd863c76, 0xbd01cb0d, 0x3d4ae1d4, 0x3de05949],
         },
+        // The averaging lattice: DaSGD's delayed landing and Local SGD's
+        // adaptive interval. Both were pinned when they became SASGD
+        // configurations (stepping on summed gradients and averaging
+        // replicas differ by float association), on a walk of `T`-step
+        // blocks that ran each block to its end. The adaptive row was
+        // re-pinned once when every run became an epoch walk: its last
+        // block, grown to `T = 4`, had run past the two-epoch budget (nine
+        // steps of six, 288 samples of 192); the delayed row's blocks
+        // ended on the budget and held.
+        Golden {
+            name: "dasgd_p4_t2",
+            algo: Algorithm::Sasgd {
+                p: 4,
+                schedule: TSchedule::Fixed { t: 2 },
+                gamma_p: GammaP::OverP,
+                compression: None,
+                delayed: true,
+            },
+            hash: 0x70b4_840b_e7ca_5850,
+            head: [0xbd8930d2, 0xbd07f677, 0x3d446b35, 0x3ddd33de],
+        },
+        Golden {
+            name: "localsgd_p4_adaptive",
+            algo: Algorithm::Sasgd {
+                p: 4,
+                schedule: TSchedule::AdaptivePlateau {
+                    t0: 1,
+                    t_max: 4,
+                    patience: 1,
+                    rel_improve: 0.2,
+                },
+                gamma_p: GammaP::OverP,
+                compression: None,
+                delayed: false,
+            },
+            hash: 0xda6b_2762_e394_867d,
+            head: [0xbd8a3395, 0xbd079e33, 0x3d45b509, 0x3ddaf3a9],
+        },
     ]
 }
 
@@ -185,74 +221,6 @@ fn a_lone_learner_walks_the_ragged_tail() {
     });
 }
 
-/// The same workload under `Cadence::EventDriven` — pinning the
-/// event-driven simulated engine's numerics, including SASGD's adaptive and
-/// delayed lattice points. Generated fresh for the event engine (the
-/// collective event loop resolves one γ per round from nominal steps, so it
-/// is NOT expected to match the lockstep hashes above). The adaptive and
-/// delayed pins were taken when Local SGD and DaSGD became SASGD
-/// configurations: stepping on summed gradients and averaging replicas
-/// differ by float association.
-fn event_goldens() -> Vec<Golden> {
-    vec![
-        Golden {
-            name: "event_sasgd_p4_t2",
-            algo: Algorithm::sasgd(4, 2, GammaP::OverP),
-            hash: 0xae37_8f2c_1b9a_b357,
-            head: [0xbd89768f, 0xbd090af7, 0x3d45c332, 0x3ddd0f3a],
-        },
-        Golden {
-            name: "event_localsgd_p4_adaptive",
-            algo: Algorithm::Sasgd {
-                p: 4,
-                schedule: TSchedule::AdaptivePlateau {
-                    t0: 1,
-                    t_max: 4,
-                    patience: 1,
-                    rel_improve: 0.2,
-                },
-                gamma_p: GammaP::OverP,
-                compression: None,
-                delayed: false,
-            },
-            hash: 0xbbf5_c333_0ca3_e28d,
-            head: [0xbd847bac, 0xbcfe8cc7, 0x3d4c984f, 0x3de11ffb],
-        },
-        Golden {
-            name: "event_dasgd_p4_t2",
-            algo: Algorithm::Sasgd {
-                p: 4,
-                schedule: TSchedule::Fixed { t: 2 },
-                gamma_p: GammaP::OverP,
-                compression: None,
-                delayed: true,
-            },
-            hash: 0x70b4_840b_e7ca_5850,
-            head: [0xbd8930d2, 0xbd07f677, 0x3d446b35, 0x3ddd33de],
-        },
-        // Re-pinned with `modelavg_p3`, for the same reason.
-        Golden {
-            name: "event_modelavg_p3",
-            algo: Algorithm::model_average_once(3),
-            hash: 0x7bb2_a90b_ed3a_1657,
-            head: [0xbd863c76, 0xbd01cb0d, 0x3d4ae1d4, 0x3de05949],
-        },
-    ]
-}
-
-#[test]
-fn event_driven_final_params_are_pinned() {
-    check(event_goldens(), |algo| {
-        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 3));
-        let mut cfg = TrainConfig::new(2, 8, 0.05, 42);
-        cfg.cadence = Some(Cadence::EventDriven);
-        let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = train(&mut factory, &train_set, &test_set, algo, &cfg);
-        h.final_params
-            .unwrap_or_else(|| panic!("{} must report final_params", algo.label()))
-    });
-}
-
 /// SASGD at `T = 1`: every step is a round, so the round works on the
 /// model's gradient arena alone — no pre-interval copy, no accumulator.
 /// Pinned before that round existed, from the `x`/`gs` round it replaced;
@@ -295,22 +263,4 @@ fn t1_goldens() -> Vec<Golden> {
 #[test]
 fn t1_final_params_are_pinned() {
     check(t1_goldens(), run_case);
-}
-
-#[test]
-fn event_driven_t1_final_params_are_pinned() {
-    let dense_p3 = vec![Golden {
-        name: "event_sasgd_p3_t1",
-        algo: Algorithm::sasgd(3, 1, GammaP::OverP),
-        hash: 0x03e2_6791_d937_2f0b,
-        head: [0xbd86454f, 0xbd04633e, 0x3d4a27af, 0x3ddfa2f2],
-    }];
-    check(dense_p3, |algo| {
-        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(96, 24, 3));
-        let mut cfg = TrainConfig::new(2, 8, 0.05, 42);
-        cfg.cadence = Some(Cadence::EventDriven);
-        let mut factory = || models::tiny_cnn(3, &mut SeedRng::new(7));
-        let h = train(&mut factory, &train_set, &test_set, algo, &cfg);
-        h.final_params.expect("final_params")
-    });
 }

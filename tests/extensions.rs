@@ -192,8 +192,8 @@ fn staleness_is_t_for_sasgd_and_spreads_for_downpour() {
 
 #[test]
 fn lockstep_staleness_series_records_all_zero_tau() {
-    // Under the lockstep cadence every observation is taken at the
-    // barrier, so the measured τ is zero for every (round, rank) sample —
+    // Collective rounds apply fresh state, so τ is zero for every
+    // (round, rank) sample —
     // the series distinguishes "synchronous by construction" from the
     // async runs whose τ spreads.
     let (train_set, test_set) = cifar();

@@ -11,7 +11,7 @@ use sasgd::comm::world::CommWorld;
 use sasgd::core::epoch_time::{epoch_time, Aggregation, Workload};
 use sasgd::core::theory;
 use sasgd::core::{
-    train, Algorithm, Backend, Cadence, Compression, Executor, GammaP, TSchedule, TrainConfig,
+    train, Algorithm, Backend, Compression, Executor, GammaP, TSchedule, TrainConfig,
 };
 use sasgd::data::cifar_like::{generate, CifarLikeConfig};
 use sasgd::data::Dataset;
@@ -226,15 +226,13 @@ proptest! {
     }
 }
 
-// ---- Event-driven engine invariants ------------------------------------
+// ---- Engine invariants --------------------------------------------------
 // Each case runs real (tiny) training, so the case count stays low.
 
-/// Event-driven, jitter-free: the cadence the averaging lattice points
-/// first ran at.
+/// Jitter-free, two epochs at batch 8.
 fn lattice_cfg(seed: u64) -> TrainConfig {
     let mut cfg = TrainConfig::new(2, 8, 0.05, seed);
     cfg.jitter = JitterModel::none();
-    cfg.cadence = Some(Cadence::EventDriven);
     cfg
 }
 
