@@ -3,13 +3,15 @@
 //!
 //! The DPOR sweep proves every row schedule-independent over
 //! [`crate::model::ModelTransport`]. What carries that to the transport a
-//! training run uses is (a) the `Transport` conformance suite, which runs
-//! all four impls, and (b) this: every corpus row whose outcome on OS
-//! threads is deterministic runs **once** over [`CommWorld`] — the same
-//! generic body, instantiated for [`Communicator`] — and its per-rank
-//! results must fingerprint to exactly what every explored interleaving of
-//! the model computed. A default receive deadline on every endpoint turns
-//! a hang into a typed `Timeout` the row reports.
+//! training run uses is (a) one failure-semantics table, which the model
+//! transport's tests check under the scheduler DPOR drives and the
+//! `Transport` conformance suite checks on the real transports, and (b)
+//! this: every corpus row whose outcome on OS threads is deterministic runs
+//! **once** over [`CommWorld`] — the same generic body, instantiated for
+//! [`Communicator`] — and its per-rank results must fingerprint to exactly
+//! what every explored interleaving of the model computed. A default
+//! receive deadline on every endpoint turns a hang into a typed `Timeout`
+//! the row reports.
 
 use std::sync::Arc;
 

@@ -13,7 +13,7 @@
 //!    is per-site: `// lint:allow(<id>): <justification>`.
 //!
 //! 2. **Model checker** ([`model`], [`vclock`], [`dpor`], [`corpus`]) — a
-//!    fourth `Transport` impl routes every operation through a cooperative
+//!    `Transport` impl routes every operation through a cooperative
 //!    scheduler that owns all nondeterminism, and a sleep-set DPOR
 //!    explorer enumerates **every inequivalent interleaving** of the
 //!    scenario corpus at p ≤ 4 (seeded bounded search at p = 8). Races

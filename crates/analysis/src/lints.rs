@@ -89,10 +89,6 @@ const WALL_CLOCK_ALLOWED: &[&str] = &[
     // world.rs: real elapsed time on the wire path, never numerics.
     "crates/comm/src/socket.rs",
     "crates/comm/src/mock.rs",
-    // The model transport's *live* mode implements the same real recv
-    // deadlines as the mock for the conformance suite; controlled mode
-    // owns all nondeterminism and never reads a clock.
-    "crates/analysis/src/model.rs",
     // The transport-conformance suite measures those deadlines (bounded
     // Timeout, PeerGone retry windows) — wall-clock is the subject.
     "crates/comm/tests/",
@@ -134,6 +130,7 @@ const PANIC_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne", "panic", "un
 /// looks for.
 const COMM_RESULT_FNS: &[&str] = &[
     "send",
+    "recv_match",
     "recv",
     "recv_deadline",
     "recv_any",
@@ -1052,9 +1049,11 @@ mod tests {
         );
         assert!(lints_of("crates/comm/src/socket.rs", src).is_empty());
         assert!(lints_of("crates/comm/src/mock.rs", src).is_empty());
-        // The model transport's live mode mirrors the mock's real recv
-        // deadlines — sanctioned; its controlled mode never reads a clock.
-        assert!(lints_of("crates/analysis/src/model.rs", src).is_empty());
+        // The model transport's scheduler owns every wait: no clock there.
+        assert_eq!(
+            lints_of("crates/analysis/src/model.rs", src),
+            vec!["wall-clock"]
+        );
         assert!(lints_of("crates/comm/tests/transport_conformance.rs", src).is_empty());
     }
 
@@ -1191,6 +1190,15 @@ mod tests {
         let expect = "fn f(w: &World) { w.send(0, TAG, buf).expect(\"send\"); }\n";
         assert_eq!(
             lints_of("crates/core/src/engine/rank.rs", expect),
+            vec!["comm-unwrap"]
+        );
+    }
+
+    #[test]
+    fn comm_unwrap_flags_the_one_receive() {
+        let src = "fn f(t: &mut T) { let m = t.recv_match(&c, Wait::Default).unwrap(); }\n";
+        assert_eq!(
+            lints_of("crates/comm/src/tree.rs", src),
             vec!["comm-unwrap"]
         );
     }

@@ -1,20 +1,21 @@
 //! `ModelTransport`: the model checker's [`Transport`] implementation.
 //!
-//! The fourth transport in the workspace (after the in-process crossbeam
-//! world, the TCP socket mesh, and the mock) routes **every**
-//! `send`/`recv`/`recv_deadline`/`recv_any` through a central cooperative
-//! scheduler that owns all nondeterminism. In *controlled* mode a rank
-//! thread that reaches a transport operation parks and registers the
-//! operation; the scheduler waits until every live rank is parked, computes
-//! the set of *enabled* choices (which message a receive could take, whether
-//! a deadline branch may fire), and grants exactly one. An interleaving is
-//! therefore a replayable sequence of [`Decision`]s — the substrate the
-//! DPOR explorer in [`crate::dpor`] enumerates.
+//! The transport routes **every** `send` and
+//! [`recv_match`](Transport::recv_match) through a central cooperative
+//! scheduler that owns all nondeterminism. A rank thread that reaches a
+//! transport operation parks and registers the operation; the scheduler
+//! waits until every live rank is parked, computes the set of *enabled*
+//! choices (which message a receive could take, whether a deadline branch
+//! may fire), and grants exactly one. An interleaving is therefore a
+//! replayable sequence of [`Decision`]s — the substrate the DPOR explorer
+//! in [`crate::dpor`] enumerates. No operation ever waits on the wall
+//! clock: a deadline is a branch the scheduler may take.
 //!
-//! In *live* mode ([`model_world`]) the same endpoint behaves like the mock
-//! transport — condvar blocking, real deadlines — so the transport-
-//! conformance suite in `sasgd-comm` can run it as a fourth column and pin
-//! its failure semantics to the shared contract table.
+//! The failure-semantics table of `sasgd_comm::transport` holds here as on
+//! the real substrates (this file's tests check it): a send to a finished
+//! rank is `PeerGone`, a deadline branch is `Timeout`, an empty candidate
+//! list is `NoCandidates`, and a torn-down execution surfaces as
+//! `Disconnected` at every parked rank.
 //!
 //! Alongside messages, the world carries *shared cells*
 //! ([`ModelTransport::cell_load`] / [`cell_store`](ModelTransport::cell_store)
@@ -25,24 +26,19 @@
 //! divergence after the fact — and detects deadlocks structurally as
 //! wait-for-graph cycles, not watchdog timeouts.
 
-// Live mode implements real receive deadlines (condvar wait with
-// remaining-time bookkeeping), which is wall-clock by nature; the numeric
-// path never reads these clocks. This file is on the analyzer's
-// `wall-clock` allow-list for that reason, exactly like mock.rs.
-
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use sasgd_comm::transport::Transport;
+use sasgd_comm::transport::{Transport, Wait};
 use sasgd_comm::world::CommError;
 
 use crate::corpus::world_fingerprint;
 use crate::vclock::VClock;
 
-/// How long the controlled-mode scheduler waits for quiescence before
-/// declaring the model itself stalled (a rank thread blocked outside the
-/// model — a harness bug, not a scenario deadlock).
+/// How long the scheduler waits for quiescence before declaring the model
+/// itself stalled (a rank thread blocked outside the model — a harness bug,
+/// not a scenario deadlock).
 const SCHEDULER_STALL: Duration = Duration::from_secs(20);
 
 // ---------------------------------------------------------------------------
@@ -51,14 +47,14 @@ const SCHEDULER_STALL: Duration = Duration::from_secs(20);
 
 /// What a granted operation did with its nondeterminism.
 ///
-/// `Fire` is the unique outcome of sends, named receives, and cell
-/// operations; `Deliver(i)` picks candidate `i` of a wildcard receive;
+/// `Fire` is the unique outcome of sends and cell operations; `Deliver(i)`
+/// picks candidate `i` of a receive (a named receive has one candidate);
 /// `Timeout` takes the deadline branch of a deadline-bounded receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ChoiceKind {
-    /// The operation's only data-flow outcome (send, named recv, cell op).
+    /// The operation's only data-flow outcome (send, cell op).
     Fire,
-    /// Deliver from candidate index `i` of a wildcard receive.
+    /// Deliver from candidate index `i` of a receive.
     Deliver(usize),
     /// Take the deadline branch of a deadline-bounded receive.
     Timeout,
@@ -163,7 +159,7 @@ struct Msg {
     payload: Vec<f32>,
     clock: VClock,
     /// Global arrival number — total order of sends, used for the per-src
-    /// FIFO rule of wildcard receives and live-mode arrival order.
+    /// FIFO rule of wildcard receives.
     seq: u64,
 }
 
@@ -181,11 +177,6 @@ enum PendingOp {
         payload: Vec<f32>,
     },
     Recv {
-        src: usize,
-        tag: u64,
-        can_timeout: bool,
-    },
-    RecvAny {
         /// `(src, tag)` per candidate, in caller order.
         cands: Vec<(usize, u64)>,
         can_timeout: bool,
@@ -206,7 +197,7 @@ enum PendingOp {
 /// What the scheduler hands back to a parked rank.
 enum Grant {
     Sent(Result<(), CommError>),
-    Received(Result<(usize, Vec<f32>), CommError>),
+    Received(Result<((usize, u64), Vec<f32>), CommError>),
     Value(f32),
     /// Execution aborted (redundant branch or post-deadlock teardown):
     /// surface as `Disconnected` so rank bodies unwind through their normal
@@ -223,19 +214,9 @@ pub struct ModelEvent {
     pub witness: Vec<Decision>,
 }
 
-/// Execution mode of a model world.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Condvar blocking and real deadlines (conformance column).
-    Live,
-    /// Every operation parks for a scheduler grant.
-    Controlled,
-}
-
 /// The mutable state of one model world.
 struct WorldState {
     p: usize,
-    mode: Mode,
     queues: BTreeMap<(usize, usize, u64), VecDeque<Msg>>,
     /// Primary endpoint dropped — the rank has left the world.
     finished: Vec<bool>,
@@ -245,7 +226,7 @@ struct WorldState {
     cells: BTreeMap<u32, Cell>,
     next_seq: u64,
     aborted: bool,
-    /// Decisions applied so far (controlled mode).
+    /// Decisions applied so far.
     log: Vec<Decision>,
     /// Live-src deadline branches the current execution may still take.
     timeouts_left: u32,
@@ -256,10 +237,9 @@ struct WorldState {
     cycles: Vec<ModelEvent>,
 }
 
-/// The lock every endpoint of a world shares, and who waits on what:
-/// live-mode receivers and the controlled-mode scheduler on `cv`, each
-/// parked controlled-mode rank on its own `granted` entry — so a grant
-/// wakes one thread, not the world.
+/// The lock every endpoint of a world shares, and who waits on what: the
+/// scheduler on `cv`, each parked rank on its own `granted` entry — so a
+/// grant wakes one thread, not the world.
 struct WorldShared {
     state: Mutex<WorldState>,
     cv: Condvar,
@@ -273,7 +253,7 @@ impl WorldShared {
         self.state.lock().expect("model world lock")
     }
 
-    /// Tear a controlled execution down: every parked rank unwinds.
+    /// Tear an execution down: every parked rank unwinds.
     fn abort(&self, st: &mut StateGuard<'_>) {
         st.aborted = true;
         self.granted.iter().for_each(Condvar::notify_one);
@@ -284,10 +264,8 @@ impl WorldShared {
 // The endpoint.
 // ---------------------------------------------------------------------------
 
-/// One rank's endpoint into a model world — the fourth [`Transport`] impl.
-///
-/// Endpoints are produced by [`model_world`] (live mode) or by
-/// [`run_execution`] (controlled mode).
+/// One rank's endpoint into a model world. [`run_execution`] produces
+/// them.
 pub struct ModelTransport {
     shared: Arc<WorldShared>,
     rank: usize,
@@ -295,18 +273,11 @@ pub struct ModelTransport {
     op_counter: u64,
 }
 
-/// Build the `p` endpoints of a fresh **live-mode** model world —
-/// the factory the transport-conformance suite uses.
-pub fn model_world(p: usize) -> Vec<ModelTransport> {
-    world_with_mode(p, Mode::Live, 0, false).0
-}
-
-/// Build a **controlled-mode** world: endpoints plus the shared handle the
-/// scheduler drives. `timeout_budget` bounds live-src deadline branches per
-/// execution; `check_races` arms the wildcard-receive race check.
-fn world_with_mode(
+/// Build a world: endpoints plus the shared handle the scheduler drives.
+/// `timeout_budget` bounds live-src deadline branches per execution;
+/// `check_races` arms the wildcard-receive race check.
+fn world(
     p: usize,
-    mode: Mode,
     timeout_budget: u32,
     check_races: bool,
 ) -> (Vec<ModelTransport>, Arc<WorldShared>) {
@@ -314,7 +285,6 @@ fn world_with_mode(
     let shared = Arc::new(WorldShared {
         state: Mutex::new(WorldState {
             p,
-            mode,
             queues: BTreeMap::new(),
             finished: vec![false; p],
             parked: (0..p).map(|_| None).collect(),
@@ -346,7 +316,7 @@ fn world_with_mode(
 
 impl ModelTransport {
     /// Shared-cell read (scheduler-mediated; joins the cell's last-writer
-    /// clock). Cells exist in controlled worlds only.
+    /// clock).
     pub fn cell_load(&mut self, cell: u32) -> Result<f32, CommError> {
         self.cell_op(PendingOp::CellLoad { cell })
     }
@@ -366,10 +336,6 @@ impl ModelTransport {
     }
 
     fn cell_op(&mut self, op: PendingOp) -> Result<f32, CommError> {
-        assert!(
-            self.shared.lock().mode == Mode::Controlled,
-            "shared cells exist in controlled worlds only"
-        );
         match self.scheduled(op) {
             Grant::Value(v) => Ok(v),
             Grant::Abort => Err(CommError::Disconnected {
@@ -380,8 +346,7 @@ impl ModelTransport {
         }
     }
 
-    /// Controlled mode: park the operation and wait for the scheduler's
-    /// grant.
+    /// Park the operation and wait for the scheduler's grant.
     fn scheduled(&self, op: PendingOp) -> Grant {
         let mut st = self.shared.lock();
         if st.aborted {
@@ -399,78 +364,6 @@ impl ModelTransport {
             }
             let granted = &self.shared.granted[self.rank];
             st = granted.wait(st).expect("model world lock");
-        }
-    }
-
-    // ---------------------------------------------------------------- live
-
-    /// Live-mode send: immediate enqueue, `PeerGone` on a finished peer.
-    fn live_send(&self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
-        let mut st = self.shared.lock();
-        let sent = enqueue(&mut st, self.rank, dst, tag, payload);
-        self.shared.cv.notify_all();
-        sent
-    }
-
-    /// Live-mode receive over `cands` (`(src, tag)`), taking the earliest
-    /// arrival; blocks (or waits out `timeout`).
-    fn live_recv(
-        &self,
-        cands: &[(usize, u64)],
-        timeout: Option<Duration>,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let me = self.rank;
-        let &(fsrc, ftag) = cands.first().ok_or(CommError::NoCandidates)?;
-        let mut st = self.shared.lock();
-        loop {
-            // Earliest-arrival match across the candidate channels.
-            let best = cands
-                .iter()
-                .filter_map(|&(src, tag)| {
-                    st.queues
-                        .get(&(src, me, tag))
-                        .and_then(|q| q.front())
-                        .map(|m| (m.seq, src, tag))
-                })
-                .min_by_key(|&(seq, ..)| seq);
-            if let Some((_, src, tag)) = best {
-                let msg = st
-                    .queues
-                    .get_mut(&(src, me, tag))
-                    .and_then(|q| q.pop_front())
-                    .expect("matched head");
-                st.clocks[me].join(&msg.clock);
-                st.clocks[me].tick(me);
-                return Ok((src, msg.payload));
-            }
-            let all_gone = cands.iter().all(|&(src, _)| st.finished[src]);
-            match deadline {
-                Some(dl) => {
-                    if all_gone || Instant::now() >= dl {
-                        return Err(CommError::Timeout {
-                            src: fsrc,
-                            tag: ftag,
-                        });
-                    }
-                    let remaining = dl.saturating_duration_since(Instant::now());
-                    let (guard, _) = self
-                        .shared
-                        .cv
-                        .wait_timeout(st, remaining)
-                        .expect("model world lock");
-                    st = guard;
-                }
-                None => {
-                    if all_gone {
-                        return Err(CommError::Disconnected {
-                            src: fsrc,
-                            tag: ftag,
-                        });
-                    }
-                    st = self.shared.cv.wait(st).expect("model world lock");
-                }
-            }
         }
     }
 }
@@ -519,41 +412,28 @@ impl Transport for ModelTransport {
     }
 
     fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
-        let mode = self.shared.lock().mode;
-        match mode {
-            Mode::Live => self.live_send(dst, tag, payload),
-            Mode::Controlled => match self.scheduled(PendingOp::Send { dst, tag, payload }) {
-                Grant::Sent(res) => res,
-                Grant::Abort => Err(CommError::Disconnected { src: dst, tag }),
-                _ => unreachable!("send grants Sent"),
-            },
+        match self.scheduled(PendingOp::Send { dst, tag, payload }) {
+            Grant::Sent(res) => res,
+            Grant::Abort => Err(CommError::Disconnected { src: dst, tag }),
+            _ => unreachable!("send grants Sent"),
         }
     }
 
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        self.receive(&[(src, tag)], true, None).map(|(_, v)| v)
-    }
-
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        self.receive(&[(src, tag)], true, Some(timeout))
-            .map(|(_, v)| v)
-    }
-
-    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        self.receive(candidates, false, None)
-    }
-
-    fn recv_any_deadline(
+    /// Parks the receive over `candidates`. A [`Wait::For`] only says that
+    /// the deadline branch exists; the scheduler decides whether it fires.
+    fn recv_match(
         &mut self,
         candidates: &[(usize, u64)],
-        timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        self.receive(candidates, false, Some(timeout))
+        wait: Wait,
+    ) -> Result<((usize, u64), Vec<f32>), CommError> {
+        let &(src, tag) = candidates.first().ok_or(CommError::NoCandidates)?;
+        let cands = candidates.to_vec();
+        let can_timeout = matches!(wait, Wait::For(_));
+        match self.scheduled(PendingOp::Recv { cands, can_timeout }) {
+            Grant::Received(res) => res,
+            Grant::Abort => Err(CommError::Disconnected { src, tag }),
+            _ => unreachable!("receives grant Received"),
+        }
     }
 
     fn next_op(&mut self) -> u64 {
@@ -563,45 +443,10 @@ impl Transport for ModelTransport {
     }
 }
 
-impl ModelTransport {
-    /// Every receive. `named` is a plain `recv` (one candidate, parked as
-    /// [`PendingOp::Recv`]); otherwise a wildcard over `candidates`. A
-    /// `timeout` bounds the live-mode wait and, in controlled mode, only
-    /// says that the deadline branch exists.
-    fn receive(
-        &mut self,
-        candidates: &[(usize, u64)],
-        named: bool,
-        timeout: Option<Duration>,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let &(src, tag) = candidates.first().ok_or(CommError::NoCandidates)?;
-        if self.shared.lock().mode == Mode::Live {
-            return self.live_recv(candidates, timeout);
-        }
-        let can_timeout = timeout.is_some();
-        let op = if named {
-            PendingOp::Recv {
-                src,
-                tag,
-                can_timeout,
-            }
-        } else {
-            let cands = candidates.to_vec();
-            PendingOp::RecvAny { cands, can_timeout }
-        };
-        match self.scheduled(op) {
-            Grant::Received(res) => res,
-            Grant::Abort => Err(CommError::Disconnected { src, tag }),
-            _ => unreachable!("receives grant Received"),
-        }
-    }
-}
-
 impl Drop for ModelTransport {
     fn drop(&mut self) {
         // Hangup is immediate (like the mock): the next send to this rank
-        // fails with PeerGone, and the controlled scheduler sees the rank
-        // as finished.
+        // fails with PeerGone, and the scheduler sees the rank as finished.
         let mut st = self.shared.lock();
         st.finished[self.rank] = true;
         self.shared.cv.notify_all();
@@ -609,10 +454,10 @@ impl Drop for ModelTransport {
 }
 
 // ---------------------------------------------------------------------------
-// The controlled-mode scheduler.
+// The scheduler.
 // ---------------------------------------------------------------------------
 
-/// How one controlled execution ended.
+/// How one execution ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Every rank ran to completion.
@@ -634,7 +479,7 @@ pub struct StepRecord {
     pub taken: usize,
 }
 
-/// A fully recorded controlled execution.
+/// A fully recorded execution.
 pub struct ExecRecord {
     /// The decision sequence, step by step.
     pub steps: Vec<StepRecord>,
@@ -673,7 +518,7 @@ impl ExecRecord {
 /// scenario error.
 pub type RankOutcome = Result<Vec<f32>, String>;
 
-/// One rank's body in a controlled execution: owns its endpoint.
+/// One rank's body in an execution: owns its endpoint.
 pub type ModelRankFn = Arc<dyn Fn(ModelTransport) -> RankOutcome + Send + Sync>;
 
 /// The exploration policy: given the enabled set (canonical order), pick
@@ -695,33 +540,7 @@ fn enabled_choices(st: &StateGuard<'_>) -> Vec<EnabledChoice> {
                 chans: vec![Chan::Msg(r, *dst, *tag)],
                 is_load: false,
             }),
-            PendingOp::Recv {
-                src,
-                tag,
-                can_timeout,
-            } => {
-                let chan = Chan::Msg(*src, r, *tag);
-                let has_msg = st
-                    .queues
-                    .get(&(*src, r, *tag))
-                    .is_some_and(|q| !q.is_empty());
-                if has_msg {
-                    out.push(EnabledChoice {
-                        rank: r,
-                        kind: ChoiceKind::Fire,
-                        chans: vec![chan],
-                        is_load: false,
-                    });
-                } else if *can_timeout && (st.finished[*src] || st.timeouts_left > 0) {
-                    out.push(EnabledChoice {
-                        rank: r,
-                        kind: ChoiceKind::Timeout,
-                        chans: vec![chan],
-                        is_load: false,
-                    });
-                }
-            }
-            PendingOp::RecvAny { cands, can_timeout } => {
+            PendingOp::Recv { cands, can_timeout } => {
                 let chans: Vec<Chan> = cands.iter().map(|&(src, t)| Chan::Msg(src, r, t)).collect();
                 let deliverable = deliverable_candidates(st, r, cands);
                 if deliverable.is_empty() {
@@ -809,26 +628,8 @@ fn apply_choice(st: &mut StateGuard<'_>, choice: &EnabledChoice) {
         (PendingOp::Send { dst, tag, payload }, ChoiceKind::Fire) => {
             Grant::Sent(enqueue(st, r, dst, tag, payload))
         }
-        (PendingOp::Recv { src, tag, .. }, ChoiceKind::Fire) => {
-            let msg = st
-                .queues
-                .get_mut(&(src, r, tag))
-                .and_then(|q| q.pop_front())
-                .expect("enabled recv has a message");
-            let clock = msg.clock;
-            st.clocks[r].join(&clock);
-            st.clocks[r].tick(r);
-            Grant::Received(Ok((src, msg.payload)))
-        }
-        (PendingOp::Recv { src, tag, .. }, ChoiceKind::Timeout) => {
-            if !st.finished[src] {
-                st.timeouts_left = st.timeouts_left.saturating_sub(1);
-            }
-            st.clocks[r].tick(r);
-            Grant::Received(Err(CommError::Timeout { src, tag }))
-        }
-        (PendingOp::RecvAny { cands, .. }, ChoiceKind::Deliver(idx)) => {
-            if st.check_races {
+        (PendingOp::Recv { cands, .. }, ChoiceKind::Deliver(idx)) => {
+            if st.check_races && cands.len() > 1 {
                 record_wildcard_races(st, r, &cands);
             }
             let (src, tag) = cands[idx];
@@ -840,9 +641,9 @@ fn apply_choice(st: &mut StateGuard<'_>, choice: &EnabledChoice) {
             let clock = msg.clock;
             st.clocks[r].join(&clock);
             st.clocks[r].tick(r);
-            Grant::Received(Ok((src, msg.payload)))
+            Grant::Received(Ok(((src, tag), msg.payload)))
         }
-        (PendingOp::RecvAny { cands, .. }, ChoiceKind::Timeout) => {
+        (PendingOp::Recv { cands, .. }, ChoiceKind::Timeout) => {
             if !cands.iter().all(|&(src, _)| st.finished[src]) {
                 st.timeouts_left = st.timeouts_left.saturating_sub(1);
             }
@@ -937,14 +738,8 @@ fn wait_for_report(st: &StateGuard<'_>) -> String {
     // Edges rank -> ranks it waits on, with the blocking (src, tag).
     let mut waits: BTreeMap<usize, Vec<(usize, u64)>> = BTreeMap::new();
     for r in 0..st.p {
-        match st.parked[r].as_ref() {
-            Some(PendingOp::Recv { src, tag, .. }) => {
-                waits.insert(r, vec![(*src, *tag)]);
-            }
-            Some(PendingOp::RecvAny { cands, .. }) => {
-                waits.insert(r, cands.clone());
-            }
-            _ => {}
+        if let Some(PendingOp::Recv { cands, .. }) = st.parked[r].as_ref() {
+            waits.insert(r, cands.clone());
         }
     }
     for (&r, targets) in &waits {
@@ -992,7 +787,7 @@ fn wait_for_report(st: &StateGuard<'_>) -> String {
     }
 }
 
-/// Run one controlled execution of `bodies` (rank order), scheduling with
+/// Run one execution of `bodies` (rank order), scheduling with
 /// `policy`. `prefix_ok` replays are the caller's business — the policy
 /// sees every scheduling point, including replayed ones.
 pub fn run_execution(
@@ -1002,7 +797,7 @@ pub fn run_execution(
     check_races: bool,
     policy: Policy<'_>,
 ) -> ExecRecord {
-    let (endpoints, shared) = world_with_mode(p, Mode::Controlled, timeout_budget, check_races);
+    let (endpoints, shared) = world(p, timeout_budget, check_races);
     let results: Mutex<Vec<Option<RankOutcome>>> = Mutex::new((0..p).map(|_| None).collect());
     let mut steps = Vec::new();
     let mut outcome = Outcome::Completed;
@@ -1117,43 +912,72 @@ mod tests {
         assert_eq!(parse_witness("0x"), None);
     }
 
-    #[test]
-    fn live_ping_pong() {
-        let mut world = model_world(2);
-        let mut c1 = world.pop().expect("rank 1");
-        let mut c0 = world.pop().expect("rank 0");
-        // lint:allow(raw-spawn): analysis crate hosts model-world threads
-        let t = std::thread::spawn(move || {
-            let v = c1.recv(0, 7).expect("recv");
-            c1.send(0, 8, v.iter().map(|x| x + 1.0).collect())
-                .expect("send");
+    /// Run `ops` as every rank's body of a `p`-rank world, taking the
+    /// first enabled choice at each point: how the execution ended, and
+    /// each rank's operation errors in program order.
+    fn observe(
+        p: usize,
+        timeout_budget: u32,
+        ops: fn(&mut ModelTransport) -> Vec<Option<CommError>>,
+    ) -> (Outcome, Vec<Vec<Option<CommError>>>) {
+        let seen = Arc::new(Mutex::new(vec![Vec::new(); p]));
+        let log = Arc::clone(&seen);
+        let body: ModelRankFn = Arc::new(move |mut t: ModelTransport| {
+            let errors = ops(&mut t);
+            log.lock().expect("log")[t.rank()] = errors;
+            Ok(vec![])
         });
-        c0.send(1, 7, vec![1.0]).expect("send");
-        assert_eq!(c0.recv(1, 8).expect("recv"), vec![2.0]);
-        t.join().expect("peer");
+        let mut first = |_: &[EnabledChoice]| Some(0);
+        let rec = run_execution(p, &body, timeout_budget, false, &mut first);
+        let seen = seen.lock().expect("log").clone();
+        (rec.outcome, seen)
     }
 
+    /// The failure-semantics table of `sasgd_comm::transport`, under the
+    /// scheduler the DPOR explorer drives.
     #[test]
-    fn live_send_to_dropped_peer_is_peer_gone() {
-        let mut world = model_world(2);
-        let c1 = world.pop().expect("rank 1");
-        let mut c0 = world.pop().expect("rank 0");
-        drop(c1);
-        assert_eq!(
-            c0.send(1, 3, vec![1.0]),
-            Err(CommError::PeerGone { peer: 1 })
-        );
-    }
+    fn controlled_mode_keeps_the_failure_semantics_table() {
+        // Rank 1 leaves at once: a send to it is `PeerGone`, a deadline
+        // receive from it takes the (always enabled) dead-source timeout,
+        // and a receive naming no candidate is `NoCandidates`.
+        let (outcome, seen) = observe(2, 0, |t| match t.rank() {
+            0 => vec![
+                t.send(1, 3, vec![1.0]).err(),
+                t.recv_deadline(1, 4, Duration::from_secs(1)).err(),
+                t.recv_any(&[]).err(),
+            ],
+            _ => vec![],
+        });
+        assert_eq!(outcome, Outcome::Completed);
+        let expect = [
+            Some(CommError::PeerGone { peer: 1 }),
+            Some(CommError::Timeout { src: 1, tag: 4 }),
+            Some(CommError::NoCandidates),
+        ];
+        assert_eq!(seen[0], expect);
 
-    #[test]
-    fn live_deadline_times_out() {
-        let mut world = model_world(2);
-        let _c1 = world.pop().expect("rank 1");
-        let mut c0 = world.pop().expect("rank 0");
-        assert_eq!(
-            c0.recv_deadline(1, 9, Duration::from_millis(20)),
-            Err(CommError::Timeout { src: 1, tag: 9 })
-        );
+        // A live peer that has sent nothing: with a budget of one, the
+        // deadline branch is the only enabled choice, and the run goes on.
+        let (outcome, seen) = observe(2, 1, |t| match t.rank() {
+            0 => vec![
+                t.recv_deadline(1, 5, Duration::from_secs(1)).err(),
+                t.send(1, 6, vec![2.0]).err(),
+            ],
+            _ => vec![t.recv(0, 6).err()],
+        });
+        assert_eq!(outcome, Outcome::Completed);
+        assert_eq!(seen[0], [Some(CommError::Timeout { src: 1, tag: 5 }), None]);
+        assert_eq!(seen[1], [None]);
+
+        // Two ranks waiting on each other: the execution is torn down and
+        // each parked receive surfaces as `Disconnected`.
+        let (outcome, seen) = observe(2, 0, |t| {
+            let peer = 1 - t.rank();
+            vec![t.recv(peer, 7).err()]
+        });
+        assert_eq!(outcome, Outcome::Deadlock);
+        let gone = |src| vec![Some(CommError::Disconnected { src, tag: 7 })];
+        assert_eq!(seen, [gone(1), gone(0)]);
     }
 
     #[test]

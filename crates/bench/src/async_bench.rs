@@ -78,8 +78,8 @@ pub struct AsyncRow {
     pub comm_seconds: f64,
     /// Aggregation rounds executed.
     pub sync_rounds: u64,
-    /// Mean staleness: the interval's bound in steps for SASGD, the
-    /// measured τ in global updates for Downpour.
+    /// Mean staleness: the mean interval the rounds ran, in steps, for
+    /// SASGD; the measured τ in global updates for Downpour.
     pub staleness_mean: f64,
     /// Whether this row reaches the same-p sync baseline's accuracy
     /// (±`ACC_TOL`) at a measurably lower epoch time. `None` for the

@@ -4,10 +4,11 @@
 //! CUDA-aware OpenMPI stack (`mpiT`).
 //!
 //! * [`transport`] — the [`transport::Transport`] trait every collective
-//!   and engine backend is written against: `send`/`recv`/`recv_deadline`/
-//!   `recv_any` over opaque rank endpoints, with typed [`world::CommError`]
-//!   as the only failure channel — and [`transport::Clocked`], the
-//!   decorator that prices any endpoint's messages in virtual time;
+//!   and engine backend is written against: `send` and one matched
+//!   receive, [`transport::Transport::recv_match`], over opaque rank
+//!   endpoints, with typed [`world::CommError`] as the only failure
+//!   channel — and [`transport::Clocked`], the decorator that prices any
+//!   endpoint's messages in virtual time;
 //! * [`world`] — a process-group abstraction: `p` ranks exchanging typed
 //!   messages over crossbeam channels, with global traffic accounting —
 //!   the in-process [`Transport`] implementation;
@@ -75,6 +76,6 @@ pub use protocol::Frame;
 pub use ps_transport::{serve_shard, PsLayout, PsTransportClient, PsTransportError};
 pub use socket::{loopback_addrs, SocketTransport};
 pub use sparse::{sparse_allreduce_tree, SparseVec};
-pub use transport::{Clocked, InProcTransport, Sequenced, Stamps, Transport, VirtualClock};
+pub use transport::{Clocked, Sequenced, Stamps, Transport, VirtualClock, Wait};
 pub use tree::{allreduce_over, broadcast_over, Fold, FtError, FtOutcome, Membership};
 pub use world::{CommError, CommWorld, Communicator, FaultSchedule};

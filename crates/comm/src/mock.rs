@@ -6,9 +6,10 @@
 //! [`crate::socket::SocketTransport`] carries a real wire, this impl is
 //! the failure-semantics table from [`crate::transport`] and *nothing
 //! else*: one mutex-guarded inbox per rank, a condvar for arrival
-//! notification, an alive flag per endpoint. The transport-conformance
-//! suite runs against all three; when a semantics question comes up, this
-//! file is the shortest statement of the intended answer.
+//! notification, an alive flag per endpoint, and its own copy of the one
+//! matching loop. The transport-conformance suite runs against all three;
+//! when a semantics question comes up, this file is the shortest statement
+//! of the intended answer.
 
 // Receive deadlines are wall-clock by nature (the condvar wait needs
 // remaining-time bookkeeping); the numeric path never reads these clocks.
@@ -19,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::transport::Transport;
+use crate::transport::{Transport, Wait};
 use crate::world::CommError;
 
 /// An undelivered message in a rank's inbox.
@@ -107,60 +108,6 @@ impl MockTransport {
             }
         }
     }
-
-    fn recv_inner(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<f32>, CommError> {
-        if let Some(q) = self.pending.get_mut(&(src, tag)) {
-            if let Some(m) = q.pop_front() {
-                return Ok(m);
-            }
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            match self.next_slot(deadline, src, tag) {
-                Ok(slot) if slot.from == src && slot.tag == tag => return Ok(slot.payload),
-                Ok(slot) => self
-                    .pending
-                    .entry((slot.from, slot.tag))
-                    .or_default()
-                    .push_back(slot.payload),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn recv_any_inner(
-        &mut self,
-        candidates: &[(usize, u64)],
-        timeout: Option<Duration>,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let &(first_src, first_tag) = candidates.first().ok_or(CommError::NoCandidates)?;
-        for &(src, tag) in candidates {
-            if let Some(q) = self.pending.get_mut(&(src, tag)) {
-                if let Some(m) = q.pop_front() {
-                    return Ok((src, m));
-                }
-            }
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            match self.next_slot(deadline, first_src, first_tag) {
-                Ok(slot) if candidates.contains(&(slot.from, slot.tag)) => {
-                    return Ok((slot.from, slot.payload));
-                }
-                Ok(slot) => self
-                    .pending
-                    .entry((slot.from, slot.tag))
-                    .or_default()
-                    .push_back(slot.payload),
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }
 
 impl Transport for MockTransport {
@@ -195,29 +142,28 @@ impl Transport for MockTransport {
         Ok(())
     }
 
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, self.default_deadline)
-    }
-
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, Some(timeout))
-    }
-
-    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, self.default_deadline)
-    }
-
-    fn recv_any_deadline(
+    fn recv_match(
         &mut self,
         candidates: &[(usize, u64)],
-        timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, Some(timeout))
+        wait: Wait,
+    ) -> Result<((usize, u64), Vec<f32>), CommError> {
+        let &(src, tag) = candidates.first().ok_or(CommError::NoCandidates)?;
+        for &c in candidates {
+            if let Some(m) = self.pending.get_mut(&c).and_then(VecDeque::pop_front) {
+                return Ok((c, m));
+            }
+        }
+        let deadline = wait
+            .timeout(self.default_deadline)
+            .map(|t| Instant::now() + t);
+        loop {
+            let slot = self.next_slot(deadline, src, tag)?;
+            let c = (slot.from, slot.tag);
+            if candidates.contains(&c) {
+                return Ok((c, slot.payload));
+            }
+            self.pending.entry(c).or_default().push_back(slot.payload);
+        }
     }
 
     fn next_op(&mut self) -> u64 {

@@ -12,10 +12,10 @@
 //! Each endpoint runs one reader thread per peer (raw `thread::spawn` is
 //! sanctioned for `crates/comm/` by the analyzer's spawn allow-list — this
 //! *is* the communication layer). Readers decode frames and forward them
-//! into a single crossbeam channel, which makes the receive path identical
-//! in shape to [`crate::world::Communicator`]: the endpoint drains the
-//! channel, parking non-matching frames in an ordered pending map
-//! (`BTreeMap`, per the `map-iter` lint). A reader that observes EOF or an
+//! into a single crossbeam channel, which makes the receive path the one
+//! [`crate::world::Communicator`] runs: the same inbox drains the channel,
+//! parking non-matching frames in an ordered pending map (`BTreeMap`, per
+//! the `map-iter` lint). A reader that observes EOF or an
 //! I/O error marks its peer gone and exits; subsequent sends to that peer
 //! fail with [`CommError::PeerGone`]. Unlike the in-process channel world,
 //! hangup detection rides the wire, so there is a window where a send to a
@@ -32,7 +32,6 @@
 // sanction as world.rs); the numeric path never reads these clocks. This
 // file is on the analyzer's `wall-clock` allow-list for that reason.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,11 +39,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Sender};
 
 use crate::protocol::{read_frame, write_frame, Frame, HELLO_TAG};
-use crate::transport::Transport;
-use crate::world::{CommError, Traffic};
+use crate::transport::{Transport, Wait};
+use crate::world::{CommError, Inbox, Traffic};
 
 /// How long a dialing rank keeps retrying a peer whose listener is not up
 /// yet, and how long an accepting rank waits for its higher-ranked peers.
@@ -60,15 +59,13 @@ pub struct SocketTransport {
     size: usize,
     /// One write half per peer (`None` at our own index).
     writers: Vec<Option<TcpStream>>,
-    /// Frames forwarded by the reader threads.
-    rx: Receiver<Frame>,
+    /// Frames the reader threads forward, and the arrivals parked until a
+    /// matching receive.
+    inbox: Inbox,
     /// Keeps the channel open while this endpoint lives, so a blocking
     /// receive blocks (matching the in-process world) instead of
     /// disconnecting when every reader has exited.
     _self_tx: Sender<Frame>,
-    /// Out-of-order arrivals parked until a matching receive (ordered map:
-    /// `map-iter` lint, same rationale as `world.rs`).
-    pending: BTreeMap<(usize, u64), VecDeque<Vec<f32>>>,
     /// Peers whose reader observed hangup; sends to them fail fast.
     gone: Arc<Vec<AtomicBool>>,
     op_counter: u64,
@@ -192,9 +189,8 @@ impl SocketTransport {
             rank,
             size,
             writers,
-            rx,
+            inbox: Inbox::new(rx),
             _self_tx: tx,
-            pending: BTreeMap::new(),
             gone,
             op_counter: 0,
             default_deadline: None,
@@ -216,81 +212,6 @@ impl SocketTransport {
     pub fn traffic(&self) -> Arc<Traffic> {
         Arc::clone(&self.traffic)
     }
-
-    fn recv_inner(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<f32>, CommError> {
-        if let Some(q) = self.pending.get_mut(&(src, tag)) {
-            if let Some(m) = q.pop_front() {
-                return Ok(m);
-            }
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            match self.next_frame(deadline, src, tag) {
-                Ok(f) if f.from == src && f.tag == tag => return Ok(f.payload),
-                Ok(f) => self
-                    .pending
-                    .entry((f.from, f.tag))
-                    .or_default()
-                    .push_back(f.payload),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn recv_any_inner(
-        &mut self,
-        candidates: &[(usize, u64)],
-        timeout: Option<Duration>,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let &(first_src, first_tag) = candidates.first().ok_or(CommError::NoCandidates)?;
-        for &(src, tag) in candidates {
-            if let Some(q) = self.pending.get_mut(&(src, tag)) {
-                if let Some(m) = q.pop_front() {
-                    return Ok((src, m));
-                }
-            }
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            match self.next_frame(deadline, first_src, first_tag) {
-                Ok(f) if candidates.contains(&(f.from, f.tag)) => return Ok((f.from, f.payload)),
-                Ok(f) => self
-                    .pending
-                    .entry((f.from, f.tag))
-                    .or_default()
-                    .push_back(f.payload),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One frame off the reader channel, bounded by `deadline` when
-    /// present; `(src, tag)` only label the error.
-    fn next_frame(
-        &self,
-        deadline: Option<Instant>,
-        src: usize,
-        tag: u64,
-    ) -> Result<Frame, CommError> {
-        match deadline {
-            None => self
-                .rx
-                .recv()
-                .map_err(|_| CommError::Disconnected { src, tag }),
-            Some(dl) => {
-                let remaining = dl.saturating_duration_since(Instant::now());
-                self.rx.recv_timeout(remaining).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => CommError::Timeout { src, tag },
-                    RecvTimeoutError::Disconnected => CommError::Disconnected { src, tag },
-                })
-            }
-        }
-    }
 }
 
 impl Transport for SocketTransport {
@@ -303,52 +224,33 @@ impl Transport for SocketTransport {
     }
 
     fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
-        self.traffic
-            .elements
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.traffic.messages.fetch_add(1, Ordering::Relaxed);
+        let elements = payload.len();
         if dst == self.rank {
             // Loopback without touching the wire, like the channel world's
             // self-send. No collective uses it, but the contract allows it.
-            self.pending
-                .entry((dst, tag))
-                .or_default()
-                .push_back(payload);
-            return Ok(());
+            let from = self.rank;
+            self.inbox.park(Frame { from, tag, payload });
+        } else {
+            if self.gone[dst].load(Ordering::Acquire) {
+                return Err(CommError::PeerGone { peer: dst });
+            }
+            let stream = self.writers[dst].as_mut().expect("mesh stream");
+            write_frame(stream, self.rank, tag, &payload).map_err(|_| {
+                self.gone[dst].store(true, Ordering::Release);
+                CommError::PeerGone { peer: dst }
+            })?;
         }
-        if self.gone[dst].load(Ordering::Acquire) {
-            return Err(CommError::PeerGone { peer: dst });
-        }
-        let stream = self.writers[dst].as_mut().expect("mesh stream");
-        write_frame(stream, self.rank, tag, &payload).map_err(|_| {
-            self.gone[dst].store(true, Ordering::Release);
-            CommError::PeerGone { peer: dst }
-        })
+        self.traffic.count(elements);
+        Ok(())
     }
 
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, self.default_deadline)
-    }
-
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, Some(timeout))
-    }
-
-    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, self.default_deadline)
-    }
-
-    fn recv_any_deadline(
+    fn recv_match(
         &mut self,
         candidates: &[(usize, u64)],
-        timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, Some(timeout))
+        wait: Wait,
+    ) -> Result<((usize, u64), Vec<f32>), CommError> {
+        let timeout = wait.timeout(self.default_deadline);
+        self.inbox.take(candidates, timeout)
     }
 
     fn next_op(&mut self) -> u64 {
@@ -491,5 +393,23 @@ mod tests {
         assert_eq!(c0.recv(1, 1).expect("recv"), vec![0.0; 10]);
         assert_eq!(traffic.elements_sent(), 10);
         assert_eq!(traffic.messages_sent(), 1);
+    }
+
+    #[test]
+    fn a_send_to_a_dropped_peer_is_not_traffic() {
+        let mut world = socket_world(2);
+        drop(world.pop());
+        let mut c0 = world.pop().expect("rank 0");
+        let traffic = c0.traffic();
+        // The hangup rides the wire: sends may buffer (and count) until it
+        // is seen; the one that fails must not count.
+        let mut buffered = 0;
+        while c0.send(1, 1, vec![0.0; 10]).is_ok() {
+            buffered += 1;
+            assert!(buffered < 2000, "the hangup never surfaced");
+            thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(traffic.elements_sent(), 10 * buffered);
+        assert_eq!(traffic.messages_sent(), buffered);
     }
 }

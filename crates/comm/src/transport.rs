@@ -11,35 +11,42 @@
 //! only failure channel. That is exactly the contract a multi-host wire
 //! needs, so the same collective code runs unchanged over
 //!
-//! * [`InProcTransport`] — the crossbeam-channel world of
-//!   [`crate::world`], one endpoint per OS thread (the original substrate;
-//!   traffic counters and wire fault injection are capabilities of this
-//!   impl only);
+//! * [`crate::world::Communicator`] — the crossbeam-channel world of
+//!   [`crate::world`], one endpoint per OS thread (traffic counters and
+//!   wire fault injection are capabilities of this impl only);
 //! * [`crate::socket::SocketTransport`] — length-prefixed frames over TCP
 //!   sockets, one endpoint per OS *process*;
 //! * [`crate::mock::MockTransport`] — a shared-memory reference
-//!   implementation of the failure-semantics table, for conformance tests.
+//!   implementation of the failure-semantics table, for conformance tests;
+//! * [`Clocked`] and [`Sequenced`] — decorators over any of them, for the
+//!   simulated backend (below);
+//! * `sasgd_analysis::model::ModelTransport` — the model checker's, which
+//!   parks every operation for its scheduler.
 //!
 //! ## Contract
 //!
-//! Implementations must provide MPI-style `(src, tag)` matching: a receive
-//! names its source and tag, unrelated arrivals are parked (FIFO per
-//! `(src, tag)` pair) until a matching receive claims them. The required
-//! failure semantics, asserted by the transport-conformance suite in
+//! A transport has one receive, [`Transport::recv_match`], as MPI has one
+//! matched `MPI_Recv`: it names its candidate `(src, tag)` pairs and a
+//! [`Wait`], and returns the candidate it matched with the payload.
+//! Unrelated arrivals are parked (FIFO per `(src, tag)` pair) until a
+//! matching receive claims them. `recv`, `recv_deadline`, `recv_any` and
+//! `recv_any_deadline` are one-line forms of it. The required failure
+//! semantics, asserted by the transport-conformance suite in
 //! `tests/transport_conformance.rs`:
 //!
-//! | situation                                  | result                    |
-//! |--------------------------------------------|---------------------------|
-//! | `send` to a rank whose endpoint is gone    | `Err(PeerGone)`           |
-//! | `recv_deadline` with no matching arrival   | `Err(Timeout)`            |
-//! | `recv` with a default deadline installed   | `Err(Timeout)` (as above) |
-//! | `recv_any` over an empty candidate list    | `Err(NoCandidates)`       |
-//! | world torn down mid-receive                | `Err(Disconnected)`       |
+//! | situation                                     | result                    |
+//! |-----------------------------------------------|---------------------------|
+//! | `send` to a rank whose endpoint is gone       | `Err(PeerGone)`           |
+//! | `Wait::For` runs out with no matching arrival | `Err(Timeout)`            |
+//! | `Wait::Default` with a default deadline set   | `Err(Timeout)` (as above) |
+//! | an empty candidate list                       | `Err(NoCandidates)`       |
+//! | world torn down mid-receive                   | `Err(Disconnected)`       |
 //!
 //! `PeerGone` detection may be asynchronous on a real wire (a TCP send can
 //! buffer before the hangup is observed), so callers that probe for a dead
-//! peer retry-send until the error surfaces; on `InProcTransport` it is
-//! immediate.
+//! peer retry-send until the error surfaces; in process it is immediate. A
+//! send that fails is not traffic: an impl that counts traffic counts only
+//! the sends that succeed.
 //!
 //! ## The virtual-clock decorator
 //!
@@ -83,7 +90,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use crate::world::{CommError, Communicator};
+use crate::world::CommError;
 
 /// One rank's endpoint into a communication world, seen abstractly.
 ///
@@ -102,30 +109,49 @@ pub trait Transport: Send {
     /// socket buffering); [`CommError::PeerGone`] when `dst` is known dead.
     fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError>;
 
+    /// The one receive: the first message matching any of `candidates`
+    /// (`(src, tag)` pairs), in arrival order — parked arrivals are drained
+    /// in candidate order first — as the candidate it matched and the
+    /// payload. An empty candidate list is [`CommError::NoCandidates`]; a
+    /// `wait` that runs out is [`CommError::Timeout`], labelled with the
+    /// first candidate, like every other receive error.
+    fn recv_match(
+        &mut self,
+        candidates: &[(usize, u64)],
+        wait: Wait,
+    ) -> Result<((usize, u64), Vec<f32>), CommError>;
+
     /// Blocking receive matched on `(src, tag)`; honors the endpoint's
     /// default deadline when one is set.
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError>;
+    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
+        Ok(self.recv_match(&[(src, tag)], Wait::Default)?.1)
+    }
 
-    /// Receive matched on `(src, tag)` bounded by `timeout`:
-    /// [`CommError::Timeout`] when nothing matching arrives in time.
+    /// Receive matched on `(src, tag)` bounded by `timeout`.
     fn recv_deadline(
         &mut self,
         src: usize,
         tag: u64,
         timeout: Duration,
-    ) -> Result<Vec<f32>, CommError>;
+    ) -> Result<Vec<f32>, CommError> {
+        Ok(self.recv_match(&[(src, tag)], Wait::For(timeout))?.1)
+    }
 
-    /// First available message matching any of `candidates`, in arrival
-    /// order (parked messages drained in candidate order first). Empty
-    /// candidate list is [`CommError::NoCandidates`].
-    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError>;
+    /// First message matching any of `candidates`, and its source.
+    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
+        let ((src, _), payload) = self.recv_match(candidates, Wait::Default)?;
+        Ok((src, payload))
+    }
 
     /// [`Transport::recv_any`] bounded by `timeout`.
     fn recv_any_deadline(
         &mut self,
         candidates: &[(usize, u64)],
         timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError>;
+    ) -> Result<(usize, Vec<f32>), CommError> {
+        let ((src, _), payload) = self.recv_match(candidates, Wait::For(timeout))?;
+        Ok((src, payload))
+    }
 
     /// Next collective sequence number. All ranks issue collectives in the
     /// same program order, so equal counters identify the same operation —
@@ -133,52 +159,24 @@ pub trait Transport: Send {
     fn next_op(&mut self) -> u64;
 }
 
-/// The in-process transport: the crossbeam-channel [`Communicator`] of
-/// [`crate::world`], under the name the trait-facing code uses. Traffic
-/// counters and wire fault injection ([`crate::world::FaultSchedule`]) are
-/// capabilities of this impl, deliberately outside the trait.
-pub type InProcTransport = Communicator;
+/// How long a [`Transport::recv_match`] waits for its match.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wait {
+    /// The endpoint's default deadline when it has one, else until a match
+    /// arrives or the world is gone.
+    Default,
+    /// At most this long.
+    For(Duration),
+}
 
-impl Transport for Communicator {
-    fn rank(&self) -> usize {
-        Communicator::rank(self)
-    }
-
-    fn size(&self) -> usize {
-        Communicator::size(self)
-    }
-
-    fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
-        Communicator::send(self, dst, tag, payload)
-    }
-
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        Communicator::recv(self, src, tag)
-    }
-
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        Communicator::recv_deadline(self, src, tag, timeout)
-    }
-
-    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        Communicator::recv_any(self, candidates)
-    }
-
-    fn recv_any_deadline(
-        &mut self,
-        candidates: &[(usize, u64)],
-        timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        Communicator::recv_any_deadline(self, candidates, timeout)
-    }
-
-    fn next_op(&mut self) -> u64 {
-        Communicator::next_op(self)
+impl Wait {
+    /// The bound this wait puts on a receive at an endpoint whose default
+    /// deadline is `default` (`None`: none).
+    pub fn timeout(self, default: Option<Duration>) -> Option<Duration> {
+        match self {
+            Wait::Default => default,
+            Wait::For(timeout) => Some(timeout),
+        }
     }
 }
 
@@ -231,8 +229,7 @@ impl Stamps {
 }
 
 /// An endpoint whose traffic is priced in virtual time (see the module
-/// docs). A `recv_any` over several tags from one source is matched to
-/// the first of them.
+/// docs).
 pub struct Clocked<T> {
     inner: T,
     clock: VirtualClock,
@@ -267,13 +264,6 @@ impl<T: Transport> Clocked<T> {
             self.clock.set(at);
         }
     }
-
-    /// [`Clocked::arrived`] for a `recv_any` that returned `src`.
-    fn arrived_any(&self, src: usize, candidates: &[(usize, u64)]) {
-        if let Some(&(_, tag)) = candidates.iter().find(|c| c.0 == src) {
-            self.arrived(src, tag);
-        }
-    }
 }
 
 impl<T: Transport> Transport for Clocked<T> {
@@ -296,37 +286,14 @@ impl<T: Transport> Transport for Clocked<T> {
         self.inner.send(dst, tag, payload)
     }
 
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        let frame = self.inner.recv(src, tag)?;
-        self.arrived(src, tag);
-        Ok(frame)
-    }
-
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        let frame = self.inner.recv_deadline(src, tag, timeout)?;
-        self.arrived(src, tag);
-        Ok(frame)
-    }
-
-    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        let (src, frame) = self.inner.recv_any(candidates)?;
-        self.arrived_any(src, candidates);
-        Ok((src, frame))
-    }
-
-    fn recv_any_deadline(
+    fn recv_match(
         &mut self,
         candidates: &[(usize, u64)],
-        timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let (src, frame) = self.inner.recv_any_deadline(candidates, timeout)?;
-        self.arrived_any(src, candidates);
-        Ok((src, frame))
+        wait: Wait,
+    ) -> Result<((usize, u64), Vec<f32>), CommError> {
+        let ((src, tag), frame) = self.inner.recv_match(candidates, wait)?;
+        self.arrived(src, tag);
+        Ok(((src, tag), frame))
     }
 
     fn next_op(&mut self) -> u64 {
@@ -462,15 +429,6 @@ impl<T: Transport> Sequenced<T> {
         };
         endpoints.into_iter().enumerate().map(wrap).collect()
     }
-
-    /// The receive every receive is: wait for a turn, take what it names.
-    fn take(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        if candidates.is_empty() {
-            return Err(CommError::NoCandidates);
-        }
-        let (src, tag) = self.seq.park(self.rank, candidates.to_vec())?;
-        Ok((src, self.inner.recv(src, tag)?))
-    }
 }
 
 impl<T: Transport> Transport for Sequenced<T> {
@@ -486,30 +444,18 @@ impl<T: Transport> Transport for Sequenced<T> {
         self.inner.send(dst, tag, payload)
     }
 
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        self.take(&[(src, tag)]).map(|(_, frame)| frame)
-    }
-
-    /// Never times out: a peer still computing is late in wall time only.
-    fn recv_deadline(
-        &mut self,
-        src: usize,
-        tag: u64,
-        _timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        self.recv(src, tag)
-    }
-
-    fn recv_any(&mut self, candidates: &[(usize, u64)]) -> Result<(usize, Vec<f32>), CommError> {
-        self.take(candidates)
-    }
-
-    fn recv_any_deadline(
+    /// Waits for its turn, then takes what the turn names. Never times
+    /// out: a peer still computing is late in wall time only.
+    fn recv_match(
         &mut self,
         candidates: &[(usize, u64)],
-        _timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        self.take(candidates)
+        _wait: Wait,
+    ) -> Result<((usize, u64), Vec<f32>), CommError> {
+        if candidates.is_empty() {
+            return Err(CommError::NoCandidates);
+        }
+        let pick = self.seq.park(self.rank, candidates.to_vec())?;
+        self.inner.recv_match(&[pick], Wait::Default)
     }
 
     fn next_op(&mut self) -> u64 {
@@ -528,7 +474,7 @@ impl<T> Drop for Sequenced<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::CommWorld;
+    use crate::world::{CommWorld, Communicator};
     use std::thread;
 
     /// The trait delegates to the same machinery as the inherent methods:
@@ -546,6 +492,28 @@ mod tests {
         let mut c1 = comms.pop().expect("rank 1");
         let mut c0 = comms.pop().expect("rank 0");
         ping(&mut c0, &mut c1);
+    }
+
+    #[test]
+    fn a_clocked_recv_any_moves_to_the_arrival_of_the_message_it_took() {
+        // Rank 1 sends tag 10 at t = 1 (arriving 1.5), then tag 20 at t = 5
+        // (arriving 5.5). A receive over both, tag 20 named first, takes
+        // the tag-10 message: the one that arrived.
+        let stamps = Stamps::new(|_, _, _| 0.5);
+        let clocks = [VirtualClock::default(), VirtualClock::default()];
+        let comms = CommWorld::new(2).communicators().into_iter().zip(&clocks);
+        let mut ranks =
+            comms.map(|(comm, clock)| Clocked::new(comm, clock.clone(), stamps.clone()));
+        let (mut rank0, mut rank1) = (ranks.next().expect("0"), ranks.next().expect("1"));
+        clocks[1].set(1.0);
+        rank1.send(0, 10, vec![1.0]).expect("send tag 10");
+        clocks[1].set(5.0);
+        rank1.send(0, 20, vec![2.0]).expect("send tag 20");
+        let inbox = [(1, 20), (1, 10)];
+        assert_eq!(rank0.recv_any(&inbox), Ok((1, vec![1.0])));
+        assert_eq!(clocks[0].now(), 1.5, "the tag-10 message's arrival");
+        assert_eq!(rank0.recv_any(&inbox), Ok((1, vec![2.0])));
+        assert_eq!(clocks[0].now(), 5.5, "the tag-20 message's arrival");
     }
 
     /// A sequenced `p`-rank world whose every hop costs `hop` seconds, and

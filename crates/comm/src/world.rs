@@ -29,6 +29,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
+use crate::protocol::Frame;
+use crate::transport::{Transport, Wait};
+
 /// Typed communication failure. The fault-tolerant collectives match on
 /// these to distinguish a crashed peer from a stalled one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,8 +57,8 @@ pub enum CommError {
         /// Tag the receive was matched on.
         tag: u64,
     },
-    /// `recv_any` was called with an empty candidate list — formerly this
-    /// parked forever on a sentinel that no sender could ever match.
+    /// A receive named no candidate: it could never match, so it fails
+    /// instead of waiting.
     NoCandidates,
     /// A world-level configuration call arrived after
     /// [`CommWorld::communicators`] handed the endpoints out. Endpoints
@@ -100,7 +103,7 @@ impl fmt::Display for CommError {
             CommError::Disconnected { src, tag } => {
                 write!(f, "world dropped while receiving (src {src}, tag {tag})")
             }
-            CommError::NoCandidates => f.write_str("recv_any with empty candidate list"),
+            CommError::NoCandidates => f.write_str("receive with an empty candidate list"),
             CommError::WorldSplit => {
                 f.write_str("world configuration changed after endpoints were handed out")
             }
@@ -121,13 +124,6 @@ impl fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
-
-/// A point-to-point message: payload plus matching metadata.
-struct Message {
-    from: usize,
-    tag: u64,
-    payload: Vec<f32>,
-}
 
 /// Aggregate traffic counters for a world, shared by all ranks.
 #[derive(Default)]
@@ -155,6 +151,75 @@ impl Traffic {
     /// Messages dropped by fault injection so far.
     pub fn messages_dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// One message of `elements` went out: called once the send has
+    /// succeeded, so a send to a dead peer is not traffic.
+    pub(crate) fn count(&self, elements: usize) {
+        self.elements.fetch_add(elements as u64, Ordering::Relaxed);
+        self.messages.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A rank's receive side over a channel of arrivals: the one matching loop
+/// of the in-process and socket endpoints.
+pub(crate) struct Inbox {
+    rx: Receiver<Frame>,
+    /// Out-of-order arrivals parked until a matching receive. Ordered map:
+    /// see the module docs (lint `map-iter`).
+    pending: BTreeMap<(usize, u64), VecDeque<Vec<f32>>>,
+}
+
+impl Inbox {
+    pub(crate) fn new(rx: Receiver<Frame>) -> Self {
+        Inbox {
+            rx,
+            pending: BTreeMap::new(),
+        }
+    }
+
+    /// Park an arrival no receive is waiting for yet.
+    pub(crate) fn park(&mut self, frame: Frame) {
+        let key = (frame.from, frame.tag);
+        self.pending
+            .entry(key)
+            .or_default()
+            .push_back(frame.payload);
+    }
+
+    /// [`Transport::recv_match`] over this inbox, bounded by `timeout`
+    /// when present: a parked message for the first candidate that has
+    /// one, else arrivals off the channel until one matches, parking the
+    /// rest.
+    pub(crate) fn take(
+        &mut self,
+        candidates: &[(usize, u64)],
+        timeout: Option<Duration>,
+    ) -> Result<((usize, u64), Vec<f32>), CommError> {
+        let &(src, tag) = candidates.first().ok_or(CommError::NoCandidates)?;
+        for &c in candidates {
+            if let Some(m) = self.pending.get_mut(&c).and_then(VecDeque::pop_front) {
+                return Ok((c, m));
+            }
+        }
+        let deadline = timeout.map(|t| Instant::now() + t);
+        loop {
+            let frame = match deadline {
+                None => (self.rx.recv()).map_err(|_| CommError::Disconnected { src, tag })?,
+                Some(dl) => {
+                    let remaining = dl.saturating_duration_since(Instant::now());
+                    self.rx.recv_timeout(remaining).map_err(|e| match e {
+                        RecvTimeoutError::Timeout => CommError::Timeout { src, tag },
+                        RecvTimeoutError::Disconnected => CommError::Disconnected { src, tag },
+                    })?
+                }
+            };
+            let c = (frame.from, frame.tag);
+            if candidates.contains(&c) {
+                return Ok((c, frame.payload));
+            }
+            self.park(frame);
+        }
     }
 }
 
@@ -186,8 +251,8 @@ impl FaultSchedule {
 
 /// A communication group of `size` ranks (MPI_COMM_WORLD analogue).
 pub struct CommWorld {
-    senders: Vec<Sender<Message>>,
-    receivers: Vec<Option<Receiver<Message>>>,
+    senders: Vec<Sender<Frame>>,
+    receivers: Vec<Option<Receiver<Frame>>>,
     traffic: Arc<Traffic>,
     faults: Option<Arc<FaultSchedule>>,
     default_deadline: Option<Duration>,
@@ -264,10 +329,11 @@ impl CommWorld {
                 rank,
                 size,
                 senders: self.senders.clone(),
-                receiver: self.receivers[rank]
-                    .take()
-                    .expect("communicators() may only be called once"),
-                pending: BTreeMap::new(),
+                inbox: Inbox::new(
+                    self.receivers[rank]
+                        .take()
+                        .expect("communicators() may only be called once"),
+                ),
                 op_counter: 0,
                 traffic: Arc::clone(&self.traffic),
                 faults: self.faults.clone(),
@@ -282,11 +348,8 @@ impl CommWorld {
 pub struct Communicator {
     rank: usize,
     size: usize,
-    senders: Vec<Sender<Message>>,
-    receiver: Receiver<Message>,
-    /// Out-of-order arrivals parked until a matching `recv`. Ordered map:
-    /// see the module docs (lint `map-iter`).
-    pending: BTreeMap<(usize, u64), VecDeque<Vec<f32>>>,
+    senders: Vec<Sender<Frame>>,
+    inbox: Inbox,
     /// Collective sequence number; all ranks call collectives in the same
     /// order, so equal counters identify the same operation.
     op_counter: u64,
@@ -333,139 +396,11 @@ impl Communicator {
                 return Ok(());
             }
         }
-        self.traffic
-            .elements
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.traffic.messages.fetch_add(1, Ordering::Relaxed);
-        self.senders[dst]
-            .send(Message {
-                from: self.rank,
-                tag,
-                payload,
-            })
-            .map_err(|_| CommError::PeerGone { peer: dst })
-    }
-
-    /// Blocking receive matched on `(src, tag)`; unrelated messages are
-    /// parked for later matching (MPI-style tag matching). Honors the
-    /// endpoint's default deadline when one is set.
-    pub fn recv(&mut self, src: usize, tag: u64) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, self.default_deadline)
-    }
-
-    /// Receive matched on `(src, tag)` with an explicit deadline:
-    /// [`CommError::Timeout`] if nothing matching arrives within `timeout`.
-    pub fn recv_deadline(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f32>, CommError> {
-        self.recv_inner(src, tag, Some(timeout))
-    }
-
-    fn recv_inner(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<f32>, CommError> {
-        if let Some(q) = self.pending.get_mut(&(src, tag)) {
-            if let Some(m) = q.pop_front() {
-                return Ok(m);
-            }
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            let msg = self.next_message(deadline, src, tag)?;
-            if msg.from == src && msg.tag == tag {
-                return Ok(msg.payload);
-            }
-            self.park(msg);
-        }
-    }
-
-    /// Park an arrival no receive is waiting for yet.
-    fn park(&mut self, msg: Message) {
-        self.pending
-            .entry((msg.from, msg.tag))
-            .or_default()
-            .push_back(msg.payload);
-    }
-
-    /// One message off the channel, bounded by `deadline` when present.
-    /// `(src, tag)` only label the error.
-    fn next_message(
-        &self,
-        deadline: Option<Instant>,
-        src: usize,
-        tag: u64,
-    ) -> Result<Message, CommError> {
-        match deadline {
-            None => self
-                .receiver
-                .recv()
-                .map_err(|_| CommError::Disconnected { src, tag }),
-            Some(dl) => {
-                let remaining = dl.saturating_duration_since(Instant::now());
-                self.receiver.recv_timeout(remaining).map_err(|e| match e {
-                    RecvTimeoutError::Timeout => CommError::Timeout { src, tag },
-                    RecvTimeoutError::Disconnected => CommError::Disconnected { src, tag },
-                })
-            }
-        }
-    }
-
-    /// Receive the first available message matching **any** of
-    /// `candidates`, in *arrival order* (pending messages are drained in
-    /// candidate order first). An empty candidate list is
-    /// [`CommError::NoCandidates`] — it used to park forever on a sentinel
-    /// `(src, tag)` no sender could match, buffering every arrival.
-    ///
-    /// This is deliberately **not** used by the crate's fixed-order
-    /// collectives: the combine order it yields depends on the thread
-    /// schedule, which is exactly the nondeterminism those exist to avoid.
-    /// Its callers are the parameter-server shard loop (asynchronous by
-    /// design: arrival order across learners *is* the schedule) and the
-    /// armed tree walk in [`crate::tree`], whose recovery sweep
-    /// re-sorts arrivals by source rank before combining.
-    pub fn recv_any(
-        &mut self,
-        candidates: &[(usize, u64)],
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, self.default_deadline)
-    }
-
-    /// [`Communicator::recv_any`] with an explicit deadline.
-    pub fn recv_any_deadline(
-        &mut self,
-        candidates: &[(usize, u64)],
-        timeout: Duration,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        self.recv_any_inner(candidates, Some(timeout))
-    }
-
-    fn recv_any_inner(
-        &mut self,
-        candidates: &[(usize, u64)],
-        timeout: Option<Duration>,
-    ) -> Result<(usize, Vec<f32>), CommError> {
-        let &(first_src, first_tag) = candidates.first().ok_or(CommError::NoCandidates)?;
-        for &(src, tag) in candidates {
-            if let Some(q) = self.pending.get_mut(&(src, tag)) {
-                if let Some(m) = q.pop_front() {
-                    return Ok((src, m));
-                }
-            }
-        }
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            let msg = self.next_message(deadline, first_src, first_tag)?;
-            if candidates.contains(&(msg.from, msg.tag)) {
-                return Ok((msg.from, msg.payload));
-            }
-            self.park(msg);
-        }
+        let (from, elements) = (self.rank, payload.len());
+        let frame = Frame { from, tag, payload };
+        (self.senders[dst].send(frame)).map_err(|_| CommError::PeerGone { peer: dst })?;
+        self.traffic.count(elements);
+        Ok(())
     }
 
     /// Next collective sequence number (advances the counter).
@@ -478,6 +413,42 @@ impl Communicator {
     /// Shared traffic counters.
     pub fn traffic(&self) -> &Traffic {
         &self.traffic
+    }
+}
+
+/// Receives are matched (MPI-style tag matching) by the endpoint's inbox,
+/// under the endpoint's default deadline unless the receive names its own.
+///
+/// The collectives name every receive; a wildcard's combine order would
+/// depend on the thread schedule. Wildcard receives serve the
+/// parameter-server shard loop (asynchronous by design: arrival order
+/// across learners *is* the schedule) and the armed tree walk in
+/// [`crate::tree`], whose recovery sweep re-sorts arrivals by source rank
+/// before combining.
+impl Transport for Communicator {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+
+    fn size(&self) -> usize {
+        self.size
+    }
+
+    fn send(&mut self, dst: usize, tag: u64, payload: Vec<f32>) -> Result<(), CommError> {
+        Communicator::send(self, dst, tag, payload)
+    }
+
+    fn recv_match(
+        &mut self,
+        candidates: &[(usize, u64)],
+        wait: Wait,
+    ) -> Result<((usize, u64), Vec<f32>), CommError> {
+        let timeout = wait.timeout(self.default_deadline);
+        self.inbox.take(candidates, timeout)
+    }
+
+    fn next_op(&mut self) -> u64 {
+        Communicator::next_op(self)
     }
 }
 
@@ -569,6 +540,19 @@ mod tests {
             c0.send(1, 3, vec![1.0]),
             Err(CommError::PeerGone { peer: 1 })
         );
+    }
+
+    #[test]
+    fn a_send_to_a_dropped_peer_is_not_traffic() {
+        let mut world = CommWorld::new(2);
+        let traffic = world.traffic();
+        let mut comms = world.communicators();
+        drop(comms.pop());
+        let c0 = comms.pop().expect("rank 0");
+        c0.send(0, 1, vec![0.0; 4]).expect("self-send");
+        assert!(c0.send(1, 1, vec![0.0; 10]).is_err());
+        assert_eq!(traffic.elements_sent(), 4);
+        assert_eq!(traffic.messages_sent(), 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Transport conformance suite: one generic body of tests run against
-//! every [`Transport`] implementation — the in-process crossbeam world,
-//! the same world behind the virtual-clock decorator, the TCP socket mesh,
-//! the mock, and the model checker's live-mode
-//! [`ModelTransport`](sasgd_analysis::model) — so the trait's
+//! every [`Transport`] implementation that moves real messages — the
+//! in-process crossbeam world, the same world behind the virtual-clock
+//! decorator, the TCP socket mesh and the mock — so the trait's
 //! failure-semantics contract is checked by construction, not by
-//! convention.
+//! convention. (The model checker's transport, which only runs under its
+//! scheduler, checks the same table in its own tests.)
 //!
 //! Each scenario is a generic function over a *world factory* (`p` →
 //! endpoints); the per-implementation `#[test]` wrappers at the bottom are
@@ -140,6 +140,28 @@ fn tag_ordering<T: Transport + 'static>(world: Vec<T>) {
     drop(sender.join().expect("sender thread"));
 }
 
+/// A named `recv` and a `recv_any` on the same `(src, tag)` are one
+/// receive: interleaved, they drain one FIFO, whether a message was parked
+/// behind another tag or is still on the wire.
+fn recv_and_recv_any_share_a_fifo<T: Transport + 'static>(world: Vec<T>) {
+    let mut endpoints = world;
+    let mut r1 = endpoints.pop().expect("rank 1");
+    let mut r0 = endpoints.pop().expect("rank 0");
+    let sender = thread::spawn(move || {
+        for (tag, x) in [(4, 1.0), (4, 2.0), (9, 9.0), (4, 3.0), (4, 4.0)] {
+            r1.send(0, tag, vec![x]).expect("send");
+        }
+        r1
+    });
+    // Claiming tag 9 first parks the first two tag-4 messages.
+    assert_eq!(r0.recv(1, 9).expect("tag 9"), vec![9.0]);
+    assert_eq!(r0.recv_any(&[(1, 4)]).expect("first"), (1, vec![1.0]));
+    assert_eq!(r0.recv(1, 4).expect("second"), vec![2.0]);
+    assert_eq!(r0.recv_any(&[(1, 4)]).expect("third"), (1, vec![3.0]));
+    assert_eq!(r0.recv(1, 4).expect("fourth"), vec![4.0]);
+    drop(sender.join().expect("sender thread"));
+}
+
 /// `recv_any` claims exactly one message and reports its source.
 fn recv_any_claims_one<T: Transport + 'static>(world: Vec<T>) {
     let mut endpoints = world;
@@ -251,6 +273,11 @@ macro_rules! conformance {
             }
 
             #[test]
+            fn recv_and_recv_any_share_a_fifo() {
+                super::recv_and_recv_any_share_a_fifo($factory(2));
+            }
+
+            #[test]
             fn recv_any_claims_one() {
                 super::recv_any_claims_one($factory(3));
             }
@@ -272,8 +299,3 @@ conformance!(inproc, inproc_world);
 conformance!(clocked, clocked_world);
 conformance!(socket, socket_world);
 conformance!(mock, mock_world);
-// The model checker's transport in *live* mode: same failure-semantics
-// contract as the real substrates, so `repro analyze` results
-// transfer to the transports the engine actually runs on.
-use sasgd_analysis::model::model_world;
-conformance!(model, model_world);

@@ -1,7 +1,6 @@
 //! The distributed SGD algorithms the paper implements and compares.
 
 use crate::compress::Compression;
-use crate::history::StalenessStats;
 use crate::schedule::{SyncPolicy, TSchedule};
 
 /// How SASGD's global learning rate `γp` is chosen.
@@ -257,21 +256,6 @@ impl Algorithm {
     /// collective applies fresh state.
     pub(crate) fn collective_tau(&self) -> u64 {
         matches!(self, Algorithm::Sasgd { delayed: true, .. }).into()
-    }
-
-    /// A collective run's staleness after `syncs` rounds: the bound the
-    /// interval fixes, in steps — `T` for SASGD, `t_local · t_global` for
-    /// hierarchical SASGD.
-    pub(crate) fn lockstep_staleness(&self, syncs: u64) -> Option<StalenessStats> {
-        let bound = match self.resolved() {
-            Algorithm::Sasgd { .. } | Algorithm::HierarchicalSasgd { .. } => self.interval(),
-            _ => return None,
-        };
-        Some(StalenessStats {
-            mean: bound as f64,
-            max: bound as u64,
-            pushes: syncs,
-        })
     }
 
     /// Display label matching the paper's plot legends; every run's
@@ -628,6 +612,32 @@ mod tests {
             adaptive.sync_rounds,
             fixed.sync_rounds
         );
+    }
+
+    #[test]
+    fn an_adaptive_run_reports_the_intervals_it_ran() {
+        let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
+        let cfg = quiet_cfg(6, 0.05);
+        let (t0, t_max) = (2, 8);
+        let schedule = TSchedule::AdaptivePlateau {
+            t0,
+            t_max,
+            patience: 1,
+            rel_improve: 0.5,
+        };
+        let mut f = || models::tiny_cnn(3, &mut SeedRng::new(5));
+        let algo = lattice(2, schedule, false);
+        let h = crate::train(&mut f, &train_set, &test_set, &algo, &cfg);
+        let st = h.staleness.expect("collective rounds record staleness");
+        // T plateaus up to its cap, and the report says so.
+        assert_eq!(st.max, t_max as u64, "the largest T reached");
+        assert!(st.mean > t0 as f64, "mean T {}", st.mean);
+        // One interval per round, and together they cover the run's steps
+        // (two 64-sample shards at batch 8) up to a last, partial block.
+        assert_eq!(st.pushes, h.sync_rounds);
+        let covered = st.mean * st.pushes as f64;
+        let run_steps = (cfg.epochs * 64 / cfg.batch_size) as f64;
+        assert!(covered <= run_steps && covered + t_max as f64 > run_steps);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   learner, like one exchanging with a parameter server, walks its whole
 //!   shard, ragged tail included;
 //! * [`History::staleness`] is the τ a parameter-server exchange measured,
-//!   and otherwise the bound the interval fixes.
+//!   and otherwise the interval each round ran, in steps.
 //!
 //! The walk touches only rank-local state, so a collective's ranks reach
 //! their sync points after the same number of steps (the collectives line
@@ -225,6 +225,12 @@ pub(crate) fn drive<T: Transport>(
     assert!(steps > 0, "shards too small for batch size");
     let run_steps = cfg.epochs * steps;
     let mut policy = algo.sync_policy();
+    // A hierarchical round is a `t_local` block; its staleness bound spans
+    // `t_global` of them.
+    let blocks = match *algo {
+        Algorithm::HierarchicalSasgd { t_global, .. } => t_global,
+        _ => 1,
+    };
     let mut learner = Learner::new(rank, model, cfg);
     let (exchange, mut comm_s) = clock.comm(|| connect(algo, comm, faults, &mut learner));
     let mut exchange =
@@ -284,14 +290,17 @@ pub(crate) fn drive<T: Transport>(
                     history.push_staleness(syncs - 1, rank, tau, rate);
                     measured.push(tau);
                 }
-                // A collective's staleness is its algorithm's, for every
+                // A collective's staleness is the interval the round ran,
+                // in steps; its per-round τ is its algorithm's, for every
                 // rank alike: rank 0 records it for all.
-                None if rank == 0 => {
-                    for id in 0..p {
-                        history.push_staleness(syncs - 1, id, algo.collective_tau(), gamma);
+                None => {
+                    measured.push((t * blocks) as u64);
+                    if rank == 0 {
+                        for id in 0..p {
+                            history.push_staleness(syncs - 1, id, algo.collective_tau(), gamma);
+                        }
                     }
                 }
-                None => {}
             }
         }
         if let Some(ev) = &evals {
@@ -301,10 +310,7 @@ pub(crate) fn drive<T: Transport>(
             history.records.push(record);
         }
     }
-    history.staleness = match collective {
-        true => algo.lockstep_staleness(syncs),
-        false => StalenessStats::from_observations(&measured),
-    };
+    history.staleness = StalenessStats::from_observations(&measured);
     history.sync_rounds = syncs;
     history.final_params = Some(exchange.final_params(learner));
     Ok(history)

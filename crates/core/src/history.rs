@@ -46,8 +46,9 @@ pub struct History {
     pub t_interval: usize,
     /// Gradient staleness. A parameter-server run records the τ its
     /// exchange measured, in global updates. A collective records the
-    /// bound its interval fixes, in steps: `T` for SASGD,
-    /// `t_local · t_global` for hierarchical SASGD.
+    /// interval each round ran, in steps: the `T` in force for SASGD (the
+    /// run's step count at `T = 0`), `t_local · t_global` for hierarchical
+    /// SASGD.
     pub staleness: Option<StalenessStats>,
     /// Final flat parameter vector of the evaluated learner, where the
     /// backend can provide it (the SASGD backends do). Lets equivalence
