@@ -45,7 +45,8 @@
 //! accumulator, which carries the residual from round to round. The round
 //! itself makes no add: it reads the accumulator once and then only the
 //! groups that can win, so `encode_over_add` says how many add passes the
-//! round costs, whatever the runner's speed. CI holds it under a line.
+//! round costs, whatever the runner's speed. CI holds it under a line, and
+//! `t1_round_over_add`, the dense `T = 1` round's ([`run_t1_round`]), too.
 //!
 //! ## Roofline sweep
 //!
@@ -70,6 +71,8 @@
 
 use std::time::Instant;
 
+use sasgd_comm::collectives::Landing;
+use sasgd_comm::{allreduce_over, CommWorld, Membership};
 use sasgd_core::compress::ErrorFeedback;
 use sasgd_core::{Algorithm, Backend, Compression, Executor, GammaP, KSchedule, TrainConfig};
 use sasgd_data::nlc_like::{self, NlcLikeConfig};
@@ -591,29 +594,53 @@ pub fn run_engine_step() -> EngineStep {
     }
 }
 
-/// One rank's sparse round against a plain add pass (see the module docs,
-/// *Encode*).
-pub struct EncodeCost {
-    /// Median wall-clock of one `encode`, ms.
-    pub encode_ms: f64,
-    /// Median wall-clock of one `acc += gs` pass over the same `m`, ms.
+/// An operation against a plain add pass over the same `m` (see the module
+/// docs, *Encode*).
+pub struct OverAdd {
+    /// Median wall-clock of one operation, ms.
+    pub op_ms: f64,
+    /// Median wall-clock of one `acc += g` pass, ms.
     pub add_ms: f64,
 }
 
-impl EncodeCost {
-    /// `encode_ms / add_ms`: the round in units of one pass over the
-    /// accumulator.
-    pub fn encode_over_add(&self) -> f64 {
-        self.encode_ms / self.add_ms
+impl OverAdd {
+    /// `op_ms / add_ms`: the operation in units of one pass over `acc`.
+    pub fn ratio(&self) -> f64 {
+        self.op_ms / self.add_ms
+    }
+
+    /// Time `op(acc)` after an `acc += g` pass: medians of [`ROUNDS`] after a warm-up.
+    fn measure(g: &[f32], mut op: impl FnMut(&mut [f32])) -> Self {
+        let median = |mut ms: Vec<f64>| {
+            ms.sort_by(f64::total_cmp);
+            ms[ms.len() / 2]
+        };
+        let mut acc = vec![0.0f32; g.len()];
+        let (mut op_ms, mut add_ms) = (Vec::new(), Vec::new());
+        for round in 0..2 * ROUNDS {
+            let t0 = Instant::now();
+            acc.iter_mut().zip(g).for_each(|(a, &v)| *a += v);
+            std::hint::black_box(&mut acc);
+            let t1 = Instant::now();
+            op(&mut acc);
+            if round >= ROUNDS {
+                add_ms.push((t1 - t0).as_secs_f64() * 1e3);
+                op_ms.push(t1.elapsed().as_secs_f64() * 1e3);
+            }
+        }
+        OverAdd {
+            op_ms: median(op_ms),
+            add_ms: median(add_ms),
+        }
     }
 }
 
-/// Timed rounds of [`run_encode`], after as many warm-up rounds.
-const ENCODE_ROUNDS: usize = 15;
+/// Timed rounds of [`OverAdd::measure`].
+const ROUNDS: usize = 15;
 
 /// Time `encode` at layer-wise top-1 % on the full NLC net's block map
 /// (m = 1 733 511), and the `acc += gs` pass that feeds it each round.
-pub fn run_encode() -> EncodeCost {
+pub fn run_encode() -> OverAdd {
     let blocks = models::nlc_net(20, &mut SeedRng::new(9)).param_blocks();
     let m = blocks.last().expect("the NLC net has parameters").1;
     // Per-block scales a decade apart, a third of the coordinates exactly
@@ -630,35 +657,41 @@ pub fn run_encode() -> EncodeCost {
             };
         }
     }
-    let median = |mut ms: Vec<f64>| {
-        ms.sort_by(f64::total_cmp);
-        ms[ms.len() / 2]
-    };
     let comp = Compression::Sparse {
         k: KSchedule::layer_wise(0.01),
         q8: false,
         union_bound: false,
     };
     let mut codec = ErrorFeedback::new(comp, m, blocks);
-    let mut acc = vec![0.0f32; m];
-    let (mut encode_ms, mut add_ms) = (Vec::new(), Vec::new());
-    for round in 0..2 * ENCODE_ROUNDS {
-        let t0 = Instant::now();
-        for (a, &g) in acc.iter_mut().zip(&gs) {
-            *a += g;
-        }
-        std::hint::black_box(&mut acc);
-        let t1 = Instant::now();
-        std::hint::black_box(codec.encode(&mut acc));
-        if round >= ENCODE_ROUNDS {
-            add_ms.push((t1 - t0).as_secs_f64() * 1e3);
-            encode_ms.push(t1.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    EncodeCost {
-        encode_ms: median(encode_ms),
-        add_ms: median(add_ms),
-    }
+    OverAdd::measure(&gs, |acc| {
+        std::hint::black_box(codec.encode(acc));
+    })
+}
+
+/// Rank 0's side of a dense `T = 1` round at `p = 2` on the NLC net's `m`
+/// (the walk, and the [`Landing`] stepping `x` at the root) over an add pass.
+pub fn run_t1_round() -> OverAdd {
+    let m = models::nlc_net(20, &mut SeedRng::new(9)).param_len();
+    let g = vec![1e-3f32; m];
+    let mut world = CommWorld::new(2);
+    // lint:allow(raw-spawn): bench host of rank threads over CommWorld endpoints
+    std::thread::scope(|s| {
+        let ranks: Vec<_> = (world.communicators().into_iter())
+            .map(|mut comm| {
+                let (g, mut x, mut grads) = (&g, vec![0.5f32; m], g.clone());
+                s.spawn(move || {
+                    OverAdd::measure(g, |_| {
+                        let mut fold = Landing::new(&mut x, &mut grads, |n| 0.01 / n as f32);
+                        allreduce_over(&mut comm, &mut Membership::new(2), &mut fold, None)
+                            .expect("an in-process round");
+                        fold.finish();
+                    })
+                })
+            })
+            .collect();
+        let mut ranks = ranks.into_iter().map(|h| h.join().expect("a rank thread"));
+        ranks.next().expect("rank 0")
+    })
 }
 
 /// Hand-rolled JSON (the workspace builds offline, with no serde).
@@ -666,7 +699,8 @@ pub fn to_json(
     timings: &[HotpathTiming],
     roof: &Roofline,
     engine: &EngineStep,
-    encode: &EncodeCost,
+    encode: &OverAdd,
+    t1: &OverAdd,
 ) -> String {
     let mut s = String::from("{\n");
     s.push_str(&format!(
@@ -676,6 +710,7 @@ pub fn to_json(
          \"sparse_peak_live_bytes\": {}}},\n  \
          \"encode\": {{\"encode_ms\": {:.3}, \"add_ms\": {:.3}}},\n  \
          \"encode_over_add\": {:.2},\n  \
+         \"t1_round_over_add\": {:.2},\n  \
          \"cases\": [\n",
         parallel::cap(),
         alloc::counting(),
@@ -685,9 +720,10 @@ pub fn to_json(
         engine.alloc_bytes_per_step,
         engine.peak_live_bytes,
         engine.sparse_peak_live_bytes,
-        encode.encode_ms,
+        encode.op_ms,
         encode.add_ms,
-        encode.encode_over_add(),
+        encode.ratio(),
+        t1.ratio(),
     ));
     for (i, t) in timings.iter().enumerate() {
         let alloc_drop = if t.after_allocs > 0 {
@@ -767,6 +803,7 @@ pub fn hotpath() -> Artifact {
     let timings = parallel::with_width(parallel::cap(), run_suite);
     let engine = run_engine_step();
     let encode = run_encode();
+    let t1 = run_t1_round();
     let roof = run_roofline();
     let mut report = String::from(
         "Hot-path fwd+bwd step timings: per-image ref kernels + fresh buffers \
@@ -805,10 +842,13 @@ pub fn hotpath() -> Artifact {
     ));
     report.push_str(&format!(
         "\nencode (layer-wise top-1 %, full NLC net, accumulator carried): {:.2} ms, \
-         {:.2} ms for one plain acc += gs pass: encode_over_add = {:.2}\n",
-        encode.encode_ms,
+         {:.2} ms for one plain acc += gs pass: encode_over_add = {:.2}; dense T = 1 round \
+         at rank 0 of 2: {:.2} ms, t1_round_over_add = {:.2}\n",
+        encode.op_ms,
         encode.add_ms,
-        encode.encode_over_add()
+        encode.ratio(),
+        t1.op_ms,
+        t1.ratio()
     ));
     if !alloc::counting() {
         report.push_str("\n(counting allocator not installed: alloc columns are zero)\n");
@@ -877,7 +917,7 @@ pub fn hotpath() -> Artifact {
         report,
         csvs: vec![(
             "BENCH_hotpath.json".to_string(),
-            to_json(&timings, &roof, &engine, &encode),
+            to_json(&timings, &roof, &engine, &encode, &t1),
         )],
     }
 }
@@ -958,11 +998,15 @@ mod tests {
             peak_live_bytes: 27_000_000,
             sparse_peak_live_bytes: 26_000_000,
         };
-        let encode = EncodeCost {
-            encode_ms: 6.0,
+        let encode = OverAdd {
+            op_ms: 6.0,
             add_ms: 0.8,
         };
-        let j = to_json(&t, &roof, &engine, &encode);
+        let t1 = OverAdd {
+            op_ms: 2.0,
+            add_ms: 0.8,
+        };
+        let j = to_json(&t, &roof, &engine, &encode, &t1);
         assert!(j.contains(
             "\"engine_step\": {\"ms_per_step\": 6.250, \"allocs_per_step\": 21.5, \
              \"alloc_bytes_per_step\": 40960, \"peak_live_bytes\": 27000000, \
@@ -970,6 +1014,7 @@ mod tests {
         ));
         assert!(j.contains("\"encode\": {\"encode_ms\": 6.000, \"add_ms\": 0.800},"));
         assert!(j.contains("\"encode_over_add\": 7.50,"));
+        assert!(j.contains("\"t1_round_over_add\": 2.50,"));
         assert!(j.contains("\"speedup\": 2.000"));
         assert!(j.contains("\"alloc_drop\": 20.0"));
         assert!(j.contains("\"loss_bitwise_equal\": true, \"held_bytes\": 4096}"));
@@ -993,6 +1038,7 @@ mod tests {
                 "engine_step",
                 "encode",
                 "encode_over_add",
+                "t1_round_over_add",
                 "cases",
                 "roofline",
                 "nt_over_nn",

@@ -74,6 +74,14 @@ impl<'a> Dense<'a> {
             spares: Vec::new(),
         }
     }
+
+    /// Add `part` into the partial; its buffer is kept for the way down.
+    fn absorb(&mut self, part: Vec<f32>) {
+        for (a, b) in self.buf.iter_mut().zip(&part) {
+            *a += b;
+        }
+        self.spares.push(part);
+    }
 }
 
 impl Fold for Dense<'_> {
@@ -89,10 +97,7 @@ impl Fold for Dense<'_> {
             Some(_) if level == 0 => dense8_decode(&frame[at..], self.len)?,
             _ => payload(expect_len(from, at + self.len, frame)?, at),
         };
-        for (a, b) in self.buf.iter_mut().zip(&part) {
-            *a += b;
-        }
-        self.spares.push(part);
+        self.absorb(part);
         Ok(())
     }
 
@@ -106,13 +111,102 @@ impl Fold for Dense<'_> {
     }
 
     fn copy(&mut self) -> Vec<f32> {
-        match self.spares.pop() {
-            Some(mut spare) => {
-                spare.copy_from_slice(self.buf);
-                spare
-            }
-            None => self.buf.clone(),
+        copy_into_spare(&mut self.spares, self.buf)
+    }
+}
+
+/// `src` in a spare buffer, or in a new one when none is left.
+fn copy_into_spare(spares: &mut Vec<Vec<f32>>, src: &[f32]) -> Vec<f32> {
+    match spares.pop() {
+        Some(mut spare) => {
+            spare.copy_from_slice(src);
+            spare
         }
+        None => src.to_vec(),
+    }
+}
+
+/// `x ← x − γp·total`, in place: how a dense total lands.
+// hot-path: once per round, in place
+pub fn descend(x: &mut [f32], gp: f32, total: &[f32]) {
+    for (xi, &g) in x.iter_mut().zip(total) {
+        *xi -= gp * g;
+    }
+}
+
+/// The dense tree landing on `params` (SASGD at `T = 1`): [`Dense`]
+/// gradients go up; the root adds its last partial, steps `params` at
+/// `rate(members)` and copies them out in one pass ([`Fold::seal`]); each
+/// member below swaps the stepped `params` in, its old buffer becoming
+/// `grads`. Messages, allocations and bits are [`Dense`] then [`descend`].
+pub struct Landing<'a, R> {
+    dense: Dense<'a>,
+    params: &'a mut Vec<f32>,
+    rate: R,
+    /// The root's last partial, unadded; after `seal`, `params`' first copy.
+    last: Option<Vec<f32>>,
+    landed: bool,
+}
+
+impl<'a, R: FnMut(usize) -> f32> Landing<'a, R> {
+    /// Land the members' summed `grads` on `params` at `rate(members)`.
+    pub fn new(params: &'a mut Vec<f32>, grads: &'a mut Vec<f32>, rate: R) -> Self {
+        Landing {
+            dense: Dense::new(grads, None),
+            params,
+            rate,
+            last: None,
+            landed: false,
+        }
+    }
+
+    /// After the walk: a member that never sealed or adopted descends.
+    pub fn finish(mut self) {
+        if !self.landed {
+            self.seal(0, 0);
+        }
+    }
+}
+
+impl<R: FnMut(usize) -> f32> Fold for Landing<'_, R> {
+    fn up(&mut self, level: u32, head: &[f32]) -> Vec<f32> {
+        if let Some(part) = self.last.take() {
+            self.dense.absorb(part);
+        }
+        self.dense.up(level, head)
+    }
+
+    fn merge(&mut self, from: usize, _level: u32, frame: Vec<f32>, at: usize) -> Wire {
+        let part = payload(expect_len(from, at + self.params.len(), frame)?, at);
+        if let Some(prev) = self.last.replace(part) {
+            self.dense.absorb(prev);
+        }
+        Ok(())
+    }
+
+    // hot-path: once per round, at the root; one pass over x, g and o
+    fn seal(&mut self, _level: usize, copies: usize) {
+        let gp = (self.rate)(copies + 1);
+        let (x, g) = (&mut **self.params, &**self.dense.buf);
+        match &mut self.last {
+            Some(o) => x.iter_mut().zip(g).zip(o).for_each(|((xi, &gi), oi)| {
+                *xi -= gp * (gi + *oi);
+                *oi = *xi;
+            }),
+            None => descend(x, gp, g),
+        }
+        self.landed = true;
+    }
+
+    fn adopt(&mut self, from: usize, frame: Vec<f32>, at: usize) -> Wire {
+        let x = payload(expect_len(from, at + self.params.len(), frame)?, at);
+        *self.dense.buf = std::mem::replace(self.params, x);
+        self.landed = true;
+        Ok(())
+    }
+
+    fn copy(&mut self) -> Vec<f32> {
+        (self.last.take()).unwrap_or_else(|| copy_into_spare(&mut self.dense.spares, self.params))
     }
 }
 
@@ -250,6 +344,83 @@ mod tests {
                 }
             });
             assert_eq!(traffic.elements_sent(), (2 * (p - 1) * m) as u64, "p={p}");
+        }
+    }
+
+    #[test]
+    fn landing_is_the_dense_tree_then_descend_bitwise() {
+        use crate::tree::allreduce_over;
+        use std::time::Duration;
+
+        let m = 37;
+        // Every rank's gradient differs; every member starts from one x.
+        let noise = |r: usize, j: usize| {
+            let h = ((r * 7919 + j * 104_729) as u32).wrapping_mul(2_654_435_761);
+            (h >> 8) as f32 / (1 << 24) as f32 - 0.5
+        };
+        let x0: Vec<f32> = (0..m).map(|j| 1.0 + noise(99, j)).collect();
+        let rate = |n: usize| 0.3 / n as f32;
+        // Each rank's `(params, grads length)` and the world's traffic
+        // `(elements, messages)`, through the landing fold or through the
+        // dense tree and `descend`.
+        let run = |p: usize, members: &Membership, armed: bool, landing: bool| {
+            let mut world = CommWorld::new(p);
+            let traffic = world.traffic();
+            let comms = world.communicators();
+            let deadline = armed.then_some(Duration::from_secs(5));
+            let out: Vec<_> = thread::scope(|s| {
+                let hs: Vec<_> = (comms.into_iter())
+                    .map(|mut c| {
+                        let (x0, mut members) = (&x0, members.clone());
+                        s.spawn(move || {
+                            let r = c.rank();
+                            let (mut x, mut g) =
+                                (x0.clone(), (0..m).map(|j| noise(r, j)).collect());
+                            if !members.contains(r) {
+                                return None;
+                            }
+                            let n = members.len();
+                            if landing {
+                                let mut fold = Landing::new(&mut x, &mut g, |k| {
+                                    assert_eq!(k, n, "the rate is over the members");
+                                    rate(k)
+                                });
+                                allreduce_over(&mut c, &mut members, &mut fold, deadline)
+                                    .expect("landing");
+                                fold.finish();
+                            } else {
+                                let fold = &mut Dense::new(&mut g, None);
+                                allreduce_over(&mut c, &mut members, fold, deadline)
+                                    .expect("dense");
+                                descend(&mut x, rate(n), &g);
+                            }
+                            Some((x, g.len()))
+                        })
+                    })
+                    .collect();
+                hs.into_iter().map(|h| h.join().expect("rank")).collect()
+            });
+            (out, traffic.elements_sent(), traffic.messages_sent())
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cases = (1..=8).map(|p| (p, Membership::new(p)));
+        for (p, members) in cases.chain([(4, Membership::of(1..4))]) {
+            for armed in [false, true] {
+                let (landed, elems, msgs) = run(p, &members, armed, true);
+                let (want, want_elems, want_msgs) = run(p, &members, armed, false);
+                let at = format!("p = {p}, members {:?}, armed {armed}", members.members());
+                assert_eq!((elems, msgs), (want_elems, want_msgs), "traffic, {at}");
+                for (r, (got, want)) in landed.iter().zip(&want).enumerate() {
+                    match (got, want) {
+                        (Some((x, g_len)), Some((want_x, _))) => {
+                            assert_eq!(bits(x), bits(want_x), "rank {r}, {at}");
+                            assert_eq!(*g_len, m, "rank {r}'s gradient arena, {at}");
+                        }
+                        (None, None) => {}
+                        _ => panic!("rank {r} membership differs, {at}"),
+                    }
+                }
+            }
         }
     }
 

@@ -10,13 +10,13 @@
 
 use std::time::{Duration, Instant};
 
-use sasgd_comm::collectives::{broadcast, Dense};
+use sasgd_comm::collectives::{broadcast, Dense, Landing};
 use sasgd_comm::ps_transport::{PsLayout, PsTransportClient, PsTransportError};
 use sasgd_comm::sparse::SparseFold;
 use sasgd_comm::transport::Transport;
 use sasgd_comm::tree::{allreduce_over, broadcast_over, FtError, FtOutcome, Membership};
 
-use super::{descend, global_step, FaultConfig, Lattice, Total};
+use super::{global_step, FaultConfig, Lattice, Total};
 use crate::algorithms::{Algorithm, GammaP};
 use crate::compress::{ErrorFeedback, Payload};
 use crate::history::{History, MembershipEvent, RetirementEvent};
@@ -73,8 +73,8 @@ pub(crate) struct Outcome {
 /// the result. A round consumes `learner.gs` — a dense one clears it, a
 /// codec leaves in it the residual the next interval accumulates onto.
 /// SASGD at `T = 1` has no `gs` and rounds on the model's gradient arena:
-/// a dense round consumes it and the next step's backward starts from
-/// zeros; with a codec the arena is the accumulator
+/// a dense round consumes it (the next step zeroes whatever buffer it left
+/// there); with a codec the arena is the accumulator
 /// ([`Learner::carry`]), which backward adds onto.
 pub(crate) trait Exchange {
     /// Called at every step boundary with the 1-based global step about to
@@ -107,7 +107,7 @@ pub(crate) trait Exchange {
 /// Broadcast rank 0's parameters (Algorithm 1): a receiver's arena becomes
 /// the frame it received, no copy kept.
 fn broadcast_x0<T: Transport>(comm: &mut T, l: &mut Learner) -> Result<(), WireError> {
-    Ok(l.model.lend_params(|params| broadcast(comm, 0, params))?)
+    Ok(l.model.lend_arenas(|x, _| broadcast(comm, 0, x))?)
 }
 
 /// Allreduce the payload `codec` moves out of the accumulator `acc` —
@@ -151,10 +151,10 @@ fn compressed_allreduce<T: Transport>(
 /// global step with `γp` resolved over the members — or, delayed, the
 /// previous round's, with this rank's progress re-based onto it (the
 /// [`Lattice`]). At `T = 1`
-/// ([`Lattice::on_arena`]) the payload is the model's gradient arena —
-/// the dense walk moves the arena's own buffer, a codec encodes in place
-/// and leaves its residual there — and the total lands on `params`: no
-/// `x`, no `gs`, no local step.
+/// ([`Lattice::on_arena`]) the payload is the model's gradient arena: no
+/// `x`, no `gs`, no local step. Dense, gradients go up and `params` come
+/// down, stepped once at the tree's root ([`Landing`]); a codec encodes in
+/// place, leaves its residual there, and its total lands on `params`.
 ///
 /// With a [`FaultConfig`] the tree is armed: its scripted faults fire at
 /// step boundaries (never inside a collective), so a degraded run replays
@@ -214,10 +214,13 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
                 compressed_allreduce(codec, comm, ms, deadline, acc, &mut round)
                     .map(|(total, outcome)| (Some(total), outcome))
             }
-            None if on_arena => l
-                .model
-                .lend_grads(|g| allreduce_over(comm, ms, &mut Dense::new(g, None), deadline))
-                .map(|outcome| (None, outcome)),
+            None if on_arena => l.model.lend_arenas(|x, g| {
+                let (gamma_p, gamma) = (self.gamma_p, round.gamma);
+                let mut fold = Landing::new(x, g, |n| gamma_p.resolve(gamma, n));
+                let outcome = allreduce_over(comm, ms, &mut fold, deadline)?;
+                fold.finish();
+                Ok((None, outcome))
+            }),
             None => allreduce_over(comm, ms, &mut Dense::new(&mut l.gs, None), deadline)
                 .map(|outcome| (None, outcome)),
         };
@@ -245,11 +248,7 @@ impl<T: Transport> Exchange for GradTree<'_, T> {
                 total.step(l.model.params_mut(), gp);
                 None
             }
-            None if on_arena => {
-                let (params, total) = l.model.params_and_grads_mut();
-                descend(params, gp, total);
-                None
-            }
+            None if on_arena => None, // the landing fold stepped `params`
             None if self.lattice.is_plain() => {
                 global_step(&mut self.x, gp, &mut l.gs, l.model.params_mut());
                 None
@@ -571,7 +570,7 @@ mod tests {
         for faults in [None, Some(&plan)] {
             let mut l = Learner::new(1, models::tiny_cnn(2, &mut SeedRng::new(3)), &cfg);
             let m = l.model.param_len();
-            l.model.lend_grads(|g| g.fill(1.0));
+            l.model.params_and_grads_mut().1.fill(1.0);
             let mut world = CommWorld::new(2).communicators();
             let comm = world.pop().expect("rank 1");
             drop(world);

@@ -36,6 +36,7 @@
 
 use std::time::Duration;
 
+use sasgd_comm::collectives::descend;
 use sasgd_comm::fault::FaultPlan;
 use sasgd_comm::sparse::SparseVec;
 use sasgd_data::Dataset;
@@ -54,21 +55,13 @@ mod threaded;
 /// `x` and `gs` (a fixed `T ≠ 1`, a hierarchical group): `x ← x − γp·gs`,
 /// the replica restarts from the common `x`, and `gs` (holding the
 /// allreduced total) is cleared for the next interval. At `T = 1` the
-/// total lands on `params` alone ([`descend`]; see [`Lattice::on_arena`]).
+/// total lands on `params` alone (see [`Lattice::on_arena`]).
 // hot-path: once per round, in place
 pub(crate) fn global_step(x: &mut [f32], gp: f32, gs: &mut [f32], params: &mut [f32]) {
     for ((xi, g), p) in x.iter_mut().zip(gs).zip(params) {
         *xi -= gp * *g;
         *p = *xi;
         *g = 0.0;
-    }
-}
-
-/// `x ← x − γp·total`, in place: how every dense total lands.
-// hot-path: once per round, in place
-pub(crate) fn descend(x: &mut [f32], gp: f32, total: &[f32]) {
-    for (xi, &g) in x.iter_mut().zip(total) {
-        *xi -= gp * g;
     }
 }
 
@@ -161,7 +154,9 @@ impl Lattice {
     /// `x` is `params` at every step boundary and `gs` is the step's
     /// gradient: the round's payload is the model's gradient arena as
     /// `backward` left it, the total lands on `params`, and there is no
-    /// local step, no `x` and no `gs`.
+    /// local step, no `x` and no `gs`; every member holds the same `params`,
+    /// so a dense round steps them once, at the tree's root
+    /// ([`Landing`](sasgd_comm::collectives::Landing)).
     pub(crate) fn on_arena(&self) -> bool {
         matches!(self.schedule, TSchedule::Fixed { t: 1 }) && self.snap.is_none()
     }

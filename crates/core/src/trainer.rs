@@ -151,7 +151,7 @@ impl EvalSets {
         comm_seconds: f64,
         samples: u64,
     ) -> EpochRecord {
-        let carried = carry.then(|| model.lend_grads(std::mem::take));
+        let carried = carry.then(|| model.lend_arenas(|_, g| std::mem::take(g)));
         let mut ctx = Ctx::measure();
         let (mut train, mut measured) = (EvalTally::default(), 0usize);
         for (x, y) in self.train_x.iter().zip(&self.train_y) {
@@ -171,7 +171,7 @@ impl EvalSets {
         }
         let grad_norm = mean_norm(model.grads(), measured);
         match carried {
-            Some(acc) => model.lend_grads(|g| *g = acc),
+            Some(acc) => model.lend_arenas(|_, g| *g = acc),
             None => model.zero_grads(),
         }
         ctx.training = false;

@@ -123,32 +123,24 @@ impl Model {
         (&mut self.params, &mut self.grads)
     }
 
-    /// Lend the gradient arena itself to `f`, for a collective that moves
-    /// its buffer instead of copying it, and keep the arena at
-    /// [`Model::param_len`] floats whatever `f` leaves behind: a walk that
-    /// fails after handing its buffer to the wire leaves it empty, and the
-    /// arena comes back zero-filled to full length, never short.
-    pub fn lend_grads<R>(&mut self, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
-        self.grads_zeroed = false;
-        let out = f(&mut self.grads);
-        self.grads.resize(self.params.len(), 0.0);
-        out
-    }
-
-    /// Lend the parameter arena itself to `f`, for a collective that lands
-    /// the buffer it receives in place of copying it (the `x0` broadcast).
+    /// Lend both arenas themselves to `f` as `(params, grads)`, for a
+    /// collective that moves or swaps their buffers instead of copying them.
+    /// A gradient arena `f` leaves short (a walk that failed after handing
+    /// it to the wire) comes back zero-filled to [`Model::param_len`].
     ///
     /// # Panics
-    /// If `f` leaves the arena at another length than
-    /// [`Model::param_len`]: the layers index into it.
-    pub fn lend_params<R>(&mut self, f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    /// If `f` leaves the parameter arena at another length: the layers
+    /// index into it.
+    pub fn lend_arenas<R>(&mut self, f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> R) -> R {
         let len = self.params.len();
-        let out = f(&mut self.params);
+        self.grads_zeroed = false;
+        let out = f(&mut self.params, &mut self.grads);
         assert_eq!(
             self.params.len(),
             len,
             "a lent parameter arena came back resized"
         );
+        self.grads.resize(len, 0.0);
         out
     }
 
@@ -393,20 +385,26 @@ mod tests {
     fn a_lent_arena_comes_back_full_length() {
         let mut m = mlp(5);
         let len = m.param_len();
-        let moved = m.lend_grads(|g| {
+        let moved = m.lend_arenas(|_, g| {
             g.fill(2.0);
             std::mem::take(g)
         });
         assert_eq!(moved, vec![2.0; len], "the arena itself was lent");
         assert_eq!(m.grads(), vec![0.0; len], "a taken arena comes back zeroed");
-        m.lend_grads(|g| *g = vec![3.0; len]);
+        m.lend_arenas(|_, g| *g = vec![3.0; len]);
         assert_eq!(
             m.grads(),
             vec![3.0; len],
             "a replacement of full length stays"
         );
-        m.lend_params(|p| *p = vec![4.0; len]);
+        let before = m.param_vector();
+        m.lend_arenas(|p, g| *g = std::mem::replace(p, vec![4.0; len]));
         assert_eq!(m.params(), vec![4.0; len], "a lent parameter arena lands");
+        assert_eq!(
+            m.grads(),
+            before,
+            "the swapped-out one is the gradient arena"
+        );
     }
 
     #[test]

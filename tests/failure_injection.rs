@@ -198,6 +198,42 @@ fn ft_runner_with_empty_plan_matches_plain_threaded_bitwise() {
 }
 
 #[test]
+fn t1_ft_runner_with_empty_plan_matches_plain_threaded_bitwise() {
+    // The armed tree at T = 1, where the dense round lands on the tree's
+    // root and the stepped parameters come down: with nothing failing it
+    // is the unarmed run, parameter for parameter and record for record.
+    let (train_set, test_set) = generate(&CifarLikeConfig::tiny(128, 32, 3));
+    let cfg = TrainConfig::new(2, 8, 0.05, 11);
+    let f = || models::tiny_cnn(3, &mut SeedRng::new(5));
+    for p in [2, 4] {
+        let algo = Algorithm::sasgd(p, 1, GammaP::OverP);
+        let plain = Executor::new(Backend::Threaded).run(&f, &train_set, &test_set, &algo, &cfg);
+        let ft = run_sasgd_ft(
+            &f,
+            &train_set,
+            &test_set,
+            &cfg,
+            p,
+            1,
+            &FaultConfig::default(),
+        );
+        assert!(plain.final_params.is_some(), "p = {p}");
+        assert_eq!(
+            plain.final_params, ft.final_params,
+            "p = {p}: armed != plain"
+        );
+        assert!(
+            ft.membership.is_empty(),
+            "p = {p}: no loss, no membership event"
+        );
+        assert_eq!(plain.records.len(), ft.records.len(), "p = {p}");
+        for (a, b) in plain.records.iter().zip(&ft.records) {
+            assert_eq!(a.train_loss.to_bits(), b.train_loss.to_bits(), "p = {p}");
+        }
+    }
+}
+
+#[test]
 fn crash_one_of_eight_mid_epoch_completes_on_survivors() {
     // A learner dies between two sync rounds of the first epoch: the
     // remaining seven must detect it, rebuild the tree, rescale γp, and
@@ -279,15 +315,23 @@ fn seeded_fault_plans_replay_bitwise() {
     };
     let run = || run_sasgd_ft(&f, &train_set, &test_set, &cfg, 8, 2, &faults);
     let (a, b) = (run(), run());
+    // Who each run evicted, and when, comes first: a run that evicted a
+    // healthy rank too diverges in its parameters, and the message says
+    // which ranks each run lost.
+    let evictions = |h: &History| {
+        let events = h.membership.iter();
+        let events = events.map(|e| (e.round, e.epoch, e.lost.clone(), e.survivors));
+        let retired = h.retirements.iter().map(|r| (r.rank, r.round));
+        (events.collect::<Vec<_>>(), retired.collect::<Vec<_>>())
+    };
+    let (ea, eb) = (evictions(&a), evictions(&b));
+    assert_eq!(
+        ea, eb,
+        "membership events (round, epoch, lost, survivors) and retirements \
+         (rank, round) differ between the runs"
+    );
     assert!(a.final_params.is_some());
     assert_eq!(a.final_params, b.final_params, "degraded run not bitwise");
-    assert_eq!(a.membership.len(), b.membership.len());
-    for (x, y) in a.membership.iter().zip(&b.membership) {
-        assert_eq!(
-            (x.round, x.epoch, &x.lost, x.survivors),
-            (y.round, y.epoch, &y.lost, y.survivors)
-        );
-    }
     for (x, y) in a.records.iter().zip(&b.records) {
         assert_eq!(x.train_loss, y.train_loss);
     }
